@@ -24,9 +24,11 @@ vet:
 fmt:
 	@out="$$(gofmt -l . cmd internal)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
+# The bench module sits outside the root build, so it is vetted here.
 # staticcheck when installed (the CI workflow pins and installs it);
 # no-op otherwise so minimal containers still pass `make ci`.
 lint: fmt
+	$(GO) vet -C bench ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 # The parallel solver, the cancellation/panic-isolation machinery, and the

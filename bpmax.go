@@ -513,8 +513,11 @@ func FoldSingle(seq string, opts ...Option) (*SingleResult, error) {
 
 // FoldSingleContext is FoldSingle with cooperative cancellation, checked
 // once per anti-diagonal wavefront of the S-table build. It routes through
-// the request pipeline: with WithCache the strand's S table is shared with
-// interaction folds, and WithAdmission gates it like any other request.
+// the request pipeline with the same guarantees as FoldContext: with
+// WithCache the strand's S table is shared with interaction folds,
+// WithAdmission gates it, WithRetry re-runs transient failures, a panic
+// surfaces as a *PanicError, and a parallel build (WithWorkers > 1) runs on
+// the request's Engine when one is set.
 func FoldSingleContext(ctx context.Context, seq string, opts ...Option) (*SingleResult, error) {
 	return buildOptions(opts).runSingle(ctx, seq)
 }
@@ -541,9 +544,9 @@ type EnsembleResult struct {
 // SingleEnsemble computes the single-strand Boltzmann ensemble signal for
 // seq at temperature factor kT (in units of pair weight; small kT
 // approaches the max-plus optimum: kT·LogZ → Score). It routes through the
-// request pipeline (validation, admission), and with WithCache the whole
-// ensemble result is served from the content-addressed cache under an
-// algebra-qualified key.
+// request pipeline (admission, retry, panic isolation, error accounting),
+// and with WithCache the whole ensemble result is served from the
+// content-addressed cache under an algebra-qualified key.
 func SingleEnsemble(seq string, kT float64, opts ...Option) (*EnsembleResult, error) {
 	return buildOptions(opts).runEnsemble(seq, kT)
 }

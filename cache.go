@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/pipeline"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -153,63 +152,27 @@ func (c *Cache) substratesOn() bool { return !c.subsOff }
 // resultsOn reports whether the whole-result layer serves requests.
 func (c *Cache) resultsOn() bool { return !c.resOff }
 
-// insertSubstrate retains an S table. A table built in pooled storage is
-// cloned first — the pool will reset that storage on reuse, and cached
-// tables must stay immutable. Unpooled tables are retained directly (they
-// are never reused, so sharing them is safe and saves the copy).
-func (c *Cache) insertSubstrate(k pipeline.Key, t *nussinov.Table, pooled bool) {
-	if pooled {
-		t = t.Clone()
-	}
-	c.c.Add(k, t, t.Bytes())
-}
+// Per-strand key namespaces. The tag byte keeps them disjoint: the float32
+// and float64 substrate tables and the ensemble signal never cross-serve.
+const (
+	keySubstrate    byte = 'S' // max-plus S table
+	keyPartitionSub byte = 'Q' // Boltzmann (log-sum-exp float64) S table
+	keyEnsemble     byte = 'E' // SingleEnsemble result
+)
 
-// substrateKey addresses one strand's S table: the strand's normalized
-// bases, the intramolecular model weights, and the hairpin constraint —
-// exactly the inputs of the S recurrence.
-func substrateKey(seq rna.Sequence, sp score.Params) pipeline.Key {
+// strandKey addresses one strand's entry in namespace tag: the strand's
+// normalized bases, the intramolecular model weights and the hairpin
+// constraint — exactly the inputs of the S recurrence — plus, for the two
+// Boltzmann namespaces, the temperature factor that scales every weight and
+// therefore every cell. Max-plus keys carry no kT component.
+func strandKey(tag byte, seq rna.Sequence, sp score.Params, kT float64) pipeline.Key {
 	h := pipeline.NewHasher()
-	h.Byte('S')
+	h.Byte(tag)
 	hashModel(h, sp.Model)
 	h.I64(int64(sp.MinHairpin))
-	h.I64(int64(seq.Len()))
-	for i := 0; i < seq.Len(); i++ {
-		h.Byte(byte(seq.At(i)))
+	if tag != keySubstrate {
+		h.F64(kT)
 	}
-	k := h.Sum()
-	h.Release()
-	return k
-}
-
-// partitionSubKey addresses one strand's Boltzmann (log-sum-exp float64)
-// S table: the max-plus substrate inputs plus the temperature factor, which
-// scales every weight and therefore every cell. The tag byte keeps the
-// float32 and float64 substrate namespaces disjoint — the two algebras
-// never cross-serve a table.
-func partitionSubKey(seq rna.Sequence, sp score.Params, kT float64) pipeline.Key {
-	h := pipeline.NewHasher()
-	h.Byte('Q')
-	hashModel(h, sp.Model)
-	h.I64(int64(sp.MinHairpin))
-	h.F64(kT)
-	h.I64(int64(seq.Len()))
-	for i := 0; i < seq.Len(); i++ {
-		h.Byte(byte(seq.At(i)))
-	}
-	k := h.Sum()
-	h.Release()
-	return k
-}
-
-// ensembleKey addresses one strand's SingleEnsemble signal: the single-
-// strand semiring fills depend on exactly the intramolecular model, the
-// hairpin constraint, kT and the bases.
-func ensembleKey(seq rna.Sequence, sp score.Params, kT float64) pipeline.Key {
-	h := pipeline.NewHasher()
-	h.Byte('E')
-	hashModel(h, sp.Model)
-	h.I64(int64(sp.MinHairpin))
-	h.F64(kT)
 	h.I64(int64(seq.Len()))
 	for i := 0; i < seq.Len(); i++ {
 		h.Byte(byte(seq.At(i)))

@@ -6,7 +6,8 @@
 #
 # Stages:
 #
-#   lint   vet, gofmt, staticcheck (when installed)
+#   lint   vet (root + bench module), gofmt, layering greps, staticcheck
+#          (when installed)
 #   test   tier-1 build + full test suite
 #   race   race detector over the goroutine-spawning packages + chaos re-run
 #   fuzz   short fuzz smoke over the solver parity fuzzers
@@ -25,6 +26,9 @@ ARTIFACTS="results/generated"
 run_lint() (
     set -x
     go vet ./...
+    # The bench module is not part of the root build (`go build ./...` never
+    # compiles it), so an internal signature change can break it silently.
+    go vet -C bench ./...
     test -z "$(gofmt -l . cmd internal)" || { gofmt -l . cmd internal; exit 1; }
     # Structured logging stays at the process edge (cmd/): the solver, the
     # pipeline, and the observability plumbing itself must never log — they
@@ -33,6 +37,13 @@ run_lint() (
     if grep -rn '"log/slog"' internal/bpmax internal/nussinov internal/fourrussians \
         internal/pipeline internal/metrics internal/trace internal/workload ./*.go; then
         echo "lint: log/slog imported below the cmd/ layer (log at the edge, trace in the core)" >&2
+        exit 1
+    fi
+    # The solver calls live in pipeline.go alone: one attempt path, one
+    # cold-solve body. Any other root-package source calling ibpmax.Solve*
+    # is a second path growing back.
+    if grep -n 'ibpmax\.Solve' $(ls ./*.go | grep -v -e '_test\.go$' -e '^\./pipeline\.go$'); then
+        echo "lint: ibpmax.Solve* called outside pipeline.go (route it through the pipeline's cold body)" >&2
         exit 1
     fi
     # staticcheck runs only where the pinned tool is installed (the GitHub
@@ -56,7 +67,7 @@ run_race() (
     # session-drain contract under the race detector (see chaos_test.go and
     # docs/ROBUSTNESS.md). The package -race run above already covers these;
     # this step re-runs them by name so a chaos failure is identified as such.
-    go test -race -run 'TestChaos|TestRetry|TestBreaker|TestSessionShutdownDrains|TestSessionClosed' -count=1 .
+    go test -race -run 'TestChaos|TestEntryPointContract|TestRetry|TestBreaker|TestSessionShutdownDrains|TestSessionClosed' -count=1 .
 )
 
 run_fuzz() (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/bpmax-go/bpmax/internal/metrics"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
 )
 
 // Variant selects one of the paper's BPMax execution schedules.
@@ -159,4 +160,18 @@ func (c Config) pforCtx() func(ctx context.Context, n, workers int, f func(int))
 		return parallelForStaticCtx
 	}
 	return parallelForCtx
+}
+
+// ParallelFor binds the configured runtime and width into the plain loop the
+// substrate builders take (nussinov.BuildParallelContext and its
+// Four-Russians counterpart), so a single-strand build runs under the same
+// Engine cap, failpoints and panic recovery as the interaction fill. Width 1
+// returns nil — the builders' inline fill.
+func (c Config) ParallelFor() nussinov.ParallelFor {
+	w := resolveWorkers(c.Workers)
+	if w == 1 {
+		return nil
+	}
+	pf := c.pforCtx()
+	return func(ctx context.Context, n int, f func(int)) error { return pf(ctx, n, w, f) }
 }

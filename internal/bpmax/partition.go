@@ -49,21 +49,11 @@ func (ps *PartitionSub) Bytes() int64 {
 	return b
 }
 
-// BuildPartitionSub scales the problem's score tables by 1/kT and fills the
-// two single-strand log-sum-exp substrates. kT must be positive. The
-// Four-Russians fast path never applies here (it is a max-plus block
-// precomputation); the classic diagonal schedule is the only rung, which is
-// why the build takes a context — it is O(n³) like any substrate fill.
-func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionSub, error) {
-	return BuildPartitionSubShared(ctx, p, kT, nil, nil)
-}
-
-// BuildPartitionSubShared is BuildPartitionSub with optionally pre-built
-// single-strand substrates: a non-nil s1/s2 (a content-addressed cache hit
-// for that strand under the same model and kT) is adopted read-only and its
-// O(n³) fill skipped. The scaled score matrices are always rebuilt — they
-// are per-pair (the intermolecular matrix) or cheap Θ(n²) scans.
-func BuildPartitionSubShared(ctx context.Context, p *Problem, kT float64, s1, s2 *nussinov.GTable[float64]) (*PartitionSub, error) {
+// NewPartitionSub scales the problem's score tables by 1/kT (kT must be
+// positive and finite). The two S tables are left for BuildPartitionS — or
+// for the substrate cache, which installs a strand's table read-only when a
+// fold under the same model and kT already built it.
+func NewPartitionSub(p *Problem, kT float64) (*PartitionSub, error) {
 	if !(kT > 0) || math.IsInf(kT, 1) {
 		return nil, fmt.Errorf("bpmax: partition kT must be positive and finite (got %v)", kT)
 	}
@@ -83,28 +73,31 @@ func BuildPartitionSubShared(ctx context.Context, p *Problem, kT float64, s1, s2
 	for i, w := range p.Tab.Inter {
 		ps.Isc[i] = scalePartition(float32(w), kT)
 	}
-	k := semiring.LogSumExpKernels()
-	if s1 != nil {
-		ps.S1 = s1
-	} else {
-		var err error
-		ps.S1, err = nussinov.BuildGContext(ctx, n1, k, func(i, j int) float64 {
-			return ps.Sc1[i*n1+j]
-		})
-		if err != nil {
-			return nil, err
-		}
+	return ps, nil
+}
+
+// BuildPartitionS fills one strand's log-sum-exp substrate from its scaled
+// n×n intramolecular matrix (a PartitionSub's Sc1 or Sc2). The Four-Russians
+// fast path never applies here (it is a max-plus block precomputation); the
+// classic diagonal schedule is the only rung, which is why the build takes a
+// context — it is O(n³) like any substrate fill.
+func BuildPartitionS(ctx context.Context, n int, sc []float64) (*nussinov.GTable[float64], error) {
+	return nussinov.BuildGContext(ctx, n, semiring.LogSumExpKernels(), func(i, j int) float64 {
+		return sc[i*n+j]
+	})
+}
+
+// BuildPartitionSub is NewPartitionSub plus both single-strand fills.
+func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionSub, error) {
+	ps, err := NewPartitionSub(p, kT)
+	if err != nil {
+		return nil, err
 	}
-	if s2 != nil {
-		ps.S2 = s2
-	} else {
-		var err error
-		ps.S2, err = nussinov.BuildGContext(ctx, n2, k, func(i, j int) float64 {
-			return ps.Sc2[i*n2+j]
-		})
-		if err != nil {
-			return nil, err
-		}
+	if ps.S1, err = BuildPartitionS(ctx, p.N1, ps.Sc1); err != nil {
+		return nil, err
+	}
+	if ps.S2, err = BuildPartitionS(ctx, p.N2, ps.Sc2); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }

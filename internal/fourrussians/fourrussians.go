@@ -33,7 +33,6 @@ package fourrussians
 import (
 	"context"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
@@ -210,20 +209,20 @@ type fillState struct {
 // score.Model.IntegerBounded); the result is bit-identical to t.Fill with
 // the same ScoreFunc.
 func Fill(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int) {
-	if err := fillQ(nil, t, sc, maxStep, BlockSize(t.N, maxStep), 1); err != nil {
+	if err := fillQ(nil, t, sc, maxStep, BlockSize(t.N, maxStep), nil); err != nil {
 		panic(err) // unreachable: no context, no cancellation
 	}
 }
 
-// FillParallelContext fills t with up to workers goroutines per
-// anti-diagonal wavefront (workers <= 0 selects GOMAXPROCS), checking ctx
-// once per diagonal like nussinov.BuildParallelContext. On cancellation the
-// partially filled table must be discarded by the caller.
-func FillParallelContext(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// FillParallelContext fills t with pfor cooperating on each anti-diagonal
+// wavefront (nil fills inline), checking ctx once per diagonal like
+// nussinov.BuildParallelContext. On an error the partially filled table
+// must be discarded by the caller.
+func FillParallelContext(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return fillQ(ctx, t, sc, maxStep, BlockSize(t.N, maxStep), workers)
+	return fillQ(ctx, t, sc, maxStep, BlockSize(t.N, maxStep), pfor)
 }
 
 // Build is the Four-Russians counterpart of nussinov.Build.
@@ -236,7 +235,7 @@ func Build(n int, sc nussinov.ScoreFunc, maxStep int) *nussinov.Table {
 // BuildParallelContext is the Four-Russians counterpart of
 // nussinov.BuildParallelContext: same scheduling, same cancellation
 // contract, same table layout — only the inner loop differs.
-func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, maxStep, workers int) (*nussinov.Table, error) {
+func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) (*nussinov.Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -244,7 +243,7 @@ func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, max
 		return nil, err
 	}
 	t := nussinov.NewTable(n)
-	if err := FillParallelContext(ctx, t, sc, maxStep, workers); err != nil {
+	if err := FillParallelContext(ctx, t, sc, maxStep, pfor); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -252,7 +251,7 @@ func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, max
 
 // fillQ runs the build with an explicit block size (exercised directly by
 // the q = 1, 2, 3 unit tests). ctx may be nil for never-cancelled fills.
-func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q, workers int) error {
+func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int, pfor nussinov.ParallelFor) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -286,11 +285,10 @@ func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxSte
 			default:
 			}
 		}
-		cells := n - d
-		if workers == 1 || n < nussinov.SequentialCutoff {
-			st.run(d, 0, cells)
-		} else {
-			st.runParallel(d, cells, workers)
+		if pfor == nil || n < nussinov.SequentialCutoff {
+			st.run(d, 0, n-d)
+		} else if err := pfor.Chunks(ctx, n-d, func(lo, hi int) { st.run(d, lo, hi) }); err != nil {
+			return err
 		}
 		// Second pass: publish the difference codes this diagonal
 		// completes. O(cells) total, so it stays on the coordinator.
@@ -305,33 +303,6 @@ func (s *fillState) run(d, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s.data[i*n+i+d] = s.cell(i, i+d)
 	}
-}
-
-// runParallel mirrors nussinov's static chunking: wavefront cells are
-// perfectly balanced, so contiguous chunks win.
-func (s *fillState) runParallel(d, cells, workers int) {
-	w := workers
-	if w > cells {
-		w = cells
-	}
-	chunk := (cells + w - 1) / w
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		lo := p * chunk
-		hi := lo + chunk
-		if hi > cells {
-			hi = cells
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s.run(d, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // cell computes S[i,j]: the three unary candidates exactly as the classic

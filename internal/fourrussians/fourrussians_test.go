@@ -3,6 +3,7 @@ package fourrussians
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
@@ -77,7 +78,7 @@ func TestParityExplicitBlockSizes(t *testing.T) {
 				sc := scoreFor(seq, mc.m)
 				want := nussinov.Build(n, sc)
 				got := nussinov.NewTable(n)
-				if err := fillQ(nil, got, sc, mc.maxStep, q, 1); err != nil {
+				if err := fillQ(nil, got, sc, mc.maxStep, q, nil); err != nil {
 					t.Fatalf("q=%d n=%d: %v", q, n, err)
 				}
 				requireIdentical(t, mc.m.Name(), got, want)
@@ -106,6 +107,28 @@ func TestParityMinHairpinScores(t *testing.T) {
 	}
 }
 
+// forkJoin is a test-only ParallelFor: one goroutine per worker over a
+// strided index space (workers <= 1 returns nil, the inline fill).
+func forkJoin(workers int) nussinov.ParallelFor {
+	if workers <= 1 {
+		return nil
+	}
+	return func(ctx context.Context, n int, f func(i int)) error {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < n; i += workers {
+					f(i)
+				}
+			}(w)
+		}
+		wg.Wait()
+		return ctx.Err()
+	}
+}
+
 func TestParityParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{63, 64, 65, 130, 257} {
@@ -113,7 +136,7 @@ func TestParityParallel(t *testing.T) {
 		sc := scoreFor(seq, score.BasePair())
 		want := nussinov.Build(n, sc)
 		for _, workers := range []int{0, 1, 2, 7} {
-			got, err := BuildParallelContext(context.Background(), n, sc, 3, workers)
+			got, err := BuildParallelContext(context.Background(), n, sc, 3, forkJoin(workers))
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
@@ -126,7 +149,7 @@ func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sc := func(i, j int) float32 { return 1 }
-	if _, err := BuildParallelContext(ctx, 128, sc, 1, 2); err != context.Canceled {
+	if _, err := BuildParallelContext(ctx, 128, sc, 1, forkJoin(2)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

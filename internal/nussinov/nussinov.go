@@ -11,15 +11,13 @@
 //
 // with S[i,j] = 0 when j <= i. Dependences only reach strictly shorter
 // intervals, so anti-diagonals (j-i constant) are independent wavefronts;
-// BuildParallel exploits that, mirroring how the paper schedules S¹/S²
-// "before scheduling any other variables".
+// BuildParallelContext exploits that, mirroring how the paper schedules
+// S¹/S² "before scheduling any other variables".
 package nussinov
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // ScoreFunc returns the pairing weight for positions i < j, or a very
@@ -163,12 +161,8 @@ func (t *Table) Reset(n int) {
 // Fill runs the recurrence sequentially in diagonal order over a fresh or
 // Reset table. O(n³) time.
 func (t *Table) Fill(score ScoreFunc) {
-	n := t.N
-	for d := 1; d < n; d++ {
-		for i := 0; i+d < n; i++ {
-			j := i + d
-			t.set(i, j, t.cell(i, j, score))
-		}
+	for d := 1; d < t.N; d++ {
+		t.fillCells(d, 0, t.N-d, score)
 	}
 }
 
@@ -180,11 +174,43 @@ func Build(n int, score ScoreFunc) *Table {
 	return t
 }
 
-// BuildParallelContext is BuildParallel with cooperative cancellation,
-// checked once per anti-diagonal wavefront (each wavefront costs O(n²)
-// work, so a cancel returns promptly). On cancellation the partial table is
-// discarded and ctx.Err() returned.
-func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, workers int) (*Table, error) {
+// ParallelFor runs f(i) for every i in [0, n) on the caller's parallel
+// runtime and returns the first cancellation, injected fault or recovered
+// panic. The fold pipeline passes its solver Config's loop (the shared
+// Engine when one is set), so a substrate build obeys the same width cap,
+// panic isolation and failpoints as the interaction fill. A nil ParallelFor
+// fills inline on the calling goroutine.
+type ParallelFor func(ctx context.Context, n int, f func(i int)) error
+
+// wavefrontGrain is how many cells of one anti-diagonal a parallel task
+// fills: contiguous, so neighbours share cache lines, and coarse enough that
+// claiming a task is noise next to its O(grain·n) work.
+const wavefrontGrain = 16
+
+// Chunks runs fill over the cells [0, cells) of one wavefront as contiguous
+// wavefrontGrain-cell tasks on pf. The classic and the Four-Russians builds
+// both schedule through it, so they differ only in their inner loop.
+func (pf ParallelFor) Chunks(ctx context.Context, cells int, fill func(lo, hi int)) error {
+	tasks := (cells + wavefrontGrain - 1) / wavefrontGrain
+	return pf(ctx, tasks, func(c int) {
+		lo := c * wavefrontGrain
+		fill(lo, min(lo+wavefrontGrain, cells))
+	})
+}
+
+// fillCells fills cells lo..hi-1 of anti-diagonal d.
+func (t *Table) fillCells(d, lo, hi int, score ScoreFunc) {
+	for i := lo; i < hi; i++ {
+		t.set(i, i+d, t.cell(i, i+d, score))
+	}
+}
+
+// BuildParallelContext fills the table with pfor cooperating on each
+// anti-diagonal wavefront (nil, or a table under SequentialCutoff, fills
+// inline), checking ctx once per wavefront — each costs O(n²) work, so a
+// cancel returns promptly. On cancellation or a failed wavefront the partial
+// table is discarded and the error returned.
+func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, pfor ParallelFor) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -195,71 +221,24 @@ func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, workers i
 	// request must not pay for (or retain) an O(n²) table.
 	t := NewTable(n)
 	done := ctx.Done()
-	if n < 2 {
-		return t, nil
-	}
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	// Fork-join overhead dominates tiny tables.
+	inline := pfor == nil || n < SequentialCutoff
 	for d := 1; d < n; d++ {
 		select {
 		case <-done:
 			return nil, ctx.Err()
 		default:
 		}
-		if w == 1 || n < SequentialCutoff {
-			// Fork-join overhead dominates tiny tables.
-			for i := 0; i+d < n; i++ {
-				t.set(i, i+d, t.cell(i, i+d, score))
-			}
+		if inline {
+			t.fillCells(d, 0, n-d, score)
 			continue
 		}
-		t.fillDiagonal(d, w, score)
+		err := pfor.Chunks(ctx, n-d, func(lo, hi int) { t.fillCells(d, lo, hi, score) })
+		if err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
-}
-
-// fillDiagonal fills anti-diagonal d with up to workers goroutines in
-// static contiguous chunks (the wavefronts are perfectly balanced, so
-// static wins here).
-func (t *Table) fillDiagonal(d, workers int, score ScoreFunc) {
-	n := t.N
-	cells := n - d
-	w := workers
-	if w > cells {
-		w = cells
-	}
-	chunk := (cells + w - 1) / w
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		lo := p * chunk
-		hi := lo + chunk
-		if hi > cells {
-			hi = cells
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				t.set(i, i+d, t.cell(i, i+d, score))
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// BuildParallel fills the table with workers goroutines cooperating on each
-// anti-diagonal wavefront. workers <= 0 selects GOMAXPROCS.
-func BuildParallel(n int, score ScoreFunc, workers int) *Table {
-	t, err := BuildParallelContext(context.Background(), n, score, workers)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return t
 }
 
 // Pair is one base pair (I, J) with I < J, 0-based.

@@ -1,7 +1,9 @@
 package nussinov
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/rna"
@@ -124,6 +126,28 @@ func TestAllEntriesMatchBruteForce(t *testing.T) {
 	}
 }
 
+// forkJoin is a test-only ParallelFor: one goroutine per worker over a
+// strided index space (workers <= 1 returns nil, the inline fill).
+func forkJoin(workers int) ParallelFor {
+	if workers <= 1 {
+		return nil
+	}
+	return func(ctx context.Context, n int, f func(i int)) error {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < n; i += workers {
+					f(i)
+				}
+			}(w)
+		}
+		wg.Wait()
+		return ctx.Err()
+	}
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,7 +156,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		sc := scoreFor(seq, score.BasePair())
 		seq1 := Build(n, sc)
 		for _, workers := range []int{0, 1, 2, 7} {
-			par := BuildParallel(n, sc, workers)
+			par, err := BuildParallelContext(context.Background(), n, sc, forkJoin(workers))
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
 					if seq1.At(i, j) != par.At(i, j) {
@@ -301,6 +328,8 @@ func BenchmarkBuildParallel256(b *testing.B) {
 	sc := scoreFor(seq, score.BasePair())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildParallel(256, sc, 0)
+		if _, err := BuildParallelContext(context.Background(), 256, sc, forkJoin(2)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

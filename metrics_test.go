@@ -206,7 +206,10 @@ func TestMetricsDegradedFold(t *testing.T) {
 		t.Errorf("BudgetEstimateBytes = %d, want in (0, %d]", res.Metrics.BudgetEstimateBytes, limit)
 	}
 	if res.Window == nil || res.Window.Metrics.Schedule != "windowed" {
-		t.Error("window result missing its metrics copy")
+		t.Fatal("window result missing its metrics copy")
+	}
+	if res.Metrics.Algebra != string(AlgebraMaxPlus) || res.Window.Metrics.Algebra != string(AlgebraMaxPlus) {
+		t.Errorf("windowed-rung metrics algebra = %q/%q, want maxplus on both", res.Metrics.Algebra, res.Window.Metrics.Algebra)
 	}
 	if snap := m.Snapshot(); snap.Degraded != 1 {
 		t.Errorf("aggregate degraded = %d, want 1", snap.Degraded)
@@ -221,6 +224,9 @@ func TestScanWindowedMetrics(t *testing.T) {
 	}
 	if win.Metrics.Schedule != "windowed" {
 		t.Errorf("Schedule = %q, want windowed", win.Metrics.Schedule)
+	}
+	if win.Metrics.Algebra != string(AlgebraMaxPlus) {
+		t.Errorf("Algebra = %q, want maxplus", win.Metrics.Algebra)
 	}
 	if win.Metrics.Wavefronts != 5 {
 		t.Errorf("Wavefronts = %d, want 5", win.Metrics.Wavefronts)

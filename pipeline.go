@@ -1,21 +1,30 @@
-// The fold pipeline: one request spine shared by every public entry point.
+// The fold pipeline: one attempt path shared by every public entry point.
 //
 // Fold/FoldContext, FoldBatch, ScanWindowed(Context), FoldSingle(Context)
 // and SingleEnsemble are thin adapters: each parses its options exactly once
-// into a request (buildOptions) and hands it to a run* method here. The
-// request then flows through the same explicit stages regardless of entry
-// point:
+// into a request (buildOptions) and hands it to a run* method here, which
+// names the entry point's option error and body and enters the same layers:
 //
-//	normalize/validate → admission → cache → budget/degrade → solve → finalize
+//	run      prologue: nil-ctx default, trace lookup, option error, retry loop
+//	attempt  panic isolation, queue span, admission slot
+//	body     fold → (result cache | cold)   scan → cold   single   ensemble
 //
-// Admission (WithAdmission) bounds how many requests solve at once, queuing
-// the rest FIFO and failing queued requests fast — with a typed
-// *AdmissionError — when their context expires. The content-addressed cache
-// (WithCache) memoizes Nussinov substrate tables per strand and whole fold
-// results per request, with single-flight deduplication of concurrent
-// identical folds; its retained bytes are charged against WithMemoryLimit
-// alongside the pool's. The budget/degrade ladder and the solver calls live
-// only here — no other root-package file touches the internal solvers.
+// So every entry point — single-strand and ensemble requests included —
+// carries the same guarantees: a panic surfaces as a typed *PanicError with
+// the admission slot already returned, a failed attempt is counted in
+// Metrics.Errors exactly once, and WithRetry re-runs transient failures.
+//
+// cold is the one cold-solve body of the interaction DP,
+//
+//	result shell → tracer join → substrate → budget/degrade → fill → finalise
+//
+// with the fill chosen by (degrade rung, algebra); a ScanWindowed request is
+// that body with the windowed rung forced to the caller's windows. The
+// solver calls live only here (ci.sh lints it), and sharedTable is the one
+// probe of the substrate cache. Admission (WithAdmission) and the
+// content-addressed cache (WithCache) are described in admission.go and
+// cache.go; the cache's retained bytes are charged against WithMemoryLimit
+// alongside the pool's.
 //
 // Stage methods have value receivers: a request copy is a flat struct, so
 // batch workers and option-local mutations (cfg.Metrics wiring, pool
@@ -26,6 +35,7 @@
 package bpmax
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -68,14 +78,17 @@ type request struct {
 	// resolved algebra and kT themselves live in the embedded options
 	// (buildOptions normalizes the defaults in).
 	algErr error
+	// scan marks a ScanWindowed request: runWindowed stores the caller's
+	// windows in degradeW1/degradeW2 and cold runs its windowed rung
+	// unconditionally — the band is the deliverable, not a degradation.
+	scan bool
 	// tr is the per-request trace carried by the call's context (nil in the
 	// common disarmed case — every recording through it is then a no-op).
-	// It is looked up once per run* entry, never per stage, and it is
-	// deliberately NOT cfg.Tracer: a request trace observes the pipeline —
-	// including cache hits — whereas WithTracer instruments a real fill and
-	// therefore bypasses the result cache. The trace joins cfg.Tracer only
-	// on the cold-solve path (foldCold / windowedAttempt), after the cache
-	// decision is made.
+	// run looks it up once, never per stage, and it is deliberately NOT
+	// cfg.Tracer: a request trace observes the pipeline — including cache
+	// hits — whereas WithTracer instruments a real fill and therefore
+	// bypasses the result cache. The trace joins cfg.Tracer only in cold,
+	// after the cache decision is made.
 	tr *itrace.Trace
 }
 
@@ -104,56 +117,41 @@ func (rq request) cacheRetained() int64 {
 	return rq.cache.c.RetainedBytes()
 }
 
-// runFold executes one interaction fold through the full pipeline,
-// re-running transiently failed attempts when WithRetry is configured.
-func (rq request) runFold(ctx context.Context, seq1, seq2 string) (*Result, error) {
+// run is the one prologue: every entry point enters the pipeline through
+// it. optErr is the entry point's pre-resolved option error (an unknown
+// variant, a non-positive window, ...), counted and returned before anything
+// is admitted. Otherwise body runs as attempts under the retry policy: a
+// transient failure (IsTransient — recovered panics and injected faults,
+// never cancellation, budget or admission errors) backs off exponentially
+// with deterministic jitter and runs again, until success, a non-transient
+// error, the attempt budget, or the context ends. Each attempt re-admits
+// through the gate, so a backing-off request holds no concurrency slot.
+// This loop is also the one place a failed attempt is counted.
+func run[T any](ctx context.Context, rq request, optErr error, body func(context.Context, request) (T, error)) (v T, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rq.tr = itrace.FromContext(ctx)
-	if rq.verr != nil {
+	if optErr != nil {
 		rq.metrics.RecordError()
-		return nil, rq.verr
-	}
-	if rq.aerr != nil {
-		rq.metrics.RecordError()
-		return nil, rq.aerr
-	}
-	if rq.algErr != nil {
-		rq.metrics.RecordError()
-		return nil, rq.algErr
-	}
-	if rq.retry == nil {
-		// No policy: skip the wrapper — its attempt closure captures the
-		// request, a per-fold cost the cached-hit path would pay for nothing.
-		return rq.foldAttempt(ctx, seq1, seq2)
-	}
-	return withRetry(ctx, rq, func() (*Result, error) {
-		return rq.foldAttempt(ctx, seq1, seq2)
-	})
-}
-
-// withRetry runs attempt under the request's retry policy: a transient
-// failure (IsTransient — recovered panics and injected faults, never
-// cancellation, budget or admission errors) backs off exponentially with
-// deterministic jitter and runs again, until success, a non-transient
-// error, the attempt budget, or the context ends. Each attempt re-admits
-// through the gate, so a backing-off request holds no concurrency slot.
-func withRetry[T any](ctx context.Context, rq request, attempt func() (T, error)) (T, error) {
-	v, err := attempt()
-	if err == nil || rq.retry == nil {
-		return v, err
+		return v, optErr
 	}
 	retried := false
-	for n := 1; n < rq.retry.MaxAttempts && isTransientFold(err) && ctx.Err() == nil; n++ {
+	for n := 1; ; n++ {
+		if v, err = attempt(ctx, rq, body); err == nil {
+			if retried {
+				rq.metrics.RecordRetrySuccess()
+			}
+			return v, nil
+		}
+		rq.metrics.RecordError()
+		if rq.retry == nil || n >= rq.retry.MaxAttempts || !isTransientFold(err) || ctx.Err() != nil {
+			break
+		}
 		rq.metrics.RecordRetry()
 		retried = true
 		if !sleepBackoff(ctx, rq.retry.backoff(n)) {
 			break
-		}
-		if v, err = attempt(); err == nil {
-			rq.metrics.RecordRetrySuccess()
-			return v, nil
 		}
 	}
 	if retried {
@@ -178,36 +176,87 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// foldAttempt is one pass through admission → cache → solve. The deferred
-// recover is the pipeline-level panic isolation: a panic escaping the
-// solver's own recovery (injected faults outside the parallel runtime,
-// grant-path panics) surfaces as a typed *PanicError instead of unwinding
-// into the caller — and because the unadmit defer is registered after it,
-// the admission slot is resolved before the recover converts the panic.
-func (rq request) foldAttempt(ctx context.Context, seq1, seq2 string) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, recoveredError(r)
-			rq.metrics.RecordError()
-		}
-	}()
+// guard is the pipeline's one recover. Deferred directly, it converts a
+// panic escaping the solver's own recovery (injected faults outside the
+// parallel runtime, grant-path panics, substrate builds) into a typed
+// *PanicError instead of unwinding into the caller.
+func guard(err *error) {
+	if r := recover(); r != nil {
+		*err = recoveredError(r)
+	}
+}
+
+// attempt is one pass through admission → body. The unadmit defer is
+// registered after guard, so the admission slot is resolved before guard
+// converts a panic.
+func attempt[T any](ctx context.Context, rq request, body func(context.Context, request) (T, error)) (v T, err error) {
+	defer guard(&err)
 	qs := rq.tr.Begin()
 	err = rq.admit(ctx)
 	rq.tr.End(itrace.StageQueue, qs)
 	if err != nil {
-		rq.metrics.RecordError()
-		return nil, err
+		return v, err
 	}
 	defer rq.unadmit()
-	// Instrumented folds always solve: per-fold metrics describe a real
-	// fill, so WithMetrics/WithTracer bypasses the result cache (the
-	// substrate cache still applies — it only shortens the substrate phase).
-	// A request trace (rq.tr) is not "instrumented" in this sense: it
-	// observes the pipeline as served, cache hits included.
-	if c := rq.cache; c != nil && c.resultsOn() && !rq.observed() {
-		return rq.foldShared(ctx, seq1, seq2)
+	return body(ctx, rq)
+}
+
+// runFold executes one interaction fold through the pipeline.
+func (rq request) runFold(ctx context.Context, seq1, seq2 string) (*Result, error) {
+	return run(ctx, rq, cmp.Or(rq.verr, rq.aerr, rq.algErr), func(ctx context.Context, rq request) (*Result, error) {
+		// Instrumented folds always solve: per-fold metrics describe a real
+		// fill, so WithMetrics/WithTracer bypasses the result cache (the
+		// substrate cache still applies — it only shortens the substrate
+		// phase). A request trace (rq.tr) is not "instrumented" in this
+		// sense: it observes the pipeline as served, cache hits included.
+		if c := rq.cache; c != nil && c.resultsOn() && !rq.observed() {
+			return rq.foldShared(ctx, seq1, seq2)
+		}
+		return rq.cold(ctx, seq1, seq2)
+	})
+}
+
+// runWindowed executes a windowed scan: cold with the windowed rung forced
+// to the caller's (w1, w2). Scans use the substrate cache but not the
+// result cache (the banded table is the deliverable and typically as large
+// as the substrate; retaining it per request would evict far more useful
+// entries).
+func (rq request) runWindowed(ctx context.Context, seq1, seq2 string, w1, w2 int) (*WindowResult, error) {
+	optErr := cmp.Or(rq.aerr, rq.algErr)
+	switch {
+	case w1 <= 0 || w2 <= 0:
+		optErr = fmt.Errorf("bpmax: windows must be positive (got %d, %d)", w1, w2)
+	case optErr == nil && rq.algebra == AlgebraPartition:
+		optErr = errors.New("bpmax: windowed scans are max-plus only; partition folds have no banded form")
 	}
-	return rq.foldCold(ctx, seq1, seq2)
+	rq.scan, rq.degradeW1, rq.degradeW2 = true, w1, w2
+	res, err := run(ctx, rq, optErr, func(ctx context.Context, rq request) (*Result, error) {
+		return rq.cold(ctx, seq1, seq2)
+	})
+	if err != nil {
+		return nil, err
+	}
+	win := res.Window
+	rq.putResult(res) // only the band is delivered; the fold shell goes back
+	return win, nil
+}
+
+// runSingle executes a single-strand fold through the pipeline.
+func (rq request) runSingle(ctx context.Context, seq string) (*SingleResult, error) {
+	return run(ctx, rq, rq.aerr, func(ctx context.Context, rq request) (*SingleResult, error) {
+		return rq.single(ctx, seq)
+	})
+}
+
+// runEnsemble executes the single-strand ensemble signal.
+func (rq request) runEnsemble(seq string, kT float64) (*EnsembleResult, error) {
+	var optErr error
+	if kT <= 0 {
+		optErr = fmt.Errorf("bpmax: kT must be positive, got %v", kT)
+	}
+	return run(context.Background(), rq, optErr, func(_ context.Context, rq request) (*EnsembleResult, error) {
+		return rq.ensemble(seq, kT)
+	})
 }
 
 // foldShared serves the fold from the result cache. A hit returns a copy of
@@ -223,25 +272,21 @@ func (rq request) foldShared(ctx context.Context, seq1, seq2 string) (*Result, e
 		// kept failing, so serving more requests through the cache would
 		// stack retries behind a poisoned leader. Serve cold (pooled, never
 		// retained) until the cooldown admits a probe that succeeds.
-		return rq.foldCold(ctx, seq1, seq2)
+		return rq.cold(ctx, seq1, seq2)
 	}
 	cs := rq.tr.Begin()
 	v, hit, shared, err := c.c.Do(ctx, key, func() (v any, bytes int64, err error) {
-		// A panicking leader must fail typed: waiters then observe a
-		// transient *PanicError they can retry (or retry-as-leader on),
-		// rather than the cache's generic in-flight-panic error.
-		defer func() {
-			if r := recover(); r != nil {
-				v, bytes, err = nil, 0, recoveredError(r)
-			}
-		}()
+		// A panicking leader must fail typed here, inside Do: the breaker
+		// (noteShared below) then counts the panic against the key like any
+		// other transient leader death.
+		defer guard(&err)
 		if err := fault.Hit(fault.SiteCacheLeader); err != nil {
 			return nil, 0, err
 		}
 		m := rq
 		m.pool = nil
 		m.cfg.Pool = nil
-		master, err := m.foldCold(ctx, seq1, seq2)
+		master, err := m.cold(ctx, seq1, seq2)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -260,7 +305,6 @@ func (rq request) foldShared(ctx context.Context, seq1, seq2 string) (*Result, e
 		rq.tr.End(itrace.StageCacheWait, cs)
 	}
 	if err != nil {
-		rq.metrics.RecordError()
 		return nil, err
 	}
 	switch {
@@ -291,181 +335,127 @@ func (rq request) adoptCached(m *Result) *Result {
 	return res
 }
 
-// foldCold is the solve spine: substrate → budget/degrade → fill → finalize.
-func (rq request) foldCold(ctx context.Context, seq1, seq2 string) (*Result, error) {
+// cold is the one cold-solve body: result shell → tracer join → solve, with
+// the error cleanup written once. A panic skips the cleanup deliberately: a
+// panicking stage cannot prove its shells are clean, and an unreleased shell
+// is garbage-collected, never dirtily reused.
+func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) {
 	// The result shell is acquired before the solve so per-fold metrics
 	// record straight into Result.Metrics — no separate sink, no extra
-	// allocation on the steady-state path. Error exits hand it back.
+	// allocation on the steady-state path.
 	res := rq.getResult()
-	// Join the request trace into the solver's tracer here — after the
-	// cache decision in foldAttempt — so traced requests still serve from
-	// the result cache while cold solves feed their phase spans (substrate,
-	// accumulate, finalize, triangle) into the trace through the existing
-	// Tracer plumbing. This arms observed(), so a traced fold also records
-	// per-fold metrics, exactly as WithTracer would.
+	// Join the request trace into the solver's tracer here — after the cache
+	// decision in runFold — so traced requests still serve from the result
+	// cache while cold solves feed their phase spans (substrate, accumulate,
+	// finalize, triangle) into the trace through the existing Tracer
+	// plumbing. This arms observed(), so a traced fold also records per-fold
+	// metrics, exactly as WithTracer would.
 	if rq.tr != nil {
 		rq.cfg.Tracer = rq.tr.Join(rq.cfg.Tracer)
 	}
 	if rq.observed() {
 		rq.cfg.Metrics = &res.Metrics
 	}
+	if err := rq.solve(ctx, res, seq1, seq2); err != nil {
+		res.prob.Release()
+		rq.putResult(res)
+		return nil, err
+	}
+	return res, nil
+}
+
+// solve fills res: substrate → budget/degrade → the fill chosen by (rung,
+// algebra) → the one finaliser.
+func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) error {
 	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
-	p, err := rq.newProblem(seq1, seq2)
-	if err != nil {
+	if err := rq.newProblem(res, seq1, seq2); err != nil {
 		// Close the span with zero units so the Tracer's Begin/End stays
 		// balanced on construction failures (bad input, injected faults).
 		sub.End(0)
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
+		return err
 	}
 	sub.End(1)
-	cfg, deg, err := rq.budget(p.N1, p.N2)
+	p := res.prob
+	cfg, deg, est, err := rq.budget(p.N1, p.N2)
 	if err != nil {
-		p.Release()
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
+		return err
 	}
-	if deg == DegradeWindowed {
-		return rq.foldViaWindow(ctx, p, res)
+	// Partition folds never run banded: budget skips their windowed rung and
+	// runWindowed rejects them.
+	windowed := rq.scan || deg == DegradeWindowed
+	partition := rq.algebra == AlgebraPartition
+	var ps *ibpmax.PartitionSub
+	if partition {
+		if ps, err = rq.partitionSub(ctx, p); err != nil {
+			return err
+		}
 	}
-	if rq.algebra == AlgebraPartition {
-		return rq.foldPartition(ctx, p, res, cfg, deg)
-	}
-	if rq.observed() && rq.memLimit > 0 {
-		res.Metrics.BudgetEstimateBytes = rq.chargeBytes(p.N1, p.N2, cfg.Map)
-	}
+	var (
+		ft   *ibpmax.FTable
+		ft64 *ibpmax.FTableOf[float64]
+		wt   *ibpmax.WTable
+	)
 	start := time.Now()
-	ft, err := ibpmax.SolveContext(ctx, p, rq.v, cfg)
+	switch {
+	case windowed:
+		wt, err = ibpmax.SolveWindowedContext(ctx, p, rq.degradeW1, rq.degradeW2, cfg)
+	case partition:
+		ft64, err = ibpmax.SolvePartitionContext(ctx, p, ps, rq.v, cfg)
+	default:
+		ft, err = ibpmax.SolveContext(ctx, p, rq.v, cfg)
+	}
 	if err != nil {
-		p.Release()
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
+		return err
 	}
 	elapsed := time.Since(start)
-	res.Score = p.Score(ft)
-	res.Algebra = AlgebraMaxPlus
-	res.N1 = p.N1
-	res.N2 = p.N2
-	res.FLOPs = ibpmax.BPMaxFlops(p.N1, p.N2)
-	res.Elapsed = elapsed
-	res.TableBytes = ft.Bytes()
-	res.Degradation = deg
-	res.prob = p
-	res.ft = ft
-	if rq.observed() {
-		res.Metrics.Algebra = string(AlgebraMaxPlus)
-		res.Metrics.FillNanos = int64(elapsed)
-		res.Metrics.Cells = ibpmax.CellElements(p.N1, p.N2)
-		res.Metrics.FLOPs = res.FLOPs
-		res.Metrics.TableBytes = res.TableBytes
-		res.Metrics.Degraded = deg.String()
-		rq.metrics.RecordFold(&res.Metrics)
-	}
-	return res, nil
-}
 
-// foldPartition is the AlgebraPartition tail of foldCold: Boltzmann
-// substrate → float64 log-sum-exp fill → LogZ finalize. The max-plus S¹/S²
-// substrates were already installed on p (SingleScore and the substrate
-// cache still serve them); this stage adds the scaled float64 set, shared
-// through the cache when one is configured.
-func (rq request) foldPartition(ctx context.Context, p *ibpmax.Problem, res *Result, cfg ibpmax.Config, deg Degradation) (*Result, error) {
-	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
-	ps, err := rq.buildPartitionSub(ctx, p)
-	if err != nil {
-		sub.End(0)
-		p.Release()
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	sub.End(1)
-	if rq.observed() && rq.memLimit > 0 {
-		res.Metrics.BudgetEstimateBytes = rq.chargeBytes(p.N1, p.N2, cfg.Map)
-	}
-	start := time.Now()
-	ft, err := ibpmax.SolvePartitionContext(ctx, p, ps, rq.v, cfg)
-	if err != nil {
-		p.Release()
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	res.Algebra = AlgebraPartition
-	res.KT = rq.kT
-	res.LogZ = ibpmax.PartitionLogZ(p, ft)
-	if p.N1 > 0 {
+	res.Algebra = rq.algebra
+	res.N1, res.N2 = p.N1, p.N2
+	res.Elapsed = elapsed
+	res.Degradation = deg
+	switch {
+	case windowed:
+		win := rq.getWindowResult()
+		win.Best, win.I1, win.J1, win.I2, win.J2 = wt.Best()
+		win.TableBytes, win.Elapsed = wt.Bytes(), elapsed
+		win.wt, win.prob = wt, p
+		res.Score, res.TableBytes, res.Window = win.Best, win.TableBytes, win
+	case partition:
+		res.KT = rq.kT
+		res.LogZ = ibpmax.PartitionLogZ(p, ft64)
 		res.LogZ1 = ps.S1.At(0, p.N1-1)
-	}
-	if p.N2 > 0 {
 		res.LogZ2 = ps.S2.At(0, p.N2-1)
+		res.TableBytes, res.ft64, res.ps = ft64.Bytes(), ft64, ps
+	default:
+		res.Score = p.Score(ft)
+		res.TableBytes, res.ft = ft.Bytes(), ft
 	}
-	res.N1 = p.N1
-	res.N2 = p.N2
-	res.FLOPs = ibpmax.BPMaxFlops(p.N1, p.N2)
-	res.Elapsed = elapsed
-	res.TableBytes = ft.Bytes()
-	res.Degradation = deg
-	res.prob = p
-	res.ft64 = ft
-	res.ps = ps
+	if !windowed {
+		res.FLOPs = ibpmax.BPMaxFlops(p.N1, p.N2)
+	}
 	if rq.observed() {
-		res.Metrics.Algebra = string(AlgebraPartition)
-		res.Metrics.FillNanos = int64(elapsed)
-		res.Metrics.Cells = ibpmax.CellElements(p.N1, p.N2)
-		res.Metrics.FLOPs = res.FLOPs
-		res.Metrics.TableBytes = res.TableBytes
-		res.Metrics.Degraded = deg.String()
-		rq.metrics.RecordFold(&res.Metrics)
+		m := &res.Metrics
+		m.Algebra = string(rq.algebra)
+		m.FillNanos = int64(elapsed)
+		m.TableBytes = res.TableBytes
+		m.Degraded = deg.String()
+		m.BudgetEstimateBytes = est
+		if windowed {
+			res.Window.Metrics = *m
+		} else {
+			m.Cells = ibpmax.CellElements(p.N1, p.N2)
+			m.FLOPs = res.FLOPs
+		}
+		rq.metrics.RecordFold(m)
 	}
-	return res, nil
-}
-
-// buildPartitionSub builds (or cache-shares) the Boltzmann substrate for a
-// partition fold. With a substrate cache, each strand's float64 log-sum-exp
-// S table is keyed by (model, hairpin, kT, bases) — partitionSubKey — and
-// shared across folds exactly like the max-plus S tables; the tables built
-// here are never pooled, so retaining them directly is safe.
-func (rq request) buildPartitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.PartitionSub, error) {
-	c := rq.cache
-	if c == nil || !c.substratesOn() {
-		return ibpmax.BuildPartitionSub(ctx, p, rq.kT)
-	}
-	var s1, s2 *nussinov.GTable[float64]
-	k1 := partitionSubKey(p.Seq1, rq.sp, rq.kT)
-	if v, ok := c.c.Get(k1); ok {
-		c.substrateHits.Add(1)
-		s1 = v.(*nussinov.GTable[float64])
-	} else {
-		c.substrateMisses.Add(1)
-	}
-	k2 := partitionSubKey(p.Seq2, rq.sp, rq.kT)
-	if v, ok := c.c.Get(k2); ok {
-		c.substrateHits.Add(1)
-		s2 = v.(*nussinov.GTable[float64])
-	} else {
-		c.substrateMisses.Add(1)
-	}
-	ps, err := ibpmax.BuildPartitionSubShared(ctx, p, rq.kT, s1, s2)
-	if err != nil {
-		return nil, err
-	}
-	if s1 == nil {
-		c.c.Add(k1, ps.S1, ps.S1.Bytes())
-	}
-	if s2 == nil {
-		c.c.Add(k2, ps.S2, ps.S2.Bytes())
-	}
-	return ps, nil
+	return nil
 }
 
 // newProblem is the normalize/substrate stage: parse (pooled or fresh),
-// build the score tables, then fill or share the S¹/S² substrates.
-func (rq request) newProblem(seq1, seq2 string) (*ibpmax.Problem, error) {
+// build the score tables, then fill or share the S¹/S² substrates. The
+// shell lands in res.prob as soon as it exists, so cold's error exit
+// releases it whichever later step fails.
+func (rq request) newProblem(res *Result, seq1, seq2 string) error {
 	var p *ibpmax.Problem
 	if rq.pool != nil {
 		// Pooled path: the problem shell (sequence buffers, score tables)
@@ -476,70 +466,109 @@ func (rq request) newProblem(seq1, seq2 string) (*ibpmax.Problem, error) {
 		if err != nil {
 			var se *ibpmax.SequenceError
 			if errors.As(err, &se) {
-				return nil, fmt.Errorf("bpmax: sequence %d: %w", se.Index, se.Err)
+				return fmt.Errorf("bpmax: sequence %d: %w", se.Index, se.Err)
 			}
-			return nil, err
+			return err
 		}
 	} else {
 		s1, err := rna.New(seq1)
 		if err != nil {
-			return nil, fmt.Errorf("bpmax: sequence 1: %w", err)
+			return fmt.Errorf("bpmax: sequence 1: %w", err)
 		}
 		s2, err := rna.New(seq2)
 		if err != nil {
-			return nil, fmt.Errorf("bpmax: sequence 2: %w", err)
+			return fmt.Errorf("bpmax: sequence 2: %w", err)
 		}
 		p, err = ibpmax.NewProblemShell(s1, s2, rq.sp)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// Failpoint: substrate-stage failure after the shell exists. Error mode
-	// releases the shell back to its pool before failing the fold; panic
-	// mode leaks the shell deliberately (a panicking stage cannot prove the
-	// shell is clean, and an unreleased shell is garbage-collected, never
-	// dirtily reused).
-	if ferr := fault.Hit(fault.SiteSubstrate); ferr != nil {
-		p.Release()
-		return nil, ferr
-	}
-	rq.installSubstrates(p)
-	return p, nil
-}
-
-// installSubstrates fills the S¹/S² tables, or — with a substrate cache —
-// shares the cached table for any strand already folded under the same
-// scoring parameters, skipping its O(n³) refill. Cached tables installed on
-// a pooled problem are read-only; the problem parks its own storage and
-// restores it on reuse.
-func (rq request) installSubstrates(p *ibpmax.Problem) {
-	c := rq.cache
-	if c == nil || !c.substratesOn() {
-		p.BuildS1Algo(rq.salgo)
-		p.BuildS2Algo(rq.salgo)
-		return
+	res.prob = p
+	// Failpoint: substrate-stage failure after the shell exists.
+	if err := fault.Hit(fault.SiteSubstrate); err != nil {
+		return err
 	}
 	// Substrate keys carry no algorithm component on purpose: every
 	// algorithm produces bit-identical tables (see WithSubstrateAlgorithm),
-	// so a table built by either fill serves requests asking for any.
-	k1 := substrateKey(p.Seq1, rq.sp)
-	if v, ok := c.c.Get(k1); ok {
-		c.substrateHits.Add(1)
-		p.ShareS1(v.(*nussinov.Table))
-	} else {
-		c.substrateMisses.Add(1)
+	// so a table built by either fill serves requests asking for any. A
+	// cached table installed on a pooled problem is read-only; the problem
+	// parks its own storage and restores it on reuse.
+	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq1, func(retain bool) (*nussinov.Table, error) {
 		p.BuildS1Algo(rq.salgo)
-		c.insertSubstrate(k1, p.S1, rq.pool != nil)
+		return rq.retainable(p.S1, retain), nil
+	}); hit {
+		p.ShareS1(t)
 	}
-	k2 := substrateKey(p.Seq2, rq.sp)
-	if v, ok := c.c.Get(k2); ok {
-		c.substrateHits.Add(1)
-		p.ShareS2(v.(*nussinov.Table))
-	} else {
-		c.substrateMisses.Add(1)
+	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq2, func(retain bool) (*nussinov.Table, error) {
 		p.BuildS2Algo(rq.salgo)
-		c.insertSubstrate(k2, p.S2, rq.pool != nil)
+		return rq.retainable(p.S2, retain), nil
+	}); hit {
+		p.ShareS2(t)
 	}
+	return nil
+}
+
+// retainable returns the form of a problem's own S table the cache may
+// keep: a clone of pooled storage (the pool resets it on reuse, and cached
+// tables must stay immutable), the table itself otherwise (never reused, so
+// sharing it is safe and saves the copy).
+func (rq request) retainable(t *nussinov.Table, retain bool) *nussinov.Table {
+	if retain && rq.pool != nil {
+		return t.Clone()
+	}
+	return t
+}
+
+// sharedTable is the one keyed substrate-cache step every S table goes
+// through — max-plus or Boltzmann, for a fold, a scan or a single strand:
+// probe → count hit/miss → build → insert. With no substrate layer it is
+// just build. build returns the table the cache may keep (retain reports
+// whether it will); on a hit the cached table comes back read-only and
+// shared, skipping the strand's O(n³) refill.
+func sharedTable[T interface{ Bytes() int64 }](rq request, tag byte, seq rna.Sequence, build func(retain bool) (T, error)) (t T, hit bool, err error) {
+	c := rq.cache
+	if c == nil || !c.substratesOn() {
+		t, err = build(false)
+		return t, false, err
+	}
+	k := strandKey(tag, seq, rq.sp, rq.kT)
+	if v, ok := c.c.Get(k); ok {
+		c.substrateHits.Add(1)
+		return v.(T), true, nil
+	}
+	c.substrateMisses.Add(1)
+	if t, err = build(true); err == nil {
+		c.c.Add(k, t, t.Bytes())
+	}
+	return t, false, err
+}
+
+// partitionSub builds the Boltzmann substrate of a partition fold: the
+// scaled score matrices plus each strand's float64 log-sum-exp S table —
+// keyed by (model, hairpin, kT, bases) and shared across folds exactly like
+// the max-plus S tables (they are never pooled, so retaining them directly
+// is safe). The max-plus S¹/S² already installed on p stay: SingleScore and
+// the substrate cache still serve them.
+func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.PartitionSub, error) {
+	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
+	ps, err := ibpmax.NewPartitionSub(p, rq.kT)
+	if err == nil {
+		ps.S1, _, err = sharedTable(rq, keyPartitionSub, p.Seq1, func(bool) (*nussinov.GTable[float64], error) {
+			return ibpmax.BuildPartitionS(ctx, p.N1, ps.Sc1)
+		})
+	}
+	if err == nil {
+		ps.S2, _, err = sharedTable(rq, keyPartitionSub, p.Seq2, func(bool) (*nussinov.GTable[float64], error) {
+			return ibpmax.BuildPartitionS(ctx, p.N2, ps.Sc2)
+		})
+	}
+	if err != nil {
+		sub.End(0)
+		return nil, err
+	}
+	sub.End(1)
+	return ps, nil
 }
 
 // chargeBytes is the full-table estimate the budget charges a fold:
@@ -579,7 +608,8 @@ func (rq request) chargeWindowedBytes(n1, n2, w1, w2 int) int64 {
 }
 
 // budget resolves the memory-limit policy for an n1 × n2 fold: it returns
-// the (possibly downgraded) solver config and which degradation fired, or a
+// the (possibly downgraded) solver config, which degradation fired and the
+// bytes charged for the chosen layout (0 when unlimited), or a
 // *MemoryLimitError when nothing permitted fits. It allocates nothing.
 //
 // For a pooled fold the charge is the pool's footprint after serving the
@@ -589,19 +619,26 @@ func (rq request) chargeWindowedBytes(n1, n2, w1, w2 int) int64 {
 // retention + table — pooling does not double-bill the budget. A configured
 // cache's retained bytes are charged on top (they are process memory the
 // budget must see), so a filling cache shrinks the headroom for new tables.
-func (rq request) budget(n1, n2 int) (ibpmax.Config, Degradation, error) {
-	cfg := rq.cfg
+func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est int64, err error) {
+	cfg = rq.cfg
 	if rq.memLimit <= 0 {
-		return cfg, DegradeNone, nil
+		return cfg, DegradeNone, 0, nil
+	}
+	if rq.scan {
+		// A scan's one permitted layout is the caller's band.
+		if est = rq.chargeWindowedBytes(n1, n2, rq.degradeW1, rq.degradeW2); est <= rq.memLimit {
+			return cfg, DegradeNone, est, nil
+		}
+		return cfg, DegradeNone, 0, &MemoryLimitError{EstimateBytes: est, LimitBytes: rq.memLimit}
 	}
 	smallest := rq.chargeBytes(n1, n2, cfg.Map)
 	if smallest <= rq.memLimit {
-		return cfg, DegradeNone, nil
+		return cfg, DegradeNone, smallest, nil
 	}
 	// Rung 1: the packed quarter-space map (no-op when already selected).
 	if packed := rq.chargeBytes(n1, n2, ibpmax.MapPacked); packed <= rq.memLimit {
 		cfg.Map = ibpmax.MapPacked
-		return cfg, DegradePacked, nil
+		return cfg, DegradePacked, packed, nil
 	} else if packed < smallest {
 		smallest = packed
 	}
@@ -610,273 +647,84 @@ func (rq request) budget(n1, n2 int) (ibpmax.Config, Degradation, error) {
 	// partition request fails with the typed error instead of degrading.
 	if rq.degradeW1 > 0 && rq.degradeW2 > 0 && rq.algebra != AlgebraPartition {
 		if w := rq.chargeWindowedBytes(n1, n2, rq.degradeW1, rq.degradeW2); w <= rq.memLimit {
-			return cfg, DegradeWindowed, nil
+			return cfg, DegradeWindowed, w, nil
 		} else if w < smallest {
 			smallest = w
 		}
 	}
-	return cfg, DegradeNone, &MemoryLimitError{EstimateBytes: smallest, LimitBytes: rq.memLimit}
+	return cfg, DegradeNone, 0, &MemoryLimitError{EstimateBytes: smallest, LimitBytes: rq.memLimit}
 }
 
-// foldViaWindow runs the windowed-scan rung of the degradation ladder and
-// wraps it as a Result (Degradation == DegradeWindowed, Window set). The
-// caller's result shell comes in so the scan's metrics accumulate into the
-// same Result.Metrics the substrate span already wrote.
-func (rq request) foldViaWindow(ctx context.Context, p *ibpmax.Problem, res *Result) (*Result, error) {
-	if rq.observed() && rq.memLimit > 0 {
-		res.Metrics.BudgetEstimateBytes = rq.chargeWindowedBytes(p.N1, p.N2, rq.degradeW1, rq.degradeW2)
-	}
-	start := time.Now()
-	wt, err := ibpmax.SolveWindowedContext(ctx, p, rq.degradeW1, rq.degradeW2, rq.cfg)
-	if err != nil {
-		p.Release()
-		rq.putResult(res)
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	best, i1, j1, i2, j2 := wt.Best()
-	win := rq.getWindowResult()
-	win.Best, win.I1, win.J1, win.I2, win.J2 = best, i1, j1, i2, j2
-	win.TableBytes = wt.Bytes()
-	win.Elapsed = elapsed
-	win.wt = wt
-	win.prob = p
-	res.Score = best
-	res.Algebra = AlgebraMaxPlus
-	res.N1 = p.N1
-	res.N2 = p.N2
-	res.Elapsed = elapsed
-	res.TableBytes = wt.Bytes()
-	res.Degradation = DegradeWindowed
-	res.Window = win
-	res.prob = p
-	if rq.observed() {
-		res.Metrics.FillNanos = int64(elapsed)
-		res.Metrics.TableBytes = res.TableBytes
-		res.Metrics.Degraded = DegradeWindowed.String()
-		win.Metrics = res.Metrics
-		rq.metrics.RecordFold(&res.Metrics)
-	}
-	return res, nil
-}
-
-// runWindowed executes a windowed scan through the pipeline. Windowed scans
-// use the substrate cache but not the result cache (the banded table is the
-// deliverable and typically as large as the substrate; retaining it per
-// request would evict far more useful entries).
-func (rq request) runWindowed(ctx context.Context, seq1, seq2 string, w1, w2 int) (*WindowResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if w1 <= 0 || w2 <= 0 {
-		return nil, fmt.Errorf("bpmax: windows must be positive (got %d, %d)", w1, w2)
-	}
-	rq.tr = itrace.FromContext(ctx)
-	if rq.aerr != nil {
-		rq.metrics.RecordError()
-		return nil, rq.aerr
-	}
-	if rq.algErr != nil {
-		rq.metrics.RecordError()
-		return nil, rq.algErr
-	}
-	if rq.algebra == AlgebraPartition {
-		rq.metrics.RecordError()
-		return nil, fmt.Errorf("bpmax: windowed scans are max-plus only; partition folds have no banded form")
-	}
-	if rq.retry == nil {
-		return rq.windowedAttempt(ctx, seq1, seq2, w1, w2)
-	}
-	return withRetry(ctx, rq, func() (*WindowResult, error) {
-		return rq.windowedAttempt(ctx, seq1, seq2, w1, w2)
-	})
-}
-
-// windowedAttempt is one pass of runWindowed, with the same panic isolation
-// and slot-resolution ordering as foldAttempt.
-func (rq request) windowedAttempt(ctx context.Context, seq1, seq2 string, w1, w2 int) (res *WindowResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, recoveredError(r)
-			rq.metrics.RecordError()
-		}
-	}()
-	qs := rq.tr.Begin()
-	err = rq.admit(ctx)
-	rq.tr.End(itrace.StageQueue, qs)
-	if err != nil {
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	defer rq.unadmit()
-	// Like foldCold, the shell comes first so metrics record in place, and
-	// the request trace joins the solver tracer the same way (windowed scans
-	// never use the result cache, so there is no cache decision to respect).
-	win := rq.getWindowResult()
-	if rq.tr != nil {
-		rq.cfg.Tracer = rq.tr.Join(rq.cfg.Tracer)
-	}
-	if rq.observed() {
-		rq.cfg.Metrics = &win.Metrics
-	}
-	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
-	p, err := rq.newProblem(seq1, seq2)
-	if err != nil {
-		sub.End(0) // balanced Begin/End on construction failures
-		rq.putWindowResult(win)
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	sub.End(1)
-	if rq.memLimit > 0 {
-		est := rq.chargeWindowedBytes(p.N1, p.N2, w1, w2)
-		if est > rq.memLimit {
-			p.Release()
-			rq.putWindowResult(win)
-			rq.metrics.RecordError()
-			return nil, &MemoryLimitError{EstimateBytes: est, LimitBytes: rq.memLimit}
-		}
-		if rq.observed() {
-			win.Metrics.BudgetEstimateBytes = est
-		}
-	}
-	start := time.Now()
-	wt, err := ibpmax.SolveWindowedContext(ctx, p, w1, w2, rq.cfg)
-	if err != nil {
-		p.Release()
-		rq.putWindowResult(win)
-		rq.metrics.RecordError()
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	best, i1, j1, i2, j2 := wt.Best()
-	win.Best, win.I1, win.J1, win.I2, win.J2 = best, i1, j1, i2, j2
-	win.TableBytes = wt.Bytes()
-	win.Elapsed = elapsed
-	win.wt = wt
-	win.prob = p
-	if rq.observed() {
-		win.Metrics.FillNanos = int64(elapsed)
-		win.Metrics.TableBytes = win.TableBytes
-		rq.metrics.RecordFold(&win.Metrics)
-	}
-	return win, nil
-}
-
-// runSingle executes a single-strand fold through the pipeline. The S table
-// comes from the substrate cache when possible — it is the same table an
-// interaction fold builds for that strand, so single folds and screens
-// share entries.
-func (rq request) runSingle(ctx context.Context, seq string) (*SingleResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// single is the single-strand fold body. The S table comes from the
+// substrate cache when possible — it is the same table an interaction fold
+// builds for that strand, so single folds and screens share entries (cached
+// tables are read-only; traceback only reads them). A miss builds it with
+// the request's substrate algorithm — the Four-Russians wavefront build
+// when the pick applies, the classic one otherwise; same cancellation
+// contract, bit-identical tables — on the request's parallel runtime.
+func (rq request) single(ctx context.Context, seq string) (*SingleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
 		return nil, fmt.Errorf("bpmax: %w", err)
 	}
-	if rq.aerr != nil {
-		return nil, rq.aerr
-	}
-	rq.tr = itrace.FromContext(ctx)
-	qs := rq.tr.Begin()
-	err = rq.admit(ctx)
-	rq.tr.End(itrace.StageQueue, qs)
-	if err != nil {
+	if err := fault.Hit(fault.SiteSubstrate); err != nil {
 		return nil, err
 	}
-	defer rq.unadmit()
+	n := s.Len()
 	tab := score.Build(s, s, rq.sp)
 	sc := func(i, j int) float32 { return tab.Score1(i, j) }
-	t, err := rq.singleTable(ctx, s, sc)
+	sb := rq.tr.Begin()
+	t, hit, err := sharedTable(rq, keySubstrate, s, func(bool) (*nussinov.Table, error) {
+		if fourrussians.Pick(rq.salgo, n, rq.subMax, rq.subInt) {
+			return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, rq.cfg.ParallelFor())
+		}
+		return nussinov.BuildParallelContext(ctx, n, sc, rq.cfg.ParallelFor())
+	})
+	if hit {
+		rq.tr.End(itrace.StageCacheHit, sb)
+	} else {
+		rq.tr.End(itrace.StageSubstrate, sb)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res := &SingleResult{N: s.Len()}
-	if s.Len() > 0 {
-		res.Score = t.At(0, s.Len()-1)
+	res := &SingleResult{N: n}
+	if n > 0 {
+		res.Score = t.At(0, n-1)
 		tb := rq.tr.Begin()
-		for _, p := range t.Traceback(sc) {
+		pairs := t.Traceback(sc)
+		for _, p := range pairs {
 			res.Pairs = append(res.Pairs, Pair{p.I, p.J})
 		}
-		var np []nussinov.Pair
-		for _, p := range res.Pairs {
-			np = append(np, nussinov.Pair{I: p.I, J: p.J})
-		}
-		res.Bracket = nussinov.DotBracket(s.Len(), np)
+		res.Bracket = nussinov.DotBracket(n, pairs)
 		rq.tr.End(itrace.StageTraceback, tb)
 	}
 	return res, nil
 }
 
-// singleTable builds (or retrieves from the substrate cache) the S table
-// for one strand. Cached tables are read-only and shared; traceback only
-// reads them.
-func (rq request) singleTable(ctx context.Context, s rna.Sequence, sc nussinov.ScoreFunc) (*nussinov.Table, error) {
-	c := rq.cache
-	if c == nil || !c.substratesOn() {
-		sb := rq.tr.Begin()
-		t, err := rq.buildSubstrate(ctx, s.Len(), sc)
-		rq.tr.End(itrace.StageSubstrate, sb)
-		return t, err
-	}
-	probe := rq.tr.Begin()
-	k := substrateKey(s, rq.sp)
-	if v, ok := c.c.Get(k); ok {
-		c.substrateHits.Add(1)
-		rq.tr.End(itrace.StageCacheHit, probe)
-		return v.(*nussinov.Table), nil
-	}
-	c.substrateMisses.Add(1)
-	sb := rq.tr.Begin()
-	t, err := rq.buildSubstrate(ctx, s.Len(), sc)
-	rq.tr.End(itrace.StageSubstrate, sb)
-	if err != nil {
-		return nil, err
-	}
-	c.c.Add(k, t, t.Bytes())
-	return t, nil
-}
-
-// buildSubstrate builds one S table with the request's substrate algorithm:
-// the Four-Russians wavefront build when the pick applies, the classic one
-// otherwise. Same cancellation contract, bit-identical tables.
-func (rq request) buildSubstrate(ctx context.Context, n int, sc nussinov.ScoreFunc) (*nussinov.Table, error) {
-	if fourrussians.Pick(rq.salgo, n, rq.subMax, rq.subInt) {
-		return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, rq.cfg.Workers)
-	}
-	return nussinov.BuildParallelContext(ctx, n, sc, rq.cfg.Workers)
-}
-
-// runEnsemble executes the single-strand ensemble signal through the
-// pipeline (validation, admission, and — with a result-caching cache — the
-// content-addressed cache: the three semiring fills of a strand already
-// seen under the same model and kT are served from their retained
-// EnsembleResult instead of recomputed).
-func (rq request) runEnsemble(seq string, kT float64) (*EnsembleResult, error) {
-	if kT <= 0 {
-		return nil, fmt.Errorf("bpmax: kT must be positive, got %v", kT)
-	}
+// ensemble is the single-strand ensemble body. With a result-caching cache
+// the three semiring fills of a strand already seen under the same model
+// and kT are served from their retained EnsembleResult instead of
+// recomputed.
+func (rq request) ensemble(seq string, kT float64) (*EnsembleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
 		return nil, fmt.Errorf("bpmax: %w", err)
 	}
-	if err := rq.admit(context.Background()); err != nil {
-		return nil, err
-	}
-	defer rq.unadmit()
 	var ek pipeline.Key
 	c := rq.cache
 	cached := c != nil && c.resultsOn()
 	if cached {
-		ek = ensembleKey(s, rq.sp, kT)
+		ek = strandKey(keyEnsemble, s, rq.sp, kT)
 		if v, ok := c.c.Get(ek); ok {
 			c.resultHits.Add(1)
 			r := v.(EnsembleResult)
 			return &r, nil
 		}
 		c.resultMisses.Add(1)
+	}
+	if err := fault.Hit(fault.SiteSubstrate); err != nil {
+		return nil, err
 	}
 	tab := score.Build(s, s, rq.sp)
 	n := s.Len()

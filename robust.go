@@ -63,8 +63,8 @@ type RetryConfig struct {
 // again, up to MaxAttempts total attempts. The admission slot, if any, is
 // released during the backoff and re-acquired by the next attempt, so a
 // retrying request never pins concurrency it is not using. Retries apply to
-// Fold/FoldContext, FoldBatch items and ScanWindowed; the single-strand
-// entry points are cheap enough that callers simply re-invoke them.
+// every entry point: Fold/FoldContext, FoldBatch items, ScanWindowed,
+// FoldSingle and SingleEnsemble.
 func WithRetry(rc RetryConfig) Option {
 	if rc.MaxAttempts <= 0 {
 		rc.MaxAttempts = 3
