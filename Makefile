@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFold -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzFourRussiansParity -fuzztime 20s ./internal/fourrussians/
+	$(GO) test -run '^$$' -fuzz FuzzSemiringParity -fuzztime 20s ./internal/bpmax/
 
 # Server smoke: boot bpmaxd on a random port, replay the committed trace
 # with bpmaxload -check, SIGTERM, assert a clean drain. Writes the serving

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
 // TestPartitionFoldBasics pins the public BPPart contract: a partition fold
@@ -308,5 +310,70 @@ func TestSessionConcurrentAlgebras(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent fold: %v", err)
+	}
+}
+
+// TestPartitionDomainIsVisible: "what plan did it run" is answerable for a
+// partition fold — FoldMetrics and the request trace both say which number
+// domain filled the table, and the Metrics aggregate counts every range-guard
+// trip. An ordinary fold is served by the scaled domain with no fallback; a
+// pair whose interaction outgrows what the per-strand scales absorb trips
+// the fill's guard once and still returns the log-domain answer; a kT so
+// small that single pair factors leave the window trips both strand builds
+// (once each — a substrate-cache hit does not rebuild, so does not recount).
+func TestPartitionDomainIsVisible(t *testing.T) {
+	fold := func(s1, s2 string, kT float64, opts ...Option) (*Result, itrace.Snapshot) {
+		t.Helper()
+		tr := itrace.New("t", "fold")
+		opts = append(opts, WithAlgebra(AlgebraPartition), WithKT(kT))
+		res, err := FoldContext(itrace.NewContext(context.Background(), tr), s1, s2, opts...)
+		if err != nil {
+			t.Fatalf("Fold(kT=%g): %v", kT, err)
+		}
+		return res, tr.Snapshot()
+	}
+	m := NewMetrics()
+	res, snap := fold("GGGAAACCC", "GGGUUUCCC", 1, WithMetrics(m))
+	if d := res.Metrics.PartitionDomain; d != "scaled" || snap.Labels["partition_domain"] != "scaled" {
+		t.Fatalf("ordinary fold: FoldMetrics domain %q, trace label %q, want scaled", d, snap.Labels["partition_domain"])
+	}
+	if n := m.Snapshot().PartitionFallbacks; n != 0 {
+		t.Fatalf("ordinary fold counted %d guard fallbacks", n)
+	}
+
+	// The oracle schedule always runs the log domain: the reference answer.
+	want, _ := fold("GGGGGGGG", "CCCCCCCCCC", 0.01, WithVariant(Base))
+	res, snap = fold("GGGGGGGG", "CCCCCCCCCC", 0.01, WithMetrics(m))
+	if d := res.Metrics.PartitionDomain; d != "log" || snap.Labels["partition_domain"] != "log" {
+		t.Fatalf("tripped fold: FoldMetrics domain %q, trace label %q, want log", d, snap.Labels["partition_domain"])
+	}
+	if n := m.Snapshot().PartitionFallbacks; n != 1 {
+		t.Fatalf("tripped fill counted %d guard fallbacks, want 1", n)
+	}
+	if math.Abs(res.LogZ-want.LogZ) > 1e-9*want.LogZ {
+		t.Fatalf("tripped fold LogZ %v, log-domain oracle %v", res.LogZ, want.LogZ)
+	}
+	for i2 := 0; i2 < res.N2; i2++ {
+		if got, ref := res.SubLogZ(0, res.N1-1, i2, res.N2-1), want.SubLogZ(0, want.N1-1, i2, want.N2-1); math.Abs(got-ref) > 1e-9*math.Abs(ref) {
+			t.Fatalf("tripped fold SubLogZ(.., %d..) = %v, oracle %v", i2, got, ref)
+		}
+	}
+
+	c := NewCache(CacheConfig{})
+	for i := 0; i < 2; i++ {
+		res, _ = fold("GGGAAACCC", "GGGUUUCCC", 1e-3, WithMetrics(m), WithCache(c))
+		if d := res.Metrics.PartitionDomain; d != "log" {
+			t.Fatalf("kT=1e-3: domain %q, want log", d)
+		}
+	}
+	if n := m.Snapshot().PartitionFallbacks; n != 3 {
+		t.Fatalf("after two cold strand builds: %d guard fallbacks, want 3", n)
+	}
+	mp, err := Fold("GGGAAACCC", "GGGUUUCCC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := 1e-3*res.LogZ - float64(mp.Score); gap < -1e-6 || gap > 0.1 {
+		t.Fatalf("kT=1e-3: kT·LogZ is %v off the max-plus score", gap)
 	}
 }

@@ -85,10 +85,13 @@ const (
 	// Result.Score is the optimal weighted pair count and Structure recovers
 	// one optimum by traceback.
 	AlgebraMaxPlus Algebra = "maxplus"
-	// AlgebraPartition is BPPart: log-sum-exp over float64 with every pair
-	// weight Boltzmann-scaled to w/kT (see WithKT). Result.LogZ is the log
-	// of the derivation-weighted ensemble sum; it upper-bounds Score/kT
-	// (lse ≥ max pointwise) and kT·LogZ → Score as kT → 0. Score,
+	// AlgebraPartition is BPPart: a sum-product over float64 with every pair
+	// weight w a Boltzmann factor e^{w/kT} (see WithKT). Result.LogZ is the
+	// log of the derivation-weighted ensemble sum; it upper-bounds Score/kT
+	// (a sum is at least its largest term) and kT·LogZ → Score as kT → 0.
+	// The fill runs in a per-nucleotide-scaled linear domain and falls back
+	// to the log domain by itself when that would leave float64's range;
+	// both return the same LogZ (FoldMetrics.PartitionDomain says which). Score,
 	// Structure, BestLocal and windowed scans are max-plus notions and are
 	// unavailable on partition results; the Four-Russians substrate fast
 	// path (a max-plus block precomputation) auto-deselects.
@@ -351,7 +354,8 @@ type Result struct {
 	prob *ibpmax.Problem
 	ft   *ibpmax.FTable
 	// ft64/ps back a partition result: the float64 BPPart table and the
-	// Boltzmann-scaled substrate it was filled from (ft is then nil).
+	// Boltzmann substrate it was filled from (ft is then nil). Each carries
+	// its own number domain; SubLogZ converts on read.
 	ft64 *ibpmax.FTableOf[float64]
 	ps   *ibpmax.PartitionSub
 	st   *Structure
@@ -400,11 +404,11 @@ func (r *Result) SubLogZ(i1, j1, i2, j2 int) float64 {
 	case j1 < i1 && j2 < i2:
 		return 0
 	case j1 < i1:
-		return r.ps.S2.At(i2, j2)
+		return r.ps.S2.LogAt(i2, j2)
 	case j2 < i2:
-		return r.ps.S1.At(i1, j1)
+		return r.ps.S1.LogAt(i1, j1)
 	}
-	return r.ft64.At(i1, j1, i2, j2)
+	return r.ft64.LogAt(i1, j1, i2, j2)
 }
 
 func (r *Result) at(i1, j1, i2, j2 int) float32 {

@@ -156,7 +156,7 @@ func (c *Cache) resultsOn() bool { return !c.resOff }
 // and float64 substrate tables and the ensemble signal never cross-serve.
 const (
 	keySubstrate    byte = 'S' // max-plus S table
-	keyPartitionSub byte = 'Q' // Boltzmann (log-sum-exp float64) S table
+	keyPartitionSub byte = 'Q' // Boltzmann (float64) S table with its domain and scale
 	keyEnsemble     byte = 'E' // SingleEnsemble result
 )
 

@@ -75,10 +75,11 @@ run_fuzz() (
     # Fuzz smoke over the pooled/context/cached parity fuzzers — the paths
     # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
     # pins the generic max-plus fill bit-identical to the pre-refactor
-    # reference, and the Four-Russians substrate bit-identity fuzzer that
-    # lets the fast path share cache entries with the classic fill.
+    # reference and the scaled partition fill to its log-domain oracle, and
+    # the Four-Russians substrate bit-identity fuzzer that lets the fast path
+    # share cache entries with the classic fill.
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
-    go test -run '^$' -fuzz FuzzSemiringMaxPlusParity -fuzztime 10s ./internal/bpmax/
+    go test -run '^$' -fuzz FuzzSemiringParity -fuzztime 10s ./internal/bpmax/
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzCachedFoldParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzFourRussiansParity -fuzztime 10s ./internal/fourrussians/

@@ -1,34 +1,61 @@
 package bpmax
 
 import (
+	"math"
+
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
+
+// domain says how a table's stored cells map onto the values the recurrence
+// defines. The zero value is the identity: cells are the values themselves
+// (max-plus scores, or log-partition values in the log-sum-exp semiring). A
+// scaled domain stores a linear ensemble sum damped per nucleotide,
+//
+//	stored[i1,j1,i2,j2] = F · exp(-sig1·(j1-i1+1) - sig2·(j2-i2+1)),
+//
+// which is what lets the sum-product fill run in plain float64 where the
+// unscaled sums would overflow. Every term of the recurrence is
+// length-additive in both strands, so the damping never shows inside the
+// fill: it sits in the inputs (scaled substrate tables and pair weights) and
+// in the one conversion readers go through (FTableOf.LogAt).
+type domain struct {
+	scaled     bool
+	sig1, sig2 float64
+}
+
+// logOf converts a stored cell spanning len1 × len2 nucleotides to the log
+// of the value it stands for.
+func (d domain) logOf(stored float64, len1, len2 int) float64 {
+	if !d.scaled {
+		return stored
+	}
+	return math.Log(stored) + d.sig1*float64(len1) + d.sig2*float64(len2)
+}
 
 // alg is the solver's per-solve view of one scalar semiring: the streaming
 // kernels plus the problem's score and substrate tables already expressed
 // in the semiring's scalar and ⊗ scale. The generic fill never touches
 // Problem's float32 tables directly — it reads these slices — so the same
-// schedule code serves (max, +) over float32 and log-sum-exp over float64.
-//
-// The generic kernels exploit one structural fact shared by the whole
-// BPMax algebra family: ⊗ is scalar addition in the working domain
-// (max-plus adds weights; the log-domain partition semiring adds
-// log-Boltzmann factors). That is why the fill can use native `+` for ⊗
-// and reserve the indirect call for ⊕ — and why the element types are
-// constrained to semiring.Scalar.
+// schedule code serves (max, +) over float32, log-sum-exp over float64 and
+// the scaled sum-product over float64. Both ⊕ and ⊗ come from the kernel
+// bundle; the element types are constrained to semiring.Scalar.
 //
 // An alg is a value type: slices reference the owner's storage (Problem
-// tables for max-plus, PartitionSub tables for log-sum-exp), so building
-// one allocates nothing.
+// tables for max-plus, PartitionSub tables for the partition semirings), so
+// building one allocates nothing.
 type alg[T semiring.Scalar] struct {
 	k semiring.Kernels[T]
+	// dom is the domain the filled table's cells are stored in; a scaled
+	// domain also arms the fill's range guard (see finalizeGeneric).
+	dom domain
 	// s1, s2 are the single-strand substrate tables, row-major n×n bounding
-	// boxes with zero (= One, for both supported semirings) diagonal-below
-	// cells — the layout nussinov.Table and nussinov.GTable share.
+	// boxes — the layout nussinov.Table and nussinov.GTable share. Only cells
+	// with i <= j are read.
 	s1, s2 []T
 	// sc1, sc2 are the intramolecular pair scores (row-major n×n); isc the
 	// intermolecular matrix (n1×n2). All in ⊗ scale: raw weights for
-	// max-plus, w/kT (forbidden ⇒ -Inf) for the partition semiring.
+	// max-plus, w/kT (forbidden ⇒ -Inf) for log-sum-exp, damped Boltzmann
+	// factors (forbidden ⇒ 0) for the scaled sum-product.
 	sc1, sc2, isc []T
 	n1, n2        int
 }
@@ -48,9 +75,7 @@ func maxplusAlg(p *Problem, unroll bool) alg[float32] {
 	}
 }
 
-// s1At returns S¹[i,j]; empty intervals (j < i) are One (0 in both
-// supported semirings — the zeroed lower triangle encodes it, but the
-// branch keeps out-of-band callers correct without relying on that).
+// s1At returns S¹[i,j]; empty intervals (j < i) are One.
 func (a *alg[T]) s1At(i, j int) T {
 	if j < i {
 		return a.k.One
@@ -75,11 +100,12 @@ func (a *alg[T]) score1(i, j int) T { return a.sc1[i*a.n1+j] }
 // score2 is the intramolecular pair weight for seq2 positions (i, j).
 func (a *alg[T]) score2(i, j int) T { return a.sc2[i*a.n2+j] }
 
-// singleton returns the base case F[i,i,k,k] = iscore(i,k) ⊕ One: the two
-// single bases either bond intermolecularly or stay unpaired. For max-plus
-// this is max(0, iscore); for the partition semiring, log(1 + e^{w/kT}).
+// singleton returns the base case F[i,i,k,k]: the two single bases either
+// bond intermolecularly or stay unpaired, iscore(i,k) ⊕ S¹[i,i] ⊗ S²[k,k].
+// An unpaired base weighs One in the unscaled semirings, so for max-plus
+// this is max(0, iscore) and for log-sum-exp log(1 + e^{w/kT}).
 func (a *alg[T]) singleton(i1, i2 int) T {
-	return a.k.Add(a.isc[i1*a.n2+i2], a.k.One)
+	return a.k.Add(a.isc[i1*a.n2+i2], a.k.Mul(a.s1At(i1, i1), a.s2At(i2, i2)))
 }
 
 // inter returns the raw intermolecular bond weight iscore(i1, i2) — the

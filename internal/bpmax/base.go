@@ -124,12 +124,7 @@ func atG[T semiring.Scalar](f *FTableOf[T], a *alg[T], i1, j1, i2, j2 int) T {
 // The float32 max-plus path keeps the concrete solveBase above; this twin
 // serves the other algebras (and the cross-algebra variant tests).
 func solveBaseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	var f *FTableOf[T]
-	if cfg.Pool != nil {
-		f = poolNewFTable[T](cfg.Pool, p.N1, p.N2, cfg.Map)
-	} else {
-		f = NewFTableOf[T](p.N1, p.N2, cfg.Map)
-	}
+	f := newAlgTable(p, &a, cfg.Pool, cfg.Map)
 	n1, n2 := p.N1, p.N2
 	done := ctx.Done()
 	obs := cfg.observe(p, "base")
@@ -162,37 +157,37 @@ func solveBaseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cf
 }
 
 // baseCellG is baseCell over an arbitrary algebra view: the identical
-// candidate set in the identical order, gathered per cell with ⊕ through
-// the kernel bundle and ⊗ as native addition.
+// candidate set in the identical order, gathered per cell with ⊕ and ⊗
+// through the kernel bundle.
 func baseCellG[T semiring.Scalar](f *FTableOf[T], a *alg[T], i1, j1, i2, j2 int) T {
 	if i1 == j1 && i2 == j2 {
 		return a.singleton(i1, i2)
 	}
-	add := a.k.Add
+	add, mul := a.k.Add, a.k.Mul
 	// Pair i1-j1.
-	v := atG(f, a, i1+1, j1-1, i2, j2) + a.score1(i1, j1)
+	v := mul(atG(f, a, i1+1, j1-1, i2, j2), a.score1(i1, j1))
 	// Pair i2-j2.
-	v = add(atG(f, a, i1, j1, i2+1, j2-1)+a.score2(i2, j2), v)
+	v = add(mul(atG(f, a, i1, j1, i2+1, j2-1), a.score2(i2, j2)), v)
 	// H: independent folds.
-	v = add(a.s1At(i1, j1)+a.s2At(i2, j2), v)
+	v = add(mul(a.s1At(i1, j1), a.s2At(i2, j2)), v)
 	// R0 (double split), k2 innermost per-cell gather.
 	for k1 := i1; k1 < j1; k1++ {
 		ablk := f.Block(i1, k1)
 		bblk := f.Block(k1+1, j1)
 		for k2 := i2; k2 < j2; k2++ {
-			v = add(ablk[f.Inner.At(i2, k2)]+bblk[f.Inner.At(k2+1, j2)], v)
+			v = add(mul(ablk[f.Inner.At(i2, k2)], bblk[f.Inner.At(k2+1, j2)]), v)
 		}
 	}
 	// R1 and R2.
 	blk := f.Block(i1, j1)
 	for k2 := i2; k2 < j2; k2++ {
-		v = add(a.s2At(i2, k2)+blk[f.Inner.At(k2+1, j2)], v)
-		v = add(blk[f.Inner.At(i2, k2)]+a.s2At(k2+1, j2), v)
+		v = add(mul(a.s2At(i2, k2), blk[f.Inner.At(k2+1, j2)]), v)
+		v = add(mul(blk[f.Inner.At(i2, k2)], a.s2At(k2+1, j2)), v)
 	}
 	// R3 and R4.
 	for k1 := i1; k1 < j1; k1++ {
-		v = add(a.s1At(i1, k1)+f.Block(k1+1, j1)[f.Inner.At(i2, j2)], v)
-		v = add(f.Block(i1, k1)[f.Inner.At(i2, j2)]+a.s1At(k1+1, j1), v)
+		v = add(mul(a.s1At(i1, k1), f.Block(k1+1, j1)[f.Inner.At(i2, j2)]), v)
+		v = add(mul(f.Block(i1, k1)[f.Inner.At(i2, j2)], a.s1At(k1+1, j1)), v)
 	}
 	return v
 }

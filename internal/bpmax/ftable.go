@@ -58,12 +58,21 @@ type FTable = FTableOf[float32]
 // map is always packed row-major (outer triangles are touched
 // block-at-a-time, so bounding-box padding would buy nothing there). The
 // element type is the solving semiring's scalar: float32 for max-plus,
-// float64 for the log-sum-exp partition fill.
+// float64 for the partition fills.
+//
+// A table knows the domain its cells are stored in (dom): At and Block hand
+// out stored cells, LogAt the value they stand for. Max-plus and log-domain
+// tables store the values themselves; a scaled sum-product table does not,
+// so partition readers go through LogAt.
 type FTableOf[T semiring.Scalar] struct {
 	N1, N2 int
 	Inner  tri.Map
 	isize  int
 	data   []T
+	dom    domain
+	// refilled marks a partition table filled in the log domain because the
+	// scaled fill left its range guard's window (see SolvePartitionContext).
+	refilled bool
 	// kind remembers which MapKind built Inner so a pooled shell can reuse
 	// the boxed map when the shape repeats; pl is the owning pool (nil for
 	// fresh allocations).
@@ -135,9 +144,38 @@ func (f *FTableOf[T]) At(i1, j1, i2, j2 int) T {
 	return f.Block(i1, j1)[f.Inner.At(i2, j2)]
 }
 
+// LogAt returns the value stored cell (i1,j1,i2,j2) stands for, in the
+// table's own ⊗ scale: the cell itself for max-plus and log-domain tables,
+// log F = log(cell) + σ₁·(j1-i1+1) + σ₂·(j2-i2+1) for a scaled one. It is
+// the accessor partition readers use — the conversion happens on read, never
+// as a pass over the table.
+func (f *FTableOf[T]) LogAt(i1, j1, i2, j2 int) float64 {
+	return f.dom.logOf(float64(f.At(i1, j1, i2, j2)), j1-i1+1, j2-i2+1)
+}
+
+// Scaled reports whether the table stores scaled linear-domain cells.
+func (f *FTableOf[T]) Scaled() bool { return f.dom.scaled }
+
+// GuardRefilled reports whether this table is the log-domain refill of a
+// scaled fill whose range guard tripped.
+func (f *FTableOf[T]) GuardRefilled() bool { return f.refilled }
+
 // Set stores F[i1,j1,i2,j2].
 func (f *FTableOf[T]) Set(i1, j1, i2, j2 int, v T) {
 	f.Block(i1, j1)[f.Inner.At(i2, j2)] = v
+}
+
+// newAlgTable allocates the table a fill over algebra view a writes — from
+// pl's arenas when pl is non-nil — stamped with the view's domain.
+func newAlgTable[T semiring.Scalar](p *Problem, a *alg[T], pl *Pool, kind MapKind) *FTableOf[T] {
+	var f *FTableOf[T]
+	if pl != nil {
+		f = poolNewFTable[T](pl, p.N1, p.N2, kind)
+	} else {
+		f = NewFTableOf[T](p.N1, p.N2, kind)
+	}
+	f.dom = a.dom
+	return f
 }
 
 // Bytes returns the storage footprint in bytes.

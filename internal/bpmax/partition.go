@@ -2,126 +2,345 @@ package bpmax
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
+	"github.com/bpmax-go/bpmax/internal/score"
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
-// This file is the BPPart entry point: the BPMax recurrence evaluated in
-// the log-sum-exp semiring over float64, with every weight Boltzmann-scaled
-// to w/kT. The fill reuses the exact max-plus schedules (solveAlg); only
-// the algebra view differs. The result cell F[0,N1-1,0,N2-1] is then LogZ —
-// the log of the derivation-weighted interaction ensemble sum. Because the
-// BPMax grammar is ambiguous (a structure can have several derivations),
-// LogZ upper-bounds the structure-ensemble log-partition function and
-// lower-bounds nothing less than the max-plus optimum: lse(a,b) >= max(a,b)
-// pointwise gives LogZ >= score/kT by induction, with kT·LogZ → score as
+// This file is the BPPart entry point: the BPMax recurrence evaluated as a
+// sum-product over Boltzmann factors e^{w/kT}, through the exact max-plus
+// schedules (solveAlg); only the algebra view differs. The result cell
+// F[0,N1-1,0,N2-1] is Z and its log LogZ — the log of the
+// derivation-weighted interaction ensemble sum. Because the BPMax grammar is
+// ambiguous (a structure can have several derivations), LogZ upper-bounds
+// the structure-ensemble log-partition function and lower-bounds nothing
+// less than the max-plus optimum: a sum of non-negative terms is at least
+// its largest, so LogZ >= score/kT by induction, with kT·LogZ → score as
 // kT → 0 (the derivation count is finite).
+//
+// Two domains compute that sum. The serving path runs the optimized
+// schedules in the scaled linear domain (semiring.SumProductKernels over
+// cells damped by e^{-σ} per nucleotide — one multiply-add per candidate),
+// guarded by a range window. The log domain (semiring.LogSumExpKernels,
+// a + log1p(exp(b-a)) per candidate) cannot leave float64's range; it
+// serves the oracle variants and refills any fold whose guard tripped.
+
+// sigmaEntropy is the first-pass guess of a strand's per-nucleotide
+// derivation entropy (logZ - mfe/kT)/n, measured between 0.25 (kT = 0.1)
+// and 1.5 (kT = 2) on random strands up to 400 nt. The first substrate pass
+// only has to stay inside the guard window with it; the table is then
+// rescaled to the exact σ = logZ/n.
+const sigmaEntropy = 0.9
+
+func checkKT(kT float64) error {
+	if !(kT > 0) || math.IsInf(kT, 1) {
+		return fmt.Errorf("bpmax: partition kT must be positive and finite (got %v)", kT)
+	}
+	return nil
+}
+
+func forbidden(w score.Value) bool { return w <= semiring.NegInf/2 }
 
 // scalePartition maps a max-plus weight to the log-Boltzmann domain:
 // forbidden sentinels become a true -Inf (so e^w = 0 exactly, rather than a
 // large-but-finite spurious weight), everything else w/kT.
-func scalePartition(w float32, kT float64) float64 {
-	if w <= semiring.NegInf/2 {
+func scalePartition(w score.Value, kT float64) float64 {
+	if forbidden(w) {
 		return math.Inf(-1)
 	}
 	return float64(w) / kT
 }
 
-// PartitionSub bundles the Boltzmann-scaled inputs of one partition fill:
-// the two log-sum-exp single-strand substrate tables and the scaled score
-// matrices. It is the float64 counterpart of the Problem's S1/S2/Tab set,
-// built per (sequence pair, model, kT) and cacheable by content hash.
-type PartitionSub struct {
-	KT     float64
-	S1, S2 *nussinov.GTable[float64]
-	// Sc1, Sc2 are the scaled intramolecular matrices (row-major n×n); Isc
-	// the scaled intermolecular matrix (n1×n2). Forbidden pairs are -Inf.
-	Sc1, Sc2, Isc []float64
+// boltzmann maps a max-plus pair weight to its damped linear factor
+// e^{w/kT - damp} (damp = σ per nucleotide the pair closes). Forbidden pairs
+// are an exact 0; ok reports whether an allowed pair's factor stayed inside
+// the guard window — outside it, a product with an in-window cell could
+// underflow unnoticed.
+func boltzmann(w score.Value, kT, damp float64) (f float64, ok bool) {
+	if forbidden(w) {
+		return 0, true
+	}
+	f = math.Exp(float64(w)/kT - damp)
+	return f, inGuard(f)
 }
 
-// Bytes returns the substrate's storage footprint (tables and matrices).
-func (ps *PartitionSub) Bytes() int64 {
-	b := ps.S1.Bytes() + ps.S2.Bytes()
-	b += int64(len(ps.Sc1)+len(ps.Sc2)+len(ps.Isc)) * 8
-	return b
+// PartitionS is one strand's Boltzmann substrate: the single-strand ensemble
+// table and the domain it is stored in — scaled linear cells
+// S·e^{-σ·(j-i+1)} when the range guard held, log-domain cells otherwise.
+// Built per (strand, model, kT) and cacheable by content hash; read-only
+// once built.
+type PartitionS struct {
+	T      *nussinov.GTable[float64]
+	scaled bool
+	sigma  float64
 }
 
-// NewPartitionSub scales the problem's score tables by 1/kT (kT must be
-// positive and finite). The two S tables are left for BuildPartitionS — or
-// for the substrate cache, which installs a strand's table read-only when a
-// fold under the same model and kT already built it.
-func NewPartitionSub(p *Problem, kT float64) (*PartitionSub, error) {
-	if !(kT > 0) || math.IsInf(kT, 1) {
-		return nil, fmt.Errorf("bpmax: partition kT must be positive and finite (got %v)", kT)
+// LogAt returns log S[i,j]; empty intervals are log 1 = 0.
+func (s *PartitionS) LogAt(i, j int) float64 {
+	if j < i {
+		return 0
 	}
-	n1, n2 := p.N1, p.N2
-	ps := &PartitionSub{
-		KT:  kT,
-		Sc1: make([]float64, n1*n1),
-		Sc2: make([]float64, n2*n2),
-		Isc: make([]float64, n1*n2),
-	}
-	for i, w := range p.Tab.Intra1 {
-		ps.Sc1[i] = scalePartition(float32(w), kT)
-	}
-	for i, w := range p.Tab.Intra2 {
-		ps.Sc2[i] = scalePartition(float32(w), kT)
-	}
-	for i, w := range p.Tab.Inter {
-		ps.Isc[i] = scalePartition(float32(w), kT)
-	}
-	return ps, nil
+	return domain{scaled: s.scaled, sig1: s.sigma}.logOf(s.T.At(i, j), j-i+1, 0)
 }
 
-// BuildPartitionS fills one strand's log-sum-exp substrate from its scaled
-// n×n intramolecular matrix (a PartitionSub's Sc1 or Sc2). The Four-Russians
-// fast path never applies here (it is a max-plus block precomputation); the
-// classic diagonal schedule is the only rung, which is why the build takes a
-// context — it is O(n³) like any substrate fill.
-func BuildPartitionS(ctx context.Context, n int, sc []float64) (*nussinov.GTable[float64], error) {
-	return nussinov.BuildGContext(ctx, n, semiring.LogSumExpKernels(), func(i, j int) float64 {
-		return sc[i*n+j]
+// Scaled reports whether the table holds scaled linear cells (false: the
+// guard tripped during the build and the table is in the log domain).
+func (s *PartitionS) Scaled() bool { return s.scaled }
+
+// Bytes returns the table's storage footprint.
+func (s *PartitionS) Bytes() int64 { return s.T.Bytes() }
+
+// logData returns the table's cells in the log domain, converting a scaled
+// table into fresh storage (O(n²) logs).
+func (s *PartitionS) logData() []float64 {
+	if !s.scaled {
+		return s.T.Data()
+	}
+	n := s.T.N
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			out[i*n+j] = s.LogAt(i, j)
+		}
+	}
+	return out
+}
+
+// BuildPartitionS fills the Boltzmann substrate of one strand (1 or 2) of p,
+// whose max-plus S table must already be in place: it supplies the first
+// scale guess. The fill is the classic diagonal schedule (the Four-Russians
+// fast path is a max-plus block precomputation), O(n³) like any substrate
+// fill, which is why it takes a context. The scaled build runs first; if its
+// guard trips the strand is rebuilt in the log domain.
+func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64) (*PartitionS, error) {
+	if err := checkKT(kT); err != nil {
+		return nil, err
+	}
+	n, intra, mfe := p.N1, p.Tab.Intra1, p.S1.At(0, p.N1-1)
+	if strand == 2 {
+		n, intra, mfe = p.N2, p.Tab.Intra2, p.S2.At(0, p.N2-1)
+	}
+	if s, err := buildScaledS(ctx, n, intra, mfe, kT); s != nil || err != nil {
+		return s, err
+	}
+	t, err := nussinov.BuildGContext(ctx, n, semiring.LogSumExpKernels(), func(i, j int) float64 {
+		return scalePartition(intra[i*n+j], kT)
 	})
-}
-
-// BuildPartitionSub is NewPartitionSub plus both single-strand fills.
-func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionSub, error) {
-	ps, err := NewPartitionSub(p, kT)
 	if err != nil {
 		return nil, err
 	}
-	if ps.S1, err = BuildPartitionS(ctx, p.N1, ps.Sc1); err != nil {
+	return &PartitionS{T: t}, nil
+}
+
+// buildScaledS is the scaled-domain substrate build: one pass under the
+// guess σ₀ = mfe/(kT·n) + sigmaEntropy, then an O(n²) rescale to the exact
+// σ = logZ/n — n distinct factors e^{(σ₀-σ)·len}, one per interval length —
+// which centres the table (the whole strand's cell becomes 1) however far
+// off the guess was. It returns (nil, nil) when a pair factor or a cell,
+// before or after the rescale, left the guard window.
+func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, kT float64) (*PartitionS, error) {
+	sig0 := float64(mfe)/(kT*float64(n)) + sigmaEntropy
+	inWindow := true
+	t := nussinov.NewGTable[float64](n)
+	err := t.FillContext(ctx, semiring.SumProductKernels(), math.Exp(-sig0), func(i, j int) float64 {
+		f, ok := boltzmann(intra[i*n+j], kT, 2*sig0)
+		inWindow = inWindow && ok
+		return f
+	})
+	if err != nil {
 		return nil, err
 	}
-	if ps.S2, err = BuildPartitionS(ctx, p.N2, ps.Sc2); err != nil {
+	z := t.At(0, n-1)
+	if !inWindow || !inGuard(z) {
+		return nil, nil
+	}
+	sig := (math.Log(z) + sig0*float64(n)) / float64(n)
+	rescale := make([]float64, n+1)
+	for l := range rescale {
+		rescale[l] = math.Exp((sig0 - sig) * float64(l))
+	}
+	data := t.Data()
+	for i := 0; i < n; i++ {
+		row := data[i*n : (i+1)*n]
+		if !inGuardWindow(row[i:]) {
+			return nil, nil
+		}
+		for j := i; j < n; j++ {
+			row[j] *= rescale[j-i+1]
+		}
+		if !inGuardWindow(row[i:]) {
+			return nil, nil
+		}
+	}
+	return &PartitionS{T: t, scaled: true, sigma: sig}, nil
+}
+
+// PartitionSub bundles the Boltzmann inputs of one partition fill: the two
+// strands' substrate tables and the pair-weight matrices, as the algebra
+// view the fill runs over. It is the float64 counterpart of the Problem's
+// S1/S2/Tab set. The view is scaled when both strands' tables are and every
+// pair factor fits the guard window, log-domain otherwise. The S tables are
+// shared and read-only; the matrices belong to this value and go back to the
+// problem's pool on Release.
+type PartitionSub struct {
+	KT     float64
+	S1, S2 *PartitionS
+
+	a   alg[float64]
+	buf []float64 // backing of a.sc1, a.sc2, a.isc
+	pl  *Pool
+
+	// logOnce builds logA, the log-domain view the oracle variants and the
+	// guard fallback run over, when a is scaled.
+	logOnce sync.Once
+	logA    alg[float64]
+}
+
+// Scaled reports whether the optimized schedules will try the scaled fill.
+func (ps *PartitionSub) Scaled() bool { return ps.a.dom.scaled }
+
+// Bytes returns the substrate's storage footprint (tables and matrices).
+func (ps *PartitionSub) Bytes() int64 {
+	return ps.S1.Bytes() + ps.S2.Bytes() + int64(len(ps.buf))*8
+}
+
+// Release returns the pair-weight matrices to the pool they came from. It
+// is idempotent and a no-op for unpooled substrates; the substrate must not
+// be solved over afterwards (its S tables stay readable).
+func (ps *PartitionSub) Release() {
+	if ps == nil || ps.pl == nil {
+		return
+	}
+	ps.pl.buf64.Put(ps.buf)
+	ps.pl, ps.buf = nil, nil
+	ps.a.sc1, ps.a.sc2, ps.a.isc = nil, nil, nil
+}
+
+// NewPartitionSub assembles the fill's inputs from the two strands'
+// substrates (built by BuildPartitionS, or installed from the substrate
+// cache): it picks the domain and writes the pair-weight matrices, taking
+// their storage from p's pool when p is pooled.
+func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub, error) {
+	if err := checkKT(kT); err != nil {
 		return nil, err
+	}
+	ps := &PartitionSub{KT: kT, S1: s1, S2: s2, pl: p.pl}
+	if ps.pl != nil {
+		ps.buf = ps.pl.buf64.Get(matrixCells(p))
+	} else {
+		ps.buf = make([]float64, matrixCells(p))
+	}
+	ps.a = matrixAlg(p, ps.buf)
+	if !(s1.scaled && s2.scaled && fillScaled(&ps.a, p.Tab, kT, s1, s2)) {
+		fillLog(&ps.a, p.Tab, kT, s1, s2)
 	}
 	return ps, nil
 }
 
-// partitionAlg builds the log-sum-exp algebra view over a problem and its
-// partition substrate. Pure reslicing, like maxplusAlg.
-func partitionAlg(p *Problem, ps *PartitionSub) alg[float64] {
-	return alg[float64]{
-		k:   semiring.LogSumExpKernels(),
-		s1:  ps.S1.Data(),
-		s2:  ps.S2.Data(),
-		sc1: ps.Sc1,
-		sc2: ps.Sc2,
-		isc: ps.Isc,
-		n1:  p.N1,
-		n2:  p.N2,
+// matrixCells is the storage the three pair-weight matrices take.
+func matrixCells(p *Problem) int { return p.N1*p.N1 + p.N2*p.N2 + p.N1*p.N2 }
+
+// matrixAlg returns a view whose sc1, sc2 and isc carve up buf
+// (matrixCells long); fillScaled or fillLog supplies the rest.
+func matrixAlg(p *Problem, buf []float64) alg[float64] {
+	a, b := p.N1*p.N1, p.N1*p.N1+p.N2*p.N2
+	return alg[float64]{n1: p.N1, n2: p.N2, sc1: buf[:a], sc2: buf[a:b], isc: buf[b:]}
+}
+
+// fillScaled writes the scaled view: the damping of each pair term, constant
+// over the table, folds into its weight once — e^{w/kT-2σ₁} and e^{w/kT-2σ₂}
+// for the intramolecular pairs (two nucleotides of one strand),
+// e^{w/kT-σ₁-σ₂} for the intermolecular bond (one of each). Only i < j is
+// ever read of the intramolecular matrices; the rest stays 0 (forbidden).
+// It reports false, leaving the matrices half-written, if a factor left the
+// guard window.
+func fillScaled(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS) bool {
+	a.k = semiring.SumProductKernels()
+	a.dom = domain{scaled: true, sig1: s1.sigma, sig2: s2.sigma}
+	a.s1, a.s2 = s1.T.Data(), s2.T.Data()
+	intra := func(dst []float64, src []score.Value, n int, sigma float64) bool {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				f, ok := boltzmann(src[i*n+j], kT, 2*sigma)
+				if !ok {
+					return false
+				}
+				dst[i*n+j] = f
+			}
+		}
+		return true
 	}
+	if !intra(a.sc1, tab.Intra1, a.n1, s1.sigma) || !intra(a.sc2, tab.Intra2, a.n2, s2.sigma) {
+		return false
+	}
+	for i, w := range tab.Inter {
+		f, ok := boltzmann(w, kT, s1.sigma+s2.sigma)
+		if !ok {
+			return false
+		}
+		a.isc[i] = f
+	}
+	return true
+}
+
+// fillLog writes the log-domain view: every weight w/kT (forbidden ⇒ -Inf),
+// every matrix entry overwritten.
+func fillLog(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS) {
+	a.k = semiring.LogSumExpKernels()
+	a.dom = domain{}
+	a.s1, a.s2 = s1.logData(), s2.logData()
+	for i, w := range tab.Intra1 {
+		a.sc1[i] = scalePartition(w, kT)
+	}
+	for i, w := range tab.Intra2 {
+		a.sc2[i] = scalePartition(w, kT)
+	}
+	for i, w := range tab.Inter {
+		a.isc[i] = scalePartition(w, kT)
+	}
+}
+
+// logAlg returns the log-domain view: ps's own when it already is one,
+// otherwise one derived from it on first use (converted S tables, fresh
+// matrices — the oracle/fallback path is rare, so nothing here is pooled).
+func (ps *PartitionSub) logAlg(p *Problem) alg[float64] {
+	if !ps.a.dom.scaled {
+		return ps.a
+	}
+	ps.logOnce.Do(func() {
+		ps.logA = matrixAlg(p, make([]float64, matrixCells(p)))
+		fillLog(&ps.logA, p.Tab, ps.KT, ps.S1, ps.S2)
+	})
+	return ps.logA
+}
+
+// BuildPartitionSub is both single-strand fills plus NewPartitionSub.
+func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionSub, error) {
+	s1, err := BuildPartitionS(ctx, p, 1, kT)
+	if err != nil {
+		return nil, err
+	}
+	s2, err := BuildPartitionS(ctx, p, 2, kT)
+	if err != nil {
+		return nil, err
+	}
+	return NewPartitionSub(p, kT, s1, s2)
 }
 
 // SolvePartitionContext fills the float64 BPPart table for p under the
 // given schedule variant, with the same cancellation and panic-isolation
-// contract as SolveContext. LogZ is ft.At(0, p.N1-1, 0, p.N2-1) (use
-// PartitionLogZ). Unlike max-plus, results are not bit-identical across
-// variants — log-sum-exp is not associative in floating point — but agree
+// contract as SolveContext. The optimized schedules run ps's scaled view
+// when it has one and return that table only if the range guard held on
+// every cell; otherwise — and always for the two oracle variants — the fill
+// runs in the log domain (GuardRefilled marks a table refilled after a
+// trip). Read results through LogAt / PartitionLogZ, which convert from
+// whichever domain the table is in. Results are not bit-identical across
+// variants or domains — floating-point sums are not associative — but agree
 // to tight relative tolerance; the cross-variant tests pin that.
 func SolvePartitionContext(ctx context.Context, p *Problem, ps *PartitionSub, v Variant, cfg Config) (ft *FTableOf[float64], err error) {
 	if ctx == nil {
@@ -135,11 +354,21 @@ func SolvePartitionContext(ctx context.Context, p *Problem, ps *PartitionSub, v 
 	if e := ctx.Err(); e != nil {
 		return nil, e
 	}
-	return solveAlg(ctx, p, partitionAlg(p, ps), v, cfg)
+	oracle := v == VariantReference || v == VariantBase
+	if !ps.a.dom.scaled || oracle {
+		return solveAlg(ctx, p, ps.logAlg(p), v, cfg)
+	}
+	if ft, err = solveAlg(ctx, p, ps.a, v, cfg); !errors.Is(err, errScaledRange) {
+		return ft, err
+	}
+	if ft, err = solveAlg(ctx, p, ps.logAlg(p), v, cfg); err == nil {
+		ft.refilled = true
+	}
+	return ft, err
 }
 
 // PartitionLogZ reads the whole-pair log-partition value from a filled
 // BPPart table.
 func PartitionLogZ(p *Problem, f *FTableOf[float64]) float64 {
-	return f.At(0, p.N1-1, 0, p.N2-1)
+	return f.LogAt(0, p.N1-1, 0, p.N2-1)
 }

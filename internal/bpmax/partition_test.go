@@ -2,9 +2,14 @@ package bpmax
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
+
+	"github.com/bpmax-go/bpmax/internal/rna"
+	"github.com/bpmax-go/bpmax/internal/score"
 )
 
 // buildTestPartitionSub builds the Boltzmann substrate or fails the test.
@@ -62,7 +67,7 @@ func TestPartitionVariantsAgree(t *testing.T) {
 					for j1 := i1; j1 < p.N1; j1++ {
 						for i2 := 0; i2 < p.N2; i2++ {
 							for j2 := i2; j2 < p.N2; j2++ {
-								closeRel(t, ref.At(i1, j1, i2, j2), got.At(i1, j1, i2, j2), 1e-9, v.String())
+								closeRel(t, ref.LogAt(i1, j1, i2, j2), got.LogAt(i1, j1, i2, j2), 1e-9, v.String())
 							}
 						}
 					}
@@ -93,7 +98,7 @@ func TestPartitionDominatesMaxPlus(t *testing.T) {
 			for j1 := i1; j1 < p.N1; j1++ {
 				for i2 := 0; i2 < p.N2; i2++ {
 					for j2 := i2; j2 < p.N2; j2++ {
-						logZ := pf.At(i1, j1, i2, j2)
+						logZ := pf.LogAt(i1, j1, i2, j2)
 						bound := float64(mf.At(i1, j1, i2, j2)) / kT
 						if math.IsInf(logZ, 0) || math.IsNaN(logZ) {
 							t.Fatalf("LogZ[%d,%d,%d,%d] = %v not finite", i1, j1, i2, j2, logZ)
@@ -214,11 +219,291 @@ func TestPartitionForbiddenStaysForbidden(t *testing.T) {
 		for j1 := i1; j1 < p.N1; j1++ {
 			for i2 := 0; i2 < p.N2; i2++ {
 				for j2 := i2; j2 < p.N2; j2++ {
-					if v := pf.At(i1, j1, i2, j2); v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+					// >= 0 up to the rounding of the scaled domain's read
+					// conversion log(cell) + σ·len.
+					if v := pf.LogAt(i1, j1, i2, j2); v < -1e-12 || math.IsInf(v, 0) || math.IsNaN(v) {
 						t.Fatalf("F[%d,%d,%d,%d] = %v; want finite and >= 0 (the empty derivation)", i1, j1, i2, j2, v)
 					}
 				}
 			}
 		}
+	}
+}
+
+// logDomainFill runs schedule v over ps's log-domain view — the fill the
+// scaled domain is measured against at sizes the top-down oracle is too
+// slow for.
+func logDomainFill(t testing.TB, p *Problem, ps *PartitionSub, v Variant, cfg Config) *FTableOf[float64] {
+	t.Helper()
+	ft, err := solveAlg(context.Background(), p, ps.logAlg(p), v, cfg)
+	if err != nil {
+		t.Fatalf("log-domain %s: %v", v, err)
+	}
+	return ft
+}
+
+// eachCell visits every stored cell index of an n1 × n2 table.
+func eachCell(n1, n2 int, f func(i1, j1, i2, j2 int)) {
+	for i1 := 0; i1 < n1; i1++ {
+		for j1 := i1; j1 < n1; j1++ {
+			for i2 := 0; i2 < n2; i2++ {
+				for j2 := i2; j2 < n2; j2++ {
+					f(i1, j1, i2, j2)
+				}
+			}
+		}
+	}
+}
+
+// TestScaledPartitionMatchesLogDomain: at every temperature the serving path
+// supports, every cell of the scaled sum-product fill — all four optimized
+// schedules — reads back (LogAt) within 1e-12 relative of the log-domain
+// fill, and the scaled substrates agree with the log-domain ones on every
+// interval. The scaled domain must actually have served the fill: a silent
+// fallback would make the comparison vacuous.
+func TestScaledPartitionMatchesLogDomain(t *testing.T) {
+	ctx := context.Background()
+	for _, sz := range [][2]int{{4, 24}, {6, 40}, {9, 56}} {
+		p := newTestProblem(t, int64(sz[0]*1000+sz[1]), sz[0], sz[1])
+		for _, kT := range []float64{2, 1, 0.5, 0.25, 0.1} {
+			ps := buildTestPartitionSub(t, p, kT)
+			if !ps.Scaled() {
+				t.Fatalf("%dx%d kT=%v: substrate fell back to the log domain", sz[0], sz[1], kT)
+			}
+			want := logDomainFill(t, p, ps, VariantHybrid, Config{Workers: 2})
+			la := ps.logAlg(p)
+			for i := 0; i < p.N2; i++ {
+				for j := i; j < p.N2; j++ {
+					closeRel(t, ps.S2.LogAt(i, j), la.s2At(i, j), 1e-12, "S2")
+				}
+			}
+			closeRel(t, ps.S1.LogAt(0, p.N1-1), la.s1At(0, p.N1-1), 1e-12, "LogZ1")
+			for _, v := range []Variant{VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled} {
+				got, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2, TileI2: 16, TileK2: 8})
+				if err != nil {
+					t.Fatalf("%s: %v", v, err)
+				}
+				if !got.Scaled() || got.GuardRefilled() {
+					t.Fatalf("%dx%d kT=%v %s: served by the log domain", sz[0], sz[1], kT, v)
+				}
+				eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+					closeRel(t, want.LogAt(i1, j1, i2, j2), got.LogAt(i1, j1, i2, j2), 1e-12, v.String())
+				})
+			}
+		}
+	}
+}
+
+// bigOracle evaluates the BPMax grammar's derivation-weighted sum exactly,
+// over the integers: at kT = 1/ln 2 the Boltzmann factor of an integer
+// weight w is 2^w, so Z is an integer and math/big computes it without
+// rounding. Same candidate sets as GTable.FillContext (strands) and refDPG
+// (pair), top-down with memoization.
+type bigOracle struct {
+	p      *Problem
+	s1, s2 map[[2]int]*big.Int
+	f      map[[4]int]*big.Int
+}
+
+func pow2(w score.Value) *big.Int {
+	if forbidden(w) {
+		return new(big.Int)
+	}
+	return new(big.Int).Lsh(big.NewInt(1), uint(w))
+}
+
+func (o *bigOracle) strand(memo map[[2]int]*big.Int, intra []score.Value, n, i, j int) *big.Int {
+	if j <= i {
+		return big.NewInt(1) // empty interval, or one unpaired base
+	}
+	if v, ok := memo[[2]int{i, j}]; ok {
+		return v
+	}
+	rec := func(a, b int) *big.Int { return o.strand(memo, intra, n, a, b) }
+	v := new(big.Int).Add(rec(i+1, j), rec(i, j-1))
+	v.Add(v, new(big.Int).Mul(rec(i+1, j-1), pow2(intra[i*n+j])))
+	for s := i; s < j; s++ {
+		v.Add(v, new(big.Int).Mul(rec(i, s), rec(s+1, j)))
+	}
+	memo[[2]int{i, j}] = v
+	return v
+}
+
+func (o *bigOracle) S1(i, j int) *big.Int { return o.strand(o.s1, o.p.Tab.Intra1, o.p.N1, i, j) }
+func (o *bigOracle) S2(i, j int) *big.Int { return o.strand(o.s2, o.p.Tab.Intra2, o.p.N2, i, j) }
+
+func (o *bigOracle) F(i1, j1, i2, j2 int) *big.Int {
+	if j1 < i1 {
+		return o.S2(i2, j2)
+	}
+	if j2 < i2 {
+		return o.S1(i1, j1)
+	}
+	key := [4]int{i1, j1, i2, j2}
+	if v, ok := o.f[key]; ok {
+		return v
+	}
+	p := o.p
+	mul := func(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+	v := new(big.Int)
+	if i1 == j1 && i2 == j2 {
+		v.Add(pow2(p.Tab.IScore(i1, i2)), big.NewInt(1))
+	} else {
+		v.Add(v, mul(o.F(i1+1, j1-1, i2, j2), pow2(p.Tab.Score1(i1, j1))))
+		v.Add(v, mul(o.F(i1, j1, i2+1, j2-1), pow2(p.Tab.Score2(i2, j2))))
+		v.Add(v, mul(o.S1(i1, j1), o.S2(i2, j2)))
+		for k1 := i1; k1 < j1; k1++ {
+			for k2 := i2; k2 < j2; k2++ {
+				v.Add(v, mul(o.F(i1, k1, i2, k2), o.F(k1+1, j1, k2+1, j2)))
+			}
+		}
+		for k2 := i2; k2 < j2; k2++ {
+			v.Add(v, mul(o.S2(i2, k2), o.F(i1, j1, k2+1, j2)))
+			v.Add(v, mul(o.F(i1, j1, i2, k2), o.S2(k2+1, j2)))
+		}
+		for k1 := i1; k1 < j1; k1++ {
+			v.Add(v, mul(o.S1(i1, k1), o.F(k1+1, j1, i2, j2)))
+			v.Add(v, mul(o.F(i1, k1, i2, j2), o.S1(k1+1, j1)))
+		}
+	}
+	o.f[key] = v
+	return v
+}
+
+// bigLog returns log z for a positive integer, exact to float64 rounding.
+func bigLog(z *big.Int) float64 {
+	mant := new(big.Float)
+	exp := new(big.Float).SetInt(z).MantExp(mant)
+	m, _ := mant.Float64()
+	return math.Log(m) + float64(exp)*math.Ln2
+}
+
+// logZErrorBound is the documented accuracy of either partition fill against
+// the exact sum, in log units (so: relative error of Z), for an n1 × n2
+// pair: every stored cell is a sum of non-negative products of cells of
+// strictly shorter span, so rounding compounds once per unit of span —
+// depth n1+n2 — at a few ulps per level (the products, the running sums,
+// and in the log domain the exp/log1p pair). 16 ulps per level is four times
+// the worst case the test measures (inputs included: e^{w/kT} is itself
+// rounded).
+func logZErrorBound(n1, n2 int) float64 { return 16 * float64(n1+n2) * 0x1p-53 }
+
+// TestPartitionMatchesExactSum is ROADMAP 4(b)'s error bound, written down:
+// at tiny sizes both fills' LogZ (and every interior cell) sit within
+// logZErrorBound of the exact integer-arithmetic sum.
+func TestPartitionMatchesExactSum(t *testing.T) {
+	if _, ok := score.DefaultParams().Model.IntegerBounded(); !ok {
+		t.Skip("the exact oracle needs integer pair weights")
+	}
+	ctx := context.Background()
+	kT := 1 / math.Ln2 // e^{w/kT} = 2^w
+	worst := 0.0
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed + 2100))
+		n1, n2 := 1+rng.Intn(3), 1+rng.Intn(6)
+		p := newTestProblem(t, seed+210, n1, n2)
+		o := &bigOracle{p: p, s1: map[[2]int]*big.Int{}, s2: map[[2]int]*big.Int{}, f: map[[4]int]*big.Int{}}
+		ps := buildTestPartitionSub(t, p, kT)
+		scaled, err := SolvePartitionContext(ctx, p, ps, VariantHybridTiled, Config{Workers: 1})
+		if err != nil || !scaled.Scaled() {
+			t.Fatalf("scaled fill: %v (scaled=%v)", err, scaled.Scaled())
+		}
+		logd := logDomainFill(t, p, ps, VariantHybridTiled, Config{Workers: 1})
+		bound := logZErrorBound(n1, n2)
+		eachCell(n1, n2, func(i1, j1, i2, j2 int) {
+			want := bigLog(o.F(i1, j1, i2, j2))
+			for name, ft := range map[string]*FTableOf[float64]{"scaled": scaled, "log": logd} {
+				d := math.Abs(ft.LogAt(i1, j1, i2, j2) - want)
+				worst = math.Max(worst, d/bound)
+				if d > bound {
+					t.Fatalf("%dx%d %s F[%d,%d,%d,%d]: |ΔlogZ| = %.3g > bound %.3g", n1, n2, name, i1, j1, i2, j2, d, bound)
+				}
+			}
+		})
+		if d := math.Abs(ps.S2.LogAt(0, n2-1) - bigLog(o.S2(0, n2-1))); d > bound {
+			t.Fatalf("LogZ2: |Δ| = %.3g > bound %.3g", d, bound)
+		}
+	}
+	t.Logf("worst |ΔlogZ| / bound = %.3f", worst)
+}
+
+// TestGuardWindow: the window admits exactly the finite cells in
+// [2⁻⁹⁰⁰, 2⁹⁰⁰]; a zero, a denormal, an overflow and a NaN are all trips.
+func TestGuardWindow(t *testing.T) {
+	if !inGuardWindow([]float64{1, guardLo, guardHi, 1e-200, 1e200}) {
+		t.Fatal("in-window cells rejected")
+	}
+	for _, bad := range []float64{0, 5e-324, guardLo / 2, guardHi * 2, math.Inf(1), math.NaN(), -1} {
+		if inGuardWindow([]float64{1, bad, 1}) {
+			t.Errorf("cell %v accepted", bad)
+		}
+	}
+}
+
+// TestPartitionGuardFallsBack: a scaled fill that leaves the window — by a
+// poisoned input, or organically on a pair whose interaction dwarfs what the
+// per-strand scales absorb — is discarded and refilled in the log domain, so
+// the caller sees the oracle's answer with GuardRefilled set; and a strand
+// whose own build trips comes back as a log-domain substrate.
+func TestPartitionGuardFallsBack(t *testing.T) {
+	ctx := context.Background()
+	check := func(label string, p *Problem, ps *PartitionSub) {
+		t.Helper()
+		if !ps.Scaled() {
+			t.Fatalf("%s: substrate not scaled; the fill guard is not under test", label)
+		}
+		want, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
+		if err != nil {
+			t.Fatalf("%s reference: %v", label, err)
+		}
+		for _, v := range []Variant{VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled} {
+			got, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2})
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, v, err)
+			}
+			if got.Scaled() || !got.GuardRefilled() {
+				t.Fatalf("%s %s: scaled=%v refilled=%v, want a log-domain refill", label, v, got.Scaled(), got.GuardRefilled())
+			}
+			eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+				closeRel(t, want.LogAt(i1, j1, i2, j2), got.LogAt(i1, j1, i2, j2), 1e-9, label+" "+v.String())
+			})
+		}
+	}
+
+	p := newTestProblem(t, 77, 5, 9)
+	for _, poison := range []float64{math.Inf(1), math.NaN(), 0x1p+1000} {
+		ps := buildTestPartitionSub(t, p, 1)
+		for i := range ps.a.isc {
+			if ps.a.isc[i] != 0 { // keep forbidden bonds forbidden: poison an allowed one
+				ps.a.isc[i] = poison
+				break
+			}
+		}
+		check(fmt.Sprintf("poison %v", poison), p, ps)
+	}
+
+	// Neither strand can pair with itself, so σ₁, σ₂ only absorb the
+	// derivation entropy; eight G·C bonds at kT = 0.01 put e^{2400} into F.
+	g, _ := rna.New("GGGGGGGG")
+	c, _ := rna.New("CCCCCCCCCC")
+	gc, err := NewProblem(g, c, score.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("organic", gc, buildTestPartitionSub(t, gc, 0.01))
+
+	// kT so small that a single pair's factor leaves the window: the strand
+	// builds themselves fall back.
+	cold := buildTestPartitionSub(t, p, 1e-3)
+	if cold.S2.Scaled() || cold.Scaled() {
+		t.Fatalf("kT=1e-3: S2 scaled=%v sub scaled=%v, want the log domain", cold.S2.Scaled(), cold.Scaled())
+	}
+	ft, err := SolvePartitionContext(ctx, p, cold, VariantHybrid, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := Solve(p, VariantHybrid, Config{})
+	if gap := 1e-3*PartitionLogZ(p, ft) - float64(p.Score(mf)); gap < -1e-6 || gap > 0.1 {
+		t.Fatalf("kT=1e-3: kT·LogZ is %v off the max-plus score", gap)
 	}
 }

@@ -111,8 +111,8 @@ func solveReference(p *Problem, kind MapKind) *FTable {
 }
 
 // refDPG is refDP over an arbitrary algebra view: the identical candidate
-// set in the identical order, ⊕ through the kernel bundle, ⊗ as native
-// addition. It is the oracle for the non-max-plus algebras (the float32
+// set in the identical order, ⊕ and ⊗ through the kernel bundle. It is the
+// oracle for the non-max-plus algebras (the float32
 // max-plus oracle above stays hand-written and untouched by the generics).
 type refDPG[T semiring.Scalar] struct {
 	a     *alg[T]
@@ -145,38 +145,38 @@ func (r *refDPG[T]) f(i1, j1, i2, j2 int) T {
 	if r.known[id] {
 		return r.memo[id]
 	}
-	add := a.k.Add
+	add, mul := a.k.Add, a.k.Mul
 	var v T
 	if i1 == j1 && i2 == j2 {
 		v = a.singleton(i1, i2)
 	} else {
 		// Pair i1-j1 around the whole seq2 interval.
-		v = r.f(i1+1, j1-1, i2, j2) + a.score1(i1, j1)
+		v = mul(r.f(i1+1, j1-1, i2, j2), a.score1(i1, j1))
 		// Pair i2-j2 around the whole seq1 interval.
-		v = add(r.f(i1, j1, i2+1, j2-1)+a.score2(i2, j2), v)
+		v = add(mul(r.f(i1, j1, i2+1, j2-1), a.score2(i2, j2)), v)
 		// H term: the two intervals fold independently.
-		v = add(a.s1At(i1, j1)+a.s2At(i2, j2), v)
+		v = add(mul(a.s1At(i1, j1), a.s2At(i2, j2)), v)
 		// R0: double split.
 		for k1 := i1; k1 < j1; k1++ {
 			for k2 := i2; k2 < j2; k2++ {
-				v = add(r.f(i1, k1, i2, k2)+r.f(k1+1, j1, k2+1, j2), v)
+				v = add(mul(r.f(i1, k1, i2, k2), r.f(k1+1, j1, k2+1, j2)), v)
 			}
 		}
 		// R1: seq2 prefix folds alone.
 		for k2 := i2; k2 < j2; k2++ {
-			v = add(a.s2At(i2, k2)+r.f(i1, j1, k2+1, j2), v)
+			v = add(mul(a.s2At(i2, k2), r.f(i1, j1, k2+1, j2)), v)
 		}
 		// R2: seq2 suffix folds alone.
 		for k2 := i2; k2 < j2; k2++ {
-			v = add(r.f(i1, j1, i2, k2)+a.s2At(k2+1, j2), v)
+			v = add(mul(r.f(i1, j1, i2, k2), a.s2At(k2+1, j2)), v)
 		}
 		// R3: seq1 prefix folds alone.
 		for k1 := i1; k1 < j1; k1++ {
-			v = add(a.s1At(i1, k1)+r.f(k1+1, j1, i2, j2), v)
+			v = add(mul(a.s1At(i1, k1), r.f(k1+1, j1, i2, j2)), v)
 		}
 		// R4: seq1 suffix folds alone.
 		for k1 := i1; k1 < j1; k1++ {
-			v = add(r.f(i1, k1, i2, j2)+a.s1At(k1+1, j1), v)
+			v = add(mul(r.f(i1, k1, i2, j2), a.s1At(k1+1, j1)), v)
 		}
 	}
 	r.memo[id] = v
@@ -187,7 +187,7 @@ func (r *refDPG[T]) f(i1, j1, i2, j2 int) T {
 // solveReferenceG fills a complete table through the generic oracle.
 func solveReferenceG[T semiring.Scalar](p *Problem, a alg[T], kind MapKind) *FTableOf[T] {
 	r := newRefDPG(&a)
-	f := NewFTableOf[T](p.N1, p.N2, kind)
+	f := newAlgTable(p, &a, nil, kind)
 	for i1 := 0; i1 < p.N1; i1++ {
 		for j1 := i1; j1 < p.N1; j1++ {
 			for i2 := 0; i2 < p.N2; i2++ {

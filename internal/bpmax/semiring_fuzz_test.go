@@ -1,6 +1,7 @@
 package bpmax
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,24 +10,39 @@ import (
 	"github.com/bpmax-go/bpmax/internal/score"
 )
 
-// FuzzSemiringMaxPlusParity pins the semiring-generic fill to the
-// pre-refactor max-plus semantics: the top-down memoized oracle (refDP)
-// hard-codes float32 max-plus and never touches the generic solver, so any
-// drift introduced by the algebra abstraction — a reassociated sum, a lost
-// tie-break, a changed base case — shows up as a cell mismatch. Every
-// schedule variant, the windowed fill, and the traceback are checked
-// bit-for-bit.
-func FuzzSemiringMaxPlusParity(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(7), uint8(3), uint8(3))
-	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(8), uint8(4), uint8(1), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2 uint8) {
+// FuzzSemiringParity is the semiring-generic fill's differential fuzzer; the
+// fuzz input picks the algebra (even: max-plus, odd: partition at one of the
+// five supported temperatures).
+//
+// Max-plus pins the generic fill to the pre-refactor semantics: the top-down
+// memoized oracle (refDP) hard-codes float32 max-plus and never touches the
+// generic solver, so any drift introduced by the algebra abstraction — a
+// reassociated sum, a lost tie-break, a changed base case — shows up as a
+// cell mismatch. Every schedule variant, the windowed fill, and the
+// traceback are checked bit-for-bit.
+//
+// Partition checks the scaled sum-product fill against the log-domain
+// top-down oracle on every cell through the domain-aware read (LogAt, what
+// Result.SubLogZ returns), all four optimized schedules, fresh and pooled —
+// and pooled == fresh exactly.
+func FuzzSemiringParity(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(7), uint8(3), uint8(3), uint8(0), uint8(0))
+	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(4), uint8(1), uint8(5), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(5), uint8(7), uint8(0), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(8), uint8(0), uint8(0), uint8(1), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2, algebra, rkT uint8) {
 		n1 := 1 + int(rn1)%9
 		n2 := 1 + int(rn2)%9
 		rng := rand.New(rand.NewSource(seed))
 		p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), score.DefaultParams())
 		if err != nil {
 			t.Fatalf("NewProblem: %v", err)
+		}
+		if algebra%2 == 1 {
+			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5])
+			return
 		}
 		ref := newRefDP(p)
 		oracle := func(label string, at func(i1, j1, i2, j2 int) float32, w1, w2 int) {
@@ -61,4 +77,42 @@ func FuzzSemiringMaxPlusParity(f *testing.F) {
 		wt := SolveWindowed(p, w1, w2, Config{Workers: 2})
 		oracle("windowed", wt.At, w1, w2)
 	})
+}
+
+// fuzzPartitionParity is FuzzSemiringParity's partition arm.
+func fuzzPartitionParity(t *testing.T, p *Problem, kT float64) {
+	ctx := context.Background()
+	ps := buildTestPartitionSub(t, p, kT)
+	want, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if want.Scaled() {
+		t.Fatal("the oracle ran in the scaled domain")
+	}
+	pl := NewPool()
+	for _, v := range []Variant{VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled} {
+		fresh, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		pooled, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2, Pool: pl})
+		if err != nil {
+			t.Fatalf("%s pooled: %v", v, err)
+		}
+		if !fresh.Scaled() || !pooled.Scaled() {
+			t.Fatalf("%s kT=%v: served by the log domain", v, kT)
+		}
+		eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+			closeRel(t, want.LogAt(i1, j1, i2, j2), fresh.LogAt(i1, j1, i2, j2), 1e-12, v.String())
+			if fresh.At(i1, j1, i2, j2) != pooled.At(i1, j1, i2, j2) {
+				t.Fatalf("%s: pooled F[%d,%d,%d,%d] = %v, fresh %v", v, i1, j1, i2, j2,
+					pooled.At(i1, j1, i2, j2), fresh.At(i1, j1, i2, j2))
+			}
+		})
+		pooled.Release()
+	}
+	if st := pl.Stats(); st.Buffers.Live != 0 {
+		t.Fatalf("leaked %d pooled buffers", st.Buffers.Live)
+	}
 }

@@ -136,11 +136,11 @@ func solveCoarseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], 
 			return nil, err
 		}
 		obs.done(metrics.PhaseTriangle, t0, int64(p.N1-d1))
-		obs.wavefront()
+		if err := s.endWavefront(obs); err != nil {
+			return nil, err
+		}
 	}
-	f := s.f
-	s.release()
-	return f, nil
+	return s.finish(), nil
 }
 
 // solveFineG: triangles run one at a time (diagonal order); within the
@@ -167,11 +167,11 @@ func solveFineG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cf
 			s.finalizeBlk(s.f.Block(i1, j1), i1, j1)
 			obs.done(metrics.PhaseFinalize, t0, 1)
 		}
-		obs.wavefront()
+		if err := s.endWavefront(obs); err != nil {
+			return nil, err
+		}
 	}
-	f := s.f
-	s.release()
-	return f, nil
+	return s.finish(), nil
 }
 
 // solveHybridG: per wavefront, phase A row-parallelizes the R0/R3/R4
@@ -203,11 +203,11 @@ func solveHybridG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], 
 			return nil, err
 		}
 		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		obs.wavefront()
+		if err := s.endWavefront(obs); err != nil {
+			return nil, err
+		}
 	}
-	f := s.f
-	s.release()
-	return f, nil
+	return s.finish(), nil
 }
 
 // solveHybridScratchG is solveHybridG with the Phase II memory map: the
@@ -217,12 +217,7 @@ func solveHybridG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], 
 // eliminated.
 func solveHybridScratchG[T semiring.Scalar](ctx context.Context, p *Problem, s *gsolver[T], cfg Config) (*FTableOf[T], error) {
 	pf := cfg.pforCtx()
-	var scratch *FTableOf[T]
-	if cfg.Pool != nil {
-		scratch = poolNewFTable[T](cfg.Pool, p.N1, p.N2, cfg.Map)
-	} else {
-		scratch = NewFTableOf[T](p.N1, p.N2, cfg.Map)
-	}
+	scratch := newAlgTable(p, &s.a, cfg.Pool, cfg.Map)
 	// The scratch table is never returned, so it goes back to the pool on
 	// every exit (Release is a no-op when unpooled).
 	defer scratch.Release()
@@ -248,11 +243,11 @@ func solveHybridScratchG[T semiring.Scalar](ctx context.Context, p *Problem, s *
 			return nil, err
 		}
 		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		obs.wavefront()
+		if err := s.endWavefront(obs); err != nil {
+			return nil, err
+		}
 	}
-	f := s.f
-	s.release()
-	return f, nil
+	return s.finish(), nil
 }
 
 // solveHybridTiledG is solveHybridG with the (i2 × k2 × j2) tiling of the
@@ -282,9 +277,9 @@ func solveHybridTiledG[T semiring.Scalar](ctx context.Context, p *Problem, a alg
 			return nil, err
 		}
 		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		obs.wavefront()
+		if err := s.endWavefront(obs); err != nil {
+			return nil, err
+		}
 	}
-	f := s.f
-	s.release()
-	return f, nil
+	return s.finish(), nil
 }

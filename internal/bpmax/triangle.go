@@ -1,8 +1,41 @@
 package bpmax
 
 import (
+	"errors"
+	"sync/atomic"
+
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
+
+// The scaled sum-product fill's range guard. A scaled result is returned
+// only if every stored cell is finite and inside [guardLo, guardHi]. Every
+// term of the recurrence is non-negative, so in-window cells mean no partial
+// sum overflowed (an Inf or NaN never washes out), and a product of two
+// in-window factors that underflowed was below 2⁻¹⁰²² against a cell of at
+// least 2⁻⁹⁰⁰ — under 2⁻¹²² of it, far below rounding. Every cell is at
+// least its H seed S̃¹·S̃² > 0, so a stored zero is itself an underflow.
+const (
+	guardLo = 0x1p-900
+	guardHi = 0x1p+900
+)
+
+// errScaledRange reports a tripped range guard: the scaled fill's table is
+// discarded and SolvePartitionContext refills in the log domain.
+var errScaledRange = errors.New("bpmax: scaled partition fill left the float64 range window")
+
+// inGuard reports whether v is inside the guard window (NaN fails both
+// comparisons).
+func inGuard(v float64) bool { return v >= guardLo && v <= guardHi }
+
+// inGuardWindow reports whether every cell is inside the guard window.
+func inGuardWindow[T semiring.Scalar](cells []T) bool {
+	for _, v := range cells {
+		if !inGuard(float64(v)) {
+			return false
+		}
+	}
+	return true
+}
 
 // solver is the float32 (max-plus) instantiation of the generic solver —
 // the historical name used by the pool, the DMP schedules and the tests.
@@ -31,6 +64,10 @@ type gsolver[T semiring.Scalar] struct {
 	curTileW     int
 	curTilesPT   int
 	scratch      *FTableOf[T]
+	// tripped is set by any finalize task whose triangle left the range
+	// guard's window (scaled domains only); the schedules poll it between
+	// wavefronts.
+	tripped atomic.Bool
 
 	triTask        func(i1 int) // coarse: one whole triangle of wavefront curD1
 	finTask        func(i1 int) // hybrid/tiled phase B: finalize one triangle
@@ -105,15 +142,15 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKin
 	var s *gsolver[T]
 	if cfg.Pool != nil {
 		s = poolGetSolver[T](cfg.Pool)
-		s.f = poolNewFTable[T](cfg.Pool, p.N1, p.N2, kind)
 	} else {
 		s = &gsolver[T]{}
-		s.f = NewFTableOf[T](p.N1, p.N2, kind)
 	}
+	s.f = newAlgTable(p, &a, cfg.Pool, kind)
 	s.p = p
 	s.a = a
 	s.cfg = cfg
 	s.acc = a.k.Accum
+	s.tripped.Store(false)
 	if s.triTask == nil {
 		s.initTasks()
 	}
@@ -145,6 +182,26 @@ func (s *gsolver[T]) release() {
 func (s *gsolver[T]) abort() {
 	s.f.Release()
 	s.release()
+}
+
+// endWavefront closes one outer anti-diagonal: it records the wavefront and
+// reports a tripped range guard, discarding the table — stopping there rather
+// than at the end of the fill keeps a doomed scaled fill from grinding
+// through denormals.
+func (s *gsolver[T]) endWavefront(obs obsState) error {
+	obs.wavefront()
+	if s.tripped.Load() {
+		s.abort()
+		return errScaledRange
+	}
+	return nil
+}
+
+// finish hands the filled table to the caller and recycles the shell.
+func (s *gsolver[T]) finish() *FTableOf[T] {
+	f := s.f
+	s.release()
+	return f
 }
 
 // atF is the recurrence's full F accessor during the fill, resolving the
@@ -301,14 +358,15 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 }
 
 // finalizeGeneric is finalizeMaxPlusTriangle over an arbitrary scalar
-// semiring: the same bottom-up/left-to-right order with ⊕ through the
-// kernel bundle and ⊗ as native addition. The per-cell ⊕ goes through a
-// func value, which is why the float32 instantiation binds the specialized
-// body instead.
+// semiring: the same bottom-up/left-to-right order with ⊕ and ⊗ through the
+// kernel bundle. The per-cell operations go through func values, which is
+// why the float32 instantiation binds the specialized body instead. In a
+// scaled domain each row is range-checked as soon as it is final — the one
+// point where every cell of it is still in cache.
 func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
-	add := a.k.Add
+	add, mul := a.k.Add, a.k.Mul
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
 	for i2 := n2 - 1; i2 >= 0; i2-- {
@@ -321,18 +379,18 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 		for j2 := i2; j2 < n2; j2++ {
 			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.
-			v = add(s.atF(i1+1, j1-1, i2, j2)+sc1, v)
+			v = add(mul(s.atF(i1+1, j1-1, i2, j2), sc1), v)
 			if j2 > i2 {
 				// Pair i2-j2 around the seq1 interval.
 				inner := s1Self
 				if j2-1 >= i2+1 {
 					inner = s.f.Row(blk, i2+1)[j2-1]
 				}
-				v = add(inner+a.score2(i2, j2), v)
+				v = add(mul(inner, a.score2(i2, j2)), v)
 			} else if i1 == j1 {
 				// Singleton × singleton: only the raw bond weight — the
-				// unpaired alternative (One) is already in the accumulator
-				// via the H seed, and a summing ⊕ must not count it twice.
+				// unpaired alternative is already in the accumulator via the
+				// H seed, and a summing ⊕ must not count it twice.
 				v = add(a.inter(i1, i2), v)
 			}
 			grow[j2] = v
@@ -340,6 +398,10 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 			if j2 < n2-1 {
 				s.acc(grow[j2+1:n2], a.s2Row(j2 + 1)[j2+1:n2], v)
 			}
+		}
+		if a.dom.scaled && !inGuardWindow(grow[i2:n2]) {
+			s.tripped.Store(true)
+			return
 		}
 	}
 }

@@ -125,6 +125,11 @@ type FoldMetrics struct {
 	// Algebra records the evaluation semiring ("maxplus", "partition");
 	// empty on records from layers that predate the field.
 	Algebra string `json:"algebra,omitempty"`
+	// PartitionDomain records which number domain filled a partition fold's
+	// table: "scaled" (linear sum-product, the fast path) or "log"
+	// (log-sum-exp: an oracle schedule, or the refill after the scaled
+	// fill's range guard tripped). Empty on max-plus folds.
+	PartitionDomain string `json:"partition_domain,omitempty"`
 }
 
 // Reset zeroes the struct for reuse by a pooled fold.
@@ -162,6 +167,7 @@ func (m *FoldMetrics) Snapshot() FoldSnapshot {
 		BudgetEstimateBytes: m.BudgetEstimateBytes,
 		Degraded:            m.Degraded,
 		Algebra:             m.Algebra,
+		PartitionDomain:     m.PartitionDomain,
 		GFLOPS:              m.GFLOPS(),
 		CellsPerSecond:      m.CellsPerSecond(),
 	}
@@ -191,6 +197,7 @@ type FoldSnapshot struct {
 	BudgetEstimateBytes int64                `json:"budget_estimate_bytes"`
 	Degraded            string               `json:"degraded"`
 	Algebra             string               `json:"algebra,omitempty"`
+	PartitionDomain     string               `json:"partition_domain,omitempty"`
 	GFLOPS              float64              `json:"gflops"`
 	CellsPerSecond      float64              `json:"cells_per_second"`
 }
@@ -273,6 +280,8 @@ type Metrics struct {
 	retries          atomic.Int64
 	retrySuccesses   atomic.Int64
 	retriesExhausted atomic.Int64
+
+	partitionFallbacks atomic.Int64
 }
 
 // RecordFold folds one completed fold's metrics into the aggregate.
@@ -329,6 +338,15 @@ func (m *Metrics) RecordRetryExhausted() {
 	}
 }
 
+// RecordPartitionFallback counts one tripped range guard of the scaled
+// partition domain: a strand substrate or a pair fill that left the float64
+// window and was redone in the log domain.
+func (m *Metrics) RecordPartitionFallback() {
+	if m != nil {
+		m.partitionFallbacks.Add(1)
+	}
+}
+
 // Folds returns the number of successful folds recorded.
 func (m *Metrics) Folds() int64 { return m.folds.Load() }
 
@@ -352,6 +370,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Retries:             m.retries.Load(),
 		RetrySuccesses:      m.retrySuccesses.Load(),
 		RetriesExhausted:    m.retriesExhausted.Load(),
+		PartitionFallbacks:  m.partitionFallbacks.Load(),
 	}
 	if s.FillNanos > 0 {
 		s.GFLOPS = float64(s.FLOPs) / float64(s.FillNanos)
@@ -396,6 +415,10 @@ type Snapshot struct {
 	Retries          int64 `json:"retries"`
 	RetrySuccesses   int64 `json:"retry_successes"`
 	RetriesExhausted int64 `json:"retries_exhausted"`
+
+	// PartitionFallbacks counts range-guard trips of the scaled partition
+	// domain (substrate builds and pair fills redone in the log domain).
+	PartitionFallbacks int64 `json:"partition_guard_fallbacks"`
 
 	Engine    *EngineStats    `json:"engine,omitempty"`
 	Pool      *PoolStats      `json:"pool,omitempty"`

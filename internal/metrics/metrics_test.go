@@ -159,6 +159,7 @@ func TestMetricsAggregation(t *testing.T) {
 	var nilM *Metrics
 	nilM.RecordFold(fm)
 	nilM.RecordError()
+	nilM.RecordPartitionFallback()
 	m.RecordFold(nil)
 }
 

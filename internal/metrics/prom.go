@@ -69,6 +69,7 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 	p.metric("bpmax_retries_total", "counter", "Retry attempts under WithRetry.", s.Retries)
 	p.metric("bpmax_retry_successes_total", "counter", "Folds rescued by a retry.", s.RetrySuccesses)
 	p.metric("bpmax_retries_exhausted_total", "counter", "Folds that were retried and still failed.", s.RetriesExhausted)
+	p.metric("bpmax_partition_guard_fallbacks_total", "counter", "Scaled partition builds and fills redone in the log domain after their range guard tripped.", s.PartitionFallbacks)
 	p.metric("bpmax_table_bytes_high_water", "gauge", "Largest single-fold table footprint seen.", s.TableBytesHighWater)
 
 	if len(s.Phases) > 0 {

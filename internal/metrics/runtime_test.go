@@ -33,6 +33,8 @@ func TestWriteProm(t *testing.T) {
 	fm.Phases[PhaseTriangle] = PhaseStat{Nanos: 7e5, Units: 12}
 	m.RecordFold(fm)
 	m.RecordError()
+	m.RecordPartitionFallback()
+	m.RecordPartitionFallback()
 
 	s := m.Snapshot()
 	s.Cache = &CacheStats{ResultHits: 3, ResultMisses: 1, Entries: 4}
@@ -51,6 +53,7 @@ func TestWriteProm(t *testing.T) {
 		"# TYPE bpmax_folds_total counter",
 		"bpmax_folds_total 1",
 		"bpmax_fold_errors_total 1",
+		"bpmax_partition_guard_fallbacks_total 2",
 		"bpmax_phase_nanos_total{phase=\"triangle\"} 700000",
 		"# TYPE bpmax_fold_duration_seconds histogram",
 		"bpmax_fold_duration_seconds_count 1",

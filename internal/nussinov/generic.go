@@ -9,12 +9,14 @@ import (
 )
 
 // GTable is Table over an arbitrary scalar semiring: the same bounding-box
-// memory map (row-contiguous, zero — that is, One — diagonal and lower
-// triangle), filled with ⊕ through a kernel bundle and ⊗ as native
-// addition. The float32 max-plus instantiation is bit-identical to Table
-// (pinned by a parity test); the float64 log-sum-exp instantiation computes
-// the log of the strand's derivation-weighted Boltzmann sum — the
-// single-strand partition substrate of the BPPart fill.
+// memory map (row-contiguous; after a fill the lower triangle holds One —
+// the empty interval — and the diagonal the weight of one unpaired base),
+// filled with ⊕ and ⊗ through a kernel bundle. The float32 max-plus
+// instantiation is bit-identical to Table (pinned by a parity test); the
+// float64 log-sum-exp instantiation computes the log of the strand's
+// derivation-weighted Boltzmann sum, and the float64 sum-product
+// instantiation the same sum in the linear domain — the single-strand
+// partition substrates of the BPPart fill.
 //
 // Table itself stays concrete: the max-plus hot path keeps its direct
 // comparison loop, and nothing in the serving spine pays the generic
@@ -22,9 +24,11 @@ import (
 type GTable[T semiring.Scalar] struct {
 	N    int
 	data []T // data[i*N+j] = S[i,j] for i <= j
+	one  T   // the filling semiring's One: S of an empty interval
 }
 
-// NewGTable allocates an empty (all-One) table for n positions.
+// NewGTable allocates a zeroed table for n positions; Fill writes the
+// boundary cells its semiring needs.
 func NewGTable[T semiring.Scalar](n int) *GTable[T] {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
@@ -32,11 +36,11 @@ func NewGTable[T semiring.Scalar](n int) *GTable[T] {
 	return &GTable[T]{N: n, data: make([]T, n*n)}
 }
 
-// At returns S[i,j]; intervals with j < i are One (0 for both supported
-// semirings) by definition.
+// At returns S[i,j]; intervals with j < i are the filling semiring's One by
+// definition.
 func (t *GTable[T]) At(i, j int) T {
 	if j < i {
-		return 0
+		return t.one
 	}
 	if i < 0 || j >= t.N {
 		panic(fmt.Sprintf("nussinov: At(%d, %d) out of table of size %d", i, j, t.N))
@@ -74,31 +78,61 @@ func (t *GTable[T]) Reset(n int) {
 	t.N = n
 }
 
-// Fill runs the recurrence sequentially in diagonal order over a fresh or
-// Reset table — the same candidate set in the same order as Table.cell
-// (S[i+1,j], then S[i,j-1], then S[i+1,j-1] ⊗ w(i,j), then the splits with
-// k ascending), with every ⊕ as add(candidate, accumulator) so the
-// max-plus instantiation ties exactly like the concrete comparison loop.
-// O(n³) time.
+// Fill runs the recurrence sequentially over a fresh or Reset table with
+// every unpaired base weighing One; see FillContext.
 func (t *GTable[T]) Fill(k semiring.Kernels[T], score func(i, j int) T) {
+	_ = t.FillContext(context.Background(), k, k.One, score) // Background never cancels
+}
+
+// FillContext runs the recurrence in diagonal order over a fresh or Reset
+// table, checking ctx once per anti-diagonal (O(n³) time in all). unit is
+// the weight of one unpaired base — One in the unscaled semirings, e^{-σ}
+// when the caller runs the sum-product kernels on per-nucleotide-scaled
+// Boltzmann factors — and lands on the diagonal; the lower triangle gets
+// One. Written that way every candidate is a ⊗ of two stored cells (or one
+// cell and a pair weight), so the loop needs no scale of its own:
+//
+//	S[i,j] = S[i,i] ⊗ S[i+1,j]  ⊕  S[i,j-1] ⊗ S[j,j]
+//	       ⊕ S[i+1,j-1] ⊗ w(i,j)  ⊕  ⊕_{s=i..j-1} S[i,s] ⊗ S[s+1,j]
+//
+// the same candidate set in the same order as Table.cell, with every ⊕ as
+// add(candidate, accumulator) so the max-plus instantiation ties exactly
+// like the concrete comparison loop. On cancellation the table is left
+// partially filled and ctx.Err() returned.
+func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T) error {
 	n := t.N
-	add := k.Add
+	add, mul := k.Add, k.Mul
 	data := t.data
+	t.one = k.One
+	for i := 0; i < n; i++ {
+		row := data[i*n : i*n+n : i*n+n]
+		for j := 0; j < i; j++ {
+			row[j] = k.One
+		}
+		row[i] = unit
+	}
+	done := ctx.Done()
 	for d := 1; d < n; d++ {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
 		for i := 0; i+d < n; i++ {
 			j := i + d
 			row := data[i*n : i*n+n : i*n+n]
-			best := data[(i+1)*n+j] // S[i+1, j]
-			best = add(row[j-1], best)
-			best = add(data[(i+1)*n+j-1]+score(i, j), best)
+			best := mul(row[i], data[(i+1)*n+j])         // i unpaired ⊗ S[i+1, j]
+			best = add(mul(row[j-1], data[j*n+j]), best) // S[i, j-1] ⊗ j unpaired
+			best = add(mul(data[(i+1)*n+j-1], score(i, j)), best)
 			idx := (i+1)*n + j // walks S[k+1, j] down column j
 			for s := i; s < j; s++ {
-				best = add(row[s]+data[idx], best)
+				best = add(mul(row[s], data[idx]), best)
 				idx += n
 			}
 			row[j] = best
 		}
 	}
+	return nil
 }
 
 // BuildG fills a generic table sequentially in diagonal order.
@@ -119,29 +153,8 @@ func BuildGContext[T semiring.Scalar](ctx context.Context, n int, k semiring.Ker
 		return nil, err
 	}
 	t := NewGTable[T](n)
-	done := ctx.Done()
-	nn := t.N
-	add := k.Add
-	data := t.data
-	for d := 1; d < nn; d++ {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		for i := 0; i+d < nn; i++ {
-			j := i + d
-			row := data[i*nn : i*nn+nn : i*nn+nn]
-			best := data[(i+1)*nn+j]
-			best = add(row[j-1], best)
-			best = add(data[(i+1)*nn+j-1]+score(i, j), best)
-			idx := (i+1)*nn + j
-			for s := i; s < j; s++ {
-				best = add(row[s]+data[idx], best)
-				idx += nn
-			}
-			row[j] = best
-		}
+	if err := t.FillContext(ctx, k, k.One, score); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

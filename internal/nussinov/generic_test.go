@@ -74,6 +74,43 @@ func TestGTableLogSumExpDominates(t *testing.T) {
 	}
 }
 
+// TestGTableSumProductScaled: the sum-product instantiation, fed Boltzmann
+// factors damped by e^{-σ} per nucleotide (pair factors e^{w/kT-2σ}, unpaired
+// unit e^{-σ}), stores S·e^{-σ·len} — so log(cell) + σ·len reproduces the
+// log-sum-exp table on every interval, for any σ, with empty intervals
+// reading as the semiring's One = 1 rather than zeroed memory.
+func TestGTableSumProductScaled(t *testing.T) {
+	n := 14
+	score := randScore(99, n)
+	kT := 0.7
+	logw := func(i, j int) float64 {
+		if w := score(i, j); w > semiring.NegInf/2 {
+			return float64(w) / kT
+		}
+		return math.Inf(-1)
+	}
+	want := BuildG(n, semiring.LogSumExpKernels(), logw)
+	for _, sigma := range []float64{0, 1.3, 4} {
+		got := NewGTable[float64](n)
+		err := got.FillContext(context.Background(), semiring.SumProductKernels(), math.Exp(-sigma),
+			func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) })
+		if err != nil {
+			t.Fatalf("FillContext: %v", err)
+		}
+		if one := got.At(3, 2); one != 1 {
+			t.Fatalf("σ=%v: empty interval reads %v, want One = 1", sigma, one)
+		}
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				lg := math.Log(got.At(i, j)) + sigma*float64(j-i+1)
+				if d := math.Abs(lg - want.At(i, j)); d > 1e-12*math.Max(1, want.At(i, j)) {
+					t.Fatalf("σ=%v: log S[%d,%d] = %v, log-sum-exp fill %v", sigma, i, j, lg, want.At(i, j))
+				}
+			}
+		}
+	}
+}
+
 // TestBuildGContextMatchesBuildG: the cancellable build computes the same
 // table, and an already-cancelled context aborts before allocating results.
 func TestBuildGContextMatchesBuildG(t *testing.T) {

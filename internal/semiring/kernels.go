@@ -19,7 +19,9 @@ type Scalar interface {
 // story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
 // Kernels value supplies that update (Accum), its register-tiled dual-row
 // variant (AccumDual), the row initializer dst[j] = a ⊗ x[j] (MulInto),
-// and the scalar ⊕ for per-cell orchestration (Add).
+// and the scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul). Generic
+// callers must take ⊗ from here, never from native `+`: the sum-product
+// instance multiplies.
 //
 // Tie-breaking contract: Add(candidate, accumulator) must return the
 // accumulator when the two compare equal, mirroring the specialized
@@ -30,8 +32,9 @@ type Kernels[T Scalar] struct {
 	// Zero is ⊕'s identity (the "impossible" value); One is ⊗'s identity
 	// (the empty structure).
 	Zero, One T
-	// Add is the scalar ⊕.
+	// Add is the scalar ⊕; Mul the scalar ⊗.
 	Add func(a, b T) T
+	Mul func(a, b T) T
 	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
 	Accum func(y, x []T, a T)
 	// AccumDual applies one shared x stream to two destination rows.
@@ -58,15 +61,16 @@ func MaxPlusKernels(unroll bool) Kernels[float32] {
 			}
 			return b
 		},
+		Mul:       func(a, b float32) float32 { return a + b },
 		Accum:     acc,
 		AccumDual: maxplus.AccumulateDual,
 		MulInto:   maxplus.AddScalarInto,
 	}
 }
 
-// lse is the numerically stable log(eᵃ + eᵇ). Identical to
-// LogSumExp.Add; duplicated here as a free function so the streaming
-// loops below inline it.
+// lse is the numerically stable log(eᵃ + eᵇ): LogSumExp.Add and the
+// log-domain kernels' ⊕. A free function so the streaming loops below
+// inline it.
 func lse(a, b float64) float64 {
 	if math.IsInf(a, -1) {
 		return b
@@ -90,6 +94,7 @@ func LogSumExpKernels() Kernels[float64] {
 		Zero: math.Inf(-1),
 		One:  0,
 		Add:  lse,
+		Mul:  func(a, b float64) float64 { return a + b },
 		Accum: func(y, x []float64, a float64) {
 			n := len(y)
 			if len(x) < n {
@@ -127,6 +132,51 @@ func LogSumExpKernels() Kernels[float64] {
 			dst = dst[:n]
 			for i := range dst {
 				dst[i] = a + x[i]
+			}
+		},
+	}
+}
+
+// SumProductKernels returns the linear-domain sum-product kernel set over
+// float64: ⊕ = +, ⊗ = ×, Zero = 0, One = 1 — the Counting semiring in
+// streaming form. Fed Boltzmann factors e^{w/kT} it computes the same
+// ensemble sum as LogSumExpKernels with one multiply-add per candidate and
+// no transcendental; the caller keeps the values inside float64's range by
+// pre-scaling its inputs per nucleotide (see internal/bpmax's partition
+// fill) and takes the log once, at the boundary. A forbidden weight is an
+// exact 0, which annihilates under ⊗ and is neutral under ⊕ like -Inf does
+// in the log domain.
+func SumProductKernels() Kernels[float64] {
+	return Kernels[float64]{
+		Zero: 0,
+		One:  1,
+		Add:  func(a, b float64) float64 { return a + b },
+		Mul:  func(a, b float64) float64 { return a * b },
+		Accum: func(y, x []float64, a float64) {
+			n := min(len(y), len(x))
+			x = x[:n]
+			y = y[:n]
+			for i := range y {
+				y[i] += a * x[i]
+			}
+		},
+		AccumDual: func(y1, y2, x []float64, a1, a2 float64) {
+			n := min(len(x), len(y1), len(y2))
+			x = x[:n]
+			y1 = y1[:n]
+			y2 = y2[:n]
+			for i := range x {
+				v := x[i]
+				y1[i] += a1 * v
+				y2[i] += a2 * v
+			}
+		},
+		MulInto: func(dst, x []float64, a float64) {
+			n := min(len(dst), len(x))
+			x = x[:n]
+			dst = dst[:n]
+			for i := range dst {
+				dst[i] = a * x[i]
 			}
 		},
 	}

@@ -79,18 +79,7 @@ func (LogSumExp) Zero() float64 { return math.Inf(-1) }
 func (LogSumExp) One() float64 { return 0 }
 
 // Add is the numerically stable log(eᵃ + eᵇ).
-func (LogSumExp) Add(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
+func (LogSumExp) Add(a, b float64) float64 { return lse(a, b) }
 
 // Mul is +.
 func (LogSumExp) Mul(a, b float64) float64 { return a + b }

@@ -241,3 +241,43 @@ func TestFoldEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty interval = %v", tb1.At(1, 0))
 	}
 }
+
+// checkKernels: a bundle's streaming kernels must be its scalar ⊕ and ⊗
+// applied elementwise — the contract the generic fill relies on when it
+// mixes streamed rows with per-cell updates.
+func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, a2 T) {
+	t.Helper()
+	y0 := make([]T, len(x))
+	for i := range y0 {
+		y0[i] = k.Mul(x[len(x)-1-i], a2)
+	}
+	acc := append([]T(nil), y0...)
+	k.Accum(acc, x, a1)
+	d1, d2 := append([]T(nil), y0...), append([]T(nil), y0...)
+	k.AccumDual(d1, d2, x, a1, a2)
+	into := make([]T, len(x))
+	k.MulInto(into, x, a1)
+	for i, v := range x {
+		if want := k.Add(k.Mul(a1, v), y0[i]); acc[i] != want || d1[i] != want {
+			t.Errorf("%s: Accum[%d] = %v, AccumDual = %v, want %v", name, i, acc[i], d1[i], want)
+		}
+		if want := k.Add(k.Mul(a2, v), y0[i]); d2[i] != want {
+			t.Errorf("%s: AccumDual second row [%d] = %v, want %v", name, i, d2[i], want)
+		}
+		if want := k.Mul(a1, v); into[i] != want {
+			t.Errorf("%s: MulInto[%d] = %v, want %v", name, i, into[i], want)
+		}
+	}
+	if k.Add(k.Zero, a1) != a1 || k.Mul(k.One, a1) != a1 || k.Mul(k.Zero, a1) != k.Zero {
+		t.Errorf("%s: Zero/One are not the ⊕/⊗ identities (or Zero does not annihilate)", name)
+	}
+}
+
+func TestKernelBundlesMatchTheirScalars(t *testing.T) {
+	x64 := []float64{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
+	checkKernels(t, "logsumexp", LogSumExpKernels(), x64, 0.75, 2.5)
+	checkKernels(t, "sumproduct", SumProductKernels(), x64, 0.75, 2.5)
+	x32 := []float32{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
+	checkKernels(t, "maxplus", MaxPlusKernels(false), x32, 0.75, 2.5)
+	checkKernels(t, "maxplus-unrolled", MaxPlusKernels(true), x32, 0.75, 2.5)
+}

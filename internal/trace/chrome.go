@@ -47,6 +47,10 @@ func WriteChrome(w io.Writer, snaps []Snapshot) error {
 			name += " " + s.Name
 		}
 		base := float64(s.Start.UnixNano()-epoch) / 1e3
+		reqArgs := map[string]any{"request_id": s.ID, "status": s.Status}
+		for k, v := range s.Labels {
+			reqArgs[k] = v
+		}
 		file.TraceEvents = append(file.TraceEvents,
 			chromeEvent{
 				Name: "process_name", Phase: "M", PID: pid,
@@ -55,7 +59,7 @@ func WriteChrome(w io.Writer, snaps []Snapshot) error {
 			chromeEvent{
 				Name: name, Phase: "X", PID: pid, TID: 0, TS: base,
 				Dur:  float64(s.TotalNanos) / 1e3,
-				Args: map[string]any{"request_id": s.ID, "status": s.Status},
+				Args: reqArgs,
 			},
 			chromeEvent{
 				Name: "thread_name", Phase: "M", PID: pid, TID: 0,

@@ -36,6 +36,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"strconv"
 	"strings"
@@ -137,6 +138,7 @@ type Trace struct {
 
 	mu     sync.Mutex
 	name   string
+	labels map[string]string
 	stages [StageCount]StageStat
 	status int
 	endNs  int64
@@ -169,6 +171,21 @@ func (t *Trace) SetName(name string) {
 	}
 	t.mu.Lock()
 	t.name = name
+	t.mu.Unlock()
+}
+
+// SetLabel attaches one plan fact to the request (which domain served a
+// partition fold, ...): what the pipeline decided, next to where the time
+// went. A later value for the same key wins.
+func (t *Trace) SetLabel(key, value string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if t.labels == nil {
+		t.labels = map[string]string{}
+	}
+	t.labels[key] = value
 	t.mu.Unlock()
 }
 
@@ -323,10 +340,13 @@ type StageSnapshot struct {
 // Snapshot is the JSON form of one request trace — the unit the
 // /debug/requests ring stores and the Chrome export renders.
 type Snapshot struct {
-	ID    string    `json:"id"`
-	Op    string    `json:"op"`
-	Name  string    `json:"name,omitempty"`
-	Start time.Time `json:"start"`
+	ID   string `json:"id"`
+	Op   string `json:"op"`
+	Name string `json:"name,omitempty"`
+	// Labels are the plan facts the pipeline stamped (SetLabel), e.g.
+	// partition_domain = scaled|log.
+	Labels map[string]string `json:"labels,omitempty"`
+	Start  time.Time         `json:"start"`
 	// TotalNanos is the request's end-to-end wall time (through Finish).
 	TotalNanos int64 `json:"total_nanos"`
 	// Status is the HTTP status the request resolved to (499 for client
@@ -354,6 +374,7 @@ func (t *Trace) Snapshot() Snapshot {
 	if s.TotalNanos == 0 {
 		s.TotalNanos = int64(time.Since(t.start))
 	}
+	s.Labels = maps.Clone(t.labels)
 	for st := Stage(0); st < StageCount; st++ {
 		if stat := t.stages[st]; stat.Count > 0 {
 			s.Stages = append(s.Stages, StageSnapshot{

@@ -50,6 +50,8 @@ func TestStageOfPhaseAligned(t *testing.T) {
 func TestTraceAccumulates(t *testing.T) {
 	tr := New("req1", "fold")
 	tr.SetName("pair-a")
+	tr.SetLabel("partition_domain", "log")
+	tr.SetLabel("partition_domain", "scaled") // the later value wins
 	s1 := tr.Begin()
 	time.Sleep(time.Millisecond)
 	tr.End(StageQueue, s1)
@@ -64,6 +66,9 @@ func TestTraceAccumulates(t *testing.T) {
 	}
 	if snap.Status != 200 {
 		t.Fatalf("status = %d", snap.Status)
+	}
+	if len(snap.Labels) != 1 || snap.Labels["partition_domain"] != "scaled" {
+		t.Fatalf("labels = %v", snap.Labels)
 	}
 	if snap.TotalNanos <= 0 {
 		t.Fatalf("total = %d", snap.TotalNanos)
@@ -98,6 +103,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.EndPhase(metrics.PhaseSubstrate, time.Second)
 	tr.BeginPhase(metrics.PhaseSubstrate)
 	tr.SetName("x")
+	tr.SetLabel("partition_domain", "scaled")
 	tr.Finish(200)
 	if tr.ID() != "" {
 		t.Fatal("nil ID must be empty")
@@ -379,6 +385,7 @@ func TestWriteChrome(t *testing.T) {
 	snaps := []Snapshot{
 		{
 			ID: "aa", Op: "fold", Name: "p1", Start: start,
+			Labels:     map[string]string{"partition_domain": "scaled"},
 			TotalNanos: int64(10 * time.Millisecond), Status: 200,
 			Stages: []StageSnapshot{
 				{Stage: "queue", BusyNanos: int64(time.Millisecond), Count: 1, FirstNanos: 0, LastNanos: int64(time.Millisecond)},
@@ -403,7 +410,7 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatal(err)
 	}
-	var sawTriangle, sawMeta bool
+	var sawTriangle, sawMeta, sawLabel bool
 	for _, ev := range file.TraceEvents {
 		switch ev["name"] {
 		case "triangle":
@@ -419,10 +426,15 @@ func TestWriteChrome(t *testing.T) {
 			}
 		case "process_name":
 			sawMeta = true
+		case "fold p1":
+			if args, _ := ev["args"].(map[string]any); args["partition_domain"] != "scaled" {
+				t.Fatalf("request event args = %v, want the trace's labels", ev["args"])
+			}
+			sawLabel = true
 		}
 	}
-	if !sawTriangle || !sawMeta {
-		t.Fatalf("missing events (triangle=%v meta=%v)", sawTriangle, sawMeta)
+	if !sawTriangle || !sawMeta || !sawLabel {
+		t.Fatalf("missing events (triangle=%v meta=%v label=%v)", sawTriangle, sawMeta, sawLabel)
 	}
 	// Empty input must still produce a loadable file.
 	buf.Reset()

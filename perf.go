@@ -172,10 +172,11 @@ func (r *Result) Release() {
 	}
 	pool := r.pool
 	r.ft.Release()
-	// Partition tables recycle through the pool's float64 arena; the
-	// Boltzmann substrate (r.ps) is never pooled — possibly cache-shared —
-	// and is left to the GC.
+	// Partition tables and the substrate's pair-weight matrices recycle
+	// through the pool's float64 arena; its S tables are never pooled —
+	// possibly cache-shared — and are left to the GC.
 	r.ft64.Release()
+	r.ps.Release()
 	if r.Window != nil {
 		r.Window.Release()
 	}

@@ -357,6 +357,7 @@ func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) 
 		rq.cfg.Metrics = &res.Metrics
 	}
 	if err := rq.solve(ctx, res, seq1, seq2); err != nil {
+		res.ps.Release()
 		res.prob.Release()
 		rq.putResult(res)
 		return nil, err
@@ -389,6 +390,7 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		if ps, err = rq.partitionSub(ctx, p); err != nil {
 			return err
 		}
+		res.ps = ps // cold's error exit returns its pooled matrices
 	}
 	var (
 		ft   *ibpmax.FTable
@@ -423,9 +425,13 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	case partition:
 		res.KT = rq.kT
 		res.LogZ = ibpmax.PartitionLogZ(p, ft64)
-		res.LogZ1 = ps.S1.At(0, p.N1-1)
-		res.LogZ2 = ps.S2.At(0, p.N2-1)
-		res.TableBytes, res.ft64, res.ps = ft64.Bytes(), ft64, ps
+		res.LogZ1 = ps.S1.LogAt(0, p.N1-1)
+		res.LogZ2 = ps.S2.LogAt(0, p.N2-1)
+		res.TableBytes, res.ft64 = ft64.Bytes(), ft64
+		if ft64.GuardRefilled() {
+			rq.metrics.RecordPartitionFallback()
+		}
+		rq.tr.SetLabel("partition_domain", partitionDomain(ft64))
 	default:
 		res.Score = p.Score(ft)
 		res.TableBytes, res.ft = ft.Bytes(), ft
@@ -436,6 +442,9 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	if rq.observed() {
 		m := &res.Metrics
 		m.Algebra = string(rq.algebra)
+		if partition {
+			m.PartitionDomain = partitionDomain(ft64)
+		}
 		m.FillNanos = int64(elapsed)
 		m.TableBytes = res.TableBytes
 		m.Degraded = deg.String()
@@ -544,24 +553,46 @@ func sharedTable[T interface{ Bytes() int64 }](rq request, tag byte, seq rna.Seq
 	return t, false, err
 }
 
-// partitionSub builds the Boltzmann substrate of a partition fold: the
-// scaled score matrices plus each strand's float64 log-sum-exp S table —
-// keyed by (model, hairpin, kT, bases) and shared across folds exactly like
-// the max-plus S tables (they are never pooled, so retaining them directly
-// is safe). The max-plus S¹/S² already installed on p stay: SingleScore and
-// the substrate cache still serve them.
+// partitionDomain names the number domain that filled a partition table —
+// the FoldMetrics / trace-label value.
+func partitionDomain(ft *ibpmax.FTableOf[float64]) string {
+	if ft.Scaled() {
+		return "scaled"
+	}
+	return "log"
+}
+
+// partitionSub builds the Boltzmann substrate of a partition fold: each
+// strand's float64 ensemble table — keyed by (model, hairpin, kT, bases) and
+// shared across folds exactly like the max-plus S tables (they are never
+// pooled, so retaining them directly is safe; an entry carries its own
+// domain and scale) — then the pair-weight matrices in the domain the two
+// tables allow. A build whose range guard tripped comes back in the log
+// domain and is counted. The max-plus S¹/S² already installed on p stay:
+// they seed the scale, and SingleScore and the substrate cache still serve
+// them.
 func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.PartitionSub, error) {
 	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
-	ps, err := ibpmax.NewPartitionSub(p, rq.kT)
-	if err == nil {
-		ps.S1, _, err = sharedTable(rq, keyPartitionSub, p.Seq1, func(bool) (*nussinov.GTable[float64], error) {
-			return ibpmax.BuildPartitionS(ctx, p.N1, ps.Sc1)
+	strand := func(k int, seq rna.Sequence) (*ibpmax.PartitionS, error) {
+		s, _, err := sharedTable(rq, keyPartitionSub, seq, func(bool) (*ibpmax.PartitionS, error) {
+			s, err := ibpmax.BuildPartitionS(ctx, p, k, rq.kT)
+			if err == nil && !s.Scaled() {
+				rq.metrics.RecordPartitionFallback()
+			}
+			return s, err
 		})
+		return s, err
+	}
+	var (
+		s2 *ibpmax.PartitionS
+		ps *ibpmax.PartitionSub
+	)
+	s1, err := strand(1, p.Seq1)
+	if err == nil {
+		s2, err = strand(2, p.Seq2)
 	}
 	if err == nil {
-		ps.S2, _, err = sharedTable(rq, keyPartitionSub, p.Seq2, func(bool) (*nussinov.GTable[float64], error) {
-			return ibpmax.BuildPartitionS(ctx, p.N2, ps.Sc2)
-		})
+		ps, err = ibpmax.NewPartitionSub(p, rq.kT, s1, s2)
 	}
 	if err != nil {
 		sub.End(0)
@@ -590,9 +621,8 @@ func (rq request) chargeBytes(n1, n2 int, kind ibpmax.MapKind) int64 {
 	return base + rq.cacheRetained()
 }
 
-// partitionSubEstimate is the Boltzmann substrate's storage: the two scaled
-// intramolecular matrices doubling as GTable inputs, the intermolecular
-// matrix, and the two float64 S tables.
+// partitionSubEstimate is the Boltzmann substrate's storage: the three
+// pair-weight matrices and the two float64 S tables.
 func partitionSubEstimate(n1, n2 int) int64 {
 	a, b := int64(n1), int64(n2)
 	return 8 * (2*a*a + 2*b*b + a*b)
