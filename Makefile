@@ -15,8 +15,12 @@ all: ci
 build:
 	$(GO) build ./...
 
+# Plus the builds without the vector kernels (ci.sh test runs the same).
 test:
 	$(GO) test ./...
+	$(GO) test -tags purego ./internal/maxplus ./internal/semiring ./internal/bpmax
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/maxplus
 
 vet:
 	$(GO) vet ./...

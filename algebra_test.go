@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
@@ -339,6 +340,20 @@ func TestPartitionDomainIsVisible(t *testing.T) {
 	}
 	if n := m.Snapshot().PartitionFallbacks; n != 0 {
 		t.Fatalf("ordinary fold counted %d guard fallbacks", n)
+	}
+	// The kernel implementation is part of the plan too: the float64 partition
+	// kernels are portable Go; a max-plus fold runs what package maxplus
+	// selected for this process.
+	if k := res.Metrics.Kernel; k != "go" || snap.Labels["kernel"] != "go" {
+		t.Fatalf("partition fold: FoldMetrics kernel %q, trace label %q, want go", k, snap.Labels["kernel"])
+	}
+	mpTrace := itrace.New("t", "fold")
+	mpRes, err := FoldContext(itrace.NewContext(context.Background(), mpTrace), "GGGAAACCC", "GGGUUUCCC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, l := mpRes.Metrics.Kernel, mpTrace.Snapshot().Labels["kernel"]; k != maxplus.Impl() || l != k {
+		t.Fatalf("max-plus fold: FoldMetrics kernel %q, trace label %q, want %q", k, l, maxplus.Impl())
 	}
 
 	// The oracle schedule always runs the log domain: the reference answer.

@@ -171,7 +171,11 @@ func WithPackedMemory() Option {
 	return func(o *options) { o.cfg.Map = ibpmax.MapPacked }
 }
 
-// WithUnrolledKernel selects the 8-way unrolled streaming kernel.
+// WithUnrolledKernel selects the 8-way unrolled form of the Go streaming
+// kernel. It changes nothing where the max-plus kernels are vector assembly
+// (FoldMetrics.Kernel "avx2": amd64 with AVX2, unless built with the
+// `purego` tag) — the plain and the unrolled name then resolve to the same
+// body.
 func WithUnrolledKernel() Option { return func(o *options) { o.cfg.Unroll = true } }
 
 // WithWeights sets the base-pair scoring weights.

@@ -8,7 +8,8 @@
 #
 #   lint   vet (root + bench module), gofmt, layering greps, staticcheck
 #          (when installed)
-#   test   tier-1 build + full test suite
+#   test   tier-1 build + full test suite, the kernel packages again under
+#          `-tags purego`, and a GOARCH=arm64 cross-build
 #   race   race detector over the goroutine-spawning packages + chaos re-run
 #   fuzz   short fuzz smoke over the solver parity fuzzers
 #   smoke  server smoke: boot bpmaxd, replay the committed trace with
@@ -46,6 +47,12 @@ run_lint() (
         echo "lint: ibpmax.Solve* called outside pipeline.go (route it through the pipeline's cold body)" >&2
         exit 1
     fi
+    # Assembly lives in one package, behind one set of Go declarations that
+    # `go vet`'s asmdecl check (run above) holds it to.
+    if find . -name '*.s' -not -path './internal/maxplus/*' | grep .; then
+        echo "lint: assembly outside internal/maxplus" >&2
+        exit 1
+    fi
     # staticcheck runs only where the pinned tool is installed (the GitHub
     # workflow installs it; minimal containers skip).
     if command -v staticcheck >/dev/null 2>&1; then
@@ -57,6 +64,12 @@ run_test() (
     set -x
     go build ./...
     go test ./...
+    # The builds without the vector kernels: the portable Go bodies must pass
+    # the same parity suite (they are also its oracle), and the packages must
+    # compile where the .s file does not apply.
+    go test -tags purego ./internal/maxplus ./internal/semiring ./internal/bpmax
+    GOARCH=arm64 go build ./...
+    GOARCH=arm64 go vet ./internal/maxplus
 )
 
 run_race() (

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string) error {
 	ensemble := fs.Bool("ensemble", false, "print per-strand ensemble statistics (structure counts, logZ)")
 	algebra := fs.String("algebra", "maxplus", "evaluation semiring: maxplus (BPMax optimal score) or partition (BPPart log-partition function)")
 	kt := fs.Float64("kt", 1.0, "Boltzmann temperature factor kT for -algebra partition, in pair-weight units")
-	stats := fs.Bool("stats", false, "print timing, GFLOPS and table size")
+	stats := fs.Bool("stats", false, "print timing, GFLOPS, table size and the kernel implementation (avx2 or go)")
 	metricsJSON := fs.String("metrics-json", "", "write fold metrics as JSON to this file ('-' = stdout)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060) while folding")
 	if err := fs.Parse(args); err != nil {
@@ -94,8 +94,12 @@ func run(ctx context.Context, args []string) error {
 	options := comps.Options
 	options = append(options, bpmax.WithAlgebra(bpmax.Algebra(*algebra)), bpmax.WithKT(*kt))
 
+	// -stats arms metrics too: the kernel name it prints is the fold's own
+	// record of what ran (Result.Metrics, zero on an unobserved fold), not a
+	// guess from the flags. That costs the fill two clock reads per phase per
+	// wavefront and no allocation (WithMetrics' contract).
 	var mtr *bpmax.Metrics
-	if *metricsJSON != "" || *pprofAddr != "" {
+	if *stats || *metricsJSON != "" || *pprofAddr != "" {
 		mtr = bpmax.NewMetrics()
 		options = append(options, bpmax.WithMetrics(mtr))
 	}
@@ -169,8 +173,8 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("best windowed interaction score: %g\n", res.Best)
 		fmt.Printf("at %s[%d..%d] x %s[%d..%d]\n", name1, res.I1, res.J1, name2, res.I2, res.J2)
 		if *stats {
-			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB\n",
-				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20))
+			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  kernel: %s\n",
+				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 			printRuntimeStats()
 		}
 		if mtr != nil {
@@ -227,11 +231,11 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *stats {
 		if res.Degradation == bpmax.DegradeWindowed {
-			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB\n",
-				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20))
+			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  kernel: %s\n",
+				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 		} else {
-			fmt.Printf("fill time: %v  rate: %.2f GFLOPS  table: %.1f MB\n",
-				res.Elapsed, res.GFLOPS(), float64(res.TableBytes)/(1<<20))
+			fmt.Printf("fill time: %v  rate: %.2f GFLOPS  table: %.1f MB  kernel: %s\n",
+				res.Elapsed, res.GFLOPS(), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 		}
 		printRuntimeStats()
 	}

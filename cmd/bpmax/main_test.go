@@ -174,6 +174,9 @@ func TestRunWindowStats(t *testing.T) {
 	if !strings.Contains(out, "scan time") || !strings.Contains(out, "Mcells/s") {
 		t.Errorf("-window -stats output missing timing:\n%s", out)
 	}
+	if !strings.Contains(out, "kernel: avx2") && !strings.Contains(out, "kernel: go") {
+		t.Errorf("-window -stats output does not name the kernel implementation:\n%s", out)
+	}
 }
 
 func TestRunMetricsJSON(t *testing.T) {
@@ -192,7 +195,7 @@ func TestRunMetricsJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if doc.Fold == nil || doc.Fold.Cells == 0 || doc.Fold.Schedule == "" {
+	if doc.Fold == nil || doc.Fold.Cells == 0 || doc.Fold.Schedule == "" || doc.Fold.Kernel == "" {
 		t.Errorf("fold snapshot incomplete: %+v", doc.Fold)
 	}
 	if doc.Totals.Folds != 1 || doc.Totals.Errors != 0 {

@@ -62,9 +62,9 @@ type alg[T semiring.Scalar] struct {
 
 // maxplusAlg builds the tropical float32 view over a problem's own tables.
 // Pure reslicing: safe to call per solve on the pooled hot path.
-func maxplusAlg(p *Problem, unroll bool) alg[float32] {
+func maxplusAlg(p *Problem, cfg Config) alg[float32] {
 	return alg[float32]{
-		k:   semiring.MaxPlusKernels(unroll),
+		k:   cfg.maxplusKernels(),
 		s1:  p.S1.Data(),
 		s2:  p.S2.Data(),
 		sc1: p.Tab.Intra1,

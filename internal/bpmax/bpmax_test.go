@@ -1,6 +1,7 @@
 package bpmax
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -100,6 +101,33 @@ func TestMemoryMapsAgree(t *testing.T) {
 	tablesEqual(t, p, box, packed, "packed-map")
 	if box.Bytes() <= packed.Bytes() {
 		t.Errorf("box (%d B) should use more memory than packed (%d B)", box.Bytes(), packed.Bytes())
+	}
+}
+
+// TestPackedRowsInParallel runs the row-parallel schedules on the maps whose
+// rows abut in memory (packed, and the windowed fill's band), with rows long
+// enough to span several 8-lane chunks and tiles small enough that
+// neighbouring rows belong to different goroutines. A kernel that stores
+// past a row's ends corrupts its neighbour — a table mismatch here, and on
+// the Go kernels a report under -race (ci.sh race), which sees every store
+// the schedule makes; the assembly it cannot see is pinned lane by lane in
+// internal/maxplus.
+func TestPackedRowsInParallel(t *testing.T) {
+	p := newTestProblem(t, 11, 5, 45)
+	ref := Solve(p, VariantCoarse, Config{Workers: 1})
+	for _, goKernels := range []bool{false, true} {
+		cfg := Config{Workers: 4, Map: MapPacked, TileI2: 3, TileK2: 5}
+		cfg.SetGoKernels(goKernels)
+		for _, v := range []Variant{VariantFine, VariantHybrid, VariantHybridTiled} {
+			tablesEqual(t, p, ref, Solve(p, v, cfg), fmt.Sprintf("packed %s goKernels=%v", v, goKernels))
+		}
+		wt := SolveWindowed(p, 4, 30, cfg)
+		eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+			if wt.InWindow(i1, j1, i2, j2) && wt.At(i1, j1, i2, j2) != ref.At(i1, j1, i2, j2) {
+				t.Fatalf("windowed goKernels=%v: F[%d,%d,%d,%d] = %v, want %v",
+					goKernels, i1, j1, i2, j2, wt.At(i1, j1, i2, j2), ref.At(i1, j1, i2, j2))
+			}
+		})
 	}
 }
 

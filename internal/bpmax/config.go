@@ -6,6 +6,7 @@ import (
 
 	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
+	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
 // Variant selects one of the paper's BPMax execution schedules.
@@ -72,7 +73,10 @@ type Config struct {
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind
-	// Unroll selects the 8-way unrolled streaming kernel.
+	// Unroll selects the 8-way unrolled Go streaming kernel. Where the
+	// max-plus kernels are vector assembly (FoldMetrics.Kernel "avx2") both
+	// settings run the same body; the harness's "unrolled 8x" ablation row
+	// is therefore a `purego` measurement.
 	Unroll bool
 	// StaticSched switches row/triangle distribution from dynamic
 	// (default, OMP-dynamic analogue) to static blocked (ablation).
@@ -116,12 +120,31 @@ type Config struct {
 	// poisoning real data. Unexported so only this package (and its tests)
 	// can set it; external tests go through SetTriangleHook.
 	triangleHook func(i1, j1 int)
+	// goKernels, when set, runs a max-plus fill on the portable Go kernels
+	// even where the vector bodies are available: the seam that makes the
+	// kernel implementation an input of the parity fuzzers. See SetGoKernels.
+	goKernels bool
 }
 
 // SetTriangleHook installs the fault-injection hook. It exists so the root
 // package's robustness tests can provoke panics deep inside a schedule; do
 // not set it outside tests.
 func (c *Config) SetTriangleHook(h func(i1, j1 int)) { c.triangleHook = h }
+
+// SetGoKernels selects the portable Go max-plus kernels for this solve in
+// place of the process's vector bodies. It is the differential axis "kernel
+// implementation" of the parity tests, and how the harness times a pure-Go
+// max-plus fill; nothing that serves folds sets it.
+func (c *Config) SetGoKernels(on bool) { c.goKernels = on }
+
+// maxplusKernels returns the float32 kernel bundle a max-plus solve under
+// this configuration streams through.
+func (c Config) maxplusKernels() semiring.Kernels[float32] {
+	if c.goKernels {
+		return semiring.MaxPlusKernelsGo(c.Unroll)
+	}
+	return semiring.MaxPlusKernels(c.Unroll)
+}
 
 // withDefaults resolves zero fields to the paper's defaults.
 func (c Config) withDefaults() Config {

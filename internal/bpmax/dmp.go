@@ -166,11 +166,7 @@ func (s *gsolver[T]) dmpSeedTriangle(i1, j1 int) {
 // accumulator (no R3/R4 here: the standalone system has only Equation 4).
 func (s *gsolver[T]) dmpAccumulateRow(blk, ablk, bblk []T, i2 int) {
 	n2 := s.p.N2
-	grow := s.f.Row(blk, i2)
-	arow := s.f.Row(ablk, i2)
-	for k2 := i2; k2 < n2-1; k2++ {
-		s.acc(grow[k2+1:n2], s.f.Row(bblk, k2+1)[k2+1:n2], arow[k2])
-	}
+	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, n2)
 }
 
 // dmpAccumulateRowsTiled is the tiled variant over rows [r0, r1).
@@ -179,38 +175,7 @@ func (s *gsolver[T]) dmpAccumulateRowsTiled(blk, ablk, bblk []T, r0, r1 int) {
 		s.dmpAccumulateRowsRegTiled(blk, ablk, bblk, r0, r1)
 		return
 	}
-	n2 := s.p.N2
-	tk := s.cfg.TileK2
-	tj := s.cfg.TileJ2
-	for k2t := r0; k2t < n2-1; k2t += tk {
-		k2tEnd := k2t + tk
-		if k2tEnd > n2-1 {
-			k2tEnd = n2 - 1
-		}
-		for i2 := r0; i2 < r1; i2++ {
-			grow := s.f.Row(blk, i2)
-			arow := s.f.Row(ablk, i2)
-			kLo := k2t
-			if kLo < i2 {
-				kLo = i2
-			}
-			for k2 := kLo; k2 < k2tEnd; k2++ {
-				a := arow[k2]
-				bk := s.f.Row(bblk, k2+1)
-				if tj <= 0 {
-					s.acc(grow[k2+1:n2], bk[k2+1:n2], a)
-					continue
-				}
-				for j2t := k2 + 1; j2t < n2; j2t += tj {
-					hi := j2t + tj
-					if hi > n2 {
-						hi = n2
-					}
-					s.acc(grow[j2t:hi], bk[j2t:hi], a)
-				}
-			}
-		}
-	}
+	s.r0Tiled(blk, ablk, bblk, r0, r1)
 }
 
 // dmpAccumulateRowsRegTiled is dmpAccumulateRowsTiled with register-level
@@ -240,10 +205,7 @@ func (s *gsolver[T]) dmpAccumulateRowsRegTiled(blk, ablk, bblk []T, r0, r1 int) 
 				kShared = i2 + 1
 			}
 			// k2 values only the lower row covers.
-			for k2 := kLo0; k2 < kShared && k2 < k2tEnd; k2++ {
-				bk := s.f.Row(bblk, k2+1)
-				s.acc(gr0[k2+1:n2], bk[k2+1:n2], ar0[k2])
-			}
+			s.sweep(gr0, ar0, bblk, s.f.rowOff, kLo0, min(kShared, k2tEnd), n2)
 			for k2 := kShared; k2 < k2tEnd; k2++ {
 				bk := s.f.Row(bblk, k2+1)
 				s.a.k.AccumDual(gr0[k2+1:n2], gr1[k2+1:n2], bk[k2+1:n2], ar0[k2], ar1[k2])
@@ -253,14 +215,7 @@ func (s *gsolver[T]) dmpAccumulateRowsRegTiled(blk, ablk, bblk []T, r0, r1 int) 
 		for ; i2 < r1; i2++ {
 			grow := s.f.Row(blk, i2)
 			arow := s.f.Row(ablk, i2)
-			kLo := k2t
-			if kLo < i2 {
-				kLo = i2
-			}
-			for k2 := kLo; k2 < k2tEnd; k2++ {
-				bk := s.f.Row(bblk, k2+1)
-				s.acc(grow[k2+1:n2], bk[k2+1:n2], arow[k2])
-			}
+			s.sweep(grow, arow, bblk, s.f.rowOff, max(k2t, i2), k2tEnd, n2)
 		}
 	}
 }

@@ -68,6 +68,11 @@ type FTableOf[T semiring.Scalar] struct {
 	N1, N2 int
 	Inner  tri.Map
 	isize  int
+	// rowOff[i2] is Inner's base for row i2: cell (i2, j2) of a block lives
+	// at block[rowOff[i2]+j2]. Cached so the row helpers and the kernels'
+	// Sweep address rows without a call through the Inner interface, and so
+	// one Sweep body serves every memory map.
+	rowOff []int
 	data   []T
 	dom    domain
 	// refilled marks a partition table filled in the log domain because the
@@ -87,16 +92,36 @@ func NewFTable(n1, n2 int, kind MapKind) *FTable {
 
 // NewFTableOf allocates a zeroed table with the given element type.
 func NewFTableOf[T semiring.Scalar](n1, n2 int, kind MapKind) *FTableOf[T] {
-	inner := kind.mapFor(n2)
-	isize := inner.Size()
-	return &FTableOf[T]{
-		N1:    n1,
-		N2:    n2,
-		Inner: inner,
-		isize: isize,
-		kind:  kind,
-		data:  make([]T, tri.Count(n1)*isize),
+	f := &FTableOf[T]{}
+	f.setShape(n1, n2, kind)
+	f.data = make([]T, tri.Count(n1)*f.isize)
+	return f
+}
+
+// setShape sets everything about the table but its storage. A recycled shell
+// keeps its inner map and row offsets when the shape repeats — the common
+// case in a screening batch — so the steady state allocates neither.
+func (f *FTableOf[T]) setShape(n1, n2 int, kind MapKind) {
+	if f.Inner == nil || f.N2 != n2 || f.kind != kind {
+		f.Inner = kind.mapFor(n2)
+		f.isize = f.Inner.Size()
+		f.kind = kind
+		f.rowOff = rowOffsets(f.Inner, n2, f.rowOff)
 	}
+	f.N1, f.N2 = n1, n2
+}
+
+// rowOffsets returns the base of each of m's n rows, reusing into's storage.
+func rowOffsets(m tri.Map, n int, into []int) []int {
+	if cap(into) < n {
+		into = make([]int, 0, n)
+	}
+	into = into[:0]
+	for i := 0; i < n; i++ {
+		base, _ := m.RowSlice(i)
+		into = append(into, base)
+	}
+	return into
 }
 
 // Release returns a pooled table's storage and shell to its pool. It is
@@ -134,7 +159,7 @@ func (f *FTableOf[T]) Block(i1, j1 int) []T {
 // indexed by absolute j2 (cell (i2,j2) at row[j2]) — both provided maps are
 // row-affine with stride 1, so this is a reslice, not a copy.
 func (f *FTableOf[T]) Row(block []T, i2 int) []T {
-	base, _ := f.Inner.RowSlice(i2)
+	base := f.rowOff[i2]
 	return block[base : base+f.N2]
 }
 

@@ -20,11 +20,13 @@ type obsState struct {
 }
 
 // observe builds the solve's observability handle and stamps the static
-// fold identity (schedule, shape, width) into the sink.
-func (c Config) observe(p *Problem, schedule string) obsState {
+// fold identity (schedule, streaming-kernel implementation, shape, width)
+// into the sink.
+func (c Config) observe(p *Problem, schedule, kernel string) obsState {
 	o := obsState{m: c.Metrics, tr: c.Tracer}
 	if o.m != nil {
 		o.m.Schedule = schedule
+		o.m.Kernel = kernel
 		o.m.N1, o.m.N2 = p.N1, p.N2
 		o.m.Workers = resolveWorkers(c.Workers)
 	}

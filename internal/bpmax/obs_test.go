@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
@@ -86,6 +87,19 @@ func TestMetricsRecordedPerVariant(t *testing.T) {
 
 			if fm.Schedule != tc.schedule {
 				t.Errorf("Schedule = %q, want %q", fm.Schedule, tc.schedule)
+			}
+			wantKernel := maxplus.Impl()
+			if tc.variant == VariantBase {
+				wantKernel = "go" // per-cell gathers
+			}
+			if fm.Kernel != wantKernel {
+				t.Errorf("Kernel = %q, want %q", fm.Kernel, wantKernel)
+			}
+			var goFM metrics.FoldMetrics
+			goCfg := Config{Workers: 2, Metrics: &goFM}
+			goCfg.SetGoKernels(true)
+			if _, err := SolveContext(context.Background(), p, tc.variant, goCfg); err != nil || goFM.Kernel != "go" {
+				t.Errorf("with the Go kernels forced: Kernel = %q (err %v), want go", goFM.Kernel, err)
 			}
 			if fm.N1 != n1 || fm.N2 != n2 {
 				t.Errorf("shape = %d×%d, want %d×%d", fm.N1, fm.N2, n1, n2)

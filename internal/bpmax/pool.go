@@ -141,15 +141,7 @@ func (pl *Pool) NewFTable(n1, n2 int, kind MapKind) *FTable {
 	if f == nil {
 		f = &FTable{}
 	}
-	// Reuse the shell's interface-boxed inner map when the shape repeats —
-	// the common case in a screening batch — to keep the steady state free
-	// of even the boxing allocation.
-	if f.Inner == nil || f.N2 != n2 || f.kind != kind {
-		f.Inner = kind.mapFor(n2)
-		f.isize = f.Inner.Size()
-		f.kind = kind
-	}
-	f.N1, f.N2 = n1, n2
+	f.setShape(n1, n2, kind)
 	f.data = pl.buf.Get(tri.Count(n1) * f.isize)
 	f.pl = pl
 	return f
@@ -197,12 +189,7 @@ func poolNewFTable[T semiring.Scalar](pl *Pool, n1, n2 int, kind MapKind) *FTabl
 		if f == nil {
 			f = &FTableOf[float64]{}
 		}
-		if f.Inner == nil || f.N2 != n2 || f.kind != kind {
-			f.Inner = kind.mapFor(n2)
-			f.isize = f.Inner.Size()
-			f.kind = kind
-		}
-		f.N1, f.N2 = n1, n2
+		f.setShape(n1, n2, kind)
 		f.dom, f.refilled = domain{}, false
 		f.data = pl.buf64.Get(tri.Count(n1) * f.isize)
 		f.pl = pl

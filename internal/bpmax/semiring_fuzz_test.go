@@ -19,22 +19,41 @@ import (
 // generic solver, so any drift introduced by the algebra abstraction — a
 // reassociated sum, a lost tie-break, a changed base case — shows up as a
 // cell mismatch. Every schedule variant, the windowed fill, and the
-// traceback are checked bit-for-bit.
+// traceback are checked bit-for-bit. The oracle never touches the streaming
+// kernels either, so the kernel implementation is one more input: `kernel`
+// picks the process's kernels (the AVX2 bodies where available) or the
+// portable Go loops through Config.SetGoKernels, the plain or the unrolled
+// Go loop, the box or the packed memory map (whose rows abut, so a vector
+// store past a row's end lands in its neighbour), and short or long rows —
+// long ones span several 8-lane chunks of the vector bodies.
 //
 // Partition checks the scaled sum-product fill against the log-domain
 // top-down oracle on every cell through the domain-aware read (LogAt, what
 // Result.SubLogZ returns), all four optimized schedules, fresh and pooled —
 // and pooled == fresh exactly.
 func FuzzSemiringParity(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(7), uint8(3), uint8(3), uint8(0), uint8(0))
-	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(8), uint8(4), uint8(1), uint8(5), uint8(0), uint8(0))
-	f.Add(int64(1), uint8(5), uint8(7), uint8(0), uint8(0), uint8(1), uint8(1))
-	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0))
-	f.Add(int64(42), uint8(8), uint8(8), uint8(0), uint8(0), uint8(1), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2, algebra, rkT uint8) {
+	const (
+		goKernels = 1 << iota // portable Go loops, not the process's kernels
+		packedMap
+		unrolled
+		longRows // n1 <= 3, n2 <= 40 in place of both <= 9
+	)
+	f.Add(int64(1), uint8(5), uint8(7), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(goKernels))
+	f.Add(int64(42), uint8(8), uint8(4), uint8(1), uint8(5), uint8(0), uint8(0), uint8(packedMap))
+	f.Add(int64(1), uint8(5), uint8(7), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(8), uint8(0), uint8(0), uint8(1), uint8(4), uint8(0))
+	f.Add(int64(3), uint8(2), uint8(36), uint8(1), uint8(30), uint8(0), uint8(0), uint8(longRows))
+	f.Add(int64(3), uint8(2), uint8(36), uint8(1), uint8(30), uint8(0), uint8(0), uint8(longRows|goKernels|unrolled))
+	f.Add(int64(7), uint8(1), uint8(29), uint8(2), uint8(11), uint8(0), uint8(0), uint8(longRows|packedMap))
+	f.Add(int64(7), uint8(1), uint8(29), uint8(2), uint8(11), uint8(0), uint8(0), uint8(longRows|packedMap|goKernels))
+	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2, algebra, rkT, kernel uint8) {
 		n1 := 1 + int(rn1)%9
 		n2 := 1 + int(rn2)%9
+		if kernel&longRows != 0 {
+			n1, n2 = 1+int(rn1)%3, 1+int(rn2)%40
+		}
 		rng := rand.New(rand.NewSource(seed))
 		p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), score.DefaultParams())
 		if err != nil {
@@ -44,6 +63,11 @@ func FuzzSemiringParity(f *testing.F) {
 			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5])
 			return
 		}
+		cfg := Config{Workers: 2, Unroll: kernel&unrolled != 0}
+		if kernel&packedMap != 0 {
+			cfg.Map = MapPacked
+		}
+		cfg.SetGoKernels(kernel&goKernels != 0)
 		ref := newRefDP(p)
 		oracle := func(label string, at func(i1, j1, i2, j2 int) float32, w1, w2 int) {
 			for i1 := 0; i1 < n1; i1++ {
@@ -61,7 +85,7 @@ func FuzzSemiringParity(f *testing.F) {
 		}
 		var firstSt *Structure
 		for _, v := range Variants {
-			ft := Solve(p, v, Config{Workers: 2})
+			ft := Solve(p, v, cfg)
 			oracle(v.String(), ft.At, n1, n2)
 			// Identical tables must yield identical tracebacks: the walk
 			// reads only table cells and scores, nothing variant-specific.
@@ -74,7 +98,7 @@ func FuzzSemiringParity(f *testing.F) {
 		}
 		w1 := 1 + int(rw1)%(n1+2)
 		w2 := 1 + int(rw2)%(n2+2)
-		wt := SolveWindowed(p, w1, w2, Config{Workers: 2})
+		wt := SolveWindowed(p, w1, w2, cfg)
 		oracle("windowed", wt.At, w1, w2)
 	})
 }

@@ -54,7 +54,7 @@ func SolveContext(ctx context.Context, p *Problem, v Variant, cfg Config) (ft *F
 	case VariantBase:
 		return solveBase(ctx, p, cfg)
 	case VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled:
-		return solveAlg(ctx, p, maxplusAlg(p, cfg.Unroll), v, cfg)
+		return solveAlg(ctx, p, maxplusAlg(p, cfg), v, cfg)
 	}
 	return nil, fmt.Errorf("bpmax: unknown variant %d", int(v))
 }
@@ -126,7 +126,7 @@ func TriangleOps(d1, n2 int) int64 {
 func solveCoarseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
 	s := newGSolver(p, a, cfg, cfg.Map)
 	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "coarse")
+	obs := cfg.observe(p, "coarse", s.a.k.Impl)
 	for d1 := 0; d1 < p.N1; d1++ {
 		s.curD1 = d1
 		t0 := obs.start(metrics.PhaseTriangle)
@@ -151,7 +151,7 @@ func solveCoarseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], 
 func solveFineG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
 	s := newGSolver(p, a, cfg, cfg.Map)
 	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "fine")
+	obs := cfg.observe(p, "fine", s.a.k.Impl)
 	for d1 := 0; d1 < p.N1; d1++ {
 		for i1 := 0; i1+d1 < p.N1; i1++ {
 			j1 := i1 + d1
@@ -185,7 +185,7 @@ func solveHybridG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], 
 		return solveHybridScratchG(ctx, p, s, cfg)
 	}
 	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "hybrid")
+	obs := cfg.observe(p, "hybrid", s.a.k.Impl)
 	for d1 := 0; d1 < p.N1; d1++ {
 		tris := p.N1 - d1
 		s.curD1 = d1
@@ -222,7 +222,7 @@ func solveHybridScratchG[T semiring.Scalar](ctx context.Context, p *Problem, s *
 	// every exit (Release is a no-op when unpooled).
 	defer scratch.Release()
 	s.scratch = scratch
-	obs := cfg.observe(p, "hybrid")
+	obs := cfg.observe(p, "hybrid", s.a.k.Impl)
 	for d1 := 0; d1 < p.N1; d1++ {
 		tris := p.N1 - d1
 		s.curD1 = d1
@@ -259,7 +259,7 @@ func solveHybridTiledG[T semiring.Scalar](ctx context.Context, p *Problem, a alg
 	pf := cfg.pforCtx()
 	s.curTileW = cfg.TileI2
 	s.curTilesPT = (p.N2 + s.curTileW - 1) / s.curTileW
-	obs := cfg.observe(p, "hybrid-tiled")
+	obs := cfg.observe(p, "hybrid-tiled", s.a.k.Impl)
 	for d1 := 0; d1 < p.N1; d1++ {
 		tris := p.N1 - d1
 		s.curD1 = d1

@@ -53,7 +53,10 @@ type gsolver[T semiring.Scalar] struct {
 	a   alg[T]
 	f   *FTableOf[T]
 	cfg Config
-	acc func(y, x []T, a T)
+	// acc and sweep are the bundle's single stream and its k2 loop of
+	// streams (a.k.Accum, a.k.Sweep).
+	acc   func(y, x []T, a T)
+	sweep func(y, a, b []T, off []int, k0, k1, n int)
 
 	// Per-wavefront state read by the hoisted task closures below. The
 	// schedules used to allocate fresh closures on every wavefront —
@@ -149,7 +152,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKin
 	s.p = p
 	s.a = a
 	s.cfg = cfg
-	s.acc = a.k.Accum
+	s.acc, s.sweep = a.k.Accum, a.k.Sweep
 	s.tripped.Store(false)
 	if s.triTask == nil {
 		s.initTasks()
@@ -161,7 +164,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKin
 // uses; the algebra view is the problem's own tables, so it allocates
 // nothing beyond what the pre-generic solver did.
 func newSolver(p *Problem, cfg Config, kind MapKind) *solver {
-	return newGSolver(p, maxplusAlg(p, cfg.Unroll), cfg, kind)
+	return newGSolver(p, maxplusAlg(p, cfg), cfg, kind)
 }
 
 // release recycles the solver shell after a successful solve; the filled
@@ -246,11 +249,7 @@ func (s *gsolver[T]) accumulateRow(blk, ablk, bblk []T, i1, j1, k1, i2 int) {
 	s3 := s.a.s1At(i1, k1)
 	s.acc(grow[i2:n2], arow[i2:n2], s4)
 	s.acc(grow[i2:n2], brow[i2:n2], s3)
-	for k2 := i2; k2 < n2-1; k2++ {
-		a := arow[k2]
-		bk := s.f.Row(bblk, k2+1)
-		s.acc(grow[k2+1:n2], bk[k2+1:n2], a)
-	}
+	s.sweep(grow, arow, bblk, s.f.rowOff, i2, n2-1, n2)
 }
 
 // accumulateRowsTiled is the tiled form of accumulateRow over the row range
@@ -269,6 +268,15 @@ func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1
 		s.acc(grow[i2:n2], arow[i2:n2], s4)
 		s.acc(grow[i2:n2], brow[i2:n2], s3)
 	}
+	s.r0Tiled(blk, ablk, bblk, r0, r1)
+}
+
+// r0Tiled applies the R0 streams of one k1 to accumulator rows [r0, r1),
+// k2 band by k2 band: every row of the tile consumes a band's B rows before
+// the next band is touched. With j2 untiled (the default) a row's share of a
+// band is one Sweep.
+func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
+	n2 := s.a.n2
 	tk := s.cfg.TileK2
 	tj := s.cfg.TileJ2
 	for k2t := r0; k2t < n2-1; k2t += tk {
@@ -283,13 +291,13 @@ func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1
 			if kLo < i2 {
 				kLo = i2
 			}
+			if tj <= 0 {
+				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, k2tEnd, n2)
+				continue
+			}
 			for k2 := kLo; k2 < k2tEnd; k2++ {
 				a := arow[k2]
 				bk := s.f.Row(bblk, k2+1)
-				if tj <= 0 {
-					s.acc(grow[k2+1:n2], bk[k2+1:n2], a)
-					continue
-				}
 				for j2t := k2 + 1; j2t < n2; j2t += tj {
 					hi := j2t + tj
 					if hi > n2 {
@@ -304,31 +312,44 @@ func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1
 
 // finalizeMaxPlusTriangle turns the accumulated H partials of triangle
 // (i1, j1) into final F values — the hand-specialized float32 max-plus
-// body, bit-identical to (and byte-for-byte copied from) the pre-generic
-// finalizeTriangle. Rows run bottom-up and cells left-to-right so that
-// the intra-triangle dependences (the seq2 pairing term, R1 and R2) only
-// reach finalized cells; R1 and R2 are applied as streaming updates rather
-// than per-cell gathers, which is exactly the loop permutation the paper's
-// Table II/III schedules encode ("we ensure that the F-table gets updated
-// when k2 reaches j2").
+// body, bit-identical to the pre-generic finalizeTriangle. Rows run
+// bottom-up and cells left-to-right so that the intra-triangle dependences
+// (the seq2 pairing term, R1 and R2) only reach finalized cells; R1 and R2
+// are applied as streaming updates rather than per-cell gathers, which is
+// exactly the loop permutation the paper's Table II/III schedules encode
+// ("we ensure that the F-table gets updated when k2 reaches j2"). Everything
+// a cell reads that is fixed for its row is resolved once per row, outside
+// the j2 loop.
 func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
-	p := s.p
-	n2 := p.N2
-	sc1 := p.score1(i1, j1)
-	s1Self := p.S1.At(i1, j1)
+	a := &s.a
+	n2 := a.n2
+	sc1 := a.score1(i1, j1)
+	s1Self := a.s1At(i1, j1)
+	// The triangle the i1-j1 pair closes around; none when that seq1
+	// interval is empty (d1 < 2), where the recurrence reads S² instead.
+	var inside []float32
+	if i1+1 <= j1-1 {
+		inside = s.f.Block(i1+1, j1-1)
+	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		grow := s.f.Row(blk, i2)
 		// R1: contributions S²[i2,k2] + F[i1,j1,k2+1,j2] from the already
 		// finalized rows below, streamed over j2.
-		s2row := p.S2.Row(i2)
-		for k2 := i2; k2 < n2-1; k2++ {
-			s.acc(grow[k2+1:n2], s.f.Row(blk, k2+1)[k2+1:n2], s2row[k2])
+		s2row := a.s2Row(i2)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, n2-1, n2)
+		around := s2row
+		if inside != nil {
+			around = s.f.Row(inside, i2)
+		}
+		sc2row := a.sc2[i2*n2 : (i2+1)*n2]
+		var below []float32
+		if i2+1 < n2 {
+			below = s.f.Row(blk, i2+1)
 		}
 		for j2 := i2; j2 < n2; j2++ {
 			v := grow[j2]
-			// Pair i1-j1 around the seq2 interval. p.at resolves the empty
-			// seq1 interval (d1 < 2) to S²[i2,j2].
-			if w := p.at(s.f, i1+1, j1-1, i2, j2) + sc1; w > v {
+			// Pair i1-j1 around the seq2 interval.
+			if w := around[j2] + sc1; w > v {
 				v = w
 			}
 			if j2 > i2 {
@@ -336,14 +357,14 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 				// degenerates to S¹[i1,j1] when the seq2 interval empties.
 				inner := s1Self
 				if j2-1 >= i2+1 {
-					inner = s.f.Row(blk, i2+1)[j2-1]
+					inner = below[j2-1]
 				}
-				if w := inner + p.score2(i2, j2); w > v {
+				if w := inner + sc2row[j2]; w > v {
 					v = w
 				}
 			} else if i1 == j1 {
 				// Singleton × singleton: the intermolecular base case.
-				if w := p.singleton(i1, i2); w > v {
+				if w := s.p.singleton(i1, i2); w > v {
 					v = w
 				}
 			}
@@ -351,7 +372,7 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 			// R2: stream this finalized cell's contribution
 			// F[i1,j1,i2,j2] + S²[j2+1,j2'] to the rest of the row.
 			if j2 < n2-1 {
-				s.acc(grow[j2+1:n2], p.S2.Row(j2 + 1)[j2+1:n2], v)
+				s.acc(grow[j2+1:n2], a.s2[(j2+1)*n2+j2+1:(j2+2)*n2], v)
 			}
 		}
 	}
@@ -372,10 +393,7 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		grow := s.f.Row(blk, i2)
 		// R1, streamed over j2 from the already finalized rows below.
-		s2row := a.s2Row(i2)
-		for k2 := i2; k2 < n2-1; k2++ {
-			s.acc(grow[k2+1:n2], s.f.Row(blk, k2+1)[k2+1:n2], s2row[k2])
-		}
+		s.sweep(grow, a.s2Row(i2), blk, s.f.rowOff, i2, n2-1, n2)
 		for j2 := i2; j2 < n2; j2++ {
 			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/semiring"
 	"github.com/bpmax-go/bpmax/internal/tri"
@@ -27,6 +26,7 @@ type WTableOf[T semiring.Scalar] struct {
 	N1, N2, W1, W2 int
 	outer, inner   tri.BandMap
 	isize          int
+	rowOff         []int // inner's row bases, as FTableOf.rowOff
 	data           []T
 	pl             *Pool
 }
@@ -48,6 +48,7 @@ func initWTable[T semiring.Scalar](w *WTableOf[T], n1, n2, w1, w2 int) {
 	w.outer = tri.BandMap{N: n1, W: w1}
 	w.inner = tri.BandMap{N: n2, W: w2}
 	w.isize = w.inner.Size()
+	w.rowOff = rowOffsets(w.inner, n2, w.rowOff)
 }
 
 // NewWTable allocates a zeroed banded table; windows are clamped to the
@@ -101,7 +102,7 @@ func (w *WTableOf[T]) rowHi(i2 int) int {
 
 // Row returns row i2 of a block, indexed by absolute j2 in [i2, rowHi(i2)).
 func (w *WTableOf[T]) Row(blk []T, i2 int) []T {
-	base, _ := w.inner.RowSlice(i2)
+	base := w.rowOff[i2]
 	return blk[base : base+w.rowHi(i2)]
 }
 
@@ -158,10 +159,8 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 	} else {
 		w = NewWTable(p.N1, p.N2, w1, w2)
 	}
-	acc := maxplus.Accumulate
-	if cfg.Unroll {
-		acc = maxplus.Accumulate8
-	}
+	k := cfg.maxplusKernels()
+	acc := k.Accum
 	pf := cfg.pforCtx()
 	n2 := p.N2
 
@@ -172,7 +171,7 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 		blk := w.Block(i1, j1)
 		grow := w.Row(blk, i2)
 		hi := w.rowHi(i2)
-		maxplus.AddScalarInto(grow[i2:hi], p.S2.Row(i2)[i2:hi], p.S1.At(i1, j1))
+		k.MulInto(grow[i2:hi], p.S2.Row(i2)[i2:hi], p.S1.At(i1, j1))
 		for k1 := i1; k1 < j1; k1++ {
 			ablk := w.Block(i1, k1)
 			bblk := w.Block(k1+1, j1)
@@ -180,14 +179,9 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 			brow := w.Row(bblk, i2)
 			acc(grow[i2:hi], arow[i2:hi], p.S1.At(k1+1, j1))
 			acc(grow[i2:hi], brow[i2:hi], p.S1.At(i1, k1))
-			for k2 := i2; k2 < hi-1; k2++ {
-				bk := w.Row(bblk, k2+1)
-				top := hi
-				if bt := w.rowHi(k2 + 1); bt < top {
-					top = bt
-				}
-				acc(grow[k2+1:top], bk[k2+1:top], arow[k2])
-			}
+			// Every row below i2 is stored at least as far right as row i2
+			// (rowHi never decreases), so the streams all end at hi.
+			k.Sweep(grow, arow, bblk, w.rowOff, i2, hi-1, hi)
 		}
 	}
 
@@ -198,10 +192,7 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 		for i2 := n2 - 1; i2 >= 0; i2-- {
 			grow := w.Row(blk, i2)
 			hi := w.rowHi(i2)
-			s2row := p.S2.Row(i2)
-			for k2 := i2; k2 < hi-1; k2++ {
-				acc(grow[k2+1:hi], w.Row(blk, k2+1)[k2+1:hi], s2row[k2])
-			}
+			k.Sweep(grow, p.S2.Row(i2), blk, w.rowOff, i2, hi-1, hi)
 			for j2 := i2; j2 < hi; j2++ {
 				v := grow[j2]
 				if x := wtAt(w, p, i1+1, j1-1, i2, j2) + sc1; x > v {
@@ -228,7 +219,7 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 		}
 	}
 
-	obs := cfg.observe(p, "windowed")
+	obs := cfg.observe(p, "windowed", k.Impl)
 	for d1 := 0; d1 < w.W1; d1++ {
 		tris := p.N1 - d1
 		t0 := obs.start(metrics.PhaseWindowAccum)

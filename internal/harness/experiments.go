@@ -292,7 +292,8 @@ func runExtAblations(cfg RunConfig) *Table {
 	addDMP("register tiling", "dual-row", bpmax.Config{Workers: w, RegisterTile: true})
 	t.Notes = append(t.Notes,
 		"paper expectations: box beats packed (streaming rows), dynamic beats static under triangle imbalance,",
-		"shared accumulators beat scratch+copy (Phase III memory optimization), register tiling reduces B-row traffic")
+		"shared accumulators beat scratch+copy (Phase III memory optimization), register tiling reduces B-row traffic",
+		fmt.Sprintf("max-plus kernels: %s; \"unrolled 8x\" is a variant of the portable Go loop only, so the stream-kernel rows differ only in a `-tags purego` build", semiring.MaxPlusKernels(false).Impl))
 	return t
 }
 
@@ -474,7 +475,8 @@ func runFig12(cfg RunConfig) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"paper: up to 120 GFLOPS with 6 threads and 240 with 12 on E5-1650v4 (AVX2); scalar Go reaches a fraction, scaling shape preserved")
+		"paper: up to 120 GFLOPS with 6 threads and 240 with 12 on E5-1650v4 (AVX2), i.e. ~20 per thread",
+		fmt.Sprintf("max-plus kernels: %s; the two columns are one body unless that is \"go\" (a `-tags purego` build, or no AVX2), where the 8-way unrolled loop is its own", semiring.MaxPlusKernels(false).Impl))
 	return t
 }
 

@@ -1,0 +1,361 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// AVX2 bodies of the float32 max-plus streaming kernels: 8 lanes of
+//
+//	y[j] = max(a + x[j], y[j])          VADDPS, then VMAXPS
+//
+// Operand order. VMAXPS returns its SECOND source when either input is a
+// NaN and when both are zeros of either sign. Every VMAXPS below therefore
+// has the candidate a+x as first source and the running y as second, which
+// makes it exactly Go's `if v > y[j] { y[j] = v }`: y changes only when the
+// comparison is true, a NaN on either side leaves y as it was, and max(+0,
+// -0) keeps y's zero. (In Go assembler syntax the second source is written
+// first: `VMAXPS y, v, dst`.) float32 add is the same IEEE operation in an
+// SSE scalar and an AVX lane, so tables stay bit-identical to the Go loops.
+//
+// NaN cannot arise in a fill anyway: it would take (+Inf) + (-Inf), and the
+// forbidden sentinel semiring.NegInf is the finite -1e30, not -Inf — sums of
+// a few of them stay finite, and nothing in a max-plus table is +Inf.
+//
+// The grid. Sweep and Accumulate do not start their vector loop at the first
+// element of the stream. They walk y in 32-byte chunks aligned to a fixed
+// grid (the 32-byte-aligned addresses of memory), with a partial first and
+// last chunk handled under a lane mask. Consecutive streams over one row —
+// k2, k2+1, ... of a sweep, or the R2 calls of finalize — start one float
+// further right each time; on the grid they load exactly the 32-byte chunks
+// the previous stream stored, so the loads are served by store forwarding.
+// Started at k2+1 instead, every load would straddle two earlier stores,
+// which cannot be forwarded, and the loop stalls on the y loads until the
+// stores reach the cache.
+//
+// Lanes outside the stream may be loaded (an aligned chunk that holds one
+// float of the stream lies in its page) but are never stored, not even with
+// the value just loaded: in the packed and band maps the floats on either
+// side of y[k2+1:n] belong to other rows, which in the row-parallel schedules
+// another goroutine is writing, and putting an old value back would lose its
+// update. VMASKMOVPS neither writes nor faults on a masked-off lane.
+
+// lanemask: 8 zero lanes, 8 set lanes, 8 zero lanes. The 8 lanes at dword
+// offset 8-s are set from lane s up (the mask of a first chunk); those at
+// offset 16-r are set below lane r (the mask of a last chunk).
+DATA lanemask<>+0(SB)/8, $0
+DATA lanemask<>+8(SB)/8, $0
+DATA lanemask<>+16(SB)/8, $0
+DATA lanemask<>+24(SB)/8, $0
+DATA lanemask<>+32(SB)/8, $-1
+DATA lanemask<>+40(SB)/8, $-1
+DATA lanemask<>+48(SB)/8, $-1
+DATA lanemask<>+56(SB)/8, $-1
+DATA lanemask<>+64(SB)/8, $0
+DATA lanemask<>+72(SB)/8, $0
+DATA lanemask<>+80(SB)/8, $0
+DATA lanemask<>+88(SB)/8, $0
+GLOBL lanemask<>(SB), RODATA|NOPTR, $96
+
+// GRID splits the y pointer in DI into the grid base (left in DI: lane g of
+// the grid is at byte offset 4g) and the lane y[0] occupies (R8), then from
+// the stream's end index in R10 derives the byte offset of the last, partial
+// chunk (R10), the number of lanes in it (R11, 0 when the stream ends on the
+// grid) and its mask (Y7). R12 is left pointing at lanemask. Clobbers AX.
+#define GRID \
+	MOVQ    DI, R8; \
+	ANDQ    $31, R8; \
+	SUBQ    R8, DI; \
+	SHRQ    $2, R8; \
+	ADDQ    R8, R10; \
+	MOVQ    R10, R11; \
+	ANDQ    $7, R11; \
+	SHRQ    $3, R10; \
+	SHLQ    $5, R10; \
+	LEAQ    lanemask<>(SB), R12; \
+	MOVQ    R11, AX; \
+	NEGQ    AX; \
+	VMOVDQU 64(R12)(AX*4), Y7
+
+// FIRST turns the grid lane in AX at which a stream starts into the byte
+// offset of its first chunk (AX) and minus the lane it starts at in that
+// chunk (BX), and sets ZF when the stream starts on the grid; otherwise Y6
+// is the first chunk's mask.
+#define FIRST \
+	MOVQ    AX, BX; \
+	SHRQ    $3, AX; \
+	SHLQ    $5, AX; \
+	ANDQ    $7, BX; \
+	NEGQ    BX; \
+	VMOVDQU 32(R12)(BX*4), Y6; \
+	TESTQ   BX, BX
+
+// MASKED updates the chunk at byte offset AX under lane mask m.
+#define MASKED(m) \
+	VMASKMOVPS (SI)(AX*1), m, Y1; \
+	VMASKMOVPS (DI)(AX*1), m, Y2; \
+	VADDPS     Y0, Y1, Y1; \
+	VMAXPS     Y2, Y1, Y1; \
+	VMASKMOVPS Y1, m, (DI)(AX*1)
+
+// WHOLE updates the whole chunks from byte offset AX up to the last chunk at
+// R10, four at a time and then singly, where DI and SI are the grid bases of
+// y and x and Y0 holds a in every lane; it leaves AX at R10. Clobbers BX and
+// Y1-Y4. Its labels make it expand once per function.
+#define WHOLE \
+whole4: \
+	LEAQ    128(AX), BX; \
+	CMPQ    BX, R10; \
+	JA      whole1; \
+	VMOVUPS (SI)(AX*1), Y1; \
+	VMOVUPS 32(SI)(AX*1), Y2; \
+	VMOVUPS 64(SI)(AX*1), Y3; \
+	VMOVUPS 96(SI)(AX*1), Y4; \
+	VADDPS  Y0, Y1, Y1; \
+	VADDPS  Y0, Y2, Y2; \
+	VADDPS  Y0, Y3, Y3; \
+	VADDPS  Y0, Y4, Y4; \
+	VMAXPS  (DI)(AX*1), Y1, Y1; \
+	VMAXPS  32(DI)(AX*1), Y2, Y2; \
+	VMAXPS  64(DI)(AX*1), Y3, Y3; \
+	VMAXPS  96(DI)(AX*1), Y4, Y4; \
+	VMOVAPS Y1, (DI)(AX*1); \
+	VMOVAPS Y2, 32(DI)(AX*1); \
+	VMOVAPS Y3, 64(DI)(AX*1); \
+	VMOVAPS Y4, 96(DI)(AX*1); \
+	MOVQ    BX, AX; \
+	JMP     whole4; \
+whole1: \
+	CMPQ    AX, R10; \
+	JAE     wholedone; \
+	VMOVUPS (SI)(AX*1), Y1; \
+	VADDPS  Y0, Y1, Y1; \
+	VMAXPS  (DI)(AX*1), Y1, Y1; \
+	VMOVAPS Y1, (DI)(AX*1); \
+	ADDQ    $32, AX; \
+	JMP     whole1; \
+wholedone:
+
+// func accumulateAVX2(y, x *float32, n int, a float32)
+// y[i] = max(a + x[i], y[i]) for i in [0, n); n > 0.
+TEXT ·accumulateAVX2(SB), NOSPLIT, $0-28
+	MOVQ         y+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), R10
+	VBROADCASTSS a+24(FP), Y0
+	GRID
+	LEAQ         (R8*4), AX
+	SUBQ         AX, SI      // x's grid base: x[0] in the lane of y[0]
+	MOVQ         R8, AX      // the stream starts at y[0]
+	FIRST
+	JZ           whole4
+	CMPQ         AX, R10
+	JNE          first
+	VPAND        Y7, Y6, Y6  // the stream starts and ends inside one chunk
+	MASKED(Y6)
+	JMP          done
+
+first:
+	MASKED(Y6)
+	ADDQ         $32, AX
+	WHOLE
+	TESTQ        R11, R11
+	JZ           done
+	MASKED(Y7)
+
+done:
+	VZEROUPPER
+	RET
+
+// func sweepAVX2(y, a, b *float32, off *int, k0, k1, n, blen int) (bad int)
+// For k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j]) for j in
+// [k2+1, n). Requires 0 <= k0 < k1 < n. Returns -1, or the first k2 whose
+// row b[off[k2+1]+k2+1 : off[k2+1]+n] does not lie inside b[:blen], having
+// run the streams before it.
+//
+// The two partial chunks of a stream live in registers across k2. The last
+// chunk is the same for every k2: Y8 holds it from the first stream to the
+// masked store on the way out. That store writes the lanes in Y9, those of
+// the widest stream (k0's), and so no lane before y[k0+1] even when stream
+// k0 starts inside the last chunk: such a lane would get back the value
+// loaded on entry, undoing whatever its owner has stored since. The first
+// chunk is shared by up to seven consecutive k2: Y5 holds it, reloaded when
+// the stream's start moves into a new chunk (which the previous k2 stored
+// whole) and written back under the mask after every update. Neither is ever
+// loaded back from a masked store, which cannot be forwarded.
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-72
+	MOVQ    y+0(FP), DI
+	MOVQ    a+8(FP), R13
+	MOVQ    k0+32(FP), CX
+	MOVQ    n+48(FP), R10
+	GRID
+	TESTQ   R11, R11
+	JZ      nolast
+	VMOVAPS (DI)(R10*1), Y8       // the last chunk: it holds y[n-1]
+	VMOVDQA Y7, Y9                // and the lanes of it the streams will write
+
+nolast:
+	LEAQ    1(CX)(R8*1), AX
+	FIRST
+	VMOVAPS (DI)(AX*1), Y5        // stream k0's first chunk: it holds y[k0+1]
+	CMPQ    AX, R10
+	JNE     nextk
+	VPAND   Y7, Y6, Y9            // stream k0 starts inside the last chunk: not the lanes before y[k0+1]
+
+nextk:
+	MOVQ         off+24(FP), DX
+	MOVQ         8(DX)(CX*8), DX      // off[k2+1]
+	LEAQ         1(DX)(CX*1), AX      // index in b of the row's first cell
+	TESTQ        AX, AX
+	JS           out
+	MOVQ         n+48(FP), AX
+	ADDQ         DX, AX               // and one past its last
+	CMPQ         AX, blen+56(FP)
+	JG           out
+	VBROADCASTSS (R13)(CX*4), Y0
+	SUBQ         R8, DX
+	MOVQ         b+16(FP), SI
+	LEAQ         (SI)(DX*4), SI       // x's grid base: b[off[k2+1]+j] in the lane of y[j]
+	LEAQ         1(CX)(R8*1), AX      // the stream starts at y[k2+1]
+	FIRST
+	JZ           whole4
+	CMPQ         AX, R10
+	JEQ          only
+	CMPQ         BX, $-1
+	JNE          first
+	VMOVAPS      (DI)(AX*1), Y5       // a new first chunk, stored whole by stream k2-1
+
+first:
+	VMASKMOVPS   (SI)(AX*1), Y6, Y1
+	VADDPS       Y0, Y1, Y1
+	VMAXPS       Y5, Y1, Y1
+	VBLENDVPS    Y6, Y1, Y5, Y5
+	VMASKMOVPS   Y5, Y6, (DI)(AX*1)
+	ADDQ         $32, AX
+	WHOLE
+	TESTQ        R11, R11
+	JZ           donek
+	VMOVDQA      Y7, Y6
+	JMP          last
+
+only:
+	VPAND        Y7, Y6, Y6           // the stream starts inside the last chunk
+
+last:
+	VMASKMOVPS   (SI)(R10*1), Y6, Y1
+	VADDPS       Y0, Y1, Y1
+	VMAXPS       Y8, Y1, Y1
+	VBLENDVPS    Y6, Y1, Y8, Y8
+
+donek:
+	INCQ         CX
+	CMPQ         CX, k1+40(FP)
+	JLT          nextk
+	MOVQ         $-1, CX
+
+out:
+	TESTQ        R11, R11
+	JZ           ret
+	VMASKMOVPS   Y8, Y9, (DI)(R10*1)
+
+ret:
+	MOVQ         CX, bad+64(FP)
+	VZEROUPPER
+	RET
+
+// The two kernels below run once per row or on an ablation path only; their
+// y is not re-read by a following call, so they start at the first element
+// and mask only the last chunk.
+
+// func accumulateDualAVX2(y1, y2, x *float32, n int, a1, a2 float32)
+// y1[i] = max(a1 + x[i], y1[i]); y2[i] = max(a2 + x[i], y2[i]); n > 0.
+TEXT ·accumulateDualAVX2(SB), NOSPLIT, $0-40
+	MOVQ         y1+0(FP), DI
+	MOVQ         y2+8(FP), DX
+	MOVQ         x+16(FP), SI
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS a1+32(FP), Y0
+	VBROADCASTSS a2+36(FP), Y5
+	XORQ         AX, AX
+
+dualfull:
+	CMPQ    CX, $8
+	JLT     dualtail
+	VMOVUPS (SI)(AX*1), Y1
+	VADDPS  Y5, Y1, Y2
+	VADDPS  Y0, Y1, Y1
+	VMAXPS  (DI)(AX*1), Y1, Y1
+	VMAXPS  (DX)(AX*1), Y2, Y2
+	VMOVUPS Y1, (DI)(AX*1)
+	VMOVUPS Y2, (DX)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     dualfull
+
+dualtail:
+	TESTQ      CX, CX
+	JZ         dualdone
+	LEAQ       lanemask<>(SB), R12
+	NEGQ       CX
+	VMOVDQU    64(R12)(CX*4), Y7
+	VMASKMOVPS (SI)(AX*1), Y7, Y1
+	VADDPS     Y5, Y1, Y2
+	VADDPS     Y0, Y1, Y1
+	VMASKMOVPS (DI)(AX*1), Y7, Y3
+	VMASKMOVPS (DX)(AX*1), Y7, Y4
+	VMAXPS     Y3, Y1, Y1
+	VMAXPS     Y4, Y2, Y2
+	VMASKMOVPS Y1, Y7, (DI)(AX*1)
+	VMASKMOVPS Y2, Y7, (DX)(AX*1)
+
+dualdone:
+	VZEROUPPER
+	RET
+
+// func addScalarIntoAVX2(dst, x *float32, n int, a float32)
+// dst[i] = a + x[i] for i in [0, n); n > 0.
+TEXT ·addScalarIntoAVX2(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS a+24(FP), Y0
+	XORQ         AX, AX
+
+addfull:
+	CMPQ    CX, $8
+	JLT     addtail
+	VADDPS  (SI)(AX*1), Y0, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     addfull
+
+addtail:
+	TESTQ      CX, CX
+	JZ         adddone
+	LEAQ       lanemask<>(SB), R12
+	NEGQ       CX
+	VMOVDQU    64(R12)(CX*4), Y7
+	VMASKMOVPS (SI)(AX*1), Y7, Y1
+	VADDPS     Y0, Y1, Y1
+	VMASKMOVPS Y1, Y7, (DI)(AX*1)
+
+adddone:
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -8,84 +8,111 @@
 //
 // over contiguous single-precision rows (arithmetic intensity 2 FLOPs per
 // 3 memory operations = 1/6 FLOP/byte), which the C compiler then
-// auto-vectorizes. Go has no vector intrinsics, so this package supplies
-// the same access pattern in scalar form plus an 8-way unrolled variant
-// mirroring the paper's "one scalar and a vector of 8 elements" shape; the
-// unroll keeps the loop free of bounds checks and gives the hardware
-// independent max chains to retire in parallel.
+// auto-vectorizes. gc does not, so the kernels the fill calls — Accumulate,
+// Accumulate8, AccumulateDual, AddScalarInto and the fused k2 loop Sweep —
+// have hand-written AVX2 bodies (avx2_amd64.s), chosen once at start-up when
+// the CPU and the operating system support them. The Go loops they replace
+// (portable.go) are every other build: other architectures, the `purego`
+// tag, an amd64 CPU without AVX2. Both produce the same bits; Impl names the
+// one in use.
 //
 // The gather kernels (DotMaxPlus*) implement the *rejected* schedules that
 // keep k2 innermost; they exist so the benchmarks can demonstrate why those
 // schedules lose.
 package maxplus
 
-// Accumulate performs the streaming update y[i] = max(a + x[i], y[i]) over
-// the common prefix of x and y. This is simultaneously Algorithm 3's
-// micro-benchmark kernel and the inner loop of the double max-plus.
-func Accumulate(y, x []float32, a float32) {
-	n := len(y)
-	if len(x) < n {
-		n = len(x)
+import "fmt"
+
+// Impl names the bodies behind the exported streaming kernels in this
+// process: "avx2" or "go".
+func Impl() string {
+	if useAVX2 {
+		return "avx2"
 	}
-	x = x[:n]
-	y = y[:n]
-	for i := range y {
-		if v := a + x[i]; v > y[i] {
-			y[i] = v
-		}
-	}
+	return "go"
 }
 
-// Accumulate8 is Accumulate with an 8-way unrolled main loop. The unroll
-// factor matches one AVX2 lane of float32 on the paper's machines.
+// Accumulate performs the streaming update y[i] = max(a + x[i], y[i]) over
+// the common prefix of x and y. This is simultaneously Algorithm 3's
+// micro-benchmark kernel and the inner loop of the double max-plus. x must
+// not overlap the part of y it updates.
+func Accumulate(y, x []float32, a float32) {
+	if useAVX2 {
+		if n := min(len(y), len(x)); n > 0 {
+			accumulateAVX2(&y[0], &x[0], n, a)
+		}
+		return
+	}
+	AccumulateGo(y, x, a)
+}
+
+// Accumulate8 is Accumulate with an 8-way unrolled main loop where the
+// portable bodies run (the unroll factor matches one AVX2 register of
+// float32); with the vector bodies active it is Accumulate.
 func Accumulate8(y, x []float32, a float32) {
-	n := len(y)
-	if len(x) < n {
-		n = len(x)
+	if useAVX2 {
+		Accumulate(y, x, a)
+		return
 	}
-	x = x[:n]
-	y = y[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x8 := x[i : i+8 : i+8]
-		y8 := y[i : i+8 : i+8]
-		v0 := a + x8[0]
-		v1 := a + x8[1]
-		v2 := a + x8[2]
-		v3 := a + x8[3]
-		v4 := a + x8[4]
-		v5 := a + x8[5]
-		v6 := a + x8[6]
-		v7 := a + x8[7]
-		if v0 > y8[0] {
-			y8[0] = v0
+	Accumulate8Go(y, x, a)
+}
+
+// AccumulateDual applies one shared x stream to two destination rows:
+// y1[i] = max(y1[i], a1 + x[i]) and y2[i] = max(y2[i], a2 + x[i]) in a
+// single pass. This is the register-level tiling the paper's conclusion
+// calls for ("an additional level of tiling at the register level is
+// required to make the program compute-bound"): the B row is read once for
+// two output rows, halving stream traffic per FLOP. The three slices must
+// not overlap.
+func AccumulateDual(y1, y2, x []float32, a1, a2 float32) {
+	if useAVX2 {
+		if n := min(len(x), len(y1), len(y2)); n > 0 {
+			accumulateDualAVX2(&y1[0], &y2[0], &x[0], n, a1, a2)
 		}
-		if v1 > y8[1] {
-			y8[1] = v1
-		}
-		if v2 > y8[2] {
-			y8[2] = v2
-		}
-		if v3 > y8[3] {
-			y8[3] = v3
-		}
-		if v4 > y8[4] {
-			y8[4] = v4
-		}
-		if v5 > y8[5] {
-			y8[5] = v5
-		}
-		if v6 > y8[6] {
-			y8[6] = v6
-		}
-		if v7 > y8[7] {
-			y8[7] = v7
-		}
+		return
 	}
-	for ; i < n; i++ {
-		if v := a + x[i]; v > y[i] {
-			y[i] = v
+	AccumulateDualGo(y1, y2, x, a1, a2)
+}
+
+// AddScalarInto initializes dst[i] = a + x[i] over the common prefix of dst
+// and x: the row-initialization kernel (G = S¹(i1,j1) + S² row) that seeds
+// the H accumulator before the R0/R3/R4 streams run.
+func AddScalarInto(dst, x []float32, a float32) {
+	if useAVX2 {
+		if n := min(len(dst), len(x)); n > 0 {
+			addScalarIntoAVX2(&dst[0], &x[0], n, a)
 		}
+		return
+	}
+	AddScalarIntoGo(dst, x, a)
+}
+
+// Sweep runs a whole k2 loop of streams into one accumulator row:
+//
+//	for k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j])  for j in (k2, n)
+//
+// with 0 <= k0 and k1 < n (every stream is non-empty).
+//
+// y is a table row indexed by absolute column, a the row of left operands,
+// b a table block and off its row offsets: cell (r, j) of the block is
+// b[off[r]+j], whichever memory map laid it out. This is the R0 loop of the
+// double max-plus (a = a row of the west triangle, b = the south triangle)
+// and the R1 loop of finalize (a = a row of S², b = the triangle itself). The
+// rows of b it reads must not overlap y[k0+1:n].
+func Sweep(y, a, b []float32, off []int, k0, k1, n int) {
+	if !useAVX2 {
+		SweepGo(y, a, b, off, k0, k1, n)
+		return
+	}
+	if k0 >= k1 {
+		return
+	}
+	if k0 < 0 || k1 >= n || n > len(y) || k1 > len(a) || k1 >= len(off) {
+		panic(fmt.Sprintf("maxplus: Sweep k2 range [%d,%d) to column %d outside y[:%d], a[:%d], off[:%d]",
+			k0, k1, n, len(y), len(a), len(off)))
+	}
+	if bad := sweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, n, len(b)); bad >= 0 {
+		panic(fmt.Sprintf("maxplus: Sweep row %d at offset %d to column %d outside b[:%d]", bad+1, off[bad+1], n, len(b)))
 	}
 }
 
@@ -151,49 +178,6 @@ func DotMaxPlusStride(a, b []float32, stride int) float32 {
 		bi += stride
 	}
 	return best
-}
-
-// AccumulateDual applies one shared x stream to two destination rows:
-// y1[i] = max(y1[i], a1 + x[i]) and y2[i] = max(y2[i], a2 + x[i]) in a
-// single pass. This is the register-level tiling the paper's conclusion
-// calls for ("an additional level of tiling at the register level is
-// required to make the program compute-bound"): the B row is read once for
-// two output rows, halving stream traffic per FLOP.
-func AccumulateDual(y1, y2, x []float32, a1, a2 float32) {
-	n := len(x)
-	if len(y1) < n {
-		n = len(y1)
-	}
-	if len(y2) < n {
-		n = len(y2)
-	}
-	x = x[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	for i := range x {
-		v := x[i]
-		if w := a1 + v; w > y1[i] {
-			y1[i] = w
-		}
-		if w := a2 + v; w > y2[i] {
-			y2[i] = w
-		}
-	}
-}
-
-// AddScalarInto initializes dst[i] = a + x[i] over the common prefix of dst
-// and x: the row-initialization kernel (G = S¹(i1,j1) + S² row) that seeds
-// the H accumulator before the R0/R3/R4 streams run.
-func AddScalarInto(dst, x []float32, a float32) {
-	n := len(dst)
-	if len(x) < n {
-		n = len(x)
-	}
-	x = x[:n]
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = a + x[i]
-	}
 }
 
 // MulAddAccumulate performs y[i] += a * x[i] — the multiply-add analogue

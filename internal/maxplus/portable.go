@@ -1,0 +1,121 @@
+package maxplus
+
+// The portable bodies of the streaming kernels: the loops this package had
+// before it had assembly, unchanged. They are what runs on every
+// architecture but amd64, under the `purego` build tag and on an amd64 CPU
+// without AVX2, and they are the oracle the vector bodies are tested
+// against bit for bit.
+
+// AccumulateGo is Accumulate's portable body.
+func AccumulateGo(y, x []float32, a float32) {
+	n := len(y)
+	if len(x) < n {
+		n = len(x)
+	}
+	x = x[:n]
+	y = y[:n]
+	for i := range y {
+		if v := a + x[i]; v > y[i] {
+			y[i] = v
+		}
+	}
+}
+
+// Accumulate8Go is AccumulateGo with an 8-way unrolled main loop: it keeps
+// the loop free of bounds checks and gives the hardware independent max
+// chains to retire in parallel.
+func Accumulate8Go(y, x []float32, a float32) {
+	n := len(y)
+	if len(x) < n {
+		n = len(x)
+	}
+	x = x[:n]
+	y = y[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x8 := x[i : i+8 : i+8]
+		y8 := y[i : i+8 : i+8]
+		v0 := a + x8[0]
+		v1 := a + x8[1]
+		v2 := a + x8[2]
+		v3 := a + x8[3]
+		v4 := a + x8[4]
+		v5 := a + x8[5]
+		v6 := a + x8[6]
+		v7 := a + x8[7]
+		if v0 > y8[0] {
+			y8[0] = v0
+		}
+		if v1 > y8[1] {
+			y8[1] = v1
+		}
+		if v2 > y8[2] {
+			y8[2] = v2
+		}
+		if v3 > y8[3] {
+			y8[3] = v3
+		}
+		if v4 > y8[4] {
+			y8[4] = v4
+		}
+		if v5 > y8[5] {
+			y8[5] = v5
+		}
+		if v6 > y8[6] {
+			y8[6] = v6
+		}
+		if v7 > y8[7] {
+			y8[7] = v7
+		}
+	}
+	for ; i < n; i++ {
+		if v := a + x[i]; v > y[i] {
+			y[i] = v
+		}
+	}
+}
+
+// AccumulateDualGo is AccumulateDual's portable body.
+func AccumulateDualGo(y1, y2, x []float32, a1, a2 float32) {
+	n := len(x)
+	if len(y1) < n {
+		n = len(y1)
+	}
+	if len(y2) < n {
+		n = len(y2)
+	}
+	x = x[:n]
+	y1 = y1[:n]
+	y2 = y2[:n]
+	for i := range x {
+		v := x[i]
+		if w := a1 + v; w > y1[i] {
+			y1[i] = w
+		}
+		if w := a2 + v; w > y2[i] {
+			y2[i] = w
+		}
+	}
+}
+
+// AddScalarIntoGo is AddScalarInto's portable body.
+func AddScalarIntoGo(dst, x []float32, a float32) {
+	n := len(dst)
+	if len(x) < n {
+		n = len(x)
+	}
+	x = x[:n]
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = a + x[i]
+	}
+}
+
+// SweepGo is Sweep's portable body, and the Sweep of semiring's Go max-plus
+// bundle: one AccumulateGo stream per k2.
+func SweepGo(y, a, b []float32, off []int, k0, k1, n int) {
+	for k2 := k0; k2 < k1; k2++ {
+		o := off[k2+1]
+		AccumulateGo(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+	}
+}

@@ -99,6 +99,11 @@ type FoldMetrics struct {
 	// Schedule is the executed schedule's name ("hybrid-tiled", ...). For a
 	// fold that degraded to a windowed scan it is "windowed".
 	Schedule string `json:"schedule"`
+	// Kernel names the implementation of the streaming kernels the fill ran
+	// on: "avx2" (the max-plus vector assembly) or "go" (the portable loops:
+	// every partition fold, the base schedule's gathers, and max-plus on a
+	// build or CPU without the vector bodies).
+	Kernel string `json:"kernel,omitempty"`
 	// N1, N2 are the sequence lengths; Workers the requested width.
 	N1      int `json:"n1"`
 	N2      int `json:"n2"`
@@ -156,6 +161,7 @@ func (m *FoldMetrics) CellsPerSecond() float64 {
 func (m *FoldMetrics) Snapshot() FoldSnapshot {
 	s := FoldSnapshot{
 		Schedule:            m.Schedule,
+		Kernel:              m.Kernel,
 		N1:                  m.N1,
 		N2:                  m.N2,
 		Workers:             m.Workers,
@@ -185,6 +191,7 @@ func (m *FoldMetrics) Snapshot() FoldSnapshot {
 // FoldSnapshot is the JSON form of one fold's metrics.
 type FoldSnapshot struct {
 	Schedule            string               `json:"schedule"`
+	Kernel              string               `json:"kernel,omitempty"`
 	N1                  int                  `json:"n1"`
 	N2                  int                  `json:"n2"`
 	Workers             int                  `json:"workers"`

@@ -17,9 +17,10 @@ type Scalar interface {
 // Kernels bundles one scalar semiring's streaming kernels in the exact
 // shapes the optimized solver consumes. The paper's whole optimization
 // story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
-// Kernels value supplies that update (Accum), its register-tiled dual-row
-// variant (AccumDual), the row initializer dst[j] = a ⊗ x[j] (MulInto),
-// and the scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul). Generic
+// Kernels value supplies that update (Accum), a whole k2 loop of such
+// updates into one row (Sweep), the register-tiled dual-row variant
+// (AccumDual), the row initializer dst[j] = a ⊗ x[j] (MulInto), and the
+// scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul). Generic
 // callers must take ⊗ from here, never from native `+`: the sum-product
 // instance multiplies.
 //
@@ -29,6 +30,9 @@ type Scalar interface {
 // running value second, so max-plus instantiations stay bit-identical to
 // the hand-written kernels (including NaN propagation order).
 type Kernels[T Scalar] struct {
+	// Impl names the implementation behind the streaming slots: "avx2" when
+	// they are vector assembly, "go" otherwise.
+	Impl string
 	// Zero is ⊕'s identity (the "impossible" value); One is ⊗'s identity
 	// (the empty structure).
 	Zero, One T
@@ -37,22 +41,72 @@ type Kernels[T Scalar] struct {
 	Mul func(a, b T) T
 	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
 	Accum func(y, x []T, a T)
+	// Sweep streams a k2 loop into row y, y[j] = y[j] ⊕ (a[k2] ⊗ b[off[k2+1]+j])
+	// for k2 in [k0, k1) and j in (k2, n): y is indexed by absolute column, b
+	// is a table block and off its row offsets (cell (r, j) at b[off[r]+j]).
+	// It is the schedules' one k2 stream loop — R0 with b the south triangle,
+	// R1 with b the triangle being finalized.
+	Sweep func(y, a, b []T, off []int, k0, k1, n int)
 	// AccumDual applies one shared x stream to two destination rows.
 	AccumDual func(y1, y2, x []T, a1, a2 T)
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
 }
 
-// MaxPlusKernels returns the tropical float32 kernel set backed by package
-// maxplus — the same functions the pre-generic solver called directly, so
-// results are bit-identical by construction. unroll selects the 8-way
-// unrolled streaming kernel (Config.Unroll).
-func MaxPlusKernels(unroll bool) Kernels[float32] {
-	acc := maxplus.Accumulate
-	if unroll {
-		acc = maxplus.Accumulate8
+// The bundles whose Sweep is a closure over their Accum are built once here:
+// the constructors below run once per fold, on a path the pool keeps free of
+// allocations.
+var (
+	maxPlusGo         = newMaxPlusGo(maxplus.AccumulateGo, maxplus.SweepGo)
+	maxPlusGoUnrolled = newMaxPlusGo(maxplus.Accumulate8Go, sweepOver(maxplus.Accumulate8Go))
+	logSumExp         = newLogSumExp()
+	sumProduct        = newSumProduct()
+)
+
+// sweepOver builds a bundle's Sweep from its Accum, one call per k2: the
+// form of every bundle package maxplus has no Sweep body for (the float64
+// bundles and the unrolled ablation).
+func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, n int) {
+	return func(y, a, b []T, off []int, k0, k1, n int) {
+		for k2 := k0; k2 < k1; k2++ {
+			o := off[k2+1]
+			acc(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+		}
 	}
+}
+
+// MaxPlusKernels returns the tropical float32 kernel set backed by package
+// maxplus: its AVX2 bodies where the process has them (maxplus.Impl), else
+// MaxPlusKernelsGo. unroll selects the 8-way unrolled streaming kernel
+// (Config.Unroll), a distinction only the Go bodies have: with the vector
+// bodies active both settings run the same code.
+func MaxPlusKernels(unroll bool) Kernels[float32] {
+	k := MaxPlusKernelsGo(unroll)
+	if impl := maxplus.Impl(); impl != "go" {
+		k.Impl = impl
+		k.Accum = maxplus.Accumulate
+		k.Sweep = maxplus.Sweep
+		k.AccumDual = maxplus.AccumulateDual
+		k.MulInto = maxplus.AddScalarInto
+	}
+	return k
+}
+
+// MaxPlusKernelsGo returns the tropical float32 kernel set over maxplus's
+// portable Go loops — the functions the pre-generic solver called directly.
+// It is what MaxPlusKernels returns on a build or CPU without the vector
+// bodies, and the oracle they are tested against: the two sets produce
+// bit-identical tables.
+func MaxPlusKernelsGo(unroll bool) Kernels[float32] {
+	if unroll {
+		return maxPlusGoUnrolled
+	}
+	return maxPlusGo
+}
+
+func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, n int)) Kernels[float32] {
 	return Kernels[float32]{
+		Impl: "go",
 		Zero: NegInf,
 		One:  0,
 		Add: func(a, b float32) float32 {
@@ -63,8 +117,9 @@ func MaxPlusKernels(unroll bool) Kernels[float32] {
 		},
 		Mul:       func(a, b float32) float32 { return a + b },
 		Accum:     acc,
-		AccumDual: maxplus.AccumulateDual,
-		MulInto:   maxplus.AddScalarInto,
+		Sweep:     sweep,
+		AccumDual: maxplus.AccumulateDualGo,
+		MulInto:   maxplus.AddScalarIntoGo,
 	}
 }
 
@@ -89,23 +144,28 @@ func lse(a, b float64) float64 {
 // log space). Feeding the BPMax recurrence weights w/kT through these
 // kernels yields the BPPart-flavoured log partition value; as kT → 0 the
 // fill converges to the max-plus score.
-func LogSumExpKernels() Kernels[float64] {
+func LogSumExpKernels() Kernels[float64] { return logSumExp }
+
+func newLogSumExp() Kernels[float64] {
+	accum := func(y, x []float64, a float64) {
+		n := len(y)
+		if len(x) < n {
+			n = len(x)
+		}
+		x = x[:n]
+		y = y[:n]
+		for i := range y {
+			y[i] = lse(a+x[i], y[i])
+		}
+	}
 	return Kernels[float64]{
-		Zero: math.Inf(-1),
-		One:  0,
-		Add:  lse,
-		Mul:  func(a, b float64) float64 { return a + b },
-		Accum: func(y, x []float64, a float64) {
-			n := len(y)
-			if len(x) < n {
-				n = len(x)
-			}
-			x = x[:n]
-			y = y[:n]
-			for i := range y {
-				y[i] = lse(a+x[i], y[i])
-			}
-		},
+		Impl:  "go",
+		Zero:  math.Inf(-1),
+		One:   0,
+		Add:   lse,
+		Mul:   func(a, b float64) float64 { return a + b },
+		Accum: accum,
+		Sweep: sweepOver(accum),
 		AccumDual: func(y1, y2, x []float64, a1, a2 float64) {
 			n := len(x)
 			if len(y1) < n {
@@ -146,20 +206,25 @@ func LogSumExpKernels() Kernels[float64] {
 // fill) and takes the log once, at the boundary. A forbidden weight is an
 // exact 0, which annihilates under ⊗ and is neutral under ⊕ like -Inf does
 // in the log domain.
-func SumProductKernels() Kernels[float64] {
+func SumProductKernels() Kernels[float64] { return sumProduct }
+
+func newSumProduct() Kernels[float64] {
+	accum := func(y, x []float64, a float64) {
+		n := min(len(y), len(x))
+		x = x[:n]
+		y = y[:n]
+		for i := range y {
+			y[i] += a * x[i]
+		}
+	}
 	return Kernels[float64]{
-		Zero: 0,
-		One:  1,
-		Add:  func(a, b float64) float64 { return a + b },
-		Mul:  func(a, b float64) float64 { return a * b },
-		Accum: func(y, x []float64, a float64) {
-			n := min(len(y), len(x))
-			x = x[:n]
-			y = y[:n]
-			for i := range y {
-				y[i] += a * x[i]
-			}
-		},
+		Impl:  "go",
+		Zero:  0,
+		One:   1,
+		Add:   func(a, b float64) float64 { return a + b },
+		Mul:   func(a, b float64) float64 { return a * b },
+		Accum: accum,
+		Sweep: sweepOver(accum),
 		AccumDual: func(y1, y2, x []float64, a1, a2 float64) {
 			n := min(len(x), len(y1), len(y2))
 			x = x[:n]

@@ -268,6 +268,28 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 			t.Errorf("%s: MulInto[%d] = %v, want %v", name, i, into[i], want)
 		}
 	}
+	// Sweep over an n×n box block whose row r is x rotated by r: the k2 loop
+	// of Accum calls, hence of scalar ⊕/⊗, in k2 order.
+	n := len(x)
+	off, blk := make([]int, n), make([]T, n*n)
+	for r := range off {
+		off[r] = r * n
+		for j := range x {
+			blk[r*n+j] = x[(r+j)%n]
+		}
+	}
+	swept, want := append([]T(nil), y0...), append([]T(nil), y0...)
+	k.Sweep(swept, x, blk, off, 1, n-1, n)
+	for k2 := 1; k2 < n-1; k2++ {
+		for j := k2 + 1; j < n; j++ {
+			want[j] = k.Add(k.Mul(x[k2], blk[off[k2+1]+j]), want[j])
+		}
+	}
+	for j := range want {
+		if swept[j] != want[j] {
+			t.Errorf("%s: Sweep[%d] = %v, want %v", name, j, swept[j], want[j])
+		}
+	}
 	if k.Add(k.Zero, a1) != a1 || k.Mul(k.One, a1) != a1 || k.Mul(k.Zero, a1) != k.Zero {
 		t.Errorf("%s: Zero/One are not the ⊕/⊗ identities (or Zero does not annihilate)", name)
 	}
@@ -280,4 +302,6 @@ func TestKernelBundlesMatchTheirScalars(t *testing.T) {
 	x32 := []float32{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
 	checkKernels(t, "maxplus", MaxPlusKernels(false), x32, 0.75, 2.5)
 	checkKernels(t, "maxplus-unrolled", MaxPlusKernels(true), x32, 0.75, 2.5)
+	checkKernels(t, "maxplus-go", MaxPlusKernelsGo(false), x32, 0.75, 2.5)
+	checkKernels(t, "maxplus-go-unrolled", MaxPlusKernelsGo(true), x32, 0.75, 2.5)
 }

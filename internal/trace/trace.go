@@ -344,7 +344,7 @@ type Snapshot struct {
 	Op   string `json:"op"`
 	Name string `json:"name,omitempty"`
 	// Labels are the plan facts the pipeline stamped (SetLabel), e.g.
-	// partition_domain = scaled|log.
+	// partition_domain = scaled|log, kernel = avx2|go.
 	Labels map[string]string `json:"labels,omitempty"`
 	Start  time.Time         `json:"start"`
 	// TotalNanos is the request's end-to-end wall time (through Finish).

@@ -445,6 +445,7 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		if partition {
 			m.PartitionDomain = partitionDomain(ft64)
 		}
+		rq.tr.SetLabel("kernel", m.Kernel)
 		m.FillNanos = int64(elapsed)
 		m.TableBytes = res.TableBytes
 		m.Degraded = deg.String()
