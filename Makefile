@@ -15,12 +15,10 @@ all: ci
 build:
 	$(GO) build ./...
 
-# Plus the builds without the vector kernels (ci.sh test runs the same).
+# test, lint, race, fuzz and smoke are ci.sh stages: each stage's package and
+# target list exists once, there.
 test:
-	$(GO) test ./...
-	$(GO) test -tags purego ./internal/maxplus ./internal/semiring ./internal/bpmax
-	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/maxplus
+	./ci.sh test
 
 vet:
 	$(GO) vet ./...
@@ -28,34 +26,18 @@ vet:
 fmt:
 	@out="$$(gofmt -l . cmd internal)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
-# The bench module sits outside the root build, so it is vetted here.
-# staticcheck when installed (the CI workflow pins and installs it);
-# no-op otherwise so minimal containers still pass `make ci`.
-lint: fmt
-	$(GO) vet -C bench ./...
-	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
+lint:
+	./ci.sh lint
 
-# The parallel solver, the cancellation/panic-isolation machinery, and the
-# HTTP front-end under the race detector. The full -race ./... run is slow
-# on small hosts; this target covers every package that spawns goroutines.
 race:
-	$(GO) test -race ./internal/bpmax/ ./internal/nussinov/ ./internal/fourrussians/ . ./cmd/bpmax/ ./cmd/bpmaxd/
+	./ci.sh race
 
-ci: build test vet lint race smoke
+ci: build test lint race smoke
 
-# Short fuzz pass over each fuzz target (regression corpus always runs as
-# part of `make test`).
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzFoldContextParity -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzPooledParity -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzFold -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzFourRussiansParity -fuzztime 20s ./internal/fourrussians/
-	$(GO) test -run '^$$' -fuzz FuzzSemiringParity -fuzztime 20s ./internal/bpmax/
+	./ci.sh fuzz
 
-# Server smoke: boot bpmaxd on a random port, replay the committed trace
-# with bpmaxload -check, SIGTERM, assert a clean drain. Writes the serving
-# replay artifact to $(ARTIFACTS)/BENCH_serving.json.
+# Writes the serving replay artifact to $(ARTIFACTS)/BENCH_serving.json.
 smoke:
 	./ci.sh smoke
 

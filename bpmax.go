@@ -422,10 +422,7 @@ func (r *Result) at(i1, j1, i2, j2 int) float32 {
 	if j2 < i2 {
 		return r.SingleScore1(i1, j1)
 	}
-	if r.ft == nil && r.Window != nil {
-		if r.Window.InWindow(i1, j1, i2, j2) {
-			return r.Window.At(i1, j1, i2, j2)
-		}
+	if !r.ft.InWindow(i1, j1, i2, j2) {
 		panic(fmt.Sprintf("bpmax: SubScore(%d,%d,%d,%d) outside the windowed band of a degraded fold", i1, j1, i2, j2))
 	}
 	return r.ft.At(i1, j1, i2, j2)
@@ -438,18 +435,24 @@ func (r *Result) SingleScore1(i, j int) float32 { return r.prob.S1.At(i, j) }
 func (r *Result) SingleScore2(i, j int) float32 { return r.prob.S2.At(i, j) }
 
 // Structure recovers one optimal joint structure by traceback (computed
-// once and cached).
+// once and cached): of the whole pair, or, on a fold that degraded to a
+// windowed scan, of the best in-window interaction.
 func (r *Result) Structure() *Structure {
 	r.requireMaxPlus("Structure")
-	if r.st != nil {
-		return r.st
+	if r.st == nil {
+		i1, j1, i2, j2 := 0, r.N1-1, 0, r.N2-1
+		if w := r.Window; w != nil {
+			i1, j1, i2, j2 = w.I1, w.J1, w.I2, w.J2
+		}
+		r.st = structureFrom(r.prob, r.ft, i1, j1, i2, j2)
 	}
-	if r.ft == nil && r.Window != nil {
-		// Degraded fold: the structure of the best in-window interaction.
-		r.st = r.Window.Structure()
-		return r.st
-	}
-	ist := ibpmax.Traceback(r.prob, r.ft)
+	return r.st
+}
+
+// structureFrom traces stored cell (i1, j1, i2, j2) of a filled table back
+// into a Structure.
+func structureFrom(p *ibpmax.Problem, ft *ibpmax.FTable, i1, j1, i2, j2 int) *Structure {
+	ist := ibpmax.TracebackFrom(p, ft, i1, j1, i2, j2)
 	st := &Structure{}
 	for _, p := range ist.Intra1 {
 		st.Intra1 = append(st.Intra1, Pair{p.I, p.J})
@@ -460,8 +463,7 @@ func (r *Result) Structure() *Structure {
 	for _, p := range ist.Inter {
 		st.Inter = append(st.Inter, InterPair{p.I1, p.I2})
 	}
-	st.Bracket1, st.Bracket2 = ist.DotBracket(r.N1, r.N2)
-	r.st = st
+	st.Bracket1, st.Bracket2 = ist.DotBracket(p.N1, p.N2)
 	return st
 }
 
@@ -473,23 +475,7 @@ func (r *Result) Structure() *Structure {
 // interaction?" without refolding.
 func (r *Result) BestLocal(maxSpan1, maxSpan2 int) (score float32, i1, j1, i2, j2 int) {
 	r.requireMaxPlus("BestLocal")
-	if r.ft == nil && r.Window != nil {
-		// Degraded fold: scan the stored band, additionally span-capped.
-		return r.Window.wt.BestWithin(maxSpan1, maxSpan2)
-	}
-	score = -1
-	for a1 := 0; a1 < r.N1; a1++ {
-		for b1 := a1; b1 < r.N1 && b1-a1 < maxSpan1; b1++ {
-			for a2 := 0; a2 < r.N2; a2++ {
-				for b2 := a2; b2 < r.N2 && b2-a2 < maxSpan2; b2++ {
-					if v := r.ft.At(a1, b1, a2, b2); v > score {
-						score, i1, j1, i2, j2 = v, a1, b1, a2, b2
-					}
-				}
-			}
-		}
-	}
-	return score, i1, j1, i2, j2
+	return r.ft.BestWithin(maxSpan1, maxSpan2)
 }
 
 // GFLOPS returns the effective max-plus throughput of the fill.
@@ -575,26 +561,14 @@ type WindowResult struct {
 	// the scan ran with WithMetrics or WithTracer.
 	Metrics FoldMetrics
 
-	wt   *ibpmax.WTable
+	ft   *ibpmax.FTable
 	prob *ibpmax.Problem
 	pool *Pool
 }
 
 // Structure recovers one optimal structure for the best in-window cell.
 func (w *WindowResult) Structure() *Structure {
-	ist := ibpmax.TracebackWindowed(w.prob, w.wt, w.I1, w.J1, w.I2, w.J2)
-	st := &Structure{}
-	for _, p := range ist.Intra1 {
-		st.Intra1 = append(st.Intra1, Pair{p.I, p.J})
-	}
-	for _, p := range ist.Intra2 {
-		st.Intra2 = append(st.Intra2, Pair{p.I, p.J})
-	}
-	for _, p := range ist.Inter {
-		st.Inter = append(st.Inter, InterPair{p.I1, p.I2})
-	}
-	st.Bracket1, st.Bracket2 = ist.DotBracket(w.prob.N1, w.prob.N2)
-	return st
+	return structureFrom(w.prob, w.ft, w.I1, w.J1, w.I2, w.J2)
 }
 
 // ScanWindowed computes all interactions between subsequences of seq1
@@ -617,7 +591,7 @@ func ScanWindowedContext(ctx context.Context, seq1, seq2 string, w1, w2 int, opt
 
 // At returns the windowed table value F[i1,j1,i2,j2]; the cell must satisfy
 // j1-i1 < w1 and j2-i2 < w2.
-func (w *WindowResult) At(i1, j1, i2, j2 int) float32 { return w.wt.At(i1, j1, i2, j2) }
+func (w *WindowResult) At(i1, j1, i2, j2 int) float32 { return w.ft.At(i1, j1, i2, j2) }
 
 // InWindow reports whether a cell is inside the scanned band.
-func (w *WindowResult) InWindow(i1, j1, i2, j2 int) bool { return w.wt.InWindow(i1, j1, i2, j2) }
+func (w *WindowResult) InWindow(i1, j1, i2, j2 int) bool { return w.ft.InWindow(i1, j1, i2, j2) }

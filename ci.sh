@@ -11,7 +11,7 @@
 #   test   tier-1 build + full test suite, the kernel packages again under
 #          `-tags purego`, and a GOARCH=arm64 cross-build
 #   race   race detector over the goroutine-spawning packages + chaos re-run
-#   fuzz   short fuzz smoke over the solver parity fuzzers
+#   fuzz   short fuzz smoke over all seven fuzz targets
 #   smoke  server smoke: boot bpmaxd, replay the committed trace with
 #          bpmaxload -check, SIGTERM, assert a clean drain
 #   bench  benchmark smoke + regression gate against the committed baseline
@@ -45,6 +45,21 @@ run_lint() (
     # is a second path growing back.
     if grep -n 'ibpmax\.Solve' $(ls ./*.go | grep -v -e '_test\.go$' -e '^\./pipeline\.go$'); then
         echo "lint: ibpmax.Solve* called outside pipeline.go (route it through the pipeline's cold body)" >&2
+        exit 1
+    fi
+    # One table type: the banded scan fills an FTable. The name survives only
+    # in internal/metrics (two PoolStats fields the frozen bench/ module sums,
+    # always 0) and in bench/ itself.
+    if grep -rn --include='*.go' 'WTable' . | grep -v -e '_test\.go:' -e '^\./internal/metrics/' -e '^\./bench/'; then
+        echo "lint: WTable is back (a banded table is an FTable with W < N)" >&2
+        exit 1
+    fi
+    # One fill body: the k2 stream loop is called from the accumulate/finalize
+    # bodies in triangle.go and the DMP micro-app, nowhere else.
+    if grep -rn --include='*.go' '[sS]weep(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
+        -e '^\./internal/maxplus/' -e '^\./internal/semiring/' \
+        -e '^\./internal/bpmax/triangle\.go:' -e '^\./internal/bpmax/dmp\.go:'; then
+        echo "lint: Sweep called outside triangle.go/dmp.go (a second copy of the fill)" >&2
         exit 1
     fi
     # Assembly lives in one package, behind one set of Go declarations that
@@ -85,17 +100,21 @@ run_race() (
 
 run_fuzz() (
     set -x
-    # Fuzz smoke over the pooled/context/cached parity fuzzers — the paths
+    # Every fuzz target, once (the regression corpus always runs as part of
+    # the test stage): the pooled/context/cached parity fuzzers — the paths
     # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
-    # pins the generic max-plus fill bit-identical to the pre-refactor
-    # reference and the scaled partition fill to its log-domain oracle, and
-    # the Four-Russians substrate bit-identity fuzzer that lets the fast path
-    # share cache entries with the classic fill.
+    # pins every schedule, on the full table and on a band of it, bit-identical
+    # to the top-down reference and the scaled partition fill to its log-domain
+    # oracle, the Four-Russians substrate bit-identity fuzzer that lets the
+    # fast path share cache entries with the classic fill, and the two input
+    # fuzzers (raw sequences, FASTA round trip).
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSemiringParity -fuzztime 10s ./internal/bpmax/
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzCachedFoldParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzFourRussiansParity -fuzztime 10s ./internal/fourrussians/
+    go test -run '^$' -fuzz FuzzFold -fuzztime 10s .
+    go test -run '^$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
 )
 
 # Server smoke: boot bpmaxd on a random port, replay the committed trace

@@ -1,9 +1,6 @@
 package bpmax
 
-import (
-	"github.com/bpmax-go/bpmax/internal/bufpool"
-	"github.com/bpmax-go/bpmax/internal/tri"
-)
+import "github.com/bpmax-go/bpmax/internal/bufpool"
 
 // EstimateBytes returns the F-table storage a full fold of an n1 × n2
 // problem allocates under the given memory map, in bytes, without
@@ -12,29 +9,15 @@ import (
 // scratch are not counted — the F table dominates by orders of magnitude at
 // any size where budgeting matters.
 func EstimateBytes(n1, n2 int, kind MapKind) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return 0
-	}
-	return int64(tri.Count(n1)) * int64(kind.mapFor(n2).Size()) * 4
+	return EstimateBytesSized(n1, n2, kind, 4)
 }
 
 // EstimateWindowedBytes returns the banded table storage of a windowed scan
 // with windows (w1, w2), in bytes, clamping the windows to the sequence
-// lengths exactly as NewWTable does. Non-positive sizes or windows
+// lengths exactly as the table does. Non-positive sizes or windows
 // estimate to 0.
 func EstimateWindowedBytes(n1, n2, w1, w2 int) int64 {
-	if n1 <= 0 || n2 <= 0 || w1 <= 0 || w2 <= 0 {
-		return 0
-	}
-	if w1 > n1 {
-		w1 = n1
-	}
-	if w2 > n2 {
-		w2 = n2
-	}
-	outer := tri.BandMap{N: n1, W: w1}
-	inner := tri.BandMap{N: n2, W: w2}
-	return int64(outer.Size()) * int64(inner.Size()) * 4
+	return int64(tableElems(n1, n2, w1, w2, MapPacked)) * 4
 }
 
 // EstimatePooledBytes is EstimateBytes rounded up to the buffer pool's size
@@ -42,39 +25,12 @@ func EstimateWindowedBytes(n1, n2, w1, w2 int) int64 {
 // which can be up to 2× the exact table size, so budgeting pooled folds
 // with the exact estimate would under-count.
 func EstimatePooledBytes(n1, n2 int, kind MapKind) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return 0
-	}
-	return bufpool.ClassBytes(tri.Count(n1) * kind.mapFor(n2).Size())
+	return bufpool.ClassBytes(tableElems(n1, n2, n1, n2, kind))
 }
 
 // EstimateBytesSized is EstimateBytes for an arbitrary element width: the
 // partition fill stores float64 (elemBytes 8), so its tables cost twice the
 // max-plus estimate at the same shape.
 func EstimateBytesSized(n1, n2 int, kind MapKind, elemBytes int) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return 0
-	}
-	return int64(tri.Count(n1)) * int64(kind.mapFor(n2).Size()) * int64(elemBytes)
-}
-
-// EstimatePooledBytesSized is EstimatePooledBytes for an arbitrary element
-// width (size classes are counted in elements, so the class rounding is the
-// same; only the byte multiplier changes).
-func EstimatePooledBytesSized(n1, n2 int, kind MapKind, elemBytes int) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return 0
-	}
-	return bufpool.ClassBytesSized(tri.Count(n1)*kind.mapFor(n2).Size(), elemBytes)
-}
-
-// EstimateWindowedPooledBytes is EstimateWindowedBytes rounded up to the
-// buffer pool's size class.
-func EstimateWindowedPooledBytes(n1, n2, w1, w2 int) int64 {
-	if n1 <= 0 || n2 <= 0 || w1 <= 0 || w2 <= 0 {
-		return 0
-	}
-	var w WTable
-	initWTable(&w, n1, n2, w1, w2)
-	return bufpool.ClassBytes(w.outer.Size() * w.isize)
+	return int64(tableElems(n1, n2, n1, n2, kind)) * int64(elemBytes)
 }

@@ -25,7 +25,7 @@ func TestEstimateWindowedBytesMatchesAllocation(t *testing.T) {
 		{21, 5, 1, 1},
 	} {
 		n1, n2, w1, w2 := c[0], c[1], c[2], c[3]
-		want := NewWTable(n1, n2, w1, w2).Bytes()
+		want := newTable[float32](nil, n1, n2, w1, w2, MapPacked).Bytes()
 		if got := EstimateWindowedBytes(n1, n2, w1, w2); got != want {
 			t.Errorf("EstimateWindowedBytes(%d, %d, %d, %d) = %d, allocated %d", n1, n2, w1, w2, got, want)
 		}

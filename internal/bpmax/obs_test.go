@@ -162,14 +162,16 @@ func TestMetricsRecordedWindowed(t *testing.T) {
 		wantAcc += int64(n1-d1) * int64(n2)
 		wantFin += int64(n1 - d1)
 	}
-	if got := fm.Phases[metrics.PhaseWindowAccum].Units; got != wantAcc {
-		t.Errorf("window-accum units = %d, want %d", got, wantAcc)
+	if got := fm.Phases[metrics.PhaseAccum].Units; got != wantAcc {
+		t.Errorf("accumulate units = %d, want %d", got, wantAcc)
 	}
-	if got := fm.Phases[metrics.PhaseWindowFinalize].Units; got != wantFin {
-		t.Errorf("window-finalize units = %d, want %d", got, wantFin)
+	if got := fm.Phases[metrics.PhaseFinalize].Units; got != wantFin {
+		t.Errorf("finalize units = %d, want %d", got, wantFin)
 	}
-	if tr.begins[metrics.PhaseWindowAccum] != w1 || tr.ends[metrics.PhaseWindowAccum] != w1 {
-		t.Errorf("window-accum spans = %d/%d, want %d balanced", tr.begins[metrics.PhaseWindowAccum], tr.ends[metrics.PhaseWindowAccum], w1)
+	for _, ph := range []metrics.Phase{metrics.PhaseAccum, metrics.PhaseFinalize} {
+		if tr.begins[ph] != w1 || tr.ends[ph] != w1 {
+			t.Errorf("%s spans = %d/%d, want %d balanced", ph, tr.begins[ph], tr.ends[ph], w1)
+		}
 	}
 	if tr.open != 0 {
 		t.Errorf("tracer left %d spans open", tr.open)

@@ -189,19 +189,3 @@ func parallelForStaticCtx(ctx context.Context, n, workers int, f func(i int)) er
 	wg.Wait()
 	return err
 }
-
-// parallelFor is the non-cancellable wrapper kept for callers without a
-// context. A worker panic re-panics on the caller (as a *PanicError) to
-// preserve the historical crash semantics.
-func parallelFor(n, workers int, f func(i int)) {
-	if err := parallelForCtx(context.Background(), n, workers, f); err != nil {
-		panic(err)
-	}
-}
-
-// parallelForStatic is the non-cancellable wrapper of parallelForStaticCtx.
-func parallelForStatic(n, workers int, f func(i int)) {
-	if err := parallelForStaticCtx(context.Background(), n, workers, f); err != nil {
-		panic(err)
-	}
-}

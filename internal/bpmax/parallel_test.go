@@ -1,6 +1,7 @@
 package bpmax
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,12 +13,15 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 64} {
 			var hits sync.Map
 			var count atomic.Int64
-			parallelFor(n, workers, func(i int) {
+			err := parallelForCtx(context.Background(), n, workers, func(i int) {
 				if _, dup := hits.LoadOrStore(i, true); dup {
 					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
 				}
 				count.Add(1)
 			})
+			if err != nil {
+				t.Errorf("workers=%d n=%d: %v", workers, n, err)
+			}
 			if int(count.Load()) != n {
 				t.Errorf("workers=%d n=%d: visited %d", workers, n, count.Load())
 			}
@@ -30,12 +34,15 @@ func TestParallelForStaticCoversAllIndices(t *testing.T) {
 		for _, n := range []int{0, 1, 7, 33} {
 			var count atomic.Int64
 			seen := make([]atomic.Bool, n+1)
-			parallelForStatic(n, workers, func(i int) {
+			err := parallelForStaticCtx(context.Background(), n, workers, func(i int) {
 				if seen[i].Swap(true) {
 					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
 				}
 				count.Add(1)
 			})
+			if err != nil {
+				t.Errorf("workers=%d n=%d: %v", workers, n, err)
+			}
 			if int(count.Load()) != n {
 				t.Errorf("workers=%d n=%d: visited %d", workers, n, count.Load())
 			}

@@ -10,15 +10,14 @@ import (
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 	"github.com/bpmax-go/bpmax/internal/semiring"
-	"github.com/bpmax-go/bpmax/internal/tri"
 )
 
 // Pool recycles the per-fold state that otherwise dominates a screening
-// workload's allocation profile: the Θ(N²M²) F table and windowed band
+// workload's allocation profile: the Θ(N²M²) F table, full or banded
 // (size-classed float32 arenas with exact retained-byte accounting, see
 // bufpool), and the small fixed-shape shells — Problem (with its sequence
-// buffers and O(N²) side tables), FTable, WTable and solver (with its
-// hoisted task closures) — on sync.Pool freelists.
+// buffers and O(N²) side tables), FTable and solver (with its hoisted task
+// closures) — on sync.Pool freelists.
 //
 // Correctness contract: a pooled fold is bit-identical to a fresh one.
 // Every float32 buffer leaves the arena zeroed, sequence and score storage
@@ -42,7 +41,6 @@ type Pool struct {
 	problems  sync.Pool // *Problem
 	ftables   sync.Pool // *FTable
 	ftables64 sync.Pool // *FTableOf[float64]
-	wtables   sync.Pool // *WTable
 	solvers   sync.Pool // *solver
 	solvers64 sync.Pool // *gsolver[float64]
 
@@ -50,7 +48,6 @@ type Pool struct {
 	// allocation). One atomic add per fold per kind; always on.
 	problemHits, problemMisses atomic.Int64
 	ftableHits, ftableMisses   atomic.Int64
-	wtableHits, wtableMisses   atomic.Int64
 	solverHits, solverMisses   atomic.Int64
 }
 
@@ -132,34 +129,6 @@ func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Proble
 	return p, nil
 }
 
-// NewFTable is NewFTable drawing the table storage from the pool's arenas
-// (zeroed, so the result is indistinguishable from a fresh allocation).
-// Release returns it.
-func (pl *Pool) NewFTable(n1, n2 int, kind MapKind) *FTable {
-	f, _ := pl.ftables.Get().(*FTable)
-	count(&pl.ftableHits, &pl.ftableMisses, f != nil)
-	if f == nil {
-		f = &FTable{}
-	}
-	f.setShape(n1, n2, kind)
-	f.data = pl.buf.Get(tri.Count(n1) * f.isize)
-	f.pl = pl
-	return f
-}
-
-// NewWTable is NewWTable drawing the band storage from the pool's arenas.
-func (pl *Pool) NewWTable(n1, n2, w1, w2 int) *WTable {
-	w, _ := pl.wtables.Get().(*WTable)
-	count(&pl.wtableHits, &pl.wtableMisses, w != nil)
-	if w == nil {
-		w = &WTable{}
-	}
-	initWTable(w, n1, n2, w1, w2)
-	w.data = pl.buf.Get(w.outer.Size() * w.isize)
-	w.pl = pl
-	return w
-}
-
 // getSolver returns a recycled solver shell (its hoisted task closures, if
 // already built, come along, so repeat folds allocate no closures).
 func (pl *Pool) getSolver() *solver {
@@ -173,32 +142,26 @@ func (pl *Pool) getSolver() *solver {
 
 func (pl *Pool) putSolver(s *solver) { pl.solvers.Put(s) }
 
-// poolNewFTable is the generic pooled table constructor: it routes the
-// request to the element type's arena (Go methods cannot take type
-// parameters, so the per-scalar arenas are reached through free functions
-// that type-switch once per call). Scalars outside the two supported
-// instantiations fall back to an unpooled table.
-func poolNewFTable[T semiring.Scalar](pl *Pool, n1, n2 int, kind MapKind) *FTableOf[T] {
-	var zero T
-	switch any(zero).(type) {
-	case float32:
-		return any(pl.NewFTable(n1, n2, kind)).(*FTableOf[T])
-	case float64:
-		f, _ := pl.ftables64.Get().(*FTableOf[float64])
-		count(&pl.ftableHits, &pl.ftableMisses, f != nil)
-		if f == nil {
-			f = &FTableOf[float64]{}
-		}
-		f.setShape(n1, n2, kind)
-		f.dom, f.refilled = domain{}, false
-		f.data = pl.buf64.Get(tri.Count(n1) * f.isize)
-		f.pl = pl
-		return any(f).(*FTableOf[T])
+// tableArena routes a table of element type T to pl's shell freelist and
+// buffer arena for that width (Go methods cannot take type parameters, so
+// the per-scalar arenas are reached through free functions). It returns nils
+// for a nil pool and for scalars outside the two pooled instantiations. The
+// pointer-to-interface conversions don't allocate, so pooled folds keep
+// their steady state.
+func tableArena[T semiring.Scalar](pl *Pool) (*sync.Pool, *bufpool.PoolOf[T]) {
+	if pl == nil {
+		return nil, nil
 	}
-	return NewFTableOf[T](n1, n2, kind)
+	if b, ok := any(&pl.buf).(*bufpool.PoolOf[T]); ok {
+		return &pl.ftables, b
+	}
+	if b, ok := any(&pl.buf64).(*bufpool.PoolOf[T]); ok {
+		return &pl.ftables64, b
+	}
+	return nil, nil
 }
 
-// poolGetSolver is getSolver routed by element type; see poolNewFTable.
+// poolGetSolver is getSolver routed by element type; see tableArena.
 func poolGetSolver[T semiring.Scalar](pl *Pool) *gsolver[T] {
 	var zero T
 	switch any(zero).(type) {
@@ -246,10 +209,13 @@ func (pl *Pool) Trim() int64 { return pl.buf.Trim() + pl.buf64.Trim() }
 // degradation ladder budgets pooled folds with this instead of the exact
 // EstimateBytes, because the pool retains class-rounded buffers.
 func (pl *Pool) ChargeBytes(n1, n2 int, kind MapKind) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return pl.RetainedBytes()
-	}
-	return pl.buf.HeldBytesAfter(tri.Count(n1)*kind.mapFor(n2).Size()) + pl.buf64.RetainedBytes()
+	return pl.buf.HeldBytesAfter(tableElems(n1, n2, n1, n2, kind)) + pl.buf64.RetainedBytes()
+}
+
+// ChargeWindowedBytes is ChargeBytes for the banded table of a windowed
+// scan.
+func (pl *Pool) ChargeWindowedBytes(n1, n2, w1, w2 int) int64 {
+	return pl.buf.HeldBytesAfter(tableElems(n1, n2, w1, w2, MapPacked)) + pl.buf64.RetainedBytes()
 }
 
 // Stats snapshots the pool's reuse counters and the arenas' buffer
@@ -265,8 +231,6 @@ func (pl *Pool) Stats() metrics.PoolStats {
 		ProblemMisses: pl.problemMisses.Load(),
 		FTableHits:    pl.ftableHits.Load(),
 		FTableMisses:  pl.ftableMisses.Load(),
-		WTableHits:    pl.wtableHits.Load(),
-		WTableMisses:  pl.wtableMisses.Load(),
 		SolverHits:    pl.solverHits.Load(),
 		SolverMisses:  pl.solverMisses.Load(),
 		Buffers: metrics.BufferStats{
@@ -282,23 +246,9 @@ func (pl *Pool) Stats() metrics.PoolStats {
 	}
 }
 
-// ChargeWindowedBytes is ChargeBytes for the banded table of a windowed
-// scan.
-func (pl *Pool) ChargeWindowedBytes(n1, n2, w1, w2 int) int64 {
-	if n1 <= 0 || n2 <= 0 || w1 <= 0 || w2 <= 0 {
-		return pl.RetainedBytes()
-	}
-	var w WTable
-	initWTable(&w, n1, n2, w1, w2)
-	return pl.buf.HeldBytesAfter(w.outer.Size()*w.isize) + pl.buf64.RetainedBytes()
-}
-
 // ChargeBytes64 is ChargeBytes for the float64 partition table arena: the
 // bytes the pool would hold (both arenas) after serving a partition fold of
 // an n1 × n2 problem under the given map.
 func (pl *Pool) ChargeBytes64(n1, n2 int, kind MapKind) int64 {
-	if n1 <= 0 || n2 <= 0 {
-		return pl.RetainedBytes()
-	}
-	return pl.buf.RetainedBytes() + pl.buf64.HeldBytesAfter(tri.Count(n1)*kind.mapFor(n2).Size())
+	return pl.buf.RetainedBytes() + pl.buf64.HeldBytesAfter(tableElems(n1, n2, n1, n2, kind))
 }

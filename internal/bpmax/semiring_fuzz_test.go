@@ -18,8 +18,8 @@ import (
 // memoized oracle (refDP) hard-codes float32 max-plus and never touches the
 // generic solver, so any drift introduced by the algebra abstraction — a
 // reassociated sum, a lost tie-break, a changed base case — shows up as a
-// cell mismatch. Every schedule variant, the windowed fill, and the
-// traceback are checked bit-for-bit. The oracle never touches the streaming
+// cell mismatch. Every schedule variant — on the full table and on a fuzzed
+// band of it — and the traceback are checked bit-for-bit. The oracle never touches the streaming
 // kernels either, so the kernel implementation is one more input: `kernel`
 // picks the process's kernels (the AVX2 bodies where available) or the
 // portable Go loops through Config.SetGoKernels, the plain or the unrolled
@@ -83,6 +83,13 @@ func FuzzSemiringParity(f *testing.F) {
 				}
 			}
 		}
+		// The window is an axis of the variant loop, not a solver of its own:
+		// every streamed schedule fills the band (w1, w2) — w >= n included —
+		// on the configured map, fresh and pooled. (Base is the per-cell
+		// gather baseline and has no banded form.)
+		w1 := 1 + int(rw1)%(n1+2)
+		w2 := 1 + int(rw2)%(n2+2)
+		pl := NewPool()
 		var firstSt *Structure
 		for _, v := range Variants {
 			ft := Solve(p, v, cfg)
@@ -95,11 +102,29 @@ func FuzzSemiringParity(f *testing.F) {
 			} else if !reflect.DeepEqual(st, firstSt) {
 				t.Fatalf("%s: traceback diverged from %s", v, Variants[0])
 			}
+			if v == VariantBase {
+				continue
+			}
+			for _, pool := range []*Pool{nil, pl} {
+				bcfg := cfg
+				bcfg.Pool = pool
+				band, err := newSolver(p, bcfg, w1, w2).fill(context.Background(), v, "windowed")
+				if err != nil {
+					t.Fatalf("%s band (%d,%d): %v", v, w1, w2, err)
+				}
+				oracle(v.String()+" band", band.At, w1, w2)
+				// A banded traceback's weight is the stored cell it starts from.
+				best, i1, j1, i2, j2 := band.BestWithin(band.W1, band.W2)
+				if got := TracebackFrom(p, band, i1, j1, i2, j2).Weight(p); got != best {
+					t.Fatalf("%s band (%d,%d): traceback from (%d,%d,%d,%d) weighs %v, cell %v",
+						v, w1, w2, i1, j1, i2, j2, got, best)
+				}
+				band.Release()
+			}
 		}
-		w1 := 1 + int(rw1)%(n1+2)
-		w2 := 1 + int(rw2)%(n2+2)
-		wt := SolveWindowed(p, w1, w2, cfg)
-		oracle("windowed", wt.At, w1, w2)
+		if st := pl.Stats(); st.Buffers.Live != 0 {
+			t.Fatalf("leaked %d pooled buffers", st.Buffers.Live)
+		}
 	})
 }
 

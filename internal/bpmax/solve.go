@@ -59,25 +59,20 @@ func SolveContext(ctx context.Context, p *Problem, v Variant, cfg Config) (ft *F
 	return nil, fmt.Errorf("bpmax: unknown variant %d", int(v))
 }
 
-// solveAlg dispatches the optimized schedules over an arbitrary scalar
-// semiring; the max-plus SolveContext and the partition solver both route
-// through it. Reference and base run their generic twins (the float32
-// instantiations of those two stay on the hand-written bodies above for
-// oracle hygiene). Panic recovery is the caller's job.
+// solveAlg dispatches a full-table fill over an arbitrary scalar semiring;
+// the max-plus SolveContext and the partition solver both route through it.
+// Reference and base run their generic twins (the float32 instantiations of
+// those two stay on the hand-written bodies above for oracle hygiene); the
+// streamed schedules run fill on the W = N band. Panic recovery is the
+// caller's job.
 func solveAlg[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], v Variant, cfg Config) (*FTableOf[T], error) {
 	switch v {
 	case VariantReference:
 		return solveReferenceG(p, a, cfg.Map), nil
 	case VariantBase:
 		return solveBaseG(ctx, p, a, cfg)
-	case VariantCoarse:
-		return solveCoarseG(ctx, p, a, cfg)
-	case VariantFine:
-		return solveFineG(ctx, p, a, cfg)
-	case VariantHybrid:
-		return solveHybridG(ctx, p, a, cfg)
-	case VariantHybridTiled:
-		return solveHybridTiledG(ctx, p, a, cfg)
+	case VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled:
+		return newGSolver(p, a, cfg, p.N1, p.N2).fill(ctx, v, v.String())
 	}
 	return nil, fmt.Errorf("bpmax: unknown variant %d", int(v))
 }
@@ -99,7 +94,7 @@ type TriangleComputer struct {
 
 // NewTriangleComputer allocates the table and solver state.
 func NewTriangleComputer(p *Problem, cfg Config) *TriangleComputer {
-	return &TriangleComputer{s: newSolver(p, cfg, cfg.Map)}
+	return &TriangleComputer{s: newSolver(p, cfg, p.N1, p.N2)}
 }
 
 // Table returns the (partially) filled table.
@@ -118,168 +113,116 @@ func TriangleOps(d1, n2 int) int64 {
 	return int64(d1)*(triples(n2)+2*pairs(n2)) + 2*triples(n2) + 2*pairs(n2)
 }
 
-// solveCoarseG: for each outer anti-diagonal, the triangles are
-// independent; one worker computes one whole triangle (init + k1
-// accumulation + finalize). Maximal parallelism, worst locality: each
-// worker streams whole west/south triangle blocks from DRAM. Cancellation
-// granularity: one triangle.
-func solveCoarseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	s := newGSolver(p, a, cfg, cfg.Map)
-	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "coarse", s.a.k.Impl)
-	for d1 := 0; d1 < p.N1; d1++ {
-		s.curD1 = d1
-		t0 := obs.start(metrics.PhaseTriangle)
-		if err := pf(ctx, p.N1-d1, cfg.Workers, s.triTask); err != nil {
-			obs.interrupt(metrics.PhaseTriangle, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseTriangle, t0, int64(p.N1-d1))
-		if err := s.endWavefront(obs); err != nil {
-			return nil, err
-		}
-	}
-	return s.finish(), nil
+// step is one loop of a schedule's wavefront: the phase it reports under,
+// its task count per triangle (the loop runs that many tasks for each
+// triangle it covers) and the solver's hoisted task closure. An inline step
+// is one task on the coordinating goroutine, outside the parallel runtime.
+type step struct {
+	phase  metrics.Phase
+	per    int
+	task   func(t int)
+	inline bool
 }
 
-// solveFineG: triangles run one at a time (diagonal order); within the
-// current triangle the R0/R3/R4 accumulation is row-parallel, but the
-// R1/R2+update pass is inherently serial, so workers idle through it — the
-// imbalance the paper observed. Cancellation granularity: one accumulation
-// row (the serial finalize pass of one triangle runs to completion).
-func solveFineG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	s := newGSolver(p, a, cfg, cfg.Map)
-	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "fine", s.a.k.Impl)
-	for d1 := 0; d1 < p.N1; d1++ {
-		for i1 := 0; i1+d1 < p.N1; i1++ {
-			j1 := i1 + d1
-			s.curI1, s.curJ1 = i1, j1
-			t0 := obs.start(metrics.PhaseAccum)
-			if err := pf(ctx, p.N2, cfg.Workers, s.rowFineTask); err != nil {
-				obs.interrupt(metrics.PhaseAccum, t0)
-				s.abort()
-				return nil, err
+// fill runs variant v's schedule over the solver's table and hands the
+// table over. Each schedule is a step list for the one wavefront driver:
+//
+//   - coarse: the triangles of an outer anti-diagonal are independent; one
+//     task computes one whole triangle (init + k1 accumulation + finalize).
+//     Maximal parallelism, worst locality: each worker streams whole
+//     west/south triangle blocks from DRAM.
+//   - fine: triangles run one at a time; within the current triangle the
+//     R0/R3/R4 accumulation is row-parallel, but the R1/R2+update pass is
+//     inherently serial, so workers idle through it — the imbalance the
+//     paper observed.
+//   - hybrid: phase A row-parallelizes the accumulation across *all*
+//     triangles of the diagonal (fine-grain), then phase B finalizes the
+//     triangles coarse-grain in parallel — "the best of both worlds". With
+//     Config.ScratchAccum, phase A writes a scratch table whose blocks
+//     phase B copies into F: the Phase II memory map, and the redundant data
+//     movement the paper's Phase III optimization ("R0, R3 and R4 ... share
+//     the memory with F-table") eliminated.
+//   - hybrid-tiled: hybrid with the (i2 × k2 × j2) tiling of the double ⊕⊗
+//     reduction; the parallel unit of phase A becomes an i2 tile.
+//
+// schedule names the fill in metrics: the variant, or "windowed" for a
+// banded scan.
+func (s *gsolver[T]) fill(ctx context.Context, v Variant, schedule string) (*FTableOf[T], error) {
+	n2 := s.p.N2
+	switch v {
+	case VariantCoarse:
+		return s.run(ctx, schedule, false, step{phase: metrics.PhaseTriangle, per: 1, task: s.triTask})
+	case VariantFine:
+		return s.run(ctx, schedule, true,
+			step{phase: metrics.PhaseAccum, per: n2, task: s.rowFineTask},
+			step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask, inline: true})
+	case VariantHybrid:
+		if !s.cfg.ScratchAccum {
+			return s.run(ctx, schedule, false,
+				step{phase: metrics.PhaseAccum, per: n2, task: s.rowAllTask},
+				step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask})
+		}
+		// The scratch table is never returned, so it goes back to the pool
+		// on every exit (Release is a no-op when unpooled).
+		scratch := newAlgTable(s.p, &s.a, s.cfg.Pool, s.f.W1, s.f.W2, s.cfg.Map)
+		defer scratch.Release()
+		s.scratch = scratch
+		return s.run(ctx, schedule, false,
+			step{phase: metrics.PhaseAccum, per: n2, task: s.scratchRowTask},
+			step{phase: metrics.PhaseFinalize, per: 1, task: s.scratchFinTask})
+	case VariantHybridTiled:
+		s.curTileW = s.cfg.TileI2
+		s.curTilesPT = (n2 + s.curTileW - 1) / s.curTileW
+		return s.run(ctx, schedule, false,
+			step{phase: metrics.PhaseAccum, per: s.curTilesPT, task: s.tileTask},
+			step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask})
+	}
+	panic(fmt.Sprintf("bpmax: variant %d has no streamed schedule", int(v)))
+}
+
+// run is the wavefront driver every streamed schedule shares: for each outer
+// anti-diagonal d1 inside the band it runs the steps in order — once over
+// all the wavefront's triangles, or, with serial set (the fine schedule),
+// once per triangle — and owns the span, cancellation and range-guard
+// handling. Cancellation granularity is one task; an inline step runs to
+// completion. On an error (a cancel, a worker panic, an injected fault, a
+// tripped range guard) the table is discarded. The guard is polled between
+// wavefronts: stopping there rather than at the end of the fill keeps a
+// doomed scaled fill from grinding through denormals.
+func (s *gsolver[T]) run(ctx context.Context, schedule string, serial bool, steps ...step) (*FTableOf[T], error) {
+	pf := s.cfg.pforCtx()
+	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl)
+	var err error
+wavefronts:
+	for d1 := 0; d1 < s.f.W1; d1++ {
+		s.curD1 = d1
+		rounds, tris := 1, s.p.N1-d1
+		if serial {
+			rounds, tris = tris, 1
+		}
+		for r := 0; r < rounds; r++ {
+			s.curI1 = r
+			for _, st := range steps {
+				n := tris * st.per
+				t0 := obs.start(st.phase)
+				if st.inline {
+					st.task(r)
+				} else if err = pf(ctx, n, s.cfg.Workers, st.task); err != nil {
+					obs.interrupt(st.phase, t0)
+					break wavefronts
+				}
+				obs.done(st.phase, t0, int64(n))
 			}
-			obs.done(metrics.PhaseAccum, t0, int64(p.N2))
-			t0 = obs.start(metrics.PhaseFinalize)
-			s.finalizeBlk(s.f.Block(i1, j1), i1, j1)
-			obs.done(metrics.PhaseFinalize, t0, 1)
 		}
-		if err := s.endWavefront(obs); err != nil {
-			return nil, err
+		obs.wavefront()
+		if s.tripped.Load() {
+			err = errScaledRange
+			break
 		}
 	}
-	return s.finish(), nil
-}
-
-// solveHybridG: per wavefront, phase A row-parallelizes the R0/R3/R4
-// accumulation across *all* triangles of the diagonal (fine-grain), then
-// phase B finalizes the triangles coarse-grain in parallel — "the best of
-// both worlds". Cancellation granularity: one row task (phase A) or one
-// triangle finalize (phase B).
-func solveHybridG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	s := newGSolver(p, a, cfg, cfg.Map)
-	if cfg.ScratchAccum {
-		return solveHybridScratchG(ctx, p, s, cfg)
-	}
-	pf := cfg.pforCtx()
-	obs := cfg.observe(p, "hybrid", s.a.k.Impl)
-	for d1 := 0; d1 < p.N1; d1++ {
-		tris := p.N1 - d1
-		s.curD1 = d1
-		t0 := obs.start(metrics.PhaseAccum)
-		if err := pf(ctx, tris*p.N2, cfg.Workers, s.rowAllTask); err != nil {
-			obs.interrupt(metrics.PhaseAccum, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseAccum, t0, int64(tris*p.N2))
-		t0 = obs.start(metrics.PhaseFinalize)
-		if err := pf(ctx, tris, cfg.Workers, s.finTask); err != nil {
-			obs.interrupt(metrics.PhaseFinalize, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		if err := s.endWavefront(obs); err != nil {
-			return nil, err
-		}
-	}
-	return s.finish(), nil
-}
-
-// solveHybridScratchG is solveHybridG with the Phase II memory map: the
-// accumulation phase writes a scratch table whose blocks are then copied
-// into F — reproducing the redundant data movement the paper's Phase III
-// memory optimization ("R0, R3 and R4 ... share the memory with F-table")
-// eliminated.
-func solveHybridScratchG[T semiring.Scalar](ctx context.Context, p *Problem, s *gsolver[T], cfg Config) (*FTableOf[T], error) {
-	pf := cfg.pforCtx()
-	scratch := newAlgTable(p, &s.a, cfg.Pool, cfg.Map)
-	// The scratch table is never returned, so it goes back to the pool on
-	// every exit (Release is a no-op when unpooled).
-	defer scratch.Release()
-	s.scratch = scratch
-	obs := cfg.observe(p, "hybrid", s.a.k.Impl)
-	for d1 := 0; d1 < p.N1; d1++ {
-		tris := p.N1 - d1
-		s.curD1 = d1
-		// Accumulate into scratch (reads finalized triangles from s.f).
-		t0 := obs.start(metrics.PhaseAccum)
-		if err := pf(ctx, tris*p.N2, cfg.Workers, s.scratchRowTask); err != nil {
-			obs.interrupt(metrics.PhaseAccum, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseAccum, t0, int64(tris*p.N2))
-		// Copy scratch blocks into F (the Phase II redundancy), then run
-		// the update pass in place.
-		t0 = obs.start(metrics.PhaseFinalize)
-		if err := pf(ctx, tris, cfg.Workers, s.scratchFinTask); err != nil {
-			obs.interrupt(metrics.PhaseFinalize, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		if err := s.endWavefront(obs); err != nil {
-			return nil, err
-		}
-	}
-	return s.finish(), nil
-}
-
-// solveHybridTiledG is solveHybridG with the (i2 × k2 × j2) tiling of the
-// double ⊕⊗ reduction; the parallel unit of phase A becomes an i2 tile.
-// Cancellation granularity: one row tile or one triangle finalize.
-func solveHybridTiledG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	cfg = cfg.withDefaults()
-	s := newGSolver(p, a, cfg, cfg.Map)
-	pf := cfg.pforCtx()
-	s.curTileW = cfg.TileI2
-	s.curTilesPT = (p.N2 + s.curTileW - 1) / s.curTileW
-	obs := cfg.observe(p, "hybrid-tiled", s.a.k.Impl)
-	for d1 := 0; d1 < p.N1; d1++ {
-		tris := p.N1 - d1
-		s.curD1 = d1
-		t0 := obs.start(metrics.PhaseAccum)
-		if err := pf(ctx, tris*s.curTilesPT, cfg.Workers, s.tileTask); err != nil {
-			obs.interrupt(metrics.PhaseAccum, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseAccum, t0, int64(tris*s.curTilesPT))
-		t0 = obs.start(metrics.PhaseFinalize)
-		if err := pf(ctx, tris, cfg.Workers, s.finTask); err != nil {
-			obs.interrupt(metrics.PhaseFinalize, t0)
-			s.abort()
-			return nil, err
-		}
-		obs.done(metrics.PhaseFinalize, t0, int64(tris))
-		if err := s.endWavefront(obs); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		s.abort()
+		return nil, err
 	}
 	return s.finish(), nil
 }

@@ -41,40 +41,26 @@ func (st *Structure) sortPairs() {
 	sort.Slice(st.Inter, func(a, b int) bool { return st.Inter[a].I1 < st.Inter[b].I1 })
 }
 
-// Traceback recovers one optimal joint structure from a filled table by
-// re-checking, at every cell, which recurrence candidate achieves the
-// stored optimum (any tie is equally optimal). Cost is O(N1·N2) per
-// decomposition step — negligible next to the fill.
+// Traceback recovers one optimal joint structure for the whole pair from a
+// filled full table; see TracebackFrom.
 func Traceback(p *Problem, f *FTable) *Structure {
-	return tracebackCell(p, f.At, 0, p.N1-1, 0, p.N2-1)
+	return TracebackFrom(p, f, 0, p.N1-1, 0, p.N2-1)
 }
 
-// TracebackWindowed recovers one optimal structure for an in-window cell
-// of a banded table. The decomposition of an in-window cell only ever
-// visits in-window cells, so the banded storage suffices.
-func TracebackWindowed(p *Problem, w *WTable, i1, j1, i2, j2 int) *Structure {
-	if !w.InWindow(i1, j1, i2, j2) {
-		panic(fmt.Sprintf("bpmax: traceback of out-of-window cell (%d,%d,%d,%d)", i1, j1, i2, j2))
+// TracebackFrom recovers one optimal joint structure for stored cell
+// (ti1, tj1, ti2, tj2) of a filled table by re-checking, at every cell,
+// which recurrence candidate achieves the stored optimum (any tie is equally
+// optimal). The decomposition of a cell only ever visits cells no wider than
+// it, so on a banded table any in-window cell can be traced; a cell outside
+// the band panics. Cost is O(N1·N2) per decomposition step — negligible next
+// to the fill.
+func TracebackFrom(p *Problem, f *FTable, ti1, tj1, ti2, tj2 int) *Structure {
+	if !f.InWindow(ti1, tj1, ti2, tj2) {
+		panic(fmt.Sprintf("bpmax: traceback of out-of-window cell (%d,%d,%d,%d)", ti1, tj1, ti2, tj2))
 	}
-	return tracebackCell(p, w.At, i1, j1, i2, j2)
-}
-
-// tracebackCell is the shared walker over any cell accessor with FTable.At
-// semantics (stored cells only; empty intervals handled here).
-func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti2, tj2 int) *Structure {
 	st := &Structure{}
 	sc1 := func(i, j int) float32 { return p.score1(i, j) }
 	sc2 := func(i, j int) float32 { return p.score2(i, j) }
-	// atFull resolves empty intervals like Problem.at.
-	atFull := func(i1, j1, i2, j2 int) float32 {
-		if j1 < i1 {
-			return p.S2.At(i2, j2)
-		}
-		if j2 < i2 {
-			return p.S1.At(i1, j1)
-		}
-		return at(i1, j1, i2, j2)
-	}
 	var walk func(i1, j1, i2, j2 int)
 	walk = func(i1, j1, i2, j2 int) {
 		if j1 < i1 {
@@ -87,7 +73,7 @@ func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti
 			st.Intra1 = append(st.Intra1, p.S1.TracebackInterval(i1, j1, sc1)...)
 			return
 		}
-		v := at(i1, j1, i2, j2)
+		v := f.At(i1, j1, i2, j2)
 		if i1 == j1 && i2 == j2 {
 			if v > 0 {
 				st.Inter = append(st.Inter, InterPair{i1, i2})
@@ -95,13 +81,13 @@ func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti
 			return
 		}
 		// Pair i1-j1 around the seq2 interval.
-		if j1 > i1 && v == atFull(i1+1, j1-1, i2, j2)+p.score1(i1, j1) {
+		if j1 > i1 && v == p.at(f, i1+1, j1-1, i2, j2)+p.score1(i1, j1) {
 			st.Intra1 = append(st.Intra1, nussinov.Pair{I: i1, J: j1})
 			walk(i1+1, j1-1, i2, j2)
 			return
 		}
 		// Pair i2-j2 around the seq1 interval.
-		if j2 > i2 && v == atFull(i1, j1, i2+1, j2-1)+p.score2(i2, j2) {
+		if j2 > i2 && v == p.at(f, i1, j1, i2+1, j2-1)+p.score2(i2, j2) {
 			st.Intra2 = append(st.Intra2, nussinov.Pair{I: i2, J: j2})
 			walk(i1, j1, i2+1, j2-1)
 			return
@@ -114,12 +100,12 @@ func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti
 		}
 		// R1 / R2: one seq2 flank folds alone.
 		for k2 := i2; k2 < j2; k2++ {
-			if v == p.S2.At(i2, k2)+at(i1, j1, k2+1, j2) {
+			if v == p.S2.At(i2, k2)+f.At(i1, j1, k2+1, j2) {
 				st.Intra2 = append(st.Intra2, p.S2.TracebackInterval(i2, k2, sc2)...)
 				walk(i1, j1, k2+1, j2)
 				return
 			}
-			if v == at(i1, j1, i2, k2)+p.S2.At(k2+1, j2) {
+			if v == f.At(i1, j1, i2, k2)+p.S2.At(k2+1, j2) {
 				st.Intra2 = append(st.Intra2, p.S2.TracebackInterval(k2+1, j2, sc2)...)
 				walk(i1, j1, i2, k2)
 				return
@@ -127,12 +113,12 @@ func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti
 		}
 		// R3 / R4: one seq1 flank folds alone.
 		for k1 := i1; k1 < j1; k1++ {
-			if v == p.S1.At(i1, k1)+at(k1+1, j1, i2, j2) {
+			if v == p.S1.At(i1, k1)+f.At(k1+1, j1, i2, j2) {
 				st.Intra1 = append(st.Intra1, p.S1.TracebackInterval(i1, k1, sc1)...)
 				walk(k1+1, j1, i2, j2)
 				return
 			}
-			if v == at(i1, k1, i2, j2)+p.S1.At(k1+1, j1) {
+			if v == f.At(i1, k1, i2, j2)+p.S1.At(k1+1, j1) {
 				st.Intra1 = append(st.Intra1, p.S1.TracebackInterval(k1+1, j1, sc1)...)
 				walk(i1, k1, i2, j2)
 				return
@@ -141,7 +127,7 @@ func tracebackCell(p *Problem, at func(i1, j1, i2, j2 int) float32, ti1, tj1, ti
 		// R0: the double split.
 		for k1 := i1; k1 < j1; k1++ {
 			for k2 := i2; k2 < j2; k2++ {
-				if v == at(i1, k1, i2, k2)+at(k1+1, j1, k2+1, j2) {
+				if v == f.At(i1, k1, i2, k2)+f.At(k1+1, j1, k2+1, j2) {
 					walk(i1, k1, i2, k2)
 					walk(k1+1, j1, k2+1, j2)
 					return

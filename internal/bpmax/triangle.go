@@ -62,11 +62,11 @@ type gsolver[T semiring.Scalar] struct {
 	// schedules used to allocate fresh closures on every wavefront —
 	// O(N1) allocations per fold; binding them once to the solver (which
 	// the pool recycles) makes repeat folds closure-allocation-free.
-	curD1        int
-	curI1, curJ1 int
-	curTileW     int
-	curTilesPT   int
-	scratch      *FTableOf[T]
+	curD1      int
+	curI1      int
+	curTileW   int
+	curTilesPT int
+	scratch    *FTableOf[T]
 	// tripped is set by any finalize task whose triangle left the range
 	// guard's window (scaled domains only); the schedules poll it between
 	// wavefronts.
@@ -75,7 +75,7 @@ type gsolver[T semiring.Scalar] struct {
 	triTask        func(i1 int) // coarse: one whole triangle of wavefront curD1
 	finTask        func(i1 int) // hybrid/tiled phase B: finalize one triangle
 	rowAllTask     func(t int)  // hybrid phase A: one row across the wavefront
-	rowFineTask    func(i2 int) // fine: one row of triangle (curI1, curJ1)
+	rowFineTask    func(i2 int) // fine: one row of triangle curI1 of wavefront curD1
 	tileTask       func(t int)  // hybrid-tiled phase A: one row tile
 	scratchRowTask func(t int)  // scratch ablation phase A
 	scratchFinTask func(i1 int) // scratch ablation phase B: copy + finalize
@@ -100,7 +100,7 @@ func (s *gsolver[T]) initTasks() {
 		i1 := t / s.p.N2
 		s.accumulateRowTask(i1, i1+s.curD1, t%s.p.N2)
 	}
-	s.rowFineTask = func(i2 int) { s.accumulateRowTask(s.curI1, s.curJ1, i2) }
+	s.rowFineTask = func(i2 int) { s.accumulateRowTask(s.curI1, s.curI1+s.curD1, i2) }
 	s.tileTask = func(t int) {
 		i1 := t / s.curTilesPT
 		r0 := (t % s.curTilesPT) * s.curTileW
@@ -137,10 +137,12 @@ func (s *gsolver[T]) initTasks() {
 	}
 }
 
-// newGSolver assembles a solver over an explicit algebra view. The float32
-// shells and table storage come from the pool's float32 arenas, float64
-// from the float64 arenas; both reuse paths keep the closure set hoisted.
-func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKind) *gsolver[T] {
+// newGSolver assembles a solver over an explicit algebra view and a table
+// storing the band (w1, w2) — (N1, N2) for a full fill — under cfg.Map. The
+// float32 shells and table storage come from the pool's float32 arenas,
+// float64 from the float64 arenas; both reuse paths keep the closure set
+// hoisted.
+func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int) *gsolver[T] {
 	cfg = cfg.withDefaults()
 	var s *gsolver[T]
 	if cfg.Pool != nil {
@@ -148,7 +150,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKin
 	} else {
 		s = &gsolver[T]{}
 	}
-	s.f = newAlgTable(p, &a, cfg.Pool, kind)
+	s.f = newAlgTable(p, &a, cfg.Pool, w1, w2, cfg.Map)
 	s.p = p
 	s.a = a
 	s.cfg = cfg
@@ -160,11 +162,10 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, kind MapKin
 	return s
 }
 
-// newSolver is the max-plus constructor every existing float32 call site
-// uses; the algebra view is the problem's own tables, so it allocates
-// nothing beyond what the pre-generic solver did.
-func newSolver(p *Problem, cfg Config, kind MapKind) *solver {
-	return newGSolver(p, maxplusAlg(p, cfg), cfg, kind)
+// newSolver is the max-plus constructor: the algebra view is the problem's
+// own tables, so it allocates nothing beyond the table.
+func newSolver(p *Problem, cfg Config, w1, w2 int) *solver {
+	return newGSolver(p, maxplusAlg(p, cfg), cfg, w1, w2)
 }
 
 // release recycles the solver shell after a successful solve; the filled
@@ -185,19 +186,6 @@ func (s *gsolver[T]) release() {
 func (s *gsolver[T]) abort() {
 	s.f.Release()
 	s.release()
-}
-
-// endWavefront closes one outer anti-diagonal: it records the wavefront and
-// reports a tripped range guard, discarding the table — stopping there rather
-// than at the end of the fill keeps a doomed scaled fill from grinding
-// through denormals.
-func (s *gsolver[T]) endWavefront(obs obsState) error {
-	obs.wavefront()
-	if s.tripped.Load() {
-		s.abort()
-		return errScaledRange
-	}
-	return nil
 }
 
 // finish hands the filled table to the caller and recycles the shell.
@@ -224,10 +212,10 @@ func (s *gsolver[T]) atF(i1, j1, i2, j2 int) T {
 // S¹[i1,j1] ⊗ S²[i2,j2] — the "fold independently" candidate, which also
 // establishes F >= One.
 func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
-	n2 := s.a.n2
+	hi := s.f.rowHi(i2)
 	grow := s.f.Row(blk, i2)
 	s2row := s.a.s2Row(i2)
-	s.a.k.MulInto(grow[i2:n2], s2row[i2:n2], s.a.s1At(i1, j1))
+	s.a.k.MulInto(grow[i2:hi], s2row[i2:hi], s.a.s1At(i1, j1))
 }
 
 // accumulateRow applies, for one k1, the R0, R3 and R4 contributions to row
@@ -239,17 +227,19 @@ func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
 //	R0: G[i2,j2] ⊕= A[i2,k2]  ⊗ B[k2+1,j2]    (both sequences split)
 //
 // The R0 update for fixed (i2, k2) is one streaming ⊕⊗ over j2 — the
-// paper's "matrix instance" inner loop.
+// paper's "matrix instance" inner loop. Every stream ends at the row's
+// stored bound hi: the rows of B it reads lie below i2 and reach at least as
+// far (rowHi).
 func (s *gsolver[T]) accumulateRow(blk, ablk, bblk []T, i1, j1, k1, i2 int) {
-	n2 := s.a.n2
+	hi := s.f.rowHi(i2)
 	grow := s.f.Row(blk, i2)
 	arow := s.f.Row(ablk, i2)
 	brow := s.f.Row(bblk, i2)
 	s4 := s.a.s1At(k1+1, j1)
 	s3 := s.a.s1At(i1, k1)
-	s.acc(grow[i2:n2], arow[i2:n2], s4)
-	s.acc(grow[i2:n2], brow[i2:n2], s3)
-	s.sweep(grow, arow, bblk, s.f.rowOff, i2, n2-1, n2)
+	s.acc(grow[i2:hi], arow[i2:hi], s4)
+	s.acc(grow[i2:hi], brow[i2:hi], s3)
+	s.sweep(grow, arow, bblk, s.f.rowOff, i2, hi-1, hi)
 }
 
 // accumulateRowsTiled is the tiled form of accumulateRow over the row range
@@ -258,15 +248,15 @@ func (s *gsolver[T]) accumulateRow(blk, ablk, bblk []T, i1, j1, k1, i2 int) {
 // TileJ2-wide j2 bands) so that the B rows of one band stay cache-resident
 // while every row of the i2 tile consumes them.
 func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
-	n2 := s.a.n2
 	s4 := s.a.s1At(k1+1, j1)
 	s3 := s.a.s1At(i1, k1)
 	for i2 := r0; i2 < r1; i2++ {
+		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		arow := s.f.Row(ablk, i2)
 		brow := s.f.Row(bblk, i2)
-		s.acc(grow[i2:n2], arow[i2:n2], s4)
-		s.acc(grow[i2:n2], brow[i2:n2], s3)
+		s.acc(grow[i2:hi], arow[i2:hi], s4)
+		s.acc(grow[i2:hi], brow[i2:hi], s3)
 	}
 	s.r0Tiled(blk, ablk, bblk, r0, r1)
 }
@@ -274,36 +264,29 @@ func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1
 // r0Tiled applies the R0 streams of one k1 to accumulator rows [r0, r1),
 // k2 band by k2 band: every row of the tile consumes a band's B rows before
 // the next band is touched. With j2 untiled (the default) a row's share of a
-// band is one Sweep.
+// band is one Sweep. A row's k2 stop at its own stored bound; the tile's last
+// row reaches furthest.
 func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
-	n2 := s.a.n2
 	tk := s.cfg.TileK2
 	tj := s.cfg.TileJ2
-	for k2t := r0; k2t < n2-1; k2t += tk {
-		k2tEnd := k2t + tk
-		if k2tEnd > n2-1 {
-			k2tEnd = n2 - 1
-		}
+	kMax := s.f.rowHi(r1-1) - 1
+	for k2t := r0; k2t < kMax; k2t += tk {
 		for i2 := r0; i2 < r1; i2++ {
+			hi := s.f.rowHi(i2)
 			grow := s.f.Row(blk, i2)
 			arow := s.f.Row(ablk, i2)
-			kLo := k2t
-			if kLo < i2 {
-				kLo = i2
-			}
+			kLo := max(k2t, i2)
+			kEnd := min(k2t+tk, hi-1)
 			if tj <= 0 {
-				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, k2tEnd, n2)
+				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, hi)
 				continue
 			}
-			for k2 := kLo; k2 < k2tEnd; k2++ {
+			for k2 := kLo; k2 < kEnd; k2++ {
 				a := arow[k2]
 				bk := s.f.Row(bblk, k2+1)
-				for j2t := k2 + 1; j2t < n2; j2t += tj {
-					hi := j2t + tj
-					if hi > n2 {
-						hi = n2
-					}
-					s.acc(grow[j2t:hi], bk[j2t:hi], a)
+				for j2t := k2 + 1; j2t < hi; j2t += tj {
+					jEnd := min(j2t+tj, hi)
+					s.acc(grow[j2t:jEnd], bk[j2t:jEnd], a)
 				}
 			}
 		}
@@ -332,11 +315,12 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		inside = s.f.Block(i1+1, j1-1)
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
+		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		// R1: contributions S²[i2,k2] + F[i1,j1,k2+1,j2] from the already
 		// finalized rows below, streamed over j2.
 		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, n2-1, n2)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, hi)
 		around := s2row
 		if inside != nil {
 			around = s.f.Row(inside, i2)
@@ -346,7 +330,7 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		if i2+1 < n2 {
 			below = s.f.Row(blk, i2+1)
 		}
-		for j2 := i2; j2 < n2; j2++ {
+		for j2 := i2; j2 < hi; j2++ {
 			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.
 			if w := around[j2] + sc1; w > v {
@@ -371,8 +355,8 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 			grow[j2] = v
 			// R2: stream this finalized cell's contribution
 			// F[i1,j1,i2,j2] + S²[j2+1,j2'] to the rest of the row.
-			if j2 < n2-1 {
-				s.acc(grow[j2+1:n2], a.s2[(j2+1)*n2+j2+1:(j2+2)*n2], v)
+			if j2 < hi-1 {
+				s.acc(grow[j2+1:hi], a.s2[(j2+1)*n2+j2+1:(j2+1)*n2+hi], v)
 			}
 		}
 	}
@@ -391,10 +375,11 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
 	for i2 := n2 - 1; i2 >= 0; i2-- {
+		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		// R1, streamed over j2 from the already finalized rows below.
-		s.sweep(grow, a.s2Row(i2), blk, s.f.rowOff, i2, n2-1, n2)
-		for j2 := i2; j2 < n2; j2++ {
+		s.sweep(grow, a.s2Row(i2), blk, s.f.rowOff, i2, hi-1, hi)
+		for j2 := i2; j2 < hi; j2++ {
 			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.
 			v = add(mul(s.atF(i1+1, j1-1, i2, j2), sc1), v)
@@ -413,11 +398,11 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 			}
 			grow[j2] = v
 			// R2: stream this finalized cell's contribution onward.
-			if j2 < n2-1 {
-				s.acc(grow[j2+1:n2], a.s2Row(j2 + 1)[j2+1:n2], v)
+			if j2 < hi-1 {
+				s.acc(grow[j2+1:hi], a.s2Row(j2 + 1)[j2+1:hi], v)
 			}
 		}
-		if a.dom.scaled && !inGuardWindow(grow[i2:n2]) {
+		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
 			s.tripped.Store(true)
 			return
 		}

@@ -59,7 +59,7 @@ func TestWindowedCellsEqualFullTable(t *testing.T) {
 func TestWindowedMemorySavings(t *testing.T) {
 	p := newTestProblem(t, 80, 24, 24)
 	full := NewFTable(24, 24, MapPacked)
-	w := NewWTable(24, 24, 4, 4)
+	w := newTable[float32](nil, 24, 24, 4, 4, MapPacked)
 	if w.Bytes() >= full.Bytes() {
 		t.Errorf("windowed table (%d B) should be smaller than full (%d B)", w.Bytes(), full.Bytes())
 	}
@@ -69,7 +69,7 @@ func TestWindowedMemorySavings(t *testing.T) {
 func TestWindowedBest(t *testing.T) {
 	p := newTestProblem(t, 81, 10, 10)
 	w := SolveWindowed(p, 4, 4, Config{})
-	v, i1, j1, i2, j2 := w.Best()
+	v, i1, j1, i2, j2 := w.BestWithin(w.W1, w.W2)
 	if !w.InWindow(i1, j1, i2, j2) {
 		t.Fatalf("Best returned out-of-window cell (%d,%d,%d,%d)", i1, j1, i2, j2)
 	}
@@ -94,7 +94,7 @@ func TestWindowedBestMatchesFullScan(t *testing.T) {
 	p := newTestProblem(t, 83, 9, 11)
 	full := Solve(p, VariantHybrid, Config{})
 	w := SolveWindowed(p, 3, 5, Config{Workers: 2})
-	v, _, _, _, _ := w.Best()
+	v, _, _, _, _ := w.BestWithin(w.W1, w.W2)
 	var want float32 = -1
 	for i1 := 0; i1 < 9; i1++ {
 		for j1 := i1; j1 < 9 && j1-i1 < 3; j1++ {
@@ -121,8 +121,8 @@ func TestWindowedTraceback(t *testing.T) {
 		w2 := 2 + rng.Intn(3)
 		p := newTestProblem(t, seed+90, n1, n2)
 		w := SolveWindowed(p, w1, w2, Config{Workers: 2})
-		v, i1, j1, i2, j2 := w.Best()
-		st := TracebackWindowed(p, w, i1, j1, i2, j2)
+		v, i1, j1, i2, j2 := w.BestWithin(w.W1, w.W2)
+		st := TracebackFrom(p, w, i1, j1, i2, j2)
 		if got := st.Weight(p); got != v {
 			t.Errorf("seed %d: windowed traceback weight %v != best %v", seed, got, v)
 		}
@@ -148,21 +148,22 @@ func TestWindowedTracebackPanicsOutOfWindow(t *testing.T) {
 			t.Error("out-of-window traceback did not panic")
 		}
 	}()
-	TracebackWindowed(p, w, 0, 5, 0, 5)
+	TracebackFrom(p, w, 0, 5, 0, 5)
 }
 
 func TestWindowClamping(t *testing.T) {
-	w := NewWTable(5, 5, 100, 100)
+	w := newTable[float32](nil, 5, 5, 100, 100, MapPacked)
 	if w.W1 != 5 || w.W2 != 5 {
 		t.Errorf("windows not clamped: %d %d", w.W1, w.W2)
 	}
 }
 
+// (The name predates the banded table's merge into FTable.)
 func TestNewWTablePanicsOnBadWindow(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("zero window did not panic")
 		}
 	}()
-	NewWTable(5, 5, 0, 3)
+	newTable[float32](nil, 5, 5, 0, 3, MapPacked)
 }

@@ -16,9 +16,9 @@
 // tag, an amd64 CPU without AVX2. Both produce the same bits; Impl names the
 // one in use.
 //
-// The gather kernels (DotMaxPlus*) implement the *rejected* schedules that
-// keep k2 innermost; they exist so the benchmarks can demonstrate why those
-// schedules lose.
+// The gather kernel (DotMaxPlusStride) implements the *rejected* schedules
+// that keep k2 innermost; it exists so the benchmarks can demonstrate why
+// those schedules lose.
 package maxplus
 
 import "fmt"
@@ -116,55 +116,6 @@ func Sweep(y, a, b []float32, off []int, k0, k1, n int) {
 	}
 }
 
-// MaxScalar performs y[i] = max(y[i], a): the whole-row scalar max used by
-// the R3/R4 contributions ("almost free since those get computed along with
-// the R0").
-func MaxScalar(y []float32, a float32) {
-	for i := range y {
-		if a > y[i] {
-			y[i] = a
-		}
-	}
-}
-
-// AccumulatePair fuses y[i] = max(y[i], a + x[i], b): one pass applying
-// both an R0-style stream (a+x) and an R3/R4-style scalar bound (b).
-func AccumulatePair(y, x []float32, a, b float32) {
-	n := len(y)
-	if len(x) < n {
-		n = len(x)
-	}
-	x = x[:n]
-	y = y[:n]
-	for i := range y {
-		v := a + x[i]
-		if b > v {
-			v = b
-		}
-		if v > y[i] {
-			y[i] = v
-		}
-	}
-}
-
-// DotMaxPlus computes max_i (a[i] + b[i]) over the common prefix, the
-// per-cell reduction form used by k2-innermost (non-streaming) schedules.
-// It returns negative infinity behaviour via the caller's initialization:
-// for empty inputs it returns -3.4e38 (≈ float32 min).
-func DotMaxPlus(a, b []float32) float32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	best := float32(-3.4e38)
-	for i := 0; i < n; i++ {
-		if v := a[i] + b[i]; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // DotMaxPlusStride computes max_i (a[i] + b[i*stride]), the column-gather
 // reduction the original BPMax schedule performs when k2 is innermost and
 // the second operand is walked down a column of the bounding box.
@@ -198,18 +149,6 @@ func MulAddAccumulate(y, x []float32, a float32) {
 		y[i] += a * x[i]
 	}
 }
-
-// Max returns the larger of two float32 values. The kernels above inline
-// this comparison manually; Max exists for the scalar orchestration code.
-func Max(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Max3 returns the maximum of three values.
-func Max3(a, b, c float32) float32 { return Max(Max(a, b), c) }
 
 // FlopsPerElement is the number of max-plus floating-point operations
 // (one add, one max) performed per element by Accumulate — the convention

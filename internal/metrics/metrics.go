@@ -30,8 +30,9 @@ import (
 // Phase names one instrumented section of a schedule. Phases are the
 // paper's own decomposition: the R0/R3/R4 accumulation that streams
 // finalized triangles (phase A of the hybrid schedules), the serial-ish
-// R1/R2 + cell-update finalize pass (phase B), whole-triangle units for the
-// base/coarse schedules, and the banded equivalents for windowed scans.
+// R1/R2 + cell-update finalize pass (phase B), and whole-triangle units for
+// the base/coarse schedules. A windowed scan is the hybrid schedule on a
+// banded table and reports phases A and B under Schedule "windowed".
 type Phase uint8
 
 const (
@@ -47,22 +48,15 @@ const (
 	// PhaseTriangle is whole-triangle work: the unit of the coarse
 	// schedule, and the entire fill of the base schedule.
 	PhaseTriangle
-	// PhaseWindowAccum is the banded R0/R3/R4 accumulation of a windowed
-	// scan.
-	PhaseWindowAccum
-	// PhaseWindowFinalize is the banded finalize pass of a windowed scan.
-	PhaseWindowFinalize
 	// PhaseCount sizes per-phase arrays; not a phase.
 	PhaseCount
 )
 
 var phaseNames = [PhaseCount]string{
-	PhaseSubstrate:      "substrate",
-	PhaseAccum:          "accumulate",
-	PhaseFinalize:       "finalize",
-	PhaseTriangle:       "triangle",
-	PhaseWindowAccum:    "window-accumulate",
-	PhaseWindowFinalize: "window-finalize",
+	PhaseSubstrate: "substrate",
+	PhaseAccum:     "accumulate",
+	PhaseFinalize:  "finalize",
+	PhaseTriangle:  "triangle",
 }
 
 // String returns the stable label used in snapshots and traces.
@@ -516,22 +510,26 @@ func (s EngineStats) Utilization() float64 {
 type PoolStats struct {
 	ProblemHits   int64 `json:"problem_hits"`
 	ProblemMisses int64 `json:"problem_misses"`
-	FTableHits    int64 `json:"ftable_hits"`
-	FTableMisses  int64 `json:"ftable_misses"`
-	WTableHits    int64 `json:"wtable_hits"`
-	WTableMisses  int64 `json:"wtable_misses"`
-	SolverHits    int64 `json:"solver_hits"`
-	SolverMisses  int64 `json:"solver_misses"`
-	ResultHits    int64 `json:"result_hits"`
-	ResultMisses  int64 `json:"result_misses"`
+	// FTableHits/FTableMisses count every table draw, full or banded.
+	FTableHits   int64 `json:"ftable_hits"`
+	FTableMisses int64 `json:"ftable_misses"`
+	// WTableHits/WTableMisses always read 0: there is no separate banded
+	// table any more. The fields stay only because the frozen bench/ module
+	// sums them; remove them the next time bench/ is opened.
+	WTableHits   int64 `json:"wtable_hits"`
+	WTableMisses int64 `json:"wtable_misses"`
+	SolverHits   int64 `json:"solver_hits"`
+	SolverMisses int64 `json:"solver_misses"`
+	ResultHits   int64 `json:"result_hits"`
+	ResultMisses int64 `json:"result_misses"`
 	// Buffers is the size-classed float32 arena behind the tables.
 	Buffers BufferStats `json:"buffers"`
 }
 
 // HitRate returns the overall shell reuse rate across all shell kinds.
 func (s PoolStats) HitRate() float64 {
-	hits := s.ProblemHits + s.FTableHits + s.WTableHits + s.SolverHits + s.ResultHits
-	total := hits + s.ProblemMisses + s.FTableMisses + s.WTableMisses + s.SolverMisses + s.ResultMisses
+	hits := s.ProblemHits + s.FTableHits + s.SolverHits + s.ResultHits
+	total := hits + s.ProblemMisses + s.FTableMisses + s.SolverMisses + s.ResultMisses
 	if total == 0 {
 		return 0
 	}

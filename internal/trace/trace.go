@@ -65,15 +65,13 @@ const (
 	// StageCacheWait is a single-flight wait: time spent parked behind
 	// another request's in-flight identical solve.
 	StageCacheWait
-	// StageSubstrate through StageWindowFinalize mirror metrics.Phase —
+	// StageSubstrate through StageTriangle mirror metrics.Phase —
 	// StageOfPhase maps them index-for-index, so solver spans arrive
 	// through the Tracer interface with no translation table.
 	StageSubstrate
 	StageAccum
 	StageFinalize
 	StageTriangle
-	StageWindowAccum
-	StageWindowFinalize
 	// StageTraceback is structure recovery (the optional traceback walk).
 	StageTraceback
 	// StageEncode is HTTP response encoding.
@@ -83,18 +81,16 @@ const (
 )
 
 var stageNames = [StageCount]string{
-	StageDecode:         "decode",
-	StageQueue:          "queue",
-	StageCacheHit:       "cache-hit",
-	StageCacheWait:      "singleflight-wait",
-	StageSubstrate:      "substrate",
-	StageAccum:          "accumulate",
-	StageFinalize:       "finalize",
-	StageTriangle:       "triangle",
-	StageWindowAccum:    "window-accumulate",
-	StageWindowFinalize: "window-finalize",
-	StageTraceback:      "traceback",
-	StageEncode:         "encode",
+	StageDecode:    "decode",
+	StageQueue:     "queue",
+	StageCacheHit:  "cache-hit",
+	StageCacheWait: "singleflight-wait",
+	StageSubstrate: "substrate",
+	StageAccum:     "accumulate",
+	StageFinalize:  "finalize",
+	StageTriangle:  "triangle",
+	StageTraceback: "traceback",
+	StageEncode:    "encode",
 }
 
 // String returns the stable label used in snapshots, Server-Timing entries

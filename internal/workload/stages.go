@@ -91,11 +91,9 @@ var stageRank = map[string]int{
 	"accumulate":        5,
 	"finalize":          6,
 	"triangle":          7,
-	"window-accumulate": 8,
-	"window-finalize":   9,
-	"traceback":         10,
-	"encode":            11,
-	"other":             12,
+	"traceback":         8,
+	"encode":            9,
+	"other":             10,
 }
 
 func stageLess(a, b string) bool {

@@ -48,15 +48,14 @@ type (
 
 // The instrumented phases. Which phases a fold reports depends on its
 // schedule: coarse and base report whole-triangle spans, fine/hybrid
-// variants split accumulation from finalization, windowed scans report the
-// banded pair, and every fold reports substrate construction.
+// variants — and a windowed scan, the hybrid schedule on a banded table —
+// split accumulation from finalization, and every fold reports substrate
+// construction.
 const (
-	PhaseSubstrate      = metrics.PhaseSubstrate
-	PhaseAccum          = metrics.PhaseAccum
-	PhaseFinalize       = metrics.PhaseFinalize
-	PhaseTriangle       = metrics.PhaseTriangle
-	PhaseWindowAccum    = metrics.PhaseWindowAccum
-	PhaseWindowFinalize = metrics.PhaseWindowFinalize
+	PhaseSubstrate = metrics.PhaseSubstrate
+	PhaseAccum     = metrics.PhaseAccum
+	PhaseFinalize  = metrics.PhaseFinalize
+	PhaseTriangle  = metrics.PhaseTriangle
 )
 
 // Tracer receives balanced BeginPhase/EndPhase callbacks around schedule

@@ -177,8 +177,11 @@ func (r *Result) Release() {
 	// possibly cache-shared — and are left to the GC.
 	r.ft64.Release()
 	r.ps.Release()
-	if r.Window != nil {
-		r.Window.Release()
+	if w := r.Window; w != nil {
+		// The band and the problem are this result's own (released above and
+		// below); only the window's shell goes back through its Release.
+		w.ft, w.prob = nil, nil
+		w.Release()
 	}
 	r.prob.Release()
 	*r = Result{}
@@ -195,7 +198,7 @@ func (w *WindowResult) Release() {
 		return
 	}
 	pool := w.pool
-	w.wt.Release()
+	w.ft.Release()
 	w.prob.Release()
 	*w = WindowResult{}
 	if pool != nil {

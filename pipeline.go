@@ -395,12 +395,11 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	var (
 		ft   *ibpmax.FTable
 		ft64 *ibpmax.FTableOf[float64]
-		wt   *ibpmax.WTable
 	)
 	start := time.Now()
 	switch {
 	case windowed:
-		wt, err = ibpmax.SolveWindowedContext(ctx, p, rq.degradeW1, rq.degradeW2, cfg)
+		ft, err = ibpmax.SolveWindowedContext(ctx, p, rq.degradeW1, rq.degradeW2, cfg)
 	case partition:
 		ft64, err = ibpmax.SolvePartitionContext(ctx, p, ps, rq.v, cfg)
 	default:
@@ -417,11 +416,13 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	res.Degradation = deg
 	switch {
 	case windowed:
+		// The banded table backs the result like any other; Score is the
+		// best in-window interaction rather than the whole-pair cell.
 		win := rq.getWindowResult()
-		win.Best, win.I1, win.J1, win.I2, win.J2 = wt.Best()
-		win.TableBytes, win.Elapsed = wt.Bytes(), elapsed
-		win.wt, win.prob = wt, p
-		res.Score, res.TableBytes, res.Window = win.Best, win.TableBytes, win
+		win.Best, win.I1, win.J1, win.I2, win.J2 = ft.BestWithin(ft.W1, ft.W2)
+		win.TableBytes, win.Elapsed = ft.Bytes(), elapsed
+		win.ft, win.prob = ft, p
+		res.Score, res.TableBytes, res.ft, res.Window = win.Best, win.TableBytes, ft, win
 	case partition:
 		res.KT = rq.kT
 		res.LogZ = ibpmax.PartitionLogZ(p, ft64)
