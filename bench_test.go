@@ -216,7 +216,8 @@ func BenchmarkScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkUnroll is the streaming-kernel unroll ablation.
+// BenchmarkUnroll is the streaming-kernel unroll ablation. Unrolling is a
+// variant of the portable Go loops only, so both cases run on them.
 func BenchmarkUnroll(b *testing.B) {
 	b.ReportAllocs()
 	p := benchProblem(b, 12, 64)
@@ -229,6 +230,7 @@ func BenchmarkUnroll(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			cfg := ibpmax.Config{Unroll: unroll}
+			cfg.SetGoKernels(true)
 			for i := 0; i < b.N; i++ {
 				ibpmax.SolveDMP(p, ibpmax.DMPTiled, cfg)
 			}

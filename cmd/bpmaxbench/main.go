@@ -6,46 +6,22 @@
 //
 //	bpmaxbench                      # run everything at the default scale
 //	bpmaxbench -exp fig13           # one experiment
-//	bpmaxbench -exp ext-engine,ext-metrics  # several, comma-separated
+//	bpmaxbench -exp fig13,fig14     # several, comma-separated
 //	bpmaxbench -scale medium -csv   # bigger inputs, CSV output
 //	bpmaxbench -chart               # ASCII bar charts
 //	bpmaxbench -out results/medium  # also write <id>.txt / <id>.csv files
-//	bpmaxbench -json BENCH.json     # machine-readable artifact for benchgate
 //	bpmaxbench -list                # list experiment IDs
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
-	"github.com/bpmax-go/bpmax"
 	"github.com/bpmax-go/bpmax/internal/harness"
-	"github.com/bpmax-go/bpmax/internal/metrics"
 )
-
-// benchSchema versions the -json artifact; bump it when the shape changes
-// so cmd/benchgate can keep reading old baselines.
-const benchSchema = "bpmax-bench/v1"
-
-// benchArtifact is the -json document: run provenance, the regenerated
-// tables, and (when an experiment ran observed folds) the cumulative
-// metrics snapshot. cmd/benchgate consumes this to gate regressions.
-type benchArtifact struct {
-	Schema  string                 `json:"schema"`
-	Go      string                 `json:"go"`
-	GOOS    string                 `json:"goos"`
-	GOARCH  string                 `json:"goarch"`
-	CPUs    int                    `json:"cpus"`
-	Scale   string                 `json:"scale"`
-	Repeats int                    `json:"repeats"`
-	Tables  []*harness.Table       `json:"tables"`
-	Metrics *bpmax.MetricsSnapshot `json:"metrics,omitempty"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -64,7 +40,6 @@ func run(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	chart := fs.Bool("chart", false, "render ASCII bar charts instead of tables")
 	outDir := fs.String("out", "", "also write <id>.txt and <id>.csv into this directory")
-	jsonFile := fs.String("json", "", "write the run's artifact (schema "+benchSchema+") to this file")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,11 +62,6 @@ func run(args []string) error {
 	case harness.ScaleSmall, harness.ScaleMedium, harness.ScaleFull:
 	default:
 		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	var collect *metrics.Metrics
-	if *jsonFile != "" {
-		collect = &metrics.Metrics{}
-		cfg.Collect = collect
 	}
 
 	var exps []harness.Experiment
@@ -119,10 +89,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	var tables []*harness.Table
 	for _, e := range exps {
 		tab := e.Run(cfg)
-		tables = append(tables, tab)
 		switch {
 		case *csv:
 			fmt.Printf("# %s,%s\n%s\n", tab.ID, tab.PaperRef, tab.CSV())
@@ -139,29 +107,6 @@ func run(args []string) error {
 			if err := os.WriteFile(base+".csv", []byte(tab.CSV()), 0o644); err != nil {
 				return err
 			}
-		}
-	}
-	if *jsonFile != "" {
-		art := benchArtifact{
-			Schema:  benchSchema,
-			Go:      runtime.Version(),
-			GOOS:    runtime.GOOS,
-			GOARCH:  runtime.GOARCH,
-			CPUs:    runtime.NumCPU(),
-			Scale:   string(cfg.Scale),
-			Repeats: cfg.Repeats,
-			Tables:  tables,
-		}
-		if collect != nil && collect.Folds() > 0 {
-			snap := collect.Snapshot()
-			art.Metrics = &snap
-		}
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonFile, append(blob, '\n'), 0o644); err != nil {
-			return err
 		}
 	}
 	return nil

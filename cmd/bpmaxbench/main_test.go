@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,39 +45,6 @@ func TestRunExperimentList(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "table6, fig11"}); err != nil {
 		t.Fatalf("run comma-separated -exp: %v", err)
-	}
-}
-
-func TestRunJSONArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs timing experiments")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-exp", "ext-metrics", "-json", path}); err != nil {
-		t.Fatalf("run -json: %v", err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read artifact: %v", err)
-	}
-	var art benchArtifact
-	if err := json.Unmarshal(blob, &art); err != nil {
-		t.Fatalf("unmarshal artifact: %v", err)
-	}
-	if art.Schema != benchSchema {
-		t.Errorf("schema = %q, want %q", art.Schema, benchSchema)
-	}
-	if art.Go == "" || art.GOOS == "" || art.GOARCH == "" || art.CPUs <= 0 {
-		t.Errorf("provenance incomplete: %+v", art)
-	}
-	if len(art.Tables) != 1 || art.Tables[0].ID != "ext-metrics" {
-		t.Fatalf("tables = %+v", art.Tables)
-	}
-	if art.Metrics == nil {
-		t.Fatal("artifact missing metrics block (ext-metrics runs observed folds)")
-	}
-	if art.Metrics.Folds == 0 || art.Metrics.Cells == 0 {
-		t.Errorf("metrics block empty: %+v", art.Metrics)
 	}
 }
 

@@ -15,11 +15,10 @@
 //	bpmaxload -record trace.jsonl -mixes poisson/uniform              write the trace, no server
 //
 // Each mix is ARRIVAL/LENGTHS, with arrivals poisson|bursty and lengths
-// uniform|heavytail|screen (see internal/workload). The -json artifact is a
-// bpmax-bench/v1 document (tables ext-serving and ext-serving-stages) that
-// cmd/benchgate can gate. With -check, the exit status asserts server
-// health: no 5xx, no transport errors, client and server ledgers agree,
-// shed rate within -max-shed.
+// uniform|heavytail|screen (see internal/workload). The -json artifact
+// carries run provenance and every mix's full-precision report. With
+// -check, the exit status asserts server health: no 5xx, no transport
+// errors, client and server ledgers agree, shed rate within -max-shed.
 //
 // When the server traces requests (bpmaxd's default), every response's
 // Server-Timing header is parsed into a per-stage breakdown; the report
@@ -76,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	kt := fs.Float64("kt", 0, "kT stamped on synthesized partition requests (0 = server default)")
 	timeoutMs := fs.Int64("timeout-ms", 0, "per-request timeout_ms stamped on synthesized requests (0 = none)")
 	label := fs.String("label", "", "report label override (default: mix name or trace filename)")
-	jsonOut := fs.String("json", "", "write the bpmax-bench/v1 artifact to this file")
+	jsonOut := fs.String("json", "", "write the run's artifact (provenance + per-mix reports) to this file")
 	check := fs.Bool("check", false, "exit nonzero unless the run was healthy (no 5xx/transport errors, ledgers reconcile, shed within -max-shed)")
 	maxShed := fs.Float64("max-shed", 1.0, "largest acceptable shed fraction under -check")
 	slowestTrace := fs.String("slowest-trace", "", "after the run, fetch /debug/requests and write the server's slowest traces as Chrome trace-event JSON to this file")
@@ -198,7 +197,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if hr, ok := cacheHitRate(before, after); ok {
 			report.CacheHitRate = hr
 		}
-		artifact.AddReport(report)
+		artifact.Reports[report.Label] = report
 		printReport(stdout, report)
 		if *check {
 			unhealthy = append(unhealthy, audit(report, before, after, *maxShed)...)

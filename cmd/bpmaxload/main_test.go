@@ -124,11 +124,8 @@ func TestReplayReportAndArtifact(t *testing.T) {
 	if err := json.Unmarshal(blob, &art); err != nil {
 		t.Fatal(err)
 	}
-	if art.Schema != workload.ArtifactSchema || len(art.Tables) != 2 {
-		t.Fatalf("artifact shape: schema=%q tables=%d", art.Schema, len(art.Tables))
-	}
-	if len(art.Tables[0].Rows) != 2 {
-		t.Fatalf("rows = %d, want one per mix", len(art.Tables[0].Rows))
+	if art.Schema != workload.ArtifactSchema || len(art.Reports) != 2 {
+		t.Fatalf("artifact shape: schema=%q reports=%d, want one per mix", art.Schema, len(art.Reports))
 	}
 	for _, label := range []string{"poisson/uniform", "bursty/heavytail"} {
 		r, ok := art.Reports[label]

@@ -226,6 +226,24 @@ func TestPooledWindowedSteadyStateAllocs(t *testing.T) {
 			t.Errorf("pooled scan over %d wavefronts: %v allocs/op, want 0", w1, got)
 		}
 	}
+	// The full table is the band W = N: the engine+pooled screening cycle
+	// (problem shell, fill, score, release) allocates the two parsed strands
+	// and nothing else.
+	s1, s2 := p.Seq1.String(), p.Seq2.String()
+	fold := func() {
+		q, err := pl.NewProblem(s1, s2, score.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := Solve(q, VariantHybridTiled, cfg)
+		_ = q.Score(f)
+		f.Release()
+		q.Release()
+	}
+	fold()
+	if got := testing.AllocsPerRun(20, fold); got > 2 {
+		t.Errorf("pooled full fold: %v allocs/op, want the 2 strand parses", got)
+	}
 }
 
 func TestEstimatePooledBytesRoundsUp(t *testing.T) {

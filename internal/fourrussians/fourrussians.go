@@ -49,8 +49,10 @@ const (
 	maxQ = 16
 	// AutoMinN is the strand length at which AlgoAuto switches from the
 	// classic scan to Four-Russians. Below it the block bookkeeping costs
-	// more than the scan it saves (measured by the ext-substrate harness
-	// experiment; the crossover on the CI host sits near n ≈ 128–256).
+	// more than the scan it saves (measured in PR 7, table in
+	// docs/PERFORMANCE.md; the crossover on the CI host sits near
+	// n ≈ 128–256, and the benchmark's fourrussians.speedup_vs_classic
+	// probe re-measures it at n = 1024).
 	AutoMinN = 192
 )
 

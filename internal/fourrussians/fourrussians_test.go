@@ -131,7 +131,9 @@ func forkJoin(workers int) nussinov.ParallelFor {
 
 func TestParityParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{63, 64, 65, 130, 257} {
+	// 96/192/384 straddle the Auto threshold: the sizes the retired
+	// ext-substrate experiment checked parity on.
+	for _, n := range []int{63, 64, 65, 96, 130, 192, 257, 384} {
 		seq := rna.Random(rng, n)
 		sc := scoreFor(seq, score.BasePair())
 		want := nussinov.Build(n, sc)

@@ -1,7 +1,10 @@
 // Package harness drives the paper-reproduction experiments: one runner
 // per table and figure of the evaluation section, each emitting the same
 // rows/series the paper reports (timings, GFLOPS, speedups, schedule
-// legality, generated-code size).
+// legality, generated-code size), plus the three experiments that reproduce
+// claims of its text (ext-ablations, ext-correlate, ext-mpi). Nothing here
+// gates a regression: that is the repository benchmark's job (bench/,
+// BENCHMARK.json, cmd/benchgate).
 //
 // Absolute numbers depend on the host — the substitutions are documented in
 // DESIGN.md — but each experiment reproduces the paper's *shape*: which
@@ -12,8 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"github.com/bpmax-go/bpmax/internal/metrics"
 )
 
 // Scale selects the workload sizes.
@@ -35,11 +36,6 @@ type RunConfig struct {
 	Workers int // <=0: GOMAXPROCS
 	Seed    int64
 	Repeats int // timing repeats; <=0: 1
-
-	// Collect, when non-nil, accumulates fold metrics from experiments
-	// that run observed folds (ext-metrics). Callers snapshot it into
-	// benchmark artifacts so CI can gate on observability health too.
-	Collect *metrics.Metrics
 }
 
 func (c RunConfig) repeats() int {

@@ -12,10 +12,9 @@ func smallCfg() RunConfig {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"ext-ablations", "ext-cache", "ext-chaos", "ext-correlate", "ext-engine",
-		"ext-metrics", "ext-mpi", "ext-partition", "ext-substrate", "fig1", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "table1",
-		"table6", "tables2-5",
+		"ext-ablations", "ext-correlate", "ext-mpi", "fig1", "fig11", "fig12",
+		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "table1", "table6",
+		"tables2-5",
 	}
 	all := All()
 	if len(all) != len(want) {

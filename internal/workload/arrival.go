@@ -1,8 +1,8 @@
 // Package workload synthesizes, records and replays serving workloads for
 // the bpmaxd front-end: arrival processes (Poisson, bursty on/off),
 // strand-length distributions (uniform, bounded-Pareto heavy tail, mixes),
-// JSONL request traces, and client-side latency/shed accounting reported as
-// a bpmax-bench/v1 artifact that cmd/benchgate can gate.
+// JSONL request traces, and client-side latency/shed accounting with a
+// per-stage breakdown reduced from the server's Server-Timing headers.
 //
 // The shape follows the inference-serving simulators' workload layer: a
 // trace is the unit of record — synthesized or captured once, then replayed

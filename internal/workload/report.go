@@ -1,13 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/bpmax-go/bpmax/internal/harness"
 )
 
 // Collector accumulates per-request outcomes from any number of replay
@@ -181,10 +178,10 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// Artifact is the replay run's machine-readable document. It mirrors
-// cmd/bpmaxbench's bpmax-bench/v1 object — schema, provenance, tables —
-// so cmd/benchgate gates macro serving rows exactly like micro benchmark
-// rows, plus the full-precision reports for downstream analysis.
+// Artifact is the replay run's machine-readable document: provenance plus
+// the full-precision report of every mix, keyed by its label. It is what
+// bpmaxload -json writes and CI uploads; nothing gates on it — the served
+// path's regression gate is the repository benchmark's `serve` workload.
 type Artifact struct {
 	Schema  string            `json:"schema"`
 	Go      string            `json:"go"`
@@ -192,16 +189,14 @@ type Artifact struct {
 	GOARCH  string            `json:"goarch"`
 	CPUs    int               `json:"cpus"`
 	Kind    string            `json:"kind"`
-	Tables  []*harness.Table  `json:"tables"`
 	Reports map[string]Report `json:"reports,omitempty"`
 }
 
-// ArtifactSchema matches cmd/bpmaxbench's artifact schema so benchgate
-// accepts either producer.
-const ArtifactSchema = "bpmax-bench/v1"
+// ArtifactSchema versions the -json document.
+const ArtifactSchema = "bpmax-serving/v1"
 
-// NewArtifact returns an artifact shell with provenance filled and one
-// empty serving table ready for AddReport rows.
+// NewArtifact returns an artifact shell with provenance filled, ready for
+// reports.
 func NewArtifact() *Artifact {
 	return &Artifact{
 		Schema:  ArtifactSchema,
@@ -211,67 +206,5 @@ func NewArtifact() *Artifact {
 		CPUs:    runtime.NumCPU(),
 		Kind:    "serving-replay",
 		Reports: map[string]Report{},
-		Tables: []*harness.Table{{
-			ID:       "ext-serving",
-			Title:    "bpmaxd end-to-end replay: latency, throughput, shedding",
-			PaperRef: "ROADMAP item 1",
-			// "time" columns are gated by cmd/benchgate (15% regression
-			// threshold) once a baseline row exists; count columns are
-			// labels/occupancy and stay ungated.
-			Header: []string{"mix", "requests", "ok", "shed", "p50 time", "p95 time", "p99 time", "rps", "shed rate"},
-		}, {
-			ID:       "ext-serving-stages",
-			Title:    "bpmaxd tail-latency attribution by stage (Server-Timing)",
-			PaperRef: "ROADMAP item 1",
-			// Deliberately no "time"/"alloc" column names: the stage set
-			// varies with the workload (cache-hit rows appear only when the
-			// cache hit), so these rows stay ungated.
-			Header: []string{"mix", "stage", "p50", "p95", "p99", "tail share"},
-		}},
-	}
-}
-
-// AddReport appends one replay's row to the serving table, one row per
-// observed stage to the attribution table, and retains the full-precision
-// report under its label.
-func (a *Artifact) AddReport(r Report) {
-	a.Reports[r.Label] = r
-	t := a.Tables[0]
-	t.Rows = append(t.Rows, []string{
-		r.Label,
-		fmt.Sprint(r.Total),
-		fmt.Sprint(r.OK),
-		fmt.Sprint(r.Shed),
-		formatDur(time.Duration(r.P50Nanos)),
-		formatDur(time.Duration(r.P95Nanos)),
-		formatDur(time.Duration(r.P99Nanos)),
-		fmt.Sprintf("%.1f", r.Throughput),
-		fmt.Sprintf("%.3f", r.ShedRate),
-	})
-	st := a.Tables[1]
-	for _, s := range r.Stages {
-		st.Rows = append(st.Rows, []string{
-			r.Label,
-			s.Stage,
-			formatDur(time.Duration(s.P50Nanos)),
-			formatDur(time.Duration(s.P95Nanos)),
-			formatDur(time.Duration(s.P99Nanos)),
-			fmt.Sprintf("%.2f", s.TailShare),
-		})
-	}
-}
-
-// formatDur renders a duration the way cmd/benchgate's parser reads it:
-// one unit, ns/µs/ms/s, no composite forms like "1m2s".
-func formatDur(d time.Duration) string {
-	switch {
-	case d < time.Microsecond:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.2fµs", float64(d.Nanoseconds())/1e3)
-	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d.Nanoseconds())/1e6)
-	default:
-		return fmt.Sprintf("%.3fs", d.Seconds())
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -203,8 +204,8 @@ func TestAddTimedWiring(t *testing.T) {
 	}
 }
 
-// TestArtifactStageRows checks AddReport materializes one attribution row
-// per observed stage, in spine order, under the ungated header.
+// TestArtifactStageRows checks the -json artifact keeps one attribution row
+// per observed stage, in spine order, on the mix's full-precision report.
 func TestArtifactStageRows(t *testing.T) {
 	var c Collector
 	for i := 0; i < 4; i++ {
@@ -214,32 +215,29 @@ func TestArtifactStageRows(t *testing.T) {
 		})
 	}
 	art := NewArtifact()
-	art.AddReport(c.Report("mixA", time.Second))
-
-	st := art.Tables[1]
-	if st.ID != "ext-serving-stages" {
-		t.Fatalf("table ID %q", st.ID)
+	art.Reports["mixA"] = c.Report("mixA", time.Second)
+	blob, err := json.Marshal(art)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, col := range st.Header {
-		lower := strings.ToLower(col)
-		if strings.Contains(lower, "time") || strings.Contains(lower, "alloc") {
-			t.Errorf("stage header column %q would be gated by benchgate", col)
-		}
+	var back Artifact
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
 	}
-	if len(st.Rows) != 3 {
-		t.Fatalf("stage rows = %d, want 3 (queue, substrate, other): %v", len(st.Rows), st.Rows)
+	if back.Schema != ArtifactSchema || back.Go == "" || back.CPUs <= 0 {
+		t.Errorf("provenance incomplete: %+v", back)
+	}
+	rep, ok := back.Reports["mixA"]
+	if !ok || rep.TailDominant == "" {
+		t.Fatalf("full report not retained: %+v", rep)
 	}
 	wantOrder := []string{"queue", "substrate", "other"}
-	for i, row := range st.Rows {
-		if row[0] != "mixA" || row[1] != wantOrder[i] {
-			t.Errorf("row %d = %v, want stage %s", i, row, wantOrder[i])
-		}
-		if len(row) != len(st.Header) {
-			t.Errorf("row %d width %d != header width %d", i, len(row), len(st.Header))
-		}
+	if len(rep.Stages) != len(wantOrder) {
+		t.Fatalf("stage rows = %d, want 3 (queue, substrate, other): %+v", len(rep.Stages), rep.Stages)
 	}
-	rep, ok := art.Reports["mixA"]
-	if !ok || rep.TailDominant == "" {
-		t.Errorf("full report not retained: %+v", rep)
+	for i, st := range rep.Stages {
+		if st.Stage != wantOrder[i] {
+			t.Errorf("row %d = %+v, want stage %s", i, st, wantOrder[i])
+		}
 	}
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -219,59 +218,5 @@ func TestCollectorReport(t *testing.T) {
 	}
 	if r.MaxLagNanos != int64(5*time.Second) {
 		t.Errorf("max lag = %v, want 5s", time.Duration(r.MaxLagNanos))
-	}
-}
-
-// TestArtifactBenchgateShape asserts the artifact parses as the exact
-// structure cmd/benchgate loads: bpmax-bench schema, Tables with ID /
-// Header / Rows keys, durations in single-unit form.
-func TestArtifactBenchgateShape(t *testing.T) {
-	a := NewArtifact()
-	var c Collector
-	c.Add(200, 1500*time.Microsecond, 0)
-	c.Add(429, time.Millisecond, 0)
-	a.AddReport(c.Report("poisson", time.Second))
-	blob, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gate struct {
-		Schema string `json:"schema"`
-		Tables []struct {
-			ID     string     `json:"ID"`
-			Header []string   `json:"Header"`
-			Rows   [][]string `json:"Rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(blob, &gate); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(gate.Schema, "bpmax-bench/") {
-		t.Errorf("schema %q not benchgate-acceptable", gate.Schema)
-	}
-	if len(gate.Tables) != 2 || gate.Tables[0].ID != "ext-serving" || gate.Tables[1].ID != "ext-serving-stages" {
-		t.Fatalf("tables = %+v", gate.Tables)
-	}
-	row := gate.Tables[0].Rows[0]
-	if row[0] != "poisson" || row[1] != "2" || row[3] != "1" {
-		t.Errorf("row = %v", row)
-	}
-	if !strings.HasSuffix(row[4], "ms") {
-		t.Errorf("p50 cell %q not a single-unit duration", row[4])
-	}
-}
-
-func TestFormatDur(t *testing.T) {
-	cases := map[time.Duration]string{
-		500 * time.Nanosecond:   "500ns",
-		1500 * time.Nanosecond:  "1.50µs",
-		2500 * time.Microsecond: "2.50ms",
-		1200 * time.Millisecond: "1.200s",
-		90 * time.Second:        "90.000s", // never the composite "1m30s"
-	}
-	for d, want := range cases {
-		if got := formatDur(d); got != want {
-			t.Errorf("formatDur(%v) = %q, want %q", d, got, want)
-		}
 	}
 }
