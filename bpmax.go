@@ -127,9 +127,9 @@ type options struct {
 	// engine, when set via WithEngine, is the persistent worker team;
 	// cfg.Engine mirrors it at the solver layer.
 	engine *Engine
-	// metrics, when set via WithMetrics, aggregates every fold run with
+	// metrics, when set via WithMetrics, aggregates every fill run with
 	// these options; per-fold records land in Result.Metrics (cfg.Metrics
-	// is pointed at it for the solve). cfg.Tracer carries WithTracer.
+	// is pointed at it for the solve) whether or not it is set.
 	metrics *Metrics
 	// cache, when set via WithCache, serves substrate tables and whole
 	// results from the content-addressed cache.
@@ -350,9 +350,11 @@ type Result struct {
 	// in-window interaction score (not the full-pair optimum), FLOPs is 0,
 	// and SubScore is defined only for in-window cells.
 	Window *WindowResult
-	// Metrics is the fold's instrumentation record (phase timings,
-	// wavefronts, derived rates). It is populated only when the fold ran
-	// with WithMetrics or WithTracer; otherwise it is zero.
+	// Metrics is the fold's instrumentation record (schedule, kernel, phase
+	// timings, wavefronts, derived rates), written by the fill that produced
+	// this result's table. On a result served from the cache it is — like
+	// Elapsed — the record of the fill that built the retained master, not
+	// of this call.
 	Metrics FoldMetrics
 
 	prob *ibpmax.Problem
@@ -557,8 +559,8 @@ type WindowResult struct {
 	TableBytes int64
 	// Elapsed is the wall time of the banded fill.
 	Elapsed time.Duration
-	// Metrics is the scan's instrumentation record, populated only when
-	// the scan ran with WithMetrics or WithTracer.
+	// Metrics is the scan's instrumentation record, written by the banded
+	// fill.
 	Metrics FoldMetrics
 
 	ft   *ibpmax.FTable

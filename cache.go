@@ -12,11 +12,11 @@
 //   - Result entries: one whole completed fold under one full option set.
 //     A hit returns a copy sharing the retained master's tables — bit
 //     identical to re-folding. Concurrent identical requests single-flight
-//     behind one solve. Folds running with WithMetrics/WithTracer bypass
-//     this layer (instrumentation measures a real fill). A per-request
-//     trace carried in the context (internal/trace, surfaced by cmd/bpmaxd)
-//     does NOT bypass it: it observes the pipeline as served, recording a
-//     cache hit or single-flight wait instead of a fill.
+//     behind one solve. Observation never bypasses this layer: a hit's
+//     Result.Metrics is the record of the fill that built the master,
+//     WithMetrics aggregates only the fills that ran, and a per-request
+//     trace (internal/trace, surfaced by cmd/bpmaxd) records the cache hit
+//     or single-flight wait it was served by.
 //
 // Entries are evicted least-recently-used once MaxBytes is exceeded, and the
 // cache's retained bytes are charged against WithMemoryLimit budgets exactly

@@ -338,32 +338,21 @@ func TestBatchItemFault(t *testing.T) {
 	}
 }
 
-// gateTracer blocks the first fold at its substrate phase so a test can
-// hold it deterministically in flight.
-type gateTracer struct {
-	started chan struct{}
-	gate    chan struct{}
-	once    sync.Once
-}
-
-func (g *gateTracer) BeginPhase(p Phase) {
-	if p == PhaseSubstrate {
-		g.once.Do(func() {
-			close(g.started)
-			<-g.gate
-		})
-	}
-}
-
-func (g *gateTracer) EndPhase(Phase, time.Duration) {}
-
 // TestSessionShutdownDrains: Shutdown stops admitting immediately, reports
 // ctx expiry while an in-flight fold is still running (components kept),
 // then completes the release once the fold drains — and the in-flight fold
 // itself succeeds.
 func TestSessionShutdownDrains(t *testing.T) {
-	gt := &gateTracer{started: make(chan struct{}), gate: make(chan struct{})}
-	sess, err := NewSession(WithWorkers(2), WithTracer(gt))
+	// Hold the first fold deterministically in flight: its first triangle
+	// announces itself and parks until the gate opens.
+	started, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sess, err := NewSession(WithWorkers(2), withTriangleHook(func(int, int) {
+		once.Do(func() {
+			close(started)
+			<-gate
+		})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +365,7 @@ func TestSessionShutdownDrains(t *testing.T) {
 		res, err := sess.Fold(context.Background(), "GGGAAACCC", "GGGUUUCCC")
 		done <- foldOut{res, err}
 	}()
-	<-gt.started
+	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := sess.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -387,7 +376,7 @@ func TestSessionShutdownDrains(t *testing.T) {
 		t.Fatalf("fold after Shutdown = %v, want ErrSessionClosed", err)
 	}
 	// ...but the in-flight fold keeps its components and completes.
-	close(gt.gate)
+	close(gate)
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("in-flight fold failed across Shutdown: %v", out.err)
@@ -626,16 +615,11 @@ func TestEntryPointContract(t *testing.T) {
 		})
 	}
 
-	// The result-cache leader path cannot be reached with metrics attached
-	// through the public API (instrumented folds bypass it), so drive it
-	// through the prologue directly: the leader's failure is still counted
-	// once, by the attempt loop alone.
+	// A single-flight leader's failure is counted once too, by the attempt
+	// loop alone — not again by the cold body running inside the cache.
 	t.Run("FoldContext/invalid-sequence-cache-leader", func(t *testing.T) {
 		m := NewMetrics()
-		rq := buildOptions([]Option{WithCache(NewCache(CacheConfig{})), WithMetrics(m)})
-		_, err := run(ctx, rq, nil, func(ctx context.Context, rq request) (*Result, error) {
-			return rq.foldShared(ctx, bad, partner)
-		})
+		_, err := FoldContext(ctx, bad, partner, WithCache(NewCache(CacheConfig{})), WithMetrics(m))
 		if err == nil {
 			t.Fatal("invalid sequence accepted")
 		}

@@ -64,6 +64,14 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go (a second copy of the fill)" >&2
         exit 1
     fi
+    # One span stream: the solver records into FoldMetrics, the trace reads it.
+    # A callback tracer, an "observed" switch or a flag that arms recording is
+    # the second stream (and its result-cache bypass) growing back.
+    if grep -rn --include='*.go' -e 'WithTracer' -e 'BeginPhase' -e 'joinedTracer' -e 'observed()' -e 'fold-metrics' . |
+        grep -v -e '_test\.go:' -e '^\./bench/'; then
+        echo "lint: one span stream: the solver records into FoldMetrics, the trace reads it" >&2
+        exit 1
+    fi
     # Assembly lives in one package, behind one set of Go declarations that
     # `go vet`'s asmdecl check (run above) holds it to.
     if find . -name '*.s' -not -path './internal/maxplus/*' | grep .; then

@@ -94,15 +94,12 @@ func run(ctx context.Context, args []string) error {
 	options := comps.Options
 	options = append(options, bpmax.WithAlgebra(bpmax.Algebra(*algebra)), bpmax.WithKT(*kt))
 
-	// -stats arms metrics too: the kernel name it prints is the fold's own
-	// record of what ran (Result.Metrics, zero on an unobserved fold), not a
-	// guess from the flags. That costs the fill two clock reads per phase per
-	// wavefront and no allocation (WithMetrics' contract).
-	var mtr *bpmax.Metrics
-	if *stats || *metricsJSON != "" || *pprofAddr != "" {
-		mtr = bpmax.NewMetrics()
-		options = append(options, bpmax.WithMetrics(mtr))
-	}
+	// Every fold records its own Result.Metrics (-stats prints the kernel
+	// name from it); mtr is the cumulative side -metrics-json and -pprof
+	// publish. Aggregating costs a dozen atomic adds per fold, so it is
+	// simply always on.
+	mtr := bpmax.NewMetrics()
+	options = append(options, bpmax.WithMetrics(mtr))
 	// snapshot assembles the full observability document: cumulative fold
 	// totals plus the stats of every serving component that is on.
 	snapshot := func() bpmax.MetricsSnapshot {
@@ -177,11 +174,8 @@ func run(ctx context.Context, args []string) error {
 				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 			printRuntimeStats()
 		}
-		if mtr != nil {
-			fold := res.Metrics.Snapshot()
-			return writeMetrics(&fold)
-		}
-		return nil
+		fold := res.Metrics.Snapshot()
+		return writeMetrics(&fold)
 	}
 
 	res, err := bpmax.FoldContext(ctx, s1, s2, options...)
@@ -239,11 +233,8 @@ func run(ctx context.Context, args []string) error {
 		}
 		printRuntimeStats()
 	}
-	if mtr != nil {
-		fold := res.Metrics.Snapshot()
-		return writeMetrics(&fold)
-	}
-	return nil
+	fold := res.Metrics.Snapshot()
+	return writeMetrics(&fold)
 }
 
 // printRuntimeStats appends the Go runtime health line to -stats output:

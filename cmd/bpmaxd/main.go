@@ -37,7 +37,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -45,7 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -76,8 +74,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	scanWindow := fs.Int("scan-window", 64, "window span used when a scan request omits w1/w2")
 	batchWorkers := fs.Int("batch-workers", 0, "worker budget per /v1/batch request (0 = all CPUs)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long the SIGTERM drain waits for in-flight requests before giving up")
-	foldMetrics := fs.Bool("fold-metrics", false,
-		"instrument every fold (per-phase timings in /metrics); instrumented folds bypass the result cache, so leave off when -cache should serve repeats")
 	traceRequests := fs.Bool("trace-requests", true, "per-request tracing: X-Request-ID, Server-Timing stage breakdowns, /debug/requests ring")
 	traceRing := fs.Int("trace-ring", 128, "how many recent request traces /debug/requests retains")
 	traceSlowest := fs.Int("trace-slowest", 32, "how many slowest-since-startup request traces /debug/requests retains")
@@ -107,13 +103,10 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		return err
 	}
 	defer comps.Close()
-	options := comps.Options
-	var mtr *bpmax.Metrics
-	if *foldMetrics {
-		mtr = bpmax.NewMetrics()
-		options = append(options, bpmax.WithMetrics(mtr))
-	}
-	session, err := bpmax.NewSession(options...)
+	// The server always aggregates: /metrics reports the fills that ran
+	// (folds, phases, retries, guard fallbacks) next to the cache's hits.
+	mtr := bpmax.NewMetrics()
+	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(mtr))...)
 	if err != nil {
 		return err
 	}
@@ -133,7 +126,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		cfg.Logger = logger
 	}
 	srv := newServer(session, comps, mtr, cfg)
-	publishExpvar(srv.snapshot)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -213,32 +205,4 @@ func dumpTraces(path string, ring *trace.Ring) error {
 		return err
 	}
 	return f.Close()
-}
-
-// expvarOnce guards the process-wide expvar registration: run may be
-// invoked more than once (tests), Publish panics on duplicates.
-var (
-	expvarOnce sync.Once
-	expvarSnap func() bpmax.MetricsSnapshot
-	expvarMu   sync.Mutex
-)
-
-// publishExpvar exposes the observability snapshot at /debug/vars under
-// the "bpmax" key, next to the standard memstats. Re-registration (tests)
-// swaps the snapshot source instead of panicking.
-func publishExpvar(snapshot func() bpmax.MetricsSnapshot) {
-	expvarMu.Lock()
-	expvarSnap = snapshot
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("bpmax", expvar.Func(func() any {
-			expvarMu.Lock()
-			f := expvarSnap
-			expvarMu.Unlock()
-			if f == nil {
-				return nil
-			}
-			return f()
-		}))
-	})
 }

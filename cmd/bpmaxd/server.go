@@ -56,7 +56,7 @@ type serverConfig struct {
 type server struct {
 	session *bpmax.Session
 	comps   *cliflags.Components
-	metrics *bpmax.Metrics // nil unless -fold-metrics
+	metrics *bpmax.Metrics // the session's WithMetrics aggregate; never nil
 	cfg     serverConfig
 	mux     *http.ServeMux
 	ring    *trace.Ring  // nil unless TraceRequests
@@ -77,7 +77,7 @@ type server struct {
 
 // newServer wires the endpoint table. comps holds the serving components
 // the session was built from (for stats and Retry-After introspection);
-// mtr is non-nil only when fold-level metrics are on.
+// mtr is the aggregate the session's folds record into (WithMetrics).
 func newServer(session *bpmax.Session, comps *cliflags.Components, mtr *bpmax.Metrics, cfg serverConfig) *server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 8 << 20
@@ -458,9 +458,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics serves the full observability document: cumulative fold
-// totals (zero unless -fold-metrics), component stats, and the HTTP
-// layer's own request accounting.
+// handleMetrics serves the full observability document: cumulative totals
+// of the fills that ran, component stats, and the HTTP layer's own request
+// accounting.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, s.snapshot())
 }
@@ -485,12 +485,9 @@ func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, s.ring.Snapshot())
 }
 
-// snapshot assembles the /metrics document; also published via expvar.
+// snapshot assembles the /metrics document.
 func (s *server) snapshot() bpmax.MetricsSnapshot {
-	var snap bpmax.MetricsSnapshot
-	if s.metrics != nil {
-		snap = s.metrics.Snapshot()
-	}
+	snap := s.metrics.Snapshot()
 	s.comps.Attach(&snap)
 	sst := s.serverStats()
 	snap.Server = &sst

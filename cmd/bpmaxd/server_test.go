@@ -33,13 +33,14 @@ func newTestServer(t *testing.T, mut func(*cliflags.Serving), cfg serverConfig) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, err := bpmax.NewSession(comps.Options...)
+	mtr := bpmax.NewMetrics()
+	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(mtr))...)
 	if err != nil {
 		comps.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { session.Close(); comps.Close() })
-	return newServer(session, comps, nil, cfg), comps
+	return newServer(session, comps, mtr, cfg), comps
 }
 
 // post sends one JSON request through the handler table.
@@ -277,7 +278,7 @@ func TestClosedSession503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(session, comps, nil, serverConfig{})
+	s := newServer(session, comps, bpmax.NewMetrics(), serverConfig{})
 	session.Close()
 	for _, path := range []string{"/v1/fold", "/v1/scan", "/v1/batch"} {
 		body := map[string]any{"seq1": "GGG", "seq2": "CCC"}
@@ -453,42 +454,71 @@ func TestConcurrentRequestsDuringShutdown(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd boots the real binary loop — listener, signals aside —
-// and exercises the drain path through ctx cancellation.
-func TestRunEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
+// bootRun boots the real binary loop — listener, signals aside — with the
+// given flags on a free port and returns its address. drain cancels the
+// context (the SIGTERM equivalent) and fails the test unless run exits
+// cleanly.
+func bootRun(t *testing.T, args ...string) (addr string, drain func()) {
+	t.Helper()
+	addrFile := filepath.Join(t.TempDir(), "addr")
 	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-			"-cache", "64MB", "-admit", "4", "-admit-queue", "16",
-		}, os.Stderr)
+		done <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, args...), os.Stderr)
 	}()
-	var addr string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if blob, err := os.ReadFile(addrFile); err == nil && len(blob) > 0 {
 			addr = strings.TrimSpace(string(blob))
 			break
 		}
+		select {
+		case err := <-done:
+			t.Fatalf("server exited before listening: %v", err)
+		default:
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("server never wrote its address")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	blob, _ := json.Marshal(map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
-	resp, err := http.Post("http://"+addr+"/v1/fold", "application/json", bytes.NewReader(blob))
+	return addr, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain exit: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("server did not drain")
+		}
+	}
+}
+
+// postWire sends one JSON request over a real connection and returns the
+// status, draining the body.
+func postWire(t *testing.T, url string, body any) int {
+	t.Helper()
+	blob, _ := json.Marshal(body)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fold over the wire: %d", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// TestRunEndToEnd exercises the binary loop's serve and drain paths through
+// ctx cancellation.
+func TestRunEndToEnd(t *testing.T) {
+	addr, drain := bootRun(t, "-cache", "64MB", "-admit", "4", "-admit-queue", "16")
+	if code := postWire(t, "http://"+addr+"/v1/fold", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"}); code != http.StatusOK {
+		t.Fatalf("fold over the wire: %d", code)
 	}
-	resp, err = http.Get("http://" + addr + "/healthz")
+	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,13 +526,69 @@ func TestRunEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
-	cancel() // SIGTERM equivalent
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain exit: %v", err)
+	drain()
+}
+
+// TestDefaultFlagsCountFillsAndHits: under the default flags plus -cache an
+// operator gets both the cache and the fold counters. Three identical folds
+// are one fill and two result hits in /metrics and /metrics/prom, with the
+// fill's phases and histogram entry; a partition fold whose kT leaves the
+// scaled domain moves the guard-fallback alarm — no flag armed any of it.
+func TestDefaultFlagsCountFillsAndHits(t *testing.T) {
+	addr, drain := bootRun(t, "-cache", "64MB")
+	defer drain()
+	base := "http://" + addr
+	for i := 0; i < 3; i++ {
+		if code := postWire(t, base+"/v1/fold", map[string]any{"seq1": "GGGAAACCCUUUGGG", "seq2": "CCCAAAGGGUUUCCC"}); code != http.StatusOK {
+			t.Fatalf("fold %d: status %d", i, code)
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not drain")
+	}
+	metricsDoc := func() bpmax.MetricsSnapshot {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap bpmax.MetricsSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	snap := metricsDoc()
+	if snap.Folds != 1 || snap.Cache == nil || snap.Cache.ResultHits != 2 {
+		t.Errorf("folds = %d, cache = %+v; want 1 fill and 2 result hits", snap.Folds, snap.Cache)
+	}
+	if snap.FoldNanos.Count != 1 {
+		t.Errorf("fold_nanos.count = %d, want 1", snap.FoldNanos.Count)
+	}
+	for _, phase := range []string{"substrate", "accumulate", "finalize"} {
+		if st := snap.Phases[phase]; st.Nanos <= 0 || st.Units <= 0 {
+			t.Errorf("phases[%s] = %+v, want the fill's record", phase, st)
+		}
+	}
+	resp, err := http.Get(base + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"\nbpmax_folds_total 1\n", "\nbpmax_cache_result_hits_total 2\n"} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("/metrics/prom missing %q", want)
+		}
+	}
+
+	if snap.PartitionFallbacks != 0 {
+		t.Fatalf("partition_guard_fallbacks = %d before any partition fold", snap.PartitionFallbacks)
+	}
+	body := map[string]any{"seq1": "GGGAGACUCCC", "seq2": "UUUGGGAGUCU", "algebra": "partition", "kt": 0.001}
+	if code := postWire(t, base+"/v1/fold", body); code != http.StatusOK {
+		t.Fatalf("partition fold: status %d", code)
+	}
+	if snap = metricsDoc(); snap.PartitionFallbacks == 0 || snap.Folds != 2 {
+		t.Errorf("after a kT=0.001 partition fold: partition_guard_fallbacks = %d, folds = %d; want the guard counted and 2 fills",
+			snap.PartitionFallbacks, snap.Folds)
 	}
 }

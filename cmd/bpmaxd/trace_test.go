@@ -54,8 +54,10 @@ func TestServerTimingAndDebugRequests(t *testing.T) {
 	if !strings.Contains(st, "total;dur=") {
 		t.Errorf("Server-Timing missing total entry: %q", st)
 	}
-	if stages := workloadStages(st); stages["queue"] == "" || stages["substrate"] == "" {
-		t.Errorf("Server-Timing missing spine stages: %q", st)
+	for _, want := range []string{"queue", "substrate", "accumulate", "finalize"} {
+		if workloadStages(st)[want] == "" {
+			t.Errorf("Server-Timing missing spine stage %s: %q", want, st)
+		}
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/debug/requests", nil)
@@ -78,13 +80,21 @@ func TestServerTimingAndDebugRequests(t *testing.T) {
 	if snap.ID != rec.Header().Get("X-Request-ID") {
 		t.Errorf("ring trace %q does not match response header %q", snap.ID, rec.Header().Get("X-Request-ID"))
 	}
-	names := map[string]bool{}
+	busy := map[string]int64{}
 	for _, sg := range snap.Stages {
-		names[sg.Stage] = true
+		busy[sg.Stage] = sg.BusyNanos
 	}
-	for _, want := range []string{"decode", "queue", "substrate", "traceback", "encode"} {
-		if !names[want] {
+	for _, want := range []string{"decode", "queue", "substrate", "accumulate", "finalize", "traceback", "encode"} {
+		if busy[want] <= 0 {
 			t.Errorf("stage %q missing from trace: %v", want, snap.Stages)
+		}
+	}
+	// One fill ran, so the aggregate's phases are that fold's FoldMetrics:
+	// the trace's fill stages are read from the same record, to the nanosecond.
+	phases := s.metrics.Snapshot().Phases
+	for _, fill := range []string{"accumulate", "finalize"} {
+		if busy[fill] != phases[fill].Nanos {
+			t.Errorf("trace stage %s busy %dns, FoldMetrics phase %dns; want equal", fill, busy[fill], phases[fill].Nanos)
 		}
 	}
 }
@@ -239,45 +249,10 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // TestRunTraceOut boots the full binary loop with -trace-out and checks
 // the drain leaves a loadable Chrome trace-event file behind.
 func TestRunTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
-	tracePath := filepath.Join(dir, "chrome.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-			"-trace-out", tracePath, "-log-format", "json",
-		}, os.Stderr)
-	}()
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if blob, err := os.ReadFile(addrFile); err == nil && len(blob) > 0 {
-			addr = strings.TrimSpace(string(blob))
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never wrote its address")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	blob, _ := json.Marshal(map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
-	resp, err := http.Post("http://"+addr+"/v1/fold", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain exit: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not drain")
-	}
+	tracePath := filepath.Join(t.TempDir(), "chrome.json")
+	addr, drain := bootRun(t, "-trace-out", tracePath, "-log-format", "json")
+	postWire(t, "http://"+addr+"/v1/fold", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
+	drain()
 	out, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +263,15 @@ func TestRunTraceOut(t *testing.T) {
 	if err := json.Unmarshal(out, &file); err != nil {
 		t.Fatalf("-trace-out not valid trace-event JSON: %v", err)
 	}
-	if len(file.TraceEvents) == 0 {
-		t.Fatal("-trace-out has no events")
+	named := map[string]bool{}
+	for _, ev := range file.TraceEvents {
+		if name, ok := ev["name"].(string); ok && ev["ph"] == "X" {
+			named[name] = true
+		}
+	}
+	for _, want := range []string{"substrate", "accumulate", "finalize"} {
+		if !named[want] {
+			t.Errorf("-trace-out has no %s span: %v", want, named)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func solveBase(ctx context.Context, p *Problem, cfg Config) (*FTable, error) {
 	for d1 := 0; d1 < n1; d1++ {
 		// The base schedule has no phase structure; one span per outer
 		// anti-diagonal keeps its timing comparable to the other schedules.
-		t0 := obs.start(metrics.PhaseTriangle)
+		t0 := obs.start()
 		for d2 := 0; d2 < n2; d2++ {
 			for i1 := 0; i1+d1 < n1; i1++ {
 				select {
@@ -124,7 +124,7 @@ func solveBaseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cf
 	done := ctx.Done()
 	obs := cfg.observe(p, "base", "go") // per-cell gathers: no streaming kernel
 	for d1 := 0; d1 < n1; d1++ {
-		t0 := obs.start(metrics.PhaseTriangle)
+		t0 := obs.start()
 		for d2 := 0; d2 < n2; d2++ {
 			for i1 := 0; i1+d1 < n1; i1++ {
 				select {

@@ -110,9 +110,6 @@ type Config struct {
 	// Recording allocates nothing and costs two time.Now calls per phase
 	// per wavefront.
 	Metrics *metrics.FoldMetrics
-	// Tracer, when non-nil, receives BeginPhase/EndPhase callbacks around
-	// each schedule phase (see metrics.Tracer). Independent of Metrics.
-	Tracer metrics.Tracer
 
 	// triangleHook, when set, runs at the start of each triangle-level unit
 	// of work in every schedule. Test-only fault injection seam: it lets the

@@ -2,34 +2,13 @@ package bpmax
 
 import (
 	"context"
+	"errors"
 	"testing"
-	"time"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
-
-// countingTracer records Begin/End balance per phase and the maximum open
-// span depth; the solvers promise balanced, non-overlapping spans issued
-// from the coordinating goroutine.
-type countingTracer struct {
-	begins, ends  [metrics.PhaseCount]int
-	open, maxOpen int
-}
-
-func (tr *countingTracer) BeginPhase(p metrics.Phase) {
-	tr.begins[p]++
-	tr.open++
-	if tr.open > tr.maxOpen {
-		tr.maxOpen = tr.open
-	}
-}
-
-func (tr *countingTracer) EndPhase(p metrics.Phase, d time.Duration) {
-	tr.ends[p]++
-	tr.open--
-}
 
 // obsVariants is the per-schedule expectation table: which phases a
 // schedule reports and the total units each phase should credit for an
@@ -76,8 +55,7 @@ func TestMetricsRecordedPerVariant(t *testing.T) {
 	for _, tc := range obsVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			var fm metrics.FoldMetrics
-			var tr countingTracer
-			cfg := Config{Workers: 2, Metrics: &fm, Tracer: &tr}.withDefaults()
+			cfg := Config{Workers: 2, Metrics: &fm}.withDefaults()
 			f, err := SolveContext(context.Background(), p, tc.variant, cfg)
 			if err != nil {
 				t.Fatalf("solve: %v", err)
@@ -125,15 +103,6 @@ func TestMetricsRecordedPerVariant(t *testing.T) {
 				} else if st.Units != 0 || st.Nanos != 0 {
 					t.Errorf("phase %s: unexpected activity (%d units, %d ns)", ph, st.Units, st.Nanos)
 				}
-				if tr.begins[ph] != tr.ends[ph] {
-					t.Errorf("phase %s: %d begins vs %d ends", ph, tr.begins[ph], tr.ends[ph])
-				}
-				if (tr.begins[ph] > 0) != (wantUnits[ph] > 0) {
-					t.Errorf("phase %s: %d tracer spans, want active=%v", ph, tr.begins[ph], wantUnits[ph] > 0)
-				}
-			}
-			if tr.open != 0 || tr.maxOpen != 1 {
-				t.Errorf("tracer nesting: open=%d maxOpen=%d, want 0 and 1", tr.open, tr.maxOpen)
 			}
 		})
 	}
@@ -143,8 +112,7 @@ func TestMetricsRecordedWindowed(t *testing.T) {
 	const n1, n2, w1, w2 = 10, 8, 4, 5
 	p := newTestProblem(t, 42, n1, n2)
 	var fm metrics.FoldMetrics
-	var tr countingTracer
-	w, err := SolveWindowedContext(context.Background(), p, w1, w2, Config{Metrics: &fm, Tracer: &tr})
+	w, err := SolveWindowedContext(context.Background(), p, w1, w2, Config{Metrics: &fm})
 	if err != nil {
 		t.Fatalf("SolveWindowedContext: %v", err)
 	}
@@ -168,13 +136,51 @@ func TestMetricsRecordedWindowed(t *testing.T) {
 	if got := fm.Phases[metrics.PhaseFinalize].Units; got != wantFin {
 		t.Errorf("finalize units = %d, want %d", got, wantFin)
 	}
-	for _, ph := range []metrics.Phase{metrics.PhaseAccum, metrics.PhaseFinalize} {
-		if tr.begins[ph] != w1 || tr.ends[ph] != w1 {
-			t.Errorf("%s spans = %d/%d, want %d balanced", ph, tr.begins[ph], tr.ends[ph], w1)
-		}
-	}
-	if tr.open != 0 {
-		t.Errorf("tracer left %d spans open", tr.open)
+}
+
+// TestMetricsRecordInterruptedFill cancels a fill from inside one of its
+// triangles, in every schedule: the solve fails, and the sink still says
+// where the time went — the phase that was cut short is credited its partial
+// wall time (obs.interrupt), units count only completed steps, and the
+// wavefront count stops where the fill did. Request traces report exactly
+// this record on error exits.
+func TestMetricsRecordInterruptedFill(t *testing.T) {
+	const n1, n2, stopD1 = 9, 7, 4
+	p := newTestProblem(t, 44, n1, n2)
+	for _, tc := range obsVariants {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var fm metrics.FoldMetrics
+			cfg := Config{Workers: 1, Metrics: &fm}.withDefaults()
+			cfg.SetTriangleHook(func(i1, j1 int) {
+				if j1-i1 == stopD1 {
+					cancel()
+				}
+			})
+			if _, err := SolveContext(ctx, p, tc.variant, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("solve = %v, want context.Canceled", err)
+			}
+			if fm.Schedule != tc.schedule {
+				t.Errorf("Schedule = %q, want %q", fm.Schedule, tc.schedule)
+			}
+			if fm.Wavefronts != stopD1 {
+				t.Errorf("Wavefronts = %d, want the %d completed before the cancel", fm.Wavefronts, stopD1)
+			}
+			full := tc.units(n1, n2, (n2+cfg.TileI2-1)/cfg.TileI2)
+			for ph := metrics.Phase(0); ph < metrics.PhaseCount; ph++ {
+				st := fm.Phases[ph]
+				wu, active := full[ph]
+				switch {
+				case !active && st != (metrics.PhaseStat{}):
+					t.Errorf("phase %s: unexpected activity %+v", ph, st)
+				case active && st.Nanos <= 0:
+					t.Errorf("phase %s: no time credited to an interrupted fill", ph)
+				case active && st.Units >= wu:
+					t.Errorf("phase %s: Units = %d, want fewer than a whole fill's %d", ph, st.Units, wu)
+				}
+			}
+		})
 	}
 }
 

@@ -204,7 +204,7 @@ wavefronts:
 			s.curI1 = r
 			for _, st := range steps {
 				n := tris * st.per
-				t0 := obs.start(st.phase)
+				t0 := obs.start()
 				if st.inline {
 					st.task(r)
 				} else if err = pf(ctx, n, s.cfg.Workers, st.task); err != nil {

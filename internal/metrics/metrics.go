@@ -22,10 +22,7 @@
 // BufferStats) so every layer reports through one schema.
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Phase names one instrumented section of a schedule. Phases are the
 // paper's own decomposition: the R0/R3/R4 accumulation that streams
@@ -72,17 +69,6 @@ func (p Phase) String() string {
 type PhaseStat struct {
 	Nanos int64 `json:"nanos"`
 	Units int64 `json:"units"`
-}
-
-// Tracer receives span callbacks around schedule phases. Calls come from
-// the fold's coordinating goroutine, strictly nested and balanced
-// (BeginPhase then EndPhase with the elapsed wall time). Implementations
-// must be cheap and must not block: the solver invokes them once per phase
-// per wavefront. Typical adapters set pprof labels, feed an OpenTelemetry
-// span, or count phase transitions; see docs/OBSERVABILITY.md.
-type Tracer interface {
-	BeginPhase(p Phase)
-	EndPhase(p Phase, d time.Duration)
 }
 
 // FoldMetrics instruments one fold. It is owned by a single fold and
@@ -201,45 +187,6 @@ type FoldSnapshot struct {
 	PartitionDomain     string               `json:"partition_domain,omitempty"`
 	GFLOPS              float64              `json:"gflops"`
 	CellsPerSecond      float64              `json:"cells_per_second"`
-}
-
-// Span times one phase for callers outside the solver core (the public
-// layer times substrate construction with it). Begin with nil destinations
-// returns an inert Span whose End is a no-op, so disabled observability
-// costs neither a time.Now nor a branch miss.
-type Span struct {
-	m     *FoldMetrics
-	tr    Tracer
-	phase Phase
-	start time.Time
-}
-
-// Begin opens a span on phase p against the given destinations (either may
-// be nil).
-func Begin(m *FoldMetrics, tr Tracer, p Phase) Span {
-	if m == nil && tr == nil {
-		return Span{}
-	}
-	if tr != nil {
-		tr.BeginPhase(p)
-	}
-	return Span{m: m, tr: tr, phase: p, start: time.Now()}
-}
-
-// End closes the span, crediting its wall time and unit count.
-func (s Span) End(units int64) {
-	if s.m == nil && s.tr == nil {
-		return
-	}
-	d := time.Since(s.start)
-	if s.m != nil {
-		st := &s.m.Phases[s.phase]
-		st.Nanos += int64(d)
-		st.Units += units
-	}
-	if s.tr != nil {
-		s.tr.EndPhase(s.phase, d)
-	}
 }
 
 // HighWater is an atomic maximum tracker.

@@ -60,7 +60,7 @@ func promValue(v any) string {
 func WriteProm(w io.Writer, s *Snapshot) error {
 	p := &promWriter{w: w}
 
-	p.metric("bpmax_folds_total", "counter", "Successful folds recorded.", s.Folds)
+	p.metric("bpmax_folds_total", "counter", "Fills executed (a fold served from the result cache runs none: see bpmax_cache_result_hits_total).", s.Folds)
 	p.metric("bpmax_fold_errors_total", "counter", "Failed folds (cancelled, over budget, panicked, invalid).", s.Errors)
 	p.metric("bpmax_folds_degraded_total", "counter", "Folds that degraded (packed or windowed).", s.Degraded)
 	p.metric("bpmax_cells_total", "counter", "DP cells computed.", s.Cells)

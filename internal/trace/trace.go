@@ -17,15 +17,13 @@
 //     FromContext on a context without a trace is one Value lookup. A
 //     pooled steady-state fold with no trace in its context performs no
 //     allocation and no timestamp on behalf of this package (enforced by
-//     TestTraceZeroAllocSteadyState).
+//     TestDisarmedPathAllocsNothing).
 //
-// *Trace implements metrics.Tracer, so the existing solver instrumentation
-// (obsState in internal/bpmax) feeds fold phases into the request trace
-// with no new solver plumbing: the pipeline joins the trace into
-// Config.Tracer only on the cold-solve path. Phase recording uses only
-// EndPhase — which carries the elapsed duration — so a phase whose End was
-// skipped (a cancelled fill) loses at most that partial span and never
-// corrupts the trace.
+// The solver knows nothing of this package. It records every fill into the
+// fold's metrics.FoldMetrics, and the pipeline copies that record's fill
+// phases into the request trace once the solver has returned (AddFill) —
+// on error exits too, so a cancelled or faulted fill still reports the
+// partial phase time the solver credited before it stopped.
 //
 // Snapshots feed three consumers: the /debug/requests ring (ring.go), the
 // Chrome trace-event export (chrome.go), and the Server-Timing response
@@ -66,8 +64,8 @@ const (
 	// another request's in-flight identical solve.
 	StageCacheWait
 	// StageSubstrate through StageTriangle mirror metrics.Phase —
-	// StageOfPhase maps them index-for-index, so solver spans arrive
-	// through the Tracer interface with no translation table.
+	// StageOfPhase maps them index-for-index, so a fold's phase record
+	// needs no translation table.
 	StageSubstrate
 	StageAccum
 	StageFinalize
@@ -107,7 +105,7 @@ func (s Stage) String() string {
 // one addition.
 func StageOfPhase(p metrics.Phase) Stage {
 	if p >= metrics.PhaseCount {
-		return StageCount // dropped by the bounds check in EndPhase
+		return StageCount // not a stage
 	}
 	return StageSubstrate + Stage(p)
 }
@@ -123,8 +121,8 @@ type StageStat struct {
 }
 
 // Trace records one request's stage breakdown. Create with New, carry with
-// NewContext/FromContext, record with Begin/End (explicit spans) or the
-// metrics.Tracer interface (solver phases), seal with Finish. All methods
+// NewContext/FromContext, record with Begin/End (explicit spans) and
+// AddFill (a finished fill's phase record), seal with Finish. All methods
 // are safe for concurrent use and safe on a nil receiver — a nil *Trace is
 // the disarmed state and costs nothing.
 type Trace struct {
@@ -195,74 +193,49 @@ func (t *Trace) Begin() time.Time {
 	return time.Now()
 }
 
-// End closes an explicit span opened by Begin, attributing its wall time
-// to stage st.
+// End closes an explicit span opened by Begin (or at a start time the caller
+// read itself), attributing its wall time to stage st.
 func (t *Trace) End(st Stage, start time.Time) {
-	if t == nil || start.IsZero() {
+	if t == nil || start.IsZero() || st >= StageCount {
 		return
 	}
 	now := time.Now()
-	t.add(st, now.Sub(t.start), now.Sub(start))
+	t.mu.Lock()
+	t.stages[st].add(start.Sub(t.start), now.Sub(t.start), now.Sub(start))
+	t.mu.Unlock()
 }
 
-// add credits one span ending at offset end (from trace start) with
-// duration d to stage st.
-func (t *Trace) add(st Stage, end, d time.Duration) {
-	if st >= StageCount {
+// AddFill copies a fill's phase record into the trace: every fill phase the
+// solver credited (accumulate, finalize, triangle) becomes one span of its
+// stage, busy for exactly the recorded nanos, with the fill's extent
+// [start, now] — the phases of one fill interleave wavefront by wavefront,
+// so they share it. The substrate phase is not copied; the pipeline spans
+// that stage itself (End).
+func (t *Trace) AddFill(start time.Time, fm *metrics.FoldMetrics) {
+	if t == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	endNs, durNs := int64(end), int64(d)
-	beginNs := endNs - durNs
+	first, last := start.Sub(t.start), time.Since(t.start)
 	t.mu.Lock()
-	s := &t.stages[st]
-	s.BusyNanos += durNs
-	s.Count++
-	if s.Count == 1 || beginNs < s.FirstNanos {
-		s.FirstNanos = beginNs
-	}
-	if endNs > s.LastNanos {
-		s.LastNanos = endNs
+	for p := metrics.PhaseAccum; p < metrics.PhaseCount; p++ {
+		if ns := fm.Phases[p].Nanos; ns > 0 {
+			t.stages[StageOfPhase(p)].add(first, last, time.Duration(ns))
+		}
 	}
 	t.mu.Unlock()
 }
 
-// BeginPhase implements metrics.Tracer. It is deliberately a no-op: phase
-// time arrives through EndPhase's elapsed argument, so an unbalanced Begin
-// (a fill cancelled mid-phase) cannot leave a span dangling.
-func (t *Trace) BeginPhase(metrics.Phase) {}
-
-// EndPhase implements metrics.Tracer: one solver phase span of duration d
-// just ended on the fold's coordinating goroutine.
-func (t *Trace) EndPhase(p metrics.Phase, d time.Duration) {
-	if t == nil {
-		return
+// add credits one span covering [first, last] (offsets from trace start)
+// with busy time busy.
+func (s *StageStat) add(first, last, busy time.Duration) {
+	s.BusyNanos += int64(busy)
+	s.Count++
+	if s.Count == 1 || int64(first) < s.FirstNanos {
+		s.FirstNanos = int64(first)
 	}
-	t.add(StageOfPhase(p), time.Since(t.start), d)
-}
-
-// Join returns a Tracer that feeds both the trace and next (either may be
-// nil). The pipeline uses it to layer request tracing under a caller's
-// WithTracer without disturbing it.
-func (t *Trace) Join(next metrics.Tracer) metrics.Tracer {
-	if t == nil {
-		return next
+	if int64(last) > s.LastNanos {
+		s.LastNanos = int64(last)
 	}
-	if next == nil {
-		return t
-	}
-	return joinedTracer{t, next}
-}
-
-// joinedTracer fans Tracer callbacks out to two destinations.
-type joinedTracer struct{ a, b metrics.Tracer }
-
-func (j joinedTracer) BeginPhase(p metrics.Phase) { j.a.BeginPhase(p); j.b.BeginPhase(p) }
-func (j joinedTracer) EndPhase(p metrics.Phase, d time.Duration) {
-	j.a.EndPhase(p, d)
-	j.b.EndPhase(p, d)
 }
 
 // Finish seals the trace with the request's final status. Idempotent-ish:

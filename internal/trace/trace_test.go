@@ -13,6 +13,13 @@ import (
 	"github.com/bpmax-go/bpmax/internal/metrics"
 )
 
+// fill is a fold record with d credited to phase p.
+func fill(p metrics.Phase, d time.Duration) *metrics.FoldMetrics {
+	fm := &metrics.FoldMetrics{}
+	fm.Phases[p] = metrics.PhaseStat{Nanos: int64(d), Units: 1}
+	return fm
+}
+
 func TestStageNames(t *testing.T) {
 	seen := map[string]bool{}
 	for st := Stage(0); st < StageCount; st++ {
@@ -57,7 +64,7 @@ func TestTraceAccumulates(t *testing.T) {
 	tr.End(StageQueue, s1)
 	s2 := tr.Begin()
 	tr.End(StageQueue, s2)
-	tr.EndPhase(metrics.PhaseTriangle, 5*time.Millisecond)
+	tr.AddFill(time.Now(), fill(metrics.PhaseTriangle, 5*time.Millisecond))
 	tr.Finish(200)
 
 	snap := tr.Snapshot()
@@ -100,8 +107,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	}
 	tr.End(StageDecode, time.Now()) // must not panic
 	tr.End(StageDecode, time.Time{})
-	tr.EndPhase(metrics.PhaseSubstrate, time.Second)
-	tr.BeginPhase(metrics.PhaseSubstrate)
+	tr.AddFill(time.Now(), fill(metrics.PhaseTriangle, time.Second))
 	tr.SetName("x")
 	tr.SetLabel("partition_domain", "scaled")
 	tr.Finish(200)
@@ -114,18 +120,16 @@ func TestNilTraceIsInert(t *testing.T) {
 	if snap := tr.Snapshot(); snap.ID != "" || len(snap.Stages) != 0 {
 		t.Fatalf("nil Snapshot = %+v", snap)
 	}
-	if tr.Join(nil) != nil {
-		t.Fatal("nil.Join(nil) must be nil")
-	}
 }
 
 func TestDisarmedPathAllocsNothing(t *testing.T) {
 	ctx := context.Background()
+	fm := fill(metrics.PhaseTriangle, time.Millisecond)
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := FromContext(ctx)
 		start := tr.Begin()
 		tr.End(StageSubstrate, start)
-		tr.EndPhase(metrics.PhaseTriangle, time.Millisecond)
+		tr.AddFill(start, fm)
 	})
 	if allocs != 0 {
 		t.Fatalf("disarmed trace path allocates %v per op, want 0", allocs)
@@ -160,44 +164,54 @@ func TestNewID(t *testing.T) {
 	}
 }
 
-func TestJoinFansOut(t *testing.T) {
-	tr := New("j", "fold")
-	var other recordingTracer
-	joined := tr.Join(&other)
-	joined.BeginPhase(metrics.PhaseTriangle)
-	joined.EndPhase(metrics.PhaseTriangle, 3*time.Millisecond)
+// TestAddFillCopiesPhaseRecord: the trace reads a fill's phases from the
+// fold's own record — busy time is the recorded nanos to the nanosecond,
+// each credited fill phase is one span over the fill's extent, phases the
+// solver never ran stay out, and the substrate phase is left to the
+// pipeline's own span.
+func TestAddFillCopiesPhaseRecord(t *testing.T) {
+	tr := New("f", "fold")
+	fm := &metrics.FoldMetrics{}
+	fm.Phases[metrics.PhaseSubstrate] = metrics.PhaseStat{Nanos: 7e6, Units: 1}
+	fm.Phases[metrics.PhaseAccum] = metrics.PhaseStat{Nanos: 3e6, Units: 40}
+	fm.Phases[metrics.PhaseFinalize] = metrics.PhaseStat{Nanos: 2e6} // interrupted: time, no units
+	start := time.Now()
+	time.Sleep(time.Millisecond)
+	tr.AddFill(start, fm)
+	tr.Finish(200)
 
-	if other.begins != 1 || other.ends != 1 {
-		t.Fatalf("next tracer saw begins=%d ends=%d", other.begins, other.ends)
-	}
 	snap := tr.Snapshot()
-	found := false
+	got := map[string]StageSnapshot{}
 	for _, s := range snap.Stages {
-		if s.Stage == "triangle" && s.BusyNanos == int64(3*time.Millisecond) {
-			found = true
+		got[s.Stage] = s
+	}
+	if len(got) != 2 {
+		t.Fatalf("stages = %+v, want accumulate and finalize only", snap.Stages)
+	}
+	for name, want := range map[string]int64{"accumulate": 3e6, "finalize": 2e6} {
+		s := got[name]
+		if s.BusyNanos != want || s.Count != 1 {
+			t.Errorf("%s = %+v, want busy %d in one span", name, s, want)
+		}
+		if s.FirstNanos < 0 || s.LastNanos-s.FirstNanos < int64(time.Millisecond) || s.LastNanos > snap.TotalNanos {
+			t.Errorf("%s extent [%d, %d] is not the fill's (total %d)", name, s.FirstNanos, s.LastNanos, snap.TotalNanos)
 		}
 	}
-	if !found {
-		t.Fatalf("trace missed the joined span: %+v", snap.Stages)
+	if got["accumulate"].FirstNanos != got["finalize"].FirstNanos || got["accumulate"].LastNanos != got["finalize"].LastNanos {
+		t.Errorf("fill phases must share the fill's extent: %+v", snap.Stages)
 	}
-	// Degenerate joins collapse to the surviving side.
-	if tr.Join(nil) != metrics.Tracer(tr) {
-		t.Fatal("Join(nil) must return the trace itself")
-	}
-	var nilTr *Trace
-	if nilTr.Join(&other) != metrics.Tracer(&other) {
-		t.Fatal("nil.Join(next) must return next")
+	// A second fill under the same trace (a batch item) accumulates.
+	tr.AddFill(time.Now(), fm)
+	for _, s := range tr.Snapshot().Stages {
+		if s.Stage == "accumulate" && (s.BusyNanos != 6e6 || s.Count != 2) {
+			t.Errorf("second fill: accumulate = %+v, want busy 6ms in 2 spans", s)
+		}
 	}
 }
 
-type recordingTracer struct{ begins, ends int }
-
-func (r *recordingTracer) BeginPhase(metrics.Phase)              { r.begins++ }
-func (r *recordingTracer) EndPhase(metrics.Phase, time.Duration) { r.ends++ }
-
 func TestServerTimingLedger(t *testing.T) {
 	tr := New("st", "fold")
-	tr.EndPhase(metrics.PhaseSubstrate, 2*time.Millisecond)
+	tr.AddFill(time.Now(), fill(metrics.PhaseAccum, 2*time.Millisecond))
 	s := tr.Begin()
 	tr.End(StageQueue, s)
 	// Encode must be excluded: the header is written before the body.
@@ -229,8 +243,8 @@ func TestServerTimingLedger(t *testing.T) {
 	if diff := total - (attributed + other); diff > 0.01 || diff < -0.01 {
 		t.Fatalf("ledger gap %.3fms in %q", diff, header)
 	}
-	if entries["substrate"] < 1.9 {
-		t.Fatalf("substrate = %.3fms, want ≈2ms (%q)", entries["substrate"], header)
+	if entries["accumulate"] != 2 {
+		t.Fatalf("accumulate = %.3fms, want the recorded 2ms (%q)", entries["accumulate"], header)
 	}
 }
 
@@ -256,13 +270,14 @@ func TestConcurrentTraceWrites(t *testing.T) {
 	// Batch items share one request trace across worker goroutines; the
 	// accumulation must tolerate that (run under -race in CI).
 	tr := New("conc", "batch")
+	fm := fill(metrics.PhaseTriangle, time.Microsecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.EndPhase(metrics.PhaseTriangle, time.Microsecond)
+				tr.AddFill(time.Now(), fm)
 				s := tr.Begin()
 				tr.End(StageSubstrate, s)
 			}

@@ -3,15 +3,14 @@
 //
 // Two granularities are exposed. Result.Metrics is the per-fold record —
 // schedule identity, per-phase wall time and task counts, wavefronts, and
-// derived rates (GFLOPS, cells/second) — filled at wavefront granularity by
-// the fold's own coordinating goroutine, so enabling it adds no
-// allocations and no atomics to the fill. A *Metrics passed with
-// WithMetrics is the cumulative aggregate: any number of concurrent folds
-// record into it with a bounded number of atomic adds at fold end.
-// WithTracer adds span callbacks around the same phases, suitable for
-// pprof labels or OpenTelemetry adapters. Engine.Stats and Pool.Stats
-// report component utilization. See docs/OBSERVABILITY.md for the metric
-// glossary and the JSON schema the CI regression gate consumes.
+// derived rates (GFLOPS, cells/second) — written by every fill, at wavefront
+// granularity, by the fold's own coordinating goroutine: no allocations and
+// no atomics in the fill. It is the solver's one observation sink; a request
+// trace (internal/trace, surfaced by cmd/bpmaxd) reads its phases from it.
+// A *Metrics passed with WithMetrics is the cumulative aggregate: any number
+// of concurrent folds record into it with a bounded number of atomic adds
+// at fold end. Engine.Stats and Pool.Stats report component utilization.
+// See docs/OBSERVABILITY.md for the metric glossary and the JSON schema.
 
 package bpmax
 
@@ -58,12 +57,6 @@ const (
 	PhaseTriangle  = metrics.PhaseTriangle
 )
 
-// Tracer receives balanced BeginPhase/EndPhase callbacks around schedule
-// phases, from the fold's coordinating goroutine. Implementations must be
-// cheap and non-blocking; typical adapters set pprof labels or feed an
-// OpenTelemetry span. Attach one with WithTracer.
-type Tracer = metrics.Tracer
-
 // EngineStats is a snapshot of a persistent engine's utilization counters;
 // see Engine.Stats.
 type EngineStats = metrics.EngineStats
@@ -107,28 +100,18 @@ func ReadRuntimeStats() RuntimeStats { return metrics.ReadRuntime() }
 // NewMetrics returns an empty cumulative metrics aggregate.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// WithMetrics records every fold run with this option into m: per-fold
-// phase records are aggregated at fold end, failed folds count as errors,
-// degraded folds as degradations. It also turns on per-fold recording, so
-// Result.Metrics comes back populated. A nil m leaves metrics off.
+// WithMetrics aggregates every fill run with this option into m: the
+// per-fold record (Result.Metrics, which every fold carries with or without
+// this option) is added at fold end, failed attempts count as errors,
+// degraded folds as degradations. A fold served from the result cache ran
+// no fill and adds nothing; WithCache counts it as a result hit. A nil m
+// leaves aggregation off.
 //
-// The instrumentation contract is strict: enabling metrics adds zero
-// allocations to a pooled steady-state fold and only wavefront-granularity
-// timestamps to the fill (two time.Now calls per phase per wavefront).
+// The instrumentation contract is strict: recording adds zero allocations
+// to a pooled steady-state fold and only wavefront-granularity timestamps
+// to the fill (two time.Now calls per phase per wavefront).
 func WithMetrics(m *Metrics) Option {
 	return func(o *options) { o.metrics = m }
-}
-
-// WithTracer invokes tr around every schedule phase of the fold. Tracing
-// works with or without WithMetrics; it likewise turns on per-fold
-// recording of Result.Metrics. A nil tr leaves tracing off.
-func WithTracer(tr Tracer) Option {
-	return func(o *options) { o.cfg.Tracer = tr }
-}
-
-// observed reports whether per-fold instrumentation is on.
-func (o options) observed() bool {
-	return o.metrics != nil || o.cfg.Tracer != nil
 }
 
 // Stats snapshots the engine's cumulative utilization counters: parallel

@@ -1,12 +1,11 @@
 package bpmax
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
-	"time"
 )
 
 const (
@@ -20,9 +19,35 @@ func TestFoldMetricsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fold: %v", err)
 	}
+	checkFoldRecord(t, res)
+	if m.Folds() != 1 || m.Errors() != 0 {
+		t.Errorf("aggregate: folds=%d errors=%d, want 1 and 0", m.Folds(), m.Errors())
+	}
+}
+
+// TestFoldMetricsOnByDefault: recording is unconditional — a fold with no
+// option at all carries the same complete record.
+func TestFoldMetricsOnByDefault(t *testing.T) {
+	res, err := Fold(mSeq1, mSeq2)
+	if err != nil {
+		t.Fatalf("Fold: %v", err)
+	}
+	checkFoldRecord(t, res)
+}
+
+// checkFoldRecord asserts a default (hybrid-tiled, unbudgeted) fold of
+// mSeq1 × mSeq2 came back with its whole FoldMetrics.
+func checkFoldRecord(t *testing.T, res *Result) {
+	t.Helper()
 	fm := &res.Metrics
 	if fm.Schedule != "hybrid-tiled" {
 		t.Errorf("Schedule = %q, want %q", fm.Schedule, "hybrid-tiled")
+	}
+	if fm.Kernel != "avx2" && fm.Kernel != "go" {
+		t.Errorf("Kernel = %q, want avx2 or go", fm.Kernel)
+	}
+	if fm.Algebra != string(AlgebraMaxPlus) {
+		t.Errorf("Algebra = %q, want maxplus", fm.Algebra)
 	}
 	if fm.N1 != len(mSeq1) || fm.N2 != len(mSeq2) {
 		t.Errorf("shape = %d×%d, want %d×%d", fm.N1, fm.N2, len(mSeq1), len(mSeq2))
@@ -45,21 +70,13 @@ func TestFoldMetricsPopulated(t *testing.T) {
 	if fm.Phases[PhaseSubstrate].Units != 1 {
 		t.Errorf("substrate units = %d, want 1", fm.Phases[PhaseSubstrate].Units)
 	}
-	if fm.Phases[PhaseAccum].Nanos <= 0 || fm.Phases[PhaseFinalize].Nanos <= 0 {
-		t.Error("hybrid-tiled fold must time accumulate and finalize phases")
+	for _, p := range []Phase{PhaseAccum, PhaseFinalize} {
+		if st := fm.Phases[p]; st.Nanos <= 0 || st.Units <= 0 {
+			t.Errorf("hybrid-tiled fold must time phase %s: %+v", p, st)
+		}
 	}
-	if m.Folds() != 1 || m.Errors() != 0 {
-		t.Errorf("aggregate: folds=%d errors=%d, want 1 and 0", m.Folds(), m.Errors())
-	}
-}
-
-func TestFoldMetricsOffByDefault(t *testing.T) {
-	res, err := Fold(mSeq1, mSeq2)
-	if err != nil {
-		t.Fatalf("Fold: %v", err)
-	}
-	if res.Metrics != (FoldMetrics{}) {
-		t.Errorf("metrics recorded without WithMetrics/WithTracer: %+v", res.Metrics)
+	if st := fm.Phases[PhaseTriangle]; st != (PhaseStat{}) {
+		t.Errorf("hybrid-tiled fold credited whole-triangle work: %+v", st)
 	}
 }
 
@@ -81,55 +98,6 @@ func TestFoldMetricsParity(t *testing.T) {
 				t.Fatalf("SubScore(%d,..,%d,..) changed under metrics: %v vs %v", i1, i2, a, b)
 			}
 		}
-	}
-}
-
-// spanTracer checks public-layer tracer plumbing: balanced spans including
-// the substrate phase.
-type spanTracer struct {
-	mu     sync.Mutex
-	begins map[Phase]int
-	ends   map[Phase]int
-}
-
-func (tr *spanTracer) BeginPhase(p Phase) {
-	tr.mu.Lock()
-	if tr.begins == nil {
-		tr.begins = map[Phase]int{}
-	}
-	tr.begins[p]++
-	tr.mu.Unlock()
-}
-
-func (tr *spanTracer) EndPhase(p Phase, d time.Duration) {
-	tr.mu.Lock()
-	if tr.ends == nil {
-		tr.ends = map[Phase]int{}
-	}
-	tr.ends[p]++
-	tr.mu.Unlock()
-}
-
-func TestWithTracerSpans(t *testing.T) {
-	var tr spanTracer
-	res, err := Fold(mSeq1, mSeq2, WithTracer(&tr))
-	if err != nil {
-		t.Fatalf("Fold: %v", err)
-	}
-	if tr.begins[PhaseSubstrate] != 1 || tr.ends[PhaseSubstrate] != 1 {
-		t.Errorf("substrate spans = %d/%d, want 1/1", tr.begins[PhaseSubstrate], tr.ends[PhaseSubstrate])
-	}
-	for p, n := range tr.begins {
-		if tr.ends[p] != n {
-			t.Errorf("phase %s: %d begins vs %d ends", p, n, tr.ends[p])
-		}
-	}
-	if tr.begins[PhaseAccum] != len(mSeq1) {
-		t.Errorf("accum spans = %d, want one per wavefront (%d)", tr.begins[PhaseAccum], len(mSeq1))
-	}
-	// Tracing alone also populates Result.Metrics.
-	if res.Metrics.Schedule == "" {
-		t.Error("WithTracer did not enable per-fold metrics")
 	}
 }
 
@@ -286,35 +254,47 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestMetricsZeroAllocSteadyState is the acceptance gate: enabling metrics
-// adds zero allocations to a pooled steady-state fold.
+// TestMetricsZeroAllocSteadyState is the acceptance gate: every fold records
+// its FoldMetrics, and the pooled steady state still allocates nothing —
+// with no option, and with the aggregate attached.
 func TestMetricsZeroAllocSteadyState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc counting in -short")
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc counting in -short; under -race sync.Pool drops Puts, so pooled shells reallocate")
 	}
 	// A GC inside the measured window refills sync.Pool victim caches and
-	// charges the strays to whichever variant is measuring; settle the heap
-	// and hold GC off so the comparison sees only algorithmic allocations.
+	// charges the strays to the measurement; settle the heap and hold GC off
+	// so it sees only algorithmic allocations.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A session parses its options once and a substrate-only cache serves
+	// the S tables, so a cycle is the pipeline and the fill alone (the
+	// package-level Fold adds option parsing, an uncached substrate build
+	// one closure per strand).
 	run := func(extra ...Option) float64 {
-		e := NewEngine(2)
-		defer e.Close()
-		opts := append([]Option{WithEngine(e), WithPool(NewPool()), WithWorkers(2)}, extra...)
+		subs := WithCache(NewCache(CacheConfig{DisableResults: true}))
+		sess, err := NewSession(append([]Option{WithWorkers(2), subs}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
 		cycle := func() {
-			res, err := Fold(mSeq1, mSeq2, opts...)
+			res, err := sess.Fold(context.Background(), mSeq1, mSeq2)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Metrics.Wavefronts == 0 {
+				t.Fatal("fold came back without its record")
 			}
 			res.Release()
 		}
 		cycle() // warm the pool
 		return testing.AllocsPerRun(50, cycle)
 	}
-	off := run()
-	on := run(WithMetrics(NewMetrics()))
-	if on > off {
-		t.Errorf("metrics-on allocs/op = %v, metrics-off = %v; enabling metrics must not allocate", on, off)
+	if plain := run(); plain != 0 {
+		t.Errorf("no-option allocs/op = %v, want 0: recording must not allocate", plain)
+	}
+	if agg := run(WithMetrics(NewMetrics())); agg != 0 {
+		t.Errorf("WithMetrics allocs/op = %v, want 0: aggregating must not allocate", agg)
 	}
 }
 
@@ -326,13 +306,19 @@ func TestReleaseClearsMetrics(t *testing.T) {
 		t.Fatalf("Fold: %v", err)
 	}
 	res.Release()
-	// The recycled shell must come back clean for an unobserved fold.
+	if res.Metrics != (FoldMetrics{}) {
+		t.Errorf("Release left the record in the shell: %+v", res.Metrics)
+	}
+	// The recycled shell records the next fold alone, not on top of the last.
 	res2, err := Fold(mSeq1, mSeq2, WithPool(pool))
 	if err != nil {
 		t.Fatalf("second Fold: %v", err)
 	}
 	defer res2.Release()
-	if res2.Metrics != (FoldMetrics{}) {
-		t.Errorf("recycled shell leaked metrics: %+v", res2.Metrics)
+	if got := res2.Metrics.Phases[PhaseSubstrate].Units; got != 1 {
+		t.Errorf("recycled shell: substrate units = %d, want 1", got)
+	}
+	if res2.Metrics.Wavefronts != int64(len(mSeq1)) {
+		t.Errorf("recycled shell: Wavefronts = %d, want %d", res2.Metrics.Wavefronts, len(mSeq1))
 	}
 }

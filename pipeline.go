@@ -16,7 +16,7 @@
 //
 // cold is the one cold-solve body of the interaction DP,
 //
-//	result shell → tracer join → substrate → budget/degrade → fill → finalise
+//	result shell → substrate → budget/degrade → fill → finalise
 //
 // with the fill chosen by (degrade rung, algebra); a ScanWindowed request is
 // that body with the windowed rung forced to the caller's windows. The
@@ -29,6 +29,13 @@
 // Stage methods have value receivers: a request copy is a flat struct, so
 // batch workers and option-local mutations (cfg.Metrics wiring, pool
 // stripping for cache masters) never race on shared state.
+//
+// Observation has one path. Every fill writes the FoldMetrics of its result
+// shell (cold points cfg.Metrics at it, always); WithMetrics aggregates that
+// record, and a request trace carried by the context copies its fill phases
+// (solve, after the solver returns — on error too). Neither shapes the plan:
+// an aggregated or traced fold is served from the result cache like any
+// other, and a hit carries the record of the fill that built its master.
 //
 // See docs/ARCHITECTURE.md for the full stage diagram and semantics.
 
@@ -84,11 +91,9 @@ type request struct {
 	scan bool
 	// tr is the per-request trace carried by the call's context (nil in the
 	// common disarmed case — every recording through it is then a no-op).
-	// run looks it up once, never per stage, and it is deliberately NOT
-	// cfg.Tracer: a request trace observes the pipeline — including cache
-	// hits — whereas WithTracer instruments a real fill and therefore
-	// bypasses the result cache. The trace joins cfg.Tracer only in cold,
-	// after the cache decision is made.
+	// run looks it up once, never per stage. It observes the pipeline as
+	// served: queue wait, cache hits and single-flight waits, and — on a cold
+	// solve — the substrate stage and the fill phases FoldMetrics recorded.
 	tr *itrace.Trace
 }
 
@@ -204,12 +209,7 @@ func attempt[T any](ctx context.Context, rq request, body func(context.Context, 
 // runFold executes one interaction fold through the pipeline.
 func (rq request) runFold(ctx context.Context, seq1, seq2 string) (*Result, error) {
 	return run(ctx, rq, cmp.Or(rq.verr, rq.aerr, rq.algErr), func(ctx context.Context, rq request) (*Result, error) {
-		// Instrumented folds always solve: per-fold metrics describe a real
-		// fill, so WithMetrics/WithTracer bypasses the result cache (the
-		// substrate cache still applies — it only shortens the substrate
-		// phase). A request trace (rq.tr) is not "instrumented" in this
-		// sense: it observes the pipeline as served, cache hits included.
-		if c := rq.cache; c != nil && c.resultsOn() && !rq.observed() {
+		if c := rq.cache; c != nil && c.resultsOn() {
 			return rq.foldShared(ctx, seq1, seq2)
 		}
 		return rq.cold(ctx, seq1, seq2)
@@ -335,27 +335,16 @@ func (rq request) adoptCached(m *Result) *Result {
 	return res
 }
 
-// cold is the one cold-solve body: result shell → tracer join → solve, with
-// the error cleanup written once. A panic skips the cleanup deliberately: a
-// panicking stage cannot prove its shells are clean, and an unreleased shell
-// is garbage-collected, never dirtily reused.
+// cold is the one cold-solve body: result shell → solve, with the error
+// cleanup written once. A panic skips the cleanup deliberately: a panicking
+// stage cannot prove its shells are clean, and an unreleased shell is
+// garbage-collected, never dirtily reused.
 func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) {
-	// The result shell is acquired before the solve so per-fold metrics
-	// record straight into Result.Metrics — no separate sink, no extra
-	// allocation on the steady-state path.
+	// The result shell is acquired before the solve so the fill records
+	// straight into Result.Metrics — no separate sink, no extra allocation on
+	// the steady-state path.
 	res := rq.getResult()
-	// Join the request trace into the solver's tracer here — after the cache
-	// decision in runFold — so traced requests still serve from the result
-	// cache while cold solves feed their phase spans (substrate, accumulate,
-	// finalize, triangle) into the trace through the existing Tracer
-	// plumbing. This arms observed(), so a traced fold also records per-fold
-	// metrics, exactly as WithTracer would.
-	if rq.tr != nil {
-		rq.cfg.Tracer = rq.tr.Join(rq.cfg.Tracer)
-	}
-	if rq.observed() {
-		rq.cfg.Metrics = &res.Metrics
-	}
+	rq.cfg.Metrics = &res.Metrics
 	if err := rq.solve(ctx, res, seq1, seq2); err != nil {
 		res.ps.Release()
 		res.prob.Release()
@@ -368,14 +357,9 @@ func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) 
 // solve fills res: substrate → budget/degrade → the fill chosen by (rung,
 // algebra) → the one finaliser.
 func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) error {
-	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
-	if err := rq.newProblem(res, seq1, seq2); err != nil {
-		// Close the span with zero units so the Tracer's Begin/End stays
-		// balanced on construction failures (bad input, injected faults).
-		sub.End(0)
+	if err := rq.substrate(func() error { return rq.newProblem(res, seq1, seq2) }); err != nil {
 		return err
 	}
-	sub.End(1)
 	p := res.prob
 	cfg, deg, est, err := rq.budget(p.N1, p.N2)
 	if err != nil {
@@ -387,7 +371,11 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	partition := rq.algebra == AlgebraPartition
 	var ps *ibpmax.PartitionSub
 	if partition {
-		if ps, err = rq.partitionSub(ctx, p); err != nil {
+		err = rq.substrate(func() (err error) {
+			ps, err = rq.partitionSub(ctx, p)
+			return err
+		})
+		if err != nil {
 			return err
 		}
 		res.ps = ps // cold's error exit returns its pooled matrices
@@ -405,6 +393,9 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	default:
 		ft, err = ibpmax.SolveContext(ctx, p, rq.v, cfg)
 	}
+	// Success or error: a cancelled or faulted fill still reports the partial
+	// phase time the solver credited before it stopped.
+	rq.tr.AddFill(start, rq.cfg.Metrics)
 	if err != nil {
 		return err
 	}
@@ -440,26 +431,39 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 	if !windowed {
 		res.FLOPs = ibpmax.BPMaxFlops(p.N1, p.N2)
 	}
-	if rq.observed() {
-		m := &res.Metrics
-		m.Algebra = string(rq.algebra)
-		if partition {
-			m.PartitionDomain = partitionDomain(ft64)
-		}
-		rq.tr.SetLabel("kernel", m.Kernel)
-		m.FillNanos = int64(elapsed)
-		m.TableBytes = res.TableBytes
-		m.Degraded = deg.String()
-		m.BudgetEstimateBytes = est
-		if windowed {
-			res.Window.Metrics = *m
-		} else {
-			m.Cells = ibpmax.CellElements(p.N1, p.N2)
-			m.FLOPs = res.FLOPs
-		}
-		rq.metrics.RecordFold(m)
+	m := &res.Metrics
+	m.Algebra = string(rq.algebra)
+	if partition {
+		m.PartitionDomain = partitionDomain(ft64)
 	}
+	rq.tr.SetLabel("kernel", m.Kernel)
+	m.FillNanos = int64(elapsed)
+	m.TableBytes = res.TableBytes
+	m.Degraded = deg.String()
+	m.BudgetEstimateBytes = est
+	if windowed {
+		res.Window.Metrics = *m
+	} else {
+		m.Cells = ibpmax.CellElements(p.N1, p.N2)
+		m.FLOPs = res.FLOPs
+	}
+	rq.metrics.RecordFold(m)
 	return nil
+}
+
+// substrate runs one substrate-construction step and credits its wall time
+// to the fold's PhaseSubstrate and the request trace's substrate stage. A
+// failed step (bad input, an injected fault) credits time but no unit.
+func (rq request) substrate(step func() error) error {
+	start := time.Now()
+	err := step()
+	st := &rq.cfg.Metrics.Phases[imetrics.PhaseSubstrate]
+	st.Nanos += int64(time.Since(start))
+	if err == nil {
+		st.Units++
+	}
+	rq.tr.End(itrace.StageSubstrate, start)
+	return err
 }
 
 // newProblem is the normalize/substrate stage: parse (pooled or fresh),
@@ -574,7 +578,6 @@ func partitionDomain(ft *ibpmax.FTableOf[float64]) string {
 // they seed the scale, and SingleScore and the substrate cache still serve
 // them.
 func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.PartitionSub, error) {
-	sub := imetrics.Begin(rq.cfg.Metrics, rq.cfg.Tracer, imetrics.PhaseSubstrate)
 	strand := func(k int, seq rna.Sequence) (*ibpmax.PartitionS, error) {
 		s, _, err := sharedTable(rq, keyPartitionSub, seq, func(bool) (*ibpmax.PartitionS, error) {
 			s, err := ibpmax.BuildPartitionS(ctx, p, k, rq.kT)
@@ -596,12 +599,7 @@ func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.
 	if err == nil {
 		ps, err = ibpmax.NewPartitionSub(p, rq.kT, s1, s2)
 	}
-	if err != nil {
-		sub.End(0)
-		return nil, err
-	}
-	sub.End(1)
-	return ps, nil
+	return ps, err
 }
 
 // chargeBytes is the full-table estimate the budget charges a fold:

@@ -260,31 +260,32 @@ func TestCacheChargedAgainstMemoryLimit(t *testing.T) {
 	}
 }
 
-// TestInstrumentedFoldBypassesResultCache: WithMetrics folds must measure a
-// real fill, so they never hit (or fill) the result layer; the substrate
-// layer still serves them.
-func TestInstrumentedFoldBypassesResultCache(t *testing.T) {
+// TestInstrumentedFoldHitsResultCache: WithMetrics only aggregates — it does
+// not shape the plan. The second identical WithCache+WithMetrics fold is a
+// result hit, the aggregate counts the one fill that ran, and the hit's
+// Result.Metrics is the record of that fill (the retained master's).
+func TestInstrumentedFoldHitsResultCache(t *testing.T) {
 	c := NewCache(CacheConfig{})
-	if _, err := Fold(pSeq1, pSeq2, WithCache(c)); err != nil {
-		t.Fatal(err)
-	}
 	m := NewMetrics()
-	res, err := Fold(pSeq1, pSeq2, WithCache(c), WithMetrics(m))
+	master, err := Fold(pSeq1, pSeq2, WithCache(c), WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.FillNanos <= 0 {
-		t.Error("instrumented fold has no fill time; was it served from cache?")
+	if master.Metrics.FillNanos <= 0 || master.Metrics.Schedule == "" {
+		t.Fatalf("cold fold has no record: %+v", master.Metrics)
 	}
-	st := c.Stats()
-	if st.ResultHits != 0 {
-		t.Errorf("result hits = %d, want 0 (instrumented folds bypass the result layer)", st.ResultHits)
+	hit, err := Fold(pSeq1, pSeq2, WithCache(c), WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.SubstrateHits != 2 {
-		t.Errorf("substrate hits = %d, want 2 (substrate layer still serves)", st.SubstrateHits)
+	if st := c.Stats(); st.ResultHits != 1 || st.ResultMisses != 1 {
+		t.Errorf("result hits/misses = %d/%d, want 1/1 (WithMetrics must not bypass the result layer)", st.ResultHits, st.ResultMisses)
 	}
-	if got := m.Snapshot().Folds; got != 1 {
-		t.Errorf("metrics folds = %d, want 1", got)
+	if hit.Metrics != master.Metrics {
+		t.Errorf("hit's Metrics = %+v, want the master's %+v", hit.Metrics, master.Metrics)
+	}
+	if snap := m.Snapshot(); snap.Folds != 1 || snap.FoldNanos.Count != 1 || snap.Errors != 0 {
+		t.Errorf("aggregate folds=%d fill-histogram count=%d errors=%d, want 1, 1, 0 (a hit ran no fill)", snap.Folds, snap.FoldNanos.Count, snap.Errors)
 	}
 }
 
@@ -564,12 +565,13 @@ func TestSessionWithComponents(t *testing.T) {
 	if st.Admission.Admitted != 3 {
 		t.Errorf("admitted = %d, want 3", st.Admission.Admitted)
 	}
-	// Instrumented sessions bypass the result layer but share substrates.
-	if st.Cache.SubstrateHits == 0 {
-		t.Error("no substrate sharing across session folds")
+	// The aggregate counts the one fill that ran; the repeats are result
+	// hits whether or not the session aggregates.
+	if st.Cache.ResultHits != 2 {
+		t.Errorf("result hits = %d, want 2", st.Cache.ResultHits)
 	}
-	if st.Metrics.Folds != 3 {
-		t.Errorf("metrics folds = %d, want 3", st.Metrics.Folds)
+	if st.Metrics.Folds != 1 {
+		t.Errorf("metrics folds = %d, want 1", st.Metrics.Folds)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Pipeline-level tests for per-request tracing: the trace rides the
-// context through the serving spine, joins the solver's Tracer only on
-// cold folds (after the cache decision), and stays balanced on every error
-// exit — cancellation, injected faults, client disconnects. Fault registry
-// state is global, so no test here calls t.Parallel.
+// context through the serving spine, reads a cold fold's fill phases from
+// the fold's own FoldMetrics (after the cache decision), and still reports
+// the partial phase time on every error exit — cancellation, injected
+// faults, client disconnects. Fault registry state is global, so no test
+// here calls t.Parallel.
 
 package bpmax
 
@@ -10,38 +11,24 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/bpmax-go/bpmax/internal/fault"
 	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
-// countingTracer asserts the solver's BeginPhase/EndPhase contract stays
-// balanced; safe for the concurrent batch workers.
-type countingTracer struct {
-	mu     sync.Mutex
-	begins int
-	ends   int
-}
-
-func (c *countingTracer) BeginPhase(p Phase) {
-	c.mu.Lock()
-	c.begins++
-	c.mu.Unlock()
-}
-
-func (c *countingTracer) EndPhase(p Phase, d time.Duration) {
-	c.mu.Lock()
-	c.ends++
-	c.mu.Unlock()
-}
-
-func (c *countingTracer) counts() (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.begins, c.ends
+// checkFillStages asserts the trace read its fill stages from the fold's
+// record: each of accumulate / finalize / triangle is present exactly when
+// the record credited that phase, busy for exactly the recorded nanos.
+func checkFillStages(t *testing.T, snap itrace.Snapshot, fm *FoldMetrics) {
+	t.Helper()
+	stages := stageNames(snap)
+	for _, p := range []Phase{PhaseAccum, PhaseFinalize, PhaseTriangle} {
+		st, ok := stages[p.String()]
+		if want := fm.Phases[p].Nanos; ok != (want > 0) || st.BusyNanos != want {
+			t.Errorf("stage %s = %+v (present %v), want busy %d from FoldMetrics", p, st, ok, want)
+		}
+	}
 }
 
 // stageNames indexes a snapshot's stages by name.
@@ -61,7 +48,8 @@ func TestTracedFoldRecordsSpineStages(t *testing.T) {
 	s1, s2 := randSeq(rng, 48), randSeq(rng, 48)
 	tr := itrace.New("req-1", "fold")
 	ctx := itrace.NewContext(context.Background(), tr)
-	if _, err := FoldContext(ctx, s1, s2); err != nil {
+	res, err := FoldContext(ctx, s1, s2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish(200)
@@ -73,15 +61,10 @@ func TestTracedFoldRecordsSpineStages(t *testing.T) {
 	if _, ok := stages["queue"]; !ok {
 		t.Errorf("queue stage missing: %v", snap.Stages)
 	}
-	solver := false
-	for _, name := range []string{"substrate", "accumulate", "finalize", "triangle"} {
-		if st, ok := stages[name]; ok && st.BusyNanos > 0 {
-			solver = true
-		}
+	if st := stages["substrate"]; st.Count != 1 || st.BusyNanos < res.Metrics.Phases[PhaseSubstrate].Nanos {
+		t.Errorf("substrate stage %+v does not cover the fold's substrate phase %+v", st, res.Metrics.Phases[PhaseSubstrate])
 	}
-	if !solver {
-		t.Errorf("no solver stage recorded: %v", snap.Stages)
-	}
+	checkFillStages(t, snap, &res.Metrics)
 	for _, st := range snap.Stages {
 		if st.LastNanos > snap.TotalNanos {
 			t.Errorf("stage %s extends past the request: last %d > total %d", st.Stage, st.LastNanos, snap.TotalNanos)
@@ -92,10 +75,9 @@ func TestTracedFoldRecordsSpineStages(t *testing.T) {
 	}
 }
 
-// TestTracedFoldDoesNotBypassResultCache proves the trap the design dodges:
-// a request trace must observe the pipeline as served, not force a cold
-// fold the way WithTracer does. The second identical fold is a cache hit —
-// its trace records the hit and no solver work.
+// TestTracedFoldDoesNotBypassResultCache: a request trace observes the
+// pipeline as served and never forces a cold fold. The second identical
+// fold is a cache hit — its trace records the hit and no solver work.
 func TestTracedFoldDoesNotBypassResultCache(t *testing.T) {
 	cache := NewCache(CacheConfig{})
 	rng := rand.New(rand.NewSource(12))
@@ -126,9 +108,12 @@ func TestTracedFoldDoesNotBypassResultCache(t *testing.T) {
 	}
 }
 
-// TestTracerBalancedUnderFailpoint arms a deterministic mid-fill fault and
-// checks every BeginPhase got its EndPhase: the interrupt path must close
-// partial phases on error exits.
+// TestTracerBalancedUnderFailpoint arms a deterministic fault at each stage
+// of a cold fold and checks the request trace still balances against what
+// ran: a substrate fault leaves one substrate span and no fill stage; a
+// mid-fill fault (engine-iter) leaves the substrate span plus the partial
+// phase time the solver credited before it stopped, and the failed attempt
+// is counted once.
 func TestTracerBalancedUnderFailpoint(t *testing.T) {
 	defer fault.Reset()
 	rng := rand.New(rand.NewSource(13))
@@ -137,38 +122,68 @@ func TestTracerBalancedUnderFailpoint(t *testing.T) {
 		if err := fault.Arm(site, fault.Trigger{Mode: fault.ModeError, Every: 1}); err != nil {
 			t.Fatal(err)
 		}
-		ct := &countingTracer{}
-		_, err := FoldContext(context.Background(), s1, s2, WithTracer(ct))
+		m := NewMetrics()
+		tr := itrace.New("faulted", "fold")
+		_, err := FoldContext(itrace.NewContext(context.Background(), tr), s1, s2, WithMetrics(m))
 		fault.Reset()
 		var fe *FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("site %s: fold did not surface the injected fault: %v", site, err)
 		}
-		if begins, ends := ct.counts(); begins != ends {
-			t.Errorf("site %s: unbalanced tracer: %d begins, %d ends", site, begins, ends)
+		if m.Errors() != 1 || m.Folds() != 0 {
+			t.Errorf("site %s: errors=%d folds=%d, want 1 and 0", site, m.Errors(), m.Folds())
+		}
+		tr.Finish(500)
+		snap := tr.Snapshot()
+		stages := stageNames(snap)
+		if st := stages["substrate"]; st.Count != 1 || st.BusyNanos <= 0 {
+			t.Errorf("site %s: substrate stage = %+v, want one span", site, st)
+		}
+		var fill int64
+		for _, name := range []string{"accumulate", "finalize", "triangle"} {
+			fill += stages[name].BusyNanos
+		}
+		if mid := site == fault.SiteEngineIter; mid != (fill > 0) {
+			t.Errorf("site %s: fill busy = %dns, want partial phase time only for a mid-fill fault: %v", site, fill, snap.Stages)
+		}
+		for _, st := range snap.Stages {
+			if st.FirstNanos > st.LastNanos || st.LastNanos > snap.TotalNanos {
+				t.Errorf("site %s: stage %s extent [%d, %d] outside the request (%d)", site, st.Stage, st.FirstNanos, st.LastNanos, snap.TotalNanos)
+			}
 		}
 	}
 }
 
-// TestTracerBalancedUnderCancellation cancels mid-fill and checks the same
-// balance. The fold is sized so the deadline usually lands inside the fill;
-// when a fast machine finishes first, balance must hold regardless.
+// TestTracerBalancedUnderCancellation cancels from inside the fill and
+// checks the same balance: the fold fails with the context's error, and the
+// trace carries the substrate span plus the interrupted fill's partial phase
+// time, every stage inside the request's extent.
 func TestTracerBalancedUnderCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	s1, s2 := randSeq(rng, 96), randSeq(rng, 96)
-	ct := &countingTracer{}
+	s1, s2 := randSeq(rng, 48), randSeq(rng, 48)
 	tr := itrace.New("cancelled", "fold")
-	ctx, cancel := context.WithTimeout(itrace.NewContext(context.Background(), tr), 2*time.Millisecond)
+	ctx, cancel := context.WithCancel(itrace.NewContext(context.Background(), tr))
 	defer cancel()
-	_, err := FoldContext(ctx, s1, s2, WithTracer(ct), WithWorkers(1))
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if begins, ends := ct.counts(); begins != ends {
-		t.Errorf("unbalanced tracer after cancellation: %d begins, %d ends", begins, ends)
+	midFill := withTriangleHook(func(i1, j1 int) {
+		if j1-i1 == 24 {
+			cancel()
+		}
+	})
+	_, err := FoldContext(ctx, s1, s2, midFill, WithWorkers(1))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("fold = %v, want context.Canceled", err)
 	}
 	tr.Finish(499)
 	snap := tr.Snapshot()
+	stages := stageNames(snap)
+	if st := stages["substrate"]; st.Count != 1 {
+		t.Errorf("substrate stage = %+v, want one span", st)
+	}
+	for _, name := range []string{"accumulate", "finalize"} {
+		if st := stages[name]; st.Count != 1 || st.BusyNanos <= 0 {
+			t.Errorf("cancelled fill lost its partial %s time: %+v", name, snap.Stages)
+		}
+	}
 	for _, st := range snap.Stages {
 		if st.LastNanos > snap.TotalNanos {
 			t.Errorf("stage %s recorded past Finish: %+v", st.Stage, st)
