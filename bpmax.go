@@ -61,17 +61,18 @@ const (
 type SubstrateAlgorithm string
 
 const (
-	// SubstrateAuto (the default) picks Four-Russians when the score model
-	// has integer-bounded weights and the strand is long enough to profit,
-	// the classic O(n³) scan otherwise.
+	// SubstrateAuto (the default) is the row-streamed O(n³) fill on the
+	// vector max-plus kernels, at every strand length and for every score
+	// model: it beats the Four-Russians tabulation at every size measured,
+	// so there is no selection rule.
 	SubstrateAuto SubstrateAlgorithm = "auto"
-	// SubstrateClassic forces the classic scan everywhere.
+	// SubstrateClassic names the same streamed fill explicitly.
 	SubstrateClassic SubstrateAlgorithm = "classic"
 	// SubstrateFourRussians forces the O(n³/log n) Four-Russians solver on
 	// every strand whose score model supports it (integer weights; all
 	// stock models qualify). Models with fractional or negative custom
-	// weights fall back to the classic scan, which is the only correct
-	// choice there.
+	// weights get the streamed fill, which is the only correct choice
+	// there. Kept for comparison; it is the slower fill.
 	SubstrateFourRussians SubstrateAlgorithm = "four-russians"
 )
 
@@ -93,8 +94,8 @@ const (
 	// to the log domain by itself when that would leave float64's range;
 	// both return the same LogZ (FoldMetrics.PartitionDomain says which). Score,
 	// Structure, BestLocal and windowed scans are max-plus notions and are
-	// unavailable on partition results; the Four-Russians substrate fast
-	// path (a max-plus block precomputation) auto-deselects.
+	// unavailable on partition results; a forced Four-Russians substrate (a
+	// max-plus block precomputation) applies to the max-plus S tables only.
 	AlgebraPartition Algebra = "partition"
 )
 
@@ -189,7 +190,7 @@ func WithMinHairpin(n int) Option { return func(o *options) { o.minHairpin = n }
 // built (default SubstrateAuto). Every choice produces bit-identical
 // tables whenever it applies — the Four-Russians path enumerates exactly
 // the classic candidate set in exact small-integer float32 arithmetic
-// (enforced by FuzzFourRussiansParity) — so substrate-cache entries and
+// (enforced by FuzzSubstrateParity) — so substrate-cache entries and
 // results are interchangeable across algorithms; only the build time
 // differs.
 func WithSubstrateAlgorithm(a SubstrateAlgorithm) Option {

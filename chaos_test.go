@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/bpmax-go/bpmax/internal/fault"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
 )
 
 // chaosPairs returns deterministic strand pairs for the chaos folds.
@@ -632,7 +633,8 @@ func TestEntryPointContract(t *testing.T) {
 	// failpoints — not on goroutines of their own.
 	t.Run("FoldSingleContext/engine", func(t *testing.T) {
 		defer fault.Reset()
-		strand := chaosPairs(5, 1, 256, 1)[0][0]
+		// Long enough that a two-worker build tiles instead of filling inline.
+		strand := chaosPairs(5, 1, nussinov.SequentialCutoff, 1)[0][0]
 		e := NewEngine(2)
 		defer e.Close()
 		want, err := FoldSingle(strand, WithWorkers(1))

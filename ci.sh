@@ -64,6 +64,15 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go (a second copy of the fill)" >&2
         exit 1
     fi
+    # One single-strand fill: rows stream through the shared kernels. The
+    # per-cell scan walks S[s+1, j] down a column (`idx += n`), the gather the
+    # paper measures as the slow schedule; it survives as the test oracle and
+    # inside the retiring Four-Russians package, nowhere on the serving path.
+    if grep -rn --include='*.go' 'idx += n\b' . | grep -v -e '^\./bench/' \
+        -e '^\./internal/nussinov/reference_test\.go:' -e '^\./internal/fourrussians/'; then
+        echo "lint: a column walk over the S table outside the reference oracle (a second per-cell fill growing back)" >&2
+        exit 1
+    fi
     # One span stream: the solver records into FoldMetrics, the trace reads it.
     # A callback tracer, an "observed" switch or a flag that arms recording is
     # the second stream (and its result-cache bypass) growing back.
@@ -112,7 +121,8 @@ run_test() (
     # The builds without the vector kernels: the portable Go bodies must pass
     # the same parity suite (they are also its oracle), and the packages must
     # compile where the .s file does not apply.
-    go test -tags purego ./internal/maxplus ./internal/semiring ./internal/bpmax
+    go test -tags purego ./internal/maxplus ./internal/semiring ./internal/bpmax \
+        ./internal/nussinov ./internal/fourrussians
     GOARCH=arm64 go build ./...
     GOARCH=arm64 go vet ./internal/maxplus
 )
@@ -135,14 +145,15 @@ run_fuzz() (
     # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
     # pins every schedule, on the full table and on a band of it, bit-identical
     # to the top-down reference and the scaled partition fill to its log-domain
-    # oracle, the Four-Russians substrate bit-identity fuzzer that lets the
-    # fast path share cache entries with the classic fill, and the two input
-    # fuzzers (raw sequences, FASTA round trip).
+    # oracle, the substrate bit-identity fuzzer that holds every single-strand
+    # fill (streamed on both kernel bodies, tiled, forced Four-Russians) to the
+    # per-cell reference so they share cache entries, and the two input fuzzers
+    # (raw sequences, FASTA round trip).
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSemiringParity -fuzztime 10s ./internal/bpmax/
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzCachedFoldParity -fuzztime 10s .
-    go test -run '^$' -fuzz FuzzFourRussiansParity -fuzztime 10s ./internal/fourrussians/
+    go test -run '^$' -fuzz FuzzSubstrateParity -fuzztime 10s ./internal/nussinov/
     go test -run '^$' -fuzz FuzzFold -fuzztime 10s .
     go test -run '^$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
 )

@@ -113,10 +113,10 @@ func (s *PartitionS) logData() []float64 {
 
 // BuildPartitionS fills the Boltzmann substrate of one strand (1 or 2) of p,
 // whose max-plus S table must already be in place: it supplies the first
-// scale guess. The fill is the classic diagonal schedule (the Four-Russians
-// fast path is a max-plus block precomputation), O(n³) like any substrate
-// fill, which is why it takes a context. The scaled build runs first; if its
-// guard trips the strand is rebuilt in the log domain.
+// scale guess. The fill is the float64 instantiation of the row-streamed
+// substrate fill, O(n³) like any substrate fill, which is why it takes a
+// context. The scaled build runs first; if its guard trips the strand is
+// rebuilt in the log domain.
 func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64) (*PartitionS, error) {
 	if err := checkKT(kT); err != nil {
 		return nil, err

@@ -30,8 +30,7 @@ type Problem struct {
 	ownS1, ownS2       *nussinov.Table
 	sharedS1, sharedS2 bool
 	// subMax/subInt cache Params.Model.IntegerBounded() from construction:
-	// the capability that decides whether the Four-Russians substrate path
-	// may fill S¹/S².
+	// the capability a forced Four-Russians substrate build needs.
 	subMax int
 	subInt bool
 }
@@ -80,42 +79,31 @@ func NewProblemShell(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) 
 }
 
 // BuildS1 fills the S¹ single-strand table in the problem's own storage
-// (created or Reset as needed — bit-identical to a fresh nussinov.Build).
-// It auto-selects between the classic and Four-Russians fills; the results
-// are bit-identical, so callers never observe the choice.
+// (created or Reset as needed — bit-identical to a fresh nussinov.Build) with
+// the row-streamed fill.
 func (p *Problem) BuildS1() { p.BuildS1Algo(nussinov.AlgoAuto) }
 
 // BuildS2 fills the S² table; see BuildS1.
 func (p *Problem) BuildS2() { p.BuildS2Algo(nussinov.AlgoAuto) }
 
-// BuildS1Algo is BuildS1 with an explicit algorithm choice. Requests for
-// Four-Russians on a model without integer-bounded weights fall back to the
-// classic fill (the only correct option there, and bit-identical whenever
-// both apply).
-func (p *Problem) BuildS1Algo(a nussinov.Algo) {
-	if p.S1 == nil {
-		p.S1 = &nussinov.Table{}
-	}
-	p.S1.Reset(p.N1)
-	sc := func(i, j int) float32 { return p.Tab.Score1(i, j) }
-	if fourrussians.Pick(a, p.N1, p.subMax, p.subInt) {
-		fourrussians.Fill(p.S1, sc, p.subMax)
-	} else {
-		p.S1.Fill(sc)
-	}
-}
+// BuildS1Algo is BuildS1 with an explicit algorithm choice: AlgoAuto and
+// AlgoClassic are the streamed fill, AlgoFourRussians the tabulated one on a
+// model with integer-bounded weights (the streamed fill otherwise). The
+// tables are bit-identical, so callers never observe the choice.
+func (p *Problem) BuildS1Algo(a nussinov.Algo) { p.buildS(&p.S1, p.N1, p.score1, a) }
 
 // BuildS2Algo is BuildS2 with an explicit algorithm choice; see BuildS1Algo.
-func (p *Problem) BuildS2Algo(a nussinov.Algo) {
-	if p.S2 == nil {
-		p.S2 = &nussinov.Table{}
+func (p *Problem) BuildS2Algo(a nussinov.Algo) { p.buildS(&p.S2, p.N2, p.score2, a) }
+
+func (p *Problem) buildS(t **nussinov.Table, n int, sc nussinov.ScoreFunc, a nussinov.Algo) {
+	if *t == nil {
+		*t = &nussinov.Table{}
 	}
-	p.S2.Reset(p.N2)
-	sc := func(i, j int) float32 { return p.Tab.Score2(i, j) }
-	if fourrussians.Pick(a, p.N2, p.subMax, p.subInt) {
-		fourrussians.Fill(p.S2, sc, p.subMax)
+	(*t).Reset(n)
+	if fourrussians.Pick(a, p.subMax, p.subInt) {
+		fourrussians.Fill(*t, sc, p.subMax)
 	} else {
-		p.S2.Fill(sc)
+		(*t).Fill(sc)
 	}
 }
 

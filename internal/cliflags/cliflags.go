@@ -65,7 +65,7 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
 	fs.BoolVar(&f.Unit, "unit", f.Unit, "unweighted pair counting instead of GC=3/AU=2/GU=1")
 	fs.StringVar(&f.Substrate, "substrate", f.Substrate,
-		"substrate (Nussinov S-table) fill algorithm: auto, classic, four-russians (alias 4r)")
+		"substrate (Nussinov S-table) fill: auto = classic = the row-streamed fill; four-russians (alias 4r) forces the slower tabulated one")
 	fs.BoolVar(&f.Packed, "packed", f.Packed, "use the packed (quarter-space) memory map")
 	fs.StringVar(&f.MemLimit, "mem-limit", f.MemLimit,
 		"refuse folds whose table exceeds this size, e.g. 500MB or 2GB (empty = unlimited)")

@@ -27,7 +27,13 @@
 // pass is untouched. All arithmetic is max-plus over small non-negative
 // integers, exact in float32, and the block decomposition enumerates
 // exactly the classic candidate set — the produced tables are bit-identical
-// to nussinov.Build's, which FuzzFourRussiansParity enforces.
+// to nussinov.Build's, which FuzzSubstrateParity (package nussinov)
+// enforces.
+//
+// Since the single-strand fill became a row stream on the AVX2 max-plus
+// kernels, the tabulation loses to it at every size measured and no request
+// reaches this package unless it names the algorithm; it is kept for that
+// option and for the benchmark's fourrussians.* probes.
 package fourrussians
 
 import (
@@ -47,13 +53,14 @@ const (
 	// all-forbidden model has zero differences everywhere and would
 	// otherwise ask for unbounded blocks).
 	maxQ = 16
-	// AutoMinN is the strand length at which AlgoAuto switches from the
-	// classic scan to Four-Russians. Below it the block bookkeeping costs
-	// more than the scan it saves (measured in PR 7, table in
-	// docs/PERFORMANCE.md; the crossover on the CI host sits near
-	// n ≈ 128–256, and the benchmark's fourrussians.speedup_vs_classic
-	// probe re-measures it at n = 1024).
-	AutoMinN = 192
+	// sequentialCutoff is the table size below which a parallel build runs
+	// its wavefronts inline: under ~64 positions a diagonal holds so few
+	// cells that fork-join overhead dominates.
+	sequentialCutoff = 64
+	// wavefrontGrain is how many cells of one anti-diagonal a parallel task
+	// fills: contiguous, so neighbours share cache lines, and coarse enough
+	// that claiming a task is noise next to its O(grain·n) work.
+	wavefrontGrain = 16
 )
 
 // BlockSize returns the block width q used for an n-cell strand under a
@@ -88,23 +95,14 @@ func codesFor(d, q int) int {
 	return c
 }
 
-// Pick decides whether the Four-Russians path should fill a table of size n,
-// given the requested algorithm and the model capability (maxStep, ok) from
-// score.Model.IntegerBounded. AlgoFourRussians forces the path whenever the
-// model supports it; AlgoAuto additionally requires the strand to be long
-// enough that the block bookkeeping pays for itself.
-func Pick(a nussinov.Algo, n, maxStep int, intBounded bool) bool {
-	if !intBounded || maxStep < 0 {
-		return false
-	}
-	switch a {
-	case nussinov.AlgoClassic:
-		return false
-	case nussinov.AlgoFourRussians:
-		return true
-	default: // AlgoAuto
-		return n >= AutoMinN && BlockSize(n, maxStep) >= 3
-	}
+// Pick reports whether the Four-Russians path fills a request's tables:
+// only when it was asked for by name and the model has the capability
+// (maxStep, ok) from score.Model.IntegerBounded. Nothing selects it
+// automatically — the row-streamed fill in package nussinov beats the
+// tabulation at every size (docs/PERFORMANCE.md, "The single-strand
+// substrate").
+func Pick(a nussinov.Algo, maxStep int, intBounded bool) bool {
+	return a == nussinov.AlgoFourRussians && intBounded && maxStep >= 0
 }
 
 // blockTable is the precomputed block-combination lookup for one (digit
@@ -217,9 +215,8 @@ func Fill(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int) {
 }
 
 // FillParallelContext fills t with pfor cooperating on each anti-diagonal
-// wavefront (nil fills inline), checking ctx once per diagonal like
-// nussinov.BuildParallelContext. On an error the partially filled table
-// must be discarded by the caller.
+// wavefront (nil fills inline), checking ctx once per diagonal. On an error
+// the partially filled table must be discarded by the caller.
 func FillParallelContext(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -235,8 +232,8 @@ func Build(n int, sc nussinov.ScoreFunc, maxStep int) *nussinov.Table {
 }
 
 // BuildParallelContext is the Four-Russians counterpart of
-// nussinov.BuildParallelContext: same scheduling, same cancellation
-// contract, same table layout — only the inner loop differs.
+// nussinov.BuildParallelContext: same cancellation contract, same table
+// layout, anti-diagonal wavefronts where the streamed fill has tiles.
 func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) (*nussinov.Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -287,9 +284,11 @@ func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxSte
 			default:
 			}
 		}
-		if pfor == nil || n < nussinov.SequentialCutoff {
+		if pfor == nil || n < sequentialCutoff {
 			st.run(d, 0, n-d)
-		} else if err := pfor.Chunks(ctx, n-d, func(lo, hi int) { st.run(d, lo, hi) }); err != nil {
+		} else if err := pfor(ctx, (n-d+wavefrontGrain-1)/wavefrontGrain, func(c int) {
+			st.run(d, c*wavefrontGrain, min((c+1)*wavefrontGrain, n-d))
+		}); err != nil {
 			return err
 		}
 		// Second pass: publish the difference codes this diagonal

@@ -1,0 +1,73 @@
+package nussinov_test
+
+import (
+	"context"
+	"testing"
+
+	"github.com/bpmax-go/bpmax/internal/fourrussians"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
+	"github.com/bpmax-go/bpmax/internal/rna"
+	"github.com/bpmax-go/bpmax/internal/score"
+	"github.com/bpmax-go/bpmax/internal/semiring"
+)
+
+// FuzzSubstrateParity is the bit-identity gate of every single-strand fill:
+// for arbitrary sequences and all three stock score models, the streamed
+// table (on the process's kernels and on the portable Go ones), the tiled
+// parallel table and the forced Four-Russians table must equal the per-cell
+// reference's bit for bit, and a traceback over the streamed table must
+// reach the reference's total weight. This is what lets one substrate-cache
+// entry serve requests naming any algorithm.
+func FuzzSubstrateParity(f *testing.F) {
+	f.Add("GGGAAACCC")
+	f.Add("GCGC")
+	f.Add("A")
+	f.Add("")
+	f.Add("ACGUACGUACGUACGUACGUACGUACGUACGUACGUACGU")
+	f.Add("GGGGGGGGGGGGGGGGCCCCCCCCCCCCCCCC")
+	f.Fuzz(func(t *testing.T, s string) {
+		if len(s) > 300 {
+			t.Skip("cap the O(n³) fills")
+		}
+		seq, err := rna.New(s)
+		if err != nil {
+			t.Skip("non-nucleotide input")
+		}
+		n := seq.Len()
+		for _, m := range []score.Model{score.BasePair(), score.Unit(), score.Forbidden("forbidden")} {
+			maxStep, ok := m.IntegerBounded()
+			if !ok {
+				t.Fatalf("%s: not integer-bounded", m.Name())
+			}
+			sc := func(i, j int) float32 { return m.Pair(seq.At(i), seq.At(j)) }
+			want := nussinov.ReferenceBuild(n, sc)
+			streamed := nussinov.Build(n, sc)
+			tiled, err := nussinov.BuildTiled(context.Background(), n, 16, semiring.MaxPlusKernels(false), sc, nussinov.ForkJoin(2))
+			if err != nil {
+				t.Fatalf("%s: tiled build: %v", m.Name(), err)
+			}
+			subjects := map[string]*nussinov.Table{
+				"streamed":      streamed,
+				"streamed-go":   nussinov.BuildWith(n, semiring.MaxPlusKernelsGo(false), sc),
+				"tiled":         tiled,
+				"four-russians": fourrussians.Build(n, sc, maxStep),
+			}
+			wd := want.Data()
+			for name, got := range subjects {
+				gd := got.Data()
+				for idx := range wd {
+					if gd[idx] != wd[idx] {
+						t.Fatalf("%s %s: S[%d,%d] = %v, reference %v (seq %q)",
+							m.Name(), name, idx/n, idx%n, gd[idx], wd[idx], s)
+					}
+				}
+			}
+			if n > 0 {
+				pairs := streamed.Traceback(sc)
+				if gw, ww := nussinov.PairsWeight(pairs, sc), want.At(0, n-1); gw != ww {
+					t.Fatalf("%s: traceback weight %v != reference S %v (seq %q)", m.Name(), gw, ww, s)
+				}
+			}
+		}
+	})
+}

@@ -11,16 +11,12 @@ import (
 // GTable is Table over an arbitrary scalar semiring: the same bounding-box
 // memory map (row-contiguous; after a fill the lower triangle holds One —
 // the empty interval — and the diagonal the weight of one unpaired base),
-// filled with ⊕ and ⊗ through a kernel bundle. The float32 max-plus
-// instantiation is bit-identical to Table (pinned by a parity test); the
-// float64 log-sum-exp instantiation computes the log of the strand's
-// derivation-weighted Boltzmann sum, and the float64 sum-product
-// instantiation the same sum in the linear domain — the single-strand
-// partition substrates of the BPPart fill.
-//
-// Table itself stays concrete: the max-plus hot path keeps its direct
-// comparison loop, and nothing in the serving spine pays the generic
-// dispatch unless it asked for a different algebra.
+// filled with ⊕ and ⊗ through a kernel bundle by the same streamed body as
+// Table. The float32 max-plus instantiation is Table's fill (pinned by a
+// parity test); the float64 log-sum-exp instantiation computes the log of
+// the strand's derivation-weighted Boltzmann sum, and the float64
+// sum-product instantiation the same sum in the linear domain — the
+// single-strand partition substrates of the BPPart fill.
 type GTable[T semiring.Scalar] struct {
 	N    int
 	data []T // data[i*N+j] = S[i,j] for i <= j
@@ -84,58 +80,21 @@ func (t *GTable[T]) Fill(k semiring.Kernels[T], score func(i, j int) T) {
 	_ = t.FillContext(context.Background(), k, k.One, score) // Background never cancels
 }
 
-// FillContext runs the recurrence in diagonal order over a fresh or Reset
-// table, checking ctx once per anti-diagonal (O(n³) time in all). unit is
-// the weight of one unpaired base — One in the unscaled semirings, e^{-σ}
-// when the caller runs the sum-product kernels on per-nucleotide-scaled
-// Boltzmann factors — and lands on the diagonal; the lower triangle gets
-// One. Written that way every candidate is a ⊗ of two stored cells (or one
-// cell and a pair weight), so the loop needs no scale of its own:
-//
-//	S[i,j] = S[i,i] ⊗ S[i+1,j]  ⊕  S[i,j-1] ⊗ S[j,j]
-//	       ⊕ S[i+1,j-1] ⊗ w(i,j)  ⊕  ⊕_{s=i..j-1} S[i,s] ⊗ S[s+1,j]
-//
-// the same candidate set in the same order as Table.cell, with every ⊕ as
-// add(candidate, accumulator) so the max-plus instantiation ties exactly
-// like the concrete comparison loop. On cancellation the table is left
-// partially filled and ctx.Err() returned.
+// FillContext runs the streamed fill (fill.go) over a fresh or Reset table,
+// checking ctx once per row (O(n³) time in all). unit is the weight of one
+// unpaired base — One in the unscaled semirings, e^{-σ} when the caller runs
+// the sum-product kernels on per-nucleotide-scaled Boltzmann factors — and
+// lands on the diagonal; the lower triangle gets One. Written that way every
+// candidate is a ⊗ of two stored cells (or one cell and a pair weight), so
+// the fill needs no scale of its own. score(i, j) is called exactly once per
+// cell i < j. On cancellation the table is left partially filled and
+// ctx.Err() returned.
 func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T) error {
-	n := t.N
-	add, mul := k.Add, k.Mul
-	data := t.data
 	t.one = k.One
-	for i := 0; i < n; i++ {
-		row := data[i*n : i*n+n : i*n+n]
-		for j := 0; j < i; j++ {
-			row[j] = k.One
-		}
-		row[i] = unit
-	}
-	done := ctx.Done()
-	for d := 1; d < n; d++ {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-		for i := 0; i+d < n; i++ {
-			j := i + d
-			row := data[i*n : i*n+n : i*n+n]
-			best := mul(row[i], data[(i+1)*n+j])         // i unpaired ⊗ S[i+1, j]
-			best = add(mul(row[j-1], data[j*n+j]), best) // S[i, j-1] ⊗ j unpaired
-			best = add(mul(data[(i+1)*n+j-1], score(i, j)), best)
-			idx := (i+1)*n + j // walks S[k+1, j] down column j
-			for s := i; s < j; s++ {
-				best = add(mul(row[s], data[idx]), best)
-				idx += n
-			}
-			row[j] = best
-		}
-	}
-	return nil
+	return fill(ctx, t.data, t.N, k, unit, score)
 }
 
-// BuildG fills a generic table sequentially in diagonal order.
+// BuildG fills a generic table sequentially.
 func BuildG[T semiring.Scalar](n int, k semiring.Kernels[T], score func(i, j int) T) *GTable[T] {
 	t := NewGTable[T](n)
 	t.Fill(k, score)
@@ -143,8 +102,7 @@ func BuildG[T semiring.Scalar](n int, k semiring.Kernels[T], score func(i, j int
 }
 
 // BuildGContext is BuildG with cooperative cancellation, checked once per
-// anti-diagonal wavefront like BuildParallelContext. On cancellation the
-// partial table is discarded and ctx.Err() returned.
+// row. On cancellation the partial table is discarded and ctx.Err() returned.
 func BuildGContext[T semiring.Scalar](ctx context.Context, n int, k semiring.Kernels[T], score func(i, j int) T) (*GTable[T], error) {
 	if ctx == nil {
 		ctx = context.Background()

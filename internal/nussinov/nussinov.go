@@ -9,28 +9,24 @@
 //	              S[i+1,j-1] + score(i,j),
 //	              max_{k=i..j-1} S[i,k] + S[k+1,j] )
 //
-// with S[i,j] = 0 when j <= i. Dependences only reach strictly shorter
-// intervals, so anti-diagonals (j-i constant) are independent wavefronts;
-// BuildParallelContext exploits that, mirroring how the paper schedules
-// S¹/S² "before scheduling any other variables".
+// with S[i,j] = 0 when j <= i. Row i depends only on itself and the rows
+// below it, so the table fills bottom-up with the split scan turned into the
+// paper's unit-stride stream y = max(a + x, y) over whole rows (fill.go; the
+// one body behind Table and GTable), and BuildParallelContext cuts that into
+// a triangle of tiles, mirroring how the paper schedules S¹/S² "before
+// scheduling any other variables".
 package nussinov
 
 import (
 	"context"
 	"fmt"
+
+	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
 // ScoreFunc returns the pairing weight for positions i < j, or a very
 // large negative value (score.NegInf) when the pairing is forbidden.
 type ScoreFunc func(i, j int) float32
-
-// SequentialCutoff is the table size below which parallel substrate builds
-// run their wavefronts sequentially: under ~64 positions a diagonal holds so
-// few cells that fork-join overhead dominates the O(cells·n) work. Both the
-// classic solver and the Four-Russians solver (internal/fourrussians) honor
-// it so the algorithms differ only in their inner loop, never in their
-// scheduling.
-const SequentialCutoff = 64
 
 // Algo selects the algorithm used to fill a substrate table. The
 // Four-Russians implementation lives in internal/fourrussians, which
@@ -39,14 +35,15 @@ const SequentialCutoff = 64
 type Algo uint8
 
 const (
-	// AlgoAuto picks Four-Russians when the score model is integer-bounded
-	// and the strand is long enough to profit, classic otherwise.
+	// AlgoAuto is the row-streamed fill: it beats the Four-Russians
+	// tabulation at every size measured (docs/PERFORMANCE.md, "The
+	// single-strand substrate"), so nothing is left to pick.
 	AlgoAuto Algo = iota
-	// AlgoClassic forces the classic O(n³) scan.
+	// AlgoClassic names the same streamed fill explicitly.
 	AlgoClassic
 	// AlgoFourRussians forces the Four-Russians block path whenever the
-	// model supports it (integer-bounded weights); unsupported models fall
-	// back to classic, which is bit-identical anyway.
+	// model supports it (integer-bounded weights); unsupported models get
+	// the streamed fill, which is bit-identical anyway.
 	AlgoFourRussians
 )
 
@@ -99,36 +96,6 @@ func (t *Table) Row(i int) []float32 { return t.data[i*t.N : (i+1)*t.N] }
 // unchanged. All other callers must treat it as read-only.
 func (t *Table) Data() []float32 { return t.data }
 
-// set stores S[i,j].
-func (t *Table) set(i, j int, v float32) { t.data[i*t.N+j] = v }
-
-// cell computes the recurrence body for (i, j), assuming all shorter
-// intervals are final. It indexes the backing storage directly instead of
-// going through At: diagonal and lower-triangle cells are physically zero
-// (Reset guarantees it), so At's j<i special case is already encoded in the
-// data and the hot k-loop runs over a hoisted row slice plus one strided
-// column index.
-func (t *Table) cell(i, j int, score ScoreFunc) float32 {
-	n := t.N
-	data := t.data
-	row := data[i*n : i*n+n : i*n+n]
-	best := data[(i+1)*n+j] // S[i+1, j]; row i+1 exists because i < j < n
-	if v := row[j-1]; v > best {
-		best = v // S[i, j-1]
-	}
-	if v := data[(i+1)*n+j-1] + score(i, j); v > best {
-		best = v // S[i+1, j-1] + w(i, j)
-	}
-	idx := (i+1)*n + j // walks S[k+1, j] down column j
-	for k := i; k < j; k++ {
-		if v := row[k] + data[idx]; v > best {
-			best = v
-		}
-		idx += n
-	}
-	return best
-}
-
 // Clone returns an independent deep copy of t. Cached substrate tables are
 // cloned out of pooled problems, whose own storage is reset on reuse.
 func (t *Table) Clone() *Table {
@@ -142,8 +109,9 @@ func (t *Table) Bytes() int64 { return int64(len(t.data)) * 4 }
 
 // Reset prepares t for reuse at size n: storage is kept when its capacity
 // allows (grown otherwise) and every cell is zeroed, so a reused table is
-// indistinguishable from a fresh NewTable(n) — the recurrence only writes
-// the strict upper triangle and relies on zero diagonal/lower cells.
+// indistinguishable from a fresh NewTable(n). Fill rewrites the diagonal and
+// the lower triangle itself; the Four-Russians fill writes only the strict
+// upper triangle and relies on the zeros.
 func (t *Table) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
@@ -158,58 +126,25 @@ func (t *Table) Reset(n int) {
 	t.N = n
 }
 
-// Fill runs the recurrence sequentially in diagonal order over a fresh or
-// Reset table. O(n³) time.
+// Fill runs the recurrence sequentially over a fresh or Reset table: the
+// float32 max-plus instantiation of the streamed fill, on the AVX2 kernels
+// where the process has them. O(n³) time.
 func (t *Table) Fill(score ScoreFunc) {
-	for d := 1; d < t.N; d++ {
-		t.fillCells(d, 0, t.N-d, score)
-	}
+	_ = fill(context.Background(), t.data, t.N, semiring.MaxPlusKernels(false), 0, score) // Background never cancels
 }
 
-// Build fills the table sequentially in diagonal order. O(n³) time,
-// O(n²) space.
+// Build fills a fresh table sequentially. O(n³) time, O(n²) space.
 func Build(n int, score ScoreFunc) *Table {
 	t := NewTable(n)
 	t.Fill(score)
 	return t
 }
 
-// ParallelFor runs f(i) for every i in [0, n) on the caller's parallel
-// runtime and returns the first cancellation, injected fault or recovered
-// panic. The fold pipeline passes its solver Config's loop (the shared
-// Engine when one is set), so a substrate build obeys the same width cap,
-// panic isolation and failpoints as the interaction fill. A nil ParallelFor
-// fills inline on the calling goroutine.
-type ParallelFor func(ctx context.Context, n int, f func(i int)) error
-
-// wavefrontGrain is how many cells of one anti-diagonal a parallel task
-// fills: contiguous, so neighbours share cache lines, and coarse enough that
-// claiming a task is noise next to its O(grain·n) work.
-const wavefrontGrain = 16
-
-// Chunks runs fill over the cells [0, cells) of one wavefront as contiguous
-// wavefrontGrain-cell tasks on pf. The classic and the Four-Russians builds
-// both schedule through it, so they differ only in their inner loop.
-func (pf ParallelFor) Chunks(ctx context.Context, cells int, fill func(lo, hi int)) error {
-	tasks := (cells + wavefrontGrain - 1) / wavefrontGrain
-	return pf(ctx, tasks, func(c int) {
-		lo := c * wavefrontGrain
-		fill(lo, min(lo+wavefrontGrain, cells))
-	})
-}
-
-// fillCells fills cells lo..hi-1 of anti-diagonal d.
-func (t *Table) fillCells(d, lo, hi int, score ScoreFunc) {
-	for i := lo; i < hi; i++ {
-		t.set(i, i+d, t.cell(i, i+d, score))
-	}
-}
-
 // BuildParallelContext fills the table with pfor cooperating on each
-// anti-diagonal wavefront (nil, or a table under SequentialCutoff, fills
-// inline), checking ctx once per wavefront — each costs O(n²) work, so a
-// cancel returns promptly. On cancellation or a failed wavefront the partial
-// table is discarded and the error returned.
+// wavefront of tiles (nil, or a table under SequentialCutoff, fills inline
+// row by row), checking ctx once per wavefront or row — each costs O(n²)
+// work at most, so a cancel returns promptly. On cancellation or a failed
+// wavefront the partial table is discarded and the error returned.
 func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, pfor ParallelFor) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -220,23 +155,15 @@ func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, pfor Para
 	// Allocate only after the initial ctx check: an already-cancelled
 	// request must not pay for (or retain) an O(n²) table.
 	t := NewTable(n)
-	done := ctx.Done()
-	// Fork-join overhead dominates tiny tables.
-	inline := pfor == nil || n < SequentialCutoff
-	for d := 1; d < n; d++ {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		if inline {
-			t.fillCells(d, 0, n-d, score)
-			continue
-		}
-		err := pfor.Chunks(ctx, n-d, func(lo, hi int) { t.fillCells(d, lo, hi, score) })
-		if err != nil {
-			return nil, err
-		}
+	k := semiring.MaxPlusKernels(false)
+	var err error
+	if pfor == nil || n < SequentialCutoff {
+		err = fill(ctx, t.data, n, k, 0, score)
+	} else {
+		err = fillTiled(ctx, t.data, n, tileEdge, k, 0, score, pfor)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

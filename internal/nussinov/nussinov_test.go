@@ -8,6 +8,7 @@ import (
 
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
+	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
 // scoreFor builds a ScoreFunc from a sequence and model.
@@ -126,9 +127,10 @@ func TestAllEntriesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// forkJoin is a test-only ParallelFor: one goroutine per worker over a
-// strided index space (workers <= 1 returns nil, the inline fill).
-func forkJoin(workers int) ParallelFor {
+// ForkJoin is a test-only ParallelFor: one goroutine per worker over a
+// strided index space (workers <= 1 returns nil, the inline fill). Exported
+// for the external fuzz test.
+func ForkJoin(workers int) ParallelFor {
 	if workers <= 1 {
 		return nil
 	}
@@ -156,7 +158,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		sc := scoreFor(seq, score.BasePair())
 		seq1 := Build(n, sc)
 		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := BuildParallelContext(context.Background(), n, sc, forkJoin(workers))
+			par, err := BuildParallelContext(context.Background(), n, sc, ForkJoin(workers))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -310,26 +312,44 @@ func TestUnitModelCountsPairs(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild256(b *testing.B) {
+func benchBuild(b *testing.B, n int) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
-	seq := rna.Random(rng, 256)
+	seq := rna.Random(rng, n)
 	sc := scoreFor(seq, score.BasePair())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(256, sc)
+		Build(n, sc)
 	}
 }
 
-func BenchmarkBuildParallel256(b *testing.B) {
-	b.ReportAllocs()
+// benchBuildParallel is the reading SequentialCutoff is set from: W=1 is what
+// a one-worker request runs (whole rows, inline), W=2 the production tiles on
+// two goroutines — forced, whatever the cutoff says about n, so the crossover
+// can be re-measured on a new host.
+func benchBuildParallel(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
-	seq := rna.Random(rng, 256)
+	seq := rna.Random(rng, n)
 	sc := scoreFor(seq, score.BasePair())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildParallelContext(context.Background(), 256, sc, forkJoin(2)); err != nil {
-			b.Fatal(err)
+	b.Run("W=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BuildParallelContext(context.Background(), n, sc, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("W=2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BuildTiled(context.Background(), n, tileEdge, semiring.MaxPlusKernels(false), sc, ForkJoin(2)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+func BenchmarkBuild256(b *testing.B)          { benchBuild(b, 256) }
+func BenchmarkBuild1024(b *testing.B)         { benchBuild(b, 1024) }
+func BenchmarkBuildParallel256(b *testing.B)  { benchBuildParallel(b, 256) }
+func BenchmarkBuildParallel1024(b *testing.B) { benchBuildParallel(b, 1024) }

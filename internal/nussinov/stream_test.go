@@ -1,0 +1,284 @@
+package nussinov
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"github.com/bpmax-go/bpmax/internal/rna"
+	"github.com/bpmax-go/bpmax/internal/score"
+	"github.com/bpmax-go/bpmax/internal/semiring"
+)
+
+// workersFor is ForkJoin with a real loop at one worker: the tiled driver
+// needs a ParallelFor even to run its wavefronts inline.
+func workersFor(w int) ParallelFor {
+	if pf := ForkJoin(w); pf != nil {
+		return pf
+	}
+	return func(ctx context.Context, n int, f func(i int)) error {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return ctx.Err()
+	}
+}
+
+// tableBytes views a table's whole bounding box — boundary cells included —
+// as bytes, so a comparison is bit-identity and not float equality.
+func tableBytes[T semiring.Scalar](data []T) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*int(unsafe.Sizeof(data[0])))
+}
+
+func requireSameBytes(t *testing.T, label string, n int, got, want []float32) {
+	t.Helper()
+	if bytes.Equal(tableBytes(got), tableBytes(want)) {
+		return
+	}
+	for idx := range want {
+		if math.Float32bits(got[idx]) != math.Float32bits(want[idx]) {
+			t.Fatalf("%s: S[%d,%d] = %v, per-cell reference %v", label, idx/n, idx%n, got[idx], want[idx])
+		}
+	}
+	t.Fatalf("%s: table sizes differ (%d vs %d cells)", label, len(got), len(want))
+}
+
+// differentialSizes are every small table plus the sizes around the AVX2
+// kernels' 8-lane grid edges and masked tails, and one table of several
+// production-size tile rows.
+func differentialSizes() []int {
+	var sizes []int
+	for n := 0; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	return append(sizes, 63, 64, 65, 127, 128, 129, 255, 256, 257, 600)
+}
+
+// differentialScores are the score shapes the serving path produces: the
+// three stock models, a model with fractional (dyadic, so float32-exact)
+// weights the Four-Russians capability does not cover, and base-pair scores
+// with near-diagonal pairs masked by a minimum hairpin loop.
+func differentialScores(seq rna.Sequence) map[string]ScoreFunc {
+	fractional := score.Custom("fractional", map[[2]rna.Base]score.Value{
+		{rna.G, rna.C}: 2.75, {rna.A, rna.U}: 1.25, {rna.G, rna.U}: 0.5,
+	})
+	hairpin := score.Build(seq, rna.Sequence{}, score.Params{Model: score.BasePair(), MinHairpin: 3})
+	return map[string]ScoreFunc{
+		"basepair":   scoreFor(seq, score.BasePair()),
+		"unit":       scoreFor(seq, score.Unit()),
+		"forbidden":  scoreFor(seq, score.Forbidden("forbidden")),
+		"fractional": scoreFor(seq, fractional),
+		"minhairpin": func(i, j int) float32 { return hairpin.Score1(i, j) },
+	}
+}
+
+// TestStreamedMatchesReference is the bit-identity gate of the streamed fill:
+// on every size, score shape and kernel body, serial and tiled on 1–4
+// workers, the table is byte-equal to the per-cell reference's, and a
+// traceback over it reaches S[0, n-1].
+func TestStreamedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	kernels := map[string]semiring.Kernels[float32]{
+		semiring.MaxPlusKernels(false).Impl: semiring.MaxPlusKernels(false), // avx2 where the process has it
+		"go":                                semiring.MaxPlusKernelsGo(false),
+	}
+	for _, n := range differentialSizes() {
+		seq := rna.Random(rng, n)
+		// Tiles of 8 cut even the small tables into several block-rows; 64
+		// keeps the 600-nt case at ten.
+		tile := 8
+		if n > 40 {
+			tile = 64
+		}
+		for name, sc := range differentialScores(seq) {
+			want := ReferenceBuild(n, sc).data
+			for impl, k := range kernels {
+				label := fmt.Sprintf("n=%d %s %s", n, name, impl)
+				got := BuildWith(n, k, sc)
+				requireSameBytes(t, label+" serial", n, got.data, want)
+				if n > 0 {
+					if w := PairsWeight(got.Traceback(sc), sc); w != got.At(0, n-1) {
+						t.Fatalf("%s: traceback weight %v, S[0,%d] = %v", label, w, n-1, got.At(0, n-1))
+					}
+				}
+				for workers := 1; workers <= 4; workers++ {
+					par, err := BuildTiled(context.Background(), n, tile, k, sc, workersFor(workers))
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", label, workers, err)
+					}
+					requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, par.data, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildParallelTilesAtCutoff drives the production entry point at the
+// first size it tiles (production tile edge, real workers) against the
+// serial build; the per-cell oracle is out of reach at this size.
+func TestBuildParallelTilesAtCutoff(t *testing.T) {
+	n := SequentialCutoff + 3
+	sc := scoreFor(rna.Random(rand.New(rand.NewSource(5)), n), score.BasePair())
+	want := Build(n, sc)
+	got, err := BuildParallelContext(context.Background(), n, sc, ForkJoin(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBytes(t, "tiled at the cutoff", n, got.data, want.data)
+}
+
+// TestStreamedLogZWithinBound: the float64 fills see the same candidate
+// multiset as the per-cell reference with ⊕ re-associated, so the strand's
+// log partition value moves by rounding only — inside 16·n·2⁻⁵³ relative, in
+// the log domain and in the scaled linear one.
+func TestStreamedLogZWithinBound(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		sc := randScore(int64(n), n)
+		kT := 0.7
+		logw := func(i, j int) float64 {
+			if w := sc(i, j); w > semiring.NegInf/2 {
+				return float64(w) / kT
+			}
+			return math.Inf(-1)
+		}
+		tol := 16 * float64(n) * 0x1p-53
+		lse := semiring.LogSumExpKernels()
+		want := ReferenceBuildG(n, lse, lse.One, logw).At(0, n-1)
+		if got := BuildG(n, lse, logw).At(0, n-1); math.Abs(got-want) > tol*math.Abs(want) {
+			t.Errorf("n=%d log-sum-exp: LogZ %v, reference %v (rel %g, bound %g)", n, got, want, math.Abs(got-want)/math.Abs(want), tol)
+		}
+		sigma := want / float64(n)
+		sp := semiring.SumProductKernels()
+		factor := func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }
+		ref := math.Log(ReferenceBuildG(n, sp, math.Exp(-sigma), factor).At(0, n-1)) + sigma*float64(n)
+		tbl := NewGTable[float64](n)
+		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor); err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Log(tbl.At(0, n-1)) + sigma*float64(n); math.Abs(got-ref) > tol*math.Abs(ref) {
+			t.Errorf("n=%d scaled sum-product: LogZ %v, reference %v (rel %g, bound %g)", n, got, ref, math.Abs(got-ref)/math.Abs(ref), tol)
+		}
+	}
+}
+
+// TestScoreCalledOncePerCell: every fill calls score(i, j) exactly once for
+// each i < j and never elsewhere — the scaled partition build's inWindow
+// guard rides on that closure.
+func TestScoreCalledOncePerCell(t *testing.T) {
+	const n = 37
+	base := randScore(3, n)
+	check := func(label string, run func(sc ScoreFunc)) {
+		calls := make([]int32, n*n)
+		run(func(i, j int) float32 { calls[i*n+j]++; return base(i, j) })
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := int32(0)
+				if i < j {
+					want = 1
+				}
+				if calls[i*n+j] != want {
+					t.Fatalf("%s: score(%d, %d) called %d times, want %d", label, i, j, calls[i*n+j], want)
+				}
+			}
+		}
+	}
+	check("Table.Fill", func(sc ScoreFunc) { Build(n, sc) })
+	// One worker: the counting closure is not synchronized.
+	check("tiled", func(sc ScoreFunc) {
+		if _, err := BuildTiled(context.Background(), n, 8, semiring.MaxPlusKernels(false), sc, workersFor(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("GTable.FillContext", func(sc ScoreFunc) {
+		lse := semiring.LogSumExpKernels()
+		BuildG(n, lse, func(i, j int) float64 { return float64(sc(i, j)) })
+	})
+}
+
+// TestCancelStopsWithinOneRow: ctx is polled once per row (once per tile
+// wavefront when tiled), so a cancel costs at most one more O(n²) step, and
+// a cancelled build hands back no table.
+func TestCancelStopsWithinOneRow(t *testing.T) {
+	const n, cancelRow = 48, 30
+	base := randScore(4, n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	topRow := n // the topmost (smallest-index) row the fill reached
+	sc := func(i, j int) float32 {
+		if i == cancelRow {
+			cancel()
+		}
+		topRow = min(topRow, i)
+		return base(i, j)
+	}
+	tbl, err := BuildParallelContext(ctx, n, sc, nil)
+	if !errors.Is(err, context.Canceled) || tbl != nil {
+		t.Fatalf("serial: table %v, err %v; want nil, context.Canceled", tbl, err)
+	}
+	if topRow != cancelRow {
+		t.Fatalf("serial: rows up to %d were seeded after a cancel in row %d", topRow, cancelRow)
+	}
+	g := NewGTable[float32](n)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GTable.FillContext on a cancelled context: %v", err)
+	}
+
+	// Tiled, one worker: cancelling inside the first wavefront (the diagonal
+	// tiles) must keep every later wavefront from starting.
+	ctx3, cancel3 := context.WithCancel(context.Background())
+	defer cancel3()
+	offDiagonal := 0
+	sc3 := func(i, j int) float32 {
+		cancel3()
+		if i/8 != j/8 {
+			offDiagonal++
+		}
+		return base(i, j)
+	}
+	tbl, err = BuildTiled(ctx3, n, 8, semiring.MaxPlusKernels(false), sc3, workersFor(1))
+	if !errors.Is(err, context.Canceled) || tbl != nil {
+		t.Fatalf("tiled: table %v, err %v; want nil, context.Canceled", tbl, err)
+	}
+	if offDiagonal != 0 {
+		t.Fatalf("tiled: %d off-diagonal cells seeded after a cancel in the first wavefront", offDiagonal)
+	}
+}
+
+// TestResetThenFillIsAFreshBuild: a pooled table whose storage is dirty —
+// larger, and full of garbage — is byte-equal to a fresh build after Reset
+// and a fill, boundary cells included.
+func TestResetThenFillIsAFreshBuild(t *testing.T) {
+	const n = 29
+	sc := randScore(9, n)
+	fresh := Build(n, sc)
+	reused := NewTable(n + 13)
+	for i := range reused.data {
+		reused.data[i] = float32(math.NaN())
+	}
+	reused.Reset(n)
+	reused.Fill(sc)
+	requireSameBytes(t, "Table", n, reused.data, fresh.data)
+
+	lse := semiring.LogSumExpKernels()
+	logw := func(i, j int) float64 { return float64(sc(i, j)) }
+	freshG := BuildG(n, lse, logw)
+	reusedG := NewGTable[float64](n + 13)
+	for i := range reusedG.data {
+		reusedG.data[i] = math.NaN()
+	}
+	reusedG.Reset(n)
+	reusedG.Fill(lse, logw)
+	if !bytes.Equal(tableBytes(reusedG.data), tableBytes(freshG.data)) {
+		t.Fatal("GTable: Reset + Fill differs from a fresh build")
+	}
+}

@@ -75,8 +75,7 @@ type request struct {
 	verr error
 	// salgo is the resolved substrate algorithm (aerr names an unknown
 	// WithSubstrateAlgorithm value); subMax/subInt cache the model's
-	// IntegerBounded capability, which together with salgo decides whether
-	// the Four-Russians fast path fills the S tables.
+	// IntegerBounded capability, which a forced Four-Russians build needs.
 	salgo  nussinov.Algo
 	aerr   error
 	subMax int
@@ -688,10 +687,10 @@ func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est in
 // single is the single-strand fold body. The S table comes from the
 // substrate cache when possible — it is the same table an interaction fold
 // builds for that strand, so single folds and screens share entries (cached
-// tables are read-only; traceback only reads them). A miss builds it with
-// the request's substrate algorithm — the Four-Russians wavefront build
-// when the pick applies, the classic one otherwise; same cancellation
-// contract, bit-identical tables — on the request's parallel runtime.
+// tables are read-only; traceback only reads them). A miss builds it on the
+// request's parallel runtime with the row-streamed fill — or, when the
+// request names it, the Four-Russians one; same cancellation contract,
+// bit-identical tables.
 func (rq request) single(ctx context.Context, seq string) (*SingleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
@@ -701,11 +700,13 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 		return nil, err
 	}
 	n := s.Len()
-	tab := score.Build(s, s, rq.sp)
+	// Only the strand's own pair table is read; with the build streamed, the
+	// two tables a second strand would add cost a third of the whole fold.
+	tab := score.Build(s, rna.Sequence{}, rq.sp)
 	sc := func(i, j int) float32 { return tab.Score1(i, j) }
 	sb := rq.tr.Begin()
 	t, hit, err := sharedTable(rq, keySubstrate, s, func(bool) (*nussinov.Table, error) {
-		if fourrussians.Pick(rq.salgo, n, rq.subMax, rq.subInt) {
+		if fourrussians.Pick(rq.salgo, rq.subMax, rq.subInt) {
 			return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, rq.cfg.ParallelFor())
 		}
 		return nussinov.BuildParallelContext(ctx, n, sc, rq.cfg.ParallelFor())

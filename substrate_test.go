@@ -14,15 +14,15 @@ var substrateAlgorithms = []SubstrateAlgorithm{SubstrateAuto, SubstrateClassic, 
 // TestSubstrateAlgorithmFoldParity pins the public contract of
 // WithSubstrateAlgorithm: every choice yields the same score and the same
 // traceback on an interaction fold, for integer and non-integer models
-// alike (the latter silently falls back to the classic fill).
+// alike (the latter gets the streamed fill whatever was asked).
 func TestSubstrateAlgorithmFoldParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	seq1 := rna.Random(rng, 8).String()
-	seq2 := rna.Random(rng, 256).String() // above the Auto crossover
+	seq2 := rna.Random(rng, 256).String() // long enough for Four-Russians blocks of q = 4
 	weights := []Weights{
 		{},                           // basepair: integer-bounded
 		{Unit: true},                 // unit: integer-bounded
-		{GC: 2.5, AU: 1.25, GU: 0.5}, // fractional: classic everywhere
+		{GC: 2.5, AU: 1.25, GU: 0.5}, // fractional: the streamed fill everywhere
 	}
 	for _, w := range weights {
 		base, err := Fold(seq1, seq2, WithWeights(w), WithSubstrateAlgorithm(SubstrateClassic))
