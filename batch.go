@@ -93,15 +93,17 @@ func FoldBatchContext(ctx context.Context, items []BatchItem, workers int, opts 
 	// then fold each item through the same pre-parsed request, so per-item
 	// cost excludes option closures, variant resolution and param building.
 	rq := buildOptions(append(append([]Option(nil), opts...), WithWorkers(perFold)))
-	if perFold > 1 && rq.cfg.Engine == nil {
-		// Parallel per-item folds with no caller-supplied engine: give the
-		// batch its own worker team sized to the budget. The engine caps
-		// physical parallelism even when conc folds contend for helpers.
-		e := NewEngine(workers)
-		defer e.Close()
-		rq.engine = e
-		rq.cfg.Engine = e.e
+	// Parallel per-item folds draw their helpers from one team sized to the
+	// whole budget — the caller's engine, or one scoped to this batch — which
+	// caps physical parallelism even when conc folds contend for helpers.
+	// Width-1 folds need no team.
+	team := 1
+	if perFold > 1 {
+		team = workers
 	}
+	cfg, release := rq.cfg.ScopedEngine(team)
+	defer release()
+	rq.cfg = cfg
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < conc; w++ {

@@ -143,14 +143,107 @@ func TestChaosSchedules(t *testing.T) {
 				res.Release()
 			}
 			sess.Close()
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if now := runtime.NumGoroutine(); now > before {
-				t.Errorf("goroutines leaked across schedule: %d -> %d", before, now)
-			}
+			expectGoroutines(t, before, "across schedule")
 		})
+	}
+}
+
+// expectGoroutines fails the test if the goroutine count has not settled
+// back to before within a grace period.
+func expectGoroutines(t *testing.T, before int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("goroutines leaked %s: %d -> %d", when, before, now)
+	}
+}
+
+// TestScopedEngineLeavesNoGoroutines: a bare call asking for width 3 with no
+// WithEngine runs on an engine scoped to the call, and however the call ends
+// — success, a cancel landing mid-fill, a panic on a worker, an injected
+// worker fault — its helpers are joined before it returns.
+func TestScopedEngineLeavesNoGoroutines(t *testing.T) {
+	defer fault.Reset()
+	rng := rand.New(rand.NewSource(23))
+	s1, s2 := randSeq(rng, 12), randSeq(rng, 14)
+	// A single-strand build goes parallel only from the cutoff up.
+	long := randSeq(rng, nussinov.SequentialCutoff+16)
+	entries := []struct {
+		name string
+		// hooked: the entry point runs the interaction fill, which the
+		// triangle hook can poison.
+		hooked bool
+		call   func(ctx context.Context, opts ...Option) error
+	}{
+		{"Fold", true, func(ctx context.Context, opts ...Option) error {
+			_, err := FoldContext(ctx, s1, s2, opts...)
+			return err
+		}},
+		{"ScanWindowed", true, func(ctx context.Context, opts ...Option) error {
+			_, err := ScanWindowedContext(ctx, s1, s2, 8, 8, opts...)
+			return err
+		}},
+		{"FoldSingle", false, func(ctx context.Context, opts ...Option) error {
+			_, err := FoldSingleContext(ctx, long, opts...)
+			return err
+		}},
+	}
+	for _, en := range entries {
+		before := runtime.NumGoroutine()
+
+		if err := en.call(context.Background(), WithWorkers(3)); err != nil {
+			t.Fatalf("%s: %v", en.name, err)
+		}
+		expectGoroutines(t, before, en.name+" after success")
+
+		// Mid-fill cancel: one loop iteration stalls inside the engine, and
+		// the cancel is sent once the stall has begun.
+		if err := fault.ArmSpec("engine-iter=once*delay(20ms)"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		watched := make(chan struct{})
+		go func() {
+			defer close(watched)
+			for fault.Snapshot().Injected == 0 && ctx.Err() == nil {
+				time.Sleep(100 * time.Microsecond)
+			}
+			cancel()
+		}()
+		err := en.call(ctx, WithWorkers(3))
+		cancel()
+		<-watched
+		fault.Reset()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s cancelled mid-fill: err = %v, want Canceled", en.name, err)
+		}
+		expectGoroutines(t, before, en.name+" after a mid-fill cancel")
+
+		if en.hooked {
+			boom := withTriangleHook(func(i1, j1 int) {
+				if i1 == 0 && j1 == 5 {
+					panic("injected fault")
+				}
+			})
+			var pe *PanicError
+			if err := en.call(context.Background(), WithWorkers(3), boom); !errors.As(err, &pe) {
+				t.Errorf("%s with a poisoned triangle: err = %v, want *PanicError", en.name, err)
+			}
+			expectGoroutines(t, before, en.name+" after a worker panic")
+		}
+
+		if err := fault.ArmSpec("engine-iter=once*error"); err != nil {
+			t.Fatal(err)
+		}
+		var fe *FaultError
+		if err := en.call(context.Background(), WithWorkers(3)); !errors.As(err, &fe) {
+			t.Errorf("%s with engine-iter armed: err = %v, want *FaultError", en.name, err)
+		}
+		fault.Reset()
+		expectGoroutines(t, before, en.name+" after an injected worker fault")
 	}
 }
 

@@ -73,6 +73,13 @@ run_lint() (
         echo "lint: a column walk over the S table outside the reference oracle (a second per-cell fill growing back)" >&2
         exit 1
     fi
+    # One parallel runtime: the Engine is the only code in the solver package
+    # that starts or joins goroutines. A `go func` or a WaitGroup anywhere else
+    # is the fork-join runtime growing back beside it.
+    if grep -n -e 'go func' -e 'sync\.WaitGroup' $(ls internal/bpmax/*.go | grep -v -e '_test\.go$' -e '/engine\.go$'); then
+        echo "lint: goroutines started in internal/bpmax outside engine.go (run the loop on the Engine)" >&2
+        exit 1
+    fi
     # One span stream: the solver records into FoldMetrics, the trace reads it.
     # A callback tracer, an "observed" switch or a flag that arms recording is
     # the second stream (and its result-cache bypass) growing back.
@@ -154,7 +161,7 @@ run_fuzz() (
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzCachedFoldParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSubstrateParity -fuzztime 10s ./internal/nussinov/
-    go test -run '^$' -fuzz FuzzFold -fuzztime 10s .
+    go test -run '^$' -fuzz '^FuzzFold$' -fuzztime 10s .
     go test -run '^$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
 )
 

@@ -12,12 +12,12 @@
 //	bpmax -variant base -workers 1 GGGAAACCC GGGUUUCCC
 //	bpmax -window 64 longseq1.txt-content longseq2.txt-content
 //	bpmax -timeout 30s -mem-limit 2GB -degrade-window 100 SEQ1 SEQ2
-//	bpmax -fasta pairs.fa -batch -engine -1 -pool    # screen on shared workers + pooled tables
+//	bpmax -fasta pairs.fa -batch -workers 8 -pool    # screen on one 8-wide worker team + pooled tables
 //	bpmax -fasta pairs.fa -batch -cache 256MB -admit 4   # cache repeated strands, gate concurrency
 //	bpmax -metrics-json - GGGAAACCC GGGUUUCCC        # emit fold metrics as JSON on stdout
 //	bpmax -pprof localhost:6060 -fasta pairs.fa -batch   # profile a screen live
 //
-// The serving knobs (-variant, -engine, -pool, -cache, -admit, -retry,
+// The serving knobs (-variant, -workers, -pool, -cache, -admit, -retry,
 // -failpoints, ...) are shared verbatim with the bpmaxd network server; see
 // internal/cliflags.
 //

@@ -485,10 +485,14 @@ func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, s.ring.Snapshot())
 }
 
-// snapshot assembles the /metrics document.
+// snapshot assembles the /metrics document. The component sections come
+// from the session, which owns an engine and a pool whether or not a flag
+// built one; comps adds the failpoint registry's.
 func (s *server) snapshot() bpmax.MetricsSnapshot {
 	snap := s.metrics.Snapshot()
 	s.comps.Attach(&snap)
+	st := s.session.Stats()
+	snap.Engine, snap.Pool, snap.Cache, snap.Admission = st.Engine, st.Pool, st.Cache, st.Admission
 	sst := s.serverStats()
 	snap.Server = &sst
 	rt := bpmax.ReadRuntimeStats()

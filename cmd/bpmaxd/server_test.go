@@ -532,8 +532,9 @@ func TestRunEndToEnd(t *testing.T) {
 // TestDefaultFlagsCountFillsAndHits: under the default flags plus -cache an
 // operator gets both the cache and the fold counters. Three identical folds
 // are one fill and two result hits in /metrics and /metrics/prom, with the
-// fill's phases and histogram entry; a partition fold whose kT leaves the
-// scaled domain moves the guard-fallback alarm — no flag armed any of it.
+// fill's phases and histogram entry; the engine and pool the session owns
+// report their sections; a partition fold whose kT leaves the scaled domain
+// moves the guard-fallback alarm — no flag armed any of it.
 func TestDefaultFlagsCountFillsAndHits(t *testing.T) {
 	addr, drain := bootRun(t, "-cache", "64MB")
 	defer drain()
@@ -574,7 +575,11 @@ func TestDefaultFlagsCountFillsAndHits(t *testing.T) {
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"\nbpmax_folds_total 1\n", "\nbpmax_cache_result_hits_total 2\n"} {
+	if snap.Engine == nil || snap.Engine.Width < 1 || snap.Pool == nil {
+		t.Errorf("engine = %+v, pool = %+v; want the session's own engine and pool", snap.Engine, snap.Pool)
+	}
+	for _, want := range []string{"\nbpmax_folds_total 1\n", "\nbpmax_cache_result_hits_total 2\n",
+		"\nbpmax_engine_width ", "\nbpmax_pool_hit_rate "} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("/metrics/prom missing %q", want)
 		}

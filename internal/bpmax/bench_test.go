@@ -1,8 +1,8 @@
 package bpmax
 
-// Benchmarks for the PR-2 execution runtime: the persistent worker engine
-// against the fork-join parallel-for, and the pooled steady-state solve
-// cycle. Read the allocs/op column: pooled+engine must stay O(1).
+// Benchmarks for the execution runtime: a loop on a persistent worker
+// engine, the whole life of an engine scoped to one fold, and the pooled
+// steady-state solve cycle. Read the allocs/op column: pooled+engine must stay O(1).
 
 import (
 	"context"
@@ -13,9 +13,10 @@ import (
 	"github.com/bpmax-go/bpmax/internal/score"
 )
 
-// BenchmarkEngineRun isolates the per-loop dispatch overhead: a persistent
-// engine reuses parked workers, the fork-join baseline spawns and joins
-// goroutines every call.
+// BenchmarkEngineRun isolates the runtime's own cost: "engine" is one loop
+// dispatched to parked workers; "scoped" is what a bare width > 1 fold pays
+// for having no engine handed to it — start a team, run a fold's worth of
+// loops (~40 wavefront steps) on it, close it.
 func BenchmarkEngineRun(b *testing.B) {
 	work := func(int) {}
 	ctx := context.Background()
@@ -30,12 +31,16 @@ func BenchmarkEngineRun(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fork-join", func(b *testing.B) {
+	b.Run("scoped", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := parallelForCtx(ctx, 256, 4, work); err != nil {
-				b.Fatal(err)
+			e := NewEngine(4)
+			for l := 0; l < 40; l++ {
+				if err := e.Run(ctx, 256, 4, work); err != nil {
+					b.Fatal(err)
+				}
 			}
+			e.Close()
 		}
 	})
 }

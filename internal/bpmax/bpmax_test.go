@@ -155,6 +155,16 @@ func TestStaticSchedulingAgrees(t *testing.T) {
 	dyn := Solve(p, VariantHybrid, Config{Workers: 4})
 	st := Solve(p, VariantHybrid, Config{Workers: 4, StaticSched: true})
 	tablesEqual(t, p, dyn, st, "static-sched")
+	// Every schedule under both distributions, at width 3 on the engine the
+	// solve scopes to itself (no Engine configured), against its width-1
+	// table, which needs no engine at all.
+	for _, v := range Variants {
+		one := Solve(p, v, Config{Workers: 1})
+		for _, static := range []bool{false, true} {
+			got := Solve(p, v, Config{Workers: 3, StaticSched: static})
+			tablesEqual(t, p, one, got, fmt.Sprintf("%v/scoped-3/static=%v", v, static))
+		}
+	}
 }
 
 func TestRandomConfigurationsQuick(t *testing.T) {

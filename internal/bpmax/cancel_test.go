@@ -10,98 +10,123 @@ import (
 	"time"
 )
 
-// pforCtxKinds enumerates both distribution strategies for the runtime
-// tests.
-var pforCtxKinds = []struct {
-	name string
-	fn   func(ctx context.Context, n, workers int, f func(int)) error
-}{
-	{"dynamic", parallelForCtx},
-	{"static", parallelForStaticCtx},
+// pforFunc is the shape Config.pforCtx binds: one parallel loop.
+type pforFunc = func(ctx context.Context, n, workers int, f func(int)) error
+
+// forEachRuntime runs body over every way a loop reaches the parallel
+// runtime — both distributions on a live engine, no engine at all, and a
+// closed engine (bound through the static side, so both fallbacks take
+// both entry points) — and checks no goroutine outlives the engines.
+func forEachRuntime(t *testing.T, body func(name string, run pforFunc)) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	live, closed := NewEngine(4), NewEngine(4)
+	closed.Close()
+	body("dynamic", Config{Engine: live}.pforCtx())
+	body("static", Config{Engine: live, StaticSched: true}.pforCtx())
+	body("nil-engine", Config{}.pforCtx())
+	body("closed-engine", Config{Engine: closed, StaticSched: true}.pforCtx())
+	live.Close()
+	checkNoGoroutineLeak(t, before)
 }
 
-func TestParallelForCtxCoversAllIndices(t *testing.T) {
-	for _, k := range pforCtxKinds {
-		for _, workers := range []int{0, 1, 2, 7, 100} {
-			for _, n := range []int{0, 1, 5, 64} {
-				var count atomic.Int64
-				seen := make([]atomic.Bool, n+1)
-				err := k.fn(context.Background(), n, workers, func(i int) {
-					if seen[i].Swap(true) {
-						t.Errorf("%s workers=%d n=%d: index %d visited twice", k.name, workers, n, i)
-					}
-					count.Add(1)
-				})
-				if err != nil {
-					t.Errorf("%s workers=%d n=%d: %v", k.name, workers, n, err)
+// checkCoversAllIndices asserts run visits every index of [0, n) exactly
+// once for each width × length.
+func checkCoversAllIndices(t *testing.T, name string, run pforFunc, widths, lengths []int) {
+	t.Helper()
+	for _, workers := range widths {
+		for _, n := range lengths {
+			var count atomic.Int64
+			seen := make([]atomic.Bool, n+1)
+			err := run(context.Background(), n, workers, func(i int) {
+				if seen[i].Swap(true) {
+					t.Errorf("%s workers=%d n=%d: index %d visited twice", name, workers, n, i)
 				}
-				if int(count.Load()) != n {
-					t.Errorf("%s workers=%d n=%d: visited %d", k.name, workers, n, count.Load())
-				}
+				count.Add(1)
+			})
+			if err != nil {
+				t.Errorf("%s workers=%d n=%d: %v", name, workers, n, err)
+			}
+			if int(count.Load()) != n {
+				t.Errorf("%s workers=%d n=%d: visited %d", name, workers, n, count.Load())
 			}
 		}
 	}
+}
+
+func TestParallelForCtxCoversAllIndices(t *testing.T) {
+	forEachRuntime(t, func(name string, run pforFunc) {
+		checkCoversAllIndices(t, name, run, []int{0, 1, 2, 7, 100}, []int{0, 1, 5, 64})
+	})
 }
 
 func TestParallelForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, k := range pforCtxKinds {
-		for _, workers := range []int{1, 4} {
-			var count atomic.Int64
-			err := k.fn(ctx, 100, workers, func(i int) { count.Add(1) })
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s workers=%d: err = %v, want Canceled", k.name, workers, err)
-			}
-			if count.Load() != 0 {
-				t.Errorf("%s workers=%d: ran %d iterations after cancel", k.name, workers, count.Load())
+	forEachRuntime(t, func(name string, run pforFunc) {
+		// n = 0 too: an empty loop still reports the dead context.
+		for _, n := range []int{0, 100} {
+			for _, workers := range []int{1, 4} {
+				var count atomic.Int64
+				err := run(ctx, n, workers, func(i int) { count.Add(1) })
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s n=%d workers=%d: err = %v, want Canceled", name, n, workers, err)
+				}
+				if count.Load() != 0 {
+					t.Errorf("%s n=%d workers=%d: ran %d iterations after cancel", name, n, workers, count.Load())
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestParallelForCtxCancelMidway(t *testing.T) {
-	for _, k := range pforCtxKinds {
+	forEachRuntime(t, func(name string, run pforFunc) {
 		for _, workers := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			var count atomic.Int64
-			err := k.fn(ctx, 10000, workers, func(i int) {
+			err := run(ctx, 10000, workers, func(i int) {
 				if count.Add(1) == 5 {
 					cancel()
 				}
 			})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s workers=%d: err = %v, want Canceled", k.name, workers, err)
+				t.Errorf("%s workers=%d: err = %v, want Canceled", name, workers, err)
 			}
 			// Each in-flight worker may finish its current item, no more.
 			if c := count.Load(); c > 5+int64(workers) {
-				t.Errorf("%s workers=%d: %d iterations ran after cancel", k.name, workers, c)
+				t.Errorf("%s workers=%d: %d iterations ran after cancel", name, workers, c)
 			}
 		}
-	}
+	})
 }
 
 func TestParallelForCtxPanicBecomesError(t *testing.T) {
-	for _, k := range pforCtxKinds {
+	forEachRuntime(t, func(name string, run pforFunc) {
 		for _, workers := range []int{1, 4} {
-			err := k.fn(context.Background(), 64, workers, func(i int) {
+			err := run(context.Background(), 64, workers, func(i int) {
 				if i == 7 {
 					panic("poisoned cell")
 				}
 			})
 			var pe *PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("%s workers=%d: err = %v, want *PanicError", k.name, workers, err)
+				t.Fatalf("%s workers=%d: err = %v, want *PanicError", name, workers, err)
 			}
 			if pe.Value != "poisoned cell" {
-				t.Errorf("%s workers=%d: panic value = %v", k.name, workers, pe.Value)
+				t.Errorf("%s workers=%d: panic value = %v", name, workers, pe.Value)
 			}
 			if len(pe.Stack) == 0 {
-				t.Errorf("%s workers=%d: no stack captured", k.name, workers)
+				t.Errorf("%s workers=%d: no stack captured", name, workers)
+			}
+			// The runtime survives the panic: the next loop on it completes.
+			var count atomic.Int64
+			if err := run(context.Background(), 128, workers, func(int) { count.Add(1) }); err != nil || count.Load() != 128 {
+				t.Errorf("%s workers=%d: run after panic: err=%v visited %d of 128", name, workers, err, count.Load())
 			}
 		}
-	}
+	})
 }
 
 // checkNoGoroutineLeak fails the test if the goroutine count has not

@@ -93,10 +93,11 @@ type Config struct {
 	// extra copy pass per wavefront.
 	ScratchAccum bool
 
-	// Engine, when non-nil, runs every parallel loop on a persistent worker
-	// pool instead of the per-wavefront fork-join runtime. Sharing one
-	// Engine across folds and batch items amortizes goroutine launch cost
-	// and caps total parallel width at the engine's size.
+	// Engine is the worker team every parallel loop runs on. Sharing one
+	// across folds and batch items amortizes goroutine launch cost and caps
+	// total parallel width at the engine's size; a solve that asks for
+	// Workers > 1 with none set starts one for its own duration
+	// (ScopedEngine), and a width-1 solve needs none.
 	Engine *Engine
 	// Pool, when non-nil, recycles DP tables, scratch accumulators, and
 	// solver state across folds so steady-state solves are near
@@ -166,20 +167,28 @@ func (c Config) pfor() func(n, workers int, f func(int)) {
 }
 
 // pforCtx returns the cancellable form of the configured parallel-for
-// strategy; the solvers' context plumbing runs through it. With an Engine
-// configured, loops run on its persistent workers; otherwise each loop
-// fork-joins its own goroutines.
+// strategy; the solvers' context plumbing runs through it. Every loop runs
+// on the Engine — with none configured (a width-1 solve, or a caller that
+// skipped ScopedEngine) the loop runs on the submitting goroutine alone.
 func (c Config) pforCtx() func(ctx context.Context, n, workers int, f func(int)) error {
-	if c.Engine != nil {
-		if c.StaticSched {
-			return c.Engine.RunStatic
-		}
-		return c.Engine.Run
-	}
 	if c.StaticSched {
-		return parallelForStaticCtx
+		return c.Engine.RunStatic
 	}
-	return parallelForCtx
+	return c.Engine.Run
+}
+
+// ScopedEngine binds c to a parallel runtime for the length of one call: c
+// itself when it already carries an Engine or width resolves to 1 (its
+// loops then run on the submitter, no goroutine needed), otherwise c on a
+// fresh engine of that width, which release closes. Call it where a solve
+// first needs a runtime and defer release; every loop of the call — substrate
+// build, fill, a guard refill — then shares that one team.
+func (c Config) ScopedEngine(width int) (scoped Config, release func()) {
+	if c.Engine != nil || resolveWorkers(width) == 1 {
+		return c, func() {}
+	}
+	c.Engine = NewEngine(width)
+	return c, c.Engine.Close
 }
 
 // ParallelFor binds the configured runtime and width into the plain loop the

@@ -262,6 +262,8 @@ func (s *gsolver[T]) dmpTriangle(i1, j1 int, v DMPVariant, pf func(n, workers in
 // solveDMPScheduled drives the wavefront/triangle orders for the
 // coarse, fine and tiled schedules.
 func solveDMPScheduled(p *Problem, v DMPVariant, cfg Config) *FTable {
+	cfg, release := cfg.ScopedEngine(cfg.Workers)
+	defer release()
 	s := newSolver(p, cfg, p.N1, p.N2)
 	pf := s.cfg.pfor()
 	switch v {

@@ -2,6 +2,9 @@ package bpmax
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -9,12 +12,72 @@ import (
 	"github.com/bpmax-go/bpmax/internal/metrics"
 )
 
-// Engine is a persistent worker pool shared across wavefronts, folds, and
-// batch items. The fork-join runtime in parallel.go spawns fresh goroutines
-// for every wavefront — O(diagonals × workers) goroutine launches per fold —
-// which is exactly the barrier cost the paper's OMP runtime amortizes with a
-// persistent thread team. Engine parks its workers on an unbuffered channel;
-// a parallel loop hands them work by non-blocking sends, so only a worker
+// PanicError reports a panic recovered from a solver goroutine, carrying the
+// panic value and the stack of the panicking goroutine. Worker panics must
+// not take down the process: one poisoned fold should fail one call, so the
+// parallel runtime converts them into errors that surface through
+// SolveContext and the batch API.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("bpmax: solver panic: %v", e.Value)
+}
+
+// capturePanic wraps a recovered value into a *PanicError. Values that
+// already are one pass through unchanged, so nested recovery (a worker's
+// recover re-surfacing through SolveContext's) keeps the original stack.
+func capturePanic(r any) *PanicError {
+	if pe, ok := r.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
+// resolveWorkers maps a requested worker count to an actual one
+// (<=0 means GOMAXPROCS, the OMP_NUM_THREADS analogue).
+func resolveWorkers(w int) int {
+	if w <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
+}
+
+// sequentialFor runs every iteration on the calling goroutine — a loop of
+// width 1, or one with no live engine under it — checking ctx between
+// iterations and converting a panic in f into a *PanicError.
+func sequentialFor(ctx context.Context, n int, f func(i int)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = capturePanic(r)
+		}
+	}()
+	done := ctx.Done()
+	for i := 0; i < n; i++ {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		// Same failpoint as the engine's claim loop, so width-1 folds see
+		// injected worker faults too.
+		if ferr := fault.Hit(fault.SiteEngineIter); ferr != nil {
+			return ferr
+		}
+		f(i)
+	}
+	return nil
+}
+
+// Engine is the parallel runtime: a persistent worker team shared across
+// wavefronts, folds, and batch items, and the only code in this package that
+// starts goroutines (ci.sh lints it). Spawning per wavefront would cost
+// O(diagonals × workers) goroutine launches per fold — exactly the barrier
+// cost the paper's OMP runtime amortizes with a persistent thread team.
+// Engine parks its workers on an unbuffered channel; a parallel loop hands
+// them work by non-blocking sends, so only a worker
 // that is genuinely idle (blocked in receive) ever picks a job up, and the
 // submitting goroutine always participates in the loop itself. That gives
 // two properties the batch layer relies on:
@@ -31,10 +94,9 @@ import (
 // result for BPMax's imbalanced triangles; the static ablation maps onto the
 // same mechanism with one chunk per worker.
 //
-// PR-1 contracts are preserved: cancellation is checked before every
-// iteration (latency bounded by the longest single task), and a panic in the
-// body is recovered inside the job — the worker survives, so one poisoned
-// fold cannot poison the shared pool.
+// Cancellation is checked before every iteration (latency bounded by the
+// longest single task), and a panic in the body is recovered inside the job
+// — the worker survives, so one poisoned fold cannot poison the shared pool.
 type Engine struct {
 	workers int
 	jobs    chan *job
@@ -165,8 +227,8 @@ func NewEngine(workers int) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Close releases the helper goroutines and joins them. Close must not be
-// called while any Run is in flight; after Close, Run falls back to the
-// fork-join runtime so a closed engine stays safe to use.
+// called while any Run is in flight; after Close, Run carries every loop on
+// the submitting goroutine alone, so a closed engine stays safe to use.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
@@ -177,61 +239,47 @@ func (e *Engine) Close() {
 
 // Run executes f(i) for every i in [0, n) with dynamic chunk-of-1
 // scheduling at width min(workers, engine width, n); the calling goroutine
-// participates. Semantics match parallelForCtx: first of cancellation /
-// panic / completion wins, and all work on the loop has finished when Run
-// returns.
+// participates. Cancellation is cooperative at iteration granularity — ctx
+// is checked before every iteration, so a cancel returns after at most one
+// in-flight task per worker — and a panic in f is recovered where it ran and
+// returned as a *PanicError. The first of cancellation / panic / completion
+// wins, and all work on the loop has finished when Run returns. A nil or
+// closed engine has no helpers to offer: the loop runs on the caller alone.
 func (e *Engine) Run(ctx context.Context, n, workers int, f func(i int)) error {
-	return e.run(ctx, n, workers, f, 1)
+	return e.run(ctx, n, workers, f, false)
 }
 
 // RunStatic is Run with the static-blocked ablation schedule: one
 // contiguous chunk per worker, claimed from the same counter.
 func (e *Engine) RunStatic(ctx context.Context, n, workers int, f func(i int)) error {
-	workers = e.clampWidth(workers, n)
-	chunk := (n + workers - 1) / workers
-	return e.run(ctx, n, workers, f, chunk)
+	return e.run(ctx, n, workers, f, true)
 }
 
-func (e *Engine) clampWidth(workers, n int) int {
-	workers = resolveWorkers(workers)
-	if workers > e.workers {
-		workers = e.workers
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-func (e *Engine) run(ctx context.Context, n, workers int, f func(i int), chunk int) error {
-	if e == nil || e.closed.Load() {
-		// Closed (or absent) engines keep working via the fork-join path.
-		if e != nil {
-			e.stats.fallbacks.Add(1)
-		}
-		if chunk > 1 {
-			return parallelForStaticCtx(ctx, n, workers, f)
-		}
-		return parallelForCtx(ctx, n, workers, f)
-	}
+func (e *Engine) run(ctx context.Context, n, workers int, f func(i int), static bool) error {
 	if n == 0 {
 		return ctx.Err()
 	}
+	if e == nil || e.closed.Load() {
+		if e != nil {
+			e.stats.fallbacks.Add(1)
+		}
+		return sequentialFor(ctx, n, f)
+	}
 	e.stats.runs.Add(1)
-	width := e.clampWidth(workers, n)
-	if width == 1 || n == 1 {
+	width := min(resolveWorkers(workers), e.workers, n)
+	if width == 1 {
 		e.stats.seqRuns.Add(1)
-		return sequentialFor(ctx.Done(), ctx.Err, n, f)
+		return sequentialFor(ctx, n, f)
 	}
 
 	j := e.jobPool.Get().(*job)
 	j.ctx = ctx
 	j.f = f
 	j.n = n
-	j.chunk = chunk
+	j.chunk = 1
+	if static {
+		j.chunk = (n + width - 1) / width
+	}
 	j.next.Store(0)
 	j.stop.Store(false)
 	j.err = nil

@@ -12,29 +12,8 @@ import (
 func TestEngineCoversAllIndices(t *testing.T) {
 	e := NewEngine(4)
 	defer e.Close()
-	for _, static := range []bool{false, true} {
-		run := e.Run
-		if static {
-			run = e.RunStatic
-		}
-		for _, workers := range []int{0, 1, 2, 7, 100} {
-			for _, n := range []int{0, 1, 5, 64, 1000} {
-				var count atomic.Int64
-				seen := make([]atomic.Bool, n+1)
-				err := run(context.Background(), n, workers, func(i int) {
-					if seen[i].Swap(true) {
-						t.Errorf("static=%v workers=%d n=%d: index %d visited twice", static, workers, n, i)
-					}
-					count.Add(1)
-				})
-				if err != nil {
-					t.Errorf("static=%v workers=%d n=%d: %v", static, workers, n, err)
-				}
-				if int(count.Load()) != n {
-					t.Errorf("static=%v workers=%d n=%d: visited %d", static, workers, n, count.Load())
-				}
-			}
-		}
+	for name, run := range map[string]pforFunc{"dynamic": e.Run, "static": e.RunStatic} {
+		checkCoversAllIndices(t, name, run, []int{0, 1, 2, 7, 100}, []int{0, 1, 5, 64, 1000})
 	}
 }
 

@@ -1,52 +1,26 @@
 package bpmax
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// The two tests below keep the sizes the deleted fork-join loops were held
+// to, on the paths that replaced them: a loop with no engine under it, and a
+// team narrower than the width asked for.
 func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 100} {
-		for _, n := range []int{0, 1, 5, 64} {
-			var hits sync.Map
-			var count atomic.Int64
-			err := parallelForCtx(context.Background(), n, workers, func(i int) {
-				if _, dup := hits.LoadOrStore(i, true); dup {
-					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
-				}
-				count.Add(1)
-			})
-			if err != nil {
-				t.Errorf("workers=%d n=%d: %v", workers, n, err)
-			}
-			if int(count.Load()) != n {
-				t.Errorf("workers=%d n=%d: visited %d", workers, n, count.Load())
-			}
-		}
+	e := NewEngine(3)
+	defer e.Close()
+	for name, run := range map[string]pforFunc{"nil-engine": Config{}.pforCtx(), "engine-3": e.Run} {
+		checkCoversAllIndices(t, name, run, []int{0, 1, 2, 7, 100}, []int{0, 1, 5, 64})
 	}
 }
 
 func TestParallelForStaticCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 50} {
-		for _, n := range []int{0, 1, 7, 33} {
-			var count atomic.Int64
-			seen := make([]atomic.Bool, n+1)
-			err := parallelForStaticCtx(context.Background(), n, workers, func(i int) {
-				if seen[i].Swap(true) {
-					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
-				}
-				count.Add(1)
-			})
-			if err != nil {
-				t.Errorf("workers=%d n=%d: %v", workers, n, err)
-			}
-			if int(count.Load()) != n {
-				t.Errorf("workers=%d n=%d: visited %d", workers, n, count.Load())
-			}
-		}
+	e := NewEngine(3)
+	defer e.Close()
+	for name, run := range map[string]pforFunc{"nil-engine": Config{StaticSched: true}.pforCtx(), "engine-3": e.RunStatic} {
+		checkCoversAllIndices(t, name, run, []int{0, 1, 3, 50}, []int{0, 1, 7, 33})
 	}
 }
 

@@ -188,9 +188,12 @@ func (s *gsolver[T]) fill(ctx context.Context, v Variant, schedule string) (*FTa
 // completion. On an error (a cancel, a worker panic, an injected fault, a
 // tripped range guard) the table is discarded. The guard is polled between
 // wavefronts: stopping there rather than at the end of the fill keeps a
-// doomed scaled fill from grinding through denormals.
+// doomed scaled fill from grinding through denormals. A fill asking for
+// width > 1 with no engine configured runs on one scoped to this call.
 func (s *gsolver[T]) run(ctx context.Context, schedule string, serial bool, steps ...step) (*FTableOf[T], error) {
-	pf := s.cfg.pforCtx()
+	cfg, release := s.cfg.ScopedEngine(s.cfg.Workers)
+	defer release()
+	pf := cfg.pforCtx()
 	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl)
 	var err error
 wavefronts:

@@ -1,10 +1,9 @@
 // Package cliflags is the one flag surface for the serving knobs shared by
 // the bpmax CLI and the bpmaxd network server: schedule variant, substrate
-// algorithm, tiling, memory budget and degradation, engine/pool reuse,
-// cache, admission control, retry policy and failpoint arming. Both
-// binaries register the same Serving struct, so a knob added here appears
-// in both with identical names, defaults and parsing — the two cannot
-// drift.
+// algorithm, tiling, memory budget and degradation, pool reuse, cache,
+// admission control, retry policy and failpoint arming. Both binaries
+// register the same Serving struct, so a knob added here appears in both
+// with identical names, defaults and parsing — the two cannot drift.
 package cliflags
 
 import (
@@ -34,7 +33,6 @@ type Serving struct {
 	MemLimit      string
 	DegradeWindow int
 
-	Engine     int
 	Pool       bool
 	Cache      string
 	Admit      int
@@ -59,7 +57,8 @@ func NewServing() *Serving {
 func (f *Serving) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Variant, "variant", f.Variant,
 		"schedule: base, coarse, fine, hybrid, hybrid-tiled")
-	fs.IntVar(&f.Workers, "workers", f.Workers, "parallel workers (0 = all CPUs)")
+	fs.IntVar(&f.Workers, "workers", f.Workers,
+		"parallel workers (0 = all CPUs): the width of the worker team a fold, a batch or the server's session runs on")
 	fs.IntVar(&f.TileI, "tile-i2", f.TileI, "i2 tile size (0 = default 64)")
 	fs.IntVar(&f.TileK, "tile-k2", f.TileK, "k2 tile size (0 = default 16)")
 	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
@@ -71,8 +70,6 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 		"refuse folds whose table exceeds this size, e.g. 500MB or 2GB (empty = unlimited)")
 	fs.IntVar(&f.DegradeWindow, "degrade-window", f.DegradeWindow,
 		"with -mem-limit: fall back to a windowed scan with this span when the full table is over budget")
-	fs.IntVar(&f.Engine, "engine", f.Engine,
-		"run on a persistent worker engine of this width (0 = off, -1 = all CPUs); batch mode always budgets one")
 	fs.BoolVar(&f.Pool, "pool", f.Pool,
 		"recycle DP tables and fold state across folds (useful with -batch)")
 	fs.StringVar(&f.Cache, "cache", f.Cache,
@@ -95,7 +92,6 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 // Close releases what Build created.
 type Components struct {
 	Options   []bpmax.Option
-	Engine    *bpmax.Engine
 	Pool      *bpmax.Pool
 	Cache     *bpmax.Cache
 	Admission *bpmax.Admission
@@ -105,7 +101,7 @@ type Components struct {
 
 // Build validates the parsed flags and constructs the serving components
 // and fold options they select. The returned Components must be Closed when
-// serving ends (it owns the engine and any armed failpoints).
+// serving ends (it owns any armed failpoints).
 func (f *Serving) Build() (*Components, error) {
 	substrate := f.Substrate
 	if substrate == "4r" {
@@ -148,14 +144,6 @@ func (f *Serving) Build() (*Components, error) {
 		}
 		c.failpoints = true
 	}
-	if f.Engine != 0 {
-		width := f.Engine
-		if width < 0 {
-			width = 0 // NewEngine resolves <= 0 to GOMAXPROCS
-		}
-		c.Engine = bpmax.NewEngine(width)
-		c.Options = append(c.Options, bpmax.WithEngine(c.Engine))
-	}
 	if f.Pool {
 		c.Pool = bpmax.NewPool()
 		c.Options = append(c.Options, bpmax.WithPool(c.Pool))
@@ -181,13 +169,11 @@ func (f *Serving) Build() (*Components, error) {
 	return c, nil
 }
 
-// Attach adds every live component's stats section to a metrics snapshot,
-// plus the failpoint registry's when this process armed failpoints.
+// Attach adds the stats section of every component the flags built to a
+// metrics snapshot, plus the failpoint registry's when this process armed
+// failpoints. A Session's own engine and pool are not here: read those from
+// Session.Stats.
 func (c *Components) Attach(s *bpmax.MetricsSnapshot) {
-	if c.Engine != nil {
-		es := c.Engine.Stats()
-		s.Engine = &es
-	}
 	if c.Pool != nil {
 		ps := c.Pool.Stats()
 		s.Pool = &ps
@@ -206,15 +192,12 @@ func (c *Components) Attach(s *bpmax.MetricsSnapshot) {
 	}
 }
 
-// Close releases what Build created: the engine is closed and armed
-// failpoints are reset. Pools, caches and admission gates hold no
-// goroutines and need no teardown. Safe on a nil receiver.
+// Close releases what Build created: armed failpoints are reset. Pools,
+// caches and admission gates hold no goroutines and need no teardown. Safe
+// on a nil receiver.
 func (c *Components) Close() {
 	if c == nil {
 		return
-	}
-	if c.Engine != nil {
-		c.Engine.Close()
 	}
 	if c.failpoints {
 		fault.Reset()

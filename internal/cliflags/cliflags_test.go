@@ -26,7 +26,7 @@ func TestBuildDefaults(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	if c.Engine != nil || c.Pool != nil || c.Cache != nil || c.Admission != nil {
+	if c.Pool != nil || c.Cache != nil || c.Admission != nil {
 		t.Errorf("default build created components: %+v", c)
 	}
 	if len(c.Options) == 0 {
@@ -39,21 +39,21 @@ func TestBuildDefaults(t *testing.T) {
 }
 
 func TestBuildComponents(t *testing.T) {
-	c, err := parseServing(t, "-engine", "2", "-pool", "-cache", "1MB", "-admit", "2", "-admit-queue", "4", "-retry", "2")
+	c, err := parseServing(t, "-pool", "-cache", "1MB", "-admit", "2", "-admit-queue", "4", "-retry", "2")
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	if c.Engine == nil || c.Pool == nil || c.Cache == nil || c.Admission == nil {
-		t.Fatalf("components missing: engine=%v pool=%v cache=%v admission=%v",
-			c.Engine != nil, c.Pool != nil, c.Cache != nil, c.Admission != nil)
+	if c.Pool == nil || c.Cache == nil || c.Admission == nil {
+		t.Fatalf("components missing: pool=%v cache=%v admission=%v",
+			c.Pool != nil, c.Cache != nil, c.Admission != nil)
 	}
 	if _, err := bpmax.Fold("GGGAAACCC", "GGGUUUCCC", c.Options...); err != nil {
 		t.Errorf("fold with full components: %v", err)
 	}
 	var s bpmax.MetricsSnapshot
 	c.Attach(&s)
-	if s.Engine == nil || s.Pool == nil || s.Cache == nil || s.Admission == nil {
+	if s.Pool == nil || s.Cache == nil || s.Admission == nil {
 		t.Errorf("Attach left sections nil: %+v", s)
 	}
 	if s.Cache.SubstrateMisses == 0 {

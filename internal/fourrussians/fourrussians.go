@@ -55,7 +55,7 @@ const (
 	maxQ = 16
 	// sequentialCutoff is the table size below which a parallel build runs
 	// its wavefronts inline: under ~64 positions a diagonal holds so few
-	// cells that fork-join overhead dominates.
+	// cells that loop dispatch overhead dominates.
 	sequentialCutoff = 64
 	// wavefrontGrain is how many cells of one anti-diagonal a parallel task
 	// fills: contiguous, so neighbours share cache lines, and coarse enough

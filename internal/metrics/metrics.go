@@ -424,8 +424,8 @@ type EngineStats struct {
 	Width int `json:"width"`
 	// Runs counts parallel loops executed on the engine; SequentialRuns
 	// the subset that ran on the submitter alone (width or n clamped
-	// to 1); FallbackRuns loops served by the fork-join runtime because
-	// the engine was closed.
+	// to 1); FallbackRuns loops submitted after Close, which also ran on
+	// the submitter alone (a closed engine has no helpers to offer).
 	Runs           int64 `json:"runs"`
 	SequentialRuns int64 `json:"sequential_runs"`
 	FallbackRuns   int64 `json:"fallback_runs"`

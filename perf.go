@@ -2,11 +2,11 @@
 // that make steady-state folding allocation-free.
 //
 // A screening workload folds many pairs in a row; without help, every fold
-// allocates a fresh Θ(N²M²) table and every wavefront forks and joins fresh
-// goroutines, so throughput is set by the allocator, the garbage collector
-// and barrier costs instead of by the DP kernels the paper optimized.
-// NewEngine amortizes the goroutine cost across folds (one persistent
-// worker team, the paper's OMP analogue) and NewPool recycles tables and
+// allocates a fresh Θ(N²M²) table and starts and joins a worker team of its
+// own, so throughput is set by the allocator, the garbage collector and
+// goroutine launches instead of by the DP kernels the paper optimized.
+// NewEngine amortizes the team across folds (one persistent worker team,
+// the paper's OMP analogue) and NewPool recycles tables and
 // solver state (explicitly re-initialized, so pooled results are
 // bit-identical to fresh ones). FoldBatch uses both automatically; see
 // docs/PERFORMANCE.md for the architecture and the benchmark methodology.
@@ -20,12 +20,13 @@ import (
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
 )
 
-// Engine is a persistent worker pool shared across folds and batch items.
-// Without one, every wavefront of every fold spawns and joins its own
-// goroutines; with one, workers park between wavefronts and the total
-// parallel width is capped at the engine's size no matter how many folds
-// share it. Create one per process (or per service), pass it to folds with
-// WithEngine, and Close it when done.
+// Engine is a persistent worker team shared across folds and batch items:
+// the one parallel runtime every loop of every fold runs on. A parallel fold
+// given none starts and closes a team of its own; with a shared one, workers
+// park between wavefronts and between folds, and the total parallel width is
+// capped at the engine's size no matter how many folds share it. Create one
+// per process (or per service), pass it to folds with WithEngine, and Close
+// it when done.
 //
 // An Engine is safe for concurrent use by any number of folds. A panic
 // inside one fold is contained to that fold's call; the workers survive.
@@ -45,12 +46,13 @@ func (e *Engine) Workers() int { return e.e.Workers() }
 
 // Close releases the engine's worker goroutines. Close must not be called
 // while folds using the engine are in flight; folds started after Close
-// fall back to per-fold goroutines and remain correct.
+// remain correct but run each loop on the calling goroutine alone (counted
+// in EngineStats.FallbackRuns).
 func (e *Engine) Close() { e.e.Close() }
 
 // WithEngine runs the fold's parallel loops on e's persistent workers
-// instead of forking goroutines per wavefront. A nil engine leaves the
-// default runtime in place.
+// instead of on a team started for this fold alone. A nil engine changes
+// nothing.
 func WithEngine(e *Engine) Option {
 	return func(o *options) {
 		if e != nil {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
 )
@@ -206,13 +205,7 @@ func TestSteadyStateGoroutineCount(t *testing.T) {
 		t.Errorf("goroutines grew across folds: %d -> %d", base, now)
 	}
 	e.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("engine workers leaked: %d -> %d", before, now)
-	}
+	expectGoroutines(t, before, "after Engine.Close")
 }
 
 // TestWithEngineFoldParity checks engine-backed folds are bit-identical to

@@ -344,6 +344,11 @@ func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) 
 	// the steady-state path.
 	res := rq.getResult()
 	rq.cfg.Metrics = &res.Metrics
+	// One team for the whole request: a width > 1 fold without WithEngine
+	// gets an engine scoped to this solve.
+	cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
+	defer release()
+	rq.cfg = cfg
 	if err := rq.solve(ctx, res, seq1, seq2); err != nil {
 		res.ps.Release()
 		res.prob.Release()
@@ -706,10 +711,12 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	sc := func(i, j int) float32 { return tab.Score1(i, j) }
 	sb := rq.tr.Begin()
 	t, hit, err := sharedTable(rq, keySubstrate, s, func(bool) (*nussinov.Table, error) {
+		cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
+		defer release()
 		if fourrussians.Pick(rq.salgo, rq.subMax, rq.subInt) {
-			return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, rq.cfg.ParallelFor())
+			return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, cfg.ParallelFor())
 		}
-		return nussinov.BuildParallelContext(ctx, n, sc, rq.cfg.ParallelFor())
+		return nussinov.BuildParallelContext(ctx, n, sc, cfg.ParallelFor())
 	})
 	if hit {
 		rq.tr.End(itrace.StageCacheHit, sb)

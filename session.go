@@ -290,9 +290,9 @@ func (s *Session) Shutdown(ctx context.Context) error {
 // Close is the non-blocking shutdown: it stops admitting (methods return
 // ErrSessionClosed), closes the engine the session started, and trims the
 // pool it created back to zero retained bytes. Unlike Shutdown it does not
-// wait for in-flight calls — they stay correct, falling back to per-fold
-// goroutines exactly as Engine.Close documents, with the pool re-warming
-// behind them. Close is idempotent.
+// wait for in-flight calls — they stay correct, finishing their loops on
+// their own goroutine exactly as Engine.Close documents, with the pool
+// re-warming behind them. Close is idempotent.
 func (s *Session) Close() {
 	s.markClosed()
 	s.release()
