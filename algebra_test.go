@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
+	"github.com/bpmax-go/bpmax/internal/semiring"
 	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
@@ -341,11 +342,11 @@ func TestPartitionDomainIsVisible(t *testing.T) {
 	if n := m.Snapshot().PartitionFallbacks; n != 0 {
 		t.Fatalf("ordinary fold counted %d guard fallbacks", n)
 	}
-	// The kernel implementation is part of the plan too: the float64 partition
-	// kernels are portable Go; a max-plus fold runs what package maxplus
-	// selected for this process.
-	if k := res.Metrics.Kernel; k != "go" || snap.Labels["kernel"] != "go" {
-		t.Fatalf("partition fold: FoldMetrics kernel %q, trace label %q, want go", k, snap.Labels["kernel"])
+	// The kernel implementation is part of the plan too: a scaled partition
+	// fold and a max-plus fold each run what package maxplus selected for this
+	// process; the log-domain refill below has portable Go kernels only.
+	if k, l, want := res.Metrics.Kernel, snap.Labels["kernel"], semiring.SumProductKernels().Impl; k != want || l != k {
+		t.Fatalf("partition fold: FoldMetrics kernel %q, trace label %q, want %q", k, l, want)
 	}
 	mpTrace := itrace.New("t", "fold")
 	mpRes, err := FoldContext(itrace.NewContext(context.Background(), mpTrace), "GGGAAACCC", "GGGUUUCCC")
@@ -361,6 +362,9 @@ func TestPartitionDomainIsVisible(t *testing.T) {
 	res, snap = fold("GGGGGGGG", "CCCCCCCCCC", 0.01, WithMetrics(m))
 	if d := res.Metrics.PartitionDomain; d != "log" || snap.Labels["partition_domain"] != "log" {
 		t.Fatalf("tripped fold: FoldMetrics domain %q, trace label %q, want log", d, snap.Labels["partition_domain"])
+	}
+	if k := res.Metrics.Kernel; k != "go" || snap.Labels["kernel"] != "go" {
+		t.Fatalf("tripped fold: FoldMetrics kernel %q, trace label %q, want go", k, snap.Labels["kernel"])
 	}
 	if n := m.Snapshot().PartitionFallbacks; n != 1 {
 		t.Fatalf("tripped fill counted %d guard fallbacks, want 1", n)

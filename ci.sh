@@ -9,7 +9,7 @@
 #   lint   vet (root + bench module), gofmt, layering greps, staticcheck
 #          (when installed)
 #   test   tier-1 build + full test suite, the kernel packages again under
-#          `-tags purego`, and a GOARCH=arm64 cross-build
+#          `-tags purego` and under GOAMD64=v3, and a GOARCH=arm64 cross-build
 #   race   race detector over the goroutine-spawning packages + chaos re-run
 #   fuzz   short fuzz smoke over all seven fuzz targets
 #   smoke  server smoke: boot bpmaxd, replay the committed trace with
@@ -132,6 +132,19 @@ run_test() (
         ./internal/nussinov ./internal/fourrussians
     GOARCH=arm64 go build ./...
     GOARCH=arm64 go vet ./internal/maxplus
+    # GOAMD64=v3 lets the compiler fuse a float64 multiply into the add that
+    # follows it. The portable sum-product loops round the product first so
+    # that it may not; this run holds them to the vector bodies and to their
+    # scalars bit for bit where fusing is on the table. A CPU below v3 cannot
+    # start such a binary: build it regardless, run it only where it starts.
+    probe="$(mktemp -d)"
+    GOAMD64=v3 go test -c -o "$probe/maxplus.test" ./internal/maxplus
+    if "$probe/maxplus.test" -test.run '^$' >/dev/null 2>&1; then
+        GOAMD64=v3 go test ./internal/maxplus ./internal/semiring
+    else
+        echo "ci: GOAMD64=v3 test run skipped: this CPU cannot run a v3 binary" >&2
+    fi
+    rm -rf "$probe"
 )
 
 run_race() (

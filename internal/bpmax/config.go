@@ -118,9 +118,10 @@ type Config struct {
 	// poisoning real data. Unexported so only this package (and its tests)
 	// can set it; external tests go through SetTriangleHook.
 	triangleHook func(i1, j1 int)
-	// goKernels, when set, runs a max-plus fill on the portable Go kernels
-	// even where the vector bodies are available: the seam that makes the
-	// kernel implementation an input of the parity fuzzers. See SetGoKernels.
+	// goKernels, when set, runs a streaming fill — max-plus or the scaled
+	// partition's sum-product — on the portable Go kernels even where the
+	// vector bodies are available: the seam that makes the kernel
+	// implementation an input of the parity fuzzers. See SetGoKernels.
 	goKernels bool
 }
 
@@ -129,10 +130,12 @@ type Config struct {
 // not set it outside tests.
 func (c *Config) SetTriangleHook(h func(i1, j1 int)) { c.triangleHook = h }
 
-// SetGoKernels selects the portable Go max-plus kernels for this solve in
-// place of the process's vector bodies. It is the differential axis "kernel
-// implementation" of the parity tests, and how the harness times a pure-Go
-// max-plus fill; nothing that serves folds sets it.
+// SetGoKernels selects the portable Go streaming kernels for this solve in
+// place of the process's vector bodies: the max-plus loops for a max-plus
+// fill, the sum-product loops for a scaled partition fill (the log-sum-exp
+// bundle has no vector bodies to replace). It is the differential axis
+// "kernel implementation" of the parity tests, and how the harness times a
+// pure-Go max-plus fill; nothing that serves folds sets it.
 func (c *Config) SetGoKernels(on bool) { c.goKernels = on }
 
 // maxplusKernels returns the float32 kernel bundle a max-plus solve under
@@ -142,6 +145,15 @@ func (c Config) maxplusKernels() semiring.Kernels[float32] {
 		return semiring.MaxPlusKernelsGo(c.Unroll)
 	}
 	return semiring.MaxPlusKernels(c.Unroll)
+}
+
+// sumProductKernels returns the float64 kernel bundle a scaled partition
+// solve under this configuration streams through.
+func (c Config) sumProductKernels() semiring.Kernels[float64] {
+	if c.goKernels {
+		return semiring.SumProductKernelsGo()
+	}
+	return semiring.SumProductKernels()
 }
 
 // withDefaults resolves zero fields to the paper's defaults.

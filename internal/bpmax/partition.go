@@ -358,7 +358,11 @@ func SolvePartitionContext(ctx context.Context, p *Problem, ps *PartitionSub, v 
 	if !ps.a.dom.scaled || oracle {
 		return solveAlg(ctx, p, ps.logAlg(p), v, cfg)
 	}
-	if ft, err = solveAlg(ctx, p, ps.a, v, cfg); !errors.Is(err, errScaledRange) {
+	// The view's kernels are the process's (fillScaled); the configuration may
+	// ask for the Go loops instead.
+	scaled := ps.a
+	scaled.k = cfg.sumProductKernels()
+	if ft, err = solveAlg(ctx, p, scaled, v, cfg); !errors.Is(err, errScaledRange) {
 		return ft, err
 	}
 	if ft, err = solveAlg(ctx, p, ps.logAlg(p), v, cfg); err == nil {

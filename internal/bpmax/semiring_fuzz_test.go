@@ -29,8 +29,11 @@ import (
 //
 // Partition checks the scaled sum-product fill against the log-domain
 // top-down oracle on every cell through the domain-aware read (LogAt, what
-// Result.SubLogZ returns), all four optimized schedules, fresh and pooled —
-// and pooled == fresh exactly.
+// Result.SubLogZ returns), all four optimized schedules, on the map and row
+// shape `kernel` picks. The kernel implementation is not an input of the
+// result there either: the process's sum-product kernels and the Go loops
+// must leave equal cells (==, the bodies round alike), as must a pooled fill
+// on whichever of the two `kernel` names.
 func FuzzSemiringParity(f *testing.F) {
 	const (
 		goKernels = 1 << iota // portable Go loops, not the process's kernels
@@ -48,6 +51,8 @@ func FuzzSemiringParity(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(36), uint8(1), uint8(30), uint8(0), uint8(0), uint8(longRows|goKernels|unrolled))
 	f.Add(int64(7), uint8(1), uint8(29), uint8(2), uint8(11), uint8(0), uint8(0), uint8(longRows|packedMap))
 	f.Add(int64(7), uint8(1), uint8(29), uint8(2), uint8(11), uint8(0), uint8(0), uint8(longRows|packedMap|goKernels))
+	f.Add(int64(3), uint8(2), uint8(36), uint8(0), uint8(0), uint8(1), uint8(1), uint8(longRows|packedMap))
+	f.Add(int64(7), uint8(1), uint8(29), uint8(0), uint8(0), uint8(1), uint8(3), uint8(longRows|goKernels))
 	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2, algebra, rkT, kernel uint8) {
 		n1 := 1 + int(rn1)%9
 		n2 := 1 + int(rn2)%9
@@ -59,15 +64,15 @@ func FuzzSemiringParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewProblem: %v", err)
 		}
-		if algebra%2 == 1 {
-			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5])
-			return
-		}
 		cfg := Config{Workers: 2, Unroll: kernel&unrolled != 0}
 		if kernel&packedMap != 0 {
 			cfg.Map = MapPacked
 		}
 		cfg.SetGoKernels(kernel&goKernels != 0)
+		if algebra%2 == 1 {
+			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5], cfg)
+			return
+		}
 		ref := newRefDP(p)
 		oracle := func(label string, at func(i1, j1, i2, j2 int) float32, w1, w2 int) {
 			for i1 := 0; i1 < n1; i1++ {
@@ -128,8 +133,9 @@ func FuzzSemiringParity(f *testing.F) {
 	})
 }
 
-// fuzzPartitionParity is FuzzSemiringParity's partition arm.
-func fuzzPartitionParity(t *testing.T, p *Problem, kT float64) {
+// fuzzPartitionParity is FuzzSemiringParity's partition arm; cfg carries the
+// memory map and, for the pooled fill, the kernel implementation.
+func fuzzPartitionParity(t *testing.T, p *Problem, kT float64, cfg Config) {
 	ctx := context.Background()
 	ps := buildTestPartitionSub(t, p, kT)
 	want, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
@@ -141,22 +147,28 @@ func fuzzPartitionParity(t *testing.T, p *Problem, kT float64) {
 	}
 	pl := NewPool()
 	for _, v := range []Variant{VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled} {
-		fresh, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", v, err)
+		solve := func(label string, goKernels bool, pool *Pool) *FTableOf[float64] {
+			c := cfg
+			c.SetGoKernels(goKernels)
+			c.Pool = pool
+			ft, err := SolvePartitionContext(ctx, p, ps, v, c)
+			if err != nil {
+				t.Fatalf("%s %s: %v", v, label, err)
+			}
+			if !ft.Scaled() {
+				t.Fatalf("%s %s kT=%v: served by the log domain", v, label, kT)
+			}
+			return ft
 		}
-		pooled, err := SolvePartitionContext(ctx, p, ps, v, Config{Workers: 2, Pool: pl})
-		if err != nil {
-			t.Fatalf("%s pooled: %v", v, err)
-		}
-		if !fresh.Scaled() || !pooled.Scaled() {
-			t.Fatalf("%s kT=%v: served by the log domain", v, kT)
-		}
+		fresh := solve("process kernels", false, nil)
+		goLoops := solve("Go kernels", true, nil)
+		pooled := solve("pooled", cfg.goKernels, pl)
 		eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+			got := fresh.At(i1, j1, i2, j2)
 			closeRel(t, want.LogAt(i1, j1, i2, j2), fresh.LogAt(i1, j1, i2, j2), 1e-12, v.String())
-			if fresh.At(i1, j1, i2, j2) != pooled.At(i1, j1, i2, j2) {
-				t.Fatalf("%s: pooled F[%d,%d,%d,%d] = %v, fresh %v", v, i1, j1, i2, j2,
-					pooled.At(i1, j1, i2, j2), fresh.At(i1, j1, i2, j2))
+			if g, pd := goLoops.At(i1, j1, i2, j2), pooled.At(i1, j1, i2, j2); g != got || pd != got {
+				t.Fatalf("%s: F[%d,%d,%d,%d] = %v fresh on the process's kernels, %v on the Go loops, %v pooled",
+					v, i1, j1, i2, j2, got, g, pd)
 			}
 		})
 		pooled.Release()

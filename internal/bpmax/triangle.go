@@ -195,19 +195,6 @@ func (s *gsolver[T]) finish() *FTableOf[T] {
 	return f
 }
 
-// atF is the recurrence's full F accessor during the fill, resolving the
-// empty-interval base cases through the algebra's substrate tables (the
-// generic counterpart of Problem.at).
-func (s *gsolver[T]) atF(i1, j1, i2, j2 int) T {
-	if j1 < i1 {
-		return s.a.s2At(i2, j2)
-	}
-	if j2 < i2 {
-		return s.a.s1At(i1, j1)
-	}
-	return s.f.At(i1, j1, i2, j2)
-}
-
 // initRow seeds row i2 of triangle (i1, j1) with the H term
 // S¹[i1,j1] ⊗ S²[i2,j2] — the "fold independently" candidate, which also
 // establishes F >= One.
@@ -363,33 +350,49 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 }
 
 // finalizeGeneric is finalizeMaxPlusTriangle over an arbitrary scalar
-// semiring: the same bottom-up/left-to-right order with ⊕ and ⊗ through the
-// kernel bundle. The per-cell operations go through func values, which is
-// why the float32 instantiation binds the specialized body instead. In a
-// scaled domain each row is range-checked as soon as it is final — the one
-// point where every cell of it is still in cache.
+// semiring: the same bottom-up/left-to-right order and the same per-row
+// hoisting, with ⊕ and ⊗ through the kernel bundle. The per-cell operations
+// go through func values, which is why the float32 instantiation binds the
+// specialized body instead. In a scaled domain each row is range-checked as
+// soon as it is final — the one point where every cell of it is still in
+// cache.
 func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
 	add, mul := a.k.Add, a.k.Mul
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
+	// The triangle the i1-j1 pair closes around; none when that seq1
+	// interval is empty (d1 < 2), where the recurrence reads S² instead.
+	var inside []T
+	if i1+1 <= j1-1 {
+		inside = s.f.Block(i1+1, j1-1)
+	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		// R1, streamed over j2 from the already finalized rows below.
-		s.sweep(grow, a.s2Row(i2), blk, s.f.rowOff, i2, hi-1, hi)
+		s2row := a.s2Row(i2)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, hi)
+		around := s2row
+		if inside != nil {
+			around = s.f.Row(inside, i2)
+		}
+		sc2row := a.sc2[i2*n2 : (i2+1)*n2]
+		var below []T
+		if i2+1 < n2 {
+			below = s.f.Row(blk, i2+1)
+		}
 		for j2 := i2; j2 < hi; j2++ {
-			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.
-			v = add(mul(s.atF(i1+1, j1-1, i2, j2), sc1), v)
+			v := add(mul(around[j2], sc1), grow[j2])
 			if j2 > i2 {
 				// Pair i2-j2 around the seq1 interval.
 				inner := s1Self
 				if j2-1 >= i2+1 {
-					inner = s.f.Row(blk, i2+1)[j2-1]
+					inner = below[j2-1]
 				}
-				v = add(mul(inner, a.score2(i2, j2)), v)
+				v = add(mul(inner, sc2row[j2]), v)
 			} else if i1 == j1 {
 				// Singleton × singleton: only the raw bond weight — the
 				// unpaired alternative is already in the accumulator via the
@@ -399,7 +402,7 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 			grow[j2] = v
 			// R2: stream this finalized cell's contribution onward.
 			if j2 < hi-1 {
-				s.acc(grow[j2+1:hi], a.s2Row(j2 + 1)[j2+1:hi], v)
+				s.acc(grow[j2+1:hi], a.s2[(j2+1)*n2+j2+1:(j2+1)*n2+hi], v)
 			}
 		}
 		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {

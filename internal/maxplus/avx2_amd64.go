@@ -18,6 +18,15 @@ func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 //go:noescape
 func sweepAVX2(y, a, b *float32, off *int, k0, k1, n, blen int) (bad int)
 
+//go:noescape
+func sumProductAVX2(y, x *float64, n int, a float64)
+
+//go:noescape
+func mulScalarIntoAVX2(dst, x *float64, n int, a float64)
+
+//go:noescape
+func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, n, blen int) (bad int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,51 +13,107 @@ import (
 )
 
 // The differential test of the exported kernels (the vector bodies where
-// this build and CPU have them) against the portable Go loops: same bit
-// patterns out, nothing written outside the slices. Under `-tags purego` and
-// off amd64 both sides are the Go loops and it passes trivially.
+// this build and CPU have them) against the portable Go loops, in both
+// algebras: same bit patterns out, nothing written outside the slices. Under
+// `-tags purego` and off amd64 both sides are the Go loops and it passes
+// trivially.
 
 const (
 	maxLen = 70 // lengths 0..maxLen cover 0-8 full chunks plus every tail
-	guard  = 16 // floats on either side of every slice that must not change
+	guard  = 16 // elements on either side of every slice that must not change
 )
 
-// guardBits is a NaN pattern no kernel produces, so a stray store shows.
-const guardBits = 0x7fa5a5a5
+type elem interface{ float32 | float64 }
 
-// specials are the operands that separate a correct max-plus lane from a
-// nearly correct one. There is one NaN payload on purpose: which of two
-// different NaNs an add returns depends on the operand order the compiler
-// picked for `a + x[i]`, and the fill never produces one.
-var specials = []float32{
-	float32(math.NaN()),
-	float32(math.Inf(1)), float32(math.Inf(-1)),
-	0, float32(math.Copysign(0, -1)),
-	-1e30, // semiring.NegInf, the forbidden sentinel
-	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1e-40,
-	math.MaxFloat32, -math.MaxFloat32, // a+x overflows to ±Inf
-	1, -1, 3, -7, 0.5, 16777216,
-}
+// lanes is the number of elements of T in one 32-byte chunk of the grid.
+func lanes[T elem]() int { return 32 / int(unsafe.Sizeof(T(0))) }
 
-func operand(rng *rand.Rand) float32 {
-	if rng.Intn(3) == 0 {
-		return specials[rng.Intn(len(specials))]
+func bits[T elem](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
 	}
-	return float32(rng.Intn(41) - 20)
+	return math.Float64bits(float64(v))
 }
 
-// arena hands out float32 slices at a chosen lane of the 32-byte grid, each
-// fenced by guard words, from one backing buffer whose bits can be compared
-// whole.
-type arena struct {
-	buf         []float32
+// bodies is one algebra's exported streaming kernels and the Go loops they
+// must match.
+type bodies[T elem] struct {
+	name           string
+	accum, accumGo func(y, x []T, a T)
+	into, intoGo   func(dst, x []T, a T)
+	sweep, sweepGo func(y, a, b []T, off []int, k0, k1, n int)
+	guardWord      T   // a NaN pattern no kernel produces, so a stray store shows
+	specials       []T // the operands that separate a correct lane from a nearly correct one
+	ordinary       func(rng *rand.Rand) T
+	sweepPanic     string // how the vector sweep's argument panics begin
+}
+
+// There is one NaN payload among the float32 specials on purpose: which of
+// two different NaNs an add returns depends on the operand order the compiler
+// picked for `a + x[i]`, and the fill never produces one.
+var maxPlus = bodies[float32]{
+	name:  "max-plus float32",
+	accum: Accumulate, accumGo: AccumulateGo,
+	into: AddScalarInto, intoGo: AddScalarIntoGo,
+	sweep: Sweep, sweepGo: SweepGo,
+	guardWord: math.Float32frombits(0x7fa5a5a5),
+	specials: []float32{
+		float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)),
+		-1e30, // semiring.NegInf, the forbidden sentinel
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1e-40,
+		math.MaxFloat32, -math.MaxFloat32, // a+x overflows to ±Inf
+		1, -1, 3, -7, 0.5, 16777216,
+	},
+	ordinary:   func(rng *rand.Rand) float32 { return float32(rng.Intn(41) - 20) },
+	sweepPanic: "maxplus: Sweep ",
+}
+
+// The sum-product's one NaN is the payload the hardware itself makes of
+// 0 × Inf and Inf - Inf: y + a·x meets that one whatever the operands hold,
+// and with a second payload in play the survivor would again depend on the
+// compiler's operand order. Its ordinary operands carry full mantissas, so
+// nearly every product is inexact and a fused multiply-add on either side
+// shows as a different last bit.
+var sumProduct = bodies[float64]{
+	name:  "sum-product float64",
+	accum: SumProduct, accumGo: SumProductGo,
+	into: MulScalarInto, intoGo: MulScalarIntoGo,
+	sweep: SumProductSweep, sweepGo: SumProductSweepGo,
+	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
+	specials: []float64{
+		math.Float64frombits(0xfff8000000000000),
+		math.Inf(1), math.Inf(-1),
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -1e-310,
+		math.MaxFloat64, -math.MaxFloat64, // a·x overflows to ±Inf
+		0x1p-900, 0x1p+900, // the scaled fill's guard window
+		1, -1, 3, -7, 0.5, 1 << 53,
+		1 + 0x1p-30, -(1 + 0x1p-29), // (1+2⁻³⁰)² - (1+2⁻²⁹) is 0 rounded twice, 2⁻⁶⁰ fused
+	},
+	ordinary:   func(rng *rand.Rand) float64 { return rng.NormFloat64() },
+	sweepPanic: "maxplus: SumProductSweep ",
+}
+
+func (k *bodies[T]) operand(rng *rand.Rand) T {
+	if rng.Intn(3) == 0 {
+		return k.specials[rng.Intn(len(k.specials))]
+	}
+	return k.ordinary(rng)
+}
+
+// arena hands out slices at a chosen lane of the 32-byte grid, each fenced
+// by guard words, from one backing buffer whose bits can be compared whole.
+type arena[T elem] struct {
+	buf         []T
 	first, next int // buf[first] and buf[next] are on the grid
 }
 
-func newArena(floats int) *arena {
-	a := &arena{buf: make([]float32, floats+8)}
+func newArena[T elem](cells int, guardWord T) *arena[T] {
+	a := &arena[T]{buf: make([]T, cells+lanes[T]())}
 	for i := range a.buf {
-		a.buf[i] = math.Float32frombits(guardBits)
+		a.buf[i] = guardWord
 	}
 	for uintptr(unsafe.Pointer(&a.buf[a.first]))%32 != 0 {
 		a.first++
@@ -65,30 +122,36 @@ func newArena(floats int) *arena {
 	return a
 }
 
-// slice returns n floats whose first element sits at lane `lane` of its
-// chunk.
-func (a *arena) slice(n, lane int) []float32 {
+// slice returns n elements whose first sits at lane `lane` of its chunk.
+func (a *arena[T]) slice(n, lane int) []T {
 	lo := a.next + guard + lane
-	a.next = (lo + n + guard + 7) &^ 7
+	a.next = (lo + n + guard + lanes[T]() - 1) &^ (lanes[T]() - 1)
 	return a.buf[lo : lo+n : lo+n]
 }
 
+// arenaRoom is the size of an arena that `slices` slices totalling `cells`
+// elements fit in.
+func arenaRoom(slices, cells int) int { return cells + slices*(2*guard+16) }
+
 // pair is two arenas cut identically: the kernels under test run on one, the
 // Go loops on the other.
-type pair struct{ got, want *arena }
+type pair[T elem] struct {
+	k         *bodies[T]
+	got, want *arena[T]
+}
 
-// newPair sizes both arenas for `slices` slices totalling `floats` floats.
-func newPair(slices, floats int) pair {
-	room := floats + slices*(2*guard+16)
-	return pair{newArena(room), newArena(room)}
+// newPair sizes both arenas for `slices` slices totalling `cells` elements.
+func newPair[T elem](k *bodies[T], slices, cells int) pair[T] {
+	room := arenaRoom(slices, cells)
+	return pair[T]{k, newArena(room, k.guardWord), newArena(room, k.guardWord)}
 }
 
 // slice cuts the same slice from both arenas and fills both with the same
 // operands.
-func (p pair) slice(rng *rand.Rand, n, lane int) (got, want []float32) {
+func (p pair[T]) slice(rng *rand.Rand, n, lane int) (got, want []T) {
 	got, want = p.got.slice(n, lane), p.want.slice(n, lane)
 	for i := range got {
-		got[i] = operand(rng)
+		got[i] = p.k.operand(rng)
 		want[i] = got[i]
 	}
 	return got, want
@@ -96,53 +159,122 @@ func (p pair) slice(rng *rand.Rand, n, lane int) (got, want []float32) {
 
 // check compares the two arenas over everything handed out so far, results
 // and guard words alike.
-func (p pair) check(t *testing.T, what string) {
+func (p pair[T]) check(t *testing.T, what string) {
 	t.Helper()
 	g, w := p.got.buf[p.got.first:p.got.next], p.want.buf[p.want.first:p.want.next]
 	for i := range g {
-		if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
-			t.Fatalf("%s: word %d of the arena is %#08x, the Go loops leave %#08x",
-				what, i, math.Float32bits(g[i]), math.Float32bits(w[i]))
+		if bits(g[i]) != bits(w[i]) {
+			t.Fatalf("%s: word %d of the arena is %#x, the Go loops leave %#x", what, i, bits(g[i]), bits(w[i]))
 		}
 	}
 }
 
 func TestStreamKernelsMatchGoBitForBit(t *testing.T) {
+	t.Run(maxPlus.name, func(t *testing.T) { streamKernelsMatchGo(t, &maxPlus) })
+	t.Run(sumProduct.name, func(t *testing.T) { streamKernelsMatchGo(t, &sumProduct) })
+}
+
+func streamKernelsMatchGo[T elem](t *testing.T, k *bodies[T]) {
 	rng := rand.New(rand.NewSource(17))
 	for n := 0; n <= maxLen; n++ {
-		for lane := 0; lane < 8; lane++ {
-			xlane := rng.Intn(8)
-			a1, a2 := operand(rng), operand(rng)
+		for lane := 0; lane < lanes[T](); lane++ {
+			xlane := rng.Intn(lanes[T]())
+			a1, a2 := k.operand(rng), k.operand(rng)
 			what := fmt.Sprintf("n=%d lane=%d xlane=%d a=%v", n, lane, xlane, a1)
 
-			p := newPair(4, 4*n)
+			p := newPair(k, 4, 4*n)
 			y, wy := p.slice(rng, n, lane)
 			x, wx := p.slice(rng, n, xlane)
-			Accumulate(y, x, a1)
-			AccumulateGo(wy, wx, a1)
-			p.check(t, "Accumulate "+what)
+			k.accum(y, x, a1)
+			k.accumGo(wy, wx, a1)
+			p.check(t, "accumulate "+what)
+
+			d, wd := p.slice(rng, n, lane)
+			k.into(d, x, a1)
+			k.intoGo(wd, wx, a1)
+			p.check(t, "scalar-into "+what)
+
+			// Uneven lengths: only the common prefix moves.
+			if n > 0 {
+				k.accum(y, x[:n-1], a2)
+				k.accumGo(wy, wx[:n-1], a2)
+				k.accum(y[:n/2], x, a1)
+				k.accumGo(wy[:n/2], wx, a1)
+				p.check(t, "accumulate, uneven "+what)
+			}
+
+		}
+	}
+}
+
+// TestMaxPlusOnlyKernelsMatchGoBitForBit covers the two kernels with no
+// sum-product body: the unrolled stream and the dual-row stream.
+func TestMaxPlusOnlyKernelsMatchGoBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n <= maxLen; n++ {
+		for lane := 0; lane < 8; lane++ {
+			a1, a2 := maxPlus.operand(rng), maxPlus.operand(rng)
+			what := fmt.Sprintf("n=%d lane=%d a=%v,%v", n, lane, a1, a2)
+			p := newPair(&maxPlus, 3, 3*n)
+			y, wy := p.slice(rng, n, lane)
+			x, wx := p.slice(rng, n, rng.Intn(8))
 			Accumulate8(y, x, a2)
 			Accumulate8Go(wy, wx, a2)
 			p.check(t, "Accumulate8 "+what)
-
-			d, wd := p.slice(rng, n, lane)
-			AddScalarInto(d, x, a1)
-			AddScalarIntoGo(wd, wx, a1)
-			p.check(t, "AddScalarInto "+what)
-
 			y2, wy2 := p.slice(rng, n, rng.Intn(8))
 			AccumulateDual(y, y2, x, a1, a2)
 			AccumulateDualGo(wy, wy2, wx, a1, a2)
 			p.check(t, "AccumulateDual "+what)
+		}
+	}
+}
 
-			// Uneven lengths: only the common prefix moves.
-			if n > 0 {
-				Accumulate(y, x[:n-1], a2)
-				AccumulateGo(wy, wx[:n-1], a2)
-				Accumulate(y[:n/2], x, a1)
-				AccumulateGo(wy[:n/2], wx, a1)
-				p.check(t, "Accumulate, uneven "+what)
+// TestSumProductRoundsTheProduct: ⊗ then ⊕ is two roundings in every body on
+// every build. With a = x = 1+2⁻³⁰ the exact product 1+2⁻²⁹+2⁻⁶⁰ rounds to
+// 1+2⁻²⁹, so y = -(1+2⁻²⁹) must come out 0; a fused multiply-add leaves 2⁻⁶⁰.
+// Run under GOAMD64=v3 (ci.sh test) this is the standing check that the
+// compiler has not fused the portable loops.
+func TestSumProductRoundsTheProduct(t *testing.T) {
+	const n = 11
+	off, size := rowOffsets(n, false)
+	a, b := make([]float64, n), make([]float64, size)
+	for i := range a {
+		a[i] = 1 + 0x1p-30
+	}
+	for i := range b {
+		b[i] = 1 + 0x1p-30
+	}
+	fresh := func() []float64 {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = -(1 + 0x1p-29)
+		}
+		return y
+	}
+	y2 := fresh()
+	for _, c := range []struct {
+		name string
+		from int // the first element the kernel updates
+		run  func(y []float64)
+	}{
+		{"SumProduct", 0, func(y []float64) { SumProduct(y, b[:n], a[0]) }},
+		{"SumProductGo", 0, func(y []float64) { SumProductGo(y, b[:n], a[0]) }},
+		{"SumProductDualGo", 0, func(y []float64) { SumProductDualGo(y, y2, b[:n], a[0], a[0]) }},
+		// The one stream k2 = n-2 reaches y[n-1] only.
+		{"SumProductSweep", n - 1, func(y []float64) { SumProductSweep(y, a, b, off, n-2, n-1, n) }},
+		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, n) }},
+	} {
+		y := fresh()
+		c.run(y)
+		for i := c.from; i < n; i++ {
+			if y[i] != 0 {
+				t.Fatalf("%s: y[%d] = %g, want 0: the product was not rounded before the add", c.name, i, y[i])
 			}
+		}
+	}
+	for i, v := range y2 {
+		if v != 0 {
+			t.Fatalf("SumProductDualGo: y2[%d] = %g, want 0: the product was not rounded before the add", i, v)
 		}
 	}
 }
@@ -165,9 +297,14 @@ func rowOffsets(n int, packed bool) (off []int, size int) {
 }
 
 func TestSweepMatchesGoBitForBit(t *testing.T) {
+	t.Run(maxPlus.name, func(t *testing.T) { sweepMatchesGo(t, &maxPlus) })
+	t.Run(sumProduct.name, func(t *testing.T) { sweepMatchesGo(t, &sumProduct) })
+}
+
+func sweepMatchesGo[T elem](t *testing.T, k *bodies[T]) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 1; n <= maxLen; n++ {
-		for lane := 0; lane < 8; lane++ {
+		for lane := 0; lane < lanes[T](); lane++ {
 			for _, packed := range []bool{false, true} {
 				off, size := rowOffsets(n, packed)
 				what := fmt.Sprintf("n=%d lane=%d packed=%v", n, lane, packed)
@@ -175,53 +312,61 @@ func TestSweepMatchesGoBitForBit(t *testing.T) {
 				k1 := k0 + rng.Intn(n-k0)
 
 				// R0's shape: y is a row of another block.
-				p := newPair(4, 2*size+2*n)
-				b, wb := p.slice(rng, size, rng.Intn(8))
-				a, wa := p.slice(rng, n, rng.Intn(8))
+				p := newPair(k, 4, 2*size+2*n)
+				b, wb := p.slice(rng, size, rng.Intn(lanes[T]()))
+				a, wa := p.slice(rng, n, rng.Intn(lanes[T]()))
 				y, wy := p.slice(rng, n, lane)
-				Sweep(y, a, b, off, 0, n-1, n)
-				SweepGo(wy, wa, wb, off, 0, n-1, n)
-				p.check(t, "Sweep, whole row, "+what)
-				Sweep(y, a, b, off, k0, k1, n)
-				SweepGo(wy, wa, wb, off, k0, k1, n)
-				p.check(t, fmt.Sprintf("Sweep, k2 in [%d,%d), %s", k0, k1, what))
+				k.sweep(y, a, b, off, 0, n-1, n)
+				k.sweepGo(wy, wa, wb, off, 0, n-1, n)
+				p.check(t, "sweep, whole row, "+what)
+				k.sweep(y, a, b, off, k0, k1, n)
+				k.sweepGo(wy, wa, wb, off, k0, k1, n)
+				p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d), %s", k0, k1, what))
 
 				// R1's shape: y is row i2 of b itself, reading the rows below
-				// it. On the packed map the floats either side of y[i2:n] are
+				// it. On the packed map the cells either side of y[i2:n] are
 				// the neighbouring rows' cells.
 				blk, wblk := p.slice(rng, size, lane)
 				for i2 := n - 1; i2 >= 0; i2-- {
-					Sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, n)
-					SweepGo(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, n)
+					k.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, n)
+					k.sweepGo(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, n)
 				}
-				p.check(t, "Sweep, in place, "+what)
+				p.check(t, "sweep, in place, "+what)
 			}
 		}
 	}
 }
 
 func TestSweepRejectsRowsOutsideTheBlock(t *testing.T) {
+	t.Run(maxPlus.name, func(t *testing.T) { sweepRejectsRowsOutsideTheBlock(t, &maxPlus) })
+	t.Run(sumProduct.name, func(t *testing.T) { sweepRejectsRowsOutsideTheBlock(t, &sumProduct) })
+}
+
+func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *bodies[T]) {
 	const n = 12
 	off, size := rowOffsets(n, false)
-	y, a, b := make([]float32, n), make([]float32, n), make([]float32, size)
+	y, a, b := make([]T, n), make([]T, n), make([]T, size)
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
-		{"row past the block", func() { Sweep(y, a, b[:size-1:size-1], off, 0, n-1, n) }},
+		{"row past the block", func() { k.sweep(y, a, b[:size-1:size-1], off, 0, n-1, n) }},
 		{"row before the block", func() {
 			bad := append([]int(nil), off...)
 			bad[3] = -5
-			Sweep(y, a, b, bad, 0, n-1, n)
+			k.sweep(y, a, b, bad, 0, n-1, n)
 		}},
-		{"short y", func() { Sweep(y[:n-1:n-1], a, b, off, 0, n-1, n) }},
-		{"short a", func() { Sweep(y, a[:3:3], b, off, 0, n-1, n) }},
-		{"negative k0", func() { Sweep(y, a, b, off, -1, n-1, n) }},
+		{"short y", func() { k.sweep(y[:n-1:n-1], a, b, off, 0, n-1, n) }},
+		{"short a", func() { k.sweep(y, a[:3:3], b, off, 0, n-1, n) }},
+		{"negative k0", func() { k.sweep(y, a, b, off, -1, n-1, n) }},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Sweep did not panic", c.name)
+				// The Go loops leave the rejection to the runtime's bounds
+				// checks; the vector wrapper has to say it itself.
+				r := recover()
+				if msg, _ := r.(string); r == nil || Impl() == "avx2" && !strings.HasPrefix(msg, k.sweepPanic) {
+					t.Errorf("%s: the sweep panicked with %v, want a panic starting %q", c.name, r, k.sweepPanic)
 				}
 			}()
 			c.run()
@@ -230,13 +375,18 @@ func TestSweepRejectsRowsOutsideTheBlock(t *testing.T) {
 }
 
 func BenchmarkSweep(b *testing.B) {
+	b.Run(maxPlus.name, func(b *testing.B) { benchmarkSweep(b, &maxPlus) })
+	b.Run(sumProduct.name, func(b *testing.B) { benchmarkSweep(b, &sumProduct) })
+}
+
+func benchmarkSweep[T elem](b *testing.B, k *bodies[T]) {
 	for _, n := range []int{32, 128, 512} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			off, size := rowOffsets(n, false)
-			y, a, blk := make([]float32, n), make([]float32, n), make([]float32, size)
-			b.SetBytes(int64(n * (n - 1) / 2 * 4))
+			y, a, blk := make([]T, n), make([]T, n), make([]T, size)
+			b.SetBytes(int64(n * (n - 1) / 2 * int(unsafe.Sizeof(y[0]))))
 			for i := 0; i < b.N; i++ {
-				Sweep(y, a, blk, off, 0, n-1, n)
+				k.sweep(y, a, blk, off, 0, n-1, n)
 			}
 		})
 	}
@@ -247,16 +397,34 @@ func BenchmarkSweep(b *testing.B) {
 // (-race cannot either: it does not instrument assembly.) Such a store is
 // still a lost update when the lane is another row's cell and another
 // goroutine is writing it, as in the row-parallel schedules on the packed and
-// band maps, where the floats either side of y[k2+1:n] are the neighbouring
+// band maps, where the cells either side of y[k2+1:n] are the neighbouring
 // rows' tails.
+
+// counter is *cell seen as the integer word its writer counts upwards in.
+type counter[T elem] struct{ cell *T }
+
+func (c counter[T]) load() uint64 {
+	if unsafe.Sizeof(*c.cell) == 4 {
+		return uint64(atomic.LoadUint32((*uint32)(unsafe.Pointer(c.cell))))
+	}
+	return atomic.LoadUint64((*uint64)(unsafe.Pointer(c.cell)))
+}
+
+func (c counter[T]) store(v uint64) {
+	if unsafe.Sizeof(*c.cell) == 4 {
+		atomic.StoreUint32((*uint32)(unsafe.Pointer(c.cell)), uint32(v))
+		return
+	}
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(c.cell)), v)
+}
 
 // ownedBySomeoneElse runs kernel over and over on one goroutine while this
 // one counts the word at *cell upwards, and fails if a count it stored is
 // ever replaced by an older one.
-func ownedBySomeoneElse(t *testing.T, what string, cell *float32, kernel func()) {
+func ownedBySomeoneElse[T elem](t *testing.T, what string, cell *T, kernel func()) {
 	t.Helper()
 	const budget = 5 * time.Millisecond
-	word := (*uint32)(unsafe.Pointer(cell))
+	word := counter[T]{cell}
 	var stop atomic.Bool
 	stopped := make(chan struct{})
 	go func() {
@@ -269,16 +437,16 @@ func ownedBySomeoneElse(t *testing.T, what string, cell *float32, kernel func())
 		stop.Store(true)
 		<-stopped
 	}()
-	var count uint32
-	atomic.StoreUint32(word, count)
+	var count uint64
+	word.store(count)
 	for end := time.Now().Add(budget); time.Now().Before(end); {
 		for i := 0; i < 1000; i++ {
-			if got := atomic.LoadUint32(word); got != count {
+			if got := word.load(); got != count {
 				t.Fatalf("%s: a word outside the stream went from %d back to %d while the kernel ran: it stores lanes it does not own",
 					what, count, got)
 			}
 			count++
-			atomic.StoreUint32(word, count)
+			word.store(count)
 		}
 	}
 }
@@ -286,11 +454,22 @@ func ownedBySomeoneElse(t *testing.T, what string, cell *float32, kernel func())
 func TestKernelsLeaveNeighbouringCellsToTheirWriter(t *testing.T) {
 	// The writer and the kernel must be able to interleave inside one call.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	t.Run(maxPlus.name, func(t *testing.T) {
+		kernelsLeaveNeighbouringCells(t, &maxPlus, func(y, y2, x []float32) func() {
+			return func() { AccumulateDual(y, y2, x, 1, 2) }
+		})
+	})
+	t.Run(sumProduct.name, func(t *testing.T) { kernelsLeaveNeighbouringCells(t, &sumProduct, nil) })
+}
+
+// kernelsLeaveNeighbouringCells runs k's kernels on abutting packed rows;
+// dual, when the algebra has one, builds its dual-row stream over y and y2.
+func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T], dual func(y, y2, x []T) func()) {
 	const n = 29
 	off, size := rowOffsets(n, true)
-	for lane := 0; lane < 8; lane++ {
-		ar := newArena(size + 2*n + 3*(2*guard+16))
-		b, a := ar.slice(size, 3), ar.slice(n, 5)
+	for lane := 0; lane < lanes[T](); lane++ {
+		ar := newArena(arenaRoom(3, size+2*n), k.guardWord)
+		b, a := ar.slice(size, 3), ar.slice(n, 1)
 		lo := ar.next + guard + lane // where the next slice starts
 		y := ar.slice(n, lane)
 		before, after := &ar.buf[lo-1], &ar.buf[lo+n]
@@ -298,34 +477,38 @@ func TestKernelsLeaveNeighbouringCellsToTheirWriter(t *testing.T) {
 		// Streams that start inside the row's last chunk: the sweep's last
 		// chunk register then holds lanes before y[k0+1], down to y[0] and
 		// past it.
-		last := (lane + n) &^ 7 // grid lane the last chunk starts at
+		last := (lane + n) &^ (lanes[T]() - 1) // grid lane the last chunk starts at
 		for k0 := max(last-lane-1, 0); k0 < n-1; k0++ {
-			what := fmt.Sprintf("Sweep lane=%d k0=%d", lane, k0)
-			sweep := func() { Sweep(y, a, b, off, k0, n-1, n) }
+			what := fmt.Sprintf("sweep lane=%d k0=%d", lane, k0)
+			sweep := func() { k.sweep(y, a, b, off, k0, n-1, n) }
 			ownedBySomeoneElse(t, what+", the word before y[k0+1]", &y[k0], sweep)
 			if k0 == n-2 {
 				ownedBySomeoneElse(t, what+", the word before y[0]", before, sweep)
 				ownedBySomeoneElse(t, what+", the word after y[n-1]", after, sweep)
 			}
 		}
-		ownedBySomeoneElse(t, fmt.Sprintf("Sweep lane=%d, whole row, the word before y[0]", lane), before,
-			func() { Sweep(y, a, b, off, 0, n-1, n) })
+		ownedBySomeoneElse(t, fmt.Sprintf("sweep lane=%d, whole row, the word before y[0]", lane), before,
+			func() { k.sweep(y, a, b, off, 0, n-1, n) })
 
-		x, y2, m := b[:n], a, min(3, 8-lane) // y[:m] lies in one chunk
-		for _, c := range []struct {
+		x, m := b[:n], min(3, lanes[T]()-lane) // y[:m] lies in one chunk
+		type named struct {
 			name   string
 			kernel func()
-		}{
-			{"Accumulate", func() { Accumulate(y, x, 1) }},
-			{"AccumulateDual", func() { AccumulateDual(y, y2, x, 1, 2) }},
-			{"AddScalarInto", func() { AddScalarInto(y, x, 1) }},
-		} {
+		}
+		kernels := []named{
+			{"accumulate", func() { k.accum(y, x, 1) }},
+			{"scalar-into", func() { k.into(y, x, 1) }},
+		}
+		if dual != nil {
+			kernels = append(kernels, named{"dual", dual(y, a, x)})
+		}
+		for _, c := range kernels {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
 			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.kernel)
 			ownedBySomeoneElse(t, what+", the word after y[n-1]", after, c.kernel)
 		}
-		short := func() { Accumulate(y[:m], x, 1) }
-		ownedBySomeoneElse(t, fmt.Sprintf("Accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)
-		ownedBySomeoneElse(t, fmt.Sprintf("Accumulate lane=%d n=%d, the word after it", lane, m), &y[m], short)
+		short := func() { k.accum(y[:m], x, 1) }
+		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)
+		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word after it", lane, m), &y[m], short)
 	}
 }

@@ -1,5 +1,5 @@
-// Package maxplus provides the tropical (max, +) streaming kernels at the
-// heart of the optimized BPMax implementation.
+// Package maxplus provides the streaming kernels at the heart of the
+// optimized BPMax implementation, in the two algebras the fill serves.
 //
 // The paper's entire optimization story reduces to making the innermost
 // loop the streaming update
@@ -11,7 +11,10 @@
 // auto-vectorizes. gc does not, so the kernels the fill calls — Accumulate,
 // Accumulate8, AccumulateDual, AddScalarInto and the fused k2 loop Sweep —
 // have hand-written AVX2 bodies (avx2_amd64.s), chosen once at start-up when
-// the CPU and the operating system support them. The Go loops they replace
+// the CPU and the operating system support them. BPPart's partition function
+// is the same stream in the (+, ×) algebra over float64, Y[j] = Y[j] + a·X[j]:
+// SumProduct, SumProductSweep and MulScalarInto are those kernels, on the
+// same assembly skeleton at 4 lanes. The Go loops they all replace
 // (portable.go) are every other build: other architectures, the `purego`
 // tag, an amd64 CPU without AVX2. Both produce the same bits; Impl names the
 // one in use.
@@ -113,6 +116,55 @@ func Sweep(y, a, b []float32, off []int, k0, k1, n int) {
 	}
 	if bad := sweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, n, len(b)); bad >= 0 {
 		panic(fmt.Sprintf("maxplus: Sweep row %d at offset %d to column %d outside b[:%d]", bad+1, off[bad+1], n, len(b)))
+	}
+}
+
+// SumProduct performs the streaming update y[i] = y[i] + a * x[i] over the
+// common prefix of x and y: Accumulate in the (+, ×) algebra over float64,
+// the inner loop of the scaled partition fill. The product is rounded before
+// the add — two operations, never a fused multiply-add — in the vector body
+// and the Go loop alike. x must not overlap the part of y it updates.
+func SumProduct(y, x []float64, a float64) {
+	if useAVX2 {
+		if n := min(len(y), len(x)); n > 0 {
+			sumProductAVX2(&y[0], &x[0], n, a)
+		}
+		return
+	}
+	SumProductGo(y, x, a)
+}
+
+// MulScalarInto initializes dst[i] = a * x[i] over the common prefix of dst
+// and x: AddScalarInto in the (+, ×) algebra over float64.
+func MulScalarInto(dst, x []float64, a float64) {
+	if useAVX2 {
+		if n := min(len(dst), len(x)); n > 0 {
+			mulScalarIntoAVX2(&dst[0], &x[0], n, a)
+		}
+		return
+	}
+	MulScalarIntoGo(dst, x, a)
+}
+
+// SumProductSweep is Sweep in the (+, ×) algebra over float64:
+//
+//	for k2 in [k0, k1): y[j] = y[j] + a[k2] * b[off[k2+1]+j]  for j in (k2, n)
+//
+// with the same arguments, the same requirements on them and the same checks.
+func SumProductSweep(y, a, b []float64, off []int, k0, k1, n int) {
+	if !useAVX2 {
+		SumProductSweepGo(y, a, b, off, k0, k1, n)
+		return
+	}
+	if k0 >= k1 {
+		return
+	}
+	if k0 < 0 || k1 >= n || n > len(y) || k1 > len(a) || k1 >= len(off) {
+		panic(fmt.Sprintf("maxplus: SumProductSweep k2 range [%d,%d) to column %d outside y[:%d], a[:%d], off[:%d]",
+			k0, k1, n, len(y), len(a), len(off)))
+	}
+	if bad := sumProductSweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, n, len(b)); bad >= 0 {
+		panic(fmt.Sprintf("maxplus: SumProductSweep row %d at offset %d to column %d outside b[:%d]", bad+1, off[bad+1], n, len(b)))
 	}
 }
 

@@ -119,3 +119,54 @@ func SweepGo(y, a, b []float32, off []int, k0, k1, n int) {
 		AccumulateGo(y[k2+1:n], b[o+k2+1:o+n], a[k2])
 	}
 }
+
+// The float64 sum-product loops. The product is written float64(a * x[i]): an
+// explicit conversion rounds, so no build — arm64, GOAMD64=v3 — may fuse it
+// with the add (Go spec, "Floating-point operators"). ⊗ then ⊕, two
+// roundings, is the numeric contract the vector bodies implement with VMULPD
+// and VADDPD.
+
+// SumProductGo is SumProduct's portable body.
+func SumProductGo(y, x []float64, a float64) {
+	n := min(len(y), len(x))
+	x = x[:n]
+	y = y[:n]
+	for i := range y {
+		y[i] += float64(a * x[i])
+	}
+}
+
+// SumProductDualGo applies one shared x stream to two destination rows,
+// y1[i] += a1 * x[i] and y2[i] += a2 * x[i]: AccumulateDual's sum-product
+// counterpart. It has no vector body — only the float32 register-tile
+// ablation streams two rows at once.
+func SumProductDualGo(y1, y2, x []float64, a1, a2 float64) {
+	n := min(len(x), len(y1), len(y2))
+	x = x[:n]
+	y1 = y1[:n]
+	y2 = y2[:n]
+	for i := range x {
+		v := x[i]
+		y1[i] += float64(a1 * v)
+		y2[i] += float64(a2 * v)
+	}
+}
+
+// MulScalarIntoGo is MulScalarInto's portable body.
+func MulScalarIntoGo(dst, x []float64, a float64) {
+	n := min(len(dst), len(x))
+	x = x[:n]
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = a * x[i]
+	}
+}
+
+// SumProductSweepGo is SumProductSweep's portable body: one SumProductGo
+// stream per k2.
+func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, n int) {
+	for k2 := k0; k2 < k1; k2++ {
+		o := off[k2+1]
+		SumProductGo(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+	}
+}

@@ -80,9 +80,10 @@ type FoldMetrics struct {
 	// fold that degraded to a windowed scan it is "windowed".
 	Schedule string `json:"schedule"`
 	// Kernel names the implementation of the streaming kernels the fill ran
-	// on: "avx2" (the max-plus vector assembly) or "go" (the portable loops:
-	// every partition fold, the base schedule's gathers, and max-plus on a
-	// build or CPU without the vector bodies).
+	// on: "avx2" (the vector assembly, for max-plus and for the scaled
+	// partition's sum-product) or "go" (the portable loops: a log-domain
+	// partition fold, the base schedule's gathers, and any fold on a build or
+	// CPU without the vector bodies).
 	Kernel string `json:"kernel,omitempty"`
 	// N1, N2 are the sequence lengths; Workers the requested width.
 	N1      int `json:"n1"`

@@ -83,12 +83,28 @@ func differentialScores(seq rna.Sequence) map[string]ScoreFunc {
 // TestStreamedMatchesReference is the bit-identity gate of the streamed fill:
 // on every size, score shape and kernel body, serial and tiled on 1–4
 // workers, the table is byte-equal to the per-cell reference's, and a
-// traceback over it reaches S[0, n-1].
+// traceback over it reaches S[0, n-1]. The float64 sum-product GTable — whose
+// per-cell reference associates ⊕ differently, so is only close — is held
+// byte-equal across its two kernel bodies instead.
 func TestStreamedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kernels := map[string]semiring.Kernels[float32]{
 		semiring.MaxPlusKernels(false).Impl: semiring.MaxPlusKernels(false), // avx2 where the process has it
 		"go":                                semiring.MaxPlusKernelsGo(false),
+	}
+	// The scaled partition substrate's fill: Boltzmann factors damped by
+	// e^{-σ} per nucleotide under its first-pass σ, inexact products throughout.
+	sumProduct := func(n int, k semiring.Kernels[float64], sc ScoreFunc, mfe float32) []float64 {
+		const kT = 0.7
+		sigma := float64(mfe)/(kT*float64(max(n, 1))) + 0.9
+		g := NewGTable[float64](n)
+		_ = g.FillContext(context.Background(), k, math.Exp(-sigma), func(i, j int) float64 { // Background never cancels
+			if w := sc(i, j); w > semiring.NegInf/2 {
+				return math.Exp(float64(w)/kT - 2*sigma)
+			}
+			return 0
+		})
+		return g.data
 	}
 	for _, n := range differentialSizes() {
 		seq := rna.Random(rng, n)
@@ -100,6 +116,16 @@ func TestStreamedMatchesReference(t *testing.T) {
 		}
 		for name, sc := range differentialScores(seq) {
 			want := ReferenceBuild(n, sc).data
+			if n > 0 {
+				sp, mfe := semiring.SumProductKernels(), want[n-1]
+				got, goLoops := sumProduct(n, sp, sc, mfe), sumProduct(n, semiring.SumProductKernelsGo(), sc, mfe)
+				if z := got[n-1]; !(z > 0) || math.IsInf(z, 1) {
+					t.Fatalf("n=%d %s: the scaled strand sum is %g: the comparison would be of zeros or Infs", n, name, z)
+				}
+				if !bytes.Equal(tableBytes(got), tableBytes(goLoops)) {
+					t.Fatalf("n=%d %s: the float64 sum-product table on the %s kernels differs from the Go loops'", n, name, sp.Impl)
+				}
+			}
 			for impl, k := range kernels {
 				label := fmt.Sprintf("n=%d %s %s", n, name, impl)
 				got := BuildWith(n, k, sc)

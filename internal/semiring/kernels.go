@@ -31,7 +31,9 @@ type Scalar interface {
 // the hand-written kernels (including NaN propagation order).
 type Kernels[T Scalar] struct {
 	// Impl names the implementation behind the streaming slots: "avx2" when
-	// they are vector assembly, "go" otherwise.
+	// they are vector assembly, "go" otherwise. MaxPlusKernels and
+	// SumProductKernels report "avx2" where the process has the vector bodies
+	// (maxplus.Impl); their Go twins and LogSumExpKernels are always "go".
 	Impl string
 	// Zero is ⊕'s identity (the "impossible" value); One is ⊗'s identity
 	// (the empty structure).
@@ -60,12 +62,12 @@ var (
 	maxPlusGo         = newMaxPlusGo(maxplus.AccumulateGo, maxplus.SweepGo)
 	maxPlusGoUnrolled = newMaxPlusGo(maxplus.Accumulate8Go, sweepOver(maxplus.Accumulate8Go))
 	logSumExp         = newLogSumExp()
-	sumProduct        = newSumProduct()
+	sumProductGo      = newSumProductGo()
 )
 
 // sweepOver builds a bundle's Sweep from its Accum, one call per k2: the
-// form of every bundle package maxplus has no Sweep body for (the float64
-// bundles and the unrolled ablation).
+// form of the two bundles package maxplus has no Sweep body for, log-sum-exp
+// and the unrolled max-plus ablation.
 func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, n int) {
 	return func(y, a, b []T, off []int, k0, k1, n int) {
 		for k2 := k0; k2 < k1; k2++ {
@@ -199,50 +201,45 @@ func newLogSumExp() Kernels[float64] {
 
 // SumProductKernels returns the linear-domain sum-product kernel set over
 // float64: ⊕ = +, ⊗ = ×, Zero = 0, One = 1 — the Counting semiring in
-// streaming form. Fed Boltzmann factors e^{w/kT} it computes the same
-// ensemble sum as LogSumExpKernels with one multiply-add per candidate and
-// no transcendental; the caller keeps the values inside float64's range by
-// pre-scaling its inputs per nucleotide (see internal/bpmax's partition
-// fill) and takes the log once, at the boundary. A forbidden weight is an
-// exact 0, which annihilates under ⊗ and is neutral under ⊕ like -Inf does
-// in the log domain.
-func SumProductKernels() Kernels[float64] { return sumProduct }
-
-func newSumProduct() Kernels[float64] {
-	accum := func(y, x []float64, a float64) {
-		n := min(len(y), len(x))
-		x = x[:n]
-		y = y[:n]
-		for i := range y {
-			y[i] += a * x[i]
-		}
+// streaming form, backed by package maxplus's float64 bodies: AVX2 where the
+// process has them (maxplus.Impl), else SumProductKernelsGo. Fed Boltzmann
+// factors e^{w/kT} it computes the same ensemble sum as LogSumExpKernels with
+// one multiply and one add per candidate and no transcendental; the caller
+// keeps the values inside float64's range by pre-scaling its inputs per
+// nucleotide (see internal/bpmax's partition fill) and takes the log once, at
+// the boundary. A forbidden weight is an exact 0, which annihilates under ⊗
+// and is neutral under ⊕ like -Inf does in the log domain.
+//
+// Numeric contract: every candidate is ⊗ then ⊕ — the product rounded to
+// float64, then the sum rounded — in every body on every build, never a
+// fused multiply-add. The two sets therefore produce bit-identical tables,
+// and which of them ran is not an input of the result.
+func SumProductKernels() Kernels[float64] {
+	k := sumProductGo
+	if impl := maxplus.Impl(); impl != "go" {
+		k.Impl = impl
+		k.Accum = maxplus.SumProduct
+		k.Sweep = maxplus.SumProductSweep
+		k.MulInto = maxplus.MulScalarInto
 	}
+	return k
+}
+
+// SumProductKernelsGo returns the sum-product kernel set over maxplus's
+// portable Go loops: what SumProductKernels returns on a build or CPU without
+// the vector bodies, and the oracle they are tested against.
+func SumProductKernelsGo() Kernels[float64] { return sumProductGo }
+
+func newSumProductGo() Kernels[float64] {
 	return Kernels[float64]{
-		Impl:  "go",
-		Zero:  0,
-		One:   1,
-		Add:   func(a, b float64) float64 { return a + b },
-		Mul:   func(a, b float64) float64 { return a * b },
-		Accum: accum,
-		Sweep: sweepOver(accum),
-		AccumDual: func(y1, y2, x []float64, a1, a2 float64) {
-			n := min(len(x), len(y1), len(y2))
-			x = x[:n]
-			y1 = y1[:n]
-			y2 = y2[:n]
-			for i := range x {
-				v := x[i]
-				y1[i] += a1 * v
-				y2[i] += a2 * v
-			}
-		},
-		MulInto: func(dst, x []float64, a float64) {
-			n := min(len(dst), len(x))
-			x = x[:n]
-			dst = dst[:n]
-			for i := range dst {
-				dst[i] = a * x[i]
-			}
-		},
+		Impl:      "go",
+		Zero:      0,
+		One:       1,
+		Add:       func(a, b float64) float64 { return a + b },
+		Mul:       func(a, b float64) float64 { return a * b },
+		Accum:     maxplus.SumProductGo,
+		Sweep:     maxplus.SumProductSweepGo,
+		AccumDual: maxplus.SumProductDualGo,
+		MulInto:   maxplus.MulScalarIntoGo,
 	}
 }

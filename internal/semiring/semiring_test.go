@@ -296,9 +296,12 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 }
 
 func TestKernelBundlesMatchTheirScalars(t *testing.T) {
-	x64 := []float64{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
-	checkKernels(t, "logsumexp", LogSumExpKernels(), x64, 0.75, 2.5)
-	checkKernels(t, "sumproduct", SumProductKernels(), x64, 0.75, 2.5)
+	// 0.1, 1/3 and 0.7 make the sum-product's products inexact: a body that
+	// fused ⊗ into ⊕ would miss its scalars by a last bit.
+	x64 := []float64{0.25, 3, 1.5, 0.1, 7, 2, 1.0 / 3, 1, 9}
+	checkKernels(t, "logsumexp", LogSumExpKernels(), x64, 0.7, 2.5)
+	checkKernels(t, "sumproduct", SumProductKernels(), x64, 0.7, 2.5)
+	checkKernels(t, "sumproduct-go", SumProductKernelsGo(), x64, 0.7, 2.5)
 	x32 := []float32{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
 	checkKernels(t, "maxplus", MaxPlusKernels(false), x32, 0.75, 2.5)
 	checkKernels(t, "maxplus-unrolled", MaxPlusKernels(true), x32, 0.75, 2.5)
