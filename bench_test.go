@@ -216,52 +216,6 @@ func BenchmarkScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkUnroll is the streaming-kernel unroll ablation. Unrolling is a
-// variant of the portable Go loops only, so both cases run on them.
-func BenchmarkUnroll(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(b, 12, 64)
-	flops := ibpmax.DMPFlops(12, 64)
-	for _, unroll := range []bool{false, true} {
-		name := "plain"
-		if unroll {
-			name = "unrolled8"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := ibpmax.Config{Unroll: unroll}
-			cfg.SetGoKernels(true)
-			for i := 0; i < b.N; i++ {
-				ibpmax.SolveDMP(p, ibpmax.DMPTiled, cfg)
-			}
-			reportGFLOPS(b, flops)
-		})
-	}
-}
-
-// BenchmarkRegisterTile is the future-work register-tiling ablation: the
-// dual-row kernel halves B-row stream traffic in the tiled double
-// max-plus.
-func BenchmarkRegisterTile(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(b, 12, 96)
-	flops := ibpmax.DMPFlops(12, 96)
-	for _, reg := range []bool{false, true} {
-		name := "rowwise"
-		if reg {
-			name = "dualrow"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := ibpmax.Config{RegisterTile: reg}
-			for i := 0; i < b.N; i++ {
-				ibpmax.SolveDMP(p, ibpmax.DMPTiled, cfg)
-			}
-			reportGFLOPS(b, flops)
-		})
-	}
-}
-
 // BenchmarkMemoryPhases is the Phase II vs Phase III memory-map ablation:
 // separate accumulator storage (+copy) vs reductions sharing F's memory.
 func BenchmarkMemoryPhases(b *testing.B) {

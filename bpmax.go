@@ -32,7 +32,6 @@ import (
 	"time"
 
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
-	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
@@ -63,17 +62,12 @@ type SubstrateAlgorithm string
 const (
 	// SubstrateAuto (the default) is the row-streamed O(n³) fill on the
 	// vector max-plus kernels, at every strand length and for every score
-	// model: it beats the Four-Russians tabulation at every size measured,
-	// so there is no selection rule.
+	// model. It is the only substrate fill: the Four-Russians tabulation
+	// lost to it at every size measured (docs/PERFORMANCE.md) and is not
+	// selectable.
 	SubstrateAuto SubstrateAlgorithm = "auto"
 	// SubstrateClassic names the same streamed fill explicitly.
 	SubstrateClassic SubstrateAlgorithm = "classic"
-	// SubstrateFourRussians forces the O(n³/log n) Four-Russians solver on
-	// every strand whose score model supports it (integer weights; all
-	// stock models qualify). Models with fractional or negative custom
-	// weights get the streamed fill, which is the only correct choice
-	// there. Kept for comparison; it is the slower fill.
-	SubstrateFourRussians SubstrateAlgorithm = "four-russians"
 )
 
 // Algebra names the semiring the interaction DP is evaluated in. Every
@@ -94,8 +88,7 @@ const (
 	// to the log domain by itself when that would leave float64's range;
 	// both return the same LogZ (FoldMetrics.PartitionDomain says which). Score,
 	// Structure, BestLocal and windowed scans are max-plus notions and are
-	// unavailable on partition results; a forced Four-Russians substrate (a
-	// max-plus block precomputation) applies to the max-plus S tables only.
+	// unavailable on partition results.
 	AlgebraPartition Algebra = "partition"
 )
 
@@ -172,13 +165,6 @@ func WithPackedMemory() Option {
 	return func(o *options) { o.cfg.Map = ibpmax.MapPacked }
 }
 
-// WithUnrolledKernel selects the 8-way unrolled form of the Go streaming
-// kernel. It changes nothing where the max-plus kernels are vector assembly
-// (FoldMetrics.Kernel "avx2": amd64 with AVX2, unless built with the
-// `purego` tag) — the plain and the unrolled name then resolve to the same
-// body.
-func WithUnrolledKernel() Option { return func(o *options) { o.cfg.Unroll = true } }
-
 // WithWeights sets the base-pair scoring weights.
 func WithWeights(w Weights) Option { return func(o *options) { o.weights = w } }
 
@@ -186,13 +172,10 @@ func WithWeights(w Weights) Option { return func(o *options) { o.weights = w } }
 // modelling a minimum hairpin loop (default 0, BPMax's counting model).
 func WithMinHairpin(n int) Option { return func(o *options) { o.minHairpin = n } }
 
-// WithSubstrateAlgorithm selects how the per-strand substrate tables are
-// built (default SubstrateAuto). Every choice produces bit-identical
-// tables whenever it applies — the Four-Russians path enumerates exactly
-// the classic candidate set in exact small-integer float32 arithmetic
-// (enforced by FuzzSubstrateParity) — so substrate-cache entries and
-// results are interchangeable across algorithms; only the build time
-// differs.
+// WithSubstrateAlgorithm names the fill of the per-strand substrate tables.
+// There is one — SubstrateAuto and SubstrateClassic (and "") both name the
+// row-streamed fill — so the option only checks the name: any other value
+// is an option error from NewSession and from every fold.
 func WithSubstrateAlgorithm(a SubstrateAlgorithm) Option {
 	return func(o *options) { o.substrate = a }
 }
@@ -229,9 +212,8 @@ func buildOptions(opts []Option) request {
 	}
 	rq := request{options: o, sp: o.params()}
 	rq.v, rq.verr = o.internalVariant()
-	rq.salgo, rq.aerr = o.substrateAlgo()
+	rq.aerr = o.checkSubstrate()
 	rq.algErr = o.checkAlgebra()
-	rq.subMax, rq.subInt = rq.sp.Model.IntegerBounded()
 	return rq
 }
 
@@ -251,16 +233,12 @@ func (o options) checkAlgebra() error {
 	return fmt.Errorf("bpmax: unknown algebra %q", o.algebra)
 }
 
-func (o options) substrateAlgo() (nussinov.Algo, error) {
+func (o options) checkSubstrate() error {
 	switch o.substrate {
-	case SubstrateAuto, "":
-		return nussinov.AlgoAuto, nil
-	case SubstrateClassic:
-		return nussinov.AlgoClassic, nil
-	case SubstrateFourRussians:
-		return nussinov.AlgoFourRussians, nil
+	case SubstrateAuto, SubstrateClassic, "":
+		return nil
 	}
-	return 0, fmt.Errorf("bpmax: unknown substrate algorithm %q", o.substrate)
+	return fmt.Errorf("bpmax: unknown substrate algorithm %q (accepted: %q, %q)", o.substrate, SubstrateAuto, SubstrateClassic)
 }
 
 func (o options) params() score.Params {

@@ -67,10 +67,27 @@ run_lint() (
     # One single-strand fill: rows stream through the shared kernels. The
     # per-cell scan walks S[s+1, j] down a column (`idx += n`), the gather the
     # paper measures as the slow schedule; it survives as the test oracle and
-    # inside the retiring Four-Russians package, nowhere on the serving path.
+    # inside the Four-Russians comparator, nowhere on the serving path.
     if grep -rn --include='*.go' 'idx += n\b' . | grep -v -e '^\./bench/' \
         -e '^\./internal/nussinov/reference_test\.go:' -e '^\./internal/fourrussians/'; then
         echo "lint: a column walk over the S table outside the reference oracle (a second per-cell fill growing back)" >&2
+        exit 1
+    fi
+    # No user-selected slow path. The Four-Russians tabulation lost to the
+    # streamed fill at every size: what is left of it is a comparator for the
+    # repository benchmark's probes and the substrate parity fuzzer, and an
+    # import from serving code is the second substrate fill growing back.
+    if grep -rln --include='*.go' '"github.com/bpmax-go/bpmax/internal/fourrussians"' . |
+        grep -v -e '_test\.go$' -e '^\./bench/'; then
+        echo "lint: internal/fourrussians imported outside bench/ and tests (the streamed fill is the one substrate fill)" >&2
+        exit 1
+    fi
+    # Likewise the dual-row register tile, the plain/unrolled switch and the
+    # forced-substrate names: each selected a path that lost or tied wherever
+    # it was measured (docs/PERFORMANCE.md, "Paths retired because they lost").
+    if grep -rn --include='*.go' -e 'RegisterTile' -e 'AccumDual' -e 'AccumulateDual' -e 'WithUnrolledKernel' \
+        -e 'AlgoFourRussians' -e 'SubstrateFourRussians' . | grep -v '_test\.go:'; then
+        echo "lint: a retired option or kernel slot is back (a path nothing wins on is not selectable)" >&2
         exit 1
     fi
     # One parallel runtime: the Engine is the only code in the solver package
@@ -149,7 +166,7 @@ run_test() (
 
 run_race() (
     set -x
-    go test -race ./internal/bpmax/ ./internal/nussinov/ ./internal/fourrussians/ \
+    go test -race ./internal/bpmax/ ./internal/nussinov/ \
         ./internal/pipeline/ ./internal/trace/ . ./cmd/bpmax/ ./cmd/bpmaxd/
     # Chaos smoke — the seeded fault schedules, retry/breaker policies and
     # session-drain contract under the race detector (see chaos_test.go and
@@ -166,9 +183,9 @@ run_fuzz() (
     # pins every schedule, on the full table and on a band of it, bit-identical
     # to the top-down reference and the scaled partition fill to its log-domain
     # oracle, the substrate bit-identity fuzzer that holds every single-strand
-    # fill (streamed on both kernel bodies, tiled, forced Four-Russians) to the
-    # per-cell reference so they share cache entries, and the two input fuzzers
-    # (raw sequences, FASTA round trip).
+    # fill (streamed on both kernel bodies, tiled) and the Four-Russians
+    # comparator to the per-cell reference, and the two input fuzzers (raw
+    # sequences, FASTA round trip).
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSemiringParity -fuzztime 10s ./internal/bpmax/
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .

@@ -529,6 +529,26 @@ func TestRunEndToEnd(t *testing.T) {
 	drain()
 }
 
+// TestRunRefusesBadServingOptions: a -substrate name no fold could run with
+// is a boot failure, before the listener exists — not a healthy server that
+// answers every request with 400.
+func TestRunRefusesBadServingOptions(t *testing.T) {
+	for _, args := range [][]string{{"-substrate", "4r"}, {"-substrate", "four-russians"}} {
+		addrFile := filepath.Join(t.TempDir(), "addr")
+		// A server that did boot would serve until the deadline and drain
+		// with a nil error.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, args...), os.Stderr)
+		cancel()
+		if err == nil {
+			t.Errorf("run %v: served instead of refusing to start", args)
+		}
+		if _, statErr := os.Stat(addrFile); statErr == nil {
+			t.Errorf("run %v: listened before failing (%v)", args, err)
+		}
+	}
+}
+
 // TestDefaultFlagsCountFillsAndHits: under the default flags plus -cache an
 // operator gets both the cache and the fold counters. Three identical folds
 // are one fill and two result hits in /metrics and /metrics/prom, with the

@@ -131,11 +131,14 @@ func TestPackedRowsInParallel(t *testing.T) {
 	}
 }
 
+// TestUnrolledKernelAgrees: a fill on the Go kernels streams through the
+// 8-way unrolled loop — what every portable build runs. Rows of 19 cells take
+// its main loop and its scalar tail; the table must equal the oracle's.
 func TestUnrolledKernelAgrees(t *testing.T) {
 	p := newTestProblem(t, 5, 8, 19)
-	plain := Solve(p, VariantHybridTiled, Config{})
-	unrolled := Solve(p, VariantHybridTiled, Config{Unroll: true})
-	tablesEqual(t, p, plain, unrolled, "unrolled")
+	var cfg Config
+	cfg.SetGoKernels(true)
+	tablesEqual(t, p, Solve(p, VariantReference, Config{}), Solve(p, VariantHybridTiled, cfg), "unrolled")
 }
 
 func TestScratchAccumAgrees(t *testing.T) {
@@ -170,7 +173,7 @@ func TestStaticSchedulingAgrees(t *testing.T) {
 func TestRandomConfigurationsQuick(t *testing.T) {
 	// One combined property test: any variant under any configuration
 	// equals the oracle on a random small instance.
-	f := func(seed int64, rawV, rawW, rawTi, rawTk, rawTj uint8, packed, unroll, static, reg, scratch bool) bool {
+	f := func(seed int64, rawV, rawW, rawTi, rawTk, rawTj uint8, packed, static, scratch bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n1 := 1 + rng.Intn(7)
 		n2 := 1 + rng.Intn(7)
@@ -180,12 +183,11 @@ func TestRandomConfigurationsQuick(t *testing.T) {
 		}
 		v := Variants[int(rawV)%len(Variants)]
 		cfg := Config{
-			Workers: 1 + int(rawW)%4,
-			TileI2:  1 + int(rawTi)%8,
-			TileK2:  1 + int(rawTk)%8,
-			TileJ2:  int(rawTj) % 8,
-			Unroll:  unroll, StaticSched: static,
-			RegisterTile: reg, ScratchAccum: scratch,
+			Workers:     1 + int(rawW)%4,
+			TileI2:      1 + int(rawTi)%8,
+			TileK2:      1 + int(rawTk)%8,
+			TileJ2:      int(rawTj) % 8,
+			StaticSched: static, ScratchAccum: scratch,
 		}
 		if packed {
 			cfg.Map = MapPacked

@@ -73,19 +73,9 @@ type Config struct {
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind
-	// Unroll selects the 8-way unrolled Go streaming kernel. Where the
-	// max-plus kernels are vector assembly (FoldMetrics.Kernel "avx2") both
-	// settings run the same body; the harness's "unrolled 8x" ablation row
-	// is therefore a `purego` measurement.
-	Unroll bool
 	// StaticSched switches row/triangle distribution from dynamic
 	// (default, OMP-dynamic analogue) to static blocked (ablation).
 	StaticSched bool
-	// RegisterTile enables register-level tiling of the double max-plus:
-	// pairs of accumulator rows consume each B row in one pass (the
-	// paper's future-work item, implemented for the DMP tiled schedule;
-	// ignored when TileJ2 > 0).
-	RegisterTile bool
 	// ScratchAccum reverts the hybrid schedule to the paper's Phase II
 	// memory map: the R0/R3/R4 accumulator lives in separate scratch
 	// storage and is copied into F before the update pass, instead of
@@ -139,12 +129,14 @@ func (c *Config) SetTriangleHook(h func(i1, j1 int)) { c.triangleHook = h }
 func (c *Config) SetGoKernels(on bool) { c.goKernels = on }
 
 // maxplusKernels returns the float32 kernel bundle a max-plus solve under
-// this configuration streams through.
+// this configuration streams through. Where the stream is a Go loop it is
+// the 8-way unrolled one: it beat the plain loop on every portable run
+// measured (docs/PERFORMANCE.md, "Paths retired because they lost").
 func (c Config) maxplusKernels() semiring.Kernels[float32] {
 	if c.goKernels {
-		return semiring.MaxPlusKernelsGo(c.Unroll)
+		return semiring.MaxPlusKernelsGo(true)
 	}
-	return semiring.MaxPlusKernels(c.Unroll)
+	return semiring.MaxPlusKernels(true)
 }
 
 // sumProductKernels returns the float64 kernel bundle a scaled partition
@@ -204,10 +196,10 @@ func (c Config) ScopedEngine(width int) (scoped Config, release func()) {
 }
 
 // ParallelFor binds the configured runtime and width into the plain loop the
-// substrate builders take (nussinov.BuildParallelContext and its
-// Four-Russians counterpart), so a single-strand build runs under the same
-// Engine cap, failpoints and panic recovery as the interaction fill. Width 1
-// returns nil — the builders' inline fill.
+// substrate builder takes (nussinov.BuildParallelContext), so a
+// single-strand build runs under the same Engine cap, failpoints and panic
+// recovery as the interaction fill. Width 1 returns nil — the builder's
+// inline fill.
 func (c Config) ParallelFor() nussinov.ParallelFor {
 	w := resolveWorkers(c.Workers)
 	if w == 1 {

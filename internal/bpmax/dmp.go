@@ -169,57 +169,6 @@ func (s *gsolver[T]) dmpAccumulateRow(blk, ablk, bblk []T, i2 int) {
 	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, n2)
 }
 
-// dmpAccumulateRowsTiled is the tiled variant over rows [r0, r1).
-func (s *gsolver[T]) dmpAccumulateRowsTiled(blk, ablk, bblk []T, r0, r1 int) {
-	if s.cfg.RegisterTile && s.cfg.TileJ2 <= 0 {
-		s.dmpAccumulateRowsRegTiled(blk, ablk, bblk, r0, r1)
-		return
-	}
-	s.r0Tiled(blk, ablk, bblk, r0, r1)
-}
-
-// dmpAccumulateRowsRegTiled is dmpAccumulateRowsTiled with register-level
-// tiling: within each k2 band, rows are processed in pairs so each B row
-// streams once per two accumulator rows. The lone k2 values a pair's upper
-// row cannot share (k2 < i2+1) run singly.
-func (s *gsolver[T]) dmpAccumulateRowsRegTiled(blk, ablk, bblk []T, r0, r1 int) {
-	n2 := s.p.N2
-	tk := s.cfg.TileK2
-	for k2t := r0; k2t < n2-1; k2t += tk {
-		k2tEnd := k2t + tk
-		if k2tEnd > n2-1 {
-			k2tEnd = n2 - 1
-		}
-		i2 := r0
-		for ; i2+1 < r1; i2 += 2 {
-			gr0 := s.f.Row(blk, i2)
-			gr1 := s.f.Row(blk, i2+1)
-			ar0 := s.f.Row(ablk, i2)
-			ar1 := s.f.Row(ablk, i2+1)
-			kLo0 := k2t
-			if kLo0 < i2 {
-				kLo0 = i2
-			}
-			kShared := k2t
-			if kShared < i2+1 {
-				kShared = i2 + 1
-			}
-			// k2 values only the lower row covers.
-			s.sweep(gr0, ar0, bblk, s.f.rowOff, kLo0, min(kShared, k2tEnd), n2)
-			for k2 := kShared; k2 < k2tEnd; k2++ {
-				bk := s.f.Row(bblk, k2+1)
-				s.a.k.AccumDual(gr0[k2+1:n2], gr1[k2+1:n2], bk[k2+1:n2], ar0[k2], ar1[k2])
-			}
-		}
-		// Odd leftover row.
-		for ; i2 < r1; i2++ {
-			grow := s.f.Row(blk, i2)
-			arow := s.f.Row(ablk, i2)
-			s.sweep(grow, arow, bblk, s.f.rowOff, max(k2t, i2), k2tEnd, n2)
-		}
-	}
-}
-
 // dmpTriangle computes one triangle under the given intra-triangle
 // strategy.
 func (s *gsolver[T]) dmpTriangle(i1, j1 int, v DMPVariant, pf func(n, workers int, f func(int))) {
@@ -253,7 +202,7 @@ func (s *gsolver[T]) dmpTriangle(i1, j1 int, v DMPVariant, pf func(n, workers in
 				r1 = n2
 			}
 			for k1 := i1; k1 < j1; k1++ {
-				s.dmpAccumulateRowsTiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), r0, r1)
+				s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), r0, r1)
 			}
 		})
 	}

@@ -41,20 +41,6 @@ func TestDMPTileShapes(t *testing.T) {
 	}
 }
 
-func TestDMPRegisterTileMatches(t *testing.T) {
-	// Register-level tiling (the paper's future-work item) must be a pure
-	// reordering: identical tables for even/odd row counts and tile sizes.
-	for _, n2 := range []int{5, 6, 16, 17} {
-		p := newTestProblem(t, int64(n2), 7, n2)
-		ref := SolveDMP(p, DMPBase, Config{})
-		for _, ti := range []int{1, 2, 3, 64} {
-			cfg := Config{Workers: 2, TileI2: ti, TileK2: 3, RegisterTile: true}
-			got := SolveDMP(p, DMPTiled, cfg)
-			tablesEqual(t, p, ref, got, "dmp-regtile")
-		}
-	}
-}
-
 func TestDMPUpperBoundedByBPMax(t *testing.T) {
 	// The standalone system keeps only R0 and the singleton seeds; BPMax
 	// adds R1..R4 and the pairing candidates, so F >= G everywhere.

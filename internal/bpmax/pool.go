@@ -124,7 +124,6 @@ func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Proble
 		p.Tab = &score.Tables{}
 	}
 	score.BuildInto(p.Tab, p.Seq1, p.Seq2, params)
-	p.subMax, p.subInt = params.Model.IntegerBounded()
 	p.pl = pl
 	return p, nil
 }

@@ -3,7 +3,6 @@ package bpmax
 import (
 	"fmt"
 
-	"github.com/bpmax-go/bpmax/internal/fourrussians"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -29,10 +28,6 @@ type Problem struct {
 	// never be Reset.
 	ownS1, ownS2       *nussinov.Table
 	sharedS1, sharedS2 bool
-	// subMax/subInt cache Params.Model.IntegerBounded() from construction:
-	// the capability a forced Four-Russians substrate build needs.
-	subMax int
-	subInt bool
 }
 
 // Release returns a pooled problem's shell — with its retained sequence
@@ -69,42 +64,27 @@ func NewProblemShell(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) 
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("bpmax: both sequences must be non-empty (got %d and %d nt)", n1, n2)
 	}
-	prob := &Problem{
+	return &Problem{
 		Seq1: seq1, Seq2: seq2,
 		N1: n1, N2: n2,
 		Tab: score.Build(seq1, seq2, p),
-	}
-	prob.subMax, prob.subInt = p.Model.IntegerBounded()
-	return prob, nil
+	}, nil
 }
 
 // BuildS1 fills the S¹ single-strand table in the problem's own storage
 // (created or Reset as needed — bit-identical to a fresh nussinov.Build) with
 // the row-streamed fill.
-func (p *Problem) BuildS1() { p.BuildS1Algo(nussinov.AlgoAuto) }
+func (p *Problem) BuildS1() { buildS(&p.S1, p.N1, p.score1) }
 
 // BuildS2 fills the S² table; see BuildS1.
-func (p *Problem) BuildS2() { p.BuildS2Algo(nussinov.AlgoAuto) }
+func (p *Problem) BuildS2() { buildS(&p.S2, p.N2, p.score2) }
 
-// BuildS1Algo is BuildS1 with an explicit algorithm choice: AlgoAuto and
-// AlgoClassic are the streamed fill, AlgoFourRussians the tabulated one on a
-// model with integer-bounded weights (the streamed fill otherwise). The
-// tables are bit-identical, so callers never observe the choice.
-func (p *Problem) BuildS1Algo(a nussinov.Algo) { p.buildS(&p.S1, p.N1, p.score1, a) }
-
-// BuildS2Algo is BuildS2 with an explicit algorithm choice; see BuildS1Algo.
-func (p *Problem) BuildS2Algo(a nussinov.Algo) { p.buildS(&p.S2, p.N2, p.score2, a) }
-
-func (p *Problem) buildS(t **nussinov.Table, n int, sc nussinov.ScoreFunc, a nussinov.Algo) {
+func buildS(t **nussinov.Table, n int, sc nussinov.ScoreFunc) {
 	if *t == nil {
 		*t = &nussinov.Table{}
 	}
 	(*t).Reset(n)
-	if fourrussians.Pick(a, p.subMax, p.subInt) {
-		fourrussians.Fill(*t, sc, p.subMax)
-	} else {
-		(*t).Fill(sc)
-	}
+	(*t).Fill(sc)
 }
 
 // ShareS1 installs a cached S¹ table. The table is shared and read-only;

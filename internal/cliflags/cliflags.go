@@ -64,7 +64,7 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
 	fs.BoolVar(&f.Unit, "unit", f.Unit, "unweighted pair counting instead of GC=3/AU=2/GU=1")
 	fs.StringVar(&f.Substrate, "substrate", f.Substrate,
-		"substrate (Nussinov S-table) fill: auto = classic = the row-streamed fill; four-russians (alias 4r) forces the slower tabulated one")
+		"substrate (Nussinov S-table) fill: auto or classic, both the row-streamed fill (the only one); any other name is refused")
 	fs.BoolVar(&f.Packed, "packed", f.Packed, "use the packed (quarter-space) memory map")
 	fs.StringVar(&f.MemLimit, "mem-limit", f.MemLimit,
 		"refuse folds whose table exceeds this size, e.g. 500MB or 2GB (empty = unlimited)")
@@ -103,10 +103,6 @@ type Components struct {
 // and fold options they select. The returned Components must be Closed when
 // serving ends (it owns any armed failpoints).
 func (f *Serving) Build() (*Components, error) {
-	substrate := f.Substrate
-	if substrate == "4r" {
-		substrate = string(bpmax.SubstrateFourRussians)
-	}
 	limitBytes, err := ParseBytes(f.MemLimit)
 	if err != nil {
 		return nil, fmt.Errorf("-mem-limit: %w", err)
@@ -116,8 +112,9 @@ func (f *Serving) Build() (*Components, error) {
 		bpmax.WithVariant(bpmax.Variant(f.Variant)),
 		bpmax.WithWorkers(f.Workers),
 		bpmax.WithTiles(f.TileI, f.TileK, f.TileJ),
-		// Unknown -substrate values surface as a fold-time error.
-		bpmax.WithSubstrateAlgorithm(bpmax.SubstrateAlgorithm(substrate)),
+		// An unknown -substrate value is an option error: NewSession
+		// refuses it and every fold returns it before solving.
+		bpmax.WithSubstrateAlgorithm(bpmax.SubstrateAlgorithm(f.Substrate)),
 	}
 	if f.Unit {
 		c.Options = append(c.Options, bpmax.WithWeights(bpmax.Weights{Unit: true}))

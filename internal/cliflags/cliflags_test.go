@@ -82,16 +82,20 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestBuildSubstrateAlias(t *testing.T) {
+// TestBuildSubstrateRejected: -substrate passes its value through unmapped —
+// the retired 4r alias is an unknown name, refused where the options are
+// first used: session construction, or the fold itself.
+func TestBuildSubstrateRejected(t *testing.T) {
 	c, err := parseServing(t, "-substrate", "4r")
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	// The alias resolves to the four-russians algorithm, which a fold
-	// accepts (unknown algorithms fail at fold time).
-	if _, err := bpmax.Fold("GGGAAACCC", "GGGUUUCCC", c.Options...); err != nil {
-		t.Errorf("fold with -substrate 4r: %v", err)
+	if _, err := bpmax.NewSession(c.Options...); err == nil {
+		t.Error("NewSession accepted -substrate 4r")
+	}
+	if _, err := bpmax.Fold("GGGAAACCC", "GGGUUUCCC", c.Options...); err == nil {
+		t.Error("fold ran with -substrate 4r")
 	}
 }
 

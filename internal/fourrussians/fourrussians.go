@@ -1,6 +1,13 @@
-// Package fourrussians fills Nussinov substrate tables in O(n³/log n) using
-// the Four-Russians technique (Venkatachalam/Gusfield/Frid, arXiv:1307.7820;
-// Song, arXiv:1503.05670), specialized to BPMax's weighted base-pair model.
+// Package fourrussians is the sequential Four-Russians comparator: Build
+// fills a Nussinov substrate table in O(n³/log n) (Venkatachalam/Gusfield/
+// Frid, arXiv:1307.7820; Song, arXiv:1503.05670; specialized to BPMax's
+// weighted base-pair model), bit-identical to nussinov.Build. Nothing on the
+// serving path imports it — the row-streamed fill in package nussinov beat
+// the tabulation 3.1–7.1× at every size measured (docs/PERFORMANCE.md,
+// "Paths retired because they lost"). Its two callers are the repository
+// benchmark's fourrussians.* probes (bench/layers.go) and FuzzSubstrateParity
+// (package nussinov), which holds the streamed fill to this independent
+// implementation of the recurrence.
 //
 // The classic recurrence spends almost all of its time in the concatenation
 // scan max_{k=i..j-1} S[i,k] + S[k+1,j]. The key observation: when every
@@ -23,21 +30,12 @@
 // Difference codes are produced in a second pass over each anti-diagonal
 // (after its cells are final, before any later diagonal needs them — a
 // block's codes are provably complete at strictly shorter diagonals than any
-// cell that reads them), so the existing wavefront parallelism of the cell
-// pass is untouched. All arithmetic is max-plus over small non-negative
+// cell that reads them). All arithmetic is max-plus over small non-negative
 // integers, exact in float32, and the block decomposition enumerates
-// exactly the classic candidate set — the produced tables are bit-identical
-// to nussinov.Build's, which FuzzSubstrateParity (package nussinov)
-// enforces.
-//
-// Since the single-strand fill became a row stream on the AVX2 max-plus
-// kernels, the tabulation loses to it at every size measured and no request
-// reaches this package unless it names the algorithm; it is kept for that
-// option and for the benchmark's fourrussians.* probes.
+// exactly the classic candidate set — hence the bit-identical tables.
 package fourrussians
 
 import (
-	"context"
 	"math/bits"
 	"sync"
 
@@ -53,14 +51,6 @@ const (
 	// all-forbidden model has zero differences everywhere and would
 	// otherwise ask for unbounded blocks).
 	maxQ = 16
-	// sequentialCutoff is the table size below which a parallel build runs
-	// its wavefronts inline: under ~64 positions a diagonal holds so few
-	// cells that loop dispatch overhead dominates.
-	sequentialCutoff = 64
-	// wavefrontGrain is how many cells of one anti-diagonal a parallel task
-	// fills: contiguous, so neighbours share cache lines, and coarse enough
-	// that claiming a task is noise next to its O(grain·n) work.
-	wavefrontGrain = 16
 )
 
 // BlockSize returns the block width q used for an n-cell strand under a
@@ -93,16 +83,6 @@ func codesFor(d, q int) int {
 		}
 	}
 	return c
-}
-
-// Pick reports whether the Four-Russians path fills a request's tables:
-// only when it was asked for by name and the model has the capability
-// (maxStep, ok) from score.Model.IntegerBounded. Nothing selects it
-// automatically — the row-streamed fill in package nussinov beats the
-// tabulation at every size (docs/PERFORMANCE.md, "The single-strand
-// substrate").
-func Pick(a nussinov.Algo, maxStep int, intBounded bool) bool {
-	return a == nussinov.AlgoFourRussians && intBounded && maxStep >= 0
 }
 
 // blockTable is the precomputed block-combination lookup for one (digit
@@ -204,63 +184,21 @@ type fillState struct {
 	vcol []uint16
 }
 
-// Fill fills a fresh or Reset table in place with the Four-Russians scheme,
-// sequentially. maxStep is the model's largest integer weight (from
-// score.Model.IntegerBounded); the result is bit-identical to t.Fill with
-// the same ScoreFunc.
-func Fill(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int) {
-	if err := fillQ(nil, t, sc, maxStep, BlockSize(t.N, maxStep), nil); err != nil {
-		panic(err) // unreachable: no context, no cancellation
-	}
-}
-
-// FillParallelContext fills t with pfor cooperating on each anti-diagonal
-// wavefront (nil fills inline), checking ctx once per diagonal. On an error
-// the partially filled table must be discarded by the caller.
-func FillParallelContext(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return fillQ(ctx, t, sc, maxStep, BlockSize(t.N, maxStep), pfor)
-}
-
-// Build is the Four-Russians counterpart of nussinov.Build.
+// Build fills a fresh n×n table with the Four-Russians scheme. maxStep is
+// the model's largest integer weight (from score.Model.IntegerBounded); the
+// result is bit-identical to nussinov.Build with the same ScoreFunc.
 func Build(n int, sc nussinov.ScoreFunc, maxStep int) *nussinov.Table {
 	t := nussinov.NewTable(n)
-	Fill(t, sc, maxStep)
+	fillQ(t, sc, maxStep, BlockSize(n, maxStep))
 	return t
 }
 
-// BuildParallelContext is the Four-Russians counterpart of
-// nussinov.BuildParallelContext: same cancellation contract, same table
-// layout, anti-diagonal wavefronts where the streamed fill has tiles.
-func BuildParallelContext(ctx context.Context, n int, sc nussinov.ScoreFunc, maxStep int, pfor nussinov.ParallelFor) (*nussinov.Table, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := nussinov.NewTable(n)
-	if err := FillParallelContext(ctx, t, sc, maxStep, pfor); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // fillQ runs the build with an explicit block size (exercised directly by
-// the q = 1, 2, 3 unit tests). ctx may be nil for never-cancelled fills.
-func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int, pfor nussinov.ParallelFor) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		done = ctx.Done()
-	}
+// the q = 1, 2, 3 unit tests).
+func fillQ(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int) {
 	n := t.N
 	if n < 2 {
-		return nil
+		return
 	}
 	st := fillState{data: t.Data(), sc: sc, n: n, q: q, d: maxStep + 1}
 	if q > 1 {
@@ -277,32 +215,12 @@ func fillQ(ctx context.Context, t *nussinov.Table, sc nussinov.ScoreFunc, maxSte
 		}()
 	}
 	for d := 1; d < n; d++ {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		if pfor == nil || n < sequentialCutoff {
-			st.run(d, 0, n-d)
-		} else if err := pfor(ctx, (n-d+wavefrontGrain-1)/wavefrontGrain, func(c int) {
-			st.run(d, c*wavefrontGrain, min((c+1)*wavefrontGrain, n-d))
-		}); err != nil {
-			return err
+		for i := 0; i < n-d; i++ {
+			st.data[i*n+i+d] = st.cell(i, i+d)
 		}
 		// Second pass: publish the difference codes this diagonal
-		// completes. O(cells) total, so it stays on the coordinator.
+		// completes.
 		st.encode(d)
-	}
-	return nil
-}
-
-// run computes cells lo..hi-1 of anti-diagonal d.
-func (s *fillState) run(d, lo, hi int) {
-	n := s.n
-	for i := lo; i < hi; i++ {
-		s.data[i*n+i+d] = s.cell(i, i+d)
 	}
 }
 

@@ -1,9 +1,7 @@
 package fourrussians
 
 import (
-	"context"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
@@ -78,9 +76,7 @@ func TestParityExplicitBlockSizes(t *testing.T) {
 				sc := scoreFor(seq, mc.m)
 				want := nussinov.Build(n, sc)
 				got := nussinov.NewTable(n)
-				if err := fillQ(nil, got, sc, mc.maxStep, q, nil); err != nil {
-					t.Fatalf("q=%d n=%d: %v", q, n, err)
-				}
+				fillQ(got, sc, mc.maxStep, q)
 				requireIdentical(t, mc.m.Name(), got, want)
 			}
 		}
@@ -107,52 +103,15 @@ func TestParityMinHairpinScores(t *testing.T) {
 	}
 }
 
-// forkJoin is a test-only ParallelFor: one goroutine per worker over a
-// strided index space (workers <= 1 returns nil, the inline fill).
-func forkJoin(workers int) nussinov.ParallelFor {
-	if workers <= 1 {
-		return nil
-	}
-	return func(ctx context.Context, n int, f func(i int)) error {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += workers {
-					f(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return ctx.Err()
-	}
-}
-
-func TestParityParallel(t *testing.T) {
+// TestParityAcrossBlockSizes keeps the size grid of the retired parallel
+// build's parity test: 63/64/65 and 257 straddle a change of the block size
+// q, 384 is the largest table any unit test here fills.
+func TestParityAcrossBlockSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	// 96/192/384 straddle the Auto threshold: the sizes the retired
-	// ext-substrate experiment checked parity on.
 	for _, n := range []int{63, 64, 65, 96, 130, 192, 257, 384} {
 		seq := rna.Random(rng, n)
 		sc := scoreFor(seq, score.BasePair())
-		want := nussinov.Build(n, sc)
-		for _, workers := range []int{0, 1, 2, 7} {
-			got, err := BuildParallelContext(context.Background(), n, sc, 3, forkJoin(workers))
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			requireIdentical(t, "parallel", got, want)
-		}
-	}
-}
-
-func TestCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sc := func(i, j int) float32 { return 1 }
-	if _, err := BuildParallelContext(ctx, 128, sc, 1, forkJoin(2)); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		requireIdentical(t, "sizes", Build(n, sc, 3), nussinov.Build(n, sc))
 	}
 }
 
@@ -234,21 +193,6 @@ func TestBlockSize(t *testing.T) {
 		if got := BlockSize(c.n, c.maxStep); got != c.want {
 			t.Errorf("BlockSize(%d, %d) = %d, want %d", c.n, c.maxStep, got, c.want)
 		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	if Pick(nussinov.AlgoFourRussians, 3, false) {
-		t.Error("picked 4R for a non-integer-bounded model")
-	}
-	if Pick(nussinov.AlgoClassic, 3, true) {
-		t.Error("AlgoClassic must never pick 4R")
-	}
-	if !Pick(nussinov.AlgoFourRussians, 3, true) {
-		t.Error("AlgoFourRussians with a capable model must pick 4R")
-	}
-	if Pick(nussinov.AlgoAuto, 3, true) {
-		t.Error("Auto picked 4R: the streamed fill wins at every size, nothing selects the tabulation")
 	}
 }
 

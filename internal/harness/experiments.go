@@ -168,8 +168,7 @@ func ensembleSignal(seq string, kT float64) float64 {
 
 // runExtAblations measures each DESIGN.md-listed design choice in
 // isolation on one fixed workload: memory map, worker scheduling policy,
-// kernel unrolling, register tiling, and the Phase II vs Phase III
-// accumulator storage.
+// and the Phase II vs Phase III accumulator storage.
 func runExtAblations(cfg RunConfig) *Table {
 	t := &Table{
 		ID: "ext-ablations", Title: "Design-choice ablations", PaperRef: "Sections IV-V (design choices)",
@@ -181,10 +180,6 @@ func runExtAblations(cfg RunConfig) *Table {
 		m := timeBPMax(p, v, c, cfg.repeats())
 		t.Rows = append(t.Rows, []string{group, setting, d2(m.Elapsed), f2(m.GFLOPS())})
 	}
-	addDMP := func(group, setting string, c bpmax.Config) {
-		m := timeDMP(p, bpmax.DMPTiled, c, cfg.repeats())
-		t.Rows = append(t.Rows, []string{group, setting, d2(m.Elapsed), f2(m.GFLOPS())})
-	}
 	w := cfg.Workers
 	addBPMax("memory map (Fig 10)", "box (option 1)", bpmax.Config{Workers: w, Map: bpmax.MapBox}, bpmax.VariantHybridTiled)
 	addBPMax("memory map (Fig 10)", "packed (option 2)", bpmax.Config{Workers: w, Map: bpmax.MapPacked}, bpmax.VariantHybridTiled)
@@ -192,20 +187,10 @@ func runExtAblations(cfg RunConfig) *Table {
 	addBPMax("worker scheduling", "static blocked", bpmax.Config{Workers: w, StaticSched: true}, bpmax.VariantHybridTiled)
 	addBPMax("accumulator storage", "phase III shared", bpmax.Config{Workers: w}, bpmax.VariantHybrid)
 	addBPMax("accumulator storage", "phase II scratch+copy", bpmax.Config{Workers: w, ScratchAccum: true}, bpmax.VariantHybrid)
-	// The unroll choice exists in the portable Go loops only (the vector
-	// kernels have one body), so both rows run on them: the paper's design
-	// choice is measured on every build, not only under `-tags purego`.
-	plain, unrolled := bpmax.Config{Workers: w}, bpmax.Config{Workers: w, Unroll: true}
-	plain.SetGoKernels(true)
-	unrolled.SetGoKernels(true)
-	addDMP("stream kernel (Go loops)", "plain", plain)
-	addDMP("stream kernel (Go loops)", "unrolled 8x", unrolled)
-	addDMP("register tiling", "row-wise", bpmax.Config{Workers: w})
-	addDMP("register tiling", "dual-row", bpmax.Config{Workers: w, RegisterTile: true})
 	t.Notes = append(t.Notes,
 		"paper expectations: box beats packed (streaming rows), dynamic beats static under triangle imbalance,",
-		"shared accumulators beat scratch+copy (Phase III memory optimization), register tiling reduces B-row traffic",
-		fmt.Sprintf("the stream-kernel rows are the portable Go loops, plain vs 8-way unrolled, on any build; every other row runs the process's max-plus kernels (%s)", semiring.MaxPlusKernels(false).Impl))
+		"shared accumulators beat scratch+copy (Phase III memory optimization)",
+		fmt.Sprintf("every row runs the process's max-plus kernels (%s)", semiring.MaxPlusKernels(false).Impl))
 	return t
 }
 

@@ -10,9 +10,6 @@ package maxplus
 func accumulateAVX2(y, x *float32, n int, a float32)
 
 //go:noescape
-func accumulateDualAVX2(y1, y2, x *float32, n int, a1, a2 float32)
-
-//go:noescape
 func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 
 //go:noescape

@@ -290,54 +290,8 @@ ret:
 	VZEROUPPER
 	RET
 
-// The two kernels below run once per row or on an ablation path only; their
-// y is not re-read by a following call, so they start at the first element
-// and mask only the last chunk.
-
-// func accumulateDualAVX2(y1, y2, x *float32, n int, a1, a2 float32)
-// y1[i] = max(a1 + x[i], y1[i]); y2[i] = max(a2 + x[i], y2[i]); n > 0.
-TEXT ·accumulateDualAVX2(SB), NOSPLIT, $0-40
-	MOVQ         y1+0(FP), DI
-	MOVQ         y2+8(FP), DX
-	MOVQ         x+16(FP), SI
-	MOVQ         n+24(FP), CX
-	VBROADCASTSS a1+32(FP), Y0
-	VBROADCASTSS a2+36(FP), Y5
-	XORQ         AX, AX
-
-dualfull:
-	CMPQ    CX, $8
-	JLT     dualtail
-	VMOVUPS (SI)(AX*1), Y1
-	VADDPS  Y5, Y1, Y2
-	VADDPS  Y0, Y1, Y1
-	VMAXPS  (DI)(AX*1), Y1, Y1
-	VMAXPS  (DX)(AX*1), Y2, Y2
-	VMOVUPS Y1, (DI)(AX*1)
-	VMOVUPS Y2, (DX)(AX*1)
-	ADDQ    $32, AX
-	SUBQ    $8, CX
-	JMP     dualfull
-
-dualtail:
-	TESTQ      CX, CX
-	JZ         dualdone
-	LEAQ       lanemask<>(SB), R12
-	NEGQ       CX
-	VMOVDQU    64(R12)(CX*4), Y7
-	VMASKMOVPS (SI)(AX*1), Y7, Y1
-	VADDPS     Y5, Y1, Y2
-	VADDPS     Y0, Y1, Y1
-	VMASKMOVPS (DI)(AX*1), Y7, Y3
-	VMASKMOVPS (DX)(AX*1), Y7, Y4
-	VMAXPS     Y3, Y1, Y1
-	VMAXPS     Y4, Y2, Y2
-	VMASKMOVPS Y1, Y7, (DI)(AX*1)
-	VMASKMOVPS Y2, Y7, (DX)(AX*1)
-
-dualdone:
-	VZEROUPPER
-	RET
+// The kernel below runs once per row; its y is not re-read by a following
+// call, so it starts at the first element and masks only the last chunk.
 
 // func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 // dst[i] = a + x[i] for i in [0, n); n > 0.
@@ -375,8 +329,7 @@ adddone:
 // VADDPD. sumProductAVX2, sumProductSweepAVX2 and mulScalarIntoAVX2 are
 // accumulateAVX2, sweepAVX2 and addScalarIntoAVX2 again, instruction for
 // instruction, with 8-byte elements in their address arithmetic; the comments
-// there apply here. (AccumulateDual has no float64 body: only the float32
-// register-tile ablation calls it.)
+// there apply here.
 #undef ESIZE
 #undef ESHIFT
 #undef LANES

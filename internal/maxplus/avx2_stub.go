@@ -7,7 +7,6 @@ package maxplus
 const useAVX2 = false
 
 func accumulateAVX2(y, x *float32, n int, a float32)                { panic("maxplus: no AVX2 build") }
-func accumulateDualAVX2(y1, y2, x *float32, n int, a1, a2 float32)  { panic("maxplus: no AVX2 build") }
 func addScalarIntoAVX2(dst, x *float32, n int, a float32)           { panic("maxplus: no AVX2 build") }
 func sweepAVX2(y, a, b *float32, off *int, k0, k1, n, blen int) int { panic("maxplus: no AVX2 build") }
 

@@ -207,24 +207,25 @@ func streamKernelsMatchGo[T elem](t *testing.T, k *bodies[T]) {
 	}
 }
 
-// TestMaxPlusOnlyKernelsMatchGoBitForBit covers the two kernels with no
-// sum-product body: the unrolled stream and the dual-row stream.
+// TestMaxPlusOnlyKernelsMatchGoBitForBit covers the kernel with no
+// sum-product body, the unrolled stream: the process's Accumulate8 against
+// its Go loop, and that loop — what every portable build's fill runs —
+// against the plain AccumulateGo oracle.
 func TestMaxPlusOnlyKernelsMatchGoBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for n := 0; n <= maxLen; n++ {
 		for lane := 0; lane < 8; lane++ {
-			a1, a2 := maxPlus.operand(rng), maxPlus.operand(rng)
-			what := fmt.Sprintf("n=%d lane=%d a=%v,%v", n, lane, a1, a2)
-			p := newPair(&maxPlus, 3, 3*n)
+			a := maxPlus.operand(rng)
+			what := fmt.Sprintf("n=%d lane=%d a=%v", n, lane, a)
+			p := newPair(&maxPlus, 2, 2*n)
 			y, wy := p.slice(rng, n, lane)
 			x, wx := p.slice(rng, n, rng.Intn(8))
-			Accumulate8(y, x, a2)
-			Accumulate8Go(wy, wx, a2)
+			Accumulate8(y, x, a)
+			Accumulate8Go(wy, wx, a)
 			p.check(t, "Accumulate8 "+what)
-			y2, wy2 := p.slice(rng, n, rng.Intn(8))
-			AccumulateDual(y, y2, x, a1, a2)
-			AccumulateDualGo(wy, wy2, wx, a1, a2)
-			p.check(t, "AccumulateDual "+what)
+			Accumulate8Go(y, x, a)
+			AccumulateGo(wy, wx, a)
+			p.check(t, "Accumulate8Go vs AccumulateGo "+what)
 		}
 	}
 }
@@ -251,7 +252,6 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 		}
 		return y
 	}
-	y2 := fresh()
 	for _, c := range []struct {
 		name string
 		from int // the first element the kernel updates
@@ -259,7 +259,6 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 	}{
 		{"SumProduct", 0, func(y []float64) { SumProduct(y, b[:n], a[0]) }},
 		{"SumProductGo", 0, func(y []float64) { SumProductGo(y, b[:n], a[0]) }},
-		{"SumProductDualGo", 0, func(y []float64) { SumProductDualGo(y, y2, b[:n], a[0], a[0]) }},
 		// The one stream k2 = n-2 reaches y[n-1] only.
 		{"SumProductSweep", n - 1, func(y []float64) { SumProductSweep(y, a, b, off, n-2, n-1, n) }},
 		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, n) }},
@@ -270,11 +269,6 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 			if y[i] != 0 {
 				t.Fatalf("%s: y[%d] = %g, want 0: the product was not rounded before the add", c.name, i, y[i])
 			}
-		}
-	}
-	for i, v := range y2 {
-		if v != 0 {
-			t.Fatalf("SumProductDualGo: y2[%d] = %g, want 0: the product was not rounded before the add", i, v)
 		}
 	}
 }
@@ -454,17 +448,12 @@ func ownedBySomeoneElse[T elem](t *testing.T, what string, cell *T, kernel func(
 func TestKernelsLeaveNeighbouringCellsToTheirWriter(t *testing.T) {
 	// The writer and the kernel must be able to interleave inside one call.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	t.Run(maxPlus.name, func(t *testing.T) {
-		kernelsLeaveNeighbouringCells(t, &maxPlus, func(y, y2, x []float32) func() {
-			return func() { AccumulateDual(y, y2, x, 1, 2) }
-		})
-	})
-	t.Run(sumProduct.name, func(t *testing.T) { kernelsLeaveNeighbouringCells(t, &sumProduct, nil) })
+	t.Run(maxPlus.name, func(t *testing.T) { kernelsLeaveNeighbouringCells(t, &maxPlus) })
+	t.Run(sumProduct.name, func(t *testing.T) { kernelsLeaveNeighbouringCells(t, &sumProduct) })
 }
 
-// kernelsLeaveNeighbouringCells runs k's kernels on abutting packed rows;
-// dual, when the algebra has one, builds its dual-row stream over y and y2.
-func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T], dual func(y, y2, x []T) func()) {
+// kernelsLeaveNeighbouringCells runs k's kernels on abutting packed rows.
+func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T]) {
 	const n = 29
 	off, size := rowOffsets(n, true)
 	for lane := 0; lane < lanes[T](); lane++ {
@@ -491,18 +480,13 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T], dual func
 			func() { k.sweep(y, a, b, off, 0, n-1, n) })
 
 		x, m := b[:n], min(3, lanes[T]()-lane) // y[:m] lies in one chunk
-		type named struct {
+		for _, c := range []struct {
 			name   string
 			kernel func()
-		}
-		kernels := []named{
+		}{
 			{"accumulate", func() { k.accum(y, x, 1) }},
 			{"scalar-into", func() { k.into(y, x, 1) }},
-		}
-		if dual != nil {
-			kernels = append(kernels, named{"dual", dual(y, a, x)})
-		}
-		for _, c := range kernels {
+		} {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
 			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.kernel)
 			ownedBySomeoneElse(t, what+", the word after y[n-1]", after, c.kernel)

@@ -9,7 +9,7 @@
 // over contiguous single-precision rows (arithmetic intensity 2 FLOPs per
 // 3 memory operations = 1/6 FLOP/byte), which the C compiler then
 // auto-vectorizes. gc does not, so the kernels the fill calls — Accumulate,
-// Accumulate8, AccumulateDual, AddScalarInto and the fused k2 loop Sweep —
+// Accumulate8, AddScalarInto and the fused k2 loop Sweep —
 // have hand-written AVX2 bodies (avx2_amd64.s), chosen once at start-up when
 // the CPU and the operating system support them. BPPart's partition function
 // is the same stream in the (+, ×) algebra over float64, Y[j] = Y[j] + a·X[j]:
@@ -58,23 +58,6 @@ func Accumulate8(y, x []float32, a float32) {
 		return
 	}
 	Accumulate8Go(y, x, a)
-}
-
-// AccumulateDual applies one shared x stream to two destination rows:
-// y1[i] = max(y1[i], a1 + x[i]) and y2[i] = max(y2[i], a2 + x[i]) in a
-// single pass. This is the register-level tiling the paper's conclusion
-// calls for ("an additional level of tiling at the register level is
-// required to make the program compute-bound"): the B row is read once for
-// two output rows, halving stream traffic per FLOP. The three slices must
-// not overlap.
-func AccumulateDual(y1, y2, x []float32, a1, a2 float32) {
-	if useAVX2 {
-		if n := min(len(x), len(y1), len(y2)); n > 0 {
-			accumulateDualAVX2(&y1[0], &y2[0], &x[0], n, a1, a2)
-		}
-		return
-	}
-	AccumulateDualGo(y1, y2, x, a1, a2)
 }
 
 // AddScalarInto initializes dst[i] = a + x[i] over the common prefix of dst

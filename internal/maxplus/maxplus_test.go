@@ -146,47 +146,6 @@ func TestDotMaxPlusStrideMatchesDense(t *testing.T) {
 	}
 }
 
-func TestAccumulateDualMatchesTwoCalls(t *testing.T) {
-	f := func(seed int64, rawN uint8, a1, a2 float32) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(rawN % 120)
-		x := randomSlice(rng, n)
-		y1 := randomSlice(rng, n)
-		y2 := randomSlice(rng, n)
-		w1 := append([]float32(nil), y1...)
-		w2 := append([]float32(nil), y2...)
-		AccumulateDual(y1, y2, x, a1, a2)
-		Accumulate(w1, x, a1)
-		Accumulate(w2, x, a2)
-		return equalSlices(y1, w1) && equalSlices(y2, w2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulateDualUneven(t *testing.T) {
-	y1 := []float32{0, 0, 0}
-	y2 := []float32{0}
-	AccumulateDual(y1, y2, []float32{10, 20}, 1, 2)
-	if y1[0] != 11 || y1[1] != 0 || y2[0] != 12 {
-		t.Errorf("uneven dual = %v %v", y1, y2)
-	}
-}
-
-func BenchmarkAccumulateDual(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	x := randomSlice(rng, 4096)
-	y1 := randomSlice(rng, 4096)
-	y2 := randomSlice(rng, 4096)
-	b.SetBytes(4096 * 4 * 3) // one x read amortized over two row updates
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AccumulateDual(y1, y2, x, 1.5, 2.5)
-	}
-}
-
 func TestAddScalarInto(t *testing.T) {
 	dst := make([]float32, 4)
 	AddScalarInto(dst, []float32{1, 2, 3, 4}, 10)

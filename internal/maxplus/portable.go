@@ -75,29 +75,6 @@ func Accumulate8Go(y, x []float32, a float32) {
 	}
 }
 
-// AccumulateDualGo is AccumulateDual's portable body.
-func AccumulateDualGo(y1, y2, x []float32, a1, a2 float32) {
-	n := len(x)
-	if len(y1) < n {
-		n = len(y1)
-	}
-	if len(y2) < n {
-		n = len(y2)
-	}
-	x = x[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	for i := range x {
-		v := x[i]
-		if w := a1 + v; w > y1[i] {
-			y1[i] = w
-		}
-		if w := a2 + v; w > y2[i] {
-			y2[i] = w
-		}
-	}
-}
-
 // AddScalarIntoGo is AddScalarInto's portable body.
 func AddScalarIntoGo(dst, x []float32, a float32) {
 	n := len(dst)
@@ -133,22 +110,6 @@ func SumProductGo(y, x []float64, a float64) {
 	y = y[:n]
 	for i := range y {
 		y[i] += float64(a * x[i])
-	}
-}
-
-// SumProductDualGo applies one shared x stream to two destination rows,
-// y1[i] += a1 * x[i] and y2[i] += a2 * x[i]: AccumulateDual's sum-product
-// counterpart. It has no vector body — only the float32 register-tile
-// ablation streams two rows at once.
-func SumProductDualGo(y1, y2, x []float64, a1, a2 float64) {
-	n := min(len(x), len(y1), len(y2))
-	x = x[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	for i := range x {
-		v := x[i]
-		y1[i] += float64(a1 * v)
-		y2[i] += float64(a2 * v)
 	}
 }
 

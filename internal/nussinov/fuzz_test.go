@@ -14,10 +14,10 @@ import (
 // FuzzSubstrateParity is the bit-identity gate of every single-strand fill:
 // for arbitrary sequences and all three stock score models, the streamed
 // table (on the process's kernels and on the portable Go ones), the tiled
-// parallel table and the forced Four-Russians table must equal the per-cell
-// reference's bit for bit, and a traceback over the streamed table must
-// reach the reference's total weight. This is what lets one substrate-cache
-// entry serve requests naming any algorithm.
+// parallel table and the Four-Russians comparator's table (an independent
+// implementation of the recurrence, off the serving path) must equal the
+// per-cell reference's bit for bit, and a traceback over the streamed table
+// must reach the reference's total weight.
 func FuzzSubstrateParity(f *testing.F) {
 	f.Add("GGGAAACCC")
 	f.Add("GCGC")

@@ -28,37 +28,6 @@ import (
 // large negative value (score.NegInf) when the pairing is forbidden.
 type ScoreFunc func(i, j int) float32
 
-// Algo selects the algorithm used to fill a substrate table. The
-// Four-Russians implementation lives in internal/fourrussians, which
-// imports this package; the enum is defined here so the problem layer and
-// the pipeline can share it without an import cycle.
-type Algo uint8
-
-const (
-	// AlgoAuto is the row-streamed fill: it beats the Four-Russians
-	// tabulation at every size measured (docs/PERFORMANCE.md, "The
-	// single-strand substrate"), so nothing is left to pick.
-	AlgoAuto Algo = iota
-	// AlgoClassic names the same streamed fill explicitly.
-	AlgoClassic
-	// AlgoFourRussians forces the Four-Russians block path whenever the
-	// model supports it (integer-bounded weights); unsupported models get
-	// the streamed fill, which is bit-identical anyway.
-	AlgoFourRussians
-)
-
-// String returns the CLI-facing name of the algorithm.
-func (a Algo) String() string {
-	switch a {
-	case AlgoClassic:
-		return "classic"
-	case AlgoFourRussians:
-		return "four-russians"
-	default:
-		return "auto"
-	}
-}
-
 // Table holds S over a bounding-box memory map (option 1 of the paper's
 // Fig 10): row-contiguous so BPMax's kernels can stream rows of S².
 type Table struct {
@@ -90,10 +59,10 @@ func (t *Table) At(i, j int) float32 {
 // box; only j >= i are meaningful). Callers must not modify it.
 func (t *Table) Row(i int) []float32 { return t.data[i*t.N : (i+1)*t.N] }
 
-// Data exposes the table's backing storage (row-contiguous, N×N). It exists
-// for sibling substrate kernels — internal/fourrussians fills a Table
-// through it — so the pool, cache, and BPMax hand-off adopt those tables
-// unchanged. All other callers must treat it as read-only.
+// Data exposes the table's backing storage (row-contiguous, N×N): the
+// solver's algebra bundles stream rows out of it, and the Four-Russians
+// comparator package fills a Table through it. Every other
+// caller must treat it as read-only.
 func (t *Table) Data() []float32 { return t.data }
 
 // Clone returns an independent deep copy of t. Cached substrate tables are
@@ -109,9 +78,7 @@ func (t *Table) Bytes() int64 { return int64(len(t.data)) * 4 }
 
 // Reset prepares t for reuse at size n: storage is kept when its capacity
 // allows (grown otherwise) and every cell is zeroed, so a reused table is
-// indistinguishable from a fresh NewTable(n). Fill rewrites the diagonal and
-// the lower triangle itself; the Four-Russians fill writes only the strict
-// upper triangle and relies on the zeros.
+// indistinguishable from a fresh NewTable(n).
 func (t *Table) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
@@ -130,7 +97,7 @@ func (t *Table) Reset(n int) {
 // float32 max-plus instantiation of the streamed fill, on the AVX2 kernels
 // where the process has them. O(n³) time.
 func (t *Table) Fill(score ScoreFunc) {
-	_ = fill(context.Background(), t.data, t.N, semiring.MaxPlusKernels(false), 0, score) // Background never cancels
+	_ = fill(context.Background(), t.data, t.N, semiring.MaxPlusKernels(true), 0, score) // Background never cancels
 }
 
 // Build fills a fresh table sequentially. O(n³) time, O(n²) space.
@@ -155,7 +122,7 @@ func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, pfor Para
 	// Allocate only after the initial ctx check: an already-cancelled
 	// request must not pay for (or retain) an O(n²) table.
 	t := NewTable(n)
-	k := semiring.MaxPlusKernels(false)
+	k := semiring.MaxPlusKernels(true)
 	var err error
 	if pfor == nil || n < SequentialCutoff {
 		err = fill(ctx, t.data, n, k, 0, score)

@@ -89,8 +89,9 @@ func differentialScores(seq rna.Sequence) map[string]ScoreFunc {
 func TestStreamedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kernels := map[string]semiring.Kernels[float32]{
-		semiring.MaxPlusKernels(false).Impl: semiring.MaxPlusKernels(false), // avx2 where the process has it
-		"go":                                semiring.MaxPlusKernelsGo(false),
+		semiring.MaxPlusKernels(true).Impl: semiring.MaxPlusKernels(true), // what Build binds: avx2 where the process has it
+		"go":                               semiring.MaxPlusKernelsGo(false),
+		"go-unrolled":                      semiring.MaxPlusKernelsGo(true), // what Build binds elsewhere
 	}
 	// The scaled partition substrate's fill: Boltzmann factors damped by
 	// e^{-σ} per nucleotide under its first-pass σ, inexact products throughout.

@@ -117,11 +117,11 @@ const maxIntegerWeight = 1 << 20
 
 // IntegerBounded reports whether every allowed (non-forbidden) pair weight
 // is a small non-negative integer and, if so, the largest such weight. This
-// is the capability the Four-Russians substrate solver keys on: with
-// integer weights in [0, max], adjacent cells of a folding table differ by
-// an integer step in that same range, which is exactly what its difference
-// encoding tabulates. Forbidden entries (NegInf) don't count; an
-// all-forbidden model is integer-bounded with max 0.
+// is the capability the Four-Russians comparator package
+// keys on: with integer weights in [0, max], adjacent cells of a folding
+// table differ by an integer step in that same range, which is exactly what
+// its difference encoding tabulates. Forbidden entries (NegInf) don't count;
+// an all-forbidden model is integer-bounded with max 0.
 func (m Model) IntegerBounded() (max int, ok bool) {
 	for a := 0; a < 4; a++ {
 		for b := 0; b < 4; b++ {

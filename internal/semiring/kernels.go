@@ -18,11 +18,10 @@ type Scalar interface {
 // shapes the optimized solver consumes. The paper's whole optimization
 // story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
 // Kernels value supplies that update (Accum), a whole k2 loop of such
-// updates into one row (Sweep), the register-tiled dual-row variant
-// (AccumDual), the row initializer dst[j] = a ⊗ x[j] (MulInto), and the
-// scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul). Generic
-// callers must take ⊗ from here, never from native `+`: the sum-product
-// instance multiplies.
+// updates into one row (Sweep), the row initializer dst[j] = a ⊗ x[j]
+// (MulInto), and the scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul).
+// Generic callers must take ⊗ from here, never from native `+`: the
+// sum-product instance multiplies.
 //
 // Tie-breaking contract: Add(candidate, accumulator) must return the
 // accumulator when the two compare equal, mirroring the specialized
@@ -49,8 +48,6 @@ type Kernels[T Scalar] struct {
 	// It is the schedules' one k2 stream loop — R0 with b the south triangle,
 	// R1 with b the triangle being finalized.
 	Sweep func(y, a, b []T, off []int, k0, k1, n int)
-	// AccumDual applies one shared x stream to two destination rows.
-	AccumDual func(y1, y2, x []T, a1, a2 T)
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
 }
@@ -67,7 +64,7 @@ var (
 
 // sweepOver builds a bundle's Sweep from its Accum, one call per k2: the
 // form of the two bundles package maxplus has no Sweep body for, log-sum-exp
-// and the unrolled max-plus ablation.
+// and the 8-way unrolled max-plus loops (the portable build's fill).
 func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, n int) {
 	return func(y, a, b []T, off []int, k0, k1, n int) {
 		for k2 := k0; k2 < k1; k2++ {
@@ -79,16 +76,17 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 
 // MaxPlusKernels returns the tropical float32 kernel set backed by package
 // maxplus: its AVX2 bodies where the process has them (maxplus.Impl), else
-// MaxPlusKernelsGo. unroll selects the 8-way unrolled streaming kernel
-// (Config.Unroll), a distinction only the Go bodies have: with the vector
-// bodies active both settings run the same code.
+// MaxPlusKernelsGo. unroll selects the 8-way unrolled streaming kernel, a
+// distinction only the Go bodies have: with the vector bodies active both
+// settings run the same code. Both fills (internal/bpmax, internal/nussinov)
+// pass true (the unrolled loop is the faster portable body); the parameter
+// survives for the plain-loop oracle and the repository benchmark's probe.
 func MaxPlusKernels(unroll bool) Kernels[float32] {
 	k := MaxPlusKernelsGo(unroll)
 	if impl := maxplus.Impl(); impl != "go" {
 		k.Impl = impl
 		k.Accum = maxplus.Accumulate
 		k.Sweep = maxplus.Sweep
-		k.AccumDual = maxplus.AccumulateDual
 		k.MulInto = maxplus.AddScalarInto
 	}
 	return k
@@ -117,11 +115,10 @@ func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []floa
 			}
 			return b
 		},
-		Mul:       func(a, b float32) float32 { return a + b },
-		Accum:     acc,
-		Sweep:     sweep,
-		AccumDual: maxplus.AccumulateDualGo,
-		MulInto:   maxplus.AddScalarIntoGo,
+		Mul:     func(a, b float32) float32 { return a + b },
+		Accum:   acc,
+		Sweep:   sweep,
+		MulInto: maxplus.AddScalarIntoGo,
 	}
 }
 
@@ -168,23 +165,6 @@ func newLogSumExp() Kernels[float64] {
 		Mul:   func(a, b float64) float64 { return a + b },
 		Accum: accum,
 		Sweep: sweepOver(accum),
-		AccumDual: func(y1, y2, x []float64, a1, a2 float64) {
-			n := len(x)
-			if len(y1) < n {
-				n = len(y1)
-			}
-			if len(y2) < n {
-				n = len(y2)
-			}
-			x = x[:n]
-			y1 = y1[:n]
-			y2 = y2[:n]
-			for i := range x {
-				v := x[i]
-				y1[i] = lse(a1+v, y1[i])
-				y2[i] = lse(a2+v, y2[i])
-			}
-		},
 		MulInto: func(dst, x []float64, a float64) {
 			n := len(dst)
 			if len(x) < n {
@@ -232,14 +212,13 @@ func SumProductKernelsGo() Kernels[float64] { return sumProductGo }
 
 func newSumProductGo() Kernels[float64] {
 	return Kernels[float64]{
-		Impl:      "go",
-		Zero:      0,
-		One:       1,
-		Add:       func(a, b float64) float64 { return a + b },
-		Mul:       func(a, b float64) float64 { return a * b },
-		Accum:     maxplus.SumProductGo,
-		Sweep:     maxplus.SumProductSweepGo,
-		AccumDual: maxplus.SumProductDualGo,
-		MulInto:   maxplus.MulScalarIntoGo,
+		Impl:    "go",
+		Zero:    0,
+		One:     1,
+		Add:     func(a, b float64) float64 { return a + b },
+		Mul:     func(a, b float64) float64 { return a * b },
+		Accum:   maxplus.SumProductGo,
+		Sweep:   maxplus.SumProductSweepGo,
+		MulInto: maxplus.MulScalarIntoGo,
 	}
 }

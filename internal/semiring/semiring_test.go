@@ -253,16 +253,11 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 	}
 	acc := append([]T(nil), y0...)
 	k.Accum(acc, x, a1)
-	d1, d2 := append([]T(nil), y0...), append([]T(nil), y0...)
-	k.AccumDual(d1, d2, x, a1, a2)
 	into := make([]T, len(x))
 	k.MulInto(into, x, a1)
 	for i, v := range x {
-		if want := k.Add(k.Mul(a1, v), y0[i]); acc[i] != want || d1[i] != want {
-			t.Errorf("%s: Accum[%d] = %v, AccumDual = %v, want %v", name, i, acc[i], d1[i], want)
-		}
-		if want := k.Add(k.Mul(a2, v), y0[i]); d2[i] != want {
-			t.Errorf("%s: AccumDual second row [%d] = %v, want %v", name, i, d2[i], want)
+		if want := k.Add(k.Mul(a1, v), y0[i]); acc[i] != want {
+			t.Errorf("%s: Accum[%d] = %v, want %v", name, i, acc[i], want)
 		}
 		if want := k.Mul(a1, v); into[i] != want {
 			t.Errorf("%s: MulInto[%d] = %v, want %v", name, i, into[i], want)

@@ -51,7 +51,6 @@ import (
 
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
 	"github.com/bpmax-go/bpmax/internal/fault"
-	"github.com/bpmax-go/bpmax/internal/fourrussians"
 	imetrics "github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/pipeline"
@@ -73,13 +72,8 @@ type request struct {
 	sp   score.Params
 	v    ibpmax.Variant
 	verr error
-	// salgo is the resolved substrate algorithm (aerr names an unknown
-	// WithSubstrateAlgorithm value); subMax/subInt cache the model's
-	// IntegerBounded capability, which a forced Four-Russians build needs.
-	salgo  nussinov.Algo
-	aerr   error
-	subMax int
-	subInt bool
+	// aerr names an unknown WithSubstrateAlgorithm value.
+	aerr error
 	// algErr names an unknown WithAlgebra value or an invalid WithKT; the
 	// resolved algebra and kT themselves live in the embedded options
 	// (buildOptions normalizes the defaults in).
@@ -508,19 +502,16 @@ func (rq request) newProblem(res *Result, seq1, seq2 string) error {
 	if err := fault.Hit(fault.SiteSubstrate); err != nil {
 		return err
 	}
-	// Substrate keys carry no algorithm component on purpose: every
-	// algorithm produces bit-identical tables (see WithSubstrateAlgorithm),
-	// so a table built by either fill serves requests asking for any. A
-	// cached table installed on a pooled problem is read-only; the problem
-	// parks its own storage and restores it on reuse.
+	// A cached table installed on a pooled problem is read-only; the
+	// problem parks its own storage and restores it on reuse.
 	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq1, func(retain bool) (*nussinov.Table, error) {
-		p.BuildS1Algo(rq.salgo)
+		p.BuildS1()
 		return rq.retainable(p.S1, retain), nil
 	}); hit {
 		p.ShareS1(t)
 	}
 	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq2, func(retain bool) (*nussinov.Table, error) {
-		p.BuildS2Algo(rq.salgo)
+		p.BuildS2()
 		return rq.retainable(p.S2, retain), nil
 	}); hit {
 		p.ShareS2(t)
@@ -693,9 +684,7 @@ func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est in
 // substrate cache when possible — it is the same table an interaction fold
 // builds for that strand, so single folds and screens share entries (cached
 // tables are read-only; traceback only reads them). A miss builds it on the
-// request's parallel runtime with the row-streamed fill — or, when the
-// request names it, the Four-Russians one; same cancellation contract,
-// bit-identical tables.
+// request's parallel runtime with the row-streamed fill.
 func (rq request) single(ctx context.Context, seq string) (*SingleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
@@ -713,9 +702,6 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	t, hit, err := sharedTable(rq, keySubstrate, s, func(bool) (*nussinov.Table, error) {
 		cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
 		defer release()
-		if fourrussians.Pick(rq.salgo, rq.subMax, rq.subInt) {
-			return fourrussians.BuildParallelContext(ctx, n, sc, rq.subMax, cfg.ParallelFor())
-		}
 		return nussinov.BuildParallelContext(ctx, n, sc, cfg.ParallelFor())
 	})
 	if hit {

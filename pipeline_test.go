@@ -3,6 +3,7 @@ package bpmax
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -361,7 +362,9 @@ func TestSubstrateCacheZeroAllocSteadyState(t *testing.T) {
 	// either variant.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := func(extra ...Option) float64 {
+	// run measures single cycles and returns their mean allocation count
+	// with the standard error of that mean.
+	run := func(extra ...Option) (mean, sem float64) {
 		e := NewEngine(2)
 		defer e.Close()
 		opts := append([]Option{WithEngine(e), WithPool(NewPool()), WithWorkers(2)}, extra...)
@@ -373,15 +376,28 @@ func TestSubstrateCacheZeroAllocSteadyState(t *testing.T) {
 			res.Release()
 		}
 		cycle() // warm the pool (and the cache, when present)
-		return testing.AllocsPerRun(50, cycle)
+		const cycles = 50
+		var sum, squares float64
+		for range cycles {
+			a := testing.AllocsPerRun(1, cycle)
+			sum += a
+			squares += a * a
+		}
+		mean = sum / cycles
+		return mean, math.Sqrt(max(squares/cycles-mean*mean, 0) / cycles)
 	}
-	off := run()
-	on := run(WithCache(NewCache(CacheConfig{DisableResults: true})))
-	// One alloc of absolute slack: under -race an occasional stray
-	// allocation (sync.Pool victim-cache refill, GC timing) lands inside
-	// the measured window. Same policy as benchgate's zero-alloc gates.
-	if on > off+1 {
-		t.Errorf("substrate-cached allocs/op = %v, uncached = %v; a cache hit must not allocate", on, off)
+	off, offSEM := run()
+	on, onSEM := run(WithCache(NewCache(CacheConfig{DisableResults: true})))
+	// One alloc of absolute slack for an occasional stray (sync.Pool
+	// victim-cache refill, GC timing; same policy as benchgate's zero-alloc
+	// gates), plus four standard errors of the difference. A normal build
+	// reads the same count every cycle, so the second term is zero there.
+	// Under -race sync.Pool drops a quarter of its Puts and a cycle reads
+	// anywhere from 4 to 45 allocations on either side; the term is then a
+	// few allocations, which is all that build can resolve.
+	slack := 1 + 4*math.Hypot(offSEM, onSEM)
+	if on > off+slack {
+		t.Errorf("substrate-cached allocs/op = %.2f, uncached = %.2f (slack %.2f); a cache hit must not allocate", on, off, slack)
 	}
 }
 

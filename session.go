@@ -18,6 +18,7 @@
 package bpmax
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -67,15 +68,16 @@ type SessionStats struct {
 }
 
 // NewSession parses opts once and returns a ready session. An unknown
-// variant fails here, not on first use. When opts carry no WithEngine, the
-// session starts an engine sized by WithWorkers (GOMAXPROCS by default) and
-// closes it on shutdown; when they carry no WithPool, it creates a pool and
-// trims it on shutdown. Caller-supplied components are used but never
-// closed or trimmed by the session.
+// variant, substrate algorithm or algebra, or an invalid kT, fails here, not
+// on first use. When opts carry no WithEngine, the session starts an engine
+// sized by WithWorkers (GOMAXPROCS by default) and closes it on shutdown;
+// when they carry no WithPool, it creates a pool and trims it on shutdown.
+// Caller-supplied components are used but never closed or trimmed by the
+// session.
 func NewSession(opts ...Option) (*Session, error) {
 	rq := buildOptions(opts)
-	if rq.verr != nil {
-		return nil, rq.verr
+	if err := cmp.Or(rq.verr, rq.aerr, rq.algErr); err != nil {
+		return nil, err
 	}
 	s := &Session{opts: append([]Option(nil), opts...)}
 	if rq.engine == nil {

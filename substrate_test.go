@@ -8,21 +8,21 @@ import (
 	"github.com/bpmax-go/bpmax/internal/rna"
 )
 
-// substrateAlgorithms enumerates every public substrate choice.
-var substrateAlgorithms = []SubstrateAlgorithm{SubstrateAuto, SubstrateClassic, SubstrateFourRussians}
+// substrateAlgorithms enumerates every accepted substrate name.
+var substrateAlgorithms = []SubstrateAlgorithm{"", SubstrateAuto, SubstrateClassic}
 
 // TestSubstrateAlgorithmFoldParity pins the public contract of
-// WithSubstrateAlgorithm: every choice yields the same score and the same
-// traceback on an interaction fold, for integer and non-integer models
-// alike (the latter gets the streamed fill whatever was asked).
+// WithSubstrateAlgorithm: every accepted name yields the same score and the
+// same traceback on an interaction fold, for integer and non-integer models
+// alike.
 func TestSubstrateAlgorithmFoldParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	seq1 := rna.Random(rng, 8).String()
-	seq2 := rna.Random(rng, 256).String() // long enough for Four-Russians blocks of q = 4
+	seq2 := rna.Random(rng, 256).String()
 	weights := []Weights{
-		{},                           // basepair: integer-bounded
-		{Unit: true},                 // unit: integer-bounded
-		{GC: 2.5, AU: 1.25, GU: 0.5}, // fractional: the streamed fill everywhere
+		{},                           // basepair
+		{Unit: true},                 // unit
+		{GC: 2.5, AU: 1.25, GU: 0.5}, // fractional
 	}
 	for _, w := range weights {
 		base, err := Fold(seq1, seq2, WithWeights(w), WithSubstrateAlgorithm(SubstrateClassic))
@@ -66,15 +66,15 @@ func TestSubstrateAlgorithmSingleParity(t *testing.T) {
 	}
 }
 
-// TestSubstrateAlgorithmCacheSharing folds with one algorithm, then serves
-// the substrate from cache under another: bit-identical tables mean the
-// cache key carries no algorithm component, so entries must be shared.
+// TestSubstrateAlgorithmCacheSharing folds under one substrate name, then
+// serves the substrate from cache under the other: the cache key carries no
+// algorithm component, so entries must be shared.
 func TestSubstrateAlgorithmCacheSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	seq1 := rna.Random(rng, 8).String()
 	seq2 := rna.Random(rng, 220).String()
 	c := NewCache(CacheConfig{DisableResults: true})
-	cold, err := Fold(seq1, seq2, WithCache(c), WithSubstrateAlgorithm(SubstrateFourRussians))
+	cold, err := Fold(seq1, seq2, WithCache(c), WithSubstrateAlgorithm(SubstrateAuto))
 	if err != nil {
 		t.Fatalf("cold fold: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestSubstrateAlgorithmCacheSharing(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.SubstrateHits == 0 {
-		t.Fatalf("classic request missed substrates built by four-russians: %+v", st)
+		t.Fatalf("classic request missed substrates built under auto: %+v", st)
 	}
 }
 
@@ -103,5 +103,30 @@ func TestSubstrateAlgorithmUnknown(t *testing.T) {
 	}
 	if _, err := ScanWindowed("GGGAAACCC", "GGGUUUCCC", 4, 4, bad); err == nil || !strings.Contains(err.Error(), "unknown substrate algorithm") {
 		t.Fatalf("ScanWindowed err = %v", err)
+	}
+}
+
+// TestSessionRejectsBadServingOptions: a substrate, algebra or kT no fold
+// could run with fails construction — a server must refuse to boot on it, not
+// answer every request with the option error. The retired Four-Russians
+// names are unknown names like any other, and the error says what is
+// accepted.
+func TestSessionRejectsBadServingOptions(t *testing.T) {
+	for _, name := range []SubstrateAlgorithm{"four-russians", "4r", "quantum"} {
+		_, err := NewSession(WithSubstrateAlgorithm(name))
+		if err == nil {
+			t.Fatalf("NewSession accepted substrate %q", name)
+		}
+		for _, want := range []string{string(name), `"auto"`, `"classic"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("substrate %q: error %q does not name %s", name, err, want)
+			}
+		}
+	}
+	if _, err := NewSession(WithAlgebra("bogus")); err == nil || !strings.Contains(err.Error(), "unknown algebra") {
+		t.Errorf("NewSession(WithAlgebra(bogus)) err = %v", err)
+	}
+	if _, err := NewSession(WithAlgebra(AlgebraPartition), WithKT(-1)); err == nil || !strings.Contains(err.Error(), "kT") {
+		t.Errorf("NewSession(partition, kT=-1) err = %v", err)
 	}
 }
