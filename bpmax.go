@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
@@ -343,8 +344,18 @@ type Result struct {
 	// its own number domain; SubLogZ converts on read.
 	ft64 *ibpmax.FTableOf[float64]
 	ps   *ibpmax.PartitionSub
-	st   *Structure
+	// st memoizes the traceback. A result-cache master allocates it, so every
+	// copy adoptCached hands out shares the one cell; any other result gets
+	// its own on first use.
+	st   *tracedStructure
 	pool *Pool
+}
+
+// tracedStructure is a traceback run at most once, whichever of the results
+// sharing it asks first — concurrently, for copies of a cached master.
+type tracedStructure struct {
+	once sync.Once
+	st   *Structure
 }
 
 // requireMaxPlus guards the accessors whose meaning exists only in the
@@ -417,17 +428,24 @@ func (r *Result) SingleScore2(i, j int) float32 { return r.prob.S2.At(i, j) }
 
 // Structure recovers one optimal joint structure by traceback (computed
 // once and cached): of the whole pair, or, on a fold that degraded to a
-// windowed scan, of the best in-window interaction.
+// windowed scan, of the best in-window interaction. On a result served
+// through WithCache's result layer the traceback runs once per retained
+// master, not once per hit: every copy returns the same *Structure, shared
+// with concurrent callers and valid after Release — treat it as read-only.
 func (r *Result) Structure() *Structure {
 	r.requireMaxPlus("Structure")
 	if r.st == nil {
+		r.st = &tracedStructure{}
+	}
+	c := r.st
+	c.once.Do(func() {
 		i1, j1, i2, j2 := 0, r.N1-1, 0, r.N2-1
 		if w := r.Window; w != nil {
 			i1, j1, i2, j2 = w.I1, w.J1, w.I2, w.J2
 		}
-		r.st = structureFrom(r.prob, r.ft, i1, j1, i2, j2)
-	}
-	return r.st
+		c.st = structureFrom(r.prob, r.ft, i1, j1, i2, j2)
+	})
+	return c.st
 }
 
 // structureFrom traces stored cell (i1, j1, i2, j2) of a filled table back

@@ -40,7 +40,6 @@ import (
 // serving paths are safe for concurrent use.
 type Cache struct {
 	c        *pipeline.Cache
-	subsOff  bool
 	resOff   bool
 	maxBytes int64
 	// breaker is the result layer's per-key circuit breaker (nil when
@@ -59,8 +58,6 @@ type CacheConfig struct {
 	// MaxBytes caps the retained cost of cached entries; least-recently-used
 	// entries are evicted beyond it. 0 means unlimited.
 	MaxBytes int64
-	// DisableSubstrates turns off the per-strand S-table layer.
-	DisableSubstrates bool
 	// DisableResults turns off the whole-result layer (and with it
 	// single-flight deduplication).
 	DisableResults bool
@@ -79,7 +76,6 @@ type CacheConfig struct {
 func NewCache(cfg CacheConfig) *Cache {
 	c := &Cache{
 		c:        pipeline.NewCache(cfg.MaxBytes),
-		subsOff:  cfg.DisableSubstrates,
 		resOff:   cfg.DisableResults,
 		maxBytes: cfg.MaxBytes,
 	}
@@ -145,9 +141,6 @@ func (c *Cache) noteShared(k pipeline.Key, err error) {
 		c.breaker.Failure(k)
 	}
 }
-
-// substratesOn reports whether the S-table layer serves requests.
-func (c *Cache) substratesOn() bool { return !c.subsOff }
 
 // resultsOn reports whether the whole-result layer serves requests.
 func (c *Cache) resultsOn() bool { return !c.resOff }

@@ -73,6 +73,20 @@ run_lint() (
         echo "lint: a column walk over the S table outside the reference oracle (a second per-cell fill growing back)" >&2
         exit 1
     fi
+    # One substrate stage: one single-strand table type (Table is an alias of
+    # GTable[float32]) and one build call, FillContext, which alone chooses
+    # between the inline and the tiled fill. A second table struct, or the
+    # cutoff or the tiled body named outside the package, is a second build
+    # path — with its own cancellation and engine discipline — growing back.
+    if [ "$(cat $(ls internal/nussinov/*.go | grep -v '_test\.go$') | grep -c -E '^type [A-Za-z]*Table[^=]* struct')" != 1 ]; then
+        echo "lint: internal/nussinov must declare exactly one table struct (GTable; Table = GTable[float32])" >&2
+        exit 1
+    fi
+    if grep -rn --include='*.go' -e 'SequentialCutoff' -e 'fillTiled' . |
+        grep -v -e '_test\.go:' -e '^\./internal/nussinov/'; then
+        echo "lint: the inline-vs-tiled choice named outside internal/nussinov (call FillContext; it chooses)" >&2
+        exit 1
+    fi
     # No user-selected slow path. The Four-Russians tabulation lost to the
     # streamed fill at every size: what is left of it is a comparator for the
     # repository benchmark's probes and the substrate parity fuzzer, and an
@@ -182,8 +196,9 @@ run_fuzz() (
     # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
     # pins every schedule, on the full table and on a band of it, bit-identical
     # to the top-down reference and the scaled partition fill to its log-domain
-    # oracle, the substrate bit-identity fuzzer that holds every single-strand
-    # fill (streamed on both kernel bodies, tiled) and the Four-Russians
+    # oracle, the substrate bit-identity fuzzer that holds every form of the
+    # one single-strand fill (streamed on both kernel bodies, into a pooled
+    # table's Reset storage, tiled by FillContext) and the Four-Russians
     # comparator to the per-cell reference, and the two input fuzzers (raw
     # sequences, FASTA round trip).
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .

@@ -529,11 +529,12 @@ func TestRunEndToEnd(t *testing.T) {
 	drain()
 }
 
-// TestRunRefusesBadServingOptions: a -substrate name no fold could run with
-// is a boot failure, before the listener exists — not a healthy server that
-// answers every request with 400.
+// TestRunRefusesBadServingOptions: a schedule name no fold could run with
+// (refused by NewSession) or the retired -substrate flag (refused by the flag
+// parser) is a boot failure, before the listener exists — not a healthy
+// server that answers every request with 400.
 func TestRunRefusesBadServingOptions(t *testing.T) {
-	for _, args := range [][]string{{"-substrate", "4r"}, {"-substrate", "four-russians"}} {
+	for _, args := range [][]string{{"-variant", "bogus"}, {"-substrate", "4r"}} {
 		addrFile := filepath.Join(t.TempDir(), "addr")
 		// A server that did boot would serve until the deadline and drain
 		// with a nil error.

@@ -195,14 +195,15 @@ func (c Config) ScopedEngine(width int) (scoped Config, release func()) {
 	return c, c.Engine.Close
 }
 
-// ParallelFor binds the configured runtime and width into the plain loop the
-// substrate builder takes (nussinov.BuildParallelContext), so a
-// single-strand build runs under the same Engine cap, failpoints and panic
-// recovery as the interaction fill. Width 1 returns nil — the builder's
-// inline fill.
-func (c Config) ParallelFor() nussinov.ParallelFor {
+// ParallelFor binds the configured runtime and width into the plain loop
+// nussinov's FillContext takes, so a substrate build of an n-position table
+// runs under the same Engine cap, failpoints and panic recovery as the
+// interaction fill. It returns nil — the inline fill — at width 1 and for a
+// table FillContext would not tile anyway: the binding is a closure, and a
+// steady-state pooled fold of short strands must not allocate one.
+func (c Config) ParallelFor(n int) nussinov.ParallelFor {
 	w := resolveWorkers(c.Workers)
-	if w == 1 {
+	if w == 1 || !nussinov.Tiled(n) {
 		return nil
 	}
 	pf := c.pforCtx()

@@ -48,10 +48,6 @@ func BPMaxFlops(n1, n2 int) int64 {
 	return 2*r + 8*CellElements(n1, n2)
 }
 
-// NussinovFlops returns the FLOP count of one S-table build: the split
-// reduction at 2 FLOPs per element plus 6 per-cell candidate FLOPs.
-func NussinovFlops(n int) int64 { return 2*triples(n) + 6*pairs(n) }
-
 // measureR0Elements counts double max-plus elements by brute-force loop
 // enumeration; it exists to validate R0Elements in tests at small sizes.
 func measureR0Elements(n1, n2 int) int64 {

@@ -115,9 +115,9 @@ func (s *PartitionS) logData() []float64 {
 // whose max-plus S table must already be in place: it supplies the first
 // scale guess. The fill is the float64 instantiation of the row-streamed
 // substrate fill, O(n³) like any substrate fill, which is why it takes a
-// context. The scaled build runs first; if its guard trips the strand is
-// rebuilt in the log domain.
-func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64) (*PartitionS, error) {
+// context and cfg's parallel runtime, exactly as BuildS does. The scaled build
+// runs first; if its guard trips the strand is rebuilt in the log domain.
+func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64, cfg Config) (*PartitionS, error) {
 	if err := checkKT(kT); err != nil {
 		return nil, err
 	}
@@ -125,12 +125,14 @@ func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64) (*
 	if strand == 2 {
 		n, intra, mfe = p.N2, p.Tab.Intra2, p.S2.At(0, p.N2-1)
 	}
-	if s, err := buildScaledS(ctx, n, intra, mfe, kT); s != nil || err != nil {
+	pfor := cfg.ParallelFor(n)
+	if s, err := buildScaledS(ctx, n, intra, mfe, kT, pfor); s != nil || err != nil {
 		return s, err
 	}
-	t, err := nussinov.BuildGContext(ctx, n, semiring.LogSumExpKernels(), func(i, j int) float64 {
+	t, lse := nussinov.NewGTable[float64](n), semiring.LogSumExpKernels()
+	err := t.FillContext(ctx, lse, lse.One, func(i, j int) float64 {
 		return scalePartition(intra[i*n+j], kT)
-	})
+	}, pfor)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +145,7 @@ func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64) (*
 // which centres the table (the whole strand's cell becomes 1) however far
 // off the guess was. It returns (nil, nil) when a pair factor or a cell,
 // before or after the rescale, left the guard window.
-func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, kT float64) (*PartitionS, error) {
+func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, kT float64, pfor nussinov.ParallelFor) (*PartitionS, error) {
 	sig0 := float64(mfe)/(kT*float64(n)) + sigmaEntropy
 	inWindow := true
 	t := nussinov.NewGTable[float64](n)
@@ -151,7 +153,7 @@ func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, 
 		f, ok := boltzmann(intra[i*n+j], kT, 2*sig0)
 		inWindow = inWindow && ok
 		return f
-	})
+	}, pfor)
 	if err != nil {
 		return nil, err
 	}
@@ -319,13 +321,14 @@ func (ps *PartitionSub) logAlg(p *Problem) alg[float64] {
 	return ps.logA
 }
 
-// BuildPartitionSub is both single-strand fills plus NewPartitionSub.
+// BuildPartitionSub is both single-strand fills, inline on the calling
+// goroutine, plus NewPartitionSub.
 func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionSub, error) {
-	s1, err := BuildPartitionS(ctx, p, 1, kT)
+	s1, err := BuildPartitionS(ctx, p, 1, kT, Config{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	s2, err := BuildPartitionS(ctx, p, 2, kT)
+	s2, err := BuildPartitionS(ctx, p, 2, kT, Config{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

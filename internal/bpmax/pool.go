@@ -86,45 +86,44 @@ func (pl *Pool) NewProblem(seq1, seq2 string, params score.Params) (*Problem, er
 	if err != nil {
 		return nil, err
 	}
-	p.BuildS1()
-	p.BuildS2()
+	p.buildS()
 	return p, nil
 }
 
 // NewProblemShell is NewProblem without the two O(n³) Nussinov fills; the
-// caller follows up with BuildS1/BuildS2 or installs cached tables via
-// ShareS1/ShareS2. A recycled shell that previously ran with shared cached
-// tables gets its own (parked) tables restored first, so a shared table is
-// never mutated by reuse.
+// caller follows up with BuildS1/BuildS2 or points S1/S2 at cached tables.
+// A recycled shell forgets the tables its last fold read — possibly a
+// cache's — and keeps only its own storage. A nil pool builds a fresh,
+// unpooled shell the same way.
 func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Problem, error) {
-	p, _ := pl.problems.Get().(*Problem)
-	count(&pl.problemHits, &pl.problemMisses, p != nil)
+	var p *Problem
+	if pl != nil {
+		p, _ = pl.problems.Get().(*Problem)
+		count(&pl.problemHits, &pl.problemMisses, p != nil)
+	}
 	if p == nil {
 		p = &Problem{}
 	}
-	p.restoreOwnTables()
+	p.pl = pl // from here an error exit hands the shell back with Release
+	p.S1, p.S2 = nil, nil
 	var err error
-	p.Seq1, p.seqBuf1, err = rna.NewInto(p.seqBuf1, seq1)
-	if err != nil {
-		pl.problems.Put(p)
+	if p.Seq1, p.seqBuf1, err = rna.NewInto(p.seqBuf1, seq1); err != nil {
+		p.Release()
 		return nil, &SequenceError{Index: 1, Err: err}
 	}
-	p.Seq2, p.seqBuf2, err = rna.NewInto(p.seqBuf2, seq2)
-	if err != nil {
-		pl.problems.Put(p)
+	if p.Seq2, p.seqBuf2, err = rna.NewInto(p.seqBuf2, seq2); err != nil {
+		p.Release()
 		return nil, &SequenceError{Index: 2, Err: err}
 	}
-	n1, n2 := p.Seq1.Len(), p.Seq2.Len()
-	if n1 == 0 || n2 == 0 {
-		pl.problems.Put(p)
-		return nil, fmt.Errorf("bpmax: both sequences must be non-empty (got %d and %d nt)", n1, n2)
+	p.N1, p.N2 = p.Seq1.Len(), p.Seq2.Len()
+	if p.N1 == 0 || p.N2 == 0 {
+		p.Release()
+		return nil, fmt.Errorf("bpmax: both sequences must be non-empty (got %d and %d nt)", p.N1, p.N2)
 	}
-	p.N1, p.N2 = n1, n2
 	if p.Tab == nil {
 		p.Tab = &score.Tables{}
 	}
 	score.BuildInto(p.Tab, p.Seq1, p.Seq2, params)
-	p.pl = pl
 	return p, nil
 }
 

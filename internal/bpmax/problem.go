@@ -1,11 +1,13 @@
 package bpmax
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
+	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
 // Problem bundles one BPMax instance: the two sequences, the precomputed
@@ -16,18 +18,16 @@ type Problem struct {
 	Seq1, Seq2 rna.Sequence
 	N1, N2     int
 	Tab        *score.Tables
-	S1, S2     *nussinov.Table
+	// S1, S2 are the tables the fill reads: the problem's own, or a substrate
+	// cache's shared read-only ones. OwnS1, OwnS2 are the storage the problem
+	// builds into and keeps across pooled reuse; only they are ever Reset.
+	S1, S2       *nussinov.Table
+	OwnS1, OwnS2 *nussinov.Table
 
 	// seqBuf1/seqBuf2 retain the sequence storage across pooled reuse; pl is
 	// the owning pool (nil for unpooled problems).
 	seqBuf1, seqBuf2 []rna.Base
 	pl               *Pool
-	// When the substrate cache installs a shared S table via ShareS1/ShareS2,
-	// the problem's own table parks in ownS1/ownS2 (sharedS1/sharedS2 set) so
-	// pooled reuse can restore it — the shared table is read-only and must
-	// never be Reset.
-	ownS1, ownS2       *nussinov.Table
-	sharedS1, sharedS2 bool
 }
 
 // Release returns a pooled problem's shell — with its retained sequence
@@ -43,78 +43,61 @@ func (p *Problem) Release() {
 	pl.problems.Put(p)
 }
 
-// NewProblem builds the scoring and S tables for a sequence pair. Both
-// sequences must be non-empty; the public API layer handles empty inputs by
-// degenerating to single-strand folding.
+// NewProblem builds the scoring and S tables for a sequence pair, the S
+// tables inline and uncancellable (the fold pipeline builds them itself,
+// under its request's context and engine). Both sequences must be
+// non-empty; the public API layer handles empty inputs by degenerating to
+// single-strand folding.
 func NewProblem(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) {
-	prob, err := NewProblemShell(seq1, seq2, p)
-	if err != nil {
-		return nil, err
-	}
-	prob.BuildS1()
-	prob.BuildS2()
-	return prob, nil
-}
-
-// NewProblemShell is NewProblem without the two O(n³) Nussinov fills: the
-// sequences and score tables are built, S1/S2 are left for BuildS1/BuildS2
-// or for the substrate cache to install via ShareS1/ShareS2.
-func NewProblemShell(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) {
 	n1, n2 := seq1.Len(), seq2.Len()
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("bpmax: both sequences must be non-empty (got %d and %d nt)", n1, n2)
 	}
-	return &Problem{
+	prob := &Problem{
 		Seq1: seq1, Seq2: seq2,
 		N1: n1, N2: n2,
 		Tab: score.Build(seq1, seq2, p),
-	}, nil
+	}
+	prob.buildS()
+	return prob, nil
+}
+
+// buildS fills S¹ and S² on the calling goroutine; a background context
+// never cancels, so neither build fails.
+func (p *Problem) buildS() {
+	_ = p.BuildS1(context.Background(), Config{Workers: 1})
+	_ = p.BuildS2(context.Background(), Config{Workers: 1})
 }
 
 // BuildS1 fills the S¹ single-strand table in the problem's own storage
-// (created or Reset as needed — bit-identical to a fresh nussinov.Build) with
-// the row-streamed fill.
-func (p *Problem) BuildS1() { buildS(&p.S1, p.N1, p.score1) }
-
-// BuildS2 fills the S² table; see BuildS1.
-func (p *Problem) BuildS2() { buildS(&p.S2, p.N2, p.score2) }
-
-func buildS(t **nussinov.Table, n int, sc nussinov.ScoreFunc) {
-	if *t == nil {
-		*t = &nussinov.Table{}
-	}
-	(*t).Reset(n)
-	(*t).Fill(sc)
+// (created or Reset as needed — bit-identical to a fresh nussinov.Build) and
+// installs it; see BuildS.
+func (p *Problem) BuildS1(ctx context.Context, cfg Config) (err error) {
+	p.OwnS1, err = BuildS(ctx, p.OwnS1, p.N1, p.Tab.Intra1, cfg)
+	p.S1 = p.OwnS1
+	return err
 }
 
-// ShareS1 installs a cached S¹ table. The table is shared and read-only;
-// the problem's own table (if any) parks until restoreOwnTables.
-func (p *Problem) ShareS1(t *nussinov.Table) {
-	if !p.sharedS1 {
-		p.ownS1 = p.S1
-	}
-	p.S1 = t
-	p.sharedS1 = true
+// BuildS2 fills and installs the S² table; see BuildS1.
+func (p *Problem) BuildS2(ctx context.Context, cfg Config) (err error) {
+	p.OwnS2, err = BuildS(ctx, p.OwnS2, p.N2, p.Tab.Intra2, cfg)
+	p.S2 = p.OwnS2
+	return err
 }
 
-// ShareS2 installs a cached S² table; see ShareS1.
-func (p *Problem) ShareS2(t *nussinov.Table) {
-	if !p.sharedS2 {
-		p.ownS2 = p.S2
+// BuildS is the build of every max-plus S table — an interaction fold's S¹
+// and S², a single strand's — from the strand's n×n pair weights: the
+// row-streamed fill into t (allocated when nil, Reset otherwise), stopping
+// within one row or tile wavefront of a cancelled ctx, on cfg's parallel
+// runtime where nussinov tiles the table. It returns the table it filled,
+// partially on an error.
+func BuildS(ctx context.Context, t *nussinov.Table, n int, intra []score.Value, cfg Config) (*nussinov.Table, error) {
+	if t == nil {
+		t = &nussinov.Table{}
 	}
-	p.S2 = t
-	p.sharedS2 = true
-}
-
-// restoreOwnTables swaps parked own S tables back in place of shared ones,
-// so pooled reuse never Resets (mutates) a table the cache handed out.
-func (p *Problem) restoreOwnTables() {
-	if p.sharedS1 {
-		p.S1, p.ownS1, p.sharedS1 = p.ownS1, nil, false
-	}
-	if p.sharedS2 {
-		p.S2, p.ownS2, p.sharedS2 = p.ownS2, nil, false
-	}
+	t.Reset(n)
+	sc := func(i, j int) float32 { return intra[i*n+j] }
+	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, sc, cfg.ParallelFor(n))
 }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).

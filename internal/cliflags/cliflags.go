@@ -1,9 +1,9 @@
 // Package cliflags is the one flag surface for the serving knobs shared by
-// the bpmax CLI and the bpmaxd network server: schedule variant, substrate
-// algorithm, tiling, memory budget and degradation, pool reuse, cache,
-// admission control, retry policy and failpoint arming. Both binaries
-// register the same Serving struct, so a knob added here appears in both
-// with identical names, defaults and parsing — the two cannot drift.
+// the bpmax CLI and the bpmaxd network server: schedule variant, tiling,
+// memory budget and degradation, pool reuse, cache, admission control,
+// retry policy and failpoint arming. Both binaries register the same Serving
+// struct, so a knob added here appears in both with identical names,
+// defaults and parsing — the two cannot drift.
 package cliflags
 
 import (
@@ -21,14 +21,13 @@ import (
 // per-binary defaults, then Register it on the binary's FlagSet and Build
 // after parsing.
 type Serving struct {
-	Variant   string
-	Substrate string
-	Workers   int
-	TileI     int
-	TileK     int
-	TileJ     int
-	Unit      bool
-	Packed    bool
+	Variant string
+	Workers int
+	TileI   int
+	TileK   int
+	TileJ   int
+	Unit    bool
+	Packed  bool
 
 	MemLimit      string
 	DegradeWindow int
@@ -42,13 +41,9 @@ type Serving struct {
 }
 
 // NewServing returns a Serving pre-filled with the canonical defaults the
-// bpmax CLI has always used (everything off, hybrid-tiled schedule, auto
-// substrate).
+// bpmax CLI has always used (everything off, hybrid-tiled schedule).
 func NewServing() *Serving {
-	return &Serving{
-		Variant:   string(bpmax.HybridTiled),
-		Substrate: "auto",
-	}
+	return &Serving{Variant: string(bpmax.HybridTiled)}
 }
 
 // Register declares every shared flag on fs, using the Serving's current
@@ -63,8 +58,6 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.TileK, "tile-k2", f.TileK, "k2 tile size (0 = default 16)")
 	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
 	fs.BoolVar(&f.Unit, "unit", f.Unit, "unweighted pair counting instead of GC=3/AU=2/GU=1")
-	fs.StringVar(&f.Substrate, "substrate", f.Substrate,
-		"substrate (Nussinov S-table) fill: auto or classic, both the row-streamed fill (the only one); any other name is refused")
 	fs.BoolVar(&f.Packed, "packed", f.Packed, "use the packed (quarter-space) memory map")
 	fs.StringVar(&f.MemLimit, "mem-limit", f.MemLimit,
 		"refuse folds whose table exceeds this size, e.g. 500MB or 2GB (empty = unlimited)")
@@ -112,9 +105,6 @@ func (f *Serving) Build() (*Components, error) {
 		bpmax.WithVariant(bpmax.Variant(f.Variant)),
 		bpmax.WithWorkers(f.Workers),
 		bpmax.WithTiles(f.TileI, f.TileK, f.TileJ),
-		// An unknown -substrate value is an option error: NewSession
-		// refuses it and every fold returns it before solving.
-		bpmax.WithSubstrateAlgorithm(bpmax.SubstrateAlgorithm(f.Substrate)),
 	}
 	if f.Unit {
 		c.Options = append(c.Options, bpmax.WithWeights(bpmax.Weights{Unit: true}))

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"testing"
 
 	"github.com/bpmax-go/bpmax"
@@ -82,20 +83,15 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestBuildSubstrateRejected: -substrate passes its value through unmapped —
-// the retired 4r alias is an unknown name, refused where the options are
-// first used: session construction, or the fold itself.
+// TestBuildSubstrateRejected: the substrate fill is not a serving knob — it
+// had one legal answer — so -substrate is an undefined flag, refused at parse
+// time by both binaries.
 func TestBuildSubstrateRejected(t *testing.T) {
-	c, err := parseServing(t, "-substrate", "4r")
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	defer c.Close()
-	if _, err := bpmax.NewSession(c.Options...); err == nil {
-		t.Error("NewSession accepted -substrate 4r")
-	}
-	if _, err := bpmax.Fold("GGGAAACCC", "GGGUUUCCC", c.Options...); err == nil {
-		t.Error("fold ran with -substrate 4r")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	NewServing().Register(fs)
+	if err := fs.Parse([]string{"-substrate", "auto"}); err == nil {
+		t.Error("-substrate is still a flag")
 	}
 }
 

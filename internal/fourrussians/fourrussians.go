@@ -188,7 +188,7 @@ type fillState struct {
 // the model's largest integer weight (from score.Model.IntegerBounded); the
 // result is bit-identical to nussinov.Build with the same ScoreFunc.
 func Build(n int, sc nussinov.ScoreFunc, maxStep int) *nussinov.Table {
-	t := nussinov.NewTable(n)
+	t := nussinov.NewGTable[float32](n)
 	fillQ(t, sc, maxStep, BlockSize(n, maxStep))
 	return t
 }

@@ -75,7 +75,7 @@ func TestParityExplicitBlockSizes(t *testing.T) {
 			for _, mc := range models(t) {
 				sc := scoreFor(seq, mc.m)
 				want := nussinov.Build(n, sc)
-				got := nussinov.NewTable(n)
+				got := nussinov.NewGTable[float32](n)
 				fillQ(got, sc, mc.maxStep, q)
 				requireIdentical(t, mc.m.Name(), got, want)
 			}

@@ -166,25 +166,6 @@ func DotMaxPlusStride(a, b []float32, stride int) float32 {
 	return best
 }
 
-// MulAddAccumulate performs y[i] += a * x[i] — the multiply-add analogue
-// of Accumulate. It exists for the related-work comparison: Varadarajan's
-// surrogate kernel (which the paper benchmarks its schedules against) used
-// multiply-add where BPMax uses max-plus; the two kernels share the exact
-// access pattern, so any performance difference isolates the ALU operation
-// mix ("a 1.5×-2× improvement over a similar kernel optimized
-// previously").
-func MulAddAccumulate(y, x []float32, a float32) {
-	n := len(y)
-	if len(x) < n {
-		n = len(x)
-	}
-	x = x[:n]
-	y = y[:n]
-	for i := range y {
-		y[i] += a * x[i]
-	}
-}
-
 // FlopsPerElement is the number of max-plus floating-point operations
 // (one add, one max) performed per element by Accumulate — the convention
 // the paper uses when converting element counts to GFLOPS.

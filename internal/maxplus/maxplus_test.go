@@ -182,34 +182,6 @@ func TestAccumulateCommutesWithOrder(t *testing.T) {
 	}
 }
 
-func TestMulAddAccumulate(t *testing.T) {
-	y := []float32{1, 2, 3}
-	MulAddAccumulate(y, []float32{10, 20, 30}, 2)
-	if !equalSlices(y, []float32{21, 42, 63}) {
-		t.Errorf("MulAddAccumulate = %v", y)
-	}
-	// Common-prefix semantics like the other kernels.
-	y2 := []float32{1, 1}
-	MulAddAccumulate(y2, []float32{5}, 1)
-	if !equalSlices(y2, []float32{6, 1}) {
-		t.Errorf("uneven MulAdd = %v", y2)
-	}
-}
-
-// BenchmarkMulAddAccumulate measures the multiply-add twin of the
-// streaming kernel (the Varadarajan-comparison data point).
-func BenchmarkMulAddAccumulate(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	x := randomSlice(rng, 4096)
-	y := randomSlice(rng, 4096)
-	b.SetBytes(4096 * 4 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddAccumulate(y, x, 1.0001)
-	}
-}
-
 func BenchmarkAccumulate(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))

@@ -13,11 +13,12 @@ import (
 
 // FuzzSubstrateParity is the bit-identity gate of every single-strand fill:
 // for arbitrary sequences and all three stock score models, the streamed
-// table (on the process's kernels and on the portable Go ones), the tiled
-// parallel table and the Four-Russians comparator's table (an independent
-// implementation of the recurrence, off the serving path) must equal the
-// per-cell reference's bit for bit, and a traceback over the streamed table
-// must reach the reference's total weight.
+// table (on the process's kernels and on the portable Go ones, in fresh
+// storage and in a pooled table's dirty storage after Reset), the table
+// FillContext tiles across workers and the Four-Russians comparator's table
+// (an independent implementation of the recurrence, off the serving path)
+// must equal the per-cell reference's bit for bit, and a traceback over the
+// streamed table must reach the reference's total weight.
 func FuzzSubstrateParity(f *testing.F) {
 	f.Add("GGGAAACCC")
 	f.Add("GCGC")
@@ -42,14 +43,27 @@ func FuzzSubstrateParity(f *testing.F) {
 			sc := func(i, j int) float32 { return m.Pair(seq.At(i), seq.At(j)) }
 			want := nussinov.ReferenceBuild(n, sc)
 			streamed := nussinov.Build(n, sc)
-			tiled, err := nussinov.BuildTiled(context.Background(), n, 16, semiring.MaxPlusKernels(false), sc, nussinov.ForkJoin(2))
+			// FillContext's tiled form, at a cutoff and tile edge a fuzzed
+			// strand reaches.
+			tiled, err := nussinov.BuildTiled(context.Background(), n, 16, 0, semiring.MaxPlusKernels(false), sc, nussinov.ForkJoin(2))
 			if err != nil {
 				t.Fatalf("%s: tiled build: %v", m.Name(), err)
 			}
+			// A pooled problem's table: larger storage full of another fold's
+			// cells, Reset to this strand and filled in place.
+			pooled := nussinov.NewGTable[float32](n + 5)
+			for i := range pooled.Data() {
+				pooled.Data()[i] = float32(i%7) - 3
+			}
+			pooled.Reset(n)
+			if err := pooled.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, nil); err != nil {
+				t.Fatalf("%s: pooled fill: %v", m.Name(), err)
+			}
 			subjects := map[string]*nussinov.Table{
 				"streamed":      streamed,
-				"streamed-go":   nussinov.BuildWith(n, semiring.MaxPlusKernelsGo(false), sc),
+				"streamed-go":   nussinov.BuildG(n, semiring.MaxPlusKernelsGo(false), sc),
 				"tiled":         tiled,
+				"pooled":        pooled,
 				"four-russians": fourrussians.Build(n, sc, maxStep),
 			}
 			wd := want.Data()

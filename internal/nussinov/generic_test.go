@@ -24,25 +24,6 @@ func randScore(seed int64, n int) ScoreFunc {
 	return func(i, j int) float32 { return w[i*n+j] }
 }
 
-// TestGTableMaxPlusParity pins the generic fill to the concrete one: the
-// float32 max-plus instantiation of GTable must be bitwise identical to
-// Table.Fill on every cell — same candidate order, same tie-breaks.
-func TestGTableMaxPlusParity(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		n := int(seed)*3 + 1 // 1..22, crossing the unrolled-kernel sizes
-		score := randScore(seed, n)
-		want := Build(n, score)
-		got := BuildG(n, semiring.MaxPlusKernels(false), func(i, j int) float32 { return score(i, j) })
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				if want.At(i, j) != got.At(i, j) {
-					t.Fatalf("n=%d: S[%d,%d] = %v, want %v", n, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-}
-
 // TestGTableLogSumExpDominates: the float64 log-sum-exp fill upper-bounds
 // the max-plus fill cell-wise (lse >= max pointwise, inductively), stays
 // finite, and is at least One = 0 (the empty structure always derives).
@@ -93,7 +74,7 @@ func TestGTableSumProductScaled(t *testing.T) {
 	for _, sigma := range []float64{0, 1.3, 4} {
 		got := NewGTable[float64](n)
 		err := got.FillContext(context.Background(), semiring.SumProductKernels(), math.Exp(-sigma),
-			func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) })
+			func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }, nil)
 		if err != nil {
 			t.Fatalf("FillContext: %v", err)
 		}
@@ -111,16 +92,16 @@ func TestGTableSumProductScaled(t *testing.T) {
 	}
 }
 
-// TestBuildGContextMatchesBuildG: the cancellable build computes the same
-// table, and an already-cancelled context aborts before allocating results.
-func TestBuildGContextMatchesBuildG(t *testing.T) {
+// TestFillContextMatchesBuildG: the cancellable call computes the same table
+// as the BuildG wrapper over it, and an already-cancelled context fails it.
+func TestFillContextMatchesBuildG(t *testing.T) {
 	n := 11
 	score := randScore(7, n)
-	sf := func(i, j int) float32 { return score(i, j) }
-	want := BuildG(n, semiring.MaxPlusKernels(false), sf)
-	got, err := BuildGContext(context.Background(), n, semiring.MaxPlusKernels(false), sf)
-	if err != nil {
-		t.Fatalf("BuildGContext: %v", err)
+	k := semiring.MaxPlusKernels(false)
+	want := BuildG(n, k, score)
+	got := NewGTable[float32](n)
+	if err := got.FillContext(context.Background(), k, k.One, score, nil); err != nil {
+		t.Fatalf("FillContext: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -131,7 +112,7 @@ func TestBuildGContextMatchesBuildG(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildGContext(cancelled, n, semiring.MaxPlusKernels(false), sf); err == nil {
+	if err := got.FillContext(cancelled, k, k.One, score, nil); err == nil {
 		t.Fatal("cancelled build succeeded")
 	}
 }
@@ -146,7 +127,9 @@ func TestGTableReset(t *testing.T) {
 		reused.data[i] = -42 // poison
 	}
 	reused.Reset(9)
-	reused.Fill(semiring.MaxPlusKernels(false), sf)
+	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(false), 0, sf, nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 9; i++ {
 		for j := i; j < 9; j++ {
 			if fresh.At(i, j) != reused.At(i, j) {

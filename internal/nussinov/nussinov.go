@@ -11,15 +11,18 @@
 //
 // with S[i,j] = 0 when j <= i. Row i depends only on itself and the rows
 // below it, so the table fills bottom-up with the split scan turned into the
-// paper's unit-stride stream y = max(a + x, y) over whole rows (fill.go; the
-// one body behind Table and GTable), and BuildParallelContext cuts that into
-// a triangle of tiles, mirroring how the paper schedules S¹/S² "before
-// scheduling any other variables".
+// paper's unit-stride stream y = max(a + x, y) over whole rows (fill.go), and
+// from SequentialCutoff up FillContext cuts that into a triangle of tiles,
+// mirroring how the paper schedules S¹/S² "before scheduling any other
+// variables". There is one table type (GTable; Table is its float32
+// instantiation) and one build call (FillContext).
 package nussinov
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
@@ -28,26 +31,39 @@ import (
 // large negative value (score.NegInf) when the pairing is forbidden.
 type ScoreFunc func(i, j int) float32
 
-// Table holds S over a bounding-box memory map (option 1 of the paper's
-// Fig 10): row-contiguous so BPMax's kernels can stream rows of S².
-type Table struct {
+// GTable holds S over a bounding-box memory map (option 1 of the paper's
+// Fig 10): row-contiguous, so BPMax's kernels can stream rows of S². It is
+// the one single-strand table type, generic over the scalar of the semiring
+// that filled it: after a fill the lower triangle holds One — the empty
+// interval — and the diagonal the weight of one unpaired base. The float32
+// max-plus instantiation is Table, the S¹/S² of an interaction fold; the
+// float64 log-sum-exp instantiation computes the log of the strand's
+// derivation-weighted Boltzmann sum, and the float64 sum-product
+// instantiation the same sum in the linear domain — the single-strand
+// partition substrates of the BPPart fill.
+type GTable[T semiring.Scalar] struct {
 	N    int
-	data []float32 // data[i*N+j] = S[i,j] for i <= j
+	data []T // data[i*N+j] = S[i,j] for i <= j
+	one  T   // the filling semiring's One: S of an empty interval
 }
 
-// NewTable allocates an empty (all-zero) table for n positions.
-func NewTable(n int) *Table {
-	if n < 0 {
-		panic(fmt.Sprintf("nussinov: negative size %d", n))
-	}
-	return &Table{N: n, data: make([]float32, n*n)}
+// Table is the max-plus S table. Its zero value is an empty table whose
+// empty intervals read 0, max-plus's One, before any fill.
+type Table = GTable[float32]
+
+// NewGTable allocates a zeroed table for n positions; FillContext writes the
+// boundary cells its semiring needs.
+func NewGTable[T semiring.Scalar](n int) *GTable[T] {
+	t := &GTable[T]{}
+	t.Reset(n)
+	return t
 }
 
-// At returns S[i,j]; intervals with j < i (and the empty table) are 0 by
+// At returns S[i,j]; intervals with j < i are the filling semiring's One by
 // definition.
-func (t *Table) At(i, j int) float32 {
+func (t *GTable[T]) At(i, j int) T {
 	if j < i {
-		return 0
+		return t.one
 	}
 	if i < 0 || j >= t.N {
 		panic(fmt.Sprintf("nussinov: At(%d, %d) out of table of size %d", i, j, t.N))
@@ -57,35 +73,36 @@ func (t *Table) At(i, j int) float32 {
 
 // Row returns the slice holding row i (cells (i, 0..N-1) of the bounding
 // box; only j >= i are meaningful). Callers must not modify it.
-func (t *Table) Row(i int) []float32 { return t.data[i*t.N : (i+1)*t.N] }
+func (t *GTable[T]) Row(i int) []T { return t.data[i*t.N : (i+1)*t.N] }
 
 // Data exposes the table's backing storage (row-contiguous, N×N): the
 // solver's algebra bundles stream rows out of it, and the Four-Russians
-// comparator package fills a Table through it. Every other
-// caller must treat it as read-only.
-func (t *Table) Data() []float32 { return t.data }
+// comparator package fills a Table through it. Every other caller must
+// treat it as read-only.
+func (t *GTable[T]) Data() []T { return t.data }
 
 // Clone returns an independent deep copy of t. Cached substrate tables are
 // cloned out of pooled problems, whose own storage is reset on reuse.
-func (t *Table) Clone() *Table {
-	cp := &Table{N: t.N, data: make([]float32, len(t.data))}
-	copy(cp.data, t.data)
-	return cp
+func (t *GTable[T]) Clone() *GTable[T] {
+	return &GTable[T]{N: t.N, data: slices.Clone(t.data), one: t.one}
 }
 
 // Bytes returns the table's cell-storage footprint.
-func (t *Table) Bytes() int64 { return int64(len(t.data)) * 4 }
+func (t *GTable[T]) Bytes() int64 {
+	var z T
+	return int64(len(t.data)) * int64(unsafe.Sizeof(z))
+}
 
 // Reset prepares t for reuse at size n: storage is kept when its capacity
 // allows (grown otherwise) and every cell is zeroed, so a reused table is
-// indistinguishable from a fresh NewTable(n).
-func (t *Table) Reset(n int) {
+// indistinguishable from a fresh NewGTable(n).
+func (t *GTable[T]) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
 	}
 	need := n * n
 	if cap(t.data) < need {
-		t.data = make([]float32, need)
+		t.data = make([]T, need)
 	} else {
 		t.data = t.data[:need]
 		clear(t.data)
@@ -93,62 +110,69 @@ func (t *Table) Reset(n int) {
 	t.N = n
 }
 
-// Fill runs the recurrence sequentially over a fresh or Reset table: the
-// float32 max-plus instantiation of the streamed fill, on the AVX2 kernels
-// where the process has them. O(n³) time.
-func (t *Table) Fill(score ScoreFunc) {
-	_ = fill(context.Background(), t.data, t.N, semiring.MaxPlusKernels(true), 0, score) // Background never cancels
+// FillContext is the one build call: it runs the streamed fill (fill.go)
+// over a fresh or Reset table, O(n³) time in all, and alone chooses its
+// form. With a nil pfor, or a table under SequentialCutoff, the rows fill
+// inline on the calling goroutine and ctx is checked once per row;
+// otherwise pfor cooperates on each wavefront of tiles and ctx is checked
+// once per wavefront — either costs O(n²) work at most, so a cancel returns
+// promptly. The two forms agree bit for bit in every semiring.
+//
+// unit is the weight of one unpaired base — One in the unscaled semirings,
+// e^{-σ} when the caller runs the sum-product kernels on
+// per-nucleotide-scaled Boltzmann factors — and lands on the diagonal; the
+// lower triangle gets One. Written that way every candidate is a ⊗ of two
+// stored cells (or one cell and a pair weight), so the fill needs no scale
+// of its own. score(i, j) is called exactly once per cell i < j. On
+// cancellation or a failed wavefront the table is left partially filled and
+// the error returned.
+func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, pfor ParallelFor) error {
+	return t.fillContext(ctx, k, unit, score, pfor, SequentialCutoff, tileEdge)
 }
 
-// Build fills a fresh table sequentially. O(n³) time, O(n²) space.
+// fillContext is FillContext with the cutoff and tile edge as arguments, so
+// the tests can run the tiled form at sizes a per-cell oracle can follow.
+func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, pfor ParallelFor, cutoff, tile int) error {
+	t.one = k.One
+	if pfor == nil || t.N < cutoff {
+		return fill(ctx, t.data, t.N, k, unit, score)
+	}
+	return fillTiled(ctx, t.data, t.N, tile, k, unit, score, pfor)
+}
+
+// Tiled reports whether FillContext tiles an n-position table when given a
+// pfor: a caller for whom binding one allocates can skip it otherwise.
+func Tiled(n int) bool { return n >= SequentialCutoff }
+
+// Build fills a fresh max-plus table on the calling goroutine. O(n³) time,
+// O(n²) space.
 func Build(n int, score ScoreFunc) *Table {
-	t := NewTable(n)
-	t.Fill(score)
-	return t
+	return BuildG(n, semiring.MaxPlusKernels(true), score)
 }
 
-// BuildParallelContext fills the table with pfor cooperating on each
-// wavefront of tiles (nil, or a table under SequentialCutoff, fills inline
-// row by row), checking ctx once per wavefront or row — each costs O(n²)
-// work at most, so a cancel returns promptly. On cancellation or a failed
-// wavefront the partial table is discarded and the error returned.
-func BuildParallelContext(ctx context.Context, n int, score ScoreFunc, pfor ParallelFor) (*Table, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Allocate only after the initial ctx check: an already-cancelled
-	// request must not pay for (or retain) an O(n²) table.
-	t := NewTable(n)
-	k := semiring.MaxPlusKernels(true)
-	var err error
-	if pfor == nil || n < SequentialCutoff {
-		err = fill(ctx, t.data, n, k, 0, score)
-	} else {
-		err = fillTiled(ctx, t.data, n, tileEdge, k, 0, score, pfor)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+// BuildG fills a fresh table in k's semiring on the calling goroutine, every
+// unpaired base weighing One.
+func BuildG[T semiring.Scalar](n int, k semiring.Kernels[T], score func(i, j int) T) *GTable[T] {
+	t := NewGTable[T](n)
+	_ = t.FillContext(context.Background(), k, k.One, score, nil) // Background never cancels
+	return t
 }
 
 // Pair is one base pair (I, J) with I < J, 0-based.
 type Pair struct{ I, J int }
 
-// Traceback recovers one optimal set of base pairs for the whole sequence.
-// The returned pairs are non-crossing and their total weight equals
-// S[0, N-1].
-func (t *Table) Traceback(score ScoreFunc) []Pair {
+// Traceback recovers one optimal set of base pairs for the whole sequence
+// from a table filled in a max-plus semiring (⊕ = max, ⊗ = +; in any other
+// the table holds no optimum to recover). The returned pairs are
+// non-crossing and their total weight equals S[0, N-1].
+func (t *GTable[T]) Traceback(score func(i, j int) T) []Pair {
 	return t.TracebackInterval(0, t.N-1, score)
 }
 
 // TracebackInterval recovers one optimal pair set for the closed interval
 // [i0, j0]; the total weight equals S[i0, j0]. BPMax's traceback calls this
 // whenever its decomposition bottoms out in a single-strand fold.
-func (t *Table) TracebackInterval(i0, j0 int, score ScoreFunc) []Pair {
+func (t *GTable[T]) TracebackInterval(i0, j0 int, score func(i, j int) T) []Pair {
 	var pairs []Pair
 	// Explicit DFS stack instead of recursion: a degenerate table (e.g. a
 	// long unpairable strand walking S[i,j-1] one column at a time) would

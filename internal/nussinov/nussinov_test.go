@@ -158,7 +158,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		sc := scoreFor(seq, score.BasePair())
 		seq1 := Build(n, sc)
 		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := BuildParallelContext(context.Background(), n, sc, ForkJoin(workers))
+			par, err := BuildContext(context.Background(), n, sc, ForkJoin(workers))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -334,7 +334,7 @@ func benchBuildParallel(b *testing.B, n int) {
 	b.Run("W=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildParallelContext(context.Background(), n, sc, nil); err != nil {
+			if _, err := BuildContext(context.Background(), n, sc, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,7 +342,7 @@ func benchBuildParallel(b *testing.B, n int) {
 	b.Run("W=2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildTiled(context.Background(), n, tileEdge, semiring.MaxPlusKernels(false), sc, ForkJoin(2)); err != nil {
+			if _, err := BuildTiled(context.Background(), n, tileEdge, 0, semiring.MaxPlusKernels(false), sc, ForkJoin(2)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,8 +12,8 @@ import (
 // scanning its splits with S[s+1, j] walked down a column — the gather the
 // paper measures as the slow schedule, and the only place in the serving
 // tree's substrate package that still does it (./ci.sh lint holds that
-// line). Candidates and their order are exactly the pre-stream Table.cell /
-// GTable.FillContext ones, every ⊕ as add(candidate, accumulator).
+// line). Candidates and their order are exactly the pre-stream per-cell
+// fill's, every ⊕ as add(candidate, accumulator).
 func referenceFill[T semiring.Scalar](data []T, n int, k semiring.Kernels[T], unit T, score func(i, j int) T) {
 	add, mul := k.Add, k.Mul
 	for i := 0; i < n; i++ {
@@ -41,9 +41,7 @@ func referenceFill[T semiring.Scalar](data []T, n int, k semiring.Kernels[T], un
 
 // ReferenceBuild is Build by the per-cell oracle.
 func ReferenceBuild(n int, score ScoreFunc) *Table {
-	t := NewTable(n)
-	referenceFill(t.data, n, semiring.MaxPlusKernelsGo(false), 0, score)
-	return t
+	return ReferenceBuildG(n, semiring.MaxPlusKernelsGo(false), 0, score)
 }
 
 // ReferenceBuildG is a GTable filled by the per-cell oracle.
@@ -54,20 +52,18 @@ func ReferenceBuildG[T semiring.Scalar](n int, k semiring.Kernels[T], unit T, sc
 	return t
 }
 
-// BuildWith is Build on an explicit kernel bundle, so the external tests can
-// run the streamed fill on the portable Go bodies next to the AVX2 ones.
-func BuildWith(n int, k semiring.Kernels[float32], score ScoreFunc) *Table {
-	t := NewTable(n)
-	_ = fill(context.Background(), t.data, n, k, 0, score) // Background never cancels
-	return t
+// BuildContext is the production build of a fresh max-plus table: the one
+// FillContext call, handing back no table on an error.
+func BuildContext(ctx context.Context, n int, score ScoreFunc, pfor ParallelFor) (*Table, error) {
+	return BuildTiled(ctx, n, tileEdge, SequentialCutoff, semiring.MaxPlusKernels(true), score, pfor)
 }
 
-// BuildTiled runs the parallel form at any size and tile edge: production
-// builds tile only from SequentialCutoff up, with tileEdge tiles, far beyond
-// what a per-cell oracle can follow.
-func BuildTiled(ctx context.Context, n, tile int, k semiring.Kernels[float32], score ScoreFunc, pfor ParallelFor) (*Table, error) {
-	t := NewTable(n)
-	if err := fillTiled(ctx, t.data, n, tile, k, 0, score, pfor); err != nil {
+// BuildTiled is BuildContext at any cutoff, tile edge and kernel bundle:
+// production builds tile only from SequentialCutoff up, with tileEdge tiles,
+// far beyond what a per-cell oracle can follow.
+func BuildTiled(ctx context.Context, n, tile, cutoff int, k semiring.Kernels[float32], score ScoreFunc, pfor ParallelFor) (*Table, error) {
+	t := NewGTable[float32](n)
+	if err := t.fillContext(ctx, k, 0, score, pfor, cutoff, tile); err != nil {
 		return nil, err
 	}
 	return t, nil

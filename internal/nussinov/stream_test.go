@@ -104,7 +104,7 @@ func TestStreamedMatchesReference(t *testing.T) {
 				return math.Exp(float64(w)/kT - 2*sigma)
 			}
 			return 0
-		})
+		}, nil)
 		return g.data
 	}
 	for _, n := range differentialSizes() {
@@ -129,7 +129,7 @@ func TestStreamedMatchesReference(t *testing.T) {
 			}
 			for impl, k := range kernels {
 				label := fmt.Sprintf("n=%d %s %s", n, name, impl)
-				got := BuildWith(n, k, sc)
+				got := BuildG(n, k, sc)
 				requireSameBytes(t, label+" serial", n, got.data, want)
 				if n > 0 {
 					if w := PairsWeight(got.Traceback(sc), sc); w != got.At(0, n-1) {
@@ -137,7 +137,7 @@ func TestStreamedMatchesReference(t *testing.T) {
 					}
 				}
 				for workers := 1; workers <= 4; workers++ {
-					par, err := BuildTiled(context.Background(), n, tile, k, sc, workersFor(workers))
+					par, err := BuildTiled(context.Background(), n, tile, 0, k, sc, workersFor(workers))
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", label, workers, err)
 					}
@@ -148,14 +148,14 @@ func TestStreamedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildParallelTilesAtCutoff drives the production entry point at the
+// TestBuildParallelTilesAtCutoff drives the production build call at the
 // first size it tiles (production tile edge, real workers) against the
 // serial build; the per-cell oracle is out of reach at this size.
 func TestBuildParallelTilesAtCutoff(t *testing.T) {
 	n := SequentialCutoff + 3
 	sc := scoreFor(rna.Random(rand.New(rand.NewSource(5)), n), score.BasePair())
 	want := Build(n, sc)
-	got, err := BuildParallelContext(context.Background(), n, sc, ForkJoin(3))
+	got, err := BuildContext(context.Background(), n, sc, ForkJoin(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStreamedLogZWithinBound(t *testing.T) {
 		factor := func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }
 		ref := math.Log(ReferenceBuildG(n, sp, math.Exp(-sigma), factor).At(0, n-1)) + sigma*float64(n)
 		tbl := NewGTable[float64](n)
-		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor); err != nil {
+		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := math.Log(tbl.At(0, n-1)) + sigma*float64(n); math.Abs(got-ref) > tol*math.Abs(ref) {
@@ -217,14 +217,14 @@ func TestScoreCalledOncePerCell(t *testing.T) {
 			}
 		}
 	}
-	check("Table.Fill", func(sc ScoreFunc) { Build(n, sc) })
+	check("Build", func(sc ScoreFunc) { Build(n, sc) })
 	// One worker: the counting closure is not synchronized.
 	check("tiled", func(sc ScoreFunc) {
-		if _, err := BuildTiled(context.Background(), n, 8, semiring.MaxPlusKernels(false), sc, workersFor(1)); err != nil {
+		if _, err := BuildTiled(context.Background(), n, 8, 0, semiring.MaxPlusKernels(false), sc, workersFor(1)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	check("GTable.FillContext", func(sc ScoreFunc) {
+	check("log-sum-exp", func(sc ScoreFunc) {
 		lse := semiring.LogSumExpKernels()
 		BuildG(n, lse, func(i, j int) float64 { return float64(sc(i, j)) })
 	})
@@ -246,7 +246,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 		topRow = min(topRow, i)
 		return base(i, j)
 	}
-	tbl, err := BuildParallelContext(ctx, n, sc, nil)
+	tbl, err := BuildContext(ctx, n, sc, nil)
 	if !errors.Is(err, context.Canceled) || tbl != nil {
 		t.Fatalf("serial: table %v, err %v; want nil, context.Canceled", tbl, err)
 	}
@@ -256,8 +256,8 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 	g := NewGTable[float32](n)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base); !errors.Is(err, context.Canceled) {
-		t.Fatalf("GTable.FillContext on a cancelled context: %v", err)
+	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FillContext on a cancelled context: %v", err)
 	}
 
 	// Tiled, one worker: cancelling inside the first wavefront (the diagonal
@@ -272,7 +272,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 		}
 		return base(i, j)
 	}
-	tbl, err = BuildTiled(ctx3, n, 8, semiring.MaxPlusKernels(false), sc3, workersFor(1))
+	tbl, err = BuildTiled(ctx3, n, 8, 0, semiring.MaxPlusKernels(false), sc3, workersFor(1))
 	if !errors.Is(err, context.Canceled) || tbl != nil {
 		t.Fatalf("tiled: table %v, err %v; want nil, context.Canceled", tbl, err)
 	}
@@ -288,12 +288,14 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 	const n = 29
 	sc := randScore(9, n)
 	fresh := Build(n, sc)
-	reused := NewTable(n + 13)
+	reused := NewGTable[float32](n + 13)
 	for i := range reused.data {
 		reused.data[i] = float32(math.NaN())
 	}
 	reused.Reset(n)
-	reused.Fill(sc)
+	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, nil); err != nil {
+		t.Fatal(err)
+	}
 	requireSameBytes(t, "Table", n, reused.data, fresh.data)
 
 	lse := semiring.LogSumExpKernels()
@@ -304,7 +306,9 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 		reusedG.data[i] = math.NaN()
 	}
 	reusedG.Reset(n)
-	reusedG.Fill(lse, logw)
+	if err := reusedG.FillContext(context.Background(), lse, lse.One, logw, nil); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(tableBytes(reusedG.data), tableBytes(freshG.data)) {
 		t.Fatal("GTable: Reset + Fill differs from a fresh build")
 	}

@@ -153,15 +153,6 @@ func (o options) getWindowResult() *WindowResult {
 	return w
 }
 
-// putWindowResult is putResult for WindowResult shells.
-func (o options) putWindowResult(w *WindowResult) {
-	if o.pool == nil {
-		return
-	}
-	*w = WindowResult{}
-	o.pool.windows.Put(w)
-}
-
 // Release returns the result's pooled resources — the F table (or windowed
 // band), the problem's substrate tables and the Result shell itself — to
 // the pool the fold ran with. It is safe (and a no-op) on results from

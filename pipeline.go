@@ -16,15 +16,19 @@
 //
 // cold is the one cold-solve body of the interaction DP,
 //
-//	result shell → substrate → budget/degrade → fill → finalise
+//	result shell → problem shell → budget/degrade → substrate → fill → finalise
 //
 // with the fill chosen by (degrade rung, algebra); a ScanWindowed request is
 // that body with the windowed rung forced to the caller's windows. The
-// solver calls live only here (ci.sh lints it), and sharedTable is the one
-// probe of the substrate cache. Admission (WithAdmission) and the
-// content-addressed cache (WithCache) are described in admission.go and
-// cache.go; the cache's retained bytes are charged against WithMemoryLimit
-// alongside the pool's.
+// budget and the float32 score-range check run as soon as the shell has the
+// two lengths, so a refused request builds no S table; every S table — a
+// fold's, a scan's, a single strand's, max-plus or Boltzmann — then goes
+// through one per-strand step (sharedTable: key → cache probe → the one
+// build, under the request's ctx on its scoped engine → install). The
+// solver calls live only here (ci.sh lints it). Admission (WithAdmission)
+// and the content-addressed cache (WithCache) are described in admission.go
+// and cache.go; the cache's retained bytes are charged against
+// WithMemoryLimit alongside the pool's.
 //
 // Stage methods have value receivers: a request copy is a flat struct, so
 // batch workers and option-local mutations (cfg.Metrics wiring, pool
@@ -283,6 +287,7 @@ func (rq request) foldShared(ctx context.Context, seq1, seq2 string) (*Result, e
 		if err != nil {
 			return nil, 0, err
 		}
+		master.st = &tracedStructure{}
 		return master, cachedResultBytes(master), nil
 	})
 	c.noteShared(key, err)
@@ -310,9 +315,10 @@ func (rq request) foldShared(ctx context.Context, seq1, seq2 string) (*Result, e
 }
 
 // adoptCached wraps a retained master result in a fresh (possibly pooled)
-// shell. Copies share the master's immutable tables, so Release on a copy
-// recycles only the shell; the master — which the cache and other copies
-// still reference — is never handed out directly.
+// shell. Copies share the master's immutable tables and its traced-back
+// structure, so Release on a copy recycles only the shell; the master —
+// which the cache and other copies still reference — is never handed out
+// directly.
 func (rq request) adoptCached(m *Result) *Result {
 	res := rq.getResult()
 	pool := res.pool
@@ -352,17 +358,37 @@ func (rq request) cold(ctx context.Context, seq1, seq2 string) (*Result, error) 
 	return res, nil
 }
 
-// solve fills res: substrate → budget/degrade → the fill chosen by (rung,
-// algebra) → the one finaliser.
+// solve fills res: problem shell → budget/degrade → substrate → the fill
+// chosen by (rung, algebra) → the one finaliser.
 func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) error {
-	if err := rq.substrate(func() error { return rq.newProblem(res, seq1, seq2) }); err != nil {
+	var (
+		cfg ibpmax.Config
+		deg Degradation
+		est int64
+	)
+	err := rq.substrate(func() (err error) {
+		if err = rq.newProblem(res, seq1, seq2); err != nil {
+			return err
+		}
+		// The lengths are known and nothing O(n³) has run: refuse here what
+		// the budget or float32's exact range refuses.
+		p := res.prob
+		if cfg, deg, est, err = rq.budget(p.N1, p.N2); err != nil {
+			return err
+		}
+		if err = rq.checkScoreRange(p.N1, p.N2); err != nil {
+			return err
+		}
+		if _, err = rq.strandS(ctx, p.Seq1, p.Tab.Intra1, &p.OwnS1, &p.S1); err != nil {
+			return err
+		}
+		_, err = rq.strandS(ctx, p.Seq2, p.Tab.Intra2, &p.OwnS2, &p.S2)
 		return err
-	}
-	p := res.prob
-	cfg, deg, est, err := rq.budget(p.N1, p.N2)
+	})
 	if err != nil {
 		return err
 	}
+	p := res.prob
 	// Partition folds never run banded: budget skips their windowed rung and
 	// runWindowed rejects them.
 	windowed := rq.scan || deg == DegradeWindowed
@@ -464,81 +490,57 @@ func (rq request) substrate(step func() error) error {
 	return err
 }
 
-// newProblem is the normalize/substrate stage: parse (pooled or fresh),
-// build the score tables, then fill or share the S¹/S² substrates. The
-// shell lands in res.prob as soon as it exists, so cold's error exit
-// releases it whichever later step fails.
+// newProblem builds the problem shell, recycled when pooled: parse and the
+// pair score tables — everything the budget and the substrate stage need,
+// nothing O(n³). The shell lands in res.prob as soon as it exists, so cold's
+// error exit releases it whichever later step fails.
 func (rq request) newProblem(res *Result, seq1, seq2 string) error {
-	var p *ibpmax.Problem
-	if rq.pool != nil {
-		// Pooled path: the problem shell (sequence buffers, score tables)
-		// is recycled through the pool. Validation errors carry the sequence
-		// index; rewrap them into the same message shape as below.
-		var err error
-		p, err = rq.pool.p.NewProblemShell(seq1, seq2, rq.sp)
-		if err != nil {
-			var se *ibpmax.SequenceError
-			if errors.As(err, &se) {
-				return fmt.Errorf("bpmax: sequence %d: %w", se.Index, se.Err)
-			}
-			return err
+	p, err := rq.cfg.Pool.NewProblemShell(seq1, seq2, rq.sp)
+	if err != nil {
+		var se *ibpmax.SequenceError
+		if errors.As(err, &se) {
+			return fmt.Errorf("bpmax: sequence %d: %w", se.Index, se.Err)
 		}
-	} else {
-		s1, err := rna.New(seq1)
-		if err != nil {
-			return fmt.Errorf("bpmax: sequence 1: %w", err)
-		}
-		s2, err := rna.New(seq2)
-		if err != nil {
-			return fmt.Errorf("bpmax: sequence 2: %w", err)
-		}
-		p, err = ibpmax.NewProblemShell(s1, s2, rq.sp)
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	res.prob = p
 	// Failpoint: substrate-stage failure after the shell exists.
-	if err := fault.Hit(fault.SiteSubstrate); err != nil {
-		return err
-	}
-	// A cached table installed on a pooled problem is read-only; the
-	// problem parks its own storage and restores it on reuse.
-	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq1, func(retain bool) (*nussinov.Table, error) {
-		p.BuildS1()
-		return rq.retainable(p.S1, retain), nil
-	}); hit {
-		p.ShareS1(t)
-	}
-	if t, hit, _ := sharedTable(rq, keySubstrate, p.Seq2, func(retain bool) (*nussinov.Table, error) {
-		p.BuildS2()
-		return rq.retainable(p.S2, retain), nil
-	}); hit {
-		p.ShareS2(t)
-	}
-	return nil
+	return fault.Hit(fault.SiteSubstrate)
 }
 
-// retainable returns the form of a problem's own S table the cache may
-// keep: a clone of pooled storage (the pool resets it on reuse, and cached
-// tables must stay immutable), the table itself otherwise (never reused, so
-// sharing it is safe and saves the copy).
-func (rq request) retainable(t *nussinov.Table, retain bool) *nussinov.Table {
-	if retain && rq.pool != nil {
-		return t.Clone()
-	}
-	return t
+// strandS is the substrate stage's per-strand step for a max-plus S table —
+// an interaction fold's or a scan's S¹ and S², a single strand's: sharedTable
+// with the one build, ibpmax.BuildS from the strand's pair weights into *own
+// (the caller's storage, created when nil), under the request's ctx on its
+// engine. *s becomes the table to read: the cache's — shared, read-only — when
+// there is one, else *own. What the cache keeps of a miss is *own itself, or
+// a clone when *own is a pooled problem's storage, which the next fold resets.
+func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra []score.Value, own, s **nussinov.Table) (hit bool, err error) {
+	*s, hit, err = sharedTable(rq, keySubstrate, seq, func(retain bool) (_ *nussinov.Table, err error) {
+		// A fold's team is already bound (cold); a single strand's is bound
+		// here, for the build alone.
+		cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
+		defer release()
+		if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), intra, cfg); err != nil {
+			return nil, err
+		}
+		if retain && rq.pool != nil {
+			return (*own).Clone(), nil
+		}
+		return *own, nil
+	})
+	return hit, err
 }
 
-// sharedTable is the one keyed substrate-cache step every S table goes
-// through — max-plus or Boltzmann, for a fold, a scan or a single strand:
-// probe → count hit/miss → build → insert. With no substrate layer it is
-// just build. build returns the table the cache may keep (retain reports
-// whether it will); on a hit the cached table comes back read-only and
-// shared, skipping the strand's O(n³) refill.
+// sharedTable is the one keyed step every S table goes through — max-plus
+// (strandS) or Boltzmann (partitionSub), for a fold, a scan or a single
+// strand: content key → probe → count hit/miss → build → insert. With no
+// cache it is just build. build returns the table the cache may keep (retain
+// reports whether it will); on a hit the cached table comes back read-only
+// and shared, skipping the strand's O(n³) refill.
 func sharedTable[T interface{ Bytes() int64 }](rq request, tag byte, seq rna.Sequence, build func(retain bool) (T, error)) (t T, hit bool, err error) {
 	c := rq.cache
-	if c == nil || !c.substratesOn() {
+	if c == nil {
 		t, err = build(false)
 		return t, false, err
 	}
@@ -573,28 +575,21 @@ func partitionDomain(ft *ibpmax.FTableOf[float64]) string {
 // they seed the scale, and SingleScore and the substrate cache still serve
 // them.
 func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.PartitionSub, error) {
-	strand := func(k int, seq rna.Sequence) (*ibpmax.PartitionS, error) {
-		s, _, err := sharedTable(rq, keyPartitionSub, seq, func(bool) (*ibpmax.PartitionS, error) {
-			s, err := ibpmax.BuildPartitionS(ctx, p, k, rq.kT)
-			if err == nil && !s.Scaled() {
+	var s [2]*ibpmax.PartitionS
+	for k, seq := range [2]rna.Sequence{p.Seq1, p.Seq2} {
+		var err error
+		s[k], _, err = sharedTable(rq, keyPartitionSub, seq, func(bool) (*ibpmax.PartitionS, error) {
+			t, err := ibpmax.BuildPartitionS(ctx, p, k+1, rq.kT, rq.cfg)
+			if err == nil && !t.Scaled() {
 				rq.metrics.RecordPartitionFallback()
 			}
-			return s, err
+			return t, err
 		})
-		return s, err
+		if err != nil {
+			return nil, err
+		}
 	}
-	var (
-		s2 *ibpmax.PartitionS
-		ps *ibpmax.PartitionSub
-	)
-	s1, err := strand(1, p.Seq1)
-	if err == nil {
-		s2, err = strand(2, p.Seq2)
-	}
-	if err == nil {
-		ps, err = ibpmax.NewPartitionSub(p, rq.kT, s1, s2)
-	}
-	return ps, err
+	return ibpmax.NewPartitionSub(p, rq.kT, s[0], s[1])
 }
 
 // chargeBytes is the full-table estimate the budget charges a fold:
@@ -680,11 +675,34 @@ func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est in
 	return cfg, DegradeNone, 0, &MemoryLimitError{EstimateBytes: smallest, LimitBytes: rq.memLimit}
 }
 
-// single is the single-strand fold body. The S table comes from the
-// substrate cache when possible — it is the same table an interaction fold
-// builds for that strand, so single folds and screens share entries (cached
-// tables are read-only; traceback only reads them). A miss builds it on the
-// request's parallel runtime with the row-streamed fill.
+// checkScoreRange is the numeric limit of the max-plus algebra, applied where
+// lengths and model first meet: float32 holds every integer up to 2²⁴, so
+// below it sums of integer weights are exact in any order. Schedule parity
+// does not depend on it (every schedule offers each cell the same candidates
+// and max is order-free); what it guards is the score itself.
+func (rq request) checkScoreRange(n1, n2 int) error {
+	if rq.algebra == AlgebraPartition {
+		return nil
+	}
+	var w float32
+	for _, a := range rna.Bases {
+		for _, b := range rna.Bases {
+			if m := rq.sp.Model; m.Allowed(a, b) {
+				w = max(w, float32(math.Abs(float64(m.Pair(a, b)))))
+			}
+		}
+	}
+	if float64(w)*float64((n1+n2)/2) >= 1<<24 {
+		return &ScoreRangeError{MaxWeight: w, N1: n1, N2: n2}
+	}
+	return nil
+}
+
+// single is the single-strand fold body. The S table goes through the same
+// per-strand step as an interaction fold's — it is the same table, so single
+// folds and screens share cache entries (cached tables are read-only;
+// traceback only reads them) — and a miss builds it on the request's
+// parallel runtime.
 func (rq request) single(ctx context.Context, seq string) (*SingleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
@@ -694,16 +712,16 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 		return nil, err
 	}
 	n := s.Len()
+	if err := rq.checkScoreRange(n, 0); err != nil {
+		return nil, err
+	}
 	// Only the strand's own pair table is read; with the build streamed, the
 	// two tables a second strand would add cost a third of the whole fold.
 	tab := score.Build(s, rna.Sequence{}, rq.sp)
-	sc := func(i, j int) float32 { return tab.Score1(i, j) }
+	rq.pool = nil // the table is this request's own: no pooled storage to clone it out of
 	sb := rq.tr.Begin()
-	t, hit, err := sharedTable(rq, keySubstrate, s, func(bool) (*nussinov.Table, error) {
-		cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
-		defer release()
-		return nussinov.BuildParallelContext(ctx, n, sc, cfg.ParallelFor())
-	})
+	var own, t *nussinov.Table
+	hit, err := rq.strandS(ctx, s, tab.Intra1, &own, &t)
 	if hit {
 		rq.tr.End(itrace.StageCacheHit, sb)
 	} else {
@@ -716,7 +734,7 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	if n > 0 {
 		res.Score = t.At(0, n-1)
 		tb := rq.tr.Begin()
-		pairs := t.Traceback(sc)
+		pairs := t.Traceback(tab.Score1)
 		for _, p := range pairs {
 			res.Pairs = append(res.Pairs, Pair{p.I, p.J})
 		}

@@ -140,25 +140,31 @@ func TestCachedFoldReleaseSafety(t *testing.T) {
 }
 
 // TestCachedFoldSingleFlight: concurrent identical requests produce exactly
-// one solve; every caller gets the same (bit-identical) answer. Run with
-// -race this also exercises the cache's synchronization.
+// one solve and one traceback; every caller gets the same (bit-identical)
+// answer and the master's one shared Structure, which outlives the Release
+// of the copy it was read through. Run with -race this also exercises the
+// cache's and the shared structure's synchronization.
 func TestCachedFoldSingleFlight(t *testing.T) {
 	want, _ := Fold(pSeq1, pSeq2)
 	c := NewCache(CacheConfig{})
+	pool := NewPool()
 	const n = 8
 	var wg sync.WaitGroup
 	scores := make([]float32, n)
+	structs := make([]*Structure, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Fold(pSeq1, pSeq2, WithCache(c))
+			res, err := Fold(pSeq1, pSeq2, WithCache(c), WithPool(pool))
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			scores[i] = res.Score
+			structs[i] = res.Structure()
+			res.Release()
 		}(i)
 	}
 	wg.Wait()
@@ -169,6 +175,12 @@ func TestCachedFoldSingleFlight(t *testing.T) {
 		if scores[i] != want.Score {
 			t.Fatalf("fold %d score = %v, want %v", i, scores[i], want.Score)
 		}
+		if structs[i] != structs[0] {
+			t.Fatalf("fold %d traced its own structure: hits must share the master's", i)
+		}
+	}
+	if st, ws := structs[0], want.Structure(); st.Bracket1 != ws.Bracket1 || st.Bracket2 != ws.Bracket2 {
+		t.Errorf("shared structure %s / %s, cold fold %s / %s", st.Bracket1, st.Bracket2, ws.Bracket1, ws.Bracket2)
 	}
 	st := c.Stats()
 	if st.ResultMisses != 1 {

@@ -188,6 +188,23 @@ func (e *MemoryLimitError) Error() string {
 		e.EstimateBytes, e.LimitBytes)
 }
 
+// ScoreRangeError reports a max-plus fold, scan or single-strand fold refused
+// before any table is built because its scores could leave the range in
+// which float32 adds integer weights exactly: a structure over N1+N2
+// nucleotides has up to ⌊(N1+N2)/2⌋ pairs, and MaxWeight times that reaches
+// 2²⁴. A partition fold (float64) is not bounded by it.
+type ScoreRangeError struct {
+	// MaxWeight is the largest magnitude among the allowed pair weights.
+	MaxWeight float32
+	// N1, N2 are the strand lengths (N2 = 0 for a single strand).
+	N1, N2 int
+}
+
+func (e *ScoreRangeError) Error() string {
+	return fmt.Sprintf("bpmax: pair weights up to %v over %d+%d nt can score %g, beyond float32's exact range (2^24)",
+		e.MaxWeight, e.N1, e.N2, float64(e.MaxWeight)*float64((e.N1+e.N2)/2))
+}
+
 // WithMemoryLimit bounds the F-table storage a fold may allocate, in bytes
 // (0, the default, means unlimited). The footprint is computed analytically
 // before allocation: a fold that cannot fit returns a *MemoryLimitError —

@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/bpmax-go/bpmax/internal/rna"
+	"github.com/bpmax-go/bpmax/internal/score"
+	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
 // publicVariants enumerates every schedule reachable through the public
@@ -236,5 +240,130 @@ func TestScanWindowedElapsedPopulated(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Errorf("Elapsed = %v, want > 0", res.Elapsed)
+	}
+}
+
+// TestOverBudgetFoldBuildsNoSubstrate: the budget runs as soon as the two
+// lengths are known, so a fold WithMemoryLimit refuses is refused before
+// either O(n³) S-table build — the substrate cache is never even probed.
+func TestOverBudgetFoldBuildsNoSubstrate(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	s1, s2 := randSeq(rng, 600), randSeq(rng, 600)
+	c := NewCache(CacheConfig{})
+	res, err := Fold(s1, s2, WithCache(c), WithMemoryLimit(1))
+	var mle *MemoryLimitError
+	if !errors.As(err, &mle) || res != nil {
+		t.Fatalf("res=%v err=%v, want nil result and *MemoryLimitError", res != nil, err)
+	}
+	if st := c.Stats(); st.SubstrateMisses != 0 || st.SubstrateHits != 0 {
+		t.Errorf("refused fold reached the substrate stage: %d misses, %d hits", st.SubstrateMisses, st.SubstrateHits)
+	}
+}
+
+// TestFoldCancelDuringSubstrate: an interaction fold's own S¹/S² builds
+// honour the request's context like FoldSingle's. Under a deadline far
+// shorter than one S-table build, a fold of two long strands returns
+// DeadlineExceeded a fraction of that build's time after the problem shell
+// (the O(n²) parse and pair-weight tables, which nothing polls) — one row of
+// overshoot, not one table or two — pooled and unpooled, leaves the pool
+// clean, and its request trace shows the substrate span it died in and no
+// fill span.
+func TestFoldCancelDuringSubstrate(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test")
+	}
+	const n = 2000
+	rng := rand.New(rand.NewSource(62))
+	q1, q2 := rna.Random(rng, n), rna.Random(rng, n)
+	s1, s2 := q1.String(), q2.String()
+	start := time.Now()
+	score.Build(q1, q2, score.DefaultParams())
+	shell := time.Since(start)
+	start = time.Now()
+	if _, err := FoldSingle(s2, WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	build := time.Since(start) // one S table (and its traceback)
+	deadline := max(build/100, time.Millisecond)
+
+	pool := NewPool()
+	for name, opts := range map[string][]Option{"unpooled": nil, "pooled": {WithPool(pool)}} {
+		tr := itrace.New(name, "fold")
+		ctx, cancel := context.WithTimeout(itrace.NewContext(context.Background(), tr), deadline)
+		start := time.Now()
+		res, err := FoldContext(ctx, s1, s2, append(opts, WithWorkers(1))...)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+			t.Fatalf("%s: res=%v err=%v, want nil result and DeadlineExceeded", name, res != nil, err)
+		}
+		// Half a build of slack absorbs a loaded host; the parent's two
+		// uncancellable builds overshoot by three times that.
+		if took > shell+deadline+build/2 {
+			t.Errorf("%s: returned %v after a %v deadline; the shell takes %v, one S-table build %v", name, took, deadline, shell, build)
+		}
+		stages := stageNames(tr.Snapshot())
+		if st := stages["substrate"]; st.Count != 1 {
+			t.Errorf("%s: substrate stage %+v, want the one span the fold was cancelled in", name, st)
+		}
+		for _, fill := range []string{"accumulate", "finalize", "triangle"} {
+			if _, ok := stages[fill]; ok {
+				t.Errorf("%s: cancelled in the substrate stage but recorded a %s span", name, fill)
+			}
+		}
+	}
+	if live := pool.Stats().Buffers.Live; live != 0 {
+		t.Errorf("pool holds %d live buffers after the cancelled fold", live)
+	}
+}
+
+// TestScoreRangeRefused: a max-plus fold, scan or single fold whose score
+// bound maxWeight·⌊(N1+N2)/2⌋ reaches 2²⁴ is refused with a typed error
+// before any table is built and counted once; under the bound, and for a
+// partition fold (float64) at any weight, it runs.
+func TestScoreRangeRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	s16, s17 := randSeq(rng, 16), randSeq(rng, 17)
+	const w = 1 << 20 // 2²⁰: sixteen pairs reach 2²⁴
+	for _, tc := range []struct {
+		name    string
+		weights Weights
+		s1, s2  string
+		refused bool
+	}{
+		{"default weights", Weights{}, s16, s16, false},
+		{"15 pairs under the bound", Weights{GC: w, AU: 2, GU: 1}, s16, s16[:15], false},
+		{"16 pairs reach it", Weights{GC: w, AU: 2, GU: 1}, s16, s16, true},
+		{"odd total rounds down", Weights{GC: w, AU: 2, GU: 1}, s16[:14], s17, false},
+		{"largest weight is GU", Weights{GC: 3, AU: 2, GU: w}, s16, s17, true},
+		{"negative weight counts by magnitude", Weights{GC: 3, AU: -w, GU: 1}, s16, s16, true},
+	} {
+		m := NewMetrics()
+		c := NewCache(CacheConfig{})
+		opts := []Option{WithWeights(tc.weights), WithMetrics(m), WithCache(c)}
+		check := func(entry string, err error) {
+			t.Helper()
+			var sre *ScoreRangeError
+			if got := errors.As(err, &sre); got != tc.refused || (!tc.refused && err != nil) {
+				t.Errorf("%s, %s: err = %v, want refused = %v", tc.name, entry, err, tc.refused)
+			}
+		}
+		_, err := Fold(tc.s1, tc.s2, opts...)
+		check("Fold", err)
+		if tc.refused {
+			if snap := m.Snapshot(); snap.Errors != 1 {
+				t.Errorf("%s: refusal counted %d times in Metrics.Errors, want 1", tc.name, snap.Errors)
+			}
+			if st := c.Stats(); st.SubstrateMisses != 0 {
+				t.Errorf("%s: refused fold built %d S tables", tc.name, st.SubstrateMisses)
+			}
+		}
+		_, err = ScanWindowed(tc.s1, tc.s2, 4, 4, opts...)
+		check("ScanWindowed", err)
+		_, err = FoldSingle(tc.s1+tc.s2, opts...)
+		check("FoldSingle", err)
+		if _, err := Fold(tc.s1, tc.s2, append(opts, WithAlgebra(AlgebraPartition), WithKT(float64(w)))...); err != nil {
+			t.Errorf("%s: partition fold refused: %v", tc.name, err)
+		}
 	}
 }
