@@ -7,16 +7,23 @@
 // SHA-256 content address of everything that determines the value:
 //
 //   - Substrate entries: one strand's Nussinov S table under one scoring
-//     model. Any fold (interaction or single-strand) of a strand already
-//     seen shares the cached table read-only and skips its O(n³) refill.
-//   - Result entries: one whole completed fold under one full option set.
-//     A hit returns a copy sharing the retained master's tables — bit
-//     identical to re-folding. Concurrent identical requests single-flight
-//     behind one solve. Observation never bypasses this layer: a hit's
-//     Result.Metrics is the record of the fill that built the master,
-//     WithMetrics aggregates only the fills that ran, and a per-request
-//     trace (internal/trace, surfaced by cmd/bpmaxd) records the cache hit
-//     or single-flight wait it was served by.
+//     model (and, for partition folds, its Boltzmann table under one kT).
+//     Any fold (interaction or single-strand) of a strand already seen
+//     shares the cached table read-only and skips its O(n³) refill.
+//   - Result entries: one whole completed fold under one full option set,
+//     or one strand's ensemble signal. A hit returns a copy sharing the
+//     retained master's tables — bit identical to re-folding. Observation
+//     never bypasses this layer: a hit's Result.Metrics is the record of
+//     the fill that built the master, WithMetrics aggregates only the fills
+//     that ran, and a per-request trace (internal/trace, surfaced by
+//     cmd/bpmaxd) records the cache hit or single-flight wait it was served
+//     by.
+//
+// Every cached kind goes through one step, cacheDo: breaker → probe → join
+// an in-flight build of the same key → lead the build → retain. So N
+// concurrent requests sharing a strand or a pair pay one build, a waiter
+// honours its own deadline while parked, an error is never retained, and a
+// key whose builds keep dying is served cold until a probe succeeds.
 //
 // Entries are evicted least-recently-used once MaxBytes is exceeded, and the
 // cache's retained bytes are charged against WithMemoryLimit budgets exactly
@@ -26,12 +33,14 @@
 package bpmax
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
 	"github.com/bpmax-go/bpmax/internal/pipeline"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
+	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
 // Cache is a content-addressed cache shared by any number of concurrent
@@ -39,17 +48,16 @@ import (
 // Session), and read utilization with Stats. All methods and all cached
 // serving paths are safe for concurrent use.
 type Cache struct {
-	c        *pipeline.Cache
-	resOff   bool
-	maxBytes int64
-	// breaker is the result layer's per-key circuit breaker (nil when
+	c      *pipeline.Cache
+	resOff bool
+	// breaker is the per-key circuit breaker over every cached key (nil when
 	// disabled): repeated transient leader failures for a key open it, and
-	// open keys bypass the result layer instead of stampeding retries
-	// behind a poisoned single-flight leader.
+	// an open key is built cold instead of stampeding retries behind a
+	// poisoned single-flight leader.
 	breaker *pipeline.Breaker
 
-	substrateHits, substrateMisses atomic.Int64
-	resultHits, resultMisses       atomic.Int64
+	// layers holds the hit/miss counters, indexed by cacheLayer.
+	layers [2]struct{ hits, misses atomic.Int64 }
 }
 
 // CacheConfig configures NewCache. The zero value enables both layers with
@@ -62,22 +70,22 @@ type CacheConfig struct {
 	// single-flight deduplication).
 	DisableResults bool
 	// BreakerThreshold is the number of consecutive transient leader
-	// failures (panics, injected faults) for one result key after which the
-	// key's circuit breaker opens and its folds bypass the result layer,
-	// served cold, until the cooldown admits a successful probe. 0 selects
-	// the default of 3; negative disables the breaker.
+	// failures (panics, injected faults) for one cached key — a pair's
+	// result, a strand's table — after which the key's circuit breaker opens
+	// and requests for it bypass the cache, built cold, until the cooldown
+	// admits a successful probe. 0 selects the default of 3; negative
+	// disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open key bypasses the result layer
-	// before one probe request is let back through (0 selects 1s).
+	// BreakerCooldown is how long an open key bypasses the cache before one
+	// probe request is let back through (0 selects 1s).
 	BreakerCooldown time.Duration
 }
 
 // NewCache returns an empty cache.
 func NewCache(cfg CacheConfig) *Cache {
 	c := &Cache{
-		c:        pipeline.NewCache(cfg.MaxBytes),
-		resOff:   cfg.DisableResults,
-		maxBytes: cfg.MaxBytes,
+		c:      pipeline.NewCache(cfg.MaxBytes),
+		resOff: cfg.DisableResults,
 	}
 	if cfg.BreakerThreshold >= 0 {
 		threshold := cfg.BreakerThreshold
@@ -107,10 +115,10 @@ func (c *Cache) Stats() CacheStats {
 	entries, bytes, bytesHW, evictions, shared := c.c.Counters()
 	opens, bypasses, openKeys := c.breaker.Counters()
 	return CacheStats{
-		SubstrateHits:      c.substrateHits.Load(),
-		SubstrateMisses:    c.substrateMisses.Load(),
-		ResultHits:         c.resultHits.Load(),
-		ResultMisses:       c.resultMisses.Load(),
+		SubstrateHits:      c.layers[layerSubstrate].hits.Load(),
+		SubstrateMisses:    c.layers[layerSubstrate].misses.Load(),
+		ResultHits:         c.layers[layerResult].hits.Load(),
+		ResultMisses:       c.layers[layerResult].misses.Load(),
 		SingleFlightShared: shared,
 		Evictions:          evictions,
 		Entries:            entries,
@@ -122,28 +130,98 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// admitShared reports whether a fold of key may use the cached
-// single-flight path; false means its breaker is open and the fold must be
-// served cold.
-func (c *Cache) admitShared(k pipeline.Key) bool {
-	return c.breaker.Allow(k)
+// cacheLayer names the counter pair a cached kind reports under.
+type cacheLayer uint8
+
+const (
+	layerSubstrate cacheLayer = iota // per-strand tables: S and Q keys
+	layerResult                      // whole folds and ensembles: R and E keys; off under DisableResults
+)
+
+// cacheOutcome is how one cache step was served.
+type cacheOutcome uint8
+
+const (
+	// cacheBypassed: no cache, the layer is off, or the key's breaker is
+	// open — the value was built cold and nothing was retained.
+	cacheBypassed cacheOutcome = iota
+	cacheHit                   // served from a retained entry
+	cacheJoined                // parked behind another request's build of the key and shares its value
+	cacheLed                   // built the value itself; the cache retains it
+)
+
+// stage is the trace stage the wall time of a step served this way belongs
+// to. led is the caller's stage for a build it ran itself; itrace.StageCount
+// (which Trace.End ignores) when that build recorded its own spans.
+func (o cacheOutcome) stage(led itrace.Stage) itrace.Stage {
+	switch o {
+	case cacheHit:
+		return itrace.StageCacheHit
+	case cacheJoined:
+		return itrace.StageCacheWait
+	}
+	return led
 }
 
-// noteShared feeds a cached fold's outcome to the breaker: transient
-// failures (retriable leader deaths) count toward opening the key, success
-// closes it, and non-transient failures (cancellation, budget) are neutral
-// — they say nothing about the key's health.
-func (c *Cache) noteShared(k pipeline.Key, err error) {
+// cacheDo is the one cache step, the same protocol for every cached kind —
+// a fold's result, a strand's S table, its Boltzmann table, an ensemble:
+//
+//	breaker → probe → join an in-flight leader → lead the build → retain
+//
+// build(retain) produces the value and its retained-byte cost; retain says
+// whether the cache will keep what it returns (so a pooled builder hands over
+// a clone, and the result layer an unpooled master). With no cache, with the
+// layer off or with the key's breaker open, cacheDo is build(false) and the
+// value is the caller's own. Otherwise a retained entry is a hit; a caller
+// that finds the key in flight parks under its own ctx and shares the
+// leader's value read-only, or retries as leader if that leader failed; and a
+// leader builds under the pipeline's guard — a panic fails it typed, wakes
+// the joiners and is never retained. The outcome feeds the key's breaker
+// (transient failures count toward opening it, success closes it,
+// cancellation and budget errors say nothing about the key), and hits and
+// misses are counted here and nowhere else. No cache lock is held across
+// build, so a leader may take the step again for a key of another namespace
+// (a result leader building its strands). On error the reported outcome is
+// where the caller was when it failed: cacheJoined for a joiner whose ctx
+// ended while parked, cacheLed for a failed build, cacheBypassed for a cold
+// one.
+func cacheDo[T any](ctx context.Context, c *Cache, layer cacheLayer, key func() pipeline.Key, build func(retain bool) (T, int64, error)) (t T, how cacheOutcome, err error) {
+	if c == nil || layer == layerResult && c.resOff {
+		t, _, err = build(false)
+		return t, cacheBypassed, err
+	}
+	k := key()
+	if !c.breaker.Allow(k) {
+		t, _, err = build(false)
+		return t, cacheBypassed, err
+	}
+	v, hit, shared, err := c.c.Do(ctx, k, func() (_ any, _ int64, err error) {
+		defer guard(&err)
+		return build(true)
+	})
 	switch {
 	case err == nil:
 		c.breaker.Success(k)
 	case isTransientFold(err):
 		c.breaker.Failure(k)
 	}
+	switch {
+	case shared:
+		how = cacheJoined
+	case err != nil:
+		how = cacheLed
+	case hit:
+		c.layers[layer].hits.Add(1)
+		how = cacheHit
+	default:
+		c.layers[layer].misses.Add(1)
+		how = cacheLed
+	}
+	if err != nil {
+		return t, how, err
+	}
+	return v.(T), how, nil
 }
-
-// resultsOn reports whether the whole-result layer serves requests.
-func (c *Cache) resultsOn() bool { return !c.resOff }
 
 // Per-strand key namespaces. The tag byte keeps them disjoint: the float32
 // and float64 substrate tables and the ensemble signal never cross-serve.

@@ -531,11 +531,11 @@ func TestSessionCloseTrimsOwnedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Release()
-	if sess.pool.RetainedBytes() <= 0 {
+	if sess.rq.pool.RetainedBytes() <= 0 {
 		t.Fatal("fold retained nothing; trim assertion would be vacuous")
 	}
 	sess.Close()
-	if got := sess.pool.RetainedBytes(); got != 0 {
+	if got := sess.rq.pool.RetainedBytes(); got != 0 {
 		t.Errorf("Close left %d bytes in the owned pool", got)
 	}
 }

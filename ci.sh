@@ -49,6 +49,20 @@ run_lint() (
         echo "lint: ibpmax.Solve* called outside pipeline.go (route it through the pipeline's cold body)" >&2
         exit 1
     fi
+    # One cache step: every cached value — a fold's result, a strand's S or
+    # Boltzmann table, an ensemble — goes through cacheDo (breaker → probe →
+    # join → lead → retain), the one root function that calls the cache's Do.
+    # A direct probe or insert, or a second Do caller, is a cached kind growing
+    # its own protocol back — without single-flight, or without the breaker.
+    roots="$(ls ./*.go | grep -v '_test\.go$')"
+    if grep -n -e '\.c\.Get(' -e '\.c\.Add(' $roots; then
+        echo "lint: the cache probed or filled outside the cache step (go through cacheDo)" >&2
+        exit 1
+    fi
+    if [ "$(cat $roots | grep -c '\.c\.Do(')" != 1 ]; then
+        echo "lint: pipeline.(*Cache).Do must be called from exactly one root function (cacheDo)" >&2
+        exit 1
+    fi
     # One table type: the banded scan fills an FTable. The name survives only
     # in internal/metrics (two PoolStats fields the frozen bench/ module sums,
     # always 0) and in bench/ itself.

@@ -12,14 +12,14 @@
 //	bpmax -variant base -workers 1 GGGAAACCC GGGUUUCCC
 //	bpmax -window 64 longseq1.txt-content longseq2.txt-content
 //	bpmax -timeout 30s -mem-limit 2GB -degrade-window 100 SEQ1 SEQ2
-//	bpmax -fasta pairs.fa -batch -workers 8 -pool    # screen on one 8-wide worker team + pooled tables
+//	bpmax -fasta pairs.fa -batch -workers 8          # screen on one 8-wide worker team + pooled tables
 //	bpmax -fasta pairs.fa -batch -cache 256MB -admit 4   # cache repeated strands, gate concurrency
 //	bpmax -metrics-json - GGGAAACCC GGGUUUCCC        # emit fold metrics as JSON on stdout
 //	bpmax -pprof localhost:6060 -fasta pairs.fa -batch   # profile a screen live
 //
-// The serving knobs (-variant, -workers, -pool, -cache, -admit, -retry,
+// The serving knobs (-variant, -workers, -cache, -admit, -retry,
 // -failpoints, ...) are shared verbatim with the bpmaxd network server; see
-// internal/cliflags.
+// internal/cliflags. A -batch screen recycles its tables through a pool.
 //
 // A first SIGINT cancels the fold gracefully (the partial table is
 // discarded and the process exits with an error); a second one kills the
@@ -30,14 +30,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"github.com/bpmax-go/bpmax"
@@ -72,7 +70,7 @@ func run(ctx context.Context, args []string) error {
 	kt := fs.Float64("kt", 1.0, "Boltzmann temperature factor kT for -algebra partition, in pair-weight units")
 	stats := fs.Bool("stats", false, "print timing, GFLOPS, table size and the kernel implementation (avx2 or go)")
 	metricsJSON := fs.String("metrics-json", "", "write fold metrics as JSON to this file ('-' = stdout)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060) while folding")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while folding")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,20 +93,15 @@ func run(ctx context.Context, args []string) error {
 	options = append(options, bpmax.WithAlgebra(bpmax.Algebra(*algebra)), bpmax.WithKT(*kt))
 
 	// Every fold records its own Result.Metrics (-stats prints the kernel
-	// name from it); mtr is the cumulative side -metrics-json and -pprof
-	// publish. Aggregating costs a dozen atomic adds per fold, so it is
+	// name from it); the aggregate is the cumulative side -metrics-json
+	// publishes. Aggregating costs a dozen atomic adds per fold, so it is
 	// simply always on.
-	mtr := bpmax.NewMetrics()
-	options = append(options, bpmax.WithMetrics(mtr))
-	// snapshot assembles the full observability document: cumulative fold
-	// totals plus the stats of every serving component that is on.
-	snapshot := func() bpmax.MetricsSnapshot {
-		s := mtr.Snapshot()
-		comps.Attach(&s)
-		return s
+	options = append(options, bpmax.WithMetrics(bpmax.NewMetrics()))
+	if *batch {
+		// A screen folds many pairs of similar shape: recycle their tables.
+		options = append(options, bpmax.WithPool(bpmax.NewPool()))
 	}
 	if *pprofAddr != "" {
-		publishExpvar(snapshot)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "bpmax: pprof server:", err)
@@ -124,7 +117,7 @@ func run(ctx context.Context, args []string) error {
 		doc := struct {
 			Fold   *bpmax.FoldSnapshot   `json:"fold,omitempty"`
 			Totals bpmax.MetricsSnapshot `json:"totals"`
-		}{fold, snapshot()}
+		}{fold, bpmax.Stats(options...)}
 		raw, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			return err
@@ -245,18 +238,6 @@ func printRuntimeStats() {
 	fmt.Printf("runtime: %d goroutines  gc: %d cycles / %v paused  heap: %.1f MB  sched p99: %v\n",
 		rt.Goroutines, rt.NumGC, time.Duration(rt.GCPauseTotalNanos),
 		float64(rt.HeapAllocBytes)/(1<<20), time.Duration(rt.SchedLatencyP99Nanos))
-}
-
-// expvarOnce guards the process-wide expvar registration: run may be
-// invoked more than once (tests), Publish panics on duplicates.
-var expvarOnce sync.Once
-
-// publishExpvar exposes the observability snapshot at /debug/vars under
-// the "bpmax" key, next to the standard memstats.
-func publishExpvar(snapshot func() bpmax.MetricsSnapshot) {
-	expvarOnce.Do(func() {
-		expvar.Publish("bpmax", expvar.Func(func() any { return snapshot() }))
-	})
 }
 
 // describeFoldErr rewrites the robustness-layer errors into actionable CLI

@@ -14,7 +14,7 @@ import (
 // scaled by 1/kT, and the max-plus response shape is untouched (no logz
 // keys).
 func TestFoldPartitionEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	const s1, s2 = "GGGAAACCC", "GGGUUUCCC"
 	ref, err := bpmax.Fold(s1, s2)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestFoldPartitionEndpoint(t *testing.T) {
 // TestPartitionStructureRejected: a partition ensemble has no single
 // structure; asking for one is a client error, not a panic.
 func TestPartitionStructureRejected(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	rec := post(s, "/v1/fold", map[string]any{
 		"seq1": "GGGG", "seq2": "CCCC", "algebra": "partition", "structure": true,
 	})
@@ -73,7 +73,7 @@ func TestPartitionStructureRejected(t *testing.T) {
 
 // TestScanPartitionRejected: windowed scans are max-plus only.
 func TestScanPartitionRejected(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{ScanWindow: 4})
+	s := newTestServer(t, nil, serverConfig{ScanWindow: 4})
 	rec := post(s, "/v1/scan", map[string]any{
 		"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC", "algebra": "partition",
 	})
@@ -85,7 +85,7 @@ func TestScanPartitionRejected(t *testing.T) {
 // TestBatchPartitionEndpoint: a partition batch reports per-item logz and
 // the log-odds gain; a max-plus batch reports neither.
 func TestBatchPartitionEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	rec := post(s, "/v1/batch", map[string]any{
 		"algebra": "partition",
 		"items": []map[string]string{

@@ -105,8 +105,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	defer comps.Close()
 	// The server always aggregates: /metrics reports the fills that ran
 	// (folds, phases, retries, guard fallbacks) next to the cache's hits.
-	mtr := bpmax.NewMetrics()
-	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(mtr))...)
+	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(bpmax.NewMetrics()))...)
 	if err != nil {
 		return err
 	}
@@ -125,7 +124,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	if *accessLog {
 		cfg.Logger = logger
 	}
-	srv := newServer(session, comps, mtr, cfg)
+	srv := newServer(session, cfg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

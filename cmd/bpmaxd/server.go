@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/bpmax-go/bpmax"
-	"github.com/bpmax-go/bpmax/internal/cliflags"
 	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/trace"
 )
@@ -55,8 +54,6 @@ type serverConfig struct {
 // net/http goroutine pool.
 type server struct {
 	session *bpmax.Session
-	comps   *cliflags.Components
-	metrics *bpmax.Metrics // the session's WithMetrics aggregate; never nil
 	cfg     serverConfig
 	mux     *http.ServeMux
 	ring    *trace.Ring  // nil unless TraceRequests
@@ -75,17 +72,17 @@ type server struct {
 	disconnects atomic.Int64
 }
 
-// newServer wires the endpoint table. comps holds the serving components
-// the session was built from (for stats and Retry-After introspection);
-// mtr is the aggregate the session's folds record into (WithMetrics).
-func newServer(session *bpmax.Session, comps *cliflags.Components, mtr *bpmax.Metrics, cfg serverConfig) *server {
+// newServer wires the endpoint table over session, whose Stats is the source
+// of every component section the server reports (and of the Retry-After
+// estimate).
+func newServer(session *bpmax.Session, cfg serverConfig) *server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 8 << 20
 	}
 	if cfg.ScanWindow <= 0 {
 		cfg.ScanWindow = 64
 	}
-	s := &server{session: session, comps: comps, metrics: mtr, cfg: cfg, mux: http.NewServeMux(), logger: cfg.Logger}
+	s := &server{session: session, cfg: cfg, mux: http.NewServeMux(), logger: cfg.Logger}
 	if cfg.TraceRequests {
 		recent, slowest := cfg.TraceRing, cfg.TraceSlowest
 		if recent <= 0 {
@@ -440,11 +437,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 // handleCache is the cache-introspection endpoint: the configured cache's
 // stats, or 404 when the server runs uncached.
 func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
-	if s.comps.Cache == nil {
+	cs := s.session.Stats().Cache
+	if cs == nil {
 		s.writeJSON(w, r, http.StatusNotFound, errorJSON{Error: "no cache configured (-cache)", Kind: "no_cache"})
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, s.comps.Cache.Stats())
+	s.writeJSON(w, r, http.StatusOK, cs)
 }
 
 // handleHealthz is the liveness/readiness probe: 200 while serving, 503
@@ -485,14 +483,11 @@ func (s *server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, s.ring.Snapshot())
 }
 
-// snapshot assembles the /metrics document. The component sections come
-// from the session, which owns an engine and a pool whether or not a flag
-// built one; comps adds the failpoint registry's.
+// snapshot is the /metrics document: the session's (fold totals, engine,
+// pool, cache, admission gate, armed failpoints) plus the two sections only
+// this process knows.
 func (s *server) snapshot() bpmax.MetricsSnapshot {
-	snap := s.metrics.Snapshot()
-	s.comps.Attach(&snap)
-	st := s.session.Stats()
-	snap.Engine, snap.Pool, snap.Cache, snap.Admission = st.Engine, st.Pool, st.Cache, st.Admission
+	snap := s.session.Stats()
 	sst := s.serverStats()
 	snap.Server = &sst
 	rt := bpmax.ReadRuntimeStats()
@@ -576,10 +571,10 @@ func (s *server) writeError(w http.ResponseWriter, r *http.Request, err error) i
 // a retry would wait, scaled by the gate's observed mean wait (floored at
 // one second so clients never busy-loop).
 func (s *server) retryAfter() int {
-	if s.comps.Admission == nil {
+	st := s.session.Stats().Admission
+	if st == nil {
 		return 1
 	}
-	st := s.comps.Admission.Stats()
 	turns := float64(st.QueueDepth+1) / float64(st.MaxConcurrent)
 	meanWait := time.Second
 	if st.Admitted > 0 {

@@ -23,7 +23,7 @@ import (
 
 // newTestServer builds a server over a fresh session; adjust flags via
 // mut. Cleanup closes the session and components.
-func newTestServer(t *testing.T, mut func(*cliflags.Serving), cfg serverConfig) (*server, *cliflags.Components) {
+func newTestServer(t *testing.T, mut func(*cliflags.Serving), cfg serverConfig) *server {
 	t.Helper()
 	f := cliflags.NewServing()
 	if mut != nil {
@@ -33,14 +33,13 @@ func newTestServer(t *testing.T, mut func(*cliflags.Serving), cfg serverConfig) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtr := bpmax.NewMetrics()
-	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(mtr))...)
+	session, err := bpmax.NewSession(append(comps.Options, bpmax.WithMetrics(bpmax.NewMetrics()))...)
 	if err != nil {
 		comps.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { session.Close(); comps.Close() })
-	return newServer(session, comps, mtr, cfg), comps
+	return newServer(session, cfg)
 }
 
 // post sends one JSON request through the handler table.
@@ -68,7 +67,7 @@ func slowSeq() (string, string) {
 }
 
 func TestFoldEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	rec := post(s, "/v1/fold", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC", "structure": true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -95,7 +94,7 @@ func TestFoldEndpoint(t *testing.T) {
 }
 
 func TestScanEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{ScanWindow: 4})
+	s := newTestServer(t, nil, serverConfig{ScanWindow: 4})
 	rec := post(s, "/v1/scan", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -110,7 +109,7 @@ func TestScanEndpoint(t *testing.T) {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	rec := post(s, "/v1/batch", map[string]any{"items": []map[string]string{
 		{"name": "good", "seq1": "GGGG", "seq2": "CCCC"},
 		{"seq1": "GGX", "seq2": "CCC"}, // invalid base: fails per-item
@@ -138,7 +137,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestBadRequests table-drives the 400/405 surface.
 func TestBadRequests(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{MaxBody: 256})
+	s := newTestServer(t, nil, serverConfig{MaxBody: 256})
 	cases := []struct {
 		name string
 		do   func() *httptest.ResponseRecorder
@@ -183,7 +182,7 @@ func TestBadRequests(t *testing.T) {
 // TestDeadlineMapsToContext proves timeout_ms becomes the fold's context
 // deadline: a fold that needs tens of milliseconds dies at 1ms with 504.
 func TestDeadlineMapsToContext(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	s1, s2 := slowSeq()
 	rec := post(s, "/v1/fold", map[string]any{"seq1": s1, "seq2": s2, "timeout_ms": 1})
 	if rec.Code != http.StatusGatewayTimeout {
@@ -203,7 +202,7 @@ func TestDeadlineMapsToContext(t *testing.T) {
 
 // TestMaxTimeoutCapsRequest proves -max-timeout clamps greedy deadlines.
 func TestMaxTimeoutCapsRequest(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{MaxTimeout: time.Millisecond})
+	s := newTestServer(t, nil, serverConfig{MaxTimeout: time.Millisecond})
 	s1, s2 := slowSeq()
 	rec := post(s, "/v1/fold", map[string]any{"seq1": s1, "seq2": s2, "timeout_ms": 60000})
 	if rec.Code != http.StatusGatewayTimeout {
@@ -214,7 +213,7 @@ func TestMaxTimeoutCapsRequest(t *testing.T) {
 // TestQueueFull429 fills a 1-slot/1-deep admission gate and asserts the
 // third request sheds with 429 and a Retry-After hint.
 func TestQueueFull429(t *testing.T) {
-	s, comps := newTestServer(t, func(f *cliflags.Serving) {
+	s := newTestServer(t, func(f *cliflags.Serving) {
 		f.Admit, f.AdmitQueue = 1, 1
 	}, serverConfig{})
 	s1, s2 := slowSeq()
@@ -230,7 +229,7 @@ func TestQueueFull429(t *testing.T) {
 		// (i=1) before firing the next, so the fill order is exact.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			st := comps.Admission.Stats()
+			st := s.session.Stats().Admission
 			if (i == 0 && st.Running == 1) || (i == 1 && st.QueueDepth == 1) {
 				break
 			}
@@ -278,7 +277,7 @@ func TestClosedSession503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(session, comps, bpmax.NewMetrics(), serverConfig{})
+	s := newServer(session, serverConfig{})
 	session.Close()
 	for _, path := range []string{"/v1/fold", "/v1/scan", "/v1/batch"} {
 		body := map[string]any{"seq1": "GGG", "seq2": "CCC"}
@@ -298,7 +297,7 @@ func TestClosedSession503(t *testing.T) {
 // TestClientDisconnect proves a vanished client is accounted as a
 // disconnect, not an error.
 func TestClientDisconnect(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is already gone
 	blob, _ := json.Marshal(map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
@@ -315,7 +314,7 @@ func TestClientDisconnect(t *testing.T) {
 
 // TestMemoryLimit413 proves an over-budget fold maps to 413.
 func TestMemoryLimit413(t *testing.T) {
-	s, _ := newTestServer(t, func(f *cliflags.Serving) { f.MemLimit = "1KB" }, serverConfig{})
+	s := newTestServer(t, func(f *cliflags.Serving) { f.MemLimit = "1KB" }, serverConfig{})
 	s1, s2 := slowSeq()
 	rec := post(s, "/v1/fold", map[string]any{"seq1": s1, "seq2": s2})
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -325,7 +324,7 @@ func TestMemoryLimit413(t *testing.T) {
 
 func TestCacheEndpoint(t *testing.T) {
 	// No cache: 404.
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	req := httptest.NewRequest(http.MethodGet, "/v1/cache", nil)
 	rec := httptest.NewRecorder()
 	s.mux.ServeHTTP(rec, req)
@@ -333,7 +332,7 @@ func TestCacheEndpoint(t *testing.T) {
 		t.Errorf("uncached /v1/cache: status %d, want 404", rec.Code)
 	}
 	// With a cache: stats reflect served folds.
-	s2srv, _ := newTestServer(t, func(f *cliflags.Serving) { f.Cache = "0" }, serverConfig{})
+	s2srv := newTestServer(t, func(f *cliflags.Serving) { f.Cache = "0" }, serverConfig{})
 	for i := 0; i < 2; i++ {
 		if rec := post(s2srv, "/v1/fold", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"}); rec.Code != 200 {
 			t.Fatalf("fold %d: %d", i, rec.Code)
@@ -354,7 +353,7 @@ func TestCacheEndpoint(t *testing.T) {
 }
 
 func TestHealthAndMetrics(t *testing.T) {
-	s, _ := newTestServer(t, func(f *cliflags.Serving) { f.Admit = 2 }, serverConfig{})
+	s := newTestServer(t, func(f *cliflags.Serving) { f.Admit = 2 }, serverConfig{})
 	rec := httptest.NewRecorder()
 	s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
@@ -383,7 +382,7 @@ func TestHealthAndMetrics(t *testing.T) {
 }
 
 func TestPprofWired(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	rec := httptest.NewRecorder()
 	s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 	if rec.Code != http.StatusOK {
@@ -396,7 +395,7 @@ func TestPprofWired(t *testing.T) {
 // Every response must be a clean 200 or 503 — never a dropped request or
 // an inconsistent ledger.
 func TestConcurrentRequestsDuringShutdown(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 

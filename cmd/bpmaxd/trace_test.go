@@ -24,7 +24,7 @@ func tracedConfig() serverConfig {
 }
 
 func TestRequestIDEchoAndMint(t *testing.T) {
-	s, _ := newTestServer(t, nil, tracedConfig())
+	s := newTestServer(t, nil, tracedConfig())
 	blob, _ := json.Marshal(map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
 	req := httptest.NewRequest(http.MethodPost, "/v1/fold", bytes.NewReader(blob))
 	req.Header.Set("X-Request-ID", "client-chose-this")
@@ -43,7 +43,7 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 }
 
 func TestServerTimingAndDebugRequests(t *testing.T) {
-	s, _ := newTestServer(t, nil, tracedConfig())
+	s := newTestServer(t, nil, tracedConfig())
 	rec := post(s, "/v1/fold", map[string]any{
 		"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC", "name": "replay-7", "structure": true,
 	})
@@ -91,7 +91,7 @@ func TestServerTimingAndDebugRequests(t *testing.T) {
 	}
 	// One fill ran, so the aggregate's phases are that fold's FoldMetrics:
 	// the trace's fill stages are read from the same record, to the nanosecond.
-	phases := s.metrics.Snapshot().Phases
+	phases := s.session.Stats().Phases
 	for _, fill := range []string{"accumulate", "finalize"} {
 		if busy[fill] != phases[fill].Nanos {
 			t.Errorf("trace stage %s busy %dns, FoldMetrics phase %dns; want equal", fill, busy[fill], phases[fill].Nanos)
@@ -113,7 +113,7 @@ func workloadStages(h string) map[string]string {
 }
 
 func TestDebugRequestsDisabled(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	req := httptest.NewRequest(http.MethodGet, "/debug/requests", nil)
 	rec := httptest.NewRecorder()
 	s.mux.ServeHTTP(rec, req)
@@ -132,7 +132,7 @@ func TestDebugRequestsDisabled(t *testing.T) {
 }
 
 func TestPromAndRuntimeMetrics(t *testing.T) {
-	s, _ := newTestServer(t, nil, serverConfig{})
+	s := newTestServer(t, nil, serverConfig{})
 	post(s, "/v1/fold", map[string]any{"seq1": "GGGAAACCC", "seq2": "GGGUUUCCC"})
 	req := httptest.NewRequest(http.MethodGet, "/metrics/prom", nil)
 	rec := httptest.NewRecorder()
@@ -162,7 +162,7 @@ func TestPromAndRuntimeMetrics(t *testing.T) {
 // connection and checks the trace still lands in the ring, complete and
 // status-499, with every recorded stage inside the request's extent.
 func TestMidFillDisconnectTraced(t *testing.T) {
-	s, _ := newTestServer(t, nil, tracedConfig())
+	s := newTestServer(t, nil, tracedConfig())
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	s1, s2 := slowSeq()
@@ -211,7 +211,7 @@ func TestAccessLogCorrelation(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tracedConfig()
 	cfg.Logger = slog.New(slog.NewJSONHandler(&syncWriter{w: &buf}, nil))
-	s, _ := newTestServer(t, nil, cfg)
+	s := newTestServer(t, nil, cfg)
 	rec := post(s, "/v1/fold", map[string]any{"seq1": "GGG", "seq2": "CCC", "name": "corr-1"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)

@@ -3,6 +3,7 @@ package bpmax
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/seqio"
@@ -116,9 +117,10 @@ func FuzzPooledParity(f *testing.F) {
 }
 
 // FuzzCachedFoldParity checks that a fold served through the cache — the
-// substrate layer, the result layer, and a warm hit of each — is
-// bit-identical to a fresh fold for arbitrary inputs: same acceptance, same
-// error text, same score, same structure.
+// substrate layer, the result layer, a warm hit of each, and two goroutines
+// racing one pair through one cold cache (one leads, the other joins or hits)
+// — is bit-identical to a fresh fold for arbitrary inputs: same acceptance,
+// same error text, same score, same structure.
 func FuzzCachedFoldParity(f *testing.F) {
 	f.Add("GGG", "CCC")
 	f.Add("GGGAAACCC", "GGGUUUCCC")
@@ -129,36 +131,48 @@ func FuzzCachedFoldParity(f *testing.F) {
 			t.Skip("keep the O(N3M3) fill small")
 		}
 		want, wantErr := Fold(s1, s2)
+		var ws *Structure
+		if wantErr == nil {
+			ws = want.Structure() // traced once, here: check runs on two goroutines
+		}
+		// check folds through opts and holds the answer to the cold fold's; it
+		// reports with Errorf so the racing arm may call it off the test's own
+		// goroutine.
+		check := func(arm string, opts ...Option) {
+			got, err := Fold(s1, s2, opts...)
+			if (err != nil) != (wantErr != nil) {
+				t.Errorf("%s: err = %v, Fold err = %v", arm, err, wantErr)
+				return
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() {
+					t.Errorf("%s: cached error %q, fresh %q", arm, err, wantErr)
+				}
+				return
+			}
+			if got.Score != want.Score {
+				t.Errorf("%s: cached score %v, fresh %v", arm, got.Score, want.Score)
+			}
+			if gs := got.Structure(); gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
+				t.Errorf("%s: cached structure %q/%q, fresh %q/%q", arm, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
+			}
+			got.Release()
+		}
 		cache := NewCache(CacheConfig{})
 		pool := NewPool()
 		// Two passes: the first fills the cache (miss path), the second is
 		// served from it (substrate shares + whole-result hit). Both must
 		// match the cold fold exactly, pooled or not.
-		for pass := 0; pass < 2; pass++ {
-			for _, opts := range [][]Option{
-				{WithCache(cache)},
-				{WithCache(cache), WithPool(pool)},
-			} {
-				got, err := Fold(s1, s2, opts...)
-				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("pass %d: err = %v, Fold err = %v", pass, err, wantErr)
-				}
-				if err != nil {
-					if err.Error() != wantErr.Error() {
-						t.Fatalf("pass %d: cached error %q, fresh %q", pass, err, wantErr)
-					}
-					continue
-				}
-				if got.Score != want.Score {
-					t.Fatalf("pass %d: cached score %v, fresh %v", pass, got.Score, want.Score)
-				}
-				gs, ws := got.Structure(), want.Structure()
-				if gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
-					t.Fatalf("pass %d: cached structure %q/%q, fresh %q/%q", pass, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
-				}
-				got.Release()
-			}
+		for _, pass := range []string{"cold pass", "warm pass"} {
+			check(pass, WithCache(cache))
+			check(pass+", pooled", WithCache(cache), WithPool(pool))
 		}
+		raced := NewCache(CacheConfig{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); check("raced", WithCache(raced)) }()
+		go func() { defer wg.Done(); check("raced, pooled", WithCache(raced), WithPool(pool)) }()
+		wg.Wait()
 	})
 }
 

@@ -1,7 +1,9 @@
 package bpmax
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -277,6 +279,7 @@ func TestInteractionDisabledDegeneracy(t *testing.T) {
 func TestSwapSymmetry(t *testing.T) {
 	// BPMax is symmetric in its two sequences: folding (s1, s2) and
 	// (s2, s1) give the same total score.
+	refills := 0
 	for seed := int64(20); seed < 26; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s1 := rna.Random(rng, 2+rng.Intn(7))
@@ -288,7 +291,46 @@ func TestSwapSymmetry(t *testing.T) {
 		if a != b {
 			t.Errorf("seed %d: F(s1,s2)=%v != F(s2,s1)=%v", seed, a, b)
 		}
+		// The partition algebra sums over the same structures, so it is as
+		// symmetric: logZ agrees up to the rounding of a different summation
+		// order, and each strand's own logZ — one strand's table, built the
+		// same way whichever slot it sits in — swaps exactly. kT = 1 fills in
+		// the scaled domain; at the small kT the fill's range guard trips and
+		// the table is refilled in the log domain.
+		for _, kT := range []float64{1, 0.005} {
+			za, za1, za2, fa := partitionLogZs(t, pa, kT)
+			zb, zb1, zb2, _ := partitionLogZs(t, pb, kT)
+			if kT == 1 && !fa.Scaled() {
+				t.Errorf("seed %d: kT 1 left the scaled domain", seed)
+			}
+			if fa.GuardRefilled() {
+				refills++
+			}
+			if math.Abs(za-zb) > 1e-9*math.Abs(za) {
+				t.Errorf("seed %d kT %g: logZ(s1,s2)=%v, logZ(s2,s1)=%v", seed, kT, za, zb)
+			}
+			if za1 != zb2 || za2 != zb1 {
+				t.Errorf("seed %d kT %g: strand logZ (%v, %v) did not swap to (%v, %v)", seed, kT, za1, za2, zb2, zb1)
+			}
+		}
 	}
+	if refills == 0 {
+		t.Error("no seed took the log-domain refill; the small kT was chosen to cover it")
+	}
+}
+
+// partitionLogZs folds p in the partition algebra and returns logZ, the two
+// strands' own logZ, and the table (for the domain it came back in).
+func partitionLogZs(t *testing.T, p *Problem, kT float64) (z, z1, z2 float64, ft *FTableOf[float64]) {
+	t.Helper()
+	ps, err := BuildPartitionSub(context.Background(), p, kT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft, err = SolvePartitionContext(context.Background(), p, ps, VariantHybrid, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	return PartitionLogZ(p, ft), ps.S1.LogAt(0, p.N1-1), ps.S2.LogAt(0, p.N2-1), ft
 }
 
 func TestTableMonotonicity(t *testing.T) {

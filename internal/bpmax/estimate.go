@@ -25,7 +25,7 @@ func EstimateWindowedBytes(n1, n2, w1, w2 int) int64 {
 // which can be up to 2× the exact table size, so budgeting pooled folds
 // with the exact estimate would under-count.
 func EstimatePooledBytes(n1, n2 int, kind MapKind) int64 {
-	return bufpool.ClassBytes(tableElems(n1, n2, n1, n2, kind))
+	return new(bufpool.Pool).HeldBytesAfter(tableElems(n1, n2, n1, n2, kind))
 }
 
 // EstimateBytesSized is EstimateBytes for an arbitrary element width: the

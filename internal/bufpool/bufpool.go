@@ -62,32 +62,6 @@ func classFor(n int) int {
 // classLen returns the buffer capacity of class c in elements.
 func classLen(c int) int { return 1 << (c + minClassBits) }
 
-// ClassLen returns the capacity, in elements, of the buffer a pool would
-// actually hold for a request of n elements: the power-of-two size class
-// n rounds up to, or n itself when the request is outside the pooled
-// range. Memory budgeting uses it to account for class rounding — a pooled
-// fold retains ClassLen(n) elements, not n.
-func ClassLen(n int) int {
-	c := classFor(n)
-	if c < 0 {
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	return classLen(c)
-}
-
-// ClassBytes is ClassLen in bytes (4 bytes per float32 element) — the
-// historical float32 form; ClassBytesSized generalizes it.
-func ClassBytes(n int) int64 { return ClassBytesSized(n, 4) }
-
-// ClassBytesSized is ClassLen in bytes for elements of the given size
-// (4 for float32 tables, 8 for the float64 partition tables).
-func ClassBytesSized(n int, elemBytes int) int64 {
-	return int64(ClassLen(n)) * int64(elemBytes)
-}
-
 // Pool is the float32 arena set — the historical name nearly every
 // max-plus call site uses.
 type Pool = PoolOf[float32]

@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestClassLenRounding(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{1, 256}, {255, 256}, {256, 256}, {257, 512},
-		{1 << 12, 1 << 12}, {(1 << 12) + 1, 1 << 13},
-		{1 << 30, 1 << 30},
-		{(1 << 30) + 1, (1 << 30) + 1}, // outside pooled range: identity
-		{0, 0},
-		{-3, 0},
-	}
-	for _, c := range cases {
-		if got := ClassLen(c.n); got != c.want {
-			t.Errorf("ClassLen(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-	if got := ClassBytes(257); got != 512*4 {
-		t.Errorf("ClassBytes(257) = %d, want %d", got, 512*4)
-	}
-}
-
 func TestGetReturnsZeroedExactLength(t *testing.T) {
 	var p Pool
 	b := p.Get(300)

@@ -1,9 +1,9 @@
 // Package cliflags is the one flag surface for the serving knobs shared by
 // the bpmax CLI and the bpmaxd network server: schedule variant, tiling,
-// memory budget and degradation, pool reuse, cache, admission control,
-// retry policy and failpoint arming. Both binaries register the same Serving
-// struct, so a knob added here appears in both with identical names,
-// defaults and parsing — the two cannot drift.
+// memory budget and degradation, cache, admission control, retry policy and
+// failpoint arming. Both binaries register the same Serving struct, so a knob
+// added here appears in both with identical names, defaults and parsing — the
+// two cannot drift.
 package cliflags
 
 import (
@@ -32,7 +32,6 @@ type Serving struct {
 	MemLimit      string
 	DegradeWindow int
 
-	Pool       bool
 	Cache      string
 	Admit      int
 	AdmitQueue int
@@ -63,8 +62,6 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 		"refuse folds whose table exceeds this size, e.g. 500MB or 2GB (empty = unlimited)")
 	fs.IntVar(&f.DegradeWindow, "degrade-window", f.DegradeWindow,
 		"with -mem-limit: fall back to a windowed scan with this span when the full table is over budget")
-	fs.BoolVar(&f.Pool, "pool", f.Pool,
-		"recycle DP tables and fold state across folds (useful with -batch)")
 	fs.StringVar(&f.Cache, "cache", f.Cache,
 		"serve repeated strands/pairs from a content-addressed cache; value is the retention budget, e.g. 256MB ('0' = unlimited, empty = off)")
 	fs.IntVar(&f.Admit, "admit", f.Admit,
@@ -80,14 +77,11 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 }
 
 // Components is the long-lived serving state Build assembled from the
-// flags: the option set to fold with, plus handles to every component that
-// was turned on (nil when its flag was off) so callers can snapshot stats.
-// Close releases what Build created.
+// flags: the option set to fold with, carrying every component that was
+// turned on (bpmax.Stats, or the Session built from the options, snapshots
+// them). Close releases what Build created.
 type Components struct {
-	Options   []bpmax.Option
-	Pool      *bpmax.Pool
-	Cache     *bpmax.Cache
-	Admission *bpmax.Admission
+	Options []bpmax.Option
 
 	failpoints bool
 }
@@ -131,52 +125,23 @@ func (f *Serving) Build() (*Components, error) {
 		}
 		c.failpoints = true
 	}
-	if f.Pool {
-		c.Pool = bpmax.NewPool()
-		c.Options = append(c.Options, bpmax.WithPool(c.Pool))
-	}
 	if f.Cache != "" {
 		budget, err := ParseBytes(f.Cache)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("-cache: %w", err)
 		}
-		c.Cache = bpmax.NewCache(bpmax.CacheConfig{MaxBytes: budget})
-		c.Options = append(c.Options, bpmax.WithCache(c.Cache))
+		c.Options = append(c.Options, bpmax.WithCache(bpmax.NewCache(bpmax.CacheConfig{MaxBytes: budget})))
 	}
 	if f.Admit > 0 {
-		c.Admission = bpmax.NewAdmission(bpmax.AdmissionConfig{
+		c.Options = append(c.Options, bpmax.WithAdmission(bpmax.NewAdmission(bpmax.AdmissionConfig{
 			MaxConcurrent: f.Admit, MaxQueue: f.AdmitQueue,
-		})
-		c.Options = append(c.Options, bpmax.WithAdmission(c.Admission))
+		})))
 	} else if f.AdmitQueue > 0 {
 		c.Close()
 		return nil, fmt.Errorf("-admit-queue requires -admit")
 	}
 	return c, nil
-}
-
-// Attach adds the stats section of every component the flags built to a
-// metrics snapshot, plus the failpoint registry's when this process armed
-// failpoints. A Session's own engine and pool are not here: read those from
-// Session.Stats.
-func (c *Components) Attach(s *bpmax.MetricsSnapshot) {
-	if c.Pool != nil {
-		ps := c.Pool.Stats()
-		s.Pool = &ps
-	}
-	if c.Cache != nil {
-		cs := c.Cache.Stats()
-		s.Cache = &cs
-	}
-	if c.Admission != nil {
-		as := c.Admission.Stats()
-		s.Admission = &as
-	}
-	if c.failpoints {
-		fst := fault.Snapshot()
-		s.Faults = &fst
-	}
 }
 
 // Close releases what Build created: armed failpoints are reset. Pools,

@@ -27,8 +27,8 @@ func TestBuildDefaults(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	if c.Pool != nil || c.Cache != nil || c.Admission != nil {
-		t.Errorf("default build created components: %+v", c)
+	if s := bpmax.Stats(c.Options...); s.Pool != nil || s.Cache != nil || s.Admission != nil || s.Faults != nil {
+		t.Errorf("default build created components: %+v", s)
 	}
 	if len(c.Options) == 0 {
 		t.Error("default build produced no options")
@@ -40,22 +40,20 @@ func TestBuildDefaults(t *testing.T) {
 }
 
 func TestBuildComponents(t *testing.T) {
-	c, err := parseServing(t, "-pool", "-cache", "1MB", "-admit", "2", "-admit-queue", "4", "-retry", "2")
+	c, err := parseServing(t, "-cache", "1MB", "-admit", "2", "-admit-queue", "4", "-retry", "2",
+		"-failpoints", "batch-item=error")
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	if c.Pool == nil || c.Cache == nil || c.Admission == nil {
-		t.Fatalf("components missing: pool=%v cache=%v admission=%v",
-			c.Pool != nil, c.Cache != nil, c.Admission != nil)
-	}
 	if _, err := bpmax.Fold("GGGAAACCC", "GGGUUUCCC", c.Options...); err != nil {
 		t.Errorf("fold with full components: %v", err)
 	}
-	var s bpmax.MetricsSnapshot
-	c.Attach(&s)
-	if s.Pool == nil || s.Cache == nil || s.Admission == nil {
-		t.Errorf("Attach left sections nil: %+v", s)
+	// The options carry the components: the one snapshot assembly finds them.
+	s := bpmax.Stats(c.Options...)
+	if s.Cache == nil || s.Admission == nil || s.Faults == nil {
+		t.Fatalf("components missing: cache=%v admission=%v faults=%v",
+			s.Cache != nil, s.Admission != nil, s.Faults != nil)
 	}
 	if s.Cache.SubstrateMisses == 0 {
 		t.Error("cache saw no traffic from the fold")
@@ -85,13 +83,16 @@ func TestBuildErrors(t *testing.T) {
 
 // TestBuildSubstrateRejected: the substrate fill is not a serving knob — it
 // had one legal answer — so -substrate is an undefined flag, refused at parse
-// time by both binaries.
+// time by both binaries; so is -pool, which only ever mattered to the CLI's
+// batch mode (the server's session always pools) and lives there now.
 func TestBuildSubstrateRejected(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	NewServing().Register(fs)
-	if err := fs.Parse([]string{"-substrate", "auto"}); err == nil {
-		t.Error("-substrate is still a flag")
+	for _, args := range [][]string{{"-substrate", "auto"}, {"-pool"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		NewServing().Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%s is still a shared flag", args[0])
+		}
 	}
 }
 
@@ -109,7 +110,7 @@ func TestRegisterRespectsPresetDefaults(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer c.Close()
-	if c.Admission == nil || c.Cache == nil {
+	if s := bpmax.Stats(c.Options...); s.Admission == nil || s.Cache == nil {
 		t.Error("per-binary defaults were not honored by Build")
 	}
 }

@@ -443,15 +443,6 @@ type EngineStats struct {
 	Panics int64 `json:"panics"`
 }
 
-// Utilization returns the fraction of helper offers that recruited a
-// parked worker — 1.0 means every parallel loop got its full width.
-func (s EngineStats) Utilization() float64 {
-	if s.HelperOffers == 0 {
-		return 0
-	}
-	return float64(s.HelpersRecruited) / float64(s.HelperOffers)
-}
-
 // PoolStats is a snapshot of the fold-state pool's reuse counters. A hit
 // serves a request from a recycled shell; a miss falls through to the
 // allocator (expected while warming).
@@ -486,14 +477,17 @@ func (s PoolStats) HitRate() float64 {
 
 // CacheStats is a snapshot of the content-addressed request cache. The two
 // entry classes are counted separately: substrate entries memoize one
-// strand's Nussinov S table, result entries retain a whole completed fold.
+// strand's Nussinov S table (or its Boltzmann table), result entries retain a
+// whole completed fold (or an ensemble). A hit was served from a retained
+// entry; a miss built the value and retained it.
 type CacheStats struct {
 	SubstrateHits   int64 `json:"substrate_hits"`
 	SubstrateMisses int64 `json:"substrate_misses"`
 	ResultHits      int64 `json:"result_hits"`
 	ResultMisses    int64 `json:"result_misses"`
-	// SingleFlightShared counts requests served by another request's
-	// in-flight computation instead of solving themselves.
+	// SingleFlightShared counts lookups — of either class — served by
+	// another request's in-flight build of the same key instead of building
+	// themselves.
 	SingleFlightShared int64 `json:"single_flight_shared"`
 	// Evictions counts entries dropped by the LRU policy; Entries is the
 	// current entry count across both classes.
@@ -504,10 +498,10 @@ type CacheStats struct {
 	// maximum ever pinned.
 	RetainedBytes     int64 `json:"retained_bytes"`
 	RetainedHighWater int64 `json:"retained_high_water"`
-	// BreakerOpens counts result-layer circuit-breaker trips (a key whose
-	// single-flight leaders kept failing); BreakerBypasses the requests
-	// served cold because their key's breaker was open; BreakerOpenKeys the
-	// keys currently open or half-open.
+	// BreakerOpens counts circuit-breaker trips — any cached key, a pair's
+	// result or a strand's table, whose single-flight leaders kept failing;
+	// BreakerBypasses the requests built cold because their key's breaker was
+	// open; BreakerOpenKeys the keys currently open or half-open.
 	BreakerOpens    int64 `json:"breaker_opens"`
 	BreakerBypasses int64 `json:"breaker_bypasses"`
 	BreakerOpenKeys int64 `json:"breaker_open_keys"`

@@ -199,12 +199,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, back) {
 		t.Errorf("round trip changed snapshot:\n%+v\n%+v", snap, back)
 	}
-	if u := snap.Engine.Utilization(); u != 0.8 {
-		t.Errorf("utilization = %v, want 0.8", u)
-	}
-	if (EngineStats{}).Utilization() != 0 {
-		t.Error("empty engine utilization should be 0")
-	}
 	if hr := snap.Pool.HitRate(); hr != 0.9 {
 		t.Errorf("hit rate = %v, want 0.9", hr)
 	}

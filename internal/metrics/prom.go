@@ -94,7 +94,7 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 		p.metric("bpmax_cache_evictions_total", "counter", "Entries dropped by the LRU policy.", c.Evictions)
 		p.metric("bpmax_cache_entries", "gauge", "Current cache entries across both classes.", c.Entries)
 		p.metric("bpmax_cache_retained_bytes", "gauge", "Bytes currently pinned by cache entries.", c.RetainedBytes)
-		p.metric("bpmax_cache_breaker_opens_total", "counter", "Result-layer circuit-breaker trips.", c.BreakerOpens)
+		p.metric("bpmax_cache_breaker_opens_total", "counter", "Cache-key circuit-breaker trips.", c.BreakerOpens)
 	}
 
 	if a := s.Admission; a != nil {

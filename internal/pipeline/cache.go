@@ -20,9 +20,10 @@ import (
 // own context while parked. Errors are never cached — a failed or cancelled
 // leader wakes the waiters, and the first of them retries as the new leader.
 //
-// All methods are safe for concurrent use. Get on a present key allocates
-// nothing, which the public layer's zero-alloc steady-state contract relies
-// on.
+// Do is the only way in: a value is retained by the leader that built it and
+// by nothing else. All methods are safe for concurrent use. Do on a present
+// key allocates nothing, which the public layer's zero-alloc steady-state
+// contract relies on.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -61,26 +62,12 @@ func NewCache(maxBytes int64) *Cache {
 	}
 }
 
-// Get returns the cached value for k, marking it most recently used.
-func (c *Cache) Get(k Key) (any, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if ok {
-		c.moveToFront(e)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return e.val, true
-}
-
-// Add inserts a value with the given retained-byte cost, then evicts
-// least-recently-used entries until the budget holds again. If the key is
-// already present the existing entry is kept (the values are interchangeable
-// by construction of the key). A value whose cost alone exceeds the budget
-// is not retained at all.
-func (c *Cache) Add(k Key, v any, bytes int64) {
+// retain inserts a leader's value with the given retained-byte cost, then
+// evicts least-recently-used entries until the budget holds again. If the key
+// is already present the existing entry is kept (the values are
+// interchangeable by construction of the key). A value whose cost alone
+// exceeds the budget is not retained at all.
+func (c *Cache) retain(k Key, v any, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[k]; ok {
@@ -101,9 +88,10 @@ func (c *Cache) Add(k Key, v any, bytes int64) {
 // Do returns the value for k, computing it with fn on a miss. Concurrent
 // calls with the same key are single-flighted: one leader runs fn, the rest
 // wait (respecting ctx) and share the leader's value. shared reports whether
-// this call was served by another call's computation; hit whether it was
-// served by an already-cached entry. fn's error is returned to the leader
-// only and is never cached; waiters woken by a failed leader retry.
+// this call was served by another call's computation — or gave up, with
+// ctx.Err(), while parked behind one; hit whether it was served by an
+// already-cached entry. fn's error is returned to the leader only and is
+// never cached; waiters woken by a failed leader retry.
 func (c *Cache) Do(ctx context.Context, k Key, fn func() (any, int64, error)) (v any, hit, shared bool, err error) {
 	for {
 		c.mu.Lock()
@@ -124,7 +112,7 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (any, int64, error)) (v
 				// cancelled context, a panic). Loop and retry as leader.
 				continue
 			case <-ctx.Done():
-				return nil, false, false, ctx.Err()
+				return nil, false, true, ctx.Err()
 			}
 		}
 		cl := &call{done: make(chan struct{})}
@@ -156,7 +144,7 @@ func (c *Cache) lead(k Key, cl *call, fn func() (any, int64, error)) (any, error
 		return nil, err
 	}
 	cl.val = v
-	c.Add(k, v, bytes)
+	c.retain(k, v, bytes)
 	return v, nil
 }
 

@@ -14,13 +14,28 @@ func key(b byte) Key {
 	return k
 }
 
+// get probes k through Do, the cache's one entry point: a lookup that
+// retains nothing on a miss (its build fails) and, like any hit, marks a
+// present entry most recently used.
+func get(c *Cache, k Key) (any, bool) {
+	v, hit, _, _ := c.Do(context.Background(), k, func() (any, int64, error) {
+		return nil, 0, errors.New("probe")
+	})
+	return v, hit
+}
+
+// add leads a build of k that yields v at the given retained cost.
+func add(c *Cache, k Key, v any, bytes int64) {
+	c.Do(context.Background(), k, func() (any, int64, error) { return v, bytes, nil })
+}
+
 func TestCacheGetAdd(t *testing.T) {
 	c := NewCache(0)
-	if _, ok := c.Get(key(1)); ok {
+	if _, ok := get(c, key(1)); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Add(key(1), "one", 10)
-	v, ok := c.Get(key(1))
+	add(c, key(1), "one", 10)
+	v, ok := get(c, key(1))
 	if !ok || v.(string) != "one" {
 		t.Fatalf("Get = %v, %v; want one, true", v, ok)
 	}
@@ -28,8 +43,8 @@ func TestCacheGetAdd(t *testing.T) {
 		t.Fatalf("RetainedBytes = %d, want 10", got)
 	}
 	// Duplicate insert keeps the existing entry and does not double-charge.
-	c.Add(key(1), "other", 99)
-	v, _ = c.Get(key(1))
+	add(c, key(1), "other", 99)
+	v, _ = get(c, key(1))
 	if v.(string) != "one" {
 		t.Fatalf("duplicate Add replaced entry: got %v", v)
 	}
@@ -40,17 +55,17 @@ func TestCacheGetAdd(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(30)
-	c.Add(key(1), 1, 10)
-	c.Add(key(2), 2, 10)
-	c.Add(key(3), 3, 10)
+	add(c, key(1), 1, 10)
+	add(c, key(2), 2, 10)
+	add(c, key(3), 3, 10)
 	// Touch 1 so 2 is now the least recently used.
-	c.Get(key(1))
-	c.Add(key(4), 4, 10)
-	if _, ok := c.Get(key(2)); ok {
+	get(c, key(1))
+	add(c, key(4), 4, 10)
+	if _, ok := get(c, key(2)); ok {
 		t.Fatal("key 2 should have been evicted (LRU)")
 	}
 	for _, b := range []byte{1, 3, 4} {
-		if _, ok := c.Get(key(b)); !ok {
+		if _, ok := get(c, key(b)); !ok {
 			t.Fatalf("key %d evicted, want retained", b)
 		}
 	}
@@ -68,22 +83,22 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheEvictionCascade(t *testing.T) {
 	c := NewCache(25)
-	c.Add(key(1), 1, 10)
-	c.Add(key(2), 2, 10)
+	add(c, key(1), 1, 10)
+	add(c, key(2), 2, 10)
 	// A 20-byte entry forces both 10-byte entries out.
-	c.Add(key(3), 3, 20)
-	if _, ok := c.Get(key(1)); ok {
+	add(c, key(3), 3, 20)
+	if _, ok := get(c, key(1)); ok {
 		t.Fatal("key 1 retained, want evicted")
 	}
-	if _, ok := c.Get(key(2)); ok {
+	if _, ok := get(c, key(2)); ok {
 		t.Fatal("key 2 retained, want evicted")
 	}
-	if _, ok := c.Get(key(3)); !ok {
+	if _, ok := get(c, key(3)); !ok {
 		t.Fatal("key 3 evicted, want retained")
 	}
 	// An entry over the whole budget is not retained at all.
-	c.Add(key(4), 4, 100)
-	if _, ok := c.Get(key(4)); ok {
+	add(c, key(4), 4, 100)
+	if _, ok := get(c, key(4)); ok {
 		t.Fatal("over-budget entry retained")
 	}
 	if got := c.RetainedBytes(); got != 0 {
@@ -237,12 +252,15 @@ func TestCacheDoWaiterHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := c.Do(ctx, key(5), func() (any, int64, error) {
+	_, hit, shared, err := c.Do(ctx, key(5), func() (any, int64, error) {
 		t.Error("cancelled waiter ran fn")
 		return nil, 0, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do = %v, want context.Canceled", err)
+	}
+	if hit || !shared {
+		t.Errorf("hit %v shared %v; a waiter that gave up was parked behind the leader (shared), not served", hit, shared)
 	}
 	close(release)
 }
@@ -287,9 +305,9 @@ func TestCacheConcurrentMixed(t *testing.T) {
 				k := key(byte(i % 16))
 				switch i % 3 {
 				case 0:
-					c.Add(k, i, 8)
+					add(c, k, i, 8)
 				case 1:
-					c.Get(k)
+					get(c, k)
 				default:
 					c.Do(context.Background(), k, func() (any, int64, error) {
 						return i, 8, nil
@@ -343,7 +361,7 @@ func TestCacheDoPersistentlyFailingLeader(t *testing.T) {
 	if err != nil || hit || shared || v.(string) != "ok" {
 		t.Errorf("post-failure Do = %v, hit %v, shared %v, err %v", v, hit, shared, err)
 	}
-	if _, ok := c.Get(key(9)); !ok {
+	if _, ok := get(c, key(9)); !ok {
 		t.Error("successful leader result not cached")
 	}
 }

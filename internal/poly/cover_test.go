@@ -23,15 +23,6 @@ func TestMapString(t *testing.T) {
 	}
 }
 
-func TestMapFromNames(t *testing.T) {
-	in := NewSpace("a", "b", "c")
-	m := MapFromNames(in, NewSpace("x", "y"), "c", "a")
-	got := m.Apply([]int64{1, 2, 3})
-	if got[0] != 3 || got[1] != 1 {
-		t.Errorf("MapFromNames apply = %v", got)
-	}
-}
-
 func TestNewMapPanics(t *testing.T) {
 	in := NewSpace("i")
 	out := NewSpace("t", "u")

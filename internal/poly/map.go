@@ -74,14 +74,3 @@ func (m Map) String() string {
 	}
 	return m.In.String() + " -> [" + strings.Join(parts, ", ") + "]"
 }
-
-// MapFromNames builds a map by parsing each output as either a dimension
-// name of in, or leaving construction to exprs for anything affine; it is a
-// convenience for permutation-style schedules.
-func MapFromNames(in, out Space, names ...string) Map {
-	exprs := make([]Expr, len(names))
-	for i, n := range names {
-		exprs[i] = Var(in, n)
-	}
-	return NewMap(in, out, exprs)
-}

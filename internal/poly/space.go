@@ -161,16 +161,6 @@ func (e Expr) AddK(k int64) Expr {
 	return g
 }
 
-// IsConst reports whether all coefficients are zero.
-func (e Expr) IsConst() bool {
-	for _, c := range e.Coeffs {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (e Expr) clone() Expr {
 	g := Expr{Coeffs: make([]int64, len(e.Coeffs)), K: e.K}
 	copy(g.Coeffs, e.Coeffs)

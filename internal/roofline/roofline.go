@@ -95,28 +95,6 @@ func (m Machine) Attainable(level string, intensity float64) float64 {
 // 2 FLOPs per 3 single-precision memory operations = 1/6 FLOP/byte.
 const StreamIntensity = 2.0 / 12.0
 
-// Point is one (intensity, GFLOPS) sample of a roofline series.
-type Point struct {
-	Intensity float64
-	GFLOPS    float64
-}
-
-// Series returns the roofline curve for one memory level over a log-spaced
-// intensity range — the data behind Fig 11.
-func (m Machine) Series(level string, loIntensity, hiIntensity float64, points int) []Point {
-	if points < 2 {
-		points = 2
-	}
-	out := make([]Point, points)
-	ratio := math.Pow(hiIntensity/loIntensity, 1/float64(points-1))
-	ai := loIntensity
-	for i := range out {
-		out[i] = Point{Intensity: ai, GFLOPS: m.Attainable(level, ai)}
-		ai *= ratio
-	}
-	return out
-}
-
 // StreamResult is one micro-benchmark measurement.
 type StreamResult struct {
 	Threads   int

@@ -63,8 +63,8 @@ const (
 	// StageCacheWait is a single-flight wait: time spent parked behind
 	// another request's in-flight identical solve.
 	StageCacheWait
-	// StageSubstrate through StageTriangle mirror metrics.Phase —
-	// StageOfPhase maps them index-for-index, so a fold's phase record
+	// StageSubstrate through StageTriangle mirror metrics.Phase index for
+	// index (phase p is stage StageSubstrate + p), so a fold's phase record
 	// needs no translation table.
 	StageSubstrate
 	StageAccum
@@ -98,16 +98,6 @@ func (s Stage) String() string {
 		return stageNames[s]
 	}
 	return "unknown"
-}
-
-// StageOfPhase maps a solver phase onto its trace stage. The two enums are
-// aligned (PhaseSubstrate == 0 maps to StageSubstrate), so the mapping is
-// one addition.
-func StageOfPhase(p metrics.Phase) Stage {
-	if p >= metrics.PhaseCount {
-		return StageCount // not a stage
-	}
-	return StageSubstrate + Stage(p)
 }
 
 // StageStat accumulates one stage's activity inside a single request:
@@ -219,7 +209,7 @@ func (t *Trace) AddFill(start time.Time, fm *metrics.FoldMetrics) {
 	t.mu.Lock()
 	for p := metrics.PhaseAccum; p < metrics.PhaseCount; p++ {
 		if ns := fm.Phases[p].Nanos; ns > 0 {
-			t.stages[StageOfPhase(p)].add(first, last, time.Duration(ns))
+			t.stages[StageSubstrate+Stage(p)].add(first, last, time.Duration(ns))
 		}
 	}
 	t.mu.Unlock()

@@ -39,18 +39,16 @@ func TestStageNames(t *testing.T) {
 
 func TestStageOfPhaseAligned(t *testing.T) {
 	// The solver enum must map index-for-index onto the substrate block of
-	// the stage enum: same names, same order.
+	// the stage enum — same names, same order: AddFill files phase p under
+	// stage StageSubstrate + p.
 	for p := metrics.Phase(0); p < metrics.PhaseCount; p++ {
-		st := StageOfPhase(p)
+		st := StageSubstrate + Stage(p)
 		if st >= StageCount {
 			t.Fatalf("phase %v maps out of range", p)
 		}
 		if got, want := st.String(), p.String(); got != want {
 			t.Fatalf("phase %v maps to stage %q", p, got)
 		}
-	}
-	if StageOfPhase(metrics.PhaseCount) != StageCount {
-		t.Fatal("out-of-range phase must map to the dropped sentinel")
 	}
 }
 

@@ -36,39 +36,6 @@ func RowStart(i, n int) int {
 	return i*n - i*(i-1)/2
 }
 
-// RowLen returns the number of cells in row i of a triangle over n points.
-func RowLen(i, n int) int { return n - i }
-
-// Unindex inverts Index: it maps a packed position back to (i,j).
-// It runs in O(log n).
-func Unindex(idx, n int) (i, j int) {
-	if idx < 0 || idx >= Count(n) {
-		panic(fmt.Sprintf("tri: Unindex(%d) out of triangle of size %d", idx, n))
-	}
-	// Binary-search the largest i with RowStart(i) <= idx.
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if RowStart(mid, n) <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	i = lo
-	j = i + (idx - RowStart(i, n))
-	return i, j
-}
-
-// DiagLen returns the number of cells on anti-diagonal d (where d = j-i) of
-// a triangle over n points: the intervals of length d+1.
-func DiagLen(d, n int) int {
-	if d < 0 || d >= n {
-		return 0
-	}
-	return n - d
-}
-
 // DiagCells calls f(i, j) for every cell on anti-diagonal d = j-i, in
 // increasing i. BPMax's coarse-grain schedule distributes exactly these
 // cells (the independent inner triangles of one wavefront) across workers.
@@ -85,19 +52,6 @@ func DiagCells(d, n int, f func(i, j int)) {
 func Cells(n int, f func(i, j int)) {
 	for d := 0; d < n; d++ {
 		DiagCells(d, n, f)
-	}
-}
-
-// CellsBottomUp calls f(i, j) for every cell in "bottom-up, left-to-right"
-// order: i descending, and for each i, j ascending. Like diagonal order,
-// every strict sub-interval precedes its super-intervals, which is why the
-// paper treats the two orders as interchangeable schedules for filling an
-// inner triangle.
-func CellsBottomUp(n int, f func(i, j int)) {
-	for i := n - 1; i >= 0; i-- {
-		for j := i; j < n; j++ {
-			f(i, j)
-		}
 	}
 }
 

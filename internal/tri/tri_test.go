@@ -1,9 +1,6 @@
 package tri
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestCount(t *testing.T) {
 	cases := []struct{ n, want int }{{0, 0}, {1, 1}, {2, 3}, {3, 6}, {10, 55}}
@@ -36,10 +33,6 @@ func TestIndexBijection(t *testing.T) {
 					t.Fatalf("Index(%d,%d,%d) = %d collides", i, j, n, idx)
 				}
 				seen[idx] = true
-				gi, gj := Unindex(idx, n)
-				if gi != i || gj != j {
-					t.Fatalf("Unindex(Index(%d,%d)) = (%d,%d)", i, j, gi, gj)
-				}
 			}
 		}
 		if len(seen) != Count(n) {
@@ -73,47 +66,22 @@ func TestIndexPanics(t *testing.T) {
 	}
 }
 
-func TestUnindexPanics(t *testing.T) {
-	for _, idx := range []int{-1, 6} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Unindex(%d, 3) did not panic", idx)
-				}
-			}()
-			Unindex(idx, 3)
-		}()
-	}
-}
-
 func TestRowStartRowLen(t *testing.T) {
 	n := 7
 	for i := 0; i < n; i++ {
 		if got := RowStart(i, n); got != Index(i, i, n) {
 			t.Errorf("RowStart(%d) = %d, want %d", i, got, Index(i, i, n))
 		}
-		if got := RowLen(i, n); got != n-i {
-			t.Errorf("RowLen(%d) = %d, want %d", i, got, n-i)
-		}
 	}
-	// Rows tile the triangle exactly.
-	total := 0
+	// Rows tile the triangle exactly: row i holds n-i cells, and the row past
+	// the last starts where the triangle ends.
 	for i := 0; i < n; i++ {
-		total += RowLen(i, n)
-	}
-	if total != Count(n) {
-		t.Errorf("rows cover %d cells, want %d", total, Count(n))
-	}
-}
-
-func TestDiagLen(t *testing.T) {
-	if DiagLen(-1, 5) != 0 || DiagLen(5, 5) != 0 {
-		t.Error("out-of-range diagonals should have length 0")
-	}
-	for d := 0; d < 5; d++ {
-		if got := DiagLen(d, 5); got != 5-d {
-			t.Errorf("DiagLen(%d,5) = %d", d, got)
+		if got := RowStart(i+1, n) - RowStart(i, n); got != n-i {
+			t.Errorf("row %d spans %d cells, want %d", i, got, n-i)
 		}
+	}
+	if RowStart(n, n) != Count(n) {
+		t.Errorf("rows cover %d cells, want %d", RowStart(n, n), Count(n))
 	}
 }
 
@@ -129,8 +97,8 @@ func TestDiagCellsCoverTriangle(t *testing.T) {
 			seen[[2]int{i, j}] = true
 			count++
 		})
-		if count != DiagLen(d, n) {
-			t.Fatalf("DiagCells(%d) visited %d cells, want %d", d, count, DiagLen(d, n))
+		if count != n-d {
+			t.Fatalf("DiagCells(%d) visited %d cells, want %d", d, count, n-d)
 		}
 	}
 	if len(seen) != Count(n) {
@@ -168,10 +136,6 @@ func orderRespectsSubintervals(t *testing.T, name string, visit func(n int, f fu
 
 func TestCellsDiagonalOrderValid(t *testing.T) {
 	orderRespectsSubintervals(t, "diagonal", Cells)
-}
-
-func TestCellsBottomUpOrderValid(t *testing.T) {
-	orderRespectsSubintervals(t, "bottom-up", CellsBottomUp)
 }
 
 func TestMapsAreInjective(t *testing.T) {
@@ -294,17 +258,5 @@ func TestBandMapPanicsOutsideBand(t *testing.T) {
 func TestMapNames(t *testing.T) {
 	if (BoxMap{N: 3}).Name() != "box" || (PackedMap{N: 3}).Name() != "packed" || (BandMap{N: 3, W: 2}).Name() != "band" {
 		t.Error("map names wrong")
-	}
-}
-
-func TestUnindexQuick(t *testing.T) {
-	f := func(rawN uint8, rawIdx uint16) bool {
-		n := int(rawN%50) + 1
-		idx := int(rawIdx) % Count(n)
-		i, j := Unindex(idx, n)
-		return i >= 0 && i <= j && j < n && Index(i, j, n) == idx
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }

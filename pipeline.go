@@ -7,7 +7,7 @@
 //
 //	run      prologue: nil-ctx default, trace lookup, option error, retry loop
 //	attempt  panic isolation, queue span, admission slot
-//	body     fold → (result cache | cold)   scan → cold   single   ensemble
+//	body     fold → cache step → cold   scan → cold   single   ensemble
 //
 // So every entry point — single-strand and ensemble requests included —
 // carries the same guarantees: a panic surfaces as a typed *PanicError with
@@ -21,10 +21,11 @@
 // with the fill chosen by (degrade rung, algebra); a ScanWindowed request is
 // that body with the windowed rung forced to the caller's windows. The
 // budget and the float32 score-range check run as soon as the shell has the
-// two lengths, so a refused request builds no S table; every S table — a
-// fold's, a scan's, a single strand's, max-plus or Boltzmann — then goes
-// through one per-strand step (sharedTable: key → cache probe → the one
-// build, under the request's ctx on its scoped engine → install). The
+// two lengths, so a refused request builds no S table. Everything cached —
+// a fold's result, every S table (a fold's, a scan's, a single strand's,
+// max-plus or Boltzmann), an ensemble — goes through the one cache step,
+// cacheDo in cache.go (breaker → probe → join → lead the build under the
+// request's ctx → retain), and nothing else here touches the cache. The
 // solver calls live only here (ci.sh lints it). Admission (WithAdmission)
 // and the content-addressed cache (WithCache) are described in admission.go
 // and cache.go; the cache's retained bytes are charged against
@@ -206,10 +207,7 @@ func attempt[T any](ctx context.Context, rq request, body func(context.Context, 
 // runFold executes one interaction fold through the pipeline.
 func (rq request) runFold(ctx context.Context, seq1, seq2 string) (*Result, error) {
 	return run(ctx, rq, cmp.Or(rq.verr, rq.aerr, rq.algErr), func(ctx context.Context, rq request) (*Result, error) {
-		if c := rq.cache; c != nil && c.resultsOn() {
-			return rq.foldShared(ctx, seq1, seq2)
-		}
-		return rq.cold(ctx, seq1, seq2)
+		return rq.foldShared(ctx, seq1, seq2)
 	})
 }
 
@@ -251,67 +249,49 @@ func (rq request) runEnsemble(seq string, kT float64) (*EnsembleResult, error) {
 	if kT <= 0 {
 		optErr = fmt.Errorf("bpmax: kT must be positive, got %v", kT)
 	}
-	return run(context.Background(), rq, optErr, func(_ context.Context, rq request) (*EnsembleResult, error) {
-		return rq.ensemble(seq, kT)
+	return run(context.Background(), rq, optErr, func(ctx context.Context, rq request) (*EnsembleResult, error) {
+		return rq.ensemble(ctx, seq, kT)
 	})
 }
 
-// foldShared serves the fold from the result cache. A hit returns a copy of
-// the retained master result; concurrent identical requests single-flight
-// behind one solve; a miss computes an unpooled master whose tables the
-// cache retains. The master is unpooled on purpose: cache hits share its
-// tables indefinitely, so no pool may ever recycle (and re-fill) them.
+// foldShared serves the fold through the cache step's result layer. A hit or
+// a join returns a copy of the retained master result; the leader computes an
+// unpooled master whose tables the cache retains — unpooled on purpose: cache
+// hits share its tables indefinitely, so no pool may ever recycle (and
+// re-fill) them. Bypassed (no result layer, or this key's breaker is open
+// because its leaders kept failing), the fold is solved cold — pooled, never
+// retained — and is the caller's own.
 func (rq request) foldShared(ctx context.Context, seq1, seq2 string) (*Result, error) {
-	c := rq.cache
-	key := rq.resultKey(seq1, seq2)
-	if !c.admitShared(key) {
-		// This key's circuit breaker is open: its single-flight leaders have
-		// kept failing, so serving more requests through the cache would
-		// stack retries behind a poisoned leader. Serve cold (pooled, never
-		// retained) until the cooldown admits a probe that succeeds.
-		return rq.cold(ctx, seq1, seq2)
-	}
 	cs := rq.tr.Begin()
-	v, hit, shared, err := c.c.Do(ctx, key, func() (v any, bytes int64, err error) {
-		// A panicking leader must fail typed here, inside Do: the breaker
-		// (noteShared below) then counts the panic against the key like any
-		// other transient leader death.
-		defer guard(&err)
-		if err := fault.Hit(fault.SiteCacheLeader); err != nil {
-			return nil, 0, err
-		}
-		m := rq
-		m.pool = nil
-		m.cfg.Pool = nil
-		master, err := m.cold(ctx, seq1, seq2)
-		if err != nil {
-			return nil, 0, err
-		}
-		master.st = &tracedStructure{}
-		return master, cachedResultBytes(master), nil
-	})
-	c.noteShared(key, err)
-	// Attribute the cache outcome: a hit's whole Do time is cache service, a
-	// waiter's is time parked behind another request's in-flight solve. The
-	// single-flight leader records nothing here — its solve recorded its own
-	// substrate/fill spans inside Do, and double-charging the same wall time
-	// would break the trace ledger.
-	switch {
-	case hit:
-		rq.tr.End(itrace.StageCacheHit, cs)
-	case shared:
-		rq.tr.End(itrace.StageCacheWait, cs)
+	res, how, err := cacheDo(ctx, rq.cache, layerResult,
+		func() pipeline.Key { return rq.resultKey(seq1, seq2) },
+		func(retain bool) (*Result, int64, error) {
+			if !retain {
+				res, err := rq.cold(ctx, seq1, seq2)
+				return res, 0, err
+			}
+			if err := fault.Hit(fault.SiteCacheLeader); err != nil {
+				return nil, 0, err
+			}
+			m := rq
+			m.pool = nil
+			m.cfg.Pool = nil
+			master, err := m.cold(ctx, seq1, seq2)
+			if err != nil {
+				return nil, 0, err
+			}
+			master.st = &tracedStructure{}
+			return master, cachedResultBytes(master), nil
+		})
+	// A hit's whole step is cache service, a joiner's is time parked behind
+	// another request's in-flight solve. A solve of this request's own
+	// recorded its substrate and fill spans inside the step; charging the same
+	// wall time again would break the trace ledger.
+	rq.tr.End(how.stage(itrace.StageCount), cs)
+	if err != nil || how == cacheBypassed {
+		return res, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case hit:
-		c.resultHits.Add(1)
-	case !shared:
-		c.resultMisses.Add(1)
-	}
-	return rq.adoptCached(v.(*Result)), nil
+	return rq.adoptCached(res), nil
 }
 
 // adoptCached wraps a retained master result in a fresh (possibly pooled)
@@ -509,51 +489,31 @@ func (rq request) newProblem(res *Result, seq1, seq2 string) error {
 }
 
 // strandS is the substrate stage's per-strand step for a max-plus S table —
-// an interaction fold's or a scan's S¹ and S², a single strand's: sharedTable
-// with the one build, ibpmax.BuildS from the strand's pair weights into *own
-// (the caller's storage, created when nil), under the request's ctx on its
-// engine. *s becomes the table to read: the cache's — shared, read-only — when
-// there is one, else *own. What the cache keeps of a miss is *own itself, or
-// a clone when *own is a pooled problem's storage, which the next fold resets.
-func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra []score.Value, own, s **nussinov.Table) (hit bool, err error) {
-	*s, hit, err = sharedTable(rq, keySubstrate, seq, func(retain bool) (_ *nussinov.Table, err error) {
-		// A fold's team is already bound (cold); a single strand's is bound
-		// here, for the build alone.
-		cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
-		defer release()
-		if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), intra, cfg); err != nil {
-			return nil, err
-		}
-		if retain && rq.pool != nil {
-			return (*own).Clone(), nil
-		}
-		return *own, nil
-	})
-	return hit, err
-}
-
-// sharedTable is the one keyed step every S table goes through — max-plus
-// (strandS) or Boltzmann (partitionSub), for a fold, a scan or a single
-// strand: content key → probe → count hit/miss → build → insert. With no
-// cache it is just build. build returns the table the cache may keep (retain
-// reports whether it will); on a hit the cached table comes back read-only
-// and shared, skipping the strand's O(n³) refill.
-func sharedTable[T interface{ Bytes() int64 }](rq request, tag byte, seq rna.Sequence, build func(retain bool) (T, error)) (t T, hit bool, err error) {
-	c := rq.cache
-	if c == nil {
-		t, err = build(false)
-		return t, false, err
-	}
-	k := strandKey(tag, seq, rq.sp, rq.kT)
-	if v, ok := c.c.Get(k); ok {
-		c.substrateHits.Add(1)
-		return v.(T), true, nil
-	}
-	c.substrateMisses.Add(1)
-	if t, err = build(true); err == nil {
-		c.c.Add(k, t, t.Bytes())
-	}
-	return t, false, err
+// an interaction fold's or a scan's S¹ and S², a single strand's: the cache
+// step over the one build, ibpmax.BuildS from the strand's pair weights into
+// *own (the caller's storage, created when nil), under the request's ctx on
+// its engine. *s becomes the table to read: the cache's — shared, read-only —
+// when there is one, else *own. What the cache keeps of a build is *own
+// itself, or a clone when *own is a pooled problem's storage, which the next
+// fold resets.
+func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra []score.Value, own, s **nussinov.Table) (how cacheOutcome, err error) {
+	*s, how, err = cacheDo(ctx, rq.cache, layerSubstrate,
+		func() pipeline.Key { return strandKey(keySubstrate, seq, rq.sp, 0) },
+		func(retain bool) (_ *nussinov.Table, _ int64, err error) {
+			// A fold's team is already bound (cold); a single strand's is bound
+			// here, for the build alone.
+			cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
+			defer release()
+			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), intra, cfg); err != nil {
+				return nil, 0, err
+			}
+			t := *own
+			if retain && rq.pool != nil {
+				t = t.Clone()
+			}
+			return t, t.Bytes(), nil
+		})
+	return how, err
 }
 
 // partitionDomain names the number domain that filled a partition table —
@@ -578,13 +538,18 @@ func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.
 	var s [2]*ibpmax.PartitionS
 	for k, seq := range [2]rna.Sequence{p.Seq1, p.Seq2} {
 		var err error
-		s[k], _, err = sharedTable(rq, keyPartitionSub, seq, func(bool) (*ibpmax.PartitionS, error) {
-			t, err := ibpmax.BuildPartitionS(ctx, p, k+1, rq.kT, rq.cfg)
-			if err == nil && !t.Scaled() {
-				rq.metrics.RecordPartitionFallback()
-			}
-			return t, err
-		})
+		s[k], _, err = cacheDo(ctx, rq.cache, layerSubstrate,
+			func() pipeline.Key { return strandKey(keyPartitionSub, seq, rq.sp, rq.kT) },
+			func(bool) (*ibpmax.PartitionS, int64, error) {
+				t, err := ibpmax.BuildPartitionS(ctx, p, k+1, rq.kT, rq.cfg)
+				if err != nil {
+					return nil, 0, err
+				}
+				if !t.Scaled() {
+					rq.metrics.RecordPartitionFallback()
+				}
+				return t, t.Bytes(), nil
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -721,12 +686,8 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	rq.pool = nil // the table is this request's own: no pooled storage to clone it out of
 	sb := rq.tr.Begin()
 	var own, t *nussinov.Table
-	hit, err := rq.strandS(ctx, s, tab.Intra1, &own, &t)
-	if hit {
-		rq.tr.End(itrace.StageCacheHit, sb)
-	} else {
-		rq.tr.End(itrace.StageSubstrate, sb)
-	}
+	how, err := rq.strandS(ctx, s, tab.Intra1, &own, &t)
+	rq.tr.End(how.stage(itrace.StageSubstrate), sb)
 	if err != nil {
 		return nil, err
 	}
@@ -744,66 +705,56 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	return res, nil
 }
 
-// ensemble is the single-strand ensemble body. With a result-caching cache
-// the three semiring fills of a strand already seen under the same model
-// and kT are served from their retained EnsembleResult instead of
-// recomputed.
-func (rq request) ensemble(seq string, kT float64) (*EnsembleResult, error) {
+// ensemble is the single-strand ensemble body: three semiring fills of one
+// strand (log-partition function, structure count, co-optimal count). Through
+// the cache step's result layer a strand already seen under the same model
+// and kT is served from its retained EnsembleResult instead of refilled. The
+// entry is a value copy: immutable by construction, so hits hand out fresh
+// copies with no sharing discipline.
+func (rq request) ensemble(ctx context.Context, seq string, kT float64) (*EnsembleResult, error) {
 	s, err := rna.New(seq)
 	if err != nil {
 		return nil, fmt.Errorf("bpmax: %w", err)
 	}
-	var ek pipeline.Key
-	c := rq.cache
-	cached := c != nil && c.resultsOn()
-	if cached {
-		ek = strandKey(keyEnsemble, s, rq.sp, kT)
-		if v, ok := c.c.Get(ek); ok {
-			c.resultHits.Add(1)
-			r := v.(EnsembleResult)
-			return &r, nil
+	build := func(bool) (res EnsembleResult, _ int64, err error) {
+		if err := fault.Hit(fault.SiteSubstrate); err != nil {
+			return res, 0, err
 		}
-		c.resultMisses.Add(1)
+		tab := score.Build(s, s, rq.sp)
+		n := s.Len()
+		logPair := func(i, j int) float64 {
+			w := float64(tab.Score1(i, j))
+			if w < -1e20 {
+				return math.Inf(-1)
+			}
+			return w / kT
+		}
+		countPair := func(i, j int) float64 {
+			if float64(tab.Score1(i, j)) < -1e20 {
+				return 0
+			}
+			return 1
+		}
+		optPair := func(i, j int) semiring.Optimum {
+			w := tab.Score1(i, j)
+			if float64(w) < -1e20 {
+				return semiring.MaxPlusCount{}.Zero()
+			}
+			return semiring.Optimum{Score: w, Count: 1}
+		}
+		res = EnsembleResult{KT: kT, Structures: 1, Cooptimal: 1}
+		if n > 0 {
+			res.LogZ = semiring.Fold[float64](semiring.LogSumExp{}, n, logPair).At(0, n-1)
+			res.Structures = semiring.Fold[float64](semiring.Counting{}, n, countPair).At(0, n-1)
+			res.Cooptimal = semiring.Fold[semiring.Optimum](semiring.MaxPlusCount{}, n, optPair).At(0, n-1).Count
+		}
+		// The charged cost is the struct plus the cache's own entry bookkeeping.
+		return res, 96, nil
 	}
-	if err := fault.Hit(fault.SiteSubstrate); err != nil {
+	res, _, err := cacheDo(ctx, rq.cache, layerResult,
+		func() pipeline.Key { return strandKey(keyEnsemble, s, rq.sp, kT) }, build)
+	if err != nil {
 		return nil, err
 	}
-	tab := score.Build(s, s, rq.sp)
-	n := s.Len()
-	logPair := func(i, j int) float64 {
-		w := float64(tab.Score1(i, j))
-		if w < -1e20 {
-			return math.Inf(-1)
-		}
-		return w / kT
-	}
-	countPair := func(i, j int) float64 {
-		if float64(tab.Score1(i, j)) < -1e20 {
-			return 0
-		}
-		return 1
-	}
-	optPair := func(i, j int) semiring.Optimum {
-		w := tab.Score1(i, j)
-		if float64(w) < -1e20 {
-			return semiring.MaxPlusCount{}.Zero()
-		}
-		return semiring.Optimum{Score: w, Count: 1}
-	}
-	res := &EnsembleResult{KT: kT}
-	if n > 0 {
-		res.LogZ = semiring.Fold[float64](semiring.LogSumExp{}, n, logPair).At(0, n-1)
-		res.Structures = semiring.Fold[float64](semiring.Counting{}, n, countPair).At(0, n-1)
-		res.Cooptimal = semiring.Fold[semiring.Optimum](semiring.MaxPlusCount{}, n, optPair).At(0, n-1).Count
-	} else {
-		res.Structures = 1
-		res.Cooptimal = 1
-	}
-	if cached {
-		// The entry is a value copy: immutable by construction, so hits can
-		// hand out fresh copies with no sharing discipline. The charged cost
-		// is the struct plus the cache's own entry bookkeeping.
-		c.c.Add(ek, *res, int64(96))
-	}
-	return res, nil
+	return &res, nil
 }

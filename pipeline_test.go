@@ -562,7 +562,7 @@ func TestSessionFoldParity(t *testing.T) {
 	if st.Engine == nil || st.Pool == nil {
 		t.Fatal("session stats missing the owned engine/pool sections")
 	}
-	if st.Cache != nil || st.Admission != nil || st.Metrics != nil {
+	if st.Cache != nil || st.Admission != nil || st.Folds != 0 {
 		t.Error("session stats has sections for components it was not given")
 	}
 	if st.Pool.ResultHits == 0 {
@@ -587,7 +587,7 @@ func TestSessionWithComponents(t *testing.T) {
 		res.Release()
 	}
 	st := s.Stats()
-	if st.Cache == nil || st.Admission == nil || st.Metrics == nil {
+	if st.Cache == nil || st.Admission == nil {
 		t.Fatal("session stats missing configured component sections")
 	}
 	if st.Admission.Admitted != 3 {
@@ -598,8 +598,8 @@ func TestSessionWithComponents(t *testing.T) {
 	if st.Cache.ResultHits != 2 {
 		t.Errorf("result hits = %d, want 2", st.Cache.ResultHits)
 	}
-	if st.Metrics.Folds != 1 {
-		t.Errorf("metrics folds = %d, want 1", st.Metrics.Folds)
+	if st.Folds != 1 {
+		t.Errorf("metrics folds = %d, want 1", st.Folds)
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"github.com/bpmax-go/bpmax/internal/fault"
 )
 
 // ErrSessionClosed is returned by every Session method invoked after Close
@@ -36,14 +38,8 @@ var ErrSessionClosed = errors.New("bpmax: session closed")
 // admission control (WithAdmission) are policy decisions and are attached
 // only when configured. All methods are safe for concurrent use.
 type Session struct {
-	rq   request
+	rq   request // carries the engine, pool, cache, gate and aggregate it serves through
 	opts []Option
-
-	engine    *Engine
-	pool      *Pool
-	cache     *Cache
-	admission *Admission
-	metrics   *Metrics
 
 	ownedEngine bool
 	ownedPool   bool
@@ -55,16 +51,6 @@ type Session struct {
 	closed   bool
 	inflight sync.WaitGroup
 	released atomic.Bool
-}
-
-// SessionStats aggregates every component's snapshot in one JSON-ready
-// struct; sections for components the session does not have are nil.
-type SessionStats struct {
-	Engine    *EngineStats     `json:"engine,omitempty"`
-	Pool      *PoolStats       `json:"pool,omitempty"`
-	Cache     *CacheStats      `json:"cache,omitempty"`
-	Admission *AdmissionStats  `json:"admission,omitempty"`
-	Metrics   *MetricsSnapshot `json:"metrics,omitempty"`
 }
 
 // NewSession parses opts once and returns a ready session. An unknown
@@ -81,27 +67,17 @@ func NewSession(opts ...Option) (*Session, error) {
 	}
 	s := &Session{opts: append([]Option(nil), opts...)}
 	if rq.engine == nil {
-		s.engine = NewEngine(rq.cfg.Workers)
 		s.ownedEngine = true
-		rq.engine = s.engine
-		rq.cfg.Engine = s.engine.e
-		s.opts = append(s.opts, WithEngine(s.engine))
-	} else {
-		s.engine = rq.engine
+		rq.engine = NewEngine(rq.cfg.Workers)
+		rq.cfg.Engine = rq.engine.e
+		s.opts = append(s.opts, WithEngine(rq.engine))
 	}
 	if rq.pool == nil {
-		p := NewPool()
-		s.pool = p
 		s.ownedPool = true
-		rq.pool = p
-		rq.cfg.Pool = p.p
-		s.opts = append(s.opts, WithPool(p))
-	} else {
-		s.pool = rq.pool
+		rq.pool = NewPool()
+		rq.cfg.Pool = rq.pool.p
+		s.opts = append(s.opts, WithPool(rq.pool))
 	}
-	s.cache = rq.cache
-	s.admission = rq.admission
-	s.metrics = rq.metrics
 	s.rq = rq
 	return s, nil
 }
@@ -213,31 +189,47 @@ func (s *Session) SingleEnsemble(seq string, kT float64) (*EnsembleResult, error
 	return s.rq.runEnsemble(seq, kT)
 }
 
-// Stats snapshots every component the session holds. Safe to call
+// Stats is the session's observability document: the totals of its
+// WithMetrics aggregate (zero without one) and a section for each component
+// it serves through — always its engine and pool, the cache and admission
+// gate when configured. A process front-end adds only what it alone knows
+// (cmd/bpmaxd: its HTTP accounting and a runtime sample). Safe to call
 // concurrently with running folds, and still available after Close.
-func (s *Session) Stats() SessionStats {
-	var st SessionStats
-	if s.engine != nil {
-		es := s.engine.Stats()
-		st.Engine = &es
+func (s *Session) Stats() MetricsSnapshot { return s.rq.stats() }
+
+// Stats is Session.Stats for callers that fold through the package-level
+// entry points: the document assembled from the components opts carry.
+func Stats(opts ...Option) MetricsSnapshot { return buildOptions(opts).stats() }
+
+// stats is the one snapshot assembly: the aggregate's totals, a section per
+// component the request carries, and the failpoint registry's while any site
+// is armed.
+func (rq request) stats() MetricsSnapshot {
+	var s MetricsSnapshot
+	if rq.metrics != nil {
+		s = rq.metrics.Snapshot()
 	}
-	if s.pool != nil {
-		ps := s.pool.Stats()
-		st.Pool = &ps
+	if rq.engine != nil {
+		es := rq.engine.Stats()
+		s.Engine = &es
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		st.Cache = &cs
+	if rq.pool != nil {
+		ps := rq.pool.Stats()
+		s.Pool = &ps
 	}
-	if s.admission != nil {
-		as := s.admission.Stats()
-		st.Admission = &as
+	if rq.cache != nil {
+		cs := rq.cache.Stats()
+		s.Cache = &cs
 	}
-	if s.metrics != nil {
-		ms := s.metrics.Snapshot()
-		st.Metrics = &ms
+	if rq.admission != nil {
+		as := rq.admission.Stats()
+		s.Admission = &as
 	}
-	return st
+	if fault.Armed() > 0 {
+		fs := fault.Snapshot()
+		s.Faults = &fs
+	}
+	return s
 }
 
 // markClosed stops admitting: every method entered after it returns
@@ -255,10 +247,10 @@ func (s *Session) release() {
 		return
 	}
 	if s.ownedEngine {
-		s.engine.Close()
+		s.rq.engine.Close()
 	}
 	if s.ownedPool {
-		s.pool.Trim()
+		s.rq.pool.Trim()
 	}
 }
 
