@@ -154,7 +154,7 @@ func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
 func WithWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
 
 // WithTiles sets the double max-plus tile shape (i2 × k2 × j2); zero
-// fields keep the paper's generic 64 × 16 × N shape (j2 untiled).
+// fields keep the default 64 × 64 × N shape (j2 untiled).
 func WithTiles(i2, k2, j2 int) Option {
 	return func(o *options) { o.cfg.TileI2, o.cfg.TileK2, o.cfg.TileJ2 = i2, k2, j2 }
 }

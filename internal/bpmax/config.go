@@ -68,8 +68,9 @@ type Config struct {
 	// Workers is the parallel width; <= 0 means GOMAXPROCS.
 	Workers int
 	// TileI2, TileK2, TileJ2 are the double max-plus tile sizes. Zero
-	// selects the paper's generic shape 64 × 16 × N (j2 untiled, the
-	// streaming dimension).
+	// selects 64 × 64 × N (j2 untiled, the streaming dimension): the paper's
+	// generic shape with a deeper k2 band, which the register-resident sweep
+	// wants (docs/PERFORMANCE.md, "Vector kernels").
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind
@@ -148,13 +149,13 @@ func (c Config) sumProductKernels() semiring.Kernels[float64] {
 	return semiring.SumProductKernels()
 }
 
-// withDefaults resolves zero fields to the paper's defaults.
+// withDefaults resolves zero fields to the default tile shape.
 func (c Config) withDefaults() Config {
 	if c.TileI2 <= 0 {
 		c.TileI2 = 64
 	}
 	if c.TileK2 <= 0 {
-		c.TileK2 = 16
+		c.TileK2 = 64
 	}
 	// TileJ2 == 0 means "untiled j2" and is itself the default.
 	return c

@@ -166,7 +166,7 @@ func (s *gsolver[T]) dmpSeedTriangle(i1, j1 int) {
 // accumulator (no R3/R4 here: the standalone system has only Equation 4).
 func (s *gsolver[T]) dmpAccumulateRow(blk, ablk, bblk []T, i2 int) {
 	n2 := s.p.N2
-	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, n2)
+	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, 0, n2)
 }
 
 // dmpTriangle computes one triangle under the given intra-triangle

@@ -35,7 +35,7 @@ func TestResolveWorkers(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.TileI2 != 64 || c.TileK2 != 16 || c.TileJ2 != 0 {
+	if c.TileI2 != 64 || c.TileK2 != 64 || c.TileJ2 != 0 {
 		t.Errorf("defaults = %+v", c)
 	}
 	c2 := Config{TileI2: 5, TileK2: 7, TileJ2: 9}.withDefaults()

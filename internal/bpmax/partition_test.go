@@ -507,3 +507,39 @@ func TestPartitionGuardFallsBack(t *testing.T) {
 		t.Fatalf("kT=1e-3: kT·LogZ is %v off the max-plus score", gap)
 	}
 }
+
+// TestScaledPartitionFillIsTheGoLoopsBitForBit: the scaled fill sums — ⊕ is
+// +, which neither absorbs a candidate applied twice nor forgives one applied
+// out of order — so its table on the process's kernels equals the table on
+// the portable loops bit for bit only if every lane of every sweep received
+// each of its k2 candidates once, in ascending order: R0 and R1 across block
+// edges, and R2's chunk-by-chunk substitution, whose sweeps must leave the
+// chunk's own lanes to finalize. Rows of several float64 blocks, both maps.
+func TestScaledPartitionFillIsTheGoLoopsBitForBit(t *testing.T) {
+	for _, sh := range [][2]int{{3, 70}, {2, 33}, {4, 17}} {
+		for _, kind := range []MapKind{MapBox, MapPacked} {
+			rng := rand.New(rand.NewSource(int64(sh[1])))
+			p, err := NewProblem(rna.Random(rng, sh[0]), rna.Random(rng, sh[1]), score.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := buildTestPartitionSub(t, p, 1)
+			solve := func(goKernels bool) *FTableOf[float64] {
+				cfg := Config{Workers: 1, Map: kind}
+				cfg.SetGoKernels(goKernels)
+				ft, err := SolvePartitionContext(context.Background(), p, ps, VariantHybridTiled, cfg)
+				if err != nil || !ft.Scaled() {
+					t.Fatalf("%dx%d %v: scaled fill: %v (scaled %v)", sh[0], sh[1], kind, err, ft.Scaled())
+				}
+				return ft
+			}
+			got, want := solve(false), solve(true)
+			eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+				if g, w := got.At(i1, j1, i2, j2), want.At(i1, j1, i2, j2); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%dx%d %v: F[%d,%d,%d,%d] = %x on the process's kernels, %x on the Go loops",
+						sh[0], sh[1], kind, i1, j1, i2, j2, math.Float64bits(g), math.Float64bits(w))
+				}
+			})
+		}
+	}
+}

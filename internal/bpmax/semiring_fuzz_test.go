@@ -39,7 +39,8 @@ func FuzzSemiringParity(f *testing.F) {
 	const (
 		goKernels = 1 << iota // portable Go loops, not the process's kernels
 		packedMap
-		longRows // n1 <= 3, n2 <= 40 in place of both <= 9
+		longRows  // n1 <= 3, n2 <= 40 in place of both <= 9
+		blockRows // n1 <= 2, n2 <= 160: rows of several of the sweep's 128-byte blocks
 	)
 	f.Add(int64(1), uint8(5), uint8(7), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(goKernels))
@@ -53,11 +54,22 @@ func FuzzSemiringParity(f *testing.F) {
 	f.Add(int64(7), uint8(1), uint8(29), uint8(2), uint8(11), uint8(0), uint8(0), uint8(longRows|packedMap|goKernels))
 	f.Add(int64(3), uint8(2), uint8(36), uint8(0), uint8(0), uint8(1), uint8(1), uint8(longRows|packedMap))
 	f.Add(int64(7), uint8(1), uint8(29), uint8(0), uint8(0), uint8(1), uint8(3), uint8(longRows|goKernels))
+	// Rows that start, end and are cut by the band inside, on and just past
+	// the edges of the blocks the sweep holds in registers (32 float32, 16
+	// float64), on both maps: the packed rows start at every lane.
+	for i, n2 := range []uint8{31, 32, 33, 64, 96, 128, 160} {
+		f.Add(int64(n2), uint8(1), n2-1, uint8(1), n2/2+uint8(i), uint8(0), uint8(0), uint8(blockRows))
+		f.Add(int64(n2), uint8(1), n2-1, uint8(0), n2/3, uint8(0), uint8(0), uint8(blockRows|packedMap))
+		f.Add(int64(n2), uint8(1), n2-1, uint8(0), uint8(0), uint8(1), uint8(i), uint8(blockRows|packedMap*uint8(i%2)))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, rn1, rn2, rw1, rw2, algebra, rkT, kernel uint8) {
 		n1 := 1 + int(rn1)%9
 		n2 := 1 + int(rn2)%9
 		if kernel&longRows != 0 {
 			n1, n2 = 1+int(rn1)%3, 1+int(rn2)%40
+		}
+		if kernel&blockRows != 0 {
+			n1, n2 = 1+int(rn1)%2, 1+int(rn2)%160
 		}
 		rng := rand.New(rand.NewSource(seed))
 		p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), score.DefaultParams())

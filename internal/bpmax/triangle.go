@@ -56,7 +56,9 @@ type gsolver[T semiring.Scalar] struct {
 	// acc and sweep are the bundle's single stream and its k2 loop of
 	// streams (a.k.Accum, a.k.Sweep).
 	acc   func(y, x []T, a T)
-	sweep func(y, a, b []T, off []int, k0, k1, n int)
+	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
+	// s2off is S² seen as a block of Sweep: row r of a.s2 starts at s2off[r].
+	s2off []int
 
 	// Per-wavefront state read by the hoisted task closures below. The
 	// schedules used to allocate fresh closures on every wavefront —
@@ -155,6 +157,12 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 	s.a = a
 	s.cfg = cfg
 	s.acc, s.sweep = a.k.Accum, a.k.Sweep
+	if len(s.s2off) != a.n2 {
+		s.s2off = make([]int, a.n2)
+		for r := range s.s2off {
+			s.s2off[r] = r * a.n2
+		}
+	}
 	s.tripped.Store(false)
 	if s.triTask == nil {
 		s.initTasks()
@@ -226,7 +234,7 @@ func (s *gsolver[T]) accumulateRow(blk, ablk, bblk []T, i1, j1, k1, i2 int) {
 	s3 := s.a.s1At(i1, k1)
 	s.acc(grow[i2:hi], arow[i2:hi], s4)
 	s.acc(grow[i2:hi], brow[i2:hi], s3)
-	s.sweep(grow, arow, bblk, s.f.rowOff, i2, hi-1, hi)
+	s.sweep(grow, arow, bblk, s.f.rowOff, i2, hi-1, 0, hi)
 }
 
 // accumulateRowsTiled is the tiled form of accumulateRow over the row range
@@ -265,7 +273,7 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
 			kLo := max(k2t, i2)
 			kEnd := min(k2t+tk, hi-1)
 			if tj <= 0 {
-				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, hi)
+				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, 0, hi)
 				continue
 			}
 			for k2 := kLo; k2 < kEnd; k2++ {
@@ -280,6 +288,18 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
 	}
 }
 
+// r2Chunk is the width in bytes of the chunks finalize walks a row in: one
+// vector of the kernels, cut on columns (on a box map whose rows are a whole
+// number of vectors that is the kernels' grid; elsewhere the sweep masks its
+// first vector). Wider chunks make fewer sweeps of more cells each, but the
+// cells of a chunk reach each other one scalar candidate at a time, and at
+// two and at four vectors that cost more than the sweeps saved
+// (docs/PERFORMANCE.md, "Vector kernels").
+const r2Chunk = 32
+
+// chunkEnd returns the first column past j that starts a chunk of w columns.
+func chunkEnd(j, w int) int { return (j/w + 1) * w }
+
 // finalizeMaxPlusTriangle turns the accumulated H partials of triangle
 // (i1, j1) into final F values — the hand-specialized float32 max-plus
 // body, bit-identical to the pre-generic finalizeTriangle. Rows run
@@ -287,10 +307,18 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
 // (the seq2 pairing term, R1 and R2) only reach finalized cells; R1 and R2
 // are applied as streaming updates rather than per-cell gathers, which is
 // exactly the loop permutation the paper's Table II/III schedules encode
-// ("we ensure that the F-table gets updated when k2 reaches j2"). Everything
-// a cell reads that is fixed for its row is resolved once per row, outside
-// the j2 loop.
+// ("we ensure that the F-table gets updated when k2 reaches j2"). R2 is
+// self-referential — a cell's contribution to the cells right of it can only
+// leave once the cell is final — so the row is solved by blocked forward
+// substitution: the cells of one chunk are finalized in order, each reaching
+// the rest of its chunk one scalar candidate at a time, then one sweep (a the
+// row itself, b = S², from = the chunk's end) pushes the whole chunk to the
+// columns beyond it. Every cell still receives its candidates in ascending
+// j2 order, so the table is the per-cell order's bit for bit. Everything a
+// cell reads that is fixed for its row is resolved once per row, outside the
+// j2 loop.
 func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
+	const chunk = r2Chunk / 4 // float32 columns
 	a := &s.a
 	n2 := a.n2
 	sc1 := a.score1(i1, j1)
@@ -307,7 +335,7 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		// R1: contributions S²[i2,k2] + F[i1,j1,k2+1,j2] from the already
 		// finalized rows below, streamed over j2.
 		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, hi)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
 		around := s2row
 		if inside != nil {
 			around = s.f.Row(inside, i2)
@@ -317,41 +345,55 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		if i2+1 < n2 {
 			below = s.f.Row(blk, i2+1)
 		}
-		for j2 := i2; j2 < hi; j2++ {
-			v := grow[j2]
-			// Pair i1-j1 around the seq2 interval.
-			if w := around[j2] + sc1; w > v {
-				v = w
-			}
-			if j2 > i2 {
-				// Pair i2-j2 around the seq1 interval; the inner cell
-				// degenerates to S¹[i1,j1] when the seq2 interval empties.
-				inner := s1Self
-				if j2-1 >= i2+1 {
-					inner = below[j2-1]
-				}
-				if w := inner + sc2row[j2]; w > v {
+		for j := i2; j < hi; {
+			e := min(chunkEnd(j, chunk), hi)
+			for j2 := j; j2 < e; j2++ {
+				v := grow[j2]
+				// Pair i1-j1 around the seq2 interval.
+				if w := around[j2] + sc1; w > v {
 					v = w
 				}
-			} else if i1 == j1 {
-				// Singleton × singleton: the intermolecular base case.
-				if w := s.p.singleton(i1, i2); w > v {
-					v = w
+				if j2 > i2 {
+					// Pair i2-j2 around the seq1 interval; the inner cell
+					// degenerates to S¹[i1,j1] when the seq2 interval empties.
+					inner := s1Self
+					if j2-1 >= i2+1 {
+						inner = below[j2-1]
+					}
+					if w := inner + sc2row[j2]; w > v {
+						v = w
+					}
+				} else if i1 == j1 {
+					// Singleton × singleton: the intermolecular base case.
+					if w := s.p.singleton(i1, i2); w > v {
+						v = w
+					}
+				}
+				grow[j2] = v
+				// R2 inside the chunk: this finalized cell's contribution
+				// F[i1,j1,i2,j2] + S²[j2+1,j3] to the cells right of it.
+				if j2+1 < e {
+					s2 := a.s2[(j2+1)*n2 : (j2+1)*n2+e]
+					for j3 := j2 + 1; j3 < e; j3++ {
+						if w := v + s2[j3]; w > grow[j3] {
+							grow[j3] = w
+						}
+					}
 				}
 			}
-			grow[j2] = v
-			// R2: stream this finalized cell's contribution
-			// F[i1,j1,i2,j2] + S²[j2+1,j2'] to the rest of the row.
-			if j2 < hi-1 {
-				s.acc(grow[j2+1:hi], a.s2[(j2+1)*n2+j2+1:(j2+1)*n2+hi], v)
+			// R2 beyond it: the chunk's cells, all final, swept into the rest
+			// of the row.
+			if e < hi {
+				s.sweep(grow, grow, a.s2, s.s2off, j, e, e, hi)
 			}
+			j = e
 		}
 	}
 }
 
 // finalizeGeneric is finalizeMaxPlusTriangle over an arbitrary scalar
-// semiring: the same bottom-up/left-to-right order and the same per-row
-// hoisting, with ⊕ and ⊗ through the kernel bundle. The per-cell operations
+// semiring: the same bottom-up/left-to-right order, the same per-row hoisting
+// and the same chunked R2, with ⊕ and ⊗ through the kernel bundle. The per-cell operations
 // go through func values, which is why the float32 instantiation binds the
 // specialized body instead. In a scaled domain each row is range-checked as
 // soon as it is final — the one point where every cell of it is still in
@@ -360,6 +402,7 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
 	add, mul := a.k.Add, a.k.Mul
+	chunk := r2Chunk / int(elemBytes[T]())
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
 	// The triangle the i1-j1 pair closes around; none when that seq1
@@ -373,7 +416,7 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 		grow := s.f.Row(blk, i2)
 		// R1, streamed over j2 from the already finalized rows below.
 		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, hi)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
 		around := s2row
 		if inside != nil {
 			around = s.f.Row(inside, i2)
@@ -383,27 +426,38 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 		if i2+1 < n2 {
 			below = s.f.Row(blk, i2+1)
 		}
-		for j2 := i2; j2 < hi; j2++ {
-			// Pair i1-j1 around the seq2 interval.
-			v := add(mul(around[j2], sc1), grow[j2])
-			if j2 > i2 {
-				// Pair i2-j2 around the seq1 interval.
-				inner := s1Self
-				if j2-1 >= i2+1 {
-					inner = below[j2-1]
+		for j := i2; j < hi; {
+			e := min(chunkEnd(j, chunk), hi)
+			for j2 := j; j2 < e; j2++ {
+				// Pair i1-j1 around the seq2 interval.
+				v := add(mul(around[j2], sc1), grow[j2])
+				if j2 > i2 {
+					// Pair i2-j2 around the seq1 interval.
+					inner := s1Self
+					if j2-1 >= i2+1 {
+						inner = below[j2-1]
+					}
+					v = add(mul(inner, sc2row[j2]), v)
+				} else if i1 == j1 {
+					// Singleton × singleton: only the raw bond weight — the
+					// unpaired alternative is already in the accumulator via the
+					// H seed, and a summing ⊕ must not count it twice.
+					v = add(a.inter(i1, i2), v)
 				}
-				v = add(mul(inner, sc2row[j2]), v)
-			} else if i1 == j1 {
-				// Singleton × singleton: only the raw bond weight — the
-				// unpaired alternative is already in the accumulator via the
-				// H seed, and a summing ⊕ must not count it twice.
-				v = add(a.inter(i1, i2), v)
+				grow[j2] = v
+				// R2 inside the chunk, in Accum's operand order.
+				if j2+1 < e {
+					s2 := a.s2[(j2+1)*n2 : (j2+1)*n2+e]
+					for j3 := j2 + 1; j3 < e; j3++ {
+						grow[j3] = add(mul(v, s2[j3]), grow[j3])
+					}
+				}
 			}
-			grow[j2] = v
-			// R2: stream this finalized cell's contribution onward.
-			if j2 < hi-1 {
-				s.acc(grow[j2+1:hi], a.s2[(j2+1)*n2+j2+1:(j2+1)*n2+hi], v)
+			// R2 beyond it: the chunk's final cells swept onward.
+			if e < hi {
+				s.sweep(grow, grow, a.s2, s.s2off, j, e, e, hi)
 			}
+			j = e
 		}
 		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
 			s.tripped.Store(true)

@@ -2,9 +2,10 @@
 
 package maxplus
 
-// The AVX2 kernel bodies (avx2_amd64.s). Each takes raw pointers and an
-// element count the exported wrapper has already bounds-checked, and needs
-// n > 0.
+// The AVX2 kernel bodies (avx2_amd64.s). Each takes raw pointers and the
+// counts the exported wrapper has already bounds-checked, and needs n > 0
+// (the sweeps: 0 <= k0 < k1 < n and 0 <= from < n; they check the rows of b
+// against blen themselves and return false, y untouched, if one lies outside).
 
 //go:noescape
 func accumulateAVX2(y, x *float32, n int, a float32)
@@ -13,7 +14,7 @@ func accumulateAVX2(y, x *float32, n int, a float32)
 func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 
 //go:noescape
-func sweepAVX2(y, a, b *float32, off *int, k0, k1, n, blen int) (bad int)
+func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
 
 //go:noescape
 func sumProductAVX2(y, x *float64, n int, a float64)
@@ -22,7 +23,7 @@ func sumProductAVX2(y, x *float64, n int, a float64)
 func mulScalarIntoAVX2(dst, x *float64, n int, a float64)
 
 //go:noescape
-func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, n, blen int) (bad int)
+func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

@@ -33,54 +33,85 @@
 // A scaled sum-product fill that overflows to Inf or NaN trips its range
 // guard and is discarded.
 //
-// The grid. Sweep and Accumulate do not start their vector loop at the first
-// element of the stream. They walk y in 32-byte chunks aligned to a fixed
-// grid (the 32-byte-aligned addresses of memory), with a partial first and
-// last chunk handled under a lane mask. Consecutive streams over one row —
-// k2, k2+1, ... of a sweep, or the R2 calls of finalize — start one element
-// further right each time; on the grid they load exactly the 32-byte chunks
+// The grid. Accumulate does not start its vector loop at the first element
+// of the stream: it walks y in 32-byte chunks aligned to a fixed grid (the
+// 32-byte-aligned addresses of memory), with a partial first and last chunk
+// handled under a lane mask. Consecutive streams over one row start one
+// element further right each time; on the grid they load exactly the chunks
 // the previous stream stored, so the loads are served by store forwarding.
-// Started at k2+1 instead, every load would straddle two earlier stores,
-// which cannot be forwarded, and the loop stalls on the y loads until the
-// stores reach the cache. (The 8×64 partition fill runs in ×0.78 of its
+// Started at the first element instead, every load would straddle two earlier
+// stores, which cannot be forwarded, and the loop stalls on the y loads until
+// the stores reach the cache. (The 8×64 partition fill runs in ×0.78 of its
 // scalar time on float64 bodies started at the first element, in ×0.55 on
 // the grid: docs/PERFORMANCE.md, "Vector kernels".)
 //
-// Lanes outside the stream may be loaded (an aligned chunk that holds one
-// element of the stream lies in its page) but are never stored, not even with
-// the value just loaded: in the packed and band maps the cells on either
-// side of y[k2+1:n] belong to other rows, which in the row-parallel schedules
-// another goroutine is writing, and putting an old value back would lose its
-// update. VMASKMOVPS/PD neither writes nor faults on a masked-off lane.
+// Sweep goes one step further and takes y out of memory for the length of a
+// k2 loop: it walks y in blocks of four chunks (128 bytes, on the 128-byte
+// grid), loads a block into four registers, runs the whole k2 loop on them
+// and stores the block once (SWEEP below).
+//
+// Lanes outside the stream may be loaded (an aligned chunk or block that
+// holds one element of the stream lies in its page) but are never stored, not
+// even with the value just loaded: in the packed and band maps the cells on
+// either side of a stream belong to other rows, which in the row-parallel
+// schedules another goroutine is writing, and putting an old value back would
+// lose its update. VMASKMOVPS/PD neither writes nor faults on a masked-off
+// lane.
 
-// lanemask: 32 zero bytes, 32 set bytes, 32 zero bytes — 8 zero, set and zero
-// float32 lanes, or 4 of each float64 lanes. The chunk of lanes that starts
-// s lanes before the set run is set from lane s up (the mask of a first
-// chunk); the one that starts r lanes before its end is set below lane r
-// (the mask of a last chunk).
-DATA lanemask<>+0(SB)/8, $0
-DATA lanemask<>+8(SB)/8, $0
-DATA lanemask<>+16(SB)/8, $0
-DATA lanemask<>+24(SB)/8, $0
-DATA lanemask<>+32(SB)/8, $-1
-DATA lanemask<>+40(SB)/8, $-1
-DATA lanemask<>+48(SB)/8, $-1
-DATA lanemask<>+56(SB)/8, $-1
-DATA lanemask<>+64(SB)/8, $0
-DATA lanemask<>+72(SB)/8, $0
-DATA lanemask<>+80(SB)/8, $0
-DATA lanemask<>+88(SB)/8, $0
-GLOBL lanemask<>(SB), RODATA|NOPTR, $96
+// lanemask: 128 zero bytes, 128 set bytes, 128 zero bytes — a block of zero,
+// of set and of zero lanes, 32 float32 or 16 float64 each. The chunk of lanes
+// that starts s lanes before the set run is set from lane s up (MASKLO: the
+// mask of a first chunk); the one that starts r lanes before its end is set
+// below lane r (MASKHI: the mask of a last chunk). s and r may be anything up
+// to a block, so chunk v of a block that is live from its lane s up, or below
+// its lane r, is masked by the 32 bytes at MASKLO+32v-ESIZE*s, or at
+// MASKHI+32v-ESIZE*r.
+DATA lanemask<>+128(SB)/8, $-1
+DATA lanemask<>+136(SB)/8, $-1
+DATA lanemask<>+144(SB)/8, $-1
+DATA lanemask<>+152(SB)/8, $-1
+DATA lanemask<>+160(SB)/8, $-1
+DATA lanemask<>+168(SB)/8, $-1
+DATA lanemask<>+176(SB)/8, $-1
+DATA lanemask<>+184(SB)/8, $-1
+DATA lanemask<>+192(SB)/8, $-1
+DATA lanemask<>+200(SB)/8, $-1
+DATA lanemask<>+208(SB)/8, $-1
+DATA lanemask<>+216(SB)/8, $-1
+DATA lanemask<>+224(SB)/8, $-1
+DATA lanemask<>+232(SB)/8, $-1
+DATA lanemask<>+240(SB)/8, $-1
+DATA lanemask<>+248(SB)/8, $-1
+GLOBL lanemask<>(SB), RODATA|NOPTR, $384
+#define MASKLO 128
+#define MASKHI 256
+
+// rowlanes: 0, 1, 2, 3 and 4, 4, 4, 4 — four consecutive k2, and the step to
+// the next four.
+DATA rowlanes<>+0(SB)/8, $0
+DATA rowlanes<>+8(SB)/8, $1
+DATA rowlanes<>+16(SB)/8, $2
+DATA rowlanes<>+24(SB)/8, $3
+DATA rowlanes<>+32(SB)/8, $4
+DATA rowlanes<>+40(SB)/8, $4
+DATA rowlanes<>+48(SB)/8, $4
+DATA rowlanes<>+56(SB)/8, $4
+GLOBL rowlanes<>(SB), RODATA|NOPTR, $64
 
 // The element type of the skeleton: ESIZE bytes an element (1<<ESHIFT), LANES
-// a chunk (1<<LSHIFT), masked moves, whole loads and stores, ⊗ and ⊕.
+// a chunk (1<<LSHIFT) and BLANES a block of four (1<<BSHIFT), masked moves,
+// whole loads and stores, the broadcast and the blend, ⊗ and ⊕.
 #define ESIZE    4
 #define ESHIFT   2
 #define LANES    8
 #define LSHIFT   3
+#define BLANES   32
+#define BSHIFT   5
 #define VMASKMOV VMASKMOVPS
 #define VLOADU   VMOVUPS
-#define VSTOREA  VMOVAPS
+#define VMOVA    VMOVAPS
+#define VSPLAT   VBROADCASTSS
+#define VBLENDV  VBLENDVPS
 #define VTIMES   VADDPS
 #define VPLUS    VMAXPS
 
@@ -102,7 +133,7 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $96
 	LEAQ    lanemask<>(SB), R12; \
 	MOVQ    R11, AX; \
 	NEGQ    AX; \
-	VMOVDQU 64(R12)(AX*ESIZE), Y7
+	VMOVDQU MASKHI(R12)(AX*ESIZE), Y7
 
 // FIRST turns the grid lane in AX at which a stream starts into the byte
 // offset of its first chunk (AX) and minus the lane it starts at in that
@@ -114,7 +145,7 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $96
 	SHLQ    $5, AX; \
 	ANDQ    $(LANES-1), BX; \
 	NEGQ    BX; \
-	VMOVDQU 32(R12)(BX*ESIZE), Y6; \
+	VMOVDQU MASKLO(R12)(BX*ESIZE), Y6; \
 	TESTQ   BX, BX
 
 // MASKED updates the chunk at byte offset AX under lane mask m.
@@ -146,10 +177,10 @@ whole4: \
 	VPLUS   32(DI)(AX*1), Y2, Y2; \
 	VPLUS   64(DI)(AX*1), Y3, Y3; \
 	VPLUS   96(DI)(AX*1), Y4, Y4; \
-	VSTOREA Y1, (DI)(AX*1); \
-	VSTOREA Y2, 32(DI)(AX*1); \
-	VSTOREA Y3, 64(DI)(AX*1); \
-	VSTOREA Y4, 96(DI)(AX*1); \
+	VMOVA Y1, (DI)(AX*1); \
+	VMOVA Y2, 32(DI)(AX*1); \
+	VMOVA Y3, 64(DI)(AX*1); \
+	VMOVA Y4, 96(DI)(AX*1); \
 	MOVQ    BX, AX; \
 	JMP     whole4; \
 whole1: \
@@ -158,10 +189,295 @@ whole1: \
 	VLOADU  (SI)(AX*1), Y1; \
 	VTIMES  Y0, Y1, Y1; \
 	VPLUS   (DI)(AX*1), Y1, Y1; \
-	VSTOREA Y1, (DI)(AX*1); \
+	VMOVA Y1, (DI)(AX*1); \
 	ADDQ    $32, AX; \
 	JMP     whole1; \
 wholedone:
+
+// ROWSINSIDE is the sweeps' row check, four k2 a step: with off in R9, k0 in
+// R11, k1 in R14, from in R15 and blen-n in AX, it jumps to reject unless
+// every row's first index off[k2+1]+max(k2+1, from) is at least 0 and its
+// offset at most blen-n. The sign of o+max(k, f) is that of (o+k)&(o+f), so
+// a row outside b sets the sign bit of its lane of Y0. The rows past k1 that
+// the last step loads are masked to offset 0 and left out of the verdict.
+// Clobbers CX, DX, SI, R12 and Y0-Y7.
+#define ROWSINSIDE(reject) \
+	LEAQ         8(R9)(R11*8), SI; \
+	MOVQ         R14, CX; \
+	SUBQ         R11, CX; \
+	VMOVQ        AX, X1; \
+	VPBROADCASTQ X1, Y1; \
+	VMOVQ        R15, X2; \
+	VPBROADCASTQ X2, Y2; \
+	LEAQ         1(R11), DX; \
+	VMOVQ        DX, X3; \
+	VPBROADCASTQ X3, Y3; \
+	VPADDQ       rowlanes<>(SB), Y3, Y3; \
+	VPXOR        Y0, Y0, Y0; \
+	VPCMPEQD     Y7, Y7, Y7; \
+rows4: \
+	CMPQ         CX, $4; \
+	JGE          rows; \
+	TESTQ        CX, CX; \
+	JZ           rowsdone; \
+	LEAQ         lanemask<>(SB), R12; \
+	NEGQ         CX; \
+	VMOVDQU      MASKHI(R12)(CX*8), Y7; \
+	XORQ         CX, CX; \
+rows: \
+	VPMASKMOVQ   (SI), Y7, Y4; \
+	VPADDQ       Y4, Y3, Y5; \
+	VPADDQ       Y4, Y2, Y6; \
+	VPAND        Y5, Y6, Y5; \
+	VPSUBQ       Y4, Y1, Y6; \
+	VPOR         Y5, Y6, Y5; \
+	VPAND        Y7, Y5, Y5; \
+	VPOR         Y5, Y0, Y0; \
+	VPADDQ       rowlanes<>+32(SB), Y3, Y3; \
+	ADDQ         $32, SI; \
+	SUBQ         $4, CX; \
+	JGT          rows4; \
+rowsdone: \
+	VMOVMSKPD    Y0, CX; \
+	TESTQ        CX, CX; \
+	JNZ          reject
+
+// SWEEP is the body of the fused k2 loop: for k2 in [k0, k1),
+//
+//	y[j] = y[j] ⊕ a[k2] ⊗ b[off[k2+1]+j]   for j in [max(k2+1, from), n)
+//
+// with y in DI, a in R13, b in R10, off in R9, k0 in R11, k1 in R14, from in
+// R15 and n in BX, 0 <= k0 < k1 < n and 0 <= from < n, every row inside b
+// (ROWSINSIDE), and ⊕'s neutral operand in every lane of Y13: y ⊕ neutral is
+// y, bit for bit (a NaN under VMAXPS, which then returns its second source;
+// -0 under VADDPD).
+//
+// y is walked in blocks of four chunks on the 128-byte grid, and the k2 loop
+// runs inside the block: Y1-Y4 hold the block from one load to one store, so
+// a candidate costs one ⊗ from memory and one ⊕, and y makes no trip through
+// memory per k2. Each lane still receives its candidates in ascending k2
+// order — the lanes of a block are independent chains — so the result is
+// the Go loops' bit for bit in both algebras. Everything is counted in grid
+// lanes: lane g of the grid is at byte ESIZE*g from the grid base, y[j] is
+// lane j+R8, and k2, from and n are moved onto the grid once (K, FROM, N
+// below; a, b and off are rebased to be indexed by them).
+//
+// Stream K covers the lanes from lo(K) = max(K+1, FROM) up. Seen from a
+// block at lane B the K are therefore in five runs, in ascending order:
+//
+//	K < max(B, FROM)                every live lane of the block (full)
+//	K+1 in chunk v = 0, 1, 2, 3     chunk v from lane K+1 up, under a mask,
+//	                                the chunks right of it whole, the chunks
+//	                                left of it not at all (diag v)
+//
+// and the K beyond do not reach the block. The live lanes of a block are
+// those from lo(K0) up and below N. A block with dead lanes — the first one,
+// the last one — keeps its chunks' live-lane masks in Y9-Y12 (all set in
+// every other block), loads b and stores y under them, and computes garbage
+// in the dead lanes. R8 is 0 in such a block.
+
+// KROW loads stream K = CX: a[K] into every lane of Y0 and the grid base of
+// its row of b into SI.
+#define KROW \
+	MOVQ   8(R9)(CX*8), SI; \
+	VSPLAT (R13)(CX*ESIZE), Y0; \
+	LEAQ   (R10)(SI*ESIZE), SI
+
+// KNEXT closes a K loop that runs to AX.
+#define KNEXT(loop) \
+	INCQ CX; \
+	CMPQ CX, AX; \
+	JLT  loop
+
+// VLEAN, VEDGE and VDIAG apply stream K to the chunk at byte d of the block
+// held in register y: whole from memory; loaded under the chunk's live-lane
+// mask e; and from lane K+1 up, where m is MASKLO plus the chunk's byte
+// offset (the mask of lanes > K, cut to the live lanes, is left in Y14; the
+// lanes outside it get the neutral operand). VDIAG does the KROW. t is
+// scratch.
+#define VLEAN(d, y, t) \
+	VTIMES d(SI)(DX*1), Y0, t; \
+	VPLUS  y, t, y
+
+#define VEDGE(d, y, e, t) \
+	VMASKMOV d(SI)(DX*1), e, t; \
+	VTIMES   Y0, t, t; \
+	VPLUS    y, t, y
+
+#define VDIAG(d, m, y, e) \
+	MOVQ     CX, SI; \
+	NOTQ     SI; \
+	VMOVDQU  m(R12)(SI*ESIZE), Y14; \
+	VPAND    e, Y14, Y14; \
+	KROW; \
+	VMASKMOV d(SI)(DX*1), Y14, Y5; \
+	VTIMES   Y0, Y5, Y5; \
+	VBLENDV  Y14, Y5, Y13, Y5; \
+	VPLUS    y, Y5, y
+
+// DIAGK sets AX to the end of the run of K with K+1 in the chunk whose last
+// lane is lane c of the block: the K below B+c, and below K1.
+#define DIAGK(c) \
+	MOVQ    DX, AX; \
+	SHRQ    $ESHIFT, AX; \
+	ADDQ    $c, AX; \
+	CMPQ    AX, R14; \
+	CMOVQGT R14, AX
+
+// DIAGEND leaves a diag run for the store when it ended at K1.
+#define DIAGEND \
+	CMPQ CX, R14; \
+	JGE  store
+
+#define SWEEP \
+	MOVQ     DI, R8; \
+	ANDQ     $127, R8; \
+	SUBQ     R8, DI; \
+	SUBQ     R8, R10; \
+	SUBQ     R8, R13; \
+	SHRQ     $ESHIFT, R8; \
+	ADDQ     R8, R11; \
+	ADDQ     R8, R14; \
+	ADDQ     R8, R15; \
+	ADDQ     R8, BX; \
+	SHLQ     $3, R8; \
+	SUBQ     R8, R9; \
+	LEAQ     1(R11), DX; \
+	CMPQ     DX, R15; \
+	CMOVQLT  R15, DX; \
+	SHRQ     $BSHIFT, DX; \
+	SHLQ     $7, DX; \
+	LEAQ     lanemask<>(SB), R12; \
+	ADDQ     DX, R12; \
+block: \
+	VMOVA    (DI)(DX*1), Y1; \
+	VMOVA    32(DI)(DX*1), Y2; \
+	VMOVA    64(DI)(DX*1), Y3; \
+	VMOVA    96(DI)(DX*1), Y4; \
+	VPCMPEQD Y9, Y9, Y9; \
+	VMOVDQA  Y9, Y10; \
+	VMOVDQA  Y9, Y11; \
+	VMOVDQA  Y9, Y12; \
+	MOVQ     R11, CX; \
+	MOVQ     DX, AX; \
+	SHRQ     $ESHIFT, AX; \
+	LEAQ     1(R11), SI; \
+	CMPQ     SI, R15; \
+	CMOVQLT  R15, SI; \
+	LEAQ     BLANES(AX), R8; \
+	CMPQ     SI, AX; \
+	JGT      dead; \
+	CMPQ     R8, BX; \
+	JLE      full; \
+dead: \
+	CMPQ     SI, AX; \
+	CMOVQLT  AX, SI; \
+	NEGQ     SI; \
+	CMPQ     R8, BX; \
+	CMOVQGT  BX, R8; \
+	NEGQ     R8; \
+	VMOVDQU  MASKLO(R12)(SI*ESIZE), Y9; \
+	VMOVDQU  (MASKLO+32)(R12)(SI*ESIZE), Y10; \
+	VMOVDQU  (MASKLO+64)(R12)(SI*ESIZE), Y11; \
+	VMOVDQU  (MASKLO+96)(R12)(SI*ESIZE), Y12; \
+	VPAND    MASKHI(R12)(R8*ESIZE), Y9, Y9; \
+	VPAND    (MASKHI+32)(R12)(R8*ESIZE), Y10, Y10; \
+	VPAND    (MASKHI+64)(R12)(R8*ESIZE), Y11, Y11; \
+	VPAND    (MASKHI+96)(R12)(R8*ESIZE), Y12, Y12; \
+	XORQ     R8, R8; \
+full: \
+	CMPQ     AX, R15; \
+	CMOVQLT  R15, AX; \
+	CMPQ     AX, R14; \
+	CMOVQGT  R14, AX; \
+	CMPQ     CX, AX; \
+	JGE      diag; \
+	TESTQ    R8, R8; \
+	JZ       fulledge; \
+	PCALIGN  $32; \
+fulllean: \
+	KROW; \
+	VLEAN(0, Y1, Y5); \
+	VLEAN(32, Y2, Y6); \
+	VLEAN(64, Y3, Y7); \
+	VLEAN(96, Y4, Y8); \
+	KNEXT(fulllean); \
+	JMP      diag; \
+fulledge: \
+	KROW; \
+	VEDGE(0, Y1, Y9, Y5); \
+	VEDGE(32, Y2, Y10, Y6); \
+	VEDGE(64, Y3, Y11, Y7); \
+	VEDGE(96, Y4, Y12, Y8); \
+	KNEXT(fulledge); \
+diag: \
+	DIAGEND; \
+	MOVQ     DX, AX; \
+	SHRQ     $ESHIFT, AX; \
+	MOVQ     CX, SI; \
+	SUBQ     AX, SI; \
+	CMPQ     SI, $(LANES-1); \
+	JLT      diag0; \
+	CMPQ     SI, $(2*LANES-1); \
+	JLT      diag1; \
+	CMPQ     SI, $(3*LANES-1); \
+	JLT      diag2; \
+	CMPQ     SI, $(4*LANES-1); \
+	JLT      diag3; \
+	JMP      store; \
+diag0: \
+	DIAGK(LANES-1); \
+	PCALIGN  $32; \
+diag0k: \
+	VDIAG(0, MASKLO, Y1, Y9); \
+	VEDGE(32, Y2, Y10, Y6); \
+	VEDGE(64, Y3, Y11, Y7); \
+	VEDGE(96, Y4, Y12, Y8); \
+	KNEXT(diag0k); \
+	DIAGEND; \
+diag1: \
+	DIAGK(2*LANES-1); \
+	PCALIGN  $32; \
+diag1k: \
+	VDIAG(32, (MASKLO+32), Y2, Y10); \
+	VEDGE(64, Y3, Y11, Y7); \
+	VEDGE(96, Y4, Y12, Y8); \
+	KNEXT(diag1k); \
+	DIAGEND; \
+diag2: \
+	DIAGK(3*LANES-1); \
+	PCALIGN  $32; \
+diag2k: \
+	VDIAG(64, (MASKLO+64), Y3, Y11); \
+	VEDGE(96, Y4, Y12, Y8); \
+	KNEXT(diag2k); \
+	DIAGEND; \
+diag3: \
+	DIAGK(4*LANES-1); \
+	PCALIGN  $32; \
+diag3k: \
+	VDIAG(96, (MASKLO+96), Y4, Y12); \
+	KNEXT(diag3k); \
+store: \
+	TESTQ    R8, R8; \
+	JZ       storedead; \
+	VMOVA    Y1, (DI)(DX*1); \
+	VMOVA    Y2, 32(DI)(DX*1); \
+	VMOVA    Y3, 64(DI)(DX*1); \
+	VMOVA    Y4, 96(DI)(DX*1); \
+	JMP      next; \
+storedead: \
+	VMASKMOV Y1, Y9, (DI)(DX*1); \
+	VMASKMOV Y2, Y10, 32(DI)(DX*1); \
+	VMASKMOV Y3, Y11, 64(DI)(DX*1); \
+	VMASKMOV Y4, Y12, 96(DI)(DX*1); \
+next: \
+	ADDQ     $128, DX; \
+	ADDQ     $128, R12; \
+	MOVQ     DX, AX; \
+	SHRQ     $ESHIFT, AX; \
+	CMPQ     AX, BX; \
+	JLT      block
 
 // func accumulateAVX2(y, x *float32, n int, a float32)
 // y[i] = max(a + x[i], y[i]) for i in [0, n); n > 0.
@@ -194,99 +510,31 @@ done:
 	VZEROUPPER
 	RET
 
-// func sweepAVX2(y, a, b *float32, off *int, k0, k1, n, blen int) (bad int)
+// func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
 // For k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j]) for j in
-// [k2+1, n). Requires 0 <= k0 < k1 < n. Returns -1, or the first k2 whose
-// row b[off[k2+1]+k2+1 : off[k2+1]+n] does not lie inside b[:blen], having
-// run the streams before it.
-//
-// The two partial chunks of a stream live in registers across k2. The last
-// chunk is the same for every k2: Y8 holds it from the first stream to the
-// masked store on the way out. That store writes the lanes in Y9, those of
-// the widest stream (k0's), and so no lane before y[k0+1] even when stream
-// k0 starts inside the last chunk: such a lane would get back the value
-// loaded on entry, undoing whatever its owner has stored since. The first
-// chunk is shared by up to seven consecutive k2: Y5 holds it, reloaded when
-// the stream's start moves into a new chunk (which the previous k2 stored
-// whole) and written back under the mask after every update. Neither is ever
-// loaded back from a masked store, which cannot be forwarded.
-TEXT ·sweepAVX2(SB), NOSPLIT, $0-72
-	MOVQ    y+0(FP), DI
-	MOVQ    a+8(FP), R13
-	MOVQ    k0+32(FP), CX
-	MOVQ    n+48(FP), R10
-	GRID
-	TESTQ   R11, R11
-	JZ      nolast
-	VMOVAPS (DI)(R10*1), Y8       // the last chunk: it holds y[n-1]
-	VMOVDQA Y7, Y9                // and the lanes of it the streams will write
+// [max(k2+1, from), n). Requires 0 <= k0 < k1 < n and 0 <= from < n. Returns
+// false, having done nothing, unless every row b[off[k2+1]+max(k2+1, from) :
+// off[k2+1]+n] lies inside b[:blen].
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-73
+	MOVQ     y+0(FP), DI
+	MOVQ     a+8(FP), R13
+	MOVQ     b+16(FP), R10
+	MOVQ     off+24(FP), R9
+	MOVQ     k0+32(FP), R11
+	MOVQ     k1+40(FP), R14
+	MOVQ     from+48(FP), R15
+	MOVQ     n+56(FP), BX
+	MOVQ     blen+64(FP), AX
+	SUBQ     BX, AX
+	ROWSINSIDE(reject)
+	VPCMPEQD Y13, Y13, Y13   // NaN: VMAXPS returns its second source, y
+	SWEEP
+	MOVB     $1, ok+72(FP)
+	VZEROUPPER
+	RET
 
-nolast:
-	LEAQ    1(CX)(R8*1), AX
-	FIRST
-	VMOVAPS (DI)(AX*1), Y5        // stream k0's first chunk: it holds y[k0+1]
-	CMPQ    AX, R10
-	JNE     nextk
-	VPAND   Y7, Y6, Y9            // stream k0 starts inside the last chunk: not the lanes before y[k0+1]
-
-nextk:
-	MOVQ         off+24(FP), DX
-	MOVQ         8(DX)(CX*8), DX      // off[k2+1]
-	LEAQ         1(DX)(CX*1), AX      // index in b of the row's first cell
-	TESTQ        AX, AX
-	JS           out
-	MOVQ         n+48(FP), AX
-	ADDQ         DX, AX               // and one past its last
-	CMPQ         AX, blen+56(FP)
-	JG           out
-	VBROADCASTSS (R13)(CX*4), Y0
-	SUBQ         R8, DX
-	MOVQ         b+16(FP), SI
-	LEAQ         (SI)(DX*4), SI       // x's grid base: b[off[k2+1]+j] in the lane of y[j]
-	LEAQ         1(CX)(R8*1), AX      // the stream starts at y[k2+1]
-	FIRST
-	JZ           whole4
-	CMPQ         AX, R10
-	JEQ          only
-	CMPQ         BX, $-1
-	JNE          first
-	VMOVAPS      (DI)(AX*1), Y5       // a new first chunk, stored whole by stream k2-1
-
-first:
-	VMASKMOVPS   (SI)(AX*1), Y6, Y1
-	VADDPS       Y0, Y1, Y1
-	VMAXPS       Y5, Y1, Y1
-	VBLENDVPS    Y6, Y1, Y5, Y5
-	VMASKMOVPS   Y5, Y6, (DI)(AX*1)
-	ADDQ         $32, AX
-	WHOLE
-	TESTQ        R11, R11
-	JZ           donek
-	VMOVDQA      Y7, Y6
-	JMP          last
-
-only:
-	VPAND        Y7, Y6, Y6           // the stream starts inside the last chunk
-
-last:
-	VMASKMOVPS   (SI)(R10*1), Y6, Y1
-	VADDPS       Y0, Y1, Y1
-	VMAXPS       Y8, Y1, Y1
-	VBLENDVPS    Y6, Y1, Y8, Y8
-
-donek:
-	INCQ         CX
-	CMPQ         CX, k1+40(FP)
-	JLT          nextk
-	MOVQ         $-1, CX
-
-out:
-	TESTQ        R11, R11
-	JZ           ret
-	VMASKMOVPS   Y8, Y9, (DI)(R10*1)
-
-ret:
-	MOVQ         CX, bad+64(FP)
+reject:
+	MOVB $0, ok+72(FP)
 	VZEROUPPER
 	RET
 
@@ -316,7 +564,7 @@ addtail:
 	JZ         adddone
 	LEAQ       lanemask<>(SB), R12
 	NEGQ       CX
-	VMOVDQU    64(R12)(CX*4), Y7
+	VMOVDQU    MASKHI(R12)(CX*4), Y7
 	VMASKMOVPS (SI)(AX*1), Y7, Y1
 	VADDPS     Y0, Y1, Y1
 	VMASKMOVPS Y1, Y7, (DI)(AX*1)
@@ -334,18 +582,26 @@ adddone:
 #undef ESHIFT
 #undef LANES
 #undef LSHIFT
+#undef BLANES
+#undef BSHIFT
 #undef VMASKMOV
 #undef VLOADU
-#undef VSTOREA
+#undef VMOVA
+#undef VSPLAT
+#undef VBLENDV
 #undef VTIMES
 #undef VPLUS
 #define ESIZE    8
 #define ESHIFT   3
 #define LANES    4
 #define LSHIFT   2
+#define BLANES   16
+#define BSHIFT   4
 #define VMASKMOV VMASKMOVPD
 #define VLOADU   VMOVUPD
-#define VSTOREA  VMOVAPD
+#define VMOVA    VMOVAPD
+#define VSPLAT   VBROADCASTSD
+#define VBLENDV  VBLENDVPD
 #define VTIMES   VMULPD
 #define VPLUS    VADDPD
 
@@ -380,91 +636,30 @@ done:
 	VZEROUPPER
 	RET
 
-// func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, n, blen int) (bad int)
+// func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
 // For k2 in [k0, k1): y[j] = y[j] + a[k2] * b[off[k2+1]+j] for j in
-// [k2+1, n). Requires 0 <= k0 < k1 < n. Returns -1, or the first k2 whose
-// row b[off[k2+1]+k2+1 : off[k2+1]+n] does not lie inside b[:blen], having
-// run the streams before it.
-//
-// Y8 and Y9 are the last chunk and the lanes of it to store, Y5 the first
-// chunk, shared here by up to three consecutive k2 (see sweepAVX2).
-TEXT ·sumProductSweepAVX2(SB), NOSPLIT, $0-72
-	MOVQ    y+0(FP), DI
-	MOVQ    a+8(FP), R13
-	MOVQ    k0+32(FP), CX
-	MOVQ    n+48(FP), R10
-	GRID
-	TESTQ   R11, R11
-	JZ      nolast
-	VMOVAPD (DI)(R10*1), Y8       // the last chunk: it holds y[n-1]
-	VMOVDQA Y7, Y9                // and the lanes of it the streams will write
+// [max(k2+1, from), n), under sweepAVX2's requirements and with its row check.
+TEXT ·sumProductSweepAVX2(SB), NOSPLIT, $0-73
+	MOVQ     y+0(FP), DI
+	MOVQ     a+8(FP), R13
+	MOVQ     b+16(FP), R10
+	MOVQ     off+24(FP), R9
+	MOVQ     k0+32(FP), R11
+	MOVQ     k1+40(FP), R14
+	MOVQ     from+48(FP), R15
+	MOVQ     n+56(FP), BX
+	MOVQ     blen+64(FP), AX
+	SUBQ     BX, AX
+	ROWSINSIDE(reject)
+	VPCMPEQD Y13, Y13, Y13
+	VPSLLQ   $63, Y13, Y13   // -0: y + -0 is y
+	SWEEP
+	MOVB     $1, ok+72(FP)
+	VZEROUPPER
+	RET
 
-nolast:
-	LEAQ    1(CX)(R8*1), AX
-	FIRST
-	VMOVAPD (DI)(AX*1), Y5        // stream k0's first chunk: it holds y[k0+1]
-	CMPQ    AX, R10
-	JNE     nextk
-	VPAND   Y7, Y6, Y9            // stream k0 starts inside the last chunk: not the lanes before y[k0+1]
-
-nextk:
-	MOVQ         off+24(FP), DX
-	MOVQ         8(DX)(CX*8), DX      // off[k2+1]
-	LEAQ         1(DX)(CX*1), AX      // index in b of the row's first cell
-	TESTQ        AX, AX
-	JS           out
-	MOVQ         n+48(FP), AX
-	ADDQ         DX, AX               // and one past its last
-	CMPQ         AX, blen+56(FP)
-	JG           out
-	VBROADCASTSD (R13)(CX*8), Y0
-	SUBQ         R8, DX
-	MOVQ         b+16(FP), SI
-	LEAQ         (SI)(DX*8), SI       // x's grid base: b[off[k2+1]+j] in the lane of y[j]
-	LEAQ         1(CX)(R8*1), AX      // the stream starts at y[k2+1]
-	FIRST
-	JZ           whole4
-	CMPQ         AX, R10
-	JEQ          only
-	CMPQ         BX, $-1
-	JNE          first
-	VMOVAPD      (DI)(AX*1), Y5       // a new first chunk, stored whole by stream k2-1
-
-first:
-	VMASKMOVPD   (SI)(AX*1), Y6, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y5, Y1, Y1
-	VBLENDVPD    Y6, Y1, Y5, Y5
-	VMASKMOVPD   Y5, Y6, (DI)(AX*1)
-	ADDQ         $32, AX
-	WHOLE
-	TESTQ        R11, R11
-	JZ           donek
-	VMOVDQA      Y7, Y6
-	JMP          last
-
-only:
-	VPAND        Y7, Y6, Y6           // the stream starts inside the last chunk
-
-last:
-	VMASKMOVPD   (SI)(R10*1), Y6, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y8, Y1, Y1
-	VBLENDVPD    Y6, Y1, Y8, Y8
-
-donek:
-	INCQ         CX
-	CMPQ         CX, k1+40(FP)
-	JLT          nextk
-	MOVQ         $-1, CX
-
-out:
-	TESTQ        R11, R11
-	JZ           ret
-	VMASKMOVPD   Y8, Y9, (DI)(R10*1)
-
-ret:
-	MOVQ         CX, bad+64(FP)
+reject:
+	MOVB $0, ok+72(FP)
 	VZEROUPPER
 	RET
 
@@ -491,7 +686,7 @@ multail:
 	JZ         muldone
 	LEAQ       lanemask<>(SB), R12
 	NEGQ       CX
-	VMOVDQU    64(R12)(CX*8), Y7
+	VMOVDQU    MASKHI(R12)(CX*8), Y7
 	VMASKMOVPD (SI)(AX*1), Y7, Y1
 	VMULPD     Y0, Y1, Y1
 	VMASKMOVPD Y1, Y7, (DI)(AX*1)

@@ -25,8 +25,10 @@ const (
 
 type elem interface{ float32 | float64 }
 
-// lanes is the number of elements of T in one 32-byte chunk of the grid.
-func lanes[T elem]() int { return 32 / int(unsafe.Sizeof(T(0))) }
+// lanes is the number of elements of T in one 32-byte chunk of the grid,
+// blockLanes in one 128-byte block of four: the unit Sweep holds in registers.
+func lanes[T elem]() int      { return 32 / int(unsafe.Sizeof(T(0))) }
+func blockLanes[T elem]() int { return 4 * lanes[T]() }
 
 func bits[T elem](v T) uint64 {
 	if f, ok := any(v).(float32); ok {
@@ -41,7 +43,7 @@ type bodies[T elem] struct {
 	name           string
 	accum, accumGo func(y, x []T, a T)
 	into, intoGo   func(dst, x []T, a T)
-	sweep, sweepGo func(y, a, b []T, off []int, k0, k1, n int)
+	sweep, sweepGo func(y, a, b []T, off []int, k0, k1, from, n int)
 	guardWord      T   // a NaN pattern no kernel produces, so a stray store shows
 	specials       []T // the operands that separate a correct lane from a nearly correct one
 	ordinary       func(rng *rand.Rand) T
@@ -103,35 +105,36 @@ func (k *bodies[T]) operand(rng *rand.Rand) T {
 	return k.ordinary(rng)
 }
 
-// arena hands out slices at a chosen lane of the 32-byte grid, each fenced
-// by guard words, from one backing buffer whose bits can be compared whole.
+// arena hands out slices at a chosen lane of the 128-byte grid (lane mod
+// lanes of the 32-byte one), each fenced by guard words, from one backing
+// buffer whose bits can be compared whole.
 type arena[T elem] struct {
 	buf         []T
 	first, next int // buf[first] and buf[next] are on the grid
 }
 
 func newArena[T elem](cells int, guardWord T) *arena[T] {
-	a := &arena[T]{buf: make([]T, cells+lanes[T]())}
+	a := &arena[T]{buf: make([]T, cells+blockLanes[T]())}
 	for i := range a.buf {
 		a.buf[i] = guardWord
 	}
-	for uintptr(unsafe.Pointer(&a.buf[a.first]))%32 != 0 {
+	for uintptr(unsafe.Pointer(&a.buf[a.first]))%128 != 0 {
 		a.first++
 	}
 	a.next = a.first
 	return a
 }
 
-// slice returns n elements whose first sits at lane `lane` of its chunk.
+// slice returns n elements whose first sits at lane `lane` of its block.
 func (a *arena[T]) slice(n, lane int) []T {
 	lo := a.next + guard + lane
-	a.next = (lo + n + guard + lanes[T]() - 1) &^ (lanes[T]() - 1)
+	a.next = (lo + n + guard + blockLanes[T]() - 1) &^ (blockLanes[T]() - 1)
 	return a.buf[lo : lo+n : lo+n]
 }
 
 // arenaRoom is the size of an arena that `slices` slices totalling `cells`
 // elements fit in.
-func arenaRoom(slices, cells int) int { return cells + slices*(2*guard+16) }
+func arenaRoom(slices, cells int) int { return cells + slices*(2*guard+64) }
 
 // pair is two arenas cut identically: the kernels under test run on one, the
 // Go loops on the other.
@@ -260,8 +263,8 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 		{"SumProduct", 0, func(y []float64) { SumProduct(y, b[:n], a[0]) }},
 		{"SumProductGo", 0, func(y []float64) { SumProductGo(y, b[:n], a[0]) }},
 		// The one stream k2 = n-2 reaches y[n-1] only.
-		{"SumProductSweep", n - 1, func(y []float64) { SumProductSweep(y, a, b, off, n-2, n-1, n) }},
-		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, n) }},
+		{"SumProductSweep", n - 1, func(y []float64) { SumProductSweep(y, a, b, off, n-2, n-1, 0, n) }},
+		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, 0, n) }},
 	} {
 		y := fresh()
 		c.run(y)
@@ -295,35 +298,48 @@ func TestSweepMatchesGoBitForBit(t *testing.T) {
 	t.Run(sumProduct.name, func(t *testing.T) { sweepMatchesGo(t, &sumProduct) })
 }
 
+// sweepMatchesGo runs the sweep over every lane of the 128-byte block its y
+// can start at, so that streams start, end and cross block edges everywhere a
+// row can put them: row ends on and off a block edge, k2 ranges from one
+// stream to a diagonal that spans two blocks, every left column bound.
 func sweepMatchesGo[T elem](t *testing.T, k *bodies[T]) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 1; n <= maxLen; n++ {
-		for lane := 0; lane < lanes[T](); lane++ {
+		for lane := 0; lane < blockLanes[T](); lane++ {
 			for _, packed := range []bool{false, true} {
 				off, size := rowOffsets(n, packed)
 				what := fmt.Sprintf("n=%d lane=%d packed=%v", n, lane, packed)
-				k0 := rng.Intn(n)
-				k1 := k0 + rng.Intn(n-k0)
 
 				// R0's shape: y is a row of another block.
 				p := newPair(k, 4, 2*size+2*n)
-				b, wb := p.slice(rng, size, rng.Intn(lanes[T]()))
-				a, wa := p.slice(rng, n, rng.Intn(lanes[T]()))
+				b, wb := p.slice(rng, size, rng.Intn(blockLanes[T]()))
+				a, wa := p.slice(rng, n, rng.Intn(blockLanes[T]()))
 				y, wy := p.slice(rng, n, lane)
-				k.sweep(y, a, b, off, 0, n-1, n)
-				k.sweepGo(wy, wa, wb, off, 0, n-1, n)
+				k.sweep(y, a, b, off, 0, n-1, 0, n)
+				k.sweepGo(wy, wa, wb, off, 0, n-1, 0, n)
 				p.check(t, "sweep, whole row, "+what)
-				k.sweep(y, a, b, off, k0, k1, n)
-				k.sweepGo(wy, wa, wb, off, k0, k1, n)
-				p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d), %s", k0, k1, what))
+				for from := 0; from < n; from++ {
+					k0 := rng.Intn(n)
+					k1 := k0 + rng.Intn(n-k0)
+					k.sweep(y, a, b, off, k0, k1, from, n)
+					k.sweepGo(wy, wa, wb, off, k0, k1, from, n)
+					p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d) from column %d, %s", k0, k1, from, what))
+
+					// R2's shape: a is y itself, the cells [k0, from) final in
+					// memory while the lanes from `from` up are in registers.
+					k0 = rng.Intn(from + 1)
+					k.sweep(y, y, b, off, k0, from, from, n)
+					k.sweepGo(wy, wy, wb, off, k0, from, from, n)
+					p.check(t, fmt.Sprintf("sweep, a = y, k2 in [%d,%d) from column %d, %s", k0, from, from, what))
+				}
 
 				// R1's shape: y is row i2 of b itself, reading the rows below
 				// it. On the packed map the cells either side of y[i2:n] are
 				// the neighbouring rows' cells.
 				blk, wblk := p.slice(rng, size, lane)
 				for i2 := n - 1; i2 >= 0; i2-- {
-					k.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, n)
-					k.sweepGo(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, n)
+					k.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, 0, n)
+					k.sweepGo(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, 0, n)
 				}
 				p.check(t, "sweep, in place, "+what)
 			}
@@ -336,35 +352,89 @@ func TestSweepRejectsRowsOutsideTheBlock(t *testing.T) {
 	t.Run(sumProduct.name, func(t *testing.T) { sweepRejectsRowsOutsideTheBlock(t, &sumProduct) })
 }
 
+// sweepRejectsRowsOutsideTheBlock: the checks sit ahead of the choice of body,
+// so every build refuses with the same words, not the runtime's.
 func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *bodies[T]) {
 	const n = 12
 	off, size := rowOffsets(n, false)
 	y, a, b := make([]T, n), make([]T, n), make([]T, size)
 	for _, c := range []struct {
 		name string
+		want string // what follows the sweep's name in the panic
 		run  func()
 	}{
-		{"row past the block", func() { k.sweep(y, a, b[:size-1:size-1], off, 0, n-1, n) }},
-		{"row before the block", func() {
+		{"row past the block", "row 11 ", func() { k.sweep(y, a, b[:size-1:size-1], off, 0, n-1, 0, n) }},
+		{"row before the block", "row 3 ", func() {
 			bad := append([]int(nil), off...)
 			bad[3] = -5
-			k.sweep(y, a, b, bad, 0, n-1, n)
+			k.sweep(y, a, b, bad, 0, n-1, 0, n)
 		}},
-		{"short y", func() { k.sweep(y[:n-1:n-1], a, b, off, 0, n-1, n) }},
-		{"short a", func() { k.sweep(y, a[:3:3], b, off, 0, n-1, n) }},
-		{"negative k0", func() { k.sweep(y, a, b, off, -1, n-1, n) }},
+		{"short y", "k2 range ", func() { k.sweep(y[:n-1:n-1], a, b, off, 0, n-1, 0, n) }},
+		{"short a", "k2 range ", func() { k.sweep(y, a[:3:3], b, off, 0, n-1, 0, n) }},
+		{"negative k0", "k2 range ", func() { k.sweep(y, a, b, off, -1, n-1, 0, n) }},
+		{"negative from", "k2 range [0,11) from column -1 ", func() { k.sweep(y, a, b, off, 0, n-1, -1, n) }},
+		{"from past the row", "k2 range [0,11) from column 12 ", func() { k.sweep(y, a, b, off, 0, n-1, n, n) }},
 	} {
 		func() {
 			defer func() {
-				// The Go loops leave the rejection to the runtime's bounds
-				// checks; the vector wrapper has to say it itself.
 				r := recover()
-				if msg, _ := r.(string); r == nil || Impl() == "avx2" && !strings.HasPrefix(msg, k.sweepPanic) {
-					t.Errorf("%s: the sweep panicked with %v, want a panic starting %q", c.name, r, k.sweepPanic)
+				if msg, _ := r.(string); !strings.HasPrefix(msg, k.sweepPanic+c.want) {
+					t.Errorf("%s: the sweep panicked with %v, want a panic starting %q", c.name, r, k.sweepPanic+c.want)
 				}
 			}()
 			c.run()
 		}()
+	}
+}
+
+// A row outside b anywhere in the k2 range: the streams before it run, then
+// the panic names it. Rows that touch b's first or last element are inside.
+// (The vector body checks rows four a step; the ranges below put the row in
+// every lane of a whole and of a partial step.)
+func TestSweepRunsTheStreamsBeforeABadRow(t *testing.T) {
+	t.Run(maxPlus.name, func(t *testing.T) { sweepRunsTheStreamsBeforeABadRow(t, &maxPlus) })
+	t.Run(sumProduct.name, func(t *testing.T) { sweepRunsTheStreamsBeforeABadRow(t, &sumProduct) })
+}
+
+func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *bodies[T]) {
+	const n, room = 20, 3 // every row may start at b[0] and end at b[n+room]
+	rng := rand.New(rand.NewSource(29))
+	for k0 := 0; k0 < 5; k0++ {
+		for k1 := k0 + 1; k1 < k0+11; k1++ {
+			for _, from := range []int{0, k0 + 2, k1, n - 1} {
+				for row := k0; row < k1; row++ {
+					lo := max(row+1, from)
+					for _, c := range []struct {
+						off int
+						bad bool
+					}{{-lo, false}, {-lo - 1, true}, {room, false}, {room + 1, true}} {
+						what := fmt.Sprintf("k2 in [%d,%d) from column %d, row %d at offset %d", k0, k1, from, row+1, c.off)
+						off := make([]int, n)
+						off[row+1] = c.off
+						p := newPair(k, 3, 3*n+room)
+						b, wb := p.slice(rng, n+room, 5)
+						a, wa := p.slice(rng, n, 9)
+						y, wy := p.slice(rng, n, 3)
+						end := k1
+						if c.bad {
+							end = row
+						}
+						func() {
+							defer func() {
+								msg, _ := recover().(string)
+								want := fmt.Sprintf("%srow %d at offset %d ", k.sweepPanic, row+1, c.off)
+								if c.bad && !strings.HasPrefix(msg, want) || !c.bad && msg != "" {
+									t.Fatalf("%s: the sweep panicked with %q, bad row: %v", what, msg, c.bad)
+								}
+							}()
+							k.sweep(y, a, b, off, k0, k1, from, n)
+						}()
+						k.sweepGo(wy, wa, wb, off, k0, end, from, n)
+						p.check(t, what)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -380,7 +450,7 @@ func benchmarkSweep[T elem](b *testing.B, k *bodies[T]) {
 			y, a, blk := make([]T, n), make([]T, n), make([]T, size)
 			b.SetBytes(int64(n * (n - 1) / 2 * int(unsafe.Sizeof(y[0]))))
 			for i := 0; i < b.N; i++ {
-				k.sweep(y, a, blk, off, 0, n-1, n)
+				k.sweep(y, a, blk, off, 0, n-1, 0, n)
 			}
 		})
 	}
@@ -454,32 +524,20 @@ func TestKernelsLeaveNeighbouringCellsToTheirWriter(t *testing.T) {
 
 // kernelsLeaveNeighbouringCells runs k's kernels on abutting packed rows.
 func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T]) {
+	for lane := 0; lane < blockLanes[T](); lane++ {
+		// A row that ends inside a block, and one that ends on a block's edge.
+		sweepLeavesNeighbouringCells(t, k, lane, 29)
+		sweepLeavesNeighbouringCells(t, k, lane, 2*blockLanes[T]()-lane)
+	}
+
 	const n = 29
-	off, size := rowOffsets(n, true)
 	for lane := 0; lane < lanes[T](); lane++ {
-		ar := newArena(arenaRoom(3, size+2*n), k.guardWord)
-		b, a := ar.slice(size, 3), ar.slice(n, 1)
+		ar := newArena(arenaRoom(2, 2*n), k.guardWord)
+		x := ar.slice(n, 3)
 		lo := ar.next + guard + lane // where the next slice starts
 		y := ar.slice(n, lane)
 		before, after := &ar.buf[lo-1], &ar.buf[lo+n]
-
-		// Streams that start inside the row's last chunk: the sweep's last
-		// chunk register then holds lanes before y[k0+1], down to y[0] and
-		// past it.
-		last := (lane + n) &^ (lanes[T]() - 1) // grid lane the last chunk starts at
-		for k0 := max(last-lane-1, 0); k0 < n-1; k0++ {
-			what := fmt.Sprintf("sweep lane=%d k0=%d", lane, k0)
-			sweep := func() { k.sweep(y, a, b, off, k0, n-1, n) }
-			ownedBySomeoneElse(t, what+", the word before y[k0+1]", &y[k0], sweep)
-			if k0 == n-2 {
-				ownedBySomeoneElse(t, what+", the word before y[0]", before, sweep)
-				ownedBySomeoneElse(t, what+", the word after y[n-1]", after, sweep)
-			}
-		}
-		ownedBySomeoneElse(t, fmt.Sprintf("sweep lane=%d, whole row, the word before y[0]", lane), before,
-			func() { k.sweep(y, a, b, off, 0, n-1, n) })
-
-		x, m := b[:n], min(3, lanes[T]()-lane) // y[:m] lies in one chunk
+		m := min(3, lanes[T]()-lane) // y[:m] lies in one chunk
 		for _, c := range []struct {
 			name   string
 			kernel func()
@@ -495,4 +553,37 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *bodies[T]) {
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word after it", lane, m), &y[m], short)
 	}
+}
+
+// sweepLeavesNeighbouringCells: the sweep stores whole blocks, but for the
+// lanes of the first block left of the first stream and those of the last
+// block from y[n] on.
+func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *bodies[T], lane, n int) {
+	off, size := rowOffsets(n, true)
+	ar := newArena(arenaRoom(3, size+2*n), k.guardWord)
+	b, a := ar.slice(size, 3), ar.slice(n, 1)
+	lo := ar.next + guard + lane // where the next slice starts
+	y := ar.slice(n, lane)
+	before, after := &ar.buf[lo-1], &ar.buf[lo+n]
+	what := fmt.Sprintf("sweep lane=%d n=%d", lane, n)
+
+	whole := func() { k.sweep(y, a, b, off, 0, n-1, 0, n) }
+	ownedBySomeoneElse(t, what+", whole row, the word before y[0]", before, whole)
+	ownedBySomeoneElse(t, what+", whole row, y[0]", &y[0], whole)
+	ownedBySomeoneElse(t, what+", whole row, the word after y[n-1]", after, whole)
+
+	// One stream into y[n-1]: the first block is the last, and everything in
+	// it but one lane is someone else's.
+	last := func() { k.sweep(y, a, b, off, n-2, n-1, 0, n) }
+	ownedBySomeoneElse(t, what+", last stream, the word before y[n-1]", &y[n-2], last)
+	ownedBySomeoneElse(t, what+", last stream, the word before y[0]", before, last)
+	ownedBySomeoneElse(t, what+", last stream, the word after y[n-1]", after, last)
+
+	// Streams that start in the middle of a block, at k0+1 and at `from`.
+	mid := n / 2
+	tail := func() { k.sweep(y, a, b, off, mid, n-1, 0, n) }
+	ownedBySomeoneElse(t, what+", k0 mid-row, the word before y[k0+1]", &y[mid], tail)
+	bound := func() { k.sweep(y, y, b, off, mid/2, mid, mid, n) }
+	ownedBySomeoneElse(t, what+", a = y from mid-row, the word before y[from]", &y[mid-1], bound)
+	ownedBySomeoneElse(t, what+", a = y from mid-row, the word after y[n-1]", after, bound)
 }

@@ -90,10 +90,10 @@ func AddScalarIntoGo(dst, x []float32, a float32) {
 
 // SweepGo is Sweep's portable body, and the Sweep of semiring's Go max-plus
 // bundle: one AccumulateGo stream per k2.
-func SweepGo(y, a, b []float32, off []int, k0, k1, n int) {
+func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int) {
 	for k2 := k0; k2 < k1; k2++ {
-		o := off[k2+1]
-		AccumulateGo(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+		o, lo := off[k2+1], max(k2+1, from)
+		AccumulateGo(y[lo:n], b[o+lo:o+n], a[k2])
 	}
 }
 
@@ -125,9 +125,9 @@ func MulScalarIntoGo(dst, x []float64, a float64) {
 
 // SumProductSweepGo is SumProductSweep's portable body: one SumProductGo
 // stream per k2.
-func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, n int) {
+func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, from, n int) {
 	for k2 := k0; k2 < k1; k2++ {
-		o := off[k2+1]
-		SumProductGo(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+		o, lo := off[k2+1], max(k2+1, from)
+		SumProductGo(y[lo:n], b[o+lo:o+n], a[k2])
 	}
 }

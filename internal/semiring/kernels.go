@@ -43,11 +43,14 @@ type Kernels[T Scalar] struct {
 	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
 	Accum func(y, x []T, a T)
 	// Sweep streams a k2 loop into row y, y[j] = y[j] ⊕ (a[k2] ⊗ b[off[k2+1]+j])
-	// for k2 in [k0, k1) and j in (k2, n): y is indexed by absolute column, b
-	// is a table block and off its row offsets (cell (r, j) at b[off[r]+j]).
-	// It is the schedules' one k2 stream loop — R0 with b the south triangle,
-	// R1 with b the triangle being finalized.
-	Sweep func(y, a, b []T, off []int, k0, k1, n int)
+	// for k2 in [k0, k1) and j in [max(k2+1, from), n): y is indexed by
+	// absolute column, b is a table block and off its row offsets (cell (r, j)
+	// at b[off[r]+j]). It is the schedules' one k2 stream loop — R0 with b the
+	// south triangle, R1 with b the triangle being finalized, and R2 with a = y
+	// and b = S², from = k1: the row's final cells [k0, k1) pushed to the
+	// columns right of them. a[k0:k1] and the rows of b read must not overlap
+	// the columns of y written.
+	Sweep func(y, a, b []T, off []int, k0, k1, from, n int)
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
 }
@@ -65,11 +68,11 @@ var (
 // sweepOver builds a bundle's Sweep from its Accum, one call per k2: the
 // form of the two bundles package maxplus has no Sweep body for, log-sum-exp
 // and the 8-way unrolled max-plus loops (the portable build's fill).
-func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, n int) {
-	return func(y, a, b []T, off []int, k0, k1, n int) {
+func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, from, n int) {
+	return func(y, a, b []T, off []int, k0, k1, from, n int) {
 		for k2 := k0; k2 < k1; k2++ {
-			o := off[k2+1]
-			acc(y[k2+1:n], b[o+k2+1:o+n], a[k2])
+			o, lo := off[k2+1], max(k2+1, from)
+			acc(y[lo:n], b[o+lo:o+n], a[k2])
 		}
 	}
 }
@@ -104,7 +107,7 @@ func MaxPlusKernelsGo(unroll bool) Kernels[float32] {
 	return maxPlusGo
 }
 
-func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, n int)) Kernels[float32] {
+func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, from, n int)) Kernels[float32] {
 	return Kernels[float32]{
 		Impl: "go",
 		Zero: NegInf,

@@ -264,7 +264,7 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 		}
 	}
 	// Sweep over an n×n box block whose row r is x rotated by r: the k2 loop
-	// of Accum calls, hence of scalar ⊕/⊗, in k2 order.
+	// of Accum calls, hence of scalar ⊕/⊗, in k2 order, right of column 3.
 	n := len(x)
 	off, blk := make([]int, n), make([]T, n*n)
 	for r := range off {
@@ -274,9 +274,9 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 		}
 	}
 	swept, want := append([]T(nil), y0...), append([]T(nil), y0...)
-	k.Sweep(swept, x, blk, off, 1, n-1, n)
+	k.Sweep(swept, x, blk, off, 1, n-1, 3, n)
 	for k2 := 1; k2 < n-1; k2++ {
-		for j := k2 + 1; j < n; j++ {
+		for j := max(k2+1, 3); j < n; j++ {
 			want[j] = k.Add(k.Mul(x[k2], blk[off[k2+1]+j]), want[j])
 		}
 	}
