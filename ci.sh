@@ -71,8 +71,9 @@ run_lint() (
         exit 1
     fi
     # One fill body: the k2 stream loop is called from the accumulate/finalize
-    # bodies in triangle.go (R0, R1 and, with a left column bound, R2) and the
-    # DMP micro-app, nowhere else. (The substrate's row fill was tried on it and
+    # bodies in triangle.go (R0, R1 and R2 — the closure in R1's shape, the
+    # substitution with a left column bound) and the DMP micro-app, nowhere
+    # else. (The substrate's row fill was tried on it and
     # lost: docs/PERFORMANCE.md, "Paths retired because they lost".)
     if grep -rn --include='*.go' '[sS]weep(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
         -e '^\./internal/maxplus/' -e '^\./internal/semiring/' \
@@ -80,14 +81,28 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go (a second copy of the fill)" >&2
         exit 1
     fi
-    # Finalize pushes a row's cells to the columns right of them a chunk at a
-    # time, through Sweep. One Accumulate call per finalized cell, each waiting
-    # on the last, is the R2 chain growing back.
+    # Finalize's R2 goes through Sweep in both of its forms: the closure, one
+    # sweep from a copy of the row where max-plus sums are exact, and the
+    # forward substitution, which pushes a row's cells to the columns right of
+    # them a chunk at a time. One Accumulate call per finalized cell, each
+    # waiting on the last, is the R2 chain growing back.
     if awk '/for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
             in_loop { if (/s\.acc\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
                       depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
             END { exit !bad }' internal/bpmax/triangle.go; then
-        echo "lint: s.acc( inside a j2 loop of triangle.go (finalize's R2 goes through s.sweep, a chunk at a time)" >&2
+        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row, or one substitution sweep a chunk)" >&2
+        exit 1
+    fi
+    # The max-plus finalize applies the pairing terms to a whole row, one
+    # stream each. around[j2] read inside a j2 loop of finalizeMaxPlusTriangle
+    # is the per-cell pairing term growing back.
+    if awk '/^func finalizeMaxPlusTriangle\(/ { in_fn = 1 }
+            in_fn && /for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
+            in_loop { if (/around\[j2\]/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+                      depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
+            in_fn && /^}/ { in_fn = 0 }
+            END { exit !bad }' internal/bpmax/triangle.go; then
+        echo "lint: around[j2] inside a j2 loop of finalizeMaxPlusTriangle (the pairing terms are streams over the row)" >&2
         exit 1
     fi
     # One single-strand fill: rows stream through the shared kernels. The

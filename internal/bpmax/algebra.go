@@ -58,6 +58,10 @@ type alg[T semiring.Scalar] struct {
 	// factors (forbidden ⇒ 0) for the scaled sum-product.
 	sc1, sc2, isc []T
 	n1, n2        int
+	// r2 is the form finalize solves R2 in, r2Closure or r2Substitution, for
+	// a max-plus view (Config.r2Form); empty for the partition views, whose
+	// ⊕ = + admits no closure (finalizeGeneric).
+	r2 string
 }
 
 // maxplusAlg builds the tropical float32 view over a problem's own tables.
@@ -72,6 +76,7 @@ func maxplusAlg(p *Problem, cfg Config) alg[float32] {
 		isc: p.Tab.Inter,
 		n1:  p.N1,
 		n2:  p.N2,
+		r2:  cfg.r2Form(p),
 	}
 }
 

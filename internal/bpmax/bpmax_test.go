@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
+	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
@@ -142,6 +143,92 @@ func TestUnrolledKernelAgrees(t *testing.T) {
 	var cfg Config
 	cfg.SetKernels("go")
 	tablesEqual(t, p, Solve(p, VariantReference, Config{}), Solve(p, VariantHybridTiled, cfg), "unrolled")
+}
+
+// TestR2ClosureMatchesSubstitution holds finalize's two R2 forms to each
+// other. Under integer weights every sum is exact, so the one-hop closure
+// and the forward substitution must leave equal tables cell for cell: on the
+// box and packed maps and on a band of the packed one, at one worker and at
+// two (which finalize distinct triangles at once, each through its own row
+// of the closure's scratch), fresh and pooled. Config.r2 forces the form and
+// FoldMetrics.R2 says which ran. Then the routing: the closure is taken only
+// where the problem's arithmetic is exact.
+func TestR2ClosureMatchesSubstitution(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	s1, s2 := rna.Random(rng, 6), rna.Random(rng, 70)
+	ctx := context.Background()
+	for _, model := range parityModels {
+		if model.r2 != r2Closure {
+			continue
+		}
+		p, err := NewProblem(s1, s2, model.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPool()
+		for _, shape := range []struct {
+			name   string
+			kind   MapKind
+			w1, w2 int
+		}{{"box", MapBox, p.N1, p.N2}, {"packed", MapPacked, p.N1, p.N2}, {"band", MapPacked, 4, 23}} {
+			for _, workers := range []int{1, 2} {
+				for _, pool := range []*Pool{nil, pl} {
+					label := fmt.Sprintf("%s/%s/workers=%d/pooled=%v", model.name, shape.name, workers, pool != nil)
+					fill := func(form string) *FTable {
+						var fm metrics.FoldMetrics
+						cfg := Config{Workers: workers, Map: shape.kind, Pool: pool, Metrics: &fm, r2: form}
+						ft, err := newSolver(p, cfg, shape.w1, shape.w2).fill(ctx, VariantHybridTiled, "hybrid-tiled")
+						if err != nil {
+							t.Fatalf("%s %s: %v", label, form, err)
+						}
+						if fm.R2 != form {
+							t.Fatalf("%s: forced %q, FoldMetrics.R2 = %q", label, form, fm.R2)
+						}
+						return ft
+					}
+					closure, subst := fill(r2Closure), fill(r2Substitution)
+					eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+						if !closure.InWindow(i1, j1, i2, j2) {
+							return
+						}
+						if c, s := closure.At(i1, j1, i2, j2), subst.At(i1, j1, i2, j2); c != s {
+							t.Fatalf("%s: F[%d,%d,%d,%d] = %v by closure, %v by substitution", label, i1, j1, i2, j2, c, s)
+						}
+					})
+					closure.Release()
+					subst.Release()
+				}
+			}
+		}
+		if st := pl.Stats(); st.Buffers.Live != 0 {
+			t.Fatalf("%s: leaked %d pooled buffers", model.name, st.Buffers.Live)
+		}
+	}
+
+	fractionalInter := score.DefaultParams()
+	inter := score.Custom("inter", map[[2]rna.Base]score.Value{{rna.G, rna.C}: 1.5})
+	fractionalInter.InterModel = &inter
+	for _, c := range []struct {
+		name   string
+		params score.Params
+		n      int // both strands
+		want   string
+	}{
+		{"default", score.DefaultParams(), 16, r2Closure},
+		{"fractional", customParams(2.75, 1.25, 0.5), 16, r2Substitution},
+		{"fractional intermolecular", fractionalInter, 16, r2Substitution},
+		{"negative integer", customParams(3, 2, -1), 16, r2Substitution},
+		{"weight × length below 2²⁴", customParams(1<<20, 2, 1), 15, r2Closure},
+		{"weight × length at 2²⁴", customParams(1<<20, 2, 1), 16, r2Substitution},
+	} {
+		p, err := NewProblem(rna.Random(rng, c.n), rna.Random(rng, c.n), c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (Config{}).r2Form(p); got != c.want {
+			t.Errorf("%s weights, %d+%d nt: R2 form %q, want %q", c.name, c.n, c.n, got, c.want)
+		}
+	}
 }
 
 func TestScratchAccumAgrees(t *testing.T) {

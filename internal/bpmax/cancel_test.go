@@ -204,6 +204,13 @@ func TestSolveContextDeadlinePrompt(t *testing.T) {
 	// pin that condition by suspending GC for the duration of the loop.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GC()
+	// The first table can still start on pages the earlier tests used and
+	// freed; the runtime then zeroes all 3.2 GB of it before the fill starts,
+	// whether it does depending only on where their garbage happened to lie.
+	// A 64 MB allocation held through the loop takes those pages instead, so
+	// every table starts on fresh ones.
+	pad := make([]byte, 64<<20)
+	defer runtime.KeepAlive(pad)
 	p := newTestProblem(t, 3, 200, 200)
 	for _, sv := range solveVariants {
 		before := runtime.NumGoroutine()

@@ -2,6 +2,7 @@ package bpmax
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -29,7 +30,11 @@ import (
 // build's fill runs); the box or the packed memory map (whose rows abut, so a
 // vector store past a row's end lands in its neighbour); and short or long
 // rows — long ones span several vectors of the vector bodies and the unrolled
-// loop's main body, block rows several of the sweep's blocks.
+// loop's main body, block rows several of the sweep's blocks. `rkT`, which
+// only the partition arm reads as a temperature, picks the weight model
+// (parityModels): integer models, whose sums are exact, finalize R2 in one
+// hop, fractional ones by forward substitution, so both forms are held to
+// the oracle.
 //
 // Partition checks the scaled sum-product fill against the log-domain
 // top-down oracle on every cell through the domain-aware read (LogAt, what
@@ -61,14 +66,22 @@ func FuzzSemiringParity(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(36), uint8(0), uint8(0), uint8(1), uint8(1), uint8(longRows|packedMap))
 	f.Add(int64(7), uint8(1), uint8(29), uint8(0), uint8(0), uint8(1), uint8(3), uint8(longRows|goKernels))
 	f.Add(int64(7), uint8(1), uint8(29), uint8(0), uint8(0), uint8(1), uint8(3), uint8(longRows|avx2Kernels))
+	for model := uint8(1); model < 5; model++ {
+		f.Add(int64(model), uint8(6), uint8(8), uint8(2), uint8(4), uint8(0), model, uint8(model%2*packedMap))
+		f.Add(int64(model), uint8(2), uint8(37), uint8(1), uint8(20), uint8(0), model, uint8(longRows|goKernels|model%2*packedMap))
+	}
 	// Rows that start, end and are cut by the band inside, on and just past
 	// the edges of the blocks the sweeps hold in registers (float32: 32 lanes
 	// AVX2, 64 AVX-512; float64: 16 and 32), on both maps and on the process's
-	// and the AVX2 body: the packed rows start at every lane.
+	// and the AVX2 body: the packed rows start at every lane. Max-plus rows run
+	// in both R2 forms: under an integer model (rkT 0-2) and a fractional one
+	// (rkT 3-4).
 	for i, n2 := range []uint8{31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 160} {
 		for _, body := range []uint8{0, avx2Kernels} {
-			f.Add(int64(n2), uint8(1), n2-1, uint8(1), n2/2+uint8(i), uint8(0), uint8(0), uint8(blockRows|body))
-			f.Add(int64(n2), uint8(1), n2-1, uint8(0), n2/3, uint8(0), uint8(0), uint8(blockRows|packedMap|body))
+			for _, model := range []uint8{uint8(i % 3), uint8(3 + i%2)} {
+				f.Add(int64(n2), uint8(1), n2-1, uint8(1), n2/2+uint8(i), uint8(0), model, uint8(blockRows|body))
+				f.Add(int64(n2), uint8(1), n2-1, uint8(0), n2/3, uint8(0), model, uint8(blockRows|packedMap|body))
+			}
 		}
 		f.Add(int64(n2), uint8(1), n2-1, uint8(0), uint8(0), uint8(1), uint8(i), uint8(blockRows|packedMap*uint8(i%2)|avx2Kernels*uint8(i/2%2)))
 	}
@@ -82,7 +95,11 @@ func FuzzSemiringParity(f *testing.F) {
 			n1, n2 = 1+int(rn1)%2, 1+int(rn2)%160
 		}
 		rng := rand.New(rand.NewSource(seed))
-		p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), score.DefaultParams())
+		model := parityModels[0]
+		if algebra%2 == 0 {
+			model = parityModels[int(rkT)%len(parityModels)]
+		}
+		p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), model.params)
 		if err != nil {
 			t.Fatalf("NewProblem: %v", err)
 		}
@@ -99,6 +116,9 @@ func FuzzSemiringParity(f *testing.F) {
 		if algebra%2 == 1 {
 			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5], cfg)
 			return
+		}
+		if got := maxplusAlg(p, cfg).r2; got != model.r2 {
+			t.Fatalf("%s weights: R2 form %q, want %q", model.name, got, model.r2)
 		}
 		ref := newRefDP(p)
 		oracle := func(label string, at func(i1, j1, i2, j2 int) float32, w1, w2 int) {
@@ -147,7 +167,7 @@ func FuzzSemiringParity(f *testing.F) {
 				oracle(v.String()+" band", band.At, w1, w2)
 				// A banded traceback's weight is the stored cell it starts from.
 				best, i1, j1, i2, j2 := band.BestWithin(band.W1, band.W2)
-				if got := TracebackFrom(p, band, i1, j1, i2, j2).Weight(p); got != best {
+				if got := TracebackFrom(p, band, i1, j1, i2, j2).Weight(p); got != best && !(model.rounds && closeTo(got, best)) {
 					t.Fatalf("%s band (%d,%d): traceback from (%d,%d,%d,%d) weighs %v, cell %v",
 						v, w1, w2, i1, j1, i2, j2, got, best)
 				}
@@ -158,6 +178,37 @@ func FuzzSemiringParity(f *testing.F) {
 			t.Fatalf("leaked %d pooled buffers", st.Buffers.Live)
 		}
 	})
+}
+
+// parityModels is the max-plus arm's weight-model axis (rkT picks one). The
+// integer models finalize R2 in one hop, the fractional ones — which
+// WithWeights admits — by substitution. Sums of the non-dyadic weights round
+// (rounds), so a structure's Weight, which adds its pairs in another order
+// than the fill did, need only come close to the cell it was traced from.
+var parityModels = []struct {
+	name   string
+	params score.Params
+	r2     string
+	rounds bool
+}{
+	{"default", score.DefaultParams(), r2Closure, false},
+	{"unit", score.Params{Model: score.Unit()}, r2Closure, false},
+	{"integer", customParams(7, 4, 2), r2Closure, false},
+	{"dyadic", customParams(2.75, 1.25, 0.5), r2Substitution, false},
+	{"non-dyadic", customParams(3.1, 1.7, 0.3), r2Substitution, true},
+}
+
+// customParams is a model with the given GC, AU and GU weights.
+func customParams(gc, au, gu score.Value) score.Params {
+	return score.Params{Model: score.Custom("custom", map[[2]rna.Base]score.Value{
+		{rna.G, rna.C}: gc, {rna.A, rna.U}: au, {rna.G, rna.U}: gu,
+	})}
+}
+
+// closeTo reports whether a lies within 1e-5 of b, relative to b's magnitude
+// where that exceeds 1.
+func closeTo(a, b float32) bool {
+	return math.Abs(float64(a)-float64(b)) <= 1e-5*math.Max(1, math.Abs(float64(b)))
 }
 
 // fuzzPartitionParity is FuzzSemiringParity's partition arm; cfg carries the

@@ -194,7 +194,7 @@ func (s *gsolver[T]) run(ctx context.Context, schedule string, serial bool, step
 	cfg, release := s.cfg.ScopedEngine(s.cfg.Workers)
 	defer release()
 	pf := cfg.pforCtx()
-	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl)
+	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl, s.a.r2)
 	var err error
 wavefronts:
 	for d1 := 0; d1 < s.f.W1; d1++ {

@@ -59,6 +59,11 @@ type gsolver[T semiring.Scalar] struct {
 	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
 	// s2off is S² seen as a block of Sweep: row r of a.s2 starts at s2off[r].
 	s2off []int
+	// pre holds the rows finalize's one-hop R2 reads (a.r2 == r2Closure):
+	// row i1 is pre[i1*n2 : (i1+1)*n2]. Triangles finalized concurrently
+	// have distinct i1, so each writes its own; the storage stays with the
+	// pooled shell.
+	pre []T
 
 	// Per-wavefront state read by the hoisted task closures below. The
 	// schedules used to allocate fresh closures on every wavefront —
@@ -162,6 +167,9 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 		for r := range s.s2off {
 			s.s2off[r] = r * a.n2
 		}
+	}
+	if n := p.N1 * a.n2; a.r2 == r2Closure && len(s.pre) < n {
+		s.pre = make([]T, n)
 	}
 	s.tripped.Store(false)
 	if s.triTask == nil {
@@ -288,13 +296,31 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
 	}
 }
 
-// r2Chunk is the width in bytes of the chunks finalize walks a row in: one
-// vector of the kernels, cut on columns (on a box map whose rows are a whole
-// number of vectors that is the kernels' grid; elsewhere the sweep masks its
-// first vector). Wider chunks make fewer sweeps of more cells each, but the
-// cells of a chunk reach each other one scalar candidate at a time, and at
-// two and at four vectors that cost more than the sweeps saved
-// (docs/PERFORMANCE.md, "Vector kernels").
+// The two forms finalize solves R2 in (FoldMetrics.R2).
+const (
+	r2Closure      = "closure"
+	r2Substitution = "substitution"
+)
+
+// exactMaxPlus reports whether every sum a float32 max-plus fill of p forms
+// is exact: every allowed weight is a non-negative integer
+// (score.Tables.IntegerWeights), so every cell is the integer score of a
+// joint structure, and no such score reaches 2²⁴, float32's last
+// consecutive integer — a structure over N1 + N2 nucleotides has at most
+// ⌊(N1+N2)/2⌋ pairs. The pipeline refuses folds past that bound
+// (checkScoreRange); the solver checks it again because it is reachable
+// without the pipeline.
+func exactMaxPlus(p *Problem) bool {
+	return p.Tab.IntegerWeights && float64(p.Tab.MaxWeight)*float64((p.N1+p.N2)/2) < 1<<24
+}
+
+// r2Chunk is the width in bytes of the chunks R2's forward substitution
+// walks a row in: one vector of the kernels, cut on columns (on a box map
+// whose rows are a whole number of vectors that is the kernels' grid;
+// elsewhere the sweep masks its first vector). Wider chunks make fewer sweeps
+// of more cells each, but the cells of a chunk reach each other one scalar
+// candidate at a time, and at two and at four vectors that cost more than the
+// sweeps saved (docs/PERFORMANCE.md, "Vector kernels").
 const r2Chunk = 32
 
 // chunkEnd returns the first column past j that starts a chunk of w columns.
@@ -302,23 +328,32 @@ func chunkEnd(j, w int) int { return (j/w + 1) * w }
 
 // finalizeMaxPlusTriangle turns the accumulated H partials of triangle
 // (i1, j1) into final F values — the hand-specialized float32 max-plus
-// body, bit-identical to the pre-generic finalizeTriangle. Rows run
-// bottom-up and cells left-to-right so that the intra-triangle dependences
-// (the seq2 pairing term, R1 and R2) only reach finalized cells; R1 and R2
-// are applied as streaming updates rather than per-cell gathers, which is
-// exactly the loop permutation the paper's Table II/III schedules encode
-// ("we ensure that the F-table gets updated when k2 reaches j2"). R2 is
-// self-referential — a cell's contribution to the cells right of it can only
-// leave once the cell is final — so the row is solved by blocked forward
-// substitution: the cells of one chunk are finalized in order, each reaching
-// the rest of its chunk one scalar candidate at a time, then one sweep (a the
-// row itself, b = S², from = the chunk's end) pushes the whole chunk to the
-// columns beyond it. Every cell still receives its candidates in ascending
-// j2 order, so the table is the per-cell order's bit for bit. Everything a
-// cell reads that is fixed for its row is resolved once per row, outside the
-// j2 loop.
+// body. Rows run bottom-up so that the intra-triangle dependences (the seq2
+// pairing term, R1 and R2) only reach finalized rows, and every term is
+// applied to a whole row as a stream rather than per cell — the loop
+// permutation the paper's Table II/III schedules encode ("we ensure that the
+// F-table gets updated when k2 reaches j2"):
+//
+//   - R1, one sweep over the finalized rows below (a = the row of S², b =
+//     the triangle itself);
+//   - the two pairing terms, which read other rows only (the triangle the
+//     i1-j1 pair closes around, the row below): one stream each. A cell is
+//     offered the recurrence's candidates in another order than refDP
+//     offers them, and max does not depend on order;
+//   - R2, the self-referential term: cell j2 contributes
+//     F[i2,j2] + S²[j2+1,j3] to every cell right of it, but only once final.
+//
+// Where the fill's sums are exact (a.r2 == r2Closure) R2 needs no chain. S²
+// holds its own split term, S²[a,j] ≥ S²[a,m] + S²[m+1,j], so a chain of R2
+// hops is never better than one hop from the row as it stood before R2, c:
+//
+//	F[i2,j2] = max(c[j2], max over k < j2 of c[k] + S²[k+1,j2])
+//
+// — one sweep with a = a copy of c (s.pre: the row is written while c is
+// read) and b = S², the same shape as R1. Where sums round, a two-hop chain
+// and its one-hop shortcut may round apart, and r2Substitute solves R2 the
+// way the recurrence states it.
 func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
-	const chunk = r2Chunk / 4 // float32 columns
 	a := &s.a
 	n2 := a.n2
 	sc1 := a.score1(i1, j1)
@@ -329,6 +364,10 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 	if i1+1 <= j1-1 {
 		inside = s.f.Block(i1+1, j1-1)
 	}
+	var pre []float32
+	if a.r2 == r2Closure {
+		pre = s.pre[i1*n2 : (i1+1)*n2]
+	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
@@ -336,68 +375,83 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		// finalized rows below, streamed over j2.
 		s2row := a.s2Row(i2)
 		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
+		// Pair i1-j1 around the seq2 interval.
 		around := s2row
 		if inside != nil {
 			around = s.f.Row(inside, i2)
 		}
-		sc2row := a.sc2[i2*n2 : (i2+1)*n2]
-		var below []float32
-		if i2+1 < n2 {
-			below = s.f.Row(blk, i2+1)
+		s.acc(grow[i2:hi], around[i2:hi], sc1)
+		if i1 == j1 {
+			// Singleton × singleton: the intermolecular base case.
+			if w := s.p.singleton(i1, i2); w > grow[i2] {
+				grow[i2] = w
+			}
 		}
-		for j := i2; j < hi; {
-			e := min(chunkEnd(j, chunk), hi)
-			for j2 := j; j2 < e; j2++ {
-				v := grow[j2]
-				// Pair i1-j1 around the seq2 interval.
-				if w := around[j2] + sc1; w > v {
-					v = w
-				}
-				if j2 > i2 {
-					// Pair i2-j2 around the seq1 interval; the inner cell
-					// degenerates to S¹[i1,j1] when the seq2 interval empties.
-					inner := s1Self
-					if j2-1 >= i2+1 {
-						inner = below[j2-1]
-					}
-					if w := inner + sc2row[j2]; w > v {
-						v = w
-					}
-				} else if i1 == j1 {
-					// Singleton × singleton: the intermolecular base case.
-					if w := s.p.singleton(i1, i2); w > v {
-						v = w
-					}
-				}
-				grow[j2] = v
-				// R2 inside the chunk: this finalized cell's contribution
-				// F[i1,j1,i2,j2] + S²[j2+1,j3] to the cells right of it.
-				if j2+1 < e {
-					s2 := a.s2[(j2+1)*n2 : (j2+1)*n2+e]
-					for j3 := j2 + 1; j3 < e; j3++ {
-						if w := v + s2[j3]; w > grow[j3] {
-							grow[j3] = w
-						}
-					}
+		// Pair i2-j2 around the seq1 interval; the inner cell degenerates to
+		// S¹[i1,j1] where the seq2 interval empties (j2 = i2+1).
+		if i2+1 < hi {
+			sc2row := a.sc2[i2*n2 : (i2+1)*n2]
+			if w := s1Self + sc2row[i2+1]; w > grow[i2+1] {
+				grow[i2+1] = w
+			}
+			below := s.f.Row(blk, i2+1)[i2+1 : hi-1]
+			row, sc := grow[i2+2:hi], sc2row[i2+2:hi]
+			row, sc = row[:len(below)], sc[:len(below)]
+			for k, w := range below {
+				if w += sc[k]; w > row[k] {
+					row[k] = w
 				}
 			}
-			// R2 beyond it: the chunk's cells, all final, swept into the rest
-			// of the row.
-			if e < hi {
-				s.sweep(grow, grow, a.s2, s.s2off, j, e, e, hi)
-			}
-			j = e
 		}
+		if pre == nil {
+			r2Substitute(s, grow, i2, hi)
+			continue
+		}
+		copy(pre[i2:hi-1], grow[i2:hi-1])
+		s.sweep(grow, pre, a.s2, s.s2off, i2, hi-1, 0, hi)
 	}
 }
 
-// finalizeGeneric is finalizeMaxPlusTriangle over an arbitrary scalar
-// semiring: the same bottom-up/left-to-right order, the same per-row hoisting
-// and the same chunked R2, with ⊕ and ⊗ through the kernel bundle. The per-cell operations
-// go through func values, which is why the float32 instantiation binds the
-// specialized body instead. In a scaled domain each row is range-checked as
-// soon as it is final — the one point where every cell of it is still in
-// cache.
+// r2Substitute solves R2 on one row whose other terms are applied, by
+// blocked forward substitution: the cells of one chunk are finalized in
+// order, each reaching the rest of its chunk one scalar candidate at a time,
+// then one sweep (a = the row itself, b = S², from = the chunk's end) pushes
+// the whole chunk to the columns beyond it. Every cell receives its R2
+// candidates from final cells, in ascending order, as the recurrence states
+// them — whatever the sums round to.
+func r2Substitute(s *solver, grow []float32, i2, hi int) {
+	const chunk = r2Chunk / 4 // float32 columns
+	n2 := s.a.n2
+	for j := i2; j < hi; {
+		e := min(chunkEnd(j, chunk), hi)
+		for j2 := j; j2+1 < e; j2++ {
+			v := grow[j2]
+			s2 := s.a.s2[(j2+1)*n2 : (j2+1)*n2+e]
+			for j3 := j2 + 1; j3 < e; j3++ {
+				if w := v + s2[j3]; w > grow[j3] {
+					grow[j3] = w
+				}
+			}
+		}
+		if e < hi {
+			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi)
+		}
+		j = e
+	}
+}
+
+// finalizeGeneric is the update pass over an arbitrary scalar semiring, with
+// ⊕ and ⊗ through the kernel bundle: rows bottom-up, R1 as one sweep, then
+// cells left to right within r2Chunk-wide chunks — each cell's pairing terms,
+// then its R2 candidates to the rest of its chunk — and one sweep per chunk
+// pushing it onward (finalizeMaxPlusTriangle's substitution form, with the
+// pairing terms folded into the chunk walk). Under a summing ⊕ neither
+// shortcut of the max-plus body holds: + is not idempotent, so a sum over
+// chains of R2 hops is not a sum over single hops, and reordering a cell's
+// candidates changes how its sum rounds. The per-cell operations go through
+// func values, which is why the float32 instantiation binds the specialized
+// body instead. In a scaled domain each row is range-checked as soon as it is
+// final — the one point where every cell of it is still in cache.
 func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2

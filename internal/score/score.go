@@ -111,17 +111,20 @@ func (m Model) Allowed(a, b rna.Base) bool { return m.pairs[ord(a)][ord(b)] > Ne
 
 // maxIntegerWeight bounds the weights IntegerBounded accepts. Far above any
 // realistic pair weight, far below the 2²⁴ limit where float32 stops
-// representing consecutive integers exactly (the bit-identity argument for
-// the Four-Russians path needs exact integer arithmetic).
+// representing consecutive integers exactly (the max-plus fill's one-hop R2
+// closure needs exact integer arithmetic).
 const maxIntegerWeight = 1 << 20
 
 // IntegerBounded reports whether every allowed (non-forbidden) pair weight
-// is a small non-negative integer and, if so, the largest such weight. This
-// is the capability the Four-Russians comparator package
-// keys on: with integer weights in [0, max], adjacent cells of a folding
-// table differ by an integer step in that same range, which is exactly what
-// its difference encoding tabulates. Forbidden entries (NegInf) don't count;
-// an all-forbidden model is integer-bounded with max 0.
+// is a small non-negative integer and, if so, the largest such weight.
+// BuildInto records it on Tables, and the max-plus fill keys on it: with
+// integer weights every sum it forms is an integer, exact in float32 below
+// 2²⁴, which lets finalize close R2 in one hop instead of a chain (see
+// internal/bpmax, finalizeMaxPlusTriangle). With weights in [0, max],
+// adjacent cells of a folding table also differ by an integer step in that
+// same range — what the Four-Russians comparator's difference encoding
+// tabulates. Forbidden entries (NegInf) don't count; an all-forbidden model
+// is integer-bounded with max 0.
 func (m Model) IntegerBounded() (max int, ok bool) {
 	for a := 0; a < 4; a++ {
 		for b := 0; b < 4; b++ {
@@ -166,6 +169,11 @@ type Tables struct {
 	Intra2 []Value
 	// Inter[i1*N2+i2] = weight of pairing seq1[i1] with seq2[i2].
 	Inter []Value
+	// IntegerWeights records that every allowed intra- and intermolecular
+	// weight is a non-negative integer (Model.IntegerBounded of both models),
+	// MaxWeight the largest of them (0 when IntegerWeights is false).
+	IntegerWeights bool
+	MaxWeight      int
 }
 
 // MinPairLoop is the minimum number of unpaired bases required between the
@@ -217,6 +225,12 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	}
 	t.N1 = n1
 	t.N2 = n2
+	m1, ok1 := p.Model.IntegerBounded()
+	m2, ok2 := inter.IntegerBounded()
+	t.IntegerWeights, t.MaxWeight = ok1 && ok2, 0
+	if t.IntegerWeights {
+		t.MaxWeight = max(m1, m2)
+	}
 	t.Intra1 = grow(t.Intra1, n1*n1)
 	t.Intra2 = grow(t.Intra2, n2*n2)
 	t.Inter = grow(t.Inter, n1*n2)

@@ -261,3 +261,31 @@ func TestIntegerBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRecordsIntegerWeights: BuildInto records IntegerBounded over both
+// models a table is scored with, intra- and intermolecular, and a reused
+// table forgets what its last build recorded.
+func TestBuildRecordsIntegerWeights(t *testing.T) {
+	s1, s2 := rna.MustNew("GCAU"), rna.MustNew("AUGC")
+	seven := Custom("ci", map[[2]rna.Base]Value{{rna.G, rna.C}: 7})
+	half := Custom("cf", map[[2]rna.Base]Value{{rna.G, rna.C}: 2.5})
+	cases := []struct {
+		name  string
+		p     Params
+		max   int
+		exact bool
+	}{
+		{"integer intermolecular", Params{Model: BasePair(), InterModel: &seven}, 7, true},
+		{"fractional intermolecular", Params{Model: BasePair(), InterModel: &half}, 0, false},
+		{"default", DefaultParams(), 3, true},
+		{"fractional intramolecular", Params{Model: half, InterModel: &seven}, 0, false},
+	}
+	var tb Tables
+	for _, c := range cases {
+		BuildInto(&tb, s1, s2, c.p)
+		if tb.MaxWeight != c.max || tb.IntegerWeights != c.exact {
+			t.Errorf("%s: (MaxWeight, IntegerWeights) = (%d, %v), want (%d, %v)",
+				c.name, tb.MaxWeight, tb.IntegerWeights, c.max, c.exact)
+		}
+	}
+}

@@ -441,6 +441,9 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		m.PartitionDomain = partitionDomain(ft64)
 	}
 	rq.tr.SetLabel("kernel", m.Kernel)
+	if m.R2 != "" {
+		rq.tr.SetLabel("r2", m.R2)
+	}
 	m.FillNanos = int64(elapsed)
 	m.TableBytes = res.TableBytes
 	m.Degraded = deg.String()
@@ -642,9 +645,13 @@ func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est in
 
 // checkScoreRange is the numeric limit of the max-plus algebra, applied where
 // lengths and model first meet: float32 holds every integer up to 2²⁴, so
-// below it sums of integer weights are exact in any order. Schedule parity
-// does not depend on it (every schedule offers each cell the same candidates
-// and max is order-free); what it guards is the score itself.
+// below it sums of integer weights are exact in any order. It guards the
+// score itself, and with it the choice of finalize's R2 form: the one-hop
+// closure equals the recurrence's chain only while sums are exact, so the
+// solver takes it only for integer weights inside this same bound (which it
+// re-checks, being callable without the pipeline) and solves R2 by
+// substitution otherwise. Either way the table is the recurrence's bit for
+// bit, on every schedule.
 func (rq request) checkScoreRange(n1, n2 int) error {
 	if rq.algebra == AlgebraPartition {
 		return nil
