@@ -93,18 +93,20 @@ run_lint() (
         echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row, or one substitution sweep a chunk)" >&2
         exit 1
     fi
-    # The max-plus finalize applies the pairing terms to a whole row, one
-    # stream each. around[j2] read inside a j2 loop of finalizeMaxPlusTriangle
-    # is the per-cell pairing term growing back.
-    if awk '/^func finalizeMaxPlusTriangle\(/ { in_fn = 1 }
-            in_fn && /for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
-            in_loop { if (/around\[j2\]/) { print FILENAME ":" FNR ": " $0; bad = 1 }
-                      depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
-            in_fn && /^}/ { in_fn = 0 }
-            END { exit !bad }' internal/bpmax/triangle.go; then
-        echo "lint: around[j2] inside a j2 loop of finalizeMaxPlusTriangle (the pairing terms are streams over the row)" >&2
+    # Finalize applies the pairing terms to a whole row, in every algebra.
+    # around[j2] read inside a j2 loop of finalize is the per-cell pairing
+    # term growing back. A guard anchored on a function fails when the anchor
+    # is gone: a renamed function must not turn it into a check of nothing.
+    awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = 1; found = 1 }
+         in_fn && /for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
+         in_loop { if (/around\[j2\]/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+                   depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
+         in_fn && /^}/ { in_fn = 0 }
+         END { if (!found) { print "lint: anchor func (s *gsolver[T]) finalize( not found in " FILENAME; exit 1 }
+               exit bad }' internal/bpmax/triangle.go >&2 || {
+        echo "lint: around[j2] inside a j2 loop of finalize, or finalize not found (the pairing terms are streams over the row)" >&2
         exit 1
-    fi
+    }
     # One single-strand fill: rows stream through the shared kernels. The
     # per-cell scan walks S[s+1, j] down a column (`idx += n`), the gather the
     # paper measures as the slow schedule; it survives as the test oracle and

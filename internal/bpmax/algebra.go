@@ -46,7 +46,7 @@ func (d domain) logOf(stored float64, len1, len2 int) float64 {
 type alg[T semiring.Scalar] struct {
 	k semiring.Kernels[T]
 	// dom is the domain the filled table's cells are stored in; a scaled
-	// domain also arms the fill's range guard (see finalizeGeneric).
+	// domain also arms the fill's range guard (see finalize).
 	dom domain
 	// s1, s2 are the single-strand substrate tables, row-major n×n bounding
 	// boxes — the layout nussinov.Table and nussinov.GTable share. Only cells
@@ -60,7 +60,7 @@ type alg[T semiring.Scalar] struct {
 	n1, n2        int
 	// r2 is the form finalize solves R2 in, r2Closure or r2Substitution, for
 	// a max-plus view (Config.r2Form); empty for the partition views, whose
-	// ⊕ = + admits no closure (finalizeGeneric).
+	// ⊕ = + admits no closure: finalize substitutes.
 	r2 string
 }
 

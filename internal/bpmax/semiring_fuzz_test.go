@@ -114,7 +114,7 @@ func FuzzSemiringParity(f *testing.F) {
 			cfg.SetKernels("avx2")
 		}
 		if algebra%2 == 1 {
-			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5], cfg)
+			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5], cfg, kernel&(longRows|blockRows) != 0)
 			return
 		}
 		if got := maxplusAlg(p, cfg).r2; got != model.r2 {
@@ -212,8 +212,11 @@ func closeTo(a, b float32) bool {
 }
 
 // fuzzPartitionParity is FuzzSemiringParity's partition arm; cfg carries the
-// memory map and, for the pooled fill, the kernel body.
-func fuzzPartitionParity(t *testing.T, p *Problem, kT float64, cfg Config) {
+// memory map and, for the pooled fill, the kernel body. With logDomain the
+// log-domain fill — what a tripped range guard refills with — is held to the
+// oracle on every schedule too, on the long rows whose R2 spans several
+// substitution chunks and sweep blocks.
+func fuzzPartitionParity(t *testing.T, p *Problem, kT float64, cfg Config, logDomain bool) {
 	ctx := context.Background()
 	ps := buildTestPartitionSub(t, p, kT)
 	want, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
@@ -250,6 +253,12 @@ func fuzzPartitionParity(t *testing.T, p *Problem, kT float64, cfg Config) {
 			}
 		})
 		pooled.Release()
+		if logDomain {
+			ld := logDomainFill(t, p, ps, v, cfg)
+			eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+				closeRel(t, want.LogAt(i1, j1, i2, j2), ld.LogAt(i1, j1, i2, j2), 1e-12, v.String()+" log domain")
+			})
+		}
 	}
 	if st := pl.Stats(); st.Buffers.Live != 0 {
 		t.Fatalf("leaked %d pooled buffers", st.Buffers.Live)

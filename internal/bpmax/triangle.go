@@ -45,9 +45,9 @@ type solver = gsolver[float32]
 // problem, the algebra view (kernels + tables in the semiring's scalar),
 // the table being filled, the resolved configuration, and the selected
 // streaming kernel. The schedules themselves (wavefront order, task
-// decomposition, tiling) are algebra-agnostic; only the innermost streams
-// (acc, via the kernel bundle) and the per-cell finalize (finalizeBlk,
-// specialized for float32 max-plus) touch scalars.
+// decomposition, tiling) are algebra-agnostic, and so is finalize; only the
+// streams (acc and sweep, via the kernel bundle) and finalize's two scalar
+// loops (pairRow, r2Walk) touch scalars.
 type gsolver[T semiring.Scalar] struct {
 	p   *Problem
 	a   alg[T]
@@ -64,6 +64,12 @@ type gsolver[T semiring.Scalar] struct {
 	// have distinct i1, so each writes its own; the storage stays with the
 	// pooled shell.
 	pre []T
+	// pairRow and r2Walk are finalize's two scalar loops, bound once per
+	// shell by initTasks: inline compares for float32 max-plus, the bundle's
+	// Add and Mul otherwise. pairRow streams y[k] ⊕= x[k] ⊗ w[k]; r2Walk
+	// runs R2 inside columns [j, e) of row y (s2 = S², n2 its row length).
+	pairRow func(y, x, w []T)
+	r2Walk  func(y, s2 []T, n2, j, e int)
 
 	// Per-wavefront state read by the hoisted task closures below. The
 	// schedules used to allocate fresh closures on every wavefront —
@@ -86,12 +92,6 @@ type gsolver[T semiring.Scalar] struct {
 	tileTask       func(t int)  // hybrid-tiled phase A: one row tile
 	scratchRowTask func(t int)  // scratch ablation phase A
 	scratchFinTask func(i1 int) // scratch ablation phase B: copy + finalize
-	// finalizeBlk is the R1/R2+update pass for one triangle. The float32
-	// instantiation binds the hand-specialized max-plus body (branchy
-	// compares, no indirect ⊕ calls in the cell loop) so the hot path costs
-	// exactly what it did before the algebra became a type parameter; other
-	// scalars use the generic body.
-	finalizeBlk func(blk []T, i1, j1 int)
 }
 
 // initTasks builds the reusable task closures. Called once per solver shell
@@ -101,7 +101,7 @@ func (s *gsolver[T]) initTasks() {
 	s.triTask = func(i1 int) { s.computeTriangleSequential(i1, i1+s.curD1) }
 	s.finTask = func(i1 int) {
 		j1 := i1 + s.curD1
-		s.finalizeBlk(s.f.Block(i1, j1), i1, j1)
+		s.finalize(s.f.Block(i1, j1), i1, j1)
 	}
 	s.rowAllTask = func(t int) {
 		i1 := t / s.p.N2
@@ -135,12 +135,13 @@ func (s *gsolver[T]) initTasks() {
 	s.scratchFinTask = func(i1 int) {
 		j1 := i1 + s.curD1
 		copy(s.f.Block(i1, j1), s.scratch.Block(i1, j1))
-		s.finalizeBlk(s.f.Block(i1, j1), i1, j1)
+		s.finalize(s.f.Block(i1, j1), i1, j1)
 	}
-	s.finalizeBlk = s.finalizeGeneric
-	if sp, ok := any(s).(*solver); ok {
-		fb := func(blk []float32, i1, j1 int) { finalizeMaxPlusTriangle(sp, blk, i1, j1) }
-		s.finalizeBlk = any(fb).(func(blk []T, i1, j1 int))
+	// Every float32 view is max-plus (maxplusAlg).
+	if f, ok := any(pairRowMaxPlus).(func(y, x, w []T)); ok {
+		s.pairRow, s.r2Walk = f, any(r2WalkMaxPlus).(func(y, s2 []T, n2, j, e int))
+	} else {
+		s.pairRow, s.r2Walk = s.pairRowK, s.r2WalkK
 	}
 }
 
@@ -323,56 +324,43 @@ func exactMaxPlus(p *Problem) bool {
 // sweeps saved (docs/PERFORMANCE.md, "Vector kernels").
 const r2Chunk = 32
 
-// chunkEnd returns the first column past j that starts a chunk of w columns.
-func chunkEnd(j, w int) int { return (j/w + 1) * w }
-
-// finalizeMaxPlusTriangle turns the accumulated H partials of triangle
-// (i1, j1) into final F values — the hand-specialized float32 max-plus
-// body. Rows run bottom-up so that the intra-triangle dependences (the seq2
-// pairing term, R1 and R2) only reach finalized rows, and every term is
-// applied to a whole row as a stream rather than per cell — the loop
-// permutation the paper's Table II/III schedules encode ("we ensure that the
-// F-table gets updated when k2 reaches j2"):
+// finalize turns the accumulated H partials of triangle (i1, j1) into final
+// F values, in every algebra. Rows run bottom-up, so the intra-triangle terms
+// (R1, R2, the seq2 pairing term) reach finalized rows only, and each term is
+// applied to a whole row — the loop permutation of the paper's Table II/III
+// schedules ("the F-table gets updated when k2 reaches j2"): R1 as one sweep
+// over the rows below; the two pairing terms, which read other rows only, as
+// a stream and a row loop (a cell gets the recurrence's candidates in
+// another order, which max ignores and a sum only rounds); then R2, where
+// cell j2 reaches every cell right of it once final.
 //
-//   - R1, one sweep over the finalized rows below (a = the row of S², b =
-//     the triangle itself);
-//   - the two pairing terms, which read other rows only (the triangle the
-//     i1-j1 pair closes around, the row below): one stream each. A cell is
-//     offered the recurrence's candidates in another order than refDP
-//     offers them, and max does not depend on order;
-//   - R2, the self-referential term: cell j2 contributes
-//     F[i2,j2] + S²[j2+1,j3] to every cell right of it, but only once final.
-//
-// Where the fill's sums are exact (a.r2 == r2Closure) R2 needs no chain. S²
-// holds its own split term, S²[a,j] ≥ S²[a,m] + S²[m+1,j], so a chain of R2
-// hops is never better than one hop from the row as it stood before R2, c:
+// Where max-plus sums are exact (a.r2 == r2Closure) R2 needs no chain: S²
+// holds its own split term, S²[a,j] ≥ S²[a,m] + S²[m+1,j], so one hop from
+// the row c as it stood before R2 is the closure,
 //
 //	F[i2,j2] = max(c[j2], max over k < j2 of c[k] + S²[k+1,j2])
 //
-// — one sweep with a = a copy of c (s.pre: the row is written while c is
-// read) and b = S², the same shape as R1. Where sums round, a two-hop chain
-// and its one-hop shortcut may round apart, and r2Substitute solves R2 the
-// way the recurrence states it.
-func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
+// — R1's sweep shape with a = a copy of c (s.pre). Otherwise r2Substitute
+// solves R2 as the recurrence states it. A scaled domain range-checks each
+// row as soon as it is final, while it is still in cache.
+func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
 	// The triangle the i1-j1 pair closes around; none when that seq1
 	// interval is empty (d1 < 2), where the recurrence reads S² instead.
-	var inside []float32
+	var inside []T
 	if i1+1 <= j1-1 {
 		inside = s.f.Block(i1+1, j1-1)
 	}
-	var pre []float32
+	var pre []T
 	if a.r2 == r2Closure {
 		pre = s.pre[i1*n2 : (i1+1)*n2]
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
-		// R1: contributions S²[i2,k2] + F[i1,j1,k2+1,j2] from the already
-		// finalized rows below, streamed over j2.
 		s2row := a.s2Row(i2)
 		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
 		// Pair i1-j1 around the seq2 interval.
@@ -382,57 +370,40 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 		}
 		s.acc(grow[i2:hi], around[i2:hi], sc1)
 		if i1 == j1 {
-			// Singleton × singleton: the intermolecular base case.
-			if w := s.p.singleton(i1, i2); w > grow[i2] {
-				grow[i2] = w
-			}
+			// Singleton × singleton: the raw bond weight only; the H seed holds
+			// the unpaired alternative, which a summing ⊕ must not count twice.
+			grow[i2] = a.k.Add(a.inter(i1, i2), grow[i2])
 		}
 		// Pair i2-j2 around the seq1 interval; the inner cell degenerates to
 		// S¹[i1,j1] where the seq2 interval empties (j2 = i2+1).
 		if i2+1 < hi {
 			sc2row := a.sc2[i2*n2 : (i2+1)*n2]
-			if w := s1Self + sc2row[i2+1]; w > grow[i2+1] {
-				grow[i2+1] = w
-			}
-			below := s.f.Row(blk, i2+1)[i2+1 : hi-1]
-			row, sc := grow[i2+2:hi], sc2row[i2+2:hi]
-			row, sc = row[:len(below)], sc[:len(below)]
-			for k, w := range below {
-				if w += sc[k]; w > row[k] {
-					row[k] = w
-				}
-			}
+			grow[i2+1] = a.k.Add(a.k.Mul(s1Self, sc2row[i2+1]), grow[i2+1])
+			s.pairRow(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
 		}
-		if pre == nil {
-			r2Substitute(s, grow, i2, hi)
-			continue
+		if pre != nil {
+			copy(pre[i2:hi-1], grow[i2:hi-1])
+			s.sweep(grow, pre, a.s2, s.s2off, i2, hi-1, 0, hi)
+		} else {
+			s.r2Substitute(grow, i2, hi)
 		}
-		copy(pre[i2:hi-1], grow[i2:hi-1])
-		s.sweep(grow, pre, a.s2, s.s2off, i2, hi-1, 0, hi)
+		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
+			s.tripped.Store(true)
+			return
+		}
 	}
 }
 
-// r2Substitute solves R2 on one row whose other terms are applied, by
-// blocked forward substitution: the cells of one chunk are finalized in
-// order, each reaching the rest of its chunk one scalar candidate at a time,
-// then one sweep (a = the row itself, b = S², from = the chunk's end) pushes
-// the whole chunk to the columns beyond it. Every cell receives its R2
-// candidates from final cells, in ascending order, as the recurrence states
-// them — whatever the sums round to.
-func r2Substitute(s *solver, grow []float32, i2, hi int) {
-	const chunk = r2Chunk / 4 // float32 columns
-	n2 := s.a.n2
+// r2Substitute solves R2 on one row by blocked forward substitution: r2Walk
+// finalizes a chunk's cells in order, each reaching the rest of the chunk,
+// then one sweep (a = the row, b = S², from = the chunk's end) pushes the
+// chunk onward. Every cell gets its R2 candidates from final cells in
+// ascending order, as the recurrence states them, whatever the sums round to.
+func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
+	chunk := r2Chunk / int(elemBytes[T]())
 	for j := i2; j < hi; {
-		e := min(chunkEnd(j, chunk), hi)
-		for j2 := j; j2+1 < e; j2++ {
-			v := grow[j2]
-			s2 := s.a.s2[(j2+1)*n2 : (j2+1)*n2+e]
-			for j3 := j2 + 1; j3 < e; j3++ {
-				if w := v + s2[j3]; w > grow[j3] {
-					grow[j3] = w
-				}
-			}
-		}
+		e := min((j/chunk+1)*chunk, hi) // chunks start on multiples of chunk
+		s.r2Walk(grow, s.a.s2, s.a.n2, j, e)
 		if e < hi {
 			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi)
 		}
@@ -440,82 +411,44 @@ func r2Substitute(s *solver, grow []float32, i2, hi int) {
 	}
 }
 
-// finalizeGeneric is the update pass over an arbitrary scalar semiring, with
-// ⊕ and ⊗ through the kernel bundle: rows bottom-up, R1 as one sweep, then
-// cells left to right within r2Chunk-wide chunks — each cell's pairing terms,
-// then its R2 candidates to the rest of its chunk — and one sweep per chunk
-// pushing it onward (finalizeMaxPlusTriangle's substitution form, with the
-// pairing terms folded into the chunk walk). Under a summing ⊕ neither
-// shortcut of the max-plus body holds: + is not idempotent, so a sum over
-// chains of R2 hops is not a sum over single hops, and reordering a cell's
-// candidates changes how its sum rounds. The per-cell operations go through
-// func values, which is why the float32 instantiation binds the specialized
-// body instead. In a scaled domain each row is range-checked as soon as it is
-// final — the one point where every cell of it is still in cache.
-func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
-	a := &s.a
-	n2 := a.n2
-	add, mul := a.k.Add, a.k.Mul
-	chunk := r2Chunk / int(elemBytes[T]())
-	sc1 := a.score1(i1, j1)
-	s1Self := a.s1At(i1, j1)
-	// The triangle the i1-j1 pair closes around; none when that seq1
-	// interval is empty (d1 < 2), where the recurrence reads S² instead.
-	var inside []T
-	if i1+1 <= j1-1 {
-		inside = s.f.Block(i1+1, j1-1)
+// pairRowMaxPlus and r2WalkMaxPlus are finalize's scalar loops in float32
+// max-plus, as compares the compiler keeps inline.
+func pairRowMaxPlus(y, x, w []float32) {
+	y, w = y[:len(x)], w[:len(x)]
+	for k, v := range x {
+		if v += w[k]; v > y[k] {
+			y[k] = v
+		}
 	}
-	for i2 := n2 - 1; i2 >= 0; i2-- {
-		hi := s.f.rowHi(i2)
-		grow := s.f.Row(blk, i2)
-		// R1, streamed over j2 from the already finalized rows below.
-		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
-		around := s2row
-		if inside != nil {
-			around = s.f.Row(inside, i2)
-		}
-		sc2row := a.sc2[i2*n2 : (i2+1)*n2]
-		var below []T
-		if i2+1 < n2 {
-			below = s.f.Row(blk, i2+1)
-		}
-		for j := i2; j < hi; {
-			e := min(chunkEnd(j, chunk), hi)
-			for j2 := j; j2 < e; j2++ {
-				// Pair i1-j1 around the seq2 interval.
-				v := add(mul(around[j2], sc1), grow[j2])
-				if j2 > i2 {
-					// Pair i2-j2 around the seq1 interval.
-					inner := s1Self
-					if j2-1 >= i2+1 {
-						inner = below[j2-1]
-					}
-					v = add(mul(inner, sc2row[j2]), v)
-				} else if i1 == j1 {
-					// Singleton × singleton: only the raw bond weight — the
-					// unpaired alternative is already in the accumulator via the
-					// H seed, and a summing ⊕ must not count it twice.
-					v = add(a.inter(i1, i2), v)
-				}
-				grow[j2] = v
-				// R2 inside the chunk, in Accum's operand order.
-				if j2+1 < e {
-					s2 := a.s2[(j2+1)*n2 : (j2+1)*n2+e]
-					for j3 := j2 + 1; j3 < e; j3++ {
-						grow[j3] = add(mul(v, s2[j3]), grow[j3])
-					}
-				}
+}
+
+func r2WalkMaxPlus(y, s2 []float32, n2, j, e int) {
+	for j2 := j; j2+1 < e; j2++ {
+		v, row := y[j2], s2[(j2+1)*n2:(j2+1)*n2+e]
+		for j3 := j2 + 1; j3 < e; j3++ {
+			if w := v + row[j3]; w > y[j3] {
+				y[j3] = w
 			}
-			// R2 beyond it: the chunk's final cells swept onward.
-			if e < hi {
-				s.sweep(grow, grow, a.s2, s.s2off, j, e, e, hi)
-			}
-			j = e
 		}
-		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
-			s.tripped.Store(true)
-			return
+	}
+}
+
+// pairRowK and r2WalkK are the same loops over the bundle's ⊕ and ⊗, in
+// Accum's operand order.
+func (s *gsolver[T]) pairRowK(y, x, w []T) {
+	add, mul := s.a.k.Add, s.a.k.Mul
+	y, w = y[:len(x)], w[:len(x)]
+	for k, v := range x {
+		y[k] = add(mul(v, w[k]), y[k])
+	}
+}
+
+func (s *gsolver[T]) r2WalkK(y, s2 []T, n2, j, e int) {
+	add, mul := s.a.k.Add, s.a.k.Mul
+	for j2 := j; j2+1 < e; j2++ {
+		v, row := y[j2], s2[(j2+1)*n2:(j2+1)*n2+e]
+		for j3 := j2 + 1; j3 < e; j3++ {
+			y[j3] = add(mul(v, row[j3]), y[j3])
 		}
 	}
 }
@@ -539,7 +472,7 @@ func (s *gsolver[T]) computeTriangleSequential(i1, j1 int) {
 			s.accumulateRow(blk, ablk, bblk, i1, j1, k1, i2)
 		}
 	}
-	s.finalizeBlk(blk, i1, j1)
+	s.finalize(blk, i1, j1)
 }
 
 // accumulateRowTask runs init + the full k1 loop for a single row — the

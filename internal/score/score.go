@@ -120,7 +120,7 @@ const maxIntegerWeight = 1 << 20
 // BuildInto records it on Tables, and the max-plus fill keys on it: with
 // integer weights every sum it forms is an integer, exact in float32 below
 // 2²⁴, which lets finalize close R2 in one hop instead of a chain (see
-// internal/bpmax, finalizeMaxPlusTriangle). With weights in [0, max],
+// internal/bpmax, finalize). With weights in [0, max],
 // adjacent cells of a folding table also differ by an integer step in that
 // same range — what the Four-Russians comparator's difference encoding
 // tabulates. Forbidden entries (NegInf) don't count; an all-forbidden model

@@ -565,7 +565,9 @@ func TestSessionFoldParity(t *testing.T) {
 	if st.Cache != nil || st.Admission != nil || st.Folds != 0 {
 		t.Error("session stats has sections for components it was not given")
 	}
-	if st.Pool.ResultHits == 0 {
+	// sync.Pool drops Puts at random under -race, so three folds need not
+	// reuse a shell there.
+	if !raceEnabled && st.Pool.ResultHits == 0 {
 		t.Error("pooled session folds recorded no shell reuse")
 	}
 }
