@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
 	"github.com/bpmax-go/bpmax/internal/pipeline"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -301,25 +302,15 @@ func hashModel(h *pipeline.Hasher, m score.Model) {
 	}
 }
 
-// cachedResultBytes estimates the storage a retained master result pins:
-// the DP table (full or banded) plus the problem substrate — score tables,
-// S tables and sequence storage. S tables shared with substrate entries are
-// counted on both, a deliberate over-count that errs toward earlier
-// eviction rather than an under-charged WithMemoryLimit.
+// cachedResultBytes is the storage a retained master result pins: its
+// table (full or banded), the problem's footprint — score tables, S tables
+// and sequences — and on partition the Boltzmann substrate. S tables shared
+// with substrate entries are counted on both, a deliberate over-count that
+// errs toward earlier eviction rather than an under-charged WithMemoryLimit.
 func cachedResultBytes(r *Result) int64 {
-	b := r.TableBytes
-	if p := r.prob; p != nil {
-		n1, n2 := int64(p.N1), int64(p.N2)
-		b += 4 * (n1*n1 + n2*n2 + n1*n2)
-		b += p.S1.Bytes() + p.S2.Bytes()
-		b += n1 + n2
-	}
+	b := r.TableBytes + ibpmax.ProblemBytes(r.N1, r.N2)
 	if r.ps != nil {
-		// Partition master: its Boltzmann substrate is pinned alongside the
-		// float64 table (TableBytes above). S tables shared with partition
-		// substrate entries are again counted on both, erring toward earlier
-		// eviction.
-		b += r.ps.Bytes()
+		b += ibpmax.PartitionSubBytes(r.N1, r.N2)
 	}
 	return b
 }

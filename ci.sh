@@ -147,6 +147,22 @@ run_lint() (
         echo "lint: a retired option or kernel slot is back (a path nothing wins on is not selectable)" >&2
         exit 1
     fi
+    # One memory model: ibpmax.Charge prices every table layout — the budget's
+    # rungs, the public estimates — and the result cache adds the footprints
+    # beside it. The per-case charge functions it replaced must not return,
+    # and the arena's HeldBytesAfter is read in charge.go alone: a second
+    # call site is a second charge formula growing back.
+    if grep -rn --include='*.go' -e 'EstimateBytesSized' -e 'EstimatePooledBytes' -e 'ChargeBytes' \
+        -e 'ChargeWindowedBytes' -e 'chargeBytes' -e 'chargeWindowedBytes' -e 'partitionSubEstimate' . |
+        grep -v '_test\.go:'; then
+        echo "lint: a retired charge function is back (price a layout with ibpmax.Charge)" >&2
+        exit 1
+    fi
+    if grep -rn --include='*.go' 'HeldBytesAfter(' . |
+        grep -v -e '^\./internal/bufpool/' -e '^\./internal/bpmax/charge\.go:'; then
+        echo "lint: HeldBytesAfter called outside internal/bpmax/charge.go (a second charge formula)" >&2
+        exit 1
+    fi
     # One parallel runtime: the Engine is the only code in the solver package
     # that starts or joins goroutines. A `go func` or a WaitGroup anywhere else
     # is the fork-join runtime growing back beside it.

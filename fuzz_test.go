@@ -211,10 +211,3 @@ func FuzzFastaRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,0 +1,32 @@
+package bpmax
+
+// Charge is the memory model: the one function that prices a table layout.
+// The layout is an n1 × n2 table under the given map storing the band
+// (w1, w2) — the lengths themselves for a full fold, windows clamped to the
+// lengths as the table clamps them — with width-byte cells: 4 for the
+// float32 max-plus tables, 8 for the float64 partition tables. Non-positive
+// sizes or windows cost 0.
+//
+// Without a pool the charge is the exact table size, allocating nothing:
+// newTable's Bytes returns the same number. With one it is what the pool
+// would hold once the fold drew its table: the matching arena's retention
+// plus the class-rounded buffer the draw adds when no idle buffer of its
+// class is free, plus the other arena's retention. A fold whose table fits
+// an idle buffer is therefore charged the retention, not retention plus a
+// second table, while a fresh draw is charged its class, up to twice the
+// exact size.
+//
+// The degradation ladder prices each rung with it, the public estimates are
+// its unpooled value, and ci.sh lint keeps the arena's HeldBytesAfter from
+// being called outside this file.
+func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
+	elems := tableElems(n1, n2, w1, w2, kind)
+	switch {
+	case pl == nil:
+		return int64(elems) * int64(width)
+	case width == 8:
+		return pl.buf64.HeldBytesAfter(elems) + pl.buf.RetainedBytes()
+	default:
+		return pl.buf.HeldBytesAfter(elems) + pl.buf64.RetainedBytes()
+	}
+}

@@ -1,0 +1,77 @@
+package bpmax
+
+import "testing"
+
+func TestEstimateBytesMatchesAllocation(t *testing.T) {
+	for _, kind := range []MapKind{MapBox, MapPacked} {
+		for _, c := range [][2]int{{1, 1}, {4, 8}, {13, 7}, {21, 21}} {
+			n1, n2 := c[0], c[1]
+			want := NewFTable(n1, n2, kind).Bytes()
+			if got := Charge(nil, n1, n2, n1, n2, kind, 4); got != want {
+				t.Errorf("Charge(nil, %d, %d, %v, 4) = %d, allocated %d", n1, n2, kind, got, want)
+			}
+			want = newTable[float64](nil, n1, n2, n1, n2, kind).Bytes()
+			if got := Charge(nil, n1, n2, n1, n2, kind, 8); got != want {
+				t.Errorf("Charge(nil, %d, %d, %v, 8) = %d, allocated %d", n1, n2, kind, got, want)
+			}
+		}
+	}
+	if Charge(nil, 0, 5, 0, 5, MapBox, 4) != 0 || Charge(nil, 5, -1, 5, -1, MapPacked, 8) != 0 {
+		t.Error("degenerate sizes must charge 0")
+	}
+}
+
+func TestEstimateWindowedBytesMatchesAllocation(t *testing.T) {
+	for _, c := range [][4]int{
+		{8, 8, 3, 3},
+		{13, 7, 5, 2},
+		{9, 9, 20, 20}, // windows clamp to the lengths
+		{21, 5, 1, 1},
+	} {
+		n1, n2, w1, w2 := c[0], c[1], c[2], c[3]
+		want := newTable[float32](nil, n1, n2, w1, w2, MapPacked).Bytes()
+		if got := Charge(nil, n1, n2, w1, w2, MapPacked, 4); got != want {
+			t.Errorf("Charge(nil, %d, %d, %d, %d) = %d, allocated %d", n1, n2, w1, w2, got, want)
+		}
+	}
+	if Charge(nil, 5, 5, 0, 3, MapPacked, 4) != 0 {
+		t.Error("non-positive window must charge 0")
+	}
+}
+
+func TestEstimatePackedHalvesBox(t *testing.T) {
+	// The paper's quarter-space map stores N2(N2+1)/2 of the N2² bounding
+	// box per triangle — the degradation ladder's first rung relies on the
+	// packed table always being strictly smaller (for n2 > 1).
+	box := Charge(nil, 30, 30, 30, 30, MapBox, 4)
+	packed := Charge(nil, 30, 30, 30, 30, MapPacked, 4)
+	if packed >= box {
+		t.Errorf("packed %d not smaller than box %d", packed, box)
+	}
+	if 2*packed <= box {
+		t.Errorf("packed %d should be just over half of box %d", packed, box)
+	}
+}
+
+// TestFootprintsMatchAllocation pins the two substrate footprints to the
+// storage they price: ProblemBytes to a problem's score tables, S tables and
+// sequences, PartitionSubBytes to PartitionSub.Bytes, pooled or not.
+func TestFootprintsMatchAllocation(t *testing.T) {
+	pl := NewPool()
+	for _, c := range [][2]int{{1, 1}, {7, 13}, {12, 9}} {
+		n1, n2 := c[0], c[1]
+		for _, p := range []*Problem{newTestProblem(t, 5, n1, n2), pooledProblem(t, pl, 5, n1, n2)} {
+			tab := int64(len(p.Tab.Intra1)+len(p.Tab.Intra2)+len(p.Tab.Inter)) * 4
+			want := tab + p.S1.Bytes() + p.S2.Bytes() + int64(p.Seq1.Len()+p.Seq2.Len())
+			if got := ProblemBytes(n1, n2); got != want {
+				t.Errorf("ProblemBytes(%d, %d) = %d, problem holds %d", n1, n2, got, want)
+			}
+			ps := buildTestPartitionSub(t, p, 1)
+			if got, want := PartitionSubBytes(n1, n2), ps.Bytes(); got != want {
+				t.Errorf("PartitionSubBytes(%d, %d) = %d, substrate holds %d (pooled %v)", n1, n2, got, want, p.pl != nil)
+			}
+			ps.Release()
+			p.Release()
+		}
+	}
+}

@@ -233,9 +233,9 @@ func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub,
 	}
 	ps := &PartitionSub{KT: kT, S1: s1, S2: s2, pl: p.pl}
 	if ps.pl != nil {
-		ps.buf = ps.pl.buf64.Get(matrixCells(p))
+		ps.buf = ps.pl.buf64.Get(matrixCells(p.N1, p.N2))
 	} else {
-		ps.buf = make([]float64, matrixCells(p))
+		ps.buf = make([]float64, matrixCells(p.N1, p.N2))
 	}
 	ps.a = matrixAlg(p, ps.buf)
 	if !(s1.scaled && s2.scaled && fillScaled(&ps.a, p.Tab, kT, s1, s2)) {
@@ -244,8 +244,16 @@ func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub,
 	return ps, nil
 }
 
-// matrixCells is the storage the three pair-weight matrices take.
-func matrixCells(p *Problem) int { return p.N1*p.N1 + p.N2*p.N2 + p.N1*p.N2 }
+// matrixCells is the storage the three pair-weight matrices of an n1 × n2
+// problem take.
+func matrixCells(n1, n2 int) int { return n1*n1 + n2*n2 + n1*n2 }
+
+// PartitionSubBytes is the Boltzmann substrate's footprint for an n1 × n2
+// problem without allocating it: the two float64 S tables and the three
+// pair-weight matrices, what PartitionSub.Bytes returns once it is built.
+func PartitionSubBytes(n1, n2 int) int64 {
+	return int64(n1*n1+n2*n2+matrixCells(n1, n2)) * elemBytes[float64]()
+}
 
 // matrixAlg returns a view whose sc1, sc2 and isc carve up buf
 // (matrixCells long); fillScaled or fillLog supplies the rest.
@@ -315,7 +323,7 @@ func (ps *PartitionSub) logAlg(p *Problem) alg[float64] {
 		return ps.a
 	}
 	ps.logOnce.Do(func() {
-		ps.logA = matrixAlg(p, make([]float64, matrixCells(p)))
+		ps.logA = matrixAlg(p, make([]float64, matrixCells(p.N1, p.N2)))
 		fillLog(&ps.logA, p.Tab, ps.KT, ps.S1, ps.S2)
 	})
 	return ps.logA

@@ -200,22 +200,6 @@ func (pl *Pool) RetainedBytes() int64 {
 // garbage collector and returns how many bytes were freed.
 func (pl *Pool) Trim() int64 { return pl.buf.Trim() + pl.buf64.Trim() }
 
-// ChargeBytes returns the arena bytes the pool would hold after serving a
-// full-table max-plus fold of an n1 × n2 problem under the given map:
-// current idle retention (both element widths), plus the class-rounded
-// table size when no idle buffer of that class is available to reuse. The
-// degradation ladder budgets pooled folds with this instead of the exact
-// EstimateBytes, because the pool retains class-rounded buffers.
-func (pl *Pool) ChargeBytes(n1, n2 int, kind MapKind) int64 {
-	return pl.buf.HeldBytesAfter(tableElems(n1, n2, n1, n2, kind)) + pl.buf64.RetainedBytes()
-}
-
-// ChargeWindowedBytes is ChargeBytes for the banded table of a windowed
-// scan.
-func (pl *Pool) ChargeWindowedBytes(n1, n2, w1, w2 int) int64 {
-	return pl.buf.HeldBytesAfter(tableElems(n1, n2, w1, w2, MapPacked)) + pl.buf64.RetainedBytes()
-}
-
 // Stats snapshots the pool's reuse counters and the arenas' buffer
 // statistics. Counters are cumulative since the pool was created. The two
 // scalar arenas are summed into one BufferStats (RetainedHighWater is the
@@ -242,11 +226,4 @@ func (pl *Pool) Stats() metrics.PoolStats {
 			RetainedHighWater: b32.RetainedHighWater + b64.RetainedHighWater,
 		},
 	}
-}
-
-// ChargeBytes64 is ChargeBytes for the float64 partition table arena: the
-// bytes the pool would hold (both arenas) after serving a partition fold of
-// an n1 × n2 problem under the given map.
-func (pl *Pool) ChargeBytes64(n1, n2 int, kind MapKind) int64 {
-	return pl.buf.RetainedBytes() + pl.buf64.HeldBytesAfter(tableElems(n1, n2, n1, n2, kind))
 }

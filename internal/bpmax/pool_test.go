@@ -180,13 +180,18 @@ func TestPoolRetainedBytesAccounting(t *testing.T) {
 	if retained < tableBytes {
 		t.Errorf("retained %d < table bytes %d", retained, tableBytes)
 	}
-	// ChargeBytes: serving the same shape again reuses the idle buffer.
-	if charge := pl.ChargeBytes(p.N1, p.N2, MapBox); charge != retained {
-		t.Errorf("ChargeBytes same shape = %d, want %d (reuse)", charge, retained)
+	// Charge: serving the same shape again reuses the idle buffer.
+	if charge := Charge(pl, p.N1, p.N2, p.N1, p.N2, MapBox, 4); charge != retained {
+		t.Errorf("Charge same shape = %d, want %d (reuse)", charge, retained)
 	}
 	// A much larger fold must be charged on top of the retention.
-	if charge := pl.ChargeBytes(64, 64, MapBox); charge <= retained {
-		t.Errorf("ChargeBytes larger shape = %d, want > %d", charge, retained)
+	if charge := Charge(pl, 64, 64, 64, 64, MapBox, 4); charge <= retained {
+		t.Errorf("Charge larger shape = %d, want > %d", charge, retained)
+	}
+	// A partition fold draws from the other arena: it is charged its own
+	// class-rounded table on top of this arena's retention.
+	if charge := Charge(pl, p.N1, p.N2, p.N1, p.N2, MapBox, 8); charge < retained+2*tableBytes {
+		t.Errorf("Charge float64 table = %d, want >= %d + %d", charge, retained, 2*tableBytes)
 	}
 	if freed := pl.Trim(); freed != retained {
 		t.Errorf("Trim freed %d, want %d", freed, retained)
@@ -248,13 +253,15 @@ func TestPooledWindowedSteadyStateAllocs(t *testing.T) {
 
 func TestEstimatePooledBytesRoundsUp(t *testing.T) {
 	for _, kind := range []MapKind{MapBox, MapPacked} {
-		exact := EstimateBytes(40, 40, kind)
-		pooled := EstimatePooledBytes(40, 40, kind)
-		if pooled < exact {
-			t.Errorf("%v: pooled %d < exact %d", kind, pooled, exact)
-		}
-		if pooled >= 2*exact+8 {
-			t.Errorf("%v: pooled %d >= 2x exact %d", kind, pooled, exact)
+		for _, width := range []int{4, 8} {
+			exact := Charge(nil, 40, 40, 40, 40, kind, width)
+			pooled := Charge(NewPool(), 40, 40, 40, 40, kind, width)
+			if pooled < exact {
+				t.Errorf("%v/%d: pooled %d < exact %d", kind, width, pooled, exact)
+			}
+			if pooled >= 2*exact+int64(2*width) {
+				t.Errorf("%v/%d: pooled %d >= 2x exact %d", kind, width, pooled, exact)
+			}
 		}
 	}
 }

@@ -30,6 +30,13 @@ type Problem struct {
 	pl               *Pool
 }
 
+// ProblemBytes is the footprint of an n1 × n2 problem: its three float32
+// pair-score tables, its two max-plus S tables and a byte per base of
+// sequence.
+func ProblemBytes(n1, n2 int) int64 {
+	return int64(2*n1*n1+2*n2*n2+n1*n2)*elemBytes[float32]() + int64(n1+n2)
+}
+
 // Release returns a pooled problem's shell — with its retained sequence
 // buffers and O(N²) side tables — to its pool. It is idempotent and a no-op
 // for unpooled problems; the problem and its tables must not be used after

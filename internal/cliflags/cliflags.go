@@ -54,7 +54,7 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
 		"parallel workers (0 = all CPUs): the width of the worker team a fold, a batch or the server's session runs on")
 	fs.IntVar(&f.TileI, "tile-i2", f.TileI, "i2 tile size (0 = default 64)")
-	fs.IntVar(&f.TileK, "tile-k2", f.TileK, "k2 tile size (0 = default 16)")
+	fs.IntVar(&f.TileK, "tile-k2", f.TileK, "k2 tile size (0 = default 64)")
 	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
 	fs.BoolVar(&f.Unit, "unit", f.Unit, "unweighted pair counting instead of GC=3/AU=2/GU=1")
 	fs.BoolVar(&f.Packed, "packed", f.Packed, "use the packed (quarter-space) memory map")

@@ -10,48 +10,6 @@ import (
 	"time"
 )
 
-// Stats summarizes a sample of measurements.
-type Stats struct {
-	N                              int
-	Min, Max, Mean, Median, Stddev float64
-}
-
-// Summarize computes statistics over a non-empty sample.
-func Summarize(xs []float64) Stats {
-	if len(xs) == 0 {
-		return Stats{}
-	}
-	s := Stats{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
 // Measurement is one timed run.
 type Measurement struct {
 	Elapsed time.Duration

@@ -5,39 +5,6 @@ import (
 	"time"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 4, 1, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.Mean != 2.8 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.Median != 3 {
-		t.Errorf("median = %v", s.Median)
-	}
-	if s.Stddev <= 0 {
-		t.Errorf("stddev = %v", s.Stddev)
-	}
-}
-
-func TestSummarizeEvenMedian(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.Median != 2.5 {
-		t.Errorf("median = %v", s.Median)
-	}
-}
-
-func TestSummarizeSingleAndEmpty(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.Median != 7 || s.Stddev != 0 {
-		t.Errorf("single stats = %+v", s)
-	}
-	if got := Summarize(nil); got.N != 0 {
-		t.Errorf("empty stats = %+v", got)
-	}
-}
-
 func TestMeasurementGFLOPS(t *testing.T) {
 	m := Measurement{Elapsed: time.Second, Flops: 2e9}
 	if g := m.GFLOPS(); g != 2 {

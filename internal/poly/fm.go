@@ -228,61 +228,6 @@ func (s Set) IsEmpty() bool {
 	return false
 }
 
-// BoundingBox returns, for each dimension, conservative integer bounds
-// [lo, hi] derived by projecting the set onto that dimension alone. A
-// dimension unbounded in a direction reports fallbackLo/fallbackHi there.
-// ok is false when the set is (rationally) empty.
-func (s Set) BoundingBox(fallbackLo, fallbackHi int64) (lo, hi []int64, ok bool) {
-	if s.IsEmpty() {
-		return nil, nil, false
-	}
-	d := s.Space.Dim()
-	lo = make([]int64, d)
-	hi = make([]int64, d)
-	names := s.Space.Names()
-	for i := 0; i < d; i++ {
-		var drop []string
-		for j, n := range names {
-			if j != i {
-				drop = append(drop, n)
-			}
-		}
-		shadow := s.Project(drop...)
-		l, h := fallbackLo, fallbackHi
-		for _, c := range shadow.Cons {
-			co := c.Expr.Coeffs[0]
-			k := c.Expr.K
-			switch {
-			case c.Eq && co != 0:
-				// co*x + k == 0 -> x = -k/co when integral.
-				if (-k)%co == 0 {
-					l, h = -k/co, -k/co
-				}
-			case co > 0:
-				// co*x + k >= 0 -> x >= ceil(-k/co).
-				if b := ceilDiv(-k, co); b > l {
-					l = b
-				}
-			case co < 0:
-				// co*x + k >= 0 -> x <= floor(k/-co).
-				if b := floorDiv(k, -co); b < h {
-					h = b
-				}
-			}
-		}
-		lo[i], hi[i] = l, h
-	}
-	return lo, hi, true
-}
-
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) == (b < 0)) {
-		q++
-	}
-	return q
-}
-
 // Project eliminates the named dimensions, returning the set's shadow on
 // the remaining space (rational projection; exact for the emptiness and
 // bounding uses in this repository).

@@ -191,78 +191,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	s := triangle(5)
-	lo, hi, ok := s.BoundingBox(-100, 100)
-	if !ok {
-		t.Fatal("triangle reported empty")
-	}
-	if lo[0] != 0 || hi[0] != 4 || lo[1] != 0 || hi[1] != 4 {
-		t.Errorf("box = %v..%v", lo, hi)
-	}
-}
-
-func TestBoundingBoxUnbounded(t *testing.T) {
-	sp := NewSpace("x", "y")
-	// x >= 3, y unconstrained.
-	s := NewSet(sp, GE(Var(sp, "x").AddK(-3)))
-	lo, hi, ok := s.BoundingBox(-9, 9)
-	if !ok {
-		t.Fatal("reported empty")
-	}
-	if lo[0] != 3 || hi[0] != 9 {
-		t.Errorf("x bounds = [%d, %d]", lo[0], hi[0])
-	}
-	if lo[1] != -9 || hi[1] != 9 {
-		t.Errorf("y bounds = [%d, %d]", lo[1], hi[1])
-	}
-}
-
-func TestBoundingBoxEquality(t *testing.T) {
-	sp := NewSpace("x")
-	s := NewSet(sp, EQ(Var(sp, "x").AddK(-7)))
-	lo, hi, ok := s.BoundingBox(-100, 100)
-	if !ok || lo[0] != 7 || hi[0] != 7 {
-		t.Errorf("equality box = %v..%v ok=%v", lo, hi, ok)
-	}
-}
-
-func TestBoundingBoxEmpty(t *testing.T) {
-	sp := NewSpace("x")
-	x := Var(sp, "x")
-	s := NewSet(sp, GE(x), LT(x, Konst(sp, 0)))
-	if _, _, ok := s.BoundingBox(0, 10); ok {
-		t.Error("empty set produced a bounding box")
-	}
-}
-
-func TestBoundingBoxContainsAllPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	sp := NewSpace("x", "y")
-	for trial := 0; trial < 60; trial++ {
-		var cons []Constraint
-		for c := 0; c < 1+rng.Intn(4); c++ {
-			cons = append(cons, GE(Expr{
-				Coeffs: []int64{int64(rng.Intn(5) - 2), int64(rng.Intn(5) - 2)},
-				K:      int64(rng.Intn(11) - 3),
-			}))
-		}
-		s := NewSet(sp, cons...)
-		lo, hi, ok := s.BoundingBox(-8, 8)
-		if !ok {
-			continue
-		}
-		s.Enumerate([]int64{-8, -8}, []int64{8, 8}, func(pt []int64) bool {
-			for i := range pt {
-				if pt[i] < lo[i] || pt[i] > hi[i] {
-					t.Fatalf("point %v escapes box %v..%v of %s", pt, lo, hi, s)
-				}
-			}
-			return true
-		})
-	}
-}
-
 func TestMapApplyCompose(t *testing.T) {
 	in := NewSpace("i", "j")
 	mid := NewSpace("a", "b")

@@ -187,15 +187,6 @@ func (s Sequence) Sub(i, j int) Sequence {
 	return Sequence{bases: cp}
 }
 
-// Reverse returns the reversed sequence (3'->5' reading).
-func (s Sequence) Reverse() Sequence {
-	cp := make([]Base, len(s.bases))
-	for i, b := range s.bases {
-		cp[len(cp)-1-i] = b
-	}
-	return Sequence{bases: cp, name: s.name}
-}
-
 // ReverseComplement returns the reverse complement, the strand that pairs
 // with s in antiparallel orientation.
 func (s Sequence) ReverseComplement() Sequence {

@@ -123,13 +123,6 @@ func TestSubPanicsOutOfRange(t *testing.T) {
 	MustNew("ACGU").Sub(0, 4)
 }
 
-func TestReverse(t *testing.T) {
-	s := MustNew("ACGU")
-	if got := s.Reverse().String(); got != "UGCA" {
-		t.Errorf("Reverse = %q, want UGCA", got)
-	}
-}
-
 func TestReverseComplement(t *testing.T) {
 	s := MustNew("AACG")
 	if got := s.ReverseComplement().String(); got != "CGUU" {
@@ -142,17 +135,6 @@ func TestReverseComplementInvolution(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := Random(rng, int(n%64))
 		return s.ReverseComplement().ReverseComplement().Equal(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReverseInvolution(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := Random(rng, int(n%64))
-		return s.Reverse().Reverse().Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -102,7 +102,7 @@ func TestPooledMemoryBudget(t *testing.T) {
 
 	// A fresh pool is charged exactly the class-rounded table.
 	pool := NewPool()
-	limit := ibpmax.EstimatePooledBytes(n, n, ibpmax.MapBox)
+	limit := ibpmax.Charge(ibpmax.NewPool(), n, n, n, n, ibpmax.MapBox, 4)
 	res, err := Fold(seq1, seq2, WithPool(pool), WithMemoryLimit(limit))
 	if err != nil {
 		t.Fatalf("fold at exact pooled budget: %v", err)

@@ -560,85 +560,64 @@ func (rq request) partitionSub(ctx context.Context, p *ibpmax.Problem) (*ibpmax.
 	return ibpmax.NewPartitionSub(p, rq.kT, s[0], s[1])
 }
 
-// chargeBytes is the full-table estimate the budget charges a fold:
-// pool-aware when pooled, analytic otherwise, plus the cache's retention.
-// Partition folds are charged at their true element width (8-byte cells
-// against the float64 arena) plus the Boltzmann substrate they build.
-func (rq request) chargeBytes(n1, n2 int, kind ibpmax.MapKind) int64 {
+// rung is one table layout the budget may choose: a memory map over the
+// band (w1, w2) — the lengths themselves for a full table — and the
+// Degradation the fold reports when the budget picks it.
+type rung struct {
+	deg    Degradation
+	kind   ibpmax.MapKind
+	w1, w2 int
+}
+
+// charge is what the budget bills a rung of an n1 × n2 fold: the table,
+// priced by the one memory model (ibpmax.Charge: exact unpooled, the pool's
+// footprint after the draw when pooled) at the algebra's cell width, plus
+// the Boltzmann substrate a partition fold builds, plus the cache's
+// retention.
+func (rq request) charge(n1, n2 int, r rung) int64 {
+	width, sub := 4, int64(0)
 	if rq.algebra == AlgebraPartition {
-		base := ibpmax.EstimateBytesSized(n1, n2, kind, 8)
-		if rq.pool != nil {
-			base = rq.pool.p.ChargeBytes64(n1, n2, kind)
-		}
-		return base + partitionSubEstimate(n1, n2) + rq.cacheRetained()
+		width, sub = 8, ibpmax.PartitionSubBytes(n1, n2)
 	}
-	base := ibpmax.EstimateBytes(n1, n2, kind)
-	if rq.pool != nil {
-		base = rq.pool.p.ChargeBytes(n1, n2, kind)
-	}
-	return base + rq.cacheRetained()
-}
-
-// partitionSubEstimate is the Boltzmann substrate's storage: the three
-// pair-weight matrices and the two float64 S tables.
-func partitionSubEstimate(n1, n2 int) int64 {
-	a, b := int64(n1), int64(n2)
-	return 8 * (2*a*a + 2*b*b + a*b)
-}
-
-// chargeWindowedBytes is chargeBytes for a banded scan.
-func (rq request) chargeWindowedBytes(n1, n2, w1, w2 int) int64 {
-	base := ibpmax.EstimateWindowedBytes(n1, n2, w1, w2)
-	if rq.pool != nil {
-		base = rq.pool.p.ChargeWindowedBytes(n1, n2, w1, w2)
-	}
-	return base + rq.cacheRetained()
+	return ibpmax.Charge(rq.cfg.Pool, n1, n2, r.w1, r.w2, r.kind, width) + sub + rq.cacheRetained()
 }
 
 // budget resolves the memory-limit policy for an n1 × n2 fold: it returns
 // the (possibly downgraded) solver config, which degradation fired and the
 // bytes charged for the chosen layout (0 when unlimited), or a
-// *MemoryLimitError when nothing permitted fits. It allocates nothing.
+// *MemoryLimitError naming the smallest charge when nothing permitted fits.
+// It allocates nothing.
 //
-// For a pooled fold the charge is the pool's footprint after serving the
-// request: idle retained buffers plus the class-rounded allocation the fold
-// would add if no idle buffer of its size class exists. A fold whose table
-// fits an already-retained buffer is therefore charged the retention, not
-// retention + table — pooling does not double-bill the budget. A configured
-// cache's retained bytes are charged on top (they are process memory the
-// budget must see), so a filling cache shrinks the headroom for new tables.
+// The ladder is the requested map, then the packed quarter-space map (a
+// no-op rung when already selected), then the caller's band if it opted in
+// with WithDegradeToWindowed; the first rung whose charge fits is taken. A
+// partition fold has no band — the banded fill is max-plus only — so an
+// over-budget partition request fails with the typed error instead. A
+// scan's one permitted layout is its own band.
 func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est int64, err error) {
 	cfg = rq.cfg
 	if rq.memLimit <= 0 {
 		return cfg, DegradeNone, 0, nil
 	}
-	if rq.scan {
-		// A scan's one permitted layout is the caller's band.
-		if est = rq.chargeWindowedBytes(n1, n2, rq.degradeW1, rq.degradeW2); est <= rq.memLimit {
-			return cfg, DegradeNone, est, nil
+	ladder := []rung{
+		{DegradeNone, cfg.Map, n1, n2},
+		{DegradePacked, ibpmax.MapPacked, n1, n2},
+		{DegradeWindowed, ibpmax.MapPacked, rq.degradeW1, rq.degradeW2},
+	}
+	switch {
+	case rq.scan:
+		ladder = []rung{{DegradeNone, ibpmax.MapPacked, rq.degradeW1, rq.degradeW2}}
+	case rq.degradeW1 <= 0 || rq.degradeW2 <= 0 || rq.algebra == AlgebraPartition:
+		ladder = ladder[:2]
+	}
+	smallest := int64(math.MaxInt64)
+	for _, r := range ladder {
+		est = rq.charge(n1, n2, r)
+		if est <= rq.memLimit {
+			cfg.Map = r.kind
+			return cfg, r.deg, est, nil
 		}
-		return cfg, DegradeNone, 0, &MemoryLimitError{EstimateBytes: est, LimitBytes: rq.memLimit}
-	}
-	smallest := rq.chargeBytes(n1, n2, cfg.Map)
-	if smallest <= rq.memLimit {
-		return cfg, DegradeNone, smallest, nil
-	}
-	// Rung 1: the packed quarter-space map (no-op when already selected).
-	if packed := rq.chargeBytes(n1, n2, ibpmax.MapPacked); packed <= rq.memLimit {
-		cfg.Map = ibpmax.MapPacked
-		return cfg, DegradePacked, packed, nil
-	} else if packed < smallest {
-		smallest = packed
-	}
-	// Rung 2: the windowed scan, if the caller opted in. Partition folds
-	// never take it — the banded fill is max-plus only — so an over-budget
-	// partition request fails with the typed error instead of degrading.
-	if rq.degradeW1 > 0 && rq.degradeW2 > 0 && rq.algebra != AlgebraPartition {
-		if w := rq.chargeWindowedBytes(n1, n2, rq.degradeW1, rq.degradeW2); w <= rq.memLimit {
-			return cfg, DegradeWindowed, w, nil
-		} else if w < smallest {
-			smallest = w
-		}
+		smallest = min(smallest, est)
 	}
 	return cfg, DegradeNone, 0, &MemoryLimitError{EstimateBytes: smallest, LimitBytes: rq.memLimit}
 }

@@ -226,20 +226,24 @@ func WithDegradeToWindowed(w1, w2 int) Option {
 	return func(o *options) { o.degradeW1, o.degradeW2 = w1, w2 }
 }
 
-// EstimateBytes returns the F-table storage, in bytes, that a full fold of
-// sequences with lengths n1 and n2 would allocate under the given options
-// (only the memory map matters: WithPackedMemory halves it). Use it to
-// budget before folding; Fold with WithMemoryLimit performs the same check
-// internally.
+// EstimateBytes returns the storage, in bytes, that a full fold of
+// sequences with lengths n1 and n2 would allocate under the given options.
+// The estimate follows the memory map (WithPackedMemory halves the table)
+// and the algebra: a partition fold (AlgebraPartition) stores 8-byte cells
+// instead of 4 and builds a Boltzmann substrate, which is counted too. It is
+// the charge Fold with WithMemoryLimit compares against the limit for an
+// unpooled, uncached fold, so that limit admits the fold undegraded; a pool
+// or a cache adds its retention on top.
 func EstimateBytes(n1, n2 int, opts ...Option) int64 {
-	o := buildOptions(opts)
-	return ibpmax.EstimateBytes(n1, n2, o.cfg.Map)
+	rq := buildOptions(opts)
+	rq.cfg.Pool, rq.cache = nil, nil
+	return rq.charge(n1, n2, rung{kind: rq.cfg.Map, w1: n1, w2: n2})
 }
 
 // EstimateWindowedBytes returns the banded-table storage, in bytes, of a
 // windowed scan over lengths n1, n2 with windows w1, w2.
 func EstimateWindowedBytes(n1, n2, w1, w2 int) int64 {
-	return ibpmax.EstimateWindowedBytes(n1, n2, w1, w2)
+	return request{}.charge(n1, n2, rung{kind: ibpmax.MapPacked, w1: w1, w2: w2})
 }
 
 // FoldContext is Fold with cooperative cancellation, deadlines, memory

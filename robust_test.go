@@ -3,6 +3,7 @@ package bpmax
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -364,6 +365,95 @@ func TestScoreRangeRefused(t *testing.T) {
 		check("FoldSingle", err)
 		if _, err := Fold(tc.s1, tc.s2, append(opts, WithAlgebra(AlgebraPartition), WithKT(float64(w)))...); err != nil {
 			t.Errorf("%s: partition fold refused: %v", tc.name, err)
+		}
+	}
+}
+
+// TestEstimateBytesAdmitsFold: EstimateBytes is the charge an unpooled,
+// uncached fold is budgeted, for either algebra and either map, so a limit
+// of exactly the estimate folds undegraded and one byte less does not.
+func TestEstimateBytesAdmitsFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s1, s2 := randSeq(rng, 24), randSeq(rng, 24)
+	for _, alg := range []Algebra{AlgebraMaxPlus, AlgebraPartition} {
+		for _, layout := range [][]Option{nil, {WithPackedMemory()}} {
+			opts := append([]Option{WithAlgebra(alg)}, layout...)
+			est := EstimateBytes(24, 24, opts...)
+			name := fmt.Sprintf("%s/packed=%v", alg, layout != nil)
+			res, err := Fold(s1, s2, append(opts, WithMemoryLimit(est))...)
+			if err != nil {
+				t.Errorf("%s: fold at a limit of EstimateBytes = %d: %v", name, est, err)
+				continue
+			}
+			if res.Degradation != DegradeNone || res.Metrics.BudgetEstimateBytes != est {
+				t.Errorf("%s: degradation %v, charged %d, want none at %d", name, res.Degradation, res.Metrics.BudgetEstimateBytes, est)
+			}
+			res, err = Fold(s1, s2, append(opts, WithMemoryLimit(est-1))...)
+			var mle *MemoryLimitError
+			if err == nil && res.Degradation == DegradeNone || err != nil && !errors.As(err, &mle) {
+				t.Errorf("%s: one byte under the estimate: err %v, want a degradation or *MemoryLimitError", name, err)
+			}
+		}
+	}
+}
+
+// TestBudgetChargeIsAllocation: on every rung of the ladder, and for a scan,
+// the bytes the budget charged an unpooled, uncached fold are the bytes it
+// allocated — the table, and on partition the Boltzmann substrate.
+func TestBudgetChargeIsAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	s1, s2 := randSeq(rng, 20), randSeq(rng, 20)
+	const w = 5
+	for _, alg := range []Algebra{AlgebraMaxPlus, AlgebraPartition} {
+		packed := EstimateBytes(20, 20, WithAlgebra(alg), WithPackedMemory())
+		limits := map[Degradation]int64{DegradeNone: EstimateBytes(20, 20, WithAlgebra(alg)), DegradePacked: packed}
+		if alg == AlgebraMaxPlus {
+			limits[DegradeWindowed] = EstimateWindowedBytes(20, 20, w, w)
+		}
+		for want, limit := range limits {
+			res, err := Fold(s1, s2, WithAlgebra(alg), WithMemoryLimit(limit), WithDegradeToWindowed(w, w))
+			if err != nil {
+				t.Fatalf("%s/%v: %v", alg, want, err)
+			}
+			alloc := res.TableBytes
+			if res.ps != nil {
+				alloc += res.ps.Bytes()
+			}
+			if res.Degradation != want || res.Metrics.BudgetEstimateBytes != alloc {
+				t.Errorf("%s/%v: rung %v charged %d, allocated %d", alg, want, res.Degradation, res.Metrics.BudgetEstimateBytes, alloc)
+			}
+		}
+	}
+	win, err := ScanWindowed(s1, s2, w, w, WithMemoryLimit(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.Metrics.BudgetEstimateBytes != win.TableBytes {
+		t.Errorf("scan charged %d, allocated %d", win.Metrics.BudgetEstimateBytes, win.TableBytes)
+	}
+}
+
+// TestCachedResultCharge pins the result cache's charge for a retained
+// master: its table, the problem's score tables, S tables and sequences,
+// and on partition the Boltzmann substrate — counted from the master's own
+// storage, so a change to the model that moves an eviction fails here.
+func TestCachedResultCharge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s1, s2 := randSeq(rng, 17), randSeq(rng, 11)
+	for _, alg := range []Algebra{AlgebraMaxPlus, AlgebraPartition} {
+		res, err := Fold(s1, s2, WithAlgebra(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.prob
+		tab := p.Tab
+		want := res.TableBytes + int64(len(tab.Intra1)+len(tab.Intra2)+len(tab.Inter))*4 +
+			p.S1.Bytes() + p.S2.Bytes() + int64(p.Seq1.Len()+p.Seq2.Len())
+		if res.ps != nil {
+			want += res.ps.Bytes()
+		}
+		if got := cachedResultBytes(res); got != want {
+			t.Errorf("%s: cachedResultBytes = %d, the master holds %d", alg, got, want)
 		}
 	}
 }
