@@ -71,8 +71,8 @@ run_lint() (
         exit 1
     fi
     # One fill body: the k2 stream loop is called from the accumulate/finalize
-    # bodies in triangle.go (R0, R1 and R2 — the closure in R1's shape, the
-    # substitution with a left column bound) and the DMP micro-app, nowhere
+    # bodies in triangle.go (R0, R1 and R2 — the closure in R1's shape against
+    # S² or Ŝ, the substitution with a left column bound) and the DMP micro-app, nowhere
     # else. (The substrate's row fill was tried on it and
     # lost: docs/PERFORMANCE.md, "Paths retired because they lost".)
     if grep -rn --include='*.go' '[sS]weep(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
@@ -82,15 +82,23 @@ run_lint() (
         exit 1
     fi
     # Finalize's R2 goes through Sweep in both of its forms: the closure, one
-    # sweep from a copy of the row where max-plus sums are exact, and the
-    # forward substitution, which pushes a row's cells to the columns right of
-    # them a chunk at a time. One Accumulate call per finalized cell, each
-    # waiting on the last, is the R2 chain growing back.
+    # sweep a row from a copy of the row against an R2 table — S² itself for
+    # exact max-plus, strand 2's star table Ŝ for partition — and the forward
+    # substitution (fractional-weight max-plus), which pushes a row's cells to
+    # the columns right of them a chunk at a time. One Accumulate call per
+    # finalized cell, each waiting on the last, is the R2 chain growing back.
     if awk '/for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
             in_loop { if (/s\.acc\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
                       depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
             END { exit !bad }' internal/bpmax/triangle.go; then
-        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row, or one substitution sweep a chunk)" >&2
+        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row against S² for exact max-plus or Ŝ for partition, or one substitution sweep a chunk)" >&2
+        exit 1
+    fi
+    # The star table retired the generic scalar walk: the substitution's walk
+    # is float32 max-plus alone (r2WalkMaxPlus). r2WalkK back is the partition
+    # fill substituting again where one sweep against Ŝ is the closure.
+    if grep -rn --include='*.go' 'r2WalkK' . | grep -v '_test\.go:'; then
+        echo "lint: the retired r2WalkK is back (partition R2 is one closure sweep against the star table Ŝ)" >&2
         exit 1
     fi
     # Finalize applies the pairing terms to a whole row, in every algebra.

@@ -230,8 +230,9 @@ func run(ctx context.Context, args []string) error {
 	return writeMetrics(&fold)
 }
 
-// fillPlan renders the end of the -stats fill line: the form a max-plus fill
-// finalized R2 in, when it has one, then the kernel body it streamed on.
+// fillPlan renders the end of the -stats fill line: the form the fill
+// finalized R2 in — max-plus or partition; a base-schedule fill has none —
+// then the kernel body it streamed on.
 func fillPlan(m *bpmax.FoldMetrics) string {
 	if m.R2 == "" {
 		return "kernel: " + m.Kernel

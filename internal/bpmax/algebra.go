@@ -58,25 +58,27 @@ type alg[T semiring.Scalar] struct {
 	// factors (forbidden ⇒ 0) for the scaled sum-product.
 	sc1, sc2, isc []T
 	n1, n2        int
-	// r2 is the form finalize solves R2 in, r2Closure or r2Substitution, for
-	// a max-plus view (Config.r2Form); empty for the partition views, whose
-	// ⊕ = + admits no closure: finalize substitutes.
-	r2 string
+	// r2 names the form finalize solves R2 in (FoldMetrics.R2): r2Closure,
+	// one sweep a row against star — S² for max-plus, strand 2's star table
+	// (fillStar) for partition — or r2Substitution (newGSolver drops star).
+	r2   string
+	star []T
 }
 
 // maxplusAlg builds the tropical float32 view over a problem's own tables.
 // Pure reslicing: safe to call per solve on the pooled hot path.
 func maxplusAlg(p *Problem, cfg Config) alg[float32] {
 	return alg[float32]{
-		k:   cfg.maxplusKernels(),
-		s1:  p.S1.Data(),
-		s2:  p.S2.Data(),
-		sc1: p.Tab.Intra1,
-		sc2: p.Tab.Intra2,
-		isc: p.Tab.Inter,
-		n1:  p.N1,
-		n2:  p.N2,
-		r2:  cfg.r2Form(p),
+		k:    cfg.maxplusKernels(),
+		s1:   p.S1.Data(),
+		s2:   p.S2.Data(),
+		sc1:  p.Tab.Intra1,
+		sc2:  p.Tab.Intra2,
+		isc:  p.Tab.Inter,
+		n1:   p.N1,
+		n2:   p.N2,
+		r2:   cfg.r2Form(p),
+		star: p.S2.Data(), // where its sums are exact, S² is its own star
 	}
 }
 

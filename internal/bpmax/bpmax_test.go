@@ -231,6 +231,73 @@ func TestR2ClosureMatchesSubstitution(t *testing.T) {
 	}
 }
 
+// TestR2StarMatchesSubstitution is TestR2ClosureMatchesSubstitution's
+// partition twin. A partition fill solves R2 in one sweep a row against
+// strand 2's star table; forced through Config.r2, the forward substitution
+// pushes one final cell at a time instead. The two round differently, so
+// they must agree to 1e-12 relative, cell for cell — on the box and packed
+// maps, at one worker and at two, fresh and pooled — while within one form
+// every kernel body and the pooled fill leave equal cells (==).
+func TestR2StarMatchesSubstitution(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	p, err := NewProblem(rna.Random(rng, 4), rna.Random(rng, 45), score.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := buildTestPartitionSub(t, p, 1)
+	if !ps.Scaled() {
+		t.Fatal("substrate fell back to the log domain")
+	}
+	ctx := context.Background()
+	pl := NewPool()
+	for _, kind := range []MapKind{MapBox, MapPacked} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%v/workers=%d", kind, workers)
+			fill := func(form, impl string, pool *Pool) *FTableOf[float64] {
+				var fm metrics.FoldMetrics
+				cfg := Config{Workers: workers, Map: kind, Pool: pool, Metrics: &fm, r2: form}
+				cfg.SetKernels(impl)
+				ft, err := SolvePartitionContext(ctx, p, ps, VariantHybridTiled, cfg)
+				if err != nil || !ft.Scaled() {
+					t.Fatalf("%s %s on %q: %v (scaled %v)", label, form, impl, err, ft != nil && ft.Scaled())
+				}
+				if fm.R2 != form {
+					t.Fatalf("%s: forced %q, FoldMetrics.R2 = %q", label, form, fm.R2)
+				}
+				return ft
+			}
+			var forms []*FTableOf[float64]
+			for _, form := range []string{r2Closure, r2Substitution} {
+				want := fill(form, "go", nil)
+				for _, impl := range append(maxplus.Impls(), "") {
+					pool := pl
+					if impl != "" {
+						pool = nil // "": pooled, on the process's body
+					}
+					got := fill(form, impl, pool)
+					eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+						if g, w := got.At(i1, j1, i2, j2), want.At(i1, j1, i2, j2); g != w {
+							t.Fatalf("%s %s: F[%d,%d,%d,%d] = %v on %q (pooled %v), %v on the Go loops",
+								label, form, i1, j1, i2, j2, g, impl, pool != nil, w)
+						}
+					})
+					got.Release()
+				}
+				forms = append(forms, want)
+			}
+			eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+				c, s := forms[0].At(i1, j1, i2, j2), forms[1].At(i1, j1, i2, j2)
+				if math.Abs(c-s) > 1e-12*math.Max(c, s) {
+					t.Fatalf("%s: F[%d,%d,%d,%d] = %v by the star, %v by substitution", label, i1, j1, i2, j2, c, s)
+				}
+			})
+		}
+	}
+	if st := pl.Stats(); st.Buffers.Live != 0 {
+		t.Fatalf("leaked %d pooled buffers", st.Buffers.Live)
+	}
+}
+
 func TestScratchAccumAgrees(t *testing.T) {
 	// Phase II (separate accumulator storage + copy) and Phase III (shared
 	// storage) memory maps must be observationally identical.

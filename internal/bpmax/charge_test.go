@@ -55,7 +55,8 @@ func TestEstimatePackedHalvesBox(t *testing.T) {
 
 // TestFootprintsMatchAllocation pins the two substrate footprints to the
 // storage they price: ProblemBytes to a problem's score tables, S tables and
-// sequences, PartitionSubBytes to PartitionSub.Bytes, pooled or not.
+// sequences, PartitionSubBytes to PartitionSub.Bytes — star table included —
+// pooled or not, scaled (kT 1) or in the log domain (kT 1e-3).
 func TestFootprintsMatchAllocation(t *testing.T) {
 	pl := NewPool()
 	for _, c := range [][2]int{{1, 1}, {7, 13}, {12, 9}} {
@@ -66,11 +67,14 @@ func TestFootprintsMatchAllocation(t *testing.T) {
 			if got := ProblemBytes(n1, n2); got != want {
 				t.Errorf("ProblemBytes(%d, %d) = %d, problem holds %d", n1, n2, got, want)
 			}
-			ps := buildTestPartitionSub(t, p, 1)
-			if got, want := PartitionSubBytes(n1, n2), ps.Bytes(); got != want {
-				t.Errorf("PartitionSubBytes(%d, %d) = %d, substrate holds %d (pooled %v)", n1, n2, got, want, p.pl != nil)
+			for _, kT := range []float64{1, 1e-3} {
+				ps := buildTestPartitionSub(t, p, kT)
+				if got, want := PartitionSubBytes(n1, n2), ps.Bytes(); got != want {
+					t.Errorf("PartitionSubBytes(%d, %d) = %d, substrate holds %d (pooled %v, scaled %v)",
+						n1, n2, got, want, p.pl != nil, ps.Scaled())
+				}
+				ps.Release()
 			}
-			ps.Release()
 			p.Release()
 		}
 	}

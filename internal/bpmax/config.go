@@ -114,11 +114,9 @@ type Config struct {
 	// the process's: the seam that makes the kernel body an input of the
 	// parity fuzzers. See SetKernels.
 	kernels string
-	// r2, when set, forces the form a max-plus fill finalizes R2 with
-	// (r2Closure or r2Substitution) in place of the one the problem's
-	// arithmetic selects: the seam, in SetKernels' style, that holds the two
-	// forms to each other in the tests. Forcing the closure onto weights whose
-	// sums round breaks bit-identity with the recurrence; see r2Form.
+	// r2, when set, forces the form a fill finalizes R2 with (r2Closure or
+	// r2Substitution): the seam that holds the two forms to each other in the
+	// tests. A closure forced where max-plus sums round breaks bit-identity.
 	r2 string
 }
 

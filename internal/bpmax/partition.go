@@ -183,18 +183,18 @@ func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, 
 }
 
 // PartitionSub bundles the Boltzmann inputs of one partition fill: the two
-// strands' substrate tables and the pair-weight matrices, as the algebra
-// view the fill runs over. It is the float64 counterpart of the Problem's
-// S1/S2/Tab set. The view is scaled when both strands' tables are and every
-// pair factor fits the guard window, log-domain otherwise. The S tables are
-// shared and read-only; the matrices belong to this value and go back to the
-// problem's pool on Release.
+// strands' substrate tables, the pair-weight matrices and strand 2's star
+// table, as the algebra view the fill runs over. It is the float64
+// counterpart of the Problem's S1/S2/Tab set. The view is scaled when both
+// strands' tables are and every pair factor and star cell fits the guard
+// window, log-domain otherwise. The S tables are shared and read-only; the
+// matrices belong to this value and go back to the problem's pool on Release.
 type PartitionSub struct {
 	KT     float64
 	S1, S2 *PartitionS
 
 	a   alg[float64]
-	buf []float64 // backing of a.sc1, a.sc2, a.isc
+	buf []float64 // backing of a.sc1, a.sc2, a.isc, a.star
 	pl  *Pool
 
 	// logOnce builds logA, the log-domain view the oracle variants and the
@@ -220,13 +220,14 @@ func (ps *PartitionSub) Release() {
 	}
 	ps.pl.buf64.Put(ps.buf)
 	ps.pl, ps.buf = nil, nil
-	ps.a.sc1, ps.a.sc2, ps.a.isc = nil, nil, nil
+	ps.a.sc1, ps.a.sc2, ps.a.isc, ps.a.star = nil, nil, nil, nil
 }
 
 // NewPartitionSub assembles the fill's inputs from the two strands'
-// substrates (built by BuildPartitionS, or installed from the substrate
-// cache): it picks the domain and writes the pair-weight matrices, taking
-// their storage from p's pool when p is pooled.
+// substrates (built by BuildPartitionS, or from the substrate cache): it
+// picks the domain and writes the pair-weight matrices and the star table —
+// O(N2³), so built per fold, not cached — in storage from p's pool when p
+// is pooled.
 func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub, error) {
 	if err := checkKT(kT); err != nil {
 		return nil, err
@@ -244,22 +245,24 @@ func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub,
 	return ps, nil
 }
 
-// matrixCells is the storage the three pair-weight matrices of an n1 × n2
-// problem take.
-func matrixCells(n1, n2 int) int { return n1*n1 + n2*n2 + n1*n2 }
+// matrixCells is the storage the three pair-weight matrices and strand 2's
+// star table of an n1 × n2 problem take.
+func matrixCells(n1, n2 int) int { return n1*n1 + 2*n2*n2 + n1*n2 }
 
 // PartitionSubBytes is the Boltzmann substrate's footprint for an n1 × n2
-// problem without allocating it: the two float64 S tables and the three
-// pair-weight matrices, what PartitionSub.Bytes returns once it is built.
+// problem without allocating it: the two float64 S tables, the three
+// pair-weight matrices and the star table, what PartitionSub.Bytes returns
+// once it is built.
 func PartitionSubBytes(n1, n2 int) int64 {
 	return int64(n1*n1+n2*n2+matrixCells(n1, n2)) * elemBytes[float64]()
 }
 
-// matrixAlg returns a view whose sc1, sc2 and isc carve up buf
-// (matrixCells long); fillScaled or fillLog supplies the rest.
+// matrixAlg returns a closure view whose sc1, sc2, isc and star carve up
+// buf (matrixCells long); fillScaled or fillLog supplies the rest.
 func matrixAlg(p *Problem, buf []float64) alg[float64] {
 	a, b := p.N1*p.N1, p.N1*p.N1+p.N2*p.N2
-	return alg[float64]{n1: p.N1, n2: p.N2, sc1: buf[:a], sc2: buf[a:b], isc: buf[b:]}
+	c := b + p.N1*p.N2
+	return alg[float64]{n1: p.N1, n2: p.N2, sc1: buf[:a], sc2: buf[a:b], isc: buf[b:c], star: buf[c:], r2: r2Closure}
 }
 
 // fillScaled writes the scaled view: the damping of each pair term, constant
@@ -267,8 +270,8 @@ func matrixAlg(p *Problem, buf []float64) alg[float64] {
 // for the intramolecular pairs (two nucleotides of one strand),
 // e^{w/kT-σ₁-σ₂} for the intermolecular bond (one of each). Only i < j is
 // ever read of the intramolecular matrices; the rest stays 0 (forbidden).
-// It reports false, leaving the matrices half-written, if a factor left the
-// guard window.
+// It reports false, leaving the matrices half-written, if a factor or a
+// star cell left the guard window.
 func fillScaled(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS) bool {
 	a.k = semiring.SumProductKernels()
 	a.dom = domain{scaled: true, sig1: s1.sigma, sig2: s2.sigma}
@@ -295,7 +298,7 @@ func fillScaled(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *Partitio
 		}
 		a.isc[i] = f
 	}
-	return true
+	return fillStar(a)
 }
 
 // fillLog writes the log-domain view: every weight w/kT (forbidden ⇒ -Inf),
@@ -313,6 +316,26 @@ func fillLog(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS)
 	for i, w := range tab.Inter {
 		a.isc[i] = scalePartition(w, kT)
 	}
+	fillStar(a)
+}
+
+// fillStar writes strand 2's star table (docs/ALGORITHM.md §4): row r is R2
+// applied to S² row r, star[r,j] = S²[r,j] ⊕ (⊕ over r ≤ m < j of
+// S²[r,m] ⊗ star[m+1,j]); row k+1 is (T* − I)[k,·]. Rows go bottom-up, one
+// Accum per (r, m), O(N2³); m descends so the longest chains join last, which
+// keeps the rounding linear in N2. It reports whether every cell it wrote
+// (j ≥ r) lies inside the guard window, which only a scaled view asks.
+func fillStar(a *alg[float64]) bool {
+	n, s2, star, inWindow := a.n2, a.s2, a.star, true
+	for r := n - 1; r >= 0; r-- {
+		row := star[r*n : (r+1)*n]
+		copy(row, s2[r*n:(r+1)*n])
+		for m := n - 2; m >= r; m-- {
+			a.k.Accum(row[m+1:], star[(m+1)*n+m+1:(m+2)*n], s2[r*n+m])
+		}
+		inWindow = inWindow && inGuardWindow(row[r:])
+	}
+	return inWindow
 }
 
 // logAlg returns the log-domain view: ps's own when it already is one,
@@ -344,15 +367,13 @@ func BuildPartitionSub(ctx context.Context, p *Problem, kT float64) (*PartitionS
 }
 
 // SolvePartitionContext fills the float64 BPPart table for p under the
-// given schedule variant, with the same cancellation and panic-isolation
-// contract as SolveContext. The optimized schedules run ps's scaled view
-// when it has one and return that table only if the range guard held on
-// every cell; otherwise — and always for the two oracle variants — the fill
-// runs in the log domain (GuardRefilled marks a table refilled after a
-// trip). Read results through LogAt / PartitionLogZ, which convert from
-// whichever domain the table is in. Results are not bit-identical across
-// variants or domains — floating-point sums are not associative — but agree
-// to tight relative tolerance; the cross-variant tests pin that.
+// given schedule variant, with SolveContext's cancellation and panic
+// contract. The optimized schedules run ps's scaled view when it has one and
+// return that table only if the range guard held on every cell; otherwise —
+// and always for the oracle variants — the fill runs in the log domain
+// (GuardRefilled marks a refill after a trip). Read results through LogAt /
+// PartitionLogZ. Variants and domains agree to tight relative tolerance,
+// not bit for bit: floating-point sums are not associative.
 func SolvePartitionContext(ctx context.Context, p *Problem, ps *PartitionSub, v Variant, cfg Config) (ft *FTableOf[float64], err error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
@@ -522,6 +523,86 @@ func TestPartitionGuardFallsBack(t *testing.T) {
 	mf := Solve(p, VariantHybrid, Config{})
 	if gap := 1e-3*PartitionLogZ(p, ft) - float64(p.Score(mf)); gap < -1e-6 || gap > 0.1 {
 		t.Fatalf("kT=1e-3: kT·LogZ is %v off the max-plus score", gap)
+	}
+}
+
+// TestStarTableIsTheChainSum holds strand 2's star table to its definition:
+// row k+1 is (T* − I)[k,·], the sum over every chain k = m₀ < m₁ < … < m_t = j
+// of Π S²[m_i+1, m_{i+1}], enumerated here by brute force for n ≤ 10 — in the
+// scaled domain as a linear sum, in the log domain as the log of one.
+func TestStarTableIsTheChainSum(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		p := newTestProblem(t, int64(340+n), 3, n)
+		ps := buildTestPartitionSub(t, p, 1)
+		if !ps.Scaled() {
+			t.Fatalf("n=%d: substrate fell back to the log domain", n)
+		}
+		s2, lg := ps.a.s2, ps.logAlg(p)
+		// chains returns the sum over every chain from k to j.
+		var chains func(k, j int) float64
+		chains = func(k, j int) float64 {
+			sum := s2[(k+1)*n+j]
+			for m := k + 1; m < j; m++ {
+				sum += chains(k, m) * s2[(m+1)*n+j]
+			}
+			return sum
+		}
+		for k := 0; k+1 < n; k++ {
+			for j := k + 1; j < n; j++ {
+				want := chains(k, j)
+				if got := ps.a.star[(k+1)*n+j]; math.Abs(got-want) > 1e-13*want {
+					t.Fatalf("n=%d: scaled star[%d,%d] = %v, chain sum %v", n, k+1, j, got, want)
+				}
+				// The log view's cells are unscaled: add back the damping of the
+				// j-k nucleotides a chain from k to j spans.
+				want = math.Log(want) + ps.a.dom.sig2*float64(j-k)
+				closeRel(t, want, lg.star[(k+1)*n+j], 1e-13, fmt.Sprintf("n=%d: log star[%d,%d]", n, k+1, j))
+			}
+		}
+		ps.Release()
+	}
+}
+
+// TestStarOutsideGuardGoesLog: a strand-2 table whose every cell sits inside
+// the guard window but whose star table does not sends the substrate to the
+// log domain, exactly as an out-of-window pair factor does, and the fold
+// still returns the oracle's LogZ. A control table of ones stays scaled.
+func TestStarOutsideGuardGoesLog(t *testing.T) {
+	ctx := context.Background()
+	p := newTestProblem(t, 34, 4, 7)
+	base := buildTestPartitionSub(t, p, 1)
+	synthetic := func(v float64) *PartitionS {
+		tab := nussinov.NewGTable[float64](p.N2)
+		for i := 0; i < p.N2; i++ {
+			for j := i; j < p.N2; j++ {
+				tab.Data()[i*p.N2+j] = v
+			}
+		}
+		return &PartitionS{T: tab, scaled: true, sigma: base.S2.sigma}
+	}
+	for _, c := range []struct {
+		cell   float64
+		scaled bool
+	}{{1, true}, {0x1p+500, false}} {
+		ps, err := NewPartitionSub(p, 1, base.S1, synthetic(c.cell))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.Scaled() != c.scaled {
+			t.Fatalf("S² cells %v: substrate scaled = %v, want %v", c.cell, ps.Scaled(), c.scaled)
+		}
+		want, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SolvePartitionContext(ctx, p, ps, VariantHybridTiled, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Scaled() != c.scaled {
+			t.Fatalf("S² cells %v: fill scaled = %v, want %v", c.cell, got.Scaled(), c.scaled)
+		}
+		closeRel(t, PartitionLogZ(p, want), PartitionLogZ(p, got), 1e-12, fmt.Sprintf("S² cells %v: LogZ", c.cell))
 	}
 }
 

@@ -1,6 +1,7 @@
 package bpmax
 
 import (
+	"cmp"
 	"errors"
 	"sync/atomic"
 
@@ -41,13 +42,10 @@ func inGuardWindow[T semiring.Scalar](cells []T) bool {
 // the historical name used by the pool, the DMP schedules and the tests.
 type solver = gsolver[float32]
 
-// gsolver carries the state shared by the optimized schedules: the
-// problem, the algebra view (kernels + tables in the semiring's scalar),
-// the table being filled, the resolved configuration, and the selected
-// streaming kernel. The schedules themselves (wavefront order, task
-// decomposition, tiling) are algebra-agnostic, and so is finalize; only the
-// streams (acc and sweep, via the kernel bundle) and finalize's two scalar
-// loops (pairRow, r2Walk) touch scalars.
+// gsolver carries the state shared by the optimized schedules: the problem,
+// the algebra view, the table being filled and the resolved configuration.
+// The schedules and finalize are algebra-agnostic; only the streams (acc and
+// sweep) and finalize's scalar loops (pairRow, r2Walk) touch scalars.
 type gsolver[T semiring.Scalar] struct {
 	p   *Problem
 	a   alg[T]
@@ -59,22 +57,17 @@ type gsolver[T semiring.Scalar] struct {
 	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
 	// s2off is S² seen as a block of Sweep: row r of a.s2 starts at s2off[r].
 	s2off []int
-	// pre holds the rows finalize's one-hop R2 reads (a.r2 == r2Closure):
-	// row i1 is pre[i1*n2 : (i1+1)*n2]. Triangles finalized concurrently
-	// have distinct i1, so each writes its own; the storage stays with the
-	// pooled shell.
+	// pre holds the rows finalize's R2 closure reads: row i1 is
+	// pre[i1*n2 : (i1+1)*n2], so concurrent triangles write their own.
 	pre []T
-	// pairRow and r2Walk are finalize's two scalar loops, bound once per
-	// shell by initTasks: inline compares for float32 max-plus, the bundle's
-	// Add and Mul otherwise. pairRow streams y[k] ⊕= x[k] ⊗ w[k]; r2Walk
-	// runs R2 inside columns [j, e) of row y (s2 = S², n2 its row length).
+	// pairRow and r2Walk are finalize's scalar loops, bound by initTasks:
+	// pairRow streams y[k] ⊕= x[k] ⊗ w[k]; r2Walk, float32 max-plus only
+	// (nil otherwise), runs R2 inside columns [j, e) of row y.
 	pairRow func(y, x, w []T)
 	r2Walk  func(y, s2 []T, n2, j, e int)
 
-	// Per-wavefront state read by the hoisted task closures below. The
-	// schedules used to allocate fresh closures on every wavefront —
-	// O(N1) allocations per fold; binding them once to the solver (which
-	// the pool recycles) makes repeat folds closure-allocation-free.
+	// Per-wavefront state read by the task closures below, which are bound
+	// once per (pooled) shell so repeat folds allocate no closures.
 	curD1      int
 	curI1      int
 	curTileW   int
@@ -141,15 +134,13 @@ func (s *gsolver[T]) initTasks() {
 	if f, ok := any(pairRowMaxPlus).(func(y, x, w []T)); ok {
 		s.pairRow, s.r2Walk = f, any(r2WalkMaxPlus).(func(y, s2 []T, n2, j, e int))
 	} else {
-		s.pairRow, s.r2Walk = s.pairRowK, s.r2WalkK
+		s.pairRow = s.pairRowK
 	}
 }
 
 // newGSolver assembles a solver over an explicit algebra view and a table
-// storing the band (w1, w2) — (N1, N2) for a full fill — under cfg.Map. The
-// float32 shells and table storage come from the pool's float32 arenas,
-// float64 from the float64 arenas; both reuse paths keep the closure set
-// hoisted.
+// storing the band (w1, w2) — (N1, N2) for a full fill — under cfg.Map, the
+// shell and table drawn from the pool's arenas of T when cfg has a pool.
 func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int) *gsolver[T] {
 	cfg = cfg.withDefaults()
 	var s *gsolver[T]
@@ -157,6 +148,9 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 		s = poolGetSolver[T](cfg.Pool)
 	} else {
 		s = &gsolver[T]{}
+	}
+	if a.r2 = cmp.Or(cfg.r2, a.r2); a.r2 != r2Closure { // Config.r2: the tests' seam
+		a.star = nil
 	}
 	s.f = newAlgTable(p, &a, cfg.Pool, w1, w2, cfg.Map)
 	s.p = p
@@ -169,7 +163,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 			s.s2off[r] = r * a.n2
 		}
 	}
-	if n := p.N1 * a.n2; a.r2 == r2Closure && len(s.pre) < n {
+	if n := p.N1 * a.n2; a.star != nil && len(s.pre) < n {
 		s.pre = make([]T, n)
 	}
 	s.tripped.Store(false)
@@ -304,45 +298,35 @@ const (
 )
 
 // exactMaxPlus reports whether every sum a float32 max-plus fill of p forms
-// is exact: every allowed weight is a non-negative integer
-// (score.Tables.IntegerWeights), so every cell is the integer score of a
-// joint structure, and no such score reaches 2²⁴, float32's last
-// consecutive integer — a structure over N1 + N2 nucleotides has at most
-// ⌊(N1+N2)/2⌋ pairs. The pipeline refuses folds past that bound
-// (checkScoreRange); the solver checks it again because it is reachable
-// without the pipeline.
+// is exact: every allowed weight is a non-negative integer, and no score of
+// a structure's ⌊(N1+N2)/2⌋ pairs reaches 2²⁴, float32's last consecutive
+// integer. The pipeline refuses folds past that bound (checkScoreRange); the
+// solver is reachable without it.
 func exactMaxPlus(p *Problem) bool {
 	return p.Tab.IntegerWeights && float64(p.Tab.MaxWeight)*float64((p.N1+p.N2)/2) < 1<<24
 }
 
-// r2Chunk is the width in bytes of the chunks R2's forward substitution
-// walks a row in: one vector of the kernels, cut on columns (on a box map
-// whose rows are a whole number of vectors that is the kernels' grid;
-// elsewhere the sweep masks its first vector). Wider chunks make fewer sweeps
-// of more cells each, but the cells of a chunk reach each other one scalar
-// candidate at a time, and at two and at four vectors that cost more than the
-// sweeps saved (docs/PERFORMANCE.md, "Vector kernels").
-const r2Chunk = 32
+// r2Chunk is the width in float32 cells of the chunks R2's forward
+// substitution walks a row in: one 32-byte vector, cut on columns. Wider
+// chunks cost more in the scalar walk than they save in sweeps
+// (docs/PERFORMANCE.md, "Vector kernels").
+const r2Chunk = 8
 
 // finalize turns the accumulated H partials of triangle (i1, j1) into final
 // F values, in every algebra. Rows run bottom-up, so the intra-triangle terms
-// (R1, R2, the seq2 pairing term) reach finalized rows only, and each term is
-// applied to a whole row — the loop permutation of the paper's Table II/III
-// schedules ("the F-table gets updated when k2 reaches j2"): R1 as one sweep
-// over the rows below; the two pairing terms, which read other rows only, as
-// a stream and a row loop (a cell gets the recurrence's candidates in
-// another order, which max ignores and a sum only rounds); then R2, where
-// cell j2 reaches every cell right of it once final.
+// reach finalized rows only, and each term is applied to a whole row — the
+// loop permutation of the paper's Table II/III schedules: R1 as one sweep
+// over the rows below; the two pairing terms as a stream and a row loop;
+// then R2. R2 needs no chain: the final row is the row c as it stood before
+// R2 times the star of T[k,j] = S²[k+1,j], and a.star holds T* − I shifted
+// down a row (docs/ALGORITHM.md §4), so
 //
-// Where max-plus sums are exact (a.r2 == r2Closure) R2 needs no chain: S²
-// holds its own split term, S²[a,j] ≥ S²[a,m] + S²[m+1,j], so one hop from
-// the row c as it stood before R2 is the closure,
+//	F[i2,j2] = c[j2] ⊕ (⊕ over i2 ≤ k < j2 of c[k] ⊗ star[k+1,j2])
 //
-//	F[i2,j2] = max(c[j2], max over k < j2 of c[k] + S²[k+1,j2])
-//
-// — R1's sweep shape with a = a copy of c (s.pre). Otherwise r2Substitute
-// solves R2 as the recurrence states it. A scaled domain range-checks each
-// row as soon as it is final, while it is still in cache.
+// — R1's sweep shape with a = a copy of c (s.pre). Exact max-plus S² is its
+// own star; partition reads fillStar's table. Where max-plus sums round
+// (a.star nil) r2Substitute solves R2 as the recurrence states it. A scaled
+// domain range-checks each row once final, while it is still in cache.
 func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
@@ -355,7 +339,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		inside = s.f.Block(i1+1, j1-1)
 	}
 	var pre []T
-	if a.r2 == r2Closure {
+	if a.star != nil {
 		pre = s.pre[i1*n2 : (i1+1)*n2]
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
@@ -383,7 +367,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		}
 		if pre != nil {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
-			s.sweep(grow, pre, a.s2, s.s2off, i2, hi-1, 0, hi)
+			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi)
 		} else {
 			s.r2Substitute(grow, i2, hi)
 		}
@@ -395,15 +379,21 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 }
 
 // r2Substitute solves R2 on one row by blocked forward substitution: r2Walk
-// finalizes a chunk's cells in order, each reaching the rest of the chunk,
-// then one sweep (a = the row, b = S², from = the chunk's end) pushes the
-// chunk onward. Every cell gets its R2 candidates from final cells in
-// ascending order, as the recurrence states them, whatever the sums round to.
+// finalizes a chunk's cells in order, then one sweep (a = the row, b = S²,
+// from = the chunk's end) pushes the chunk onward, so every cell gets its
+// candidates in the recurrence's order. It serves fractional-weight
+// max-plus; a partition view substitutes only where the parity tests force
+// it (Config.r2), one cell a chunk, with no walk.
 func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
-	chunk := r2Chunk / int(elemBytes[T]())
+	chunk := 1
+	if s.r2Walk != nil {
+		chunk = r2Chunk
+	}
 	for j := i2; j < hi; {
 		e := min((j/chunk+1)*chunk, hi) // chunks start on multiples of chunk
-		s.r2Walk(grow, s.a.s2, s.a.n2, j, e)
+		if e > j+1 {
+			s.r2Walk(grow, s.a.s2, s.a.n2, j, e)
+		}
 		if e < hi {
 			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi)
 		}
@@ -433,23 +423,12 @@ func r2WalkMaxPlus(y, s2 []float32, n2, j, e int) {
 	}
 }
 
-// pairRowK and r2WalkK are the same loops over the bundle's ⊕ and ⊗, in
-// Accum's operand order.
+// pairRowK is pairRow over the bundle's ⊕ and ⊗, in Accum's operand order.
 func (s *gsolver[T]) pairRowK(y, x, w []T) {
 	add, mul := s.a.k.Add, s.a.k.Mul
 	y, w = y[:len(x)], w[:len(x)]
 	for k, v := range x {
 		y[k] = add(mul(v, w[k]), y[k])
-	}
-}
-
-func (s *gsolver[T]) r2WalkK(y, s2 []T, n2, j, e int) {
-	add, mul := s.a.k.Add, s.a.k.Mul
-	for j2 := j; j2+1 < e; j2++ {
-		v, row := y[j2], s2[(j2+1)*n2:(j2+1)*n2+e]
-		for j3 := j2 + 1; j3 < e; j3++ {
-			y[j3] = add(mul(v, row[j3]), y[j3])
-		}
 	}
 }
 

@@ -9,6 +9,7 @@
 package score
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/bpmax-go/bpmax/internal/rna"
@@ -234,24 +235,42 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	t.Intra1 = grow(t.Intra1, n1*n1)
 	t.Intra2 = grow(t.Intra2, n2*n2)
 	t.Inter = grow(t.Inter, n1*n2)
-	fill := func(dst []Value, seq rna.Sequence, n int) {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if abs(j-i) <= p.MinHairpin {
-					dst[i*n+j] = NegInf
-					continue
-				}
-				dst[i*n+j] = p.Model.Pair(seq.At(i), seq.At(j))
-			}
-		}
-	}
-	fill(t.Intra1, seq1, n1)
-	fill(t.Intra2, seq2, n2)
+	// A background build is never cancelled: fillIntra returns nil.
+	ctx := context.Background()
+	_ = fillIntra(ctx, t.Intra1, seq1, p)
+	_ = fillIntra(ctx, t.Intra2, seq2, p)
 	for i1 := 0; i1 < n1; i1++ {
 		for i2 := 0; i2 < n2; i2++ {
 			t.Inter[i1*n2+i2] = inter.Pair(seq1.At(i1), seq2.At(i2))
 		}
 	}
+}
+
+// IntraContext builds seq's intramolecular pair table alone (row-major
+// n×n, Tables.Intra1's layout) — all a single-strand fold reads — checking
+// ctx once a row.
+func IntraContext(ctx context.Context, seq rna.Sequence, p Params) ([]Value, error) {
+	dst := make([]Value, seq.Len()*seq.Len())
+	return dst, fillIntra(ctx, dst, seq, p)
+}
+
+// fillIntra writes seq's intramolecular pair table into dst, returning
+// ctx's error at the first row it finds ctx done.
+func fillIntra(ctx context.Context, dst []Value, seq rna.Sequence, p Params) error {
+	n := seq.Len()
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for j := 0; j < n; j++ {
+			if abs(j-i) <= p.MinHairpin {
+				dst[i*n+j] = NegInf
+				continue
+			}
+			dst[i*n+j] = p.Model.Pair(seq.At(i), seq.At(j))
+		}
+	}
+	return nil
 }
 
 func abs(x int) int {

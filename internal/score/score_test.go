@@ -1,7 +1,10 @@
 package score
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,5 +290,25 @@ func TestBuildRecordsIntegerWeights(t *testing.T) {
 			t.Errorf("%s: (MaxWeight, IntegerWeights) = (%d, %v), want (%d, %v)",
 				c.name, tb.MaxWeight, tb.IntegerWeights, c.max, c.exact)
 		}
+	}
+}
+
+// TestIntraContext: the single-strand pair table is Build's Intra1 cell for
+// cell, and a done context stops the build with the context's error.
+func TestIntraContext(t *testing.T) {
+	seq := rna.Random(rand.New(rand.NewSource(3)), 37)
+	for _, p := range []Params{DefaultParams(), {Model: Unit(), MinHairpin: 3}} {
+		got, err := IntraContext(context.Background(), seq, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Build(seq, rna.Sequence{}, p).Intra1; !slices.Equal(got, want) {
+			t.Errorf("%s: IntraContext differs from Build's Intra1", p.Model.Name())
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := IntraContext(ctx, seq, DefaultParams()); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled build: err = %v, want context.Canceled", err)
 	}
 }

@@ -21,25 +21,30 @@ func TestFoldMetricsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fold: %v", err)
 	}
-	checkFoldRecord(t, res)
+	checkFoldRecord(t, res, AlgebraMaxPlus)
 	if m.Folds() != 1 || m.Errors() != 0 {
 		t.Errorf("aggregate: folds=%d errors=%d, want 1 and 0", m.Folds(), m.Errors())
 	}
 }
 
 // TestFoldMetricsOnByDefault: recording is unconditional — a fold with no
-// option at all carries the same complete record.
+// option at all carries the same complete record, and so does a partition
+// fold, R2 form included.
 func TestFoldMetricsOnByDefault(t *testing.T) {
 	res, err := Fold(mSeq1, mSeq2)
 	if err != nil {
 		t.Fatalf("Fold: %v", err)
 	}
-	checkFoldRecord(t, res)
+	checkFoldRecord(t, res, AlgebraMaxPlus)
+	if res, err = Fold(mSeq1, mSeq2, WithAlgebra(AlgebraPartition)); err != nil {
+		t.Fatalf("partition Fold: %v", err)
+	}
+	checkFoldRecord(t, res, AlgebraPartition)
 }
 
 // checkFoldRecord asserts a default (hybrid-tiled, unbudgeted) fold of
-// mSeq1 × mSeq2 came back with its whole FoldMetrics.
-func checkFoldRecord(t *testing.T, res *Result) {
+// mSeq1 × mSeq2 in the given algebra came back with its whole FoldMetrics.
+func checkFoldRecord(t *testing.T, res *Result, algebra Algebra) {
 	t.Helper()
 	fm := &res.Metrics
 	if fm.Schedule != "hybrid-tiled" {
@@ -51,8 +56,8 @@ func checkFoldRecord(t *testing.T, res *Result) {
 	if fm.R2 != "closure" && fm.R2 != "substitution" {
 		t.Errorf("R2 = %q, want closure or substitution", fm.R2)
 	}
-	if fm.Algebra != string(AlgebraMaxPlus) {
-		t.Errorf("Algebra = %q, want maxplus", fm.Algebra)
+	if fm.Algebra != string(algebra) {
+		t.Errorf("Algebra = %q, want %q", fm.Algebra, algebra)
 	}
 	if fm.N1 != len(mSeq1) || fm.N2 != len(mSeq2) {
 		t.Errorf("shape = %d×%d, want %d×%d", fm.N1, fm.N2, len(mSeq1), len(mSeq2))
@@ -72,8 +77,13 @@ func checkFoldRecord(t *testing.T, res *Result) {
 	if fm.Degraded != "none" {
 		t.Errorf("Degraded = %q, want %q", fm.Degraded, "none")
 	}
-	if fm.Phases[PhaseSubstrate].Units != 1 {
-		t.Errorf("substrate units = %d, want 1", fm.Phases[PhaseSubstrate].Units)
+	// A partition fold's Boltzmann substrate is a second substrate step.
+	want := int64(1)
+	if algebra == AlgebraPartition {
+		want = 2
+	}
+	if fm.Phases[PhaseSubstrate].Units != want {
+		t.Errorf("substrate units = %d, want %d", fm.Phases[PhaseSubstrate].Units, want)
 	}
 	for _, p := range []Phase{PhaseAccum, PhaseFinalize} {
 		if st := fm.Phases[p]; st.Nanos <= 0 || st.Units <= 0 {
@@ -88,7 +98,7 @@ func checkFoldRecord(t *testing.T, res *Result) {
 // TestR2FormIsVisible: which form finalize solved R2 in is part of the plan —
 // FoldMetrics.R2 and the request trace's r2 label name it. Integer weights
 // take the closure; fractional ones, whose sums round, the substitution; a
-// partition fold has no R2 form to name.
+// partition fold takes the closure against strand 2's star table.
 func TestR2FormIsVisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -98,7 +108,7 @@ func TestR2FormIsVisible(t *testing.T) {
 		{"default weights", nil, "closure"},
 		{"unit weights", []Option{WithWeights(Weights{Unit: true})}, "closure"},
 		{"fractional weights", []Option{WithWeights(Weights{GC: 3.1, AU: 1.7, GU: 0.3})}, "substitution"},
-		{"partition", []Option{WithAlgebra(AlgebraPartition)}, ""},
+		{"partition", []Option{WithAlgebra(AlgebraPartition)}, "closure"},
 	} {
 		tr := itrace.New("t", "fold")
 		res, err := FoldContext(itrace.NewContext(context.Background(), tr), mSeq1, mSeq2, c.opts...)

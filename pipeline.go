@@ -359,10 +359,10 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		if err = rq.checkScoreRange(p.N1, p.N2); err != nil {
 			return err
 		}
-		if _, err = rq.strandS(ctx, p.Seq1, p.Tab.Intra1, &p.OwnS1, &p.S1); err != nil {
+		if _, err = rq.strandS(ctx, p.Seq1, &p.Tab.Intra1, &p.OwnS1, &p.S1); err != nil {
 			return err
 		}
-		_, err = rq.strandS(ctx, p.Seq2, p.Tab.Intra2, &p.OwnS2, &p.S2)
+		_, err = rq.strandS(ctx, p.Seq2, &p.Tab.Intra2, &p.OwnS2, &p.S2)
 		return err
 	})
 	if err != nil {
@@ -493,13 +493,14 @@ func (rq request) newProblem(res *Result, seq1, seq2 string) error {
 
 // strandS is the substrate stage's per-strand step for a max-plus S table —
 // an interaction fold's or a scan's S¹ and S², a single strand's: the cache
-// step over the one build, ibpmax.BuildS from the strand's pair weights into
-// *own (the caller's storage, created when nil), under the request's ctx on
-// its engine. *s becomes the table to read: the cache's — shared, read-only —
-// when there is one, else *own. What the cache keeps of a build is *own
-// itself, or a clone when *own is a pooled problem's storage, which the next
-// fold resets.
-func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra []score.Value, own, s **nussinov.Table) (how cacheOutcome, err error) {
+// step over the one build, ibpmax.BuildS from the strand's pair table *intra
+// (built there first when a single-strand caller has none yet) into *own
+// (the caller's storage, created when nil), under the request's ctx on its
+// engine. *s becomes the table to read:
+// the cache's — shared, read-only — when there is one, else *own. What the
+// cache keeps of a build is *own itself, or a clone when *own is a pooled
+// problem's storage, which the next fold resets.
+func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra *[]score.Value, own, s **nussinov.Table) (how cacheOutcome, err error) {
 	*s, how, err = cacheDo(ctx, rq.cache, layerSubstrate,
 		func() pipeline.Key { return strandKey(keySubstrate, seq, rq.sp, 0) },
 		func(retain bool) (_ *nussinov.Table, _ int64, err error) {
@@ -507,7 +508,12 @@ func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra []score.V
 			// here, for the build alone.
 			cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
 			defer release()
-			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), intra, cfg); err != nil {
+			if *intra == nil {
+				if *intra, err = score.IntraContext(ctx, seq, rq.sp); err != nil {
+					return nil, 0, err
+				}
+			}
+			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), *intra, cfg); err != nil {
 				return nil, 0, err
 			}
 			t := *own
@@ -666,13 +672,14 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	if err := rq.checkScoreRange(n, 0); err != nil {
 		return nil, err
 	}
-	// Only the strand's own pair table is read; with the build streamed, the
-	// two tables a second strand would add cost a third of the whole fold.
-	tab := score.Build(s, rna.Sequence{}, rq.sp)
+	// Only the strand's own pair table is read, and it is built where it is
+	// read — by the S build on a miss, before the traceback otherwise — under
+	// ctx: a request parked behind another's build waits at once.
+	var intra []score.Value
 	rq.pool = nil // the table is this request's own: no pooled storage to clone it out of
 	sb := rq.tr.Begin()
 	var own, t *nussinov.Table
-	how, err := rq.strandS(ctx, s, tab.Intra1, &own, &t)
+	how, err := rq.strandS(ctx, s, &intra, &own, &t)
 	rq.tr.End(how.stage(itrace.StageSubstrate), sb)
 	if err != nil {
 		return nil, err
@@ -681,7 +688,12 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	if n > 0 {
 		res.Score = t.At(0, n-1)
 		tb := rq.tr.Begin()
-		pairs := t.Traceback(tab.Score1)
+		if intra == nil {
+			if intra, err = score.IntraContext(ctx, s, rq.sp); err != nil {
+				return nil, err
+			}
+		}
+		pairs := t.Traceback(func(i, j int) score.Value { return intra[i*n+j] })
 		for _, p := range pairs {
 			res.Pairs = append(res.Pairs, Pair{p.I, p.J})
 		}
@@ -706,23 +718,26 @@ func (rq request) ensemble(ctx context.Context, seq string, kT float64) (*Ensemb
 		if err := fault.Hit(fault.SiteSubstrate); err != nil {
 			return res, 0, err
 		}
-		tab := score.Build(s, s, rq.sp)
+		intra, err := score.IntraContext(ctx, s, rq.sp)
+		if err != nil {
+			return res, 0, err
+		}
 		n := s.Len()
 		logPair := func(i, j int) float64 {
-			w := float64(tab.Score1(i, j))
+			w := float64(intra[i*n+j])
 			if w < -1e20 {
 				return math.Inf(-1)
 			}
 			return w / kT
 		}
 		countPair := func(i, j int) float64 {
-			if float64(tab.Score1(i, j)) < -1e20 {
+			if float64(intra[i*n+j]) < -1e20 {
 				return 0
 			}
 			return 1
 		}
 		optPair := func(i, j int) semiring.Optimum {
-			w := tab.Score1(i, j)
+			w := intra[i*n+j]
 			if float64(w) < -1e20 {
 				return semiring.MaxPlusCount{}.Zero()
 			}
