@@ -186,6 +186,21 @@ run_lint() (
         echo "lint: one span stream: the solver records into FoldMetrics, the trace reads it" >&2
         exit 1
     fi
+    # One metrics schema: /metrics/prom walks the fields Snapshot declares. A
+    # Snapshot or *Stats field named in prom.go, or a series named by hand (a
+    # "bpmax_..." or "_..." name literal), is a second, hand-kept schema
+    # growing back; the pool's derived "_hit_rate" is the one named family.
+    fields="$(awk '/^type (Snapshot|[A-Za-z]*Stats) struct/ { in_t = 1; next }
+                   in_t && /^}/ { in_t = 0 }
+                   in_t && /^\t[A-Z]/ { print $1 }' $(ls internal/metrics/*.go | grep -v '_test\.go$') |
+        sort -u | paste -sd '|')"
+    [ -n "$fields" ] || { echo "lint: no Snapshot/*Stats fields found in internal/metrics" >&2; exit 1; }
+    if grep -nE "\.($fields)\b" internal/metrics/prom.go | grep -vE '^[0-9]+:[[:space:]]*//' ||
+        grep -noE '"(bpmax)?_[a-z0-9_]*"' internal/metrics/prom.go |
+        grep -v -e ':"_"$' -e ':"_total"$' -e ':"_hit_rate"$'; then
+        echo "lint: a metric rendered by name in internal/metrics/prom.go (declare the field; WriteProm walks it)" >&2
+        exit 1
+    fi
     # Assembly lives in one package, behind one set of Go declarations that
     # `go vet`'s asmdecl check (run above) holds it to.
     if find . -name '*.s' -not -path './internal/maxplus/*' | grep .; then

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bpmax-go/bpmax/internal/cliflags"
 	"github.com/bpmax-go/bpmax/internal/trace"
 )
 
@@ -160,9 +161,13 @@ func TestPromAndRuntimeMetrics(t *testing.T) {
 
 // TestMidFillDisconnectTraced cancels the client mid-fill over a real
 // connection and checks the trace still lands in the ring, complete and
-// status-499, with every recorded stage inside the request's extent.
+// status-499, with every recorded stage inside the request's extent. A delay
+// failpoint on the fill's first loop iteration holds the request inside the
+// pipeline well past the client's deadline.
 func TestMidFillDisconnectTraced(t *testing.T) {
-	s := newTestServer(t, nil, tracedConfig())
+	s := newTestServer(t, func(f *cliflags.Serving) {
+		f.Failpoints = "engine-iter=once*delay(250ms)"
+	}, tracedConfig())
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	s1, s2 := slowSeq()

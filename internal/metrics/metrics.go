@@ -129,73 +129,57 @@ func (m *FoldMetrics) Reset() { *m = FoldMetrics{} }
 
 // GFLOPS returns the effective max-plus throughput of the fill.
 func (m *FoldMetrics) GFLOPS() float64 {
-	if m.FillNanos <= 0 {
-		return 0
-	}
-	return float64(m.FLOPs) / float64(m.FillNanos)
+	g, _ := rates(m.FLOPs, m.Cells, m.FillNanos)
+	return g
 }
 
 // CellsPerSecond returns the DP-cell fill rate.
 func (m *FoldMetrics) CellsPerSecond() float64 {
-	if m.FillNanos <= 0 {
-		return 0
-	}
-	return float64(m.Cells) / (float64(m.FillNanos) / 1e9)
+	_, c := rates(m.FLOPs, m.Cells, m.FillNanos)
+	return c
 }
 
 // Snapshot renders the fold metrics with phases keyed by name (zero
 // phases omitted) and derived rates attached.
 func (m *FoldMetrics) Snapshot() FoldSnapshot {
-	s := FoldSnapshot{
-		Schedule:            m.Schedule,
-		Kernel:              m.Kernel,
-		R2:                  m.R2,
-		N1:                  m.N1,
-		N2:                  m.N2,
-		Workers:             m.Workers,
-		Wavefronts:          m.Wavefronts,
-		FillNanos:           m.FillNanos,
-		Cells:               m.Cells,
-		FLOPs:               m.FLOPs,
-		TableBytes:          m.TableBytes,
-		BudgetEstimateBytes: m.BudgetEstimateBytes,
-		Degraded:            m.Degraded,
-		Algebra:             m.Algebra,
-		PartitionDomain:     m.PartitionDomain,
-		GFLOPS:              m.GFLOPS(),
-		CellsPerSecond:      m.CellsPerSecond(),
-	}
-	for p := Phase(0); p < PhaseCount; p++ {
-		if st := m.Phases[p]; st != (PhaseStat{}) {
-			if s.Phases == nil {
-				s.Phases = map[string]PhaseStat{}
-			}
-			s.Phases[p.String()] = st
-		}
-	}
+	s := FoldSnapshot{FoldMetrics: *m, Phases: phaseMap(func(p Phase) PhaseStat { return m.Phases[p] })}
+	s.FoldMetrics.Phases = [PhaseCount]PhaseStat{} // the map carries them; JSON has no array
+	s.GFLOPS, s.CellsPerSecond = rates(m.FLOPs, m.Cells, m.FillNanos)
 	return s
 }
 
-// FoldSnapshot is the JSON form of one fold's metrics.
+// FoldSnapshot is the JSON form of one fold's metrics: the record itself,
+// its phases keyed by name (Phases shadows the record's per-Phase array)
+// and its derived rates.
 type FoldSnapshot struct {
-	Schedule            string               `json:"schedule"`
-	Kernel              string               `json:"kernel,omitempty"`
-	R2                  string               `json:"r2,omitempty"`
-	N1                  int                  `json:"n1"`
-	N2                  int                  `json:"n2"`
-	Workers             int                  `json:"workers"`
-	Wavefronts          int64                `json:"wavefronts"`
-	Phases              map[string]PhaseStat `json:"phases,omitempty"`
-	FillNanos           int64                `json:"fill_nanos"`
-	Cells               int64                `json:"cells"`
-	FLOPs               int64                `json:"flops"`
-	TableBytes          int64                `json:"table_bytes"`
-	BudgetEstimateBytes int64                `json:"budget_estimate_bytes"`
-	Degraded            string               `json:"degraded"`
-	Algebra             string               `json:"algebra,omitempty"`
-	PartitionDomain     string               `json:"partition_domain,omitempty"`
-	GFLOPS              float64              `json:"gflops"`
-	CellsPerSecond      float64              `json:"cells_per_second"`
+	FoldMetrics
+	Phases         map[string]PhaseStat `json:"phases,omitempty"`
+	GFLOPS         float64              `json:"gflops"`
+	CellsPerSecond float64              `json:"cells_per_second"`
+}
+
+// rates derives a fill's GFLOPS and DP cells per second from its operation
+// and cell counts and its wall time (zero before any fill time).
+func rates(flops, cells, nanos int64) (gflops, cellsPerSecond float64) {
+	if nanos <= 0 {
+		return 0, 0
+	}
+	return float64(flops) / float64(nanos), float64(cells) / (float64(nanos) / 1e9)
+}
+
+// phaseMap keys the non-zero phase stats by phase name (nil when all are
+// zero).
+func phaseMap(stat func(Phase) PhaseStat) map[string]PhaseStat {
+	var out map[string]PhaseStat
+	for p := Phase(0); p < PhaseCount; p++ {
+		if st := stat(p); st != (PhaseStat{}) {
+			if out == nil {
+				out = map[string]PhaseStat{}
+			}
+			out[p.String()] = st
+		}
+	}
+	return out
 }
 
 // HighWater is an atomic maximum tracker.
@@ -328,20 +312,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		RetrySuccesses:      m.retrySuccesses.Load(),
 		RetriesExhausted:    m.retriesExhausted.Load(),
 		PartitionFallbacks:  m.partitionFallbacks.Load(),
+		Phases: phaseMap(func(p Phase) PhaseStat {
+			return PhaseStat{Nanos: m.phaseNanos[p].Load(), Units: m.phaseUnits[p].Load()}
+		}),
 	}
-	if s.FillNanos > 0 {
-		s.GFLOPS = float64(s.FLOPs) / float64(s.FillNanos)
-		s.CellsPerSecond = float64(s.Cells) / (float64(s.FillNanos) / 1e9)
-	}
-	for p := Phase(0); p < PhaseCount; p++ {
-		st := PhaseStat{Nanos: m.phaseNanos[p].Load(), Units: m.phaseUnits[p].Load()}
-		if st != (PhaseStat{}) {
-			if s.Phases == nil {
-				s.Phases = map[string]PhaseStat{}
-			}
-			s.Phases[p.String()] = st
-		}
-	}
+	s.GFLOPS, s.CellsPerSecond = rates(s.FLOPs, s.Cells, s.FillNanos)
 	return s
 }
 
@@ -350,21 +325,21 @@ func (m *Metrics) Snapshot() Snapshot {
 // cannot know which engine or pool a service routes folds through).
 type Snapshot struct {
 	Folds    int64 `json:"folds"`
-	Errors   int64 `json:"errors"`
-	Degraded int64 `json:"degraded"`
+	Errors   int64 `json:"errors" prom:"fold_errors"`
+	Degraded int64 `json:"degraded" prom:"folds_degraded"`
 
 	Cells          int64   `json:"cells"`
 	FLOPs          int64   `json:"flops"`
 	FillNanos      int64   `json:"fill_nanos"`
-	GFLOPS         float64 `json:"gflops"`
-	CellsPerSecond float64 `json:"cells_per_second"`
+	GFLOPS         float64 `json:"gflops" prom:",gauge"`
+	CellsPerSecond float64 `json:"cells_per_second" prom:",gauge"`
 
-	Phases map[string]PhaseStat `json:"phases,omitempty"`
+	Phases map[string]PhaseStat `json:"phases,omitempty" prom:"phase"`
 
-	TableBytesHighWater int64 `json:"table_bytes_high_water"`
-	BudgetHighWater     int64 `json:"budget_estimate_high_water"`
+	TableBytesHighWater int64 `json:"table_bytes_high_water" prom:",gauge"`
+	BudgetHighWater     int64 `json:"budget_estimate_high_water" prom:",gauge"`
 
-	FoldNanos HistogramSnapshot `json:"fold_nanos"`
+	FoldNanos HistogramSnapshot `json:"fold_nanos" prom:"fold_duration_seconds"`
 
 	// Retries counts retry attempts under WithRetry; RetrySuccesses the
 	// folds rescued by one, RetriesExhausted the folds that were retried and
@@ -389,7 +364,7 @@ type Snapshot struct {
 	Server *ServerStats `json:"server,omitempty"`
 	// Runtime is a Go runtime health sample (ReadRuntime), attached by
 	// process-level snapshot paths (bpmax -stats, bpmaxd /metrics).
-	Runtime *RuntimeStats `json:"runtime,omitempty"`
+	Runtime *RuntimeStats `json:"runtime,omitempty" prom:"go"`
 }
 
 // ServerStats counts an HTTP front-end's request outcomes by status class.
@@ -401,7 +376,7 @@ type ServerStats struct {
 	// (/v1/*); health, metrics and pprof probes are not included.
 	Requests int64 `json:"requests"`
 	// InFlight is the number of requests currently being served.
-	InFlight int64 `json:"in_flight"`
+	InFlight int64 `json:"in_flight" prom:",gauge"`
 	// OK counts 2xx responses.
 	OK int64 `json:"ok"`
 	// BadRequest counts 4xx responses other than 429 (malformed bodies,
@@ -421,7 +396,7 @@ type ServerStats struct {
 	// (context canceled by the peer, no response written).
 	Disconnects int64 `json:"client_disconnects"`
 	// Draining reports whether the server has begun its graceful drain.
-	Draining bool `json:"draining"`
+	Draining bool `json:"draining" prom:",gauge"`
 }
 
 // EngineStats is a snapshot of a persistent worker engine's utilization
@@ -430,7 +405,7 @@ type ServerStats struct {
 // dynamic chunk claims the workers made.
 type EngineStats struct {
 	// Width is the engine's total parallel width (submitter + helpers).
-	Width int `json:"width"`
+	Width int `json:"width" prom:",gauge"`
 	// Runs counts parallel loops executed on the engine; SequentialRuns
 	// the subset that ran on the submitter alone (width or n clamped
 	// to 1); FallbackRuns loops submitted after Close, which also ran on
@@ -496,23 +471,23 @@ type CacheStats struct {
 	// SingleFlightShared counts lookups — of either class — served by
 	// another request's in-flight build of the same key instead of building
 	// themselves.
-	SingleFlightShared int64 `json:"single_flight_shared"`
+	SingleFlightShared int64 `json:"single_flight_shared" prom:"singleflight_shared"`
 	// Evictions counts entries dropped by the LRU policy; Entries is the
 	// current entry count across both classes.
 	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
+	Entries   int64 `json:"entries" prom:",gauge"`
 	// RetainedBytes is the storage currently pinned by cache entries (it is
 	// charged against WithMemoryLimit budgets); RetainedHighWater the
 	// maximum ever pinned.
-	RetainedBytes     int64 `json:"retained_bytes"`
-	RetainedHighWater int64 `json:"retained_high_water"`
+	RetainedBytes     int64 `json:"retained_bytes" prom:",gauge"`
+	RetainedHighWater int64 `json:"retained_high_water" prom:",gauge"`
 	// BreakerOpens counts circuit-breaker trips — any cached key, a pair's
 	// result or a strand's table, whose single-flight leaders kept failing;
 	// BreakerBypasses the requests built cold because their key's breaker was
 	// open; BreakerOpenKeys the keys currently open or half-open.
 	BreakerOpens    int64 `json:"breaker_opens"`
 	BreakerBypasses int64 `json:"breaker_bypasses"`
-	BreakerOpenKeys int64 `json:"breaker_open_keys"`
+	BreakerOpenKeys int64 `json:"breaker_open_keys" prom:",gauge"`
 }
 
 // AdmissionStats is a snapshot of an admission gate: the bounded concurrency
@@ -522,28 +497,28 @@ type CacheStats struct {
 type AdmissionStats struct {
 	// MaxConcurrent and MaxQueue echo the gate's configuration (MaxQueue 0
 	// means unbounded).
-	MaxConcurrent int `json:"max_concurrent"`
-	MaxQueue      int `json:"max_queue"`
+	MaxConcurrent int `json:"max_concurrent" prom:",gauge"`
+	MaxQueue      int `json:"max_queue" prom:",gauge"`
 	// Running is the number of requests currently holding a slot;
 	// QueueDepth the number currently waiting.
-	Running    int64 `json:"running"`
-	QueueDepth int64 `json:"queue_depth"`
+	Running    int64 `json:"running" prom:",gauge"`
+	QueueDepth int64 `json:"queue_depth" prom:",gauge"`
 	// QueueDepthHighWater is the deepest the wait queue has ever been.
-	QueueDepthHighWater int64 `json:"queue_depth_high_water"`
+	QueueDepthHighWater int64 `json:"queue_depth_high_water" prom:",gauge"`
 	Admitted            int64 `json:"admitted"`
 	Rejected            int64 `json:"rejected"`
 	Expired             int64 `json:"expired"`
 	// WaitNanosTotal sums the queue time of every admitted request;
 	// WaitNanosHighWater is the longest any single request waited.
 	WaitNanosTotal     int64 `json:"wait_nanos_total"`
-	WaitNanosHighWater int64 `json:"wait_nanos_high_water"`
+	WaitNanosHighWater int64 `json:"wait_nanos_high_water" prom:",gauge"`
 }
 
 // FaultStats is a snapshot of the fault-injection registry
 // (internal/fault): how many sites are armed, how many checks armed sites
 // have seen, and how many injections fired, broken down by site.
 type FaultStats struct {
-	Armed    int   `json:"armed"`
+	Armed    int   `json:"armed" prom:",gauge"`
 	Checks   int64 `json:"checks"`
 	Injected int64 `json:"injected"`
 	// Sites maps site name to its injection count (sites that never fired
@@ -565,9 +540,9 @@ type BufferStats struct {
 	// Live is Gets minus returns — buffers currently owned by callers. A
 	// monotonically growing Live under a steady workload indicates leaked
 	// results (folds whose Release was never called).
-	Live int64 `json:"live"`
+	Live int64 `json:"live" prom:"live_buffers,gauge"`
 	// RetainedBytes is the idle storage parked in the arena now;
 	// RetainedHighWater the maximum ever parked.
-	RetainedBytes     int64 `json:"retained_bytes"`
-	RetainedHighWater int64 `json:"retained_high_water"`
+	RetainedBytes     int64 `json:"retained_bytes" prom:"retained_bytes,gauge"`
+	RetainedHighWater int64 `json:"retained_high_water" prom:",gauge"`
 }

@@ -13,20 +13,20 @@ import (
 // cmd/bpmaxd /metrics).
 type RuntimeStats struct {
 	// Goroutines is the live goroutine count.
-	Goroutines int `json:"goroutines"`
+	Goroutines int `json:"goroutines" prom:",gauge"`
 	// GCPauseTotalNanos is the cumulative stop-the-world pause time since
 	// process start; NumGC the completed GC cycle count.
-	GCPauseTotalNanos int64  `json:"gc_pause_total_nanos"`
-	NumGC             uint32 `json:"num_gc"`
+	GCPauseTotalNanos int64  `json:"gc_pause_total_nanos" prom:"gc_pause_nanos"`
+	NumGC             uint32 `json:"num_gc" prom:"gc_cycles"`
 	// HeapAllocBytes is the live heap (allocated and not yet freed);
 	// HeapSysBytes the heap memory obtained from the OS.
-	HeapAllocBytes int64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   int64 `json:"heap_sys_bytes"`
+	HeapAllocBytes int64 `json:"heap_alloc_bytes" prom:",gauge"`
+	HeapSysBytes   int64 `json:"heap_sys_bytes" prom:",gauge"`
 	// SchedLatencyP50Nanos / P99Nanos are quantiles of the runtime's
 	// /sched/latencies:seconds distribution — how long ready goroutines sat
 	// waiting for a thread. Zero when the runtime histogram is empty.
-	SchedLatencyP50Nanos int64 `json:"sched_latency_p50_nanos"`
-	SchedLatencyP99Nanos int64 `json:"sched_latency_p99_nanos"`
+	SchedLatencyP50Nanos int64 `json:"sched_latency_p50_nanos" prom:",gauge"`
+	SchedLatencyP99Nanos int64 `json:"sched_latency_p99_nanos" prom:",gauge"`
 }
 
 // schedLatencyMetric is the runtime/metrics key sampled for scheduler
