@@ -70,17 +70,31 @@ run_lint() (
         echo "lint: WTable is back (a banded table is an FTable with W < N)" >&2
         exit 1
     fi
-    # One fill body: the k2 stream loop is called from the accumulate/finalize
-    # bodies in triangle.go (R0, R1 and R2 — the closure in R1's shape against
-    # S² or Ŝ, the substitution with a left column bound) and the DMP micro-app, nowhere
-    # else. (The substrate's row fill was tried on it and
-    # lost: docs/PERFORMANCE.md, "Paths retired because they lost".)
+    # One fill body per table: the k2 stream loop is called from the
+    # accumulate/finalize bodies in triangle.go (R0, R1 and R2 — the closure in
+    # R1's shape against S² or Ŝ, the substitution with a left column bound),
+    # the DMP micro-app, and the substrate's one row body in
+    # internal/nussinov/fill.go (an exact max-plus row closed in one sweep from
+    # a copy of its seed), nowhere else.
     if grep -rn --include='*.go' '[sS]weep(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
         -e '^\./internal/maxplus/' -e '^\./internal/semiring/' \
-        -e '^\./internal/bpmax/triangle\.go:' -e '^\./internal/bpmax/dmp\.go:'; then
-        echo "lint: Sweep called outside triangle.go/dmp.go (a second copy of the fill)" >&2
+        -e '^\./internal/bpmax/triangle\.go:' -e '^\./internal/bpmax/dmp\.go:' \
+        -e '^\./internal/nussinov/fill\.go:'; then
+        echo "lint: Sweep called outside triangle.go/dmp.go/nussinov's fill.go (a second copy of the fill)" >&2
         exit 1
     fi
+    # The pair tables are written a row at a time by lookup in the row base's
+    # weight row (score.pairRow). Model.Pair inside a table fill is the
+    # per-cell copy of the Model growing back. Anchored on the three
+    # functions: a renamed one fails the check instead of emptying it.
+    awk '/^func (fillIntra|BuildInto|pairRow)\(/ { in_fn = 1; found++ }
+         in_fn && /\.Pair\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         in_fn && /^}/ { in_fn = 0 }
+         END { if (found != 3) { print "lint: anchors fillIntra/BuildInto/pairRow not all found in " FILENAME; exit 1 }
+               exit bad }' internal/score/score.go >&2 || {
+        echo "lint: Model.Pair called in a score table fill, or a fill not found (write rows through pairRow)" >&2
+        exit 1
+    }
     # Finalize's R2 goes through Sweep in both of its forms: the closure, one
     # sweep a row from a copy of the row against an R2 table — S² itself for
     # exact max-plus, strand 2's star table Ŝ for partition — and the forward
@@ -286,9 +300,10 @@ run_fuzz() (
     # pins every schedule, on the full table and on a band of it, bit-identical
     # to the top-down reference and the scaled partition fill to its log-domain
     # oracle, the substrate bit-identity fuzzer that holds every form of the
-    # one single-strand fill (streamed on both kernel bodies, into a pooled
-    # table's Reset storage, tiled by FillContext) and the Four-Russians
-    # comparator to the per-cell reference, and the two input fuzzers (raw
+    # one single-strand fill (the walk and the closure, on every kernel body,
+    # into a pooled table's Reset storage, tiled by FillContext) and the
+    # Four-Russians comparator to the per-cell reference, and the two input
+    # fuzzers (raw
     # sequences, FASTA round trip).
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSemiringParity -fuzztime 10s ./internal/bpmax/

@@ -132,7 +132,7 @@ func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64, cf
 	t, lse := nussinov.NewGTable[float64](n), semiring.LogSumExpKernels()
 	err := t.FillContext(ctx, lse, lse.One, func(i, j int) float64 {
 		return scalePartition(intra[i*n+j], kT)
-	}, pfor)
+	}, false, pfor)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, 
 		f, ok := boltzmann(intra[i*n+j], kT, 2*sig0)
 		inWindow = inWindow && ok
 		return f
-	}, pfor)
+	}, false, pfor)
 	if err != nil {
 		return nil, err
 	}

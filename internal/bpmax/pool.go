@@ -86,13 +86,13 @@ func (pl *Pool) NewProblem(seq1, seq2 string, params score.Params) (*Problem, er
 	if err != nil {
 		return nil, err
 	}
-	p.buildS()
+	p.buildS(params.Model)
 	return p, nil
 }
 
 // NewProblemShell is NewProblem without the two O(n³) Nussinov fills; the
-// caller follows up with BuildS1/BuildS2 or points S1/S2 at cached tables.
-// A recycled shell forgets the tables its last fold read — possibly a
+// caller follows up with BuildS for each strand or points S1/S2 at cached
+// tables. A recycled shell forgets the tables its last fold read — possibly a
 // cache's — and keeps only its own storage. A nil pool builds a fresh,
 // unpooled shell the same way.
 func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Problem, error) {

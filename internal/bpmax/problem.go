@@ -65,46 +65,34 @@ func NewProblem(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) {
 		N1: n1, N2: n2,
 		Tab: score.Build(seq1, seq2, p),
 	}
-	prob.buildS()
+	prob.buildS(p.Model)
 	return prob, nil
 }
 
-// buildS fills S¹ and S² on the calling goroutine; a background context
-// never cancels, so neither build fails.
-func (p *Problem) buildS() {
-	_ = p.BuildS1(context.Background(), Config{Workers: 1})
-	_ = p.BuildS2(context.Background(), Config{Workers: 1})
-}
-
-// BuildS1 fills the S¹ single-strand table in the problem's own storage
-// (created or Reset as needed — bit-identical to a fresh nussinov.Build) and
-// installs it; see BuildS.
-func (p *Problem) BuildS1(ctx context.Context, cfg Config) (err error) {
-	p.OwnS1, err = BuildS(ctx, p.OwnS1, p.N1, p.Tab.Intra1, cfg)
-	p.S1 = p.OwnS1
-	return err
-}
-
-// BuildS2 fills and installs the S² table; see BuildS1.
-func (p *Problem) BuildS2(ctx context.Context, cfg Config) (err error) {
-	p.OwnS2, err = BuildS(ctx, p.OwnS2, p.N2, p.Tab.Intra2, cfg)
-	p.S2 = p.OwnS2
-	return err
+// buildS fills S¹ and S² under model m on the calling goroutine; a
+// background context never cancels, so neither build fails.
+func (p *Problem) buildS(m score.Model) {
+	ctx, cfg := context.Background(), Config{Workers: 1}
+	p.OwnS1, _ = BuildS(ctx, p.OwnS1, p.N1, p.Tab.Intra1, m, cfg)
+	p.OwnS2, _ = BuildS(ctx, p.OwnS2, p.N2, p.Tab.Intra2, m, cfg)
+	p.S1, p.S2 = p.OwnS1, p.OwnS2
 }
 
 // BuildS is the build of every max-plus S table — an interaction fold's S¹
-// and S², a single strand's — from the strand's n×n pair weights: the
-// row-streamed fill into t (allocated when nil, Reset otherwise), stopping
-// within one row or tile wavefront of a cancelled ctx, on cfg's parallel
-// runtime where nussinov tiles the table. It returns the table it filled,
-// partially on an error.
-func BuildS(ctx context.Context, t *nussinov.Table, n int, intra []score.Value, cfg Config) (*nussinov.Table, error) {
+// and S², a single strand's — from the strand's n×n pair weights under model
+// m: the row-streamed fill into t (allocated when nil, Reset otherwise),
+// stopping within one row or tile wavefront of a cancelled ctx, on cfg's
+// parallel runtime where nussinov tiles the table. Where m's sums over n
+// bases are exact (exactSums, O(1) from the model) the rows finish by the
+// closure sweep. It returns the table it filled, partially on an error.
+func BuildS(ctx context.Context, t *nussinov.Table, n int, intra []score.Value, m score.Model, cfg Config) (*nussinov.Table, error) {
 	if t == nil {
 		t = &nussinov.Table{}
 	}
 	t.Reset(n)
 	sc := func(i, j int) float32 { return intra[i*n+j] }
-	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, sc, cfg.ParallelFor(n))
+	w, integer := m.IntegerBounded()
+	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, sc, exactSums(integer, w, n), cfg.ParallelFor(n))
 }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).

@@ -298,12 +298,18 @@ const (
 )
 
 // exactMaxPlus reports whether every sum a float32 max-plus fill of p forms
-// is exact: every allowed weight is a non-negative integer, and no score of
-// a structure's ⌊(N1+N2)/2⌋ pairs reaches 2²⁴, float32's last consecutive
-// integer. The pipeline refuses folds past that bound (checkScoreRange); the
-// solver is reachable without it.
+// is exact (exactSums over both strands). The pipeline refuses folds past
+// that bound (checkScoreRange); the solver is reachable without it.
 func exactMaxPlus(p *Problem) bool {
-	return p.Tab.IntegerWeights && float64(p.Tab.MaxWeight)*float64((p.N1+p.N2)/2) < 1<<24
+	return exactSums(p.Tab.IntegerWeights, p.Tab.MaxWeight, p.N1+p.N2)
+}
+
+// exactSums reports whether every sum a float32 max-plus fill over n bases
+// forms is exact: every allowed weight is a non-negative integer (integer)
+// at most maxWeight, and no score of a structure's ⌊n/2⌋ pairs reaches 2²⁴,
+// float32's last consecutive integer.
+func exactSums(integer bool, maxWeight, n int) bool {
+	return integer && float64(maxWeight)*float64(n/2) < 1<<24
 }
 
 // r2Chunk is the width in float32 cells of the chunks R2's forward

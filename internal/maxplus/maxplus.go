@@ -16,14 +16,17 @@
 // work): it holds a block of four vectors of Y in registers — 256 bytes on
 // AVX-512, 128 on AVX2 — while a whole k2 loop of streams passes through it,
 // so Y makes one trip through memory per block, not one per k2; with a left
-// column bound it is also the step of finalize's blocked R2. BPPart's
+// column bound it is also the step of finalize's blocked R2, and with a
+// scratch copy of the row as a, the substrate's closure row. BPPart's
 // partition function is the same stream in the (+, ×) algebra over float64,
-// Y[j] = Y[j] + a·X[j]: SumProduct, SumProductSweep and MulScalarInto are
-// those kernels, on the same assembly skeletons at half the lanes. The Go
+// Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductSweep and
+// MulScalarInto are those kernels, on the same assembly skeletons at half
+// the lanes. The Go
 // loops they all replace (portable.go) are every other build: other
 // architectures, the `purego` tag, an amd64 CPU without AVX2. Every body
 // produces the same bits; Impl names the one in use, Impls every one the CPU
-// can run, and BodyOf hands the tests any of them.
+// can run, and BodyOf hands any of them to package semiring's bundles — the
+// fills' only route to Sweep and the float64 kernels — and to the tests.
 //
 // The gather kernel (DotMaxPlusStride) implements the *rejected* schedules
 // that keep k2 innermost; it exists so the benchmarks can demonstrate why
@@ -171,7 +174,8 @@ func addScalarInto512(dst, x []float32, a float32) {
 	}
 }
 
-// Sweep runs a whole k2 loop of streams into one accumulator row:
+// sweep is every body's Sweep (Body.Sweep; semiring.Kernels.Sweep binds it):
+// a whole k2 loop of streams into one accumulator row,
 //
 //	for k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j])  for j in [max(k2+1, from), n)
 //
@@ -193,10 +197,6 @@ func addScalarInto512(dst, x []float32, a float32) {
 // itself, several a step, and does nothing if one lies outside b; the Go
 // loops — the same bits — then run the streams before that row, and the
 // panic names it.
-func Sweep(y, a, b []float32, off []int, k0, k1, from, n int) {
-	sweep(process, y, a, b, off, k0, k1, from, n)
-}
-
 func sweep(v isa, y, a, b []float32, off []int, k0, k1, from, n int) {
 	if k0 >= k1 {
 		return
@@ -242,13 +242,12 @@ func panicSweepRow(name string, blen int, off []int, k2, n int) {
 	panic(fmt.Sprintf("maxplus: %s row %d at offset %d to column %d outside b[:%d]", name, k2+1, off[k2+1], n, blen))
 }
 
-// SumProduct performs the streaming update y[i] = y[i] + a * x[i] over the
-// common prefix of x and y: Accumulate in the (+, ×) algebra over float64,
-// the inner loop of the scaled partition fill. The product is rounded before
-// the add — two operations, never a fused multiply-add — in the vector body
-// and the Go loop alike. x must not overlap the part of y it updates.
-func SumProduct(y, x []float64, a float64) { bodies[process].SumProduct(y, x, a) }
-
+// The vector bodies of Body.SumProduct: the streaming update
+// y[i] = y[i] + a * x[i] over the common prefix of x and y, Accumulate in the
+// (+, ×) algebra over float64 and the inner loop of the scaled partition
+// fill. The product is rounded before the add — two operations, never a
+// fused multiply-add — in the vector bodies and the Go loop (SumProductGo)
+// alike. x must not overlap the part of y it updates.
 func sumProduct2(y, x []float64, a float64) {
 	if n := min(len(y), len(x)); n > 0 {
 		sumProductAVX2(&y[0], &x[0], n, a)
@@ -261,10 +260,9 @@ func sumProduct512(y, x []float64, a float64) {
 	}
 }
 
-// MulScalarInto initializes dst[i] = a * x[i] over the common prefix of dst
-// and x: AddScalarInto in the (+, ×) algebra over float64.
-func MulScalarInto(dst, x []float64, a float64) { bodies[process].MulScalarInto(dst, x, a) }
-
+// The vector bodies of Body.MulScalarInto: dst[i] = a * x[i] over the
+// common prefix of dst and x, AddScalarInto in the (+, ×) algebra over
+// float64.
 func mulScalarInto2(dst, x []float64, a float64) {
 	if n := min(len(dst), len(x)); n > 0 {
 		mulScalarIntoAVX2(&dst[0], &x[0], n, a)
@@ -277,15 +275,11 @@ func mulScalarInto512(dst, x []float64, a float64) {
 	}
 }
 
-// SumProductSweep is Sweep in the (+, ×) algebra over float64:
+// sumProductSweep is sweep in the (+, ×) algebra over float64 (Body.SumProductSweep):
 //
 //	for k2 in [k0, k1): y[j] = y[j] + a[k2] * b[off[k2+1]+j]  for j in [max(k2+1, from), n)
 //
 // with the same arguments, the same requirements on them and the same checks.
-func SumProductSweep(y, a, b []float64, off []int, k0, k1, from, n int) {
-	sumProductSweep(process, y, a, b, off, k0, k1, from, n)
-}
-
 func sumProductSweep(v isa, y, a, b []float64, off []int, k0, k1, from, n int) {
 	if k0 >= k1 {
 		return

@@ -2,9 +2,11 @@ package nussinov_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/fourrussians"
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -12,13 +14,14 @@ import (
 )
 
 // FuzzSubstrateParity is the bit-identity gate of every single-strand fill:
-// for arbitrary sequences and all three stock score models, the streamed
-// table (on the process's kernels and on the portable Go ones, in fresh
+// for arbitrary sequences, all three stock score models and a minimum
+// hairpin loop, the streamed table in both forms — the per-split walk and the
+// closure sweep — (on every kernel body the process can run, in fresh
 // storage and in a pooled table's dirty storage after Reset), the table
-// FillContext tiles across workers and the Four-Russians comparator's table
-// (an independent implementation of the recurrence, off the serving path)
-// must equal the per-cell reference's bit for bit, and a traceback over the
-// streamed table must reach the reference's total weight.
+// FillContext tiles across workers in both forms and the Four-Russians
+// comparator's table (an independent implementation of the recurrence, off
+// the serving path) must equal the per-cell reference's bit for bit, and a
+// traceback over the streamed table must reach the reference's total weight.
 func FuzzSubstrateParity(f *testing.F) {
 	f.Add("GGGAAACCC")
 	f.Add("GCGC")
@@ -35,36 +38,52 @@ func FuzzSubstrateParity(f *testing.F) {
 			t.Skip("non-nucleotide input")
 		}
 		n := seq.Len()
-		for _, m := range []score.Model{score.BasePair(), score.Unit(), score.Forbidden("forbidden")} {
-			maxStep, ok := m.IntegerBounded()
+		hairpin := score.Params{Model: score.BasePair(), MinHairpin: 3}
+		for _, p := range []score.Params{{Model: score.BasePair()}, {Model: score.Unit()}, {Model: score.Forbidden("forbidden")}, hairpin} {
+			label := fmt.Sprintf("%s hairpin %d", p.Model.Name(), p.MinHairpin)
+			maxStep, ok := p.Model.IntegerBounded()
 			if !ok {
-				t.Fatalf("%s: not integer-bounded", m.Name())
+				t.Fatalf("%s: not integer-bounded", label)
 			}
-			sc := func(i, j int) float32 { return m.Pair(seq.At(i), seq.At(j)) }
+			intra, err := score.IntraContext(context.Background(), seq, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := func(i, j int) float32 { return intra[i*n+j] }
 			want := nussinov.ReferenceBuild(n, sc)
 			streamed := nussinov.Build(n, sc)
-			// FillContext's tiled form, at a cutoff and tile edge a fuzzed
-			// strand reaches.
-			tiled, err := nussinov.BuildTiled(context.Background(), n, 16, 0, semiring.MaxPlusKernels(false), sc, nussinov.ForkJoin(2))
-			if err != nil {
-				t.Fatalf("%s: tiled build: %v", m.Name(), err)
-			}
-			// A pooled problem's table: larger storage full of another fold's
-			// cells, Reset to this strand and filled in place.
-			pooled := nussinov.NewGTable[float32](n + 5)
-			for i := range pooled.Data() {
-				pooled.Data()[i] = float32(i%7) - 3
-			}
-			pooled.Reset(n)
-			if err := pooled.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, nil); err != nil {
-				t.Fatalf("%s: pooled fill: %v", m.Name(), err)
-			}
 			subjects := map[string]*nussinov.Table{
 				"streamed":      streamed,
 				"streamed-go":   nussinov.BuildG(n, semiring.MaxPlusKernelsGo(false), sc),
-				"tiled":         tiled,
-				"pooled":        pooled,
 				"four-russians": fourrussians.Build(n, sc, maxStep),
+			}
+			for _, exact := range []bool{false, true} {
+				form := map[bool]string{false: "walk", true: "closure"}[exact]
+				for _, impl := range maxplus.Impls() {
+					got, err := nussinov.BuildTiled(context.Background(), n, 16, 0, semiring.MaxPlusKernelsOf(impl), sc, exact, nil)
+					if err != nil {
+						t.Fatalf("%s: %s build: %v", label, form, err)
+					}
+					subjects[form+"-"+impl] = got
+				}
+				// FillContext's tiled form, at a cutoff and tile edge a fuzzed
+				// strand reaches.
+				tiled, err := nussinov.BuildTiled(context.Background(), n, 16, 0, semiring.MaxPlusKernels(false), sc, exact, nussinov.ForkJoin(2))
+				if err != nil {
+					t.Fatalf("%s: tiled build: %v", label, err)
+				}
+				subjects["tiled-"+form] = tiled
+				// A pooled problem's table: larger storage full of another fold's
+				// cells, Reset to this strand and filled in place.
+				pooled := nussinov.NewGTable[float32](n + 5)
+				for i := range pooled.Data() {
+					pooled.Data()[i] = float32(i%7) - 3
+				}
+				pooled.Reset(n)
+				if err := pooled.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, exact, nil); err != nil {
+					t.Fatalf("%s: pooled fill: %v", label, err)
+				}
+				subjects["pooled-"+form] = pooled
 			}
 			wd := want.Data()
 			for name, got := range subjects {
@@ -72,14 +91,14 @@ func FuzzSubstrateParity(f *testing.F) {
 				for idx := range wd {
 					if gd[idx] != wd[idx] {
 						t.Fatalf("%s %s: S[%d,%d] = %v, reference %v (seq %q)",
-							m.Name(), name, idx/n, idx%n, gd[idx], wd[idx], s)
+							label, name, idx/n, idx%n, gd[idx], wd[idx], s)
 					}
 				}
 			}
 			if n > 0 {
 				pairs := streamed.Traceback(sc)
 				if gw, ww := nussinov.PairsWeight(pairs, sc), want.At(0, n-1); gw != ww {
-					t.Fatalf("%s: traceback weight %v != reference S %v (seq %q)", m.Name(), gw, ww, s)
+					t.Fatalf("%s: traceback weight %v != reference S %v (seq %q)", label, gw, ww, s)
 				}
 			}
 		}

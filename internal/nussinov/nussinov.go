@@ -45,6 +45,11 @@ type GTable[T semiring.Scalar] struct {
 	N    int
 	data []T // data[i*N+j] = S[i,j] for i <= j
 	one  T   // the filling semiring's One: S of an empty interval
+	// cl is the closure form's scratch, kept across Reset so a pooled
+	// table's refill allocates nothing; closed records the form of the
+	// last fill.
+	cl     closure[T]
+	closed bool
 }
 
 // Table is the max-plus S table. Its zero value is an empty table whose
@@ -84,7 +89,7 @@ func (t *GTable[T]) Data() []T { return t.data }
 // Clone returns an independent deep copy of t. Cached substrate tables are
 // cloned out of pooled problems, whose own storage is reset on reuse.
 func (t *GTable[T]) Clone() *GTable[T] {
-	return &GTable[T]{N: t.N, data: slices.Clone(t.data), one: t.one}
+	return &GTable[T]{N: t.N, data: slices.Clone(t.data), one: t.one, closed: t.closed}
 }
 
 // Bytes returns the table's cell-storage footprint.
@@ -112,11 +117,17 @@ func (t *GTable[T]) Reset(n int) {
 
 // FillContext is the one build call: it runs the streamed fill (fill.go)
 // over a fresh or Reset table, O(n³) time in all, and alone chooses its
-// form. With a nil pfor, or a table under SequentialCutoff, the rows fill
+// schedule. With a nil pfor, or a table under SequentialCutoff, the rows fill
 // inline on the calling goroutine and ctx is checked once per row;
 // otherwise pfor cooperates on each wavefront of tiles and ctx is checked
 // once per wavefront — either costs O(n²) work at most, so a cancel returns
-// promptly. The two forms agree bit for bit in every semiring.
+// promptly. The two schedules agree bit for bit in every semiring.
+//
+// exact asserts that k is max-plus and that every sum the fill forms is
+// exact — integer weights, no structure's score reaching 2²⁴ — which the
+// caller knows in O(1) from its model; the rows then finish by the closure
+// sweep instead of the per-split walk (fillRow), with the same table. The
+// float64 fills and fractional weights pass false.
 //
 // unit is the weight of one unpaired base — One in the unscaled semirings,
 // e^{-σ} when the caller runs the sum-product kernels on
@@ -126,19 +137,40 @@ func (t *GTable[T]) Reset(n int) {
 // of its own. score(i, j) is called exactly once per cell i < j. On
 // cancellation or a failed wavefront the table is left partially filled and
 // the error returned.
-func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, pfor ParallelFor) error {
-	return t.fillContext(ctx, k, unit, score, pfor, SequentialCutoff, tileEdge)
+func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, exact bool, pfor ParallelFor) error {
+	return t.fillContext(ctx, k, unit, score, exact, pfor, SequentialCutoff, tileEdge)
 }
 
 // fillContext is FillContext with the cutoff and tile edge as arguments, so
 // the tests can run the tiled form at sizes a per-cell oracle can follow.
-func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, pfor ParallelFor, cutoff, tile int) error {
-	t.one = k.One
-	if pfor == nil || t.N < cutoff {
-		return fill(ctx, t.data, t.N, k, unit, score)
+func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, exact bool, pfor ParallelFor, cutoff, tile int) error {
+	t.one, t.closed = k.One, exact
+	var cl *closure[T]
+	if exact {
+		cl = t.scratch()
 	}
-	return fillTiled(ctx, t.data, t.N, tile, k, unit, score, pfor)
+	if pfor == nil || t.N < cutoff {
+		return fill(ctx, t.data, t.N, k, unit, score, cl)
+	}
+	return fillTiled(ctx, t.data, t.N, tile, k, unit, score, cl, pfor)
 }
+
+// scratch sizes the closure form's scratch to the table, reusing its storage.
+func (t *GTable[T]) scratch() *closure[T] {
+	n := t.N
+	if cap(t.cl.off) < n {
+		t.cl = closure[T]{pre: make([]T, n), off: make([]int, n)}
+	}
+	t.cl.pre, t.cl.off = t.cl.pre[:n], t.cl.off[:n]
+	for r := range t.cl.off {
+		t.cl.off[r] = r * n
+	}
+	return &t.cl
+}
+
+// Closed reports whether the table's last fill finished its rows by the
+// closure sweep (FillContext's exact) rather than the per-split walk.
+func (t *GTable[T]) Closed() bool { return t.closed }
 
 // Tiled reports whether FillContext tiles an n-position table when given a
 // pfor: a caller for whom binding one allocates can skip it otherwise.
@@ -151,10 +183,11 @@ func Build(n int, score ScoreFunc) *Table {
 }
 
 // BuildG fills a fresh table in k's semiring on the calling goroutine, every
-// unpaired base weighing One.
+// unpaired base weighing One. It knows no model bound, so its rows take the
+// per-split walk.
 func BuildG[T semiring.Scalar](n int, k semiring.Kernels[T], score func(i, j int) T) *GTable[T] {
 	t := NewGTable[T](n)
-	_ = t.FillContext(context.Background(), k, k.One, score, nil) // Background never cancels
+	_ = t.FillContext(context.Background(), k, k.One, score, false, nil) // Background never cancels
 	return t
 }
 

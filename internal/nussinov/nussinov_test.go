@@ -158,7 +158,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		sc := scoreFor(seq, score.BasePair())
 		seq1 := Build(n, sc)
 		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := BuildContext(context.Background(), n, sc, ForkJoin(workers))
+			par, err := BuildContext(context.Background(), n, sc, true, ForkJoin(workers))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -312,21 +312,30 @@ func TestUnitModelCountsPairs(t *testing.T) {
 	}
 }
 
+// benchBuild times one inline build of a base-pair table in each form: the
+// per-split walk (Build, and every float64 fill) and the closure sweep (what
+// ibpmax.BuildS runs for integer weights).
 func benchBuild(b *testing.B, n int) {
-	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	seq := rna.Random(rng, n)
 	sc := scoreFor(seq, score.BasePair())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(n, sc)
+	for _, exact := range []bool{false, true} {
+		b.Run("form="+formName(exact), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildContext(context.Background(), n, sc, exact, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// benchBuildParallel is the reading SequentialCutoff is set from: W=1 is what
-// a one-worker request runs (whole rows, inline), W=2 the production tiles on
-// two goroutines — forced, whatever the cutoff says about n, so the crossover
-// can be re-measured on a new host.
+// benchBuildParallel is the reading SequentialCutoff is set from, in the
+// closure form a base-pair strand builds by: W=1 is what a one-worker request
+// runs (whole rows, inline), W=2 the production tiles on two goroutines —
+// forced, whatever the cutoff says about n, so the crossover can be
+// re-measured on a new host.
 func benchBuildParallel(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	seq := rna.Random(rng, n)
@@ -334,7 +343,7 @@ func benchBuildParallel(b *testing.B, n int) {
 	b.Run("W=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildContext(context.Background(), n, sc, nil); err != nil {
+			if _, err := BuildContext(context.Background(), n, sc, true, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,7 +351,7 @@ func benchBuildParallel(b *testing.B, n int) {
 	b.Run("W=2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildTiled(context.Background(), n, tileEdge, 0, semiring.MaxPlusKernels(false), sc, ForkJoin(2)); err != nil {
+			if _, err := BuildTiled(context.Background(), n, tileEdge, 0, semiring.MaxPlusKernels(true), sc, true, ForkJoin(2)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,5 +360,9 @@ func benchBuildParallel(b *testing.B, n int) {
 
 func BenchmarkBuild256(b *testing.B)          { benchBuild(b, 256) }
 func BenchmarkBuild1024(b *testing.B)         { benchBuild(b, 1024) }
+func BenchmarkBuild2048(b *testing.B)         { benchBuild(b, 2048) }
 func BenchmarkBuildParallel256(b *testing.B)  { benchBuildParallel(b, 256) }
 func BenchmarkBuildParallel1024(b *testing.B) { benchBuildParallel(b, 1024) }
+func BenchmarkBuildParallel1280(b *testing.B) { benchBuildParallel(b, 1280) }
+func BenchmarkBuildParallel1536(b *testing.B) { benchBuildParallel(b, 1536) }
+func BenchmarkBuildParallel2048(b *testing.B) { benchBuildParallel(b, 2048) }

@@ -53,17 +53,18 @@ func ReferenceBuildG[T semiring.Scalar](n int, k semiring.Kernels[T], unit T, sc
 }
 
 // BuildContext is the production build of a fresh max-plus table: the one
-// FillContext call, handing back no table on an error.
-func BuildContext(ctx context.Context, n int, score ScoreFunc, pfor ParallelFor) (*Table, error) {
-	return BuildTiled(ctx, n, tileEdge, SequentialCutoff, semiring.MaxPlusKernels(true), score, pfor)
+// FillContext call, handing back no table on an error. exact is
+// FillContext's: the closure form where the caller's sums are exact.
+func BuildContext(ctx context.Context, n int, score ScoreFunc, exact bool, pfor ParallelFor) (*Table, error) {
+	return BuildTiled(ctx, n, tileEdge, SequentialCutoff, semiring.MaxPlusKernels(true), score, exact, pfor)
 }
 
 // BuildTiled is BuildContext at any cutoff, tile edge and kernel bundle:
 // production builds tile only from SequentialCutoff up, with tileEdge tiles,
 // far beyond what a per-cell oracle can follow.
-func BuildTiled(ctx context.Context, n, tile, cutoff int, k semiring.Kernels[float32], score ScoreFunc, pfor ParallelFor) (*Table, error) {
+func BuildTiled(ctx context.Context, n, tile, cutoff int, k semiring.Kernels[float32], score ScoreFunc, exact bool, pfor ParallelFor) (*Table, error) {
 	t := NewGTable[float32](n)
-	if err := t.fillContext(ctx, k, 0, score, pfor, cutoff, tile); err != nil {
+	if err := t.fillContext(ctx, k, 0, score, exact, pfor, cutoff, tile); err != nil {
 		return nil, err
 	}
 	return t, nil

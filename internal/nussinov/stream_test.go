@@ -29,6 +29,14 @@ func workersFor(w int) ParallelFor {
 	}
 }
 
+// formName labels a max-plus fill's form: FillContext's exact.
+func formName(exact bool) string {
+	if exact {
+		return "closure"
+	}
+	return "walk"
+}
+
 // tableBytes views a table's whole bounding box — boundary cells included —
 // as bytes, so a comparison is bit-identity and not float equality.
 func tableBytes[T semiring.Scalar](data []T) []byte {
@@ -80,9 +88,14 @@ func differentialScores(seq rna.Sequence) map[string]ScoreFunc {
 	}
 }
 
+// integerShapes are the differentialScores whose weights are integers, the
+// shapes the closure form may fill (every sum exact at these sizes).
+var integerShapes = map[string]bool{"basepair": true, "unit": true, "forbidden": true, "minhairpin": true}
+
 // TestStreamedMatchesReference is the bit-identity gate of the streamed fill:
-// on every size, score shape and kernel body, serial and tiled on 1–4
-// workers, the table is byte-equal to the per-cell reference's, and a
+// on every size, score shape, kernel body and form — the per-split walk on
+// every shape, the closure sweep on the integer ones — serial and tiled on
+// 1–4 workers, the table is byte-equal to the per-cell reference's, and a
 // traceback over it reaches S[0, n-1]. The float64 sum-product GTable — whose
 // per-cell reference associates ⊕ differently, so is only close — is held
 // byte-equal across its two kernel bodies instead.
@@ -104,7 +117,7 @@ func TestStreamedMatchesReference(t *testing.T) {
 				return math.Exp(float64(w)/kT - 2*sigma)
 			}
 			return 0
-		}, nil)
+		}, false, nil)
 		return g.data
 	}
 	for _, n := range differentialSizes() {
@@ -128,20 +141,31 @@ func TestStreamedMatchesReference(t *testing.T) {
 				}
 			}
 			for impl, k := range kernels {
-				label := fmt.Sprintf("n=%d %s %s", n, name, impl)
-				got := BuildG(n, k, sc)
-				requireSameBytes(t, label+" serial", n, got.data, want)
-				if n > 0 {
-					if w := PairsWeight(got.Traceback(sc), sc); w != got.At(0, n-1) {
-						t.Fatalf("%s: traceback weight %v, S[0,%d] = %v", label, w, n-1, got.At(0, n-1))
+				for _, exact := range []bool{false, true} {
+					if exact && !integerShapes[name] {
+						continue
 					}
-				}
-				for workers := 1; workers <= 4; workers++ {
-					par, err := BuildTiled(context.Background(), n, tile, 0, k, sc, workersFor(workers))
+					label := fmt.Sprintf("n=%d %s %s %s", n, name, impl, formName(exact))
+					got, err := BuildTiled(context.Background(), n, tile, 0, k, sc, exact, nil)
 					if err != nil {
-						t.Fatalf("%s workers=%d: %v", label, workers, err)
+						t.Fatal(err)
 					}
-					requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, par.data, want)
+					if got.Closed() != exact {
+						t.Fatalf("%s: Closed() = %v", label, got.Closed())
+					}
+					requireSameBytes(t, label+" serial", n, got.data, want)
+					if n > 0 {
+						if w := PairsWeight(got.Traceback(sc), sc); w != got.At(0, n-1) {
+							t.Fatalf("%s: traceback weight %v, S[0,%d] = %v", label, w, n-1, got.At(0, n-1))
+						}
+					}
+					for workers := 1; workers <= 4; workers++ {
+						par, err := BuildTiled(context.Background(), n, tile, 0, k, sc, exact, workersFor(workers))
+						if err != nil {
+							t.Fatalf("%s workers=%d: %v", label, workers, err)
+						}
+						requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, par.data, want)
+					}
 				}
 			}
 		}
@@ -155,11 +179,13 @@ func TestBuildParallelTilesAtCutoff(t *testing.T) {
 	n := SequentialCutoff + 3
 	sc := scoreFor(rna.Random(rand.New(rand.NewSource(5)), n), score.BasePair())
 	want := Build(n, sc)
-	got, err := BuildContext(context.Background(), n, sc, ForkJoin(3))
-	if err != nil {
-		t.Fatal(err)
+	for _, exact := range []bool{false, true} {
+		got, err := BuildContext(context.Background(), n, sc, exact, ForkJoin(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBytes(t, "tiled at the cutoff, "+formName(exact), n, got.data, want.data)
 	}
-	requireSameBytes(t, "tiled at the cutoff", n, got.data, want.data)
 }
 
 // TestStreamedLogZWithinBound: the float64 fills see the same candidate
@@ -187,7 +213,7 @@ func TestStreamedLogZWithinBound(t *testing.T) {
 		factor := func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }
 		ref := math.Log(ReferenceBuildG(n, sp, math.Exp(-sigma), factor).At(0, n-1)) + sigma*float64(n)
 		tbl := NewGTable[float64](n)
-		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor, nil); err != nil {
+		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := math.Log(tbl.At(0, n-1)) + sigma*float64(n); math.Abs(got-ref) > tol*math.Abs(ref) {
@@ -218,12 +244,19 @@ func TestScoreCalledOncePerCell(t *testing.T) {
 		}
 	}
 	check("Build", func(sc ScoreFunc) { Build(n, sc) })
-	// One worker: the counting closure is not synchronized.
-	check("tiled", func(sc ScoreFunc) {
-		if _, err := BuildTiled(context.Background(), n, 8, 0, semiring.MaxPlusKernels(false), sc, workersFor(1)); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, exact := range []bool{false, true} {
+		check("serial "+formName(exact), func(sc ScoreFunc) {
+			if _, err := BuildContext(context.Background(), n, sc, exact, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// One worker: the counting closure is not synchronized.
+		check("tiled "+formName(exact), func(sc ScoreFunc) {
+			if _, err := BuildTiled(context.Background(), n, 8, 0, semiring.MaxPlusKernels(false), sc, exact, workersFor(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	check("log-sum-exp", func(sc ScoreFunc) {
 		lse := semiring.LogSumExpKernels()
 		BuildG(n, lse, func(i, j int) float64 { return float64(sc(i, j)) })
@@ -246,7 +279,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 		topRow = min(topRow, i)
 		return base(i, j)
 	}
-	tbl, err := BuildContext(ctx, n, sc, nil)
+	tbl, err := BuildContext(ctx, n, sc, true, nil)
 	if !errors.Is(err, context.Canceled) || tbl != nil {
 		t.Fatalf("serial: table %v, err %v; want nil, context.Canceled", tbl, err)
 	}
@@ -256,7 +289,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 	g := NewGTable[float32](n)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base, nil); !errors.Is(err, context.Canceled) {
+	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base, false, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FillContext on a cancelled context: %v", err)
 	}
 
@@ -272,7 +305,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 		}
 		return base(i, j)
 	}
-	tbl, err = BuildTiled(ctx3, n, 8, 0, semiring.MaxPlusKernels(false), sc3, workersFor(1))
+	tbl, err = BuildTiled(ctx3, n, 8, 0, semiring.MaxPlusKernels(false), sc3, true, workersFor(1))
 	if !errors.Is(err, context.Canceled) || tbl != nil {
 		t.Fatalf("tiled: table %v, err %v; want nil, context.Canceled", tbl, err)
 	}
@@ -282,21 +315,27 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 }
 
 // TestResetThenFillIsAFreshBuild: a pooled table whose storage is dirty —
-// larger, and full of garbage — is byte-equal to a fresh build after Reset
-// and a fill, boundary cells included.
+// larger, and full of garbage, its closure scratch sized for another strand —
+// is byte-equal to a fresh build after Reset and a fill, boundary cells
+// included, in either form.
 func TestResetThenFillIsAFreshBuild(t *testing.T) {
 	const n = 29
 	sc := randScore(9, n)
 	fresh := Build(n, sc)
 	reused := NewGTable[float32](n + 13)
-	for i := range reused.data {
-		reused.data[i] = float32(math.NaN())
-	}
-	reused.Reset(n)
-	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, nil); err != nil {
+	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, randScore(10, n+13), true, nil); err != nil {
 		t.Fatal(err)
 	}
-	requireSameBytes(t, "Table", n, reused.data, fresh.data)
+	for _, exact := range []bool{true, false, true} {
+		for i := range reused.data {
+			reused.data[i] = float32(math.NaN())
+		}
+		reused.Reset(n)
+		if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, exact, nil); err != nil {
+			t.Fatal(err)
+		}
+		requireSameBytes(t, "Table "+formName(exact), n, reused.data, fresh.data)
+	}
 
 	lse := semiring.LogSumExpKernels()
 	logw := func(i, j int) float64 { return float64(sc(i, j)) }
@@ -306,7 +345,7 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 		reusedG.data[i] = math.NaN()
 	}
 	reusedG.Reset(n)
-	if err := reusedG.FillContext(context.Background(), lse, lse.One, logw, nil); err != nil {
+	if err := reusedG.FillContext(context.Background(), lse, lse.One, logw, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tableBytes(reusedG.data), tableBytes(freshG.data)) {

@@ -35,20 +35,31 @@ type Model struct {
 	name  string
 }
 
-// ord maps a canonical base to its 0..3 ordinal.
-func ord(b rna.Base) int {
-	switch b {
-	case rna.A:
-		return 0
-	case rna.C:
-		return 1
-	case rna.G:
-		return 2
-	case rna.U:
-		return 3
+// ordinals maps a base byte to its 0..3 ordinal, every non-canonical byte to
+// 4: one load, no branch on the base, for the table fills' inner loops.
+var ordinals = func() (o [256]uint8) {
+	for b := range o {
+		o[b] = 4
 	}
-	panic(fmt.Sprintf("score: non-canonical base %q", byte(b)))
+	for i, b := range rna.Bases {
+		o[b] = uint8(i)
+	}
+	return o
+}()
+
+// ord maps a canonical base to its 0..3 ordinal and panics on any other.
+func ord(b rna.Base) int {
+	if o := ordinals[b]; o < 4 {
+		return int(o)
+	}
+	return nonCanonical(b)
 }
+
+// nonCanonical is ord's panic, kept out of line so that ord inlines into the
+// table fills' loops.
+//
+//go:noinline
+func nonCanonical(b rna.Base) int { panic(fmt.Sprintf("score: non-canonical base %q", byte(b))) }
 
 // BasePair returns the canonical weighted base-pair counting model:
 // GC/CG = 3, AU/UA = 2, GU/UG = 1, everything else forbidden.
@@ -240,9 +251,17 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	_ = fillIntra(ctx, t.Intra1, seq1, p)
 	_ = fillIntra(ctx, t.Intra2, seq2, p)
 	for i1 := 0; i1 < n1; i1++ {
-		for i2 := 0; i2 < n2; i2++ {
-			t.Inter[i1*n2+i2] = inter.Pair(seq1.At(i1), seq2.At(i2))
-		}
+		pairRow(t.Inter[i1*n2:i1*n2+n2], &inter.pairs[ord(seq1.At(i1))], seq2)
+	}
+}
+
+// pairRow writes row[j] = w[ord(seq[j])] for every j: one row of a pair
+// table by lookup in w, the weight row of the row's own base, so a cell
+// costs one ordinal and one load. A non-canonical base panics as Model.Pair
+// does.
+func pairRow(row []Value, w *[4]Value, seq rna.Sequence) {
+	for j := range row {
+		row[j] = w[ord(seq.At(j))]
 	}
 }
 
@@ -255,29 +274,21 @@ func IntraContext(ctx context.Context, seq rna.Sequence, p Params) ([]Value, err
 }
 
 // fillIntra writes seq's intramolecular pair table into dst, returning
-// ctx's error at the first row it finds ctx done.
+// ctx's error at the first row it finds ctx done. Each row is one pairRow,
+// then the hairpin band |j-i| <= MinHairpin is masked to NegInf.
 func fillIntra(ctx context.Context, dst []Value, seq rna.Sequence, p Params) error {
 	n := seq.Len()
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for j := 0; j < n; j++ {
-			if abs(j-i) <= p.MinHairpin {
-				dst[i*n+j] = NegInf
-				continue
-			}
-			dst[i*n+j] = p.Model.Pair(seq.At(i), seq.At(j))
+		row := dst[i*n : i*n+n]
+		pairRow(row, &p.Model.pairs[ord(seq.At(i))], seq)
+		for j := max(i-p.MinHairpin, 0); j <= min(i+p.MinHairpin, n-1); j++ {
+			row[j] = NegInf
 		}
 	}
 	return nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Score1 returns the intramolecular weight for pairing positions i and j of

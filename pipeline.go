@@ -513,7 +513,7 @@ func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra *[]score.
 					return nil, 0, err
 				}
 			}
-			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), *intra, cfg); err != nil {
+			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), *intra, rq.sp.Model, cfg); err != nil {
 				return nil, 0, err
 			}
 			t := *own
