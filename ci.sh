@@ -138,6 +138,20 @@ run_lint() (
         echo "lint: a column walk over the S table outside the reference oracle (a second per-cell fill growing back)" >&2
         exit 1
     fi
+    # A single-strand table's row i starts at i·pitch, and the pitch is N only
+    # below SequentialCutoff: row arithmetic by t.N reads the wrong cells of
+    # every padded table.
+    if grep -nE '\*[[:space:]]*t\.N\b|\bt\.N[[:space:]]*\*' $(ls internal/nussinov/*.go | grep -v '_test\.go$'); then
+        echo "lint: row arithmetic by t.N in internal/nussinov (rows go through the pitch)" >&2
+        exit 1
+    fi
+    # The pairing terms are kernel streams: finalize's i2-j2 term and the
+    # substrate's seed are the bundle's AccumEach. A solver-side pairRow, or
+    # its generic pairRowK, is that stream's second copy growing back.
+    if grep -n 'pairRow' $(ls internal/bpmax/*.go | grep -v '_test\.go$'); then
+        echo "lint: pairRow/pairRowK is back in internal/bpmax (the pairing term is Kernels.AccumEach)" >&2
+        exit 1
+    fi
     # One substrate stage: one single-strand table type (Table is an alias of
     # GTable[float32]) and one build call, FillContext, which alone chooses
     # between the inline and the tiled fill. A second table struct, or the

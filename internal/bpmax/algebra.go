@@ -48,10 +48,11 @@ type alg[T semiring.Scalar] struct {
 	// dom is the domain the filled table's cells are stored in; a scaled
 	// domain also arms the fill's range guard (see finalize).
 	dom domain
-	// s1, s2 are the single-strand substrate tables, row-major n×n bounding
-	// boxes — the layout nussinov.Table and nussinov.GTable share. Only cells
-	// with i <= j are read.
+	// s1, s2 are the single-strand substrate tables, row-major n-column
+	// bounding boxes with row r at s1[r*p1:] and s2[r*p2:] — nussinov.GTable's
+	// layout, pitch included. Only cells with i <= j are read.
 	s1, s2 []T
+	p1, p2 int
 	// sc1, sc2 are the intramolecular pair scores (row-major n×n); isc the
 	// intermolecular matrix (n1×n2). All in ⊗ scale: raw weights for
 	// max-plus, w/kT (forbidden ⇒ -Inf) for log-sum-exp, damped Boltzmann
@@ -59,8 +60,8 @@ type alg[T semiring.Scalar] struct {
 	sc1, sc2, isc []T
 	n1, n2        int
 	// r2 names the form finalize solves R2 in (FoldMetrics.R2): r2Closure,
-	// one sweep a row against star — S² for max-plus, strand 2's star table
-	// (fillStar) for partition — or r2Substitution (newGSolver drops star).
+	// one sweep a row against star (pitch p2) — S² for max-plus, strand 2's
+	// star table (fillStar) for partition — or r2Substitution (no star).
 	r2   string
 	star []T
 }
@@ -72,6 +73,8 @@ func maxplusAlg(p *Problem, cfg Config) alg[float32] {
 		k:    cfg.maxplusKernels(),
 		s1:   p.S1.Data(),
 		s2:   p.S2.Data(),
+		p1:   p.S1.Pitch(),
+		p2:   p.S2.Pitch(),
 		sc1:  p.Tab.Intra1,
 		sc2:  p.Tab.Intra2,
 		isc:  p.Tab.Inter,
@@ -87,7 +90,7 @@ func (a *alg[T]) s1At(i, j int) T {
 	if j < i {
 		return a.k.One
 	}
-	return a.s1[i*a.n1+j]
+	return a.s1[i*a.p1+j]
 }
 
 // s2At returns S²[i,j]; see s1At.
@@ -95,11 +98,11 @@ func (a *alg[T]) s2At(i, j int) T {
 	if j < i {
 		return a.k.One
 	}
-	return a.s2[i*a.n2+j]
+	return a.s2[i*a.p2+j]
 }
 
 // s2Row returns row i of S² (indexed by absolute j).
-func (a *alg[T]) s2Row(i int) []T { return a.s2[i*a.n2 : (i+1)*a.n2] }
+func (a *alg[T]) s2Row(i int) []T { return a.s2[i*a.p2 : i*a.p2+a.n2] }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).
 func (a *alg[T]) score1(i, j int) T { return a.sc1[i*a.n1+j] }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/metrics"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 )
@@ -555,5 +556,59 @@ func TestProblemAtBoundarySemantics(t *testing.T) {
 	// Both empty: 0 (S2 of empty interval).
 	if got := p.at(f, 3, 2, 4, 3); got != 0 {
 		t.Errorf("both empty: %v, want 0", got)
+	}
+}
+
+// TestPaddedStrandsMatchRefDP: a strand of at least nussinov.SequentialCutoff
+// bases gets an S table on a padded row pitch, and every solver reader of S —
+// s1At, s2At, s2Row, the sweeps' s2off over S² as R1/R2 operand and as its
+// own star, R2's substitution walk — must stride by that pitch. The oracle
+// reads S through the table's own At, so a reader striding by N parts from
+// it; so does the generic oracle, which reads S through s1At and s2At.
+// Strand 2 long: a full fold in both R2 forms, checked on the intervals at
+// either end of strand 2 (the oracles recurse only inside an interval).
+// Strand 1 long: a band, checked whole.
+func TestPaddedStrandsMatchRefDP(t *testing.T) {
+	ctx, n, edge := context.Background(), nussinov.SequentialCutoff+5, 24
+	p := newTestProblem(t, 37, 2, n)
+	if p.S2.Pitch() == n {
+		t.Fatalf("a %d-nt strand kept pitch N", n)
+	}
+	ref, a := newRefDP(p), maxplusAlg(p, Config{})
+	gen := newRefDPG(&a)
+	for _, lo := range []int{0, n - edge} {
+		eachCell(2, edge, func(i1, j1, i2, j2 int) {
+			if got, want := gen.f(i1, j1, lo+i2, lo+j2), ref.f(i1, j1, lo+i2, lo+j2); got != want {
+				t.Fatalf("generic oracle: F[%d,%d,%d,%d] = %v, oracle %v", i1, j1, lo+i2, lo+j2, got, want)
+			}
+		})
+	}
+	for _, form := range []string{r2Closure, r2Substitution} {
+		f, err := SolveContext(ctx, p, VariantHybridTiled, Config{Workers: 1, r2: form})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lo := range []int{0, n - edge} {
+			eachCell(2, edge, func(i1, j1, i2, j2 int) {
+				if got, want := f.At(i1, j1, lo+i2, lo+j2), ref.f(i1, j1, lo+i2, lo+j2); got != want {
+					t.Fatalf("%s: F[%d,%d,%d,%d] = %v, oracle %v", form, i1, j1, lo+i2, lo+j2, got, want)
+				}
+			})
+		}
+	}
+	q := newTestProblem(t, 38, n, 3)
+	if q.S1.Pitch() == n {
+		t.Fatalf("a %d-nt strand kept pitch N", n)
+	}
+	const w1 = 4
+	w, ref := SolveWindowed(q, w1, 3, Config{}), newRefDP(q)
+	for i1 := 0; i1 < n; i1++ {
+		for j1 := i1; j1 < n && j1-i1 < w1; j1++ {
+			eachCell(1, 3, func(_, _, i2, j2 int) {
+				if got, want := w.At(i1, j1, i2, j2), ref.f(i1, j1, i2, j2); got != want {
+					t.Fatalf("band: F[%d,%d,%d,%d] = %v, oracle %v", i1, j1, i2, j2, got, want)
+				}
+			})
+		}
 	}
 }

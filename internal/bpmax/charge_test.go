@@ -1,6 +1,10 @@
 package bpmax
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/bpmax-go/bpmax/internal/nussinov"
+)
 
 func TestEstimateBytesMatchesAllocation(t *testing.T) {
 	for _, kind := range []MapKind{MapBox, MapPacked} {
@@ -56,18 +60,25 @@ func TestEstimatePackedHalvesBox(t *testing.T) {
 // TestFootprintsMatchAllocation pins the two substrate footprints to the
 // storage they price: ProblemBytes to a problem's score tables, S tables and
 // sequences, PartitionSubBytes to PartitionSub.Bytes — star table included —
-// pooled or not, scaled (kT 1) or in the log domain (kT 1e-3).
+// pooled or not, scaled (kT 1) or in the log domain (kT 1e-3), and with
+// either strand long enough for its S tables' padded row pitch (scaled only:
+// a log-domain fill of it takes seconds).
 func TestFootprintsMatchAllocation(t *testing.T) {
 	pl := NewPool()
-	for _, c := range [][2]int{{1, 1}, {7, 13}, {12, 9}} {
+	long := nussinov.SequentialCutoff + 3
+	for _, c := range [][2]int{{1, 1}, {7, 13}, {12, 9}, {long, 2}, {2, long}} {
 		n1, n2 := c[0], c[1]
+		kTs := []float64{1, 1e-3}
+		if max(n1, n2) >= nussinov.SequentialCutoff {
+			kTs = kTs[:1]
+		}
 		for _, p := range []*Problem{newTestProblem(t, 5, n1, n2), pooledProblem(t, pl, 5, n1, n2)} {
 			tab := int64(len(p.Tab.Intra1)+len(p.Tab.Intra2)+len(p.Tab.Inter)) * 4
 			want := tab + p.S1.Bytes() + p.S2.Bytes() + int64(p.Seq1.Len()+p.Seq2.Len())
 			if got := ProblemBytes(n1, n2); got != want {
 				t.Errorf("ProblemBytes(%d, %d) = %d, problem holds %d", n1, n2, got, want)
 			}
-			for _, kT := range []float64{1, 1e-3} {
+			for _, kT := range kTs {
 				ps := buildTestPartitionSub(t, p, kT)
 				if got, want := PartitionSubBytes(n1, n2), ps.Bytes(); got != want {
 					t.Errorf("PartitionSubBytes(%d, %d) = %d, substrate holds %d (pooled %v, scaled %v)",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -95,17 +96,17 @@ func (s *PartitionS) Scaled() bool { return s.scaled }
 // Bytes returns the table's storage footprint.
 func (s *PartitionS) Bytes() int64 { return s.T.Bytes() }
 
-// logData returns the table's cells in the log domain, converting a scaled
-// table into fresh storage (O(n²) logs).
+// logData returns the table's cells in the log domain, at the table's
+// pitch, converting a scaled table into fresh storage (O(n²) logs).
 func (s *PartitionS) logData() []float64 {
 	if !s.scaled {
 		return s.T.Data()
 	}
-	n := s.T.N
-	out := make([]float64, n*n)
+	n, p := s.T.N, s.T.Pitch()
+	out := make([]float64, len(s.T.Data()))
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			out[i*n+j] = s.LogAt(i, j)
+			out[i*p+j] = s.LogAt(i, j)
 		}
 	}
 	return out
@@ -130,9 +131,9 @@ func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64, cf
 		return s, err
 	}
 	t, lse := nussinov.NewGTable[float64](n), semiring.LogSumExpKernels()
-	err := t.FillContext(ctx, lse, lse.One, func(i, j int) float64 {
+	err := t.FillContext(ctx, lse, lse.One, nussinov.ScoreRows(n, func(i, j int) float64 {
 		return scalePartition(intra[i*n+j], kT)
-	}, false, pfor)
+	}), false, pfor)
 	if err != nil {
 		return nil, err
 	}
@@ -147,18 +148,20 @@ func BuildPartitionS(ctx context.Context, p *Problem, strand int, kT float64, cf
 // before or after the rescale, left the guard window.
 func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, kT float64, pfor nussinov.ParallelFor) (*PartitionS, error) {
 	sig0 := float64(mfe)/(kT*float64(n)) + sigmaEntropy
-	inWindow := true
+	var outside atomic.Bool // set from the fill's tiles, concurrently when tiled
 	t := nussinov.NewGTable[float64](n)
-	err := t.FillContext(ctx, semiring.SumProductKernels(), math.Exp(-sig0), func(i, j int) float64 {
+	err := t.FillContext(ctx, semiring.SumProductKernels(), math.Exp(-sig0), nussinov.ScoreRows(n, func(i, j int) float64 {
 		f, ok := boltzmann(intra[i*n+j], kT, 2*sig0)
-		inWindow = inWindow && ok
+		if !ok {
+			outside.Store(true)
+		}
 		return f
-	}, false, pfor)
+	}), false, pfor)
 	if err != nil {
 		return nil, err
 	}
 	z := t.At(0, n-1)
-	if !inWindow || !inGuard(z) {
+	if outside.Load() || !inGuard(z) {
 		return nil, nil
 	}
 	sig := (math.Log(z) + sig0*float64(n)) / float64(n)
@@ -166,9 +169,8 @@ func buildScaledS(ctx context.Context, n int, intra []score.Value, mfe float32, 
 	for l := range rescale {
 		rescale[l] = math.Exp((sig0 - sig) * float64(l))
 	}
-	data := t.Data()
 	for i := 0; i < n; i++ {
-		row := data[i*n : (i+1)*n]
+		row := t.Row(i)
 		if !inGuardWindow(row[i:]) {
 			return nil, nil
 		}
@@ -246,19 +248,21 @@ func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub,
 }
 
 // matrixCells is the storage the three pair-weight matrices and strand 2's
-// star table of an n1 × n2 problem take.
-func matrixCells(n1, n2 int) int { return n1*n1 + 2*n2*n2 + n1*n2 }
+// star table, at the pitch of strand 2's float64 S table, of an n1 × n2
+// problem take.
+func matrixCells(n1, n2 int) int { return n1*n1 + n2*n2 + n1*n2 + n2*nussinov.PitchOf(n2, 8) }
 
 // PartitionSubBytes is the Boltzmann substrate's footprint for an n1 × n2
-// problem without allocating it: the two float64 S tables, the three
-// pair-weight matrices and the star table, what PartitionSub.Bytes returns
-// once it is built.
+// problem without allocating it: the two float64 S tables at their pitch,
+// the three pair-weight matrices and the star table, what PartitionSub.Bytes
+// returns once it is built.
 func PartitionSubBytes(n1, n2 int) int64 {
-	return int64(n1*n1+n2*n2+matrixCells(n1, n2)) * elemBytes[float64]()
+	return int64(n1*nussinov.PitchOf(n1, 8)+n2*nussinov.PitchOf(n2, 8)+matrixCells(n1, n2)) * elemBytes[float64]()
 }
 
 // matrixAlg returns a closure view whose sc1, sc2, isc and star carve up
-// buf (matrixCells long); fillScaled or fillLog supplies the rest.
+// buf (matrixCells long); fillScaled or fillLog supplies the rest, the
+// pitches included.
 func matrixAlg(p *Problem, buf []float64) alg[float64] {
 	a, b := p.N1*p.N1, p.N1*p.N1+p.N2*p.N2
 	c := b + p.N1*p.N2
@@ -275,7 +279,7 @@ func matrixAlg(p *Problem, buf []float64) alg[float64] {
 func fillScaled(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS) bool {
 	a.k = semiring.SumProductKernels()
 	a.dom = domain{scaled: true, sig1: s1.sigma, sig2: s2.sigma}
-	a.s1, a.s2 = s1.T.Data(), s2.T.Data()
+	a.s1, a.s2, a.p1, a.p2 = s1.T.Data(), s2.T.Data(), s1.T.Pitch(), s2.T.Pitch()
 	intra := func(dst []float64, src []score.Value, n int, sigma float64) bool {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -306,7 +310,7 @@ func fillScaled(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *Partitio
 func fillLog(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS) {
 	a.k = semiring.LogSumExpKernels()
 	a.dom = domain{}
-	a.s1, a.s2 = s1.logData(), s2.logData()
+	a.s1, a.s2, a.p1, a.p2 = s1.logData(), s2.logData(), s1.T.Pitch(), s2.T.Pitch()
 	for i, w := range tab.Intra1 {
 		a.sc1[i] = scalePartition(w, kT)
 	}
@@ -326,12 +330,12 @@ func fillLog(a *alg[float64], tab *score.Tables, kT float64, s1, s2 *PartitionS)
 // keeps the rounding linear in N2. It reports whether every cell it wrote
 // (j ≥ r) lies inside the guard window, which only a scaled view asks.
 func fillStar(a *alg[float64]) bool {
-	n, s2, star, inWindow := a.n2, a.s2, a.star, true
+	n, p, s2, star, inWindow := a.n2, a.p2, a.s2, a.star, true
 	for r := n - 1; r >= 0; r-- {
-		row := star[r*n : (r+1)*n]
-		copy(row, s2[r*n:(r+1)*n])
+		row := star[r*p : r*p+n]
+		copy(row, s2[r*p:r*p+n])
 		for m := n - 2; m >= r; m-- {
-			a.k.Accum(row[m+1:], star[(m+1)*n+m+1:(m+2)*n], s2[r*n+m])
+			a.k.Accum(row[m+1:], star[(m+1)*p+m+1:(m+1)*p+n], s2[r*p+m])
 		}
 		inWindow = inWindow && inGuardWindow(row[r:])
 	}

@@ -575,7 +575,7 @@ func TestStarOutsideGuardGoesLog(t *testing.T) {
 		tab := nussinov.NewGTable[float64](p.N2)
 		for i := 0; i < p.N2; i++ {
 			for j := i; j < p.N2; j++ {
-				tab.Data()[i*p.N2+j] = v
+				tab.Data()[i*tab.Pitch()+j] = v
 			}
 		}
 		return &PartitionS{T: tab, scaled: true, sigma: base.S2.sigma}
@@ -640,6 +640,28 @@ func TestScaledPartitionFillIsTheGoLoopsBitForBit(t *testing.T) {
 							sh[0], sh[1], kind, i1, j1, i2, j2, math.Float64bits(g), impl, math.Float64bits(w))
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestPartitionSTiledMatchesInline: a strand long enough to tile builds its
+// scaled Boltzmann table on two workers — the score adapter and the range
+// guard's flag then run on both at once — bit for bit as on one.
+func TestPartitionSTiledMatchesInline(t *testing.T) {
+	p := newTestProblem(t, 39, nussinov.SequentialCutoff+1, 1)
+	var tabs [2]*PartitionS
+	for w := range tabs {
+		s, err := BuildPartitionS(context.Background(), p, 1, 1, Config{Workers: w + 1})
+		if err != nil || !s.Scaled() {
+			t.Fatalf("workers=%d: %v (scaled %v)", w+1, err, err == nil && s.Scaled())
+		}
+		tabs[w] = s
+	}
+	for i := 0; i < p.N1; i++ {
+		for j := i; j < p.N1; j++ {
+			if a, b := tabs[0].T.At(i, j), tabs[1].T.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("S[%d,%d] = %v on one worker, %v on two", i, j, a, b)
 			}
 		}
 	}

@@ -31,10 +31,11 @@ type Problem struct {
 }
 
 // ProblemBytes is the footprint of an n1 × n2 problem: its three float32
-// pair-score tables, its two max-plus S tables and a byte per base of
-// sequence.
+// pair-score tables, its two max-plus S tables at their row pitch and a byte
+// per base of sequence.
 func ProblemBytes(n1, n2 int) int64 {
-	return int64(2*n1*n1+2*n2*n2+n1*n2)*elemBytes[float32]() + int64(n1+n2)
+	s := n1*nussinov.PitchOf(n1, 4) + n2*nussinov.PitchOf(n2, 4)
+	return int64(n1*n1+n2*n2+n1*n2+s)*elemBytes[float32]() + int64(n1+n2)
 }
 
 // Release returns a pooled problem's shell — with its retained sequence
@@ -90,9 +91,9 @@ func BuildS(ctx context.Context, t *nussinov.Table, n int, intra []score.Value, 
 		t = &nussinov.Table{}
 	}
 	t.Reset(n)
-	sc := func(i, j int) float32 { return intra[i*n+j] }
+	rows := func(i, lo, hi int) []float32 { return intra[i*n+lo : i*n+hi] }
 	w, integer := m.IntegerBounded()
-	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, sc, exactSums(integer, w, n), cfg.ParallelFor(n))
+	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, rows, exactSums(integer, w, n), cfg.ParallelFor(n))
 }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).

@@ -44,8 +44,8 @@ type solver = gsolver[float32]
 
 // gsolver carries the state shared by the optimized schedules: the problem,
 // the algebra view, the table being filled and the resolved configuration.
-// The schedules and finalize are algebra-agnostic; only the streams (acc and
-// sweep) and finalize's scalar loops (pairRow, r2Walk) touch scalars.
+// The schedules and finalize are algebra-agnostic; only the kernels and
+// R2's scalar walk (r2Walk) touch scalars.
 type gsolver[T semiring.Scalar] struct {
 	p   *Problem
 	a   alg[T]
@@ -55,16 +55,15 @@ type gsolver[T semiring.Scalar] struct {
 	// streams (a.k.Accum, a.k.Sweep).
 	acc   func(y, x []T, a T)
 	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
-	// s2off is S² seen as a block of Sweep: row r of a.s2 starts at s2off[r].
+	// s2off is S² (and the star table) seen as a block of Sweep: row r of
+	// a.s2 starts at s2off[r] = r·p2.
 	s2off []int
 	// pre holds the rows finalize's R2 closure reads: row i1 is
 	// pre[i1*n2 : (i1+1)*n2], so concurrent triangles write their own.
 	pre []T
-	// pairRow and r2Walk are finalize's scalar loops, bound by initTasks:
-	// pairRow streams y[k] ⊕= x[k] ⊗ w[k]; r2Walk, float32 max-plus only
-	// (nil otherwise), runs R2 inside columns [j, e) of row y.
-	pairRow func(y, x, w []T)
-	r2Walk  func(y, s2 []T, n2, j, e int)
+	// r2Walk, float32 max-plus only (nil otherwise; bound by initTasks), runs
+	// R2 inside columns [j, e) of row y against S² of pitch p.
+	r2Walk func(y, s2 []T, p, j, e int)
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -131,11 +130,7 @@ func (s *gsolver[T]) initTasks() {
 		s.finalize(s.f.Block(i1, j1), i1, j1)
 	}
 	// Every float32 view is max-plus (maxplusAlg).
-	if f, ok := any(pairRowMaxPlus).(func(y, x, w []T)); ok {
-		s.pairRow, s.r2Walk = f, any(r2WalkMaxPlus).(func(y, s2 []T, n2, j, e int))
-	} else {
-		s.pairRow = s.pairRowK
-	}
+	s.r2Walk, _ = any(r2WalkMaxPlus).(func(y, s2 []T, p, j, e int))
 }
 
 // newGSolver assembles a solver over an explicit algebra view and a table
@@ -159,9 +154,9 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 	s.acc, s.sweep = a.k.Accum, a.k.Sweep
 	if len(s.s2off) != a.n2 {
 		s.s2off = make([]int, a.n2)
-		for r := range s.s2off {
-			s.s2off[r] = r * a.n2
-		}
+	}
+	for r := range s.s2off {
+		s.s2off[r] = r * a.p2
 	}
 	if n := p.N1 * a.n2; a.star != nil && len(s.pre) < n {
 		s.pre = make([]T, n)
@@ -322,10 +317,10 @@ const r2Chunk = 8
 // F values, in every algebra. Rows run bottom-up, so the intra-triangle terms
 // reach finalized rows only, and each term is applied to a whole row — the
 // loop permutation of the paper's Table II/III schedules: R1 as one sweep
-// over the rows below; the two pairing terms as a stream and a row loop;
-// then R2. R2 needs no chain: the final row is the row c as it stood before
-// R2 times the star of T[k,j] = S²[k+1,j], and a.star holds T* − I shifted
-// down a row (docs/ALGORITHM.md §4), so
+// over the rows below; the two pairing terms as two streams (Accum and
+// AccumEach); then R2. R2 needs no chain: the final row is the row c as it
+// stood before R2 times the star of T[k,j] = S²[k+1,j], and a.star holds
+// T* − I shifted down a row (docs/ALGORITHM.md §4), so
 //
 //	F[i2,j2] = c[j2] ⊕ (⊕ over i2 ≤ k < j2 of c[k] ⊗ star[k+1,j2])
 //
@@ -369,7 +364,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		if i2+1 < hi {
 			sc2row := a.sc2[i2*n2 : (i2+1)*n2]
 			grow[i2+1] = a.k.Add(a.k.Mul(s1Self, sc2row[i2+1]), grow[i2+1])
-			s.pairRow(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
+			a.k.AccumEach(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
 		}
 		if pre != nil {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
@@ -398,7 +393,7 @@ func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
 	for j := i2; j < hi; {
 		e := min((j/chunk+1)*chunk, hi) // chunks start on multiples of chunk
 		if e > j+1 {
-			s.r2Walk(grow, s.a.s2, s.a.n2, j, e)
+			s.r2Walk(grow, s.a.s2, s.a.p2, j, e)
 		}
 		if e < hi {
 			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi)
@@ -407,34 +402,16 @@ func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
 	}
 }
 
-// pairRowMaxPlus and r2WalkMaxPlus are finalize's scalar loops in float32
-// max-plus, as compares the compiler keeps inline.
-func pairRowMaxPlus(y, x, w []float32) {
-	y, w = y[:len(x)], w[:len(x)]
-	for k, v := range x {
-		if v += w[k]; v > y[k] {
-			y[k] = v
-		}
-	}
-}
-
-func r2WalkMaxPlus(y, s2 []float32, n2, j, e int) {
+// r2WalkMaxPlus is R2's scalar walk in float32 max-plus, as compares the
+// compiler keeps inline; S² has pitch p.
+func r2WalkMaxPlus(y, s2 []float32, p, j, e int) {
 	for j2 := j; j2+1 < e; j2++ {
-		v, row := y[j2], s2[(j2+1)*n2:(j2+1)*n2+e]
+		v, row := y[j2], s2[(j2+1)*p:(j2+1)*p+e]
 		for j3 := j2 + 1; j3 < e; j3++ {
 			if w := v + row[j3]; w > y[j3] {
 				y[j3] = w
 			}
 		}
-	}
-}
-
-// pairRowK is pairRow over the bundle's ⊕ and ⊗, in Accum's operand order.
-func (s *gsolver[T]) pairRowK(y, x, w []T) {
-	add, mul := s.a.k.Add, s.a.k.Mul
-	y, w = y[:len(x)], w[:len(x)]
-	for k, v := range x {
-		y[k] = add(mul(v, w[k]), y[k])
 	}
 }
 

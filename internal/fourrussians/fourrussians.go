@@ -172,6 +172,7 @@ type fillState struct {
 	data []float32
 	sc   nussinov.ScoreFunc
 	n    int
+	p    int // row stride of data: the table's pitch
 	q    int
 	d    int // digit base = maxStep + 1
 	nb   int // code blocks per row/column: ceil(n / q)
@@ -200,7 +201,7 @@ func fillQ(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int) {
 	if n < 2 {
 		return
 	}
-	st := fillState{data: t.Data(), sc: sc, n: n, q: q, d: maxStep + 1}
+	st := fillState{data: t.Data(), sc: sc, n: n, p: t.Pitch(), q: q, d: maxStep + 1}
 	if q > 1 {
 		st.bt = tableFor(st.d, q)
 		st.nb = (n + q - 1) / q
@@ -216,7 +217,7 @@ func fillQ(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int) {
 	}
 	for d := 1; d < n; d++ {
 		for i := 0; i < n-d; i++ {
-			st.data[i*n+i+d] = st.cell(i, i+d)
+			st.data[i*st.p+i+d] = st.cell(i, i+d)
 		}
 		// Second pass: publish the difference codes this diagonal
 		// completes.
@@ -229,13 +230,13 @@ func fillQ(t *nussinov.Table, sc nussinov.ScoreFunc, maxStep, q int) {
 // tail scan. The three ranges partition k = i..j-1, so the candidate set —
 // and therefore the float32 max — is identical to the classic scan's.
 func (s *fillState) cell(i, j int) float32 {
-	n, data, q := s.n, s.data, s.q
-	row := data[i*n : i*n+n : i*n+n]
-	best := data[(i+1)*n+j] // S[i+1, j]
+	p, data, q := s.p, s.data, s.q
+	row := data[i*p : i*p+s.n : i*p+s.n]
+	best := data[(i+1)*p+j] // S[i+1, j]
 	if v := row[j-1]; v > best {
 		best = v // S[i, j-1]
 	}
-	if v := data[(i+1)*n+j-1] + s.sc(i, j); v > best {
+	if v := data[(i+1)*p+j-1] + s.sc(i, j); v > best {
 		best = v // S[i+1, j-1] + w(i, j)
 	}
 	g0 := (i + q - 1) / q // first block fully inside [i, ...]
@@ -246,22 +247,22 @@ func (s *fillState) cell(i, j int) float32 {
 	if q == 1 || g1 < g0 {
 		// No full block in range: plain scan (also the q = 1 degenerate
 		// mode and every n < q table).
-		idx := (i + 1) * n
+		idx := (i + 1) * p
 		for k := i; k < j; k++ {
 			if v := row[k] + data[idx+j]; v > best {
 				best = v
 			}
-			idx += n
+			idx += p
 		}
 		return best
 	}
 	// Head: k in [i, g0·q-1], at most q-1 cells before block alignment.
-	idx := (i + 1) * n
+	idx := (i + 1) * p
 	for k := i; k < g0*q; k++ {
 		if v := row[k] + data[idx+j]; v > best {
 			best = v
 		}
-		idx += n
+		idx += p
 	}
 	// Full blocks: one lookup per q-cell block.
 	nb := s.nb
@@ -270,19 +271,19 @@ func (s *fillState) cell(i, j int) float32 {
 	tbl, codes := s.bt.tbl, s.bt.codes
 	for g := g0; g <= g1; g++ {
 		k0 := g * q
-		base := row[k0] + data[(k0+1)*n+j]
+		base := row[k0] + data[(k0+1)*p+j]
 		if v := base + tbl[int(hr[g])*codes+int(vc[g])]; v > best {
 			best = v
 		}
 	}
 	// Tail: k in [(g1+1)·q, j-1], at most q-1 cells after the last block.
 	k := (g1 + 1) * q
-	idx = (k + 1) * n
+	idx = (k + 1) * p
 	for ; k < j; k++ {
 		if v := row[k] + data[idx+j]; v > best {
 			best = v
 		}
-		idx += n
+		idx += p
 	}
 	return best
 }
@@ -298,14 +299,14 @@ func (s *fillState) encode(d int) {
 	if q == 1 || d < q-1 {
 		return
 	}
-	n, nb, dd, data := s.n, s.nb, s.d, s.data
+	n, p, nb, dd, data := s.n, s.p, s.nb, s.d, s.data
 	for i := 0; i+d < n; i++ {
 		j := i + d
 		if (j+1)%q == 0 {
 			// Row i, block g over columns k0..k0+q-1 ending at j:
 			// digits v_s = S[i, k0+s] - S[i, k0+s-1].
 			g := (j+1)/q - 1
-			base := i*n + g*q
+			base := i*p + g*q
 			code := 0
 			for x := q - 1; x >= 1; x-- {
 				code = code*dd + int(data[base+x]-data[base+x-1])
@@ -316,10 +317,10 @@ func (s *fillState) encode(d int) {
 			// Column j, block g with k0 = i-1: digits
 			// w_s = S[k0+s, j] - S[k0+s+1, j].
 			g := (i - 1) / q
-			base := (i-1)*n + j
+			base := (i-1)*p + j
 			code := 0
 			for x := q - 1; x >= 1; x-- {
-				code = code*dd + int(data[base+x*n]-data[base+(x+1)*n])
+				code = code*dd + int(data[base+x*p]-data[base+(x+1)*p])
 			}
 			s.vcol[j*nb+g] = uint16(code)
 		}

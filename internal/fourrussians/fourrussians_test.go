@@ -46,7 +46,7 @@ func requireIdentical(t *testing.T, label string, got, want *nussinov.Table) {
 	gd, wd := got.Data(), want.Data()
 	for idx := range wd {
 		if gd[idx] != wd[idx] {
-			i, j := idx/want.N, idx%want.N
+			i, j := idx/want.Pitch(), idx%want.Pitch()
 			t.Fatalf("%s: S[%d,%d] = %v, classic %v", label, i, j, gd[idx], wd[idx])
 		}
 	}
@@ -105,10 +105,10 @@ func TestParityMinHairpinScores(t *testing.T) {
 
 // TestParityAcrossBlockSizes keeps the size grid of the retired parallel
 // build's parity test: 63/64/65 and 257 straddle a change of the block size
-// q, 384 is the largest table any unit test here fills.
+// q, and the largest table is laid out on a padded row pitch.
 func TestParityAcrossBlockSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{63, 64, 65, 96, 130, 192, 257, 384} {
+	for _, n := range []int{63, 64, 65, 96, 130, 192, 257, 384, nussinov.SequentialCutoff + 5} {
 		seq := rna.Random(rng, n)
 		sc := scoreFor(seq, score.BasePair())
 		requireIdentical(t, "sizes", Build(n, sc, 3), nussinov.Build(n, sc))

@@ -1,23 +1,24 @@
 package nussinov
 
 import (
+	"cmp"
 	"context"
 
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
-// SequentialCutoff is the table size below which a parallel substrate build
-// fills inline, row by row, like a one-worker build. It is the measured
-// crossover, not a guess: on the 2-vCPU reference host, in the closure form
-// an integer-weight strand builds by, two workers on tiles first beat one
-// worker on rows beyond noise in every sweep at n = 1024 (at 768 and below
-// they tie; table in docs/PERFORMANCE.md, "The single-strand substrate").
-const SequentialCutoff = 1024
+// SequentialCutoff is the one threshold of the single-strand fill: from it up
+// a table takes a padded row pitch (PitchOf) and fills in tiles, below it the
+// table is dense and one tile, the row order. It is the measured crossover:
+// on the 2-vCPU reference host, in the closure form, one worker on padded
+// tiles ties one on dense rows up to 976 nt and first beats it at 992 (table
+// in docs/PERFORMANCE.md, "The single-strand substrate").
+const SequentialCutoff = 992
 
-// tileEdge is the side of the square tiles a parallel build is cut into:
-// wide enough that a tile row's stream is as long as the average whole-row
-// stream of a 768-nt table, narrow enough that a table just over
-// SequentialCutoff still has five block-rows to share out.
+// tileEdge is the side of the square tiles a table at or above
+// SequentialCutoff is cut into: wide enough that a tile row's stream is as
+// long as the average whole-row stream of a 768-nt table, narrow enough that
+// the rows below a tile, 1 KiB each in its columns, fit a 2 MiB L2 to 2048 nt.
 const tileEdge = 256
 
 // ParallelFor runs f(i) for every i in [0, n) on the caller's parallel
@@ -29,7 +30,7 @@ const tileEdge = 256
 type ParallelFor func(ctx context.Context, n int, f func(i int)) error
 
 // closure is the scratch of the closure form: pre holds each row's seed by
-// absolute column, off the table's row offsets (off[r] = r·n). A nil
+// absolute column, off the table's row offsets (off[r] = r·pitch). A nil
 // *closure is the per-split walk.
 type closure[T semiring.Scalar] struct {
 	pre []T
@@ -38,15 +39,16 @@ type closure[T semiring.Scalar] struct {
 
 // fillRow is the one single-strand fill body: it computes S[i, j] for the
 // columns j in [max(c0, i+1), c1) of row i, given every row below i final on
-// [0, c1) and row i itself final left of c0. The recurrence
+// [0, c1) and row i itself final left of c0. Row r is data[r*p:], p the
+// table's pitch. The recurrence
 //
 //	S[i,j] = S[i,i] ⊗ S[i+1,j]  ⊕  S[i,j-1] ⊗ S[j,j]
 //	       ⊕ S[i+1,j-1] ⊗ w(i,j)  ⊕  ⊕_{s=i..j-1} S[i,s] ⊗ S[s+1,j]
 //
 // is run as the paper's streaming update instead of cell by cell: seed the
-// row from the one below (the first and third terms; score is called exactly
-// once per cell, here), then finish it in one of two forms. Every inner loop
-// is unit-stride; nothing walks a column.
+// row from the one below (the first and third terms, the third one AccumEach
+// over the row's pair weights), then finish it in one of two forms. Every
+// inner loop is unit-stride; nothing walks a column.
 //
 // The walk (cl nil) goes s left to right — y[s] has by then received every
 // candidate it will get — and streams y[s] ⊗ (row s+1) into the rest of the
@@ -63,14 +65,12 @@ type closure[T semiring.Scalar] struct {
 // with y register-held across every s. A tile right of the diagonal first
 // takes the hops from the row's final cells left of it, one Sweep more.
 // Every sum is exact, so the table is the walk's bit for bit, tiled or not.
-func fillRow[T semiring.Scalar](data []T, n int, k *semiring.Kernels[T], unit T, score func(i, j int) T, i, c0, c1 int, cl *closure[T]) {
-	y := data[i*n : i*n+n : i*n+n]
-	below := data[(i+1)*n : (i+1)*n+n : (i+1)*n+n]
+func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, c1 int, cl *closure[T]) {
+	y := data[i*p : i*p+c1 : i*p+c1]
+	below := data[(i+1)*p : (i+1)*p+c1 : (i+1)*p+c1]
 	lo := max(c0, i+1)
-	k.MulInto(y[lo:c1], below[lo:c1], unit) // i unpaired ⊗ S[i+1, j]
-	for j := lo; j < c1; j++ {
-		y[j] = k.Add(k.Mul(below[j-1], score(i, j)), y[j])
-	}
+	k.MulInto(y[lo:c1], below[lo:c1], unit)               // i unpaired ⊗ S[i+1, j]
+	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)
 	if cl != nil {
 		s0 := max(c0, i) // the diagonal, S[i,i] = unit, is the first hop
 		copy(cl.pre[s0:c1], y[s0:c1])
@@ -81,7 +81,7 @@ func fillRow[T semiring.Scalar](data []T, n int, k *semiring.Kernels[T], unit T,
 		return
 	}
 	for s := i; s < c1-1; s++ {
-		x := data[(s+1)*n : (s+1)*n+n : (s+1)*n+n]
+		x := data[(s+1)*p : (s+1)*p+c1 : (s+1)*p+c1]
 		from := lo
 		if s+1 >= lo {
 			from = s + 1
@@ -91,54 +91,53 @@ func fillRow[T semiring.Scalar](data []T, n int, k *semiring.Kernels[T], unit T,
 	}
 }
 
-// fill runs fillRow over a whole n×n table on the calling goroutine: the
-// boundary, then the rows bottom-up, polling ctx once per row (O(n²) work).
-// On cancellation the table is left partially filled.
-func fill[T semiring.Scalar](ctx context.Context, data []T, n int, k semiring.Kernels[T], unit T, score func(i, j int) T, cl *closure[T]) error {
-	boundary(data, n, k.One, unit)
-	for i := n - 2; i >= 0; i-- {
-		if err := ctx.Err(); err != nil {
-			return err
+// fillTiled fills an n-position table of pitch p: the boundary, then
+// tile-square tiles. Tile (I, J) needs the tiles left of it in its block-row
+// and below it in its block-column, so the tiles of one block anti-diagonal
+// are independent — the paper's triangle of tiles — and run inline with a nil
+// pfor, as one pfor wavefront otherwise. They own distinct columns, so they
+// share the closure's pre row and a ScoreRows row without touching each
+// other's cells. On an error the table is partially filled.
+func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], pfor ParallelFor) error {
+	boundary(data, n, p, k.One, unit)
+	for nb, d := (n+tile-1)/tile, 0; d < nb; d++ {
+		if pfor != nil {
+			// A tile that saw the cancel stopped short: the wavefront failed.
+			err := pfor(ctx, nb-d, func(b int) { _ = fillTile(ctx, data, n, p, tile, k, unit, w, cl, b, d) })
+			if err = cmp.Or(err, ctx.Err()); err != nil {
+				return err
+			}
+			continue
 		}
-		fillRow(data, n, &k, unit, score, i, 0, n, cl)
+		for b := 0; b < nb-d; b++ {
+			if err := fillTile(ctx, data, n, p, tile, k, unit, w, cl, b, d); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// fillTiled is fill with the triangle cut into tile-square tiles, each
-// filled by the same fillRow restricted to the tile's columns. Tile (I, J)
-// needs the tiles left of it in its block-row and below it in its
-// block-column, so the tiles of one block anti-diagonal are independent and
-// run as one pfor wavefront — the paper's triangle-of-tiles schedule. The
-// tiles of a wavefront own distinct columns, so they share the closure's pre
-// row without touching each other's cells. ctx is polled once per
-// wavefront. On an error the table is partially filled.
-func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, tile int, k semiring.Kernels[T], unit T, score func(i, j int) T, cl *closure[T], pfor ParallelFor) error {
-	boundary(data, n, k.One, unit)
-	for nb, d := (n+tile-1)/tile, 0; d < nb; d++ {
+// fillTile fills tile (b, b+d) of the block grid, rows bottom-up, each by
+// fillRow restricted to the tile's columns, polling ctx before each row.
+func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
+	r0, c0 := b*tile, (b+d)*tile
+	c1 := min(c0+tile, n)
+	// Row n-1 has no row below it and nothing right of its diagonal.
+	for i := min(r0+tile, n-1) - 1; i >= r0; i-- {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := pfor(ctx, nb-d, func(b int) {
-			r0, c0 := b*tile, (b+d)*tile
-			c1 := min(c0+tile, n)
-			// Row n-1 has no row below it and nothing right of its diagonal.
-			for i := min(r0+tile, n-1) - 1; i >= r0; i-- {
-				fillRow(data, n, &k, unit, score, i, c0, c1, cl)
-			}
-		})
-		if err != nil {
-			return err
-		}
+		fillRow(data, p, &k, unit, w, i, c0, c1, cl)
 	}
 	return nil
 }
 
 // boundary writes the cells no row fill computes: One below the diagonal
 // (the empty interval) and unit, the weight of one unpaired base, on it.
-func boundary[T semiring.Scalar](data []T, n int, one, unit T) {
+func boundary[T semiring.Scalar](data []T, n, p int, one, unit T) {
 	for i := 0; i < n; i++ {
-		row := data[i*n : i*n+n : i*n+n]
+		row := data[i*p : i*p+n : i*p+n]
 		for j := 0; j < i; j++ {
 			row[j] = one
 		}

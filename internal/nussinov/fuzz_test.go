@@ -17,11 +17,12 @@ import (
 // for arbitrary sequences, all three stock score models and a minimum
 // hairpin loop, the streamed table in both forms — the per-split walk and the
 // closure sweep — (on every kernel body the process can run, in fresh
-// storage and in a pooled table's dirty storage after Reset), the table
-// FillContext tiles across workers in both forms and the Four-Russians
-// comparator's table (an independent implementation of the recurrence, off
-// the serving path) must equal the per-cell reference's bit for bit, and a
-// traceback over the streamed table must reach the reference's total weight.
+// storage and in a pooled table's dirty storage after Reset), the tables
+// FillContext pads and tiles, inline and across workers, in both forms, and
+// the Four-Russians comparator's table (an independent implementation of the
+// recurrence, off the serving path) must equal the per-cell reference's bit
+// for bit, and a traceback over the streamed table must reach the
+// reference's total weight.
 func FuzzSubstrateParity(f *testing.F) {
 	f.Add("GGGAAACCC")
 	f.Add("GCGC")
@@ -29,6 +30,7 @@ func FuzzSubstrateParity(f *testing.F) {
 	f.Add("")
 	f.Add("ACGUACGUACGUACGUACGUACGUACGUACGUACGUACGU")
 	f.Add("GGGGGGGGGGGGGGGGCCCCCCCCCCCCCCCC")
+	f.Add("GGGAAACCCUUUGGGAAACCCUUUGGGAAACCCUUUGGGAAACCCUUUGGGAAACCCUUUGGGAAACCCU") // 70 nt: padded to 192 past a 64-cell row
 	f.Fuzz(func(t *testing.T, s string) {
 		if len(s) > 300 {
 			t.Skip("cap the O(n³) fills")
@@ -66,8 +68,8 @@ func FuzzSubstrateParity(f *testing.F) {
 					}
 					subjects[form+"-"+impl] = got
 				}
-				// FillContext's tiled form, at a cutoff and tile edge a fuzzed
-				// strand reaches.
+				// FillContext's padded, tiled form, at a cutoff and tile edge a
+				// fuzzed strand reaches: the pitch is N only at 64, 192, ….
 				tiled, err := nussinov.BuildTiled(context.Background(), n, 16, 0, semiring.MaxPlusKernels(false), sc, exact, nussinov.ForkJoin(2))
 				if err != nil {
 					t.Fatalf("%s: tiled build: %v", label, err)
@@ -80,18 +82,18 @@ func FuzzSubstrateParity(f *testing.F) {
 					pooled.Data()[i] = float32(i%7) - 3
 				}
 				pooled.Reset(n)
-				if err := pooled.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, exact, nil); err != nil {
+				if err := pooled.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, nussinov.ScoreRows(n, sc), exact, nil); err != nil {
 					t.Fatalf("%s: pooled fill: %v", label, err)
 				}
 				subjects["pooled-"+form] = pooled
 			}
-			wd := want.Data()
 			for name, got := range subjects {
-				gd := got.Data()
-				for idx := range wd {
-					if gd[idx] != wd[idx] {
-						t.Fatalf("%s %s: S[%d,%d] = %v, reference %v (seq %q)",
-							label, name, idx/n, idx%n, gd[idx], wd[idx], s)
+				for i := 0; i < n; i++ {
+					for j, w := range want.Row(i) {
+						if g := got.Row(i)[j]; g != w {
+							t.Fatalf("%s %s: S[%d,%d] = %v, reference %v (seq %q, pitch %d)",
+								label, name, i, j, g, w, s, got.Pitch())
+						}
 					}
 				}
 			}

@@ -74,7 +74,7 @@ func TestGTableSumProductScaled(t *testing.T) {
 	for _, sigma := range []float64{0, 1.3, 4} {
 		got := NewGTable[float64](n)
 		err := got.FillContext(context.Background(), semiring.SumProductKernels(), math.Exp(-sigma),
-			func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }, false, nil)
+			ScoreRows(n, func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }), false, nil)
 		if err != nil {
 			t.Fatalf("FillContext: %v", err)
 		}
@@ -100,7 +100,7 @@ func TestFillContextMatchesBuildG(t *testing.T) {
 	k := semiring.MaxPlusKernels(false)
 	want := BuildG(n, k, score)
 	got := NewGTable[float32](n)
-	if err := got.FillContext(context.Background(), k, k.One, score, false, nil); err != nil {
+	if err := got.FillContext(context.Background(), k, k.One, ScoreRows(n, score), false, nil); err != nil {
 		t.Fatalf("FillContext: %v", err)
 	}
 	for i := 0; i < n; i++ {
@@ -112,7 +112,7 @@ func TestFillContextMatchesBuildG(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := got.FillContext(cancelled, k, k.One, score, false, nil); err == nil {
+	if err := got.FillContext(cancelled, k, k.One, ScoreRows(n, score), false, nil); err == nil {
 		t.Fatal("cancelled build succeeded")
 	}
 }
@@ -127,7 +127,7 @@ func TestGTableReset(t *testing.T) {
 		reused.data[i] = -42 // poison
 	}
 	reused.Reset(9)
-	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(false), 0, sf, false, nil); err != nil {
+	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(false), 0, ScoreRows(9, sf), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ {

@@ -11,11 +11,11 @@
 //
 // with S[i,j] = 0 when j <= i. Row i depends only on itself and the rows
 // below it, so the table fills bottom-up with the split scan turned into the
-// paper's unit-stride stream y = max(a + x, y) over whole rows (fill.go), and
-// from SequentialCutoff up FillContext cuts that into a triangle of tiles,
-// mirroring how the paper schedules S¹/S² "before scheduling any other
-// variables". There is one table type (GTable; Table is its float32
-// instantiation) and one build call (FillContext).
+// paper's unit-stride stream y = max(a + x, y) over rows (fill.go), and from
+// SequentialCutoff up FillContext cuts that into a triangle of tiles on a
+// padded row pitch, mirroring how the paper schedules S¹/S² "before
+// scheduling any other variables". There is one table type (GTable; Table is
+// its float32 instantiation) and one build call (FillContext).
 package nussinov
 
 import (
@@ -32,7 +32,9 @@ import (
 type ScoreFunc func(i, j int) float32
 
 // GTable holds S over a bounding-box memory map (option 1 of the paper's
-// Fig 10): row-contiguous, so BPMax's kernels can stream rows of S². It is
+// Fig 10): row i is the N cells from Data()[i*Pitch()], so BPMax's kernels
+// can stream rows of S², at a pitch that is N below SequentialCutoff and
+// padded (PitchOf) from it up. It is
 // the one single-strand table type, generic over the scalar of the semiring
 // that filled it: after a fill the lower triangle holds One — the empty
 // interval — and the diagonal the weight of one unpaired base. The float32
@@ -42,9 +44,10 @@ type ScoreFunc func(i, j int) float32
 // instantiation the same sum in the linear domain — the single-strand
 // partition substrates of the BPPart fill.
 type GTable[T semiring.Scalar] struct {
-	N    int
-	data []T // data[i*N+j] = S[i,j] for i <= j
-	one  T   // the filling semiring's One: S of an empty interval
+	N     int
+	pitch int // row stride of data
+	data  []T // data[i*pitch+j] = S[i,j] for i <= j < N
+	one   T   // the filling semiring's One: S of an empty interval
 	// cl is the closure form's scratch, kept across Reset so a pooled
 	// table's refill allocates nothing; closed records the form of the
 	// last fill.
@@ -73,29 +76,58 @@ func (t *GTable[T]) At(i, j int) T {
 	if i < 0 || j >= t.N {
 		panic(fmt.Sprintf("nussinov: At(%d, %d) out of table of size %d", i, j, t.N))
 	}
-	return t.data[i*t.N+j]
+	return t.data[i*t.pitch+j]
 }
 
-// Row returns the slice holding row i (cells (i, 0..N-1) of the bounding
-// box; only j >= i are meaningful). Callers must not modify it.
-func (t *GTable[T]) Row(i int) []T { return t.data[i*t.N : (i+1)*t.N] }
+// Row returns row i, the N cells (i, 0..N-1) of the bounding box without the
+// pitch's padding; only j >= i are meaningful. Callers must not modify it.
+func (t *GTable[T]) Row(i int) []T { return t.data[i*t.pitch : i*t.pitch+t.N] }
 
-// Data exposes the table's backing storage (row-contiguous, N×N): the
-// solver's algebra bundles stream rows out of it, and the Four-Russians
-// comparator package fills a Table through it. Every other caller must
-// treat it as read-only.
+// Pitch is the row stride of Data: row i starts at Data()[i*Pitch()].
+func (t *GTable[T]) Pitch() int { return t.pitch }
+
+// Data exposes the table's backing storage, N rows of Pitch() cells (S[i,j]
+// at i*Pitch()+j): the solver's algebra bundles stream rows out of it, and
+// the Four-Russians comparator fills a Table through it. Every other caller
+// must treat it as read-only.
 func (t *GTable[T]) Data() []T { return t.data }
 
 // Clone returns an independent deep copy of t. Cached substrate tables are
 // cloned out of pooled problems, whose own storage is reset on reuse.
 func (t *GTable[T]) Clone() *GTable[T] {
-	return &GTable[T]{N: t.N, data: slices.Clone(t.data), one: t.one, closed: t.closed}
+	return &GTable[T]{N: t.N, pitch: t.pitch, data: slices.Clone(t.data), one: t.one, closed: t.closed}
 }
 
-// Bytes returns the table's cell-storage footprint.
+// Bytes returns the table's cell-storage footprint, N·Pitch() cells.
 func (t *GTable[T]) Bytes() int64 {
 	var z T
 	return int64(len(t.data)) * int64(unsafe.Sizeof(z))
+}
+
+// PitchOf is the row stride, in cells, of an n-position table of width-byte
+// cells: n below SequentialCutoff, else the smallest odd multiple of 256
+// bytes (one AVX-512 register block) holding n, so that a column strip of
+// the rows spreads over the cache sets a 4 KiB stride would pile it into.
+func PitchOf(n, width int) int { return pitch(n, SequentialCutoff, width) }
+
+func pitch(n, cutoff, width int) int {
+	if blk := 256 / width; n >= cutoff {
+		return ((n+blk-1)/blk | 1) * blk
+	}
+	return n
+}
+
+// layout sizes t for n positions at the pitch cutoff gives. It reports
+// whether it kept t's storage, whose cells keep whatever they held; new
+// storage is zeroed.
+func (t *GTable[T]) layout(n, cutoff int) (kept bool) {
+	t.N, t.pitch = n, pitch(n, cutoff, int(unsafe.Sizeof(t.one)))
+	if need := n * t.pitch; cap(t.data) >= need {
+		t.data = t.data[:need]
+		return true
+	}
+	t.data = make([]T, n*t.pitch)
+	return false
 }
 
 // Reset prepares t for reuse at size n: storage is kept when its capacity
@@ -105,23 +137,33 @@ func (t *GTable[T]) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
 	}
-	need := n * n
-	if cap(t.data) < need {
-		t.data = make([]T, need)
-	} else {
-		t.data = t.data[:need]
+	if t.layout(n, SequentialCutoff) {
 		clear(t.data)
 	}
-	t.N = n
+}
+
+// PairRows gives a fill its pair weights a row at a time, w(i, lo, hi)[j-lo]
+// pairing i with j; tiles that run at once ask for distinct columns.
+type PairRows[T semiring.Scalar] func(i, lo, hi int) []T
+
+// ScoreRows adapts a per-cell score to PairRows over an n-position strand,
+// filling one scratch row by absolute column, score called once a cell.
+func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
+	row := make([]T, n)
+	return func(i, lo, hi int) []T {
+		for j := lo; j < hi; j++ {
+			row[j] = score(i, j)
+		}
+		return row[lo:hi]
+	}
 }
 
 // FillContext is the one build call: it runs the streamed fill (fill.go)
 // over a fresh or Reset table, O(n³) time in all, and alone chooses its
-// schedule. With a nil pfor, or a table under SequentialCutoff, the rows fill
-// inline on the calling goroutine and ctx is checked once per row;
-// otherwise pfor cooperates on each wavefront of tiles and ctx is checked
-// once per wavefront — either costs O(n²) work at most, so a cancel returns
-// promptly. The two schedules agree bit for bit in every semiring.
+// layout and schedule: below SequentialCutoff a dense table, row by row on
+// the calling goroutine; from it up a padded pitch and tiles, inline with a
+// nil pfor, otherwise one pfor wavefront at a time. ctx is checked once per
+// row. Every schedule agrees bit for bit, in every semiring.
 //
 // exact asserts that k is max-plus and that every sum the fill forms is
 // exact — integer weights, no structure's score reaching 2²⁴ — which the
@@ -134,36 +176,33 @@ func (t *GTable[T]) Reset(n int) {
 // per-nucleotide-scaled Boltzmann factors — and lands on the diagonal; the
 // lower triangle gets One. Written that way every candidate is a ⊗ of two
 // stored cells (or one cell and a pair weight), so the fill needs no scale
-// of its own. score(i, j) is called exactly once per cell i < j. On
-// cancellation or a failed wavefront the table is left partially filled and
-// the error returned.
-func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, exact bool, pfor ParallelFor) error {
-	return t.fillContext(ctx, k, unit, score, exact, pfor, SequentialCutoff, tileEdge)
+// of its own. w gives the pair weights of cells i < j, each asked for once.
+// On an error the table is left partially filled and the error returned.
+func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor) error {
+	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tileEdge)
 }
 
 // fillContext is FillContext with the cutoff and tile edge as arguments, so
-// the tests can run the tiled form at sizes a per-cell oracle can follow.
-func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, score func(i, j int) T, exact bool, pfor ParallelFor, cutoff, tile int) error {
+// the tests can run the padded, tiled form where a per-cell oracle can.
+func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor, cutoff, tile int) error {
+	t.layout(t.N, cutoff)
 	t.one, t.closed = k.One, exact
 	var cl *closure[T]
 	if exact {
 		cl = t.scratch()
 	}
-	if pfor == nil || t.N < cutoff {
-		return fill(ctx, t.data, t.N, k, unit, score, cl)
+	if t.N < cutoff {
+		tile, pfor = max(t.N, 1), nil
 	}
-	return fillTiled(ctx, t.data, t.N, tile, k, unit, score, cl, pfor)
+	return fillTiled(ctx, t.data, t.N, t.pitch, tile, k, unit, w, cl, pfor)
 }
 
 // scratch sizes the closure form's scratch to the table, reusing its storage.
 func (t *GTable[T]) scratch() *closure[T] {
 	n := t.N
-	if cap(t.cl.off) < n {
-		t.cl = closure[T]{pre: make([]T, n), off: make([]int, n)}
-	}
-	t.cl.pre, t.cl.off = t.cl.pre[:n], t.cl.off[:n]
+	t.cl.pre, t.cl.off = slices.Grow(t.cl.pre[:0], n)[:n], slices.Grow(t.cl.off[:0], n)[:n]
 	for r := range t.cl.off {
-		t.cl.off[r] = r * n
+		t.cl.off[r] = r * t.pitch
 	}
 	return &t.cl
 }
@@ -172,8 +211,9 @@ func (t *GTable[T]) scratch() *closure[T] {
 // closure sweep (FillContext's exact) rather than the per-split walk.
 func (t *GTable[T]) Closed() bool { return t.closed }
 
-// Tiled reports whether FillContext tiles an n-position table when given a
-// pfor: a caller for whom binding one allocates can skip it otherwise.
+// Tiled reports whether FillContext tiles an n-position table, and so
+// whether a pfor would be used: a caller for whom binding one allocates can
+// skip it otherwise.
 func Tiled(n int) bool { return n >= SequentialCutoff }
 
 // Build fills a fresh max-plus table on the calling goroutine. O(n³) time,
@@ -183,11 +223,11 @@ func Build(n int, score ScoreFunc) *Table {
 }
 
 // BuildG fills a fresh table in k's semiring on the calling goroutine, every
-// unpaired base weighing One. It knows no model bound, so its rows take the
-// per-split walk.
+// unpaired base weighing One, score called once per cell i < j. It knows no
+// model bound, so its rows take the per-split walk.
 func BuildG[T semiring.Scalar](n int, k semiring.Kernels[T], score func(i, j int) T) *GTable[T] {
 	t := NewGTable[T](n)
-	_ = t.FillContext(context.Background(), k, k.One, score, false, nil) // Background never cancels
+	_ = t.FillContext(context.Background(), k, k.One, ScoreRows(n, score), false, nil) // Background never cancels
 	return t
 }
 

@@ -332,36 +332,49 @@ func benchBuild(b *testing.B, n int) {
 }
 
 // benchBuildParallel is the reading SequentialCutoff is set from, in the
-// closure form a base-pair strand builds by: W=1 is what a one-worker request
-// runs (whole rows, inline), W=2 the production tiles on two goroutines —
-// forced, whatever the cutoff says about n, so the crossover can be
-// re-measured on a new host.
+// closure form a base-pair strand builds by: rows is the dense row order a
+// table below the cutoff fills in, W=1 the padded tiles inline, W=2 the same
+// tiles on two goroutines — each forced, whatever the cutoff says about n,
+// so the crossover can be re-measured on a new host.
 func benchBuildParallel(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	seq := rna.Random(rng, n)
 	sc := scoreFor(seq, score.BasePair())
-	b.Run("W=1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := BuildContext(context.Background(), n, sc, true, nil); err != nil {
-				b.Fatal(err)
-			}
+	// The pair weights as ibpmax.BuildS reads them: rows of a precomputed table.
+	intra := make([]float32, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			intra[i*n+j] = sc(i, j)
 		}
-	})
-	b.Run("W=2", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := BuildTiled(context.Background(), n, tileEdge, 0, semiring.MaxPlusKernels(true), sc, true, ForkJoin(2)); err != nil {
-				b.Fatal(err)
+	}
+	rows := func(i, lo, hi int) []float32 { return intra[i*n+lo : i*n+hi] }
+	for _, c := range []struct {
+		name   string
+		cutoff int
+		pfor   ParallelFor
+	}{{"rows", n + 1, nil}, {"W=1", 0, nil}, {"W=2", 0, ForkJoin(2)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := NewGTable[float32](n)
+				if err := t.fillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, c.pfor, c.cutoff, tileEdge); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkBuild256(b *testing.B)          { benchBuild(b, 256) }
 func BenchmarkBuild1024(b *testing.B)         { benchBuild(b, 1024) }
 func BenchmarkBuild2048(b *testing.B)         { benchBuild(b, 2048) }
 func BenchmarkBuildParallel256(b *testing.B)  { benchBuildParallel(b, 256) }
+func BenchmarkBuildParallel512(b *testing.B)  { benchBuildParallel(b, 512) }
+func BenchmarkBuildParallel768(b *testing.B)  { benchBuildParallel(b, 768) }
+func BenchmarkBuildParallel896(b *testing.B)  { benchBuildParallel(b, 896) }
+func BenchmarkBuildParallel960(b *testing.B)  { benchBuildParallel(b, 960) }
+func BenchmarkBuildParallel976(b *testing.B)  { benchBuildParallel(b, 976) }
+func BenchmarkBuildParallel992(b *testing.B)  { benchBuildParallel(b, 992) }
 func BenchmarkBuildParallel1024(b *testing.B) { benchBuildParallel(b, 1024) }
 func BenchmarkBuildParallel1280(b *testing.B) { benchBuildParallel(b, 1280) }
 func BenchmarkBuildParallel1536(b *testing.B) { benchBuildParallel(b, 1536) }

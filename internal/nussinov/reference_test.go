@@ -14,25 +14,25 @@ import (
 // tree's substrate package that still does it (./ci.sh lint holds that
 // line). Candidates and their order are exactly the pre-stream per-cell
 // fill's, every ⊕ as add(candidate, accumulator).
-func referenceFill[T semiring.Scalar](data []T, n int, k semiring.Kernels[T], unit T, score func(i, j int) T) {
+func referenceFill[T semiring.Scalar](data []T, n, p int, k semiring.Kernels[T], unit T, score func(i, j int) T) {
 	add, mul := k.Add, k.Mul
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
-			data[i*n+j] = k.One
+			data[i*p+j] = k.One
 		}
-		data[i*n+i] = unit
+		data[i*p+i] = unit
 	}
 	for d := 1; d < n; d++ {
 		for i := 0; i+d < n; i++ {
 			j := i + d
-			row := data[i*n : i*n+n : i*n+n]
-			best := mul(row[i], data[(i+1)*n+j])         // i unpaired ⊗ S[i+1, j]
-			best = add(mul(row[j-1], data[j*n+j]), best) // S[i, j-1] ⊗ j unpaired
-			best = add(mul(data[(i+1)*n+j-1], score(i, j)), best)
-			idx := (i+1)*n + j // walks S[s+1, j] down column j
+			row := data[i*p : i*p+n : i*p+n]
+			best := mul(row[i], data[(i+1)*p+j])         // i unpaired ⊗ S[i+1, j]
+			best = add(mul(row[j-1], data[j*p+j]), best) // S[i, j-1] ⊗ j unpaired
+			best = add(mul(data[(i+1)*p+j-1], score(i, j)), best)
+			idx := (i+1)*p + j // walks S[s+1, j] down column j
 			for s := i; s < j; s++ {
 				best = add(mul(row[s], data[idx]), best)
-				idx += n
+				idx += p
 			}
 			row[j] = best
 		}
@@ -48,7 +48,7 @@ func ReferenceBuild(n int, score ScoreFunc) *Table {
 func ReferenceBuildG[T semiring.Scalar](n int, k semiring.Kernels[T], unit T, score func(i, j int) T) *GTable[T] {
 	t := NewGTable[T](n)
 	t.one = k.One
-	referenceFill(t.data, n, k, unit, score)
+	referenceFill(t.data, n, t.pitch, k, unit, score)
 	return t
 }
 
@@ -60,11 +60,11 @@ func BuildContext(ctx context.Context, n int, score ScoreFunc, exact bool, pfor 
 }
 
 // BuildTiled is BuildContext at any cutoff, tile edge and kernel bundle:
-// production builds tile only from SequentialCutoff up, with tileEdge tiles,
-// far beyond what a per-cell oracle can follow.
+// production builds pad and tile only from SequentialCutoff up, with
+// tileEdge tiles, far beyond what a per-cell oracle can follow.
 func BuildTiled(ctx context.Context, n, tile, cutoff int, k semiring.Kernels[float32], score ScoreFunc, exact bool, pfor ParallelFor) (*Table, error) {
 	t := NewGTable[float32](n)
-	if err := t.fillContext(ctx, k, 0, score, exact, pfor, cutoff, tile); err != nil {
+	if err := t.fillContext(ctx, k, 0, ScoreRows(n, score), exact, pfor, cutoff, tile); err != nil {
 		return nil, err
 	}
 	return t, nil

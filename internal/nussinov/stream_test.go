@@ -46,6 +46,16 @@ func tableBytes[T semiring.Scalar](data []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*int(unsafe.Sizeof(data[0])))
 }
 
+// dense is a table's cells without its pitch's padding, N×N row-major: the
+// layout of the per-cell reference's storage.
+func dense[T semiring.Scalar](t *GTable[T]) []T {
+	out := make([]T, 0, t.N*t.N)
+	for i := 0; i < t.N; i++ {
+		out = append(out, t.Row(i)...)
+	}
+	return out
+}
+
 func requireSameBytes(t *testing.T, label string, n int, got, want []float32) {
 	t.Helper()
 	if bytes.Equal(tableBytes(got), tableBytes(want)) {
@@ -94,11 +104,14 @@ var integerShapes = map[string]bool{"basepair": true, "unit": true, "forbidden":
 
 // TestStreamedMatchesReference is the bit-identity gate of the streamed fill:
 // on every size, score shape, kernel body and form — the per-split walk on
-// every shape, the closure sweep on the integer ones — serial and tiled on
-// 1–4 workers, the table is byte-equal to the per-cell reference's, and a
-// traceback over it reaches S[0, n-1]. The float64 sum-product GTable — whose
-// per-cell reference associates ⊕ differently, so is only close — is held
-// byte-equal across its two kernel bodies instead.
+// every shape, the closure sweep on the integer ones — in each layout and
+// order FillContext can choose (dense rows; padded tiles, inline and on 1–4
+// workers), the table is byte-equal to the per-cell reference's, and a
+// traceback over it reaches S[0, n-1]. The padded tables are laid out at the
+// pitch a cutoff of 0 gives, which differs from N at every size here but 64
+// and 128. The float64 sum-product GTable — whose per-cell reference
+// associates ⊕ differently, so is only close — is held byte-equal across its
+// two kernel bodies instead.
 func TestStreamedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kernels := map[string]semiring.Kernels[float32]{
@@ -112,14 +125,15 @@ func TestStreamedMatchesReference(t *testing.T) {
 		const kT = 0.7
 		sigma := float64(mfe)/(kT*float64(max(n, 1))) + 0.9
 		g := NewGTable[float64](n)
-		_ = g.FillContext(context.Background(), k, math.Exp(-sigma), func(i, j int) float64 { // Background never cancels
+		_ = g.FillContext(context.Background(), k, math.Exp(-sigma), ScoreRows(n, func(i, j int) float64 { // Background never cancels
 			if w := sc(i, j); w > semiring.NegInf/2 {
 				return math.Exp(float64(w)/kT - 2*sigma)
 			}
 			return 0
-		}, false, nil)
+		}), false, nil)
 		return g.data
 	}
+	padded := 0
 	for _, n := range differentialSizes() {
 		seq := rna.Random(rng, n)
 		// Tiles of 8 cut even the small tables into several block-rows; 64
@@ -146,17 +160,27 @@ func TestStreamedMatchesReference(t *testing.T) {
 						continue
 					}
 					label := fmt.Sprintf("n=%d %s %s %s", n, name, impl, formName(exact))
+					rows, err := BuildTiled(context.Background(), n, tile, n+1, k, sc, exact, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rows.Closed() != exact || rows.Pitch() != n {
+						t.Fatalf("%s: Closed() = %v, Pitch() = %d", label, rows.Closed(), rows.Pitch())
+					}
+					requireSameBytes(t, label+" rows", n, dense(rows), want)
 					got, err := BuildTiled(context.Background(), n, tile, 0, k, sc, exact, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Closed() != exact {
-						t.Fatalf("%s: Closed() = %v", label, got.Closed())
+					if got.Pitch() != n {
+						padded++
 					}
-					requireSameBytes(t, label+" serial", n, got.data, want)
-					if n > 0 {
-						if w := PairsWeight(got.Traceback(sc), sc); w != got.At(0, n-1) {
-							t.Fatalf("%s: traceback weight %v, S[0,%d] = %v", label, w, n-1, got.At(0, n-1))
+					requireSameBytes(t, label+" inline tiles", n, dense(got), want)
+					for _, tb := range []*Table{rows, got} {
+						if n > 0 {
+							if w := PairsWeight(tb.Traceback(sc), sc); w != tb.At(0, n-1) {
+								t.Fatalf("%s pitch %d: traceback weight %v, S[0,%d] = %v", label, tb.Pitch(), w, n-1, tb.At(0, n-1))
+							}
 						}
 					}
 					for workers := 1; workers <= 4; workers++ {
@@ -164,27 +188,39 @@ func TestStreamedMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s workers=%d: %v", label, workers, err)
 						}
-						requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, par.data, want)
+						requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, dense(par), want)
 					}
 				}
 			}
 		}
 	}
+	if padded == 0 {
+		t.Fatal("no table was laid out with pitch ≠ N")
+	}
 }
 
 // TestBuildParallelTilesAtCutoff drives the production build call at the
-// first size it tiles (production tile edge, real workers) against the
-// serial build; the per-cell oracle is out of reach at this size.
+// first size it pads and tiles (production pitch and tile edge, inline and
+// on real workers) against a dense row-order build; the per-cell oracle is
+// out of reach at this size.
 func TestBuildParallelTilesAtCutoff(t *testing.T) {
 	n := SequentialCutoff + 3
 	sc := scoreFor(rna.Random(rand.New(rand.NewSource(5)), n), score.BasePair())
-	want := Build(n, sc)
+	want, err := BuildTiled(context.Background(), n, tileEdge, n+1, semiring.MaxPlusKernels(true), sc, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, exact := range []bool{false, true} {
-		got, err := BuildContext(context.Background(), n, sc, exact, ForkJoin(3))
-		if err != nil {
-			t.Fatal(err)
+		for _, pfor := range []ParallelFor{nil, ForkJoin(3)} {
+			got, err := BuildContext(context.Background(), n, sc, exact, pfor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Pitch() != PitchOf(n, 4) || got.Pitch() == n {
+				t.Fatalf("a table of %d positions has pitch %d", n, got.Pitch())
+			}
+			requireSameBytes(t, fmt.Sprintf("tiled at the cutoff, %s, parallel %v", formName(exact), pfor != nil), n, dense(got), want.data)
 		}
-		requireSameBytes(t, "tiled at the cutoff, "+formName(exact), n, got.data, want.data)
 	}
 }
 
@@ -213,7 +249,7 @@ func TestStreamedLogZWithinBound(t *testing.T) {
 		factor := func(i, j int) float64 { return math.Exp(logw(i, j) - 2*sigma) }
 		ref := math.Log(ReferenceBuildG(n, sp, math.Exp(-sigma), factor).At(0, n-1)) + sigma*float64(n)
 		tbl := NewGTable[float64](n)
-		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), factor, false, nil); err != nil {
+		if err := tbl.FillContext(context.Background(), sp, math.Exp(-sigma), ScoreRows(n, factor), false, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := math.Log(tbl.At(0, n-1)) + sigma*float64(n); math.Abs(got-ref) > tol*math.Abs(ref) {
@@ -289,7 +325,7 @@ func TestCancelStopsWithinOneRow(t *testing.T) {
 	g := NewGTable[float32](n)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, base, false, nil); !errors.Is(err, context.Canceled) {
+	if err := g.FillContext(ctx2, semiring.MaxPlusKernels(false), 0, ScoreRows(n, base), false, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FillContext on a cancelled context: %v", err)
 	}
 
@@ -323,7 +359,7 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 	sc := randScore(9, n)
 	fresh := Build(n, sc)
 	reused := NewGTable[float32](n + 13)
-	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, randScore(10, n+13), true, nil); err != nil {
+	if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, ScoreRows(n+13, randScore(10, n+13)), true, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, exact := range []bool{true, false, true} {
@@ -331,7 +367,7 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 			reused.data[i] = float32(math.NaN())
 		}
 		reused.Reset(n)
-		if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, sc, exact, nil); err != nil {
+		if err := reused.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, ScoreRows(n, sc), exact, nil); err != nil {
 			t.Fatal(err)
 		}
 		requireSameBytes(t, "Table "+formName(exact), n, reused.data, fresh.data)
@@ -345,7 +381,7 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 		reusedG.data[i] = math.NaN()
 	}
 	reusedG.Reset(n)
-	if err := reusedG.FillContext(context.Background(), lse, lse.One, logw, false, nil); err != nil {
+	if err := reusedG.FillContext(context.Background(), lse, lse.One, ScoreRows(n, logw), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tableBytes(reusedG.data), tableBytes(freshG.data)) {

@@ -11,6 +11,7 @@ package score
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/semiring"
@@ -186,6 +187,7 @@ type Tables struct {
 	// MaxWeight the largest of them (0 when IntegerWeights is false).
 	IntegerWeights bool
 	MaxWeight      int
+	ord1, ord2     []uint8 // the strands' base ordinals (ordsOf), kept across reuse
 }
 
 // MinPairLoop is the minimum number of unpaired bases required between the
@@ -246,22 +248,32 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	t.Intra1 = grow(t.Intra1, n1*n1)
 	t.Intra2 = grow(t.Intra2, n2*n2)
 	t.Inter = grow(t.Inter, n1*n2)
+	t.ord1, t.ord2 = ordsOf(t.ord1, seq1), ordsOf(t.ord2, seq2)
 	// A background build is never cancelled: fillIntra returns nil.
 	ctx := context.Background()
-	_ = fillIntra(ctx, t.Intra1, seq1, p)
-	_ = fillIntra(ctx, t.Intra2, seq2, p)
+	_ = fillIntra(ctx, t.Intra1, t.ord1, p)
+	_ = fillIntra(ctx, t.Intra2, t.ord2, p)
 	for i1 := 0; i1 < n1; i1++ {
-		pairRow(t.Inter[i1*n2:i1*n2+n2], &inter.pairs[ord(seq1.At(i1))], seq2)
+		pairRow(t.Inter[i1*n2:i1*n2+n2], &inter.pairs[t.ord1[i1]], t.ord2)
 	}
 }
 
-// pairRow writes row[j] = w[ord(seq[j])] for every j: one row of a pair
-// table by lookup in w, the weight row of the row's own base, so a cell
-// costs one ordinal and one load. A non-canonical base panics as Model.Pair
-// does.
-func pairRow(row []Value, w *[4]Value, seq rna.Sequence) {
-	for j := range row {
-		row[j] = w[ord(seq.At(j))]
+// ordsOf writes seq's base ordinals into dst's storage, so a table reads each
+// once, not once a cell. A non-canonical base panics as Model.Pair does.
+func ordsOf(dst []uint8, seq rna.Sequence) []uint8 {
+	dst = slices.Grow(dst[:0], seq.Len())[:seq.Len()]
+	for j := range dst {
+		dst[j] = uint8(ord(seq.At(j)))
+	}
+	return dst
+}
+
+// pairRow writes row[j] = w[ords[j]] for every j: one row of a pair table by
+// lookup in w, the weight row of the row's own base, so a cell costs one
+// load of a column's ordinal and one of its weight.
+func pairRow(row []Value, w *[4]Value, ords []uint8) {
+	for j, o := range ords[:len(row)] {
+		row[j] = w[o&3]
 	}
 }
 
@@ -270,20 +282,21 @@ func pairRow(row []Value, w *[4]Value, seq rna.Sequence) {
 // ctx once a row.
 func IntraContext(ctx context.Context, seq rna.Sequence, p Params) ([]Value, error) {
 	dst := make([]Value, seq.Len()*seq.Len())
-	return dst, fillIntra(ctx, dst, seq, p)
+	return dst, fillIntra(ctx, dst, ordsOf(nil, seq), p)
 }
 
 // fillIntra writes seq's intramolecular pair table into dst, returning
-// ctx's error at the first row it finds ctx done. Each row is one pairRow,
-// then the hairpin band |j-i| <= MinHairpin is masked to NegInf.
-func fillIntra(ctx context.Context, dst []Value, seq rna.Sequence, p Params) error {
-	n := seq.Len()
+// ctx's error at the first row it finds ctx done. Each row is one pairRow
+// over the strand's ordinals, then the band |j-i| <= MinHairpin is masked to
+// NegInf.
+func fillIntra(ctx context.Context, dst []Value, ords []uint8, p Params) error {
+	n := len(ords)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		row := dst[i*n : i*n+n]
-		pairRow(row, &p.Model.pairs[ord(seq.At(i))], seq)
+		pairRow(row, &p.Model.pairs[ords[i]], ords)
 		for j := max(i-p.MinHairpin, 0); j <= min(i+p.MinHairpin, n-1); j++ {
 			row[j] = NegInf
 		}

@@ -18,8 +18,9 @@ type Scalar interface {
 // shapes the optimized solver consumes. The paper's whole optimization
 // story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
 // Kernels value supplies that update (Accum), a whole k2 loop of such
-// updates into one row (Sweep), the row initializer dst[j] = a ⊗ x[j]
-// (MulInto), and the scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul).
+// updates into one row (Sweep), its elementwise form y[j] = y[j] ⊕ (x[j] ⊗
+// w[j]) (AccumEach), the row initializer dst[j] = a ⊗ x[j] (MulInto), and the
+// scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul).
 // Generic callers must take ⊗ from here, never from native `+`: the
 // sum-product instance multiplies.
 //
@@ -43,6 +44,8 @@ type Kernels[T Scalar] struct {
 	Mul func(a, b T) T
 	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
 	Accum func(y, x []T, a T)
+	// AccumEach streams y[k] = y[k] ⊕ (x[k] ⊗ w[k]) over x: a pairing term.
+	AccumEach func(y, x, w []T)
 	// Sweep streams a k2 loop into row y, y[j] = y[j] ⊕ (a[k2] ⊗ b[off[k2+1]+j])
 	// for k2 in [k0, k1) and j in [max(k2+1, from), n): y is indexed by
 	// absolute column, b is a table block and off its row offsets (cell (r, j)
@@ -74,6 +77,26 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 		for k2 := k0; k2 < k1; k2++ {
 			o, lo := off[k2+1], max(k2+1, from)
 			acc(y[lo:n], b[o+lo:o+n], a[k2])
+		}
+	}
+}
+
+// accumEachOver is AccumEach over a bundle's scalar ⊕ and ⊗, in Accum's
+// operand order; max-plus has its own loop of inline compares.
+func accumEachOver[T Scalar](add, mul func(a, b T) T) func(y, x, w []T) {
+	return func(y, x, w []T) {
+		y, w = y[:len(x)], w[:len(x)]
+		for k, v := range x {
+			y[k] = add(mul(v, w[k]), y[k])
+		}
+	}
+}
+
+func accumEachMaxPlus(y, x, w []float32) {
+	y, w = y[:len(x)], w[:len(x)]
+	for k, v := range x {
+		if v += w[k]; v > y[k] {
+			y[k] = v
 		}
 	}
 }
@@ -130,10 +153,11 @@ func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []floa
 			}
 			return b
 		},
-		Mul:     func(a, b float32) float32 { return a + b },
-		Accum:   acc,
-		Sweep:   sweep,
-		MulInto: maxplus.AddScalarIntoGo,
+		Mul:       func(a, b float32) float32 { return a + b },
+		Accum:     acc,
+		AccumEach: accumEachMaxPlus,
+		Sweep:     sweep,
+		MulInto:   maxplus.AddScalarIntoGo,
 	}
 }
 
@@ -172,14 +196,16 @@ func newLogSumExp() Kernels[float64] {
 			y[i] = lse(a+x[i], y[i])
 		}
 	}
+	add := func(a, b float64) float64 { return a + b }
 	return Kernels[float64]{
-		Impl:  "go",
-		Zero:  math.Inf(-1),
-		One:   0,
-		Add:   lse,
-		Mul:   func(a, b float64) float64 { return a + b },
-		Accum: accum,
-		Sweep: sweepOver(accum),
+		Impl:      "go",
+		Zero:      math.Inf(-1),
+		One:       0,
+		Add:       lse,
+		Mul:       add,
+		Accum:     accum,
+		AccumEach: accumEachOver(lse, add),
+		Sweep:     sweepOver(accum),
 		MulInto: func(dst, x []float64, a float64) {
 			n := len(dst)
 			if len(x) < n {
@@ -226,14 +252,16 @@ func SumProductKernelsOf(impl string) Kernels[float64] {
 }
 
 func newSumProductGo() Kernels[float64] {
+	add, mul := func(a, b float64) float64 { return a + b }, func(a, b float64) float64 { return a * b }
 	return Kernels[float64]{
-		Impl:    "go",
-		Zero:    0,
-		One:     1,
-		Add:     func(a, b float64) float64 { return a + b },
-		Mul:     func(a, b float64) float64 { return a * b },
-		Accum:   maxplus.SumProductGo,
-		Sweep:   maxplus.SumProductSweepGo,
-		MulInto: maxplus.MulScalarIntoGo,
+		Impl:      "go",
+		Zero:      0,
+		One:       1,
+		Add:       add,
+		Mul:       mul,
+		Accum:     maxplus.SumProductGo,
+		AccumEach: accumEachOver(add, mul),
+		Sweep:     maxplus.SumProductSweepGo,
+		MulInto:   maxplus.MulScalarIntoGo,
 	}
 }
