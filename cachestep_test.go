@@ -10,6 +10,7 @@ package bpmax
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -268,5 +269,59 @@ func TestStrandBuildPanicOpensBreaker(t *testing.T) {
 	}
 	if st := c.Stats(); st.BreakerBypasses < 1 || st.Entries != 0 {
 		t.Errorf("bypasses %d, entries %d; an open key is built cold and not retained", st.BreakerBypasses, st.Entries)
+	}
+}
+
+// TestPooledSingleTableNeverCached: a single-strand fold builds its S table
+// in the session pool's storage and hands it back after the traceback, so
+// what a cache retains must be a clone. Folding A, B, B, A, A through one
+// session with a cache — one caller, then two at once — must give every
+// answer an uncached session gives; a cache entry aliasing pooled storage
+// would read the next strand's cells (and its traceback get stuck).
+func TestPooledSingleTableNeverCached(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	a, b := randSeq(rng, 300), randSeq(rng, 170)
+	plain, err := NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	want := map[string]*SingleResult{}
+	for _, s := range []string{a, b} {
+		if want[s], err = plain.FoldSingle(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached, err := NewSession(WithCache(NewCache(CacheConfig{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	order := []string{a, b, b, a, a}
+	check := func(caller, k int) error {
+		got, err := cached.FoldSingle(context.Background(), order[k])
+		if err != nil {
+			return err
+		}
+		if w := want[order[k]]; got.Score != w.Score || got.Bracket != w.Bracket {
+			return fmt.Errorf("caller %d, fold %d: score %v %s, uncached %v %s", caller, k, got.Score, got.Bracket, w.Score, w.Bracket)
+		}
+		return nil
+	}
+	for k := range order {
+		if err := check(0, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, 2)
+	concurrently(2, func(i int) {
+		for k := range order {
+			if errs[i] = check(i+1, k); errs[i] != nil {
+				return
+			}
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -83,18 +83,29 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go/nussinov's fill.go (a second copy of the fill)" >&2
         exit 1
     fi
-    # The pair tables are written a row at a time by lookup in the row base's
-    # weight row (score.pairRow). Model.Pair inside a table fill is the
-    # per-cell copy of the Model growing back. Anchored on the three
-    # functions: a renamed one fails the check instead of emptying it.
-    awk '/^func (fillIntra|BuildInto|pairRow)\(/ { in_fn = 1; found++ }
+    # The pair tables and a strand's weight view (score.Weights) are written a
+    # row at a time by lookup in the row base's weight row (score.pairRow).
+    # Model.Pair inside a table fill is the per-cell copy of the Model growing
+    # back. Anchored on the three functions (BuildInto copies the intra
+    # tables out of the views): a renamed one fails the check instead of
+    # emptying it.
+    awk '/^func (\(w \*Weights\) build|BuildInto|pairRow)\(/ { in_fn = 1; found++ }
          in_fn && /\.Pair\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
          in_fn && /^}/ { in_fn = 0 }
-         END { if (found != 3) { print "lint: anchors fillIntra/BuildInto/pairRow not all found in " FILENAME; exit 1 }
+         END { if (found != 3) { print "lint: anchors Weights.build/BuildInto/pairRow not all found in " FILENAME; exit 1 }
                exit bad }' internal/score/score.go >&2 || {
         echo "lint: Model.Pair called in a score table fill, or a fill not found (write rows through pairRow)" >&2
         exit 1
     }
+    # An S build reads its strand's weight view, four base rows; the only n²
+    # pair tables are internal/score's Tables, which the interaction fill
+    # reads. IntraContext, or an n×n table of weights made anywhere the
+    # substrate is built, is the single strand's pair table growing back.
+    if grep -nE 'IntraContext|make\(\[\](score\.)?(Value|float32), *([A-Za-z_.]+) *\* *\3\)' \
+        $(ls *.go internal/bpmax/*.go internal/score/*.go internal/nussinov/*.go | grep -v '_test\.go$'); then
+        echo "lint: an n×n single-strand pair table is back (S builds read score.Weights)" >&2
+        exit 1
+    fi
     # Finalize's R2 goes through Sweep in both of its forms: the closure, one
     # sweep a row from a copy of the row against an R2 table — S² itself for
     # exact max-plus, strand 2's star table Ŝ for partition — and the forward

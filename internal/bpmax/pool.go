@@ -7,6 +7,7 @@ import (
 
 	"github.com/bpmax-go/bpmax/internal/bufpool"
 	"github.com/bpmax-go/bpmax/internal/metrics"
+	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 	"github.com/bpmax-go/bpmax/internal/semiring"
@@ -17,15 +18,16 @@ import (
 // (size-classed float32 arenas with exact retained-byte accounting, see
 // bufpool), and the small fixed-shape shells — Problem (with its sequence
 // buffers and O(N²) side tables), FTable and solver (with its hoisted task
-// closures) — on sync.Pool freelists.
+// closures) — and a single-strand fold's S table on sync.Pool freelists.
 //
 // Correctness contract: a pooled fold is bit-identical to a fresh one.
-// Every float32 buffer leaves the arena zeroed, sequence and score storage
-// is fully overwritten on reuse, and the Nussinov tables are re-zeroed by
-// Reset, so no state can leak from one fold into the next — including after
-// a cancelled or a panicked fold, whose buffers either return through the
-// normal error path or are abandoned to the garbage collector (the pool
-// simply misses; it is never poisoned).
+// Every float32 buffer leaves the arena zeroed, and sequence, score and
+// Nussinov table storage is reused unzeroed: every cell a fold reads is
+// overwritten before it is read (BuildS writes every cell of [0, n)², and
+// nothing reads an S table's pitch padding), so no state can leak from one
+// fold into the next — including after a cancelled or a panicked fold, whose
+// buffers either return through the normal error path or are abandoned to
+// the garbage collector (the pool simply misses; it is never poisoned).
 //
 // The zero value is ready to use and safe for concurrent use.
 //
@@ -43,6 +45,7 @@ type Pool struct {
 	ftables64 sync.Pool // *FTableOf[float64]
 	solvers   sync.Pool // *solver
 	solvers64 sync.Pool // *gsolver[float64]
+	strands   sync.Pool // *nussinov.Table: single-strand folds' S tables
 
 	// Reuse counters per shell kind (hit = recycled shell, miss = fresh
 	// allocation). One atomic add per fold per kind; always on.
@@ -125,6 +128,25 @@ func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Proble
 	}
 	score.BuildInto(p.Tab, p.Seq1, p.Seq2, params)
 	return p, nil
+}
+
+// GetS returns a single-strand fold's S table to build over, its cells
+// whatever its last fold left, or nil (BuildS allocates) when pl is nil or
+// holds none.
+func (pl *Pool) GetS() *nussinov.Table {
+	if pl == nil {
+		return nil
+	}
+	t, _ := pl.strands.Get().(*nussinov.Table)
+	return t
+}
+
+// PutS takes a table GetS gave back once nothing reads it — never one a
+// cache retains. A nil pl or t is a no-op.
+func (pl *Pool) PutS(t *nussinov.Table) {
+	if pl != nil && t != nil {
+		pl.strands.Put(t)
+	}
 }
 
 // getSolver returns a recycled solver shell (its hoisted task closures, if

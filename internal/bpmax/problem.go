@@ -74,26 +74,28 @@ func NewProblem(seq1, seq2 rna.Sequence, p score.Params) (*Problem, error) {
 // background context never cancels, so neither build fails.
 func (p *Problem) buildS(m score.Model) {
 	ctx, cfg := context.Background(), Config{Workers: 1}
-	p.OwnS1, _ = BuildS(ctx, p.OwnS1, p.N1, p.Tab.Intra1, m, cfg)
-	p.OwnS2, _ = BuildS(ctx, p.OwnS2, p.N2, p.Tab.Intra2, m, cfg)
+	p.OwnS1, _ = BuildS(ctx, p.OwnS1, &p.Tab.W1, m, cfg)
+	p.OwnS2, _ = BuildS(ctx, p.OwnS2, &p.Tab.W2, m, cfg)
 	p.S1, p.S2 = p.OwnS1, p.OwnS2
 }
 
 // BuildS is the build of every max-plus S table — an interaction fold's S¹
-// and S², a single strand's — from the strand's n×n pair weights under model
-// m: the row-streamed fill into t (allocated when nil, Reset otherwise),
-// stopping within one row or tile wavefront of a cancelled ctx, on cfg's
-// parallel runtime where nussinov tiles the table. Where m's sums over n
-// bases are exact (exactSums, O(1) from the model) the rows finish by the
-// closure sweep. It returns the table it filled, partially on an error.
-func BuildS(ctx context.Context, t *nussinov.Table, n int, intra []score.Value, m score.Model, cfg Config) (*nussinov.Table, error) {
+// and S², a single strand's — from the strand's weight view w under model m:
+// the row-streamed fill into t (allocated when nil, Reset otherwise — its
+// cells not zeroed, the fill writes every one it reads), stopping within one
+// row or tile wavefront of a cancelled ctx, on cfg's parallel runtime where
+// nussinov tiles the table. Each row's pair weights are one of w's four base
+// rows, read in place. Where m's sums over n bases are exact (exactSums, O(1)
+// from the model) the rows finish by the closure sweep. It returns the table
+// it filled, partially on an error.
+func BuildS(ctx context.Context, t *nussinov.Table, w *score.Weights, m score.Model, cfg Config) (*nussinov.Table, error) {
 	if t == nil {
 		t = &nussinov.Table{}
 	}
+	n := w.Len()
 	t.Reset(n)
-	rows := func(i, lo, hi int) []float32 { return intra[i*n+lo : i*n+hi] }
-	w, integer := m.IntegerBounded()
-	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, rows, exactSums(integer, w, n), cfg.ParallelFor(n))
+	maxW, integer := m.IntegerBounded()
+	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, w.Rows, exactSums(integer, maxW, n), cfg.ParallelFor(n))
 }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).

@@ -2,12 +2,15 @@ package bpmax
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
+	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
 // TestSubstrateForm: BuildS takes the closure sweep exactly where its model's
@@ -32,18 +35,15 @@ func TestSubstrateForm(t *testing.T) {
 		{"weight × ⌊n/2⌋ at 2²⁴", customParams(1<<20, 2, 1), 32, false},
 	} {
 		seq := rna.Random(rng, c.n)
-		intra, err := score.IntraContext(ctx, seq, c.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BuildS(ctx, nil, c.n, intra, c.params.Model, cfg)
+		w := score.WeightsOf(seq, c.params)
+		got, err := BuildS(ctx, nil, w, c.params.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Closed() != c.want {
 			t.Errorf("%s, %d nt: closure form %v, want %v", c.name, c.n, got.Closed(), c.want)
 		}
-		walk := nussinov.Build(c.n, func(i, j int) float32 { return intra[i*c.n+j] })
+		walk := nussinov.Build(c.n, w.At)
 		for i := 0; i < c.n; i++ {
 			for j := i; j < c.n; j++ {
 				if g, w := got.At(i, j), walk.At(i, j); g != w {
@@ -80,5 +80,83 @@ func TestSubstrateForm(t *testing.T) {
 	}
 	if len(domains) != 2 {
 		t.Fatalf("partition substrates built in domains %v only; want scaled and log", domains)
+	}
+}
+
+// TestWeightsBuildTheIntra1Table: BuildS from a strand's weight view is the
+// table a build from Build's n² Intra1 rows makes, bit for bit, on every
+// stock model under hairpin loops 0 and 3: inline below the cutoff, and on
+// two workers' tiles from it up, where tiles that run at once share the
+// view's masked row (run under -race by ci.sh).
+func TestWeightsBuildTheIntra1Table(t *testing.T) {
+	ctx, rng := context.Background(), rand.New(rand.NewSource(38))
+	for _, n := range []int{61, nussinov.SequentialCutoff + 5} {
+		seq := rna.Random(rng, n)
+		for _, m := range []score.Model{score.BasePair(), score.Unit(), score.Forbidden("forbidden")} {
+			for _, hairpin := range []int{0, 3} {
+				p := score.Params{Model: m, MinHairpin: hairpin}
+				intra := score.Build(seq, rna.Sequence{}, p).Intra1
+				want := nussinov.NewGTable[float32](n)
+				rows := func(i, lo, hi int) []float32 { return intra[i*n+lo : i*n+hi] }
+				if err := want.FillContext(ctx, semiring.MaxPlusKernels(true), 0, rows, true, nil); err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildS(ctx, nil, score.WeightsOf(seq, p), m, Config{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameS(t, fmt.Sprintf("%d nt %s hairpin %d", n, m.Name(), hairpin), got, want)
+			}
+		}
+	}
+}
+
+// TestBuildSOverwritesStaleCells: BuildS does not zero a reused table, so
+// every cell of [0, n)² must come from the fill. A 1000-nt table's storage,
+// poisoned with NaN, rebuilt at a shorter length on the same pitch, below
+// the cutoff on a dense pitch, and short, reads bit for bit as a fresh build.
+func TestBuildSOverwritesStaleCells(t *testing.T) {
+	ctx, cfg, rng := context.Background(), Config{Workers: 1}, rand.New(rand.NewSource(38))
+	for _, p := range []score.Params{score.DefaultParams(), {Model: score.BasePair(), MinHairpin: 3}} {
+		big := nussinov.SequentialCutoff + 8
+		reused, err := BuildS(ctx, nil, score.WeightsOf(rna.Random(rng, big), p), p.Model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{big - 3, nussinov.SequentialCutoff - 1, 100} {
+			stale := reused.Data()[:cap(reused.Data())]
+			for i := range stale {
+				stale[i] = float32(math.NaN())
+			}
+			w := score.WeightsOf(rna.Random(rng, n), p)
+			got, err := BuildS(ctx, reused, w, p.Model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got.Data()[0] != &stale[0] {
+				t.Fatalf("%d nt: BuildS did not build into the reused storage", n)
+			}
+			want, err := BuildS(ctx, nil, w, p.Model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameS(t, fmt.Sprintf("%d nt after %d nt, hairpin %d", n, big, p.MinHairpin), got, want)
+		}
+	}
+}
+
+// requireSameS fails unless got and want have the same size and every cell
+// of [0, N)², both triangles, has the same bits.
+func requireSameS(t *testing.T, label string, got, want *nussinov.Table) {
+	t.Helper()
+	if got.N != want.N || got.Pitch() != want.Pitch() {
+		t.Fatalf("%s: %d nt at pitch %d, want %d at %d", label, got.N, got.Pitch(), want.N, want.Pitch())
+	}
+	for i := 0; i < want.N; i++ {
+		for j, w := range want.Row(i) {
+			if g := got.Row(i)[j]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s: S[%d,%d] = %v, want %v", label, i, j, g, w)
+			}
+		}
 	}
 }

@@ -409,6 +409,44 @@ adddone:
 	VZEROUPPER
 	RET
 
+// func accumEachAVX2(y, x, w *float32, n int)
+// y[i] = max(x[i] + w[i], y[i]) for i in [0, n); n > 0. Like
+// addScalarIntoAVX2 it runs once per row and masks only the last chunk.
+TEXT ·accumEachAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+
+eachfull:
+	CMPQ    CX, $8
+	JLT     eachtail
+	VMOVUPS (SI)(AX*1), Y1
+	VADDPS  (DX)(AX*1), Y1, Y1
+	VMAXPS  (DI)(AX*1), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     eachfull
+
+eachtail:
+	TESTQ      CX, CX
+	JZ         eachdone
+	LEAQ       lanemask<>(SB), R12
+	NEGQ       CX
+	VMOVDQU    MASKHI(R12)(CX*4), Y7
+	VMASKMOVPS (SI)(AX*1), Y7, Y1
+	VMASKMOVPS (DX)(AX*1), Y7, Y2
+	VMASKMOVPS (DI)(AX*1), Y7, Y3
+	VADDPS     Y2, Y1, Y1
+	VMAXPS     Y3, Y1, Y1
+	VMASKMOVPS Y1, Y7, (DI)(AX*1)
+
+eachdone:
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion of the skeleton: 4 lanes, VMULPD then
 // VADDPD. sumProductAVX2, sumProductSweepAVX2 and mulScalarIntoAVX2 are
 // accumulateAVX2, sweepAVX2 and addScalarIntoAVX2 again, instruction for

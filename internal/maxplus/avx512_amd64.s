@@ -309,6 +309,42 @@ TEXT ·addScalarIntoAVX512(SB), NOSPLIT, $0-28
 	VZEROUPPER
 	RET
 
+// func accumEachAVX512(y, x, w *float32, n int)
+// accumEachAVX2, 16 lanes a vector.
+TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+
+eachfull:
+	CMPQ    CX, $16
+	JLT     eachtail
+	VMOVUPS (SI)(AX*1), Z1
+	VADDPS  (DX)(AX*1), Z1, Z1
+	VMAXPS  (DI)(AX*1), Z1, Z1
+	VMOVUPS Z1, (DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $16, CX
+	JMP     eachfull
+
+eachtail:
+	TESTQ     CX, CX
+	JZ        eachdone
+	XORQ      BX, BX
+	BTSQ      CX, BX
+	DECQ      BX
+	KMOVW     BX, K1
+	VMOVUPS.Z (SI)(AX*1), K1, Z1
+	VADDPS.Z  (DX)(AX*1), Z1, K1, Z1
+	VMAXPS.Z  (DI)(AX*1), Z1, K1, Z1
+	VMOVUPS   Z1, K1, (DI)(AX*1)
+
+eachdone:
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion: 8 lanes a vector, VMULPD then VADDPD.
 #undef ESIZE
 #undef ESHIFT

@@ -48,11 +48,13 @@ func bits[T elem](v T) uint64 {
 	return math.Float64bits(float64(v))
 }
 
-// kernels is one body's streaming kernels in one algebra.
+// kernels is one body's streaming kernels in one algebra; each, the pairing
+// stream, is max-plus only (nil in the sum-product).
 type kernels[T elem] struct {
 	accum func(y, x []T, a T)
 	into  func(dst, x []T, a T)
 	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
+	each  func(y, x, w []T)
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -81,9 +83,9 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
 	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep}
+		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach}
 	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo},
+	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo},
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
 		float32(math.NaN()),
@@ -107,9 +109,9 @@ var maxPlus = algebra[float32]{
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
 	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep}
+		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, nil}
 	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo},
+	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, nil},
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
 		math.Float64frombits(0xfff8000000000000),
@@ -235,6 +237,49 @@ func streamKernelsMatchGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) 
 
 		}
 	}
+}
+
+// TestAccumEachMatchesGoBitForBit holds every body's pairing stream to
+// AccumEachGo: lengths 0…maxLen with y, x and w each at any lane, guard words
+// on both ends of every slice, a y longer than x (only len(x) cells move),
+// and ties — a candidate equal to y, as a zero of the other sign or the same
+// value — which must keep y's bits, as must a NaN on either side.
+func TestAccumEachMatchesGoBitForBit(t *testing.T) {
+	eachBody(t, &maxPlus, func(t *testing.T, k *algebra[float32], kern kernels[float32]) {
+		rng := rand.New(rand.NewSource(38))
+		negZero := float32(math.Copysign(0, -1))
+		for n := 0; n <= maxLen; n++ {
+			for lane := 0; lane < lanes[float32](); lane++ {
+				what := fmt.Sprintf("n=%d lane=%d", n, lane)
+				p := newPair(k, 7, 7*n+1)
+				y, wy := p.slice(rng, n+1, lane)
+				x, wx := p.slice(rng, n, rng.Intn(lanes[float32]()))
+				w, ww := p.slice(rng, n, rng.Intn(lanes[float32]()))
+				kern.each(y, x, w)
+				k.goLoops.each(wy, wx, ww)
+				p.check(t, "accum-each "+what)
+
+				// Ties: y = -0 against +0 + +0, y = +0 against -0 + -0, and
+				// y = v against v + 0.
+				ty, wty := p.slice(rng, n, lane)
+				tx, wtx := p.slice(rng, n, rng.Intn(lanes[float32]()))
+				tw, wtw := p.slice(rng, n, rng.Intn(lanes[float32]()))
+				for i := range ty {
+					v := [...]float32{negZero, 0, float32(rng.Intn(41) - 20)}[i%3]
+					x := [...]float32{0, negZero, v}[i%3]
+					ty[i], wty[i], tx[i], wtx[i], tw[i], wtw[i] = v, v, x, x, x*0, x*0
+				}
+				kern.each(ty, tx, tw)
+				k.goLoops.each(wty, wtx, wtw)
+				p.check(t, "accum-each, ties "+what)
+				for i := range ty {
+					if want := [...]float32{negZero, 0, wty[i]}[i%3]; math.Float32bits(ty[i]) != math.Float32bits(want) {
+						t.Fatalf("accum-each, ties %s: y[%d] = %v, want y's own %v", what, i, ty[i], want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestMaxPlusOnlyKernelsMatchGoBitForBit covers the kernel with no
@@ -576,16 +621,21 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 		y := ar.slice(n, lane)
 		before, after := &ar.buf[lo-1], &ar.buf[lo+n]
 		m := min(3, lanes[T]()-lane) // y[:m] lies in one chunk
-		for _, c := range []struct {
-			name   string
-			kernel func()
-		}{
+		type kernel struct {
+			name string
+			run  func()
+		}
+		kernels := []kernel{
 			{"accumulate", func() { kern.accum(y, x, 1) }},
 			{"scalar-into", func() { kern.into(y, x, 1) }},
-		} {
+		}
+		if kern.each != nil {
+			kernels = append(kernels, kernel{"accum-each", func() { kern.each(y, x, x) }})
+		}
+		for _, c := range kernels {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
-			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.kernel)
-			ownedBySomeoneElse(t, what+", the word after y[n-1]", after, c.kernel)
+			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.run)
+			ownedBySomeoneElse(t, what+", the word after y[n-1]", after, c.run)
 		}
 		short := func() { kern.accum(y[:m], x, 1) }
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)

@@ -9,7 +9,7 @@
 // over contiguous single-precision rows (arithmetic intensity 2 FLOPs per
 // 3 memory operations = 1/6 FLOP/byte), which the C compiler then
 // auto-vectorizes. gc does not, so the kernels the fill calls — Accumulate,
-// Accumulate8, AddScalarInto and the fused k2 loop Sweep — have hand-written
+// Accumulate8, AccumEach, AddScalarInto and the fused k2 loop Sweep — have hand-written
 // vector bodies: AVX-512 (avx512_amd64.s) and AVX2 (avx2_amd64.s), the widest
 // the CPU and the operating system support chosen once at start-up, with no
 // option to pick another. Sweep is the paper's register tile (its §V future
@@ -67,6 +67,7 @@ func Impls() []string {
 type Body struct {
 	Impl            string
 	Accumulate      func(y, x []float32, a float32)
+	AccumEach       func(y, x, w []float32)
 	AddScalarInto   func(dst, x []float32, a float32)
 	Sweep           func(y, a, b []float32, off []int, k0, k1, from, n int)
 	SumProduct      func(y, x []float64, a float64)
@@ -90,6 +91,7 @@ var bodies = [...]Body{
 	isaGo: {
 		Impl:          "go",
 		Accumulate:    AccumulateGo,
+		AccumEach:     AccumEachGo,
 		AddScalarInto: AddScalarIntoGo,
 		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
 			sweep(isaGo, y, a, b, off, k0, k1, from, n)
@@ -103,6 +105,7 @@ var bodies = [...]Body{
 	isaAVX2: {
 		Impl:          "avx2",
 		Accumulate:    accumulate2,
+		AccumEach:     vectorEach(accumEachAVX2),
 		AddScalarInto: addScalarInto2,
 		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
 			sweep(isaAVX2, y, a, b, off, k0, k1, from, n)
@@ -116,6 +119,7 @@ var bodies = [...]Body{
 	isaAVX512: {
 		Impl:          "avx512",
 		Accumulate:    accumulate512,
+		AccumEach:     vectorEach(accumEachAVX512),
 		AddScalarInto: addScalarInto512,
 		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
 			sweep(isaAVX512, y, a, b, off, k0, k1, from, n)
@@ -143,6 +147,17 @@ func accumulate2(y, x []float32, a float32) {
 func accumulate512(y, x []float32, a float32) {
 	if n := min(len(y), len(x)); n > 0 {
 		accumulateAVX512(&y[0], &x[0], n, a)
+	}
+}
+
+// vectorEach binds a vector body of Body.AccumEach, the pairing stream
+// y[k] = max(x[k] + w[k], y[k]) over x, behind AccumEachGo's checks.
+func vectorEach(body func(y, x, w *float32, n int)) func(y, x, w []float32) {
+	return func(y, x, w []float32) {
+		if n := len(x); n > 0 {
+			y, w = y[:n], w[:n]
+			body(&y[0], &x[0], &w[0], n)
+		}
 	}
 }
 

@@ -21,6 +21,17 @@ func AccumulateGo(y, x []float32, a float32) {
 	}
 }
 
+// AccumEachGo is AccumEach's portable body: y[k] = max(x[k] + w[k], y[k])
+// for every k of x, the pairing term of a row (semiring.Kernels.AccumEach).
+func AccumEachGo(y, x, w []float32) {
+	y, w = y[:len(x)], w[:len(x)]
+	for k, v := range x {
+		if v += w[k]; v > y[k] {
+			y[k] = v
+		}
+	}
+}
+
 // Accumulate8Go is AccumulateGo with an 8-way unrolled main loop: it keeps
 // the loop free of bounds checks and gives the hardware independent max
 // chains to retire in parallel.

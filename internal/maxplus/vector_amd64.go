@@ -18,6 +18,9 @@ func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
 
 //go:noescape
+func accumEachAVX2(y, x, w *float32, n int)
+
+//go:noescape
 func sumProductAVX2(y, x *float64, n int, a float64)
 
 //go:noescape
@@ -31,6 +34,9 @@ func accumulateAVX512(y, x *float32, n int, a float32)
 
 //go:noescape
 func addScalarIntoAVX512(dst, x *float32, n int, a float32)
+
+//go:noescape
+func accumEachAVX512(y, x, w *float32, n int)
 
 //go:noescape
 func sumProductAVX512(y, x *float64, n int, a float64)

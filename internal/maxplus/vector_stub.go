@@ -15,6 +15,8 @@ func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen int) bool {
 	panic("maxplus: no vector build")
 }
 
+func accumEachAVX2(y, x, w *float32, n int)               { panic("maxplus: no vector build") }
+func accumEachAVX512(y, x, w *float32, n int)             { panic("maxplus: no vector build") }
 func sumProductAVX2(y, x *float64, n int, a float64)      { panic("maxplus: no vector build") }
 func mulScalarIntoAVX2(dst, x *float64, n int, a float64) { panic("maxplus: no vector build") }
 func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) bool {

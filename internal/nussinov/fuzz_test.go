@@ -47,11 +47,7 @@ func FuzzSubstrateParity(f *testing.F) {
 			if !ok {
 				t.Fatalf("%s: not integer-bounded", label)
 			}
-			intra, err := score.IntraContext(context.Background(), seq, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := func(i, j int) float32 { return intra[i*n+j] }
+			sc := score.WeightsOf(seq, p).At
 			want := nussinov.ReferenceBuild(n, sc)
 			streamed := nussinov.Build(n, sc)
 			subjects := map[string]*nussinov.Table{

@@ -117,29 +117,25 @@ func pitch(n, cutoff, width int) int {
 	return n
 }
 
-// layout sizes t for n positions at the pitch cutoff gives. It reports
-// whether it kept t's storage, whose cells keep whatever they held; new
-// storage is zeroed.
-func (t *GTable[T]) layout(n, cutoff int) (kept bool) {
+// layout sizes t for n positions at the pitch cutoff gives, keeping its
+// storage, cells as they were, where the capacity allows.
+func (t *GTable[T]) layout(n, cutoff int) {
 	t.N, t.pitch = n, pitch(n, cutoff, int(unsafe.Sizeof(t.one)))
 	if need := n * t.pitch; cap(t.data) >= need {
 		t.data = t.data[:need]
-		return true
+		return
 	}
 	t.data = make([]T, n*t.pitch)
-	return false
 }
 
 // Reset prepares t for reuse at size n: storage is kept when its capacity
-// allows (grown otherwise) and every cell is zeroed, so a reused table is
-// indistinguishable from a fresh NewGTable(n).
+// allows (grown otherwise), unzeroed — FillContext writes every cell it
+// reads — so a reused table fills to what a fresh NewGTable(n) fills to.
 func (t *GTable[T]) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("nussinov: negative size %d", n))
 	}
-	if t.layout(n, SequentialCutoff) {
-		clear(t.data)
-	}
+	t.layout(n, SequentialCutoff)
 }
 
 // PairRows gives a fill its pair weights a row at a time, w(i, lo, hi)[j-lo]
@@ -163,7 +159,9 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // layout and schedule: below SequentialCutoff a dense table, row by row on
 // the calling goroutine; from it up a padded pitch and tiles, inline with a
 // nil pfor, otherwise one pfor wavefront at a time. ctx is checked once per
-// row. Every schedule agrees bit for bit, in every semiring.
+// row. Every schedule agrees bit for bit, in every semiring. It writes every
+// cell of [0, N)² before reading it and reads no other, so a Reset table's
+// old cells never reach the result.
 //
 // exact asserts that k is max-plus and that every sum the fill forms is
 // exact — integer weights, no structure's score reaching 2²⁴ — which the
@@ -176,7 +174,8 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // per-nucleotide-scaled Boltzmann factors — and lands on the diagonal; the
 // lower triangle gets One. Written that way every candidate is a ⊗ of two
 // stored cells (or one cell and a pair weight), so the fill needs no scale
-// of its own. w gives the pair weights of cells i < j, each asked for once.
+// of its own. w gives the pair weights of cells i < j, each asked for once
+// (a max-plus S build's are score.Weights.Rows: four base rows, uncopied).
 // On an error the table is left partially filled and the error returned.
 func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor) error {
 	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tileEdge)

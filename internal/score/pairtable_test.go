@@ -55,7 +55,7 @@ func requireSameBits(t *testing.T, label string, got, want []Value) {
 
 // TestPairTableMatchesPerCell: the row-lookup pair tables — both intra tables
 // and the inter table, fresh and rebuilt into a pooled Tables' dirty storage,
-// and IntraContext's — are byte-equal to per-cell Model.Pair on every stock
+// and the weight view's cells — are byte-equal to per-cell Model.Pair on every stock
 // model, a fractional Custom one and an InterModel unlike Model, under
 // hairpin loops 0–3, at lengths from empty up past a kernel row.
 func TestPairTableMatchesPerCell(t *testing.T) {
@@ -90,11 +90,14 @@ func TestPairTableMatchesPerCell(t *testing.T) {
 					requireSameBits(t, label+" Intra2", tb.Intra2, w2)
 					requireSameBits(t, label+" Inter", tb.Inter, wi)
 				}
-				intra, err := IntraContext(t.Context(), seq2, p)
-				if err != nil {
-					t.Fatal(err)
+				view := WeightsOf(seq2, p)
+				intra := make([]Value, n2*n2)
+				for i := range n2 {
+					for j := range n2 {
+						intra[i*n2+j] = view.At(i, j)
+					}
 				}
-				requireSameBits(t, label+" IntraContext", intra, w2)
+				requireSameBits(t, label+" Weights", intra, w2)
 			}
 		}
 	}

@@ -9,7 +9,6 @@
 package score
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -187,7 +186,8 @@ type Tables struct {
 	// MaxWeight the largest of them (0 when IntegerWeights is false).
 	IntegerWeights bool
 	MaxWeight      int
-	ord1, ord2     []uint8 // the strands' base ordinals (ordsOf), kept across reuse
+	// W1, W2 are the strands' weight views, what their S builds read.
+	W1, W2 Weights
 }
 
 // MinPairLoop is the minimum number of unpaired bases required between the
@@ -248,13 +248,16 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	t.Intra1 = grow(t.Intra1, n1*n1)
 	t.Intra2 = grow(t.Intra2, n2*n2)
 	t.Inter = grow(t.Inter, n1*n2)
-	t.ord1, t.ord2 = ordsOf(t.ord1, seq1), ordsOf(t.ord2, seq2)
-	// A background build is never cancelled: fillIntra returns nil.
-	ctx := context.Background()
-	_ = fillIntra(ctx, t.Intra1, t.ord1, p)
-	_ = fillIntra(ctx, t.Intra2, t.ord2, p)
+	t.W1.build(seq1, p)
+	t.W2.build(seq2, p)
+	for i := 0; i < n1; i++ {
+		copy(t.Intra1[i*n1:i*n1+n1], t.W1.Rows(i, 0, n1))
+	}
+	for i := 0; i < n2; i++ {
+		copy(t.Intra2[i*n2:i*n2+n2], t.W2.Rows(i, 0, n2))
+	}
 	for i1 := 0; i1 < n1; i1++ {
-		pairRow(t.Inter[i1*n2:i1*n2+n2], &inter.pairs[t.ord1[i1]], t.ord2)
+		pairRow(t.Inter[i1*n2:i1*n2+n2], &inter.pairs[t.W1.ords[i1]], t.W2.ords)
 	}
 }
 
@@ -277,31 +280,60 @@ func pairRow(row []Value, w *[4]Value, ords []uint8) {
 	}
 }
 
-// IntraContext builds seq's intramolecular pair table alone (row-major
-// n×n, Tables.Intra1's layout) — all a single-strand fold reads — checking
-// ctx once a row.
-func IntraContext(ctx context.Context, seq rna.Sequence, p Params) ([]Value, error) {
-	dst := make([]Value, seq.Len()*seq.Len())
-	return dst, fillIntra(ctx, dst, ordsOf(nil, seq), p)
+// Weights is one strand's intramolecular pair weights, what its S build and
+// traceback read in place of an n² table: a pair's weight depends only on its
+// two bases, so the table has four distinct rows, rows[b][j] the weight of
+// base ordinal b with base j, masked only in the band |j-i| <= MinHairpin.
+type Weights struct {
+	ords    []uint8
+	rows    [4][]Value
+	hairpin int
+	buf     []Value // the four rows, then Rows' masked copies by absolute column
 }
 
-// fillIntra writes seq's intramolecular pair table into dst, returning
-// ctx's error at the first row it finds ctx done. Each row is one pairRow
-// over the strand's ordinals, then the band |j-i| <= MinHairpin is masked to
-// NegInf.
-func fillIntra(ctx context.Context, dst []Value, ords []uint8, p Params) error {
-	n := len(ords)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		row := dst[i*n : i*n+n]
-		pairRow(row, &p.Model.pairs[ords[i]], ords)
-		for j := max(i-p.MinHairpin, 0); j <= min(i+p.MinHairpin, n-1); j++ {
-			row[j] = NegInf
-		}
+// WeightsOf builds seq's weight view under p: four pairRow writes, O(n).
+func WeightsOf(seq rna.Sequence, p Params) *Weights {
+	w := &Weights{}
+	w.build(seq, p)
+	return w
+}
+
+// build writes seq's view under p into w, reusing its storage.
+func (w *Weights) build(seq rna.Sequence, p Params) {
+	n := seq.Len()
+	w.ords, w.hairpin, w.buf = ordsOf(w.ords, seq), p.MinHairpin, grow(w.buf, 5*n)
+	for b := range w.rows {
+		w.rows[b] = w.buf[b*n : b*n+n : b*n+n]
+		pairRow(w.rows[b], &p.Model.pairs[b], w.ords)
 	}
-	return nil
+}
+
+// Len is the strand's length.
+func (w *Weights) Len() int { return len(w.ords) }
+
+// At is the weight of pairing i with j, the strand's Tables.Intra1[i*n+j].
+func (w *Weights) At(i, j int) Value {
+	if j-i <= w.hairpin && i-j <= w.hairpin {
+		return NegInf
+	}
+	return w.rows[w.ords[i]&3][j]
+}
+
+// Rows is w as a fill's nussinov.PairRows, the weights of i with j in
+// [lo, hi): a base row itself when the span is clear of the band, else a
+// masked copy in one scratch row by absolute column, which tiles filled at
+// once share as they ask for distinct columns. Callers must not modify it.
+func (w *Weights) Rows(i, lo, hi int) []Value {
+	row := w.rows[w.ords[i]&3][lo:hi]
+	if lo > i+w.hairpin {
+		return row
+	}
+	masked := w.buf[4*len(w.ords):]
+	copy(masked[lo:hi], row)
+	for j := max(lo, i-w.hairpin); j < min(hi, i+w.hairpin+1); j++ {
+		masked[j] = NegInf
+	}
+	return masked[lo:hi]
 }
 
 // Score1 returns the intramolecular weight for pairing positions i and j of

@@ -1,10 +1,8 @@
 package score
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -293,22 +291,50 @@ func TestBuildRecordsIntegerWeights(t *testing.T) {
 	}
 }
 
-// TestIntraContext: the single-strand pair table is Build's Intra1 cell for
-// cell, and a done context stops the build with the context's error.
-func TestIntraContext(t *testing.T) {
-	seq := rna.Random(rand.New(rand.NewSource(3)), 37)
-	for _, p := range []Params{DefaultParams(), {Model: Unit(), MinHairpin: 3}} {
-		got, err := IntraContext(context.Background(), seq, p)
-		if err != nil {
-			t.Fatal(err)
+// TestWeightsMatchIntra1: a strand's weight view is Build's Intra1 bit for
+// bit on every stock model under hairpin loops 0 and 3 — At on every cell,
+// Rows on every span a fill asks for and on spans that reach into the masked
+// band from either side — and a masked span leaves the base rows as they
+// were.
+func TestWeightsMatchIntra1(t *testing.T) {
+	fractional := Custom("fractional", map[[2]rna.Base]Value{
+		{rna.G, rna.C}: 3.1, {rna.A, rna.U}: 1.7, {rna.G, rna.U}: 0.3,
+	})
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{0, 1, 7, 37} {
+		seq := rna.Random(rng, n)
+		for _, m := range []Model{BasePair(), Unit(), Forbidden("forbidden"), fractional} {
+			for _, hairpin := range []int{0, 3} {
+				p := Params{Model: m, MinHairpin: hairpin}
+				label := fmt.Sprintf("%d nt %s hairpin %d", n, m.Name(), hairpin)
+				want := Build(seq, rna.Sequence{}, p).Intra1
+				w := WeightsOf(seq, p)
+				if w.Len() != n {
+					t.Fatalf("%s: Len %d", label, w.Len())
+				}
+				at := make([]Value, n*n)
+				for i := range n {
+					for j := range n {
+						at[i*n+j] = w.At(i, j)
+					}
+				}
+				requireSameBits(t, label+" At", at, want)
+				for i := range n {
+					for lo := 0; lo <= n; lo++ {
+						for _, hi := range []int{lo, min(lo+1, n), min(lo+5, n), n} {
+							requireSameBits(t, fmt.Sprintf("%s Rows(%d, %d, %d)", label, i, lo, hi),
+								w.Rows(i, lo, hi), want[i*n+lo:i*n+hi])
+						}
+					}
+				}
+				for b, row := range w.rows {
+					for j, v := range row {
+						if v != m.pairs[b][w.ords[j]] {
+							t.Fatalf("%s: base row %d, column %d = %v after masked spans", label, b, j, v)
+						}
+					}
+				}
+			}
 		}
-		if want := Build(seq, rna.Sequence{}, p).Intra1; !slices.Equal(got, want) {
-			t.Errorf("%s: IntraContext differs from Build's Intra1", p.Model.Name())
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := IntraContext(ctx, seq, DefaultParams()); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled build: err = %v, want context.Canceled", err)
 	}
 }

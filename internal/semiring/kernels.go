@@ -82,21 +82,12 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 }
 
 // accumEachOver is AccumEach over a bundle's scalar ⊕ and ⊗, in Accum's
-// operand order; max-plus has its own loop of inline compares.
+// operand order; max-plus has its own bodies in package maxplus.
 func accumEachOver[T Scalar](add, mul func(a, b T) T) func(y, x, w []T) {
 	return func(y, x, w []T) {
 		y, w = y[:len(x)], w[:len(x)]
 		for k, v := range x {
 			y[k] = add(mul(v, w[k]), y[k])
-		}
-	}
-}
-
-func accumEachMaxPlus(y, x, w []float32) {
-	y, w = y[:len(x)], w[:len(x)]
-	for k, v := range x {
-		if v += w[k]; v > y[k] {
-			y[k] = v
 		}
 	}
 }
@@ -126,7 +117,7 @@ func MaxPlusKernelsOf(impl string) Kernels[float32] {
 		return k
 	}
 	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.Sweep, k.MulInto = b.Impl, b.Accumulate, b.Sweep, b.AddScalarInto
+	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto = b.Impl, b.Accumulate, b.AccumEach, b.Sweep, b.AddScalarInto
 	return k
 }
 
@@ -155,7 +146,7 @@ func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []floa
 		},
 		Mul:       func(a, b float32) float32 { return a + b },
 		Accum:     acc,
-		AccumEach: accumEachMaxPlus,
+		AccumEach: maxplus.AccumEachGo,
 		Sweep:     sweep,
 		MulInto:   maxplus.AddScalarIntoGo,
 	}

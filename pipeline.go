@@ -359,10 +359,10 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		if err = rq.checkScoreRange(p.N1, p.N2); err != nil {
 			return err
 		}
-		if _, err = rq.strandS(ctx, p.Seq1, &p.Tab.Intra1, &p.OwnS1, &p.S1); err != nil {
+		if _, err = rq.strandS(ctx, p.Seq1, &p.Tab.W1, &p.OwnS1, &p.S1); err != nil {
 			return err
 		}
-		_, err = rq.strandS(ctx, p.Seq2, &p.Tab.Intra2, &p.OwnS2, &p.S2)
+		_, err = rq.strandS(ctx, p.Seq2, &p.Tab.W2, &p.OwnS2, &p.S2)
 		return err
 	})
 	if err != nil {
@@ -493,14 +493,13 @@ func (rq request) newProblem(res *Result, seq1, seq2 string) error {
 
 // strandS is the substrate stage's per-strand step for a max-plus S table —
 // an interaction fold's or a scan's S¹ and S², a single strand's: the cache
-// step over the one build, ibpmax.BuildS from the strand's pair table *intra
-// (built there first when a single-strand caller has none yet) into *own
-// (the caller's storage, created when nil), under the request's ctx on its
-// engine. *s becomes the table to read:
+// step over the one build, ibpmax.BuildS from the strand's weight view w
+// into *own (the caller's storage, created when nil), under the request's
+// ctx on its engine. *s becomes the table to read:
 // the cache's — shared, read-only — when there is one, else *own. What the
-// cache keeps of a build is *own itself, or a clone when *own is a pooled
-// problem's storage, which the next fold resets.
-func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra *[]score.Value, own, s **nussinov.Table) (how cacheOutcome, err error) {
+// cache keeps of a build is *own itself, or a clone when *own is pooled
+// storage, which the next fold builds over.
+func (rq request) strandS(ctx context.Context, seq rna.Sequence, w *score.Weights, own, s **nussinov.Table) (how cacheOutcome, err error) {
 	*s, how, err = cacheDo(ctx, rq.cache, layerSubstrate,
 		func() pipeline.Key { return strandKey(keySubstrate, seq, rq.sp, 0) },
 		func(retain bool) (_ *nussinov.Table, _ int64, err error) {
@@ -508,16 +507,11 @@ func (rq request) strandS(ctx context.Context, seq rna.Sequence, intra *[]score.
 			// here, for the build alone.
 			cfg, release := rq.cfg.ScopedEngine(rq.cfg.Workers)
 			defer release()
-			if *intra == nil {
-				if *intra, err = score.IntraContext(ctx, seq, rq.sp); err != nil {
-					return nil, 0, err
-				}
-			}
-			if *own, err = ibpmax.BuildS(ctx, *own, seq.Len(), *intra, rq.sp.Model, cfg); err != nil {
+			if *own, err = ibpmax.BuildS(ctx, *own, w, rq.sp.Model, cfg); err != nil {
 				return nil, 0, err
 			}
 			t := *own
-			if retain && rq.pool != nil {
+			if retain && rq.cfg.Pool != nil {
 				t = t.Clone()
 			}
 			return t, t.Bytes(), nil
@@ -672,14 +666,14 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	if err := rq.checkScoreRange(n, 0); err != nil {
 		return nil, err
 	}
-	// Only the strand's own pair table is read, and it is built where it is
-	// read — by the S build on a miss, before the traceback otherwise — under
-	// ctx: a request parked behind another's build waits at once.
-	var intra []score.Value
-	rq.pool = nil // the table is this request's own: no pooled storage to clone it out of
+	// The S table is built, on a miss, into pooled storage the op hands back
+	// once the traceback is done; a cache keeps a clone of it, never it.
+	own := rq.cfg.Pool.GetS()
+	defer func() { rq.cfg.Pool.PutS(own) }()
+	w := score.WeightsOf(s, rq.sp)
 	sb := rq.tr.Begin()
-	var own, t *nussinov.Table
-	how, err := rq.strandS(ctx, s, &intra, &own, &t)
+	var t *nussinov.Table
+	how, err := rq.strandS(ctx, s, w, &own, &t)
 	rq.tr.End(how.stage(itrace.StageSubstrate), sb)
 	if err != nil {
 		return nil, err
@@ -688,12 +682,7 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 	if n > 0 {
 		res.Score = t.At(0, n-1)
 		tb := rq.tr.Begin()
-		if intra == nil {
-			if intra, err = score.IntraContext(ctx, s, rq.sp); err != nil {
-				return nil, err
-			}
-		}
-		pairs := t.Traceback(func(i, j int) score.Value { return intra[i*n+j] })
+		pairs := t.Traceback(w.At)
 		for _, p := range pairs {
 			res.Pairs = append(res.Pairs, Pair{p.I, p.J})
 		}
@@ -718,26 +707,23 @@ func (rq request) ensemble(ctx context.Context, seq string, kT float64) (*Ensemb
 		if err := fault.Hit(fault.SiteSubstrate); err != nil {
 			return res, 0, err
 		}
-		intra, err := score.IntraContext(ctx, s, rq.sp)
-		if err != nil {
-			return res, 0, err
-		}
+		intra := score.WeightsOf(s, rq.sp)
 		n := s.Len()
 		logPair := func(i, j int) float64 {
-			w := float64(intra[i*n+j])
+			w := float64(intra.At(i, j))
 			if w < -1e20 {
 				return math.Inf(-1)
 			}
 			return w / kT
 		}
 		countPair := func(i, j int) float64 {
-			if float64(intra[i*n+j]) < -1e20 {
+			if float64(intra.At(i, j)) < -1e20 {
 				return 0
 			}
 			return 1
 		}
 		optPair := func(i, j int) semiring.Optimum {
-			w := intra[i*n+j]
+			w := intra.At(i, j)
 			if float64(w) < -1e20 {
 				return semiring.MaxPlusCount{}.Zero()
 			}

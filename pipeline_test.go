@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -410,6 +412,45 @@ func TestSubstrateCacheZeroAllocSteadyState(t *testing.T) {
 	slack := 1 + 4*math.Hypot(offSEM, onSEM)
 	if on > off+slack {
 		t.Errorf("substrate-cached allocs/op = %.2f, uncached = %.2f (slack %.2f); a cache hit must not allocate", on, off, slack)
+	}
+}
+
+// TestWarmSingleFoldAllocation: a warm session's 1024-nt FoldSingle builds
+// its S table in pooled storage, unzeroed, from the strand's four weight
+// rows, so an op allocates at most 128 KiB — not the 4.4 MB S table and 4 MB
+// pair table a fresh build would. The median op is gated: sync.Pool keeps
+// the one table in the private slot of the P that put it back, so an op
+// whose goroutine moved to another P misses and allocates a table.
+func TestWarmSingleFoldAllocation(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc counting in -short, and under -race, where sync.Pool drops Puts")
+	}
+	s, err := NewSession(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seq := randSeq(rand.New(rand.NewSource(38)), 1024)
+	fold := func() {
+		if _, err := s.FoldSingle(context.Background(), seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fold() // warm the pool
+	// No GC empties the pool mid-run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	per := make([]uint64, 7)
+	for i := range per {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fold()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(per)
+	t.Logf("warm 1024-nt FoldSingle: bytes an op %v", per)
+	if median := per[len(per)/2]; median > 128<<10 {
+		t.Errorf("warm 1024-nt FoldSingle allocates %d KiB in the median op, want at most 128", median>>10)
 	}
 }
 
