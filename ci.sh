@@ -163,6 +163,27 @@ run_lint() (
         echo "lint: pairRow/pairRowK is back in internal/bpmax (the pairing term is Kernels.AccumEach)" >&2
         exit 1
     fi
+    # R3 and R4 ride in each row's R0 sweep as its pre-streams (r34 in
+    # triangle.go): every lane takes them before its k2, and the row makes one
+    # trip through memory for all three terms. An s.acc stream of A's or B's
+    # row from i2 is the two extra trips growing back.
+    if grep -nE 's\.acc\(.*[ab]row\[i2:hi\]' internal/bpmax/triangle.go; then
+        echo "lint: R3/R4 streamed with s.acc in triangle.go (they are pre-streams of the row's R0 sweep, r34)" >&2
+        exit 1
+    fi
+    # The pairing term is a stream in both float algebras: the sum-product
+    # bundles bind maxplus's SumProductEach (its Go loop, or the vector body
+    # SumProductKernelsOf takes from the Body), and accumEachOver — two
+    # indirect scalar calls an element — is log-sum-exp's alone.
+    if grep -n 'accumEachOver(' $(ls internal/semiring/*.go | grep -v '_test\.go$') |
+        grep -v -e 'func accumEachOver\[' -e 'accumEachOver(lse, '; then
+        echo "lint: accumEachOver outside the log-sum-exp bundle (the sum-product AccumEach is maxplus's SumProductEach)" >&2
+        exit 1
+    fi
+    if ! grep -q 'b\.SumProductEach\b' internal/semiring/kernels.go; then
+        echo "lint: SumProductKernelsOf no longer binds the body's SumProductEach (the vector AccumEach)" >&2
+        exit 1
+    fi
     # One substrate stage: one single-strand table type (Table is an alias of
     # GTable[float32]) and one build call, FillContext, which alone chooses
     # between the inline and the tiled fill. A second table struct, or the

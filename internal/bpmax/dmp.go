@@ -3,6 +3,7 @@ package bpmax
 import (
 	"fmt"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/tri"
 )
 
@@ -166,7 +167,7 @@ func (s *gsolver[T]) dmpSeedTriangle(i1, j1 int) {
 // accumulator (no R3/R4 here: the standalone system has only Equation 4).
 func (s *gsolver[T]) dmpAccumulateRow(blk, ablk, bblk []T, i2 int) {
 	n2 := s.p.N2
-	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, 0, n2)
+	s.sweep(s.f.Row(blk, i2), s.f.Row(ablk, i2), bblk, s.f.rowOff, i2, n2-1, 0, n2, maxplus.Pre[T]{})
 }
 
 // dmpTriangle computes one triangle under the given intra-triangle
@@ -202,7 +203,7 @@ func (s *gsolver[T]) dmpTriangle(i1, j1 int, v DMPVariant, pf func(n, workers in
 				r1 = n2
 			}
 			for k1 := i1; k1 < j1; k1++ {
-				s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), r0, r1)
+				s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1, false)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
@@ -54,7 +55,7 @@ type gsolver[T semiring.Scalar] struct {
 	// acc and sweep are the bundle's single stream and its k2 loop of
 	// streams (a.k.Accum, a.k.Sweep).
 	acc   func(y, x []T, a T)
-	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
+	sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T])
 	// s2off is S² (and the star table) seen as a block of Sweep: row r of
 	// a.s2 starts at s2off[r] = r·p2.
 	s2off []int
@@ -222,47 +223,36 @@ func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
 // The R0 update for fixed (i2, k2) is one streaming ⊕⊗ over j2 — the
 // paper's "matrix instance" inner loop. Every stream ends at the row's
 // stored bound hi: the rows of B it reads lie below i2 and reach at least as
-// far (rowHi).
+// far (rowHi). The row's R4 and R3 ride in its R0 sweep as pre-streams
+// (r34): each lane takes them before its k2, as it would from two calls of
+// their own, and the row makes one trip through memory for all three.
 func (s *gsolver[T]) accumulateRow(blk, ablk, bblk []T, i1, j1, k1, i2 int) {
 	hi := s.f.rowHi(i2)
-	grow := s.f.Row(blk, i2)
 	arow := s.f.Row(ablk, i2)
-	brow := s.f.Row(bblk, i2)
-	s4 := s.a.s1At(k1+1, j1)
-	s3 := s.a.s1At(i1, k1)
-	s.acc(grow[i2:hi], arow[i2:hi], s4)
-	s.acc(grow[i2:hi], brow[i2:hi], s3)
-	s.sweep(grow, arow, bblk, s.f.rowOff, i2, hi-1, 0, hi)
+	s.sweep(s.f.Row(blk, i2), arow, bblk, s.f.rowOff, i2, hi-1, 0, hi, r34(arow, s.f.Row(bblk, i2), s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), i2))
 }
 
-// accumulateRowsTiled is the tiled form of accumulateRow over the row range
-// [r0, r1): R3/R4 stream once per row, then the R0 iteration space
-// (i2 × k2 × j2) is chopped into TileK2-deep k2 bands (and optionally
-// TileJ2-wide j2 bands) so that the B rows of one band stay cache-resident
-// while every row of the i2 tile consumes them.
-func (s *gsolver[T]) accumulateRowsTiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
-	s4 := s.a.s1At(k1+1, j1)
-	s3 := s.a.s1At(i1, k1)
-	for i2 := r0; i2 < r1; i2++ {
-		hi := s.f.rowHi(i2)
-		grow := s.f.Row(blk, i2)
-		arow := s.f.Row(ablk, i2)
-		brow := s.f.Row(bblk, i2)
-		s.acc(grow[i2:hi], arow[i2:hi], s4)
-		s.acc(grow[i2:hi], brow[i2:hi], s3)
-	}
-	s.r0Tiled(blk, ablk, bblk, r0, r1)
+// r34 is row i2's R4 and R3 as a sweep's pre-streams over the row's columns
+// from i2 up: A's row ⊗ s4 = S¹[k1+1,j1], then B's row ⊗ s3 = S¹[i1,k1].
+func r34[T semiring.Scalar](arow, brow []T, s4, s3 T, i2 int) maxplus.Pre[T] {
+	return maxplus.Pre[T]{X1: arow, X2: brow, A1: s4, A2: s3, C0: i2}
 }
 
-// r0Tiled applies the R0 streams of one k1 to accumulator rows [r0, r1),
-// k2 band by k2 band: every row of the tile consumes a band's B rows before
-// the next band is touched. With j2 untiled (the default) a row's share of a
-// band is one Sweep. A row's k2 stop at its own stored bound; the tile's last
-// row reaches furthest.
-func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
+// r0Tiled is the tiled form of accumulateRow over the row range [r0, r1),
+// one k1: the R0 iteration space (i2 × k2 × j2) is chopped into TileK2-deep
+// k2 bands (and optionally TileJ2-wide j2 bands) so that the B rows of one
+// band stay cache-resident while every row of the i2 tile consumes them.
+// With j2 untiled (the default) a row's share of a band is one Sweep, and a
+// row's k2 stop at its own stored bound; the tile's last row reaches
+// furthest. With withR34, a row's R4 and R3 ride in the sweep of the band that
+// holds its first k2, k2t <= i2 < k2t+TileK2 — the bands before it do not
+// touch the row — which for a row with no k2 (i2 = hi-1) is a sweep of the
+// two alone. The DMP system has no R3/R4.
+func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int, withR34 bool) {
 	tk := s.cfg.TileK2
 	tj := s.cfg.TileJ2
-	kMax := s.f.rowHi(r1-1) - 1
+	s4, s3 := s.a.s1At(k1+1, j1), s.a.s1At(i1, k1)
+	kMax := max(s.f.rowHi(r1-1)-1, r1)
 	for k2t := r0; k2t < kMax; k2t += tk {
 		for i2 := r0; i2 < r1; i2++ {
 			hi := s.f.rowHi(i2)
@@ -270,9 +260,15 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, r0, r1 int) {
 			arow := s.f.Row(ablk, i2)
 			kLo := max(k2t, i2)
 			kEnd := min(k2t+tk, hi-1)
-			if tj <= 0 {
-				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, 0, hi)
+			switch first := withR34 && kLo == i2 && i2 < k2t+tk; {
+			case tj <= 0 && first:
+				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, 0, hi, r34(arow, s.f.Row(bblk, i2), s4, s3, i2))
 				continue
+			case tj <= 0:
+				s.sweep(grow, arow, bblk, s.f.rowOff, kLo, kEnd, 0, hi, maxplus.Pre[T]{})
+				continue
+			case first:
+				s.sweep(grow, arow, bblk, s.f.rowOff, i2, i2, 0, hi, r34(arow, s.f.Row(bblk, i2), s4, s3, i2))
 			}
 			for k2 := kLo; k2 < kEnd; k2++ {
 				a := arow[k2]
@@ -347,7 +343,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi)
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi, maxplus.Pre[T]{})
 		// Pair i1-j1 around the seq2 interval.
 		around := s2row
 		if inside != nil {
@@ -368,7 +364,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		}
 		if pre != nil {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
-			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi)
+			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
 		} else {
 			s.r2Substitute(grow, i2, hi)
 		}
@@ -396,7 +392,7 @@ func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
 			s.r2Walk(grow, s.a.s2, s.a.p2, j, e)
 		}
 		if e < hi {
-			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi)
+			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi, maxplus.Pre[T]{})
 		}
 		j = e
 	}
@@ -461,6 +457,6 @@ func (s *gsolver[T]) accumulateTileTask(i1, j1, r0, r1 int) {
 		s.initRow(blk, i1, j1, i2)
 	}
 	for k1 := i1; k1 < j1; k1++ {
-		s.accumulateRowsTiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1)
+		s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1, true)
 	}
 }

@@ -346,12 +346,14 @@ done:
 	VZEROUPPER
 	RET
 
-// func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
-// For k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j]) for j in
-// [max(k2+1, from), n). Requires 0 <= k0 < k1 < n and 0 <= from < n. Returns
+// func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) (ok bool)
+// The pre-streams y[j] = max(x1[j] + a1, y[j]), then x2 and a2, for j in [c0,
+// n) where x1 is not nil (sweep_amd64.h); then for k2 in [k0, k1): y[j] =
+// max(a[k2] + b[off[k2+1]+j], y[j]) for j in [max(k2+1, from), n). Requires
+// 0 <= k0 <= k1 < n, 0 <= from < n, and k0 < k1 or pre-streams. Returns
 // false, having done nothing, unless every row b[off[k2+1]+max(k2+1, from) :
 // off[k2+1]+n] lies inside b[:blen].
-TEXT ·sweepAVX2(SB), NOSPLIT, $0-73
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-113
 	MOVQ     y+0(FP), DI
 	MOVQ     a+8(FP), R13
 	MOVQ     b+16(FP), R10
@@ -365,12 +367,12 @@ TEXT ·sweepAVX2(SB), NOSPLIT, $0-73
 	ROWSINSIDE(reject)
 	VPCMPEQD Y13, Y13, Y13   // NaN: VMAXPS returns its second source, y
 	SWEEP
-	MOVB     $1, ok+72(FP)
+	MOVB     $1, ok+112(FP)
 	VZEROUPPER
 	RET
 
 reject:
-	MOVB $0, ok+72(FP)
+	MOVB $0, ok+112(FP)
 	VZEROUPPER
 	RET
 
@@ -409,41 +411,43 @@ adddone:
 	VZEROUPPER
 	RET
 
+// EACH is the pairing stream y[i] = y[i] ⊕ x[i] ⊗ w[i] for i in [0, n), with
+// y in DI, x in SI, w in DX and n in CX. Like addScalarIntoAVX2 it runs once
+// per row and masks only the last chunk. Clobbers AX, R12 and Y1-Y3, Y7.
+#define EACH \
+	XORQ     AX, AX; \
+eachfull: \
+	CMPQ     CX, $LANES; \
+	JLT      eachtail; \
+	VLOADU   (SI)(AX*1), Y1; \
+	VTIMES   (DX)(AX*1), Y1, Y1; \
+	VPLUS    (DI)(AX*1), Y1, Y1; \
+	VLOADU   Y1, (DI)(AX*1); \
+	ADDQ     $32, AX; \
+	SUBQ     $LANES, CX; \
+	JMP      eachfull; \
+eachtail: \
+	TESTQ    CX, CX; \
+	JZ       eachdone; \
+	LEAQ     lanemask<>(SB), R12; \
+	NEGQ     CX; \
+	VMOVDQU  MASKHI(R12)(CX*ESIZE), Y7; \
+	VMASKMOV (SI)(AX*1), Y7, Y1; \
+	VMASKMOV (DX)(AX*1), Y7, Y2; \
+	VMASKMOV (DI)(AX*1), Y7, Y3; \
+	VTIMES   Y2, Y1, Y1; \
+	VPLUS    Y3, Y1, Y1; \
+	VMASKMOV Y1, Y7, (DI)(AX*1); \
+eachdone:
+
 // func accumEachAVX2(y, x, w *float32, n int)
-// y[i] = max(x[i] + w[i], y[i]) for i in [0, n); n > 0. Like
-// addScalarIntoAVX2 it runs once per row and masks only the last chunk.
+// y[i] = max(x[i] + w[i], y[i]) for i in [0, n); n > 0.
 TEXT ·accumEachAVX2(SB), NOSPLIT, $0-32
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), DX
 	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-eachfull:
-	CMPQ    CX, $8
-	JLT     eachtail
-	VMOVUPS (SI)(AX*1), Y1
-	VADDPS  (DX)(AX*1), Y1, Y1
-	VMAXPS  (DI)(AX*1), Y1, Y1
-	VMOVUPS Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	SUBQ    $8, CX
-	JMP     eachfull
-
-eachtail:
-	TESTQ      CX, CX
-	JZ         eachdone
-	LEAQ       lanemask<>(SB), R12
-	NEGQ       CX
-	VMOVDQU    MASKHI(R12)(CX*4), Y7
-	VMASKMOVPS (SI)(AX*1), Y7, Y1
-	VMASKMOVPS (DX)(AX*1), Y7, Y2
-	VMASKMOVPS (DI)(AX*1), Y7, Y3
-	VADDPS     Y2, Y1, Y1
-	VMAXPS     Y3, Y1, Y1
-	VMASKMOVPS Y1, Y7, (DI)(AX*1)
-
-eachdone:
+	EACH
 	VZEROUPPER
 	RET
 
@@ -510,10 +514,11 @@ done:
 	VZEROUPPER
 	RET
 
-// func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
-// For k2 in [k0, k1): y[j] = y[j] + a[k2] * b[off[k2+1]+j] for j in
-// [max(k2+1, from), n), under sweepAVX2's requirements and with its row check.
-TEXT ·sumProductSweepAVX2(SB), NOSPLIT, $0-73
+// func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
+// After the pre-streams, for k2 in [k0, k1): y[j] = y[j] + a[k2] *
+// b[off[k2+1]+j] for j in [max(k2+1, from), n), under sweepAVX2's
+// requirements and with its row check.
+TEXT ·sumProductSweepAVX2(SB), NOSPLIT, $0-113
 	MOVQ     y+0(FP), DI
 	MOVQ     a+8(FP), R13
 	MOVQ     b+16(FP), R10
@@ -528,12 +533,23 @@ TEXT ·sumProductSweepAVX2(SB), NOSPLIT, $0-73
 	VPCMPEQD Y13, Y13, Y13
 	VPSLLQ   $63, Y13, Y13   // -0: y + -0 is y
 	SWEEP
-	MOVB     $1, ok+72(FP)
+	MOVB     $1, ok+112(FP)
 	VZEROUPPER
 	RET
 
 reject:
-	MOVB $0, ok+72(FP)
+	MOVB $0, ok+112(FP)
+	VZEROUPPER
+	RET
+
+// func sumProductEachAVX2(y, x, w *float64, n int)
+// y[i] = y[i] + x[i] * w[i] for i in [0, n); n > 0.
+TEXT ·sumProductEachAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	EACH
 	VZEROUPPER
 	RET
 

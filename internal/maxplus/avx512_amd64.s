@@ -247,6 +247,34 @@ intotail: \
 	VMOVU   Z1, K1, (DI)(AX*1); \
 intodone:
 
+// EACH is accumEachAVX2's body at 64 bytes a vector: y[i] = y[i] ⊕ x[i] ⊗ w[i]
+// for i in [0, n), with y in DI, x in SI, w in DX and n in CX, the last vector
+// under a lane mask. Clobbers AX, BX, Z1 and K1.
+#define EACH \
+	XORQ    AX, AX; \
+eachfull: \
+	CMPQ    CX, $LANES; \
+	JLT     eachtail; \
+	VMOVU   (SI)(AX*1), Z1; \
+	VTIMES  (DX)(AX*1), Z1, Z1; \
+	VPLUS   (DI)(AX*1), Z1, Z1; \
+	VMOVU   Z1, (DI)(AX*1); \
+	ADDQ    $64, AX; \
+	SUBQ    $LANES, CX; \
+	JMP     eachfull; \
+eachtail: \
+	TESTQ   CX, CX; \
+	JZ      eachdone; \
+	XORQ    BX, BX; \
+	BTSQ    CX, BX; \
+	DECQ    BX; \
+	KMOVW   BX, K1; \
+	VMOVU   (SI)(AX*1), K1, Z1; \
+	VTIMESZ (DX)(AX*1), Z1, K1, Z1; \
+	VPLUS   (DI)(AX*1), Z1, K1, Z1; \
+	VMOVU   Z1, K1, (DI)(AX*1); \
+eachdone:
+
 // The element type: ESIZE bytes an element (1<<ESHIFT), LANES a vector and
 // BLANES a block of four (1<<BSHIFT), the broadcast, aligned and masked moves,
 // ⊗ (and ⊗ zero-masked) and ⊕.
@@ -263,9 +291,9 @@ intodone:
 #define VTIMESZ VADDPS.Z
 #define VPLUS   VMAXPS
 
-// func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
+// func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) (ok bool)
 // sweepAVX2, on 256-byte blocks.
-TEXT ·sweepAVX512(SB), NOSPLIT, $0-73
+TEXT ·sweepAVX512(SB), NOSPLIT, $0-113
 	MOVQ y+0(FP), DI
 	MOVQ a+8(FP), R13
 	MOVQ b+16(FP), R10
@@ -278,12 +306,12 @@ TEXT ·sweepAVX512(SB), NOSPLIT, $0-73
 	SUBQ BX, AX
 	ROWSINSIDE(reject)
 	SWEEP
-	MOVB $1, ok+72(FP)
+	MOVB $1, ok+112(FP)
 	VZEROUPPER
 	RET
 
 reject:
-	MOVB $0, ok+72(FP)
+	MOVB $0, ok+112(FP)
 	VZEROUPPER
 	RET
 
@@ -316,32 +344,7 @@ TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), DX
 	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-eachfull:
-	CMPQ    CX, $16
-	JLT     eachtail
-	VMOVUPS (SI)(AX*1), Z1
-	VADDPS  (DX)(AX*1), Z1, Z1
-	VMAXPS  (DI)(AX*1), Z1, Z1
-	VMOVUPS Z1, (DI)(AX*1)
-	ADDQ    $64, AX
-	SUBQ    $16, CX
-	JMP     eachfull
-
-eachtail:
-	TESTQ     CX, CX
-	JZ        eachdone
-	XORQ      BX, BX
-	BTSQ      CX, BX
-	DECQ      BX
-	KMOVW     BX, K1
-	VMOVUPS.Z (SI)(AX*1), K1, Z1
-	VADDPS.Z  (DX)(AX*1), Z1, K1, Z1
-	VMAXPS.Z  (DI)(AX*1), Z1, K1, Z1
-	VMOVUPS   Z1, K1, (DI)(AX*1)
-
-eachdone:
+	EACH
 	VZEROUPPER
 	RET
 
@@ -371,9 +374,9 @@ eachdone:
 #define VTIMESZ VMULPD.Z
 #define VPLUS   VADDPD
 
-// func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
+// func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
 // sumProductSweepAVX2, on 256-byte blocks.
-TEXT ·sumProductSweepAVX512(SB), NOSPLIT, $0-73
+TEXT ·sumProductSweepAVX512(SB), NOSPLIT, $0-113
 	MOVQ y+0(FP), DI
 	MOVQ a+8(FP), R13
 	MOVQ b+16(FP), R10
@@ -386,12 +389,12 @@ TEXT ·sumProductSweepAVX512(SB), NOSPLIT, $0-73
 	SUBQ BX, AX
 	ROWSINSIDE(reject)
 	SWEEP
-	MOVB $1, ok+72(FP)
+	MOVB $1, ok+112(FP)
 	VZEROUPPER
 	RET
 
 reject:
-	MOVB $0, ok+72(FP)
+	MOVB $0, ok+112(FP)
 	VZEROUPPER
 	RET
 
@@ -414,5 +417,16 @@ TEXT ·mulScalarIntoAVX512(SB), NOSPLIT, $0-32
 	MOVQ         n+16(FP), CX
 	VBROADCASTSD a+24(FP), Z0
 	INTO
+	VZEROUPPER
+	RET
+
+// func sumProductEachAVX512(y, x, w *float64, n int)
+// sumProductEachAVX2, 8 lanes a vector.
+TEXT ·sumProductEachAVX512(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	EACH
 	VZEROUPPER
 	RET

@@ -48,12 +48,11 @@ func bits[T elem](v T) uint64 {
 	return math.Float64bits(float64(v))
 }
 
-// kernels is one body's streaming kernels in one algebra; each, the pairing
-// stream, is max-plus only (nil in the sum-product).
+// kernels is one body's streaming kernels in one algebra.
 type kernels[T elem] struct {
 	accum func(y, x []T, a T)
 	into  func(dst, x []T, a T)
-	sweep func(y, a, b []T, off []int, k0, k1, from, n int)
+	sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
 	each  func(y, x, w []T)
 }
 
@@ -109,9 +108,9 @@ var maxPlus = algebra[float32]{
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
 	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, nil}
+		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach}
 	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, nil},
+	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo},
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
 		math.Float64frombits(0xfff8000000000000),
@@ -239,47 +238,77 @@ func streamKernelsMatchGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) 
 	}
 }
 
-// TestAccumEachMatchesGoBitForBit holds every body's pairing stream to
-// AccumEachGo: lengths 0…maxLen with y, x and w each at any lane, guard words
-// on both ends of every slice, a y longer than x (only len(x) cells move),
-// and ties — a candidate equal to y, as a zero of the other sign or the same
-// value — which must keep y's bits, as must a NaN on either side.
+// TestAccumEachMatchesGoBitForBit holds every body's pairing stream, in both
+// algebras, to the Go loops: lengths 0…maxLen with y, x and w each at any
+// lane, guard words on both ends of every slice, a y longer than x (only
+// len(x) cells move), and every pair of specials as x and w — among them the
+// sum-product's (1+2⁻³⁰)² against y = -(1+2⁻²⁹), which a fused body leaves at
+// 2⁻⁶⁰ (TestSumProductRoundsTheProduct pins the Go loop itself). Max-plus ties
+// — a candidate equal to y, as a zero of the other sign or the same value —
+// must keep y's bits, as must a NaN on either side.
+//
+// A max-plus body's subtest is named after the body alone, a sum-product
+// body's after the algebra and the body.
 func TestAccumEachMatchesGoBitForBit(t *testing.T) {
-	eachBody(t, &maxPlus, func(t *testing.T, k *algebra[float32], kern kernels[float32]) {
-		rng := rand.New(rand.NewSource(38))
-		negZero := float32(math.Copysign(0, -1))
-		for n := 0; n <= maxLen; n++ {
-			for lane := 0; lane < lanes[float32](); lane++ {
-				what := fmt.Sprintf("n=%d lane=%d", n, lane)
-				p := newPair(k, 7, 7*n+1)
-				y, wy := p.slice(rng, n+1, lane)
-				x, wx := p.slice(rng, n, rng.Intn(lanes[float32]()))
-				w, ww := p.slice(rng, n, rng.Intn(lanes[float32]()))
-				kern.each(y, x, w)
-				k.goLoops.each(wy, wx, ww)
-				p.check(t, "accum-each "+what)
+	eachBody(t, &maxPlus, accumEachMatchesGo[float32])
+	t.Run(sumProduct.name, func(t *testing.T) { eachBody(t, &sumProduct, accumEachMatchesGo[float64]) })
+}
 
-				// Ties: y = -0 against +0 + +0, y = +0 against -0 + -0, and
-				// y = v against v + 0.
-				ty, wty := p.slice(rng, n, lane)
-				tx, wtx := p.slice(rng, n, rng.Intn(lanes[float32]()))
-				tw, wtw := p.slice(rng, n, rng.Intn(lanes[float32]()))
-				for i := range ty {
-					v := [...]float32{negZero, 0, float32(rng.Intn(41) - 20)}[i%3]
-					x := [...]float32{0, negZero, v}[i%3]
-					ty[i], wty[i], tx[i], wtx[i], tw[i], wtw[i] = v, v, x, x, x*0, x*0
-				}
-				kern.each(ty, tx, tw)
-				k.goLoops.each(wty, wtx, wtw)
-				p.check(t, "accum-each, ties "+what)
-				for i := range ty {
-					if want := [...]float32{negZero, 0, wty[i]}[i%3]; math.Float32bits(ty[i]) != math.Float32bits(want) {
-						t.Fatalf("accum-each, ties %s: y[%d] = %v, want y's own %v", what, i, ty[i], want)
-					}
-				}
+func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 0; n <= maxLen; n++ {
+		for lane := 0; lane < lanes[T](); lane++ {
+			what := fmt.Sprintf("n=%d lane=%d", n, lane)
+			p := newPair(k, 3, 3*n+1)
+			y, wy := p.slice(rng, n+1, lane)
+			x, wx := p.slice(rng, n, rng.Intn(lanes[T]()))
+			w, ww := p.slice(rng, n, rng.Intn(lanes[T]()))
+			kern.each(y, x, w)
+			k.goLoops.each(wy, wx, ww)
+			p.check(t, "accum-each "+what)
+		}
+	}
+
+	// Every special as x against every special as w, over every special as y.
+	m := len(k.specials)
+	p := newPair(k, 3, 3*m*m*m)
+	y, wy := p.slice(rng, m*m*m, 1)
+	x, wx := p.slice(rng, m*m*m, 2)
+	w, ww := p.slice(rng, m*m*m, 3)
+	for i := range y {
+		y[i], x[i], w[i] = k.specials[i%m], k.specials[i/m%m], k.specials[i/(m*m)]
+		wy[i], wx[i], ww[i] = y[i], x[i], w[i]
+	}
+	kern.each(y, x, w)
+	k.goLoops.each(wy, wx, ww)
+	p.check(t, "accum-each, specials")
+
+	if _, ok := any(T(0)).(float32); !ok {
+		return
+	}
+	// Ties: y = -0 against +0 + +0, y = +0 against -0 + -0, and y = v
+	// against v + 0.
+	negZero := T(math.Copysign(0, -1))
+	for n := 0; n <= maxLen; n++ {
+		what := fmt.Sprintf("n=%d", n)
+		p := newPair(k, 3, 3*n)
+		ty, wty := p.slice(rng, n, rng.Intn(lanes[T]()))
+		tx, wtx := p.slice(rng, n, rng.Intn(lanes[T]()))
+		tw, wtw := p.slice(rng, n, rng.Intn(lanes[T]()))
+		for i := range ty {
+			v := [...]T{negZero, 0, T(rng.Intn(41) - 20)}[i%3]
+			x := [...]T{0, negZero, v}[i%3]
+			ty[i], wty[i], tx[i], wtx[i], tw[i], wtw[i] = v, v, x, x, x*0, x*0
+		}
+		kern.each(ty, tx, tw)
+		k.goLoops.each(wty, wtx, wtw)
+		p.check(t, "accum-each, ties "+what)
+		for i := range ty {
+			if want := [...]T{negZero, 0, wty[i]}[i%3]; bits(ty[i]) != bits(want) {
+				t.Fatalf("accum-each, ties %s: y[%d] = %v, want y's own %v", what, i, ty[i], want)
 			}
 		}
-	})
+	}
 }
 
 // TestMaxPlusOnlyKernelsMatchGoBitForBit covers the kernel with no
@@ -320,6 +349,7 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 	for i := range b {
 		b[i] = 1 + 0x1p-30
 	}
+	pre := Pre[float64]{X1: a, X2: make([]float64, n), A1: a[0], C0: n - 1}
 	fresh := func() []float64 {
 		y := make([]float64, n)
 		for i := range y {
@@ -335,13 +365,18 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 	runs := []run{
 		{"SumProductGo", 0, func(y []float64) { SumProductGo(y, b[:n], a[0]) }},
 		// The one stream k2 = n-2 reaches y[n-1] only.
-		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, 0, n) }},
+		{"SumProductSweepGo", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-2, n-1, 0, n, Pre[float64]{}) }},
+		{"SumProductEachGo", 0, func(y []float64) { SumProductEachGo(y, a, b[:n]) }},
+		// The pre-streams alone on y[n-1]: (1+2⁻³⁰)², then + 0·0.
+		{"SumProductSweepGo, pre-streams", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-1, n-1, 0, n, pre) }},
 	}
 	for _, impl := range Impls() {
 		body := BodyOf(impl)
 		runs = append(runs,
 			run{impl + " SumProduct", 0, func(y []float64) { body.SumProduct(y, b[:n], a[0]) }},
-			run{impl + " SumProductSweep", n - 1, func(y []float64) { body.SumProductSweep(y, a, b, off, n-2, n-1, 0, n) }})
+			run{impl + " SumProductSweep", n - 1, func(y []float64) { body.SumProductSweep(y, a, b, off, n-2, n-1, 0, n, Pre[float64]{}) }},
+			run{impl + " SumProductEach", 0, func(y []float64) { body.SumProductEach(y, a, b[:n]) }},
+			run{impl + " SumProductSweep, pre-streams", n - 1, func(y []float64) { body.SumProductSweep(y, a, b, off, n-1, n-1, 0, n, pre) }})
 	}
 	for _, c := range runs {
 		y := fresh()
@@ -379,7 +414,10 @@ func TestSweepMatchesGoBitForBit(t *testing.T) {
 // sweepMatchesGo runs the sweep over every lane of the 256-byte block its y
 // can start at, so that streams start, end and cross block edges everywhere a
 // row can put them: row ends on and off a block edge, k2 ranges from one
-// stream to a diagonal that spans two blocks, every left column bound.
+// stream to a diagonal that spans two blocks, every left column bound, and
+// pre-streams from columns left of k0 — among them c0 = k0 on the last lane of
+// a block, one block left of the first k2 stream, and k0 = k1, the
+// pre-streams alone.
 func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 1; n <= maxLen; n++ {
@@ -388,36 +426,63 @@ func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 				off, size := rowOffsets(n, packed)
 				what := fmt.Sprintf("n=%d lane=%d packed=%v", n, lane, packed)
 
-				// R0's shape: y is a row of another block.
-				p := newPair(k, 4, 2*size+2*n)
+				// R0's shape: y is a row of another block, with R4 and R3 from
+				// two more.
+				p := newPair(k, 6, 2*size+4*n)
 				b, wb := p.slice(rng, size, rng.Intn(blockLanes[T]()))
 				a, wa := p.slice(rng, n, rng.Intn(blockLanes[T]()))
+				x1, wx1 := p.slice(rng, n, rng.Intn(blockLanes[T]()))
+				x2, wx2 := p.slice(rng, n, rng.Intn(blockLanes[T]()))
+				a1, a2 := k.operand(rng), k.operand(rng)
+				pre := func(c0 int) (got, want Pre[T]) {
+					return Pre[T]{x1, x2, a1, a2, c0}, Pre[T]{wx1, wx2, a1, a2, c0}
+				}
 				y, wy := p.slice(rng, n, lane)
-				kern.sweep(y, a, b, off, 0, n-1, 0, n)
-				k.goLoops.sweep(wy, wa, wb, off, 0, n-1, 0, n)
+				kern.sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{})
+				k.goLoops.sweep(wy, wa, wb, off, 0, n-1, 0, n, Pre[T]{})
 				p.check(t, "sweep, whole row, "+what)
+				// c0 = k0 on the last grid lane of y's first block (BLANES-1 at
+				// lane 0): the k2 streams start a block to the right.
+				k0 := (2*blockLanes[T]() - 1 - lane) % blockLanes[T]() % n
+				k1 := k0 + rng.Intn(n-k0)
+				got, want := pre(k0)
+				kern.sweep(y, a, b, off, k0, k1, 0, n, got)
+				k.goLoops.sweep(wy, wa, wb, off, k0, k1, 0, n, want)
+				p.check(t, fmt.Sprintf("sweep, pre-streams from column k0 = %d, k1 = %d, %s", k0, k1, what))
 				for from := 0; from < n; from++ {
 					k0 := rng.Intn(n)
 					k1 := k0 + rng.Intn(n-k0)
-					kern.sweep(y, a, b, off, k0, k1, from, n)
-					k.goLoops.sweep(wy, wa, wb, off, k0, k1, from, n)
-					p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d) from column %d, %s", k0, k1, from, what))
+					// Half the sweeps that may carry pre-streams do, from a
+					// column in [from, k0].
+					got, want := Pre[T]{}, Pre[T]{}
+					if k0 >= from && rng.Intn(2) == 0 {
+						got, want = pre(from + rng.Intn(k0-from+1))
+					}
+					kern.sweep(y, a, b, off, k0, k1, from, n, got)
+					k.goLoops.sweep(wy, wa, wb, off, k0, k1, from, n, want)
+					p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d) from column %d, pre-streams from %d, %s", k0, k1, from, got.C0, what))
 
 					// R2's shape: a is y itself, the cells [k0, from) final in
 					// memory while the lanes from `from` up are in registers.
 					k0 = rng.Intn(from + 1)
-					kern.sweep(y, y, b, off, k0, from, from, n)
-					k.goLoops.sweep(wy, wy, wb, off, k0, from, from, n)
+					kern.sweep(y, y, b, off, k0, from, from, n, Pre[T]{})
+					k.goLoops.sweep(wy, wy, wb, off, k0, from, from, n, Pre[T]{})
 					p.check(t, fmt.Sprintf("sweep, a = y, k2 in [%d,%d) from column %d, %s", k0, from, from, what))
 				}
 
 				// R1's shape: y is row i2 of b itself, reading the rows below
-				// it. On the packed map the cells either side of y[i2:n] are
-				// the neighbouring rows' cells.
+				// it; every other row also with pre-streams from i2, as R0's
+				// rows of a block take them, k0 = k1 on the last row. On the
+				// packed map the cells either side of y[i2:n] are the
+				// neighbouring rows' cells.
 				blk, wblk := p.slice(rng, size, lane)
 				for i2 := n - 1; i2 >= 0; i2-- {
-					kern.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, 0, n)
-					k.goLoops.sweep(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, 0, n)
+					got, want := Pre[T]{}, Pre[T]{}
+					if i2%2 == (n-1)%2 {
+						got, want = pre(i2)
+					}
+					kern.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, 0, n, got)
+					k.goLoops.sweep(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, 0, n, want)
 				}
 				p.check(t, "sweep, in place, "+what)
 			}
@@ -441,17 +506,24 @@ func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *algebra[T], kern k
 		want string // what follows the sweep's name in the panic
 		run  func()
 	}{
-		{"row past the block", "row 11 ", func() { kern.sweep(y, a, b[:size-1:size-1], off, 0, n-1, 0, n) }},
+		{"row past the block", "row 11 ", func() { kern.sweep(y, a, b[:size-1:size-1], off, 0, n-1, 0, n, Pre[T]{}) }},
 		{"row before the block", "row 3 ", func() {
 			bad := append([]int(nil), off...)
 			bad[3] = -5
-			kern.sweep(y, a, b, bad, 0, n-1, 0, n)
+			kern.sweep(y, a, b, bad, 0, n-1, 0, n, Pre[T]{})
 		}},
-		{"short y", "k2 range ", func() { kern.sweep(y[:n-1:n-1], a, b, off, 0, n-1, 0, n) }},
-		{"short a", "k2 range ", func() { kern.sweep(y, a[:3:3], b, off, 0, n-1, 0, n) }},
-		{"negative k0", "k2 range ", func() { kern.sweep(y, a, b, off, -1, n-1, 0, n) }},
-		{"negative from", "k2 range [0,11) from column -1 ", func() { kern.sweep(y, a, b, off, 0, n-1, -1, n) }},
-		{"from past the row", "k2 range [0,11) from column 12 ", func() { kern.sweep(y, a, b, off, 0, n-1, n, n) }},
+		{"short y", "k2 range ", func() { kern.sweep(y[:n-1:n-1], a, b, off, 0, n-1, 0, n, Pre[T]{}) }},
+		{"short a", "k2 range ", func() { kern.sweep(y, a[:3:3], b, off, 0, n-1, 0, n, Pre[T]{}) }},
+		{"negative k0", "k2 range ", func() { kern.sweep(y, a, b, off, -1, n-1, 0, n, Pre[T]{}) }},
+		{"negative from", "k2 range [0,11) from column -1 ", func() { kern.sweep(y, a, b, off, 0, n-1, -1, n, Pre[T]{}) }},
+		{"from past the row", "k2 range [0,11) from column 12 ", func() { kern.sweep(y, a, b, off, 0, n-1, n, n, Pre[T]{}) }},
+		{"k0 past k1", "k2 range [5,4) ", func() { kern.sweep(y, a, b, off, 5, 4, 0, n, Pre[T]{a, a, 1, 1, 5}) }},
+		{"pre-streams right of k0", "k2 range [5,9) from column 0 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 6 outside it or X1[:12], X2[:12]",
+			func() { kern.sweep(y, a, b, off, 5, 9, 0, n, Pre[T]{a, a, 1, 1, 6}) }},
+		{"pre-streams left of from", "k2 range [5,9) from column 3 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 2 ",
+			func() { kern.sweep(y, a, b, off, 5, 9, 3, n, Pre[T]{a, a, 1, 1, 2}) }},
+		{"short pre-stream", "k2 range [0,9) from column 0 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 0 outside it or X1[:12], X2[:11]",
+			func() { kern.sweep(y, a, b, off, 0, 9, 0, n, Pre[T]{a, a[:n-1], 1, 1, 0}) }},
 	} {
 		func() {
 			defer func() {
@@ -489,10 +561,17 @@ func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *algebra[T], kern 
 						what := fmt.Sprintf("k2 in [%d,%d) from column %d, row %d at offset %d", k0, k1, from, row+1, c.off)
 						off := make([]int, n)
 						off[row+1] = c.off
-						p := newPair(k, 3, 3*n+room)
+						p := newPair(k, 4, 4*n+room)
 						b, wb := p.slice(rng, n+room, 5)
 						a, wa := p.slice(rng, n, 9)
 						y, wy := p.slice(rng, n, 3)
+						// Pre-streams, where they may run: a body that turns
+						// the sweep down must not have applied them either.
+						var pre, wpre Pre[T]
+						if from <= k0 {
+							x, wx := p.slice(rng, n, 6)
+							pre, wpre = Pre[T]{x, a, 2, 3, from}, Pre[T]{wx, wa, 2, 3, from}
+						}
 						end := k1
 						if c.bad {
 							end = row
@@ -505,9 +584,9 @@ func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *algebra[T], kern 
 									t.Fatalf("%s: the sweep panicked with %q, bad row: %v", what, msg, c.bad)
 								}
 							}()
-							kern.sweep(y, a, b, off, k0, k1, from, n)
+							kern.sweep(y, a, b, off, k0, k1, from, n, pre)
 						}()
-						k.goLoops.sweep(wy, wa, wb, off, k0, end, from, n)
+						k.goLoops.sweep(wy, wa, wb, off, k0, end, from, n, wpre)
 						p.check(t, what)
 					}
 				}
@@ -532,7 +611,7 @@ func benchmarkSweep[T elem](b *testing.B, k *algebra[T]) {
 				y, a, blk := make([]T, n), make([]T, n), make([]T, size)
 				b.SetBytes(int64(n * (n - 1) / 2 * int(unsafe.Sizeof(y[0]))))
 				for i := 0; i < b.N; i++ {
-					sweep(y, a, blk, off, 0, n-1, 0, n)
+					sweep(y, a, blk, off, 0, n-1, 0, n, Pre[T]{})
 				}
 			})
 		}
@@ -628,9 +707,7 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 		kernels := []kernel{
 			{"accumulate", func() { kern.accum(y, x, 1) }},
 			{"scalar-into", func() { kern.into(y, x, 1) }},
-		}
-		if kern.each != nil {
-			kernels = append(kernels, kernel{"accum-each", func() { kern.each(y, x, x) }})
+			{"accum-each", func() { kern.each(y, x, x) }},
 		}
 		for _, c := range kernels {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
@@ -644,34 +721,49 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 }
 
 // sweepLeavesNeighbouringCells: the sweep stores whole blocks, but for the
-// lanes of the first block left of the first stream and those of the last
-// block from y[n] on.
+// lanes of the first block left of the first stream — the first k2 stream, or
+// the pre-streams from c0 — and those of the last block from y[n] on. On the
+// packed map the word before y[c0] is the row above's last cell, in the same
+// 256-byte block.
 func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kernels[T], lane, n int) {
 	off, size := rowOffsets(n, true)
-	ar := newArena(arenaRoom(3, size+2*n), k.guardWord)
+	ar := newArena(arenaRoom(5, size+4*n), k.guardWord)
 	b, a := ar.slice(size, 3), ar.slice(n, 1)
+	x1, x2 := ar.slice(n, 5), ar.slice(n, 7)
 	lo := ar.next + guard + lane // where the next slice starts
 	y := ar.slice(n, lane)
 	before, after := &ar.buf[lo-1], &ar.buf[lo+n]
 	what := fmt.Sprintf("sweep lane=%d n=%d", lane, n)
+	pre := func(c0 int) Pre[T] { return Pre[T]{x1, x2, 1, 2, c0} }
 
-	whole := func() { kern.sweep(y, a, b, off, 0, n-1, 0, n) }
+	whole := func() { kern.sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", whole row, the word before y[0]", before, whole)
 	ownedBySomeoneElse(t, what+", whole row, y[0]", &y[0], whole)
 	ownedBySomeoneElse(t, what+", whole row, the word after y[n-1]", after, whole)
+	wholePre := func() { kern.sweep(y, a, b, off, 0, n-1, 0, n, pre(0)) }
+	ownedBySomeoneElse(t, what+", whole row and pre-streams, the word before y[0]", before, wholePre)
 
 	// One stream into y[n-1]: the first block is the last, and everything in
-	// it but one lane is someone else's.
-	last := func() { kern.sweep(y, a, b, off, n-2, n-1, 0, n) }
+	// it but one lane is someone else's. So with the pre-streams alone on it.
+	last := func() { kern.sweep(y, a, b, off, n-2, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", last stream, the word before y[n-1]", &y[n-2], last)
 	ownedBySomeoneElse(t, what+", last stream, the word before y[0]", before, last)
 	ownedBySomeoneElse(t, what+", last stream, the word after y[n-1]", after, last)
+	preOnly := func() { kern.sweep(y, a, b, off, n-1, n-1, 0, n, pre(n-1)) }
+	ownedBySomeoneElse(t, what+", pre-streams alone, the word before y[n-1]", &y[n-2], preOnly)
+	ownedBySomeoneElse(t, what+", pre-streams alone, the word after y[n-1]", after, preOnly)
 
-	// Streams that start in the middle of a block, at k0+1 and at `from`.
+	// Streams that start in the middle of a block, at k0+1 and at `from`, and
+	// pre-streams from c0 = k0 on a block's last lane, the k2 streams a block
+	// right.
 	mid := n / 2
-	tail := func() { kern.sweep(y, a, b, off, mid, n-1, 0, n) }
+	tail := func() { kern.sweep(y, a, b, off, mid, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", k0 mid-row, the word before y[k0+1]", &y[mid], tail)
-	bound := func() { kern.sweep(y, y, b, off, mid/2, mid, mid, n) }
+	if c0 := blockLanes[T]() - 1 - lane; c0 > 0 && c0 < n-1 {
+		edge := func() { kern.sweep(y, a, b, off, c0, n-1, 0, n, pre(c0)) }
+		ownedBySomeoneElse(t, what+", pre-streams from a block's last lane, the word before y[c0]", &y[c0-1], edge)
+	}
+	bound := func() { kern.sweep(y, y, b, off, mid/2, mid, mid, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word before y[from]", &y[mid-1], bound)
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word after y[n-1]", after, bound)
 }

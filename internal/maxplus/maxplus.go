@@ -19,9 +19,10 @@
 // column bound it is also the step of finalize's blocked R2, and with a
 // scratch copy of the row as a, the substrate's closure row. BPPart's
 // partition function is the same stream in the (+, ×) algebra over float64,
-// Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductSweep and
-// MulScalarInto are those kernels, on the same assembly skeletons at half
-// the lanes. The Go
+// Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductEach, SumProductSweep
+// and MulScalarInto are those kernels, on the same assembly skeletons at half
+// the lanes. A sweep may carry two more streams (Pre), applied to each block
+// of Y before its k2 loop: the fill's R4 and R3. The Go
 // loops they all replace (portable.go) are every other build: other
 // architectures, the `purego` tag, an amd64 CPU without AVX2. Every body
 // produces the same bits; Impl names the one in use, Impls every one the CPU
@@ -33,7 +34,10 @@
 // those schedules lose.
 package maxplus
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // isa names one body of the streaming kernels.
 type isa uint8
@@ -69,10 +73,11 @@ type Body struct {
 	Accumulate      func(y, x []float32, a float32)
 	AccumEach       func(y, x, w []float32)
 	AddScalarInto   func(dst, x []float32, a float32)
-	Sweep           func(y, a, b []float32, off []int, k0, k1, from, n int)
+	Sweep           func(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32])
 	SumProduct      func(y, x []float64, a float64)
+	SumProductEach  func(y, x, w []float64)
 	MulScalarInto   func(dst, x []float64, a float64)
-	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int)
+	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64])
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -93,42 +98,37 @@ var bodies = [...]Body{
 		Accumulate:    AccumulateGo,
 		AccumEach:     AccumEachGo,
 		AddScalarInto: AddScalarIntoGo,
-		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
-			sweep(isaGo, y, a, b, off, k0, k1, from, n)
+		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
+			sweepRest("Sweep", SweepGo, y, a, b, off, k0, k1, from, n, &pre)
 		},
-		SumProduct:    SumProductGo,
-		MulScalarInto: MulScalarIntoGo,
-		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int) {
-			sumProductSweep(isaGo, y, a, b, off, k0, k1, from, n)
+		SumProduct:     SumProductGo,
+		SumProductEach: SumProductEachGo,
+		MulScalarInto:  MulScalarIntoGo,
+		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
+			sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
 		},
 	},
 	isaAVX2: {
-		Impl:          "avx2",
-		Accumulate:    accumulate2,
-		AccumEach:     vectorEach(accumEachAVX2),
-		AddScalarInto: addScalarInto2,
-		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
-			sweep(isaAVX2, y, a, b, off, k0, k1, from, n)
-		},
-		SumProduct:    sumProduct2,
-		MulScalarInto: mulScalarInto2,
-		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int) {
-			sumProductSweep(isaAVX2, y, a, b, off, k0, k1, from, n)
-		},
+		Impl:            "avx2",
+		Accumulate:      accumulate2,
+		AccumEach:       vectorEach(accumEachAVX2),
+		AddScalarInto:   addScalarInto2,
+		Sweep:           sweep2,
+		SumProduct:      sumProduct2,
+		SumProductEach:  vectorEach(sumProductEachAVX2),
+		MulScalarInto:   mulScalarInto2,
+		SumProductSweep: sumProductSweep2,
 	},
 	isaAVX512: {
-		Impl:          "avx512",
-		Accumulate:    accumulate512,
-		AccumEach:     vectorEach(accumEachAVX512),
-		AddScalarInto: addScalarInto512,
-		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int) {
-			sweep(isaAVX512, y, a, b, off, k0, k1, from, n)
-		},
-		SumProduct:    sumProduct512,
-		MulScalarInto: mulScalarInto512,
-		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int) {
-			sumProductSweep(isaAVX512, y, a, b, off, k0, k1, from, n)
-		},
+		Impl:            "avx512",
+		Accumulate:      accumulate512,
+		AccumEach:       vectorEach(accumEachAVX512),
+		AddScalarInto:   addScalarInto512,
+		Sweep:           sweep512,
+		SumProduct:      sumProduct512,
+		SumProductEach:  vectorEach(sumProductEachAVX512),
+		MulScalarInto:   mulScalarInto512,
+		SumProductSweep: sumProductSweep512,
 	},
 }
 
@@ -150,10 +150,10 @@ func accumulate512(y, x []float32, a float32) {
 	}
 }
 
-// vectorEach binds a vector body of Body.AccumEach, the pairing stream
-// y[k] = max(x[k] + w[k], y[k]) over x, behind AccumEachGo's checks.
-func vectorEach(body func(y, x, w *float32, n int)) func(y, x, w []float32) {
-	return func(y, x, w []float32) {
+// vectorEach binds a vector body of Body.AccumEach or Body.SumProductEach, the
+// pairing stream y[k] = y[k] ⊕ x[k] ⊗ w[k] over x, behind the Go loops' checks.
+func vectorEach[T float32 | float64](body func(y, x, w *T, n int)) func(y, x, w []T) {
+	return func(y, x, w []T) {
 		if n := len(x); n > 0 {
 			y, w = y[:n], w[:n]
 			body(&y[0], &x[0], &w[0], n)
@@ -189,56 +189,105 @@ func addScalarInto512(dst, x []float32, a float32) {
 	}
 }
 
-// sweep is every body's Sweep (Body.Sweep; semiring.Kernels.Sweep binds it):
-// a whole k2 loop of streams into one accumulator row,
+// Pre is the pair of streams a sweep may apply to its row ahead of its k2
+// loop, in this order:
+//
+//	y[j] = y[j] ⊕ X1[j] ⊗ A1, then y[j] = y[j] ⊕ X2[j] ⊗ A2   for j in [C0, n)
+//
+// X1 and X2 are indexed by absolute column like y and must not overlap
+// y[C0:n]; from <= C0 <= k0, and k0 may equal k1 (the streams alone). They
+// are the fill's R4 and R3 riding in a row's R0 sweep: every lane takes them,
+// then its k2 in ascending order, as from three calls, bit for bit, and y
+// makes one trip through memory for all three. The zero Pre (X1 nil) is none.
+type Pre[T ~float32 | ~float64] struct {
+	X1, X2 []T
+	A1, A2 T
+	C0     int
+}
+
+// sweep2 and sweep512 are the avx2 and avx512 bodies of Sweep (Body.Sweep;
+// semiring.Kernels.Sweep binds them; the go body is sweepRest): pre's two
+// streams, then a whole k2 loop of streams into one accumulator row,
 //
 //	for k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j])  for j in [max(k2+1, from), n)
 //
-// with 0 <= k0, k1 < n and 0 <= from < n (every stream is non-empty).
+// with 0 <= k0 <= k1 < n and 0 <= from < n (every stream is non-empty); a
+// sweep with k0 == k1 and no pre does nothing. sumProductSweep2 and 512 are
+// SumProductSweep's, the same loop in the (+, ×) algebra, y[j] + a[k2] *
+// b[off[k2+1]+j], under the same requirements and checks.
 //
 // y is a table row indexed by absolute column, a the row of left operands,
 // b a table block and off its row offsets: cell (r, j) of the block is
 // b[off[r]+j], whichever memory map laid it out. This is the R0 loop of the
-// double max-plus (a = a row of the west triangle, b = the south triangle),
-// the R1 loop of finalize (a = a row of S², b = the triangle itself) and,
-// with a left column bound, its R2 step (a = y itself, b = S², from = k1:
-// the cells [k0, k1) of the row, final, pushed to the columns right of them).
-// The rows of b it reads must not overlap the columns of y it writes,
-// y[max(k0+1, from):n], and neither may a[k0:k1]; y is held in registers
-// across the k2 loop, so a store to it is not seen by a later k2's loads.
+// double max-plus (a = a row of the west triangle, b = the south triangle,
+// pre its R4 and R3), the R1 loop of finalize (a = a row of S², b = the
+// triangle itself) and, with a left column bound, its R2 step (a = y itself,
+// b = S², from = k1: the cells [k0, k1) of the row, final, pushed to the
+// columns right of them). The rows of b it reads must not overlap the
+// columns of y it writes, y[max(k0+1, from):n], and neither may a[k0:k1]; y
+// is held in registers across the k2 loop, so a store to it is not seen by a
+// later k2's loads.
 //
-// Every body runs behind one set of checks: the arguments, ahead of the
-// choice between them, then every row. A vector body looks at the rows
-// itself, several a step, and does nothing if one lies outside b; the Go
-// loops — the same bits — then run the streams before that row, and the
-// panic names it.
-func sweep(v isa, y, a, b []float32, off []int, k0, k1, from, n int) {
-	if k0 >= k1 {
-		return
-	}
-	checkSweep("Sweep", len(y), len(a), len(off), k0, k1, from, n)
-	if len(b) > 0 {
-		switch {
-		case v == isaAVX512 && sweepAVX512(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b)):
-			return
-		case v == isaAVX2 && sweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b)):
-			return
-		}
-	}
-	end := rowsInside(len(b), off, k0, k1, from, n)
-	SweepGo(y, a, b, off, k0, end, from, n)
-	if end < k1 {
-		panicSweepRow("Sweep", len(b), off, end, n)
+// Every body runs behind one set of checks: the arguments, then every row. A
+// vector body calls its assembly, which looks at the rows itself, several a
+// step, and does nothing if one lies outside b, only on arguments
+// sweepArgsOK passes; everything else goes to sweepRest, whose Go loops — the
+// same bits — run the streams before a bad row, and whose panic names it.
+// The assembly is called directly, not through a func value: a call fewer,
+// on a path the partition fill takes about ten thousand times a fold.
+func sweep2(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
+	if k0 >= k1 && pre.X1 == nil || len(a) == 0 || len(b) == 0 || !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, &pre) ||
+		!sweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b), pre.C0, unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2) {
+		sweepRest("Sweep", SweepGo, y, a, b, off, k0, k1, from, n, &pre)
 	}
 }
 
-// checkSweep panics unless a sweep's k2 range and column bounds agree with
-// each other and with the lengths of y, a and off.
-func checkSweep(name string, ylen, alen, offlen, k0, k1, from, n int) {
-	if k0 < 0 || k1 >= n || from < 0 || from >= n || n > ylen || k1 > alen || k1 >= offlen {
-		panic(fmt.Sprintf("maxplus: %s k2 range [%d,%d) from column %d to column %d outside y[:%d], a[:%d], off[:%d]",
-			name, k0, k1, from, n, ylen, alen, offlen))
+func sweep512(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
+	if k0 >= k1 && pre.X1 == nil || len(a) == 0 || len(b) == 0 || !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, &pre) ||
+		!sweepAVX512(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b), pre.C0, unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2) {
+		sweepRest("Sweep", SweepGo, y, a, b, off, k0, k1, from, n, &pre)
 	}
+}
+
+func sumProductSweep2(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
+	if k0 >= k1 && pre.X1 == nil || len(a) == 0 || len(b) == 0 || !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, &pre) ||
+		!sumProductSweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b), pre.C0, unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2) {
+		sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
+	}
+}
+
+func sumProductSweep512(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
+	if k0 >= k1 && pre.X1 == nil || len(a) == 0 || len(b) == 0 || !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, &pre) ||
+		!sumProductSweepAVX512(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b), pre.C0, unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2) {
+		sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
+	}
+}
+
+// sweepRest is a sweep no vector body ran: nothing, where there are no
+// streams; a panic naming the arguments, where they disagree; else goLoops up
+// to the first row outside b, and a panic naming that row.
+func sweepRest[T float32 | float64](name string, goLoops func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T]),
+	y, a, b []T, off []int, k0, k1, from, n int, pre *Pre[T]) {
+	if k0 >= k1 && pre.X1 == nil {
+		return
+	}
+	if !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, pre) {
+		panic(fmt.Sprintf("maxplus: %s k2 range [%d,%d) from column %d to column %d outside y[:%d], a[:%d], off[:%d], or pre-streams from column %d outside it or X1[:%d], X2[:%d]",
+			name, k0, k1, from, n, len(y), len(a), len(off), pre.C0, len(pre.X1), len(pre.X2)))
+	}
+	end := rowsInside(len(b), off, k0, k1, from, n)
+	goLoops(y, a, b, off, k0, end, from, n, *pre)
+	if end < k1 {
+		panicSweepRow(name, len(b), off, end, n)
+	}
+}
+
+// sweepArgsOK reports whether a sweep's k2 range and column bounds agree with
+// each other and with the lengths of y, a and off, and its pre-streams, if
+// any, with them and the lengths of their rows.
+func sweepArgsOK[T float32 | float64](ylen, alen, offlen, k0, k1, from, n int, pre *Pre[T]) bool {
+	return k0 >= 0 && k0 <= k1 && k1 < n && from >= 0 && from < n && n <= ylen && k1 <= alen && k1 < offlen &&
+		(pre.X1 == nil || pre.C0 >= from && pre.C0 <= k0 && len(pre.X1) >= n && len(pre.X2) >= n)
 }
 
 // rowsInside returns the end of the leading run of k2 in [k0, k1) whose rows
@@ -287,31 +336,6 @@ func mulScalarInto2(dst, x []float64, a float64) {
 func mulScalarInto512(dst, x []float64, a float64) {
 	if n := min(len(dst), len(x)); n > 0 {
 		mulScalarIntoAVX512(&dst[0], &x[0], n, a)
-	}
-}
-
-// sumProductSweep is sweep in the (+, ×) algebra over float64 (Body.SumProductSweep):
-//
-//	for k2 in [k0, k1): y[j] = y[j] + a[k2] * b[off[k2+1]+j]  for j in [max(k2+1, from), n)
-//
-// with the same arguments, the same requirements on them and the same checks.
-func sumProductSweep(v isa, y, a, b []float64, off []int, k0, k1, from, n int) {
-	if k0 >= k1 {
-		return
-	}
-	checkSweep("SumProductSweep", len(y), len(a), len(off), k0, k1, from, n)
-	if len(b) > 0 {
-		switch {
-		case v == isaAVX512 && sumProductSweepAVX512(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b)):
-			return
-		case v == isaAVX2 && sumProductSweepAVX2(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b)):
-			return
-		}
-	}
-	end := rowsInside(len(b), off, k0, k1, from, n)
-	SumProductSweepGo(y, a, b, off, k0, end, from, n)
-	if end < k1 {
-		panicSweepRow("SumProductSweep", len(b), off, end, n)
 	}
 }
 

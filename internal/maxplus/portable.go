@@ -100,8 +100,12 @@ func AddScalarIntoGo(dst, x []float32, a float32) {
 }
 
 // SweepGo is Sweep's portable body, and the Sweep of semiring's Go max-plus
-// bundle: one AccumulateGo stream per k2.
-func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int) {
+// bundle: pre's two AccumulateGo streams, then one per k2.
+func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
+	if pre.X1 != nil {
+		AccumulateGo(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
+		AccumulateGo(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
+	}
 	for k2 := k0; k2 < k1; k2++ {
 		o, lo := off[k2+1], max(k2+1, from)
 		AccumulateGo(y[lo:n], b[o+lo:o+n], a[k2])
@@ -124,6 +128,15 @@ func SumProductGo(y, x []float64, a float64) {
 	}
 }
 
+// SumProductEachGo is SumProductEach's portable body: y[k] += x[k]·w[k] for
+// every k of x, the sum-product pairing term of a row.
+func SumProductEachGo(y, x, w []float64) {
+	y, w = y[:len(x)], w[:len(x)]
+	for k, v := range x {
+		y[k] += float64(v * w[k])
+	}
+}
+
 // MulScalarIntoGo is MulScalarInto's portable body.
 func MulScalarIntoGo(dst, x []float64, a float64) {
 	n := min(len(dst), len(x))
@@ -134,9 +147,13 @@ func MulScalarIntoGo(dst, x []float64, a float64) {
 	}
 }
 
-// SumProductSweepGo is SumProductSweep's portable body: one SumProductGo
-// stream per k2.
-func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, from, n int) {
+// SumProductSweepGo is SumProductSweep's portable body: pre's two
+// SumProductGo streams, then one per k2.
+func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
+	if pre.X1 != nil {
+		SumProductGo(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
+		SumProductGo(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
+	}
 	for k2 := k0; k2 < k1; k2++ {
 		o, lo := off[k2+1], max(k2+1, from)
 		SumProductGo(y[lo:n], b[o+lo:o+n], a[k2])

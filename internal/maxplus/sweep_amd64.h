@@ -12,6 +12,22 @@
 // R15 and n in BX, 0 <= k0 < k1 < n and 0 <= from < n, and every row inside b
 // (the binding's ROWSINSIDE).
 //
+// Pre-streams. Where x1 (an argument, with c0, a1, x2 and a2: every sweep
+// TEXT declares them at the same offsets) is not nil, each block first takes
+//
+//	y[j] = y[j] ⊕ x1[j] ⊗ a1, then y[j] = y[j] ⊕ x2[j] ⊗ a2   for j in [c0, n)
+//
+// right after its load, before its k2 loop (PRESTREAMS), with from <= c0 <=
+// k0 and k0 <= k1. Every lane thus takes x1, x2, then its k2 in ascending
+// order, as three separate calls would. The walk starts at the block holding
+// the first live lane — c0 with pre-streams, one block left of lo(k0) where c0
+// = k0 is a block's last lane, and lo(k0) = max(k0+1, from) without — and the
+// live-lane masks start there too. The K runs need no change: each covers the
+// lanes from lo(K) up by its own diagonal mask, and no K reaches a lane left of
+// lo(k0). The prologue rebases x1 and x2 onto the grid and leaves the first
+// live lane in c0's slot, all in their argument slots, as every register is
+// taken; a sweep without pre-streams pays one compare and branch a block.
+//
 // y is walked in blocks of four vectors on the BBYTES grid, and the k2 loop
 // runs inside the block: V1-V4 hold the block from one load to one store, so
 // a candidate costs one ⊗ from memory and one ⊕, and y makes no trip through
@@ -31,10 +47,11 @@
 //	                                left of it not at all (diag v)
 //
 // and the K beyond do not reach the block. The live lanes of a block are those
-// from lo(K0) up and below N. A block with dead lanes — the first one, the
-// last one — keeps its vectors' live-lane masks in E1-E4 (every lane live in
-// every other block), applies the streams under them (VEDGE) and stores y
-// under them (VMASKST). R8 is 0 in such a block.
+// from the first live lane (lo(K0), or c0 with pre-streams) up and below N. A
+// block with dead lanes — the first one, the last one — keeps its vectors'
+// live-lane masks in E1-E4 (every lane live in every other block), applies the
+// streams under them (VEDGE) and stores y under them (VMASKST). R8 is 0 in
+// such a block.
 //
 // The hooks:
 //
@@ -81,22 +98,53 @@
 	CMPQ CX, R14; \
 	JGE  store
 
+// PRESTREAMS applies the pre-streams, if any, to the block at byte DX under
+// its live-lane masks E1-E4; it keeps AX, DX and R8.
+#define PRESTREAMS \
+	CMPQ     x1+80(FP), $0; \
+	JEQ      nopre; \
+	MOVQ     x1+80(FP), SI; \
+	VSPLAT   a1+88(FP), A0; \
+	VEDGE(0, V1, E1, T1); \
+	VEDGE(D1, V2, E2, T2); \
+	VEDGE(D2, V3, E3, T3); \
+	VEDGE(D3, V4, E4, T4); \
+	MOVQ     x2+96(FP), SI; \
+	VSPLAT   a2+104(FP), A0; \
+	VEDGE(0, V1, E1, T1); \
+	VEDGE(D1, V2, E2, T2); \
+	VEDGE(D2, V3, E3, T3); \
+	VEDGE(D3, V4, E4, T4); \
+nopre:
+
 #define SWEEP \
 	MOVQ     DI, R8; \
 	ANDQ     $(BBYTES-1), R8; \
 	SUBQ     R8, DI; \
 	SUBQ     R8, R10; \
 	SUBQ     R8, R13; \
+	MOVQ     x1+80(FP), SI; \
+	TESTQ    SI, SI; \
+	JZ       firstk; \
+	SUBQ     R8, SI; \
+	MOVQ     SI, x1+80(FP); \
+	SUBQ     R8, x2+96(FP); \
+	MOVQ     c0+72(FP), DX; \
+	JMP      lanes; \
+firstk: \
+	LEAQ     1(R11), DX; \
+	CMPQ     DX, R15; \
+	CMOVQLT  R15, DX; \
+lanes: \
 	SHRQ     $ESHIFT, R8; \
 	ADDQ     R8, R11; \
 	ADDQ     R8, R14; \
 	ADDQ     R8, R15; \
 	ADDQ     R8, BX; \
+	ADDQ     R8, DX; \
+	MOVQ     DX, c0+72(FP); \
 	SHLQ     $3, R8; \
 	SUBQ     R8, R9; \
-	LEAQ     1(R11), DX; \
-	CMPQ     DX, R15; \
-	CMOVQLT  R15, DX; \
 	SHRQ     $BSHIFT, DX; \
 	SHLQ     $BBSHIFT, DX; \
 block: \
@@ -107,9 +155,7 @@ block: \
 	BLOCKMASKS; \
 	MOVQ     DX, AX; \
 	SHRQ     $ESHIFT, AX; \
-	LEAQ     1(R11), SI; \
-	CMPQ     SI, R15; \
-	CMOVQLT  R15, SI; \
+	MOVQ     c0+72(FP), SI; \
 	LEAQ     BLANES(AX), R8; \
 	CMPQ     SI, AX; \
 	JGT      dead; \
@@ -123,6 +169,7 @@ dead: \
 	DEADMASKS; \
 	XORQ     R8, R8; \
 full: \
+	PRESTREAMS; \
 	MOVQ     R11, CX; \
 	CMPQ     AX, R15; \
 	CMOVQLT  R15, AX; \

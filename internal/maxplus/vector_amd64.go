@@ -4,9 +4,10 @@ package maxplus
 
 // The vector kernel bodies: AVX2 (avx2_amd64.s) and AVX-512
 // (avx512_amd64.s). Each takes raw pointers and the counts the exported
-// wrapper has already bounds-checked, and needs n > 0 (the sweeps: 0 <= k0 <
-// k1 < n and 0 <= from < n; they check the rows of b against blen themselves
-// and return false, y untouched, if one lies outside).
+// wrapper has already bounds-checked, and needs n > 0 (the sweeps: sweepArgsOK
+// with k0 < k1 or pre-streams, Pre's fields, x1 nil for none; they check the
+// rows of b against blen themselves and return false, y untouched, if one
+// lies outside). A sweep's arguments sit at one offset in both element types.
 
 //go:noescape
 func accumulateAVX2(y, x *float32, n int, a float32)
@@ -15,7 +16,7 @@ func accumulateAVX2(y, x *float32, n int, a float32)
 func addScalarIntoAVX2(dst, x *float32, n int, a float32)
 
 //go:noescape
-func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
+func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) (ok bool)
 
 //go:noescape
 func accumEachAVX2(y, x, w *float32, n int)
@@ -24,10 +25,13 @@ func accumEachAVX2(y, x, w *float32, n int)
 func sumProductAVX2(y, x *float64, n int, a float64)
 
 //go:noescape
+func sumProductEachAVX2(y, x, w *float64, n int)
+
+//go:noescape
 func mulScalarIntoAVX2(dst, x *float64, n int, a float64)
 
 //go:noescape
-func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
+func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
 
 //go:noescape
 func accumulateAVX512(y, x *float32, n int, a float32)
@@ -42,13 +46,16 @@ func accumEachAVX512(y, x, w *float32, n int)
 func sumProductAVX512(y, x *float64, n int, a float64)
 
 //go:noescape
+func sumProductEachAVX512(y, x, w *float64, n int)
+
+//go:noescape
 func mulScalarIntoAVX512(dst, x *float64, n int, a float64)
 
 //go:noescape
-func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen int) (ok bool)
+func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) (ok bool)
 
 //go:noescape
-func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen int) (ok bool)
+func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

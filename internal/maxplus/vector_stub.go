@@ -8,21 +8,23 @@ const process = isaGo
 
 func accumulateAVX2(y, x *float32, n int, a float32)      { panic("maxplus: no vector build") }
 func addScalarIntoAVX2(dst, x *float32, n int, a float32) { panic("maxplus: no vector build") }
-func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen int) bool {
+func sweepAVX2(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) bool {
 	panic("maxplus: no vector build")
 }
-func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen int) bool {
+func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *float32, a1 float32, x2 *float32, a2 float32) bool {
 	panic("maxplus: no vector build")
 }
 
 func accumEachAVX2(y, x, w *float32, n int)               { panic("maxplus: no vector build") }
 func accumEachAVX512(y, x, w *float32, n int)             { panic("maxplus: no vector build") }
 func sumProductAVX2(y, x *float64, n int, a float64)      { panic("maxplus: no vector build") }
+func sumProductEachAVX2(y, x, w *float64, n int)          { panic("maxplus: no vector build") }
+func sumProductEachAVX512(y, x, w *float64, n int)        { panic("maxplus: no vector build") }
 func mulScalarIntoAVX2(dst, x *float64, n int, a float64) { panic("maxplus: no vector build") }
-func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen int) bool {
+func sumProductSweepAVX2(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) bool {
 	panic("maxplus: no vector build")
 }
-func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen int) bool {
+func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) bool {
 	panic("maxplus: no vector build")
 }
 

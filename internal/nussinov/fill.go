@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
@@ -75,9 +76,9 @@ func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T,
 		s0 := max(c0, i) // the diagonal, S[i,i] = unit, is the first hop
 		copy(cl.pre[s0:c1], y[s0:c1])
 		if c0 > i {
-			k.Sweep(y, y, data, cl.off, i, c0, c0, c1)
+			k.Sweep(y, y, data, cl.off, i, c0, c0, c1, maxplus.Pre[T]{})
 		}
-		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1)
+		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1, maxplus.Pre[T]{})
 		return
 	}
 	for s := i; s < c1-1; s++ {

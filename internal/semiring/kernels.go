@@ -54,7 +54,11 @@ type Kernels[T Scalar] struct {
 	// and b = S², from = k1: the row's final cells [k0, k1) pushed to the
 	// columns right of them. a[k0:k1] and the rows of b read must not overlap
 	// the columns of y written.
-	Sweep func(y, a, b []T, off []int, k0, k1, from, n int)
+	// pre (maxplus.Pre), unless zero, is two streams y[pre.C0:n] takes first:
+	// R0's sweep carries the row's R4 and R3, and each lane takes R4, R3,
+	// then its k2 ascending, as from three calls, bit for bit
+	// (docs/ALGORITHM.md §4). R1, R2, the DMP and the substrate pass none.
+	Sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T])
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
 }
@@ -69,11 +73,16 @@ var (
 	sumProductGo      = newSumProductGo()
 )
 
-// sweepOver builds a bundle's Sweep from its Accum, one call per k2: the
-// form of the two bundles package maxplus has no Sweep body for, log-sum-exp
-// and the 8-way unrolled max-plus loops (the portable build's fill).
-func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, from, n int) {
-	return func(y, a, b []T, off []int, k0, k1, from, n int) {
+// sweepOver builds a bundle's Sweep from its Accum, one call per pre-stream
+// and per k2: the form of the two bundles package maxplus has no Sweep body
+// for, log-sum-exp and the 8-way unrolled max-plus loops (the portable
+// build's fill).
+func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T]) {
+	return func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T]) {
+		if pre.X1 != nil {
+			acc(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
+			acc(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
+		}
 		for k2 := k0; k2 < k1; k2++ {
 			o, lo := off[k2+1], max(k2+1, from)
 			acc(y[lo:n], b[o+lo:o+n], a[k2])
@@ -82,7 +91,8 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 }
 
 // accumEachOver is AccumEach over a bundle's scalar ⊕ and ⊗, in Accum's
-// operand order; max-plus has its own bodies in package maxplus.
+// operand order: log-sum-exp's. Max-plus and the sum-product have their own
+// bodies in package maxplus.
 func accumEachOver[T Scalar](add, mul func(a, b T) T) func(y, x, w []T) {
 	return func(y, x, w []T) {
 		y, w = y[:len(x)], w[:len(x)]
@@ -133,7 +143,7 @@ func MaxPlusKernelsGo(unroll bool) Kernels[float32] {
 	return maxPlusGo
 }
 
-func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, from, n int)) Kernels[float32] {
+func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, from, n int, pre maxplus.Pre[float32])) Kernels[float32] {
 	return Kernels[float32]{
 		Impl: "go",
 		Zero: NegInf,
@@ -238,20 +248,19 @@ func SumProductKernelsOf(impl string) Kernels[float64] {
 		return k
 	}
 	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.Sweep, k.MulInto = b.Impl, b.SumProduct, b.SumProductSweep, b.MulScalarInto
+	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto = b.Impl, b.SumProduct, b.SumProductEach, b.SumProductSweep, b.MulScalarInto
 	return k
 }
 
 func newSumProductGo() Kernels[float64] {
-	add, mul := func(a, b float64) float64 { return a + b }, func(a, b float64) float64 { return a * b }
 	return Kernels[float64]{
 		Impl:      "go",
 		Zero:      0,
 		One:       1,
-		Add:       add,
-		Mul:       mul,
+		Add:       func(a, b float64) float64 { return a + b },
+		Mul:       func(a, b float64) float64 { return a * b },
 		Accum:     maxplus.SumProductGo,
-		AccumEach: accumEachOver(add, mul),
+		AccumEach: maxplus.SumProductEachGo,
 		Sweep:     maxplus.SumProductSweepGo,
 		MulInto:   maxplus.MulScalarIntoGo,
 	}

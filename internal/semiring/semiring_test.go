@@ -275,7 +275,7 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 		}
 	}
 	swept, want := append([]T(nil), y0...), append([]T(nil), y0...)
-	k.Sweep(swept, x, blk, off, 1, n-1, 3, n)
+	k.Sweep(swept, x, blk, off, 1, n-1, 3, n, maxplus.Pre[T]{})
 	for k2 := 1; k2 < n-1; k2++ {
 		for j := max(k2+1, 3); j < n; j++ {
 			want[j] = k.Add(k.Mul(x[k2], blk[off[k2+1]+j]), want[j])
@@ -284,6 +284,34 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 	for j := range want {
 		if swept[j] != want[j] {
 			t.Errorf("%s: Sweep[%d] = %v, want %v", name, j, swept[j], want[j])
+		}
+	}
+	// With pre-streams from column 2: every lane from there takes x ⊗ a1,
+	// then y0 ⊗ a2, then its k2 from k0 = 3 up; and with k0 = k1, those alone.
+	for _, k0 := range []int{3, n - 1} {
+		swept, want = append([]T(nil), y0...), append([]T(nil), y0...)
+		k.Sweep(swept, x, blk, off, k0, n-1, 1, n, maxplus.Pre[T]{X1: x, X2: y0, A1: a1, A2: a2, C0: 2})
+		for j := 2; j < n; j++ {
+			want[j] = k.Add(k.Mul(a1, x[j]), want[j])
+			want[j] = k.Add(k.Mul(a2, y0[j]), want[j])
+		}
+		for k2 := k0; k2 < n-1; k2++ {
+			for j := k2 + 1; j < n; j++ {
+				want[j] = k.Add(k.Mul(x[k2], blk[off[k2+1]+j]), want[j])
+			}
+		}
+		for j := range want {
+			if swept[j] != want[j] {
+				t.Errorf("%s: Sweep[%d] from k0 = %d with pre-streams = %v, want %v", name, j, k0, swept[j], want[j])
+			}
+		}
+	}
+	// AccumEach: y[j] ⊕ x[j] ⊗ w[j], with w = y.
+	each := append([]T(nil), y0...)
+	k.AccumEach(each, x, y0)
+	for i, v := range x {
+		if want := k.Add(k.Mul(v, y0[i]), y0[i]); each[i] != want {
+			t.Errorf("%s: AccumEach[%d] = %v, want %v", name, i, each[i], want)
 		}
 	}
 	if k.Add(k.Zero, a1) != a1 || k.Mul(k.One, a1) != a1 || k.Mul(k.Zero, a1) != k.Zero {
