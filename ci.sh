@@ -83,6 +83,14 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go/nussinov's fill.go (a second copy of the fill)" >&2
         exit 1
     fi
+    # Likewise the block product: the substrate's closure fill is its one
+    # caller (a tile's cross-tile splits, fillTile). Product( anywhere else is
+    # a second blocked fill growing beside the sweeps.
+    if grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])Product\(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
+        -e '^\./internal/maxplus/' -e '^\./internal/semiring/' -e '^\./internal/nussinov/fill\.go:'; then
+        echo "lint: Product called outside internal/nussinov/fill.go (the closure fill's cross-tile splits are its one use)" >&2
+        exit 1
+    fi
     # The pair tables and a strand's weight view (score.Weights) are written a
     # row at a time by lookup in the row base's weight row (score.pairRow).
     # Model.Pair inside a table fill is the per-cell copy of the Model growing
@@ -269,7 +277,8 @@ run_lint() (
     fi
     # The AVX-512 bodies stay in Z0-Z15: the VZEROUPPER that ends every TEXT
     # cleans the upper halves of those sixteen only, and a dirty Z16-Z31 slows
-    # every SSE instruction the Go code after the call runs.
+    # every SSE instruction the Go code after the call runs. The block
+    # product's 4 × 2 tile fits (a 4 × 4 tile in Z16-Z27 measured no faster).
     if grep -nE '\bZ(1[6-9]|2[0-9]|3[01])\b' internal/maxplus/*.s internal/maxplus/*.h; then
         echo "lint: Z16-Z31 in the assembly (VZEROUPPER does not clean them)" >&2
         exit 1

@@ -112,35 +112,41 @@ func TestWeightsBuildTheIntra1Table(t *testing.T) {
 }
 
 // TestBuildSOverwritesStaleCells: BuildS does not zero a reused table, so
-// every cell of [0, n)² must come from the fill. A 1000-nt table's storage,
-// poisoned with NaN, rebuilt at a shorter length on the same pitch, below
-// the cutoff on a dense pitch, and short, reads bit for bit as a fresh build.
+// every cell of [0, n)² must come from the fill. A 1032-nt table's storage,
+// poisoned with NaN, rebuilt at a shorter length on the same pitch, at 1024 (a
+// whole number of tiles), below the cutoff on a dense pitch, and short, inline
+// and on two workers, reads bit for bit as a fresh build. From the cutoff up
+// the closure's tiles at block distance d ≥ 2 take a Product, which folds
+// into a tile's cells: a NaN left in one would survive it, so this also pins
+// that the tile is set to Zero before the product reads it.
 func TestBuildSOverwritesStaleCells(t *testing.T) {
-	ctx, cfg, rng := context.Background(), Config{Workers: 1}, rand.New(rand.NewSource(38))
-	for _, p := range []score.Params{score.DefaultParams(), {Model: score.BasePair(), MinHairpin: 3}} {
-		big := nussinov.SequentialCutoff + 8
-		reused, err := BuildS(ctx, nil, score.WeightsOf(rna.Random(rng, big), p), p.Model, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{big - 3, nussinov.SequentialCutoff - 1, 100} {
-			stale := reused.Data()[:cap(reused.Data())]
-			for i := range stale {
-				stale[i] = float32(math.NaN())
-			}
-			w := score.WeightsOf(rna.Random(rng, n), p)
-			got, err := BuildS(ctx, reused, w, p.Model, cfg)
+	ctx, rng := context.Background(), rand.New(rand.NewSource(38))
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 2}} {
+		for _, p := range []score.Params{score.DefaultParams(), {Model: score.BasePair(), MinHairpin: 3}} {
+			big := nussinov.SequentialCutoff + 40
+			reused, err := BuildS(ctx, nil, score.WeightsOf(rna.Random(rng, big), p), p.Model, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &got.Data()[0] != &stale[0] {
-				t.Fatalf("%d nt: BuildS did not build into the reused storage", n)
+			for _, n := range []int{big - 3, 1024, nussinov.SequentialCutoff - 1, 100} {
+				stale := reused.Data()[:cap(reused.Data())]
+				for i := range stale {
+					stale[i] = float32(math.NaN())
+				}
+				w := score.WeightsOf(rna.Random(rng, n), p)
+				got, err := BuildS(ctx, reused, w, p.Model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &got.Data()[0] != &stale[0] {
+					t.Fatalf("%d nt: BuildS did not build into the reused storage", n)
+				}
+				want, err := BuildS(ctx, nil, w, p.Model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameS(t, fmt.Sprintf("%d nt after %d nt, hairpin %d, %d workers", n, big, p.MinHairpin, cfg.Workers), got, want)
 			}
-			want, err := BuildS(ctx, nil, w, p.Model, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameS(t, fmt.Sprintf("%d nt after %d nt, hairpin %d", n, big, p.MinHairpin), got, want)
 		}
 	}
 }

@@ -430,3 +430,154 @@ TEXT ·sumProductEachAVX512(SB), NOSPLIT, $0-32
 	EACH
 	VZEROUPPER
 	RET
+
+// The max-plus product, float32 only: c[r][j] = c[r][j] ⊕ ⊕_s a[r][s] ⊗
+// b[s][j] over rows of c, a and b ldc, lda and ldb elements apart, on a
+// register tile of four rows × two vectors (32 columns) of c held across the
+// whole split loop. A split costs two loads of b and four broadcasts of a for
+// eight ⊗ and eight ⊕: each b vector serves four rows. Columns past the last
+// whole pair of vectors are loaded and stored under the opmasks K1 and K2
+// (every pair sets them: whole pairs all ones), so no lane outside a row of c
+// is written. Rows past the last four take a tile of one row.
+//
+// Registers: c in DI, a in SI and b in BX, each at the current block of rows;
+// the strides in bytes, lda in R8, ldb in R9 and ldc in R10, 3·lda in CX; the
+// rows left in R11, w in R12 and k in R13; the column in AX. The split loop
+// walks a in R14 and b in R15 and counts in DX. The tile is Z0-Z7 (row r,
+// vector v in Z(2r+v)), b's two vectors Z8-Z9, a's broadcasts Z10-Z13, the
+// candidates Z14-Z15.
+
+// PAIRMASKS sets K1 and K2 to the columns of the pair at AX inside [0, w).
+#define PAIRMASKS \
+	MOVQ    R12, DX; \
+	SUBQ    AX, DX; \
+	MOVQ    $32, R14; \
+	CMPQ    DX, R14; \
+	CMOVQGT R14, DX; \
+	XORQ    R14, R14; \
+	BTSQ    DX, R14; \
+	DECQ    R14; \
+	KMOVW   R14, K1; \
+	SHRQ    $16, R14; \
+	KMOVW   R14, K2
+
+// PCAND(bc, lo, hi) takes one row's two candidates, a's broadcast bc ⊗ b's
+// two vectors, into that row's tile vectors lo and hi, the candidate as ⊕'s
+// first source.
+#define PCAND(bc, lo, hi) \
+	VADDPS Z8, bc, Z14; \
+	VADDPS Z9, bc, Z15; \
+	VMAXPS lo, Z14, lo; \
+	VMAXPS hi, Z15, hi
+
+// func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)
+// For r in [0, m) and j in [0, w): c[r*ldc+j] = max(a[r*lda+s] +
+// b[s*ldb+j], c[r*ldc+j]) for s = 0, 1, ..., k-1. m, w, k > 0.
+TEXT ·productAVX512(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R10
+	SHLQ $2, R10
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R8
+	SHLQ $2, R8
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R9
+	SHLQ $2, R9
+	MOVQ m+48(FP), R11
+	MOVQ w+56(FP), R12
+	MOVQ k+64(FP), R13
+	LEAQ (R8)(R8*2), CX
+
+rows4:
+	CMPQ R11, $4
+	JLT  rows1
+	XORQ AX, AX
+
+pairs4:
+	PAIRMASKS
+	LEAQ      (DI)(AX*4), R14
+	LEAQ      (R10)(R10*2), R15
+	VMOVUPS.Z (R14), K1, Z0
+	VMOVUPS.Z 64(R14), K2, Z1
+	VMOVUPS.Z (R14)(R10*1), K1, Z2
+	VMOVUPS.Z 64(R14)(R10*1), K2, Z3
+	VMOVUPS.Z (R14)(R10*2), K1, Z4
+	VMOVUPS.Z 64(R14)(R10*2), K2, Z5
+	VMOVUPS.Z (R14)(R15*1), K1, Z6
+	VMOVUPS.Z 64(R14)(R15*1), K2, Z7
+	MOVQ      SI, R14
+	LEAQ      (BX)(AX*4), R15
+	MOVQ      R13, DX
+
+splits4:
+	VMOVUPS.Z    (R15), K1, Z8
+	VMOVUPS.Z    64(R15), K2, Z9
+	VBROADCASTSS (R14), Z10
+	VBROADCASTSS (R14)(R8*1), Z11
+	VBROADCASTSS (R14)(R8*2), Z12
+	VBROADCASTSS (R14)(CX*1), Z13
+	PCAND(Z10, Z0, Z1)
+	PCAND(Z11, Z2, Z3)
+	PCAND(Z12, Z4, Z5)
+	PCAND(Z13, Z6, Z7)
+	ADDQ         $4, R14
+	ADDQ         R9, R15
+	DECQ         DX
+	JNZ          splits4
+
+	LEAQ    (DI)(AX*4), R14
+	LEAQ    (R10)(R10*2), R15
+	VMOVUPS Z0, K1, (R14)
+	VMOVUPS Z1, K2, 64(R14)
+	VMOVUPS Z2, K1, (R14)(R10*1)
+	VMOVUPS Z3, K2, 64(R14)(R10*1)
+	VMOVUPS Z4, K1, (R14)(R10*2)
+	VMOVUPS Z5, K2, 64(R14)(R10*2)
+	VMOVUPS Z6, K1, (R14)(R15*1)
+	VMOVUPS Z7, K2, 64(R14)(R15*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R12
+	JLT     pairs4
+	LEAQ    (DI)(R10*4), DI
+	LEAQ    (SI)(R8*4), SI
+	SUBQ    $4, R11
+	JMP     rows4
+
+rows1:
+	TESTQ R11, R11
+	JZ    done
+	XORQ  AX, AX
+
+pairs1:
+	PAIRMASKS
+	LEAQ      (DI)(AX*4), R14
+	VMOVUPS.Z (R14), K1, Z0
+	VMOVUPS.Z 64(R14), K2, Z1
+	MOVQ      SI, R14
+	LEAQ      (BX)(AX*4), R15
+	MOVQ      R13, DX
+
+splits1:
+	VMOVUPS.Z    (R15), K1, Z8
+	VMOVUPS.Z    64(R15), K2, Z9
+	VBROADCASTSS (R14), Z10
+	PCAND(Z10, Z0, Z1)
+	ADDQ         $4, R14
+	ADDQ         R9, R15
+	DECQ         DX
+	JNZ          splits1
+
+	LEAQ    (DI)(AX*4), R14
+	VMOVUPS Z0, K1, (R14)
+	VMOVUPS Z1, K2, 64(R14)
+	ADDQ    $32, AX
+	CMPQ    AX, R12
+	JLT     pairs1
+	ADDQ    R10, DI
+	ADDQ    R8, SI
+	DECQ    R11
+	JMP     rows1
+
+done:
+	VZEROUPPER
+	RET

@@ -767,3 +767,120 @@ func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kern
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word before y[from]", &y[mid-1], bound)
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word after y[n-1]", after, bound)
 }
+
+// TestProductMatchesGoBitForBit holds every body's max-plus product to
+// ProductGo: every m in 0…9 (whole tiles of four rows and every leftover),
+// every w in 0…maxLen (whole pairs of vectors and every column tail), every k
+// in 0…17, c's first cell at any lane, padded strides with guard words
+// between the rows of c (and of a and b), so that a store outside a row of c
+// shows, and operands drawn from the specials — NaN, ±Inf, the forbidden
+// sentinel -1e30, signed zeros — a third of the time.
+func TestProductMatchesGoBitForBit(t *testing.T) {
+	for _, impl := range testBodies() {
+		t.Run(impl, func(t *testing.T) {
+			product := BodyOf(impl).Product
+			rng := rand.New(rand.NewSource(40))
+			for m := 0; m <= 9; m++ {
+				for w := 0; w <= maxLen; w++ {
+					for k := 0; k <= 17; k++ {
+						ldc, lda, ldb := w+rng.Intn(3), k+rng.Intn(3), w+rng.Intn(3)
+						p := newPair(&maxPlus, 3, m*ldc+m*lda+k*ldb)
+						c, wc := p.slice(rng, m*ldc, rng.Intn(lanes[float32]()))
+						a, wa := p.slice(rng, m*lda, rng.Intn(lanes[float32]()))
+						b, wb := p.slice(rng, k*ldb, rng.Intn(lanes[float32]()))
+						padWith(c, ldc, w, maxPlus.guardWord)
+						padWith(wc, ldc, w, maxPlus.guardWord)
+						product(c, ldc, a, lda, b, ldb, m, w, k)
+						ProductGo(wc, ldc, wa, lda, wb, ldb, m, w, k)
+						p.check(t, fmt.Sprintf("m=%d w=%d k=%d ldc=%d lda=%d ldb=%d", m, w, k, ldc, lda, ldb))
+					}
+				}
+			}
+		})
+	}
+}
+
+// padWith writes guard into the cells of rows of width w, ld apart, past
+// their last column: a store into them shows as a changed guard word.
+func padWith(rows []float32, ld, w int, guard float32) {
+	for i := range rows {
+		if i%ld >= w {
+			rows[i] = guard
+		}
+	}
+}
+
+// TestProductRejectsBadArguments: every argument that disagrees with the
+// others panics with words that name it, on every body, before a cell moves.
+func TestProductRejectsBadArguments(t *testing.T) {
+	const m, w, k = 5, 7, 3
+	c, a, b := make([]float32, m*w), make([]float32, m*k), make([]float32, k*w)
+	for _, impl := range Impls() {
+		product := BodyOf(impl).Product
+		for _, tc := range []struct {
+			want string
+			run  func()
+		}{
+			{"m -1, w 7: a negative dimension", func() { product(c, w, a, k, b, w, -1, w, k) }},
+			{"m 5, w -1: a negative dimension", func() { product(c, w, a, k, b, w, m, -1, k) }},
+			{"m 5, k -1: a negative dimension", func() { product(c, w, a, k, b, w, m, w, -1) }},
+			{"ldc 6 below w 7", func() { product(c, w-1, a, k, b, w, m, w, k) }},
+			{"lda 2 below k 3", func() { product(c, w, a, k-1, b, w, m, w, k) }},
+			{"ldb 6 below w 7", func() { product(c, w, a, k, b, w-1, m, w, k) }},
+			{"c[:34] short of 5 rows of 7 at stride 7", func() { product(c[:m*w-1], w, a, k, b, w, m, w, k) }},
+			{"a[:14] short of 5 rows of 3 at stride 3", func() { product(c, w, a[:m*k-1], k, b, w, m, w, k) }},
+			{"b[:20] short of 3 rows of 7 at stride 7", func() { product(c, w, a, k, b[:k*w-1], w, m, w, k) }},
+			{"c[:35] short of 5 rows of 7 at stride 8", func() { product(c, w+1, a, k, b, w, m, w, k) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != "maxplus: Product "+tc.want {
+						t.Errorf("%s: Product panicked with %q, want %q", impl, msg, "maxplus: Product "+tc.want)
+					}
+				}()
+				tc.run()
+			}()
+		}
+	}
+}
+
+// BenchmarkProduct times the closure fill's cross-tile splits on every body:
+// a 64-row × 64-column tile taking k splits at the pitch of a 1024-nt table,
+// as one Product and as the 64 row Sweeps it replaces (a = the row itself,
+// every stream from the tile's first column). `go test -bench Product
+// ./internal/maxplus` reports both in Gcell/s, one ⊗ and one ⊕ a cell update.
+func BenchmarkProduct(b *testing.B) {
+	const rows, width, pitch = 64, 64, 1088
+	for _, k := range []int{448, 896} {
+		// The tile is rows [0, 64) × columns [k, k+64); its splits read
+		// columns [0, k) of its rows and rows [1, k] below.
+		data := make([]float32, (k+rows+1)*pitch)
+		for i := range data {
+			data[i] = float32(i % 61)
+		}
+		off := make([]int, k+rows+1)
+		for r := range off {
+			off[r] = r * pitch
+		}
+		for _, impl := range Impls() {
+			body := BodyOf(impl)
+			cells := func(b *testing.B) {
+				b.ReportMetric(float64(rows*width*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "Gcell/s")
+			}
+			b.Run(fmt.Sprintf("product/%s/k=%d", impl, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					body.Product(data[k:], pitch, data, pitch, data[pitch+k:], pitch, rows, width, k)
+				}
+				cells(b)
+			})
+			b.Run(fmt.Sprintf("sweep/%s/k=%d", impl, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						body.Sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, k, k, k+width, Pre[float32]{})
+					}
+				}
+				cells(b)
+			})
+		}
+	}
+}

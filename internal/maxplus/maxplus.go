@@ -78,6 +78,7 @@ type Body struct {
 	SumProductEach  func(y, x, w []float64)
 	MulScalarInto   func(dst, x []float64, a float64)
 	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64])
+	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int)
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -107,6 +108,7 @@ var bodies = [...]Body{
 		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
 			sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
 		},
+		Product: productOf(nil),
 	},
 	isaAVX2: {
 		Impl:            "avx2",
@@ -118,6 +120,7 @@ var bodies = [...]Body{
 		SumProductEach:  vectorEach(sumProductEachAVX2),
 		MulScalarInto:   mulScalarInto2,
 		SumProductSweep: sumProductSweep2,
+		Product:         productOf(productAVX2),
 	},
 	isaAVX512: {
 		Impl:            "avx512",
@@ -129,6 +132,7 @@ var bodies = [...]Body{
 		SumProductEach:  vectorEach(sumProductEachAVX512),
 		MulScalarInto:   mulScalarInto512,
 		SumProductSweep: sumProductSweep512,
+		Product:         productOf(productAVX512),
 	},
 }
 
@@ -336,6 +340,33 @@ func mulScalarInto2(dst, x []float64, a float64) {
 func mulScalarInto512(dst, x []float64, a float64) {
 	if n := min(len(dst), len(x)); n > 0 {
 		mulScalarIntoAVX512(&dst[0], &x[0], n, a)
+	}
+}
+
+// productOf binds a body of Body.Product, c[r*ldc+j] = max(c[r*ldc+j],
+// a[r*lda+s] + b[s*ldb+j]) over s in [0, k) ascending for every r < m, j < w:
+// vec, a register tile of 4 rows × 2 vectors, or ProductGo where vec is nil,
+// behind checks whose panic names the argument found bad.
+func productOf(vec func(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)) func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
+	return func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
+		for _, d := range [...]struct {
+			names                 string // the operand's, its rows' and its width's
+			size, ld, rows, width int
+		}{{"cmw", len(c), ldc, m, w}, {"amk", len(a), lda, m, k}, {"bkw", len(b), ldb, k, w}} {
+			switch x, r, wd := d.names[:1], d.names[1:2], d.names[2:]; {
+			case d.rows < 0 || d.width < 0:
+				panic(fmt.Sprintf("maxplus: Product %s %d, %s %d: a negative dimension", r, d.rows, wd, d.width))
+			case d.ld < d.width:
+				panic(fmt.Sprintf("maxplus: Product ld%s %d below %s %d", x, d.ld, wd, d.width))
+			case d.rows > 0 && d.width > 0 && (d.rows-1)*d.ld+d.width > d.size:
+				panic(fmt.Sprintf("maxplus: Product %s[:%d] short of %d rows of %d at stride %d", x, d.size, d.rows, d.width, d.ld))
+			}
+		}
+		if m > 0 && w > 0 && k > 0 && vec != nil {
+			vec(&c[0], ldc, &a[0], lda, &b[0], ldb, m, w, k)
+		} else if vec == nil {
+			ProductGo(c, ldc, a, lda, b, ldb, m, w, k)
+		}
 	}
 }
 

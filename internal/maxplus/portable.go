@@ -112,6 +112,16 @@ func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]
 	}
 }
 
+// ProductGo is Product's portable body and its oracle: one AccumulateGo
+// stream a (row, split), s ascending.
+func ProductGo(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
+	for r := 0; r < m; r++ {
+		for s := 0; s < k; s++ {
+			AccumulateGo(c[r*ldc:r*ldc+w], b[s*ldb:s*ldb+w], a[r*lda+s])
+		}
+	}
+}
+
 // The float64 sum-product loops. The product is written float64(a * x[i]): an
 // explicit conversion rounds, so no build — arm64, GOAMD64=v3 — may fuse it
 // with the add (Go spec, "Floating-point operators"). ⊗ then ⊕, two

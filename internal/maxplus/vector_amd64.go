@@ -57,6 +57,12 @@ func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *
 //go:noescape
 func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
 
+//go:noescape
+func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)
+
+//go:noescape
+func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 

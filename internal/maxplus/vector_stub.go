@@ -32,3 +32,10 @@ func accumulateAVX512(y, x *float32, n int, a float32)      { panic("maxplus: no
 func addScalarIntoAVX512(dst, x *float32, n int, a float32) { panic("maxplus: no vector build") }
 func sumProductAVX512(y, x *float64, n int, a float64)      { panic("maxplus: no vector build") }
 func mulScalarIntoAVX512(dst, x *float64, n int, a float64) { panic("maxplus: no vector build") }
+
+func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int) {
+	panic("maxplus: no vector build")
+}
+func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int) {
+	panic("maxplus: no vector build")
+}

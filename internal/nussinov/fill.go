@@ -22,6 +22,12 @@ const SequentialCutoff = 992
 // the rows below a tile, 1 KiB each in its columns, fit a 2 MiB L2 to 2048 nt.
 const tileEdge = 256
 
+// closureTile is the tile edge of the closure form from SequentialCutoff up
+// on a vector Product (fillTile): 128 won less, 32 lost. The Go loops gain no
+// reuse from the product and pay a call a 64-column row, so keep tileEdge
+// (docs/PERFORMANCE.md, "The block product").
+const closureTile = 64
+
 // ParallelFor runs f(i) for every i in [0, n) on the caller's parallel
 // runtime and returns the first cancellation, injected fault or recovered
 // panic. The fold pipeline passes its solver Config's loop (the shared
@@ -31,17 +37,17 @@ const tileEdge = 256
 type ParallelFor func(ctx context.Context, n int, f func(i int)) error
 
 // closure is the scratch of the closure form: pre holds each row's seed by
-// absolute column, off the table's row offsets (off[r] = r·pitch). A nil
-// *closure is the per-split walk.
+// absolute column, off the table's row offsets (off[r] = r·pitch), zero a
+// row of Zero. A nil *closure is the per-split walk.
 type closure[T semiring.Scalar] struct {
-	pre []T
-	off []int
+	pre, zero []T
+	off       []int
 }
 
 // fillRow is the one single-strand fill body: it computes S[i, j] for the
 // columns j in [max(c0, i+1), c1) of row i, given every row below i final on
-// [0, c1) and row i itself final left of c0. Row r is data[r*p:], p the
-// table's pitch. The recurrence
+// [0, c1), row i final left of c0 and its hops via [mid, c0) in its cells.
+// Row r is data[r*p:], p the table's pitch. The recurrence
 //
 //	S[i,j] = S[i,i] ⊗ S[i+1,j]  ⊕  S[i,j-1] ⊗ S[j,j]
 //	       ⊕ S[i+1,j-1] ⊗ w(i,j)  ⊕  ⊕_{s=i..j-1} S[i,s] ⊗ S[s+1,j]
@@ -64,19 +70,24 @@ type closure[T semiring.Scalar] struct {
 // splits collapses to one hop from the seed, S[i,j] = pre[j] ⊕
 // ⊕_s pre[s] ⊗ S[s+1,j] (docs/ALGORITHM.md §9), and the row is one Sweep
 // with y register-held across every s. A tile right of the diagonal first
-// takes the hops from the row's final cells left of it, one Sweep more.
-// Every sum is exact, so the table is the walk's bit for bit, tiled or not.
-func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, c1 int, cl *closure[T]) {
+// takes the hops from the row's final cells [i, mid), one Sweep more. Every
+// sum is exact, so the table is the walk's bit for bit, tiled or not, and pre
+// may carry product hops too (docs/ALGORITHM.md §9).
+func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, mid, c1 int, cl *closure[T]) {
 	y := data[i*p : i*p+c1 : i*p+c1]
 	below := data[(i+1)*p : (i+1)*p+c1 : (i+1)*p+c1]
 	lo := max(c0, i+1)
-	k.MulInto(y[lo:c1], below[lo:c1], unit)               // i unpaired ⊗ S[i+1, j]
+	if mid < c0 {
+		k.Accum(y[lo:c1], below[lo:c1], unit) // onto the product
+	} else {
+		k.MulInto(y[lo:c1], below[lo:c1], unit) // i unpaired ⊗ S[i+1, j]
+	}
 	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)
 	if cl != nil {
 		s0 := max(c0, i) // the diagonal, S[i,i] = unit, is the first hop
 		copy(cl.pre[s0:c1], y[s0:c1])
-		if c0 > i {
-			k.Sweep(y, y, data, cl.off, i, c0, c0, c1, maxplus.Pre[T]{})
+		if mid > i {
+			k.Sweep(y, y, data, cl.off, i, mid, c0, c1, maxplus.Pre[T]{})
 		}
 		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1, maxplus.Pre[T]{})
 		return
@@ -120,16 +131,25 @@ func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int,
 }
 
 // fillTile fills tile (b, b+d) of the block grid, rows bottom-up, each by
-// fillRow restricted to the tile's columns, polling ctx before each row.
+// fillRow restricted to the tile's columns, polling ctx before each row. A
+// closure tile at d ≥ 2 first takes its cross-tile splits [mid, c0) as one
+// Product onto its cells set to Zero (about 0.1 ms, between two polls).
 func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
 	r0, c0 := b*tile, (b+d)*tile
-	c1 := min(c0+tile, n)
+	c1, mid := min(c0+tile, n), c0
+	if cl != nil && d >= 2 {
+		mid = r0 + tile
+		for i := r0; i < mid; i++ {
+			copy(data[i*p+c0:i*p+c1], cl.zero)
+		}
+		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid)
+	}
 	// Row n-1 has no row below it and nothing right of its diagonal.
 	for i := min(r0+tile, n-1) - 1; i >= r0; i-- {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fillRow(data, p, &k, unit, w, i, c0, c1, cl)
+		fillRow(data, p, &k, unit, w, i, c0, mid, c1, cl)
 	}
 	return nil
 }

@@ -178,7 +178,11 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // (a max-plus S build's are score.Weights.Rows: four base rows, uncopied).
 // On an error the table is left partially filled and the error returned.
 func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor) error {
-	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tileEdge)
+	tile := tileEdge
+	if exact && k.Impl != "go" {
+		tile = closureTile
+	}
+	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tile)
 }
 
 // fillContext is FillContext with the cutoff and tile edge as arguments, so
@@ -186,22 +190,22 @@ func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit
 func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor, cutoff, tile int) error {
 	t.layout(t.N, cutoff)
 	t.one, t.closed = k.One, exact
-	var cl *closure[T]
-	if exact {
-		cl = t.scratch()
-	}
 	if t.N < cutoff {
 		tile, pfor = max(t.N, 1), nil
+	}
+	var cl *closure[T]
+	if exact {
+		cl = t.scratch(k.Zero)
 	}
 	return fillTiled(ctx, t.data, t.N, t.pitch, tile, k, unit, w, cl, pfor)
 }
 
 // scratch sizes the closure form's scratch to the table, reusing its storage.
-func (t *GTable[T]) scratch() *closure[T] {
+func (t *GTable[T]) scratch(zero T) *closure[T] {
 	n := t.N
-	t.cl.pre, t.cl.off = slices.Grow(t.cl.pre[:0], n)[:n], slices.Grow(t.cl.off[:0], n)[:n]
+	t.cl.pre, t.cl.zero, t.cl.off = slices.Grow(t.cl.pre[:0], n)[:n], slices.Grow(t.cl.zero[:0], n)[:n], slices.Grow(t.cl.off[:0], n)[:n]
 	for r := range t.cl.off {
-		t.cl.off[r] = r * t.pitch
+		t.cl.off[r], t.cl.zero[r] = r*t.pitch, zero
 	}
 	return &t.cl
 }

@@ -333,8 +333,9 @@ func benchBuild(b *testing.B, n int) {
 
 // benchBuildParallel is the reading SequentialCutoff is set from, in the
 // closure form a base-pair strand builds by: rows is the dense row order a
-// table below the cutoff fills in, W=1 the padded tiles inline, W=2 the same
-// tiles on two goroutines — each forced, whatever the cutoff says about n,
+// table below the cutoff fills in, W=1 the padded closureTile tiles inline
+// (the block product in every tile at d ≥ 2), W=2 the same tiles on two
+// goroutines — each forced, whatever the cutoff says about n,
 // so the crossover can be re-measured on a new host.
 func benchBuildParallel(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
@@ -357,7 +358,7 @@ func benchBuildParallel(b *testing.B, n int) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				t := NewGTable[float32](n)
-				if err := t.fillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, c.pfor, c.cutoff, tileEdge); err != nil {
+				if err := t.fillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, c.pfor, c.cutoff, closureTile); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -56,12 +56,17 @@ func ReferenceBuildG[T semiring.Scalar](n int, k semiring.Kernels[T], unit T, sc
 // FillContext call, handing back no table on an error. exact is
 // FillContext's: the closure form where the caller's sums are exact.
 func BuildContext(ctx context.Context, n int, score ScoreFunc, exact bool, pfor ParallelFor) (*Table, error) {
-	return BuildTiled(ctx, n, tileEdge, SequentialCutoff, semiring.MaxPlusKernels(true), score, exact, pfor)
+	t := NewGTable[float32](n)
+	if err := t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, ScoreRows(n, score), exact, pfor); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // BuildTiled is BuildContext at any cutoff, tile edge and kernel bundle:
 // production builds pad and tile only from SequentialCutoff up, with
-// tileEdge tiles, far beyond what a per-cell oracle can follow.
+// tileEdge tiles (closureTile in the closure form), far beyond what a
+// per-cell oracle can follow.
 func BuildTiled(ctx context.Context, n, tile, cutoff int, k semiring.Kernels[float32], score ScoreFunc, exact bool, pfor ParallelFor) (*Table, error) {
 	t := NewGTable[float32](n)
 	if err := t.fillContext(ctx, k, 0, ScoreRows(n, score), exact, pfor, cutoff, tile); err != nil {

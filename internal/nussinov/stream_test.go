@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 	"github.com/bpmax-go/bpmax/internal/semiring"
@@ -190,6 +191,23 @@ func TestStreamedMatchesReference(t *testing.T) {
 						}
 						requireSameBytes(t, fmt.Sprintf("%s tiled workers=%d", label, workers), n, dense(par), want)
 					}
+					if !exact || n > 257 {
+						continue
+					}
+					// Small tiles put tiles at block distance d ≥ 2, which
+					// take their cross-tile splits as one Product, at the
+					// oracle's sizes, a multiple of the tile or not
+					// (TestClosureMatchesWalkAtProductionSizes takes the
+					// production tile further).
+					for _, small := range []int{4, 8, 16} {
+						for _, pfor := range []ParallelFor{nil, ForkJoin(2)} {
+							got, err := BuildTiled(context.Background(), n, small, 0, k, sc, true, pfor)
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireSameBytes(t, fmt.Sprintf("%s tile %d parallel %v", label, small, pfor != nil), n, dense(got), want)
+						}
+					}
 				}
 			}
 		}
@@ -220,6 +238,33 @@ func TestBuildParallelTilesAtCutoff(t *testing.T) {
 				t.Fatalf("a table of %d positions has pitch %d", n, got.Pitch())
 			}
 			requireSameBytes(t, fmt.Sprintf("tiled at the cutoff, %s, parallel %v", formName(exact), pfor != nil), n, dense(got), want.data)
+		}
+	}
+}
+
+// TestClosureMatchesWalkAtProductionSizes holds the production build call's
+// closure form — closureTile tiles, the block product in every tile at block
+// distance d ≥ 2 — to its per-split walk bit for bit from the cutoff up, on
+// every kernel body, inline and on two workers, at sizes a multiple of the
+// tile and not.
+func TestClosureMatchesWalkAtProductionSizes(t *testing.T) {
+	for _, n := range []int{SequentialCutoff, 1024, 1100, 1300} {
+		sc := scoreFor(rna.Random(rand.New(rand.NewSource(int64(n))), n), score.BasePair())
+		walk, err := BuildContext(context.Background(), n, sc, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, impl := range maxplus.Impls() {
+			if impl == "go" && n != 1100 {
+				continue // the portable product streams a row a split: one size is enough
+			}
+			for _, pfor := range []ParallelFor{nil, ForkJoin(2)} {
+				g := NewGTable[float32](n)
+				if err := g.FillContext(context.Background(), semiring.MaxPlusKernelsOf(impl), 0, ScoreRows(n, sc), true, pfor); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBytes(t, fmt.Sprintf("%d nt closure on %s, parallel %v", n, impl, pfor != nil), n, dense(g), dense(walk))
+			}
 		}
 	}
 }
@@ -372,6 +417,30 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 		}
 		requireSameBytes(t, "Table "+formName(exact), n, reused.data, fresh.data)
 	}
+
+	// The tiled closure at a tile edge of 4: its tiles at block distance d ≥ 2
+	// fold a Product into their cells, which must be Zero by then, not NaN.
+	k, ctx := semiring.MaxPlusKernels(true), context.Background()
+	tiled := NewGTable[float32](n + 13)
+	if err := tiled.fillContext(ctx, k, 0, ScoreRows(n+13, randScore(10, n+13)), true, nil, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	stale := tiled.data[:cap(tiled.data)]
+	for i := range stale {
+		stale[i] = float32(math.NaN())
+	}
+	tiled.Reset(n)
+	if err := tiled.fillContext(ctx, k, 0, ScoreRows(n, sc), true, nil, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildTiled(ctx, n, 4, 0, k, sc, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &tiled.data[0] != &stale[0] || tiled.Pitch() == n {
+		t.Fatalf("the tiled refill did not reuse the padded storage (pitch %d)", tiled.Pitch())
+	}
+	requireSameBytes(t, "Table, tiled closure", n, dense(tiled), dense(want))
 
 	lse := semiring.LogSumExpKernels()
 	logw := func(i, j int) float64 { return float64(sc(i, j)) }

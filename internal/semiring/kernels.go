@@ -61,6 +61,11 @@ type Kernels[T Scalar] struct {
 	Sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T])
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
+	// Product is Sweep's k2 loop for m rows that all take every split:
+	// c[r*ldc+j] ⊕= ⊕_s a[r*lda+s] ⊗ b[s*ldb+j], s in [0, k) ascending, c apart
+	// from a and b; a 4-row × 2-vector register tile in the max-plus vector
+	// bundles, one Accum a (row, split) elsewhere (docs/ALGORITHM.md §9).
+	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int)
 }
 
 // The bundles whose Sweep is a closure over their Accum are built once here:
@@ -86,6 +91,17 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 		for k2 := k0; k2 < k1; k2++ {
 			o, lo := off[k2+1], max(k2+1, from)
 			acc(y[lo:n], b[o+lo:o+n], a[k2])
+		}
+	}
+}
+
+// productOver builds a bundle's Product from its Accum, one call a (row, split).
+func productOver[T Scalar](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int) {
+	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int) {
+		for r := 0; r < m; r++ {
+			for s := 0; s < k; s++ {
+				acc(c[r*ldc:r*ldc+w], b[s*ldb:s*ldb+w], a[r*lda+s])
+			}
 		}
 	}
 }
@@ -127,7 +143,7 @@ func MaxPlusKernelsOf(impl string) Kernels[float32] {
 		return k
 	}
 	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto = b.Impl, b.Accumulate, b.AccumEach, b.Sweep, b.AddScalarInto
+	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto, k.Product = b.Impl, b.Accumulate, b.AccumEach, b.Sweep, b.AddScalarInto, b.Product
 	return k
 }
 
@@ -159,6 +175,7 @@ func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []floa
 		AccumEach: maxplus.AccumEachGo,
 		Sweep:     sweep,
 		MulInto:   maxplus.AddScalarIntoGo,
+		Product:   productOver(acc),
 	}
 }
 
@@ -207,6 +224,7 @@ func newLogSumExp() Kernels[float64] {
 		Accum:     accum,
 		AccumEach: accumEachOver(lse, add),
 		Sweep:     sweepOver(accum),
+		Product:   productOver(accum),
 		MulInto: func(dst, x []float64, a float64) {
 			n := len(dst)
 			if len(x) < n {
@@ -241,7 +259,8 @@ func SumProductKernels() Kernels[float64] { return SumProductKernelsOf(maxplus.I
 // SumProductKernelsOf returns the sum-product kernel set on the named body of
 // package maxplus, one of maxplus.Impls; "go" is the portable Go loops, the
 // oracle the vector bodies are tested against. As with MaxPlusKernelsOf, a
-// body other than the process's is for the parity tests.
+// body other than the process's is for the parity tests. Product stays the
+// Go loops' (the same bits; no closure built a call).
 func SumProductKernelsOf(impl string) Kernels[float64] {
 	k := sumProductGo
 	if impl == "go" {
@@ -263,5 +282,6 @@ func newSumProductGo() Kernels[float64] {
 		AccumEach: maxplus.SumProductEachGo,
 		Sweep:     maxplus.SumProductSweepGo,
 		MulInto:   maxplus.MulScalarIntoGo,
+		Product:   productOver(maxplus.SumProductGo),
 	}
 }

@@ -314,6 +314,29 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 			t.Errorf("%s: AccumEach[%d] = %v, want %v", name, i, each[i], want)
 		}
 	}
+	// Product: c (5 rows of n-2, stride n) ⊕= a (5 rows of n-3) ⊗ b (n-3
+	// rows of n-2), a, b and c cut from the box block at stride n: every
+	// (row, split) in split order, a whole tile of four rows and one row more.
+	const m = 5
+	w, kk := n-2, n-3
+	prod, wantProd := make([]T, m*n), make([]T, m*n)
+	for i := range prod {
+		prod[i] = y0[i%n]
+		wantProd[i] = prod[i]
+	}
+	k.Product(prod, n, blk[1:], n, blk[2*n:], n, m, w, kk)
+	for r := 0; r < m; r++ {
+		for s := 0; s < kk; s++ {
+			for j := 0; j < w; j++ {
+				wantProd[r*n+j] = k.Add(k.Mul(blk[1+r*n+s], blk[2*n+s*n+j]), wantProd[r*n+j])
+			}
+		}
+	}
+	for i := range wantProd {
+		if prod[i] != wantProd[i] {
+			t.Errorf("%s: Product cell (%d, %d) = %v, want %v", name, i/n, i%n, prod[i], wantProd[i])
+		}
+	}
 	if k.Add(k.Zero, a1) != a1 || k.Mul(k.One, a1) != a1 || k.Mul(k.Zero, a1) != k.Zero {
 		t.Errorf("%s: Zero/One are not the ⊕/⊗ identities (or Zero does not annihilate)", name)
 	}
