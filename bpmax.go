@@ -154,7 +154,10 @@ func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
 func WithWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
 
 // WithTiles sets the double max-plus tile shape (i2 × k2 × j2); zero
-// fields keep the default 64 × 64 × N shape (j2 untiled).
+// fields keep the default 64 × 64 × N shape (j2 untiled). i2 is the row
+// tile; k2 and j2 do not shape the default max-plus fill, whose R0 runs as
+// block products on a vector CPU (they shape the packed map, the portable
+// build and the partition fill).
 func WithTiles(i2, k2, j2 int) Option {
 	return func(o *options) { o.cfg.TileI2, o.cfg.TileK2, o.cfg.TileJ2 = i2, k2, j2 }
 }

@@ -83,12 +83,14 @@ run_lint() (
         echo "lint: Sweep called outside triangle.go/dmp.go/nussinov's fill.go (a second copy of the fill)" >&2
         exit 1
     fi
-    # Likewise the block product: the substrate's closure fill is its one
-    # caller (a tile's cross-tile splits, fillTile). Product( anywhere else is
-    # a second blocked fill growing beside the sweeps.
+    # Likewise the block product: the substrate's closure fill (a tile's
+    # cross-tile splits, fillTile) and the interaction fill's R0 and R1
+    # blocks (r0Blocks, r1Blocks in triangle.go) are its callers. Product(
+    # anywhere else is a second blocked fill growing beside the sweeps.
     if grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])Product\(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
-        -e '^\./internal/maxplus/' -e '^\./internal/semiring/' -e '^\./internal/nussinov/fill\.go:'; then
-        echo "lint: Product called outside internal/nussinov/fill.go (the closure fill's cross-tile splits are its one use)" >&2
+        -e '^\./internal/maxplus/' -e '^\./internal/semiring/' -e '^\./internal/nussinov/fill\.go:' \
+        -e '^\./internal/bpmax/triangle\.go:'; then
+        echo "lint: Product called outside internal/nussinov/fill.go and internal/bpmax/triangle.go (the substrate's cross-tile splits and the R0/R1 blocks are its uses)" >&2
         exit 1
     fi
     # The pair tables and a strand's weight view (score.Weights) are written a
@@ -173,8 +175,10 @@ run_lint() (
     fi
     # R3 and R4 ride in each row's R0 sweep as its pre-streams (r34 in
     # triangle.go): every lane takes them before its k2, and the row makes one
-    # trip through memory for all three terms. An s.acc stream of A's or B's
-    # row from i2 is the two extra trips growing back.
+    # trip through memory for all three terms; beside the block products
+    # (r0Blocks) they are the pre-streams of one sweep over the row tile. An
+    # s.acc stream of A's or B's row from i2 is the two extra trips growing
+    # back.
     if grep -nE 's\.acc\(.*[ab]row\[i2:hi\]' internal/bpmax/triangle.go; then
         echo "lint: R3/R4 streamed with s.acc in triangle.go (they are pre-streams of the row's R0 sweep, r34)" >&2
         exit 1
@@ -340,6 +344,9 @@ run_race() (
     set -x
     go test -race ./internal/bpmax/ ./internal/nussinov/ \
         ./internal/pipeline/ ./internal/trace/ . ./cmd/bpmax/ ./cmd/bpmaxd/
+    # The kernel package's concurrent-writer tests, under the detector's
+    # slowdown: the package took 570–721 s, past the default 600 s timeout.
+    go test -race -timeout 20m ./internal/maxplus/
     # Chaos smoke — the seeded fault schedules, retry/breaker policies and
     # session-drain contract under the race detector (see chaos_test.go and
     # docs/ROBUSTNESS.md). The package -race run above already covers these;

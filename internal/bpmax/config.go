@@ -70,7 +70,10 @@ type Config struct {
 	// TileI2, TileK2, TileJ2 are the double max-plus tile sizes. Zero
 	// selects 64 × 64 × N (j2 untiled, the streaming dimension): the paper's
 	// generic shape with a deeper k2 band, which the register-resident sweep
-	// wants (docs/PERFORMANCE.md, "Vector kernels").
+	// wants (docs/PERFORMANCE.md, "Vector kernels"). TileI2 sets the row tile
+	// of every hybrid-tiled fill; TileK2 and TileJ2 shape only the fills that
+	// sweep R0 — not a max-plus box-map fill on a vector body, which takes R0
+	// as block products of a fixed shape.
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind

@@ -1,6 +1,7 @@
 package bpmax
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -47,7 +48,8 @@ func resolveWorkers(w int) int {
 
 // sequentialFor runs every iteration on the calling goroutine — a loop of
 // width 1, or one with no live engine under it — checking ctx between
-// iterations and converting a panic in f into a *PanicError.
+// iterations and converting a panic in f into a *PanicError; a cancel made
+// during the last iteration is reported as Run reports it.
 func sequentialFor(ctx context.Context, n int, f func(i int)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -68,7 +70,7 @@ func sequentialFor(ctx context.Context, n int, f func(i int)) (err error) {
 		}
 		f(i)
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Engine is the parallel runtime: a persistent worker team shared across
@@ -243,7 +245,9 @@ func (e *Engine) Close() {
 // is checked before every iteration, so a cancel returns after at most one
 // in-flight task per worker — and a panic in f is recovered where it ran and
 // returned as a *PanicError. The first of cancellation / panic / completion
-// wins, and all work on the loop has finished when Run returns. A nil or
+// wins — a loop completes when its last task returns, so a cancel made while
+// a task runs is reported though no iteration was left to skip — and all
+// work on the loop has finished when Run returns. A nil or
 // closed engine has no helpers to offer: the loop runs on the caller alone.
 func (e *Engine) Run(ctx context.Context, n, workers int, f func(i int)) error {
 	return e.run(ctx, n, workers, f, false)
@@ -305,7 +309,7 @@ func (e *Engine) run(ctx context.Context, n, workers int, f func(i int), static 
 	j.run()
 	j.wg.Wait()
 
-	err := j.err
+	err := cmp.Or(j.err, ctx.Err())
 	j.f = nil
 	j.ctx = nil
 	j.stats = nil

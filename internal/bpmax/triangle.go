@@ -65,6 +65,11 @@ type gsolver[T semiring.Scalar] struct {
 	// r2Walk, float32 max-plus only (nil otherwise; bound by initTasks), runs
 	// R2 inside columns [j, e) of row y against S² of pitch p.
 	r2Walk func(y, s2 []T, p, j, e int)
+	// zeros is a row of Zero that initRow copies below each row's diagonal
+	// on a max-plus box map (empty elsewhere); blocks is set where R0 and R1
+	// then run as block products (newGSolver says where).
+	zeros  []T
+	blocks bool
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -162,6 +167,19 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 	if n := p.N1 * a.n2; a.star != nil && len(s.pre) < n {
 		s.pre = make([]T, n)
 	}
+	// Every max-plus box-map block holds Zero below its diagonal (initRow).
+	// R0 and R1 then run as block products (r0Blocks, r1Blocks) where the
+	// bundle's Product is a vector body and the band spans N2. The packed map
+	// (no storage below the diagonal), the band, partition (a Go-loop Product
+	// and reordered sums), the Go bundles (a product with no reuse) and the
+	// DMP keep r0Tiled and the full R1 sweep.
+	s.zeros, s.blocks = s.zeros[:0], false
+	if _, maxPlus := any(a.k.Zero).(float32); maxPlus && cfg.Map == MapBox {
+		for range p.N2 {
+			s.zeros = append(s.zeros, a.k.Zero)
+		}
+		s.blocks = a.k.Impl != "go" && s.f.W2 == p.N2
+	}
 	s.tripped.Store(false)
 	if s.triTask == nil {
 		s.initTasks()
@@ -204,10 +222,12 @@ func (s *gsolver[T]) finish() *FTableOf[T] {
 
 // initRow seeds row i2 of triangle (i1, j1) with the H term
 // S¹[i1,j1] ⊗ S²[i2,j2] — the "fold independently" candidate, which also
-// establishes F >= One.
+// establishes F >= One — and, on a max-plus box map, writes Zero into the
+// row's cells below the diagonal.
 func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
 	hi := s.f.rowHi(i2)
 	grow := s.f.Row(blk, i2)
+	copy(grow[:i2], s.zeros)
 	s2row := s.a.s2Row(i2)
 	s.a.k.MulInto(grow[i2:hi], s2row[i2:hi], s.a.s1At(i1, j1))
 }
@@ -282,6 +302,30 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int, withR3
 	}
 }
 
+// The block products' rows come in groups of prodRows, their columns in tiles
+// of prodCols, the AVX-512 Product's two vectors (docs/PERFORMANCE.md).
+const prodRows, prodCols = 8, 32
+
+// r0Blocks is r0Tiled where every block holds Zero below its diagonal. The
+// rows [r0, r1) abut, so their R4 and R3 are the pre-streams of one sweep with
+// no k2 over them as one row (a cell below a diagonal keeps Zero). Each group
+// [q0, q0+prodRows) then takes one product per column tile [cs, ce) right of
+// q0 over the splits [q0, ce-1): a cell's own splits, and splits k2 < i2 or
+// k2 >= j2 that read A's or B's Zero and lose the max.
+func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
+	n2, off := s.p.N2, s.f.rowOff
+	lo, hi := off[r0], off[r1-1]+n2
+	s.sweep(blk[lo:hi], ablk[lo:hi], bblk, off, 0, 0, 0, hi-lo, r34(ablk[lo:hi], bblk[lo:hi], s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), 0))
+	for q0 := r0; q0 < r1; q0 += prodRows {
+		m := min(prodRows, r1-q0)
+		for cs := q0 / prodCols * prodCols; cs < n2; cs += prodCols {
+			if ce := min(cs+prodCols, n2); ce-1 > q0 {
+				s.a.k.Product(blk[off[q0]+cs:], n2, ablk[off[q0]+q0:], n2, bblk[off[q0+1]+cs:], n2, m, ce-cs, ce-1-q0)
+			}
+		}
+	}
+}
+
 // The two forms finalize solves R2 in (FoldMetrics.R2).
 const (
 	r2Closure      = "closure"
@@ -343,7 +387,16 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		hi := s.f.rowHi(i2)
 		grow := s.f.Row(blk, i2)
 		s2row := a.s2Row(i2)
-		s.sweep(grow, s2row, blk, s.f.rowOff, i2, hi-1, 0, hi, maxplus.Pre[T]{})
+		kEnd := hi - 1 // the sweep takes R1's splits [i2, kEnd)
+		if s.blocks {
+			// Group [q0, kEnd+1) takes its splits from kEnd up as products at
+			// its first row bottom-up; each row sweeps its left edge.
+			q0 := i2 / prodRows * prodRows
+			if kEnd = min(q0+prodRows, n2) - 1; i2 == kEnd {
+				s.r1Blocks(blk, q0, i2+1)
+			}
+		}
+		s.sweep(grow, s2row, blk, s.f.rowOff, i2, kEnd, 0, hi, maxplus.Pre[T]{})
 		// Pair i1-j1 around the seq2 interval.
 		around := s2row
 		if inside != nil {
@@ -371,6 +424,19 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
 			s.tripped.Store(true)
 			return
+		}
+	}
+}
+
+// r1Blocks takes R1's splits k2 >= q1-1 for the rows [q0, q1) of block blk:
+// one product per column tile [cs, ce) right of q1-1, with A = S² from column
+// q1-1 and B = blk's rows from q1, already final (finalize runs bottom-up). A
+// split k2 >= j2 reads B's Zero below its diagonal and loses the max.
+func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
+	n2, p2, off := s.p.N2, s.a.p2, s.f.rowOff
+	for cs := (q1 - 1) / prodCols * prodCols; cs < n2; cs += prodCols {
+		if ce := min(cs+prodCols, n2); ce > q1 {
+			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1)
 		}
 	}
 }
@@ -457,6 +523,10 @@ func (s *gsolver[T]) accumulateTileTask(i1, j1, r0, r1 int) {
 		s.initRow(blk, i1, j1, i2)
 	}
 	for k1 := i1; k1 < j1; k1++ {
-		s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1, true)
+		if s.blocks {
+			s.r0Blocks(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1)
+		} else {
+			s.r0Tiled(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, r0, r1, true)
+		}
 	}
 }

@@ -844,15 +844,23 @@ func TestProductRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// BenchmarkProduct times the closure fill's cross-tile splits on every body:
-// a 64-row × 64-column tile taking k splits at the pitch of a 1024-nt table,
-// as one Product and as the 64 row Sweeps it replaces (a = the row itself,
-// every stream from the tile's first column). `go test -bench Product
-// ./internal/maxplus` reports both in Gcell/s, one ⊗ and one ⊕ a cell update.
+// BenchmarkProduct times the block product on every body at the shapes its
+// two fills call it at, as one Product and as the row Sweeps it replaces (a =
+// the row itself, every stream from the tile's first column): the closure
+// fill's 64-row × 64-column tile taking k splits at the pitch of a 1024-nt
+// table, and the interaction fill's R0 block, 8 rows × 32 columns at the
+// pitch of a 128-column box. `go test -bench Product ./internal/maxplus`
+// reports both in Gcell/s, one ⊗ and one ⊕ a cell update.
 func BenchmarkProduct(b *testing.B) {
-	const rows, width, pitch = 64, 64, 1088
-	for _, k := range []int{448, 896} {
-		// The tile is rows [0, 64) × columns [k, k+64); its splits read
+	for _, sh := range []struct {
+		name                  string
+		rows, width, pitch, k int
+	}{
+		{"tile", 64, 64, 1088, 448}, {"tile", 64, 64, 1088, 896},
+		{"r0", 8, 32, 128, 32}, {"r0", 8, 32, 128, 64}, {"r0", 8, 32, 128, 95},
+	} {
+		rows, width, pitch, k := sh.rows, sh.width, sh.pitch, sh.k
+		// The tile is rows [0, rows) × columns [k, k+width); its splits read
 		// columns [0, k) of its rows and rows [1, k] below.
 		data := make([]float32, (k+rows+1)*pitch)
 		for i := range data {
@@ -867,13 +875,13 @@ func BenchmarkProduct(b *testing.B) {
 			cells := func(b *testing.B) {
 				b.ReportMetric(float64(rows*width*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "Gcell/s")
 			}
-			b.Run(fmt.Sprintf("product/%s/k=%d", impl, k), func(b *testing.B) {
+			b.Run(fmt.Sprintf("product/%s/%s/k=%d", sh.name, impl, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					body.Product(data[k:], pitch, data, pitch, data[pitch+k:], pitch, rows, width, k)
 				}
 				cells(b)
 			})
-			b.Run(fmt.Sprintf("sweep/%s/k=%d", impl, k), func(b *testing.B) {
+			b.Run(fmt.Sprintf("sweep/%s/%s/k=%d", sh.name, impl, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for r := 0; r < rows; r++ {
 						body.Sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, k, k, k+width, Pre[float32]{})

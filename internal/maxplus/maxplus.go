@@ -346,26 +346,41 @@ func mulScalarInto512(dst, x []float64, a float64) {
 // productOf binds a body of Body.Product, c[r*ldc+j] = max(c[r*ldc+j],
 // a[r*lda+s] + b[s*ldb+j]) over s in [0, k) ascending for every r < m, j < w:
 // vec, a register tile of 4 rows × 2 vectors, or ProductGo where vec is nil,
-// behind checks whose panic names the argument found bad.
+// behind checks whose panic names the argument found bad. The checks compare
+// integers alone; the names and the message are built only for a panic.
 func productOf(vec func(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)) func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
 	return func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
-		for _, d := range [...]struct {
-			names                 string // the operand's, its rows' and its width's
-			size, ld, rows, width int
-		}{{"cmw", len(c), ldc, m, w}, {"amk", len(a), lda, m, k}, {"bkw", len(b), ldb, k, w}} {
-			switch x, r, wd := d.names[:1], d.names[1:2], d.names[2:]; {
-			case d.rows < 0 || d.width < 0:
-				panic(fmt.Sprintf("maxplus: Product %s %d, %s %d: a negative dimension", r, d.rows, wd, d.width))
-			case d.ld < d.width:
-				panic(fmt.Sprintf("maxplus: Product ld%s %d below %s %d", x, d.ld, wd, d.width))
-			case d.rows > 0 && d.width > 0 && (d.rows-1)*d.ld+d.width > d.size:
-				panic(fmt.Sprintf("maxplus: Product %s[:%d] short of %d rows of %d at stride %d", x, d.size, d.rows, d.width, d.ld))
-			}
+		if !operandOK(len(c), ldc, m, w) || !operandOK(len(a), lda, m, k) || !operandOK(len(b), ldb, k, w) {
+			panicProduct(len(c), ldc, len(a), lda, len(b), ldb, m, w, k)
 		}
 		if m > 0 && w > 0 && k > 0 && vec != nil {
 			vec(&c[0], ldc, &a[0], lda, &b[0], ldb, m, w, k)
 		} else if vec == nil {
 			ProductGo(c, ldc, a, lda, b, ldb, m, w, k)
+		}
+	}
+}
+
+// operandOK reports whether a product's operand of rows × width cells, ld
+// apart, passes panicProduct's three checks against its size cells.
+func operandOK(size, ld, rows, width int) bool {
+	return rows >= 0 && width >= 0 && ld >= width && (rows == 0 || width == 0 || (rows-1)*ld+width <= size)
+}
+
+// panicProduct panics naming the first operand of a product, in the order
+// c, a, b, that operandOK rejects, and the check it fails.
+func panicProduct(clen, ldc, alen, lda, blen, ldb, m, w, k int) {
+	for _, d := range [...]struct {
+		names                 string // the operand's, its rows' and its width's
+		size, ld, rows, width int
+	}{{"cmw", clen, ldc, m, w}, {"amk", alen, lda, m, k}, {"bkw", blen, ldb, k, w}} {
+		switch x, r, wd := d.names[:1], d.names[1:2], d.names[2:]; {
+		case d.rows < 0 || d.width < 0:
+			panic(fmt.Sprintf("maxplus: Product %s %d, %s %d: a negative dimension", r, d.rows, wd, d.width))
+		case d.ld < d.width:
+			panic(fmt.Sprintf("maxplus: Product ld%s %d below %s %d", x, d.ld, wd, d.width))
+		case d.rows > 0 && d.width > 0 && (d.rows-1)*d.ld+d.width > d.size:
+			panic(fmt.Sprintf("maxplus: Product %s[:%d] short of %d rows of %d at stride %d", x, d.size, d.rows, d.width, d.ld))
 		}
 	}
 }
