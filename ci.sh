@@ -175,14 +175,24 @@ run_lint() (
     fi
     # R3 and R4 ride in each row's R0 sweep as its pre-streams (r34 in
     # triangle.go): every lane takes them before its k2, and the row makes one
-    # trip through memory for all three terms; beside the block products
-    # (r0Blocks) they are the pre-streams of one sweep over the row tile. An
-    # s.acc stream of A's or B's row from i2 is the two extra trips growing
-    # back.
+    # trip through memory for all three terms. An s.acc stream of A's or B's
+    # row from i2 is the two extra trips growing back.
     if grep -nE 's\.acc\(.*[ab]row\[i2:hi\]' internal/bpmax/triangle.go; then
         echo "lint: R3/R4 streamed with s.acc in triangle.go (they are pre-streams of the row's R0 sweep, r34)" >&2
         exit 1
     fi
+    # In the block products they are the product's pre-streams, applied to
+    # its C tile in registers: r0Blocks is products only. A sweep in it is the
+    # separate R4/R3 pass over the row tile growing back. Anchored on the
+    # function, so a renamed r0Blocks fails the check instead of emptying it.
+    awk '/^func \(s \*gsolver\[T\]\) r0Blocks\(/ { in_fn = 1; found = 1 }
+         in_fn && /s\.sweep\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         in_fn && /^}/ { in_fn = 0 }
+         END { if (!found) { print "lint: anchor func (s *gsolver[T]) r0Blocks( not found in " FILENAME; exit 1 }
+               exit bad }' internal/bpmax/triangle.go >&2 || {
+        echo "lint: s.sweep( in r0Blocks, or r0Blocks not found (R4 and R3 are the block product's pre-streams)" >&2
+        exit 1
+    }
     # The pairing term is a stream in both float algebras: the sum-product
     # bundles bind maxplus's SumProductEach (its Go loop, or the vector body
     # SumProductKernelsOf takes from the Body), and accumEachOver — two

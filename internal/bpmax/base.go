@@ -15,7 +15,7 @@ import (
 // such unit costs O(N2·d1·d2) gathered elements, small enough that a cancel
 // returns promptly even on large problems.
 func solveBase(ctx context.Context, p *Problem, cfg Config) (*FTable, error) {
-	f := newTable[float32](cfg.Pool, p.N1, p.N2, p.N1, p.N2, cfg.Map)
+	f := newTable[float32](cfg.Pool, p.N1, p.N2, p.N1, p.N2, cfg.Map, false)
 	n1, n2 := p.N1, p.N2
 	done := ctx.Done()
 	obs := cfg.observe(p, "base", "go", "") // per-cell gathers: no streaming kernel, no R2 form
@@ -119,7 +119,7 @@ func atG[T semiring.Scalar](f *FTableOf[T], a *alg[T], i1, j1, i2, j2 int) T {
 // The float32 max-plus path keeps the concrete solveBase above; this twin
 // serves the other algebras (and the cross-algebra variant tests).
 func solveBaseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cfg Config) (*FTableOf[T], error) {
-	f := newAlgTable(p, &a, cfg.Pool, p.N1, p.N2, cfg.Map)
+	f := newAlgTable(p, &a, cfg.Pool, p.N1, p.N2, cfg.Map, false)
 	n1, n2 := p.N1, p.N2
 	done := ctx.Done()
 	obs := cfg.observe(p, "base", "go", "") // per-cell gathers: no streaming kernel, no R2 form

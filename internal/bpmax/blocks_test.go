@@ -13,10 +13,10 @@ import (
 )
 
 // blockShapes are the N2 the block-product tests fill at: one row, and rows
-// one short of, at, and one past whole column tiles and row groups, so that
-// the tiles, the groups and the row tiles (TileI2 5 cuts groups short) all
-// have tails.
-var blockShapes = []int{1, 31, 32, 33, 64, 65, 128}
+// one short of, at, and one past whole column tiles of either element type
+// (16 float64, 32 float32 columns) and row groups, so that the tiles, the
+// groups and the row tiles (TileI2 5 cuts groups short) all have tails.
+var blockShapes = []int{1, 15, 16, 17, 31, 32, 33, 64, 65, 128}
 
 // blockConfigs are the schedules a max-plus fill finalizes through, each
 // with the tile shapes that cut the row groups: every one runs R1 by blocks,
@@ -39,7 +39,11 @@ var blockConfigs = []struct {
 // loops, which sweep: cell for cell, on every max-plus weight model (integer,
 // dyadic and fractional: a max over the same candidates does not depend on
 // their order, rounded sums included), every streamed schedule, one worker
-// and two, fresh and pooled.
+// and two, fresh and pooled. The scaled partition fill takes R0 alone as
+// products, of float64, and is held to its sweeps (r0Tiled) bit for bit at kT
+// 1 and 0.3: a sum is not order-free, so this holds only if every cell takes
+// R4, R3 and then its splits in ascending order, and every split a product
+// skips or adds is an exact +0 (docs/ALGORITHM.md §9).
 func TestBlockProductsMatchSweeps(t *testing.T) {
 	if maxplus.Impl() == "go" {
 		t.Skip("no vector body in this build: every fill sweeps")
@@ -67,8 +71,8 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 							label := fmt.Sprintf("%s/n2=%d/%s/workers=%d/pooled=%v/%s", model.name, n2, bc.name, workers, pool != nil, impl)
 							cfg.SetKernels(impl)
 							s := newSolver(p, cfg, p.N1, p.N2)
-							if !s.blocks {
-								t.Fatalf("%s: the fill does not take the block products", label)
+							if !s.blocks || !s.blocksR1 {
+								t.Fatalf("%s: the fill does not take R0 and R1 as block products", label)
 							}
 							s.abort()
 							got, err := SolveContext(ctx, p, bc.v, cfg)
@@ -84,32 +88,89 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 			}
 		}
 	}
+	for _, kT := range []float64{1, 0.3} {
+		for _, n2 := range blockShapes {
+			rng := rand.New(rand.NewSource(int64(n2)))
+			p, err := NewProblem(rna.Random(rng, 3), rna.Random(rng, n2), parityModels[0].params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := buildTestPartitionSub(t, p, kT)
+			pl := NewPool()
+			for _, bc := range blockConfigs {
+				for _, workers := range []int{1, 2} {
+					for _, pool := range []*Pool{nil, pl} {
+						cfg := bc.cfg
+						cfg.Workers, cfg.Pool = workers, pool
+						cfg.SetKernels("go")
+						want := scaledFill(t, ctx, p, ps, bc.v, cfg)
+						for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
+							label := fmt.Sprintf("kT=%v/n2=%d/%s/workers=%d/pooled=%v/%s", kT, n2, bc.name, workers, pool != nil, impl)
+							cfg.SetKernels(impl)
+							a := ps.a
+							a.k = cfg.sumProductKernels()
+							s := newGSolver(p, a, cfg, p.N1, p.N2, false)
+							if !s.blocks || s.blocksR1 {
+								t.Fatalf("%s: blocks %v, R1 blocks %v: want R0 alone as products", label, s.blocks, s.blocksR1)
+							}
+							s.abort()
+							got := scaledFill(t, ctx, p, ps, bc.v, cfg)
+							eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+								if g, w := got.At(i1, j1, i2, j2), want.At(i1, j1, i2, j2); math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("%s: F[%d,%d,%d,%d] = %x, the sweeps leave %x", label, i1, j1, i2, j2, math.Float64bits(g), math.Float64bits(w))
+								}
+							})
+							got.Release()
+						}
+						want.Release()
+					}
+				}
+			}
+		}
+	}
 }
 
-// TestBoxBlocksHoldZeroBelowDiagonal: after a max-plus fill on the box map,
-// on the block products or the sweeps, every cell of every block below its
-// diagonal holds Zero, bit for bit — the cells a product reads through and
-// writes into, whose candidates must lose every max.
+// scaledFill is SolvePartitionContext held to the scaled domain.
+func scaledFill(t *testing.T, ctx context.Context, p *Problem, ps *PartitionSub, v Variant, cfg Config) *FTableOf[float64] {
+	t.Helper()
+	ft, err := SolvePartitionContext(ctx, p, ps, v, cfg)
+	if err != nil || !ft.Scaled() {
+		t.Fatalf("%dx%d: scaled fill: %v (scaled %v)", p.N1, p.N2, err, err == nil && ft.Scaled())
+	}
+	return ft
+}
+
+// TestBoxBlocksHoldZeroBelowDiagonal: after a max-plus or scaled partition
+// fill on the box map, on the block products or the sweeps, every cell of
+// every block below its diagonal holds Zero, bit for bit — -1e30, or the
+// partition's +0 — the cells a product reads through and writes into, whose
+// candidates must leave every cell as it was.
 func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 	p := newTestProblem(t, 41, 4, 37)
-	zero := math.Float32bits(semiring.NegInf)
 	for _, impl := range maxplus.Impls() {
 		for _, bc := range blockConfigs {
 			cfg := bc.cfg
 			cfg.Workers = 2
 			cfg.SetKernels(impl)
 			ft := Solve(p, bc.v, cfg)
-			for i1 := 0; i1 < p.N1; i1++ {
-				for j1 := i1; j1 < p.N1; j1++ {
-					blk := ft.Block(i1, j1)
-					for i2 := 0; i2 < p.N2; i2++ {
-						for j2 := 0; j2 < i2; j2++ {
-							if v := blk[i2*p.N2+j2]; math.Float32bits(v) != zero {
-								t.Fatalf("%s/%s: block (%d,%d) cell (%d,%d) below the diagonal holds %v, want Zero",
-									impl, bc.name, i1, j1, i2, j2, v)
-							}
-						}
-					}
+			zeroBelowDiagonal(t, p, ft.data, semiring.NegInf, impl+"/"+bc.name)
+			for _, kT := range []float64{1, 0.3} {
+				pt := scaledFill(t, context.Background(), p, buildTestPartitionSub(t, p, kT), bc.v, cfg)
+				zeroBelowDiagonal(t, p, pt.data, 0, fmt.Sprintf("%s/%s/partition kT=%v", impl, bc.name, kT))
+			}
+		}
+	}
+}
+
+// zeroBelowDiagonal fails unless every box-map block of data holds zero's
+// bits below its diagonal.
+func zeroBelowDiagonal[T float32 | float64](t *testing.T, p *Problem, data []T, zero T, label string) {
+	t.Helper()
+	for b := 0; b < len(data)/(p.N2*p.N2); b++ {
+		for i2 := 0; i2 < p.N2; i2++ {
+			for j2 := 0; j2 < i2; j2++ {
+				if v := data[(b*p.N2+i2)*p.N2+j2]; math.Float64bits(float64(v)) != math.Float64bits(float64(zero)) {
+					t.Fatalf("%s: block %d cell (%d,%d) below the diagonal holds %v, want %v", label, b, i2, j2, v, zero)
 				}
 			}
 		}
@@ -120,30 +181,79 @@ func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 // holds NaN — a recycled buffer that skipped its clear — and must leave the
 // table a fill into zeroed storage leaves, every cell below the diagonals
 // included: a product or a stream that read a cell before initRow wrote it
-// would carry the NaN into a max.
+// would carry the NaN into a max or a sum. The pooled fills take their
+// storage unzeroed where they write every cell first (newGSolver): a table
+// poisoned and released must come back, as the next fill's storage, to the
+// same bits, in both algebras and every variant that seeds through initRow.
 func TestBlockProductsReadNoCellBeforeItsSeed(t *testing.T) {
 	ctx := context.Background()
 	for _, n2 := range []int{33, 70} {
 		p := newTestProblem(t, int64(n2), 4, n2)
+		ps := buildTestPartitionSub(t, p, 1)
+		pl := NewPool()
 		for _, bc := range blockConfigs {
 			for _, workers := range []int{1, 2} {
 				cfg := bc.cfg
 				cfg.Workers = workers
+				label := fmt.Sprintf("n2=%d %s workers=%d", n2, bc.name, workers)
 				want := Solve(p, bc.v, cfg)
 				s := newSolver(p, cfg, p.N1, p.N2)
-				for i := range s.f.data {
-					s.f.data[i] = float32(math.NaN())
-				}
+				poison(s.f.data)
 				got, err := s.fill(ctx, bc.v, bc.v.String())
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, w := range want.data {
-					if g := got.data[i]; math.Float32bits(g) != math.Float32bits(w) {
-						t.Fatalf("n2=%d %s workers=%d: cell %d of the poisoned table = %v, fresh %v", n2, bc.name, workers, i, g, w)
-					}
-				}
+				sameBits(t, want.data, got.data, label+": the poisoned table")
+				cfg.Pool = pl
+				sameBits(t, want.data, refillPoisoned(t, cfg, func() (*FTableOf[float32], error) {
+					return SolveContext(ctx, p, bc.v, cfg)
+				}), label+": the poisoned pooled table")
+				cfg.Pool = nil
+				wantZ := scaledFill(t, ctx, p, ps, bc.v, cfg)
+				cfg.Pool = pl
+				sameBits(t, wantZ.data, refillPoisoned(t, cfg, func() (*FTableOf[float64], error) {
+					return SolvePartitionContext(ctx, p, ps, bc.v, cfg)
+				}), label+": the poisoned pooled partition table")
 			}
+		}
+	}
+}
+
+// refillPoisoned fills through solve, poisons the table and releases it to
+// cfg's pool, then fills again and checks that the refill got the poisoned
+// storage back (unzeroed: the vector bodies take R0 by products on the box
+// map, so every cell is seeded before it is read). It returns the refill's
+// cells.
+func refillPoisoned[T float32 | float64](t *testing.T, cfg Config, solve func() (*FTableOf[T], error)) []T {
+	t.Helper()
+	first, err := solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(first.data)
+	storage := &first.data[0]
+	first.Release()
+	got, err := solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.data[0] != storage {
+		t.Fatal("the refill did not get the poisoned storage back from the pool")
+	}
+	return got.data
+}
+
+func poison[T float32 | float64](cells []T) {
+	for i := range cells {
+		cells[i] = T(math.NaN())
+	}
+}
+
+func sameBits[T float32 | float64](t *testing.T, want, got []T, label string) {
+	t.Helper()
+	for i, w := range want {
+		if g := got[i]; math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+			t.Fatalf("%s: cell %d = %v, fresh %v", label, i, g, w)
 		}
 	}
 }

@@ -14,7 +14,7 @@ func TestEstimateBytesMatchesAllocation(t *testing.T) {
 			if got := Charge(nil, n1, n2, n1, n2, kind, 4); got != want {
 				t.Errorf("Charge(nil, %d, %d, %v, 4) = %d, allocated %d", n1, n2, kind, got, want)
 			}
-			want = newTable[float64](nil, n1, n2, n1, n2, kind).Bytes()
+			want = newTable[float64](nil, n1, n2, n1, n2, kind, false).Bytes()
 			if got := Charge(nil, n1, n2, n1, n2, kind, 8); got != want {
 				t.Errorf("Charge(nil, %d, %d, %v, 8) = %d, allocated %d", n1, n2, kind, got, want)
 			}
@@ -33,7 +33,7 @@ func TestEstimateWindowedBytesMatchesAllocation(t *testing.T) {
 		{21, 5, 1, 1},
 	} {
 		n1, n2, w1, w2 := c[0], c[1], c[2], c[3]
-		want := newTable[float32](nil, n1, n2, w1, w2, MapPacked).Bytes()
+		want := newTable[float32](nil, n1, n2, w1, w2, MapPacked, false).Bytes()
 		if got := Charge(nil, n1, n2, w1, w2, MapPacked, 4); got != want {
 			t.Errorf("Charge(nil, %d, %d, %d, %d) = %d, allocated %d", n1, n2, w1, w2, got, want)
 		}

@@ -110,14 +110,15 @@ type FTableOf[T semiring.Scalar] struct {
 
 // NewFTable allocates a zeroed full float32 table.
 func NewFTable(n1, n2 int, kind MapKind) *FTable {
-	return newTable[float32](nil, n1, n2, n1, n2, kind)
+	return newTable[float32](nil, n1, n2, n1, n2, kind, false)
 }
 
 // newTable is the one table constructor: an n1 × n2 table storing the band
 // (w1, w2), zeroed, drawn from pl's arenas when pl is non-nil (so the result
-// is indistinguishable from a fresh allocation; Release returns it). Scalars
-// outside the two pooled instantiations are allocated fresh.
-func newTable[T semiring.Scalar](pl *Pool, n1, n2, w1, w2 int, kind MapKind) *FTableOf[T] {
+// is indistinguishable from a fresh allocation; Release returns it) — with
+// seeded, uncleared, for a fill that writes every cell before it reads one.
+// Scalars outside the two pooled instantiations are allocated fresh.
+func newTable[T semiring.Scalar](pl *Pool, n1, n2, w1, w2 int, kind MapKind, seeded bool) *FTableOf[T] {
 	shells, buf := tableArena[T](pl)
 	var f *FTableOf[T]
 	if shells != nil {
@@ -129,7 +130,9 @@ func newTable[T semiring.Scalar](pl *Pool, n1, n2, w1, w2 int, kind MapKind) *FT
 	}
 	f.setShape(n1, n2, w1, w2, kind)
 	f.dom, f.refilled = domain{}, false
-	if n := f.outer.Size() * f.isize; buf != nil {
+	if n := f.outer.Size() * f.isize; buf != nil && seeded {
+		f.data, f.pl = buf.GetUnzeroed(n), pl
+	} else if buf != nil {
 		f.data, f.pl = buf.Get(n), pl
 	} else {
 		f.data = make([]T, n)
@@ -241,9 +244,9 @@ func (f *FTableOf[T]) Set(i1, j1, i2, j2 int, v T) {
 
 // newAlgTable allocates the table a fill over algebra view a writes, storing
 // the band (w1, w2) — (N1, N2) for a full fill — from pl's arenas when pl is
-// non-nil, stamped with the view's domain.
-func newAlgTable[T semiring.Scalar](p *Problem, a *alg[T], pl *Pool, w1, w2 int, kind MapKind) *FTableOf[T] {
-	f := newTable[T](pl, p.N1, p.N2, w1, w2, kind)
+// non-nil (uncleared, with seeded), stamped with the view's domain.
+func newAlgTable[T semiring.Scalar](p *Problem, a *alg[T], pl *Pool, w1, w2 int, kind MapKind, seeded bool) *FTableOf[T] {
+	f := newTable[T](pl, p.N1, p.N2, w1, w2, kind, seeded)
 	f.dom = a.dom
 	return f
 }

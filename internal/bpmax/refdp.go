@@ -187,7 +187,7 @@ func (r *refDPG[T]) f(i1, j1, i2, j2 int) T {
 // solveReferenceG fills a complete table through the generic oracle.
 func solveReferenceG[T semiring.Scalar](p *Problem, a alg[T], kind MapKind) *FTableOf[T] {
 	r := newRefDPG(&a)
-	f := newAlgTable(p, &a, nil, p.N1, p.N2, kind)
+	f := newAlgTable(p, &a, nil, p.N1, p.N2, kind, false)
 	for i1 := 0; i1 < p.N1; i1++ {
 		for j1 := i1; j1 < p.N1; j1++ {
 			for i2 := 0; i2 < p.N2; i2++ {

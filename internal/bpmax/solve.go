@@ -72,7 +72,7 @@ func solveAlg[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], v Va
 	case VariantBase:
 		return solveBaseG(ctx, p, a, cfg)
 	case VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled:
-		return newGSolver(p, a, cfg, p.N1, p.N2).fill(ctx, v, v.String())
+		return newGSolver(p, a, cfg, p.N1, p.N2, true).fill(ctx, v, v.String())
 	}
 	return nil, fmt.Errorf("bpmax: unknown variant %d", int(v))
 }
@@ -164,7 +164,7 @@ func (s *gsolver[T]) fill(ctx context.Context, v Variant, schedule string) (*FTa
 		}
 		// The scratch table is never returned, so it goes back to the pool
 		// on every exit (Release is a no-op when unpooled).
-		scratch := newAlgTable(s.p, &s.a, s.cfg.Pool, s.f.W1, s.f.W2, s.cfg.Map)
+		scratch := newAlgTable(s.p, &s.a, s.cfg.Pool, s.f.W1, s.f.W2, s.cfg.Map, s.blocks)
 		defer scratch.Release()
 		s.scratch = scratch
 		return s.run(ctx, schedule, false,

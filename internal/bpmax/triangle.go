@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/semiring"
@@ -66,10 +67,10 @@ type gsolver[T semiring.Scalar] struct {
 	// R2 inside columns [j, e) of row y against S² of pitch p.
 	r2Walk func(y, s2 []T, p, j, e int)
 	// zeros is a row of Zero that initRow copies below each row's diagonal
-	// on a max-plus box map (empty elsewhere); blocks is set where R0 and R1
-	// then run as block products (newGSolver says where).
-	zeros  []T
-	blocks bool
+	// on the box map (empty elsewhere); blocks is set where R0 then runs as
+	// block products, and blocksR1 where R1 does too (newGSolver says where).
+	zeros            []T
+	blocks, blocksR1 bool
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -142,7 +143,9 @@ func (s *gsolver[T]) initTasks() {
 // newGSolver assembles a solver over an explicit algebra view and a table
 // storing the band (w1, w2) — (N1, N2) for a full fill — under cfg.Map, the
 // shell and table drawn from the pool's arenas of T when cfg has a pool.
-func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int) *gsolver[T] {
+// seeded: the caller fills every block through initRow, so where that writes
+// every cell before any read the pooled storage is taken uncleared.
+func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int, seeded bool) *gsolver[T] {
 	cfg = cfg.withDefaults()
 	var s *gsolver[T]
 	if cfg.Pool != nil {
@@ -153,7 +156,13 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 	if a.r2 = cmp.Or(cfg.r2, a.r2); a.r2 != r2Closure { // Config.r2: the tests' seam
 		a.star = nil
 	}
-	s.f = newAlgTable(p, &a, cfg.Pool, w1, w2, cfg.Map)
+	// Every box-map block holds Zero below its diagonal (initRow). With a
+	// vector Product (max-plus, and the scaled sum-product, whose Zero is 0)
+	// and a band spanning N2, R0 runs as block products (r0Blocks), and
+	// max-plus R1 too (r1Blocks): partition's R1 by products would reorder its
+	// sums. All else keeps r0Tiled and the R1 sweep (docs/ALGORITHM.md §9).
+	blocks := cfg.Map == MapBox && a.k.Impl != "go" && w2 >= p.N2
+	s.f = newAlgTable(p, &a, cfg.Pool, w1, w2, cfg.Map, seeded && blocks)
 	s.p = p
 	s.a = a
 	s.cfg = cfg
@@ -167,18 +176,11 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 	if n := p.N1 * a.n2; a.star != nil && len(s.pre) < n {
 		s.pre = make([]T, n)
 	}
-	// Every max-plus box-map block holds Zero below its diagonal (initRow).
-	// R0 and R1 then run as block products (r0Blocks, r1Blocks) where the
-	// bundle's Product is a vector body and the band spans N2. The packed map
-	// (no storage below the diagonal), the band, partition (a Go-loop Product
-	// and reordered sums), the Go bundles (a product with no reuse) and the
-	// DMP keep r0Tiled and the full R1 sweep.
-	s.zeros, s.blocks = s.zeros[:0], false
-	if _, maxPlus := any(a.k.Zero).(float32); maxPlus && cfg.Map == MapBox {
+	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocks && !a.dom.scaled
+	if cfg.Map == MapBox {
 		for range p.N2 {
 			s.zeros = append(s.zeros, a.k.Zero)
 		}
-		s.blocks = a.k.Impl != "go" && s.f.W2 == p.N2
 	}
 	s.tripped.Store(false)
 	if s.triTask == nil {
@@ -190,7 +192,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int)
 // newSolver is the max-plus constructor: the algebra view is the problem's
 // own tables, so it allocates nothing beyond the table.
 func newSolver(p *Problem, cfg Config, w1, w2 int) *solver {
-	return newGSolver(p, maxplusAlg(p, cfg), cfg, w1, w2)
+	return newGSolver(p, maxplusAlg(p, cfg), cfg, w1, w2, false)
 }
 
 // release recycles the solver shell after a successful solve; the filled
@@ -222,8 +224,8 @@ func (s *gsolver[T]) finish() *FTableOf[T] {
 
 // initRow seeds row i2 of triangle (i1, j1) with the H term
 // S¹[i1,j1] ⊗ S²[i2,j2] — the "fold independently" candidate, which also
-// establishes F >= One — and, on a max-plus box map, writes Zero into the
-// row's cells below the diagonal.
+// establishes F >= One — and, on the box map, writes Zero into the row's
+// cells below the diagonal.
 func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
 	hi := s.f.rowHi(i2)
 	grow := s.f.Row(blk, i2)
@@ -302,26 +304,31 @@ func (s *gsolver[T]) r0Tiled(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int, withR3
 	}
 }
 
-// The block products' rows come in groups of prodRows, their columns in tiles
-// of prodCols, the AVX-512 Product's two vectors (docs/PERFORMANCE.md).
-const prodRows, prodCols = 8, 32
+// The block products' rows come in groups of prodRows, their columns in
+// tiles of two AVX-512 vectors: 32 float32 or 16 float64 columns
+// (docs/PERFORMANCE.md).
+const prodRows = 8
 
-// r0Blocks is r0Tiled where every block holds Zero below its diagonal. The
-// rows [r0, r1) abut, so their R4 and R3 are the pre-streams of one sweep with
-// no k2 over them as one row (a cell below a diagonal keeps Zero). Each group
-// [q0, q0+prodRows) then takes one product per column tile [cs, ce) right of
-// q0 over the splits [q0, ce-1): a cell's own splits, and splits k2 < i2 or
-// k2 >= j2 that read A's or B's Zero and lose the max.
+func (s *gsolver[T]) prodCols() int { return 128 / int(unsafe.Sizeof(s.a.k.Zero)) }
+
+// r0Blocks is r0Tiled where every block holds Zero below its diagonal: each
+// group [q0, q0+prodRows) of the rows [r0, r1) takes one product per column
+// tile [cs, ce) right of q0 over the splits [q0, ce-1) — its cells' own, and
+// ones that read A's or B's Zero — after the tile's R4 and R3 as pre-streams
+// (with no split where ce = q0+1). B's row q0+1+s is Zero left of column
+// q0+1+s: diag = q0+1-cs.
 func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
-	n2, off := s.p.N2, s.f.rowOff
-	lo, hi := off[r0], off[r1-1]+n2
-	s.sweep(blk[lo:hi], ablk[lo:hi], bblk, off, 0, 0, 0, hi-lo, r34(ablk[lo:hi], bblk[lo:hi], s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), 0))
+	n2, off, cols := s.p.N2, s.f.rowOff, s.prodCols()
+	pre := r34[T](nil, nil, s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), 0)
 	for q0 := r0; q0 < r1; q0 += prodRows {
 		m := min(prodRows, r1-q0)
-		for cs := q0 / prodCols * prodCols; cs < n2; cs += prodCols {
-			if ce := min(cs+prodCols, n2); ce-1 > q0 {
-				s.a.k.Product(blk[off[q0]+cs:], n2, ablk[off[q0]+q0:], n2, bblk[off[q0+1]+cs:], n2, m, ce-cs, ce-1-q0)
+		for cs := q0 / cols * cols; cs < n2; cs += cols {
+			ce, b := min(cs+cols, n2), []T(nil)
+			if ce-1 > q0 {
+				b = bblk[off[q0+1]+cs:]
 			}
+			pre.X1, pre.X2 = ablk[off[q0]+cs:], bblk[off[q0]+cs:]
+			s.a.k.Product(blk[off[q0]+cs:], n2, ablk[off[q0]+q0:], n2, b, n2, m, ce-cs, ce-1-q0, q0+1-cs, pre)
 		}
 	}
 }
@@ -388,7 +395,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 		grow := s.f.Row(blk, i2)
 		s2row := a.s2Row(i2)
 		kEnd := hi - 1 // the sweep takes R1's splits [i2, kEnd)
-		if s.blocks {
+		if s.blocksR1 {
 			// Group [q0, kEnd+1) takes its splits from kEnd up as products at
 			// its first row bottom-up; each row sweeps its left edge.
 			q0 := i2 / prodRows * prodRows
@@ -431,12 +438,13 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 // r1Blocks takes R1's splits k2 >= q1-1 for the rows [q0, q1) of block blk:
 // one product per column tile [cs, ce) right of q1-1, with A = S² from column
 // q1-1 and B = blk's rows from q1, already final (finalize runs bottom-up). A
-// split k2 >= j2 reads B's Zero below its diagonal and loses the max.
+// split k2 >= j2 reads B's Zero below its diagonal and loses the max: B's row
+// q1+s holds it left of column q1+s, which diag = q1-cs states.
 func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
-	n2, p2, off := s.p.N2, s.a.p2, s.f.rowOff
-	for cs := (q1 - 1) / prodCols * prodCols; cs < n2; cs += prodCols {
-		if ce := min(cs+prodCols, n2); ce > q1 {
-			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1)
+	n2, p2, off, cols := s.p.N2, s.a.p2, s.f.rowOff, s.prodCols()
+	for cs := (q1 - 1) / cols * cols; cs < n2; cs += cols {
+		if ce := min(cs+cols, n2); ce > q1 {
+			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1, q1-cs, maxplus.Pre[T]{})
 		}
 	}
 }

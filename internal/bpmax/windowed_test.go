@@ -59,7 +59,7 @@ func TestWindowedCellsEqualFullTable(t *testing.T) {
 func TestWindowedMemorySavings(t *testing.T) {
 	p := newTestProblem(t, 80, 24, 24)
 	full := NewFTable(24, 24, MapPacked)
-	w := newTable[float32](nil, 24, 24, 4, 4, MapPacked)
+	w := newTable[float32](nil, 24, 24, 4, 4, MapPacked, false)
 	if w.Bytes() >= full.Bytes() {
 		t.Errorf("windowed table (%d B) should be smaller than full (%d B)", w.Bytes(), full.Bytes())
 	}
@@ -152,7 +152,7 @@ func TestWindowedTracebackPanicsOutOfWindow(t *testing.T) {
 }
 
 func TestWindowClamping(t *testing.T) {
-	w := newTable[float32](nil, 5, 5, 100, 100, MapPacked)
+	w := newTable[float32](nil, 5, 5, 100, 100, MapPacked, false)
 	if w.W1 != 5 || w.W2 != 5 {
 		t.Errorf("windows not clamped: %d %d", w.W1, w.W2)
 	}
@@ -165,5 +165,5 @@ func TestNewWTablePanicsOnBadWindow(t *testing.T) {
 			t.Error("zero window did not panic")
 		}
 	}()
-	newTable[float32](nil, 5, 5, 0, 3, MapPacked)
+	newTable[float32](nil, 5, 5, 0, 3, MapPacked, false)
 }

@@ -95,8 +95,25 @@ func (p *PoolOf[T]) elemBytes() int64 {
 // Get returns a zeroed buffer of length exactly n, reusing a pooled buffer
 // of the enclosing size class when one is available. n <= 0 returns nil.
 func (p *PoolOf[T]) Get(n int) []T {
+	b, reused := p.get(n)
+	if reused {
+		// A reused buffer must look fresh, so pooled solves stay bit-identical.
+		clear(b)
+	}
+	return b
+}
+
+// GetUnzeroed is Get for a caller that writes every element before it reads
+// one: a reused buffer comes as its last user left it.
+func (p *PoolOf[T]) GetUnzeroed(n int) []T {
+	b, _ := p.get(n)
+	return b
+}
+
+// get returns Get's buffer, uncleared, and whether it was reused.
+func (p *PoolOf[T]) get(n int) ([]T, bool) {
 	if n <= 0 {
-		return nil
+		return nil, false
 	}
 	// Failpoint: a degraded arena. Error mode does not fail the caller — the
 	// pool falls back to a fresh allocation (counted as a miss), which is the
@@ -105,13 +122,13 @@ func (p *PoolOf[T]) Get(n int) []T {
 	if ferr := fault.Hit(fault.SitePoolAcquire); ferr != nil {
 		p.gets.Add(1)
 		p.misses.Add(1)
-		return make([]T, n)
+		return make([]T, n), false
 	}
 	p.gets.Add(1)
 	c := classFor(n)
 	if c < 0 {
 		p.misses.Add(1)
-		return make([]T, n)
+		return make([]T, n), false
 	}
 	a := &p.classes[c]
 	a.mu.Lock()
@@ -125,14 +142,10 @@ func (p *PoolOf[T]) Get(n int) []T {
 	a.mu.Unlock()
 	if b == nil {
 		p.misses.Add(1)
-		return make([]T, n, classLen(c))
+		return make([]T, n, classLen(c)), false
 	}
 	p.hits.Add(1)
-	b = b[:n]
-	// Explicit re-initialization: a reused buffer must be indistinguishable
-	// from a fresh allocation so pooled solves stay bit-identical.
-	clear(b)
-	return b
+	return b[:n], true
 }
 
 // Put returns a buffer to its size class for reuse. Buffers whose capacity

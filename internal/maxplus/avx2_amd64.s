@@ -171,6 +171,57 @@ GLOBL rowlanes<>(SB), RODATA|NOPTR, $64
 	VBLENDV  Y14, Y5, Y13, Y5; \
 	VPLUS    y, Y5, y
 
+// The block product (PRODUCT, sweep_amd64.h) on four rows × two ymm vectors,
+// 16 float32 or 8 float64 columns: the tile in Y0-Y7, b's vectors in Y8-Y9,
+// a's broadcasts in Y10-Y11 in turn, the candidates in Y14-Y15. Whole pairs
+// move c, x1, x2 and b by whole loads and stores; the pair past the last
+// whole one under the lanemask masks of its columns inside [0, w), in Y12
+// and Y13.
+#define P0     Y0
+#define P1     Y1
+#define P2     Y2
+#define P3     Y3
+#define P4     Y4
+#define P5     Y5
+#define P6     Y6
+#define P7     Y7
+#define B1     Y8
+#define B2     Y9
+#define S0     Y10
+#define S1     Y11
+#define S2     Y10
+#define S3     Y11
+#define M1     Y12
+#define M2     Y13
+#define C1     Y14
+#define C2     Y15
+#define VBYTES 32
+
+#define LDW(m, mem, reg) VLOADU mem, reg
+#define STW(m, mem, reg) VLOADU reg, mem
+#define LDM(m, mem, reg) VMASKMOV mem, m, reg
+#define STM(m, mem, reg) VMASKMOV reg, m, mem
+
+#define PAIRS \
+pwhole: \
+	LEAQ    (2*LANES)(AX), DX; \
+	CMPQ    DX, w+56(FP); \
+	JGT     ptail; \
+	PTILE(LDW, STW, wnopre, wboth, wsecond, wonly2, wstored); \
+	ADDQ    $(2*LANES), AX; \
+	JMP     pwhole; \
+ptail: \
+	CMPQ    AX, w+56(FP); \
+	JGE     ppairs; \
+	MOVQ    w+56(FP), DX; \
+	SUBQ    AX, DX; \
+	NEGQ    DX; \
+	LEAQ    lanemask<>(SB), R14; \
+	VMOVDQU MASKHI(R14)(DX*ESIZE), Y12; \
+	VMOVDQU (MASKHI+32)(R14)(DX*ESIZE), Y13; \
+	PTILE(LDM, STM, mnopre, mboth, msecond, monly2, mstored); \
+ppairs:
+
 // The element type of the skeleton: ESIZE bytes an element (1<<ESHIFT), LANES
 // a chunk (1<<LSHIFT) and BLANES a block of four (1<<BSHIFT), masked moves,
 // whole loads and stores, the broadcast and the blend, ⊗ and ⊕.
@@ -451,6 +502,13 @@ TEXT ·accumEachAVX2(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
+// func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+// The max-plus block product; m, w > 0, and k > 0 or x1 not nil.
+TEXT ·productAVX2(SB), NOSPLIT, $0-108
+	PRODUCT
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion of the skeleton: 4 lanes, VMULPD then
 // VADDPD. sumProductAVX2, sumProductSweepAVX2 and mulScalarIntoAVX2 are
 // accumulateAVX2, sweepAVX2 and addScalarIntoAVX2 again, instruction for
@@ -585,173 +643,10 @@ muldone:
 	VZEROUPPER
 	RET
 
-// The max-plus product, float32 only: avx512_amd64.s's productAVX512 on a
-// tile of four rows × two ymm vectors (16 columns). The columns past the last
-// whole pair of vectors are loaded and stored under the lanemask table's masks
-// in Y12 and Y13; rows past the last four take a tile of one row. Registers as
-// there: c in DI, a in SI, b in BX, the byte strides lda in R8, ldb in R9 and
-// ldc in R10, 3·lda in CX, the rows left in R11, w in R12, k in R13, the
-// column in AX, the split loop's a in R14, b in R15 and count in DX. The tile
-// is Y0-Y7, b's two vectors Y8-Y9, a's broadcasts Y10-Y11 in turn, the
-// candidates Y14-Y15.
-
-// PCAND(bc, lo, hi) takes one row's two candidates, a's broadcast bc ⊗ b's
-// two vectors, into that row's tile vectors lo and hi, the candidate as ⊕'s
-// first source.
-#define PCAND(bc, lo, hi) \
-	VADDPS Y8, bc, Y14; \
-	VADDPS Y9, bc, Y15; \
-	VMAXPS lo, Y14, lo; \
-	VMAXPS hi, Y15, hi
-
-// The tile's moves: whole vectors (LDW, STW), or under a tail mask m (LDM,
-// STM).
-#define LDW(m, src, dst) VMOVUPS src, dst
-#define STW(m, src, dst) VMOVUPS src, dst
-#define LDM(m, src, dst) VMASKMOVPS src, m, dst
-#define STM(m, src, dst) VMASKMOVPS src, m, dst
-
-// PTAILMASKS sets Y12 and Y13 to the columns of the pair at AX inside [0, w).
-#define PTAILMASKS \
-	MOVQ    R12, DX; \
-	SUBQ    AX, DX; \
-	NEGQ    DX; \
-	LEAQ    lanemask<>(SB), R14; \
-	VMOVDQU MASKHI(R14)(DX*4), Y12; \
-	VMOVDQU (MASKHI+32)(R14)(DX*4), Y13
-
-// PTILE4 runs the split loop (its label splits) on the four rows' pair at
-// column AX, moving c and b by LD and ST.
-#define PTILE4(splits, LD, ST) \
-	LEAQ         (DI)(AX*4), R14; \
-	LEAQ         (R10)(R10*2), R15; \
-	LD(Y12, (R14), Y0); \
-	LD(Y13, 32(R14), Y1); \
-	LD(Y12, (R14)(R10*1), Y2); \
-	LD(Y13, 32(R14)(R10*1), Y3); \
-	LD(Y12, (R14)(R10*2), Y4); \
-	LD(Y13, 32(R14)(R10*2), Y5); \
-	LD(Y12, (R14)(R15*1), Y6); \
-	LD(Y13, 32(R14)(R15*1), Y7); \
-	MOVQ         SI, R14; \
-	LEAQ         (BX)(AX*4), R15; \
-	MOVQ         R13, DX; \
-splits: \
-	LD(Y12, (R15), Y8); \
-	LD(Y13, 32(R15), Y9); \
-	VBROADCASTSS (R14), Y10; \
-	PCAND(Y10, Y0, Y1); \
-	VBROADCASTSS (R14)(R8*1), Y11; \
-	PCAND(Y11, Y2, Y3); \
-	VBROADCASTSS (R14)(R8*2), Y10; \
-	PCAND(Y10, Y4, Y5); \
-	VBROADCASTSS (R14)(CX*1), Y11; \
-	PCAND(Y11, Y6, Y7); \
-	ADDQ         $4, R14; \
-	ADDQ         R9, R15; \
-	DECQ         DX; \
-	JNZ          splits; \
-	LEAQ         (DI)(AX*4), R14; \
-	LEAQ         (R10)(R10*2), R15; \
-	ST(Y12, Y0, (R14)); \
-	ST(Y13, Y1, 32(R14)); \
-	ST(Y12, Y2, (R14)(R10*1)); \
-	ST(Y13, Y3, 32(R14)(R10*1)); \
-	ST(Y12, Y4, (R14)(R10*2)); \
-	ST(Y13, Y5, 32(R14)(R10*2)); \
-	ST(Y12, Y6, (R14)(R15*1)); \
-	ST(Y13, Y7, 32(R14)(R15*1))
-
-// PTILE1 is PTILE4 on one row.
-#define PTILE1(splits, LD, ST) \
-	LEAQ         (DI)(AX*4), R14; \
-	LD(Y12, (R14), Y0); \
-	LD(Y13, 32(R14), Y1); \
-	MOVQ         SI, R14; \
-	LEAQ         (BX)(AX*4), R15; \
-	MOVQ         R13, DX; \
-splits: \
-	LD(Y12, (R15), Y8); \
-	LD(Y13, 32(R15), Y9); \
-	VBROADCASTSS (R14), Y10; \
-	PCAND(Y10, Y0, Y1); \
-	ADDQ         $4, R14; \
-	ADDQ         R9, R15; \
-	DECQ         DX; \
-	JNZ          splits; \
-	LEAQ         (DI)(AX*4), R14; \
-	ST(Y12, Y0, (R14)); \
-	ST(Y13, Y1, 32(R14))
-
-// func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)
-// For r in [0, m) and j in [0, w): c[r*ldc+j] = max(a[r*lda+s] +
-// b[s*ldb+j], c[r*ldc+j]) for s = 0, 1, ..., k-1. m, w, k > 0.
-TEXT ·productAVX2(SB), NOSPLIT, $0-72
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R10
-	SHLQ $2, R10
-	MOVQ a+16(FP), SI
-	MOVQ lda+24(FP), R8
-	SHLQ $2, R8
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R9
-	SHLQ $2, R9
-	MOVQ m+48(FP), R11
-	MOVQ w+56(FP), R12
-	MOVQ k+64(FP), R13
-	LEAQ (R8)(R8*2), CX
-
-rows4:
-	CMPQ R11, $4
-	JLT  rows1
-	XORQ AX, AX
-
-whole4:
-	LEAQ 16(AX), DX
-	CMPQ DX, R12
-	JGT  tail4
-	PTILE4(splitsw4, LDW, STW)
-	ADDQ $16, AX
-	JMP  whole4
-
-tail4:
-	CMPQ AX, R12
-	JGE  next4
-	PTAILMASKS
-	PTILE4(splitsm4, LDM, STM)
-
-next4:
-	LEAQ (DI)(R10*4), DI
-	LEAQ (SI)(R8*4), SI
-	SUBQ $4, R11
-	JMP  rows4
-
-rows1:
-	TESTQ R11, R11
-	JZ    done
-	XORQ  AX, AX
-
-whole1:
-	LEAQ 16(AX), DX
-	CMPQ DX, R12
-	JGT  tail1
-	PTILE1(splitsw1, LDW, STW)
-	ADDQ $16, AX
-	JMP  whole1
-
-tail1:
-	CMPQ AX, R12
-	JGE  next1
-	PTAILMASKS
-	PTILE1(splitsm1, LDM, STM)
-
-next1:
-	ADDQ R10, DI
-	ADDQ R8, SI
-	DECQ R11
-	JMP  rows1
-
-done:
+// func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+// The sum-product block product, under productAVX2's requirements.
+TEXT ·sumProductProductAVX2(SB), NOSPLIT, $0-112
+	PRODUCT
 	VZEROUPPER
 	RET
 

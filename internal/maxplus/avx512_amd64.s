@@ -275,6 +275,53 @@ eachtail: \
 	VMOVU   Z1, K1, (DI)(AX*1); \
 eachdone:
 
+// The block product (PRODUCT, sweep_amd64.h) on four rows × two zmm vectors,
+// 32 float32 or 16 float64 columns: the tile in Z0-Z7, b's vectors in Z8-Z9,
+// a's broadcasts in Z10-Z13, the candidates in Z14-Z15. Every pair moves c,
+// x1, x2 and b under the opmasks K1 and K2 of its columns inside [0, w) (a
+// whole pair's are all ones): zero-masked, fault-free loads, and stores that
+// write no lane outside a row of c.
+#define P0     Z0
+#define P1     Z1
+#define P2     Z2
+#define P3     Z3
+#define P4     Z4
+#define P5     Z5
+#define P6     Z6
+#define P7     Z7
+#define B1     Z8
+#define B2     Z9
+#define S0     Z10
+#define S1     Z11
+#define S2     Z12
+#define S3     Z13
+#define C1     Z14
+#define C2     Z15
+#define M1     K1
+#define M2     K2
+#define VBYTES 64
+
+#define PLOAD(m, mem, reg)  VMOVUZ mem, m, reg
+#define PSTORE(m, mem, reg) VMOVU reg, m, mem
+
+#define PAIRS \
+ppair: \
+	MOVQ    w+56(FP), DX; \
+	SUBQ    AX, DX; \
+	MOVQ    $(2*LANES), R14; \
+	CMPQ    DX, R14; \
+	CMOVQGT R14, DX; \
+	XORQ    R14, R14; \
+	BTSQ    DX, R14; \
+	DECQ    R14; \
+	KMOVW   R14, K1; \
+	SHRQ    $LANES, R14; \
+	KMOVW   R14, K2; \
+	PTILE(PLOAD, PSTORE, pnopre, pboth, psecond, ponly2, pstored); \
+	ADDQ    $(2*LANES), AX; \
+	CMPQ    AX, w+56(FP); \
+	JLT     ppair
+
 // The element type: ESIZE bytes an element (1<<ESHIFT), LANES a vector and
 // BLANES a block of four (1<<BSHIFT), the broadcast, aligned and masked moves,
 // ⊗ (and ⊗ zero-masked) and ⊕.
@@ -287,6 +334,7 @@ eachdone:
 #define VSPLAT  VBROADCASTSS
 #define VMOVA   VMOVAPS
 #define VMOVU   VMOVUPS
+#define VMOVUZ  VMOVUPS.Z
 #define VTIMES  VADDPS
 #define VTIMESZ VADDPS.Z
 #define VPLUS   VMAXPS
@@ -348,6 +396,13 @@ TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
+// func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+// The max-plus block product; m, w > 0, and k > 0 or x1 not nil.
+TEXT ·productAVX512(SB), NOSPLIT, $0-108
+	PRODUCT
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion: 8 lanes a vector, VMULPD then VADDPD.
 #undef ESIZE
 #undef ESHIFT
@@ -358,6 +413,7 @@ TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
 #undef VSPLAT
 #undef VMOVA
 #undef VMOVU
+#undef VMOVUZ
 #undef VTIMES
 #undef VTIMESZ
 #undef VPLUS
@@ -370,6 +426,7 @@ TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
 #define VSPLAT  VBROADCASTSD
 #define VMOVA   VMOVAPD
 #define VMOVU   VMOVUPD
+#define VMOVUZ  VMOVUPD.Z
 #define VTIMES  VMULPD
 #define VTIMESZ VMULPD.Z
 #define VPLUS   VADDPD
@@ -431,153 +488,9 @@ TEXT ·sumProductEachAVX512(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// The max-plus product, float32 only: c[r][j] = c[r][j] ⊕ ⊕_s a[r][s] ⊗
-// b[s][j] over rows of c, a and b ldc, lda and ldb elements apart, on a
-// register tile of four rows × two vectors (32 columns) of c held across the
-// whole split loop. A split costs two loads of b and four broadcasts of a for
-// eight ⊗ and eight ⊕: each b vector serves four rows. Columns past the last
-// whole pair of vectors are loaded and stored under the opmasks K1 and K2
-// (every pair sets them: whole pairs all ones), so no lane outside a row of c
-// is written. Rows past the last four take a tile of one row.
-//
-// Registers: c in DI, a in SI and b in BX, each at the current block of rows;
-// the strides in bytes, lda in R8, ldb in R9 and ldc in R10, 3·lda in CX; the
-// rows left in R11, w in R12 and k in R13; the column in AX. The split loop
-// walks a in R14 and b in R15 and counts in DX. The tile is Z0-Z7 (row r,
-// vector v in Z(2r+v)), b's two vectors Z8-Z9, a's broadcasts Z10-Z13, the
-// candidates Z14-Z15.
-
-// PAIRMASKS sets K1 and K2 to the columns of the pair at AX inside [0, w).
-#define PAIRMASKS \
-	MOVQ    R12, DX; \
-	SUBQ    AX, DX; \
-	MOVQ    $32, R14; \
-	CMPQ    DX, R14; \
-	CMOVQGT R14, DX; \
-	XORQ    R14, R14; \
-	BTSQ    DX, R14; \
-	DECQ    R14; \
-	KMOVW   R14, K1; \
-	SHRQ    $16, R14; \
-	KMOVW   R14, K2
-
-// PCAND(bc, lo, hi) takes one row's two candidates, a's broadcast bc ⊗ b's
-// two vectors, into that row's tile vectors lo and hi, the candidate as ⊕'s
-// first source.
-#define PCAND(bc, lo, hi) \
-	VADDPS Z8, bc, Z14; \
-	VADDPS Z9, bc, Z15; \
-	VMAXPS lo, Z14, lo; \
-	VMAXPS hi, Z15, hi
-
-// func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)
-// For r in [0, m) and j in [0, w): c[r*ldc+j] = max(a[r*lda+s] +
-// b[s*ldb+j], c[r*ldc+j]) for s = 0, 1, ..., k-1. m, w, k > 0.
-TEXT ·productAVX512(SB), NOSPLIT, $0-72
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R10
-	SHLQ $2, R10
-	MOVQ a+16(FP), SI
-	MOVQ lda+24(FP), R8
-	SHLQ $2, R8
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R9
-	SHLQ $2, R9
-	MOVQ m+48(FP), R11
-	MOVQ w+56(FP), R12
-	MOVQ k+64(FP), R13
-	LEAQ (R8)(R8*2), CX
-
-rows4:
-	CMPQ R11, $4
-	JLT  rows1
-	XORQ AX, AX
-
-pairs4:
-	PAIRMASKS
-	LEAQ      (DI)(AX*4), R14
-	LEAQ      (R10)(R10*2), R15
-	VMOVUPS.Z (R14), K1, Z0
-	VMOVUPS.Z 64(R14), K2, Z1
-	VMOVUPS.Z (R14)(R10*1), K1, Z2
-	VMOVUPS.Z 64(R14)(R10*1), K2, Z3
-	VMOVUPS.Z (R14)(R10*2), K1, Z4
-	VMOVUPS.Z 64(R14)(R10*2), K2, Z5
-	VMOVUPS.Z (R14)(R15*1), K1, Z6
-	VMOVUPS.Z 64(R14)(R15*1), K2, Z7
-	MOVQ      SI, R14
-	LEAQ      (BX)(AX*4), R15
-	MOVQ      R13, DX
-
-splits4:
-	VMOVUPS.Z    (R15), K1, Z8
-	VMOVUPS.Z    64(R15), K2, Z9
-	VBROADCASTSS (R14), Z10
-	VBROADCASTSS (R14)(R8*1), Z11
-	VBROADCASTSS (R14)(R8*2), Z12
-	VBROADCASTSS (R14)(CX*1), Z13
-	PCAND(Z10, Z0, Z1)
-	PCAND(Z11, Z2, Z3)
-	PCAND(Z12, Z4, Z5)
-	PCAND(Z13, Z6, Z7)
-	ADDQ         $4, R14
-	ADDQ         R9, R15
-	DECQ         DX
-	JNZ          splits4
-
-	LEAQ    (DI)(AX*4), R14
-	LEAQ    (R10)(R10*2), R15
-	VMOVUPS Z0, K1, (R14)
-	VMOVUPS Z1, K2, 64(R14)
-	VMOVUPS Z2, K1, (R14)(R10*1)
-	VMOVUPS Z3, K2, 64(R14)(R10*1)
-	VMOVUPS Z4, K1, (R14)(R10*2)
-	VMOVUPS Z5, K2, 64(R14)(R10*2)
-	VMOVUPS Z6, K1, (R14)(R15*1)
-	VMOVUPS Z7, K2, 64(R14)(R15*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JLT     pairs4
-	LEAQ    (DI)(R10*4), DI
-	LEAQ    (SI)(R8*4), SI
-	SUBQ    $4, R11
-	JMP     rows4
-
-rows1:
-	TESTQ R11, R11
-	JZ    done
-	XORQ  AX, AX
-
-pairs1:
-	PAIRMASKS
-	LEAQ      (DI)(AX*4), R14
-	VMOVUPS.Z (R14), K1, Z0
-	VMOVUPS.Z 64(R14), K2, Z1
-	MOVQ      SI, R14
-	LEAQ      (BX)(AX*4), R15
-	MOVQ      R13, DX
-
-splits1:
-	VMOVUPS.Z    (R15), K1, Z8
-	VMOVUPS.Z    64(R15), K2, Z9
-	VBROADCASTSS (R14), Z10
-	PCAND(Z10, Z0, Z1)
-	ADDQ         $4, R14
-	ADDQ         R9, R15
-	DECQ         DX
-	JNZ          splits1
-
-	LEAQ    (DI)(AX*4), R14
-	VMOVUPS Z0, K1, (R14)
-	VMOVUPS Z1, K2, 64(R14)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JLT     pairs1
-	ADDQ    R10, DI
-	ADDQ    R8, SI
-	DECQ    R11
-	JMP     rows1
-
-done:
+// func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+// The sum-product block product, under productAVX512's requirements.
+TEXT ·sumProductProductAVX512(SB), NOSPLIT, $0-112
+	PRODUCT
 	VZEROUPPER
 	RET

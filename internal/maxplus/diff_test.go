@@ -50,10 +50,11 @@ func bits[T elem](v T) uint64 {
 
 // kernels is one body's streaming kernels in one algebra.
 type kernels[T elem] struct {
-	accum func(y, x []T, a T)
-	into  func(dst, x []T, a T)
-	sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
-	each  func(y, x, w []T)
+	accum   func(y, x []T, a T)
+	into    func(dst, x []T, a T)
+	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
+	each    func(y, x, w []T)
+	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T])
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -62,6 +63,7 @@ type algebra[T elem] struct {
 	name       string
 	of         func(Body) kernels[T]
 	goLoops    kernels[T]
+	zero       T   // ⊕'s identity, which a product's b holds below its diagonal
 	guardWord  T   // a NaN pattern no kernel produces, so a stray store shows
 	specials   []T // the operands that separate a correct lane from a nearly correct one
 	ordinary   func(rng *rand.Rand) T
@@ -82,9 +84,10 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
 	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach}
+		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product}
 	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo},
+	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo},
+	zero:      -1e30, // semiring.NegInf
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
 		float32(math.NaN()),
@@ -108,9 +111,10 @@ var maxPlus = algebra[float32]{
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
 	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach}
+		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct}
 	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo},
+	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo},
+	zero:      0,
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
 		math.Float64frombits(0xfff8000000000000),
@@ -692,6 +696,12 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 		sweepLeavesNeighbouringCells(t, k, kern, lane, 2*blockLanes[T]()-lane)
 	}
 
+	for _, lane := range []int{0, 1, lanes[T]() - 1} {
+		for _, w := range []int{5, 2*lanes[T]() - 3, 2*lanes[T]() + 3} {
+			productLeavesNeighbouringCells(t, k, kern, lane, w)
+		}
+	}
+
 	const n = 29
 	for lane := 0; lane < lanes[T](); lane++ {
 		ar := newArena(arenaRoom(2, 2*n), k.guardWord)
@@ -768,41 +778,95 @@ func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kern
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word after y[n-1]", after, bound)
 }
 
-// TestProductMatchesGoBitForBit holds every body's max-plus product to
-// ProductGo: every m in 0…9 (whole tiles of four rows and every leftover),
-// every w in 0…maxLen (whole pairs of vectors and every column tail), every k
-// in 0…17, c's first cell at any lane, padded strides with guard words
-// between the rows of c (and of a and b), so that a store outside a row of c
-// shows, and operands drawn from the specials — NaN, ±Inf, the forbidden
-// sentinel -1e30, signed zeros — a third of the time.
+// productLeavesNeighbouringCells: a product stores rows of c under its
+// column masks, and the cells between them, and before c[0], are someone
+// else's. diag = lanes/2 with k = 9 sends the last splits of some pair on
+// every body to the second vector alone, so its stores come after a phase of
+// the split loop that skips the first.
+func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kernels[T], lane, w int) {
+	const m, splits = 5, 9
+	ldc := w + 1
+	ar := newArena(arenaRoom(5, 3*m*ldc+m*splits+splits*ldc), k.guardWord)
+	a, b := ar.slice(m*splits, 1), ar.slice(splits*ldc, 2)
+	x1, x2 := ar.slice(m*ldc, 3), ar.slice(m*ldc, 4)
+	lo := ar.next + guard + lane // where c starts
+	c := ar.slice(m*ldc, lane)
+	run := func() {
+		kern.product(c, ldc, a, splits, b, ldc, m, w, splits, lanes[T]()/2, Pre[T]{X1: x1, X2: x2, A1: 1, A2: 2})
+	}
+	what := fmt.Sprintf("product lane=%d w=%d", lane, w)
+	ownedBySomeoneElse(t, what+", the word before c[0]", &ar.buf[lo-1], run)
+	ownedBySomeoneElse(t, what+", the word after row 0", &c[w], run)
+	ownedBySomeoneElse(t, what+", the word after the last row", &c[(m-1)*ldc+w], run)
+}
+
+// TestProductMatchesGoBitForBit holds every body's products, in both
+// algebras, to the Go loops: every m in 0…9 (whole tiles of four rows and
+// every leftover), every w in 0…maxLen (whole pairs of vectors and every
+// column tail), every k in 0…17, with and without pre-streams (k = 0 with
+// them is the pre-streams alone), c's first cell at any lane, padded strides
+// with guard words between the rows of c (and of a, b, x1 and x2), so that a
+// store outside a row of c shows. Half the cases skip nothing (diag far left)
+// and draw their operands from the specials — NaN, ±Inf, the forbidden
+// sentinel -1e30, signed zeros — a third of the time; the other half take
+// diag in [-40, 40] with ⊕'s identity in b below it, and ordinary c and a,
+// whose candidates through that identity leave c as it was, as the fills'
+// cells do (docs/ALGORITHM.md §9).
 func TestProductMatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
 		t.Run(impl, func(t *testing.T) {
-			product := BodyOf(impl).Product
-			rng := rand.New(rand.NewSource(40))
-			for m := 0; m <= 9; m++ {
-				for w := 0; w <= maxLen; w++ {
-					for k := 0; k <= 17; k++ {
-						ldc, lda, ldb := w+rng.Intn(3), k+rng.Intn(3), w+rng.Intn(3)
-						p := newPair(&maxPlus, 3, m*ldc+m*lda+k*ldb)
-						c, wc := p.slice(rng, m*ldc, rng.Intn(lanes[float32]()))
-						a, wa := p.slice(rng, m*lda, rng.Intn(lanes[float32]()))
-						b, wb := p.slice(rng, k*ldb, rng.Intn(lanes[float32]()))
-						padWith(c, ldc, w, maxPlus.guardWord)
-						padWith(wc, ldc, w, maxPlus.guardWord)
-						product(c, ldc, a, lda, b, ldb, m, w, k)
-						ProductGo(wc, ldc, wa, lda, wb, ldb, m, w, k)
-						p.check(t, fmt.Sprintf("m=%d w=%d k=%d ldc=%d lda=%d ldb=%d", m, w, k, ldc, lda, ldb))
+			productMatchesGo(t, &maxPlus, maxPlus.of(BodyOf(impl)))
+			productMatchesGo(t, &sumProduct, sumProduct.of(BodyOf(impl)))
+		})
+	}
+}
+
+func productMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+	rng := rand.New(rand.NewSource(40))
+	lane := func() int { return rng.Intn(lanes[T]()) }
+	for m := 0; m <= 9; m++ {
+		for w := 0; w <= maxLen; w++ {
+			for splits := 0; splits <= 17; splits++ {
+				ldc, lda, ldb := w+rng.Intn(3), splits+rng.Intn(3), w+rng.Intn(3)
+				p := newPair(k, 5, 3*m*ldc+m*lda+splits*ldb)
+				c, wc := p.slice(rng, m*ldc, lane())
+				a, wa := p.slice(rng, m*lda, lane())
+				b, wb := p.slice(rng, splits*ldb, lane())
+				var pre, wpre Pre[T]
+				if rng.Intn(2) == 0 {
+					pre.X1, wpre.X1 = p.slice(rng, m*ldc, lane())
+					pre.X2, wpre.X2 = p.slice(rng, m*ldc, lane())
+					pre.A1, pre.A2 = k.operand(rng), k.operand(rng)
+					wpre.A1, wpre.A2 = pre.A1, pre.A2
+				}
+				diag := math.MinInt32
+				if rng.Intn(2) == 0 {
+					diag = rng.Intn(81) - 40
+					for _, x := range [][2][]T{{c, wc}, {a, wa}} {
+						for i := range x[0] {
+							x[0][i] = k.ordinary(rng)
+							x[1][i] = x[0][i]
+						}
+					}
+					for s := 0; s < splits; s++ {
+						for j := 0; j < min(w, s+diag); j++ {
+							b[s*ldb+j], wb[s*ldb+j] = k.zero, k.zero
+						}
 					}
 				}
+				padWith(c, ldc, w, k.guardWord)
+				padWith(wc, ldc, w, k.guardWord)
+				kern.product(c, ldc, a, lda, b, ldb, m, w, splits, diag, pre)
+				k.goLoops.product(wc, ldc, wa, lda, wb, ldb, m, w, splits, diag, wpre)
+				p.check(t, fmt.Sprintf("%s m=%d w=%d k=%d diag=%d pre=%v ldc=%d lda=%d ldb=%d", k.name, m, w, splits, diag, pre.X1 != nil, ldc, lda, ldb))
 			}
-		})
+		}
 	}
 }
 
 // padWith writes guard into the cells of rows of width w, ld apart, past
 // their last column: a store into them shows as a changed guard word.
-func padWith(rows []float32, ld, w int, guard float32) {
+func padWith[T elem](rows []T, ld, w int, guard T) {
 	for i := range rows {
 		if i%ld >= w {
 			rows[i] = guard
@@ -811,84 +875,119 @@ func padWith(rows []float32, ld, w int, guard float32) {
 }
 
 // TestProductRejectsBadArguments: every argument that disagrees with the
-// others panics with words that name it, on every body, before a cell moves.
+// others panics with words that name it, on every body, in both algebras.
 func TestProductRejectsBadArguments(t *testing.T) {
-	const m, w, k = 5, 7, 3
-	c, a, b := make([]float32, m*w), make([]float32, m*k), make([]float32, k*w)
 	for _, impl := range Impls() {
-		product := BodyOf(impl).Product
-		for _, tc := range []struct {
-			want string
-			run  func()
-		}{
-			{"m -1, w 7: a negative dimension", func() { product(c, w, a, k, b, w, -1, w, k) }},
-			{"m 5, w -1: a negative dimension", func() { product(c, w, a, k, b, w, m, -1, k) }},
-			{"m 5, k -1: a negative dimension", func() { product(c, w, a, k, b, w, m, w, -1) }},
-			{"ldc 6 below w 7", func() { product(c, w-1, a, k, b, w, m, w, k) }},
-			{"lda 2 below k 3", func() { product(c, w, a, k-1, b, w, m, w, k) }},
-			{"ldb 6 below w 7", func() { product(c, w, a, k, b, w-1, m, w, k) }},
-			{"c[:34] short of 5 rows of 7 at stride 7", func() { product(c[:m*w-1], w, a, k, b, w, m, w, k) }},
-			{"a[:14] short of 5 rows of 3 at stride 3", func() { product(c, w, a[:m*k-1], k, b, w, m, w, k) }},
-			{"b[:20] short of 3 rows of 7 at stride 7", func() { product(c, w, a, k, b[:k*w-1], w, m, w, k) }},
-			{"c[:35] short of 5 rows of 7 at stride 8", func() { product(c, w+1, a, k, b, w, m, w, k) }},
-		} {
-			func() {
-				defer func() {
-					if msg, _ := recover().(string); msg != "maxplus: Product "+tc.want {
-						t.Errorf("%s: Product panicked with %q, want %q", impl, msg, "maxplus: Product "+tc.want)
-					}
-				}()
-				tc.run()
+		body := BodyOf(impl)
+		productRejectsBadArguments(t, impl, body.Product)
+		productRejectsBadArguments(t, impl+" sum-product", body.SumProductProduct)
+	}
+}
+
+func productRejectsBadArguments[T elem](t *testing.T, impl string, product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T])) {
+	const m, w, k = 5, 7, 3
+	c, a, b, x := make([]T, m*w), make([]T, m*k), make([]T, k*w), make([]T, m*w)
+	none := Pre[T]{}
+	for _, tc := range []struct {
+		want string
+		run  func()
+	}{
+		{"m -1, w 7: a negative dimension", func() { product(c, w, a, k, b, w, -1, w, k, 0, none) }},
+		{"m 5, w -1: a negative dimension", func() { product(c, w, a, k, b, w, m, -1, k, 0, none) }},
+		{"m 5, k -1: a negative dimension", func() { product(c, w, a, k, b, w, m, w, -1, 0, none) }},
+		{"ldc 6 below w 7", func() { product(c, w-1, a, k, b, w, m, w, k, 0, none) }},
+		{"lda 2 below k 3", func() { product(c, w, a, k-1, b, w, m, w, k, 0, none) }},
+		{"ldb 6 below w 7", func() { product(c, w, a, k, b, w-1, m, w, k, 0, none) }},
+		{"c[:34] short of 5 rows of 7 at stride 7", func() { product(c[:m*w-1], w, a, k, b, w, m, w, k, 0, none) }},
+		{"a[:14] short of 5 rows of 3 at stride 3", func() { product(c, w, a[:m*k-1], k, b, w, m, w, k, 0, none) }},
+		{"b[:20] short of 3 rows of 7 at stride 7", func() { product(c, w, a, k, b[:k*w-1], w, m, w, k, 0, none) }},
+		{"c[:35] short of 5 rows of 7 at stride 8", func() { product(c, w+1, a, k, b, w, m, w, k, 0, none) }},
+		{"x1[:34] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x[:m*w-1], X2: x}) }},
+		{"x2[:0] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, 0, 0, Pre[T]{X1: x}) }},
+		{"pre-streams from column 2, not 0", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x, X2: x, C0: 2}) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "maxplus: Product "+tc.want {
+					t.Errorf("%s: Product panicked with %q, want %q", impl, msg, "maxplus: Product "+tc.want)
+				}
 			}()
-		}
+			tc.run()
+		}()
 	}
 }
 
 // BenchmarkProduct times the block product on every body at the shapes its
-// two fills call it at, as one Product and as the row Sweeps it replaces (a =
-// the row itself, every stream from the tile's first column): the closure
-// fill's 64-row × 64-column tile taking k splits at the pitch of a 1024-nt
-// table, and the interaction fill's R0 block, 8 rows × 32 columns at the
-// pitch of a 128-column box. `go test -bench Product ./internal/maxplus`
-// reports both in Gcell/s, one ⊗ and one ⊕ a cell update.
+// fills call it at, as one Product and as the row Sweeps it replaces (a = the
+// row itself, every stream from the tile's first column): the closure fill's
+// 64-row × 64-column tile taking k splits at the pitch of a 1024-nt table,
+// and the interaction fill's R0 block at the pitch of a 128-column box — 8
+// rows × 32 float32 columns, or 8 × 16 float64 ones for partition — dense
+// (diag far left) or on the diagonal (diag = 1: split s reaches the columns
+// from s+1 up, and the product skips the vectors left of them). `go test
+// -bench Product ./internal/maxplus` reports useful-Gcell/s, the cell updates
+// through a cell right of b's diagonal a second, one ⊗ and one ⊕ each: a
+// skipped vector shows as a rate, not as work.
 func BenchmarkProduct(b *testing.B) {
-	for _, sh := range []struct {
-		name                  string
-		rows, width, pitch, k int
-	}{
-		{"tile", 64, 64, 1088, 448}, {"tile", 64, 64, 1088, 896},
-		{"r0", 8, 32, 128, 32}, {"r0", 8, 32, 128, 64}, {"r0", 8, 32, 128, 95},
+	const dense = math.MinInt32
+	for _, sh := range []productShape{
+		{"tile", 64, 64, 1088, 448, dense}, {"tile", 64, 64, 1088, 896, dense},
+		{"r0", 8, 32, 128, 31, dense}, {"r0", 8, 32, 128, 31, 1},
+		{"r0", 8, 32, 128, 64, dense}, {"r0", 8, 32, 128, 95, dense},
 	} {
-		rows, width, pitch, k := sh.rows, sh.width, sh.pitch, sh.k
-		// The tile is rows [0, rows) × columns [k, k+width); its splits read
-		// columns [0, k) of its rows and rows [1, k] below.
-		data := make([]float32, (k+rows+1)*pitch)
-		for i := range data {
-			data[i] = float32(i % 61)
+		benchmarkProduct(b, &maxPlus, sh)
+	}
+	for _, sh := range []productShape{{"r0", 8, 16, 128, 15, dense}, {"r0", 8, 16, 128, 15, 1}, {"r0", 8, 16, 128, 63, dense}} {
+		benchmarkProduct(b, &sumProduct, sh)
+	}
+}
+
+type productShape struct {
+	name                        string
+	rows, width, pitch, k, diag int
+}
+
+func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
+	rows, width, pitch, splits := sh.rows, sh.width, sh.pitch, sh.k
+	// The tile is rows [0, rows) × columns [k, k+width); its splits read
+	// columns [0, k) of its rows and rows [1, k] below.
+	data := make([]T, (splits+rows+1)*pitch)
+	for i := range data {
+		data[i] = T(i%61) / 64
+	}
+	off := make([]int, splits+rows+1)
+	for r := range off {
+		off[r] = r * pitch
+	}
+	useful := 0
+	for s := 0; s < splits; s++ {
+		useful += rows * (width - min(width, max(0, s+sh.diag)))
+	}
+	diag := "dense"
+	if sh.diag != math.MinInt32 {
+		diag = fmt.Sprintf("diag=%d", sh.diag)
+	}
+	for _, impl := range Impls() {
+		kern := k.of(BodyOf(impl))
+		rate := func(b *testing.B) {
+			b.ReportMetric(float64(useful)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "useful-Gcell/s")
 		}
-		off := make([]int, k+rows+1)
-		for r := range off {
-			off[r] = r * pitch
-		}
-		for _, impl := range Impls() {
-			body := BodyOf(impl)
-			cells := func(b *testing.B) {
-				b.ReportMetric(float64(rows*width*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "Gcell/s")
+		b.Run(fmt.Sprintf("product/%s/%s/%s/%dx%d/k=%d/%s", k.name[:strings.IndexByte(k.name, ' ')], sh.name, impl, rows, width, splits, diag), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kern.product(data[splits:], pitch, data, pitch, data[pitch+splits:], pitch, rows, width, splits, sh.diag, Pre[T]{})
 			}
-			b.Run(fmt.Sprintf("product/%s/%s/k=%d", sh.name, impl, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					body.Product(data[k:], pitch, data, pitch, data[pitch+k:], pitch, rows, width, k)
-				}
-				cells(b)
-			})
-			b.Run(fmt.Sprintf("sweep/%s/%s/k=%d", sh.name, impl, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rows; r++ {
-						body.Sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, k, k, k+width, Pre[float32]{})
-					}
-				}
-				cells(b)
-			})
+			rate(b)
+		})
+		if sh.diag != math.MinInt32 {
+			continue // the sweeps take every split: the dense row is theirs
 		}
+		b.Run(fmt.Sprintf("sweep/%s/%s/%s/%dx%d/k=%d", k.name[:strings.IndexByte(k.name, ' ')], sh.name, impl, rows, width, splits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					kern.sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, splits, splits, splits+width, Pre[T]{})
+				}
+			}
+			rate(b)
+		})
 	}
 }

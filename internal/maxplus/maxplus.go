@@ -78,7 +78,9 @@ type Body struct {
 	SumProductEach  func(y, x, w []float64)
 	MulScalarInto   func(dst, x []float64, a float64)
 	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64])
-	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int)
+	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k, diag int, pre Pre[float32])
+	// SumProductProduct is Product in the (+, ×) algebra over float64.
+	SumProductProduct func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k, diag int, pre Pre[float64])
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -108,31 +110,34 @@ var bodies = [...]Body{
 		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
 			sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
 		},
-		Product: productOf(nil),
+		Product:           productOf(ProductGo, nil),
+		SumProductProduct: productOf(SumProductProductGo, nil),
 	},
 	isaAVX2: {
-		Impl:            "avx2",
-		Accumulate:      accumulate2,
-		AccumEach:       vectorEach(accumEachAVX2),
-		AddScalarInto:   addScalarInto2,
-		Sweep:           sweep2,
-		SumProduct:      sumProduct2,
-		SumProductEach:  vectorEach(sumProductEachAVX2),
-		MulScalarInto:   mulScalarInto2,
-		SumProductSweep: sumProductSweep2,
-		Product:         productOf(productAVX2),
+		Impl:              "avx2",
+		Accumulate:        accumulate2,
+		AccumEach:         vectorEach(accumEachAVX2),
+		AddScalarInto:     addScalarInto2,
+		Sweep:             sweep2,
+		SumProduct:        sumProduct2,
+		SumProductEach:    vectorEach(sumProductEachAVX2),
+		MulScalarInto:     mulScalarInto2,
+		SumProductSweep:   sumProductSweep2,
+		Product:           productOf(ProductGo, productAVX2),
+		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX2),
 	},
 	isaAVX512: {
-		Impl:            "avx512",
-		Accumulate:      accumulate512,
-		AccumEach:       vectorEach(accumEachAVX512),
-		AddScalarInto:   addScalarInto512,
-		Sweep:           sweep512,
-		SumProduct:      sumProduct512,
-		SumProductEach:  vectorEach(sumProductEachAVX512),
-		MulScalarInto:   mulScalarInto512,
-		SumProductSweep: sumProductSweep512,
-		Product:         productOf(productAVX512),
+		Impl:              "avx512",
+		Accumulate:        accumulate512,
+		AccumEach:         vectorEach(accumEachAVX512),
+		AddScalarInto:     addScalarInto512,
+		Sweep:             sweep512,
+		SumProduct:        sumProduct512,
+		SumProductEach:    vectorEach(sumProductEachAVX512),
+		MulScalarInto:     mulScalarInto512,
+		SumProductSweep:   sumProductSweep512,
+		Product:           productOf(ProductGo, productAVX512),
+		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX512),
 	},
 }
 
@@ -343,20 +348,26 @@ func mulScalarInto512(dst, x []float64, a float64) {
 	}
 }
 
-// productOf binds a body of Body.Product, c[r*ldc+j] = max(c[r*ldc+j],
-// a[r*lda+s] + b[s*ldb+j]) over s in [0, k) ascending for every r < m, j < w:
-// vec, a register tile of 4 rows × 2 vectors, or ProductGo where vec is nil,
-// behind checks whose panic names the argument found bad. The checks compare
-// integers alone; the names and the message are built only for a panic.
-func productOf(vec func(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k int)) func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
-	return func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
-		if !operandOK(len(c), ldc, m, w) || !operandOK(len(a), lda, m, k) || !operandOK(len(b), ldb, k, w) {
-			panicProduct(len(c), ldc, len(a), lda, len(b), ldb, m, w, k)
+// productOf binds a body of Body.Product or Body.SumProductProduct
+// (semiring.Kernels.Product): vec, a register tile of 4 rows × 2 vectors, or
+// goLoops where vec is nil, behind checks whose panic names the argument
+// found bad. The checks compare integers alone; the names and the message are
+// built only for a panic.
+func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]),
+	vec func(c *T, ldc int, a *T, lda int, b *T, ldb int, m, w, k, diag int, x1 *T, a1 T, x2 *T, a2 T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+		x1, x2 := len(pre.X1), len(pre.X2)
+		if pre.X1 == nil {
+			x1, x2 = len(c), len(c)
 		}
-		if m > 0 && w > 0 && k > 0 && vec != nil {
-			vec(&c[0], ldc, &a[0], lda, &b[0], ldb, m, w, k)
-		} else if vec == nil {
-			ProductGo(c, ldc, a, lda, b, ldb, m, w, k)
+		if !operandOK(len(c), ldc, m, w) || !operandOK(len(a), lda, m, k) || !operandOK(len(b), ldb, k, w) ||
+			!operandOK(x1, ldc, m, w) || !operandOK(x2, ldc, m, w) || pre.C0 != 0 {
+			panicProduct(len(c), ldc, len(a), lda, len(b), ldb, m, w, k, x1, x2, pre.C0)
+		}
+		if vec == nil {
+			goLoops(c, ldc, a, lda, b, ldb, m, w, k, diag, pre)
+		} else if m > 0 && w > 0 && (k > 0 || pre.X1 != nil) {
+			vec(&c[0], ldc, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, m, w, k, max(diag, -k), unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2)
 		}
 	}
 }
@@ -368,21 +379,24 @@ func operandOK(size, ld, rows, width int) bool {
 }
 
 // panicProduct panics naming the first operand of a product, in the order
-// c, a, b, that operandOK rejects, and the check it fails.
-func panicProduct(clen, ldc, alen, lda, blen, ldb, m, w, k int) {
+// c, a, b, x1, x2, that operandOK rejects, and the check it fails, or else
+// the pre-streams' first column.
+func panicProduct(clen, ldc, alen, lda, blen, ldb, m, w, k, x1len, x2len, c0 int) {
 	for _, d := range [...]struct {
-		names                 string // the operand's, its rows' and its width's
+		x, r, wd              string // the operand's, its rows' and its width's names
 		size, ld, rows, width int
-	}{{"cmw", clen, ldc, m, w}, {"amk", alen, lda, m, k}, {"bkw", blen, ldb, k, w}} {
-		switch x, r, wd := d.names[:1], d.names[1:2], d.names[2:]; {
+	}{{"c", "m", "w", clen, ldc, m, w}, {"a", "m", "k", alen, lda, m, k}, {"b", "k", "w", blen, ldb, k, w},
+		{"x1", "m", "w", x1len, ldc, m, w}, {"x2", "m", "w", x2len, ldc, m, w}} {
+		switch {
 		case d.rows < 0 || d.width < 0:
-			panic(fmt.Sprintf("maxplus: Product %s %d, %s %d: a negative dimension", r, d.rows, wd, d.width))
+			panic(fmt.Sprintf("maxplus: Product %s %d, %s %d: a negative dimension", d.r, d.rows, d.wd, d.width))
 		case d.ld < d.width:
-			panic(fmt.Sprintf("maxplus: Product ld%s %d below %s %d", x, d.ld, wd, d.width))
+			panic(fmt.Sprintf("maxplus: Product ld%s %d below %s %d", d.x, d.ld, d.wd, d.width))
 		case d.rows > 0 && d.width > 0 && (d.rows-1)*d.ld+d.width > d.size:
-			panic(fmt.Sprintf("maxplus: Product %s[:%d] short of %d rows of %d at stride %d", x, d.size, d.rows, d.width, d.ld))
+			panic(fmt.Sprintf("maxplus: Product %s[:%d] short of %d rows of %d at stride %d", d.x, d.size, d.rows, d.width, d.ld))
 		}
 	}
+	panic(fmt.Sprintf("maxplus: Product pre-streams from column %d, not 0", c0))
 }
 
 // DotMaxPlusStride computes max_i (a[i] + b[i*stride]), the column-gather

@@ -112,15 +112,30 @@ func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]
 	}
 }
 
-// ProductGo is Product's portable body and its oracle: one AccumulateGo
-// stream a (row, split), s ascending.
-func ProductGo(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k int) {
-	for r := 0; r < m; r++ {
-		for s := 0; s < k; s++ {
-			AccumulateGo(c[r*ldc:r*ldc+w], b[s*ldb:s*ldb+w], a[r*lda+s])
+// ProductOver builds a Product from a stream: pre's two a row, then one a
+// (row, split), s ascending; it ignores diag (skipped candidates change no
+// cell). It is the vector bodies' oracle and the Go bundles' Product.
+func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+		for r := 0; r < m; r++ {
+			y := c[r*ldc : r*ldc+w]
+			if pre.X1 != nil {
+				acc(y, pre.X1[r*ldc:r*ldc+w], pre.A1)
+				acc(y, pre.X2[r*ldc:r*ldc+w], pre.A2)
+			}
+			for s := 0; s < k; s++ {
+				acc(y, b[s*ldb:s*ldb+w], a[r*lda+s])
+			}
 		}
 	}
 }
+
+// ProductGo and SumProductProductGo are the portable bodies of Product and
+// SumProductProduct.
+var (
+	ProductGo           = ProductOver(AccumulateGo)
+	SumProductProductGo = ProductOver(SumProductGo)
+)
 
 // The float64 sum-product loops. The product is written float64(a * x[i]): an
 // explicit conversion rounds, so no build — arm64, GOAMD64=v3 — may fuse it

@@ -1,3 +1,5 @@
+// The skeletons of the sweep and (PRODUCT, at the end) of the block product.
+//
 // The sweep skeleton: the fused k2 loop Sweep and SumProductSweep run, in
 // terms of a block of four vector registers. avx2_amd64.s binds it to four
 // ymm registers (a 128-byte block) and avx512_amd64.s to four zmm registers
@@ -266,3 +268,186 @@ next: \
 	SHRQ     $ESHIFT, AX; \
 	CMPQ     AX, BX; \
 	JLT      block
+
+// The block product skeleton: Product and SumProductProduct,
+//
+//	c[r][j] = c[r][j] ⊕ x1[r][j] ⊗ a1, then ⊕ x2[r][j] ⊗ a2   (x1 not nil)
+//	c[r][j] = c[r][j] ⊕ a[r][s] ⊗ b[s][j]   for s = 0, 1, ..., k-1
+//
+// for r in [0, m) and j in [0, w), over rows of c, x1 and x2 ldc elements
+// apart, of a lda and of b ldb, on a register tile of four rows × two vectors
+// of c held across the pre-streams and the whole split loop: a split costs
+// two loads of b and four broadcasts of a for eight ⊗ and eight ⊕, each b
+// vector serving four rows, and every cell takes x1, x2, then its splits in
+// ascending s, as in the Go loops. b holds ⊕'s identity at b[s][j] for j <
+// s+diag, so the pair of vectors at column col takes the splits below p1 =
+// clamp(col+LANES-diag, 0, k) with both vectors and those below p2 =
+// clamp(col+2·LANES-diag, 0, k) with the second alone: the candidates of the
+// rest leave every cell as it was (docs/ALGORITHM.md §9). Rows past the last
+// four go one at a time, as a tile whose four rows are all that row: the four
+// compute and store the same bits.
+//
+// Registers: c in DI and a in SI, at the current group of rows, and b in BX;
+// the byte strides ldb in R9, ldc in R12 and lda in R13, and between the
+// tile's rows ldc in R10, lda in R8 and 3·lda in CX (all 0 in a group of one
+// row); the rows left in R11, the column in AX. x1 and x2 are kept in their
+// argument slots as byte offsets from c, 0 for none. A tile has c's cells at
+// R14 and 3·R10 in R15; then its split loop walks a in R14 and b in R15 and
+// counts in DX, the splits of both vectors in the low half and those of the
+// second alone in the high half.
+//
+// A binding supplies ESIZE, ESHIFT, LANES, VSPLAT, VTIMES and VPLUS as for
+// the sweep, and: the tile P0-P7 (row r, vector v in P(2r+v)), b's vectors
+// B1-B2, a's broadcasts S0-S3 (each used right after its load), the
+// candidates C1-C2 and VBYTES, a vector's bytes; PAIRS, the loop over the
+// pairs of a group of rows from AX = 0 that runs PTILE on each, with the
+// pair's moves MV(m, mem, reg) — loads or stores under the column masks M1
+// and M2, or whole.
+
+// PMOVES moves the tile's eight vectors at R14 by MV.
+#define PMOVES(MV) \
+	MV(M1, (R14), P0); \
+	MV(M2, VBYTES(R14), P1); \
+	MV(M1, (R14)(R10*1), P2); \
+	MV(M2, VBYTES(R14)(R10*1), P3); \
+	MV(M1, (R14)(R10*2), P4); \
+	MV(M2, VBYTES(R14)(R10*2), P5); \
+	MV(M1, (R14)(R15*1), P6); \
+	MV(M2, VBYTES(R14)(R15*1), P7)
+
+// PCAND takes one row's two candidates, the broadcast s ⊗ B1 and B2, into its
+// tile vectors lo and hi, the candidate as ⊕'s first source; PCAND2 the
+// second alone.
+#define PCAND(s, lo, hi) \
+	VTIMES B1, s, C1; \
+	VTIMES B2, s, C2; \
+	VPLUS  lo, C1, lo; \
+	VPLUS  hi, C2, hi
+
+#define PCAND2(s, lo, hi) \
+	VTIMES B2, s, C2; \
+	VPLUS  hi, C2, hi
+
+// PRE applies the pre-stream at byte offset x from c, ⊗ a, to the tile.
+#define PROW(LD, mem1, mem2, lo, hi) \
+	LD(M1, mem1, B1); \
+	LD(M2, mem2, B2); \
+	PCAND(S0, lo, hi)
+
+#define PRE(LD, x, a) \
+	MOVQ   x, DX; \
+	ADDQ   R14, DX; \
+	VSPLAT a, S0; \
+	PROW(LD, (DX), VBYTES(DX), P0, P1); \
+	PROW(LD, (DX)(R10*1), VBYTES(DX)(R10*1), P2, P3); \
+	PROW(LD, (DX)(R10*2), VBYTES(DX)(R10*2), P4, P5); \
+	PROW(LD, (DX)(R15*1), VBYTES(DX)(R15*1), P6, P7)
+
+// PSPLIT is one split of the tile after b's row at R15 is loaded: a's four
+// at R14, each by CAND.
+#define PSPLIT(CAND) \
+	VSPLAT (R14), S0; \
+	CAND(S0, P0, P1); \
+	VSPLAT (R14)(R8*1), S1; \
+	CAND(S1, P2, P3); \
+	VSPLAT (R14)(R8*2), S2; \
+	CAND(S2, P4, P5); \
+	VSPLAT (R14)(CX*1), S3; \
+	CAND(S3, P6, P7); \
+	ADDQ   $ESIZE, R14; \
+	ADDQ   R9, R15
+
+// PTILE runs the pair at AX, moving c, x1, x2 and b by LD and ST; the other
+// arguments are its labels.
+#define PTILE(LD, ST, nopre, both, second, only2, stored) \
+	LEAQ    (DI)(AX*ESIZE), R14; \
+	LEAQ    (R10)(R10*2), R15; \
+	PMOVES(LD); \
+	CMPQ    x1+80(FP), $0; \
+	JEQ     nopre; \
+	PRE(LD, x1+80(FP), a1+88(FP)); \
+	PRE(LD, x2+96(FP), a2+104(FP)); \
+nopre: \
+	MOVQ    AX, R14; \
+	SUBQ    diag+72(FP), R14; \
+	ADDQ    $LANES, R14; \
+	LEAQ    LANES(R14), R15; \
+	XORQ    DX, DX; \
+	CMPQ    R14, DX; \
+	CMOVQLT DX, R14; \
+	CMPQ    R15, DX; \
+	CMOVQLT DX, R15; \
+	CMPQ    R14, k+64(FP); \
+	CMOVQGT k+64(FP), R14; \
+	CMPQ    R15, k+64(FP); \
+	CMOVQGT k+64(FP), R15; \
+	SUBQ    R14, R15; \
+	SHLQ    $32, R15; \
+	LEAQ    (R15)(R14*1), DX; \
+	MOVQ    SI, R14; \
+	LEAQ    (BX)(AX*ESIZE), R15; \
+	TESTL   DX, DX; \
+	JZ      second; \
+both: \
+	LD(M1, (R15), B1); \
+	LD(M2, VBYTES(R15), B2); \
+	PSPLIT(PCAND); \
+	DECQ    DX; \
+	TESTL   DX, DX; \
+	JNZ     both; \
+second: \
+	SHRQ    $32, DX; \
+	JZ      stored; \
+only2: \
+	LD(M2, VBYTES(R15), B2); \
+	PSPLIT(PCAND2); \
+	DECQ    DX; \
+	JNZ     only2; \
+stored: \
+	LEAQ    (DI)(AX*ESIZE), R14; \
+	LEAQ    (R10)(R10*2), R15; \
+	PMOVES(ST)
+
+// PRODUCT is the body of a product TEXT: the groups of four rows, then the
+// rows left one at a time.
+#define PRODUCT \
+	MOVQ  c+0(FP), DI; \
+	MOVQ  a+16(FP), SI; \
+	MOVQ  b+32(FP), BX; \
+	MOVQ  ldc+8(FP), R12; \
+	SHLQ  $ESHIFT, R12; \
+	MOVQ  lda+24(FP), R13; \
+	SHLQ  $ESHIFT, R13; \
+	MOVQ  ldb+40(FP), R9; \
+	SHLQ  $ESHIFT, R9; \
+	MOVQ  m+48(FP), R11; \
+	MOVQ  R12, R10; \
+	MOVQ  R13, R8; \
+	LEAQ  (R8)(R8*2), CX; \
+	CMPQ  x1+80(FP), $0; \
+	JEQ   prows; \
+	SUBQ  DI, x1+80(FP); \
+	SUBQ  DI, x2+96(FP); \
+prows: \
+	CMPQ  R11, $4; \
+	JGE   pgroup; \
+	TESTQ R11, R11; \
+	JZ    pdone; \
+	XORQ  R10, R10; \
+	XORQ  R8, R8; \
+	XORQ  CX, CX; \
+pgroup: \
+	XORQ  AX, AX; \
+	PAIRS; \
+	TESTQ R10, R10; \
+	JZ    pone; \
+	LEAQ  (DI)(R10*4), DI; \
+	LEAQ  (SI)(R8*4), SI; \
+	SUBQ  $4, R11; \
+	JMP   prows; \
+pone: \
+	ADDQ  R12, DI; \
+	ADDQ  R13, SI; \
+	DECQ  R11; \
+	JMP   prows; \
+pdone:

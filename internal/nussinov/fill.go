@@ -133,7 +133,8 @@ func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int,
 // fillTile fills tile (b, b+d) of the block grid, rows bottom-up, each by
 // fillRow restricted to the tile's columns, polling ctx before each row. A
 // closure tile at d ≥ 2 first takes its cross-tile splits [mid, c0) as one
-// Product onto its cells set to Zero (about 0.1 ms, between two polls).
+// Product onto its cells set to Zero (about 0.1 ms, between two polls); every
+// split reaches every column of the tile, so its diag, mid+1-c0, skips none.
 func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
 	r0, c0 := b*tile, (b+d)*tile
 	c1, mid := min(c0+tile, n), c0
@@ -142,7 +143,7 @@ func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, 
 		for i := r0; i < mid; i++ {
 			copy(data[i*p+c0:i*p+c1], cl.zero)
 		}
-		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid)
+		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{})
 	}
 	// Row n-1 has no row below it and nothing right of its diagonal.
 	for i := min(r0+tile, n-1) - 1; i >= r0; i-- {

@@ -61,11 +61,16 @@ type Kernels[T Scalar] struct {
 	Sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T])
 	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
 	MulInto func(dst, x []T, a T)
-	// Product is Sweep's k2 loop for m rows that all take every split:
-	// c[r*ldc+j] ⊕= ⊕_s a[r*lda+s] ⊗ b[s*ldb+j], s in [0, k) ascending, c apart
-	// from a and b; a 4-row × 2-vector register tile in the max-plus vector
-	// bundles, one Accum a (row, split) elsewhere (docs/ALGORITHM.md §9).
-	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int)
+	// Product is Sweep's k2 loop for m rows that all take every split, after
+	// pre's two streams at c's stride (pre.C0 0; the zero Pre is none):
+	// c[r*ldc+j] ⊕= X1[r*ldc+j] ⊗ A1, ⊕= X2[r*ldc+j] ⊗ A2, then ⊕= a[r*lda+s] ⊗
+	// b[s*ldb+j] for s in [0, k) ascending (k = 0: the pre-streams alone), for
+	// r < m, j < w, c apart from the rest. b holds Zero at every j < s+diag, so
+	// a vector body may skip the vectors whose columns all lie there (the Go
+	// loops compute them: they change no cell, docs/ALGORITHM.md §9). A 4-row ×
+	// 2-vector register tile in the vector bundles, one Accum a (row, split)
+	// elsewhere.
+	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre maxplus.Pre[T])
 }
 
 // The bundles whose Sweep is a closure over their Accum are built once here:
@@ -91,17 +96,6 @@ func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k
 		for k2 := k0; k2 < k1; k2++ {
 			o, lo := off[k2+1], max(k2+1, from)
 			acc(y[lo:n], b[o+lo:o+n], a[k2])
-		}
-	}
-}
-
-// productOver builds a bundle's Product from its Accum, one call a (row, split).
-func productOver[T Scalar](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int) {
-	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k int) {
-		for r := 0; r < m; r++ {
-			for s := 0; s < k; s++ {
-				acc(c[r*ldc:r*ldc+w], b[s*ldb:s*ldb+w], a[r*lda+s])
-			}
 		}
 	}
 }
@@ -175,7 +169,7 @@ func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []floa
 		AccumEach: maxplus.AccumEachGo,
 		Sweep:     sweep,
 		MulInto:   maxplus.AddScalarIntoGo,
-		Product:   productOver(acc),
+		Product:   maxplus.ProductOver(acc),
 	}
 }
 
@@ -224,7 +218,7 @@ func newLogSumExp() Kernels[float64] {
 		Accum:     accum,
 		AccumEach: accumEachOver(lse, add),
 		Sweep:     sweepOver(accum),
-		Product:   productOver(accum),
+		Product:   maxplus.ProductOver(accum),
 		MulInto: func(dst, x []float64, a float64) {
 			n := len(dst)
 			if len(x) < n {
@@ -259,15 +253,14 @@ func SumProductKernels() Kernels[float64] { return SumProductKernelsOf(maxplus.I
 // SumProductKernelsOf returns the sum-product kernel set on the named body of
 // package maxplus, one of maxplus.Impls; "go" is the portable Go loops, the
 // oracle the vector bodies are tested against. As with MaxPlusKernelsOf, a
-// body other than the process's is for the parity tests. Product stays the
-// Go loops' (the same bits; no closure built a call).
+// body other than the process's is for the parity tests.
 func SumProductKernelsOf(impl string) Kernels[float64] {
 	k := sumProductGo
 	if impl == "go" {
 		return k
 	}
 	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto = b.Impl, b.SumProduct, b.SumProductEach, b.SumProductSweep, b.MulScalarInto
+	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto, k.Product = b.Impl, b.SumProduct, b.SumProductEach, b.SumProductSweep, b.MulScalarInto, b.SumProductProduct
 	return k
 }
 
@@ -282,6 +275,6 @@ func newSumProductGo() Kernels[float64] {
 		AccumEach: maxplus.SumProductEachGo,
 		Sweep:     maxplus.SumProductSweepGo,
 		MulInto:   maxplus.MulScalarIntoGo,
-		Product:   productOver(maxplus.SumProductGo),
+		Product:   maxplus.SumProductProductGo,
 	}
 }
