@@ -117,8 +117,10 @@ run_lint() (
         exit 1
     fi
     # Finalize's R2 goes through Sweep in both of its forms: the closure, one
-    # sweep a row from a copy of the row against an R2 table — S² itself for
-    # exact max-plus, strand 2's star table Ŝ for partition — and the forward
+    # sweep a row against an R2 table — S² itself for exact max-plus, strand
+    # 2's star table Ŝ for partition — from a copy of the row into the row, or,
+    # where R0 skips dominated splits, reading the row into a row of Zero that
+    # the merge kernel folds back (recording the live splits); and the forward
     # substitution (fractional-weight max-plus), which pushes a row's cells to
     # the columns right of them a chunk at a time. One Accumulate call per
     # finalized cell, each waiting on the last, is the R2 chain growing back.
@@ -193,6 +195,29 @@ run_lint() (
         echo "lint: s.sweep( in r0Blocks, or r0Blocks not found (R4 and R3 are the block product's pre-streams)" >&2
         exit 1
     }
+    # R0's products skip the splits R2 dominates only in r0Blocks, whose
+    # bit-sets tileLive builds from finalize's live words: every other product
+    # (R1, the substrate's tiles) passes live = nil, every split. A non-nil
+    # live elsewhere drops splits no proof covers. Anchored on r0Blocks.
+    awk '/^func \(s \*gsolver\[T\]\) r0Blocks\(/ { in_fn = 1; found = 1 }
+         /\.Product\(/ && !in_fn && !/, nil\)$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         in_fn && /^}/ { in_fn = 0 }
+         END { if (!found) { print "lint: anchor func (s *gsolver[T]) r0Blocks( not found"; exit 1 }
+               exit bad }' internal/bpmax/triangle.go internal/nussinov/fill.go >&2 || {
+        echo "lint: a product outside r0Blocks passes live bit-sets, or r0Blocks not found (only R0 skips dominated splits)" >&2
+        exit 1
+    }
+    # The merge kernel folds R2's row into the row and records the live
+    # splits; finalize's closure is its one caller. Called anywhere else, the
+    # live words stop being the ones the proof covers.
+    if grep -n 's\.merge(' $(ls internal/bpmax/*.go | grep -v '_test\.go$') | grep -v '^internal/bpmax/triangle\.go:' ||
+        ! awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = 1 }
+               /s\.merge\(/ { n++; if (!in_fn) bad = 1 }
+               in_fn && /^}/ { in_fn = 0 }
+               END { exit bad || n != 1 }' internal/bpmax/triangle.go; then
+        echo "lint: the merge kernel called outside finalize (it records the live splits R0 skips by)" >&2
+        exit 1
+    fi
     # The pairing term is a stream in both float algebras: the sum-product
     # bundles bind maxplus's SumProductEach (its Go loop, or the vector body
     # SumProductKernelsOf takes from the Body), and accumEachOver — two

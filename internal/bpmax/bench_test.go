@@ -6,6 +6,7 @@ package bpmax
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -104,4 +105,30 @@ func BenchmarkSolveSteadyState(b *testing.B) {
 			cycle(b, pl, cfg)
 		}
 	})
+}
+
+// BenchmarkFillShapes times the pooled one-worker hybrid-tiled max-plus fill
+// at the shapes the masked R0 was measured at (docs/PERFORMANCE.md,
+// "Dominated splits"): fold's 16×128, serve's 8×48 misses, and the shapes
+// between. `go test -bench FillShapes ./internal/bpmax` on the parent and the
+// change, interleaved, gives the ratio per shape.
+func BenchmarkFillShapes(b *testing.B) {
+	for _, sh := range [][2]int{{16, 128}, {8, 48}, {8, 64}, {16, 64}, {8, 96}, {8, 128}} {
+		rng := rand.New(rand.NewSource(int64(sh[0]*1000 + sh[1])))
+		p, err := NewProblem(rna.Random(rng, sh[0]), rna.Random(rng, sh[1]), score.DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl := NewPool()
+		cfg := Config{Workers: 1, Pool: pl}
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ft, err := SolveContext(context.Background(), p, VariantHybridTiled, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ft.Release()
+			}
+		})
+	}
 }

@@ -142,9 +142,11 @@ func scaledFill(t *testing.T, ctx context.Context, p *Problem, ps *PartitionSub,
 
 // TestBoxBlocksHoldZeroBelowDiagonal: after a max-plus or scaled partition
 // fill on the box map, on the block products or the sweeps, every cell of
-// every block below its diagonal holds Zero, bit for bit — -1e30, or the
-// partition's +0 — the cells a product reads through and writes into, whose
-// candidates must leave every cell as it was.
+// every block in its padding — below the diagonal, from the column padFrom
+// names on — holds Zero, bit for bit — -1e30, or the partition's +0 — the
+// cells a product reads through and writes into, whose candidates must leave
+// every cell as it was. A fill on the Go loops takes no products and pads
+// nothing.
 func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 	p := newTestProblem(t, 41, 4, 37)
 	for _, impl := range maxplus.Impls() {
@@ -153,24 +155,35 @@ func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 			cfg.Workers = 2
 			cfg.SetKernels(impl)
 			ft := Solve(p, bc.v, cfg)
-			zeroBelowDiagonal(t, p, ft.data, semiring.NegInf, impl+"/"+bc.name)
+			zeroInPadding(t, p, ft.data, semiring.NegInf, padding(cfg, impl, 32), impl+"/"+bc.name)
 			for _, kT := range []float64{1, 0.3} {
 				pt := scaledFill(t, context.Background(), p, buildTestPartitionSub(t, p, kT), bc.v, cfg)
-				zeroBelowDiagonal(t, p, pt.data, 0, fmt.Sprintf("%s/%s/partition kT=%v", impl, bc.name, kT))
+				zeroInPadding(t, p, pt.data, 0, padding(cfg, impl, 16), fmt.Sprintf("%s/%s/partition kT=%v", impl, bc.name, kT))
 			}
 		}
 	}
 }
 
-// zeroBelowDiagonal fails unless every box-map block of data holds zero's
-// bits below its diagonal.
-func zeroBelowDiagonal[T float32 | float64](t *testing.T, p *Problem, data []T, zero T, label string) {
+// padding returns the first padded column of each row of a box-map fill
+// under cfg on the named body, whose products take cols columns a tile: the
+// diagonal itself (no padding) on the Go loops.
+func padding(cfg Config, impl string, cols int) func(i2 int) int {
+	if impl == "go" {
+		return func(i2 int) int { return i2 }
+	}
+	tile := cfg.withDefaults().TileI2
+	return func(i2 int) int { return padFrom(i2, tile, cols) }
+}
+
+// zeroInPadding fails unless every box-map block of data holds zero's bits
+// in the cells [from(i2), i2) of each row i2.
+func zeroInPadding[T float32 | float64](t *testing.T, p *Problem, data []T, zero T, from func(i2 int) int, label string) {
 	t.Helper()
 	for b := 0; b < len(data)/(p.N2*p.N2); b++ {
 		for i2 := 0; i2 < p.N2; i2++ {
-			for j2 := 0; j2 < i2; j2++ {
+			for j2 := from(i2); j2 < i2; j2++ {
 				if v := data[(b*p.N2+i2)*p.N2+j2]; math.Float64bits(float64(v)) != math.Float64bits(float64(zero)) {
-					t.Fatalf("%s: block %d cell (%d,%d) below the diagonal holds %v, want %v", label, b, i2, j2, v, zero)
+					t.Fatalf("%s: block %d cell (%d,%d) in the padding holds %v, want %v", label, b, i2, j2, v, zero)
 				}
 			}
 		}
@@ -178,10 +191,13 @@ func zeroBelowDiagonal[T float32 | float64](t *testing.T, p *Problem, data []T, 
 }
 
 // TestBlockProductsReadNoCellBeforeItsSeed refills a table whose storage
-// holds NaN — a recycled buffer that skipped its clear — and must leave the
-// table a fill into zeroed storage leaves, every cell below the diagonals
-// included: a product or a stream that read a cell before initRow wrote it
-// would carry the NaN into a max or a sum. The pooled fills take their
+// holds poison — a recycled buffer that skipped its clear — and must leave the
+// table a fill into zeroed storage leaves, in every cell on and right of each
+// row's padding (cells left of it are never written nor read): a product or a
+// stream that read a cell before initRow wrote it would carry the poison into
+// a max or a sum. The max-plus poison is +1e30, which wins any max (a NaN
+// candidate loses every VMAXPS and Go `>`, so it could not show); the
+// partition's is NaN, which survives any sum. The pooled fills take their
 // storage unzeroed where they write every cell first (newGSolver): a table
 // poisoned and released must come back, as the next fill's storage, to the
 // same bits, in both algebras and every variant that seeds through initRow.
@@ -196,6 +212,7 @@ func TestBlockProductsReadNoCellBeforeItsSeed(t *testing.T) {
 				cfg := bc.cfg
 				cfg.Workers = workers
 				label := fmt.Sprintf("n2=%d %s workers=%d", n2, bc.name, workers)
+				from, from64 := padding(cfg, maxplus.Impl(), 32), padding(cfg, maxplus.Impl(), 16)
 				want := Solve(p, bc.v, cfg)
 				s := newSolver(p, cfg, p.N1, p.N2)
 				poison(s.f.data)
@@ -203,15 +220,15 @@ func TestBlockProductsReadNoCellBeforeItsSeed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, want.data, got.data, label+": the poisoned table")
+				samePadded(t, p, from, want.data, got.data, label+": the poisoned table")
 				cfg.Pool = pl
-				sameBits(t, want.data, refillPoisoned(t, cfg, func() (*FTableOf[float32], error) {
+				samePadded(t, p, from, want.data, refillPoisoned(t, cfg, func() (*FTableOf[float32], error) {
 					return SolveContext(ctx, p, bc.v, cfg)
 				}), label+": the poisoned pooled table")
 				cfg.Pool = nil
 				wantZ := scaledFill(t, ctx, p, ps, bc.v, cfg)
 				cfg.Pool = pl
-				sameBits(t, wantZ.data, refillPoisoned(t, cfg, func() (*FTableOf[float64], error) {
+				samePadded(t, p, from64, wantZ.data, refillPoisoned(t, cfg, func() (*FTableOf[float64], error) {
 					return SolvePartitionContext(ctx, p, ps, bc.v, cfg)
 				}), label+": the poisoned pooled partition table")
 			}
@@ -243,17 +260,28 @@ func refillPoisoned[T float32 | float64](t *testing.T, cfg Config, solve func() 
 	return got.data
 }
 
+// poison fills cells with the value a read of an unseeded cell cannot hide:
+// +1e30 in max-plus, NaN in a sum.
 func poison[T float32 | float64](cells []T) {
+	v := T(math.NaN())
+	if _, ok := any(v).(float32); ok {
+		v = T(1e30)
+	}
 	for i := range cells {
-		cells[i] = T(math.NaN())
+		cells[i] = v
 	}
 }
 
-func sameBits[T float32 | float64](t *testing.T, want, got []T, label string) {
+// samePadded fails unless got holds want's bits in every cell of every
+// box-map block from each row's padding (from) on.
+func samePadded[T float32 | float64](t *testing.T, p *Problem, from func(i2 int) int, want, got []T, label string) {
 	t.Helper()
+	n2 := p.N2
 	for i, w := range want {
-		if g := got[i]; math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
-			t.Fatalf("%s: cell %d = %v, fresh %v", label, i, g, w)
+		if i2, j2 := i/n2%n2, i%n2; j2 >= from(i2) {
+			if g := got[i]; math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+				t.Fatalf("%s: cell %d = %v, fresh %v", label, i, g, w)
+			}
 		}
 	}
 }

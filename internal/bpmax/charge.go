@@ -16,17 +16,30 @@ package bpmax
 // second table, while a fresh draw is charged its class, up to twice the
 // exact size.
 //
+// Either way it adds the live words a fill may hold beside the table.
+//
 // The degradation ladder prices each rung with it, the public estimates are
 // its unpooled value, and ci.sh lint keeps the arena's HeldBytesAfter from
 // being called outside this file.
 func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
 	elems := tableElems(n1, n2, w1, w2, kind)
+	live := liveBytes(elems, n2, w2, kind, width)
 	switch {
 	case pl == nil:
-		return int64(elems) * int64(width)
+		return int64(elems)*int64(width) + live
 	case width == 8:
-		return pl.buf64.HeldBytesAfter(elems) + pl.buf.RetainedBytes()
+		return pl.buf64.HeldBytesAfter(elems) + pl.buf.RetainedBytes() + live
 	default:
-		return pl.buf.HeldBytesAfter(elems) + pl.buf64.RetainedBytes()
+		return pl.buf.HeldBytesAfter(elems) + pl.buf64.RetainedBytes() + live
 	}
+}
+
+// liveBytes is the live words of a layout of elems cells (newGSolver): ⌈n2/64⌉
+// a row of every block of a float32 box-map table storing every column of an
+// n2 >= maskMinN2 strand, whether or not its weights make the fill take them.
+func liveBytes(elems, n2, w2 int, kind MapKind, width int) int64 {
+	if width != 4 || kind != MapBox || n2 < maskMinN2 || w2 < n2 {
+		return 0
+	}
+	return int64(elems/n2) * int64((n2+63)/64) * 8
 }

@@ -10,7 +10,7 @@ func TestEstimateBytesMatchesAllocation(t *testing.T) {
 	for _, kind := range []MapKind{MapBox, MapPacked} {
 		for _, c := range [][2]int{{1, 1}, {4, 8}, {13, 7}, {21, 21}} {
 			n1, n2 := c[0], c[1]
-			want := NewFTable(n1, n2, kind).Bytes()
+			want := NewFTable(n1, n2, kind).Bytes() + liveBytes(tableElems(n1, n2, n1, n2, kind), n2, n2, kind, 4)
 			if got := Charge(nil, n1, n2, n1, n2, kind, 4); got != want {
 				t.Errorf("Charge(nil, %d, %d, %v, 4) = %d, allocated %d", n1, n2, kind, got, want)
 			}
@@ -22,6 +22,30 @@ func TestEstimateBytesMatchesAllocation(t *testing.T) {
 	}
 	if Charge(nil, 0, 5, 0, 5, MapBox, 4) != 0 || Charge(nil, 5, -1, 5, -1, MapPacked, 8) != 0 {
 		t.Error("degenerate sizes must charge 0")
+	}
+}
+
+// TestChargePricesLiveWords pins the live words into the charge: a fill
+// that takes masks holds ⌈n2/64⌉ words a row of every block beside its table;
+// a row shorter than maskMinN2, a band or the packed map holds none.
+func TestChargePricesLiveWords(t *testing.T) {
+	for _, c := range [][2]int{{1, maskMinN2}, {3, 65}, {2, 130}} {
+		n1, n2 := c[0], c[1]
+		s := newSolver(newTestProblem(t, 9, n1, n2), Config{}, n1, n2)
+		if s.merge == nil {
+			s.abort()
+			t.Skip("no vector body in this build: no fill takes masks")
+		}
+		if got, want := Charge(nil, n1, n2, n1, n2, MapBox, 4), s.f.Bytes()+8*int64(len(s.live)); got != want {
+			t.Errorf("%dx%d: Charge %d, the fill holds %d", n1, n2, got, want)
+		}
+		s.abort()
+	}
+	for _, c := range [][5]int{{4, maskMinN2 - 1, 4, maskMinN2 - 1, int(MapBox)}, {2, 70, 2, 69, int(MapBox)}, {2, 70, 2, 70, int(MapPacked)}} {
+		n1, n2, w1, w2, kind := c[0], c[1], c[2], c[3], MapKind(c[4])
+		if got, want := Charge(nil, n1, n2, w1, w2, kind, 4), newTable[float32](nil, n1, n2, w1, w2, kind, false).Bytes(); got != want {
+			t.Errorf("%dx%d band %d %v: Charge %d, the table alone %d", n1, n2, w2, kind, got, want)
+		}
 	}
 }
 

@@ -66,11 +66,18 @@ type gsolver[T semiring.Scalar] struct {
 	// r2Walk, float32 max-plus only (nil otherwise; bound by initTasks), runs
 	// R2 inside columns [j, e) of row y against S² of pitch p.
 	r2Walk func(y, s2 []T, p, j, e int)
-	// zeros is a row of Zero that initRow copies below each row's diagonal
-	// on the box map (empty elsewhere); blocks is set where R0 then runs as
-	// block products, and blocksR1 where R1 does too (newGSolver says where).
+	// blocks is set where R0 runs as block products, and blocksR1 where R1
+	// does too (newGSolver says where); zeros is then a row of Zero that
+	// initRow copies below each row's diagonal, as far left as a product
+	// reads (padFrom).
 	zeros            []T
 	blocks, blocksR1 bool
+	// merge, where R0's products skip dominated splits (nil elsewhere), is
+	// the body's Merge: finalize records in live, liveW words a row of every
+	// block, the columns R2 does not reach, for r0Blocks' bit-sets.
+	merge func(y, r []T, live []uint64)
+	live  []uint64
+	liveW int
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -177,9 +184,19 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 		s.pre = make([]T, n)
 	}
 	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocks && !a.dom.scaled
-	if cfg.Map == MapBox {
+	if blocks {
 		for range p.N2 {
 			s.zeros = append(s.zeros, a.k.Zero)
+		}
+	}
+	// R0's products skip the splits R2 dominates where every sum is exact
+	// (docs/ALGORITHM.md §9, "Dominated splits").
+	s.merge = nil
+	if s.blocksR1 && a.r2 == r2Closure && exactMaxPlus(p) && p.N2 >= maskMinN2 {
+		s.merge, _ = any(maxplus.BodyOf(a.k.Impl).Merge).(func(y, r []T, live []uint64))
+		s.liveW = (p.N2 + 63) / 64
+		if n := s.f.outer.Size() * p.N2 * s.liveW; len(s.live) < n {
+			s.live = make([]uint64, n)
 		}
 	}
 	s.tripped.Store(false)
@@ -224,12 +241,12 @@ func (s *gsolver[T]) finish() *FTableOf[T] {
 
 // initRow seeds row i2 of triangle (i1, j1) with the H term
 // S¹[i1,j1] ⊗ S²[i2,j2] — the "fold independently" candidate, which also
-// establishes F >= One — and, on the box map, writes Zero into the row's
-// cells below the diagonal.
+// establishes F >= One — and, where R0 or R1 runs as block products, writes
+// Zero into the row's cells below the diagonal that a product reads.
 func (s *gsolver[T]) initRow(blk []T, i1, j1, i2 int) {
 	hi := s.f.rowHi(i2)
 	grow := s.f.Row(blk, i2)
-	copy(grow[:i2], s.zeros)
+	copy(grow[padFrom(i2, s.cfg.TileI2, s.prodCols()):i2], s.zeros) // zeros is empty without blocks
 	s2row := s.a.s2Row(i2)
 	s.a.k.MulInto(grow[i2:hi], s2row[i2:hi], s.a.s1At(i1, j1))
 }
@@ -311,6 +328,15 @@ const prodRows = 8
 
 func (s *gsolver[T]) prodCols() int { return 128 / int(unsafe.Sizeof(s.a.k.Zero)) }
 
+// padFrom is the first column of row i2's padding a block product reads: the
+// first column tile of its R0 group (its tileI2-row tile cut into groups of
+// prodRows), which R1's groups and a row read as b do not pass to the left
+// (docs/ALGORITHM.md §9).
+func padFrom(i2, tileI2, cols int) int {
+	r0 := i2 / tileI2 * tileI2
+	return (r0 + (i2-r0)/prodRows*prodRows) / cols * cols
+}
+
 // r0Blocks is r0Tiled where every block holds Zero below its diagonal: each
 // group [q0, q0+prodRows) of the rows [r0, r1) takes one product per column
 // tile [cs, ce) right of q0 over the splits [q0, ce-1) — its cells' own, and
@@ -320,18 +346,59 @@ func (s *gsolver[T]) prodCols() int { return 128 / int(unsafe.Sizeof(s.a.k.Zero)
 func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
 	n2, off, cols := s.p.N2, s.f.rowOff, s.prodCols()
 	pre := r34[T](nil, nil, s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), 0)
+	var alive, clive []uint64
+	if s.merge != nil {
+		alive, clive = s.blockLive(i1, k1), s.blockLive(i1, j1)
+	}
 	for q0 := r0; q0 < r1; q0 += prodRows {
 		m := min(prodRows, r1-q0)
+		live := tileLive(clive, alive, s.liveW, q0, m)
 		for cs := q0 / cols * cols; cs < n2; cs += cols {
 			ce, b := min(cs+cols, n2), []T(nil)
 			if ce-1 > q0 {
 				b = bblk[off[q0+1]+cs:]
 			}
 			pre.X1, pre.X2 = ablk[off[q0]+cs:], bblk[off[q0]+cs:]
-			s.a.k.Product(blk[off[q0]+cs:], n2, ablk[off[q0]+q0:], n2, b, n2, m, ce-cs, ce-1-q0, q0+1-cs, pre)
+			s.a.k.Product(blk[off[q0]+cs:], n2, ablk[off[q0]+q0:], n2, b, n2, m, ce-cs, ce-1-q0, q0+1-cs, pre, live)
 		}
 	}
 }
+
+// blockLive is block (i1, j1)'s live words, liveW a row.
+func (s *gsolver[T]) blockLive(i1, j1 int) []uint64 {
+	n := s.p.N2 * s.liveW
+	o := s.f.outer.At(i1, j1) * n
+	return s.live[o : o+n : o+n]
+}
+
+// tileLive returns the live bit-sets of group [q0, q0+m)'s kernel tiles
+// against A's live words (w a row), nil without: each the OR of its rows'
+// words shifted to bit s for split q0+s, built in c's words of the group's
+// rows, which nothing reads until c's finalize overwrites them.
+func tileLive(c, a []uint64, w, q0, m int) []uint64 {
+	if a == nil {
+		return nil
+	}
+	q, sh := q0>>6, uint(q0&63)
+	live := c[q0*w : q0*w+(m-3*(m/4))*(w-q)]
+	clear(live)
+	for r := range m {
+		row, t := a[(q0+r)*w:(q0+r+1)*w], max(r/4, r-3*(m/4)) // r's tile
+		for i := q; i < w; i++ {
+			v := row[i] >> sh
+			if i+1 < w {
+				v |= row[i+1] << (64 - sh)
+			}
+			live[t*(w-q)+i-q] |= v
+		}
+	}
+	return live
+}
+
+// maskMinN2 is the shortest second strand whose fills skip dominated
+// splits: below it R0's products are too short for the walk to repay the
+// merge (docs/PERFORMANCE.md, "Dominated splits").
+const maskMinN2 = 64
 
 // The two forms finalize solves R2 in (FoldMetrics.R2).
 const (
@@ -389,6 +456,9 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	var pre []T
 	if a.star != nil {
 		pre = s.pre[i1*n2 : (i1+1)*n2]
+		if s.merge != nil {
+			copy(pre, s.zeros)
+		}
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
@@ -422,7 +492,17 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 			grow[i2+1] = a.k.Add(a.k.Mul(s1Self, sc2row[i2+1]), grow[i2+1])
 			a.k.AccumEach(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
 		}
-		if pre != nil {
+		if pre != nil && s.merge != nil {
+			// R2 into a row of Zero (pre), merged with the row, recording
+			// the columns R2 does not reach. pre is reset a row's work before
+			// the next sweep loads it, which would wait for fresh stores.
+			w0 := i2 &^ 63
+			s.sweep(pre, grow, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
+			live := s.blockLive(i1, j1)[i2*s.liveW : (i2+1)*s.liveW]
+			clear(live[:w0>>6]) // a tile reads from its first row's word
+			s.merge(grow[w0:hi], pre[w0:hi], live[w0>>6:])
+			copy(pre[w0:hi], s.zeros)
+		} else if pre != nil {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
 			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
 		} else {
@@ -444,7 +524,7 @@ func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
 	n2, p2, off, cols := s.p.N2, s.a.p2, s.f.rowOff, s.prodCols()
 	for cs := (q1 - 1) / cols * cols; cs < n2; cs += cols {
 		if ce := min(cs+cols, n2); ce > q1 {
-			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1, q1-cs, maxplus.Pre[T]{})
+			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1, q1-cs, maxplus.Pre[T]{}, nil)
 		}
 	}
 }

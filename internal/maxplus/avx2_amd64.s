@@ -207,7 +207,7 @@ pwhole: \
 	LEAQ    (2*LANES)(AX), DX; \
 	CMPQ    DX, w+56(FP); \
 	JGT     ptail; \
-	PTILE(LDW, STW, wnopre, wboth, wsecond, wonly2, wstored); \
+	PTILE(LDW, STW, wnopre, wboth, wsecond, wonly2, wlwalk, wlword, wlbit, wlsecond, wlnext, wstored); \
 	ADDQ    $(2*LANES), AX; \
 	JMP     pwhole; \
 ptail: \
@@ -219,7 +219,7 @@ ptail: \
 	LEAQ    lanemask<>(SB), R14; \
 	VMOVDQU MASKHI(R14)(DX*ESIZE), Y12; \
 	VMOVDQU (MASKHI+32)(R14)(DX*ESIZE), Y13; \
-	PTILE(LDM, STM, mnopre, mboth, msecond, monly2, mstored); \
+	PTILE(LDM, STM, mnopre, mboth, msecond, monly2, mlwalk, mlword, mlbit, mlsecond, mlnext, mstored); \
 ppairs:
 
 // The element type of the skeleton: ESIZE bytes an element (1<<ESHIFT), LANES
@@ -502,10 +502,44 @@ TEXT ·accumEachAVX2(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+// func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int)
 // The max-plus block product; m, w > 0, and k > 0 or x1 not nil.
-TEXT ·productAVX2(SB), NOSPLIT, $0-108
+TEXT ·productAVX2(SB), NOSPLIT, $24-128
 	PRODUCT
+	VZEROUPPER
+	RET
+
+// func mergeAVX2(y, r *float32, live *uint64, n int)
+// mergeAVX512 on 8 lanes a chunk, masked from lanemask (Y7: the lanes past n
+// load 0, compare false and are not stored), the bits by VMOVMSKPS.
+TEXT ·mergeAVX2(SB), NOSPLIT, $0-32
+	MOVQ       y+0(FP), DI
+	MOVQ       r+8(FP), SI
+	MOVQ       live+16(FP), DX
+	MOVQ       n+24(FP), R10
+	LEAQ       lanemask<>(SB), R12
+	XORQ       AX, AX
+	MOVQ       $8, R9
+mchunk:
+	MOVQ       R10, CX
+	SUBQ       AX, CX
+	CMPQ       CX, R9
+	CMOVQGT    R9, CX
+	NEGQ       CX
+	VMOVDQU    MASKHI(R12)(CX*4), Y7
+	VMASKMOVPS (SI)(AX*4), Y7, Y1
+	VMASKMOVPS (DI)(AX*4), Y7, Y2
+	VCMPPS     $0x1e, Y1, Y2, Y3
+	VMAXPS     Y2, Y1, Y2
+	VMASKMOVPS Y2, Y7, (DI)(AX*4)
+	VMOVMSKPS  Y3, BX
+	MOVQ       AX, CX
+	SHLQ       CX, BX
+	SHRQ       $6, CX
+	ORQ        BX, (DX)(CX*8)
+	ADDQ       $8, AX
+	CMPQ       AX, R10
+	JLT        mchunk
 	VZEROUPPER
 	RET
 
@@ -643,9 +677,9 @@ muldone:
 	VZEROUPPER
 	RET
 
-// func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+// func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int)
 // The sum-product block product, under productAVX2's requirements.
-TEXT ·sumProductProductAVX2(SB), NOSPLIT, $0-112
+TEXT ·sumProductProductAVX2(SB), NOSPLIT, $24-128
 	PRODUCT
 	VZEROUPPER
 	RET

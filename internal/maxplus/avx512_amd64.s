@@ -317,7 +317,7 @@ ppair: \
 	KMOVW   R14, K1; \
 	SHRQ    $LANES, R14; \
 	KMOVW   R14, K2; \
-	PTILE(PLOAD, PSTORE, pnopre, pboth, psecond, ponly2, pstored); \
+	PTILE(PLOAD, PSTORE, pnopre, pboth, psecond, ponly2, plwalk, plword, plbit, plsecond, plnext, pstored); \
 	ADDQ    $(2*LANES), AX; \
 	CMPQ    AX, w+56(FP); \
 	JLT     ppair
@@ -396,10 +396,46 @@ TEXT ·accumEachAVX512(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+// func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int)
 // The max-plus block product; m, w > 0, and k > 0 or x1 not nil.
-TEXT ·productAVX512(SB), NOSPLIT, $0-108
+TEXT ·productAVX512(SB), NOSPLIT, $24-128
 	PRODUCT
+	VZEROUPPER
+	RET
+
+// func mergeAVX512(y, r *float32, live *uint64, n int)
+// y[k] = max(r[k], y[k]), y on a tie, for k in [0, n), n > 0, ORing into
+// live, cleared, bit k where y[k] > r[k]: 16 lanes a chunk under the mask of
+// those below n (K2), the compare's (K1) shifted by CX, which SHLQ takes mod 64.
+TEXT ·mergeAVX512(SB), NOSPLIT, $0-32
+	MOVQ      y+0(FP), DI
+	MOVQ      r+8(FP), SI
+	MOVQ      live+16(FP), DX
+	MOVQ      n+24(FP), R10
+	XORQ      AX, AX
+	MOVQ      $16, R9
+mchunk:
+	MOVQ      R10, CX
+	SUBQ      AX, CX
+	CMPQ      CX, R9
+	CMOVQGT   R9, CX
+	MOVL      $1, BX
+	SHLQ      CX, BX
+	DECQ      BX
+	KMOVW     BX, K2
+	VMOVUPS.Z (SI)(AX*4), K2, Z1
+	VMOVUPS.Z (DI)(AX*4), K2, Z2
+	VCMPPS    $0x1e, Z1, Z2, K1
+	VMAXPS    Z2, Z1, Z2
+	VMOVUPS   Z2, K2, (DI)(AX*4)
+	KMOVW     K1, BX
+	MOVQ      AX, CX
+	SHLQ      CX, BX
+	SHRQ      $6, CX
+	ORQ       BX, (DX)(CX*8)
+	ADDQ      $16, AX
+	CMPQ      AX, R10
+	JLT       mchunk
 	VZEROUPPER
 	RET
 
@@ -488,9 +524,9 @@ TEXT ·sumProductEachAVX512(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+// func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int)
 // The sum-product block product, under productAVX512's requirements.
-TEXT ·sumProductProductAVX512(SB), NOSPLIT, $0-112
+TEXT ·sumProductProductAVX512(SB), NOSPLIT, $24-128
 	PRODUCT
 	VZEROUPPER
 	RET

@@ -54,7 +54,8 @@ type kernels[T elem] struct {
 	into    func(dst, x []T, a T)
 	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
 	each    func(y, x, w []T)
-	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T])
+	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
+	merge   func(y, r []T, live []uint64) // max-plus alone
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -84,9 +85,9 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
 	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product}
+		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.Merge}
 	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo},
+	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, MergeGo},
 	zero:      -1e30, // semiring.NegInf
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
@@ -111,9 +112,9 @@ var maxPlus = algebra[float32]{
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
 	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct}
+		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct, nil}
 	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo},
+	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo, nil},
 	zero:      0,
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
@@ -719,6 +720,10 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 			{"scalar-into", func() { kern.into(y, x, 1) }},
 			{"accum-each", func() { kern.each(y, x, x) }},
 		}
+		if kern.merge != nil {
+			live := make([]uint64, 1)
+			kernels = append(kernels, kernel{"merge", func() { kern.merge(y, x, live) }})
+		}
 		for _, c := range kernels {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
 			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.run)
@@ -791,13 +796,15 @@ func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ke
 	x1, x2 := ar.slice(m*ldc, 3), ar.slice(m*ldc, 4)
 	lo := ar.next + guard + lane // where c starts
 	c := ar.slice(m*ldc, lane)
-	run := func() {
-		kern.product(c, ldc, a, splits, b, ldc, m, w, splits, lanes[T]()/2, Pre[T]{X1: x1, X2: x2, A1: 1, A2: 2})
+	for _, live := range [][]uint64{nil, {0b101101101, 0b110110110}} {
+		run := func() {
+			kern.product(c, ldc, a, splits, b, ldc, m, w, splits, lanes[T]()/2, Pre[T]{X1: x1, X2: x2, A1: 1, A2: 2}, live)
+		}
+		what := fmt.Sprintf("product lane=%d w=%d live=%v", lane, w, live)
+		ownedBySomeoneElse(t, what+", the word before c[0]", &ar.buf[lo-1], run)
+		ownedBySomeoneElse(t, what+", the word after row 0", &c[w], run)
+		ownedBySomeoneElse(t, what+", the word after the last row", &c[(m-1)*ldc+w], run)
 	}
-	what := fmt.Sprintf("product lane=%d w=%d", lane, w)
-	ownedBySomeoneElse(t, what+", the word before c[0]", &ar.buf[lo-1], run)
-	ownedBySomeoneElse(t, what+", the word after row 0", &c[w], run)
-	ownedBySomeoneElse(t, what+", the word after the last row", &c[(m-1)*ldc+w], run)
 }
 
 // TestProductMatchesGoBitForBit holds every body's products, in both
@@ -811,7 +818,10 @@ func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ke
 // sentinel -1e30, signed zeros — a third of the time; the other half take
 // diag in [-40, 40] with ⊕'s identity in b below it, and ordinary c and a,
 // whose candidates through that identity leave c as it was, as the fills'
-// cells do (docs/ALGORITHM.md §9).
+// cells do (docs/ALGORITHM.md §9). Every case draws its live bit-sets
+// (liveSets): none, random, empty, full, one bit a tile, or bits 63-65, with
+// garbage past bit k and, at times, a guard word between the tiles' sets; k
+// in 60…130 takes the bits across words.
 func TestProductMatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
 		t.Run(impl, func(t *testing.T) {
@@ -824,43 +834,135 @@ func TestProductMatchesGoBitForBit(t *testing.T) {
 func productMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 	rng := rand.New(rand.NewSource(40))
 	lane := func() int { return rng.Intn(lanes[T]()) }
+	one := func(m, w, splits int) {
+		ldc, lda, ldb := w+rng.Intn(3), splits+rng.Intn(3), w+rng.Intn(3)
+		p := newPair(k, 5, 3*m*ldc+m*lda+splits*ldb)
+		c, wc := p.slice(rng, m*ldc, lane())
+		a, wa := p.slice(rng, m*lda, lane())
+		b, wb := p.slice(rng, splits*ldb, lane())
+		var pre, wpre Pre[T]
+		if rng.Intn(2) == 0 {
+			pre.X1, wpre.X1 = p.slice(rng, m*ldc, lane())
+			pre.X2, wpre.X2 = p.slice(rng, m*ldc, lane())
+			pre.A1, pre.A2 = k.operand(rng), k.operand(rng)
+			wpre.A1, wpre.A2 = pre.A1, pre.A2
+		}
+		diag := math.MinInt32
+		if rng.Intn(2) == 0 {
+			diag = rng.Intn(81) - 40
+			for _, x := range [][2][]T{{c, wc}, {a, wa}} {
+				for i := range x[0] {
+					x[0][i] = k.ordinary(rng)
+					x[1][i] = x[0][i]
+				}
+			}
+			for s := 0; s < splits; s++ {
+				for j := 0; j < min(w, s+diag); j++ {
+					b[s*ldb+j], wb[s*ldb+j] = k.zero, k.zero
+				}
+			}
+		}
+		padWith(c, ldc, w, k.guardWord)
+		padWith(wc, ldc, w, k.guardWord)
+		live, mode := liveSets(rng, m, splits)
+		kern.product(c, ldc, a, lda, b, ldb, m, w, splits, diag, pre, live)
+		k.goLoops.product(wc, ldc, wa, lda, wb, ldb, m, w, splits, diag, wpre, live)
+		p.check(t, fmt.Sprintf("%s m=%d w=%d k=%d diag=%d pre=%v live=%s ldc=%d lda=%d ldb=%d", k.name, m, w, splits, diag, pre.X1 != nil, mode, ldc, lda, ldb))
+	}
 	for m := 0; m <= 9; m++ {
 		for w := 0; w <= maxLen; w++ {
 			for splits := 0; splits <= 17; splits++ {
-				ldc, lda, ldb := w+rng.Intn(3), splits+rng.Intn(3), w+rng.Intn(3)
-				p := newPair(k, 5, 3*m*ldc+m*lda+splits*ldb)
-				c, wc := p.slice(rng, m*ldc, lane())
-				a, wa := p.slice(rng, m*lda, lane())
-				b, wb := p.slice(rng, splits*ldb, lane())
-				var pre, wpre Pre[T]
-				if rng.Intn(2) == 0 {
-					pre.X1, wpre.X1 = p.slice(rng, m*ldc, lane())
-					pre.X2, wpre.X2 = p.slice(rng, m*ldc, lane())
-					pre.A1, pre.A2 = k.operand(rng), k.operand(rng)
-					wpre.A1, wpre.A2 = pre.A1, pre.A2
-				}
-				diag := math.MinInt32
-				if rng.Intn(2) == 0 {
-					diag = rng.Intn(81) - 40
-					for _, x := range [][2][]T{{c, wc}, {a, wa}} {
-						for i := range x[0] {
-							x[0][i] = k.ordinary(rng)
-							x[1][i] = x[0][i]
-						}
-					}
-					for s := 0; s < splits; s++ {
-						for j := 0; j < min(w, s+diag); j++ {
-							b[s*ldb+j], wb[s*ldb+j] = k.zero, k.zero
-						}
-					}
-				}
-				padWith(c, ldc, w, k.guardWord)
-				padWith(wc, ldc, w, k.guardWord)
-				kern.product(c, ldc, a, lda, b, ldb, m, w, splits, diag, pre)
-				k.goLoops.product(wc, ldc, wa, lda, wb, ldb, m, w, splits, diag, wpre)
-				p.check(t, fmt.Sprintf("%s m=%d w=%d k=%d diag=%d pre=%v ldc=%d lda=%d ldb=%d", k.name, m, w, splits, diag, pre.X1 != nil, ldc, lda, ldb))
+				one(m, w, splits)
 			}
 		}
+	}
+	for m := 1; m <= 9; m++ {
+		for _, w := range []int{1, 2*lanes[T]() - 1, 2 * lanes[T](), 2*lanes[T]() + 5} {
+			for _, splits := range []int{60, 63, 64, 65, 66, 127, 128, 130} {
+				for range 4 {
+					one(m, w, splits)
+				}
+			}
+		}
+	}
+}
+
+// liveSets draws a product's live bit-sets for m rows and k splits, and
+// names the draw: nil, or one set a kernel tile, a word or two past the
+// ⌈k/64⌉ the product reads (a guard word), with random bits past k.
+func liveSets(rng *rand.Rand, m, k int) ([]uint64, string) {
+	mode := [...]string{"nil", "random", "empty", "full", "one bit", "bits 63-65"}[rng.Intn(6)]
+	if mode == "nil" || m == 0 {
+		return nil, mode
+	}
+	stride := (k+63)/64 + rng.Intn(2)
+	live := make([]uint64, productTiles(m)*stride)
+	for i := range live {
+		live[i] = rng.Uint64()
+	}
+	for t := range productTiles(m) {
+		set := live[t*stride:]
+		density := rng.Intn(65)
+		for s := 0; s < k; s++ {
+			on := false
+			switch mode {
+			case "random":
+				on = rng.Intn(64) < density
+			case "full":
+				on = true
+			case "bits 63-65":
+				on = s >= 63 && s <= 65
+			}
+			set[s>>6] &^= 1 << (s & 63)
+			if on {
+				set[s>>6] |= 1 << (s & 63)
+			}
+		}
+		if mode == "one bit" && k > 0 {
+			s := rng.Intn(k)
+			set[s>>6] |= 1 << (s & 63)
+		}
+	}
+	return live, mode
+}
+
+// TestMergeMatchesGoBitForBit holds every body's Merge to MergeGo: lengths
+// 0…maxLen with y and r at any lane, the specials among the operands and
+// ties (equal values, zeros of either sign) on purpose, guard words around y
+// and r, and a guard word past the ⌈n/64⌉ words of live it writes.
+func TestMergeMatchesGoBitForBit(t *testing.T) {
+	for _, impl := range testBodies() {
+		t.Run(impl, func(t *testing.T) {
+			merge := BodyOf(impl).Merge
+			rng := rand.New(rand.NewSource(43))
+			for n := 0; n <= maxLen; n++ {
+				for lane := 0; lane < lanes[float32](); lane++ {
+					p := newPair(&maxPlus, 2, 2*n)
+					y, wy := p.slice(rng, n, lane)
+					r, wr := p.slice(rng, n, rng.Intn(lanes[float32]()))
+					for i := range r {
+						if rng.Intn(4) == 0 { // a tie
+							r[i], wr[i] = y[i], y[i]
+						}
+					}
+					words := (n + 63) / 64
+					live, want := make([]uint64, words+1), make([]uint64, words+1)
+					for i := range live {
+						live[i] = rng.Uint64()
+						want[i] = live[i]
+					}
+					merge(y, r, live)
+					MergeGo(wy, wr, want)
+					what := fmt.Sprintf("merge n=%d lane=%d", n, lane)
+					p.check(t, what)
+					for i := range live {
+						if live[i] != want[i] {
+							t.Fatalf("%s: live word %d is %#x, the Go loop leaves %#x", what, i, live[i], want[i])
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -884,7 +986,7 @@ func TestProductRejectsBadArguments(t *testing.T) {
 	}
 }
 
-func productRejectsBadArguments[T elem](t *testing.T, impl string, product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T])) {
+func productRejectsBadArguments[T elem](t *testing.T, impl string, product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)) {
 	const m, w, k = 5, 7, 3
 	c, a, b, x := make([]T, m*w), make([]T, m*k), make([]T, k*w), make([]T, m*w)
 	none := Pre[T]{}
@@ -892,19 +994,20 @@ func productRejectsBadArguments[T elem](t *testing.T, impl string, product func(
 		want string
 		run  func()
 	}{
-		{"m -1, w 7: a negative dimension", func() { product(c, w, a, k, b, w, -1, w, k, 0, none) }},
-		{"m 5, w -1: a negative dimension", func() { product(c, w, a, k, b, w, m, -1, k, 0, none) }},
-		{"m 5, k -1: a negative dimension", func() { product(c, w, a, k, b, w, m, w, -1, 0, none) }},
-		{"ldc 6 below w 7", func() { product(c, w-1, a, k, b, w, m, w, k, 0, none) }},
-		{"lda 2 below k 3", func() { product(c, w, a, k-1, b, w, m, w, k, 0, none) }},
-		{"ldb 6 below w 7", func() { product(c, w, a, k, b, w-1, m, w, k, 0, none) }},
-		{"c[:34] short of 5 rows of 7 at stride 7", func() { product(c[:m*w-1], w, a, k, b, w, m, w, k, 0, none) }},
-		{"a[:14] short of 5 rows of 3 at stride 3", func() { product(c, w, a[:m*k-1], k, b, w, m, w, k, 0, none) }},
-		{"b[:20] short of 3 rows of 7 at stride 7", func() { product(c, w, a, k, b[:k*w-1], w, m, w, k, 0, none) }},
-		{"c[:35] short of 5 rows of 7 at stride 8", func() { product(c, w+1, a, k, b, w, m, w, k, 0, none) }},
-		{"x1[:34] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x[:m*w-1], X2: x}) }},
-		{"x2[:0] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, 0, 0, Pre[T]{X1: x}) }},
-		{"pre-streams from column 2, not 0", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x, X2: x, C0: 2}) }},
+		{"m -1, w 7: a negative dimension", func() { product(c, w, a, k, b, w, -1, w, k, 0, none, nil) }},
+		{"m 5, w -1: a negative dimension", func() { product(c, w, a, k, b, w, m, -1, k, 0, none, nil) }},
+		{"m 5, k -1: a negative dimension", func() { product(c, w, a, k, b, w, m, w, -1, 0, none, nil) }},
+		{"ldc 6 below w 7", func() { product(c, w-1, a, k, b, w, m, w, k, 0, none, nil) }},
+		{"lda 2 below k 3", func() { product(c, w, a, k-1, b, w, m, w, k, 0, none, nil) }},
+		{"ldb 6 below w 7", func() { product(c, w, a, k, b, w-1, m, w, k, 0, none, nil) }},
+		{"c[:34] short of 5 rows of 7 at stride 7", func() { product(c[:m*w-1], w, a, k, b, w, m, w, k, 0, none, nil) }},
+		{"a[:14] short of 5 rows of 3 at stride 3", func() { product(c, w, a[:m*k-1], k, b, w, m, w, k, 0, none, nil) }},
+		{"b[:20] short of 3 rows of 7 at stride 7", func() { product(c, w, a, k, b[:k*w-1], w, m, w, k, 0, none, nil) }},
+		{"c[:35] short of 5 rows of 7 at stride 8", func() { product(c, w+1, a, k, b, w, m, w, k, 0, none, nil) }},
+		{"x1[:34] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x[:m*w-1], X2: x}, nil) }},
+		{"x2[:0] short of 5 rows of 7 at stride 7", func() { product(c, w, a, k, b, w, m, w, 0, 0, Pre[T]{X1: x}, nil) }},
+		{"pre-streams from column 2, not 0", func() { product(c, w, a, k, b, w, m, w, k, 0, Pre[T]{X1: x, X2: x, C0: 2}, nil) }},
+		{"live[:1] short of 2 tiles of 3 splits", func() { product(c, w, a, k, b, w, m, w, k, 0, none, make([]uint64, 1)) }},
 	} {
 		func() {
 			defer func() {
@@ -924,27 +1027,34 @@ func productRejectsBadArguments[T elem](t *testing.T, impl string, product func(
 // and the interaction fill's R0 block at the pitch of a 128-column box — 8
 // rows × 32 float32 columns, or 8 × 16 float64 ones for partition — dense
 // (diag far left) or on the diagonal (diag = 1: split s reaches the columns
-// from s+1 up, and the product skips the vectors left of them). `go test
+// from s+1 up, and the product skips the vectors left of them; diag = -63:
+// the far column tile of k = 95 splits, whose last 32 reach part of it). The
+// masked R0's rows draw 30 % of each kernel tile's splits live, about the
+// share a 16×128 fold runs (TestMaskedSplitWork in internal/bpmax). `go test
 // -bench Product ./internal/maxplus` reports useful-Gcell/s, the cell updates
-// through a cell right of b's diagonal a second, one ⊗ and one ⊕ each: a
-// skipped vector shows as a rate, not as work.
+// through a cell right of b's diagonal a second, one ⊗ and one ⊕ each, of the
+// splits live: a skipped vector or split shows as a rate, not as work.
 func BenchmarkProduct(b *testing.B) {
 	const dense = math.MinInt32
 	for _, sh := range []productShape{
-		{"tile", 64, 64, 1088, 448, dense}, {"tile", 64, 64, 1088, 896, dense},
-		{"r0", 8, 32, 128, 31, dense}, {"r0", 8, 32, 128, 31, 1},
-		{"r0", 8, 32, 128, 64, dense}, {"r0", 8, 32, 128, 95, dense},
+		{"tile", 64, 64, 1088, 448, dense, 0}, {"tile", 64, 64, 1088, 896, dense, 0},
+		{"r0", 8, 32, 128, 31, dense, 0}, {"r0", 8, 32, 128, 31, 1, 0}, {"r0", 8, 32, 128, 31, 1, 0.3},
+		{"r0", 8, 32, 128, 64, dense, 0}, {"r0", 8, 32, 128, 95, dense, 0},
+		{"r0", 8, 32, 128, 95, -63, 0}, {"r0", 8, 32, 128, 95, -63, 0.3},
 	} {
 		benchmarkProduct(b, &maxPlus, sh)
 	}
-	for _, sh := range []productShape{{"r0", 8, 16, 128, 15, dense}, {"r0", 8, 16, 128, 15, 1}, {"r0", 8, 16, 128, 63, dense}} {
+	for _, sh := range []productShape{{"r0", 8, 16, 128, 15, dense, 0}, {"r0", 8, 16, 128, 15, 1, 0}, {"r0", 8, 16, 128, 63, dense, 0}} {
 		benchmarkProduct(b, &sumProduct, sh)
 	}
 }
 
+// productShape is a benchmark's product; live, unless 0, is the share of
+// each kernel tile's splits its live bit-sets mark, the masked R0's shape.
 type productShape struct {
 	name                        string
 	rows, width, pitch, k, diag int
+	live                        float64
 }
 
 func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
@@ -959,13 +1069,33 @@ func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
 	for r := range off {
 		off[r] = r * pitch
 	}
+	var live []uint64
+	if sh.live > 0 {
+		live = make([]uint64, productTiles(rows)*((splits+63)/64))
+		rng := rand.New(rand.NewSource(int64(splits)))
+		for t := range productTiles(rows) {
+			for s := 0; s < splits; s++ {
+				if rng.Float64() < sh.live {
+					live[t*len(live)/productTiles(rows)+s>>6] |= 1 << (s & 63)
+				}
+			}
+		}
+	}
 	useful := 0
-	for s := 0; s < splits; s++ {
-		useful += rows * (width - min(width, max(0, s+sh.diag)))
+	for r := 0; r < rows; r++ {
+		t := max(r/4, r-3*(rows/4)) * len(live) / productTiles(rows)
+		for s := 0; s < splits; s++ {
+			if live == nil || live[t+s>>6]>>(s&63)&1 != 0 {
+				useful += width - min(width, max(0, s+sh.diag))
+			}
+		}
 	}
 	diag := "dense"
 	if sh.diag != math.MinInt32 {
 		diag = fmt.Sprintf("diag=%d", sh.diag)
+	}
+	if live != nil {
+		diag += fmt.Sprintf("/live=%v", sh.live)
 	}
 	for _, impl := range Impls() {
 		kern := k.of(BodyOf(impl))
@@ -974,7 +1104,7 @@ func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
 		}
 		b.Run(fmt.Sprintf("product/%s/%s/%s/%dx%d/k=%d/%s", k.name[:strings.IndexByte(k.name, ' ')], sh.name, impl, rows, width, splits, diag), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				kern.product(data[splits:], pitch, data, pitch, data[pitch+splits:], pitch, rows, width, splits, sh.diag, Pre[T]{})
+				kern.product(data[splits:], pitch, data, pitch, data[pitch+splits:], pitch, rows, width, splits, sh.diag, Pre[T]{}, live)
 			}
 			rate(b)
 		})

@@ -78,9 +78,12 @@ type Body struct {
 	SumProductEach  func(y, x, w []float64)
 	MulScalarInto   func(dst, x []float64, a float64)
 	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64])
-	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k, diag int, pre Pre[float32])
+	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k, diag int, pre Pre[float32], live []uint64)
 	// SumProductProduct is Product in the (+, ×) algebra over float64.
-	SumProductProduct func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k, diag int, pre Pre[float64])
+	SumProductProduct func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k, diag int, pre Pre[float64], live []uint64)
+	// Merge is finalize's R2 merge, MergeGo's loop: y = y ⊕ r in max-plus,
+	// recording in live the columns where y beat r.
+	Merge func(y, r []float32, live []uint64)
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -112,6 +115,7 @@ var bodies = [...]Body{
 		},
 		Product:           productOf(ProductGo, nil),
 		SumProductProduct: productOf(SumProductProductGo, nil),
+		Merge:             MergeGo,
 	},
 	isaAVX2: {
 		Impl:              "avx2",
@@ -125,6 +129,7 @@ var bodies = [...]Body{
 		SumProductSweep:   sumProductSweep2,
 		Product:           productOf(ProductGo, productAVX2),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX2),
+		Merge:             vectorMerge(mergeAVX2),
 	},
 	isaAVX512: {
 		Impl:              "avx512",
@@ -138,6 +143,7 @@ var bodies = [...]Body{
 		SumProductSweep:   sumProductSweep512,
 		Product:           productOf(ProductGo, productAVX512),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX512),
+		Merge:             vectorMerge(mergeAVX512),
 	},
 }
 
@@ -353,9 +359,9 @@ func mulScalarInto512(dst, x []float64, a float64) {
 // goLoops where vec is nil, behind checks whose panic names the argument
 // found bad. The checks compare integers alone; the names and the message are
 // built only for a panic.
-func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]),
-	vec func(c *T, ldc int, a *T, lda int, b *T, ldb int, m, w, k, diag int, x1 *T, a1 T, x2 *T, a2 T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
-	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64),
+	vec func(c *T, ldc int, a *T, lda int, b *T, ldb int, m, w, k, diag int, x1 *T, a1 T, x2 *T, a2 T, live *uint64, lstride int)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
+	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
 		x1, x2 := len(pre.X1), len(pre.X2)
 		if pre.X1 == nil {
 			x1, x2 = len(c), len(c)
@@ -364,10 +370,24 @@ func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int,
 			!operandOK(x1, ldc, m, w) || !operandOK(x2, ldc, m, w) || pre.C0 != 0 {
 			panicProduct(len(c), ldc, len(a), lda, len(b), ldb, m, w, k, x1, x2, pre.C0)
 		}
+		if lstride := len(live) / max(productTiles(m), 1); live != nil && lstride*64 < k {
+			panic(fmt.Sprintf("maxplus: Product live[:%d] short of %d tiles of %d splits", len(live), productTiles(m), k))
+		}
 		if vec == nil {
-			goLoops(c, ldc, a, lda, b, ldb, m, w, k, diag, pre)
+			goLoops(c, ldc, a, lda, b, ldb, m, w, k, diag, pre, live)
 		} else if m > 0 && w > 0 && (k > 0 || pre.X1 != nil) {
-			vec(&c[0], ldc, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, m, w, k, max(diag, -k), unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2)
+			vec(&c[0], ldc, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, m, w, k, max(diag, -k), unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2, unsafe.SliceData(live), len(live)/max(productTiles(m), 1))
+		}
+	}
+}
+
+// vectorMerge binds a vector body of Body.Merge, which ORs into cleared words.
+func vectorMerge(body func(y, r *float32, live *uint64, n int)) func(y, r []float32, live []uint64) {
+	return func(y, r []float32, live []uint64) {
+		if n := len(y); n > 0 {
+			r, live = r[:n], live[:(n+63)/64]
+			clear(live)
+			body(&y[0], &r[0], &live[0], n)
 		}
 	}
 }

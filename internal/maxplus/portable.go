@@ -113,19 +113,43 @@ func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]
 }
 
 // ProductOver builds a Product from a stream: pre's two a row, then one a
-// (row, split), s ascending; it ignores diag (skipped candidates change no
-// cell). It is the vector bodies' oracle and the Go bundles' Product.
-func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
-	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T]) {
+// (row, split) for the splits live marks, s ascending; it ignores diag
+// (skipped candidates change no cell). It is the vector bodies' oracle and
+// the Go bundles' Product.
+func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
+	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
+		stride := len(live) / max(productTiles(m), 1)
 		for r := 0; r < m; r++ {
 			y := c[r*ldc : r*ldc+w]
 			if pre.X1 != nil {
 				acc(y, pre.X1[r*ldc:r*ldc+w], pre.A1)
 				acc(y, pre.X2[r*ldc:r*ldc+w], pre.A2)
 			}
+			t := max(r/4, r-3*(m/4)) * stride // r's tile's bit-set
 			for s := 0; s < k; s++ {
-				acc(y, b[s*ldb:s*ldb+w], a[r*lda+s])
+				if live == nil || live[t+s>>6]>>(s&63)&1 != 0 {
+					acc(y, b[s*ldb:s*ldb+w], a[r*lda+s])
+				}
 			}
+		}
+	}
+}
+
+// productTiles is the number of kernel tiles of a product of m rows: the
+// fours, then each row left over (row r's is max(r/4, r-3*(m/4))).
+func productTiles(m int) int { return m - 3*(m/4) }
+
+// MergeGo is Merge's portable body: y[k] = max(r[k], y[k]) for k < len(y), y
+// on a tie or a NaN, and live[:⌈len(y)/64⌉] set where y[k] beat r[k].
+func MergeGo(y, r []float32, live []uint64) {
+	r, live = r[:len(y)], live[:(len(y)+63)/64]
+	clear(live)
+	for k, v := range r {
+		switch {
+		case y[k] > v:
+			live[k>>6] |= 1 << (k & 63)
+		case v > y[k]:
+			y[k] = v
 		}
 	}
 }

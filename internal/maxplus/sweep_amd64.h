@@ -358,8 +358,11 @@ next: \
 	ADDQ   R9, R15
 
 // PTILE runs the pair at AX, moving c, x1, x2 and b by LD and ST; the other
-// arguments are its labels.
-#define PTILE(LD, ST, nopre, both, second, only2, stored) \
+// arguments are its labels. With live bit-sets it walks the tile's set bits
+// below p2 instead, a word at a time from split s0 (p1, p2, s0 in the frame),
+// each found by BSF and cleared by BTR (BLSR and TZCNT need BMI1, which
+// detect does not check), its a and b addressed from its index.
+#define PTILE(LD, ST, nopre, both, second, only2, lwalk, lword, lbit, lsecond, lnext, stored) \
 	LEAQ    (DI)(AX*ESIZE), R14; \
 	LEAQ    (R10)(R10*2), R15; \
 	PMOVES(LD); \
@@ -381,6 +384,8 @@ nopre: \
 	CMOVQGT k+64(FP), R14; \
 	CMPQ    R15, k+64(FP); \
 	CMOVQGT k+64(FP), R15; \
+	CMPQ    live+112(FP), $0; \
+	JNE     lwalk; \
 	SUBQ    R14, R15; \
 	SHLQ    $32, R15; \
 	LEAQ    (R15)(R14*1), DX; \
@@ -403,13 +408,50 @@ only2: \
 	PSPLIT(PCAND2); \
 	DECQ    DX; \
 	JNZ     only2; \
+	JMP     stored; \
+lwalk: \
+	MOVQ    R14, p1-8(SP); \
+	MOVQ    R15, p2-16(SP); \
+	MOVQ    $0, s0-24(SP); \
+lword: \
+	MOVQ    s0-24(SP), DX; \
+	CMPQ    DX, p2-16(SP); \
+	JGE     stored; \
+	SHRQ    $3, DX; \
+	ADDQ    live+112(FP), DX; \
+	MOVQ    (DX), DX; \
+lbit: \
+	BSFQ    DX, R14; \
+	JZ      lnext; \
+	BTRQ    R14, DX; \
+	ADDQ    s0-24(SP), R14; \
+	CMPQ    R14, p2-16(SP); \
+	JGE     stored; \
+	MOVQ    R14, R15; \
+	IMULQ   R9, R15; \
+	ADDQ    BX, R15; \
+	LEAQ    (R15)(AX*ESIZE), R15; \
+	CMPQ    R14, p1-8(SP); \
+	LEAQ    (SI)(R14*ESIZE), R14; \
+	LD(M2, VBYTES(R15), B2); \
+	JGE     lsecond; \
+	LD(M1, (R15), B1); \
+	PSPLIT(PCAND); \
+	JMP     lbit; \
+lsecond: \
+	PSPLIT(PCAND2); \
+	JMP     lbit; \
+lnext: \
+	ADDQ    $64, s0-24(SP); \
+	JMP     lword; \
 stored: \
 	LEAQ    (DI)(AX*ESIZE), R14; \
 	LEAQ    (R10)(R10*2), R15; \
 	PMOVES(ST)
 
 // PRODUCT is the body of a product TEXT: the groups of four rows, then the
-// rows left one at a time.
+// rows left one at a time. live, unless nil, is the tiles' bit-sets, lstride
+// words apart: its argument slot moves to the next tile's after each tile.
 #define PRODUCT \
 	MOVQ  c+0(FP), DI; \
 	MOVQ  a+16(FP), SI; \
@@ -439,6 +481,9 @@ prows: \
 pgroup: \
 	XORQ  AX, AX; \
 	PAIRS; \
+	MOVQ  lstride+120(FP), R14; \
+	SHLQ  $3, R14; \
+	ADDQ  R14, live+112(FP); \
 	TESTQ R10, R10; \
 	JZ    pone; \
 	LEAQ  (DI)(R10*4), DI; \

@@ -8,7 +8,8 @@ package maxplus
 // with k0 < k1 or pre-streams, Pre's fields, x1 nil for none; they check the
 // rows of b against blen themselves and return false, y untouched, if one
 // lies outside). A sweep's arguments sit at one offset in both element types,
-// and a product's pre-streams at a sweep's.
+// and a product's pre-streams at a sweep's, its live bit-sets (lstride
+// words a tile, nil for every split) after them.
 
 //go:noescape
 func accumulateAVX2(y, x *float32, n int, a float32)
@@ -59,16 +60,22 @@ func sweepAVX512(y, a, b *float32, off *int, k0, k1, from, n, blen, c0 int, x1 *
 func sumProductSweepAVX512(y, a, b *float64, off *int, k0, k1, from, n, blen, c0 int, x1 *float64, a1 float64, x2 *float64, a2 float64) (ok bool)
 
 //go:noescape
-func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int)
 
 //go:noescape
-func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32)
+func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int)
 
 //go:noescape
-func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int)
 
 //go:noescape
-func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64)
+func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int)
+
+//go:noescape
+func mergeAVX2(y, r *float32, live *uint64, n int)
+
+//go:noescape
+func mergeAVX512(y, r *float32, live *uint64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

@@ -33,15 +33,17 @@ func addScalarIntoAVX512(dst, x *float32, n int, a float32) { panic("maxplus: no
 func sumProductAVX512(y, x *float64, n int, a float64)      { panic("maxplus: no vector build") }
 func mulScalarIntoAVX512(dst, x *float64, n int, a float64) { panic("maxplus: no vector build") }
 
-func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32) {
+func productAVX2(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int) {
 	panic("maxplus: no vector build")
 }
-func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32) {
+func productAVX512(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, m, w, k, diag int, x1 *float32, a1 float32, x2 *float32, a2 float32, live *uint64, lstride int) {
 	panic("maxplus: no vector build")
 }
-func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64) {
+func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int) {
 	panic("maxplus: no vector build")
 }
-func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64) {
+func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int) {
 	panic("maxplus: no vector build")
 }
+func mergeAVX2(y, r *float32, live *uint64, n int)   { panic("maxplus: no vector build") }
+func mergeAVX512(y, r *float32, live *uint64, n int) { panic("maxplus: no vector build") }

@@ -143,7 +143,7 @@ func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, 
 		for i := r0; i < mid; i++ {
 			copy(data[i*p+c0:i*p+c1], cl.zero)
 		}
-		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{})
+		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{}, nil)
 	}
 	// Row n-1 has no row below it and nothing right of its diagonal.
 	for i := min(r0+tile, n-1) - 1; i >= r0; i-- {

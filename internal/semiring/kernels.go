@@ -70,7 +70,11 @@ type Kernels[T Scalar] struct {
 	// loops compute them: they change no cell, docs/ALGORITHM.md §9). A 4-row ×
 	// 2-vector register tile in the vector bundles, one Accum a (row, split)
 	// elsewhere.
-	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre maxplus.Pre[T])
+	// live, unless nil, keeps only the splits it marks: one bit-set per kernel
+	// tile (each four rows, then each row left over), len(live)/tiles words,
+	// bit s for split s. Only exact max-plus R0 passes one, leaving out splits
+	// another dominates (docs/ALGORITHM.md §9, "Dominated splits").
+	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre maxplus.Pre[T], live []uint64)
 }
 
 // The bundles whose Sweep is a closure over their Accum are built once here:

@@ -324,7 +324,7 @@ func checkKernels[T Scalar](t *testing.T, name string, k Kernels[T], x []T, a1, 
 		prod[i] = y0[i%n]
 		wantProd[i] = prod[i]
 	}
-	k.Product(prod, n, blk[1:], n, blk[2*n:], n, m, w, kk, -n, maxplus.Pre[T]{})
+	k.Product(prod, n, blk[1:], n, blk[2*n:], n, m, w, kk, -n, maxplus.Pre[T]{}, nil)
 	for r := 0; r < m; r++ {
 		for s := 0; s < kk; s++ {
 			for j := 0; j < w; j++ {
