@@ -97,7 +97,9 @@ const (
 type Weights struct {
 	// GC, AU, GU are the pair weights; pairs not listed are forbidden.
 	// The zero value selects the canonical weighted counting model
-	// GC=3, AU=2, GU=1.
+	// GC=3, AU=2, GU=1. Each weight is rounded to the nearest multiple of
+	// 2⁻⁸, ties to even (2.75 is kept, 3.1 becomes 794/256), so every
+	// max-plus sum is exact in float32 (ScoreRangeError states the range).
 	GC, AU, GU float32
 	// Unit, when true, overrides the weights with plain pair counting
 	// (every canonical pair scores 1).
@@ -169,7 +171,8 @@ func WithPackedMemory() Option {
 	return func(o *options) { o.cfg.Map = ibpmax.MapPacked }
 }
 
-// WithWeights sets the base-pair scoring weights.
+// WithWeights sets the base-pair scoring weights, each rounded to the
+// nearest multiple of 2⁻⁸ (see Weights).
 func WithWeights(w Weights) Option { return func(o *options) { o.weights = w } }
 
 // WithMinHairpin forbids intramolecular pairs (i, j) with j-i <= n,

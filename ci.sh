@@ -72,8 +72,7 @@ run_lint() (
     fi
     # One fill body per table: the k2 stream loop is called from the
     # accumulate/finalize bodies in triangle.go (R0, R1 and R2 — the closure in
-    # R1's shape against S² or Ŝ, the substitution with a left column bound),
-    # the DMP micro-app, and the substrate's one row body in
+    # R1's shape against S² or Ŝ), the DMP micro-app, and the substrate's one row body in
     # internal/nussinov/fill.go (an exact max-plus row closed in one sweep from
     # a copy of its seed), nowhere else.
     if grep -rn --include='*.go' '[sS]weep(' . | grep -v -e '_test\.go:' -e '^\./bench/' \
@@ -116,26 +115,25 @@ run_lint() (
         echo "lint: an n×n single-strand pair table is back (S builds read score.Weights)" >&2
         exit 1
     fi
-    # Finalize's R2 goes through Sweep in both of its forms: the closure, one
-    # sweep a row against an R2 table — S² itself for exact max-plus, strand
-    # 2's star table Ŝ for partition — from a copy of the row into the row, or,
-    # where R0 skips dominated splits, reading the row into a row of Zero that
-    # the merge kernel folds back (recording the live splits); and the forward
-    # substitution (fractional-weight max-plus), which pushes a row's cells to
-    # the columns right of them a chunk at a time. One Accumulate call per
+    # Finalize's R2 goes through Sweep: one sweep a row against an R2 table —
+    # S² itself for max-plus, exact by construction, strand 2's star table Ŝ
+    # for partition — from a copy of the row into the row, or, where R0 skips
+    # dominated splits, reading the row into a row of Zero that the merge
+    # kernel folds back (recording the live splits). One Accumulate call per
     # finalized cell, each waiting on the last, is the R2 chain growing back.
     if awk '/for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
             in_loop { if (/s\.acc\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
                       depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
             END { exit !bad }' internal/bpmax/triangle.go; then
-        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row against S² for exact max-plus or Ŝ for partition, or one substitution sweep a chunk)" >&2
+        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row against S² for max-plus or Ŝ for partition)" >&2
         exit 1
     fi
-    # The star table retired the generic scalar walk: the substitution's walk
-    # is float32 max-plus alone (r2WalkMaxPlus). r2WalkK back is the partition
-    # fill substituting again where one sweep against Ŝ is the closure.
-    if grep -rn --include='*.go' 'r2WalkK' . | grep -v '_test\.go:'; then
-        echo "lint: the retired r2WalkK is back (partition R2 is one closure sweep against the star table Ŝ)" >&2
+    # The star table retired the generic scalar walk, and weights on the 2⁻⁸
+    # grid retired the forward substitution: every max-plus sum is exact, so
+    # R2 has one form. Any of their names back is a second R2 form growing
+    # back.
+    if grep -rn --include='*.go' -e 'r2WalkK' -e 'r2Substitute' -e 'r2WalkMaxPlus' -e 'r2Chunk' . | grep -v '_test\.go:'; then
+        echo "lint: a retired R2 form is back (R2 is one closure sweep, against S² for max-plus or the star table Ŝ for partition)" >&2
         exit 1
     fi
     # Finalize applies the pairing terms to a whole row, in every algebra.

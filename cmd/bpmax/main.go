@@ -163,8 +163,8 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("best windowed interaction score: %g\n", res.Best)
 		fmt.Printf("at %s[%d..%d] x %s[%d..%d]\n", name1, res.I1, res.J1, name2, res.I2, res.J2)
 		if *stats {
-			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  %s\n",
-				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), fillPlan(&res.Metrics))
+			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  kernel: %s\n",
+				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 			printRuntimeStats()
 		}
 		fold := res.Metrics.Snapshot()
@@ -218,26 +218,16 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *stats {
 		if res.Degradation == bpmax.DegradeWindowed {
-			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  %s\n",
-				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), fillPlan(&res.Metrics))
+			fmt.Printf("scan time: %v  rate: %.1f Mcells/s  banded table: %.1f MB  kernel: %s\n",
+				res.Elapsed, cellRate(res.TableBytes/4, res.Elapsed), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 		} else {
-			fmt.Printf("fill time: %v  rate: %.2f GFLOPS  table: %.1f MB  %s\n",
-				res.Elapsed, res.GFLOPS(), float64(res.TableBytes)/(1<<20), fillPlan(&res.Metrics))
+			fmt.Printf("fill time: %v  rate: %.2f GFLOPS  table: %.1f MB  kernel: %s\n",
+				res.Elapsed, res.GFLOPS(), float64(res.TableBytes)/(1<<20), res.Metrics.Kernel)
 		}
 		printRuntimeStats()
 	}
 	fold := res.Metrics.Snapshot()
 	return writeMetrics(&fold)
-}
-
-// fillPlan renders the end of the -stats fill line: the form the fill
-// finalized R2 in — max-plus or partition; a base-schedule fill has none —
-// then the kernel body it streamed on.
-func fillPlan(m *bpmax.FoldMetrics) string {
-	if m.R2 == "" {
-		return "kernel: " + m.Kernel
-	}
-	return "r2: " + m.R2 + "  kernel: " + m.Kernel
 }
 
 // printRuntimeStats appends the Go runtime health line to -stats output:

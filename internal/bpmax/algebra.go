@@ -59,10 +59,8 @@ type alg[T semiring.Scalar] struct {
 	// factors (forbidden ⇒ 0) for the scaled sum-product.
 	sc1, sc2, isc []T
 	n1, n2        int
-	// r2 names the form finalize solves R2 in (FoldMetrics.R2): r2Closure,
-	// one sweep a row against star (pitch p2) — S² for max-plus, strand 2's
-	// star table (fillStar) for partition — or r2Substitution (no star).
-	r2   string
+	// star is what finalize sweeps R2 against, one sweep a row (pitch p2):
+	// S² for max-plus, strand 2's star table (fillStar) for partition.
 	star []T
 }
 
@@ -80,8 +78,7 @@ func maxplusAlg(p *Problem, cfg Config) alg[float32] {
 		isc:  p.Tab.Inter,
 		n1:   p.N1,
 		n2:   p.N2,
-		r2:   cfg.r2Form(p),
-		star: p.S2.Data(), // where its sums are exact, S² is its own star
+		star: p.S2.Data(), // every sum exact (Problem.exact), S² is its own star
 	}
 }
 

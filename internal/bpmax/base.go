@@ -18,7 +18,7 @@ func solveBase(ctx context.Context, p *Problem, cfg Config) (*FTable, error) {
 	f := newTable[float32](cfg.Pool, p.N1, p.N2, p.N1, p.N2, cfg.Map, false)
 	n1, n2 := p.N1, p.N2
 	done := ctx.Done()
-	obs := cfg.observe(p, "base", "go", "") // per-cell gathers: no streaming kernel, no R2 form
+	obs := cfg.observe(p, "base", "go") // per-cell gathers: no streaming kernel
 	for d1 := 0; d1 < n1; d1++ {
 		// The base schedule has no phase structure; one span per outer
 		// anti-diagonal keeps its timing comparable to the other schedules.
@@ -122,7 +122,7 @@ func solveBaseG[T semiring.Scalar](ctx context.Context, p *Problem, a alg[T], cf
 	f := newAlgTable(p, &a, cfg.Pool, p.N1, p.N2, cfg.Map, false)
 	n1, n2 := p.N1, p.N2
 	done := ctx.Done()
-	obs := cfg.observe(p, "base", "go", "") // per-cell gathers: no streaming kernel, no R2 form
+	obs := cfg.observe(p, "base", "go") // per-cell gathers: no streaming kernel
 	for d1 := 0; d1 < n1; d1++ {
 		t0 := obs.start()
 		for d2 := 0; d2 < n2; d2++ {

@@ -2,6 +2,7 @@ package bpmax
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +10,6 @@ import (
 	"testing/quick"
 
 	"github.com/bpmax-go/bpmax/internal/maxplus"
-	"github.com/bpmax-go/bpmax/internal/metrics"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
@@ -146,27 +146,23 @@ func TestUnrolledKernelAgrees(t *testing.T) {
 	tablesEqual(t, p, Solve(p, VariantReference, Config{}), Solve(p, VariantHybridTiled, cfg), "unrolled")
 }
 
-// TestR2ClosureMatchesSubstitution holds finalize's two R2 forms to each
-// other. Under integer weights every sum is exact, so the one-hop closure
-// and the forward substitution must leave equal tables cell for cell: on the
+// TestR2ClosureMatchesRefDP holds finalize's one-hop R2 closure to refDP,
+// cell for cell, on every parity model, each exact on the 2⁻⁸ grid: on the
 // box and packed maps and on a band of the packed one, at one worker and at
 // two (which finalize distinct triangles at once, each through its own row
-// of the closure's scratch), fresh and pooled. Config.r2 forces the form and
-// FoldMetrics.R2 says which ran. Then the routing: the closure is taken only
-// where the problem's arithmetic is exact.
-func TestR2ClosureMatchesSubstitution(t *testing.T) {
+// of the closure's scratch), fresh and pooled. Then the range: a problem
+// whose sums are exact is filled, to refDP's table, and one whose sums can
+// round is refused by the solver, with no second form to fall back to.
+func TestR2ClosureMatchesRefDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	s1, s2 := rna.Random(rng, 6), rna.Random(rng, 70)
 	ctx := context.Background()
 	for _, model := range parityModels {
-		if model.r2 != r2Closure {
-			continue
-		}
 		p, err := NewProblem(s1, s2, model.params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := NewPool()
+		ref, pl := newRefDP(p), NewPool()
 		for _, shape := range []struct {
 			name   string
 			kind   MapKind
@@ -175,29 +171,20 @@ func TestR2ClosureMatchesSubstitution(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				for _, pool := range []*Pool{nil, pl} {
 					label := fmt.Sprintf("%s/%s/workers=%d/pooled=%v", model.name, shape.name, workers, pool != nil)
-					fill := func(form string) *FTable {
-						var fm metrics.FoldMetrics
-						cfg := Config{Workers: workers, Map: shape.kind, Pool: pool, Metrics: &fm, r2: form}
-						ft, err := newSolver(p, cfg, shape.w1, shape.w2).fill(ctx, VariantHybridTiled, "hybrid-tiled")
-						if err != nil {
-							t.Fatalf("%s %s: %v", label, form, err)
-						}
-						if fm.R2 != form {
-							t.Fatalf("%s: forced %q, FoldMetrics.R2 = %q", label, form, fm.R2)
-						}
-						return ft
+					cfg := Config{Workers: workers, Map: shape.kind, Pool: pool}
+					ft, err := newSolver(p, cfg, shape.w1, shape.w2).fill(ctx, VariantHybridTiled, "hybrid-tiled")
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					closure, subst := fill(r2Closure), fill(r2Substitution)
 					eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
-						if !closure.InWindow(i1, j1, i2, j2) {
+						if !ft.InWindow(i1, j1, i2, j2) {
 							return
 						}
-						if c, s := closure.At(i1, j1, i2, j2), subst.At(i1, j1, i2, j2); c != s {
-							t.Fatalf("%s: F[%d,%d,%d,%d] = %v by closure, %v by substitution", label, i1, j1, i2, j2, c, s)
+						if got, want := ft.At(i1, j1, i2, j2), ref.f(i1, j1, i2, j2); got != want {
+							t.Fatalf("%s: F[%d,%d,%d,%d] = %v, refDP %v", label, i1, j1, i2, j2, got, want)
 						}
 					})
-					closure.Release()
-					subst.Release()
+					ft.Release()
 				}
 			}
 		}
@@ -213,33 +200,43 @@ func TestR2ClosureMatchesSubstitution(t *testing.T) {
 		name   string
 		params score.Params
 		n      int // both strands
-		want   string
+		exact  bool
 	}{
-		{"default", score.DefaultParams(), 16, r2Closure},
-		{"fractional", customParams(2.75, 1.25, 0.5), 16, r2Substitution},
-		{"fractional intermolecular", fractionalInter, 16, r2Substitution},
-		{"negative integer", customParams(3, 2, -1), 16, r2Substitution},
-		{"weight × length below 2²⁴", customParams(1<<20, 2, 1), 15, r2Closure},
-		{"weight × length at 2²⁴", customParams(1<<20, 2, 1), 16, r2Substitution},
+		{"default", score.DefaultParams(), 16, true},
+		{"fractional", customParams(2.75, 1.25, 0.5), 16, true},
+		{"fractional intermolecular", fractionalInter, 16, true},
+		{"negative integer", customParams(3, 2, -1), 16, true},
+		{"weight × length below 2²⁴", customParams(1<<20, 2, 1), 15, true},
+		{"weight × length at 2²⁴", customParams(1<<20, 2, 1), 16, false},
+		{"negative weight × length at 2²⁴", customParams(3, -1<<20, 1), 16, false},
+		{"2⁻⁸ units × length below 2²⁴", customParams(1<<12, 1.7, 0.3), 15, true},
+		{"2⁻⁸ units × length at 2²⁴", customParams(1<<12, 1.7, 0.3), 16, false},
 	} {
 		p, err := NewProblem(rna.Random(rng, c.n), rna.Random(rng, c.n), c.params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := (Config{}).r2Form(p); got != c.want {
-			t.Errorf("%s weights, %d+%d nt: R2 form %q, want %q", c.name, c.n, c.n, got, c.want)
+		ft, err := SolveContext(ctx, p, VariantHybridTiled, Config{Workers: 1})
+		wt, werr := SolveWindowedContext(ctx, p, 4, 4, Config{Workers: 1})
+		if !c.exact {
+			if !errors.Is(err, errInexact) || ft != nil || !errors.Is(werr, errInexact) || wt != nil {
+				t.Errorf("%s weights, %d+%d nt: err %v, windowed err %v; want both refused", c.name, c.n, c.n, err, werr)
+			}
+			continue
 		}
+		if err != nil || werr != nil {
+			t.Fatalf("%s weights, %d+%d nt: err %v, windowed err %v", c.name, c.n, c.n, err, werr)
+		}
+		tablesEqual(t, p, Solve(p, VariantReference, Config{}), ft, c.name)
 	}
 }
 
-// TestR2StarMatchesSubstitution is TestR2ClosureMatchesSubstitution's
-// partition twin. A partition fill solves R2 in one sweep a row against
-// strand 2's star table; forced through Config.r2, the forward substitution
-// pushes one final cell at a time instead. The two round differently, so
-// they must agree to 1e-12 relative, cell for cell — on the box and packed
-// maps, at one worker and at two, fresh and pooled — while within one form
-// every kernel body and the pooled fill leave equal cells (==).
-func TestR2StarMatchesSubstitution(t *testing.T) {
+// TestR2StarMatchesLogDomain: a partition fill solves R2 in one sweep a row
+// against strand 2's star table. Every kernel body and the pooled fill leave
+// equal cells (==), and the table is held cell for cell to the log-domain
+// top-down oracle, which chains R2 as the recurrence states it, to 1e-12
+// relative — on the box and packed maps, at one worker and at two.
+func TestR2StarMatchesLogDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	p, err := NewProblem(rna.Random(rng, 4), rna.Random(rng, 45), score.DefaultParams())
 	if err != nil {
@@ -250,47 +247,40 @@ func TestR2StarMatchesSubstitution(t *testing.T) {
 		t.Fatal("substrate fell back to the log domain")
 	}
 	ctx := context.Background()
+	oracle, err := SolvePartitionContext(ctx, p, ps, VariantReference, Config{})
+	if err != nil || oracle.Scaled() {
+		t.Fatalf("oracle: %v (scaled %v)", err, err == nil && oracle.Scaled())
+	}
 	pl := NewPool()
 	for _, kind := range []MapKind{MapBox, MapPacked} {
 		for _, workers := range []int{1, 2} {
 			label := fmt.Sprintf("%v/workers=%d", kind, workers)
-			fill := func(form, impl string, pool *Pool) *FTableOf[float64] {
-				var fm metrics.FoldMetrics
-				cfg := Config{Workers: workers, Map: kind, Pool: pool, Metrics: &fm, r2: form}
+			fill := func(impl string, pool *Pool) *FTableOf[float64] {
+				cfg := Config{Workers: workers, Map: kind, Pool: pool}
 				cfg.SetKernels(impl)
 				ft, err := SolvePartitionContext(ctx, p, ps, VariantHybridTiled, cfg)
 				if err != nil || !ft.Scaled() {
-					t.Fatalf("%s %s on %q: %v (scaled %v)", label, form, impl, err, ft != nil && ft.Scaled())
-				}
-				if fm.R2 != form {
-					t.Fatalf("%s: forced %q, FoldMetrics.R2 = %q", label, form, fm.R2)
+					t.Fatalf("%s on %q: %v (scaled %v)", label, impl, err, ft != nil && ft.Scaled())
 				}
 				return ft
 			}
-			var forms []*FTableOf[float64]
-			for _, form := range []string{r2Closure, r2Substitution} {
-				want := fill(form, "go", nil)
-				for _, impl := range append(maxplus.Impls(), "") {
-					pool := pl
-					if impl != "" {
-						pool = nil // "": pooled, on the process's body
-					}
-					got := fill(form, impl, pool)
-					eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
-						if g, w := got.At(i1, j1, i2, j2), want.At(i1, j1, i2, j2); g != w {
-							t.Fatalf("%s %s: F[%d,%d,%d,%d] = %v on %q (pooled %v), %v on the Go loops",
-								label, form, i1, j1, i2, j2, g, impl, pool != nil, w)
-						}
-					})
-					got.Release()
+			want := fill("go", nil)
+			for _, impl := range append(maxplus.Impls(), "") {
+				pool := pl
+				if impl != "" {
+					pool = nil // "": pooled, on the process's body
 				}
-				forms = append(forms, want)
+				got := fill(impl, pool)
+				eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
+					if g, w := got.At(i1, j1, i2, j2), want.At(i1, j1, i2, j2); g != w {
+						t.Fatalf("%s: F[%d,%d,%d,%d] = %v on %q (pooled %v), %v on the Go loops",
+							label, i1, j1, i2, j2, g, impl, pool != nil, w)
+					}
+				})
+				got.Release()
 			}
 			eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
-				c, s := forms[0].At(i1, j1, i2, j2), forms[1].At(i1, j1, i2, j2)
-				if math.Abs(c-s) > 1e-12*math.Max(c, s) {
-					t.Fatalf("%s: F[%d,%d,%d,%d] = %v by the star, %v by substitution", label, i1, j1, i2, j2, c, s)
-				}
+				closeRel(t, oracle.LogAt(i1, j1, i2, j2), want.LogAt(i1, j1, i2, j2), 1e-12, label+" against the log-domain oracle")
 			})
 		}
 	}
@@ -562,10 +552,10 @@ func TestProblemAtBoundarySemantics(t *testing.T) {
 // TestPaddedStrandsMatchRefDP: a strand of at least nussinov.SequentialCutoff
 // bases gets an S table on a padded row pitch, and every solver reader of S —
 // s1At, s2At, s2Row, the sweeps' s2off over S² as R1/R2 operand and as its
-// own star, R2's substitution walk — must stride by that pitch. The oracle
-// reads S through the table's own At, so a reader striding by N parts from
-// it; so does the generic oracle, which reads S through s1At and s2At.
-// Strand 2 long: a full fold in both R2 forms, checked on the intervals at
+// own star — must stride by that pitch. The oracle reads S through the
+// table's own At, so a reader striding by N parts from it; so does the
+// generic oracle, which reads S through s1At and s2At. Strand 2 long: a full
+// fold, checked on the intervals at
 // either end of strand 2 (the oracles recurse only inside an interval).
 // Strand 1 long: a band, checked whole.
 func TestPaddedStrandsMatchRefDP(t *testing.T) {
@@ -583,18 +573,16 @@ func TestPaddedStrandsMatchRefDP(t *testing.T) {
 			}
 		})
 	}
-	for _, form := range []string{r2Closure, r2Substitution} {
-		f, err := SolveContext(ctx, p, VariantHybridTiled, Config{Workers: 1, r2: form})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lo := range []int{0, n - edge} {
-			eachCell(2, edge, func(i1, j1, i2, j2 int) {
-				if got, want := f.At(i1, j1, lo+i2, lo+j2), ref.f(i1, j1, lo+i2, lo+j2); got != want {
-					t.Fatalf("%s: F[%d,%d,%d,%d] = %v, oracle %v", form, i1, j1, lo+i2, lo+j2, got, want)
-				}
-			})
-		}
+	f, err := SolveContext(ctx, p, VariantHybridTiled, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lo := range []int{0, n - edge} {
+		eachCell(2, edge, func(i1, j1, i2, j2 int) {
+			if got, want := f.At(i1, j1, lo+i2, lo+j2), ref.f(i1, j1, lo+i2, lo+j2); got != want {
+				t.Fatalf("F[%d,%d,%d,%d] = %v, oracle %v", i1, j1, lo+i2, lo+j2, got, want)
+			}
+		})
 	}
 	q := newTestProblem(t, 38, n, 3)
 	if q.S1.Pitch() == n {

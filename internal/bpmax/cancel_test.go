@@ -192,9 +192,10 @@ func TestSolveContextPreCancelled(t *testing.T) {
 
 // TestSolveContextDeadlinePrompt is the acceptance scenario: a 50 ms
 // deadline on a 200×200 fold must come back with DeadlineExceeded in well
-// under a second for every schedule, leaking no goroutines. (A full
-// 200×200 fill takes minutes to hours per variant, so finishing early
-// proves the cooperative checks fire.)
+// under a second for every schedule, leaking no goroutines. The triangle
+// hook holds each triangle for a millisecond, so every fill outlasts the
+// deadline whatever the kernels' speed, and finishing early proves the
+// cooperative checks fire.
 func TestSolveContextDeadlinePrompt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-ms timing test")
@@ -216,11 +217,14 @@ func TestSolveContextDeadlinePrompt(t *testing.T) {
 	pad := make([]byte, 64<<20)
 	defer runtime.KeepAlive(pad)
 	p := newTestProblem(t, 3, 200, 200)
+	hold := func(int, int) { time.Sleep(time.Millisecond) }
 	for _, sv := range solveVariants {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		ft, err := SolveContext(ctx, p, sv.v, sv.cfg)
+		cfg := sv.cfg
+		cfg.triangleHook = hold
+		ft, err := SolveContext(ctx, p, sv.v, cfg)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || ft != nil {
@@ -236,7 +240,7 @@ func TestSolveContextDeadlinePrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	wt, err := SolveWindowedContext(ctx, p, 150, 150, Config{Workers: 3})
+	wt, err := SolveWindowedContext(ctx, p, 150, 150, Config{Workers: 3, triangleHook: hold})
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("windowed: cancellation took %v", elapsed)
 	}

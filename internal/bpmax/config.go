@@ -117,10 +117,6 @@ type Config struct {
 	// the process's: the seam that makes the kernel body an input of the
 	// parity fuzzers. See SetKernels.
 	kernels string
-	// r2, when set, forces the form a fill finalizes R2 with (r2Closure or
-	// r2Substitution): the seam that holds the two forms to each other in the
-	// tests. A closure forced where max-plus sums round breaks bit-identity.
-	r2 string
 }
 
 // SetTriangleHook installs the fault-injection hook. It exists so the root
@@ -145,19 +141,6 @@ func (c Config) maxplusKernels() semiring.Kernels[float32] {
 		return semiring.MaxPlusKernels(true)
 	}
 	return semiring.MaxPlusKernelsOf(c.kernels)
-}
-
-// r2Form returns the form a max-plus fill of p under this configuration
-// finalizes R2 with: the one-hop closure where the problem's arithmetic is
-// exact (exactMaxPlus), blocked forward substitution otherwise.
-func (c Config) r2Form(p *Problem) string {
-	switch {
-	case c.r2 != "":
-		return c.r2
-	case exactMaxPlus(p):
-		return r2Closure
-	}
-	return r2Substitution
 }
 
 // sumProductKernels returns the float64 kernel bundle a scaled partition

@@ -2,6 +2,7 @@ package bpmax
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,8 +17,9 @@ import (
 // split, and that to refDP, cell for cell: N2 in {1, 15, 33, 47, 70, 128}
 // (no split, one word of live bits and two, with their tails), TileI2 5 and
 // 13 (groups cut short, groups that start inside a word), one worker and two,
-// on the base-pair, unit and custom integer weights with MinHairpin 0-3, on
-// every vector body. Each fill runs twice: on a solver whose table is
+// on the base-pair, unit and custom integer weights, the dyadic ones and the
+// non-dyadic ones rounded to the 2⁻⁸ grid, with MinHairpin 0-3, on every
+// vector body. Each fill runs twice: on a solver whose table is
 // poisoned and whose live words are all 0 (every split dropped), so a word
 // read before finalize or tileLive wrote it shows — masked below maskMinN2
 // too, where no fold takes masks; and on pooled storage poisoned and
@@ -30,7 +32,10 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 	models := []struct {
 		name  string
 		model score.Model
-	}{{"base-pair", score.BasePair()}, {"unit", score.Unit()}, {"integer", customParams(7, 4, 2).Model}}
+	}{
+		{"base-pair", score.BasePair()}, {"unit", score.Unit()}, {"integer", customParams(7, 4, 2).Model},
+		{"dyadic", customParams(2.75, 1.25, 0.5).Model}, {"non-dyadic", customParams(3.1, 1.7, 0.3).Model},
+	}
 	for _, md := range models {
 		for hp := 0; hp <= 3; hp++ {
 			for _, n2 := range []int{1, 15, 33, 47, 70, 128} {
@@ -86,30 +91,46 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 	}
 }
 
-// TestMasksOnlyWhereSumsAreExact: a fill takes masks only where its max-plus
-// sums are exact (exactMaxPlus) and R2 is the closure, on a vector body, the
-// box map and a band spanning N2 — not on fractional weights, not where the
-// closure is forced on them (the tests' seam), not on integer weights whose
-// sums pass 2²⁴, not on the Go loops, the packed map, a narrower band, a
-// strand shorter than maskMinN2 or either partition fill.
+// TestMasksOnlyWhereSumsAreExact: every max-plus fill the solver admits is
+// exact — integer, dyadic and rounded non-dyadic weights alike — and takes
+// masks on a vector body, the box map and a band spanning N2; not on the Go
+// loops, the packed map, a narrower band, a strand shorter than maskMinN2 or
+// either partition fill. Integer weights whose sums pass 2²⁴ are refused by
+// the solver, full fill and band, before any table is built.
 func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 	if s := newSolver(newTestProblem(t, 3, 8, maskMinN2-1), Config{}, 8, maskMinN2-1); s.merge != nil {
 		t.Errorf("an 8x%d fill takes masks", maskMinN2-1)
 	}
 	rng := rand.New(rand.NewSource(5))
 	s1, s2 := rna.Random(rng, 4), rna.Random(rng, maskMinN2+6)
-	huge := customParams(1<<22, 1, 1)
-	for _, md := range append(parityModels, struct {
-		name   string
-		params score.Params
-		r2     string
-		rounds bool
-	}{"integer past 2^24", huge, r2Substitution, true}) {
+	ctx := context.Background()
+	noPartitionMasks := func(name string, p *Problem) {
+		for _, impl := range maxplus.Impls() {
+			cfg := Config{}
+			cfg.SetKernels(impl)
+			ps := buildTestPartitionSub(t, p, 1)
+			a := ps.a
+			a.k = cfg.sumProductKernels()
+			if s := newGSolver(p, a, cfg, p.N1, p.N2, false); s.merge != nil {
+				t.Errorf("%s/%s: the scaled partition fill takes masks", name, impl)
+			}
+		}
+	}
+	huge, err := NewProblem(s1, s2, customParams(1<<22, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := SolveContext(ctx, huge, VariantHybridTiled, Config{})
+	wt, werr := SolveWindowedContext(ctx, huge, huge.N1, huge.N2, Config{})
+	if !errors.Is(err, errInexact) || ft != nil || !errors.Is(werr, errInexact) || wt != nil {
+		t.Errorf("integer past 2^24: err %v, windowed err %v; want both refused", err, werr)
+	}
+	noPartitionMasks("integer past 2^24", huge)
+	for _, md := range parityModels {
 		p, err := NewProblem(s1, s2, md.params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := md.r2 == r2Closure
 		for _, impl := range maxplus.Impls() {
 			for _, c := range []struct {
 				name  string
@@ -117,8 +138,7 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 				w2    int
 				masks bool
 			}{
-				{"box", Config{}, p.N2, exact && impl != "go"},
-				{"box, closure forced", Config{r2: r2Closure}, p.N2, exact && impl != "go"},
+				{"box", Config{}, p.N2, impl != "go"},
 				{"packed", Config{Map: MapPacked}, p.N2, false},
 				{"band", Config{}, p.N2 - 1, false},
 			} {
@@ -129,15 +149,8 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 				}
 				s.abort()
 			}
-			cfg := Config{}
-			cfg.SetKernels(impl)
-			ps := buildTestPartitionSub(t, p, 1)
-			a := ps.a
-			a.k = cfg.sumProductKernels()
-			if s := newGSolver(p, a, cfg, p.N1, p.N2, false); s.merge != nil {
-				t.Errorf("%s/%s: the scaled partition fill takes masks", md.name, impl)
-			}
 		}
+		noPartitionMasks(md.name, p)
 	}
 }
 

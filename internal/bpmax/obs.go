@@ -20,14 +20,13 @@ type obsState struct {
 }
 
 // observe builds the solve's observability handle and stamps the static
-// fold identity (schedule, streaming-kernel implementation, R2 form, shape,
-// width) into the sink.
-func (c Config) observe(p *Problem, schedule, kernel, r2 string) obsState {
+// fold identity (schedule, streaming-kernel implementation, shape, width)
+// into the sink.
+func (c Config) observe(p *Problem, schedule, kernel string) obsState {
 	o := obsState{m: c.Metrics}
 	if o.m != nil {
 		o.m.Schedule = schedule
 		o.m.Kernel = kernel
-		o.m.R2 = r2
 		o.m.N1, o.m.N2 = p.N1, p.N2
 		o.m.Workers = resolveWorkers(c.Workers)
 	}

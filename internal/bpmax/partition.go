@@ -266,7 +266,7 @@ func PartitionSubBytes(n1, n2 int) int64 {
 func matrixAlg(p *Problem, buf []float64) alg[float64] {
 	a, b := p.N1*p.N1, p.N1*p.N1+p.N2*p.N2
 	c := b + p.N1*p.N2
-	return alg[float64]{n1: p.N1, n2: p.N2, sc1: buf[:a], sc2: buf[a:b], isc: buf[b:c], star: buf[c:], r2: r2Closure}
+	return alg[float64]{n1: p.N1, n2: p.N2, sc1: buf[:a], sc2: buf[a:b], isc: buf[b:c], star: buf[c:]}
 }
 
 // fillScaled writes the scaled view: the damping of each pair term, constant

@@ -393,8 +393,7 @@ func logZErrorBound(n1, n2 int) float64 { return 16 * float64(n1+n2) * 0x1p-53 }
 // TestPartitionMatchesExactSum is ROADMAP 4(b)'s error bound, written down:
 // at tiny sizes both fills' LogZ (and every interior cell) sit within
 // logZErrorBound of the exact integer-arithmetic sum. The long shapes run
-// rows across several of R2's substitution chunks and a whole float64 sweep
-// block; there the log domain's bound is scaled by max(1, |log Z|), because
+// rows across a whole float64 sweep block; there the log domain's bound is scaled by max(1, |log Z|), because
 // it stores log Z itself and one ulp of a |log Z| near 40 is 2⁻⁴⁷, 64 times
 // the unscaled bound's 2⁻⁵³, so a legal reordering of the sums can exceed
 // the unscaled bound there. The log line reports both ratios.
@@ -611,8 +610,8 @@ func TestStarOutsideGuardGoesLog(t *testing.T) {
 // out of order — so its table on each vector body equals the table on the
 // portable loops bit for bit only if every lane of every sweep received
 // each of its k2 candidates once, in ascending order: R0 and R1 across block
-// edges, and R2's chunk-by-chunk substitution, whose sweeps must leave the
-// chunk's own lanes to finalize. Rows of several float64 blocks, both maps.
+// edges, and R2's sweep against the star table. Rows of several float64
+// blocks, both maps.
 func TestScaledPartitionFillIsTheGoLoopsBitForBit(t *testing.T) {
 	for _, sh := range [][2]int{{3, 70}, {2, 33}, {4, 17}} {
 		for _, kind := range []MapKind{MapBox, MapPacked} {

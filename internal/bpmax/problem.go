@@ -2,6 +2,7 @@ package bpmax
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/bpmax-go/bpmax/internal/nussinov"
@@ -85,17 +86,30 @@ func (p *Problem) buildS(m score.Model) {
 // cells not zeroed, the fill writes every one it reads), stopping within one
 // row or tile wavefront of a cancelled ctx, on cfg's parallel runtime where
 // nussinov tiles the table. Each row's pair weights are one of w's four base
-// rows, read in place. Where m's sums over n bases are exact (exactSums, O(1)
-// from the model) the rows finish by the closure sweep. It returns the table
-// it filled, partially on an error.
+// rows, read in place. Where m's sums over n bases are exact (score.Grid.Exact,
+// O(1) from the model) the rows finish by the closure sweep. It returns the
+// table it filled, partially on an error.
 func BuildS(ctx context.Context, t *nussinov.Table, w *score.Weights, m score.Model, cfg Config) (*nussinov.Table, error) {
 	if t == nil {
 		t = &nussinov.Table{}
 	}
 	n := w.Len()
 	t.Reset(n)
-	maxW, integer := m.IntegerBounded()
-	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, w.Rows, exactSums(integer, maxW, n), cfg.ParallelFor(n))
+	return t, t.FillContext(ctx, semiring.MaxPlusKernels(true), 0, w.Rows, score.GridOf(m).Exact(n), cfg.ParallelFor(n))
+}
+
+// errInexact is a max-plus solve's refusal of a problem outside float32's
+// exact range, where finalize's one-hop R2 and R0's dominated splits fail;
+// the fold pipeline refuses such folds first (*bpmax.ScoreRangeError).
+var errInexact = errors.New("bpmax: max-plus sums can round in float32")
+
+// exact returns nil where every sum a max-plus fill of p forms is exact
+// (score.Grid.Exact over N1+N2 bases), an errInexact otherwise.
+func (p *Problem) exact() error {
+	if g := p.Tab.Grid; !g.Exact(p.N1 + p.N2) {
+		return fmt.Errorf("%w: weights up to %v on a 2^-%d grid over %d+%d nt", errInexact, g.MaxWeight, g.Exp, p.N1, p.N2)
+	}
+	return nil
 }
 
 // score1 is the intramolecular pair weight for seq1 positions (i, j).

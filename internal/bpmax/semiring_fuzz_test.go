@@ -2,7 +2,6 @@ package bpmax
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -32,9 +31,9 @@ import (
 // rows — long ones span several vectors of the vector bodies and the unrolled
 // loop's main body, block rows several of the sweep's blocks. `rkT`, which
 // only the partition arm reads as a temperature, picks the weight model
-// (parityModels): integer models, whose sums are exact, finalize R2 in one
-// hop, fractional ones by forward substitution, so both forms are held to
-// the oracle.
+// (parityModels): integer, dyadic and rounded non-dyadic weights, on each of
+// which every sum is exact, so the traceback's weight, which adds a
+// structure's pairs in another order than the fill did, is its cell's.
 //
 // Partition checks the scaled sum-product fill against the log-domain
 // top-down oracle on every cell through the domain-aware read (LogAt, what
@@ -74,8 +73,7 @@ func FuzzSemiringParity(f *testing.F) {
 	// the edges of the blocks the sweeps hold in registers (float32: 32 lanes
 	// AVX2, 64 AVX-512; float64: 16 and 32), on both maps and on the process's
 	// and the AVX2 body: the packed rows start at every lane. Max-plus rows run
-	// in both R2 forms: under an integer model (rkT 0-2) and a fractional one
-	// (rkT 3-4).
+	// under an integer model (rkT 0-2) and a fractional one (rkT 3-4).
 	for i, n2 := range []uint8{31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 160} {
 		for _, body := range []uint8{0, avx2Kernels} {
 			for _, model := range []uint8{uint8(i % 3), uint8(3 + i%2)} {
@@ -116,9 +114,6 @@ func FuzzSemiringParity(f *testing.F) {
 		if algebra%2 == 1 {
 			fuzzPartitionParity(t, p, []float64{2, 1, 0.5, 0.25, 0.1}[int(rkT)%5], cfg, kernel&(longRows|blockRows) != 0)
 			return
-		}
-		if got := maxplusAlg(p, cfg).r2; got != model.r2 {
-			t.Fatalf("%s weights: R2 form %q, want %q", model.name, got, model.r2)
 		}
 		ref := newRefDP(p)
 		oracle := func(label string, at func(i1, j1, i2, j2 int) float32, w1, w2 int) {
@@ -167,7 +162,7 @@ func FuzzSemiringParity(f *testing.F) {
 				oracle(v.String()+" band", band.At, w1, w2)
 				// A banded traceback's weight is the stored cell it starts from.
 				best, i1, j1, i2, j2 := band.BestWithin(band.W1, band.W2)
-				if got := TracebackFrom(p, band, i1, j1, i2, j2).Weight(p); got != best && !(model.rounds && closeTo(got, best)) {
+				if got := TracebackFrom(p, band, i1, j1, i2, j2).Weight(p); got != best {
 					t.Fatalf("%s band (%d,%d): traceback from (%d,%d,%d,%d) weighs %v, cell %v",
 						v, w1, w2, i1, j1, i2, j2, got, best)
 				}
@@ -180,22 +175,33 @@ func FuzzSemiringParity(f *testing.F) {
 	})
 }
 
-// parityModels is the max-plus arm's weight-model axis (rkT picks one). The
-// integer models finalize R2 in one hop, the fractional ones — which
-// WithWeights admits — by substitution. Sums of the non-dyadic weights round
-// (rounds), so a structure's Weight, which adds its pairs in another order
-// than the fill did, need only come close to the cell it was traced from.
+// parityModels is the max-plus arm's weight-model axis (rkT picks one), with
+// the GC, AU and GU weights each model holds once built: on the 2⁻⁸ grid
+// (score.GridBits), the dyadic weights as given and the non-dyadic ones
+// rounded (TestParityModelsOnTheGrid).
 var parityModels = []struct {
-	name   string
-	params score.Params
-	r2     string
-	rounds bool
+	name    string
+	params  score.Params
+	weights [3]score.Value
 }{
-	{"default", score.DefaultParams(), r2Closure, false},
-	{"unit", score.Params{Model: score.Unit()}, r2Closure, false},
-	{"integer", customParams(7, 4, 2), r2Closure, false},
-	{"dyadic", customParams(2.75, 1.25, 0.5), r2Substitution, false},
-	{"non-dyadic", customParams(3.1, 1.7, 0.3), r2Substitution, true},
+	{"default", score.DefaultParams(), [3]score.Value{3, 2, 1}},
+	{"unit", score.Params{Model: score.Unit()}, [3]score.Value{1, 1, 1}},
+	{"integer", customParams(7, 4, 2), [3]score.Value{7, 4, 2}},
+	{"dyadic", customParams(2.75, 1.25, 0.5), [3]score.Value{2.75, 1.25, 0.5}},
+	{"non-dyadic", customParams(3.1, 1.7, 0.3), [3]score.Value{794.0 / 256, 435.0 / 256, 77.0 / 256}},
+}
+
+// TestParityModelsOnTheGrid: each parity model holds the weights its row of
+// parityModels lists, in both orientations.
+func TestParityModelsOnTheGrid(t *testing.T) {
+	for _, md := range parityModels {
+		m := md.params.Model
+		for i, pair := range [][2]rna.Base{{rna.G, rna.C}, {rna.A, rna.U}, {rna.G, rna.U}} {
+			if a, b := m.Pair(pair[0], pair[1]), m.Pair(pair[1], pair[0]); a != md.weights[i] || b != md.weights[i] {
+				t.Errorf("%s: %c%c weighs %v / %v, want %v", md.name, pair[0], pair[1], a, b, md.weights[i])
+			}
+		}
+	}
 }
 
 // customParams is a model with the given GC, AU and GU weights.
@@ -205,17 +211,11 @@ func customParams(gc, au, gu score.Value) score.Params {
 	})}
 }
 
-// closeTo reports whether a lies within 1e-5 of b, relative to b's magnitude
-// where that exceeds 1.
-func closeTo(a, b float32) bool {
-	return math.Abs(float64(a)-float64(b)) <= 1e-5*math.Max(1, math.Abs(float64(b)))
-}
-
 // fuzzPartitionParity is FuzzSemiringParity's partition arm; cfg carries the
 // memory map and, for the pooled fill, the kernel body. With logDomain the
 // log-domain fill — what a tripped range guard refills with — is held to the
 // oracle on every schedule too, on the long rows whose R2 spans several
-// substitution chunks and sweep blocks.
+// sweep blocks.
 func fuzzPartitionParity(t *testing.T, p *Problem, kT float64, cfg Config, logDomain bool) {
 	ctx := context.Background()
 	ps := buildTestPartitionSub(t, p, kT)

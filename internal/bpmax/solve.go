@@ -11,8 +11,9 @@ import (
 // Solve fills the full F table for p with the selected variant and returns
 // it. All variants produce bit-identical tables; they differ only in
 // schedule, parallelism and locality. Solve cannot be cancelled; a solver
-// panic propagates to the caller (as a *PanicError). Long-running or
-// fallible callers should prefer SolveContext.
+// panic propagates to the caller (as a *PanicError), and so does the refusal
+// of a problem outside the exact range. Long-running or fallible callers
+// should prefer SolveContext.
 func Solve(p *Problem, v Variant, cfg Config) *FTable {
 	f, err := SolveContext(context.Background(), p, v, cfg)
 	if err != nil {
@@ -35,7 +36,8 @@ func Solve(p *Problem, v Variant, cfg Config) *FTable {
 // goroutine — is recovered and returned as a *PanicError carrying the
 // panicking goroutine's stack; no goroutine leaks either way.
 // (VariantReference, the test/debug oracle, only honors ctx between
-// top-level cells.)
+// top-level cells.) A problem whose max-plus sums can round in float32
+// (score.Grid.Exact) is refused before any table is allocated.
 func SolveContext(ctx context.Context, p *Problem, v Variant, cfg Config) (ft *FTable, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -46,6 +48,9 @@ func SolveContext(ctx context.Context, p *Problem, v Variant, cfg Config) (ft *F
 		}
 	}()
 	if e := ctx.Err(); e != nil {
+		return nil, e
+	}
+	if e := p.exact(); e != nil {
 		return nil, e
 	}
 	switch v {
@@ -92,8 +97,12 @@ type TriangleComputer struct {
 	s *solver
 }
 
-// NewTriangleComputer allocates the table and solver state.
+// NewTriangleComputer allocates the table and solver state. It panics on a
+// problem outside the exact range, which SolveContext refuses.
 func NewTriangleComputer(p *Problem, cfg Config) *TriangleComputer {
+	if err := p.exact(); err != nil {
+		panic(err)
+	}
 	return &TriangleComputer{s: newSolver(p, cfg, p.N1, p.N2)}
 }
 
@@ -194,7 +203,7 @@ func (s *gsolver[T]) run(ctx context.Context, schedule string, serial bool, step
 	cfg, release := s.cfg.ScopedEngine(s.cfg.Workers)
 	defer release()
 	pf := cfg.pforCtx()
-	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl, s.a.r2)
+	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl)
 	var err error
 wavefronts:
 	for d1 := 0; d1 < s.f.W1; d1++ {

@@ -14,10 +14,10 @@ import (
 )
 
 // TestSubstrateForm: BuildS takes the closure sweep exactly where its model's
-// sums are exact — integer weights, maxWeight·⌊n/2⌋ below 2²⁴ — and the walk
-// for fractional or negative weights, with the same table either way as the
-// walk's; the float64 partition substrates, scaled and log domain, always
-// take the walk.
+// sums are exact — maxWeight·2ᵉ·⌊n/2⌋ below 2²⁴ on the model's 2⁻ᵉ grid, for
+// integer, fractional and negative weights alike — and the walk beyond, with
+// the same table either way as the walk's; the float64 partition substrates,
+// scaled and log domain, always take the walk.
 func TestSubstrateForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	ctx, cfg := context.Background(), Config{Workers: 1}
@@ -29,10 +29,12 @@ func TestSubstrateForm(t *testing.T) {
 	}{
 		{"default", score.DefaultParams(), 40, true},
 		{"minhairpin", score.Params{Model: score.BasePair(), MinHairpin: 3}, 40, true},
-		{"fractional", customParams(3.1, 1.7, 0.3), 40, false},
-		{"negative integer", customParams(3, 2, -1), 40, false},
+		{"fractional", customParams(3.1, 1.7, 0.3), 40, true},
+		{"negative integer", customParams(3, 2, -1), 40, true},
 		{"weight × ⌊n/2⌋ just under 2²⁴", customParams(1<<20, 2, 1), 31, true},
 		{"weight × ⌊n/2⌋ at 2²⁴", customParams(1<<20, 2, 1), 32, false},
+		{"2⁻⁸ units × ⌊n/2⌋ just under 2²⁴", customParams(1<<12, 1.7, 0.3), 31, true},
+		{"2⁻⁸ units × ⌊n/2⌋ at 2²⁴", customParams(1<<12, 1.7, 0.3), 32, false},
 	} {
 		seq := rna.Random(rng, c.n)
 		w := score.WeightsOf(seq, c.params)
@@ -55,10 +57,8 @@ func TestSubstrateForm(t *testing.T) {
 
 	// The predicate at the 2²⁴ edge on lengths no table is built for: unit
 	// weights, ⌊n/2⌋ = 2²⁴ - 1 and 2²⁴.
-	w, integer := score.Unit().IntegerBounded()
-	if !exactSums(integer, w, 1<<25-1) || exactSums(integer, w, 1<<25) {
-		t.Errorf("unit weights: exactSums(2²⁵-1) = %v, exactSums(2²⁵) = %v; want true, false",
-			exactSums(integer, w, 1<<25-1), exactSums(integer, w, 1<<25))
+	if g := score.GridOf(score.Unit()); !g.Exact(1<<25-1) || g.Exact(1<<25) {
+		t.Errorf("unit weights: Exact(2²⁵-1) = %v, Exact(2²⁵) = %v; want true, false", g.Exact(1<<25-1), g.Exact(1<<25))
 	}
 
 	p, err := NewProblem(rna.Random(rng, 12), rna.Random(rng, 30), score.DefaultParams())

@@ -1,7 +1,6 @@
 package bpmax
 
 import (
-	"cmp"
 	"errors"
 	"sync/atomic"
 	"unsafe"
@@ -46,8 +45,8 @@ type solver = gsolver[float32]
 
 // gsolver carries the state shared by the optimized schedules: the problem,
 // the algebra view, the table being filled and the resolved configuration.
-// The schedules and finalize are algebra-agnostic; only the kernels and
-// R2's scalar walk (r2Walk) touch scalars.
+// The schedules and finalize are algebra-agnostic; only the kernels touch
+// scalars.
 type gsolver[T semiring.Scalar] struct {
 	p   *Problem
 	a   alg[T]
@@ -63,9 +62,6 @@ type gsolver[T semiring.Scalar] struct {
 	// pre holds the rows finalize's R2 closure reads: row i1 is
 	// pre[i1*n2 : (i1+1)*n2], so concurrent triangles write their own.
 	pre []T
-	// r2Walk, float32 max-plus only (nil otherwise; bound by initTasks), runs
-	// R2 inside columns [j, e) of row y against S² of pitch p.
-	r2Walk func(y, s2 []T, p, j, e int)
 	// blocks is set where R0 runs as block products, and blocksR1 where R1
 	// does too (newGSolver says where); zeros is then a row of Zero that
 	// initRow copies below each row's diagonal, as far left as a product
@@ -143,8 +139,6 @@ func (s *gsolver[T]) initTasks() {
 		copy(s.f.Block(i1, j1), s.scratch.Block(i1, j1))
 		s.finalize(s.f.Block(i1, j1), i1, j1)
 	}
-	// Every float32 view is max-plus (maxplusAlg).
-	s.r2Walk, _ = any(r2WalkMaxPlus).(func(y, s2 []T, p, j, e int))
 }
 
 // newGSolver assembles a solver over an explicit algebra view and a table
@@ -159,9 +153,6 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 		s = poolGetSolver[T](cfg.Pool)
 	} else {
 		s = &gsolver[T]{}
-	}
-	if a.r2 = cmp.Or(cfg.r2, a.r2); a.r2 != r2Closure { // Config.r2: the tests' seam
-		a.star = nil
 	}
 	// Every box-map block holds Zero below its diagonal (initRow). With a
 	// vector Product (max-plus, and the scaled sum-product, whose Zero is 0)
@@ -180,7 +171,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	for r := range s.s2off {
 		s.s2off[r] = r * a.p2
 	}
-	if n := p.N1 * a.n2; a.star != nil && len(s.pre) < n {
+	if n := p.N1 * a.n2; len(s.pre) < n {
 		s.pre = make([]T, n)
 	}
 	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocks && !a.dom.scaled
@@ -189,10 +180,10 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 			s.zeros = append(s.zeros, a.k.Zero)
 		}
 	}
-	// R0's products skip the splits R2 dominates where every sum is exact
-	// (docs/ALGORITHM.md §9, "Dominated splits").
+	// Max-plus R0's products skip the splits R2 dominates, every sum being
+	// exact (docs/ALGORITHM.md §9, "Dominated splits").
 	s.merge = nil
-	if s.blocksR1 && a.r2 == r2Closure && exactMaxPlus(p) && p.N2 >= maskMinN2 {
+	if s.blocksR1 && p.N2 >= maskMinN2 {
 		s.merge, _ = any(maxplus.BodyOf(a.k.Impl).Merge).(func(y, r []T, live []uint64))
 		s.liveW = (p.N2 + 63) / 64
 		if n := s.f.outer.Size() * p.N2 * s.liveW; len(s.live) < n {
@@ -400,33 +391,6 @@ func tileLive(c, a []uint64, w, q0, m int) []uint64 {
 // merge (docs/PERFORMANCE.md, "Dominated splits").
 const maskMinN2 = 64
 
-// The two forms finalize solves R2 in (FoldMetrics.R2).
-const (
-	r2Closure      = "closure"
-	r2Substitution = "substitution"
-)
-
-// exactMaxPlus reports whether every sum a float32 max-plus fill of p forms
-// is exact (exactSums over both strands). The pipeline refuses folds past
-// that bound (checkScoreRange); the solver is reachable without it.
-func exactMaxPlus(p *Problem) bool {
-	return exactSums(p.Tab.IntegerWeights, p.Tab.MaxWeight, p.N1+p.N2)
-}
-
-// exactSums reports whether every sum a float32 max-plus fill over n bases
-// forms is exact: every allowed weight is a non-negative integer (integer)
-// at most maxWeight, and no score of a structure's ⌊n/2⌋ pairs reaches 2²⁴,
-// float32's last consecutive integer.
-func exactSums(integer bool, maxWeight, n int) bool {
-	return integer && float64(maxWeight)*float64(n/2) < 1<<24
-}
-
-// r2Chunk is the width in float32 cells of the chunks R2's forward
-// substitution walks a row in: one 32-byte vector, cut on columns. Wider
-// chunks cost more in the scalar walk than they save in sweeps
-// (docs/PERFORMANCE.md, "Vector kernels").
-const r2Chunk = 8
-
 // finalize turns the accumulated H partials of triangle (i1, j1) into final
 // F values, in every algebra. Rows run bottom-up, so the intra-triangle terms
 // reach finalized rows only, and each term is applied to a whole row — the
@@ -438,10 +402,10 @@ const r2Chunk = 8
 //
 //	F[i2,j2] = c[j2] ⊕ (⊕ over i2 ≤ k < j2 of c[k] ⊗ star[k+1,j2])
 //
-// — R1's sweep shape with a = a copy of c (s.pre). Exact max-plus S² is its
-// own star; partition reads fillStar's table. Where max-plus sums round
-// (a.star nil) r2Substitute solves R2 as the recurrence states it. A scaled
-// domain range-checks each row once final, while it is still in cache.
+// — R1's sweep shape with a = a copy of c (s.pre). Max-plus S² is its own
+// star, every sum being exact (Problem.exact); partition reads fillStar's
+// table. A scaled domain range-checks each row once final, while it is still
+// in cache.
 func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
@@ -453,12 +417,9 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	if i1+1 <= j1-1 {
 		inside = s.f.Block(i1+1, j1-1)
 	}
-	var pre []T
-	if a.star != nil {
-		pre = s.pre[i1*n2 : (i1+1)*n2]
-		if s.merge != nil {
-			copy(pre, s.zeros)
-		}
+	pre := s.pre[i1*n2 : (i1+1)*n2]
+	if s.merge != nil {
+		copy(pre, s.zeros)
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
@@ -492,7 +453,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 			grow[i2+1] = a.k.Add(a.k.Mul(s1Self, sc2row[i2+1]), grow[i2+1])
 			a.k.AccumEach(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
 		}
-		if pre != nil && s.merge != nil {
+		if s.merge != nil {
 			// R2 into a row of Zero (pre), merged with the row, recording
 			// the columns R2 does not reach. pre is reset a row's work before
 			// the next sweep loads it, which would wait for fresh stores.
@@ -502,11 +463,9 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 			clear(live[:w0>>6]) // a tile reads from its first row's word
 			s.merge(grow[w0:hi], pre[w0:hi], live[w0>>6:])
 			copy(pre[w0:hi], s.zeros)
-		} else if pre != nil {
+		} else {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
 			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
-		} else {
-			s.r2Substitute(grow, i2, hi)
 		}
 		if a.dom.scaled && !inGuardWindow(grow[i2:hi]) {
 			s.tripped.Store(true)
@@ -525,42 +484,6 @@ func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
 	for cs := (q1 - 1) / cols * cols; cs < n2; cs += cols {
 		if ce := min(cs+cols, n2); ce > q1 {
 			s.a.k.Product(blk[off[q0]+cs:], n2, s.a.s2[q0*p2+q1-1:], p2, blk[off[q1]+cs:], n2, q1-q0, ce-cs, ce-q1, q1-cs, maxplus.Pre[T]{}, nil)
-		}
-	}
-}
-
-// r2Substitute solves R2 on one row by blocked forward substitution: r2Walk
-// finalizes a chunk's cells in order, then one sweep (a = the row, b = S²,
-// from = the chunk's end) pushes the chunk onward, so every cell gets its
-// candidates in the recurrence's order. It serves fractional-weight
-// max-plus; a partition view substitutes only where the parity tests force
-// it (Config.r2), one cell a chunk, with no walk.
-func (s *gsolver[T]) r2Substitute(grow []T, i2, hi int) {
-	chunk := 1
-	if s.r2Walk != nil {
-		chunk = r2Chunk
-	}
-	for j := i2; j < hi; {
-		e := min((j/chunk+1)*chunk, hi) // chunks start on multiples of chunk
-		if e > j+1 {
-			s.r2Walk(grow, s.a.s2, s.a.p2, j, e)
-		}
-		if e < hi {
-			s.sweep(grow, grow, s.a.s2, s.s2off, j, e, e, hi, maxplus.Pre[T]{})
-		}
-		j = e
-	}
-}
-
-// r2WalkMaxPlus is R2's scalar walk in float32 max-plus, as compares the
-// compiler keeps inline; S² has pitch p.
-func r2WalkMaxPlus(y, s2 []float32, p, j, e int) {
-	for j2 := j; j2+1 < e; j2++ {
-		v, row := y[j2], s2[(j2+1)*p:(j2+1)*p+e]
-		for j3 := j2 + 1; j3 < e; j3++ {
-			if w := v + row[j3]; w > y[j3] {
-				y[j3] = w
-			}
 		}
 	}
 }

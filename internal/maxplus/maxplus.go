@@ -16,8 +16,8 @@
 // work): it holds a block of four vectors of Y in registers — 256 bytes on
 // AVX-512, 128 on AVX2 — while a whole k2 loop of streams passes through it,
 // so Y makes one trip through memory per block, not one per k2; with a left
-// column bound it is also the step of finalize's blocked R2, and with a
-// scratch copy of the row as a, the substrate's closure row. BPPart's
+// column bound it is also the substrate tile's step, and with a scratch copy
+// of a row as a, finalize's R2 and the substrate's closure row. BPPart's
 // partition function is the same stream in the (+, ×) algebra over float64,
 // Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductEach, SumProductSweep
 // and MulScalarInto are those kernels, on the same assembly skeletons at half
@@ -236,12 +236,12 @@ type Pre[T ~float32 | ~float64] struct {
 // b[off[r]+j], whichever memory map laid it out. This is the R0 loop of the
 // double max-plus (a = a row of the west triangle, b = the south triangle,
 // pre its R4 and R3), the R1 loop of finalize (a = a row of S², b = the
-// triangle itself) and, with a left column bound, its R2 step (a = y itself,
-// b = S², from = k1: the cells [k0, k1) of the row, final, pushed to the
-// columns right of them). The rows of b it reads must not overlap the
-// columns of y it writes, y[max(k0+1, from):n], and neither may a[k0:k1]; y
-// is held in registers across the k2 loop, so a store to it is not seen by a
-// later k2's loads.
+// triangle itself) and, with a left column bound, the substrate tile's step
+// (a = y itself, from = the tile's first column: the cells [k0, k1) of the
+// row, final, pushed to the columns right of them). The rows of b it reads
+// must not overlap the columns of y it writes, y[max(k0+1, from):n], and
+// neither may a[k0:k1]; y is held in registers across the k2 loop, so a store
+// to it is not seen by a later k2's loads.
 //
 // Every body runs behind one set of checks: the arguments, then every row. A
 // vector body calls its assembly, which looks at the rows itself, several a

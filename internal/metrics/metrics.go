@@ -85,12 +85,6 @@ type FoldMetrics struct {
 	// portable loops: a log-domain partition fold, the base schedule's
 	// gathers, and any fold on a build or CPU without the vector bodies).
 	Kernel string `json:"kernel,omitempty"`
-	// R2 names the form a max-plus fill finalized R2 in: "closure" (one
-	// sweep from the row before R2, where every sum is exact — integer
-	// weights, scores below 2²⁴) or "substitution" (blocked forward
-	// substitution, for weights whose sums round). Empty for partition folds
-	// and the base schedule.
-	R2 string `json:"r2,omitempty"`
 	// N1, N2 are the sequence lengths; Workers the requested width.
 	N1      int `json:"n1"`
 	N2      int `json:"n2"`

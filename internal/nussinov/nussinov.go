@@ -164,10 +164,9 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // old cells never reach the result.
 //
 // exact asserts that k is max-plus and that every sum the fill forms is
-// exact — integer weights, no structure's score reaching 2²⁴ — which the
-// caller knows in O(1) from its model; the rows then finish by the closure
-// sweep instead of the per-split walk (fillRow), with the same table. The
-// float64 fills and fractional weights pass false.
+// exact (score.Grid.Exact), which the caller knows in O(1) from its model;
+// the rows then finish by the closure sweep instead of the per-split walk
+// (fillRow), with the same table. The float64 fills pass false.
 //
 // unit is the weight of one unpaired base — One in the unscaled semirings,
 // e^{-σ} when the caller runs the sum-product kernels on

@@ -10,6 +10,7 @@ package score
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/bpmax-go/bpmax/internal/rna"
@@ -96,7 +97,7 @@ func Forbidden(name string) Model {
 }
 
 // Custom builds a model from explicit pair weights. Each entry sets the
-// weight symmetrically for (a,b) and (b,a).
+// weight symmetrically for (a,b) and (b,a), rounded to the grid (GridBits).
 func Custom(name string, weights map[[2]rna.Base]Value) Model {
 	m := Forbidden(name)
 	for pair, w := range weights {
@@ -105,7 +106,16 @@ func Custom(name string, weights map[[2]rna.Base]Value) Model {
 	return m
 }
 
+// GridBits fixes the grid of every allowed weight: a model rounds each to the
+// nearest multiple of 2⁻⁸, ties to even, when it is built (see Grid.Exact).
+const GridBits = 8
+
+// setPair sets the weight of a with b and of b with a to w on the grid;
+// forbidden weights (NegInf and below, NaN) are kept as given.
 func (m *Model) setPair(a, b rna.Base, w Value) {
+	if w > NegInf/2 {
+		w = Value(math.RoundToEven(math.Ldexp(float64(w), GridBits)) / (1 << GridBits))
+	}
 	m.pairs[ord(a)][ord(b)] = w
 	m.pairs[ord(b)][ord(a)] = w
 }
@@ -123,20 +133,15 @@ func (m Model) Allowed(a, b rna.Base) bool { return m.pairs[ord(a)][ord(b)] > Ne
 
 // maxIntegerWeight bounds the weights IntegerBounded accepts. Far above any
 // realistic pair weight, far below the 2²⁴ limit where float32 stops
-// representing consecutive integers exactly (the max-plus fill's one-hop R2
-// closure needs exact integer arithmetic).
+// representing consecutive integers exactly.
 const maxIntegerWeight = 1 << 20
 
 // IntegerBounded reports whether every allowed (non-forbidden) pair weight
-// is a small non-negative integer and, if so, the largest such weight.
-// BuildInto records it on Tables, and the max-plus fill keys on it: with
-// integer weights every sum it forms is an integer, exact in float32 below
-// 2²⁴, which lets finalize close R2 in one hop instead of a chain (see
-// internal/bpmax, finalize). With weights in [0, max],
-// adjacent cells of a folding table also differ by an integer step in that
-// same range — what the Four-Russians comparator's difference encoding
-// tabulates. Forbidden entries (NegInf) don't count; an all-forbidden model
-// is integer-bounded with max 0.
+// is a small non-negative integer and, if so, the largest such weight. With
+// weights in [0, max], adjacent cells of a folding table differ by an integer
+// step in that same range — what the Four-Russians comparator's difference
+// encoding tabulates. Forbidden entries (NegInf) don't count; an
+// all-forbidden model is integer-bounded with max 0.
 func (m Model) IntegerBounded() (max int, ok bool) {
 	for a := 0; a < 4; a++ {
 		for b := 0; b < 4; b++ {
@@ -169,6 +174,43 @@ func (m Model) Symmetric() bool {
 	return true
 }
 
+// Grid is the scale of one or more models' allowed weights: each is a
+// multiple of 2⁻ᴱˣᵖ, Exp ≤ GridBits the smallest such, and MaxWeight is the
+// largest magnitude among them.
+type Grid struct {
+	MaxWeight Value
+	Exp       int
+}
+
+// GridOf returns the grid of the allowed weights of ms together.
+func GridOf(ms ...Model) Grid {
+	var g Grid
+	for _, m := range ms {
+		for _, row := range m.pairs {
+			for _, w := range row {
+				if w <= NegInf/2 {
+					continue
+				}
+				w = Value(math.Abs(float64(w)))
+				g.MaxWeight = max(g.MaxWeight, w)
+				for f := math.Ldexp(float64(w), g.Exp); f != math.Trunc(f) && g.Exp < GridBits; f *= 2 {
+					g.Exp++
+				}
+			}
+		}
+	}
+	return g
+}
+
+// Exact reports whether every sum a float32 max-plus fill over n bases forms
+// on g is exact: a structure's ⌊n/2⌋ pairs or fewer score at most
+// MaxWeight·2ᴱˣᵖ·⌊n/2⌋ units of 2⁻ᴱˣᵖ, and float32 holds every integer below
+// 2²⁴. It is the exact range the fold pipeline, the solver and the S builds
+// share.
+func (g Grid) Exact(n int) bool {
+	return math.Ldexp(float64(g.MaxWeight), g.Exp)*float64(n/2) < 1<<24
+}
+
 // Tables bundles the precomputed pair-score lookups for one BPMax problem
 // instance: intramolecular scores for each strand and the intermolecular
 // score matrix. Precomputing them lifts model dispatch out of the O(N³M³)
@@ -181,11 +223,8 @@ type Tables struct {
 	Intra2 []Value
 	// Inter[i1*N2+i2] = weight of pairing seq1[i1] with seq2[i2].
 	Inter []Value
-	// IntegerWeights records that every allowed intra- and intermolecular
-	// weight is a non-negative integer (Model.IntegerBounded of both models),
-	// MaxWeight the largest of them (0 when IntegerWeights is false).
-	IntegerWeights bool
-	MaxWeight      int
+	// Grid is the grid of the intra- and intermolecular models together.
+	Grid Grid
 	// W1, W2 are the strands' weight views, what their S builds read.
 	W1, W2 Weights
 }
@@ -239,12 +278,7 @@ func BuildInto(t *Tables, seq1, seq2 rna.Sequence, p Params) {
 	}
 	t.N1 = n1
 	t.N2 = n2
-	m1, ok1 := p.Model.IntegerBounded()
-	m2, ok2 := inter.IntegerBounded()
-	t.IntegerWeights, t.MaxWeight = ok1 && ok2, 0
-	if t.IntegerWeights {
-		t.MaxWeight = max(m1, m2)
-	}
+	t.Grid = GridOf(p.Model, inter)
 	t.Intra1 = grow(t.Intra1, n1*n1)
 	t.Intra2 = grow(t.Intra2, n2*n2)
 	t.Inter = grow(t.Inter, n1*n2)

@@ -263,30 +263,82 @@ func TestIntegerBounded(t *testing.T) {
 	}
 }
 
-// TestBuildRecordsIntegerWeights: BuildInto records IntegerBounded over both
-// models a table is scored with, intra- and intermolecular, and a reused
-// table forgets what its last build recorded.
-func TestBuildRecordsIntegerWeights(t *testing.T) {
+// TestWeightsOnTheGrid: a model rounds every allowed weight to the nearest
+// multiple of 2⁻⁸, ties to even, when it is built — integers and dyadic
+// weights down to 2⁻⁸ as given, negative ones by the same rule — and leaves
+// forbidden entries forbidden.
+func TestWeightsOnTheGrid(t *testing.T) {
+	for _, c := range []struct{ in, want Value }{
+		{3, 3}, {1 << 22, 1 << 22}, {2.75, 2.75}, {0.5, 0.5}, {0x1p-8, 0x1p-8},
+		{3.1, 794.0 / 256}, {1.7, 435.0 / 256}, {0.3, 77.0 / 256},
+		{-0.3, -77.0 / 256}, {0x1p-9, 0}, {3 * 0x1p-9, 2 * 0x1p-8}, {0x1p-10, 0},
+	} {
+		m := Custom("c", map[[2]rna.Base]Value{{rna.G, rna.C}: c.in})
+		if got := m.Pair(rna.C, rna.G); got != c.want {
+			t.Errorf("weight %v: stored %v, want %v", c.in, got, c.want)
+		}
+		if !m.Allowed(rna.G, rna.C) || m.Allowed(rna.A, rna.U) {
+			t.Errorf("weight %v: GC allowed %v, AU allowed %v", c.in, m.Allowed(rna.G, rna.C), m.Allowed(rna.A, rna.U))
+		}
+	}
+}
+
+// TestGridAndExactRange: the grid of a set of models is its largest weight
+// magnitude and the smallest exponent holding every weight, and Exact is
+// MaxWeight·2ᴱˣᵖ·⌊n/2⌋ < 2²⁴ at its edge.
+func TestGridAndExactRange(t *testing.T) {
+	quarter := Custom("q", map[[2]rna.Base]Value{{rna.G, rna.C}: 2.25})
+	for _, c := range []struct {
+		name string
+		ms   []Model
+		want Grid
+		edge int // the longest n Exact admits: 2·⌊(2²⁴-1)/units⌋ + 1
+	}{
+		{"basepair", []Model{BasePair()}, Grid{3, 0}, 2*5592405 + 1},
+		{"forbidden", []Model{Forbidden("x")}, Grid{0, 0}, 1 << 40},
+		{"fuzzer's non-dyadic", []Model{Custom("f", map[[2]rna.Base]Value{
+			{rna.G, rna.C}: 3.1, {rna.A, rna.U}: 1.7, {rna.G, rna.U}: 0.3})}, Grid{794.0 / 256, 8}, 2*21129 + 1},
+		{"negative counts by magnitude", []Model{Custom("n", map[[2]rna.Base]Value{{rna.A, rna.U}: -1 << 20})}, Grid{1 << 20, 0}, 2*15 + 1},
+		{"intermolecular exponent", []Model{BasePair(), quarter}, Grid{3, 2}, 2*1398101 + 1},
+	} {
+		g := GridOf(c.ms...)
+		if g != c.want {
+			t.Errorf("%s: GridOf = %+v, want %+v", c.name, g, c.want)
+		}
+		if c.want.MaxWeight == 0 {
+			if !g.Exact(c.edge) {
+				t.Errorf("%s: not exact at %d", c.name, c.edge)
+			}
+			continue
+		}
+		if !g.Exact(c.edge) || g.Exact(c.edge+1) {
+			t.Errorf("%s: Exact(%d) = %v, Exact(%d) = %v; want true, false", c.name, c.edge, g.Exact(c.edge), c.edge+1, g.Exact(c.edge+1))
+		}
+	}
+}
+
+// TestBuildRecordsGrid: BuildInto records the grid of both models a table
+// is scored with, intra- and intermolecular, and a reused table forgets
+// what its last build recorded.
+func TestBuildRecordsGrid(t *testing.T) {
 	s1, s2 := rna.MustNew("GCAU"), rna.MustNew("AUGC")
 	seven := Custom("ci", map[[2]rna.Base]Value{{rna.G, rna.C}: 7})
 	half := Custom("cf", map[[2]rna.Base]Value{{rna.G, rna.C}: 2.5})
 	cases := []struct {
-		name  string
-		p     Params
-		max   int
-		exact bool
+		name string
+		p    Params
+		want Grid
 	}{
-		{"integer intermolecular", Params{Model: BasePair(), InterModel: &seven}, 7, true},
-		{"fractional intermolecular", Params{Model: BasePair(), InterModel: &half}, 0, false},
-		{"default", DefaultParams(), 3, true},
-		{"fractional intramolecular", Params{Model: half, InterModel: &seven}, 0, false},
+		{"integer intermolecular", Params{Model: BasePair(), InterModel: &seven}, Grid{7, 0}},
+		{"fractional intermolecular", Params{Model: BasePair(), InterModel: &half}, Grid{3, 1}},
+		{"default", DefaultParams(), Grid{3, 0}},
+		{"fractional intramolecular", Params{Model: half, InterModel: &seven}, Grid{7, 1}},
 	}
 	var tb Tables
 	for _, c := range cases {
 		BuildInto(&tb, s1, s2, c.p)
-		if tb.MaxWeight != c.max || tb.IntegerWeights != c.exact {
-			t.Errorf("%s: (MaxWeight, IntegerWeights) = (%d, %v), want (%d, %v)",
-				c.name, tb.MaxWeight, tb.IntegerWeights, c.max, c.exact)
+		if tb.Grid != c.want {
+			t.Errorf("%s: Grid = %+v, want %+v", c.name, tb.Grid, c.want)
 		}
 	}
 }

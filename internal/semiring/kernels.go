@@ -50,10 +50,11 @@ type Kernels[T Scalar] struct {
 	// for k2 in [k0, k1) and j in [max(k2+1, from), n): y is indexed by
 	// absolute column, b is a table block and off its row offsets (cell (r, j)
 	// at b[off[r]+j]). It is the schedules' one k2 stream loop — R0 with b the
-	// south triangle, R1 with b the triangle being finalized, and R2 with a = y
-	// and b = S², from = k1: the row's final cells [k0, k1) pushed to the
-	// columns right of them. a[k0:k1] and the rows of b read must not overlap
-	// the columns of y written.
+	// south triangle, R1 with b the triangle being finalized, R2 with a a copy
+	// of the row and b its R2 table, and the substrate tile's step with a = y,
+	// from = the tile's first column: the row's final cells [k0, k1) pushed to
+	// the columns right of them. a[k0:k1] and the rows of b read must not
+	// overlap the columns of y written.
 	// pre (maxplus.Pre), unless zero, is two streams y[pre.C0:n] takes first:
 	// R0's sweep carries the row's R4 and R3, and each lane takes R4, R3,
 	// then its k2 ascending, as from three calls, bit for bit

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-
-	itrace "github.com/bpmax-go/bpmax/internal/trace"
 )
 
 const (
@@ -29,7 +27,7 @@ func TestFoldMetricsPopulated(t *testing.T) {
 
 // TestFoldMetricsOnByDefault: recording is unconditional — a fold with no
 // option at all carries the same complete record, and so does a partition
-// fold, R2 form included.
+// fold.
 func TestFoldMetricsOnByDefault(t *testing.T) {
 	res, err := Fold(mSeq1, mSeq2)
 	if err != nil {
@@ -52,9 +50,6 @@ func checkFoldRecord(t *testing.T, res *Result, algebra Algebra) {
 	}
 	if fm.Kernel != "avx512" && fm.Kernel != "avx2" && fm.Kernel != "go" {
 		t.Errorf("Kernel = %q, want avx512, avx2 or go", fm.Kernel)
-	}
-	if fm.R2 != "closure" && fm.R2 != "substitution" {
-		t.Errorf("R2 = %q, want closure or substitution", fm.R2)
 	}
 	if fm.Algebra != string(algebra) {
 		t.Errorf("Algebra = %q, want %q", fm.Algebra, algebra)
@@ -92,37 +87,6 @@ func checkFoldRecord(t *testing.T, res *Result, algebra Algebra) {
 	}
 	if st := fm.Phases[PhaseTriangle]; st != (PhaseStat{}) {
 		t.Errorf("hybrid-tiled fold credited whole-triangle work: %+v", st)
-	}
-}
-
-// TestR2FormIsVisible: which form finalize solved R2 in is part of the plan —
-// FoldMetrics.R2 and the request trace's r2 label name it. Integer weights
-// take the closure; fractional ones, whose sums round, the substitution; a
-// partition fold takes the closure against strand 2's star table.
-func TestR2FormIsVisible(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opts []Option
-		want string
-	}{
-		{"default weights", nil, "closure"},
-		{"unit weights", []Option{WithWeights(Weights{Unit: true})}, "closure"},
-		{"fractional weights", []Option{WithWeights(Weights{GC: 3.1, AU: 1.7, GU: 0.3})}, "substitution"},
-		{"partition", []Option{WithAlgebra(AlgebraPartition)}, "closure"},
-	} {
-		tr := itrace.New("t", "fold")
-		res, err := FoldContext(itrace.NewContext(context.Background(), tr), mSeq1, mSeq2, c.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		label, labelled := tr.Snapshot().Labels["r2"]
-		if res.Metrics.R2 != c.want || label != c.want || labelled != (c.want != "") {
-			t.Errorf("%s: FoldMetrics.R2 %q, trace label %q (set %v), want %q",
-				c.name, res.Metrics.R2, label, labelled, c.want)
-		}
-		if snap := res.Metrics.Snapshot(); snap.R2 != c.want {
-			t.Errorf("%s: FoldSnapshot.R2 %q, want %q", c.name, snap.R2, c.want)
-		}
 	}
 }
 

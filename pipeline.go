@@ -356,7 +356,7 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		if cfg, deg, est, err = rq.budget(p.N1, p.N2); err != nil {
 			return err
 		}
-		if err = rq.checkScoreRange(p.N1, p.N2); err != nil {
+		if err = rq.checkScoreRange(p.Tab.Grid, p.N1, p.N2); err != nil {
 			return err
 		}
 		if _, err = rq.strandS(ctx, p.Seq1, &p.Tab.W1, &p.OwnS1, &p.S1); err != nil {
@@ -441,9 +441,6 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		m.PartitionDomain = partitionDomain(ft64)
 	}
 	rq.tr.SetLabel("kernel", m.Kernel)
-	if m.R2 != "" {
-		rq.tr.SetLabel("r2", m.R2)
-	}
 	m.FillNanos = int64(elapsed)
 	m.TableBytes = res.TableBytes
 	m.Degraded = deg.String()
@@ -623,28 +620,16 @@ func (rq request) budget(n1, n2 int) (cfg ibpmax.Config, deg Degradation, est in
 }
 
 // checkScoreRange is the numeric limit of the max-plus algebra, applied where
-// lengths and model first meet: float32 holds every integer up to 2²⁴, so
-// below it sums of integer weights are exact in any order. It guards the
-// score itself, and with it the choice of finalize's R2 form: the one-hop
-// closure equals the recurrence's chain only while sums are exact, so the
-// solver takes it only for integer weights inside this same bound (which it
-// re-checks, being callable without the pipeline) and solves R2 by
-// substitution otherwise. Either way the table is the recurrence's bit for
-// bit, on every schedule.
-func (rq request) checkScoreRange(n1, n2 int) error {
+// lengths and the grid g of the fold's models first meet: inside g.Exact every
+// sum is exact in any order. It guards the score itself, and with it the
+// fill's one-hop R2 and R0's dominated splits, which hold only on exact sums
+// (the solver, callable without the pipeline, refuses the same problems).
+func (rq request) checkScoreRange(g score.Grid, n1, n2 int) error {
 	if rq.algebra == AlgebraPartition {
 		return nil
 	}
-	var w float32
-	for _, a := range rna.Bases {
-		for _, b := range rna.Bases {
-			if m := rq.sp.Model; m.Allowed(a, b) {
-				w = max(w, float32(math.Abs(float64(m.Pair(a, b)))))
-			}
-		}
-	}
-	if float64(w)*float64((n1+n2)/2) >= 1<<24 {
-		return &ScoreRangeError{MaxWeight: w, N1: n1, N2: n2}
+	if !g.Exact(n1 + n2) {
+		return &ScoreRangeError{MaxWeight: g.MaxWeight, Exp: g.Exp, N1: n1, N2: n2}
 	}
 	return nil
 }
@@ -663,7 +648,7 @@ func (rq request) single(ctx context.Context, seq string) (*SingleResult, error)
 		return nil, err
 	}
 	n := s.Len()
-	if err := rq.checkScoreRange(n, 0); err != nil {
+	if err := rq.checkScoreRange(score.GridOf(rq.sp.Model), n, 0); err != nil {
 		return nil, err
 	}
 	// The S table is built, on a miss, into pooled storage the op hands back

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -189,20 +190,23 @@ func (e *MemoryLimitError) Error() string {
 }
 
 // ScoreRangeError reports a max-plus fold, scan or single-strand fold refused
-// before any table is built because its scores could leave the range in
-// which float32 adds integer weights exactly: a structure over N1+N2
-// nucleotides has up to ⌊(N1+N2)/2⌋ pairs, and MaxWeight times that reaches
-// 2²⁴. A partition fold (float64) is not bounded by it.
+// before any table is built because its scores could leave float32's exact
+// range: every weight is a multiple of 2⁻ᴱˣᵖ (WithWeights rounds to 2⁻⁸), a
+// structure over N1+N2 nucleotides has up to ⌊(N1+N2)/2⌋ pairs, and the fold
+// is refused where MaxWeight·2ᴱˣᵖ·⌊(N1+N2)/2⌋ reaches 2²⁴, float32's last
+// consecutive integer. A partition fold (float64) is not bounded by it.
 type ScoreRangeError struct {
 	// MaxWeight is the largest magnitude among the allowed pair weights.
 	MaxWeight float32
+	// Exp is the smallest e with every allowed weight a multiple of 2⁻ᵉ.
+	Exp int
 	// N1, N2 are the strand lengths (N2 = 0 for a single strand).
 	N1, N2 int
 }
 
 func (e *ScoreRangeError) Error() string {
-	return fmt.Sprintf("bpmax: pair weights up to %v over %d+%d nt can score %g, beyond float32's exact range (2^24)",
-		e.MaxWeight, e.N1, e.N2, float64(e.MaxWeight)*float64((e.N1+e.N2)/2))
+	return fmt.Sprintf("bpmax: pair weights up to %v on a 2^-%d grid over %d+%d nt can score %g grid units, beyond float32's exact range (2^24)",
+		e.MaxWeight, e.Exp, e.N1, e.N2, math.Ldexp(float64(e.MaxWeight), e.Exp)*float64((e.N1+e.N2)/2))
 }
 
 // WithMemoryLimit bounds the F-table storage a fold may allocate, in bytes

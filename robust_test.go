@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 	itrace "github.com/bpmax-go/bpmax/internal/trace"
@@ -43,15 +45,21 @@ func TestFoldContextDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	// Large enough that a full fill takes seconds; the 10 ms deadline must
-	// interrupt it.
+	// The triangle hook holds each of the fill's 2 080 triangles for 1 ms,
+	// so the 10 ms deadline lands mid-fill whatever the kernels' speed, and
+	// must interrupt it.
 	rng := rand.New(rand.NewSource(7))
 	s1, s2 := randSeq(rng, 64), randSeq(rng, 64)
+	hold := withTriangleHook(func(int, int) { time.Sleep(time.Millisecond) })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	res, err := FoldContext(ctx, s1, s2)
+	start := time.Now()
+	res, err := FoldContext(ctx, s1, s2, hold)
 	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
 		t.Fatalf("res=%v err=%v, want nil result and DeadlineExceeded", res != nil, err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("the deadline took %v to unwind the fill, want well under 1s", elapsed)
 	}
 }
 
@@ -318,14 +326,18 @@ func TestFoldCancelDuringSubstrate(t *testing.T) {
 	}
 }
 
-// TestScoreRangeRefused: a max-plus fold, scan or single fold whose score
-// bound maxWeight·⌊(N1+N2)/2⌋ reaches 2²⁴ is refused with a typed error
-// before any table is built and counted once; under the bound, and for a
-// partition fold (float64) at any weight, it runs.
+// TestScoreRangeRefused: a max-plus fold, scan or single fold whose bound
+// maxWeight·2ᵉ·⌊(N1+N2)/2⌋ reaches 2²⁴, on its weights' 2⁻ᵉ grid, is refused
+// with a typed error that states it, before any table is built, and counted
+// once; under the bound, and for a partition fold (float64) at any weight,
+// it runs.
 func TestScoreRangeRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	s16, s17 := randSeq(rng, 16), randSeq(rng, 17)
 	const w = 1 << 20 // 2²⁰: sixteen pairs reach 2²⁴
+	// 2¹² beside a weight on the 2⁻⁸ grid: 2²⁰ units, sixteen pairs reach
+	// 2²⁴ though their score, 2¹⁶, does not.
+	const u = 1 << 12
 	for _, tc := range []struct {
 		name    string
 		weights Weights
@@ -338,6 +350,8 @@ func TestScoreRangeRefused(t *testing.T) {
 		{"odd total rounds down", Weights{GC: w, AU: 2, GU: 1}, s16[:14], s17, false},
 		{"largest weight is GU", Weights{GC: 3, AU: 2, GU: w}, s16, s17, true},
 		{"negative weight counts by magnitude", Weights{GC: 3, AU: -w, GU: 1}, s16, s16, true},
+		{"15 pairs of 2⁻⁸ units under the bound", Weights{GC: u, AU: 1.7, GU: 0.3}, s16, s16[:15], false},
+		{"16 pairs of 2⁻⁸ units reach it", Weights{GC: u, AU: 1.7, GU: 0.3}, s16, s16, true},
 	} {
 		m := NewMetrics()
 		c := NewCache(CacheConfig{})
@@ -351,6 +365,10 @@ func TestScoreRangeRefused(t *testing.T) {
 		}
 		_, err := Fold(tc.s1, tc.s2, opts...)
 		check("Fold", err)
+		if sre := (*ScoreRangeError)(nil); errors.As(err, &sre) &&
+			(sre.N1 != len(tc.s1) || sre.N2 != len(tc.s2) || math.Ldexp(float64(sre.MaxWeight), sre.Exp)*float64((sre.N1+sre.N2)/2) < 1<<24) {
+			t.Errorf("%s: %+v does not state a bound the fold reaches", tc.name, *sre)
+		}
 		if tc.refused {
 			if snap := m.Snapshot(); snap.Errors != 1 {
 				t.Errorf("%s: refusal counted %d times in Metrics.Errors, want 1", tc.name, snap.Errors)
@@ -366,6 +384,43 @@ func TestScoreRangeRefused(t *testing.T) {
 		if _, err := Fold(tc.s1, tc.s2, append(opts, WithAlgebra(AlgebraPartition), WithKT(float64(w)))...); err != nil {
 			t.Errorf("%s: partition fold refused: %v", tc.name, err)
 		}
+	}
+}
+
+// TestFractionalWeightsFoldOnTheGrid: WithWeights rounds 3.1/1.7/0.3 to the
+// 2⁻⁸ grid (794/256, 435/256, 77/256), where every max-plus sum is exact: the
+// fold's score is the top-down oracle's over the rounded model bit for bit,
+// and its structure's weight, summed pair by pair in float32, is the score.
+func TestFractionalWeightsFoldOnTheGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	s1, s2 := randSeq(rng, 5), randSeq(rng, 64)
+	res, err := Fold(s1, s2, WithWeights(Weights{GC: 3.1, AU: 1.7, GU: 0.3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounded := map[[2]rna.Base]score.Value{{rna.G, rna.C}: 794.0 / 256, {rna.A, rna.U}: 435.0 / 256, {rna.G, rna.U}: 77.0 / 256}
+	m := score.Custom("rounded", rounded)
+	p, err := ibpmax.NewProblem(rna.MustNew(s1), rna.MustNew(s2), score.Params{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Score(ibpmax.Solve(p, ibpmax.VariantReference, ibpmax.Config{})); res.Score != want {
+		t.Fatalf("score %v, oracle over the rounded model %v", res.Score, want)
+	}
+	var weight float32
+	pair := func(a, b byte) { weight += m.Pair(rna.Base(a), rna.Base(b)) }
+	st := res.Structure()
+	for _, pr := range st.Intra1 {
+		pair(s1[pr.I], s1[pr.J])
+	}
+	for _, pr := range st.Intra2 {
+		pair(s2[pr.I], s2[pr.J])
+	}
+	for _, pr := range st.Inter {
+		pair(s1[pr.I1], s2[pr.I2])
+	}
+	if weight != res.Score {
+		t.Errorf("structure weighs %v, score %v", weight, res.Score)
 	}
 }
 
