@@ -194,50 +194,6 @@ func BenchmarkMemoryMaps(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduling is the OMP-dynamic-vs-static ablation (paper:
-// dynamic wins under the triangles' imbalance).
-func BenchmarkScheduling(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(b, 12, 48)
-	flops := ibpmax.BPMaxFlops(12, 48)
-	for _, static := range []bool{false, true} {
-		name := "dynamic"
-		if static {
-			name = "static"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := ibpmax.Config{StaticSched: static}
-			for i := 0; i < b.N; i++ {
-				ibpmax.Solve(p, ibpmax.VariantHybridTiled, cfg)
-			}
-			reportGFLOPS(b, flops)
-		})
-	}
-}
-
-// BenchmarkMemoryPhases is the Phase II vs Phase III memory-map ablation:
-// separate accumulator storage (+copy) vs reductions sharing F's memory.
-func BenchmarkMemoryPhases(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(b, 12, 48)
-	flops := ibpmax.BPMaxFlops(12, 48)
-	for _, scratch := range []bool{false, true} {
-		name := "phase3-shared"
-		if scratch {
-			name = "phase2-scratch"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := ibpmax.Config{ScratchAccum: scratch}
-			for i := 0; i < b.N; i++ {
-				ibpmax.Solve(p, ibpmax.VariantHybrid, cfg)
-			}
-			reportGFLOPS(b, flops)
-		})
-	}
-}
-
 // BenchmarkWindowed measures the banded scan (the GPU comparator's
 // formulation) against the full fill at the same lengths.
 func BenchmarkWindowed(b *testing.B) {

@@ -21,8 +21,8 @@
 //	fmt.Println(st.Bracket1, st.Bracket2)
 //
 // Fold defaults to the fastest variant (hybrid + tiling) on all CPUs.
-// Options select other schedules, worker counts, tile shapes, scoring
-// models and windowed (local) scans; see the With* functions.
+// Options select other schedules, worker counts, scoring models and
+// windowed (local) scans; see the With* functions.
 package bpmax
 
 import (
@@ -154,15 +154,6 @@ func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
 
 // WithWorkers caps the number of parallel workers (default: GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
-
-// WithTiles sets the double max-plus tile shape (i2 × k2 × j2); zero
-// fields keep the default 64 × 64 × N shape (j2 untiled). i2 is the row
-// tile; k2 and j2 do not shape the default max-plus fill, whose R0 runs as
-// block products on a vector CPU (they shape the packed map, the portable
-// build and the partition fill).
-func WithTiles(i2, k2, j2 int) Option {
-	return func(o *options) { o.cfg.TileI2, o.cfg.TileK2, o.cfg.TileJ2 = i2, k2, j2 }
-}
 
 // WithPackedMemory switches the inner-triangle memory map from the default
 // bounding box (fast) to the packed quarter-space map (half the memory,

@@ -64,7 +64,7 @@ func TestFoldVariantsAgree(t *testing.T) {
 
 func TestFoldOptionsCompose(t *testing.T) {
 	res, err := Fold("GGAUCC", "GGAUCC",
-		WithTiles(2, 2, 2), WithPackedMemory(), WithWorkers(3))
+		WithVariant(Hybrid), WithPackedMemory(), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

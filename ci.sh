@@ -260,6 +260,16 @@ run_lint() (
         echo "lint: a retired option or kernel slot is back (a path nothing wins on is not selectable)" >&2
         exit 1
     fi
+    # The static-blocked distribution and the Phase II scratch accumulator
+    # beat dynamic scheduling and shared accumulators on no width measured,
+    # and the public tile shape no longer shaped the served fill: none is
+    # selectable (docs/PERFORMANCE.md, "Paths retired because they lost").
+    # The tile fields stay in ibpmax.Config for the harness.
+    if grep -rn --include='*.go' -e 'StaticSched' -e 'RunStatic' -e 'ScratchAccum' -e 'scratchRowTask' \
+        -e 'scratchFinTask' -e 'WithTiles' -e 'tile-[ijk]2' . | grep -v -e '_test\.go:' -e '^\./bench/'; then
+        echo "lint: a retired schedule, accumulator or tile knob is back (the fill runs dynamic, shared and default-tiled)" >&2
+        exit 1
+    fi
     # One memory model: ibpmax.Charge prices every table layout — the budget's
     # rungs, the public estimates — and the result cache adds the footprints
     # beside it. The per-case charge functions it replaced must not return,

@@ -49,9 +49,15 @@ func TestRunAllVariants(t *testing.T) {
 }
 
 func TestRunWithTuning(t *testing.T) {
-	err := run(t.Context(), []string{"-workers", "2", "-tile-i2", "4", "-tile-k2", "2", "-unit", "-packed", "-stats", "GGG", "CCC"})
+	err := run(t.Context(), []string{"-workers", "2", "-unit", "-packed", "-stats", "GGG", "CCC"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	// The tile shape is not a serving knob: every fold runs the default.
+	for _, f := range []string{"-tile-i2", "-tile-k2", "-tile-j2"} {
+		if err := run(t.Context(), []string{f, "4", "GGG", "CCC"}); err == nil {
+			t.Errorf("%s accepted", f)
+		}
 	}
 }
 

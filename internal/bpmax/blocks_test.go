@@ -29,7 +29,6 @@ var blockConfigs = []struct {
 	{"coarse", VariantCoarse, Config{}},
 	{"fine", VariantFine, Config{}},
 	{"hybrid", VariantHybrid, Config{}},
-	{"hybrid-scratch", VariantHybrid, Config{ScratchAccum: true}},
 	{"hybrid-tiled", VariantHybridTiled, Config{}},
 	{"hybrid-tiled/5", VariantHybridTiled, Config{TileI2: 5, TileK2: 3}},
 }

@@ -289,39 +289,22 @@ func TestR2StarMatchesLogDomain(t *testing.T) {
 	}
 }
 
-func TestScratchAccumAgrees(t *testing.T) {
-	// Phase II (separate accumulator storage + copy) and Phase III (shared
-	// storage) memory maps must be observationally identical.
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed + 700))
-		p := newTestProblem(t, seed+70, 1+rng.Intn(9), 1+rng.Intn(9))
-		shared := Solve(p, VariantHybrid, Config{Workers: 2})
-		scratch := Solve(p, VariantHybrid, Config{Workers: 2, ScratchAccum: true})
-		tablesEqual(t, p, shared, scratch, "scratch-accum")
-	}
-}
-
-func TestStaticSchedulingAgrees(t *testing.T) {
+// TestScopedEngineWidthAgrees: every schedule at width 3, on the engine the
+// solve scopes to itself (no Engine configured), equals its width-1 table,
+// which needs no engine at all.
+func TestScopedEngineWidthAgrees(t *testing.T) {
 	p := newTestProblem(t, 6, 9, 11)
-	dyn := Solve(p, VariantHybrid, Config{Workers: 4})
-	st := Solve(p, VariantHybrid, Config{Workers: 4, StaticSched: true})
-	tablesEqual(t, p, dyn, st, "static-sched")
-	// Every schedule under both distributions, at width 3 on the engine the
-	// solve scopes to itself (no Engine configured), against its width-1
-	// table, which needs no engine at all.
 	for _, v := range Variants {
 		one := Solve(p, v, Config{Workers: 1})
-		for _, static := range []bool{false, true} {
-			got := Solve(p, v, Config{Workers: 3, StaticSched: static})
-			tablesEqual(t, p, one, got, fmt.Sprintf("%v/scoped-3/static=%v", v, static))
-		}
+		got := Solve(p, v, Config{Workers: 3})
+		tablesEqual(t, p, one, got, fmt.Sprintf("%v/scoped-3", v))
 	}
 }
 
 func TestRandomConfigurationsQuick(t *testing.T) {
 	// One combined property test: any variant under any configuration
 	// equals the oracle on a random small instance.
-	f := func(seed int64, rawV, rawW, rawTi, rawTk, rawTj uint8, packed, static, scratch bool) bool {
+	f := func(seed int64, rawV, rawW, rawTi, rawTk, rawTj uint8, packed bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n1 := 1 + rng.Intn(7)
 		n2 := 1 + rng.Intn(7)
@@ -331,11 +314,10 @@ func TestRandomConfigurationsQuick(t *testing.T) {
 		}
 		v := Variants[int(rawV)%len(Variants)]
 		cfg := Config{
-			Workers:     1 + int(rawW)%4,
-			TileI2:      1 + int(rawTi)%8,
-			TileK2:      1 + int(rawTk)%8,
-			TileJ2:      int(rawTj) % 8,
-			StaticSched: static, ScratchAccum: scratch,
+			Workers: 1 + int(rawW)%4,
+			TileI2:  1 + int(rawTi)%8,
+			TileK2:  1 + int(rawTk)%8,
+			TileJ2:  int(rawTj) % 8,
 		}
 		if packed {
 			cfg.Map = MapPacked

@@ -10,22 +10,21 @@ import (
 	"time"
 )
 
-// pforFunc is the shape Config.pforCtx binds: one parallel loop.
+// pforFunc is the shape of Engine.Run: one parallel loop.
 type pforFunc = func(ctx context.Context, n, workers int, f func(int)) error
 
 // forEachRuntime runs body over every way a loop reaches the parallel
-// runtime — both distributions on a live engine, no engine at all, and a
-// closed engine (bound through the static side, so both fallbacks take
-// both entry points) — and checks no goroutine outlives the engines.
+// runtime — a live engine, no engine at all, and a closed engine — and
+// checks no goroutine outlives the engines.
 func forEachRuntime(t *testing.T, body func(name string, run pforFunc)) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	live, closed := NewEngine(4), NewEngine(4)
 	closed.Close()
-	body("dynamic", Config{Engine: live}.pforCtx())
-	body("static", Config{Engine: live, StaticSched: true}.pforCtx())
-	body("nil-engine", Config{}.pforCtx())
-	body("closed-engine", Config{Engine: closed, StaticSched: true}.pforCtx())
+	var none *Engine
+	body("dynamic", live.Run)
+	body("nil-engine", none.Run)
+	body("closed-engine", closed.Run)
 	live.Close()
 	checkNoGoroutineLeak(t, before)
 }
@@ -158,8 +157,6 @@ var solveVariants = []struct {
 	{"coarse", VariantCoarse, Config{Workers: 3}},
 	{"fine", VariantFine, Config{Workers: 3}},
 	{"hybrid", VariantHybrid, Config{Workers: 3}},
-	{"hybrid-scratch", VariantHybrid, Config{Workers: 3, ScratchAccum: true}},
-	{"hybrid-static", VariantHybrid, Config{Workers: 3, StaticSched: true}},
 	{"hybrid-tiled", VariantHybridTiled, Config{Workers: 3, TileI2: 4, TileK2: 3}},
 }
 
@@ -191,63 +188,60 @@ func TestSolveContextPreCancelled(t *testing.T) {
 }
 
 // TestSolveContextDeadlinePrompt is the acceptance scenario: a 50 ms
-// deadline on a 200×200 fold must come back with DeadlineExceeded in well
-// under a second for every schedule, leaking no goroutines. The triangle
-// hook holds each triangle for a millisecond, so every fill outlasts the
-// deadline whatever the kernels' speed, and finishing early proves the
-// cooperative checks fire.
+// deadline must come back with DeadlineExceeded in well under a second for
+// every schedule, leaking no goroutines. The triangle hook holds each
+// triangle for a millisecond, so every fill outlasts the deadline whatever
+// its size and the kernels' speed, and finishing early proves the
+// cooperative checks fire: the schedules and the windowed scan run on a
+// 40×40 problem (820 triangles), and one fill on a 200×200 table (~3.2 GB)
+// checks that a unit of work on a large table unwinds as promptly.
 func TestSolveContextDeadlinePrompt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-ms timing test")
 	}
-	// Each variant allocates a ~3.2 GB table. Left to its own pacing the GC
-	// recycles the previous iteration's span, and mallocgc must then re-zero
-	// all of it through page faults before Solve even starts — an
-	// uncancellable multi-second stall that exists only because this loop
-	// allocates eight such tables in one process. A real fold gets a fresh
-	// lazily-zeroed mapping (measured: the same cancel returns in ~50 ms), so
-	// pin that condition by suspending GC for the duration of the loop.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GC()
-	// The first table can still start on pages the earlier tests used and
-	// freed; the runtime then zeroes all 3.2 GB of it before the fill starts,
-	// whether it does depending only on where their garbage happened to lie.
-	// A 64 MB allocation held through the loop takes those pages instead, so
-	// every table starts on fresh ones.
-	pad := make([]byte, 64<<20)
-	defer runtime.KeepAlive(pad)
-	p := newTestProblem(t, 3, 200, 200)
 	hold := func(int, int) { time.Sleep(time.Millisecond) }
-	for _, sv := range solveVariants {
+	expire := func(name string, solve func(ctx context.Context) (*FTable, error)) {
+		t.Helper()
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		cfg := sv.cfg
-		cfg.triangleHook = hold
-		ft, err := SolveContext(ctx, p, sv.v, cfg)
+		ft, err := solve(ctx)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || ft != nil {
-			t.Errorf("%s: table=%v err=%v, want nil table and DeadlineExceeded", sv.name, ft != nil, err)
+			t.Errorf("%s: table=%v err=%v, want nil table and DeadlineExceeded", name, ft != nil, err)
 		}
 		if elapsed > time.Second {
-			t.Errorf("%s: cancellation took %v, want well under 1s", sv.name, elapsed)
+			t.Errorf("%s: cancellation took %v, want well under 1s", name, elapsed)
 		}
 		checkNoGoroutineLeak(t, before)
 	}
+	p := newTestProblem(t, 3, 40, 40)
+	for _, sv := range solveVariants {
+		cfg := sv.cfg
+		cfg.triangleHook = hold
+		expire(sv.name, func(ctx context.Context) (*FTable, error) { return SolveContext(ctx, p, sv.v, cfg) })
+	}
 	// The windowed solver under the same deadline.
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	wt, err := SolveWindowedContext(ctx, p, 150, 150, Config{Workers: 3, triangleHook: hold})
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("windowed: cancellation took %v", elapsed)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) || wt != nil {
-		t.Errorf("windowed: table=%v err=%v, want nil table and DeadlineExceeded", wt != nil, err)
-	}
-	checkNoGoroutineLeak(t, before)
+	expire("windowed", func(ctx context.Context) (*FTable, error) {
+		return SolveWindowedContext(ctx, p, 30, 30, Config{Workers: 3, triangleHook: hold})
+	})
+
+	// Left to its own pacing the GC may hand the large table a span an
+	// earlier test freed, and mallocgc must then re-zero all of it through
+	// page faults before Solve even starts — an uncancellable multi-second
+	// stall that only a test process recycling such spans sees. A real fold
+	// gets a fresh lazily-zeroed mapping (measured: the same cancel returns in
+	// ~50 ms), so pin that condition: GC suspended, and a 64 MB allocation
+	// held through the solve to take the pages earlier tests freed.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GC()
+	pad := make([]byte, 64<<20)
+	defer runtime.KeepAlive(pad)
+	large := newTestProblem(t, 3, 200, 200)
+	expire("hybrid-tiled/200x200", func(ctx context.Context) (*FTable, error) {
+		return SolveContext(ctx, large, VariantHybridTiled, Config{Workers: 3, triangleHook: hold})
+	})
 }
 
 // TestSolveContextPanicIsolation injects a panic into a triangle task of

@@ -63,7 +63,9 @@ func (v Variant) String() string {
 var Variants = []Variant{VariantBase, VariantCoarse, VariantFine, VariantHybrid, VariantHybridTiled}
 
 // Config tunes a solve. The zero value is valid: GOMAXPROCS workers,
-// paper-default tiles, bounding-box memory map, dynamic scheduling.
+// paper-default tiles, bounding-box memory map. Every loop is scheduled
+// dynamically (the paper's OMP-dynamic) and every accumulator shares F's
+// storage (its Phase III map).
 type Config struct {
 	// Workers is the parallel width; <= 0 means GOMAXPROCS.
 	Workers int
@@ -77,15 +79,6 @@ type Config struct {
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind
-	// StaticSched switches row/triangle distribution from dynamic
-	// (default, OMP-dynamic analogue) to static blocked (ablation).
-	StaticSched bool
-	// ScratchAccum reverts the hybrid schedule to the paper's Phase II
-	// memory map: the R0/R3/R4 accumulator lives in separate scratch
-	// storage and is copied into F before the update pass, instead of
-	// sharing F's memory (Phase III). Ablation only — extra memory and an
-	// extra copy pass per wavefront.
-	ScratchAccum bool
 
 	// Engine is the worker team every parallel loop runs on. Sharing one
 	// across folds and batch items amortizes goroutine launch cost and caps
@@ -93,10 +86,12 @@ type Config struct {
 	// Workers > 1 with none set starts one for its own duration
 	// (ScopedEngine), and a width-1 solve needs none.
 	Engine *Engine
-	// Pool, when non-nil, recycles DP tables, scratch accumulators, and
-	// solver state across folds so steady-state solves are near
-	// zero-allocation. Pooled buffers are re-zeroed on reuse, so results
-	// stay bit-identical to fresh-allocation runs.
+	// Pool, when non-nil, recycles DP tables and solver state across folds
+	// so steady-state solves are near zero-allocation. A pooled table is
+	// re-zeroed on reuse except where the fill writes every cell before it
+	// reads one (a streamed box-map fill on a vector body takes it uncleared,
+	// bufpool.GetUnzeroed), so results stay bit-identical to fresh-allocation
+	// runs.
 	Pool *Pool
 
 	// Metrics, when non-nil, receives per-phase timings, wavefront counts
@@ -164,25 +159,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pfor returns the configured parallel-for strategy.
+// pfor returns the uncancellable parallel-for over the configured Engine.
+// Every loop runs on the Engine — with none configured (a width-1 solve, or
+// a caller that skipped ScopedEngine) on the submitting goroutine alone.
 func (c Config) pfor() func(n, workers int, f func(int)) {
-	pf := c.pforCtx()
+	e := c.Engine
 	return func(n, workers int, f func(int)) {
-		if err := pf(context.Background(), n, workers, f); err != nil {
+		if err := e.Run(context.Background(), n, workers, f); err != nil {
 			panic(err)
 		}
 	}
-}
-
-// pforCtx returns the cancellable form of the configured parallel-for
-// strategy; the solvers' context plumbing runs through it. Every loop runs
-// on the Engine — with none configured (a width-1 solve, or a caller that
-// skipped ScopedEngine) the loop runs on the submitting goroutine alone.
-func (c Config) pforCtx() func(ctx context.Context, n, workers int, f func(int)) error {
-	if c.StaticSched {
-		return c.Engine.RunStatic
-	}
-	return c.Engine.Run
 }
 
 // ScopedEngine binds c to a parallel runtime for the length of one call: c
@@ -210,6 +196,6 @@ func (c Config) ParallelFor(n int) nussinov.ParallelFor {
 	if w == 1 || !nussinov.Tiled(n) {
 		return nil
 	}
-	pf := c.pforCtx()
-	return func(ctx context.Context, n int, f func(int)) error { return pf(ctx, n, w, f) }
+	e := c.Engine
+	return func(ctx context.Context, n int, f func(int)) error { return e.Run(ctx, n, w, f) }
 }

@@ -91,10 +91,10 @@ func sequentialFor(ctx context.Context, n int, f func(i int)) (err error) {
 //     than W-1 helper goroutines in existence, no matter how many folds
 //     share it.
 //
-// Scheduling inside a loop is chunked-dynamic (workers claim contiguous
-// index ranges from an atomic counter), mirroring the paper's OMP-dynamic
-// result for BPMax's imbalanced triangles; the static ablation maps onto the
-// same mechanism with one chunk per worker.
+// Scheduling inside a loop is dynamic (workers claim one index at a time
+// from an atomic counter), mirroring the paper's OMP-dynamic result for
+// BPMax's imbalanced triangles; a static-blocked distribution won on no
+// width measured (docs/PERFORMANCE.md, "Paths retired because they lost").
 //
 // Cancellation is checked before every iteration (latency bounded by the
 // longest single task), and a panic in the body is recovered inside the job
@@ -110,8 +110,8 @@ type Engine struct {
 
 // engineStats holds the engine's always-on utilization counters. They are
 // deliberately cheap — a handful of atomic adds per Run (per wavefront,
-// not per iteration; chunk claims are batched per worker per job) — so no
-// flag gates them.
+// not per iteration; claims are batched per worker per job) — so no flag
+// gates them.
 type engineStats struct {
 	runs, seqRuns, fallbacks       atomic.Int64
 	helperOffers, helpersRecruited atomic.Int64
@@ -124,17 +124,16 @@ type engineStats struct {
 type job struct {
 	// ctx is stored as the interface (not Done()/Err() method values, which
 	// would allocate per Run) so the steady state stays allocation-free.
-	ctx   context.Context
-	f     func(i int)
-	n     int
-	chunk int
-	next  atomic.Int64
-	stop  atomic.Bool
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	err   error
+	ctx  context.Context
+	f    func(i int)
+	n    int
+	next atomic.Int64
+	stop atomic.Bool
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	err  error
 	// stats points at the owning engine's counters; workers batch their
-	// chunk-claim counts into it once per job rather than per claim.
+	// claim counts into it once per job rather than per claim.
 	stats *engineStats
 }
 
@@ -149,7 +148,7 @@ func (j *job) fail(e error) {
 	j.stop.Store(true)
 }
 
-// run claims chunks until the index space, a cancellation, or an error is
+// run claims indices until the index space, a cancellation, or an error is
 // exhausted. It is executed by the submitter and by every helper worker; the
 // deferred recover converts a body panic into the job's error without
 // killing the (persistent) goroutine running it.
@@ -177,27 +176,18 @@ func (j *job) run() {
 			j.fail(ferr)
 			return
 		}
-		lo := int(j.next.Add(int64(j.chunk))) - j.chunk
-		if lo >= j.n {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.n {
 			return
 		}
 		claimed++
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
+		select {
+		case <-done:
+			j.fail(j.ctx.Err())
+			return
+		default:
 		}
-		for i := lo; i < hi; i++ {
-			if j.stop.Load() {
-				return
-			}
-			select {
-			case <-done:
-				j.fail(j.ctx.Err())
-				return
-			default:
-			}
-			j.f(i)
-		}
+		j.f(i)
 	}
 }
 
@@ -250,16 +240,6 @@ func (e *Engine) Close() {
 // work on the loop has finished when Run returns. A nil or
 // closed engine has no helpers to offer: the loop runs on the caller alone.
 func (e *Engine) Run(ctx context.Context, n, workers int, f func(i int)) error {
-	return e.run(ctx, n, workers, f, false)
-}
-
-// RunStatic is Run with the static-blocked ablation schedule: one
-// contiguous chunk per worker, claimed from the same counter.
-func (e *Engine) RunStatic(ctx context.Context, n, workers int, f func(i int)) error {
-	return e.run(ctx, n, workers, f, true)
-}
-
-func (e *Engine) run(ctx context.Context, n, workers int, f func(i int), static bool) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -280,10 +260,6 @@ func (e *Engine) run(ctx context.Context, n, workers int, f func(i int), static 
 	j.ctx = ctx
 	j.f = f
 	j.n = n
-	j.chunk = 1
-	if static {
-		j.chunk = (n + width - 1) / width
-	}
 	j.next.Store(0)
 	j.stop.Store(false)
 	j.err = nil

@@ -236,16 +236,6 @@ func TestEngineStatsCounting(t *testing.T) {
 		t.Errorf("after sequential run: Runs = %d, SequentialRuns = %d, want 2 and 1", s.Runs, s.SequentialRuns)
 	}
 
-	// Static scheduling claims one contiguous chunk per worker.
-	if err := e.RunStatic(context.Background(), 64, 4, func(int) {}); err != nil {
-		t.Fatalf("RunStatic: %v", err)
-	}
-	s = e.Stats()
-	claimedByStatic := s.ChunksClaimed - 64
-	if claimedByStatic < 1 || claimedByStatic > 4 {
-		t.Errorf("static chunks claimed = %d, want within [1, 4]", claimedByStatic)
-	}
-
 	// A panicking body counts once and surfaces as an error.
 	if err := e.Run(context.Background(), 8, 4, func(i int) {
 		if i == 3 {

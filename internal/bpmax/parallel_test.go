@@ -5,22 +5,15 @@ import (
 	"time"
 )
 
-// The two tests below keep the sizes the deleted fork-join loops were held
-// to, on the paths that replaced them: a loop with no engine under it, and a
+// The test below keeps the sizes the deleted fork-join loops were held to,
+// on the paths that replaced them: a loop with no engine under it, and a
 // team narrower than the width asked for.
 func TestParallelForCoversAllIndices(t *testing.T) {
 	e := NewEngine(3)
 	defer e.Close()
-	for name, run := range map[string]pforFunc{"nil-engine": Config{}.pforCtx(), "engine-3": e.Run} {
+	var none *Engine
+	for name, run := range map[string]pforFunc{"nil-engine": none.Run, "engine-3": e.Run} {
 		checkCoversAllIndices(t, name, run, []int{0, 1, 2, 7, 100}, []int{0, 1, 5, 64})
-	}
-}
-
-func TestParallelForStaticCoversAllIndices(t *testing.T) {
-	e := NewEngine(3)
-	defer e.Close()
-	for name, run := range map[string]pforFunc{"nil-engine": Config{StaticSched: true}.pforCtx(), "engine-3": e.RunStatic} {
-		checkCoversAllIndices(t, name, run, []int{0, 1, 3, 50}, []int{0, 1, 7, 33})
 	}
 }
 

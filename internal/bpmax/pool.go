@@ -85,7 +85,7 @@ func (e *SequenceError) Unwrap() error { return e.Err }
 // The returned problem must be handed back with Problem.Release once its
 // tables are no longer referenced.
 func (pl *Pool) NewProblem(seq1, seq2 string, params score.Params) (*Problem, error) {
-	p, err := pl.NewProblemShell(seq1, seq2, params)
+	p, err := pl.NewProblemShell(seq1, seq2, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +97,10 @@ func (pl *Pool) NewProblem(seq1, seq2 string, params score.Params) (*Problem, er
 // caller follows up with BuildS for each strand or points S1/S2 at cached
 // tables. A recycled shell forgets the tables its last fold read — possibly a
 // cache's — and keeps only its own storage. A nil pool builds a fresh,
-// unpooled shell the same way.
-func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Problem, error) {
+// unpooled shell the same way. refuse, when non-nil, sees the parsed lengths
+// before the pair tables are built: its error hands the shell back and is
+// returned, so a refused fold allocates nothing O(n²).
+func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params, refuse func(n1, n2 int) error) (*Problem, error) {
 	var p *Problem
 	if pl != nil {
 		p, _ = pl.problems.Get().(*Problem)
@@ -122,6 +124,12 @@ func (pl *Pool) NewProblemShell(seq1, seq2 string, params score.Params) (*Proble
 	if p.N1 == 0 || p.N2 == 0 {
 		p.Release()
 		return nil, fmt.Errorf("bpmax: both sequences must be non-empty (got %d and %d nt)", p.N1, p.N2)
+	}
+	if refuse != nil {
+		if err := refuse(p.N1, p.N2); err != nil {
+			p.Release()
+			return nil, err
+		}
 	}
 	if p.Tab == nil {
 		p.Tab = &score.Tables{}

@@ -146,11 +146,9 @@ type step struct {
 //     paper observed.
 //   - hybrid: phase A row-parallelizes the accumulation across *all*
 //     triangles of the diagonal (fine-grain), then phase B finalizes the
-//     triangles coarse-grain in parallel — "the best of both worlds". With
-//     Config.ScratchAccum, phase A writes a scratch table whose blocks
-//     phase B copies into F: the Phase II memory map, and the redundant data
-//     movement the paper's Phase III optimization ("R0, R3 and R4 ... share
-//     the memory with F-table") eliminated.
+//     triangles coarse-grain in parallel — "the best of both worlds". Its
+//     accumulators share F's storage (the paper's Phase III map: "R0, R3
+//     and R4 ... share the memory with F-table").
 //   - hybrid-tiled: hybrid with the (i2 × k2 × j2) tiling of the double ⊕⊗
 //     reduction; the parallel unit of phase A becomes an i2 tile.
 //
@@ -166,19 +164,9 @@ func (s *gsolver[T]) fill(ctx context.Context, v Variant, schedule string) (*FTa
 			step{phase: metrics.PhaseAccum, per: n2, task: s.rowFineTask},
 			step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask, inline: true})
 	case VariantHybrid:
-		if !s.cfg.ScratchAccum {
-			return s.run(ctx, schedule, false,
-				step{phase: metrics.PhaseAccum, per: n2, task: s.rowAllTask},
-				step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask})
-		}
-		// The scratch table is never returned, so it goes back to the pool
-		// on every exit (Release is a no-op when unpooled).
-		scratch := newAlgTable(s.p, &s.a, s.cfg.Pool, s.f.W1, s.f.W2, s.cfg.Map, s.blocks)
-		defer scratch.Release()
-		s.scratch = scratch
 		return s.run(ctx, schedule, false,
-			step{phase: metrics.PhaseAccum, per: n2, task: s.scratchRowTask},
-			step{phase: metrics.PhaseFinalize, per: 1, task: s.scratchFinTask})
+			step{phase: metrics.PhaseAccum, per: n2, task: s.rowAllTask},
+			step{phase: metrics.PhaseFinalize, per: 1, task: s.finTask})
 	case VariantHybridTiled:
 		s.curTileW = s.cfg.TileI2
 		s.curTilesPT = (n2 + s.curTileW - 1) / s.curTileW
@@ -202,7 +190,6 @@ func (s *gsolver[T]) fill(ctx context.Context, v Variant, schedule string) (*FTa
 func (s *gsolver[T]) run(ctx context.Context, schedule string, serial bool, steps ...step) (*FTableOf[T], error) {
 	cfg, release := s.cfg.ScopedEngine(s.cfg.Workers)
 	defer release()
-	pf := cfg.pforCtx()
 	obs := s.cfg.observe(s.p, schedule, s.a.k.Impl)
 	var err error
 wavefronts:
@@ -219,7 +206,7 @@ wavefronts:
 				t0 := obs.start()
 				if st.inline {
 					st.task(r)
-				} else if err = pf(ctx, n, s.cfg.Workers, st.task); err != nil {
+				} else if err = cfg.Engine.Run(ctx, n, s.cfg.Workers, st.task); err != nil {
 					obs.interrupt(st.phase, t0)
 					break wavefronts
 				}

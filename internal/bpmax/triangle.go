@@ -81,19 +81,16 @@ type gsolver[T semiring.Scalar] struct {
 	curI1      int
 	curTileW   int
 	curTilesPT int
-	scratch    *FTableOf[T]
 	// tripped is set by any finalize task whose triangle left the range
 	// guard's window (scaled domains only); the schedules poll it between
 	// wavefronts.
 	tripped atomic.Bool
 
-	triTask        func(i1 int) // coarse: one whole triangle of wavefront curD1
-	finTask        func(i1 int) // hybrid/tiled phase B: finalize one triangle
-	rowAllTask     func(t int)  // hybrid phase A: one row across the wavefront
-	rowFineTask    func(i2 int) // fine: one row of triangle curI1 of wavefront curD1
-	tileTask       func(t int)  // hybrid-tiled phase A: one row tile
-	scratchRowTask func(t int)  // scratch ablation phase A
-	scratchFinTask func(i1 int) // scratch ablation phase B: copy + finalize
+	triTask     func(i1 int) // coarse: one whole triangle of wavefront curD1
+	finTask     func(i1 int) // hybrid/tiled phase B: finalize one triangle
+	rowAllTask  func(t int)  // hybrid phase A: one row across the wavefront
+	rowFineTask func(i2 int) // fine: one row of triangle curI1 of wavefront curD1
+	tileTask    func(t int)  // hybrid-tiled phase A: one row tile
 }
 
 // initTasks builds the reusable task closures. Called once per solver shell
@@ -118,26 +115,6 @@ func (s *gsolver[T]) initTasks() {
 			r1 = s.p.N2
 		}
 		s.accumulateTileTask(i1, i1+s.curD1, r0, r1)
-	}
-	s.scratchRowTask = func(t int) {
-		i1 := t / s.p.N2
-		i2 := t % s.p.N2
-		j1 := i1 + s.curD1
-		if h := s.cfg.triangleHook; h != nil && i2 == 0 {
-			h(i1, j1)
-		}
-		// Row addressing depends only on the shared inner map, so the
-		// solver's row helpers work on scratch blocks directly.
-		blk := s.scratch.Block(i1, j1)
-		s.initRow(blk, i1, j1, i2)
-		for k1 := i1; k1 < j1; k1++ {
-			s.accumulateRow(blk, s.f.Block(i1, k1), s.f.Block(k1+1, j1), i1, j1, k1, i2)
-		}
-	}
-	s.scratchFinTask = func(i1 int) {
-		j1 := i1 + s.curD1
-		copy(s.f.Block(i1, j1), s.scratch.Block(i1, j1))
-		s.finalize(s.f.Block(i1, j1), i1, j1)
 	}
 }
 
@@ -209,7 +186,6 @@ func (s *gsolver[T]) release() {
 	pl := s.cfg.Pool
 	s.p = nil
 	s.f = nil
-	s.scratch = nil
 	s.a = alg[T]{}
 	if pl != nil {
 		poolPutSolver(pl, s)

@@ -35,8 +35,7 @@ func SolveWindowedContext(ctx context.Context, p *Problem, w1, w2 int, cfg Confi
 		return nil, e
 	}
 	// The band's budget (EstimateWindowedBytes) is one packed table: no box
-	// padding, no Phase II scratch copy.
+	// padding.
 	cfg.Map = MapPacked
-	cfg.ScratchAccum = false
 	return newSolver(p, cfg, w1, w2).fill(ctx, VariantHybrid, "windowed")
 }

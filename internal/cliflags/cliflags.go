@@ -1,5 +1,5 @@
 // Package cliflags is the one flag surface for the serving knobs shared by
-// the bpmax CLI and the bpmaxd network server: schedule variant, tiling,
+// the bpmax CLI and the bpmaxd network server: schedule variant, memory map,
 // memory budget and degradation, cache, admission control, retry policy and
 // failpoint arming. Both binaries register the same Serving struct, so a knob
 // added here appears in both with identical names, defaults and parsing — the
@@ -23,9 +23,6 @@ import (
 type Serving struct {
 	Variant string
 	Workers int
-	TileI   int
-	TileK   int
-	TileJ   int
 	Unit    bool
 	Packed  bool
 
@@ -53,9 +50,6 @@ func (f *Serving) Register(fs *flag.FlagSet) {
 		"schedule: base, coarse, fine, hybrid, hybrid-tiled")
 	fs.IntVar(&f.Workers, "workers", f.Workers,
 		"parallel workers (0 = all CPUs): the width of the worker team a fold, a batch or the server's session runs on")
-	fs.IntVar(&f.TileI, "tile-i2", f.TileI, "i2 tile size (0 = default 64)")
-	fs.IntVar(&f.TileK, "tile-k2", f.TileK, "k2 tile size (0 = default 64)")
-	fs.IntVar(&f.TileJ, "tile-j2", f.TileJ, "j2 tile size (0 = untiled/streaming)")
 	fs.BoolVar(&f.Unit, "unit", f.Unit, "unweighted pair counting instead of GC=3/AU=2/GU=1")
 	fs.BoolVar(&f.Packed, "packed", f.Packed, "use the packed (quarter-space) memory map")
 	fs.StringVar(&f.MemLimit, "mem-limit", f.MemLimit,
@@ -98,7 +92,6 @@ func (f *Serving) Build() (*Components, error) {
 	c.Options = []bpmax.Option{
 		bpmax.WithVariant(bpmax.Variant(f.Variant)),
 		bpmax.WithWorkers(f.Workers),
-		bpmax.WithTiles(f.TileI, f.TileK, f.TileJ),
 	}
 	if f.Unit {
 		c.Options = append(c.Options, bpmax.WithWeights(bpmax.Weights{Unit: true}))

@@ -414,7 +414,7 @@ type EngineStats struct {
 	HelperOffers     int64 `json:"helper_offers"`
 	HelpersRecruited int64 `json:"helpers_recruited"`
 	// ChunksClaimed counts dynamic-scheduling claims across all workers
-	// (each claim is one contiguous index range of a loop).
+	// (each claim is one index of a loop).
 	ChunksClaimed int64 `json:"chunks_claimed"`
 	// Panics counts solver panics recovered inside engine jobs.
 	Panics int64 `json:"panics"`

@@ -347,18 +347,18 @@ func (rq request) solve(ctx context.Context, res *Result, seq1, seq2 string) err
 		est int64
 	)
 	err := rq.substrate(func() (err error) {
-		if err = rq.newProblem(res, seq1, seq2); err != nil {
+		// The sequences are parsed and no pair table is built yet: refuse
+		// here what the budget or float32's exact range refuses.
+		refuse := func(n1, n2 int) (err error) {
+			if cfg, deg, est, err = rq.budget(n1, n2); err != nil {
+				return err
+			}
+			return rq.checkScoreRange(rq.grid(), n1, n2)
+		}
+		if err = rq.newProblem(res, seq1, seq2, refuse); err != nil {
 			return err
 		}
-		// The lengths are known and nothing O(n³) has run: refuse here what
-		// the budget or float32's exact range refuses.
 		p := res.prob
-		if cfg, deg, est, err = rq.budget(p.N1, p.N2); err != nil {
-			return err
-		}
-		if err = rq.checkScoreRange(p.Tab.Grid, p.N1, p.N2); err != nil {
-			return err
-		}
 		if _, err = rq.strandS(ctx, p.Seq1, &p.Tab.W1, &p.OwnS1, &p.S1); err != nil {
 			return err
 		}
@@ -470,12 +470,12 @@ func (rq request) substrate(step func() error) error {
 	return err
 }
 
-// newProblem builds the problem shell, recycled when pooled: parse and the
-// pair score tables — everything the budget and the substrate stage need,
-// nothing O(n³). The shell lands in res.prob as soon as it exists, so cold's
-// error exit releases it whichever later step fails.
-func (rq request) newProblem(res *Result, seq1, seq2 string) error {
-	p, err := rq.cfg.Pool.NewProblemShell(seq1, seq2, rq.sp)
+// newProblem builds the problem shell, recycled when pooled: parse, then
+// refuse on the lengths, then the pair score tables — everything the
+// substrate stage needs, nothing O(n³). The shell lands in res.prob as soon
+// as it exists, so cold's error exit releases it whichever later step fails.
+func (rq request) newProblem(res *Result, seq1, seq2 string, refuse func(n1, n2 int) error) error {
+	p, err := rq.cfg.Pool.NewProblemShell(seq1, seq2, rq.sp, refuse)
 	if err != nil {
 		var se *ibpmax.SequenceError
 		if errors.As(err, &se) {
@@ -632,6 +632,15 @@ func (rq request) checkScoreRange(g score.Grid, n1, n2 int) error {
 		return &ScoreRangeError{MaxWeight: g.MaxWeight, Exp: g.Exp, N1: n1, N2: n2}
 	}
 	return nil
+}
+
+// grid is the grid of an interaction fold's models, intra- and
+// intermolecular: the one score.BuildInto stamps on the fold's tables.
+func (rq request) grid() score.Grid {
+	if m := rq.sp.InterModel; m != nil {
+		return score.GridOf(rq.sp.Model, *m)
+	}
+	return score.GridOf(rq.sp.Model)
 }
 
 // single is the single-strand fold body. The S table goes through the same

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -383,6 +384,42 @@ func TestScoreRangeRefused(t *testing.T) {
 		check("FoldSingle", err)
 		if _, err := Fold(tc.s1, tc.s2, append(opts, WithAlgebra(AlgebraPartition), WithKT(float64(w)))...); err != nil {
 			t.Errorf("%s: partition fold refused: %v", tc.name, err)
+		}
+	}
+}
+
+// TestRefusalBuildsNoPairTables: a fold refused for its memory limit or its
+// score range is refused on the parsed lengths, before its three dense pair
+// tables exist — at 3 000 + 3 000 nt those are n1²+n2²+n1·n2 float32, about
+// 108 MB — so the refused call allocates almost nothing.
+func TestRefusalBuildsNoPairTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	s1, s2 := randSeq(rng, 3000), randSeq(rng, 3000)
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		check func(error) bool
+	}{
+		{"memory limit", []Option{WithMemoryLimit(1 << 20)}, func(err error) bool {
+			var me *MemoryLimitError
+			return errors.As(err, &me)
+		}},
+		// 2¹³ · ⌊6000/2⌋ ≥ 2²⁴.
+		{"score range", []Option{WithWeights(Weights{GC: 1 << 13, AU: 2, GU: 1})}, func(err error) bool {
+			var sre *ScoreRangeError
+			return errors.As(err, &sre)
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Fold(s1, s2, tc.opts...)
+		runtime.ReadMemStats(&after)
+		if !tc.check(err) {
+			t.Errorf("%s: err = %v, want the typed refusal", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+			t.Errorf("%s: the refused fold allocated %d bytes, want under 8 MB", tc.name, got)
 		}
 	}
 }
