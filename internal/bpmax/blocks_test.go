@@ -34,11 +34,14 @@ var blockConfigs = []struct {
 }
 
 // TestBlockProductsMatchSweeps holds the fills that take R0 and R1 as block
-// products — every vector body the CPU runs — to the same fills on the Go
-// loops, which sweep: cell for cell, on every max-plus weight model (integer,
-// dyadic and fractional: a max over the same candidates does not depend on
-// their order, rounded sums included), every streamed schedule, one worker
-// and two, fresh and pooled. The scaled partition fill takes R0 alone as
+// products — and, from N2 = maskMinN2 up, R2 for four triangles of a
+// wavefront as one — every vector body the CPU runs — to the same fills on
+// the Go loops, which sweep: cell for cell, at N1 3 and 6 (wavefronts of 1 to
+// 6 triangles: groups of four, and shorter ones a triangle at a time), on
+// every max-plus weight model (integer, dyadic and fractional: a max over the
+// same candidates does not depend on their order, rounded sums included),
+// every streamed schedule, one worker and two, fresh and pooled. The scaled
+// partition fill takes R0 alone as
 // products, of float64, and is held to its sweeps (r0Tiled) bit for bit at kT
 // 1 and 0.3: a sum is not order-free, so this holds only if every cell takes
 // R4, R3 and then its splits in ascending order, and every split a product
@@ -49,9 +52,10 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, model := range parityModels {
-		for _, n2 := range blockShapes {
-			rng := rand.New(rand.NewSource(int64(n2)))
-			p, err := NewProblem(rna.Random(rng, 3), rna.Random(rng, n2), model.params)
+		for _, sh := range blockProblemShapes() {
+			n1, n2 := sh[0], sh[1]
+			rng := rand.New(rand.NewSource(int64(100*n1 + n2)))
+			p, err := NewProblem(rna.Random(rng, n1), rna.Random(rng, n2), model.params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +71,7 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 							t.Fatal(err)
 						}
 						for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
-							label := fmt.Sprintf("%s/n2=%d/%s/workers=%d/pooled=%v/%s", model.name, n2, bc.name, workers, pool != nil, impl)
+							label := fmt.Sprintf("%s/%dx%d/%s/workers=%d/pooled=%v/%s", model.name, n1, n2, bc.name, workers, pool != nil, impl)
 							cfg.SetKernels(impl)
 							s := newSolver(p, cfg, p.N1, p.N2)
 							if !s.blocks || !s.blocksR1 {
@@ -127,6 +131,18 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// blockProblemShapes are the N1 × N2 TestBlockProductsMatchSweeps fills its
+// max-plus models at: every blockShapes N2 at N1 3 and 6.
+func blockProblemShapes() [][2]int {
+	var shapes [][2]int
+	for _, n1 := range []int{3, 6} {
+		for _, n2 := range blockShapes {
+			shapes = append(shapes, [2]int{n1, n2})
+		}
+	}
+	return shapes
 }
 
 // scaledFill is SolvePartitionContext held to the scaled domain.
