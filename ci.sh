@@ -115,25 +115,27 @@ run_lint() (
         echo "lint: an n×n single-strand pair table is back (S builds read score.Weights)" >&2
         exit 1
     fi
-    # Finalize's R2 goes through Sweep: one sweep a row against an R2 table —
-    # S² itself for max-plus, exact by construction, strand 2's star table Ŝ
-    # for partition — from a copy of the row into the row, or, where R0 skips
-    # dominated splits, reading the row into a row of Zero that the merge
-    # kernel folds back (recording the live splits). One Accumulate call per
+    # Finalize's R2 is one kernel call a row against an R2 table — S² itself
+    # for max-plus, exact by construction, strand 2's star table Ŝ for
+    # partition: a Sweep from a copy of the row into the row, or, on the
+    # masked max-plus path, the fused R2 kernel (s.r2), which skips the splits
+    # R2 dominates and records the live ones. One Accumulate call per
     # finalized cell, each waiting on the last, is the R2 chain growing back.
     if awk '/for j2 :=/ && !in_loop { in_loop = 1; depth = 0 }
             in_loop { if (/s\.acc\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
                       depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) in_loop = 0 }
             END { exit !bad }' internal/bpmax/triangle.go; then
-        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 goes through s.sweep: one closure sweep a row against S² for max-plus or Ŝ for partition)" >&2
+        echo "lint: s.acc( inside a j2 loop of triangle.go (R2 is one kernel call a row: s.sweep against S² or Ŝ, or on the masked max-plus path the fused R2 kernel s.r2)" >&2
         exit 1
     fi
     # The star table retired the generic scalar walk, and weights on the 2⁻⁸
     # grid retired the forward substitution: every max-plus sum is exact, so
     # R2 has one form. Any of their names back is a second R2 form growing
-    # back.
-    if grep -rn --include='*.go' -e 'r2WalkK' -e 'r2Substitute' -e 'r2WalkMaxPlus' -e 'r2Chunk' . | grep -v '_test\.go:'; then
-        echo "lint: a retired R2 form is back (R2 is one closure sweep, against S² for max-plus or the star table Ŝ for partition)" >&2
+    # back; so is the merge kernel the fused R2 kernel retired, which folded a
+    # dense sweep's row back into the row.
+    if grep -rn --include='*.go' --include='*.s' -e 'r2WalkK' -e 'r2Substitute' -e 'r2WalkMaxPlus' -e 'r2Chunk' \
+        -e 'mergeAVX512' -e 'mergeAVX2' -e 'MergeGo' -e 'vectorMerge' . | grep -v '_test\.go:'; then
+        echo "lint: a retired R2 form is back (R2 is one kernel call a row: a closure sweep against S² or Ŝ, or the fused R2 kernel on the masked max-plus path)" >&2
         exit 1
     fi
     # Finalize applies the pairing terms to a whole row, in every algebra.
@@ -193,8 +195,20 @@ run_lint() (
         echo "lint: s.sweep( in r0Blocks, or r0Blocks not found (R4 and R3 are the block product's pre-streams)" >&2
         exit 1
     }
+    # r0Blocks reads the bit-sets each block's finalize built once (tileLive,
+    # from its rows' live words); a tileLive( in r0Blocks is the rebuild for
+    # every triangle and k1 that reads a block growing back. Anchored on the
+    # function.
+    awk '/^func \(s \*gsolver\[T\]\) r0Blocks\(/ { in_fn = 1; found = 1 }
+         in_fn && /tileLive\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         in_fn && /^}/ { in_fn = 0 }
+         END { if (!found) { print "lint: anchor func (s *gsolver[T]) r0Blocks( not found in " FILENAME; exit 1 }
+               exit bad }' internal/bpmax/triangle.go >&2 || {
+        echo "lint: tileLive( in r0Blocks, or r0Blocks not found (a block's tile bit-sets are built once, at its finalize)" >&2
+        exit 1
+    }
     # Products skip dominated splits only in r0Blocks, whose bit-sets
-    # tileLive builds from finalize's live words (the splits R2 dominates),
+    # finalize builds from its rows' live words (the splits R2 dominates),
     # and r1Blocks, whose bit-sets armMasks builds from S²'s (the splits S²
     # dominates): every other product (the substrate's tiles) passes live =
     # nil, every split. A non-nil live elsewhere drops splits no proof
@@ -208,15 +222,17 @@ run_lint() (
         echo "lint: a product outside r0Blocks and r1Blocks passes live bit-sets, or either is not found (R0 and R1 alone skip dominated splits)" >&2
         exit 1
     }
-    # The merge kernel folds R2's row into the row and records the live
-    # splits; finalize's closure is its one caller. Called anywhere else, the
-    # live words stop being the ones the proof covers.
-    if grep -n 's\.merge(' $(ls internal/bpmax/*.go | grep -v '_test\.go$') | grep -v '^internal/bpmax/triangle\.go:' ||
-        ! awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = 1 }
-               /s\.merge\(/ { n++; if (!in_fn) bad = 1 }
-               in_fn && /^}/ { in_fn = 0 }
-               END { exit bad || n != 1 }' internal/bpmax/triangle.go; then
-        echo "lint: the merge kernel called outside finalize (it records the live splits R0 skips by)" >&2
+    # The fused R2 kernel takes a row's R2 and records its live splits;
+    # finalize is its one caller in the fill, and armMasks its one other,
+    # building S²'s words. Called anywhere else, the live words stop being the
+    # ones the proof covers. Anchored on both functions.
+    if grep -n 's\.r2(' $(ls internal/bpmax/*.go | grep -v '_test\.go$') | grep -v '^internal/bpmax/triangle\.go:' ||
+        ! awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = "fin" }
+               /^func \(s \*gsolver\[T\]\) armMasks\(/ { in_fn = "arm" }
+               /s\.r2\(/ { if (in_fn == "fin") fin++; else if (in_fn == "arm") arm++; else bad = 1 }
+               in_fn != "" && /^}/ { in_fn = "" }
+               END { exit bad || fin != 1 || arm != 1 }' internal/bpmax/triangle.go; then
+        echo "lint: the fused R2 kernel called other than once in finalize and once in armMasks, or either is not found (it records the live splits R0 skips by)" >&2
         exit 1
     fi
     # The pairing term is a stream in both float algebras: the sum-product

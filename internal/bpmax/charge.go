@@ -23,7 +23,7 @@ package bpmax
 // being called outside this file.
 func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
 	elems := tableElems(n1, n2, w1, w2, kind)
-	live := liveBytes(elems, n2, w2, kind, width)
+	live := liveBytes(elems, n1, n2, w2, kind, width)
 	switch {
 	case pl == nil:
 		return int64(elems)*int64(width) + live
@@ -37,11 +37,13 @@ func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
 // liveBytes is the live words a masked fill of a layout of elems cells holds
 // beside its table (armMasks), for a float32 box-map table storing every
 // column of an n2 >= maskMinN2 strand, whether or not the body makes the fill
-// take masks: ⌈n2/64⌉ a row of every block and of S², and four a row group
-// for R1's tile bit-sets.
-func liveBytes(elems, n2, w2 int, kind MapKind, width int) int64 {
+// take masks: every block's kernel-tile bit-sets under the default row tile
+// (the one every fold runs), and ⌈n2/64⌉ words a row of S² and of each of the
+// n1 triangles' word scratch, and four a row group for R1's tile bit-sets.
+func liveBytes(elems, n1, n2, w2 int, kind MapKind, width int) int64 {
 	if width != 4 || kind != MapBox || n2 < maskMinN2 || w2 < n2 {
 		return 0
 	}
-	return int64(elems/n2+n2+(n2+prodRows-1)/prodRows*4) * int64((n2+63)/64) * 8
+	w := (n2 + 63) / 64
+	return int64(elems/(n2*n2)*tileSetWords(n2, defaultTileI2, nil)+((n1+1)*n2+(n2+prodRows-1)/prodRows*4)*w) * 8
 }

@@ -147,10 +147,14 @@ func (c Config) sumProductKernels() semiring.Kernels[float64] {
 	return semiring.SumProductKernelsOf(c.kernels)
 }
 
+// defaultTileI2 is the row tile of every fold that sets none; Charge prices
+// the masked fill's tile bit-sets under it.
+const defaultTileI2 = 64
+
 // withDefaults resolves zero fields to the default tile shape.
 func (c Config) withDefaults() Config {
 	if c.TileI2 <= 0 {
-		c.TileI2 = 64
+		c.TileI2 = defaultTileI2
 	}
 	if c.TileK2 <= 0 {
 		c.TileK2 = 64

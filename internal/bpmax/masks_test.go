@@ -21,7 +21,8 @@ import (
 // worker and two, on the base-pair, unit and custom integer weights, the
 // dyadic ones and the non-dyadic ones rounded to the 2⁻⁸ grid, with
 // MinHairpin 0-3, on every vector body. Each fill runs twice: on a solver
-// whose table and R2 rows (pre) are poisoned and whose live words are all 0
+// whose table is poisoned and whose live words — the blocks' tile bit-sets,
+// the triangles' word scratch, S²'s words and R1's bit-sets — are all 0
 // (every split dropped) before the masks are armed, so a word or a cell read
 // before the fill or armMasks wrote it shows — masked below maskMinN2 too,
 // where no fold takes masks; and on pooled storage poisoned and released by
@@ -66,17 +67,16 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 							cfg := Config{TileI2: tile, Workers: workers}
 							cfg.SetKernels(impl)
 							s := newSolver(p, cfg, p.N1, p.N2)
-							if s.merge == nil && n2 >= maskMinN2 {
+							if s.r2 == nil && n2 >= maskMinN2 {
 								t.Fatalf("%s: the fill takes no masks", label)
 							}
 							forceMasks(s, impl) // below maskMinN2 only a test reaches the path
 							poison(s.f.data)
-							poison(s.pre)
-							clear(s.live)
+							clear(s.tiles)
+							clear(s.rowLive)
 							clear(s.s2live)
 							clear(s.r1live)
 							forceMasks(s, impl) // armed over the poison, as newGSolver arms a pooled shell
-							poison(s.pre)       // armMasks' scratch row too: finalize must reset it
 							got, err := s.fill(ctx, VariantHybridTiled, "hybrid-tiled")
 							if err != nil {
 								t.Fatal(err)
@@ -109,7 +109,7 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 // either partition fill. Integer weights whose sums pass 2²⁴ are refused by
 // the solver, full fill and band, before any table is built.
 func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
-	if s := newSolver(newTestProblem(t, 3, 8, maskMinN2-1), Config{}, 8, maskMinN2-1); s.merge != nil {
+	if s := newSolver(newTestProblem(t, 3, 8, maskMinN2-1), Config{}, 8, maskMinN2-1); s.r2 != nil {
 		t.Errorf("an 8x%d fill takes masks", maskMinN2-1)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -122,7 +122,7 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 			ps := buildTestPartitionSub(t, p, 1)
 			a := ps.a
 			a.k = cfg.sumProductKernels()
-			if s := newGSolver(p, a, cfg, p.N1, p.N2, false); s.merge != nil {
+			if s := newGSolver(p, a, cfg, p.N1, p.N2, false); s.r2 != nil {
 				t.Errorf("%s/%s: the scaled partition fill takes masks", name, impl)
 			}
 		}
@@ -155,8 +155,8 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 			} {
 				c.cfg.SetKernels(impl)
 				s := newSolver(p, c.cfg, p.N1, c.w2)
-				if (s.merge != nil) != c.masks {
-					t.Errorf("%s/%s/%s: masks %v, want %v", md.name, impl, c.name, s.merge != nil, c.masks)
+				if (s.r2 != nil) != c.masks {
+					t.Errorf("%s/%s/%s: masks %v, want %v", md.name, impl, c.name, s.r2 != nil, c.masks)
 				}
 				s.abort()
 			}
@@ -167,33 +167,27 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 
 // liveSplitWork is the share of R0's split work that the masked products of
 // a finished fill run: every (A block, use, kernel tile, split) weighted by
-// the columns the split updates, over the same without masks. A = F(i1,k1)
-// serves the N1-1-k1 triangles (i1, j1 > k1); the tiles are those r0Blocks
-// cuts with tileI2-row tiles.
-func liveSplitWork(ft *FTable, live []uint64, liveW, tileI2 int) float64 {
-	n1, n2 := ft.N1, ft.N2
+// the columns the split updates, over the same without masks, read from the
+// blocks' tile bit-sets. A = F(i1,k1) serves the N1-1-k1 triangles (i1, j1 >
+// k1); the groups are those r0Blocks cuts with the solver's row tiles.
+func liveSplitWork(s *solver, ft *FTable) float64 {
+	n1, n2, w := ft.N1, ft.N2, s.liveW
 	var all, run float64
 	for i1 := 0; i1 < n1; i1++ {
 		for k1 := i1; k1 < n1-1; k1++ {
-			uses := float64(n1 - 1 - k1)
-			base := ft.outer.At(i1, k1) * n2
-			for r0 := 0; r0 < n2; r0 += tileI2 {
-				r1 := min(r0+tileI2, n2)
+			o := ft.outer.At(i1, k1) * s.tileW
+			uses, tiles := float64(n1-1-k1), s.tiles[o:o+s.tileW]
+			for r0 := 0; r0 < n2; r0 += s.cfg.TileI2 {
+				r1 := min(r0+s.cfg.TileI2, n2)
 				for q0 := r0; q0 < r1; q0 += prodRows {
-					m := min(prodRows, r1-q0)
-					for t := range m - 3*(m/4) {
-						lo, hi := q0+4*t, q0+4*t+4
-						if t >= m/4 {
-							lo, hi = q0+t+3*(m/4), q0+t+3*(m/4)+1
-						}
+					stride := w - q0>>6
+					for t := range productTiles(min(prodRows, r1-q0)) {
+						set := tiles[s.tileOff[q0]+t*stride:]
 						for k2 := q0; k2 < n2-1; k2++ {
-							w := uses * float64(n2-1-k2)
-							all += w
-							for r := lo; r < hi; r++ {
-								if live[(base+r)*liveW+k2>>6]>>(k2&63)&1 != 0 {
-									run += w
-									break
-								}
+							sp := k2 - q0
+							all += uses * float64(n2-1-k2)
+							if set[sp>>6]>>(sp&63)&1 != 0 {
+								run += uses * float64(n2-1-k2)
 							}
 						}
 					}
@@ -214,14 +208,15 @@ func TestMaskedSplitWork(t *testing.T) {
 	}
 	p := newTestProblem(t, 16128, 16, 128)
 	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
-	if s.merge == nil {
+	if s.r2 == nil {
 		t.Fatal("an exact max-plus box-map fill takes no masks")
 	}
 	ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := liveSplitWork(ft, s.live, s.liveW, s.cfg.TileI2)
+	defer ft.Release()
+	frac := liveSplitWork(s, ft)
 	t.Logf("16x128: masked R0 runs %.1f %% of the dense split work", 100*frac)
 	if frac > 0.40 {
 		t.Errorf("16x128: masked R0 runs %.1f %% of the dense split work, want at most 40 %%", 100*frac)
@@ -265,13 +260,78 @@ func TestR1SplitWork(t *testing.T) {
 	p := newTestProblem(t, 16128, 16, 128)
 	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
 	defer s.abort()
-	if s.merge == nil {
+	if s.r2 == nil {
 		t.Fatal("an exact max-plus box-map fill takes no masks")
 	}
 	frac := r1SplitWork(s)
 	t.Logf("16x128: masked R1 runs %.1f %% of the dense split work", 100*frac)
 	if frac > 0.35 {
 		t.Errorf("16x128: masked R1 runs %.1f %% of the dense split work, want at most 35 %%", 100*frac)
+	}
+}
+
+// r2SplitWork is the share of R2's dense split work — each split k of a row
+// reaching the columns j > k — that the solver's fused R2 kernel runs over a
+// filled table: the dense triangle of each vector of lanes columns, and the
+// columns right of its vector for each split its live words mark. It takes
+// R2 again on a copy of every row: a final row is R2's fixed point, kept as
+// it is with the fill's own live columns, which it checks.
+func r2SplitWork(t *testing.T, r2 func(c, star []float32, lds, k0, n int, live []uint64), star []float32, lds int, ft *FTable, lanes int) float64 {
+	n2 := ft.N2
+	row, words := make([]float32, n2), make([]uint64, (n2+63)/64)
+	var all, run float64
+	for i1 := 0; i1 < ft.N1; i1++ {
+		for j1 := i1; j1 < ft.N1; j1++ {
+			blk := ft.Block(i1, j1)
+			for i2 := range n2 {
+				final := ft.Row(blk, i2)[:n2]
+				copy(row[i2:], final[i2:])
+				r2(row, star, lds, i2, n2, words)
+				for j := i2; j < n2; j++ {
+					if row[j] != final[j] {
+						t.Fatalf("F[%d,%d,%d,%d] = %v; R2 of the final row makes it %v", i1, j1, i2, j, final[j], row[j])
+					}
+				}
+				for k := i2; k < n2-1; k++ {
+					next := (k/lanes + 1) * lanes // the first column right of k's vector
+					all += float64(n2 - 1 - k)
+					run += float64(min(next, n2) - k - 1)
+					if words[k>>6]>>(k&63)&1 != 0 {
+						run += float64(max(0, n2-next))
+					}
+				}
+			}
+		}
+	}
+	return run / all
+}
+
+// TestR2SplitWork pins the fused R2 kernel's reach on the fixed 16×128 fold:
+// its in-vector triangles and walked live splits come to at most 45 % of
+// R2's dense split work (columns updated). A walk that marks every split live
+// passes every parity test; this is the test it fails.
+func TestR2SplitWork(t *testing.T) {
+	if maxplus.Impl() == "go" {
+		t.Skip("no vector body in this build: R2 sweeps")
+	}
+	p := newTestProblem(t, 16128, 16, 128)
+	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
+	if s.r2 == nil {
+		t.Fatal("an exact max-plus box-map fill takes no masks")
+	}
+	r2, star, lds, lanes := s.r2, s.a.star, s.a.p2, 16 // an AVX-512 vector of float32
+	if s.a.k.Impl == "avx2" {
+		lanes = 8
+	}
+	ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ft.Release()
+	frac := r2SplitWork(t, r2, star, lds, ft, lanes)
+	t.Logf("16x128: the fused R2 runs %.1f %% of the dense split work", 100*frac)
+	if frac > 0.45 {
+		t.Errorf("16x128: the fused R2 runs %.1f %% of the dense split work, want at most 45 %%", 100*frac)
 	}
 }
 
@@ -290,5 +350,5 @@ func maskShapes() [][2]int {
 // forceMasks arms a max-plus solver's masks as newGSolver does for N2 >=
 // maskMinN2.
 func forceMasks(s *solver, impl string) {
-	s.armMasks(maxplus.BodyOf(impl).Merge)
+	s.armMasks(maxplus.BodyOf(impl).R2)
 }

@@ -60,8 +60,8 @@ type gsolver[T semiring.Scalar] struct {
 	// s2off is S² (and the star table) seen as a block of Sweep: row r of
 	// a.s2 starts at s2off[r] = r·p2.
 	s2off []int
-	// pre holds the rows finalize's R2 closure reads: row i1 is
-	// pre[i1*n2 : (i1+1)*n2], so concurrent triangles write their own.
+	// pre holds the rows finalize's R2 sweep reads where r2 is nil: row i1
+	// is pre[i1*n2 : (i1+1)*n2], so concurrent triangles write their own.
 	pre []T
 	// blocks is set where R0 runs as block products, and blocksR1 where R1
 	// does too (newGSolver says where); zeros is then a row of Zero that
@@ -69,16 +69,24 @@ type gsolver[T semiring.Scalar] struct {
 	// reads (padFrom).
 	zeros            []T
 	blocks, blocksR1 bool
-	// merge, where R0's products skip dominated splits (nil elsewhere), is
-	// the body's Merge: finalize records in live, liveW words a row of every
-	// block, the columns R2 does not reach, for r0Blocks' bit-sets.
-	merge func(y, r []T, live []uint64)
-	live  []uint64
-	liveW int
-	// Where merge is set, R1's products skip S²'s dominated splits too:
-	// s2live is S²'s live words, liveW a row, and r1live the kernel tiles'
-	// bit-sets of R1's groups, 4·liveW words a group (armMasks).
+	// r2, where R0's products skip dominated splits (nil elsewhere), is the
+	// body's fused R2: finalize takes each row's R2 by it, recording in
+	// rowLive, liveW words a row and n2 rows an i1, the columns R2 does not
+	// reach, and builds from them, as each of r0Blocks' row groups completes,
+	// the group's kernel-tile bit-sets: tileW words a block in tiles, group
+	// q0's from tiles[tileOff[q0]:] (tileOff -1 where no group starts).
+	r2      func(c, star []T, lds, k0, n int, live []uint64)
+	rowLive []uint64
+	liveW   int
+	tiles   []uint64
+	tileOff []int
+	tileW   int
+	// Where r2 is set, R1's products skip S²'s dominated splits too: s2live
+	// is S²'s live words, liveW a row, and r1live the kernel tiles' bit-sets
+	// of R1's groups, 4·liveW words a group (armMasks), s2row the scratch
+	// copy of an S² row it takes R2 on.
 	s2live, r1live []uint64
+	s2row          []T
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -153,7 +161,6 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	for r := range s.s2off {
 		s.s2off[r] = r * a.p2
 	}
-	s.pre = atLeast(s.pre, p.N1*a.n2)
 	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocks && !a.dom.scaled
 	if blocks {
 		for range p.N2 {
@@ -163,10 +170,11 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	// Max-plus R0's products skip the splits R2 dominates, and R1's the
 	// splits S² dominates, every sum being exact (docs/ALGORITHM.md §9,
 	// "Dominated splits").
-	s.merge = nil
-	if s.blocksR1 && p.N2 >= maskMinN2 {
-		merge, _ := any(maxplus.BodyOf(a.k.Impl).Merge).(func(y, r []T, live []uint64))
-		s.armMasks(merge)
+	s.r2 = nil
+	if r2, ok := any(maxplus.BodyOf(a.k.Impl).R2).(func(c, star []T, lds, k0, n int, live []uint64)); ok && s.blocksR1 && p.N2 >= maskMinN2 {
+		s.armMasks(r2)
+	} else {
+		s.pre = atLeast(s.pre, p.N1*a.n2)
 	}
 	s.tripped.Store(false)
 	if s.triTask == nil {
@@ -175,29 +183,24 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	return s
 }
 
-// armMasks binds merge and builds, once per fold, S²'s live words — a column
-// of row i2 no split m in [i2, k2) reaches, swept into a row of Zero and
-// compared — and R1's tile bit-sets from them. It sizes the table's live
-// words, which the fill writes before it reads them. The sweeps go into
-// pre's first row, which finalize resets to Zero before it reads it.
-func (s *gsolver[T]) armMasks(merge func(y, r []T, live []uint64)) {
+// armMasks binds r2 and builds, once per fold, S²'s live words — a column
+// of row i2 no split m in [i2, k2) reaches, by r2 on a copy of the row
+// against S² itself — and R1's tile bit-sets from them. It sizes the word
+// scratch and the blocks' tile bit-sets, which the fill writes before it
+// reads them.
+func (s *gsolver[T]) armMasks(r2 func(c, star []T, lds, k0, n int, live []uint64)) {
 	n2, w := s.p.N2, (s.p.N2+63)/64
-	s.merge, s.liveW = merge, w
-	s.live = atLeast(s.live, s.f.outer.Size()*n2*w)
+	s.r2, s.liveW = r2, w
+	s.rowLive = atLeast(s.rowLive, s.p.N1*n2*w)
+	s.tileOff = atLeast(s.tileOff, n2)[:n2]
+	s.tileW = tileSetWords(n2, s.cfg.TileI2, s.tileOff)
+	s.tiles = atLeast(s.tiles, s.f.outer.Size()*s.tileW)
 	s.s2live = atLeast(s.s2live, n2*w)
 	s.r1live = atLeast(s.r1live, (n2+prodRows-1)/prodRows*4*w)
-	r2 := s.pre[:n2]
+	s.s2row = atLeast(s.s2row, n2)
 	for i2 := range n2 {
-		s2row := s.a.s2Row(i2)
-		copy(r2[i2:], s.zeros)
-		s.sweep(r2, s2row, s.a.s2, s.s2off, i2, n2-1, 0, n2, maxplus.Pre[T]{})
-		live := s.s2live[i2*w : (i2+1)*w]
-		clear(live)
-		for k := i2; k < n2; k++ {
-			if s2row[k] > r2[k] {
-				live[k>>6] |= 1 << (k & 63)
-			}
-		}
+		copy(s.s2row[i2:n2], s.a.s2Row(i2)[i2:])
+		s.r2(s.s2row, s.a.s2, s.a.p2, i2, n2, s.s2live[i2*w:(i2+1)*w])
 	}
 	for q0 := 0; q0 < n2; q0 += prodRows {
 		q1 := min(q0+prodRows, n2)
@@ -348,17 +351,21 @@ func padFrom(i2, tileI2, cols int) int {
 // column tile holding q0, whose kernel walks the column tiles [cs, ce), each
 // over the splits [q0, ce-1) — its cells' own, and ones that read A's or B's
 // Zero — after the tile's R4 and R3 as pre-streams (with no split where ce =
-// q0+1). B's row q0+1+s is Zero left of column q0+1+s: diag = q0+1-cs.
+// q0+1). B's row q0+1+s is Zero left of column q0+1+s: diag = q0+1-cs. With
+// r2 set, the group's live bit-sets are A's, built by A's finalize.
 func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
 	n2, off, cols := s.p.N2, s.f.rowOff, s.prodCols()
 	pre := r34[T](nil, nil, s.a.s1At(k1+1, j1), s.a.s1At(i1, k1), 0)
-	var alive, clive []uint64
-	if s.merge != nil {
-		alive, clive = s.blockLive(i1, k1), s.blockLive(i1, j1)
+	var tiles []uint64
+	if s.r2 != nil {
+		tiles = s.blockTiles(i1, k1)
 	}
 	for q0 := r0; q0 < r1; q0 += prodRows {
 		m := min(prodRows, r1-q0)
-		live := tileLive(clive[q0*s.liveW:], alive, s.liveW, q0, m, q0)
+		var live []uint64
+		if tiles != nil {
+			live = tiles[s.tileOff[q0]:][:productTiles(m)*(s.liveW-q0>>6)]
+		}
 		cs, b := q0/cols*cols, []T(nil)
 		if n2-1 > q0 {
 			b = bblk[off[q0+1]+cs:]
@@ -368,24 +375,44 @@ func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
 	}
 }
 
-// blockLive is block (i1, j1)'s live words, liveW a row.
-func (s *gsolver[T]) blockLive(i1, j1 int) []uint64 {
-	n := s.p.N2 * s.liveW
-	o := s.f.outer.At(i1, j1) * n
-	return s.live[o : o+n : o+n]
+// blockTiles is block (i1, j1)'s kernel-tile bit-sets, tileW words.
+func (s *gsolver[T]) blockTiles(i1, j1 int) []uint64 {
+	o := s.f.outer.At(i1, j1) * s.tileW
+	return s.tiles[o : o+s.tileW : o+s.tileW]
+}
+
+// productTiles is the number of kernel tiles of a product of m rows: the
+// fours, then each row left over.
+func productTiles(m int) int { return m - 3*(m/4) }
+
+// tileSetWords returns the words of one block's kernel-tile bit-sets for
+// r0Blocks' row groups — prodRows rows from each tileI2-row tile's first,
+// group q0's tiles ⌈n2/64⌉-q0/64 words each — and records in off, unless
+// nil, where group q0's start, -1 at the rows that start none.
+func tileSetWords(n2, tileI2 int, off []int) int {
+	words := 0
+	for i := range off {
+		off[i] = -1
+	}
+	for r0 := 0; r0 < n2; r0 += tileI2 {
+		r1 := min(r0+tileI2, n2)
+		for q0 := r0; q0 < r1; q0 += prodRows {
+			if off != nil {
+				off[q0] = words
+			}
+			words += productTiles(min(prodRows, r1-q0)) * ((n2+63)/64 - q0>>6)
+		}
+	}
+	return words
 }
 
 // tileLive returns the live bit-sets of group [q0, q0+m)'s kernel tiles
-// against A's live words (w a row), nil without: each the OR of its rows'
-// words shifted to bit s for split k0+s, built in dst. r0Blocks builds them
-// in c's words of the group's rows, which nothing reads until c's finalize
-// overwrites them; armMasks R1's from S²'s.
+// against A's live words (w a row): each the OR of its rows' words shifted
+// to bit s for split k0+s, built in dst. finalize builds R0's from a
+// triangle's word scratch as each group completes; armMasks R1's from S²'s.
 func tileLive(dst, a []uint64, w, q0, m, k0 int) []uint64 {
-	if a == nil {
-		return nil
-	}
 	q, sh := k0>>6, uint(k0&63)
-	live := dst[:(m-3*(m/4))*(w-q)]
+	live := dst[:productTiles(m)*(w-q)]
 	clear(live)
 	for r := range m {
 		row, t := a[(q0+r)*w:(q0+r+1)*w], max(r/4, r-3*(m/4)) // r's tile
@@ -402,7 +429,7 @@ func tileLive(dst, a []uint64, w, q0, m, k0 int) []uint64 {
 
 // maskMinN2 is the shortest second strand whose fills skip dominated
 // splits: below it R0's products are too short for the walk to repay the
-// merge (docs/PERFORMANCE.md, "Dominated splits").
+// bookkeeping (docs/PERFORMANCE.md, "Dominated splits").
 const maskMinN2 = 64
 
 // finalize turns the accumulated H partials of triangle (i1, j1) into final
@@ -416,10 +443,13 @@ const maskMinN2 = 64
 //
 //	F[i2,j2] = c[j2] ⊕ (⊕ over i2 ≤ k < j2 of c[k] ⊗ star[k+1,j2])
 //
-// — R1's sweep shape with a = a copy of c (s.pre). Max-plus S² is its own
-// star, every sum being exact (Problem.exact); partition reads fillStar's
-// table. A scaled domain range-checks each row once final, while it is still
-// in cache.
+// — R1's sweep shape with a = a copy of c (s.pre), or, where r2 is set, the
+// body's fused R2 in place, which skips the splits R2 itself dominates
+// (docs/ALGORITHM.md §9) and records the row's live words; each row that
+// starts one of r0Blocks' groups then builds the group's tile bit-sets from
+// them. Max-plus S² is its own star, every sum being exact (Problem.exact);
+// partition reads fillStar's table. A scaled domain range-checks each row once
+// final, while it is still in cache.
 func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
@@ -431,9 +461,12 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 	if i1+1 <= j1-1 {
 		inside = s.f.Block(i1+1, j1-1)
 	}
-	pre := s.pre[i1*n2 : (i1+1)*n2]
-	if s.merge != nil {
-		copy(pre, s.zeros)
+	var pre []T
+	var words []uint64
+	if s.r2 != nil {
+		words = s.rowLive[i1*n2*s.liveW : (i1+1)*n2*s.liveW]
+	} else {
+		pre = s.pre[i1*n2 : (i1+1)*n2]
 	}
 	for i2 := n2 - 1; i2 >= 0; i2-- {
 		hi := s.f.rowHi(i2)
@@ -467,16 +500,12 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 			grow[i2+1] = a.k.Add(a.k.Mul(s1Self, sc2row[i2+1]), grow[i2+1])
 			a.k.AccumEach(grow[i2+2:hi], s.f.Row(blk, i2+1)[i2+1:hi-1], sc2row[i2+2:hi])
 		}
-		if s.merge != nil {
-			// R2 into a row of Zero (pre), merged with the row, recording
-			// the columns R2 does not reach. pre is reset a row's work before
-			// the next sweep loads it, which would wait for fresh stores.
-			w0 := i2 &^ 63
-			s.sweep(pre, grow, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
-			live := s.blockLive(i1, j1)[i2*s.liveW : (i2+1)*s.liveW]
-			clear(live[:w0>>6]) // a tile reads from its first row's word
-			s.merge(grow[w0:hi], pre[w0:hi], live[w0>>6:])
-			copy(pre[w0:hi], s.zeros)
+		if s.r2 != nil {
+			s.r2(grow, a.star, a.p2, i2, hi, words[i2*s.liveW:(i2+1)*s.liveW])
+			if o := s.tileOff[i2]; o >= 0 {
+				r0 := i2 / s.cfg.TileI2 * s.cfg.TileI2
+				tileLive(s.blockTiles(i1, j1)[o:], words, s.liveW, i2, min(prodRows, r0+s.cfg.TileI2-i2, n2-i2), i2)
+			}
 		} else {
 			copy(pre[i2:hi-1], grow[i2:hi-1])
 			s.sweep(grow, pre, a.star, s.s2off, i2, hi-1, 0, hi, maxplus.Pre[T]{})
@@ -493,7 +522,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 // each over the splits [q1-1, ce-1), with A = S² from column q1-1 and B =
 // blk's rows from q1, already final (finalize runs bottom-up). A split k2 >=
 // j2 reads B's Zero below its diagonal and loses the max: B's row q1+s holds
-// it left of column q1+s, which diag = q1-cs states. Where merge is set, the
+// it left of column q1+s, which diag = q1-cs states. Where r2 is set, the
 // product skips the splits S² dominates (r1Live) and starts at the first
 // column tile a live split reaches: a group with none makes no call.
 func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
@@ -511,7 +540,7 @@ func (s *gsolver[T]) r1Blocks(blk []T, q0, q1 int) {
 // S²[i2,k2] ⊗ F[k2+1,j2] <= S²[i2,m] ⊗ F[m+1,j2] in every column
 // (docs/ALGORITHM.md §9).
 func (s *gsolver[T]) r1Live(q0, q1 int) ([]uint64, int) {
-	if s.merge == nil {
+	if s.r2 == nil {
 		return nil, 0
 	}
 	m, stride := q1-q0, s.liveW-(q1-1)>>6

@@ -509,37 +509,246 @@ TEXT ·productAVX2(SB), NOSPLIT, $24-128
 	VZEROUPPER
 	RET
 
-// func mergeAVX2(y, r *float32, live *uint64, n int)
-// mergeAVX512 on 8 lanes a chunk, masked from lanemask (Y7: the lanes past n
-// load 0, compare false and are not stored), the bits by VMOVMSKPS.
-TEXT ·mergeAVX2(SB), NOSPLIT, $0-32
-	MOVQ       y+0(FP), DI
-	MOVQ       r+8(FP), SI
-	MOVQ       live+16(FP), DX
-	MOVQ       n+24(FP), R10
-	LEAQ       lanemask<>(SB), R12
-	XORQ       AX, AX
-	MOVQ       $8, R9
-mchunk:
-	MOVQ       R10, CX
-	SUBQ       AX, CX
-	CMPQ       CX, R9
-	CMOVQGT    R9, CX
-	NEGQ       CX
-	VMOVDQU    MASKHI(R12)(CX*4), Y7
-	VMASKMOVPS (SI)(AX*4), Y7, Y1
-	VMASKMOVPS (DI)(AX*4), Y7, Y2
-	VCMPPS     $0x1e, Y1, Y2, Y3
-	VMAXPS     Y2, Y1, Y2
-	VMASKMOVPS Y2, Y7, (DI)(AX*4)
-	VMOVMSKPS  Y3, BX
-	MOVQ       AX, CX
-	SHLQ       CX, BX
-	SHRQ       $6, CX
-	ORQ        BX, (DX)(CX*8)
-	ADDQ       $8, AX
-	CMPQ       AX, R10
-	JLT        mchunk
+// r2consts: -Inf, and the max-plus Zero -1e30 (semiring.NegInf).
+DATA r2consts<>+0(SB)/4, $0xff800000
+DATA r2consts<>+4(SB)/4, $0xf149f2ca
+GLOBL r2consts<>(SB), RODATA|NOPTR, $8
+
+// R2SPLIT takes split k's row of the star at R12 into y's chunk at byte d of
+// the block, held in register y, loaded under its live-lane mask e: c[k] in
+// every lane of Y0, t scratch. A dead lane takes c[k] itself, and is neither
+// stored nor counted.
+#define R2SPLIT(d, y, e, t) \
+	VMASKMOVPS d(R12), e, t; \
+	VADDPS     Y0, t, t; \
+	VMAXPS     y, t, y
+
+// R2ROW points R12 at row k+1 of the star at the block's columns, for k =
+// DX+AX (R13: the star at them, R8: its pitch in bytes), and puts c[k], from
+// the block's copy at R15, in every lane of Y0.
+#define R2ROW \
+	VBROADCASTSS (R15)(AX*4), Y0; \
+	LEAQ         1(DX)(AX*1), R12; \
+	IMULQ        R8, R12; \
+	ADDQ         R13, R12
+
+// R2FINAL makes the block's chunk v final: c at byte d of the copy, R2's
+// value in y, its live-lane mask e. It stores c ⊕ y (c on a tie) under e
+// and leaves in CX the lanes where c beat y, shifted to the block's bit v·8,
+// ORed into BX.
+#define R2FINAL(d, y, e, sh) \
+	VMOVUPS    d(R15), Y5; \
+	VCMPPS     $0x1e, y, Y5, Y6; \
+	VANDPS     e, Y6, Y6; \
+	VMAXPS     Y5, y, Y7; \
+	VMASKMOVPS Y7, e, d(DI)(DX*4); \
+	VMOVMSKPS  Y6, CX; \
+	SHLQ       $sh, CX; \
+	ORQ        CX, BX
+
+// R2TRI takes chunk v's split DX+8v+t, at byte d of the copy and row t+1 of
+// the star at R13 + the chunk's rows and bytes (mem), into its lanes above t
+// (Y14) that are live (e): y ⊕= c ⊗ star, the other lanes -Inf (Y13).
+#define R2TRI(d, mem, y, e, t) \
+	VPAND        e, Y14, Y15; \
+	VBROADCASTSS d(R15)(AX*4), Y0; \
+	VMASKMOVPS   mem, Y15, t; \
+	VADDPS       Y0, t, t; \
+	VBLENDVPS    Y15, t, Y13, t; \
+	VMAXPS       y, t, y
+
+// R2STEP moves a triangle loop to the next lane, the star a row down.
+#define R2STEP(loop) \
+	SUBQ $4, R12; \
+	ADDQ R8, R13; \
+	INCQ AX; \
+	CMPQ AX, $7; \
+	JLT  loop; \
+	JMP  r2final
+
+// func r2AVX2(c, star *float32, lds, k0, n int, live *uint64)
+// r2AVX512 on 32-column blocks, two a live word (each ORs its half in), the
+// live-lane masks from lanemask in Y9-Y12 and -Inf in Y13; the walk left of a
+// block reads the words below its column, the half before it included.
+TEXT ·r2AVX2(SB), NOSPLIT, $128-48
+	MOVQ         c+0(FP), DI
+	MOVQ         star+8(FP), SI
+	MOVQ         lds+16(FP), R8
+	SHLQ         $2, R8
+	MOVQ         k0+24(FP), R11
+	MOVQ         n+32(FP), R10
+	MOVQ         live+40(FP), R9
+	LEAQ         buf-128(SP), R15
+	VBROADCASTSS r2consts<>+0(SB), Y13
+	MOVQ         R11, DX
+	ANDQ         $-32, DX
+
+r2block:
+	// The live lanes [max(k0-DX, 0), min(n-DX, 32)).
+	LEAQ         lanemask<>(SB), R12
+	MOVQ         R11, CX
+	SUBQ         DX, CX
+	XORQ         AX, AX
+	CMPQ         CX, AX
+	CMOVQLT      AX, CX
+	MOVQ         R10, AX
+	SUBQ         DX, AX
+	MOVQ         $32, BX
+	CMPQ         AX, BX
+	CMOVQGT      BX, AX
+	NEGQ         CX
+	NEGQ         AX
+	VMOVDQU      MASKLO(R12)(CX*4), Y9
+	VMOVDQU      (MASKLO+32)(R12)(CX*4), Y10
+	VMOVDQU      (MASKLO+64)(R12)(CX*4), Y11
+	VMOVDQU      (MASKLO+96)(R12)(CX*4), Y12
+	VPAND        MASKHI(R12)(AX*4), Y9, Y9
+	VPAND        (MASKHI+32)(R12)(AX*4), Y10, Y10
+	VPAND        (MASKHI+64)(R12)(AX*4), Y11, Y11
+	VPAND        (MASKHI+96)(R12)(AX*4), Y12, Y12
+	VMASKMOVPS   (DI)(DX*4), Y9, Y5
+	VBLENDVPS    Y9, Y5, Y13, Y5
+	VMOVUPS      Y5, (R15)
+	VMASKMOVPS   32(DI)(DX*4), Y10, Y6
+	VBLENDVPS    Y10, Y6, Y13, Y6
+	VMOVUPS      Y6, 32(R15)
+	VMASKMOVPS   64(DI)(DX*4), Y11, Y7
+	VBLENDVPS    Y11, Y7, Y13, Y7
+	VMOVUPS      Y7, 64(R15)
+	VMASKMOVPS   96(DI)(DX*4), Y12, Y8
+	VBLENDVPS    Y12, Y8, Y13, Y8
+	VMOVUPS      Y8, 96(R15)
+	VBROADCASTSS r2consts<>+4(SB), Y1
+	VMOVAPS      Y1, Y2
+	VMOVAPS      Y1, Y3
+	VMOVAPS      Y1, Y4
+	LEAQ         (SI)(DX*4), R13
+	MOVQ         R11, AX
+	SHRQ         $6, AX
+	LEAQ         63(DX), R14
+	SHRQ         $6, R14
+
+r2word:
+	CMPQ AX, R14
+	JGE  r2tri
+	MOVQ (R9)(AX*8), BX
+
+r2bit:
+	BSFQ         BX, CX
+	JZ           r2nextword
+	BTRQ         CX, BX
+	MOVQ         AX, R12
+	SHLQ         $6, R12
+	ADDQ         CX, R12
+	VBROADCASTSS (DI)(R12*4), Y0
+	INCQ         R12
+	IMULQ        R8, R12
+	ADDQ         R13, R12
+	R2SPLIT(0, Y1, Y9, Y5)
+	R2SPLIT(32, Y2, Y10, Y6)
+	R2SPLIT(64, Y3, Y11, Y7)
+	R2SPLIT(96, Y4, Y12, Y8)
+	JMP          r2bit
+
+r2nextword:
+	INCQ AX
+	JMP  r2word
+
+r2tri:
+	MOVQ  DX, R12
+	INCQ  R12
+	IMULQ R8, R12
+	ADDQ  R12, R13
+	MOVQ  R8, R14
+	SHLQ  $3, R14
+	LEAQ  (R14)(R14*2), BX
+	LEAQ  lanemask<>+124(SB), R12
+	XORQ  AX, AX
+	MOVQ  R11, CX
+	SUBQ  DX, CX
+	SARQ  $3, CX
+	CMPQ  CX, $1
+	JLT   r2tri0
+	JEQ   r2tri1
+	CMPQ  CX, $2
+	JEQ   r2tri2
+	JMP   r2tri3
+
+r2tri0:
+	VMOVDQU (R12), Y14
+	R2TRI(0, (R13), Y1, Y9, Y5)
+	R2TRI(32, 32(R13)(R14*1), Y2, Y10, Y6)
+	R2TRI(64, 64(R13)(R14*2), Y3, Y11, Y7)
+	R2TRI(96, 96(R13)(BX*1), Y4, Y12, Y8)
+	R2STEP(r2tri0)
+
+r2tri1:
+	VMOVDQU (R12), Y14
+	R2TRI(32, 32(R13)(R14*1), Y2, Y10, Y6)
+	R2TRI(64, 64(R13)(R14*2), Y3, Y11, Y7)
+	R2TRI(96, 96(R13)(BX*1), Y4, Y12, Y8)
+	R2STEP(r2tri1)
+
+r2tri2:
+	VMOVDQU (R12), Y14
+	R2TRI(64, 64(R13)(R14*2), Y3, Y11, Y7)
+	R2TRI(96, 96(R13)(BX*1), Y4, Y12, Y8)
+	R2STEP(r2tri2)
+
+r2tri3:
+	VMOVDQU (R12), Y14
+	R2TRI(96, 96(R13)(BX*1), Y4, Y12, Y8)
+	R2STEP(r2tri3)
+
+r2final:
+	LEAQ    (SI)(DX*4), R13
+	XORQ    BX, BX
+	R2FINAL(0, Y1, Y9, 0)
+
+r2push0:
+	BSFQ CX, AX
+	JZ   r2v1
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(32, Y2, Y10, Y6)
+	R2SPLIT(64, Y3, Y11, Y7)
+	R2SPLIT(96, Y4, Y12, Y8)
+	JMP  r2push0
+
+r2v1:
+	R2FINAL(32, Y2, Y10, 8)
+
+r2push1:
+	BSFQ CX, AX
+	JZ   r2v2
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(64, Y3, Y11, Y7)
+	R2SPLIT(96, Y4, Y12, Y8)
+	JMP  r2push1
+
+r2v2:
+	R2FINAL(64, Y3, Y11, 16)
+
+r2push2:
+	BSFQ CX, AX
+	JZ   r2v3
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(96, Y4, Y12, Y8)
+	JMP  r2push2
+
+r2v3:
+	R2FINAL(96, Y4, Y12, 24)
+	MOVQ DX, CX
+	ANDQ $63, CX
+	SHLQ CX, BX
+	MOVQ DX, AX
+	SHRQ $6, AX
+	ORQ  BX, (R9)(AX*8)
+	ADDQ $32, DX
+	CMPQ DX, R10
+	JLT  r2block
 	VZEROUPPER
 	RET
 

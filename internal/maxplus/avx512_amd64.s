@@ -403,39 +403,251 @@ TEXT ·productAVX512(SB), NOSPLIT, $24-128
 	VZEROUPPER
 	RET
 
-// func mergeAVX512(y, r *float32, live *uint64, n int)
-// y[k] = max(r[k], y[k]), y on a tie, for k in [0, n), n > 0, ORing into
-// live, cleared, bit k where y[k] > r[k]: 16 lanes a chunk under the mask of
-// those below n (K2), the compare's (K1) shifted by CX, which SHLQ takes mod 64.
-TEXT ·mergeAVX512(SB), NOSPLIT, $0-32
-	MOVQ      y+0(FP), DI
-	MOVQ      r+8(FP), SI
-	MOVQ      live+16(FP), DX
-	MOVQ      n+24(FP), R10
-	XORQ      AX, AX
-	MOVQ      $16, R9
-mchunk:
-	MOVQ      R10, CX
-	SUBQ      AX, CX
-	CMPQ      CX, R9
-	CMOVQGT   R9, CX
-	MOVL      $1, BX
-	SHLQ      CX, BX
-	DECQ      BX
-	KMOVW     BX, K2
-	VMOVUPS.Z (SI)(AX*4), K2, Z1
-	VMOVUPS.Z (DI)(AX*4), K2, Z2
-	VCMPPS    $0x1e, Z1, Z2, K1
-	VMAXPS    Z2, Z1, Z2
-	VMOVUPS   Z2, K2, (DI)(AX*4)
-	KMOVW     K1, BX
-	MOVQ      AX, CX
-	SHLQ      CX, BX
-	SHRQ      $6, CX
-	ORQ       BX, (DX)(CX*8)
-	ADDQ      $16, AX
-	CMPQ      AX, R10
-	JLT       mchunk
+// r2consts: -Inf, and the max-plus Zero -1e30 (semiring.NegInf).
+DATA r2consts<>+0(SB)/4, $0xff800000
+DATA r2consts<>+4(SB)/4, $0xf149f2ca
+GLOBL r2consts<>(SB), RODATA|NOPTR, $8
+
+// R2SPLIT takes split k's row of the star at R12 into y's vector v, held in
+// register y, under its live-lane mask e: c[k] in every lane of Z0, t scratch.
+#define R2SPLIT(d, y, e, t) \
+	VADDPS.Z d(R12), Z0, e, t; \
+	VMAXPS   y, t, e, y
+
+// R2ROW points R12 at row k+1 of the star at the block's columns, for k =
+// DX+AX (R13: the star at them, R8: its pitch in bytes), and puts c[k], from
+// the block's copy at R15, in every lane of Z0.
+#define R2ROW \
+	VBROADCASTSS (R15)(AX*4), Z0; \
+	LEAQ         1(DX)(AX*1), R12; \
+	IMULQ        R8, R12; \
+	ADDQ         R13, R12
+
+// R2TRI takes vector v's split at lane AX, its c at byte d of the block's
+// copy and its row of the star at mem, into the vector's lanes above AX (K5)
+// that are live (e), held in y: k a mask, s and t scratch.
+#define R2TRI(d, mem, y, e, k, s, t) \
+	KANDW        e, K5, k; \
+	VBROADCASTSS d(R15)(AX*4), s; \
+	VADDPS.Z     mem, s, k, t; \
+	VMAXPS       y, t, k, y
+
+// R2STEP moves a triangle loop to the next lane, the star a row down.
+#define R2STEP(loop) \
+	SHLQ $1, R12; \
+	ADDQ R8, R13; \
+	INCQ AX; \
+	CMPQ AX, $15; \
+	JLT  loop; \
+	JMP  r2final
+
+// R2FINAL makes the block's vector v final: c in c, R2's value in y, its
+// live-lane mask e, at byte d of the block. It stores c ⊕ y (c on a tie)
+// under e and leaves in CX the lanes where c beat y, shifted to the block's
+// bit v·16, ORed into BX.
+#define R2FINAL(d, c, y, e, sh) \
+	VCMPPS  $0x1e, y, c, e, K6; \
+	VMAXPS  c, y, Z9; \
+	VMOVUPS Z9, e, d(DI)(DX*4); \
+	KMOVW   K6, CX; \
+	SHLQ    $sh, CX; \
+	ORQ     CX, BX
+
+// func r2AVX512(c, star *float32, lds, k0, n int, live *uint64)
+// R2Go's row, k0 < n, into live's words, cleared: c in 64-column blocks on the
+// grid of absolute columns, one live word a block, y in Z1-Z4 from Zero. A
+// block takes the live splits left of it from the words (BSF/BTR, as PTILE's
+// walk), then each vector's own splits dense, the four triangles interleaved
+// — a split with its bit clear changes no cell, so taking it is harmless —
+// then, vector by vector, makes the vector final and takes its live splits
+// into the vectors right of it. The block's c is kept at buf with -Inf in its
+// dead lanes (left of k0, from n), whose dense splits thus change nothing;
+// the live-lane masks K1-K4 keep every load and store inside [k0, n).
+TEXT ·r2AVX512(SB), NOSPLIT, $256-48
+	MOVQ c+0(FP), DI
+	MOVQ star+8(FP), SI
+	MOVQ lds+16(FP), R8
+	SHLQ $2, R8
+	MOVQ k0+24(FP), R11
+	MOVQ n+32(FP), R10
+	MOVQ live+40(FP), R9
+	LEAQ buf-256(SP), R15
+	MOVQ R11, DX
+	ANDQ $-64, DX
+
+r2block:
+	// The live lanes [max(k0-DX, 0), min(n-DX, 64)), 16 to each of K1-K4.
+	MOVQ    R11, CX
+	SUBQ    DX, CX
+	XORQ    AX, AX
+	CMPQ    CX, AX
+	CMOVQLT AX, CX
+	MOVQ    $-1, R12
+	SHLQ    CX, R12
+	MOVQ    R10, CX
+	SUBQ    DX, CX
+	CMPQ    CX, $64
+	JGE     r2masks
+	MOVQ    $1, AX
+	SHLQ    CX, AX
+	DECQ    AX
+	ANDQ    AX, R12
+
+r2masks:
+	KMOVW        R12, K1
+	SHRQ         $16, R12
+	KMOVW        R12, K2
+	SHRQ         $16, R12
+	KMOVW        R12, K3
+	SHRQ         $16, R12
+	KMOVW        R12, K4
+	VBROADCASTSS r2consts<>+0(SB), Z5
+	VMOVAPS      Z5, Z6
+	VMOVAPS      Z5, Z7
+	VMOVAPS      Z5, Z8
+	VMOVUPS      (DI)(DX*4), K1, Z5
+	VMOVUPS      64(DI)(DX*4), K2, Z6
+	VMOVUPS      128(DI)(DX*4), K3, Z7
+	VMOVUPS      192(DI)(DX*4), K4, Z8
+	VMOVUPS      Z5, (R15)
+	VMOVUPS      Z6, 64(R15)
+	VMOVUPS      Z7, 128(R15)
+	VMOVUPS      Z8, 192(R15)
+	VBROADCASTSS r2consts<>+4(SB), Z1
+	VMOVAPS      Z1, Z2
+	VMOVAPS      Z1, Z3
+	VMOVAPS      Z1, Z4
+	LEAQ         (SI)(DX*4), R13
+
+	// The live splits left of the block: words [k0/64, DX/64), split k's c
+	// read from the row, final and its own.
+	MOVQ R11, AX
+	SHRQ $6, AX
+	MOVQ DX, R14
+	SHRQ $6, R14
+
+r2word:
+	CMPQ AX, R14
+	JGE  r2tri
+	MOVQ (R9)(AX*8), BX
+
+r2bit:
+	BSFQ         BX, CX
+	JZ           r2nextword
+	BTRQ         CX, BX
+	MOVQ         AX, R12
+	SHLQ         $6, R12
+	ADDQ         CX, R12
+	VBROADCASTSS (DI)(R12*4), Z0
+	INCQ         R12
+	IMULQ        R8, R12
+	ADDQ         R13, R12
+	R2SPLIT(0, Z1, K1, Z9)
+	R2SPLIT(64, Z2, K2, Z10)
+	R2SPLIT(128, Z3, K3, Z11)
+	R2SPLIT(192, Z4, K4, Z12)
+	JMP          r2bit
+
+r2nextword:
+	INCQ AX
+	JMP  r2word
+
+	// The vectors' own splits, lane t of each a step, from the first vector
+	// holding a column from k0 on: vector v's split DX+16v+t reaches its lanes
+	// above t (K5), row DX+16v+t+1 of the star at R13 + 16v rows.
+r2tri:
+	MOVQ  DX, R12
+	INCQ  R12
+	IMULQ R8, R12
+	ADDQ  R12, R13
+	MOVQ  R8, R14
+	SHLQ  $4, R14
+	LEAQ  (R14)(R14*2), BX
+	MOVQ  $-2, R12
+	XORQ  AX, AX
+	MOVQ  R11, CX
+	SUBQ  DX, CX
+	SARQ  $4, CX
+	CMPQ  CX, $1
+	JLT   r2tri0
+	JEQ   r2tri1
+	CMPQ  CX, $2
+	JEQ   r2tri2
+	JMP   r2tri3
+
+r2tri0:
+	KMOVW R12, K5
+	R2TRI(0, (R13), Z1, K1, K6, Z0, Z9)
+	R2TRI(64, 64(R13)(R14*1), Z2, K2, K7, Z10, Z11)
+	R2TRI(128, 128(R13)(R14*2), Z3, K3, K6, Z12, Z13)
+	R2TRI(192, 192(R13)(BX*1), Z4, K4, K7, Z14, Z15)
+	R2STEP(r2tri0)
+
+r2tri1:
+	KMOVW R12, K5
+	R2TRI(64, 64(R13)(R14*1), Z2, K2, K7, Z10, Z11)
+	R2TRI(128, 128(R13)(R14*2), Z3, K3, K6, Z12, Z13)
+	R2TRI(192, 192(R13)(BX*1), Z4, K4, K7, Z14, Z15)
+	R2STEP(r2tri1)
+
+r2tri2:
+	KMOVW R12, K5
+	R2TRI(128, 128(R13)(R14*2), Z3, K3, K6, Z12, Z13)
+	R2TRI(192, 192(R13)(BX*1), Z4, K4, K7, Z14, Z15)
+	R2STEP(r2tri2)
+
+r2tri3:
+	KMOVW R12, K5
+	R2TRI(192, 192(R13)(BX*1), Z4, K4, K7, Z14, Z15)
+	R2STEP(r2tri3)
+
+	// Vector by vector: final, stored, its live splits into the vectors right.
+r2final:
+	LEAQ (SI)(DX*4), R13
+	XORQ BX, BX
+	R2FINAL(0, Z5, Z1, K1, 0)
+
+r2push0:
+	BSFQ CX, AX
+	JZ   r2v1
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(64, Z2, K2, Z10)
+	R2SPLIT(128, Z3, K3, Z11)
+	R2SPLIT(192, Z4, K4, Z12)
+	JMP  r2push0
+
+r2v1:
+	R2FINAL(64, Z6, Z2, K2, 16)
+
+r2push1:
+	BSFQ CX, AX
+	JZ   r2v2
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(128, Z3, K3, Z11)
+	R2SPLIT(192, Z4, K4, Z12)
+	JMP  r2push1
+
+r2v2:
+	R2FINAL(128, Z7, Z3, K3, 32)
+
+r2push2:
+	BSFQ CX, AX
+	JZ   r2v3
+	BTRQ AX, CX
+	R2ROW
+	R2SPLIT(192, Z4, K4, Z12)
+	JMP  r2push2
+
+r2v3:
+	R2FINAL(192, Z8, Z4, K4, 48)
+	MOVQ DX, AX
+	SHRQ $6, AX
+	MOVQ BX, (R9)(AX*8)
+	ADDQ $64, DX
+	CMPQ DX, R10
+	JLT  r2block
 	VZEROUPPER
 	RET
 

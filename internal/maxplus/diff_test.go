@@ -55,7 +55,7 @@ type kernels[T elem] struct {
 	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
 	each    func(y, x, w []T)
 	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
-	merge   func(y, r []T, live []uint64) // max-plus alone
+	r2      func(c, star []T, lds, k0, n int, live []uint64) // max-plus alone
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -85,9 +85,9 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
 	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.Merge}
+		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.R2}
 	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, MergeGo},
+	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, r2Of(nil)},
 	zero:      -1e30, // semiring.NegInf
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
@@ -720,9 +720,11 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 			{"scalar-into", func() { kern.into(y, x, 1) }},
 			{"accum-each", func() { kern.each(y, x, x) }},
 		}
-		if kern.merge != nil {
-			live := make([]uint64, 1)
-			kernels = append(kernels, kernel{"merge", func() { kern.merge(y, x, live) }})
+		if kern.r2 != nil {
+			star, live := any(r2Star(rand.New(rand.NewSource(1)), n, n, "mixed")).([]T), make([]uint64, 1)
+			kernels = append(kernels, kernel{"r2", func() { kern.r2(y, star, n, 0, n, live) }})
+			mid := func() { kern.r2(y, star, n, 5, n, live) }
+			ownedBySomeoneElse(t, fmt.Sprintf("r2 lane=%d from column 5, the word before y[5]", lane), &y[4], mid)
 		}
 		for _, c := range kernels {
 			what := fmt.Sprintf("%s lane=%d", c.name, lane)
@@ -926,43 +928,184 @@ func liveSets(rng *rand.Rand, m, k int) ([]uint64, string) {
 	return live, mode
 }
 
-// TestMergeMatchesGoBitForBit holds every body's Merge to MergeGo: lengths
-// 0…maxLen with y and r at any lane, the specials among the operands and
-// ties (equal values, zeros of either sign) on purpose, guard words around y
-// and r, and a guard word past the ⌈n/64⌉ words of live it writes.
-func TestMergeMatchesGoBitForBit(t *testing.T) {
+// r2Star returns an n-row star at pitch lds, closed — star[i][j] >=
+// star[i][k] + star[k+1][j] for i <= k < j, as S² is — and NaN left of its
+// diagonal, which R2 never reads: -1 on and right of the diagonal for "all
+// live", else the closure of integers in [-3, 1], in [0, 5] for "none live".
+func r2Star(rng *rand.Rand, n, lds int, mode string) []float32 {
+	star := make([]float32, n*lds)
+	for i := range star {
+		star[i] = float32(math.NaN())
+	}
+	for d := range n {
+		for i := 0; i+d < n; i++ {
+			j, v := i+d, float32(rng.Intn(5)-3)
+			switch mode {
+			case "all live":
+				v = -1
+			case "none live":
+				v = float32(rng.Intn(6))
+			}
+			for k := i; k < j && mode != "all live"; k++ {
+				v = max(v, star[i*lds+k]+star[(k+1)*lds+j])
+			}
+			star[i*lds+j] = v
+		}
+	}
+	return star
+}
+
+// r2Row fills c[k0:n] for a mode of r2Star's: 5s for "all live"; 1000 at k0
+// for "none live"; else j/2 plus a small integer at column j, which gives
+// "mixed" about a fifth of its columns live, one column in four set to R2's
+// own value there (a tie, not live).
+func r2Row(rng *rand.Rand, c, star []float32, lds, k0, n int, mode string) {
+	for j := k0; j < n; j++ {
+		switch c[j] = float32(j/2 + rng.Intn(8)); {
+		case mode == "all live":
+			c[j] = 5
+		case mode == "none live" && j == k0:
+			c[j] = 1000
+		case mode == "mixed" && rng.Intn(4) == 0:
+			y := float32(zero)
+			for k := k0; k < j; k++ {
+				y = max(y, c[k]+star[(k+1)*lds+j])
+			}
+			if y > zero {
+				c[j] = y
+			}
+		}
+	}
+}
+
+// r2Dense is R2 as the fill took it before the fused kernel: every split,
+// SweepGo into a row of Zero, then the merge's loop — c[j] = c[j] ⊕ y[j], c
+// on a tie, bit j where c[j] beat y[j].
+func r2Dense(c, star []float32, lds, k0, n int, live []uint64) {
+	y, off := make([]float32, n), make([]int, n)
+	for j := range y {
+		y[j], off[j] = zero, j*lds
+	}
+	if n-k0 >= 2 {
+		SweepGo(y, c, star, off, k0, n-1, 0, n, Pre[float32]{})
+	}
+	clear(live[:(n+63)/64])
+	for j := k0; j < n; j++ {
+		switch {
+		case c[j] > y[j]:
+			live[j>>6] |= 1 << (j & 63)
+		case y[j] > c[j]:
+			c[j] = y[j]
+		}
+	}
+}
+
+// TestR2MatchesGoBitForBit holds the Go body of R2 to the dense sweep and
+// merge, and every vector body to the Go body: rows of 0…200 columns from
+// columns across the first two vectors and at the block edges, c at any
+// lane of a vector (the row's start), the live
+// share 0 (but the first column), mixed (about a fifth, ties included) and
+// 100 %, with guard words around the row and around its live words. The
+// columns left of k0 hold specials (NaN, ±Inf) that must neither be read nor
+// written.
+func TestR2MatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
-		t.Run(impl, func(t *testing.T) {
-			merge := BodyOf(impl).Merge
-			rng := rand.New(rand.NewSource(43))
-			for n := 0; n <= maxLen; n++ {
-				for lane := 0; lane < lanes[float32](); lane++ {
-					p := newPair(&maxPlus, 2, 2*n)
-					y, wy := p.slice(rng, n, lane)
-					r, wr := p.slice(rng, n, rng.Intn(lanes[float32]()))
-					for i := range r {
-						if rng.Intn(4) == 0 { // a tie
-							r[i], wr[i] = y[i], y[i]
-						}
+		t.Run(impl, func(t *testing.T) { r2MatchesGo(t, impl) })
+	}
+}
+
+// r2MatchesGo runs TestR2MatchesGoBitForBit's rows on one body; on "go" it
+// holds the Go body to the dense sweep and merge alone.
+func r2MatchesGo(t *testing.T, impl string) {
+	const maxN, lds = 200, 203
+	rng := rand.New(rand.NewSource(48))
+	goR2, r2 := BodyOf("go").R2, BodyOf(impl).R2
+	for _, mode := range []string{"none live", "mixed", "all live"} {
+		star := r2Star(rng, maxN, lds, mode)
+		liveCols, cols := 0, 0
+		for n := 0; n <= maxN; n++ {
+			for _, k0 := range []int{0, 1, 2, 3, 5, 7, 8, 9, 14, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 127, 128, 129, n / 2, n - 1, n} {
+				if k0 < 0 || k0 > n {
+					continue
+				}
+				lane := (n + k0) % lanes[float32]()
+				orig := make([]float32, n)
+				for j := range orig {
+					orig[j] = maxPlus.operand(rng)
+				}
+				r2Row(rng, orig, star, lds, k0, n, mode)
+				words := (n + 63) / 64
+				wantLive, goLive := make([]uint64, words+2), make([]uint64, words+2)
+				for i := range wantLive {
+					wantLive[i] = rng.Uint64()
+				}
+				copy(goLive, wantLive)
+				want, goRow := append([]float32(nil), orig...), append([]float32(nil), orig...)
+				r2Dense(want, star, lds, k0, n, wantLive[1:1+words])
+				goR2(goRow, star, lds, k0, n, goLive[1:1+words])
+				what := fmt.Sprintf("%s n=%d k0=%d lane=%d", mode, n, k0, lane)
+				for j := range goRow {
+					if bits(goRow[j]) != bits(want[j]) {
+						t.Fatalf("go %s: c[%d] is %v, the dense sweep and merge leave %v", what, j, goRow[j], want[j])
 					}
-					words := (n + 63) / 64
-					live, want := make([]uint64, words+1), make([]uint64, words+1)
-					for i := range live {
-						live[i] = rng.Uint64()
-						want[i] = live[i]
+				}
+				for i := range goLive {
+					if goLive[i] != wantLive[i] {
+						t.Fatalf("go %s: word %d of live and its guards is %#x, the dense merge leaves %#x", what, i, goLive[i], wantLive[i])
 					}
-					merge(y, r, live)
-					MergeGo(wy, wr, want)
-					what := fmt.Sprintf("merge n=%d lane=%d", n, lane)
-					p.check(t, what)
-					for i := range live {
-						if live[i] != want[i] {
-							t.Fatalf("%s: live word %d is %#x, the Go loop leaves %#x", what, i, live[i], want[i])
-						}
+				}
+				for w, v := range wantLive[1 : 1+words] {
+					for ; v != 0; v &= v - 1 {
+						liveCols++
+					}
+					cols += min(64, n-64*w) - min(64, max(0, k0-64*w))
+				}
+				if impl == "go" {
+					continue
+				}
+				p := newPair(&maxPlus, 1, n)
+				got, ref := p.slice(rng, n, lane)
+				copy(got, orig)
+				copy(ref, goRow)
+				gotLive := append([]uint64(nil), wantLive...)
+				r2(got, star, lds, k0, n, gotLive[1:1+words])
+				p.check(t, impl+" "+what)
+				for i := range gotLive {
+					if gotLive[i] != goLive[i] {
+						t.Fatalf("%s %s: word %d of live and its guards is %#x, the Go body leaves %#x", impl, what, i, gotLive[i], goLive[i])
 					}
 				}
 			}
-		})
+		}
+		t.Logf("%s: %d of %d columns live", mode, liveCols, cols)
+	}
+}
+
+// TestR2RejectsBadArguments: every body panics, naming the columns and the
+// lengths, where the columns leave c, the pitch is short of them, the star
+// lacks a row a split reads or live lacks a word.
+func TestR2RejectsBadArguments(t *testing.T) {
+	const n = 20
+	c, star, live := make([]float32, n), make([]float32, n*n), make([]uint64, 1)
+	for _, impl := range Impls() {
+		r2 := BodyOf(impl).R2
+		for _, bad := range []func(){
+			func() { r2(c, star, n, -1, n, live) },
+			func() { r2(c, star, n, 5, 4, live) },
+			func() { r2(c, star, n, 0, n+1, live) },
+			func() { r2(c, star, n-1, 0, n, live) },
+			func() { r2(c, star[:(n-1)*n], n, 0, n, live) },
+			func() { r2(c, star, n, 0, n, nil) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "maxplus: R2 columns") {
+						t.Errorf("%s: R2 panicked with %q", impl, msg)
+					}
+				}()
+				bad()
+			}()
+		}
 	}
 }
 
@@ -1046,67 +1189,6 @@ func BenchmarkProduct(b *testing.B) {
 	}
 	for _, sh := range []productShape{{"r0", 8, 16, 128, 15, dense, 0}, {"r0", 8, 16, 128, 15, 1, 0}, {"r0", 8, 16, 128, 63, dense, 0}} {
 		benchmarkProduct(b, &sumProduct, sh)
-	}
-	for _, n2 := range []int{64, 128, 256} {
-		for _, m := range []int{1, 3, 4} {
-			benchmarkR2(b, n2, m)
-		}
-	}
-}
-
-// benchmarkR2 times finalize's R2 over every row of an n2-row triangle for m
-// triangles' rows at once, bottom-up, in two forms: m row sweeps, the fill's
-// form, and one m-row product a row, the kernel walking the 32-column tiles
-// right of its diagonal against the star (pitch n2, Zero left of the
-// diagonal: diag = i2+1-cs). The rate counts the cells right of the diagonal
-// each split reaches.
-func benchmarkR2(b *testing.B, n2, m int) {
-	star := make([]float32, n2*n2)
-	for r := range n2 {
-		for j := range n2 {
-			if star[r*n2+j] = -1e30; j >= r {
-				star[r*n2+j] = float32((r*n2+j)%61) / 64
-			}
-		}
-	}
-	c, pre, off := make([]float32, m*n2), make([]float32, m*n2), make([]int, n2)
-	for i := range c {
-		c[i] = float32(i%29) / 64
-	}
-	for r := range off {
-		off[r] = r * n2
-	}
-	useful := 0
-	for i2 := range n2 {
-		for j := i2 + 1; j < n2; j++ {
-			useful += m * (j - i2)
-		}
-	}
-	for _, impl := range Impls() {
-		body := BodyOf(impl)
-		rate := func(b *testing.B) {
-			b.ReportMetric(float64(useful)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "useful-Gcell/s")
-		}
-		b.Run(fmt.Sprintf("product/r2/%s/n2=%d/m=%d", impl, n2, m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for i2 := n2 - 1; i2 >= 0; i2-- {
-					if cs := (i2 + 1) / 32 * 32; n2-1 > i2 {
-						body.Product(pre[cs:], n2, c[i2:], n2, star[(i2+1)*n2+cs:], n2, m, n2-cs, n2-1-i2, i2+1-cs, Pre[float32]{}, nil)
-					}
-				}
-			}
-			rate(b)
-		})
-		b.Run(fmt.Sprintf("sweep/r2/%s/n2=%d/m=%d", impl, n2, m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for i2 := n2 - 1; i2 >= 0; i2-- {
-					for r := range m {
-						body.Sweep(pre[r*n2:], c[r*n2:], star, off, i2, n2-1, 0, n2, Pre[float32]{})
-					}
-				}
-			}
-			rate(b)
-		})
 	}
 }
 

@@ -17,7 +17,10 @@
 // AVX-512, 128 on AVX2 — while a whole k2 loop of streams passes through it,
 // so Y makes one trip through memory per block, not one per k2; with a left
 // column bound it is also the substrate tile's step, and with a scratch copy
-// of a row as a, finalize's R2 and the substrate's closure row. BPPart's
+// of a row as a, the partition fill's R2 and the substrate's closure row. The
+// max-plus fill takes R2 by its own kernel, R2: the same register block over a
+// row, which skips the splits R2 itself dominates and records the row's live
+// columns for the R0 products that read the row later. BPPart's
 // partition function is the same stream in the (+, ×) algebra over float64,
 // Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductEach, SumProductSweep
 // and MulScalarInto are those kernels, on the same assembly skeletons at half
@@ -81,9 +84,9 @@ type Body struct {
 	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k, diag int, pre Pre[float32], live []uint64)
 	// SumProductProduct is Product in the (+, ×) algebra over float64.
 	SumProductProduct func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k, diag int, pre Pre[float64], live []uint64)
-	// Merge is finalize's R2 merge, MergeGo's loop: y = y ⊕ r in max-plus,
-	// recording in live the columns where y beat r.
-	Merge func(y, r []float32, live []uint64)
+	// R2 is finalize's max-plus R2 of one row, in place, with the row's live
+	// words (R2Go's loop).
+	R2 func(c, star []float32, lds, k0, n int, live []uint64)
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -115,7 +118,7 @@ var bodies = [...]Body{
 		},
 		Product:           productOf(ProductGo, nil),
 		SumProductProduct: productOf(SumProductProductGo, nil),
-		Merge:             MergeGo,
+		R2:                r2Of(nil),
 	},
 	isaAVX2: {
 		Impl:              "avx2",
@@ -129,7 +132,7 @@ var bodies = [...]Body{
 		SumProductSweep:   sumProductSweep2,
 		Product:           productOf(ProductGo, productAVX2),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX2),
-		Merge:             vectorMerge(mergeAVX2),
+		R2:                r2Of(r2AVX2),
 	},
 	isaAVX512: {
 		Impl:              "avx512",
@@ -143,7 +146,7 @@ var bodies = [...]Body{
 		SumProductSweep:   sumProductSweep512,
 		Product:           productOf(ProductGo, productAVX512),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX512),
-		Merge:             vectorMerge(mergeAVX512),
+		R2:                r2Of(r2AVX512),
 	},
 }
 
@@ -381,13 +384,21 @@ func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int,
 	}
 }
 
-// vectorMerge binds a vector body of Body.Merge, which ORs into cleared words.
-func vectorMerge(body func(y, r *float32, live *uint64, n int)) func(y, r []float32, live []uint64) {
-	return func(y, r []float32, live []uint64) {
-		if n := len(y); n > 0 {
-			r, live = r[:n], live[:(n+63)/64]
-			clear(live)
-			body(&y[0], &r[0], &live[0], n)
+// r2Of binds a body of Body.R2, R2Go where vec is nil, behind checks whose
+// panic names the arguments: 0 <= k0 <= n <= len(c), lds >= n, ⌈n/64⌉ words
+// of live and, where a split exists (n-k0 >= 2), rows k0+1 … n-1 of star to
+// column n. It clears the words and hands vec a row with a column in it.
+func r2Of(vec func(c, star *float32, lds, k0, n int, live *uint64)) func(c, star []float32, lds, k0, n int, live []uint64) {
+	return func(c, star []float32, lds, k0, n int, live []uint64) {
+		words := (n + 63) / 64
+		if k0 < 0 || k0 > n || n > len(c) || lds < n || words > len(live) || n-k0 >= 2 && (n-1)*lds+n > len(star) {
+			panic(fmt.Sprintf("maxplus: R2 columns [%d,%d) outside c[:%d], star[:%d] at stride %d or live[:%d]", k0, n, len(c), len(star), lds, len(live)))
+		}
+		clear(live[:words])
+		if vec == nil {
+			R2Go(c, star, lds, k0, n, live)
+		} else if k0 < n {
+			vec(&c[0], unsafe.SliceData(star), lds, k0, n, &live[0])
 		}
 	}
 }

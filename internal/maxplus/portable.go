@@ -139,17 +139,37 @@ func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc
 // fours, then each row left over (row r's is max(r/4, r-3*(m/4))).
 func productTiles(m int) int { return m - 3*(m/4) }
 
-// MergeGo is Merge's portable body: y[k] = max(r[k], y[k]) for k < len(y), y
-// on a tie or a NaN, and live[:⌈len(y)/64⌉] set where y[k] beat r[k].
-func MergeGo(y, r []float32, live []uint64) {
-	r, live = r[:len(y)], live[:(len(y)+63)/64]
-	clear(live)
-	for k, v := range r {
-		switch {
-		case y[k] > v:
-			live[k>>6] |= 1 << (k & 63)
-		case v > y[k]:
-			y[k] = v
+// zero is the max-plus Zero, semiring.NegInf: R2's value where no split
+// reaches.
+const zero = -1e30
+
+// R2Go is R2's portable body: finalize's max-plus R2 of one row c against the
+// star (row r at star[r*lds:]), in place, for j in [k0, n),
+//
+//	c[j] = c[j] ⊕ y[j],   y[j] = ⊕ over k0 <= k < j of c[k] ⊗ star[k+1][j]
+//
+// (y[j] Zero where no split reaches; c on a tie or a NaN), setting bit j of
+// live, whose words the caller cleared, where c[j] > y[j]: the column is live.
+// A split k whose bit is clear is skipped: y[k] >= c[k] then, and the star is
+// closed (star[m+1][k] ⊗ star[k+1][j] <= star[m+1][j]), so c[k] ⊗ star[k+1][j]
+// <= c[m] ⊗ star[m+1][j] for a split m < k — exact in max-plus, which every
+// fill is (docs/ALGORITHM.md §9, "Dominated splits"). A live column keeps its
+// c, so the splits are read from the row itself.
+func R2Go(c, star []float32, lds, k0, n int, live []uint64) {
+	for j := k0; j < n; j++ {
+		y := float32(zero)
+		for k := k0; k < j; k++ {
+			if live[k>>6]>>(k&63)&1 == 0 {
+				continue
+			}
+			if x := c[k] + star[(k+1)*lds+j]; x > y {
+				y = x
+			}
+		}
+		if c[j] > y {
+			live[j>>6] |= 1 << (j & 63)
+		} else if y > c[j] {
+			c[j] = y
 		}
 	}
 }

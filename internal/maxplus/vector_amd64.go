@@ -72,10 +72,10 @@ func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64,
 func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int)
 
 //go:noescape
-func mergeAVX2(y, r *float32, live *uint64, n int)
+func r2AVX2(c, star *float32, lds, k0, n int, live *uint64)
 
 //go:noescape
-func mergeAVX512(y, r *float32, live *uint64, n int)
+func r2AVX512(c, star *float32, lds, k0, n int, live *uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
