@@ -195,31 +195,33 @@ run_lint() (
         echo "lint: s.sweep( in r0Blocks, or r0Blocks not found (R4 and R3 are the block product's pre-streams)" >&2
         exit 1
     }
-    # r0Blocks reads the bit-sets each block's finalize built once (tileLive,
-    # from its rows' live words); a tileLive( in r0Blocks is the rebuild for
-    # every triangle and k1 that reads a block growing back. Anchored on the
-    # function.
+    # r0Blocks reads the bit-sets each block's finalize built once
+    # (maxplus.TileLive, from its rows' live words); a TileLive( in r0Blocks
+    # is the rebuild for every triangle and k1 that reads a block growing
+    # back. Anchored on the function.
     awk '/^func \(s \*gsolver\[T\]\) r0Blocks\(/ { in_fn = 1; found = 1 }
-         in_fn && /tileLive\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         in_fn && /TileLive\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
          in_fn && /^}/ { in_fn = 0 }
          END { if (!found) { print "lint: anchor func (s *gsolver[T]) r0Blocks( not found in " FILENAME; exit 1 }
                exit bad }' internal/bpmax/triangle.go >&2 || {
-        echo "lint: tileLive( in r0Blocks, or r0Blocks not found (a block's tile bit-sets are built once, at its finalize)" >&2
+        echo "lint: TileLive( in r0Blocks, or r0Blocks not found (a block's tile bit-sets are built once, at its finalize)" >&2
         exit 1
     }
     # Products skip dominated splits only in r0Blocks, whose bit-sets
     # finalize builds from its rows' live words (the splits R2 dominates),
-    # and r1Blocks, whose bit-sets armMasks builds from S²'s (the splits S²
-    # dominates): every other product (the substrate's tiles) passes live =
-    # nil, every split. A non-nil live elsewhere drops splits no proof
-    # covers. Anchored on both functions.
+    # r1Blocks, whose bit-sets armMasks builds from S²'s (the splits S²
+    # dominates), and the substrate's fillTile, whose bit-sets it builds from
+    # its rows' live words (the splits a shorter split dominates): every
+    # other product passes live = nil, every split. A non-nil live elsewhere
+    # drops splits no proof covers. Anchored on the three functions.
     awk '/^func \(s \*gsolver\[T\]\) r0Blocks\(/ { in_fn = 1; r0 = 1 }
          /^func \(s \*gsolver\[T\]\) r1Blocks\(/ { in_fn = 1; r1 = 1 }
+         /^func fillTile\[/ { in_fn = 1; ft = 1 }
          /\.Product\(/ && !in_fn && !/, nil\)$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
          in_fn && /^}/ { in_fn = 0 }
-         END { if (!r0 || !r1) { print "lint: anchor func (s *gsolver[T]) r0Blocks( or r1Blocks( not found"; exit 1 }
+         END { if (!r0 || !r1 || !ft) { print "lint: anchor func (s *gsolver[T]) r0Blocks(, r1Blocks( or func fillTile[ not found"; exit 1 }
                exit bad }' internal/bpmax/triangle.go internal/nussinov/fill.go >&2 || {
-        echo "lint: a product outside r0Blocks and r1Blocks passes live bit-sets, or either is not found (R0 and R1 alone skip dominated splits)" >&2
+        echo "lint: a product outside r0Blocks, r1Blocks and fillTile passes live bit-sets, or one of them is not found (R0, R1 and the substrate's tiles alone skip dominated splits)" >&2
         exit 1
     }
     # The fused R2 kernel takes a row's R2 and records its live splits;

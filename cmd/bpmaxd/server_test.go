@@ -183,7 +183,9 @@ func TestBadRequests(t *testing.T) {
 // TestDeadlineMapsToContext proves timeout_ms becomes the fold's context
 // deadline: a fold that needs tens of milliseconds dies at 1ms with 504.
 func TestDeadlineMapsToContext(t *testing.T) {
-	s := newTestServer(t, nil, serverConfig{})
+	// The substrate failpoint sleeps past the 1 ms deadline once the shell
+	// exists, so the fold meets it however fast the host fills.
+	s := newTestServer(t, func(f *cliflags.Serving) { f.Failpoints = "substrate=once*delay(20ms)" }, serverConfig{})
 	s1, s2 := slowSeq()
 	rec := post(s, "/v1/fold", map[string]any{"seq1": s1, "seq2": s2, "timeout_ms": 1})
 	if rec.Code != http.StatusGatewayTimeout {

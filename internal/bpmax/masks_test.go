@@ -181,7 +181,7 @@ func liveSplitWork(s *solver, ft *FTable) float64 {
 				r1 := min(r0+s.cfg.TileI2, n2)
 				for q0 := r0; q0 < r1; q0 += prodRows {
 					stride := w - q0>>6
-					for t := range productTiles(min(prodRows, r1-q0)) {
+					for t := range maxplus.ProductTiles(min(prodRows, r1-q0)) {
 						set := tiles[s.tileOff[q0]+t*stride:]
 						for k2 := q0; k2 < n2-1; k2++ {
 							sp := k2 - q0

@@ -32,11 +32,12 @@ type Problem struct {
 }
 
 // ProblemBytes is the footprint of an n1 × n2 problem: its three float32
-// pair-score tables, its two max-plus S tables at their row pitch and a byte
-// per base of sequence.
+// pair-score tables, its two max-plus S tables at their row pitch with the
+// live words their closure fills keep (nussinov.LiveBytes), and a byte per
+// base of sequence.
 func ProblemBytes(n1, n2 int) int64 {
 	s := n1*nussinov.PitchOf(n1, 4) + n2*nussinov.PitchOf(n2, 4)
-	return int64(n1*n1+n2*n2+n1*n2+s)*elemBytes[float32]() + int64(n1+n2)
+	return int64(n1*n1+n2*n2+n1*n2+s)*elemBytes[float32]() + nussinov.LiveBytes(n1) + nussinov.LiveBytes(n2) + int64(n1+n2)
 }
 
 // Release returns a pooled problem's shell — with its retained sequence

@@ -204,7 +204,7 @@ func (s *gsolver[T]) armMasks(r2 func(c, star []T, lds, k0, n int, live []uint64
 	}
 	for q0 := 0; q0 < n2; q0 += prodRows {
 		q1 := min(q0+prodRows, n2)
-		tileLive(s.r1live[q0/prodRows*4*w:], s.s2live, w, q0, q1-q0, q1-1)
+		maxplus.TileLive(s.r1live[q0/prodRows*4*w:], s.s2live, w, q0, q1-q0, q1-1, n2)
 	}
 }
 
@@ -364,7 +364,7 @@ func (s *gsolver[T]) r0Blocks(blk, ablk, bblk []T, i1, j1, k1, r0, r1 int) {
 		m := min(prodRows, r1-q0)
 		var live []uint64
 		if tiles != nil {
-			live = tiles[s.tileOff[q0]:][:productTiles(m)*(s.liveW-q0>>6)]
+			live = tiles[s.tileOff[q0]:][:maxplus.ProductTiles(m)*(s.liveW-q0>>6)]
 		}
 		cs, b := q0/cols*cols, []T(nil)
 		if n2-1 > q0 {
@@ -381,10 +381,6 @@ func (s *gsolver[T]) blockTiles(i1, j1 int) []uint64 {
 	return s.tiles[o : o+s.tileW : o+s.tileW]
 }
 
-// productTiles is the number of kernel tiles of a product of m rows: the
-// fours, then each row left over.
-func productTiles(m int) int { return m - 3*(m/4) }
-
 // tileSetWords returns the words of one block's kernel-tile bit-sets for
 // r0Blocks' row groups — prodRows rows from each tileI2-row tile's first,
 // group q0's tiles ⌈n2/64⌉-q0/64 words each — and records in off, unless
@@ -400,31 +396,10 @@ func tileSetWords(n2, tileI2 int, off []int) int {
 			if off != nil {
 				off[q0] = words
 			}
-			words += productTiles(min(prodRows, r1-q0)) * ((n2+63)/64 - q0>>6)
+			words += maxplus.ProductTiles(min(prodRows, r1-q0)) * ((n2+63)/64 - q0>>6)
 		}
 	}
 	return words
-}
-
-// tileLive returns the live bit-sets of group [q0, q0+m)'s kernel tiles
-// against A's live words (w a row): each the OR of its rows' words shifted
-// to bit s for split k0+s, built in dst. finalize builds R0's from a
-// triangle's word scratch as each group completes; armMasks R1's from S²'s.
-func tileLive(dst, a []uint64, w, q0, m, k0 int) []uint64 {
-	q, sh := k0>>6, uint(k0&63)
-	live := dst[:productTiles(m)*(w-q)]
-	clear(live)
-	for r := range m {
-		row, t := a[(q0+r)*w:(q0+r+1)*w], max(r/4, r-3*(m/4)) // r's tile
-		for i := q; i < w; i++ {
-			v := row[i] >> sh
-			if i+1 < w {
-				v |= row[i+1] << (64 - sh)
-			}
-			live[t*(w-q)+i-q] |= v
-		}
-	}
-	return live
 }
 
 // maskMinN2 is the shortest second strand whose fills skip dominated
@@ -504,7 +479,7 @@ func (s *gsolver[T]) finalize(blk []T, i1, j1 int) {
 			s.r2(grow, a.star, a.p2, i2, hi, words[i2*s.liveW:(i2+1)*s.liveW])
 			if o := s.tileOff[i2]; o >= 0 {
 				r0 := i2 / s.cfg.TileI2 * s.cfg.TileI2
-				tileLive(s.blockTiles(i1, j1)[o:], words, s.liveW, i2, min(prodRows, r0+s.cfg.TileI2-i2, n2-i2), i2)
+				maxplus.TileLive(s.blockTiles(i1, j1)[o:], words, s.liveW, i2, min(prodRows, r0+s.cfg.TileI2-i2, n2-i2), i2, n2)
 			}
 		} else {
 			copy(pre[i2:hi-1], grow[i2:hi-1])

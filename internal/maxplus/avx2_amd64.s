@@ -752,6 +752,68 @@ r2v3:
 	VZEROUPPER
 	RET
 
+// livebits: 1, 2, 4, ..., 128 — the bit of each lane of a chunk.
+DATA livebits<>+0(SB)/4, $1
+DATA livebits<>+4(SB)/4, $2
+DATA livebits<>+8(SB)/4, $4
+DATA livebits<>+12(SB)/4, $8
+DATA livebits<>+16(SB)/4, $16
+DATA livebits<>+20(SB)/4, $32
+DATA livebits<>+24(SB)/4, $64
+DATA livebits<>+28(SB)/4, $128
+GLOBL livebits<>(SB), RODATA|NOPTR, $32
+
+// func liveAVX2(y, pre, cross *float32, lo, hi int, live *uint64)
+// liveAVX512 on eight 8-lane chunks a word, each under the lane mask its
+// byte of the word's mask spreads (livebits in Y15); VMASKMOVPS neither
+// faults on nor reads a masked-off lane.
+TEXT ·liveAVX2(SB), NOSPLIT, $0-48
+	MOVQ    y+0(FP), DI
+	MOVQ    pre+8(FP), SI
+	MOVQ    cross+16(FP), BX
+	MOVQ    lo+24(FP), R11
+	MOVQ    hi+32(FP), R10
+	MOVQ    live+40(FP), R9
+	VMOVDQU livebits<>(SB), Y15
+	MOVQ    R11, DX
+	ANDQ    $-64, DX
+
+live2word:
+	WORDLANES
+	MOVQ R12, R13
+	XORQ R14, R14
+	XORQ R8, R8
+
+live2chunk:
+	MOVQ         R12, CX
+	ANDQ         $0xff, CX
+	VMOVQ        CX, X0
+	VPBROADCASTD X0, Y0
+	VPAND        Y15, Y0, Y0
+	VPCMPEQD     Y15, Y0, Y0
+	LEAQ         (DX)(R8*1), AX
+	VMASKMOVPS   (DI)(AX*4), Y0, Y1
+	VMASKMOVPS   (SI)(AX*4), Y0, Y2
+	VMASKMOVPS   (BX)(AX*4), Y0, Y3
+	VCMPPS       $0, Y1, Y2, Y1
+	VCMPPS       $0x1e, Y3, Y2, Y3
+	VANDPS       Y3, Y1, Y1
+	VANDPS       Y0, Y1, Y1
+	VMOVMSKPS    Y1, AX
+	MOVQ         R8, CX
+	SHLQ         CX, AX
+	ORQ          AX, R14
+	SHRQ         $8, R12
+	ADDQ         $8, R8
+	CMPQ         R8, $64
+	JLT          live2chunk
+	WORDSTORE
+	ADDQ         $64, DX
+	CMPQ         DX, R10
+	JLT          live2word
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion of the skeleton: 4 lanes, VMULPD then
 // VADDPD. sumProductAVX2, sumProductSweepAVX2 and mulScalarIntoAVX2 are
 // accumulateAVX2, sweepAVX2 and addScalarIntoAVX2 again, instruction for

@@ -651,6 +651,55 @@ r2v3:
 	VZEROUPPER
 	RET
 
+// LIVEVEC compares vector v of the word, at byte d from its first column,
+// under its lanes' mask k (zero-masking loads, which do not fault on a
+// masked-off lane), and ORs its live bits, shifted to bit sh, into R14:
+// y == pre (ordered, a NaN is unequal), then pre > cross under that.
+#define LIVEVEC(d, k, sh) \
+	VMOVUPS.Z d(DI)(DX*4), k, Z1; \
+	VMOVUPS.Z d(SI)(DX*4), k, Z2; \
+	VMOVUPS.Z d(BX)(DX*4), k, Z3; \
+	VCMPPS    $0, Z1, Z2, k, K5; \
+	VCMPPS    $0x1e, Z3, Z2, K5, K6; \
+	KMOVW     K6, AX; \
+	SHLQ      $sh, AX; \
+	ORQ       AX, R14
+
+// func liveAVX512(y, pre, cross *float32, lo, hi int, live *uint64)
+// LiveGo's loop, lo < hi: a word of live at a time (sweep_amd64.h's
+// WORDLANES and WORDSTORE), its 64 columns four vectors under K1-K4.
+TEXT ·liveAVX512(SB), NOSPLIT, $0-48
+	MOVQ y+0(FP), DI
+	MOVQ pre+8(FP), SI
+	MOVQ cross+16(FP), BX
+	MOVQ lo+24(FP), R11
+	MOVQ hi+32(FP), R10
+	MOVQ live+40(FP), R9
+	MOVQ R11, DX
+	ANDQ $-64, DX
+
+liveword:
+	WORDLANES
+	MOVQ  R12, R13
+	KMOVW R12, K1
+	SHRQ  $16, R12
+	KMOVW R12, K2
+	SHRQ  $16, R12
+	KMOVW R12, K3
+	SHRQ  $16, R12
+	KMOVW R12, K4
+	XORQ  R14, R14
+	LIVEVEC(0, K1, 0)
+	LIVEVEC(64, K2, 16)
+	LIVEVEC(128, K3, 32)
+	LIVEVEC(192, K4, 48)
+	WORDSTORE
+	ADDQ  $64, DX
+	CMPQ  DX, R10
+	JLT   liveword
+	VZEROUPPER
+	RET
+
 // The float64 sum-product expansion: 8 lanes a vector, VMULPD then VADDPD.
 #undef ESIZE
 #undef ESHIFT

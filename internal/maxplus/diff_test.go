@@ -55,7 +55,8 @@ type kernels[T elem] struct {
 	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
 	each    func(y, x, w []T)
 	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
-	r2      func(c, star []T, lds, k0, n int, live []uint64) // max-plus alone
+	r2      func(c, star []T, lds, k0, n int, live []uint64)   // max-plus alone
+	live    func(y, pre, cross []T, lo, hi int, live []uint64) // max-plus alone
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -85,9 +86,9 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
 	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.R2}
+		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.R2, b.Live}
 	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, r2Of(nil)},
+	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, r2Of(nil), liveOf(nil)},
 	zero:      -1e30, // semiring.NegInf
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
@@ -112,9 +113,9 @@ var maxPlus = algebra[float32]{
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
 	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct, nil}
+		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct, nil, nil}
 	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo, nil},
+	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo, nil, nil},
 	zero:      0,
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
@@ -735,6 +736,22 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word after it", lane, m), &y[m], short)
 	}
+
+	if kern.live != nil {
+		// Live stores whole words of live: the words either side of those
+		// holding [lo, hi) are other rows' to write, in the substrate's
+		// wavefronts.
+		y, pre, cross, words := make([]T, 256), make([]T, 256), make([]T, 256), make([]uint64, 4)
+		for j := range y {
+			y[j], pre[j], cross[j] = T(j%3), T(j%2), T(j%5)
+		}
+		for _, c := range [][2]int{{64, 128}, {69, 90}, {100, 140}} {
+			run := func() { kern.live(y, pre, cross, c[0], c[1], words) }
+			what := fmt.Sprintf("live columns [%d,%d)", c[0], c[1])
+			ownedBySomeoneElse(t, what+", the word before", (*float64)(unsafe.Pointer(&words[c[0]>>6-1])), run)
+			ownedBySomeoneElse(t, what+", the word after", (*float64)(unsafe.Pointer(&words[(c[1]-1)>>6+1])), run)
+		}
+	}
 }
 
 // sweepLeavesNeighbouringCells: the sweep stores whole blocks, but for the
@@ -898,11 +915,11 @@ func liveSets(rng *rand.Rand, m, k int) ([]uint64, string) {
 		return nil, mode
 	}
 	stride := (k+63)/64 + rng.Intn(2)
-	live := make([]uint64, productTiles(m)*stride)
+	live := make([]uint64, ProductTiles(m)*stride)
 	for i := range live {
 		live[i] = rng.Uint64()
 	}
-	for t := range productTiles(m) {
+	for t := range ProductTiles(m) {
 		set := live[t*stride:]
 		density := rng.Intn(65)
 		for s := 0; s < k; s++ {
@@ -1109,6 +1126,127 @@ func TestR2RejectsBadArguments(t *testing.T) {
 	}
 }
 
+// TestLiveMatchesGoBitForBit holds every vector body of Live to the Go
+// body, and the Go body to the rule cell by cell: rows of 0…200 columns at
+// every lane of a vector, every start column, the end column at the start, one
+// past it, the row's end and between; y, pre and cross equal, tied or apart,
+// specials (NaN, ±Inf, ±0) among them; the live words filled with random bits
+// and a guard word either side, so a bit written outside [lo, hi) shows.
+func TestLiveMatchesGoBitForBit(t *testing.T) {
+	for _, impl := range testBodies() {
+		t.Run(impl, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(50))
+			goLive, live := BodyOf("go").Live, BodyOf(impl).Live
+			set, cols := 0, 0
+			for n := 0; n <= 200; n++ {
+				lane := n % lanes[float32]()
+				buf := make([]float32, 3*(n+lanes[float32]()))
+				y, pre, cross := buf[lane:lane+n], buf[n+16+lane:2*n+16+lane], buf[2*n+32+lane:3*n+32+lane]
+				for j := range n {
+					liveRow(rng, y, pre, cross, j)
+				}
+				words := (n + 63) / 64
+				for lo := 0; lo <= n; lo++ {
+					for _, hi := range []int{lo, lo + 1, n, lo + rng.Intn(n-lo+1)} {
+						if hi > n {
+							continue
+						}
+						init := make([]uint64, words+2)
+						for i := range init {
+							init[i] = rng.Uint64()
+						}
+						want, got := append([]uint64(nil), init...), append([]uint64(nil), init...)
+						goLive(y, pre, cross, lo, hi, want[1:1+words])
+						what := fmt.Sprintf("n=%d lane=%d columns [%d,%d)", n, lane, lo, hi)
+						for j := -64; j < 64*(words+1); j++ {
+							bit := want[(j+64)>>6] >> ((j + 64) & 63) & 1
+							wantBit := init[(j+64)>>6] >> ((j + 64) & 63) & 1
+							if j >= lo && j < hi {
+								wantBit = 0
+								if y[j] == pre[j] && pre[j] > cross[j] {
+									wantBit = 1
+								}
+								set += int(wantBit)
+								cols++
+							}
+							if bit != wantBit {
+								t.Fatalf("go %s: bit %d is %d, want %d (y %v, pre %v, cross %v)", what, j, bit, wantBit, at(y, j), at(pre, j), at(cross, j))
+							}
+						}
+						live(y, pre, cross, lo, hi, got[1:1+words])
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s %s: word %d of live and its guards is %#x, the Go body leaves %#x", impl, what, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+			t.Logf("%d of %d columns live", set, cols)
+		})
+	}
+}
+
+// liveRow draws column j of a Live row: pre the pair term's seed over cross,
+// y the row's final value — pre, or above it — with ties, specials and the
+// Zero sentinel among them.
+func liveRow(rng *rand.Rand, y, pre, cross []float32, j int) {
+	v := maxPlus.ordinary(rng)
+	pre[j], y[j], cross[j] = v, v, v-float32(1+rng.Intn(3))
+	switch r := rng.Intn(10); {
+	case r < 2:
+		cross[j] = v // a tie: a split reaches the cell
+	case r < 4:
+		y[j] = v + 1 // a split inside the tile beats the seed
+	case r < 5:
+		cross[j] = v + 1
+	case r < 6:
+		y[j], pre[j], cross[j] = maxPlus.specials[rng.Intn(len(maxPlus.specials))], maxPlus.specials[rng.Intn(len(maxPlus.specials))], maxPlus.specials[rng.Intn(len(maxPlus.specials))]
+	case r < 7:
+		pre[j] = y[j] * -1 // ±0 and equal, or apart
+		if rng.Intn(2) == 0 {
+			y[j], pre[j], cross[j] = 0, float32(math.Copysign(0, -1)), -1
+		}
+	}
+}
+
+// at is s[j], or NaN outside s.
+func at(s []float32, j int) float32 {
+	if j < 0 || j >= len(s) {
+		return float32(math.NaN())
+	}
+	return s[j]
+}
+
+// TestLiveRejectsBadArguments: every body panics, naming the columns and
+// the lengths, where the columns run backwards or leave y, pre, cross or
+// live.
+func TestLiveRejectsBadArguments(t *testing.T) {
+	const n = 70
+	y, pre, cross, live := make([]float32, n), make([]float32, n), make([]float32, n), make([]uint64, 2)
+	for _, impl := range Impls() {
+		f := BodyOf(impl).Live
+		for _, bad := range []func(){
+			func() { f(y, pre, cross, -1, n, live) },
+			func() { f(y, pre, cross, 5, 4, live) },
+			func() { f(y[:n-1], pre, cross, 0, n, live) },
+			func() { f(y, pre[:n-1], cross, 0, n, live) },
+			func() { f(y, pre, cross[:n-1], 0, n, live) },
+			func() { f(y, pre, cross, 0, n, live[:1]) },
+			func() { f(y, pre, cross, 0, 1, nil) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "maxplus: Live columns") {
+						t.Errorf("%s: Live panicked with %q", impl, msg)
+					}
+				}()
+				bad()
+			}()
+		}
+	}
+}
+
 // padWith writes guard into the cells of rows of width w, ld apart, past
 // their last column: a store into them shows as a changed guard word.
 func padWith[T elem](rows []T, ld, w int, guard T) {
@@ -1214,19 +1352,19 @@ func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
 	}
 	var live []uint64
 	if sh.live > 0 {
-		live = make([]uint64, productTiles(rows)*((splits+63)/64))
+		live = make([]uint64, ProductTiles(rows)*((splits+63)/64))
 		rng := rand.New(rand.NewSource(int64(splits)))
-		for t := range productTiles(rows) {
+		for t := range ProductTiles(rows) {
 			for s := 0; s < splits; s++ {
 				if rng.Float64() < sh.live {
-					live[t*len(live)/productTiles(rows)+s>>6] |= 1 << (s & 63)
+					live[t*len(live)/ProductTiles(rows)+s>>6] |= 1 << (s & 63)
 				}
 			}
 		}
 	}
 	useful := 0
 	for r := 0; r < rows; r++ {
-		t := max(r/4, r-3*(rows/4)) * len(live) / productTiles(rows)
+		t := max(r/4, r-3*(rows/4)) * len(live) / ProductTiles(rows)
 		for s := 0; s < splits; s++ {
 			if live == nil || live[t+s>>6]>>(s&63)&1 != 0 {
 				useful += width - min(width, max(0, s+sh.diag))

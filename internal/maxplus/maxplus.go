@@ -87,6 +87,9 @@ type Body struct {
 	// R2 is finalize's max-plus R2 of one row, in place, with the row's live
 	// words (R2Go's loop).
 	R2 func(c, star []float32, lds, k0, n int, live []uint64)
+	// Live records a substrate row's live words over the columns [lo, hi)
+	// (LiveGo's loop).
+	Live func(y, pre, cross []float32, lo, hi int, live []uint64)
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -119,6 +122,7 @@ var bodies = [...]Body{
 		Product:           productOf(ProductGo, nil),
 		SumProductProduct: productOf(SumProductProductGo, nil),
 		R2:                r2Of(nil),
+		Live:              liveOf(nil),
 	},
 	isaAVX2: {
 		Impl:              "avx2",
@@ -133,6 +137,7 @@ var bodies = [...]Body{
 		Product:           productOf(ProductGo, productAVX2),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX2),
 		R2:                r2Of(r2AVX2),
+		Live:              liveOf(liveAVX2),
 	},
 	isaAVX512: {
 		Impl:              "avx512",
@@ -147,6 +152,7 @@ var bodies = [...]Body{
 		Product:           productOf(ProductGo, productAVX512),
 		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX512),
 		R2:                r2Of(r2AVX512),
+		Live:              liveOf(liveAVX512),
 	},
 }
 
@@ -373,13 +379,13 @@ func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int,
 			!operandOK(x1, ldc, m, w) || !operandOK(x2, ldc, m, w) || pre.C0 != 0 {
 			panicProduct(len(c), ldc, len(a), lda, len(b), ldb, m, w, k, x1, x2, pre.C0)
 		}
-		if lstride := len(live) / max(productTiles(m), 1); live != nil && lstride*64 < k {
-			panic(fmt.Sprintf("maxplus: Product live[:%d] short of %d tiles of %d splits", len(live), productTiles(m), k))
+		if lstride := len(live) / max(ProductTiles(m), 1); live != nil && lstride*64 < k {
+			panic(fmt.Sprintf("maxplus: Product live[:%d] short of %d tiles of %d splits", len(live), ProductTiles(m), k))
 		}
 		if vec == nil {
 			goLoops(c, ldc, a, lda, b, ldb, m, w, k, diag, pre, live)
 		} else if m > 0 && w > 0 && (k > 0 || pre.X1 != nil) {
-			vec(&c[0], ldc, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, m, w, k, max(diag, -k), unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2, unsafe.SliceData(live), len(live)/max(productTiles(m), 1))
+			vec(&c[0], ldc, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, m, w, k, max(diag, -k), unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2, unsafe.SliceData(live), len(live)/max(ProductTiles(m), 1))
 		}
 	}
 }
@@ -399,6 +405,22 @@ func r2Of(vec func(c, star *float32, lds, k0, n int, live *uint64)) func(c, star
 			R2Go(c, star, lds, k0, n, live)
 		} else if k0 < n {
 			vec(&c[0], unsafe.SliceData(star), lds, k0, n, &live[0])
+		}
+	}
+}
+
+// liveOf binds a body of Body.Live, LiveGo where vec is nil, behind checks
+// whose panic names the arguments: 0 <= lo <= hi, y, pre and cross hold column
+// hi-1 and live its word.
+func liveOf(vec func(y, pre, cross *float32, lo, hi int, live *uint64)) func(y, pre, cross []float32, lo, hi int, live []uint64) {
+	return func(y, pre, cross []float32, lo, hi int, live []uint64) {
+		if lo < 0 || lo > hi || hi > len(y) || hi > len(pre) || hi > len(cross) || hi > 64*len(live) {
+			panic(fmt.Sprintf("maxplus: Live columns [%d,%d) outside y[:%d], pre[:%d], cross[:%d] or live[:%d]", lo, hi, len(y), len(pre), len(cross), len(live)))
+		}
+		if vec == nil {
+			LiveGo(y, pre, cross, lo, hi, live)
+		} else if lo < hi {
+			vec(&y[0], &pre[0], &cross[0], lo, hi, &live[0])
 		}
 	}
 }

@@ -118,7 +118,7 @@ func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]
 // the Go bundles' Product.
 func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
 	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
-		stride := len(live) / max(productTiles(m), 1)
+		stride := len(live) / max(ProductTiles(m), 1)
 		for r := 0; r < m; r++ {
 			y := c[r*ldc : r*ldc+w]
 			if pre.X1 != nil {
@@ -135,9 +135,34 @@ func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc
 	}
 }
 
-// productTiles is the number of kernel tiles of a product of m rows: the
+// ProductTiles is the number of kernel tiles of a product of m rows: the
 // fours, then each row left over (row r's is max(r/4, r-3*(m/4))).
-func productTiles(m int) int { return m - 3*(m/4) }
+func ProductTiles(m int) int { return m - 3*(m/4) }
+
+// TileLive returns the live bit-sets of the kernel tiles of a product over
+// the rows [q0, q0+m) of a, the rows' live words (w a row, bit j for column
+// j), and its splits [k0, k1): each the OR of its rows' words shifted to bit s
+// for split k0+s, built in dst, ProductTiles(m) sets of as many words as the
+// splits span in a row of a. The bits past k1-k0 are the rows' own, which the
+// product does not read.
+func TileLive(dst, a []uint64, w, q0, m, k0, k1 int) []uint64 {
+	q, sh := k0>>6, uint(k0&63)
+	nw := (k1-1)>>6 - q + 1
+	live := dst[:ProductTiles(m)*nw]
+	clear(live)
+	for r := range m {
+		row, t := a[(q0+r)*w+q:(q0+r+1)*w], max(r/4, r-3*(m/4)) // r's tile
+		set := live[t*nw : (t+1)*nw]
+		for i := range set {
+			v := row[i] >> sh
+			if i+1 < len(row) {
+				v |= row[i+1] << (64 - sh)
+			}
+			set[i] |= v
+		}
+	}
+	return live
+}
 
 // zero is the max-plus Zero, semiring.NegInf: R2's value where no split
 // reaches.
@@ -170,6 +195,24 @@ func R2Go(c, star []float32, lds, k0, n int, live []uint64) {
 			live[j>>6] |= 1 << (j & 63)
 		} else if y > c[j] {
 			c[j] = y
+		}
+	}
+}
+
+// LiveGo is Live's portable body: for j in [lo, hi) it sets bit j of live
+// where y[j] == pre[j] and pre[j] > cross[j], and clears it elsewhere; no
+// other bit changes. In the substrate's closure row (package nussinov) y is
+// the final row, pre its seed — cross, the candidates from the splits left of
+// the tile and i unpaired, ⊕ the pair term — and cross that alone: a set bit
+// says the pair term is the cell's value and no split m in [i, j) reaches it
+// (a tie keeps the bit), so a clear bit says some split does
+// (docs/ALGORITHM.md §9, "The substrate's dominated splits").
+func LiveGo(y, pre, cross []float32, lo, hi int, live []uint64) {
+	for j := lo; j < hi; j++ {
+		if bit := uint64(1) << (j & 63); y[j] == pre[j] && pre[j] > cross[j] {
+			live[j>>6] |= bit
+		} else {
+			live[j>>6] &^= bit
 		}
 	}
 }

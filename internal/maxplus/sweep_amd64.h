@@ -496,3 +496,39 @@ pone: \
 	DECQ  R11; \
 	JMP   prows; \
 pdone:
+
+// The live-word kernels (Body.Live) walk live a word at a time, from the word
+// holding column lo: y, pre and cross in DI, SI and BX, lo in R11, hi in R10,
+// live in R9, the word's first column in DX. WORDLANES sets R12 to the word's
+// columns inside [lo, hi) as a bit mask, the lanes the body compares.
+// Clobbers AX and CX.
+#define WORDLANES \
+	MOVQ    R11, CX; \
+	SUBQ    DX, CX; \
+	XORQ    AX, AX; \
+	CMPQ    CX, AX; \
+	CMOVQLT AX, CX; \
+	MOVQ    $-1, R12; \
+	SHLQ    CX, R12; \
+	MOVQ    R10, CX; \
+	SUBQ    DX, CX; \
+	MOVQ    $64, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	NEGQ    CX; \
+	ADDQ    $64, CX; \
+	MOVQ    $-1, AX; \
+	SHRQ    CX, AX; \
+	ANDQ    AX, R12
+
+// WORDSTORE writes the live bits in R14 into the word at DX under the mask
+// in R13 (WORDLANES'), every other bit of the word as it was. Clobbers AX and
+// R13.
+#define WORDSTORE \
+	ANDQ R13, R14; \
+	NOTQ R13; \
+	MOVQ DX, AX; \
+	SHRQ $6, AX; \
+	ANDQ (R9)(AX*8), R13; \
+	ORQ  R14, R13; \
+	MOVQ R13, (R9)(AX*8)

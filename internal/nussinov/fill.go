@@ -37,11 +37,21 @@ const closureTile = 64
 type ParallelFor func(ctx context.Context, n int, f func(i int)) error
 
 // closure is the scratch of the closure form: pre holds each row's seed by
-// absolute column, off the table's row offsets (off[r] = r·pitch), zero a
-// row of Zero. A nil *closure is the per-split walk.
+// absolute column, cross its candidates from the splits left of its tile
+// alone, off the table's row offsets (off[r] = r·pitch), zero a row of Zero.
+// A nil *closure is the per-split walk.
+//
+// Where the closure's products skip dominated splits (a tiled float32 table
+// of three block-columns or more), live is the body's Live kernel, words row
+// r's live words at words[r*w:] (bit j for column j) and tiles a product's
+// kernel-tile bit-sets, one slot of slot words to each block-row, so the
+// tiles of a wavefront build theirs side by side; live is nil elsewhere.
 type closure[T semiring.Scalar] struct {
-	pre, zero []T
-	off       []int
+	pre, cross, zero []T
+	off              []int
+	live             func(y, pre, cross []T, lo, hi int, live []uint64)
+	words, tiles     []uint64
+	w, slot          int
 }
 
 // fillRow is the one single-strand fill body: it computes S[i, j] for the
@@ -70,9 +80,11 @@ type closure[T semiring.Scalar] struct {
 // splits collapses to one hop from the seed, S[i,j] = pre[j] ⊕
 // ⊕_s pre[s] ⊗ S[s+1,j] (docs/ALGORITHM.md §9), and the row is one Sweep
 // with y register-held across every s. A tile right of the diagonal first
-// takes the hops from the row's final cells [i, mid), one Sweep more. Every
+// takes the hops from the row's final cells [i, mid), one Sweep more, before
+// the pair term, so that cross can keep what the splits left of the tile and
+// i unpaired reach; then the pair term, and pre is the row as it stands. Every
 // sum is exact, so the table is the walk's bit for bit, tiled or not, and pre
-// may carry product hops too (docs/ALGORITHM.md §9).
+// may carry hops (docs/ALGORITHM.md §9).
 func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, mid, c1 int, cl *closure[T]) {
 	y := data[i*p : i*p+c1 : i*p+c1]
 	below := data[(i+1)*p : (i+1)*p+c1 : (i+1)*p+c1]
@@ -82,13 +94,16 @@ func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T,
 	} else {
 		k.MulInto(y[lo:c1], below[lo:c1], unit) // i unpaired ⊗ S[i+1, j]
 	}
+	if cl != nil && mid > i {
+		k.Sweep(y, y, data, cl.off, i, mid, c0, c1, maxplus.Pre[T]{})
+	}
+	if cl != nil && cl.live != nil {
+		copy(cl.cross[lo:c1], y[lo:c1])
+	}
 	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)
 	if cl != nil {
 		s0 := max(c0, i) // the diagonal, S[i,i] = unit, is the first hop
 		copy(cl.pre[s0:c1], y[s0:c1])
-		if mid > i {
-			k.Sweep(y, y, data, cl.off, i, mid, c0, c1, maxplus.Pre[T]{})
-		}
 		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1, maxplus.Pre[T]{})
 		return
 	}
@@ -135,15 +150,24 @@ func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int,
 // closure tile at d ≥ 2 first takes its cross-tile splits [mid, c0) as one
 // Product onto its cells set to Zero (about 0.1 ms, between two polls); every
 // split reaches every column of the tile, so its diag, mid+1-c0, skips none.
+// With cl.live set the product skips the splits its rows' live words mark
+// dominated, and a tile at d ≥ 1 left of the last block-column — the columns
+// a later product reads as splits — records its rows' words once each row is
+// final (docs/ALGORITHM.md §9, "The substrate's dominated splits").
 func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
 	r0, c0 := b*tile, (b+d)*tile
 	c1, mid := min(c0+tile, n), c0
+	record := cl != nil && cl.live != nil && d >= 1 && c1 < n
 	if cl != nil && d >= 2 {
 		mid = r0 + tile
 		for i := r0; i < mid; i++ {
 			copy(data[i*p+c0:i*p+c1], cl.zero)
 		}
-		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{}, nil)
+		var live []uint64
+		if cl.live != nil {
+			live = maxplus.TileLive(cl.tiles[b*cl.slot:], cl.words, cl.w, r0, tile, mid, c0)
+		}
+		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{}, live)
 	}
 	// Row n-1 has no row below it and nothing right of its diagonal.
 	for i := min(r0+tile, n-1) - 1; i >= r0; i-- {
@@ -151,17 +175,22 @@ func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, 
 			return err
 		}
 		fillRow(data, p, &k, unit, w, i, c0, mid, c1, cl)
+		if record {
+			cl.live(data[i*p:i*p+c1], cl.pre, cl.cross, c0, c1, cl.words[i*cl.w:(i+1)*cl.w])
+		}
 	}
 	return nil
 }
 
 // boundary writes the cells no row fill computes: One below the diagonal
-// (the empty interval) and unit, the weight of one unpaired base, on it.
+// (the empty interval) and unit, the weight of one unpaired base, on it. Row
+// i's run of One is row i-1's, copied, and one cell more.
 func boundary[T semiring.Scalar](data []T, n, p int, one, unit T) {
 	for i := 0; i < n; i++ {
 		row := data[i*p : i*p+n : i*p+n]
-		for j := 0; j < i; j++ {
-			row[j] = one
+		if i > 0 {
+			copy(row[:i-1], data[(i-1)*p:(i-1)*p+i-1])
+			row[i-1] = one
 		}
 		row[i] = unit
 	}

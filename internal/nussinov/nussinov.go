@@ -24,6 +24,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/semiring"
 )
 
@@ -98,10 +99,12 @@ func (t *GTable[T]) Clone() *GTable[T] {
 	return &GTable[T]{N: t.N, pitch: t.pitch, data: slices.Clone(t.data), one: t.one, closed: t.closed}
 }
 
-// Bytes returns the table's cell-storage footprint, N·Pitch() cells.
+// Bytes returns the table's footprint: N·Pitch() cells, and the live words
+// and tile bit-sets its last closure fill kept (LiveBytes), which a Clone
+// drops.
 func (t *GTable[T]) Bytes() int64 {
 	var z T
-	return int64(len(t.data)) * int64(unsafe.Sizeof(z))
+	return int64(len(t.data))*int64(unsafe.Sizeof(z)) + int64(len(t.cl.words)+len(t.cl.tiles))*8
 }
 
 // PitchOf is the row stride, in cells, of an n-position table of width-byte
@@ -178,8 +181,8 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // On an error the table is left partially filled and the error returned.
 func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor) error {
 	tile := tileEdge
-	if exact && k.Impl != "go" {
-		tile = closureTile
+	if exact {
+		tile = closureEdge(k.Impl)
 	}
 	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tile)
 }
@@ -194,19 +197,68 @@ func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit
 	}
 	var cl *closure[T]
 	if exact {
-		cl = t.scratch(k.Zero)
+		cl = t.scratch(k, tile)
 	}
 	return fillTiled(ctx, t.data, t.N, t.pitch, tile, k, unit, w, cl, pfor)
 }
 
-// scratch sizes the closure form's scratch to the table, reusing its storage.
-func (t *GTable[T]) scratch(zero T) *closure[T] {
-	n := t.N
-	t.cl.pre, t.cl.zero, t.cl.off = slices.Grow(t.cl.pre[:0], n)[:n], slices.Grow(t.cl.zero[:0], n)[:n], slices.Grow(t.cl.off[:0], n)[:n]
-	for r := range t.cl.off {
-		t.cl.off[r], t.cl.zero[r] = r*t.pitch, zero
+// scratch sizes the closure form's scratch to the table and a tile edge,
+// reusing its storage: the live words and tile bit-sets where the body has a
+// Live kernel for T and the table three block-columns or more (liveWords),
+// none elsewhere.
+func (t *GTable[T]) scratch(k semiring.Kernels[T], tile int) *closure[T] {
+	n, cl := t.N, &t.cl
+	cl.pre, cl.cross, cl.zero, cl.off = grow(cl.pre, n), grow(cl.cross, n), grow(cl.zero, n), grow(cl.off, n)
+	for r := range cl.off {
+		cl.off[r], cl.zero[r] = r*t.pitch, k.Zero
 	}
-	return &t.cl
+	words, slots, slot := liveWords(n, tile)
+	cl.live = nil
+	if words > 0 {
+		cl.live, _ = any(maxplus.BodyOf(k.Impl).Live).(func(y, pre, cross []T, lo, hi int, live []uint64))
+	}
+	if cl.live == nil {
+		words, slots = 0, 0
+	}
+	cl.w, cl.slot = (n+63)/64, slot
+	cl.words, cl.tiles = grow(cl.words, words), grow(cl.tiles, slots*slot)
+	return cl
+}
+
+// grow returns s resized to n elements, its storage kept where it holds them.
+func grow[E any](s []E, n int) []E { return slices.Grow(s[:0], n)[:n] }
+
+// liveWords returns the live words of a closure fill of n positions in
+// tile-edge tiles — ⌈n/64⌉ a row — and its tile bit-sets: slots slots of slot
+// words, one to each block-row that has a tile at block distance 2. A fill of
+// fewer than three block-columns has no product, so none.
+func liveWords(n, tile int) (words, slots, slot int) {
+	nb, w := (n+tile-1)/tile, (n+63)/64
+	if nb < 3 {
+		return 0, 0, 0
+	}
+	return n * w, nb - 2, maxplus.ProductTiles(tile) * w
+}
+
+// LiveBytes is what FillContext's closure form keeps beyond the cells of a
+// max-plus table of n positions on this process's kernels: its rows' live
+// words and its products' tile bit-sets, which GTable.Bytes counts too. It is
+// zero below SequentialCutoff.
+func LiveBytes(n int) int64 {
+	if n < SequentialCutoff {
+		return 0
+	}
+	words, slots, slot := liveWords(n, closureEdge(maxplus.Impl()))
+	return int64(words+slots*slot) * 8
+}
+
+// closureEdge is the closure form's tile edge on the named kernel body:
+// closureTile where its Product is a vector body, tileEdge on the Go loops.
+func closureEdge(impl string) int {
+	if impl == "go" {
+		return tileEdge
+	}
+	return closureTile
 }
 
 // Closed reports whether the table's last fill finished its rows by the

@@ -457,3 +457,129 @@ func TestResetThenFillIsAFreshBuild(t *testing.T) {
 		t.Fatal("GTable: Reset + Fill differs from a fresh build")
 	}
 }
+
+// TestClosureSkipsDominatedSplits drives the closure form through the
+// fillContext seam where its products skip dominated splits: tiles of 4, 64
+// and 256, tables of three block-columns and more, a multiple of the tile or
+// not, on every kernel body, inline and on two workers. Each table is filled
+// over the live words and tile bit-sets of another strand's fill, then again
+// over random ones, and must equal the per-split walk and the per-cell oracle
+// bit for bit.
+func TestClosureSkipsDominatedSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, c := range []struct{ tile, n int }{{4, 12}, {4, 37}, {4, 130}, {64, 192}, {64, 300}, {256, 768}, {256, 900}} {
+		seq := rna.Random(rng, c.n)
+		sc := scoreFor(seq, score.BasePair())
+		want := ReferenceBuild(c.n, sc)
+		walk, err := BuildTiled(context.Background(), c.n, c.tile, 0, semiring.MaxPlusKernels(true), sc, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBytes(t, fmt.Sprintf("n=%d tile %d walk", c.n, c.tile), c.n, dense(walk), dense(want))
+		other := scoreFor(rna.Random(rng, c.n), score.Unit())
+		for _, impl := range maxplus.Impls() {
+			k := semiring.MaxPlusKernelsOf(impl)
+			for _, pfor := range []ParallelFor{nil, ForkJoin(2)} {
+				g := NewGTable[float32](c.n)
+				if err := g.fillContext(context.Background(), k, 0, ScoreRows(c.n, other), true, pfor, 0, c.tile); err != nil {
+					t.Fatal(err)
+				}
+				for _, poison := range []string{"another strand's", "random"} {
+					label := fmt.Sprintf("n=%d tile %d %s parallel %v, over %s words", c.n, c.tile, impl, pfor != nil, poison)
+					if poison == "random" {
+						for i := range g.cl.words {
+							g.cl.words[i] = rng.Uint64()
+						}
+						for i := range g.cl.tiles {
+							g.cl.tiles[i] = rng.Uint64()
+						}
+					}
+					g.Reset(c.n)
+					if err := g.fillContext(context.Background(), k, 0, ScoreRows(c.n, sc), true, pfor, 0, c.tile); err != nil {
+						t.Fatal(err)
+					}
+					if g.cl.live == nil || len(g.cl.words) == 0 {
+						t.Fatalf("%s: the closure recorded no live words", label)
+					}
+					requireSameBytes(t, label, c.n, dense(g), dense(want))
+				}
+			}
+		}
+	}
+}
+
+// productSplitWork is the share of the dense split work the closure's
+// products take in a table just filled at tile edge tile: each product's
+// kernel tiles' live splits, read from the rows' final words as fillTile
+// built them, times the tile's rows, over the product's rows times splits.
+func productSplitWork(g *Table, tile int) float64 {
+	n, cl := g.N, &g.cl
+	var live, dense int
+	buf := make([]uint64, cl.slot)
+	for nb, d := (n+tile-1)/tile, 2; d < nb; d++ {
+		for b := 0; b < nb-d; b++ {
+			r0, c0 := b*tile, (b+d)*tile
+			mid := r0 + tile
+			k := c0 - mid
+			sets := maxplus.TileLive(buf, cl.words, cl.w, r0, tile, mid, c0)
+			stride := len(sets) / maxplus.ProductTiles(tile)
+			for r := range tile {
+				set := sets[max(r/4, r-3*(tile/4))*stride:]
+				for s := range k {
+					live += int(set[s>>6] >> (s & 63) & 1)
+				}
+			}
+			dense += tile * k
+		}
+	}
+	return float64(live) / float64(dense)
+}
+
+// TestSubstrateSplitWork pins the share of their dense splits the closure's
+// products take on a 1024-nt strand — the bench's single-strand length — at
+// the production tile edge: at most 30 % (about a fifth today).
+func TestSubstrateSplitWork(t *testing.T) {
+	const n = 1024
+	seq := rna.Random(rand.New(rand.NewSource(1)), n)
+	w := score.WeightsOf(seq, score.Params{Model: score.BasePair()})
+	k := semiring.MaxPlusKernels(true)
+	g := NewGTable[float32](n)
+	if err := g.FillContext(context.Background(), k, 0, w.Rows, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	tile := closureEdge(k.Impl)
+	share := productSplitWork(g, tile)
+	t.Logf("%d nt, tile %d on %s: the products take %.1f %% of their dense splits", n, tile, k.Impl, 100*share)
+	if share > 0.30 {
+		t.Errorf("the products take %.1f %% of their dense splits, want at most 30 %%", 100*share)
+	}
+}
+
+// TestClosureScratchPricedAndReused: a closure fill of 1024 nt keeps
+// LiveBytes beyond its cells, Bytes counts them and a Clone drops them, and
+// refilling the table at the same size allocates nothing.
+func TestClosureScratchPricedAndReused(t *testing.T) {
+	const n = 1024
+	w := score.WeightsOf(rna.Random(rand.New(rand.NewSource(2)), n), score.Params{Model: score.BasePair()})
+	g, rows := NewGTable[float32](n), w.Rows
+	fill := func() {
+		g.Reset(n)
+		if err := g.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	cells := int64(n*PitchOf(n, 4)) * 4
+	if lb := LiveBytes(n); lb == 0 || g.Bytes() != cells+lb {
+		t.Errorf("Bytes() = %d, want %d cells' bytes + LiveBytes %d", g.Bytes(), cells, lb)
+	}
+	if c := g.Clone(); c.Bytes() != cells {
+		t.Errorf("a clone's Bytes() = %d, want its cells' %d", c.Bytes(), cells)
+	}
+	if LiveBytes(SequentialCutoff-1) != 0 {
+		t.Errorf("LiveBytes(%d) = %d: an untiled table keeps no words", SequentialCutoff-1, LiveBytes(SequentialCutoff-1))
+	}
+	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
+		t.Errorf("a refill of the table allocates %v times", allocs)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	ibpmax "github.com/bpmax-go/bpmax/internal/bpmax"
+	"github.com/bpmax-go/bpmax/internal/fault"
 	"github.com/bpmax-go/bpmax/internal/rna"
 	"github.com/bpmax-go/bpmax/internal/score"
 	itrace "github.com/bpmax-go/bpmax/internal/trace"
@@ -271,13 +272,15 @@ func TestOverBudgetFoldBuildsNoSubstrate(t *testing.T) {
 }
 
 // TestFoldCancelDuringSubstrate: an interaction fold's own S¹/S² builds
-// honour the request's context like FoldSingle's. Under a deadline far
-// shorter than one S-table build, a fold of two long strands returns
-// DeadlineExceeded a fraction of that build's time after the problem shell
-// (the O(n²) parse and pair-weight tables, which nothing polls) — one row of
-// overshoot, not one table or two — pooled and unpooled, leaves the pool
-// clean, and its request trace shows the substrate span it died in and no
-// fill span.
+// honour the request's context like FoldSingle's. The engine-iter failpoint
+// sleeps before every tile the builds claim on their two workers, so one
+// build takes at least half a second of sleeps however fast or loaded the
+// host, and a deadline set past the problem shell (the O(n²) parse and
+// pair-weight tables, which nothing polls) falls inside the builds. The fold
+// returns DeadlineExceeded within a quarter of that stretched build of its
+// deadline — a tile of overshoot, not one table or two — pooled and
+// unpooled, leaves the pool clean, and its request trace shows the substrate
+// span it died in and no fill span.
 func TestFoldCancelDuringSubstrate(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
@@ -289,28 +292,31 @@ func TestFoldCancelDuringSubstrate(t *testing.T) {
 	start := time.Now()
 	score.Build(q1, q2, score.DefaultParams())
 	shell := time.Since(start)
-	start = time.Now()
-	if _, err := FoldSingle(s2, WithWorkers(1)); err != nil {
+	// The closure fill's 64-column tiles: 32 block-columns, 528 tiles a table.
+	const delay, tiles = 2 * time.Millisecond, 32 * 33 / 2
+	stretched := tiles * delay / 2 // the sleeps alone of one build on two workers
+	if err := fault.Arm(fault.SiteEngineIter, fault.Trigger{Mode: fault.ModeDelay, Delay: delay}); err != nil {
 		t.Fatal(err)
 	}
-	build := time.Since(start) // one S table (and its traceback)
-	deadline := max(build/100, time.Millisecond)
+	defer fault.Reset()
+	deadline := shell + 20*time.Millisecond
 
 	pool := NewPool()
 	for name, opts := range map[string][]Option{"unpooled": nil, "pooled": {WithPool(pool)}} {
 		tr := itrace.New(name, "fold")
 		ctx, cancel := context.WithTimeout(itrace.NewContext(context.Background(), tr), deadline)
 		start := time.Now()
-		res, err := FoldContext(ctx, s1, s2, append(opts, WithWorkers(1))...)
+		res, err := FoldContext(ctx, s1, s2, append(opts, WithWorkers(2))...)
 		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || res != nil {
 			t.Fatalf("%s: res=%v err=%v, want nil result and DeadlineExceeded", name, res != nil, err)
 		}
-		// Half a build of slack absorbs a loaded host; the parent's two
-		// uncancellable builds overshoot by three times that.
-		if took > shell+deadline+build/2 {
-			t.Errorf("%s: returned %v after a %v deadline; the shell takes %v, one S-table build %v", name, took, deadline, shell, build)
+		t.Logf("%s: returned %v after a %v deadline", name, took, deadline)
+		// A slower shell than measured moves the cancel to the first tile;
+		// uncancellable builds would overshoot by two stretched builds.
+		if took > shell+deadline+stretched/4 {
+			t.Errorf("%s: returned %v after a %v deadline; the shell takes %v, one S-table build at least %v", name, took, deadline, shell, stretched)
 		}
 		stages := stageNames(tr.Snapshot())
 		if st := stages["substrate"]; st.Count != 1 {
