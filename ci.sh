@@ -132,10 +132,14 @@ run_lint() (
     # grid retired the forward substitution: every max-plus sum is exact, so
     # R2 has one form. Any of their names back is a second R2 form growing
     # back; so is the merge kernel the fused R2 kernel retired, which folded a
-    # dense sweep's row back into the row.
+    # dense sweep's row back into the row. S²'s live words are the S table's
+    # own, recorded by its closure fill: the solver's copy of them (s2live),
+    # its R2 row scratch (s.s2row) and the closure's tie-keeping cross row
+    # (cl.cross) are a second producer of the words growing back.
     if grep -rn --include='*.go' --include='*.s' -e 'r2WalkK' -e 'r2Substitute' -e 'r2WalkMaxPlus' -e 'r2Chunk' \
-        -e 'mergeAVX512' -e 'mergeAVX2' -e 'MergeGo' -e 'vectorMerge' . | grep -v '_test\.go:'; then
-        echo "lint: a retired R2 form is back (R2 is one kernel call a row: a closure sweep against S² or Ŝ, or the fused R2 kernel on the masked max-plus path)" >&2
+        -e 'mergeAVX512' -e 'mergeAVX2' -e 'MergeGo' -e 'vectorMerge' -e 's2live' -e 's\.s2row' -e 'cl\.cross' . |
+        grep -v '_test\.go:'; then
+        echo "lint: a retired R2 form or live-word producer is back (R2 is one kernel call a row: a closure sweep against S² or Ŝ, or the fused R2 kernel on the masked max-plus path; S's live words come from its own fill)" >&2
         exit 1
     fi
     # Finalize applies the pairing terms to a whole row, in every algebra.
@@ -225,16 +229,15 @@ run_lint() (
         exit 1
     }
     # The fused R2 kernel takes a row's R2 and records its live splits;
-    # finalize is its one caller in the fill, and armMasks its one other,
-    # building S²'s words. Called anywhere else, the live words stop being the
-    # ones the proof covers. Anchored on both functions.
+    # finalize is its one caller (S²'s words come from S²'s own closure fill,
+    # nussinov.GTable.Live). Called anywhere else, the live words stop being
+    # the ones the proof covers. Anchored on finalize.
     if grep -n 's\.r2(' $(ls internal/bpmax/*.go | grep -v '_test\.go$') | grep -v '^internal/bpmax/triangle\.go:' ||
-        ! awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = "fin" }
-               /^func \(s \*gsolver\[T\]\) armMasks\(/ { in_fn = "arm" }
-               /s\.r2\(/ { if (in_fn == "fin") fin++; else if (in_fn == "arm") arm++; else bad = 1 }
-               in_fn != "" && /^}/ { in_fn = "" }
-               END { exit bad || fin != 1 || arm != 1 }' internal/bpmax/triangle.go; then
-        echo "lint: the fused R2 kernel called other than once in finalize and once in armMasks, or either is not found (it records the live splits R0 skips by)" >&2
+        ! awk '/^func \(s \*gsolver\[T\]\) finalize\(/ { in_fn = 1 }
+               /s\.r2\(/ { if (in_fn) fin++; else bad = 1 }
+               in_fn && /^}/ { in_fn = 0 }
+               END { exit bad || fin != 1 }' internal/bpmax/triangle.go; then
+        echo "lint: the fused R2 kernel called other than once in finalize, or finalize is not found (it records the live splits R0 skips by)" >&2
         exit 1
     fi
     # The pairing term is a stream in both float algebras: the sum-product

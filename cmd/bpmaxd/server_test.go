@@ -203,9 +203,11 @@ func TestDeadlineMapsToContext(t *testing.T) {
 	}
 }
 
-// TestMaxTimeoutCapsRequest proves -max-timeout clamps greedy deadlines.
+// TestMaxTimeoutCapsRequest proves -max-timeout clamps greedy deadlines. As
+// in TestDeadlineMapsToContext, the substrate failpoint sleeps past the 1 ms
+// cap, so the fold meets it however fast the host fills.
 func TestMaxTimeoutCapsRequest(t *testing.T) {
-	s := newTestServer(t, nil, serverConfig{MaxTimeout: time.Millisecond})
+	s := newTestServer(t, func(f *cliflags.Serving) { f.Failpoints = "substrate=once*delay(20ms)" }, serverConfig{MaxTimeout: time.Millisecond})
 	s1, s2 := slowSeq()
 	rec := post(s, "/v1/fold", map[string]any{"seq1": s1, "seq2": s2, "timeout_ms": 60000})
 	if rec.Code != http.StatusGatewayTimeout {

@@ -162,31 +162,48 @@ func TestPromAndRuntimeMetrics(t *testing.T) {
 // TestMidFillDisconnectTraced cancels the client mid-fill over a real
 // connection and checks the trace still lands in the ring, complete and
 // status-499, with every recorded stage inside the request's extent. A delay
-// failpoint on the fill's first loop iteration holds the request inside the
-// pipeline well past the client's deadline.
+// failpoint on every loop iteration of the fill holds the fold inside it —
+// thousands of iterations, each checking the request's context — and the
+// client leaves once the first has fired, so the fold is mid-fill when the
+// client goes however fast or slow the host is.
 func TestMidFillDisconnectTraced(t *testing.T) {
 	s := newTestServer(t, func(f *cliflags.Serving) {
-		f.Failpoints = "engine-iter=once*delay(250ms)"
+		f.Failpoints = "engine-iter=delay(5ms)"
 	}, tracedConfig())
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	s1, s2 := slowSeq()
 	blob, _ := json.Marshal(map[string]any{"seq1": s1, "seq2": s2, "name": "walkaway"})
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/fold", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		t.Skip("fold finished before the client disconnected")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	for fs := s.session.Stats().Faults; fs == nil || fs.Injected == 0; fs = s.session.Stats().Faults {
+		select {
+		case err := <-done:
+			t.Fatalf("the request ended before its fill began (error %v)", err)
+		case <-time.After(time.Millisecond):
+		}
 	}
-	// The handler unwinds asynchronously after the disconnect; wait for the
-	// trace to be recorded.
-	deadline := time.Now().Add(5 * time.Second)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the fold answered a client that had left")
+	}
+	// The handler unwinds asynchronously after the disconnect, within one
+	// held iteration; wait for the trace to be recorded.
+	deadline := time.Now().Add(30 * time.Second)
 	var ring *trace.Ring = s.ring
 	for {
 		rs := ring.Snapshot()

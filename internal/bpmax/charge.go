@@ -38,12 +38,13 @@ func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
 // beside its table (armMasks), for a float32 box-map table storing every
 // column of an n2 >= maskMinN2 strand, whether or not the body makes the fill
 // take masks: every block's kernel-tile bit-sets under the default row tile
-// (the one every fold runs), and ⌈n2/64⌉ words a row of S² and of each of the
-// n1 triangles' word scratch, and four a row group for R1's tile bit-sets.
+// (the one every fold runs), ⌈n2/64⌉ words a row of each of the n1
+// triangles' word scratch, and four a row group for R1's tile bit-sets. S²'s
+// own words belong to S² (ProblemBytes prices them).
 func liveBytes(elems, n1, n2, w2 int, kind MapKind, width int) int64 {
 	if width != 4 || kind != MapBox || n2 < maskMinN2 || w2 < n2 {
 		return 0
 	}
 	w := (n2 + 63) / 64
-	return int64(elems/(n2*n2)*tileSetWords(n2, defaultTileI2, nil)+((n1+1)*n2+(n2+prodRows-1)/prodRows*4)*w) * 8
+	return int64(elems/(n2*n2)*tileSetWords(n2, defaultTileI2, nil)+(n1*n2+(n2+prodRows-1)/prodRows*4)*w) * 8
 }

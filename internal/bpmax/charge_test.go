@@ -27,11 +27,12 @@ func TestEstimateBytesMatchesAllocation(t *testing.T) {
 
 // TestChargePricesLiveWords pins the masked fill's live words into the
 // charge: every block's kernel-tile bit-sets, ⌈n2/64⌉ words a row of the
-// triangles' word scratch and of S², and R1's tile bit-sets, beside the table
-// (at 16×128, fold's shape, 52 224 bytes of the blocks' bit-sets, 32 KiB of
-// scratch, 2 KiB of S²'s words and 1 KiB of R1's bit-sets: 88 064, where one
-// word set a row of every block held 278 528); a row shorter than maskMinN2,
-// a band or the packed map holds none.
+// triangles' word scratch, and R1's tile bit-sets, beside the table (at
+// 16×128, fold's shape, 52 224 bytes of the blocks' bit-sets, 32 KiB of
+// scratch and 1 KiB of R1's bit-sets: 86 016, where one word set a row of
+// every block held 278 528; S²'s 2 KiB of words are S²'s, priced by
+// ProblemBytes); a row shorter than maskMinN2, a band or the packed map holds
+// none.
 func TestChargePricesLiveWords(t *testing.T) {
 	for _, c := range [][2]int{{1, maskMinN2}, {3, 65}, {2, 130}, {16, 128}} {
 		n1, n2 := c[0], c[1]
@@ -40,11 +41,11 @@ func TestChargePricesLiveWords(t *testing.T) {
 			s.abort()
 			t.Skip("no vector body in this build: no fill takes masks")
 		}
-		words := 8 * int64(len(s.tiles)+len(s.rowLive)+len(s.s2live)+len(s.r1live))
+		words := 8 * int64(len(s.tiles)+len(s.rowLive)+len(s.r1live))
 		if got, want := Charge(nil, n1, n2, n1, n2, MapBox, 4), s.f.Bytes()+words; got != want {
 			t.Errorf("%dx%d: Charge %d, the fill holds %d", n1, n2, got, want)
 		}
-		if n1 == 16 && words != 52224+32768+2048+1024 {
+		if n1 == 16 && words != 52224+32768+1024 {
 			t.Errorf("16x128: the live words hold %d bytes", words)
 		}
 		s.abort()

@@ -22,9 +22,9 @@ import (
 // dyadic ones and the non-dyadic ones rounded to the 2⁻⁸ grid, with
 // MinHairpin 0-3, on every vector body. Each fill runs twice: on a solver
 // whose table is poisoned and whose live words — the blocks' tile bit-sets,
-// the triangles' word scratch, S²'s words and R1's bit-sets — are all 0
-// (every split dropped) before the masks are armed, so a word or a cell read
-// before the fill or armMasks wrote it shows — masked below maskMinN2 too,
+// the triangles' word scratch and R1's bit-sets — are all 0 (every split
+// dropped) before the masks are armed, so a word or a cell read before the
+// fill or armMasks wrote it shows — masked below maskMinN2 too,
 // where no fold takes masks; and on pooled storage poisoned and released by
 // the fill before.
 func TestMaskedFillMatchesSweeps(t *testing.T) {
@@ -74,7 +74,6 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 							poison(s.f.data)
 							clear(s.tiles)
 							clear(s.rowLive)
-							clear(s.s2live)
 							clear(s.r1live)
 							forceMasks(s, impl) // armed over the poison, as newGSolver arms a pooled shell
 							got, err := s.fill(ctx, VariantHybridTiled, "hybrid-tiled")

@@ -222,11 +222,11 @@ func poolPutSolver[T semiring.Scalar](pl *Pool, s *gsolver[T]) {
 // against its budget. The struct shells and their side tables live on
 // GC-managed sync.Pool freelists and are not counted, and Trim does not
 // release them. A max-plus solver shell that filled a 16×128 fold keeps
-// 91 136 bytes (measured on the shell after the fold): 52 224 of its blocks'
-// tile bit-sets, 32 768 of the triangles' word scratch, 3 072 of S²'s live
-// words and R1's tile bit-sets, 1 024 each of s2off and of the group offsets,
-// and 512 each of Zero and of the S² row scratch — 1 % of its 8.9 MB table,
-// for as long as the freelist holds the shell (ROADMAP item 5(c)).
+// 88 576 bytes (measured on the shell after the fold): 52 224 of its blocks'
+// tile bit-sets, 32 768 of the triangles' word scratch, 1 024 each of R1's
+// tile bit-sets, of s2off and of the group offsets, and 512 of Zero — 1 % of
+// its 8.9 MB table, for as long as the freelist holds the shell (ROADMAP
+// item 8(c)). S²'s live words are S²'s own (nussinov.GTable.Live).
 func (pl *Pool) RetainedBytes() int64 {
 	return pl.buf.RetainedBytes() + pl.buf64.RetainedBytes()
 }

@@ -81,12 +81,10 @@ type gsolver[T semiring.Scalar] struct {
 	tiles   []uint64
 	tileOff []int
 	tileW   int
-	// Where r2 is set, R1's products skip S²'s dominated splits too: s2live
-	// is S²'s live words, liveW a row, and r1live the kernel tiles' bit-sets
-	// of R1's groups, 4·liveW words a group (armMasks), s2row the scratch
-	// copy of an S² row it takes R2 on.
-	s2live, r1live []uint64
-	s2row          []T
+	// Where r2 is set, R1's products skip S²'s dominated splits too: r1live
+	// is the kernel tiles' bit-sets of R1's groups, 4·liveW words a group,
+	// built from S²'s own live words (armMasks).
+	r1live []uint64
 
 	// Per-wavefront state read by the task closures below, which are bound
 	// once per (pooled) shell so repeat folds allocate no closures.
@@ -171,7 +169,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	// splits S² dominates, every sum being exact (docs/ALGORITHM.md §9,
 	// "Dominated splits").
 	s.r2 = nil
-	if r2, ok := any(maxplus.BodyOf(a.k.Impl).R2).(func(c, star []T, lds, k0, n int, live []uint64)); ok && s.blocksR1 && p.N2 >= maskMinN2 {
+	if r2, ok := any(maxplus.BodyOf(a.k.Impl).R2).(func(c, star []T, lds, k0, n int, live []uint64)); ok && s.blocksR1 && p.N2 >= maskMinN2 && p.S2.Closed() {
 		s.armMasks(r2)
 	} else {
 		s.pre = atLeast(s.pre, p.N1*a.n2)
@@ -183,11 +181,11 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	return s
 }
 
-// armMasks binds r2 and builds, once per fold, S²'s live words — a column
-// of row i2 no split m in [i2, k2) reaches, by r2 on a copy of the row
-// against S² itself — and R1's tile bit-sets from them. It sizes the word
-// scratch and the blocks' tile bit-sets, which the fill writes before it
-// reads them.
+// armMasks binds r2 and builds, once per fold, R1's tile bit-sets from S²'s
+// live words, which S²'s closure fill recorded (nussinov.GTable.Live: bit k2
+// of row i2 set where no split m in [i2, k2) reaches S²[i2, k2]). It sizes
+// the word scratch and the blocks' tile bit-sets, which the fill writes
+// before it reads them.
 func (s *gsolver[T]) armMasks(r2 func(c, star []T, lds, k0, n int, live []uint64)) {
 	n2, w := s.p.N2, (s.p.N2+63)/64
 	s.r2, s.liveW = r2, w
@@ -195,16 +193,10 @@ func (s *gsolver[T]) armMasks(r2 func(c, star []T, lds, k0, n int, live []uint64
 	s.tileOff = atLeast(s.tileOff, n2)[:n2]
 	s.tileW = tileSetWords(n2, s.cfg.TileI2, s.tileOff)
 	s.tiles = atLeast(s.tiles, s.f.outer.Size()*s.tileW)
-	s.s2live = atLeast(s.s2live, n2*w)
 	s.r1live = atLeast(s.r1live, (n2+prodRows-1)/prodRows*4*w)
-	s.s2row = atLeast(s.s2row, n2)
-	for i2 := range n2 {
-		copy(s.s2row[i2:n2], s.a.s2Row(i2)[i2:])
-		s.r2(s.s2row, s.a.s2, s.a.p2, i2, n2, s.s2live[i2*w:(i2+1)*w])
-	}
 	for q0 := 0; q0 < n2; q0 += prodRows {
 		q1 := min(q0+prodRows, n2)
-		maxplus.TileLive(s.r1live[q0/prodRows*4*w:], s.s2live, w, q0, q1-q0, q1-1, n2)
+		maxplus.TileLive(s.r1live[q0/prodRows*4*w:], s.p.S2.Live(), w, q0, q1-q0, q1-1, n2)
 	}
 }
 

@@ -763,17 +763,18 @@ DATA livebits<>+24(SB)/4, $64
 DATA livebits<>+28(SB)/4, $128
 GLOBL livebits<>(SB), RODATA|NOPTR, $32
 
-// func liveAVX2(y, pre, cross *float32, lo, hi int, live *uint64)
+// func liveAVX2(y, pre *float32, lo, hi int, live *uint64)
 // liveAVX512 on eight 8-lane chunks a word, each under the lane mask its
 // byte of the word's mask spreads (livebits in Y15); VMASKMOVPS neither
-// faults on nor reads a masked-off lane.
-TEXT ·liveAVX2(SB), NOSPLIT, $0-48
+// faults on, reads nor writes a masked-off lane. It loads such a lane as 0
+// into both y and pre, where pre > y is false, so the compare's mask is the
+// lanes to store pre into y and the live bits as it stands.
+TEXT ·liveAVX2(SB), NOSPLIT, $0-40
 	MOVQ    y+0(FP), DI
 	MOVQ    pre+8(FP), SI
-	MOVQ    cross+16(FP), BX
-	MOVQ    lo+24(FP), R11
-	MOVQ    hi+32(FP), R10
-	MOVQ    live+40(FP), R9
+	MOVQ    lo+16(FP), R11
+	MOVQ    hi+24(FP), R10
+	MOVQ    live+32(FP), R9
 	VMOVDQU livebits<>(SB), Y15
 	MOVQ    R11, DX
 	ANDQ    $-64, DX
@@ -794,11 +795,8 @@ live2chunk:
 	LEAQ         (DX)(R8*1), AX
 	VMASKMOVPS   (DI)(AX*4), Y0, Y1
 	VMASKMOVPS   (SI)(AX*4), Y0, Y2
-	VMASKMOVPS   (BX)(AX*4), Y0, Y3
-	VCMPPS       $0, Y1, Y2, Y1
-	VCMPPS       $0x1e, Y3, Y2, Y3
-	VANDPS       Y3, Y1, Y1
-	VANDPS       Y0, Y1, Y1
+	VCMPPS       $0x1e, Y1, Y2, Y1
+	VMASKMOVPS   Y2, Y1, (DI)(AX*4)
 	VMOVMSKPS    Y1, AX
 	MOVQ         R8, CX
 	SHLQ         CX, AX

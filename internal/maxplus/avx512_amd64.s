@@ -651,30 +651,28 @@ r2v3:
 	VZEROUPPER
 	RET
 
-// LIVEVEC compares vector v of the word, at byte d from its first column,
+// LIVEVEC finishes vector v of the word, at byte d from its first column,
 // under its lanes' mask k (zero-masking loads, which do not fault on a
-// masked-off lane), and ORs its live bits, shifted to bit sh, into R14:
-// y == pre (ordered, a NaN is unequal), then pre > cross under that.
+// masked-off lane): where pre > y (ordered, a NaN compares false) it stores
+// pre into y and sets the lane's bit, shifted to bit sh, in R14.
 #define LIVEVEC(d, k, sh) \
 	VMOVUPS.Z d(DI)(DX*4), k, Z1; \
 	VMOVUPS.Z d(SI)(DX*4), k, Z2; \
-	VMOVUPS.Z d(BX)(DX*4), k, Z3; \
-	VCMPPS    $0, Z1, Z2, k, K5; \
-	VCMPPS    $0x1e, Z3, Z2, K5, K6; \
-	KMOVW     K6, AX; \
+	VCMPPS    $0x1e, Z1, Z2, k, K5; \
+	VMOVUPS   Z2, K5, d(DI)(DX*4); \
+	KMOVW     K5, AX; \
 	SHLQ      $sh, AX; \
 	ORQ       AX, R14
 
-// func liveAVX512(y, pre, cross *float32, lo, hi int, live *uint64)
+// func liveAVX512(y, pre *float32, lo, hi int, live *uint64)
 // LiveGo's loop, lo < hi: a word of live at a time (sweep_amd64.h's
 // WORDLANES and WORDSTORE), its 64 columns four vectors under K1-K4.
-TEXT ·liveAVX512(SB), NOSPLIT, $0-48
+TEXT ·liveAVX512(SB), NOSPLIT, $0-40
 	MOVQ y+0(FP), DI
 	MOVQ pre+8(FP), SI
-	MOVQ cross+16(FP), BX
-	MOVQ lo+24(FP), R11
-	MOVQ hi+32(FP), R10
-	MOVQ live+40(FP), R9
+	MOVQ lo+16(FP), R11
+	MOVQ hi+24(FP), R10
+	MOVQ live+32(FP), R9
 	MOVQ R11, DX
 	ANDQ $-64, DX
 

@@ -55,8 +55,8 @@ type kernels[T elem] struct {
 	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
 	each    func(y, x, w []T)
 	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
-	r2      func(c, star []T, lds, k0, n int, live []uint64)   // max-plus alone
-	live    func(y, pre, cross []T, lo, hi int, live []uint64) // max-plus alone
+	r2      func(c, star []T, lds, k0, n int, live []uint64) // max-plus alone
+	live    func(y, pre []T, lo, hi int, live []uint64)      // max-plus alone
 }
 
 // algebra is one algebra's kernels in each body and the Go loops they must
@@ -740,16 +740,20 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 	if kern.live != nil {
 		// Live stores whole words of live: the words either side of those
 		// holding [lo, hi) are other rows' to write, in the substrate's
-		// wavefronts.
-		y, pre, cross, words := make([]T, 256), make([]T, 256), make([]T, 256), make([]uint64, 4)
-		for j := range y {
-			y[j], pre[j], cross[j] = T(j%3), T(j%2), T(j%5)
+		// wavefronts. Of y it stores the columns [lo, hi) alone, though pre
+		// beats y on every column.
+		ar := newArena(arenaRoom(2, 512), k.guardWord)
+		pre, y, words := ar.slice(256, 0), ar.slice(256, 3), make([]uint64, 4)
+		for j := range pre {
+			pre[j] = 1
 		}
 		for _, c := range [][2]int{{64, 128}, {69, 90}, {100, 140}} {
-			run := func() { kern.live(y, pre, cross, c[0], c[1], words) }
+			run := func() { kern.live(y, pre, c[0], c[1], words) }
 			what := fmt.Sprintf("live columns [%d,%d)", c[0], c[1])
 			ownedBySomeoneElse(t, what+", the word before", (*float64)(unsafe.Pointer(&words[c[0]>>6-1])), run)
 			ownedBySomeoneElse(t, what+", the word after", (*float64)(unsafe.Pointer(&words[(c[1]-1)>>6+1])), run)
+			ownedBySomeoneElse(t, what+", y[lo-1]", &y[c[0]-1], run)
+			ownedBySomeoneElse(t, what+", y[hi]", &y[c[1]], run)
 		}
 	}
 }
@@ -1128,10 +1132,11 @@ func TestR2RejectsBadArguments(t *testing.T) {
 
 // TestLiveMatchesGoBitForBit holds every vector body of Live to the Go
 // body, and the Go body to the rule cell by cell: rows of 0…200 columns at
-// every lane of a vector, every start column, the end column at the start, one
-// past it, the row's end and between; y, pre and cross equal, tied or apart,
+// every lane of a vector, every start column, the end column at the start,
+// one past it, the row's end and between; y and pre tied, pre above or below,
 // specials (NaN, ±Inf, ±0) among them; the live words filled with random bits
-// and a guard word either side, so a bit written outside [lo, hi) shows.
+// and a guard word either side, so a bit written outside [lo, hi) shows, and
+// y's cells outside [lo, hi) left as they were.
 func TestLiveMatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
 		t.Run(impl, func(t *testing.T) {
@@ -1140,10 +1145,10 @@ func TestLiveMatchesGoBitForBit(t *testing.T) {
 			set, cols := 0, 0
 			for n := 0; n <= 200; n++ {
 				lane := n % lanes[float32]()
-				buf := make([]float32, 3*(n+lanes[float32]()))
-				y, pre, cross := buf[lane:lane+n], buf[n+16+lane:2*n+16+lane], buf[2*n+32+lane:3*n+32+lane]
+				buf := make([]float32, 2*(n+lanes[float32]()))
+				y0, pre := buf[lane:lane+n], buf[n+16+lane:2*n+16+lane]
 				for j := range n {
-					liveRow(rng, y, pre, cross, j)
+					liveRow(rng, y0, pre, j)
 				}
 				words := (n + 63) / 64
 				for lo := 0; lo <= n; lo++ {
@@ -1156,27 +1161,37 @@ func TestLiveMatchesGoBitForBit(t *testing.T) {
 							init[i] = rng.Uint64()
 						}
 						want, got := append([]uint64(nil), init...), append([]uint64(nil), init...)
-						goLive(y, pre, cross, lo, hi, want[1:1+words])
+						wantY, gotY := append([]float32(nil), y0...), append([]float32(nil), y0...)
+						goLive(wantY, pre, lo, hi, want[1:1+words])
 						what := fmt.Sprintf("n=%d lane=%d columns [%d,%d)", n, lane, lo, hi)
 						for j := -64; j < 64*(words+1); j++ {
 							bit := want[(j+64)>>6] >> ((j + 64) & 63) & 1
 							wantBit := init[(j+64)>>6] >> ((j + 64) & 63) & 1
+							y := at(y0, j)
 							if j >= lo && j < hi {
 								wantBit = 0
-								if y[j] == pre[j] && pre[j] > cross[j] {
-									wantBit = 1
+								if pre[j] > y0[j] {
+									wantBit, y = 1, pre[j]
 								}
 								set += int(wantBit)
 								cols++
 							}
-							if bit != wantBit {
-								t.Fatalf("go %s: bit %d is %d, want %d (y %v, pre %v, cross %v)", what, j, bit, wantBit, at(y, j), at(pre, j), at(cross, j))
+							if bit != wantBit || j >= 0 && j < n && math.Float32bits(wantY[j]) != math.Float32bits(y) {
+								t.Fatalf("go %s: bit %d is %d and y %v, want %d and %v (y %v, pre %v)", what, j, bit, at(wantY, j), wantBit, y, at(y0, j), at(pre, j))
 							}
 						}
-						live(y, pre, cross, lo, hi, got[1:1+words])
+						live(y0, pre, lo, hi, got[1:1+words]) // y0 at its lane
+						for j := range y0 {
+							y0[j], gotY[j] = gotY[j], y0[j] // y0 as it was, gotY the result
+						}
 						for i := range got {
 							if got[i] != want[i] {
 								t.Fatalf("%s %s: word %d of live and its guards is %#x, the Go body leaves %#x", impl, what, i, got[i], want[i])
+							}
+						}
+						for j := range gotY {
+							if math.Float32bits(gotY[j]) != math.Float32bits(wantY[j]) {
+								t.Fatalf("%s %s: y[%d] is %v, the Go body leaves %v", impl, what, j, gotY[j], wantY[j])
 							}
 						}
 					}
@@ -1187,26 +1202,26 @@ func TestLiveMatchesGoBitForBit(t *testing.T) {
 	}
 }
 
-// liveRow draws column j of a Live row: pre the pair term's seed over cross,
-// y the row's final value — pre, or above it — with ties, specials and the
-// Zero sentinel among them.
-func liveRow(rng *rand.Rand, y, pre, cross []float32, j int) {
+// liveRow draws column j of a Live row: y the split maximum, pre the seed ⊕
+// the pair term — above it, tied or below — with specials and the Zero
+// sentinel among them.
+func liveRow(rng *rand.Rand, y, pre []float32, j int) {
 	v := maxPlus.ordinary(rng)
-	pre[j], y[j], cross[j] = v, v, v-float32(1+rng.Intn(3))
+	y[j], pre[j] = v, v+float32(1+rng.Intn(3))
 	switch r := rng.Intn(10); {
-	case r < 2:
-		cross[j] = v // a tie: a split reaches the cell
-	case r < 4:
-		y[j] = v + 1 // a split inside the tile beats the seed
+	case r < 3:
+		pre[j] = v // a tie: a split reaches the cell
 	case r < 5:
-		cross[j] = v + 1
+		pre[j] = v - float32(1+rng.Intn(3)) // a split beats the seed
 	case r < 6:
-		y[j], pre[j], cross[j] = maxPlus.specials[rng.Intn(len(maxPlus.specials))], maxPlus.specials[rng.Intn(len(maxPlus.specials))], maxPlus.specials[rng.Intn(len(maxPlus.specials))]
+		y[j], pre[j] = maxPlus.specials[rng.Intn(len(maxPlus.specials))], maxPlus.specials[rng.Intn(len(maxPlus.specials))]
 	case r < 7:
-		pre[j] = y[j] * -1 // ±0 and equal, or apart
+		y[j], pre[j] = float32(math.Copysign(0, -1)), 0 // ±0, equal
 		if rng.Intn(2) == 0 {
-			y[j], pre[j], cross[j] = 0, float32(math.Copysign(0, -1)), -1
+			y[j], pre[j] = 0, float32(math.Copysign(0, -1))
 		}
+	case r < 8:
+		y[j] = maxPlus.zero // no split reaches: the Zero sentinel
 	}
 }
 
@@ -1219,21 +1234,19 @@ func at(s []float32, j int) float32 {
 }
 
 // TestLiveRejectsBadArguments: every body panics, naming the columns and
-// the lengths, where the columns run backwards or leave y, pre, cross or
-// live.
+// the lengths, where the columns run backwards or leave y, pre or live.
 func TestLiveRejectsBadArguments(t *testing.T) {
 	const n = 70
-	y, pre, cross, live := make([]float32, n), make([]float32, n), make([]float32, n), make([]uint64, 2)
+	y, pre, live := make([]float32, n), make([]float32, n), make([]uint64, 2)
 	for _, impl := range Impls() {
 		f := BodyOf(impl).Live
 		for _, bad := range []func(){
-			func() { f(y, pre, cross, -1, n, live) },
-			func() { f(y, pre, cross, 5, 4, live) },
-			func() { f(y[:n-1], pre, cross, 0, n, live) },
-			func() { f(y, pre[:n-1], cross, 0, n, live) },
-			func() { f(y, pre, cross[:n-1], 0, n, live) },
-			func() { f(y, pre, cross, 0, n, live[:1]) },
-			func() { f(y, pre, cross, 0, 1, nil) },
+			func() { f(y, pre, -1, n, live) },
+			func() { f(y, pre, 5, 4, live) },
+			func() { f(y[:n-1], pre, 0, n, live) },
+			func() { f(y, pre[:n-1], 0, n, live) },
+			func() { f(y, pre, 0, n, live[:1]) },
+			func() { f(y, pre, 0, 1, nil) },
 		} {
 			func() {
 				defer func() {

@@ -87,9 +87,9 @@ type Body struct {
 	// R2 is finalize's max-plus R2 of one row, in place, with the row's live
 	// words (R2Go's loop).
 	R2 func(c, star []float32, lds, k0, n int, live []uint64)
-	// Live records a substrate row's live words over the columns [lo, hi)
-	// (LiveGo's loop).
-	Live func(y, pre, cross []float32, lo, hi int, live []uint64)
+	// Live finishes a substrate closure row over the columns [lo, hi) and
+	// records its live words (LiveGo's loop).
+	Live func(y, pre []float32, lo, hi int, live []uint64)
 }
 
 // BodyOf returns the kernels of the named body. It panics unless impl is one
@@ -410,17 +410,17 @@ func r2Of(vec func(c, star *float32, lds, k0, n int, live *uint64)) func(c, star
 }
 
 // liveOf binds a body of Body.Live, LiveGo where vec is nil, behind checks
-// whose panic names the arguments: 0 <= lo <= hi, y, pre and cross hold column
-// hi-1 and live its word.
-func liveOf(vec func(y, pre, cross *float32, lo, hi int, live *uint64)) func(y, pre, cross []float32, lo, hi int, live []uint64) {
-	return func(y, pre, cross []float32, lo, hi int, live []uint64) {
-		if lo < 0 || lo > hi || hi > len(y) || hi > len(pre) || hi > len(cross) || hi > 64*len(live) {
-			panic(fmt.Sprintf("maxplus: Live columns [%d,%d) outside y[:%d], pre[:%d], cross[:%d] or live[:%d]", lo, hi, len(y), len(pre), len(cross), len(live)))
+// whose panic names the arguments: 0 <= lo <= hi, y and pre hold column hi-1
+// and live its word.
+func liveOf(vec func(y, pre *float32, lo, hi int, live *uint64)) func(y, pre []float32, lo, hi int, live []uint64) {
+	return func(y, pre []float32, lo, hi int, live []uint64) {
+		if lo < 0 || lo > hi || hi > len(y) || hi > len(pre) || hi > 64*len(live) {
+			panic(fmt.Sprintf("maxplus: Live columns [%d,%d) outside y[:%d], pre[:%d] or live[:%d]", lo, hi, len(y), len(pre), len(live)))
 		}
 		if vec == nil {
-			LiveGo(y, pre, cross, lo, hi, live)
+			LiveGo(y, pre, lo, hi, live)
 		} else if lo < hi {
-			vec(&y[0], &pre[0], &cross[0], lo, hi, &live[0])
+			vec(&y[0], &pre[0], lo, hi, &live[0])
 		}
 	}
 }

@@ -200,19 +200,18 @@ func R2Go(c, star []float32, lds, k0, n int, live []uint64) {
 }
 
 // LiveGo is Live's portable body: for j in [lo, hi) it sets bit j of live
-// where y[j] == pre[j] and pre[j] > cross[j], and clears it elsewhere; no
-// other bit changes. In the substrate's closure row (package nussinov) y is
-// the final row, pre its seed — cross, the candidates from the splits left of
-// the tile and i unpaired, ⊕ the pair term — and cross that alone: a set bit
-// says the pair term is the cell's value and no split m in [i, j) reaches it
-// (a tie keeps the bit), so a clear bit says some split does
-// (docs/ALGORITHM.md §9, "The substrate's dominated splits").
-func LiveGo(y, pre, cross []float32, lo, hi int, live []uint64) {
+// where pre[j] > y[j], clearing it elsewhere, and then y[j] = y[j] ⊕ pre[j]
+// (y on a tie or a NaN); no other bit changes. In the substrate's closure row
+// (package nussinov) y holds the row's split maximum, every split m in
+// [i, j), and pre its seed ⊕ the pair term: the row ends final and a set bit
+// says no split reaches the cell — R2Go's word, bit for bit, so a clear bit
+// says some shorter split dominates it (docs/ALGORITHM.md §9, "The word").
+func LiveGo(y, pre []float32, lo, hi int, live []uint64) {
 	for j := lo; j < hi; j++ {
-		if bit := uint64(1) << (j & 63); y[j] == pre[j] && pre[j] > cross[j] {
-			live[j>>6] |= bit
-		} else {
-			live[j>>6] &^= bit
+		live[j>>6] &^= 1 << (j & 63)
+		if pre[j] > y[j] {
+			y[j] = pre[j]
+			live[j>>6] |= 1 << (j & 63)
 		}
 	}
 }

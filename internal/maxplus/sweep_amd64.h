@@ -498,7 +498,7 @@ pone: \
 pdone:
 
 // The live-word kernels (Body.Live) walk live a word at a time, from the word
-// holding column lo: y, pre and cross in DI, SI and BX, lo in R11, hi in R10,
+// holding column lo: y and pre in DI and SI, lo in R11, hi in R10,
 // live in R9, the word's first column in DX. WORDLANES sets R12 to the word's
 // columns inside [lo, hi) as a bit mask, the lanes the body compares.
 // Clobbers AX and CX.

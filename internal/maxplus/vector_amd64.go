@@ -78,10 +78,10 @@ func r2AVX2(c, star *float32, lds, k0, n int, live *uint64)
 func r2AVX512(c, star *float32, lds, k0, n int, live *uint64)
 
 //go:noescape
-func liveAVX2(y, pre, cross *float32, lo, hi int, live *uint64)
+func liveAVX2(y, pre *float32, lo, hi int, live *uint64)
 
 //go:noescape
-func liveAVX512(y, pre, cross *float32, lo, hi int, live *uint64)
+func liveAVX512(y, pre *float32, lo, hi int, live *uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)

@@ -45,7 +45,7 @@ func sumProductProductAVX2(c *float64, ldc int, a *float64, lda int, b *float64,
 func sumProductProductAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, m, w, k, diag int, x1 *float64, a1 float64, x2 *float64, a2 float64, live *uint64, lstride int) {
 	panic("maxplus: no vector build")
 }
-func r2AVX2(c, star *float32, lds, k0, n int, live *uint64)       { panic("maxplus: no vector build") }
-func r2AVX512(c, star *float32, lds, k0, n int, live *uint64)     { panic("maxplus: no vector build") }
-func liveAVX2(y, pre, cross *float32, lo, hi int, live *uint64)   { panic("maxplus: no vector build") }
-func liveAVX512(y, pre, cross *float32, lo, hi int, live *uint64) { panic("maxplus: no vector build") }
+func r2AVX2(c, star *float32, lds, k0, n int, live *uint64)   { panic("maxplus: no vector build") }
+func r2AVX512(c, star *float32, lds, k0, n int, live *uint64) { panic("maxplus: no vector build") }
+func liveAVX2(y, pre *float32, lo, hi int, live *uint64)      { panic("maxplus: no vector build") }
+func liveAVX512(y, pre *float32, lo, hi int, live *uint64)    { panic("maxplus: no vector build") }

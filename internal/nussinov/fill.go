@@ -36,28 +36,25 @@ const closureTile = 64
 // fills inline on the calling goroutine.
 type ParallelFor func(ctx context.Context, n int, f func(i int)) error
 
-// closure is the scratch of the closure form: pre holds each row's seed by
-// absolute column, cross its candidates from the splits left of its tile
-// alone, off the table's row offsets (off[r] = r·pitch), zero a row of Zero.
-// A nil *closure is the per-split walk.
-//
-// Where the closure's products skip dominated splits (a tiled float32 table
-// of three block-columns or more), live is the body's Live kernel, words row
-// r's live words at words[r*w:] (bit j for column j) and tiles a product's
-// kernel-tile bit-sets, one slot of slot words to each block-row, so the
-// tiles of a wavefront build theirs side by side; live is nil elsewhere.
+// closure is the scratch of the closure form: pre holds each row's seed ⊕
+// its pair term by absolute column, off the table's row offsets (off[r] =
+// r·pitch), zero a row of Zero, live the body's Live kernel, which ends every
+// row and records its live words in the table (GTable.Live), and tiles a
+// product's kernel-tile bit-sets, one slot of slot words to each block-row,
+// so the tiles of a wavefront build theirs side by side. A nil *closure is
+// the per-split walk.
 type closure[T semiring.Scalar] struct {
-	pre, cross, zero []T
-	off              []int
-	live             func(y, pre, cross []T, lo, hi int, live []uint64)
-	words, tiles     []uint64
-	w, slot          int
+	pre, zero []T
+	off       []int
+	live      func(y, pre []T, lo, hi int, live []uint64)
+	tiles     []uint64
+	slot      int
 }
 
 // fillRow is the one single-strand fill body: it computes S[i, j] for the
 // columns j in [max(c0, i+1), c1) of row i, given every row below i final on
 // [0, c1), row i final left of c0 and its hops via [mid, c0) in its cells.
-// Row r is data[r*p:], p the table's pitch. The recurrence
+// Row r is t.data[r*p:], p the table's pitch. The recurrence
 //
 //	S[i,j] = S[i,i] ⊗ S[i+1,j]  ⊕  S[i,j-1] ⊗ S[j,j]
 //	       ⊕ S[i+1,j-1] ⊗ w(i,j)  ⊕  ⊕_{s=i..j-1} S[i,s] ⊗ S[s+1,j]
@@ -79,13 +76,16 @@ type closure[T semiring.Scalar] struct {
 // closed under splitting, S[a,j] ≥ S[a,s] ⊗ S[s+1,j], so every chain of
 // splits collapses to one hop from the seed, S[i,j] = pre[j] ⊕
 // ⊕_s pre[s] ⊗ S[s+1,j] (docs/ALGORITHM.md §9), and the row is one Sweep
-// with y register-held across every s. A tile right of the diagonal first
-// takes the hops from the row's final cells [i, mid), one Sweep more, before
-// the pair term, so that cross can keep what the splits left of the tile and
-// i unpaired reach; then the pair term, and pre is the row as it stands. Every
-// sum is exact, so the table is the walk's bit for bit, tiled or not, and pre
-// may carry hops (docs/ALGORITHM.md §9).
-func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, mid, c1 int, cl *closure[T]) {
+// with y register-held across every s. y keeps the splits alone: i unpaired,
+// the product's and, in a tile right of the diagonal, the hops from the row's
+// final cells [i, mid), one Sweep more; pre is y ⊕ the pair term, and the
+// closure Sweep streams pre's hops into y. Live then folds pre into y and sets
+// the bit of each column whose pre beats every split — R2's word, exactly
+// (scratch sets each row's diagonal bit up front). Every sum is exact, so the
+// table is the walk's bit for bit, tiled or not, and pre may carry hops
+// (docs/ALGORITHM.md §9).
+func fillRow[T semiring.Scalar](t *GTable[T], k *semiring.Kernels[T], unit T, w PairRows[T], i, c0, mid, c1 int, cl *closure[T]) {
+	data, p := t.data, t.pitch
 	y := data[i*p : i*p+c1 : i*p+c1]
 	below := data[(i+1)*p : (i+1)*p+c1 : (i+1)*p+c1]
 	lo := max(c0, i+1)
@@ -94,19 +94,19 @@ func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T,
 	} else {
 		k.MulInto(y[lo:c1], below[lo:c1], unit) // i unpaired ⊗ S[i+1, j]
 	}
-	if cl != nil && mid > i {
-		k.Sweep(y, y, data, cl.off, i, mid, c0, c1, maxplus.Pre[T]{})
-	}
-	if cl != nil && cl.live != nil {
-		copy(cl.cross[lo:c1], y[lo:c1])
-	}
-	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)
 	if cl != nil {
+		if mid > i {
+			k.Sweep(y, y, data, cl.off, i, mid, c0, c1, maxplus.Pre[T]{})
+		}
 		s0 := max(c0, i) // the diagonal, S[i,i] = unit, is the first hop
 		copy(cl.pre[s0:c1], y[s0:c1])
+		k.AccumEach(cl.pre[lo:c1], below[lo-1:c1-1], w(i, lo, c1))
 		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1, maxplus.Pre[T]{})
+		nw := liveW(t.N)
+		cl.live(y, cl.pre, lo, c1, t.live[i*nw:(i+1)*nw])
 		return
 	}
+	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)
 	for s := i; s < c1-1; s++ {
 		x := data[(s+1)*p : (s+1)*p+c1 : (s+1)*p+c1]
 		from := lo
@@ -118,26 +118,27 @@ func fillRow[T semiring.Scalar](data []T, p int, k *semiring.Kernels[T], unit T,
 	}
 }
 
-// fillTiled fills an n-position table of pitch p: the boundary, then
-// tile-square tiles. Tile (I, J) needs the tiles left of it in its block-row
-// and below it in its block-column, so the tiles of one block anti-diagonal
-// are independent — the paper's triangle of tiles — and run inline with a nil
-// pfor, as one pfor wavefront otherwise. They own distinct columns, so they
-// share the closure's pre row and a ScoreRows row without touching each
-// other's cells. On an error the table is partially filled.
-func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], pfor ParallelFor) error {
-	boundary(data, n, p, k.One, unit)
+// fillTiled fills t: the boundary, then tile-square tiles. Tile (I, J) needs
+// the tiles left of it in its block-row and below it in its block-column, so
+// the tiles of one block anti-diagonal are independent — the paper's triangle
+// of tiles — and run inline with a nil pfor, as one pfor wavefront otherwise.
+// They own distinct columns and rows, so they share the closure's pre row and
+// a ScoreRows row without touching each other's cells or live words. On an
+// error the table is partially filled.
+func fillTiled[T semiring.Scalar](ctx context.Context, t *GTable[T], tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], pfor ParallelFor) error {
+	n := t.N
+	boundary(t.data, n, t.pitch, k.One, unit)
 	for nb, d := (n+tile-1)/tile, 0; d < nb; d++ {
 		if pfor != nil {
 			// A tile that saw the cancel stopped short: the wavefront failed.
-			err := pfor(ctx, nb-d, func(b int) { _ = fillTile(ctx, data, n, p, tile, k, unit, w, cl, b, d) })
+			err := pfor(ctx, nb-d, func(b int) { _ = fillTile(ctx, t, tile, k, unit, w, cl, b, d) })
 			if err = cmp.Or(err, ctx.Err()); err != nil {
 				return err
 			}
 			continue
 		}
 		for b := 0; b < nb-d; b++ {
-			if err := fillTile(ctx, data, n, p, tile, k, unit, w, cl, b, d); err != nil {
+			if err := fillTile(ctx, t, tile, k, unit, w, cl, b, d); err != nil {
 				return err
 			}
 		}
@@ -150,23 +151,19 @@ func fillTiled[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int,
 // closure tile at d ≥ 2 first takes its cross-tile splits [mid, c0) as one
 // Product onto its cells set to Zero (about 0.1 ms, between two polls); every
 // split reaches every column of the tile, so its diag, mid+1-c0, skips none.
-// With cl.live set the product skips the splits its rows' live words mark
-// dominated, and a tile at d ≥ 1 left of the last block-column — the columns
-// a later product reads as splits — records its rows' words once each row is
-// final (docs/ALGORITHM.md §9, "The substrate's dominated splits").
-func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
+// The product skips the splits its rows' live words, final since the tiles
+// left of it, mark dominated (docs/ALGORITHM.md §9, "The substrate's
+// dominated splits").
+func fillTile[T semiring.Scalar](ctx context.Context, t *GTable[T], tile int, k semiring.Kernels[T], unit T, w PairRows[T], cl *closure[T], b, d int) error {
+	data, n, p := t.data, t.N, t.pitch
 	r0, c0 := b*tile, (b+d)*tile
 	c1, mid := min(c0+tile, n), c0
-	record := cl != nil && cl.live != nil && d >= 1 && c1 < n
 	if cl != nil && d >= 2 {
 		mid = r0 + tile
 		for i := r0; i < mid; i++ {
 			copy(data[i*p+c0:i*p+c1], cl.zero)
 		}
-		var live []uint64
-		if cl.live != nil {
-			live = maxplus.TileLive(cl.tiles[b*cl.slot:], cl.words, cl.w, r0, tile, mid, c0)
-		}
+		live := maxplus.TileLive(cl.tiles[b*cl.slot:], t.live, liveW(n), r0, tile, mid, c0)
 		k.Product(data[r0*p+c0:], p, data[r0*p+mid:], p, data[(mid+1)*p+c0:], p, tile, c1-c0, c0-mid, mid+1-c0, maxplus.Pre[T]{}, live)
 	}
 	// Row n-1 has no row below it and nothing right of its diagonal.
@@ -174,10 +171,7 @@ func fillTile[T semiring.Scalar](ctx context.Context, data []T, n, p, tile int, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fillRow(data, p, &k, unit, w, i, c0, mid, c1, cl)
-		if record {
-			cl.live(data[i*p:i*p+c1], cl.pre, cl.cross, c0, c1, cl.words[i*cl.w:(i+1)*cl.w])
-		}
+		fillRow(t, &k, unit, w, i, c0, mid, c1, cl)
 	}
 	return nil
 }

@@ -49,9 +49,11 @@ type GTable[T semiring.Scalar] struct {
 	pitch int // row stride of data
 	data  []T // data[i*pitch+j] = S[i,j] for i <= j < N
 	one   T   // the filling semiring's One: S of an empty interval
-	// cl is the closure form's scratch, kept across Reset so a pooled
-	// table's refill allocates nothing; closed records the form of the
-	// last fill.
+	// live is the rows' live words of the last closure fill (Live), empty
+	// after a walk; cl is the closure form's scratch. Both are kept across
+	// Reset so a pooled table's refill allocates nothing; closed records the
+	// form of the last fill.
+	live   []uint64
 	cl     closure[T]
 	closed bool
 }
@@ -93,18 +95,30 @@ func (t *GTable[T]) Pitch() int { return t.pitch }
 // must treat it as read-only.
 func (t *GTable[T]) Data() []T { return t.data }
 
-// Clone returns an independent deep copy of t. Cached substrate tables are
-// cloned out of pooled problems, whose own storage is reset on reuse.
+// Live returns the rows' live words of the table's last fill, ⌈N/64⌉ a row
+// (row i's from Live()[i*⌈N/64⌉]), empty unless the fill was closed: bit j of
+// row i is set where no split m in [i, j) reaches S[i, j] — R2's word, the
+// diagonal's bit set and every bit outside [i, N) clear (docs/ALGORITHM.md §9,
+// "The word"). They belong to the table: a fold's R1 reads S²'s. Callers must
+// not modify them.
+func (t *GTable[T]) Live() []uint64 { return t.live }
+
+// liveW is the live words a row of an n-position table takes.
+func liveW(n int) int { return (n + 63) / 64 }
+
+// Clone returns an independent deep copy of t, its live words too. Cached
+// substrate tables are cloned out of pooled problems, whose own storage is
+// reset on reuse.
 func (t *GTable[T]) Clone() *GTable[T] {
-	return &GTable[T]{N: t.N, pitch: t.pitch, data: slices.Clone(t.data), one: t.one, closed: t.closed}
+	return &GTable[T]{N: t.N, pitch: t.pitch, data: slices.Clone(t.data), one: t.one, live: slices.Clone(t.live), closed: t.closed}
 }
 
-// Bytes returns the table's footprint: N·Pitch() cells, and the live words
-// and tile bit-sets its last closure fill kept (LiveBytes), which a Clone
-// drops.
+// Bytes returns the table's footprint: N·Pitch() cells, its live words and
+// the tile bit-sets its last closure fill kept (LiveBytes); a Clone keeps the
+// words and drops the bit-sets.
 func (t *GTable[T]) Bytes() int64 {
 	var z T
-	return int64(len(t.data))*int64(unsafe.Sizeof(z)) + int64(len(t.cl.words)+len(t.cl.tiles))*8
+	return int64(len(t.data))*int64(unsafe.Sizeof(z)) + int64(len(t.live)+len(t.cl.tiles))*8
 }
 
 // PitchOf is the row stride, in cells, of an n-position table of width-byte
@@ -196,32 +210,30 @@ func (t *GTable[T]) fillContext(ctx context.Context, k semiring.Kernels[T], unit
 		tile, pfor = max(t.N, 1), nil
 	}
 	var cl *closure[T]
+	t.live = t.live[:0]
 	if exact {
 		cl = t.scratch(k, tile)
 	}
-	return fillTiled(ctx, t.data, t.N, t.pitch, tile, k, unit, w, cl, pfor)
+	return fillTiled(ctx, t, tile, k, unit, w, cl, pfor)
 }
 
-// scratch sizes the closure form's scratch to the table and a tile edge,
-// reusing its storage: the live words and tile bit-sets where the body has a
-// Live kernel for T and the table three block-columns or more (liveWords),
-// none elsewhere.
+// scratch sizes the closure form's scratch and the live words to the table
+// and a tile edge, reusing their storage, and sets the words to each row's
+// diagonal bit alone: no split reaches S[i,i], and the fill's Live writes
+// every other bit a reader takes.
 func (t *GTable[T]) scratch(k semiring.Kernels[T], tile int) *closure[T] {
 	n, cl := t.N, &t.cl
-	cl.pre, cl.cross, cl.zero, cl.off = grow(cl.pre, n), grow(cl.cross, n), grow(cl.zero, n), grow(cl.off, n)
+	cl.pre, cl.zero, cl.off = grow(cl.pre, n), grow(cl.zero, n), grow(cl.off, n)
 	for r := range cl.off {
 		cl.off[r], cl.zero[r] = r*t.pitch, k.Zero
 	}
+	cl.live = any(maxplus.BodyOf(k.Impl).Live).(func(y, pre []T, lo, hi int, live []uint64))
 	words, slots, slot := liveWords(n, tile)
-	cl.live = nil
-	if words > 0 {
-		cl.live, _ = any(maxplus.BodyOf(k.Impl).Live).(func(y, pre, cross []T, lo, hi int, live []uint64))
+	t.live, cl.tiles, cl.slot = grow(t.live, words), grow(cl.tiles, slots*slot), slot
+	clear(t.live)
+	for i, w := 0, liveW(n); i < n; i++ {
+		t.live[i*w+i>>6] = 1 << (i & 63)
 	}
-	if cl.live == nil {
-		words, slots = 0, 0
-	}
-	cl.w, cl.slot = (n+63)/64, slot
-	cl.words, cl.tiles = grow(cl.words, words), grow(cl.tiles, slots*slot)
 	return cl
 }
 
@@ -229,26 +241,23 @@ func (t *GTable[T]) scratch(k semiring.Kernels[T], tile int) *closure[T] {
 func grow[E any](s []E, n int) []E { return slices.Grow(s[:0], n)[:n] }
 
 // liveWords returns the live words of a closure fill of n positions in
-// tile-edge tiles — ⌈n/64⌉ a row — and its tile bit-sets: slots slots of slot
-// words, one to each block-row that has a tile at block distance 2. A fill of
-// fewer than three block-columns has no product, so none.
+// tile-edge tiles — ⌈n/64⌉ a row — and its products' tile bit-sets: slots
+// slots of slot words, one to each block-row that has a tile at block
+// distance 2 (none below three block-columns).
 func liveWords(n, tile int) (words, slots, slot int) {
-	nb, w := (n+tile-1)/tile, (n+63)/64
-	if nb < 3 {
-		return 0, 0, 0
-	}
-	return n * w, nb - 2, maxplus.ProductTiles(tile) * w
+	return n * liveW(n), max((n+tile-1)/tile-2, 0), maxplus.ProductTiles(tile) * liveW(n)
 }
 
 // LiveBytes is what FillContext's closure form keeps beyond the cells of a
 // max-plus table of n positions on this process's kernels: its rows' live
-// words and its products' tile bit-sets, which GTable.Bytes counts too. It is
-// zero below SequentialCutoff.
+// words and, tiled, its products' tile bit-sets, which GTable.Bytes counts
+// too.
 func LiveBytes(n int) int64 {
-	if n < SequentialCutoff {
-		return 0
+	tile := max(n, 1)
+	if Tiled(n) {
+		tile = closureEdge(maxplus.Impl())
 	}
-	words, slots, slot := liveWords(n, closureEdge(maxplus.Impl()))
+	words, slots, slot := liveWords(n, tile)
 	return int64(words+slots*slot) * 8
 }
 

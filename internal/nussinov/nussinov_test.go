@@ -314,16 +314,18 @@ func TestUnitModelCountsPairs(t *testing.T) {
 
 // benchBuild times one inline build of a base-pair table in each form: the
 // per-split walk (Build, and every float64 fill) and the closure sweep (what
-// ibpmax.BuildS runs for integer weights).
+// ibpmax.BuildS runs for integer weights) — as a served build runs it, into
+// one Reset table from the strand's weight view (score.Weights.Rows).
 func benchBuild(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(1))
-	seq := rna.Random(rng, n)
-	sc := scoreFor(seq, score.BasePair())
+	seq := rna.Random(rand.New(rand.NewSource(1)), n)
+	w := score.WeightsOf(seq, score.Params{Model: score.BasePair()})
+	t := NewGTable[float32](n)
 	for _, exact := range []bool{false, true} {
 		b.Run("form="+formName(exact), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildContext(context.Background(), n, sc, exact, nil); err != nil {
+				t.Reset(n)
+				if err := t.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, w.Rows, exact, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -336,19 +338,11 @@ func benchBuild(b *testing.B, n int) {
 // table below the cutoff fills in, W=1 the padded closureTile tiles inline
 // (the block product in every tile at d ≥ 2), W=2 the same tiles on two
 // goroutines — each forced, whatever the cutoff says about n,
-// so the crossover can be re-measured on a new host.
+// so the crossover can be re-measured on a new host. Each builds as a
+// served build does: into one Reset table, from the strand's weight view.
 func benchBuildParallel(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(1))
-	seq := rna.Random(rng, n)
-	sc := scoreFor(seq, score.BasePair())
-	// The pair weights as ibpmax.BuildS reads them: rows of a precomputed table.
-	intra := make([]float32, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			intra[i*n+j] = sc(i, j)
-		}
-	}
-	rows := func(i, lo, hi int) []float32 { return intra[i*n+lo : i*n+hi] }
+	seq := rna.Random(rand.New(rand.NewSource(1)), n)
+	w := score.WeightsOf(seq, score.Params{Model: score.BasePair()})
 	for _, c := range []struct {
 		name   string
 		cutoff int
@@ -356,9 +350,10 @@ func benchBuildParallel(b *testing.B, n int) {
 	}{{"rows", n + 1, nil}, {"W=1", 0, nil}, {"W=2", 0, ForkJoin(2)}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			t := NewGTable[float32](n)
 			for i := 0; i < b.N; i++ {
-				t := NewGTable[float32](n)
-				if err := t.fillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, c.pfor, c.cutoff, closureTile); err != nil {
+				t.Reset(n)
+				if err := t.fillContext(context.Background(), semiring.MaxPlusKernels(true), 0, w.Rows, true, c.pfor, c.cutoff, closureTile); err != nil {
 					b.Fatal(err)
 				}
 			}
