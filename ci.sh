@@ -241,16 +241,27 @@ run_lint() (
         exit 1
     fi
     # The pairing term is a stream in both float algebras: the sum-product
-    # bundles bind maxplus's SumProductEach (its Go loop, or the vector body
-    # SumProductKernelsOf takes from the Body), and accumEachOver — two
-    # indirect scalar calls an element — is log-sum-exp's alone.
+    # bundles carry the float64 Body's AccumEach (its Go loop, or the vector
+    # body), and accumEachOver — two indirect scalar calls an element — is
+    # log-sum-exp's alone.
     if grep -n 'accumEachOver(' $(ls internal/semiring/*.go | grep -v '_test\.go$') |
         grep -v -e 'func accumEachOver\[' -e 'accumEachOver(lse, '; then
-        echo "lint: accumEachOver outside the log-sum-exp bundle (the sum-product AccumEach is maxplus's SumProductEach)" >&2
+        echo "lint: accumEachOver outside the log-sum-exp bundle (the sum-product AccumEach is the float64 Body's)" >&2
         exit 1
     fi
-    if ! grep -q 'b\.SumProductEach\b' internal/semiring/kernels.go; then
-        echo "lint: SumProductKernelsOf no longer binds the body's SumProductEach (the vector AccumEach)" >&2
+    # Each kernel is bound once: semiring's bundles embed maxplus's Body, so
+    # a fill reads every slot — R2 and Live too — from its bundle. BodyOf is
+    # called outside internal/maxplus only where the bundles are built, and no
+    # kernel is fetched through an any( type assertion, which is a second
+    # binding beside the bundle's.
+    if grep -rnE --include='*.go' 'maxplus\.BodyOf *[[(]' . |
+        grep -v -e '_test\.go:' -e '^\./internal/maxplus/' -e '^\./internal/semiring/kernels\.go:'; then
+        echo "lint: maxplus.BodyOf called outside internal/maxplus and internal/semiring/kernels.go (take the kernels from a semiring bundle)" >&2
+        exit 1
+    fi
+    if grep -rnE --include='*.go' 'any\(.*(BodyOf|Kernels|\)\.\(func\()' . |
+        grep -v -e '_test\.go:' -e '^\./internal/maxplus/'; then
+        echo "lint: a kernel fetched through an any( type assertion (read the bundle's slot)" >&2
         exit 1
     fi
     # One substrate stage: one single-strand table type (Table is an alias of
@@ -425,7 +436,7 @@ run_fuzz() (
     set -x
     # Every fuzz target, once (the regression corpus always runs as part of
     # the test stage): the pooled/context/cached parity fuzzers — the paths
-    # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
+    # the pipeline's reuse layers ride on, one shared body — the semiring-generic fuzzer that
     # pins every schedule, on the full table and on a band of it, bit-identical
     # to the top-down reference and the scaled partition fill to its log-domain
     # oracle, the substrate bit-identity fuzzer that holds every form of the

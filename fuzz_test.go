@@ -39,141 +39,125 @@ func FuzzFold(f *testing.F) {
 	})
 }
 
-// FuzzFoldContextParity checks that the context-aware path with a
-// background context is bit-identical to plain Fold for every schedule:
-// same acceptance, same score, same traceback.
-func FuzzFoldContextParity(f *testing.F) {
-	f.Add("GGG", "CCC")
-	f.Add("GGGAAACCC", "GGGUUUCCC")
-	f.Add("acgu", "ugca")
-	f.Add("A", "")
-	f.Fuzz(func(t *testing.T, s1, s2 string) {
-		if len(s1) > 12 || len(s2) > 12 {
-			t.Skip("keep the O(N3M3) fill small")
-		}
-		want, wantErr := Fold(s1, s2)
-		for _, v := range publicVariants {
-			got, err := FoldContext(context.Background(), s1, s2, WithVariant(v))
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%s: err = %v, Fold err = %v", v, err, wantErr)
-			}
-			if err != nil {
-				continue
-			}
-			if got.Score != want.Score {
-				t.Fatalf("%s: score %v, Fold score %v", v, got.Score, want.Score)
-			}
-			gs, ws := got.Structure(), want.Structure()
-			if gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
-				t.Fatalf("%s: structure %q/%q, Fold %q/%q", v, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
-			}
-		}
-	})
+// The reuse layers the pipeline rides on, each held bit-identical to a fresh
+// Fold by foldParity.
+type parityArm int
+
+const (
+	// armContext: FoldContext with a background context, every schedule.
+	armContext parityArm = iota
+	// armPooled: a shared pool and 4-worker engine, every schedule, after a
+	// cancelled fold left its half-used state in them.
+	armPooled
+	// armCached: the cache, a cold pass that fills it (miss path) and a warm
+	// one served from it (substrate shares, whole-result hit), pooled or not.
+	armCached
+	// armRaced: two goroutines racing one pair through one cold cache, one
+	// of them pooled (one leads, the other joins or hits).
+	armRaced
+)
+
+// addParitySeeds seeds a parity fuzzer with three foldable pairs and the
+// edge pair (last, "").
+func addParitySeeds(f *testing.F, last string) {
+	for _, seed := range [][2]string{{"GGG", "CCC"}, {"GGGAAACCC", "GGGUUUCCC"}, {"acgu", "ugca"}, {last, ""}} {
+		f.Add(seed[0], seed[1])
+	}
 }
 
-// FuzzPooledParity checks that folding through a shared pool and engine is
-// bit-identical to a fresh fold for every schedule and arbitrary inputs —
-// same acceptance, same error text, same score, same structure — including
-// when a cancelled fold touched the pool immediately before.
+// foldParity checks that folding s1 × s2 through each of arms is
+// bit-identical to a fresh Fold: same acceptance, same score, same
+// structure, and a result that releases. Every arm but armContext checks the
+// error text too. engine is the one armPooled shares across inputs; pool is
+// the one armPooled shares across inputs, and the one armCached and armRaced
+// share with each other, so the racing fold draws shells the cached passes
+// recycled.
+func foldParity(t *testing.T, s1, s2 string, pool *Pool, engine *Engine, arms ...parityArm) {
+	if len(s1) > 12 || len(s2) > 12 {
+		t.Skip("keep the O(N3M3) fill small")
+	}
+	want, wantErr := Fold(s1, s2)
+	var ws *Structure
+	if wantErr == nil {
+		ws = want.Structure() // traced once, here: check runs on two goroutines in armRaced
+	}
+	for _, arm := range arms {
+		// check folds through ctx and opts and holds the answer to the fresh
+		// fold's; it reports with Errorf so the racing arm may call it off the
+		// test's own goroutine.
+		check := func(what string, ctx context.Context, opts ...Option) {
+			got, err := FoldContext(ctx, s1, s2, opts...)
+			if (err != nil) != (wantErr != nil) {
+				t.Errorf("%s: err = %v, Fold err = %v", what, err, wantErr)
+				return
+			}
+			if err != nil {
+				if arm != armContext && err.Error() != wantErr.Error() {
+					t.Errorf("%s: error %q, fresh %q", what, err, wantErr)
+				}
+				return
+			}
+			if got.Score != want.Score {
+				t.Errorf("%s: score %v, fresh %v", what, got.Score, want.Score)
+			}
+			if gs := got.Structure(); gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
+				t.Errorf("%s: structure %q/%q, fresh %q/%q", what, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
+			}
+			got.Release()
+		}
+		bg := context.Background()
+		switch arm {
+		case armContext:
+			for _, v := range publicVariants {
+				check("context, "+string(v), bg, WithVariant(v))
+			}
+		case armPooled:
+			cancelled, cancel := context.WithCancel(bg)
+			cancel()
+			_, _ = FoldContext(cancelled, s1, s2, WithPool(pool), WithEngine(engine))
+			for _, v := range publicVariants {
+				check("pooled, "+string(v), bg, WithVariant(v), WithPool(pool), WithEngine(engine), WithWorkers(4))
+			}
+		case armCached:
+			cache := NewCache(CacheConfig{})
+			for _, pass := range []string{"cold pass", "warm pass"} {
+				check(pass, bg, WithCache(cache))
+				check(pass+", pooled", bg, WithCache(cache), WithPool(pool))
+			}
+		case armRaced:
+			raced := NewCache(CacheConfig{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); check("raced", bg, WithCache(raced)) }()
+			go func() { defer wg.Done(); check("raced, pooled", bg, WithCache(raced), WithPool(pool)) }()
+			wg.Wait()
+		}
+	}
+}
+
+// FuzzFoldContextParity holds the context-aware path with a background
+// context to plain Fold, every schedule (armContext).
+func FuzzFoldContextParity(f *testing.F) {
+	addParitySeeds(f, "A")
+	f.Fuzz(func(t *testing.T, s1, s2 string) { foldParity(t, s1, s2, nil, nil, armContext) })
+}
+
+// FuzzPooledParity holds folds through one shared pool and engine, after a
+// cancelled fold touched them, to fresh folds (armPooled).
 func FuzzPooledParity(f *testing.F) {
 	pool := NewPool()
 	engine := NewEngine(4)
 	f.Cleanup(engine.Close)
-	f.Add("GGG", "CCC")
-	f.Add("GGGAAACCC", "GGGUUUCCC")
-	f.Add("acgu", "ugca")
-	f.Add("AXB", "")
-	f.Fuzz(func(t *testing.T, s1, s2 string) {
-		if len(s1) > 12 || len(s2) > 12 {
-			t.Skip("keep the O(N3M3) fill small")
-		}
-		want, wantErr := Fold(s1, s2)
-		// Leave a cancelled fold's half-used state in the pool first; the
-		// real fold must be unaffected.
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, _ = FoldContext(cancelled, s1, s2, WithPool(pool), WithEngine(engine))
-		for _, v := range publicVariants {
-			got, err := Fold(s1, s2, WithVariant(v), WithPool(pool), WithEngine(engine), WithWorkers(4))
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%s: err = %v, Fold err = %v", v, err, wantErr)
-			}
-			if err != nil {
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("%s: pooled error %q, fresh %q", v, err, wantErr)
-				}
-				continue
-			}
-			if got.Score != want.Score {
-				t.Fatalf("%s: pooled score %v, fresh %v", v, got.Score, want.Score)
-			}
-			gs, ws := got.Structure(), want.Structure()
-			if gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
-				t.Fatalf("%s: pooled structure %q/%q, fresh %q/%q", v, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
-			}
-			got.Release()
-		}
-	})
+	addParitySeeds(f, "AXB")
+	f.Fuzz(func(t *testing.T, s1, s2 string) { foldParity(t, s1, s2, pool, engine, armPooled) })
 }
 
-// FuzzCachedFoldParity checks that a fold served through the cache — the
-// substrate layer, the result layer, a warm hit of each, and two goroutines
-// racing one pair through one cold cache (one leads, the other joins or hits)
-// — is bit-identical to a fresh fold for arbitrary inputs: same acceptance,
-// same error text, same score, same structure.
+// FuzzCachedFoldParity holds folds served through the cache, cold, warm and
+// raced, to fresh folds (armCached, armRaced), all pooled folds of an input on
+// one pool.
 func FuzzCachedFoldParity(f *testing.F) {
-	f.Add("GGG", "CCC")
-	f.Add("GGGAAACCC", "GGGUUUCCC")
-	f.Add("acgu", "ugca")
-	f.Add("AXB", "")
-	f.Fuzz(func(t *testing.T, s1, s2 string) {
-		if len(s1) > 12 || len(s2) > 12 {
-			t.Skip("keep the O(N3M3) fill small")
-		}
-		want, wantErr := Fold(s1, s2)
-		var ws *Structure
-		if wantErr == nil {
-			ws = want.Structure() // traced once, here: check runs on two goroutines
-		}
-		// check folds through opts and holds the answer to the cold fold's; it
-		// reports with Errorf so the racing arm may call it off the test's own
-		// goroutine.
-		check := func(arm string, opts ...Option) {
-			got, err := Fold(s1, s2, opts...)
-			if (err != nil) != (wantErr != nil) {
-				t.Errorf("%s: err = %v, Fold err = %v", arm, err, wantErr)
-				return
-			}
-			if err != nil {
-				if err.Error() != wantErr.Error() {
-					t.Errorf("%s: cached error %q, fresh %q", arm, err, wantErr)
-				}
-				return
-			}
-			if got.Score != want.Score {
-				t.Errorf("%s: cached score %v, fresh %v", arm, got.Score, want.Score)
-			}
-			if gs := got.Structure(); gs.Bracket1 != ws.Bracket1 || gs.Bracket2 != ws.Bracket2 {
-				t.Errorf("%s: cached structure %q/%q, fresh %q/%q", arm, gs.Bracket1, gs.Bracket2, ws.Bracket1, ws.Bracket2)
-			}
-			got.Release()
-		}
-		cache := NewCache(CacheConfig{})
-		pool := NewPool()
-		// Two passes: the first fills the cache (miss path), the second is
-		// served from it (substrate shares + whole-result hit). Both must
-		// match the cold fold exactly, pooled or not.
-		for _, pass := range []string{"cold pass", "warm pass"} {
-			check(pass, WithCache(cache))
-			check(pass+", pooled", WithCache(cache), WithPool(pool))
-		}
-		raced := NewCache(CacheConfig{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); check("raced", WithCache(raced)) }()
-		go func() { defer wg.Done(); check("raced, pooled", WithCache(raced), WithPool(pool)) }()
-		wg.Wait()
-	})
+	addParitySeeds(f, "AXB")
+	f.Fuzz(func(t *testing.T, s1, s2 string) { foldParity(t, s1, s2, NewPool(), nil, armCached, armRaced) })
 }
 
 // FuzzFastaRoundTrip checks the FASTA reader never panics and that

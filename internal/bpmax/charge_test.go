@@ -1,8 +1,12 @@
 package bpmax
 
 import (
+	"context"
+	"reflect"
+	"runtime/debug"
 	"testing"
 
+	"github.com/bpmax-go/bpmax/internal/maxplus"
 	"github.com/bpmax-go/bpmax/internal/nussinov"
 )
 
@@ -55,6 +59,47 @@ func TestChargePricesLiveWords(t *testing.T) {
 		if got, want := Charge(nil, n1, n2, w1, w2, kind, 4), newTable[float32](nil, n1, n2, w1, w2, kind, false).Bytes(); got != want {
 			t.Errorf("%dx%d band %d %v: Charge %d, the table alone %d", n1, n2, w2, kind, got, want)
 		}
+	}
+}
+
+// TestPooledShellKeepsItsPricedTables pins what a pooled max-plus solver
+// shell keeps after a 16×128 fold, the figure Pool.RetainedBytes states:
+// every slice the shell holds is the live words Charge prices (liveBytes,
+// 86 016 bytes) or one of three side tables — S²'s row offsets (s2off), the
+// group offsets (tileOff) and the row of Zero (zeros) — 88 576 bytes in all.
+// A side table added to the shell and left unpriced fails it.
+func TestPooledShellKeepsItsPricedTables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	if maxplus.Impl() == "go" {
+		t.Skip("no vector body in this build: no fill takes masks")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the freelist
+	const n1, n2 = 16, 128
+	pl := NewPool()
+	ft, err := SolveContext(context.Background(), newTestProblem(t, 9, n1, n2), VariantHybridTiled, Config{Workers: 1, Pool: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.Release()
+	hits := pl.Stats().SolverHits
+	s := pl.getSolver()
+	defer pl.putSolver(s)
+	if pl.Stats().SolverHits == hits || s.r2 == nil {
+		t.Fatalf("the pool handed back no masked shell (hit %v, r2 set %v)", pl.Stats().SolverHits > hits, s.r2 != nil)
+	}
+	var held int64
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			held += int64(f.Cap()) * int64(f.Type().Elem().Size())
+		}
+	}
+	live := liveBytes(tableElems(n1, n2, n1, n2, MapBox), n1, n2, n2, MapBox, 4)
+	side := 8*int64(cap(s.s2off)) + 8*int64(cap(s.tileOff)) + 4*int64(cap(s.zeros))
+	if held != live+side || live != 86016 || held != 88576 {
+		t.Errorf("the shell holds %d bytes of slices; want the live words' %d (86 016) + s2off, tileOff and zeros' %d = 88 576", held, live, side)
 	}
 }
 

@@ -349,5 +349,5 @@ func maskShapes() [][2]int {
 // forceMasks arms a max-plus solver's masks as newGSolver does for N2 >=
 // maskMinN2.
 func forceMasks(s *solver, impl string) {
-	s.armMasks(maxplus.BodyOf(impl).R2)
+	s.armMasks(maxplus.BodyOf[float32](impl).R2)
 }

@@ -222,7 +222,7 @@ func poolPutSolver[T semiring.Scalar](pl *Pool, s *gsolver[T]) {
 // against its budget. The struct shells and their side tables live on
 // GC-managed sync.Pool freelists and are not counted, and Trim does not
 // release them. A max-plus solver shell that filled a 16×128 fold keeps
-// 88 576 bytes (measured on the shell after the fold): 52 224 of its blocks'
+// 88 576 bytes (TestPooledShellKeepsItsPricedTables): 52 224 of its blocks'
 // tile bit-sets, 32 768 of the triangles' word scratch, 1 024 each of R1's
 // tile bit-sets, of s2off and of the group offsets, and 512 of Zero — 1 % of
 // its 8.9 MB table, for as long as the freelist holds the shell (ROADMAP

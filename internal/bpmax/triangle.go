@@ -169,8 +169,8 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	// splits S² dominates, every sum being exact (docs/ALGORITHM.md §9,
 	// "Dominated splits").
 	s.r2 = nil
-	if r2, ok := any(maxplus.BodyOf(a.k.Impl).R2).(func(c, star []T, lds, k0, n int, live []uint64)); ok && s.blocksR1 && p.N2 >= maskMinN2 && p.S2.Closed() {
-		s.armMasks(r2)
+	if a.k.R2 != nil && s.blocksR1 && p.N2 >= maskMinN2 && p.S2.Closed() {
+		s.armMasks(a.k.R2)
 	} else {
 		s.pre = atLeast(s.pre, p.N1*a.n2)
 	}

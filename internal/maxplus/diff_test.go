@@ -48,23 +48,10 @@ func bits[T elem](v T) uint64 {
 	return math.Float64bits(float64(v))
 }
 
-// kernels is one body's streaming kernels in one algebra.
-type kernels[T elem] struct {
-	accum   func(y, x []T, a T)
-	into    func(dst, x []T, a T)
-	sweep   func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
-	each    func(y, x, w []T)
-	product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
-	r2      func(c, star []T, lds, k0, n int, live []uint64) // max-plus alone
-	live    func(y, pre []T, lo, hi int, live []uint64)      // max-plus alone
-}
-
-// algebra is one algebra's kernels in each body and the Go loops they must
-// match.
+// algebra is one algebra's plain Go loops, which every body must match.
 type algebra[T elem] struct {
 	name       string
-	of         func(Body) kernels[T]
-	goLoops    kernels[T]
+	goLoops    Body[T]
 	zero       T   // ⊕'s identity, which a product's b holds below its diagonal
 	guardWord  T   // a NaN pattern no kernel produces, so a stray store shows
 	specials   []T // the operands that separate a correct lane from a nearly correct one
@@ -74,9 +61,9 @@ type algebra[T elem] struct {
 
 // eachBody runs f as one subtest per body in testBodies, on that body's
 // kernels.
-func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T], kernels[T])) {
+func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T], Body[T])) {
 	for _, impl := range testBodies() {
-		t.Run(impl, func(t *testing.T) { f(t, k, k.of(BodyOf(impl))) })
+		t.Run(impl, func(t *testing.T) { f(t, k, BodyOf[T](impl)) })
 	}
 }
 
@@ -85,10 +72,8 @@ func eachBody[T elem](t *testing.T, k *algebra[T], f func(*testing.T, *algebra[T
 // picked for `a + x[i]`, and the fill never produces one.
 var maxPlus = algebra[float32]{
 	name: "max-plus float32",
-	of: func(b Body) kernels[float32] {
-		return kernels[float32]{b.Accumulate, b.AddScalarInto, b.Sweep, b.AccumEach, b.Product, b.R2, b.Live}
-	},
-	goLoops:   kernels[float32]{AccumulateGo, AddScalarIntoGo, SweepGo, AccumEachGo, ProductGo, r2Of(nil), liveOf(nil)},
+	goLoops: Body[float32]{Impl: "plain", Accum: AccumulateGo, AccumEach: AccumEachGo, MulInto: AddScalarIntoGo, Sweep: SweepGo,
+		Product: ProductGo, R2: r2Of(nil), Live: liveOf(nil)},
 	zero:      -1e30, // semiring.NegInf
 	guardWord: math.Float32frombits(0x7fa5a5a5),
 	specials: []float32{
@@ -112,10 +97,8 @@ var maxPlus = algebra[float32]{
 // shows as a different last bit.
 var sumProduct = algebra[float64]{
 	name: "sum-product float64",
-	of: func(b Body) kernels[float64] {
-		return kernels[float64]{b.SumProduct, b.MulScalarInto, b.SumProductSweep, b.SumProductEach, b.SumProductProduct, nil, nil}
-	},
-	goLoops:   kernels[float64]{SumProductGo, MulScalarIntoGo, SumProductSweepGo, SumProductEachGo, SumProductProductGo, nil, nil},
+	goLoops: Body[float64]{Impl: "plain", Accum: SumProductGo, AccumEach: SumProductEachGo, MulInto: MulScalarIntoGo, Sweep: SumProductSweepGo,
+		Product: SumProductProductGo},
 	zero:      0,
 	guardWord: math.Float64frombits(0x7ff4a5a5a5a5a5a5),
 	specials: []float64{
@@ -211,7 +194,7 @@ func TestStreamKernelsMatchGoBitForBit(t *testing.T) {
 	t.Run(sumProduct.name, func(t *testing.T) { eachBody(t, &sumProduct, streamKernelsMatchGo[float64]) })
 }
 
-func streamKernelsMatchGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func streamKernelsMatchGo[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	rng := rand.New(rand.NewSource(17))
 	for n := 0; n <= maxLen; n++ {
 		for lane := 0; lane < lanes[T](); lane++ {
@@ -222,21 +205,21 @@ func streamKernelsMatchGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) 
 			p := newPair(k, 4, 4*n)
 			y, wy := p.slice(rng, n, lane)
 			x, wx := p.slice(rng, n, xlane)
-			kern.accum(y, x, a1)
-			k.goLoops.accum(wy, wx, a1)
+			kern.Accum(y, x, a1)
+			k.goLoops.Accum(wy, wx, a1)
 			p.check(t, "accumulate "+what)
 
 			d, wd := p.slice(rng, n, lane)
-			kern.into(d, x, a1)
-			k.goLoops.into(wd, wx, a1)
+			kern.MulInto(d, x, a1)
+			k.goLoops.MulInto(wd, wx, a1)
 			p.check(t, "scalar-into "+what)
 
 			// Uneven lengths: only the common prefix moves.
 			if n > 0 {
-				kern.accum(y, x[:n-1], a2)
-				k.goLoops.accum(wy, wx[:n-1], a2)
-				kern.accum(y[:n/2], x, a1)
-				k.goLoops.accum(wy[:n/2], wx, a1)
+				kern.Accum(y, x[:n-1], a2)
+				k.goLoops.Accum(wy, wx[:n-1], a2)
+				kern.Accum(y[:n/2], x, a1)
+				k.goLoops.Accum(wy[:n/2], wx, a1)
 				p.check(t, "accumulate, uneven "+what)
 			}
 
@@ -260,7 +243,7 @@ func TestAccumEachMatchesGoBitForBit(t *testing.T) {
 	t.Run(sumProduct.name, func(t *testing.T) { eachBody(t, &sumProduct, accumEachMatchesGo[float64]) })
 }
 
-func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	rng := rand.New(rand.NewSource(38))
 	for n := 0; n <= maxLen; n++ {
 		for lane := 0; lane < lanes[T](); lane++ {
@@ -269,8 +252,8 @@ func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 			y, wy := p.slice(rng, n+1, lane)
 			x, wx := p.slice(rng, n, rng.Intn(lanes[T]()))
 			w, ww := p.slice(rng, n, rng.Intn(lanes[T]()))
-			kern.each(y, x, w)
-			k.goLoops.each(wy, wx, ww)
+			kern.AccumEach(y, x, w)
+			k.goLoops.AccumEach(wy, wx, ww)
 			p.check(t, "accum-each "+what)
 		}
 	}
@@ -285,8 +268,8 @@ func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 		y[i], x[i], w[i] = k.specials[i%m], k.specials[i/m%m], k.specials[i/(m*m)]
 		wy[i], wx[i], ww[i] = y[i], x[i], w[i]
 	}
-	kern.each(y, x, w)
-	k.goLoops.each(wy, wx, ww)
+	kern.AccumEach(y, x, w)
+	k.goLoops.AccumEach(wy, wx, ww)
 	p.check(t, "accum-each, specials")
 
 	if _, ok := any(T(0)).(float32); !ok {
@@ -306,8 +289,8 @@ func accumEachMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 			x := [...]T{0, negZero, v}[i%3]
 			ty[i], wty[i], tx[i], wtx[i], tw[i], wtw[i] = v, v, x, x, x*0, x*0
 		}
-		kern.each(ty, tx, tw)
-		k.goLoops.each(wty, wtx, wtw)
+		kern.AccumEach(ty, tx, tw)
+		k.goLoops.AccumEach(wty, wtx, wtw)
 		p.check(t, "accum-each, ties "+what)
 		for i := range ty {
 			if want := [...]T{negZero, 0, wty[i]}[i%3]; bits(ty[i]) != bits(want) {
@@ -377,12 +360,12 @@ func TestSumProductRoundsTheProduct(t *testing.T) {
 		{"SumProductSweepGo, pre-streams", n - 1, func(y []float64) { SumProductSweepGo(y, a, b, off, n-1, n-1, 0, n, pre) }},
 	}
 	for _, impl := range Impls() {
-		body := BodyOf(impl)
+		body := BodyOf[float64](impl)
 		runs = append(runs,
-			run{impl + " SumProduct", 0, func(y []float64) { body.SumProduct(y, b[:n], a[0]) }},
-			run{impl + " SumProductSweep", n - 1, func(y []float64) { body.SumProductSweep(y, a, b, off, n-2, n-1, 0, n, Pre[float64]{}) }},
-			run{impl + " SumProductEach", 0, func(y []float64) { body.SumProductEach(y, a, b[:n]) }},
-			run{impl + " SumProductSweep, pre-streams", n - 1, func(y []float64) { body.SumProductSweep(y, a, b, off, n-1, n-1, 0, n, pre) }})
+			run{impl + " Accum", 0, func(y []float64) { body.Accum(y, b[:n], a[0]) }},
+			run{impl + " Sweep", n - 1, func(y []float64) { body.Sweep(y, a, b, off, n-2, n-1, 0, n, Pre[float64]{}) }},
+			run{impl + " AccumEach", 0, func(y []float64) { body.AccumEach(y, a, b[:n]) }},
+			run{impl + " Sweep, pre-streams", n - 1, func(y []float64) { body.Sweep(y, a, b, off, n-1, n-1, 0, n, pre) }})
 	}
 	for _, c := range runs {
 		y := fresh()
@@ -424,7 +407,7 @@ func TestSweepMatchesGoBitForBit(t *testing.T) {
 // pre-streams from columns left of k0 — among them c0 = k0 on the last lane of
 // a block, one block left of the first k2 stream, and k0 = k1, the
 // pre-streams alone.
-func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 1; n <= maxLen; n++ {
 		for lane := 0; lane < blockLanes[T](); lane++ {
@@ -444,16 +427,16 @@ func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 					return Pre[T]{x1, x2, a1, a2, c0}, Pre[T]{wx1, wx2, a1, a2, c0}
 				}
 				y, wy := p.slice(rng, n, lane)
-				kern.sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{})
-				k.goLoops.sweep(wy, wa, wb, off, 0, n-1, 0, n, Pre[T]{})
+				kern.Sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{})
+				k.goLoops.Sweep(wy, wa, wb, off, 0, n-1, 0, n, Pre[T]{})
 				p.check(t, "sweep, whole row, "+what)
 				// c0 = k0 on the last grid lane of y's first block (BLANES-1 at
 				// lane 0): the k2 streams start a block to the right.
 				k0 := (2*blockLanes[T]() - 1 - lane) % blockLanes[T]() % n
 				k1 := k0 + rng.Intn(n-k0)
 				got, want := pre(k0)
-				kern.sweep(y, a, b, off, k0, k1, 0, n, got)
-				k.goLoops.sweep(wy, wa, wb, off, k0, k1, 0, n, want)
+				kern.Sweep(y, a, b, off, k0, k1, 0, n, got)
+				k.goLoops.Sweep(wy, wa, wb, off, k0, k1, 0, n, want)
 				p.check(t, fmt.Sprintf("sweep, pre-streams from column k0 = %d, k1 = %d, %s", k0, k1, what))
 				for from := 0; from < n; from++ {
 					k0 := rng.Intn(n)
@@ -464,15 +447,15 @@ func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 					if k0 >= from && rng.Intn(2) == 0 {
 						got, want = pre(from + rng.Intn(k0-from+1))
 					}
-					kern.sweep(y, a, b, off, k0, k1, from, n, got)
-					k.goLoops.sweep(wy, wa, wb, off, k0, k1, from, n, want)
+					kern.Sweep(y, a, b, off, k0, k1, from, n, got)
+					k.goLoops.Sweep(wy, wa, wb, off, k0, k1, from, n, want)
 					p.check(t, fmt.Sprintf("sweep, k2 in [%d,%d) from column %d, pre-streams from %d, %s", k0, k1, from, got.C0, what))
 
 					// R2's shape: a is y itself, the cells [k0, from) final in
 					// memory while the lanes from `from` up are in registers.
 					k0 = rng.Intn(from + 1)
-					kern.sweep(y, y, b, off, k0, from, from, n, Pre[T]{})
-					k.goLoops.sweep(wy, wy, wb, off, k0, from, from, n, Pre[T]{})
+					kern.Sweep(y, y, b, off, k0, from, from, n, Pre[T]{})
+					k.goLoops.Sweep(wy, wy, wb, off, k0, from, from, n, Pre[T]{})
 					p.check(t, fmt.Sprintf("sweep, a = y, k2 in [%d,%d) from column %d, %s", k0, from, from, what))
 				}
 
@@ -487,8 +470,8 @@ func sweepMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 					if i2%2 == (n-1)%2 {
 						got, want = pre(i2)
 					}
-					kern.sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, 0, n, got)
-					k.goLoops.sweep(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, 0, n, want)
+					kern.Sweep(blk[off[i2]:off[i2]+n], a, blk, off, i2, n-1, 0, n, got)
+					k.goLoops.Sweep(wblk[off[i2]:off[i2]+n], wa, wblk, off, i2, n-1, 0, n, want)
 				}
 				p.check(t, "sweep, in place, "+what)
 			}
@@ -503,7 +486,7 @@ func TestSweepRejectsRowsOutsideTheBlock(t *testing.T) {
 
 // sweepRejectsRowsOutsideTheBlock: the checks sit ahead of the choice of body,
 // so every build refuses with the same words, not the runtime's.
-func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	const n = 12
 	off, size := rowOffsets(n, false)
 	y, a, b := make([]T, n), make([]T, n), make([]T, size)
@@ -512,24 +495,24 @@ func sweepRejectsRowsOutsideTheBlock[T elem](t *testing.T, k *algebra[T], kern k
 		want string // what follows the sweep's name in the panic
 		run  func()
 	}{
-		{"row past the block", "row 11 ", func() { kern.sweep(y, a, b[:size-1:size-1], off, 0, n-1, 0, n, Pre[T]{}) }},
+		{"row past the block", "row 11 ", func() { kern.Sweep(y, a, b[:size-1:size-1], off, 0, n-1, 0, n, Pre[T]{}) }},
 		{"row before the block", "row 3 ", func() {
 			bad := append([]int(nil), off...)
 			bad[3] = -5
-			kern.sweep(y, a, b, bad, 0, n-1, 0, n, Pre[T]{})
+			kern.Sweep(y, a, b, bad, 0, n-1, 0, n, Pre[T]{})
 		}},
-		{"short y", "k2 range ", func() { kern.sweep(y[:n-1:n-1], a, b, off, 0, n-1, 0, n, Pre[T]{}) }},
-		{"short a", "k2 range ", func() { kern.sweep(y, a[:3:3], b, off, 0, n-1, 0, n, Pre[T]{}) }},
-		{"negative k0", "k2 range ", func() { kern.sweep(y, a, b, off, -1, n-1, 0, n, Pre[T]{}) }},
-		{"negative from", "k2 range [0,11) from column -1 ", func() { kern.sweep(y, a, b, off, 0, n-1, -1, n, Pre[T]{}) }},
-		{"from past the row", "k2 range [0,11) from column 12 ", func() { kern.sweep(y, a, b, off, 0, n-1, n, n, Pre[T]{}) }},
-		{"k0 past k1", "k2 range [5,4) ", func() { kern.sweep(y, a, b, off, 5, 4, 0, n, Pre[T]{a, a, 1, 1, 5}) }},
+		{"short y", "k2 range ", func() { kern.Sweep(y[:n-1:n-1], a, b, off, 0, n-1, 0, n, Pre[T]{}) }},
+		{"short a", "k2 range ", func() { kern.Sweep(y, a[:3:3], b, off, 0, n-1, 0, n, Pre[T]{}) }},
+		{"negative k0", "k2 range ", func() { kern.Sweep(y, a, b, off, -1, n-1, 0, n, Pre[T]{}) }},
+		{"negative from", "k2 range [0,11) from column -1 ", func() { kern.Sweep(y, a, b, off, 0, n-1, -1, n, Pre[T]{}) }},
+		{"from past the row", "k2 range [0,11) from column 12 ", func() { kern.Sweep(y, a, b, off, 0, n-1, n, n, Pre[T]{}) }},
+		{"k0 past k1", "k2 range [5,4) ", func() { kern.Sweep(y, a, b, off, 5, 4, 0, n, Pre[T]{a, a, 1, 1, 5}) }},
 		{"pre-streams right of k0", "k2 range [5,9) from column 0 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 6 outside it or X1[:12], X2[:12]",
-			func() { kern.sweep(y, a, b, off, 5, 9, 0, n, Pre[T]{a, a, 1, 1, 6}) }},
+			func() { kern.Sweep(y, a, b, off, 5, 9, 0, n, Pre[T]{a, a, 1, 1, 6}) }},
 		{"pre-streams left of from", "k2 range [5,9) from column 3 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 2 ",
-			func() { kern.sweep(y, a, b, off, 5, 9, 3, n, Pre[T]{a, a, 1, 1, 2}) }},
+			func() { kern.Sweep(y, a, b, off, 5, 9, 3, n, Pre[T]{a, a, 1, 1, 2}) }},
 		{"short pre-stream", "k2 range [0,9) from column 0 to column 12 outside y[:12], a[:12], off[:12], or pre-streams from column 0 outside it or X1[:12], X2[:11]",
-			func() { kern.sweep(y, a, b, off, 0, 9, 0, n, Pre[T]{a, a[:n-1], 1, 1, 0}) }},
+			func() { kern.Sweep(y, a, b, off, 0, 9, 0, n, Pre[T]{a, a[:n-1], 1, 1, 0}) }},
 	} {
 		func() {
 			defer func() {
@@ -552,7 +535,7 @@ func TestSweepRunsTheStreamsBeforeABadRow(t *testing.T) {
 	t.Run(sumProduct.name, func(t *testing.T) { eachBody(t, &sumProduct, sweepRunsTheStreamsBeforeABadRow[float64]) })
 }
 
-func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	const n, room = 20, 3 // every row may start at b[0] and end at b[n+room]
 	rng := rand.New(rand.NewSource(29))
 	for k0 := 0; k0 < 5; k0++ {
@@ -590,9 +573,9 @@ func sweepRunsTheStreamsBeforeABadRow[T elem](t *testing.T, k *algebra[T], kern 
 									t.Fatalf("%s: the sweep panicked with %q, bad row: %v", what, msg, c.bad)
 								}
 							}()
-							kern.sweep(y, a, b, off, k0, k1, from, n, pre)
+							kern.Sweep(y, a, b, off, k0, k1, from, n, pre)
 						}()
-						k.goLoops.sweep(wy, wa, wb, off, k0, end, from, n, wpre)
+						k.goLoops.Sweep(wy, wa, wb, off, k0, end, from, n, wpre)
 						p.check(t, what)
 					}
 				}
@@ -610,7 +593,7 @@ func BenchmarkSweep(b *testing.B) {
 
 func benchmarkSweep[T elem](b *testing.B, k *algebra[T]) {
 	for _, impl := range Impls() {
-		sweep := k.of(BodyOf(impl)).sweep
+		sweep := BodyOf[T](impl).Sweep
 		for _, n := range []int{32, 128, 512} {
 			b.Run(fmt.Sprintf("%s/%d", impl, n), func(b *testing.B) {
 				off, size := rowOffsets(n, false)
@@ -691,7 +674,7 @@ func TestKernelsLeaveNeighbouringCellsToTheirWriter(t *testing.T) {
 }
 
 // kernelsLeaveNeighbouringCells runs k's kernels on abutting packed rows.
-func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	for lane := 0; lane < blockLanes[T](); lane++ {
 		// A row that ends inside a block, and one that ends on a block's edge.
 		sweepLeavesNeighbouringCells(t, k, kern, lane, 29)
@@ -717,14 +700,14 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 			run  func()
 		}
 		kernels := []kernel{
-			{"accumulate", func() { kern.accum(y, x, 1) }},
-			{"scalar-into", func() { kern.into(y, x, 1) }},
-			{"accum-each", func() { kern.each(y, x, x) }},
+			{"accumulate", func() { kern.Accum(y, x, 1) }},
+			{"scalar-into", func() { kern.MulInto(y, x, 1) }},
+			{"accum-each", func() { kern.AccumEach(y, x, x) }},
 		}
-		if kern.r2 != nil {
+		if kern.R2 != nil {
 			star, live := any(r2Star(rand.New(rand.NewSource(1)), n, n, "mixed")).([]T), make([]uint64, 1)
-			kernels = append(kernels, kernel{"r2", func() { kern.r2(y, star, n, 0, n, live) }})
-			mid := func() { kern.r2(y, star, n, 5, n, live) }
+			kernels = append(kernels, kernel{"r2", func() { kern.R2(y, star, n, 0, n, live) }})
+			mid := func() { kern.R2(y, star, n, 5, n, live) }
 			ownedBySomeoneElse(t, fmt.Sprintf("r2 lane=%d from column 5, the word before y[5]", lane), &y[4], mid)
 		}
 		for _, c := range kernels {
@@ -732,12 +715,12 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 			ownedBySomeoneElse(t, what+", the word before y[0]", before, c.run)
 			ownedBySomeoneElse(t, what+", the word after y[n-1]", after, c.run)
 		}
-		short := func() { kern.accum(y[:m], x, 1) }
+		short := func() { kern.Accum(y[:m], x, 1) }
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word before y[0]", lane, m), before, short)
 		ownedBySomeoneElse(t, fmt.Sprintf("accumulate lane=%d n=%d, the word after it", lane, m), &y[m], short)
 	}
 
-	if kern.live != nil {
+	if kern.Live != nil {
 		// Live stores whole words of live: the words either side of those
 		// holding [lo, hi) are other rows' to write, in the substrate's
 		// wavefronts. Of y it stores the columns [lo, hi) alone, though pre
@@ -748,7 +731,7 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 			pre[j] = 1
 		}
 		for _, c := range [][2]int{{64, 128}, {69, 90}, {100, 140}} {
-			run := func() { kern.live(y, pre, c[0], c[1], words) }
+			run := func() { kern.Live(y, pre, c[0], c[1], words) }
 			what := fmt.Sprintf("live columns [%d,%d)", c[0], c[1])
 			ownedBySomeoneElse(t, what+", the word before", (*float64)(unsafe.Pointer(&words[c[0]>>6-1])), run)
 			ownedBySomeoneElse(t, what+", the word after", (*float64)(unsafe.Pointer(&words[(c[1]-1)>>6+1])), run)
@@ -763,7 +746,7 @@ func kernelsLeaveNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ker
 // the pre-streams from c0 — and those of the last block from y[n] on. On the
 // packed map the word before y[c0] is the row above's last cell, in the same
 // 256-byte block.
-func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kernels[T], lane, n int) {
+func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern Body[T], lane, n int) {
 	off, size := rowOffsets(n, true)
 	ar := newArena(arenaRoom(5, size+4*n), k.guardWord)
 	b, a := ar.slice(size, 3), ar.slice(n, 1)
@@ -774,20 +757,20 @@ func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kern
 	what := fmt.Sprintf("sweep lane=%d n=%d", lane, n)
 	pre := func(c0 int) Pre[T] { return Pre[T]{x1, x2, 1, 2, c0} }
 
-	whole := func() { kern.sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{}) }
+	whole := func() { kern.Sweep(y, a, b, off, 0, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", whole row, the word before y[0]", before, whole)
 	ownedBySomeoneElse(t, what+", whole row, y[0]", &y[0], whole)
 	ownedBySomeoneElse(t, what+", whole row, the word after y[n-1]", after, whole)
-	wholePre := func() { kern.sweep(y, a, b, off, 0, n-1, 0, n, pre(0)) }
+	wholePre := func() { kern.Sweep(y, a, b, off, 0, n-1, 0, n, pre(0)) }
 	ownedBySomeoneElse(t, what+", whole row and pre-streams, the word before y[0]", before, wholePre)
 
 	// One stream into y[n-1]: the first block is the last, and everything in
 	// it but one lane is someone else's. So with the pre-streams alone on it.
-	last := func() { kern.sweep(y, a, b, off, n-2, n-1, 0, n, Pre[T]{}) }
+	last := func() { kern.Sweep(y, a, b, off, n-2, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", last stream, the word before y[n-1]", &y[n-2], last)
 	ownedBySomeoneElse(t, what+", last stream, the word before y[0]", before, last)
 	ownedBySomeoneElse(t, what+", last stream, the word after y[n-1]", after, last)
-	preOnly := func() { kern.sweep(y, a, b, off, n-1, n-1, 0, n, pre(n-1)) }
+	preOnly := func() { kern.Sweep(y, a, b, off, n-1, n-1, 0, n, pre(n-1)) }
 	ownedBySomeoneElse(t, what+", pre-streams alone, the word before y[n-1]", &y[n-2], preOnly)
 	ownedBySomeoneElse(t, what+", pre-streams alone, the word after y[n-1]", after, preOnly)
 
@@ -795,13 +778,13 @@ func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kern
 	// pre-streams from c0 = k0 on a block's last lane, the k2 streams a block
 	// right.
 	mid := n / 2
-	tail := func() { kern.sweep(y, a, b, off, mid, n-1, 0, n, Pre[T]{}) }
+	tail := func() { kern.Sweep(y, a, b, off, mid, n-1, 0, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", k0 mid-row, the word before y[k0+1]", &y[mid], tail)
 	if c0 := blockLanes[T]() - 1 - lane; c0 > 0 && c0 < n-1 {
-		edge := func() { kern.sweep(y, a, b, off, c0, n-1, 0, n, pre(c0)) }
+		edge := func() { kern.Sweep(y, a, b, off, c0, n-1, 0, n, pre(c0)) }
 		ownedBySomeoneElse(t, what+", pre-streams from a block's last lane, the word before y[c0]", &y[c0-1], edge)
 	}
-	bound := func() { kern.sweep(y, y, b, off, mid/2, mid, mid, n, Pre[T]{}) }
+	bound := func() { kern.Sweep(y, y, b, off, mid/2, mid, mid, n, Pre[T]{}) }
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word before y[from]", &y[mid-1], bound)
 	ownedBySomeoneElse(t, what+", a = y from mid-row, the word after y[n-1]", after, bound)
 }
@@ -811,7 +794,7 @@ func sweepLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kern
 // else's. diag = lanes/2 with k = 9 sends the last splits of some pair on
 // every body to the second vector alone, so its stores come after a phase of
 // the split loop that skips the first.
-func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern kernels[T], lane, w int) {
+func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern Body[T], lane, w int) {
 	const m, splits = 5, 9
 	ldc := w + 1
 	ar := newArena(arenaRoom(5, 3*m*ldc+m*splits+splits*ldc), k.guardWord)
@@ -821,7 +804,7 @@ func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ke
 	c := ar.slice(m*ldc, lane)
 	for _, live := range [][]uint64{nil, {0b101101101, 0b110110110}} {
 		run := func() {
-			kern.product(c, ldc, a, splits, b, ldc, m, w, splits, lanes[T]()/2, Pre[T]{X1: x1, X2: x2, A1: 1, A2: 2}, live)
+			kern.Product(c, ldc, a, splits, b, ldc, m, w, splits, lanes[T]()/2, Pre[T]{X1: x1, X2: x2, A1: 1, A2: 2}, live)
 		}
 		what := fmt.Sprintf("product lane=%d w=%d live=%v", lane, w, live)
 		ownedBySomeoneElse(t, what+", the word before c[0]", &ar.buf[lo-1], run)
@@ -848,13 +831,13 @@ func productLeavesNeighbouringCells[T elem](t *testing.T, k *algebra[T], kern ke
 func TestProductMatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
 		t.Run(impl, func(t *testing.T) {
-			productMatchesGo(t, &maxPlus, maxPlus.of(BodyOf(impl)))
-			productMatchesGo(t, &sumProduct, sumProduct.of(BodyOf(impl)))
+			productMatchesGo(t, &maxPlus, BodyOf[float32](impl))
+			productMatchesGo(t, &sumProduct, BodyOf[float64](impl))
 		})
 	}
 }
 
-func productMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
+func productMatchesGo[T elem](t *testing.T, k *algebra[T], kern Body[T]) {
 	rng := rand.New(rand.NewSource(40))
 	lane := func() int { return rng.Intn(lanes[T]()) }
 	one := func(m, w, splits int) {
@@ -888,8 +871,8 @@ func productMatchesGo[T elem](t *testing.T, k *algebra[T], kern kernels[T]) {
 		padWith(c, ldc, w, k.guardWord)
 		padWith(wc, ldc, w, k.guardWord)
 		live, mode := liveSets(rng, m, splits)
-		kern.product(c, ldc, a, lda, b, ldb, m, w, splits, diag, pre, live)
-		k.goLoops.product(wc, ldc, wa, lda, wb, ldb, m, w, splits, diag, wpre, live)
+		kern.Product(c, ldc, a, lda, b, ldb, m, w, splits, diag, pre, live)
+		k.goLoops.Product(wc, ldc, wa, lda, wb, ldb, m, w, splits, diag, wpre, live)
 		p.check(t, fmt.Sprintf("%s m=%d w=%d k=%d diag=%d pre=%v live=%s ldc=%d lda=%d ldb=%d", k.name, m, w, splits, diag, pre.X1 != nil, mode, ldc, lda, ldb))
 	}
 	for m := 0; m <= 9; m++ {
@@ -1040,7 +1023,7 @@ func TestR2MatchesGoBitForBit(t *testing.T) {
 func r2MatchesGo(t *testing.T, impl string) {
 	const maxN, lds = 200, 203
 	rng := rand.New(rand.NewSource(48))
-	goR2, r2 := BodyOf("go").R2, BodyOf(impl).R2
+	goR2, r2 := BodyOf[float32]("go").R2, BodyOf[float32](impl).R2
 	for _, mode := range []string{"none live", "mixed", "all live"} {
 		star := r2Star(rng, maxN, lds, mode)
 		liveCols, cols := 0, 0
@@ -1109,7 +1092,7 @@ func TestR2RejectsBadArguments(t *testing.T) {
 	const n = 20
 	c, star, live := make([]float32, n), make([]float32, n*n), make([]uint64, 1)
 	for _, impl := range Impls() {
-		r2 := BodyOf(impl).R2
+		r2 := BodyOf[float32](impl).R2
 		for _, bad := range []func(){
 			func() { r2(c, star, n, -1, n, live) },
 			func() { r2(c, star, n, 5, 4, live) },
@@ -1141,7 +1124,7 @@ func TestLiveMatchesGoBitForBit(t *testing.T) {
 	for _, impl := range testBodies() {
 		t.Run(impl, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(50))
-			goLive, live := BodyOf("go").Live, BodyOf(impl).Live
+			goLive, live := BodyOf[float32]("go").Live, BodyOf[float32](impl).Live
 			set, cols := 0, 0
 			for n := 0; n <= 200; n++ {
 				lane := n % lanes[float32]()
@@ -1239,7 +1222,7 @@ func TestLiveRejectsBadArguments(t *testing.T) {
 	const n = 70
 	y, pre, live := make([]float32, n), make([]float32, n), make([]uint64, 2)
 	for _, impl := range Impls() {
-		f := BodyOf(impl).Live
+		f := BodyOf[float32](impl).Live
 		for _, bad := range []func(){
 			func() { f(y, pre, -1, n, live) },
 			func() { f(y, pre, 5, 4, live) },
@@ -1274,9 +1257,8 @@ func padWith[T elem](rows []T, ld, w int, guard T) {
 // others panics with words that name it, on every body, in both algebras.
 func TestProductRejectsBadArguments(t *testing.T) {
 	for _, impl := range Impls() {
-		body := BodyOf(impl)
-		productRejectsBadArguments(t, impl, body.Product)
-		productRejectsBadArguments(t, impl+" sum-product", body.SumProductProduct)
+		productRejectsBadArguments(t, impl, BodyOf[float32](impl).Product)
+		productRejectsBadArguments(t, impl+" sum-product", BodyOf[float64](impl).Product)
 	}
 }
 
@@ -1392,13 +1374,13 @@ func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
 		diag += fmt.Sprintf("/live=%v", sh.live)
 	}
 	for _, impl := range Impls() {
-		kern := k.of(BodyOf(impl))
+		kern := BodyOf[T](impl)
 		rate := func(b *testing.B) {
 			b.ReportMetric(float64(useful)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "useful-Gcell/s")
 		}
 		b.Run(fmt.Sprintf("product/%s/%s/%s/%dx%d/k=%d/%s", k.name[:strings.IndexByte(k.name, ' ')], sh.name, impl, rows, width, splits, diag), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				kern.product(data[splits:], pitch, data, pitch, data[pitch+splits:], pitch, rows, width, splits, sh.diag, Pre[T]{}, live)
+				kern.Product(data[splits:], pitch, data, pitch, data[pitch+splits:], pitch, rows, width, splits, sh.diag, Pre[T]{}, live)
 			}
 			rate(b)
 		})
@@ -1408,7 +1390,7 @@ func benchmarkProduct[T elem](b *testing.B, k *algebra[T], sh productShape) {
 		b.Run(fmt.Sprintf("sweep/%s/%s/%s/%dx%d/k=%d", k.name[:strings.IndexByte(k.name, ' ')], sh.name, impl, rows, width, splits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r++ {
-					kern.sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, splits, splits, splits+width, Pre[T]{})
+					kern.Sweep(data[r*pitch:], data[r*pitch:], data, off[r:], 0, splits, splits, splits+width, Pre[T]{})
 				}
 			}
 			rate(b)

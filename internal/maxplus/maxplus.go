@@ -8,29 +8,31 @@
 //
 // over contiguous single-precision rows (arithmetic intensity 2 FLOPs per
 // 3 memory operations = 1/6 FLOP/byte), which the C compiler then
-// auto-vectorizes. gc does not, so the kernels the fill calls — Accumulate,
-// Accumulate8, AccumEach, AddScalarInto and the fused k2 loop Sweep — have hand-written
-// vector bodies: AVX-512 (avx512_amd64.s) and AVX2 (avx2_amd64.s), the widest
-// the CPU and the operating system support chosen once at start-up, with no
-// option to pick another. Sweep is the paper's register tile (its §V future
-// work): it holds a block of four vectors of Y in registers — 256 bytes on
-// AVX-512, 128 on AVX2 — while a whole k2 loop of streams passes through it,
-// so Y makes one trip through memory per block, not one per k2; with a left
-// column bound it is also the substrate tile's step, and with a scratch copy
-// of a row as a, the partition fill's R2 and the substrate's closure row. The
-// max-plus fill takes R2 by its own kernel, R2: the same register block over a
-// row, which skips the splits R2 itself dominates and records the row's live
-// columns for the R0 products that read the row later. BPPart's
-// partition function is the same stream in the (+, ×) algebra over float64,
-// Y[j] = Y[j] + a·X[j]: a Body's SumProduct, SumProductEach, SumProductSweep
-// and MulScalarInto are those kernels, on the same assembly skeletons at half
-// the lanes. A sweep may carry two more streams (Pre), applied to each block
-// of Y before its k2 loop: the fill's R4 and R3. The Go
-// loops they all replace (portable.go) are every other build: other
-// architectures, the `purego` tag, an amd64 CPU without AVX2. Every body
-// produces the same bits; Impl names the one in use, Impls every one the CPU
-// can run, and BodyOf hands any of them to package semiring's bundles — the
-// fills' only route to Sweep and the float64 kernels — and to the tests.
+// auto-vectorizes. gc does not, so every kernel the fill calls is a slot of
+// a Body — the stream (Accum), its elementwise form (AccumEach), the row
+// initializer (MulInto), a whole k2 loop of streams into one row (Sweep), the
+// same loop for a group of rows (Product), and max-plus's R2 and Live — and
+// there is one Body a kernel set: AVX-512 (avx512_amd64.s), AVX2
+// (avx2_amd64.s) and the Go loops (portable.go), the widest the CPU and the
+// operating system support chosen once at start-up, with no option to pick
+// another. A Body is generic over its element type, one algebra a type:
+// Body[float32] is max-plus, Body[float64] BPPart's partition function, the
+// same stream in the (+, ×) algebra, Y[j] = Y[j] + a·X[j], on the same
+// assembly skeletons at half the lanes. Sweep is the paper's register tile
+// (its §V future work): it holds a block of four vectors of Y in registers —
+// 256 bytes on AVX-512, 128 on AVX2 — while a whole k2 loop of streams passes
+// through it, so Y makes one trip through memory per block, not one per k2;
+// Product holds 4 rows × 2 vectors. R2 takes a row's R2 skipping the splits R2
+// itself dominates and records the row's live columns, which the products
+// that read the row later skip by; Live records the same words for a
+// substrate closure row.
+//
+// Every body produces the same bits. Impl names the one in use, Impls every
+// one the CPU can run, and BodyOf hands any of them to package semiring,
+// whose kernel bundles embed it — the fills' one route to the kernels — and
+// to the tests. The Go body is the loops a portable build's fill runs (the
+// max-plus stream 8-way unrolled); the plain loops (AccumulateGo, SweepGo,
+// ProductGo, …) are the oracle every body is tested against.
 //
 // The gather kernel (DotMaxPlusStride) implements the *rejected* schedules
 // that keep k2 innermost; it exists so the benchmarks can demonstrate why
@@ -67,100 +69,154 @@ func Impls() []string {
 	return names
 }
 
-// Body is one body's streaming kernels, each behind the same checks as the
-// exported kernel of its name, which runs BodyOf(Impl()). The bodies Impl
-// did not choose are there for the differential tests and the parity
-// fuzzers, which hold every body the CPU can run to the Go loops.
-type Body struct {
-	Impl            string
-	Accumulate      func(y, x []float32, a float32)
-	AccumEach       func(y, x, w []float32)
-	AddScalarInto   func(dst, x []float32, a float32)
-	Sweep           func(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32])
-	SumProduct      func(y, x []float64, a float64)
-	SumProductEach  func(y, x, w []float64)
-	MulScalarInto   func(dst, x []float64, a float64)
-	SumProductSweep func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64])
-	Product         func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, w, k, diag int, pre Pre[float32], live []uint64)
-	// SumProductProduct is Product in the (+, ×) algebra over float64.
-	SumProductProduct func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, w, k, diag int, pre Pre[float64], live []uint64)
+// Body is one body's kernels in one algebra: T float32 is max-plus, T
+// float64 the sum-product. Each slot runs behind the argument checks its doc
+// states. Package semiring's Kernels embeds a Body beside the scalar ⊕ and ⊗,
+// in whose terms the slots are written. The bodies Impl did not choose are
+// there for the differential tests and the parity fuzzers, which hold every
+// body the CPU can run to the plain Go loops.
+type Body[T ~float32 | ~float64] struct {
+	// Impl names the body: "avx512", "avx2" or "go".
+	Impl string
+	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix. x must
+	// not overlap the part of y it updates.
+	Accum func(y, x []T, a T)
+	// AccumEach streams y[k] = y[k] ⊕ (x[k] ⊗ w[k]) over x: a pairing term.
+	AccumEach func(y, x, w []T)
+	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
+	MulInto func(dst, x []T, a T)
+	// Sweep streams a k2 loop into row y, y[j] = y[j] ⊕ (a[k2] ⊗ b[off[k2+1]+j])
+	// for k2 in [k0, k1) and j in [max(k2+1, from), n): y is indexed by
+	// absolute column, b is a table block and off its row offsets (cell (r, j)
+	// at b[off[r]+j]). It is the schedules' one k2 stream loop — R0 with b the
+	// south triangle, R1 with b the triangle being finalized, R2 with a a copy
+	// of the row and b its R2 table, and the substrate tile's step with a = y,
+	// from = the tile's first column: the row's final cells [k0, k1) pushed to
+	// the columns right of them. a[k0:k1] and the rows of b read must not
+	// overlap the columns of y written.
+	// pre, unless zero, is two streams y[pre.C0:n] takes first: R0's sweep
+	// carries the row's R4 and R3, and each lane takes R4, R3, then its k2
+	// ascending, as from three calls, bit for bit (docs/ALGORITHM.md §4). R1,
+	// R2, the DMP and the substrate pass none.
+	Sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])
+	// Product is Sweep's k2 loop for m rows that all take every split, after
+	// pre's two streams at c's stride (pre.C0 0; the zero Pre is none):
+	// c[r*ldc+j] ⊕= X1[r*ldc+j] ⊗ A1, ⊕= X2[r*ldc+j] ⊗ A2, then ⊕= a[r*lda+s] ⊗
+	// b[s*ldb+j] for s in [0, k) ascending (k = 0: the pre-streams alone), for
+	// r < m, j < w, c apart from the rest. b holds Zero at every j < s+diag, so
+	// a vector body may skip the vectors whose columns all lie there (the Go
+	// loops compute them: they change no cell, docs/ALGORITHM.md §9). A 4-row ×
+	// 2-vector register tile in the vector bodies, one Accum a (row, split) in
+	// the Go loops.
+	// live, unless nil, keeps only the splits it marks: one bit-set per kernel
+	// tile (each four rows, then each row left over), len(live)/tiles words,
+	// bit s for split s. An exact max-plus fill passes one to R0's and R1's
+	// products and to the substrate's cross-tile products, leaving out the
+	// splits another dominates (docs/ALGORITHM.md §9, "Dominated splits").
+	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64)
 	// R2 is finalize's max-plus R2 of one row, in place, with the row's live
-	// words (R2Go's loop).
-	R2 func(c, star []float32, lds, k0, n int, live []uint64)
+	// words (R2Go's loop). Nil on float64.
+	R2 func(c, star []T, lds, k0, n int, live []uint64)
 	// Live finishes a substrate closure row over the columns [lo, hi) and
-	// records its live words (LiveGo's loop).
-	Live func(y, pre []float32, lo, hi int, live []uint64)
+	// records its live words (LiveGo's loop). Nil on float64.
+	Live func(y, pre []T, lo, hi int, live []uint64)
 }
 
-// BodyOf returns the kernels of the named body. It panics unless impl is one
-// of Impls.
-func BodyOf(impl string) Body {
-	for _, b := range bodies[:process+1] {
-		if b.Impl == impl {
-			return b
+// BodyOf returns the named body's kernels over T: max-plus for float32, the
+// sum-product for float64. It panics unless impl is one of Impls.
+func BodyOf[T ~float32 | ~float64](impl string) Body[T] {
+	for v := isaGo; v <= process; v++ {
+		if v.String() == impl {
+			if b, ok := any(&maxPlusBodies[v]).(*Body[T]); ok {
+				return *b
+			}
+			return *any(&sumProductBodies[v]).(*Body[T])
 		}
 	}
 	panic(fmt.Sprintf("maxplus: no %q body in this process (it runs %v)", impl, Impls()))
 }
 
-// bodies is indexed by isa.
-var bodies = [...]Body{
-	isaGo: {
-		Impl:          "go",
-		Accumulate:    AccumulateGo,
-		AccumEach:     AccumEachGo,
-		AddScalarInto: AddScalarIntoGo,
-		Sweep: func(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
-			sweepRest("Sweep", SweepGo, y, a, b, off, k0, k1, from, n, &pre)
+// The bodies, indexed by isa. The Go bodies are the Go loops behind the
+// vector bodies' checks: the max-plus stream 8-way unrolled, the plain loops
+// elsewhere.
+var (
+	maxPlusBodies = [...]Body[float32]{
+		isaGo: {
+			Impl:      "go",
+			Accum:     Accumulate8Go,
+			AccumEach: AccumEachGo,
+			MulInto:   AddScalarIntoGo,
+			Sweep:     goSweep("Sweep", SweepOver(Accumulate8Go)),
+			Product:   productOf(ProductOver(Accumulate8Go), nil),
+			R2:        r2Of(nil),
+			Live:      liveOf(nil),
 		},
-		SumProduct:     SumProductGo,
-		SumProductEach: SumProductEachGo,
-		MulScalarInto:  MulScalarIntoGo,
-		SumProductSweep: func(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
-			sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
+		isaAVX2: {
+			Impl:      "avx2",
+			Accum:     accumulate2,
+			AccumEach: vectorEach(accumEachAVX2),
+			MulInto:   addScalarInto2,
+			Sweep:     sweep2,
+			Product:   productOf(nil, productAVX2),
+			R2:        r2Of(r2AVX2),
+			Live:      liveOf(liveAVX2),
 		},
-		Product:           productOf(ProductGo, nil),
-		SumProductProduct: productOf(SumProductProductGo, nil),
-		R2:                r2Of(nil),
-		Live:              liveOf(nil),
-	},
-	isaAVX2: {
-		Impl:              "avx2",
-		Accumulate:        accumulate2,
-		AccumEach:         vectorEach(accumEachAVX2),
-		AddScalarInto:     addScalarInto2,
-		Sweep:             sweep2,
-		SumProduct:        sumProduct2,
-		SumProductEach:    vectorEach(sumProductEachAVX2),
-		MulScalarInto:     mulScalarInto2,
-		SumProductSweep:   sumProductSweep2,
-		Product:           productOf(ProductGo, productAVX2),
-		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX2),
-		R2:                r2Of(r2AVX2),
-		Live:              liveOf(liveAVX2),
-	},
-	isaAVX512: {
-		Impl:              "avx512",
-		Accumulate:        accumulate512,
-		AccumEach:         vectorEach(accumEachAVX512),
-		AddScalarInto:     addScalarInto512,
-		Sweep:             sweep512,
-		SumProduct:        sumProduct512,
-		SumProductEach:    vectorEach(sumProductEachAVX512),
-		MulScalarInto:     mulScalarInto512,
-		SumProductSweep:   sumProductSweep512,
-		Product:           productOf(ProductGo, productAVX512),
-		SumProductProduct: productOf(SumProductProductGo, sumProductProductAVX512),
-		R2:                r2Of(r2AVX512),
-		Live:              liveOf(liveAVX512),
-	},
-}
+		isaAVX512: {
+			Impl:      "avx512",
+			Accum:     accumulate512,
+			AccumEach: vectorEach(accumEachAVX512),
+			MulInto:   addScalarInto512,
+			Sweep:     sweep512,
+			Product:   productOf(nil, productAVX512),
+			R2:        r2Of(r2AVX512),
+			Live:      liveOf(liveAVX512),
+		},
+	}
+	sumProductBodies = [...]Body[float64]{
+		isaGo: {
+			Impl:      "go",
+			Accum:     SumProductGo,
+			AccumEach: SumProductEachGo,
+			MulInto:   MulScalarIntoGo,
+			Sweep:     goSweep("SumProductSweep", SumProductSweepGo),
+			Product:   productOf(SumProductProductGo, nil),
+		},
+		isaAVX2: {
+			Impl:      "avx2",
+			Accum:     sumProduct2,
+			AccumEach: vectorEach(sumProductEachAVX2),
+			MulInto:   mulScalarInto2,
+			Sweep:     sumProductSweep2,
+			Product:   productOf(nil, sumProductProductAVX2),
+		},
+		isaAVX512: {
+			Impl:      "avx512",
+			Accum:     sumProduct512,
+			AccumEach: vectorEach(sumProductEachAVX512),
+			MulInto:   mulScalarInto512,
+			Sweep:     sumProductSweep512,
+			Product:   productOf(nil, sumProductProductAVX512),
+		},
+	}
+)
 
 // Accumulate performs the streaming update y[i] = max(a + x[i], y[i]) over
 // the common prefix of x and y. This is simultaneously Algorithm 3's
 // micro-benchmark kernel and the inner loop of the double max-plus. x must
-// not overlap the part of y it updates.
-func Accumulate(y, x []float32, a float32) { bodies[process].Accumulate(y, x, a) }
+// not overlap the part of y it updates. It is the process body's Accum, or
+// the plain loop (AccumulateGo) where that is the Go body.
+func Accumulate(y, x []float32, a float32) {
+	if process == isaGo {
+		AccumulateGo(y, x, a)
+		return
+	}
+	maxPlusBodies[process].Accum(y, x, a)
+}
+
+// Accumulate8 is the process body's Accum: Accumulate with an 8-way unrolled
+// main loop where the Go body runs (the unroll factor matches one AVX2
+// register of float32); with the vector bodies active it is Accumulate.
+func Accumulate8(y, x []float32, a float32) { maxPlusBodies[process].Accum(y, x, a) }
 
 func accumulate2(y, x []float32, a float32) {
 	if n := min(len(y), len(x)); n > 0 {
@@ -174,8 +230,8 @@ func accumulate512(y, x []float32, a float32) {
 	}
 }
 
-// vectorEach binds a vector body of Body.AccumEach or Body.SumProductEach, the
-// pairing stream y[k] = y[k] ⊕ x[k] ⊗ w[k] over x, behind the Go loops' checks.
+// vectorEach binds a vector body of Body.AccumEach, the pairing stream
+// y[k] = y[k] ⊕ x[k] ⊗ w[k] over x, behind the Go loops' checks.
 func vectorEach[T float32 | float64](body func(y, x, w *T, n int)) func(y, x, w []T) {
 	return func(y, x, w []T) {
 		if n := len(x); n > 0 {
@@ -185,22 +241,9 @@ func vectorEach[T float32 | float64](body func(y, x, w *T, n int)) func(y, x, w 
 	}
 }
 
-// Accumulate8 is Accumulate with an 8-way unrolled main loop where the
-// portable bodies run (the unroll factor matches one AVX2 register of
-// float32); with the vector bodies active it is Accumulate.
-func Accumulate8(y, x []float32, a float32) {
-	if process != isaGo {
-		Accumulate(y, x, a)
-		return
-	}
-	Accumulate8Go(y, x, a)
-}
-
-// AddScalarInto initializes dst[i] = a + x[i] over the common prefix of dst
-// and x: the row-initialization kernel (G = S¹(i1,j1) + S² row) that seeds
-// the H accumulator before the R0/R3/R4 streams run.
-func AddScalarInto(dst, x []float32, a float32) { bodies[process].AddScalarInto(dst, x, a) }
-
+// The vector bodies of max-plus MulInto: dst[i] = a + x[i] over the common
+// prefix of dst and x, the row initialization (G = S¹(i1,j1) + S² row) that
+// seeds the H accumulator before the R0/R3/R4 streams run.
 func addScalarInto2(dst, x []float32, a float32) {
 	if n := min(len(dst), len(x)); n > 0 {
 		addScalarIntoAVX2(&dst[0], &x[0], n, a)
@@ -229,15 +272,14 @@ type Pre[T ~float32 | ~float64] struct {
 	C0     int
 }
 
-// sweep2 and sweep512 are the avx2 and avx512 bodies of Sweep (Body.Sweep;
-// semiring.Kernels.Sweep binds them; the go body is sweepRest): pre's two
-// streams, then a whole k2 loop of streams into one accumulator row,
+// sweep2 and sweep512 are the avx2 and avx512 bodies of max-plus Sweep: pre's
+// two streams, then a whole k2 loop of streams into one accumulator row,
 //
 //	for k2 in [k0, k1): y[j] = max(a[k2] + b[off[k2+1]+j], y[j])  for j in [max(k2+1, from), n)
 //
 // with 0 <= k0 <= k1 < n and 0 <= from < n (every stream is non-empty); a
 // sweep with k0 == k1 and no pre does nothing. sumProductSweep2 and 512 are
-// SumProductSweep's, the same loop in the (+, ×) algebra, y[j] + a[k2] *
+// the float64 bodies', the same loop in the (+, ×) algebra, y[j] + a[k2] *
 // b[off[k2+1]+j], under the same requirements and checks.
 //
 // y is a table row indexed by absolute column, a the row of left operands,
@@ -256,7 +298,8 @@ type Pre[T ~float32 | ~float64] struct {
 // vector body calls its assembly, which looks at the rows itself, several a
 // step, and does nothing if one lies outside b, only on arguments
 // sweepArgsOK passes; everything else goes to sweepRest, whose Go loops — the
-// same bits — run the streams before a bad row, and whose panic names it.
+// same bits — run the streams before a bad row, and whose panic names it. The
+// Go bodies run sweepRest alone (goSweep).
 // The assembly is called directly, not through a func value: a call fewer,
 // on a path the partition fill takes about ten thousand times a fold.
 func sweep2(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
@@ -284,6 +327,13 @@ func sumProductSweep512(y, a, b []float64, off []int, k0, k1, from, n int, pre P
 	if k0 >= k1 && pre.X1 == nil || len(a) == 0 || len(b) == 0 || !sweepArgsOK(len(y), len(a), len(off), k0, k1, from, n, &pre) ||
 		!sumProductSweepAVX512(&y[0], &a[0], &b[0], &off[0], k0, k1, from, n, len(b), pre.C0, unsafe.SliceData(pre.X1), pre.A1, unsafe.SliceData(pre.X2), pre.A2) {
 		sweepRest("SumProductSweep", SumProductSweepGo, y, a, b, off, k0, k1, from, n, &pre)
+	}
+}
+
+// goSweep binds a Go body's Sweep: goLoops behind sweepRest's checks.
+func goSweep[T float32 | float64](name string, goLoops func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T])) func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T]) {
+	return func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T]) {
+		sweepRest(name, goLoops, y, a, b, off, k0, k1, from, n, &pre)
 	}
 }
 
@@ -330,7 +380,7 @@ func panicSweepRow(name string, blen int, off []int, k2, n int) {
 	panic(fmt.Sprintf("maxplus: %s row %d at offset %d to column %d outside b[:%d]", name, k2+1, off[k2+1], n, blen))
 }
 
-// The vector bodies of Body.SumProduct: the streaming update
+// The vector bodies of float64 Accum: the streaming update
 // y[i] = y[i] + a * x[i] over the common prefix of x and y, Accumulate in the
 // (+, ×) algebra over float64 and the inner loop of the scaled partition
 // fill. The product is rounded before the add — two operations, never a
@@ -348,9 +398,8 @@ func sumProduct512(y, x []float64, a float64) {
 	}
 }
 
-// The vector bodies of Body.MulScalarInto: dst[i] = a * x[i] over the
-// common prefix of dst and x, AddScalarInto in the (+, ×) algebra over
-// float64.
+// The vector bodies of float64 MulInto: dst[i] = a * x[i] over the common
+// prefix of dst and x, the max-plus MulInto in the (+, ×) algebra.
 func mulScalarInto2(dst, x []float64, a float64) {
 	if n := min(len(dst), len(x)); n > 0 {
 		mulScalarIntoAVX2(&dst[0], &x[0], n, a)
@@ -363,9 +412,8 @@ func mulScalarInto512(dst, x []float64, a float64) {
 	}
 }
 
-// productOf binds a body of Body.Product or Body.SumProductProduct
-// (semiring.Kernels.Product): vec, a register tile of 4 rows × 2 vectors, or
-// goLoops where vec is nil, behind checks whose panic names the argument
+// productOf binds a body of Body.Product: vec, a register tile of 4 rows × 2
+// vectors, or goLoops where vec is nil, behind checks whose panic names the argument
 // found bad. The checks compare integers alone; the names and the message are
 // built only for a panic.
 func productOf[T float32 | float64](goLoops func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64),

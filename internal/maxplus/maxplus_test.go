@@ -147,19 +147,24 @@ func TestDotMaxPlusStrideMatchesDense(t *testing.T) {
 	}
 }
 
+// TestAddScalarInto: every body's max-plus MulInto, the row initializer
+// dst[i] = a + x[i], writes the common prefix alone.
 func TestAddScalarInto(t *testing.T) {
-	dst := make([]float32, 4)
-	AddScalarInto(dst, []float32{1, 2, 3, 4}, 10)
-	if !equalSlices(dst, []float32{11, 12, 13, 14}) {
-		t.Errorf("AddScalarInto = %v", dst)
+	for _, impl := range Impls() {
+		into := BodyOf[float32](impl).MulInto
+		dst := make([]float32, 4)
+		into(dst, []float32{1, 2, 3, 4}, 10)
+		if !equalSlices(dst, []float32{11, 12, 13, 14}) {
+			t.Errorf("%s: MulInto = %v", impl, dst)
+		}
+		// Uneven lengths: only the common prefix is written.
+		dst2 := []float32{-1, -1, -1}
+		into(dst2, []float32{5}, 1)
+		if !equalSlices(dst2, []float32{6, -1, -1}) {
+			t.Errorf("%s: MulInto uneven = %v", impl, dst2)
+		}
+		into(nil, nil, 0) // must not panic
 	}
-	// Uneven lengths: only the common prefix is written.
-	dst2 := []float32{-1, -1, -1}
-	AddScalarInto(dst2, []float32{5}, 1)
-	if !equalSlices(dst2, []float32{6, -1, -1}) {
-		t.Errorf("AddScalarInto uneven = %v", dst2)
-	}
-	AddScalarInto(nil, nil, 0) // must not panic
 }
 
 func TestAccumulateCommutesWithOrder(t *testing.T) {
@@ -190,7 +195,7 @@ func BenchmarkAccumulate(b *testing.B) {
 	x := randomSlice(rng, 4096)
 	y := randomSlice(rng, 4096)
 	for _, impl := range Impls() {
-		accumulate := BodyOf(impl).Accumulate
+		accumulate := BodyOf[float32](impl).Accum
 		for _, n := range []int{32, 128, 512, 4096} {
 			b.Run(fmt.Sprintf("%s/%d", impl, n), func(b *testing.B) {
 				b.ReportAllocs()

@@ -1,12 +1,14 @@
 package maxplus
 
-// The portable bodies of the streaming kernels: the loops this package had
-// before it had assembly, unchanged. They are what runs on every
-// architecture but amd64, under the `purego` build tag and on an amd64 CPU
-// without AVX2, and they are the oracle the vector bodies are tested
-// against bit for bit.
+// The Go loops of the streaming kernels: the loops this package had before
+// it had assembly. The Go bodies (BodyOf("go")) run them behind the vector
+// bodies' checks — the max-plus stream through its 8-way unrolled loop — on
+// every architecture but amd64, under the `purego` build tag and on an amd64
+// CPU without AVX2. The plain loops are the oracle every body, the Go bodies
+// included, is tested against bit for bit.
 
-// AccumulateGo is Accumulate's portable body.
+// AccumulateGo is the plain loop of max-plus Accum: the oracle, and
+// Accumulate on a portable build.
 func AccumulateGo(y, x []float32, a float32) {
 	n := len(y)
 	if len(x) < n {
@@ -21,8 +23,8 @@ func AccumulateGo(y, x []float32, a float32) {
 	}
 }
 
-// AccumEachGo is AccumEach's portable body: y[k] = max(x[k] + w[k], y[k])
-// for every k of x, the pairing term of a row (semiring.Kernels.AccumEach).
+// AccumEachGo is max-plus AccumEach's Go loop: y[k] = max(x[k] + w[k], y[k])
+// for every k of x, the pairing term of a row.
 func AccumEachGo(y, x, w []float32) {
 	y, w = y[:len(x)], w[:len(x)]
 	for k, v := range x {
@@ -32,9 +34,9 @@ func AccumEachGo(y, x, w []float32) {
 	}
 }
 
-// Accumulate8Go is AccumulateGo with an 8-way unrolled main loop: it keeps
-// the loop free of bounds checks and gives the hardware independent max
-// chains to retire in parallel.
+// Accumulate8Go is AccumulateGo with an 8-way unrolled main loop, the Go
+// body's Accum: it keeps the loop free of bounds checks and gives the
+// hardware independent max chains to retire in parallel.
 func Accumulate8Go(y, x []float32, a float32) {
 	n := len(y)
 	if len(x) < n {
@@ -86,7 +88,7 @@ func Accumulate8Go(y, x []float32, a float32) {
 	}
 }
 
-// AddScalarIntoGo is AddScalarInto's portable body.
+// AddScalarIntoGo is max-plus MulInto's Go loop.
 func AddScalarIntoGo(dst, x []float32, a float32) {
 	n := len(dst)
 	if len(x) < n {
@@ -99,23 +101,25 @@ func AddScalarIntoGo(dst, x []float32, a float32) {
 	}
 }
 
-// SweepGo is Sweep's portable body, and the Sweep of semiring's Go max-plus
-// bundle: pre's two AccumulateGo streams, then one per k2.
-func SweepGo(y, a, b []float32, off []int, k0, k1, from, n int, pre Pre[float32]) {
-	if pre.X1 != nil {
-		AccumulateGo(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
-		AccumulateGo(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
-	}
-	for k2 := k0; k2 < k1; k2++ {
-		o, lo := off[k2+1], max(k2+1, from)
-		AccumulateGo(y[lo:n], b[o+lo:o+n], a[k2])
+// SweepOver builds a Sweep from a stream: pre's two, then one per k2. It is
+// the Go bodies' Sweep (behind their checks), the oracle's and log-sum-exp's.
+func SweepOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T]) {
+	return func(y, a, b []T, off []int, k0, k1, from, n int, pre Pre[T]) {
+		if pre.X1 != nil {
+			acc(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
+			acc(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
+		}
+		for k2 := k0; k2 < k1; k2++ {
+			o, lo := off[k2+1], max(k2+1, from)
+			acc(y[lo:n], b[o+lo:o+n], a[k2])
+		}
 	}
 }
 
 // ProductOver builds a Product from a stream: pre's two a row, then one a
 // (row, split) for the splits live marks, s ascending; it ignores diag
-// (skipped candidates change no cell). It is the vector bodies' oracle and
-// the Go bundles' Product.
+// (skipped candidates change no cell). It is the Go bodies' Product (behind
+// their checks), the oracle's and log-sum-exp's.
 func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
 	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
 		stride := len(live) / max(ProductTiles(m), 1)
@@ -168,7 +172,7 @@ func TileLive(dst, a []uint64, w, q0, m, k0, k1 int) []uint64 {
 // reaches.
 const zero = -1e30
 
-// R2Go is R2's portable body: finalize's max-plus R2 of one row c against the
+// R2Go is R2's Go loop: finalize's max-plus R2 of one row c against the
 // star (row r at star[r*lds:]), in place, for j in [k0, n),
 //
 //	c[j] = c[j] ⊕ y[j],   y[j] = ⊕ over k0 <= k < j of c[k] ⊗ star[k+1][j]
@@ -199,7 +203,7 @@ func R2Go(c, star []float32, lds, k0, n int, live []uint64) {
 	}
 }
 
-// LiveGo is Live's portable body: for j in [lo, hi) it sets bit j of live
+// LiveGo is Live's Go loop: for j in [lo, hi) it sets bit j of live
 // where pre[j] > y[j], clearing it elsewhere, and then y[j] = y[j] ⊕ pre[j]
 // (y on a tie or a NaN); no other bit changes. In the substrate's closure row
 // (package nussinov) y holds the row's split maximum, every split m in
@@ -216,10 +220,12 @@ func LiveGo(y, pre []float32, lo, hi int, live []uint64) {
 	}
 }
 
-// ProductGo and SumProductProductGo are the portable bodies of Product and
-// SumProductProduct.
+// SweepGo and ProductGo are the plain max-plus loops, the oracle; the float64
+// Go body runs SumProductSweepGo and SumProductProductGo.
 var (
+	SweepGo             = SweepOver(AccumulateGo)
 	ProductGo           = ProductOver(AccumulateGo)
+	SumProductSweepGo   = SweepOver(SumProductGo)
 	SumProductProductGo = ProductOver(SumProductGo)
 )
 
@@ -229,7 +235,7 @@ var (
 // roundings, is the numeric contract the vector bodies implement with VMULPD
 // and VADDPD.
 
-// SumProductGo is SumProduct's portable body.
+// SumProductGo is float64 Accum's Go loop.
 func SumProductGo(y, x []float64, a float64) {
 	n := min(len(y), len(x))
 	x = x[:n]
@@ -239,7 +245,7 @@ func SumProductGo(y, x []float64, a float64) {
 	}
 }
 
-// SumProductEachGo is SumProductEach's portable body: y[k] += x[k]·w[k] for
+// SumProductEachGo is float64 AccumEach's Go loop: y[k] += x[k]·w[k] for
 // every k of x, the sum-product pairing term of a row.
 func SumProductEachGo(y, x, w []float64) {
 	y, w = y[:len(x)], w[:len(x)]
@@ -248,25 +254,12 @@ func SumProductEachGo(y, x, w []float64) {
 	}
 }
 
-// MulScalarIntoGo is MulScalarInto's portable body.
+// MulScalarIntoGo is float64 MulInto's Go loop.
 func MulScalarIntoGo(dst, x []float64, a float64) {
 	n := min(len(dst), len(x))
 	x = x[:n]
 	dst = dst[:n]
 	for i := range dst {
 		dst[i] = a * x[i]
-	}
-}
-
-// SumProductSweepGo is SumProductSweep's portable body: pre's two
-// SumProductGo streams, then one per k2.
-func SumProductSweepGo(y, a, b []float64, off []int, k0, k1, from, n int, pre Pre[float64]) {
-	if pre.X1 != nil {
-		SumProductGo(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
-		SumProductGo(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
-	}
-	for k2 := k0; k2 < k1; k2++ {
-		o, lo := off[k2+1], max(k2+1, from)
-		SumProductGo(y[lo:n], b[o+lo:o+n], a[k2])
 	}
 }

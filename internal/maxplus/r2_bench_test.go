@@ -48,7 +48,7 @@ func BenchmarkR2Row(b *testing.B) {
 		}
 		live := make([]uint64, (n2+63)/64)
 		for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
-			body := maxplus.BodyOf(impl)
+			body := maxplus.BodyOf[float32](impl)
 			perRow := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 			}

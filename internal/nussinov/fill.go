@@ -38,15 +38,12 @@ type ParallelFor func(ctx context.Context, n int, f func(i int)) error
 
 // closure is the scratch of the closure form: pre holds each row's seed ⊕
 // its pair term by absolute column, off the table's row offsets (off[r] =
-// r·pitch), zero a row of Zero, live the body's Live kernel, which ends every
-// row and records its live words in the table (GTable.Live), and tiles a
-// product's kernel-tile bit-sets, one slot of slot words to each block-row,
-// so the tiles of a wavefront build theirs side by side. A nil *closure is
-// the per-split walk.
+// r·pitch), zero a row of Zero, and tiles a product's kernel-tile bit-sets,
+// one slot of slot words to each block-row, so the tiles of a wavefront build
+// theirs side by side. A nil *closure is the per-split walk.
 type closure[T semiring.Scalar] struct {
 	pre, zero []T
 	off       []int
-	live      func(y, pre []T, lo, hi int, live []uint64)
 	tiles     []uint64
 	slot      int
 }
@@ -102,8 +99,8 @@ func fillRow[T semiring.Scalar](t *GTable[T], k *semiring.Kernels[T], unit T, w 
 		copy(cl.pre[s0:c1], y[s0:c1])
 		k.AccumEach(cl.pre[lo:c1], below[lo-1:c1-1], w(i, lo, c1))
 		k.Sweep(y, cl.pre, data, cl.off, s0, c1-1, lo, c1, maxplus.Pre[T]{})
-		nw := liveW(t.N)
-		cl.live(y, cl.pre, lo, c1, t.live[i*nw:(i+1)*nw])
+		nw := liveW(t.N) // Live ends the row and records its live words (GTable.Live)
+		k.Live(y, cl.pre, lo, c1, t.live[i*nw:(i+1)*nw])
 		return
 	}
 	k.AccumEach(y[lo:c1], below[lo-1:c1-1], w(i, lo, c1)) // S[i+1, j-1] ⊗ w(i, j)

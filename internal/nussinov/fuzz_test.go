@@ -52,7 +52,7 @@ func FuzzSubstrateParity(f *testing.F) {
 			streamed := nussinov.Build(n, sc)
 			subjects := map[string]*nussinov.Table{
 				"streamed":      streamed,
-				"streamed-go":   nussinov.BuildG(n, semiring.MaxPlusKernelsGo(false), sc),
+				"streamed-go":   nussinov.BuildG(n, semiring.MaxPlusKernelsGo(), sc),
 				"four-russians": fourrussians.Build(n, sc, maxStep),
 			}
 			for _, exact := range []bool{false, true} {

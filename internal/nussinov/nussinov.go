@@ -227,7 +227,6 @@ func (t *GTable[T]) scratch(k semiring.Kernels[T], tile int) *closure[T] {
 	for r := range cl.off {
 		cl.off[r], cl.zero[r] = r*t.pitch, k.Zero
 	}
-	cl.live = any(maxplus.BodyOf(k.Impl).Live).(func(y, pre []T, lo, hi int, live []uint64))
 	words, slots, slot := liveWords(n, tile)
 	t.live, cl.tiles, cl.slot = grow(t.live, words), grow(cl.tiles, slots*slot), slot
 	clear(t.live)

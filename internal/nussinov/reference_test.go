@@ -41,7 +41,7 @@ func referenceFill[T semiring.Scalar](data []T, n, p int, k semiring.Kernels[T],
 
 // ReferenceBuild is Build by the per-cell oracle.
 func ReferenceBuild(n int, score ScoreFunc) *Table {
-	return ReferenceBuildG(n, semiring.MaxPlusKernelsGo(false), 0, score)
+	return ReferenceBuildG(n, semiring.MaxPlusKernelsGo(), 0, score)
 }
 
 // ReferenceBuildG is a GTable filled by the per-cell oracle.

@@ -119,8 +119,8 @@ func TestStreamedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kernels := map[string]semiring.Kernels[float32]{
 		semiring.MaxPlusKernels(true).Impl: semiring.MaxPlusKernels(true), // what Build binds: avx2 where the process has it
-		"go":                               semiring.MaxPlusKernelsGo(false),
-		"go-unrolled":                      semiring.MaxPlusKernelsGo(true), // what Build binds elsewhere
+		"go":                               semiring.MaxPlusKernelsGo(),
+		"go-unrolled":                      semiring.MaxPlusKernelsOf("go"), // what Build binds elsewhere
 	}
 	// The scaled partition substrate's fill: Boltzmann factors damped by
 	// e^{-σ} per nucleotide under its first-pass σ, inexact products throughout.
@@ -546,7 +546,7 @@ func productSplitWork(g *Table, tile int) float64 {
 // before, and its Clone keeping them.
 func TestLiveWordsAreR2s(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	r2 := maxplus.BodyOf("go").R2
+	r2 := maxplus.BodyOf[float32]("go").R2
 	// r2Words is the words R2Go leaves on a copy of each row of g.
 	r2Words := func(g *Table) []uint64 {
 		w := liveW(g.N)

@@ -16,13 +16,18 @@ type Scalar interface {
 
 // Kernels bundles one scalar semiring's streaming kernels in the exact
 // shapes the optimized solver consumes. The paper's whole optimization
-// story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
-// Kernels value supplies that update (Accum), a whole k2 loop of such
-// updates into one row (Sweep), its elementwise form y[j] = y[j] ⊕ (x[j] ⊗
-// w[j]) (AccumEach), the row initializer dst[j] = a ⊗ x[j] (MulInto), and the
-// scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul).
-// Generic callers must take ⊗ from here, never from native `+`: the
-// sum-product instance multiplies.
+// story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); the
+// embedded maxplus.Body supplies that update (Accum) and every kernel built
+// on it (AccumEach, MulInto, Sweep, Product, and max-plus's R2 and Live),
+// and the bundle adds the scalar ⊕ and ⊗ for per-cell orchestration (Add,
+// Mul) and their identities. Generic callers must take ⊗ from here, never
+// from native `+`: the sum-product instance multiplies.
+//
+// Impl names the body behind the streaming slots: "avx512" or "avx2" when
+// they are vector assembly, "go" otherwise. MaxPlusKernels and
+// SumProductKernels report the vector body the process chose (maxplus.Impl)
+// where it has one; the plain-loop oracle and LogSumExpKernels are always
+// "go".
 //
 // Tie-breaking contract: Add(candidate, accumulator) must return the
 // accumulator when the two compare equal, mirroring the specialized
@@ -30,80 +35,41 @@ type Scalar interface {
 // running value second, so max-plus instantiations stay bit-identical to
 // the hand-written kernels (including NaN propagation order).
 type Kernels[T Scalar] struct {
-	// Impl names the implementation behind the streaming slots: "avx512" or
-	// "avx2" when they are vector assembly, "go" otherwise. MaxPlusKernels
-	// and SumProductKernels report the vector body the process chose
-	// (maxplus.Impl) where it has one; their Go twins and LogSumExpKernels
-	// are always "go".
-	Impl string
+	maxplus.Body[T]
 	// Zero is ⊕'s identity (the "impossible" value); One is ⊗'s identity
 	// (the empty structure).
 	Zero, One T
 	// Add is the scalar ⊕; Mul the scalar ⊗.
 	Add func(a, b T) T
 	Mul func(a, b T) T
-	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
-	Accum func(y, x []T, a T)
-	// AccumEach streams y[k] = y[k] ⊕ (x[k] ⊗ w[k]) over x: a pairing term.
-	AccumEach func(y, x, w []T)
-	// Sweep streams a k2 loop into row y, y[j] = y[j] ⊕ (a[k2] ⊗ b[off[k2+1]+j])
-	// for k2 in [k0, k1) and j in [max(k2+1, from), n): y is indexed by
-	// absolute column, b is a table block and off its row offsets (cell (r, j)
-	// at b[off[r]+j]). It is the schedules' one k2 stream loop — R0 with b the
-	// south triangle, R1 with b the triangle being finalized, R2 with a a copy
-	// of the row and b its R2 table, and the substrate tile's step with a = y,
-	// from = the tile's first column: the row's final cells [k0, k1) pushed to
-	// the columns right of them. a[k0:k1] and the rows of b read must not
-	// overlap the columns of y written.
-	// pre (maxplus.Pre), unless zero, is two streams y[pre.C0:n] takes first:
-	// R0's sweep carries the row's R4 and R3, and each lane takes R4, R3,
-	// then its k2 ascending, as from three calls, bit for bit
-	// (docs/ALGORITHM.md §4). R1, R2, the DMP and the substrate pass none.
-	Sweep func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T])
-	// MulInto initializes dst[i] = a ⊗ x[i] over the common prefix.
-	MulInto func(dst, x []T, a T)
-	// Product is Sweep's k2 loop for m rows that all take every split, after
-	// pre's two streams at c's stride (pre.C0 0; the zero Pre is none):
-	// c[r*ldc+j] ⊕= X1[r*ldc+j] ⊗ A1, ⊕= X2[r*ldc+j] ⊗ A2, then ⊕= a[r*lda+s] ⊗
-	// b[s*ldb+j] for s in [0, k) ascending (k = 0: the pre-streams alone), for
-	// r < m, j < w, c apart from the rest. b holds Zero at every j < s+diag, so
-	// a vector body may skip the vectors whose columns all lie there (the Go
-	// loops compute them: they change no cell, docs/ALGORITHM.md §9). A 4-row ×
-	// 2-vector register tile in the vector bundles, one Accum a (row, split)
-	// elsewhere.
-	// live, unless nil, keeps only the splits it marks: one bit-set per kernel
-	// tile (each four rows, then each row left over), len(live)/tiles words,
-	// bit s for split s. Only exact max-plus R0 passes one, leaving out splits
-	// another dominates (docs/ALGORITHM.md §9, "Dominated splits").
-	Product func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre maxplus.Pre[T], live []uint64)
 }
 
-// The bundles whose Sweep is a closure over their Accum are built once here:
-// the constructors below run once per fold, on a path the pool keeps free of
-// allocations.
+// kernelsOf is the named body of package maxplus beside a semiring's scalar
+// operations: every bundle but log-sum-exp's. It runs once per fold, on a
+// path the pool keeps free of allocations.
+func kernelsOf[T Scalar](impl string, zero, one T, add, mul func(a, b T) T) Kernels[T] {
+	return Kernels[T]{Body: maxplus.BodyOf[T](impl), Zero: zero, One: one, Add: add, Mul: mul}
+}
+
+// The bundles with slots of their own are built once here: the plain-loop
+// oracle and log-sum-exp.
 var (
-	maxPlusGo         = newMaxPlusGo(maxplus.AccumulateGo, maxplus.SweepGo)
-	maxPlusGoUnrolled = newMaxPlusGo(maxplus.Accumulate8Go, sweepOver(maxplus.Accumulate8Go))
-	logSumExp         = newLogSumExp()
-	sumProductGo      = newSumProductGo()
+	maxPlusGo = newMaxPlusGo()
+	logSumExp = newLogSumExp()
 )
 
-// sweepOver builds a bundle's Sweep from its Accum, one call per pre-stream
-// and per k2: the form of the two bundles package maxplus has no Sweep body
-// for, log-sum-exp and the 8-way unrolled max-plus loops (the portable
-// build's fill).
-func sweepOver[T Scalar](acc func(y, x []T, a T)) func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T]) {
-	return func(y, a, b []T, off []int, k0, k1, from, n int, pre maxplus.Pre[T]) {
-		if pre.X1 != nil {
-			acc(y[pre.C0:n], pre.X1[pre.C0:n], pre.A1)
-			acc(y[pre.C0:n], pre.X2[pre.C0:n], pre.A2)
-		}
-		for k2 := k0; k2 < k1; k2++ {
-			o, lo := off[k2+1], max(k2+1, from)
-			acc(y[lo:n], b[o+lo:o+n], a[k2])
-		}
+func maxAdd(a, b float32) float32 {
+	if a > b {
+		return a
 	}
+	return b
 }
+
+func plus32(a, b float32) float32 { return a + b }
+
+func plus64(a, b float64) float64 { return a + b }
+
+func times64(a, b float64) float64 { return a * b }
 
 // accumEachOver is AccumEach over a bundle's scalar ⊕ and ⊗, in Accum's
 // operand order: log-sum-exp's. Max-plus and the sum-product have their own
@@ -119,16 +85,17 @@ func accumEachOver[T Scalar](add, mul func(a, b T) T) func(y, x, w []T) {
 
 // MaxPlusKernels returns the tropical float32 kernel set backed by package
 // maxplus: the vector body it chose for this process (maxplus.Impl), else
-// MaxPlusKernelsGo. unroll selects the 8-way unrolled streaming kernel, a
-// distinction only the Go bodies have: with the vector bodies active both
-// settings run the same code. Both fills (internal/bpmax, internal/nussinov)
-// pass true (the unrolled loop is the faster portable body); the parameter
-// survives for the plain-loop oracle and the repository benchmark's probe.
+// the Go body. unroll selects the Go body's 8-way unrolled streams, a
+// distinction only the Go loops have: with the vector bodies active both
+// settings run the same code, and without them false is the plain-loop
+// oracle (MaxPlusKernelsGo). Both fills (internal/bpmax, internal/nussinov)
+// pass true; the parameter survives for the oracle and the repository
+// benchmark's probe.
 func MaxPlusKernels(unroll bool) Kernels[float32] {
-	if impl := maxplus.Impl(); impl != "go" {
+	if impl := maxplus.Impl(); impl != "go" || unroll {
 		return MaxPlusKernelsOf(impl)
 	}
-	return MaxPlusKernelsGo(unroll)
+	return maxPlusGo
 }
 
 // MaxPlusKernelsOf returns the tropical float32 kernel set on the named body
@@ -137,45 +104,21 @@ func MaxPlusKernels(unroll bool) Kernels[float32] {
 // process's is for the parity tests, which hold every body the CPU can run to
 // the same tables.
 func MaxPlusKernelsOf(impl string) Kernels[float32] {
-	k := maxPlusGoUnrolled
-	if impl == "go" {
-		return k
-	}
-	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto, k.Product = b.Impl, b.Accumulate, b.AccumEach, b.Sweep, b.AddScalarInto, b.Product
-	return k
+	return kernelsOf(impl, NegInf, 0, maxAdd, plus32)
 }
 
 // MaxPlusKernelsGo returns the tropical float32 kernel set over maxplus's
-// portable Go loops — the functions the pre-generic solver called directly.
-// It is what MaxPlusKernels returns on a build or CPU without the vector
-// bodies, and the oracle they are tested against: the two sets produce
-// bit-identical tables.
-func MaxPlusKernelsGo(unroll bool) Kernels[float32] {
-	if unroll {
-		return maxPlusGoUnrolled
-	}
+// plain Go loops — AccumulateGo, SweepGo, ProductGo beside the Go body's other
+// slots — the oracle every body, the Go body (MaxPlusKernelsOf("go")) among
+// them, is tested against: the sets produce bit-identical tables.
+func MaxPlusKernelsGo() Kernels[float32] {
 	return maxPlusGo
 }
 
-func newMaxPlusGo(acc func(y, x []float32, a float32), sweep func(y, a, b []float32, off []int, k0, k1, from, n int, pre maxplus.Pre[float32])) Kernels[float32] {
-	return Kernels[float32]{
-		Impl: "go",
-		Zero: NegInf,
-		One:  0,
-		Add: func(a, b float32) float32 {
-			if a > b {
-				return a
-			}
-			return b
-		},
-		Mul:       func(a, b float32) float32 { return a + b },
-		Accum:     acc,
-		AccumEach: maxplus.AccumEachGo,
-		Sweep:     sweep,
-		MulInto:   maxplus.AddScalarIntoGo,
-		Product:   maxplus.ProductOver(acc),
-	}
+func newMaxPlusGo() Kernels[float32] {
+	k := MaxPlusKernelsOf("go")
+	k.Accum, k.Sweep, k.Product = maxplus.AccumulateGo, maxplus.SweepGo, maxplus.ProductGo
+	return k
 }
 
 // lse is the numerically stable log(eᵃ + eᵇ): LogSumExp.Add and the
@@ -198,7 +141,7 @@ func lse(a, b float64) float64 {
 // float64: ⊕ = log-sum-exp, ⊗ = + (multiplication of Boltzmann factors in
 // log space). Feeding the BPMax recurrence weights w/kT through these
 // kernels yields the BPPart-flavoured log partition value; as kT → 0 the
-// fill converges to the max-plus score.
+// fill converges to the max-plus score. It has no R2 or Live.
 func LogSumExpKernels() Kernels[float64] { return logSumExp }
 
 func newLogSumExp() Kernels[float64] {
@@ -213,41 +156,43 @@ func newLogSumExp() Kernels[float64] {
 			y[i] = lse(a+x[i], y[i])
 		}
 	}
-	add := func(a, b float64) float64 { return a + b }
 	return Kernels[float64]{
-		Impl:      "go",
-		Zero:      math.Inf(-1),
-		One:       0,
-		Add:       lse,
-		Mul:       add,
-		Accum:     accum,
-		AccumEach: accumEachOver(lse, add),
-		Sweep:     sweepOver(accum),
-		Product:   maxplus.ProductOver(accum),
-		MulInto: func(dst, x []float64, a float64) {
-			n := len(dst)
-			if len(x) < n {
-				n = len(x)
-			}
-			x = x[:n]
-			dst = dst[:n]
-			for i := range dst {
-				dst[i] = a + x[i]
-			}
+		Body: maxplus.Body[float64]{
+			Impl:      "go",
+			Accum:     accum,
+			AccumEach: accumEachOver(lse, plus64),
+			Sweep:     maxplus.SweepOver(accum),
+			Product:   maxplus.ProductOver(accum),
+			MulInto: func(dst, x []float64, a float64) {
+				n := len(dst)
+				if len(x) < n {
+					n = len(x)
+				}
+				x = x[:n]
+				dst = dst[:n]
+				for i := range dst {
+					dst[i] = a + x[i]
+				}
+			},
 		},
+		Zero: math.Inf(-1),
+		One:  0,
+		Add:  lse,
+		Mul:  plus64,
 	}
 }
 
 // SumProductKernels returns the linear-domain sum-product kernel set over
 // float64: ⊕ = +, ⊗ = ×, Zero = 0, One = 1 — the Counting semiring in
 // streaming form, backed by package maxplus's float64 bodies: the one the
-// process chose (maxplus.Impl), the portable Go loops where it has no vector
-// body. Fed Boltzmann factors e^{w/kT} it computes the same ensemble sum as LogSumExpKernels with
-// one multiply and one add per candidate and no transcendental; the caller
-// keeps the values inside float64's range by pre-scaling its inputs per
-// nucleotide (see internal/bpmax's partition fill) and takes the log once, at
-// the boundary. A forbidden weight is an exact 0, which annihilates under ⊗
-// and is neutral under ⊕ like -Inf does in the log domain.
+// process chose (maxplus.Impl), the Go loops where it has no vector body. It
+// has no R2 or Live. Fed Boltzmann factors e^{w/kT} it computes the same
+// ensemble sum as LogSumExpKernels with one multiply and one add per
+// candidate and no transcendental; the caller keeps the values inside
+// float64's range by pre-scaling its inputs per nucleotide (see
+// internal/bpmax's partition fill) and takes the log once, at the boundary.
+// A forbidden weight is an exact 0, which annihilates under ⊗ and is neutral
+// under ⊕ like -Inf does in the log domain.
 //
 // Numeric contract: every candidate is ⊗ then ⊕ — the product rounded to
 // float64, then the sum rounded — in every body on every build, never a
@@ -256,30 +201,9 @@ func newLogSumExp() Kernels[float64] {
 func SumProductKernels() Kernels[float64] { return SumProductKernelsOf(maxplus.Impl()) }
 
 // SumProductKernelsOf returns the sum-product kernel set on the named body of
-// package maxplus, one of maxplus.Impls; "go" is the portable Go loops, the
-// oracle the vector bodies are tested against. As with MaxPlusKernelsOf, a
-// body other than the process's is for the parity tests.
+// package maxplus, one of maxplus.Impls; "go" is the Go loops, the oracle the
+// vector bodies are tested against. As with MaxPlusKernelsOf, a body other
+// than the process's is for the parity tests.
 func SumProductKernelsOf(impl string) Kernels[float64] {
-	k := sumProductGo
-	if impl == "go" {
-		return k
-	}
-	b := maxplus.BodyOf(impl)
-	k.Impl, k.Accum, k.AccumEach, k.Sweep, k.MulInto, k.Product = b.Impl, b.SumProduct, b.SumProductEach, b.SumProductSweep, b.MulScalarInto, b.SumProductProduct
-	return k
-}
-
-func newSumProductGo() Kernels[float64] {
-	return Kernels[float64]{
-		Impl:      "go",
-		Zero:      0,
-		One:       1,
-		Add:       func(a, b float64) float64 { return a + b },
-		Mul:       func(a, b float64) float64 { return a * b },
-		Accum:     maxplus.SumProductGo,
-		AccumEach: maxplus.SumProductEachGo,
-		Sweep:     maxplus.SumProductSweepGo,
-		MulInto:   maxplus.MulScalarIntoGo,
-		Product:   maxplus.SumProductProductGo,
-	}
+	return kernelsOf(impl, 0, 1, plus64, times64)
 }

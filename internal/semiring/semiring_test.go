@@ -352,8 +352,8 @@ func TestKernelBundlesMatchTheirScalars(t *testing.T) {
 	x32 := []float32{0.25, 3, 1.5, 0.125, 7, 2, 0.5, 1, 9}
 	checkKernels(t, "maxplus", MaxPlusKernels(false), x32, 0.75, 2.5)
 	checkKernels(t, "maxplus-unrolled", MaxPlusKernels(true), x32, 0.75, 2.5)
-	checkKernels(t, "maxplus-go", MaxPlusKernelsGo(false), x32, 0.75, 2.5)
-	checkKernels(t, "maxplus-go-unrolled", MaxPlusKernelsGo(true), x32, 0.75, 2.5)
+	checkKernels(t, "maxplus-go", MaxPlusKernelsGo(), x32, 0.75, 2.5)
+	checkKernels(t, "maxplus-go-unrolled", MaxPlusKernelsOf("go"), x32, 0.75, 2.5)
 	// Every body the CPU can run, by name: the parity tests' seam.
 	for _, impl := range maxplus.Impls() {
 		mp, sp := MaxPlusKernelsOf(impl), SumProductKernelsOf(impl)
