@@ -264,6 +264,16 @@ run_lint() (
         echo "lint: a kernel fetched through an any( type assertion (read the bundle's slot)" >&2
         exit 1
     fi
+    # The body picks kernels, never the fill's form: the interaction fill's
+    # block products and masks follow the map, the band and the algebra
+    # (fillForm), and the substrate's tile edge the form alone. A kernel-body
+    # name compared in either fill package is a portable build running a
+    # different algorithm from the vector host growing back.
+    if grep -rnE --include='*.go' '[Ii]mpl(\(\))? *[!=]= *"' internal/bpmax internal/nussinov |
+        grep -v '_test\.go:'; then
+        echo "lint: a kernel-body name compared in internal/bpmax or internal/nussinov (the layout and the algebra pick the fill's form)" >&2
+        exit 1
+    fi
     # One substrate stage: one single-strand table type (Table is an alias of
     # GTable[float32]) and one build call, FillContext, which alone chooses
     # between the inline and the tiled fill. A second table struct, or the

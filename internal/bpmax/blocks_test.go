@@ -34,22 +34,18 @@ var blockConfigs = []struct {
 }
 
 // TestBlockProductsMatchSweeps holds the fills that take R0 and R1 as block
-// products — and, from N2 = maskMinN2 up, R2 for four triangles of a
-// wavefront as one — every vector body the CPU runs — to the same fills on
-// the Go loops, which sweep: cell for cell, at N1 3 and 6 (wavefronts of 1 to
-// 6 triangles: groups of four, and shorter ones a triangle at a time), on
-// every max-plus weight model (integer, dyadic and fractional: a max over the
-// same candidates does not depend on their order, rounded sums included),
-// every streamed schedule, one worker and two, fresh and pooled. The scaled
-// partition fill takes R0 alone as
-// products, of float64, and is held to its sweeps (r0Tiled) bit for bit at kT
-// 1 and 0.3: a sum is not order-free, so this holds only if every cell takes
-// R4, R3 and then its splits in ascending order, and every split a product
-// skips or adds is an exact +0 (docs/ALGORITHM.md §9).
+// products — and, from N2 = maskMinN2 up, skip dominated splits — on every
+// kernel body the CPU runs to the same fills on the packed map, which sweep:
+// cell for cell, at N1 3 and 6 (wavefronts of 1 to 6 triangles), on every
+// max-plus weight model (integer, dyadic and fractional: a max over the same
+// candidates does not depend on their order, rounded sums included), every
+// streamed schedule, one worker and two, fresh and pooled. The scaled
+// partition fill takes R0 alone as products, of float64, and is held to its
+// sweeps (r0Tiled) bit for bit at kT 1 and 0.3: a sum is not order-free, so
+// this holds only if every cell takes R4, R3 and then its splits in
+// ascending order, and every split a product skips or adds is an exact +0
+// (docs/ALGORITHM.md §9).
 func TestBlockProductsMatchSweeps(t *testing.T) {
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: every fill sweeps")
-	}
 	ctx := context.Background()
 	for _, model := range parityModels {
 		for _, sh := range blockProblemShapes() {
@@ -64,13 +60,13 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 				for _, workers := range []int{1, 2} {
 					for _, pool := range []*Pool{nil, pl} {
 						cfg := bc.cfg
-						cfg.Workers, cfg.Pool = workers, pool
-						cfg.SetKernels("go")
+						cfg.Workers, cfg.Pool, cfg.Map = workers, pool, MapPacked
 						want, err := SolveContext(ctx, p, bc.v, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
+						cfg.Map = MapBox
+						for _, impl := range maxplus.Impls() {
 							label := fmt.Sprintf("%s/%dx%d/%s/workers=%d/pooled=%v/%s", model.name, n1, n2, bc.name, workers, pool != nil, impl)
 							cfg.SetKernels(impl)
 							s := newSolver(p, cfg, p.N1, p.N2)
@@ -104,10 +100,10 @@ func TestBlockProductsMatchSweeps(t *testing.T) {
 				for _, workers := range []int{1, 2} {
 					for _, pool := range []*Pool{nil, pl} {
 						cfg := bc.cfg
-						cfg.Workers, cfg.Pool = workers, pool
-						cfg.SetKernels("go")
+						cfg.Workers, cfg.Pool, cfg.Map = workers, pool, MapPacked
 						want := scaledFill(t, ctx, p, ps, bc.v, cfg)
-						for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
+						cfg.Map = MapBox
+						for _, impl := range maxplus.Impls() {
 							label := fmt.Sprintf("kT=%v/n2=%d/%s/workers=%d/pooled=%v/%s", kT, n2, bc.name, workers, pool != nil, impl)
 							cfg.SetKernels(impl)
 							a := ps.a
@@ -156,12 +152,11 @@ func scaledFill(t *testing.T, ctx context.Context, p *Problem, ps *PartitionSub,
 }
 
 // TestBoxBlocksHoldZeroBelowDiagonal: after a max-plus or scaled partition
-// fill on the box map, on the block products or the sweeps, every cell of
+// fill on the box map, on every kernel body and schedule, every cell of
 // every block in its padding — below the diagonal, from the column padFrom
 // names on — holds Zero, bit for bit — -1e30, or the partition's +0 — the
 // cells a product reads through and writes into, whose candidates must leave
-// every cell as it was. A fill on the Go loops takes no products and pads
-// nothing.
+// every cell as it was.
 func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 	p := newTestProblem(t, 41, 4, 37)
 	for _, impl := range maxplus.Impls() {
@@ -170,22 +165,18 @@ func TestBoxBlocksHoldZeroBelowDiagonal(t *testing.T) {
 			cfg.Workers = 2
 			cfg.SetKernels(impl)
 			ft := Solve(p, bc.v, cfg)
-			zeroInPadding(t, p, ft.data, semiring.NegInf, padding(cfg, impl, 32), impl+"/"+bc.name)
+			zeroInPadding(t, p, ft.data, semiring.NegInf, padding(cfg, 32), impl+"/"+bc.name)
 			for _, kT := range []float64{1, 0.3} {
 				pt := scaledFill(t, context.Background(), p, buildTestPartitionSub(t, p, kT), bc.v, cfg)
-				zeroInPadding(t, p, pt.data, 0, padding(cfg, impl, 16), fmt.Sprintf("%s/%s/partition kT=%v", impl, bc.name, kT))
+				zeroInPadding(t, p, pt.data, 0, padding(cfg, 16), fmt.Sprintf("%s/%s/partition kT=%v", impl, bc.name, kT))
 			}
 		}
 	}
 }
 
 // padding returns the first padded column of each row of a box-map fill
-// under cfg on the named body, whose products take cols columns a tile: the
-// diagonal itself (no padding) on the Go loops.
-func padding(cfg Config, impl string, cols int) func(i2 int) int {
-	if impl == "go" {
-		return func(i2 int) int { return i2 }
-	}
+// under cfg, whose products take cols columns a tile.
+func padding(cfg Config, cols int) func(i2 int) int {
 	tile := cfg.withDefaults().TileI2
 	return func(i2 int) int { return padFrom(i2, tile, cols) }
 }
@@ -227,7 +218,7 @@ func TestBlockProductsReadNoCellBeforeItsSeed(t *testing.T) {
 				cfg := bc.cfg
 				cfg.Workers = workers
 				label := fmt.Sprintf("n2=%d %s workers=%d", n2, bc.name, workers)
-				from, from64 := padding(cfg, maxplus.Impl(), 32), padding(cfg, maxplus.Impl(), 16)
+				from, from64 := padding(cfg, 32), padding(cfg, 16)
 				want := Solve(p, bc.v, cfg)
 				s := newSolver(p, cfg, p.N1, p.N2)
 				poison(s.f.data)
@@ -253,8 +244,8 @@ func TestBlockProductsReadNoCellBeforeItsSeed(t *testing.T) {
 
 // refillPoisoned fills through solve, poisons the table and releases it to
 // cfg's pool, then fills again and checks that the refill got the poisoned
-// storage back (unzeroed: the vector bodies take R0 by products on the box
-// map, so every cell is seeded before it is read). It returns the refill's
+// storage back (unzeroed: every body takes R0 by products on the box map, so
+// every cell is seeded before it is read). It returns the refill's
 // cells.
 func refillPoisoned[T float32 | float64](t *testing.T, cfg Config, solve func() (*FTableOf[T], error)) []T {
 	t.Helper()

@@ -28,21 +28,20 @@ func Charge(pl *Pool, n1, n2, w1, w2 int, kind MapKind, width int) int64 {
 	case pl == nil:
 		return int64(elems)*int64(width) + live
 	case width == 8:
-		return pl.buf64.HeldBytesAfter(elems) + pl.buf.RetainedBytes() + live
+		return pl.f64.buf.HeldBytesAfter(elems) + pl.f32.buf.RetainedBytes() + live
 	default:
-		return pl.buf.HeldBytesAfter(elems) + pl.buf64.RetainedBytes() + live
+		return pl.f32.buf.HeldBytesAfter(elems) + pl.f64.buf.RetainedBytes() + live
 	}
 }
 
 // liveBytes is the live words a masked fill of a layout of elems cells holds
-// beside its table (armMasks), for a float32 box-map table storing every
-// column of an n2 >= maskMinN2 strand, whether or not the body makes the fill
-// take masks: every block's kernel-tile bit-sets under the default row tile
-// (the one every fold runs), ⌈n2/64⌉ words a row of each of the n1
+// beside its table (armMasks), for a float32 — max-plus — layout that takes
+// masks (fillForm): every block's kernel-tile bit-sets under the default row
+// tile (the one every fold runs), ⌈n2/64⌉ words a row of each of the n1
 // triangles' word scratch, and four a row group for R1's tile bit-sets. S²'s
 // own words belong to S² (ProblemBytes prices them).
 func liveBytes(elems, n1, n2, w2 int, kind MapKind, width int) int64 {
-	if width != 4 || kind != MapBox || n2 < maskMinN2 || w2 < n2 {
+	if _, _, masks := fillForm(kind, n2, w2, width == 4); !masks {
 		return 0
 	}
 	w := (n2 + 63) / 64

@@ -35,24 +35,28 @@ func TestEstimateBytesMatchesAllocation(t *testing.T) {
 // 16×128, fold's shape, 52 224 bytes of the blocks' bit-sets, 32 KiB of
 // scratch and 1 KiB of R1's bit-sets: 86 016, where one word set a row of
 // every block held 278 528; S²'s 2 KiB of words are S²'s, priced by
-// ProblemBytes); a row shorter than maskMinN2, a band or the packed map holds
-// none.
+// ProblemBytes), on every kernel body; a row shorter than maskMinN2, a band
+// or the packed map holds none.
 func TestChargePricesLiveWords(t *testing.T) {
 	for _, c := range [][2]int{{1, maskMinN2}, {3, 65}, {2, 130}, {16, 128}} {
 		n1, n2 := c[0], c[1]
-		s := newSolver(newTestProblem(t, 9, n1, n2), Config{}, n1, n2)
-		if s.r2 == nil {
+		p := newTestProblem(t, 9, n1, n2)
+		for _, impl := range maxplus.Impls() {
+			var cfg Config
+			cfg.SetKernels(impl)
+			s := newSolver(p, cfg, n1, n2)
+			if s.r2 == nil {
+				t.Fatalf("%dx%d/%s: the fill takes no masks", n1, n2, impl)
+			}
+			words := 8 * int64(len(s.tiles)+len(s.rowLive)+len(s.r1live))
+			if got, want := Charge(nil, n1, n2, n1, n2, MapBox, 4), s.f.Bytes()+words; got != want {
+				t.Errorf("%dx%d/%s: Charge %d, the fill holds %d", n1, n2, impl, got, want)
+			}
+			if n1 == 16 && words != 52224+32768+1024 {
+				t.Errorf("16x128/%s: the live words hold %d bytes", impl, words)
+			}
 			s.abort()
-			t.Skip("no vector body in this build: no fill takes masks")
 		}
-		words := 8 * int64(len(s.tiles)+len(s.rowLive)+len(s.r1live))
-		if got, want := Charge(nil, n1, n2, n1, n2, MapBox, 4), s.f.Bytes()+words; got != want {
-			t.Errorf("%dx%d: Charge %d, the fill holds %d", n1, n2, got, want)
-		}
-		if n1 == 16 && words != 52224+32768+1024 {
-			t.Errorf("16x128: the live words hold %d bytes", words)
-		}
-		s.abort()
 	}
 	for _, c := range [][5]int{{4, maskMinN2 - 1, 4, maskMinN2 - 1, int(MapBox)}, {2, 70, 2, 69, int(MapBox)}, {2, 70, 2, 70, int(MapPacked)}} {
 		n1, n2, w1, w2, kind := c[0], c[1], c[2], c[3], MapKind(c[4])
@@ -63,43 +67,46 @@ func TestChargePricesLiveWords(t *testing.T) {
 }
 
 // TestPooledShellKeepsItsPricedTables pins what a pooled max-plus solver
-// shell keeps after a 16×128 fold, the figure Pool.RetainedBytes states:
-// every slice the shell holds is the live words Charge prices (liveBytes,
-// 86 016 bytes) or one of three side tables — S²'s row offsets (s2off), the
-// group offsets (tileOff) and the row of Zero (zeros) — 88 576 bytes in all.
-// A side table added to the shell and left unpriced fails it.
+// shell keeps after a 16×128 fold on every kernel body, the figure
+// Pool.RetainedBytes states: every slice the shell holds is the live words
+// Charge prices (liveBytes, 86 016 bytes) or one of three side tables — S²'s
+// row offsets (s2off), the group offsets (tileOff) and the row of Zero
+// (zeros) — 88 576 bytes in all. A side table added to the shell and left
+// unpriced fails it.
 func TestPooledShellKeepsItsPricedTables(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: no fill takes masks")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the freelist
 	const n1, n2 = 16, 128
-	pl := NewPool()
-	ft, err := SolveContext(context.Background(), newTestProblem(t, 9, n1, n2), VariantHybridTiled, Config{Workers: 1, Pool: pl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft.Release()
-	hits := pl.Stats().SolverHits
-	s := pl.getSolver()
-	defer pl.putSolver(s)
-	if pl.Stats().SolverHits == hits || s.r2 == nil {
-		t.Fatalf("the pool handed back no masked shell (hit %v, r2 set %v)", pl.Stats().SolverHits > hits, s.r2 != nil)
-	}
-	var held int64
-	v := reflect.ValueOf(s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Slice {
-			held += int64(f.Cap()) * int64(f.Type().Elem().Size())
+	p := newTestProblem(t, 9, n1, n2)
+	for _, impl := range maxplus.Impls() {
+		pl := NewPool()
+		cfg := Config{Workers: 1, Pool: pl}
+		cfg.SetKernels(impl)
+		ft, err := SolveContext(context.Background(), p, VariantHybridTiled, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	live := liveBytes(tableElems(n1, n2, n1, n2, MapBox), n1, n2, n2, MapBox, 4)
-	side := 8*int64(cap(s.s2off)) + 8*int64(cap(s.tileOff)) + 4*int64(cap(s.zeros))
-	if held != live+side || live != 86016 || held != 88576 {
-		t.Errorf("the shell holds %d bytes of slices; want the live words' %d (86 016) + s2off, tileOff and zeros' %d = 88 576", held, live, side)
+		ft.Release()
+		hits := pl.Stats().SolverHits
+		s := getSolver[float32](pl)
+		if pl.Stats().SolverHits == hits || s.r2 == nil {
+			t.Fatalf("%s: the pool handed back no masked shell (hit %v, r2 set %v)", impl, pl.Stats().SolverHits > hits, s.r2 != nil)
+		}
+		var held int64
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				held += int64(f.Cap()) * int64(f.Type().Elem().Size())
+			}
+		}
+		live := liveBytes(tableElems(n1, n2, n1, n2, MapBox), n1, n2, n2, MapBox, 4)
+		side := 8*int64(cap(s.s2off)) + 8*int64(cap(s.tileOff)) + 4*int64(cap(s.zeros))
+		if held != live+side || live != 86016 || held != 88576 {
+			t.Errorf("%s: the shell holds %d bytes of slices; want the live words' %d (86 016) + s2off, tileOff and zeros' %d = 88 576", impl, held, live, side)
+		}
+		arenaOf[float32](pl).solvers.Put(s)
 	}
 }
 

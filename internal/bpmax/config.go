@@ -74,8 +74,8 @@ type Config struct {
 	// generic shape with a deeper k2 band, which the register-resident sweep
 	// wants (docs/PERFORMANCE.md, "Vector kernels"). TileI2 sets the row tile
 	// of every hybrid-tiled fill; TileK2 and TileJ2 shape only the fills that
-	// sweep R0 — not a max-plus box-map fill on a vector body, which takes R0
-	// as block products of a fixed shape.
+	// sweep R0 — not a box-map fill whose band spans N2, which takes R0 as
+	// block products of a fixed shape on every kernel body.
 	TileI2, TileK2, TileJ2 int
 	// Map selects the inner-triangle memory map (Fig 10 ablation).
 	Map MapKind
@@ -89,7 +89,7 @@ type Config struct {
 	// Pool, when non-nil, recycles DP tables and solver state across folds
 	// so steady-state solves are near zero-allocation. A pooled table is
 	// re-zeroed on reuse except where the fill writes every cell before it
-	// reads one (a streamed box-map fill on a vector body takes it uncleared,
+	// reads one (a streamed box-map fill whose band spans N2 takes it uncleared,
 	// bufpool.GetUnzeroed), so results stay bit-identical to fresh-allocation
 	// runs.
 	Pool *Pool

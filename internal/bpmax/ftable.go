@@ -117,12 +117,12 @@ func NewFTable(n1, n2 int, kind MapKind) *FTable {
 // (w1, w2), zeroed, drawn from pl's arenas when pl is non-nil (so the result
 // is indistinguishable from a fresh allocation; Release returns it) — with
 // seeded, uncleared, for a fill that writes every cell before it reads one.
-// Scalars outside the two pooled instantiations are allocated fresh.
 func newTable[T semiring.Scalar](pl *Pool, n1, n2, w1, w2 int, kind MapKind, seeded bool) *FTableOf[T] {
-	shells, buf := tableArena[T](pl)
+	var ar *arena[T]
 	var f *FTableOf[T]
-	if shells != nil {
-		f, _ = shells.Get().(*FTableOf[T])
+	if pl != nil {
+		ar = arenaOf[T](pl)
+		f, _ = ar.tables.Get().(*FTableOf[T])
 		count(&pl.ftableHits, &pl.ftableMisses, f != nil)
 	}
 	if f == nil {
@@ -130,10 +130,10 @@ func newTable[T semiring.Scalar](pl *Pool, n1, n2, w1, w2 int, kind MapKind, see
 	}
 	f.setShape(n1, n2, w1, w2, kind)
 	f.dom, f.refilled = domain{}, false
-	if n := f.outer.Size() * f.isize; buf != nil && seeded {
-		f.data, f.pl = buf.GetUnzeroed(n), pl
-	} else if buf != nil {
-		f.data, f.pl = buf.Get(n), pl
+	if n := f.outer.Size() * f.isize; ar != nil && seeded {
+		f.data, f.pl = ar.buf.GetUnzeroed(n), pl
+	} else if ar != nil {
+		f.data, f.pl = ar.buf.Get(n), pl
 	} else {
 		f.data = make([]T, n)
 	}
@@ -179,11 +179,11 @@ func (f *FTableOf[T]) Release() {
 	if f == nil || f.pl == nil {
 		return
 	}
-	shells, buf := tableArena[T](f.pl)
+	ar := arenaOf[T](f.pl)
 	f.pl = nil
-	buf.Put(f.data)
+	ar.buf.Put(f.data)
 	f.data = nil
-	shells.Put(f)
+	ar.tables.Put(f)
 }
 
 // InWindow reports whether the cell is stored.

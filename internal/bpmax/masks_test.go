@@ -14,13 +14,13 @@ import (
 
 // TestMaskedFillMatchesSweeps holds the masked fill — R0's block products
 // skipping the splits R2 dominates, and R1's those S² dominates — to the
-// Go-body fill, which sweeps every split (held to refDP at N1 3), cell for
+// packed-map fill, which sweeps every split (held to refDP at N1 3), cell for
 // cell: N1 in {3, 6} and N2 in {1, 15, 33, 47, 70, 128} (wavefronts of 1 to
 // 6 triangles; no split, one word of live bits and two, with their tails),
 // TileI2 5 and 13 (groups cut short, groups that start inside a word), one
 // worker and two, on the base-pair, unit and custom integer weights, the
 // dyadic ones and the non-dyadic ones rounded to the 2⁻⁸ grid, with
-// MinHairpin 0-3, on every vector body. Each fill runs twice: on a solver
+// MinHairpin 0-3, on every kernel body. Each fill runs twice: on a solver
 // whose table is poisoned and whose live words — the blocks' tile bit-sets,
 // the triangles' word scratch and R1's bit-sets — are all 0 (every split
 // dropped) before the masks are armed, so a word or a cell read before the
@@ -28,9 +28,6 @@ import (
 // where no fold takes masks; and on pooled storage poisoned and released by
 // the fill before.
 func TestMaskedFillMatchesSweeps(t *testing.T) {
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: R0 sweeps")
-	}
 	ctx := context.Background()
 	models := []struct {
 		name  string
@@ -48,9 +45,7 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var sweeps Config
-				sweeps.SetKernels("go")
-				want := Solve(p, VariantHybridTiled, sweeps)
+				want := Solve(p, VariantHybridTiled, Config{Map: MapPacked})
 				if n1 == 3 {
 					ref := newRefDP(p)
 					eachCell(p.N1, p.N2, func(i1, j1, i2, j2 int) {
@@ -62,7 +57,7 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 				pl := NewPool()
 				for _, tile := range []int{5, 13} {
 					for _, workers := range []int{1, 2} {
-						for _, impl := range maxplus.Impls()[:len(maxplus.Impls())-1] {
+						for _, impl := range maxplus.Impls() {
 							label := fmt.Sprintf("%s/hairpin=%d/%dx%d/tile=%d/workers=%d/%s", md.name, hp, n1, n2, tile, workers, impl)
 							cfg := Config{TileI2: tile, Workers: workers}
 							cfg.SetKernels(impl)
@@ -103,10 +98,11 @@ func TestMaskedFillMatchesSweeps(t *testing.T) {
 
 // TestMasksOnlyWhereSumsAreExact: every max-plus fill the solver admits is
 // exact — integer, dyadic and rounded non-dyadic weights alike — and takes
-// masks on a vector body, the box map and a band spanning N2; not on the Go
-// loops, the packed map, a narrower band, a strand shorter than maskMinN2 or
-// either partition fill. Integer weights whose sums pass 2²⁴ are refused by
-// the solver, full fill and band, before any table is built.
+// masks on the box map and a band spanning N2, on every kernel body; not on
+// the packed map, a narrower band, a strand shorter than maskMinN2 or either
+// partition fill, which take R0 as products on the box map but neither R1
+// products nor masks. Integer weights whose sums pass 2²⁴ are refused by the
+// solver, full fill and band, before any table is built.
 func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 	if s := newSolver(newTestProblem(t, 3, 8, maskMinN2-1), Config{}, 8, maskMinN2-1); s.r2 != nil {
 		t.Errorf("an 8x%d fill takes masks", maskMinN2-1)
@@ -115,14 +111,18 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 	s1, s2 := rna.Random(rng, 4), rna.Random(rng, maskMinN2+6)
 	ctx := context.Background()
 	noPartitionMasks := func(name string, p *Problem) {
+		ps := buildTestPartitionSub(t, p, 1)
 		for _, impl := range maxplus.Impls() {
 			cfg := Config{}
 			cfg.SetKernels(impl)
-			ps := buildTestPartitionSub(t, p, 1)
 			a := ps.a
 			a.k = cfg.sumProductKernels()
-			if s := newGSolver(p, a, cfg, p.N1, p.N2, false); s.r2 != nil {
-				t.Errorf("%s/%s: the scaled partition fill takes masks", name, impl)
+			for domain, a := range map[string]alg[float64]{"scaled": a, "log-domain": ps.logAlg(p)} {
+				s := newGSolver(p, a, cfg, p.N1, p.N2, false)
+				if !s.blocks || s.blocksR1 || s.r2 != nil {
+					t.Errorf("%s/%s: the %s partition fill: R0 products %v, R1 products %v, masks %v; want R0's alone", name, impl, domain, s.blocks, s.blocksR1, s.r2 != nil)
+				}
+				s.abort()
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func TestMasksOnlyWhereSumsAreExact(t *testing.T) {
 				w2    int
 				masks bool
 			}{
-				{"box", Config{}, p.N2, impl != "go"},
+				{"box", Config{}, p.N2, true},
 				{"packed", Config{Map: MapPacked}, p.N2, false},
 				{"band", Config{}, p.N2 - 1, false},
 			} {
@@ -202,23 +202,24 @@ func liveSplitWork(s *solver, ft *FTable) float64 {
 // dense ones. A mask that marks every split live passes every parity test;
 // this is the test it fails.
 func TestMaskedSplitWork(t *testing.T) {
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: R0 sweeps")
-	}
 	p := newTestProblem(t, 16128, 16, 128)
-	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
-	if s.r2 == nil {
-		t.Fatal("an exact max-plus box-map fill takes no masks")
-	}
-	ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ft.Release()
-	frac := liveSplitWork(s, ft)
-	t.Logf("16x128: masked R0 runs %.1f %% of the dense split work", 100*frac)
-	if frac > 0.40 {
-		t.Errorf("16x128: masked R0 runs %.1f %% of the dense split work, want at most 40 %%", 100*frac)
+	for _, impl := range maxplus.Impls() {
+		cfg := Config{Workers: 1}
+		cfg.SetKernels(impl)
+		s := newSolver(p, cfg, p.N1, p.N2)
+		if s.r2 == nil {
+			t.Fatalf("%s: an exact max-plus box-map fill takes no masks", impl)
+		}
+		ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := liveSplitWork(s, ft)
+		ft.Release()
+		t.Logf("16x128/%s: masked R0 runs %.1f %% of the dense split work", impl, 100*frac)
+		if frac > 0.40 {
+			t.Errorf("16x128/%s: masked R0 runs %.1f %% of the dense split work, want at most 40 %%", impl, 100*frac)
+		}
 	}
 }
 
@@ -253,19 +254,20 @@ func r1SplitWork(s *solver) float64 {
 // that marks every split live passes every parity test; this is the test it
 // fails.
 func TestR1SplitWork(t *testing.T) {
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: R1 sweeps")
-	}
 	p := newTestProblem(t, 16128, 16, 128)
-	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
-	defer s.abort()
-	if s.r2 == nil {
-		t.Fatal("an exact max-plus box-map fill takes no masks")
-	}
-	frac := r1SplitWork(s)
-	t.Logf("16x128: masked R1 runs %.1f %% of the dense split work", 100*frac)
-	if frac > 0.35 {
-		t.Errorf("16x128: masked R1 runs %.1f %% of the dense split work, want at most 35 %%", 100*frac)
+	for _, impl := range maxplus.Impls() {
+		cfg := Config{Workers: 1}
+		cfg.SetKernels(impl)
+		s := newSolver(p, cfg, p.N1, p.N2)
+		if s.r2 == nil {
+			t.Fatalf("%s: an exact max-plus box-map fill takes no masks", impl)
+		}
+		frac := r1SplitWork(s)
+		s.abort()
+		t.Logf("16x128/%s: masked R1 runs %.1f %% of the dense split work", impl, 100*frac)
+		if frac > 0.35 {
+			t.Errorf("16x128/%s: masked R1 runs %.1f %% of the dense split work, want at most 35 %%", impl, 100*frac)
+		}
 	}
 }
 
@@ -310,27 +312,27 @@ func r2SplitWork(t *testing.T, r2 func(c, star []float32, lds, k0, n int, live [
 // R2's dense split work (columns updated). A walk that marks every split live
 // passes every parity test; this is the test it fails.
 func TestR2SplitWork(t *testing.T) {
-	if maxplus.Impl() == "go" {
-		t.Skip("no vector body in this build: R2 sweeps")
-	}
 	p := newTestProblem(t, 16128, 16, 128)
-	s := newSolver(p, Config{Workers: 1}, p.N1, p.N2)
-	if s.r2 == nil {
-		t.Fatal("an exact max-plus box-map fill takes no masks")
-	}
-	r2, star, lds, lanes := s.r2, s.a.star, s.a.p2, 16 // an AVX-512 vector of float32
-	if s.a.k.Impl == "avx2" {
-		lanes = 8
-	}
-	ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ft.Release()
-	frac := r2SplitWork(t, r2, star, lds, ft, lanes)
-	t.Logf("16x128: the fused R2 runs %.1f %% of the dense split work", 100*frac)
-	if frac > 0.45 {
-		t.Errorf("16x128: the fused R2 runs %.1f %% of the dense split work, want at most 45 %%", 100*frac)
+	// The lanes of a vector of float32: R2Go walks the live splits alone.
+	lanes := map[string]int{"avx512": 16, "avx2": 8, "go": 1}
+	for _, impl := range maxplus.Impls() {
+		cfg := Config{Workers: 1}
+		cfg.SetKernels(impl)
+		s := newSolver(p, cfg, p.N1, p.N2)
+		if s.r2 == nil {
+			t.Fatalf("%s: an exact max-plus box-map fill takes no masks", impl)
+		}
+		r2, star, lds := s.r2, s.a.star, s.a.p2
+		ft, err := s.fill(context.Background(), VariantHybridTiled, "hybrid-tiled")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := r2SplitWork(t, r2, star, lds, ft, lanes[impl])
+		ft.Release()
+		t.Logf("16x128/%s: the fused R2 runs %.1f %% of the dense split work", impl, 100*frac)
+		if frac > 0.45 {
+			t.Errorf("16x128/%s: the fused R2 runs %.1f %% of the dense split work, want at most 45 %%", impl, 100*frac)
+		}
 	}
 }
 

@@ -220,7 +220,7 @@ func (ps *PartitionSub) Release() {
 	if ps == nil || ps.pl == nil {
 		return
 	}
-	ps.pl.buf64.Put(ps.buf)
+	ps.pl.f64.buf.Put(ps.buf)
 	ps.pl, ps.buf = nil, nil
 	ps.a.sc1, ps.a.sc2, ps.a.isc, ps.a.star = nil, nil, nil, nil
 }
@@ -236,7 +236,7 @@ func NewPartitionSub(p *Problem, kT float64, s1, s2 *PartitionS) (*PartitionSub,
 	}
 	ps := &PartitionSub{KT: kT, S1: s1, S2: s2, pl: p.pl}
 	if ps.pl != nil {
-		ps.buf = ps.pl.buf64.Get(matrixCells(p.N1, p.N2))
+		ps.buf = ps.pl.f64.buf.Get(matrixCells(p.N1, p.N2))
 	} else {
 		ps.buf = make([]float64, matrixCells(p.N1, p.N2))
 	}

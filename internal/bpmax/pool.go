@@ -31,27 +31,42 @@ import (
 //
 // The zero value is ready to use and safe for concurrent use.
 //
-// The arenas come in two element widths: the float32 set serves the
-// max-plus tables (the historical hot path, untouched by the algebra
-// refactor) and the float64 set serves the partition tables and matrices.
-// Each scalar has its own buffer arena and shell freelists so a mixed
-// workload never cross-pollutes classes; the reuse counters are shared
+// The arenas come in two element widths, one arena a scalar (arenaOf): the
+// float32 one serves the max-plus tables (the historical hot path, untouched
+// by the algebra refactor) and the float64 one the partition tables and
+// matrices. Each scalar has its own buffer arena and shell freelists so a
+// mixed workload never cross-pollutes classes; the reuse counters are shared
 // (a shell is a shell).
 type Pool struct {
-	buf       bufpool.Pool
-	buf64     bufpool.PoolOf[float64]
-	problems  sync.Pool // *Problem
-	ftables   sync.Pool // *FTable
-	ftables64 sync.Pool // *FTableOf[float64]
-	solvers   sync.Pool // *solver
-	solvers64 sync.Pool // *gsolver[float64]
-	strands   sync.Pool // *nussinov.Table: single-strand folds' S tables
+	f32      arena[float32]
+	f64      arena[float64]
+	problems sync.Pool // *Problem
+	strands  sync.Pool // *nussinov.Table: single-strand folds' S tables
 
 	// Reuse counters per shell kind (hit = recycled shell, miss = fresh
 	// allocation). One atomic add per fold per kind; always on.
 	problemHits, problemMisses atomic.Int64
 	ftableHits, ftableMisses   atomic.Int64
 	solverHits, solverMisses   atomic.Int64
+}
+
+// arena is one scalar's half of a Pool: the size-classed buffers of its
+// tables (and, in float64, the partition matrices) and the freelists of its
+// table and solver shells.
+type arena[T semiring.Scalar] struct {
+	buf     bufpool.PoolOf[T]
+	tables  sync.Pool // *FTableOf[T]
+	solvers sync.Pool // *gsolver[T]
+}
+
+// arenaOf returns pl's arena of T (Go methods cannot take type parameters,
+// so it is a free function). The pointer-to-interface conversions don't
+// allocate, so pooled folds keep their steady state.
+func arenaOf[T semiring.Scalar](pl *Pool) *arena[T] {
+	if a, ok := any(&pl.f32).(*arena[T]); ok {
+		return a
+	}
+	return any(&pl.f64).(*arena[T])
 }
 
 // count increments hit or miss depending on whether the sync.Pool served a
@@ -157,64 +172,16 @@ func (pl *Pool) PutS(t *nussinov.Table) {
 	}
 }
 
-// getSolver returns a recycled solver shell (its hoisted task closures, if
-// already built, come along, so repeat folds allocate no closures).
-func (pl *Pool) getSolver() *solver {
-	s, _ := pl.solvers.Get().(*solver)
+// getSolver returns a recycled solver shell of T (its hoisted task
+// closures, if already built, come along, so repeat folds allocate no
+// closures), or a fresh one.
+func getSolver[T semiring.Scalar](pl *Pool) *gsolver[T] {
+	s, _ := arenaOf[T](pl).solvers.Get().(*gsolver[T])
 	count(&pl.solverHits, &pl.solverMisses, s != nil)
 	if s == nil {
-		s = &solver{}
+		s = &gsolver[T]{}
 	}
 	return s
-}
-
-func (pl *Pool) putSolver(s *solver) { pl.solvers.Put(s) }
-
-// tableArena routes a table of element type T to pl's shell freelist and
-// buffer arena for that width (Go methods cannot take type parameters, so
-// the per-scalar arenas are reached through free functions). It returns nils
-// for a nil pool and for scalars outside the two pooled instantiations. The
-// pointer-to-interface conversions don't allocate, so pooled folds keep
-// their steady state.
-func tableArena[T semiring.Scalar](pl *Pool) (*sync.Pool, *bufpool.PoolOf[T]) {
-	if pl == nil {
-		return nil, nil
-	}
-	if b, ok := any(&pl.buf).(*bufpool.PoolOf[T]); ok {
-		return &pl.ftables, b
-	}
-	if b, ok := any(&pl.buf64).(*bufpool.PoolOf[T]); ok {
-		return &pl.ftables64, b
-	}
-	return nil, nil
-}
-
-// poolGetSolver is getSolver routed by element type; see tableArena.
-func poolGetSolver[T semiring.Scalar](pl *Pool) *gsolver[T] {
-	var zero T
-	switch any(zero).(type) {
-	case float32:
-		return any(pl.getSolver()).(*gsolver[T])
-	case float64:
-		s, _ := pl.solvers64.Get().(*gsolver[float64])
-		count(&pl.solverHits, &pl.solverMisses, s != nil)
-		if s == nil {
-			s = &gsolver[float64]{}
-		}
-		return any(s).(*gsolver[T])
-	}
-	return &gsolver[T]{}
-}
-
-// poolPutSolver is putSolver routed by element type; shells of unsupported
-// scalars are dropped to the garbage collector.
-func poolPutSolver[T semiring.Scalar](pl *Pool, s *gsolver[T]) {
-	switch t := any(s).(type) {
-	case *solver:
-		pl.putSolver(t)
-	case *gsolver[float64]:
-		pl.solvers64.Put(t)
-	}
 }
 
 // RetainedBytes returns the bytes currently parked in the pool's scalar
@@ -228,12 +195,12 @@ func poolPutSolver[T semiring.Scalar](pl *Pool, s *gsolver[T]) {
 // its 8.9 MB table, for as long as the freelist holds the shell (ROADMAP
 // item 8(c)). S²'s live words are S²'s own (nussinov.GTable.Live).
 func (pl *Pool) RetainedBytes() int64 {
-	return pl.buf.RetainedBytes() + pl.buf64.RetainedBytes()
+	return pl.f32.buf.RetainedBytes() + pl.f64.buf.RetainedBytes()
 }
 
 // Trim releases every idle pooled buffer (both element widths) to the
 // garbage collector and returns how many bytes were freed.
-func (pl *Pool) Trim() int64 { return pl.buf.Trim() + pl.buf64.Trim() }
+func (pl *Pool) Trim() int64 { return pl.f32.buf.Trim() + pl.f64.buf.Trim() }
 
 // Stats snapshots the pool's reuse counters and the arenas' buffer
 // statistics. Counters are cumulative since the pool was created. The two
@@ -241,8 +208,8 @@ func (pl *Pool) Trim() int64 { return pl.buf.Trim() + pl.buf64.Trim() }
 // sum of the per-arena high-waters — an upper bound on the true combined
 // high-water, which the arenas do not track jointly).
 func (pl *Pool) Stats() metrics.PoolStats {
-	b32 := pl.buf.Stats()
-	b64 := pl.buf64.Stats()
+	b32 := pl.f32.buf.Stats()
+	b64 := pl.f64.buf.Stats()
 	return metrics.PoolStats{
 		ProblemHits:   pl.problemHits.Load(),
 		ProblemMisses: pl.problemMisses.Load(),

@@ -41,7 +41,7 @@ func inGuardWindow[T semiring.Scalar](cells []T) bool {
 }
 
 // solver is the float32 (max-plus) instantiation of the generic solver —
-// the historical name used by the pool, the DMP schedules and the tests.
+// the historical name used by the DMP schedules and the tests.
 type solver = gsolver[float32]
 
 // gsolver carries the state shared by the optimized schedules: the problem,
@@ -138,16 +138,13 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	cfg = cfg.withDefaults()
 	var s *gsolver[T]
 	if cfg.Pool != nil {
-		s = poolGetSolver[T](cfg.Pool)
+		s = getSolver[T](cfg.Pool)
 	} else {
 		s = &gsolver[T]{}
 	}
-	// Every box-map block holds Zero below its diagonal (initRow). With a
-	// vector Product (max-plus, and the scaled sum-product, whose Zero is 0)
-	// and a band spanning N2, R0 runs as block products (r0Blocks), and
-	// max-plus R1 too (r1Blocks): partition's R1 by products would reorder its
-	// sums. All else keeps r0Tiled and the R1 sweep (docs/ALGORITHM.md §9).
-	blocks := cfg.Map == MapBox && a.k.Impl != "go" && w2 >= p.N2
+	// The layout and the algebra pick the form (fillForm); the body only
+	// supplies the kernels.
+	blocks, blocksR1, masks := fillForm(cfg.Map, p.N2, w2, a.k.R2 != nil)
 	s.f = newAlgTable(p, &a, cfg.Pool, w1, w2, cfg.Map, seeded && blocks)
 	s.p = p
 	s.a = a
@@ -159,7 +156,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	for r := range s.s2off {
 		s.s2off[r] = r * a.p2
 	}
-	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocks && !a.dom.scaled
+	s.zeros, s.blocks, s.blocksR1 = s.zeros[:0], blocks, blocksR1
 	if blocks {
 		for range p.N2 {
 			s.zeros = append(s.zeros, a.k.Zero)
@@ -169,7 +166,7 @@ func newGSolver[T semiring.Scalar](p *Problem, a alg[T], cfg Config, w1, w2 int,
 	// splits S² dominates, every sum being exact (docs/ALGORITHM.md §9,
 	// "Dominated splits").
 	s.r2 = nil
-	if a.k.R2 != nil && s.blocksR1 && p.N2 >= maskMinN2 && p.S2.Closed() {
+	if masks && p.S2.Closed() {
 		s.armMasks(a.k.R2)
 	} else {
 		s.pre = atLeast(s.pre, p.N1*a.n2)
@@ -222,7 +219,7 @@ func (s *gsolver[T]) release() {
 	s.f = nil
 	s.a = alg[T]{}
 	if pl != nil {
-		poolPutSolver(pl, s)
+		arenaOf[T](pl).solvers.Put(s)
 	}
 }
 
@@ -398,6 +395,20 @@ func tileSetWords(n2, tileI2 int, off []int) int {
 // splits: below it R0's products are too short for the walk to repay the
 // bookkeeping (docs/PERFORMANCE.md, "Dominated splits").
 const maskMinN2 = 64
+
+// fillForm is the form of a fill of a table under kind storing the band w2
+// of an n2 strand, in max-plus (R2 set) or a partition algebra, on every
+// kernel body. Every box-map block holds Zero below its diagonal (initRow),
+// so with a band spanning N2 R0 runs as block products (r0Blocks), and
+// max-plus R1 too (r1Blocks): partition's R1 by products would reorder its
+// sums. From N2 = maskMinN2 up max-plus products skip dominated splits
+// (masks), which newGSolver arms over a closed S² and liveBytes prices. All
+// else keeps r0Tiled and the R1 sweep (docs/ALGORITHM.md §9).
+func fillForm(kind MapKind, n2, w2 int, maxPlus bool) (blocks, blocksR1, masks bool) {
+	blocks = kind == MapBox && w2 >= n2
+	blocksR1 = blocks && maxPlus
+	return blocks, blocksR1, blocksR1 && n2 >= maskMinN2
+}
 
 // finalize turns the accumulated H partials of triangle (i1, j1) into final
 // F values, in every algebra. Rows run bottom-up, so the intra-triangle terms

@@ -103,11 +103,12 @@ type Body[T ~float32 | ~float64] struct {
 	// pre's two streams at c's stride (pre.C0 0; the zero Pre is none):
 	// c[r*ldc+j] ⊕= X1[r*ldc+j] ⊗ A1, ⊕= X2[r*ldc+j] ⊗ A2, then ⊕= a[r*lda+s] ⊗
 	// b[s*ldb+j] for s in [0, k) ascending (k = 0: the pre-streams alone), for
-	// r < m, j < w, c apart from the rest. b holds Zero at every j < s+diag, so
-	// a vector body may skip the vectors whose columns all lie there (the Go
-	// loops compute them: they change no cell, docs/ALGORITHM.md §9). A 4-row ×
-	// 2-vector register tile in the vector bodies, one Accum a (row, split) in
-	// the Go loops.
+	// r < m, j < w, c apart from the rest. b holds Zero at every j < s+diag,
+	// whose candidates change no cell (docs/ALGORITHM.md §9), so every body
+	// skips columns there: the vector bodies the vectors that lie wholly in
+	// it, the Go loops the columns left of s+diag rounded down to a multiple
+	// of 8. A 4-row × 2-vector register tile in the vector bodies, one Accum
+	// a (row, split) in the Go loops.
 	// live, unless nil, keeps only the splits it marks: one bit-set per kernel
 	// tile (each four rows, then each row left over), len(live)/tiles words,
 	// bit s for split s. An exact max-plus fill passes one to R0's and R1's

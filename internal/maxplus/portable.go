@@ -117,8 +117,10 @@ func SweepOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(y, a, b []T,
 }
 
 // ProductOver builds a Product from a stream: pre's two a row, then one a
-// (row, split) for the splits live marks, s ascending; it ignores diag
-// (skipped candidates change no cell). It is the Go bodies' Product (behind
+// (row, split) for the splits live marks, s ascending, each from the column
+// diag puts its first non-Zero cell of b in, rounded down to a multiple of 8
+// — the columns left of it, whose candidates change no cell, are skipped as
+// the vector bodies skip whole vectors. It is the Go bodies' Product (behind
 // their checks), the oracle's and log-sum-exp's.
 func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
 	return func(c []T, ldc int, a []T, lda int, b []T, ldb int, m, w, k, diag int, pre Pre[T], live []uint64) {
@@ -132,7 +134,8 @@ func ProductOver[T ~float32 | ~float64](acc func(y, x []T, a T)) func(c []T, ldc
 			t := max(r/4, r-3*(m/4)) * stride // r's tile's bit-set
 			for s := 0; s < k; s++ {
 				if live == nil || live[t+s>>6]>>(s&63)&1 != 0 {
-					acc(y, b[s*ldb:s*ldb+w], a[r*lda+s])
+					j := min(max(s+diag, 0)&^7, w)
+					acc(y[j:], b[s*ldb+j:s*ldb+w], a[r*lda+s])
 				}
 			}
 		}
@@ -183,22 +186,33 @@ const zero = -1e30
 // closed (star[m+1][k] ⊗ star[k+1][j] <= star[m+1][j]), so c[k] ⊗ star[k+1][j]
 // <= c[m] ⊗ star[m+1][j] for a split m < k — exact in max-plus, which every
 // fill is (docs/ALGORITHM.md §9, "Dominated splits"). A live column keeps its
-// c, so the splits are read from the row itself.
+// c, so the splits are read from the row itself. Each live split streams its
+// star row into y a block of 64 columns at a time, never down a column.
 func R2Go(c, star []float32, lds, k0, n int, live []uint64) {
-	for j := k0; j < n; j++ {
-		y := float32(zero)
-		for k := k0; k < j; k++ {
-			if live[k>>6]>>(k&63)&1 == 0 {
+	var y [64]float32
+	for b0 := k0; b0 < n; b0 += len(y) {
+		b1 := min(b0+len(y), n)
+		for t := range y {
+			y[t] = zero
+		}
+		for k := k0; k < b1; k++ {
+			if k >= b0 { // every split left of column k has streamed
+				if v := y[k-b0]; c[k] > v {
+					live[k>>6] |= 1 << (k & 63)
+				} else if v > c[k] {
+					c[k] = v
+				}
+			}
+			lo := max(k+1, b0)
+			if lo >= b1 || live[k>>6]>>(k&63)&1 == 0 {
 				continue
 			}
-			if x := c[k] + star[(k+1)*lds+j]; x > y {
-				y = x
+			x, yb := c[k], y[lo-b0:b1-b0]
+			for t, s := range star[(k+1)*lds+lo : (k+1)*lds+b1] {
+				if v := x + s; v > yb[t] {
+					yb[t] = v
+				}
 			}
-		}
-		if c[j] > y {
-			live[j>>6] |= 1 << (j & 63)
-		} else if y > c[j] {
-			c[j] = y
 		}
 	}
 }

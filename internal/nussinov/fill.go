@@ -17,15 +17,16 @@ import (
 const SequentialCutoff = 992
 
 // tileEdge is the side of the square tiles a table at or above
-// SequentialCutoff is cut into: wide enough that a tile row's stream is as
+// SequentialCutoff is cut into in the walk's form (the closure's is
+// closureTile): wide enough that a tile row's stream is as
 // long as the average whole-row stream of a 768-nt table, narrow enough that
 // the rows below a tile, 1 KiB each in its columns, fit a 2 MiB L2 to 2048 nt.
 const tileEdge = 256
 
-// closureTile is the tile edge of the closure form from SequentialCutoff up
-// on a vector Product (fillTile): 128 won less, 32 lost. The Go loops gain no
-// reuse from the product and pay a call a 64-column row, so keep tileEdge
-// (docs/PERFORMANCE.md, "The block product").
+// closureTile is the tile edge of the closure form from SequentialCutoff up,
+// on every kernel body (fillTile): on AVX-512 128 won less and 32 lost, and
+// the Go loops read the same at 64 as at tileEdge, within their spread
+// (docs/PERFORMANCE.md, "The block product" and "The portable build").
 const closureTile = 64
 
 // ParallelFor runs f(i) for every i in [0, n) on the caller's parallel

@@ -183,7 +183,8 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 // exact asserts that k is max-plus and that every sum the fill forms is
 // exact (score.Grid.Exact), which the caller knows in O(1) from its model;
 // the rows then finish by the closure sweep instead of the per-split walk
-// (fillRow), with the same table. The float64 fills pass false.
+// (fillRow), with the same table, and tile at closureTile instead of
+// tileEdge, on every kernel body. The float64 fills pass false.
 //
 // unit is the weight of one unpaired base — One in the unscaled semirings,
 // e^{-σ} when the caller runs the sum-product kernels on
@@ -196,7 +197,7 @@ func ScoreRows[T semiring.Scalar](n int, score func(i, j int) T) PairRows[T] {
 func (t *GTable[T]) FillContext(ctx context.Context, k semiring.Kernels[T], unit T, w PairRows[T], exact bool, pfor ParallelFor) error {
 	tile := tileEdge
 	if exact {
-		tile = closureEdge(k.Impl)
+		tile = closureTile
 	}
 	return t.fillContext(ctx, k, unit, w, exact, pfor, SequentialCutoff, tile)
 }
@@ -248,25 +249,15 @@ func liveWords(n, tile int) (words, slots, slot int) {
 }
 
 // LiveBytes is what FillContext's closure form keeps beyond the cells of a
-// max-plus table of n positions on this process's kernels: its rows' live
-// words and, tiled, its products' tile bit-sets, which GTable.Bytes counts
-// too.
+// max-plus table of n positions, on every kernel body: its rows' live words
+// and, tiled, its products' tile bit-sets, which GTable.Bytes counts too.
 func LiveBytes(n int) int64 {
 	tile := max(n, 1)
 	if Tiled(n) {
-		tile = closureEdge(maxplus.Impl())
+		tile = closureTile
 	}
 	words, slots, slot := liveWords(n, tile)
 	return int64(words+slots*slot) * 8
-}
-
-// closureEdge is the closure form's tile edge on the named kernel body:
-// closureTile where its Product is a vector body, tileEdge on the Go loops.
-func closureEdge(impl string) int {
-	if impl == "go" {
-		return tileEdge
-	}
-	return closureTile
 }
 
 // Closed reports whether the table's last fill finished its rows by the

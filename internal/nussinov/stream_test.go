@@ -627,7 +627,7 @@ func TestSubstrateSplitWork(t *testing.T) {
 	if err := g.FillContext(context.Background(), k, 0, w.Rows, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	tile := closureEdge(k.Impl)
+	tile := closureTile
 	share := productSplitWork(g, tile)
 	t.Logf("%d nt, tile %d on %s: the products take %.1f %% of their dense splits", n, tile, k.Impl, 100*share)
 	if share > 0.18 {
@@ -635,32 +635,35 @@ func TestSubstrateSplitWork(t *testing.T) {
 	}
 }
 
-// TestClosureScratchPricedAndReused: a closure fill of 1024 nt keeps
-// LiveBytes beyond its cells, Bytes counts them, a Clone keeps the live
-// words and drops the tile bit-sets, an untiled table keeps its words alone,
-// and refilling the table at the same size allocates nothing.
+// TestClosureScratchPricedAndReused: a closure fill of 1024 nt, on every
+// kernel body, keeps LiveBytes beyond its cells, Bytes counts them, a Clone
+// keeps the live words and drops the tile bit-sets, an untiled table keeps
+// its words alone, and refilling the table at the same size allocates
+// nothing.
 func TestClosureScratchPricedAndReused(t *testing.T) {
 	const n = 1024
 	w := score.WeightsOf(rna.Random(rand.New(rand.NewSource(2)), n), score.Params{Model: score.BasePair()})
-	g, rows := NewGTable[float32](n), w.Rows
-	fill := func() {
-		g.Reset(n)
-		if err := g.FillContext(context.Background(), semiring.MaxPlusKernels(true), 0, rows, true, nil); err != nil {
-			t.Fatal(err)
+	for _, impl := range maxplus.Impls() {
+		g, rows, k := NewGTable[float32](n), w.Rows, semiring.MaxPlusKernelsOf(impl)
+		fill := func() {
+			g.Reset(n)
+			if err := g.FillContext(context.Background(), k, 0, rows, true, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	fill()
-	cells, words := int64(n*PitchOf(n, 4))*4, int64(n*liveW(n))*8
-	if lb := LiveBytes(n); lb <= words || g.Bytes() != cells+lb {
-		t.Errorf("Bytes() = %d, want %d cells' bytes + LiveBytes %d, above the words' %d", g.Bytes(), cells, lb, words)
-	}
-	if c := g.Clone(); c.Bytes() != cells+words {
-		t.Errorf("a clone's Bytes() = %d, want its cells' %d and its words' %d", c.Bytes(), cells, words)
+		fill()
+		cells, words := int64(n*PitchOf(n, 4))*4, int64(n*liveW(n))*8
+		if lb := LiveBytes(n); lb <= words || g.Bytes() != cells+lb {
+			t.Errorf("%s: Bytes() = %d, want %d cells' bytes + LiveBytes %d, above the words' %d", impl, g.Bytes(), cells, lb, words)
+		}
+		if c := g.Clone(); c.Bytes() != cells+words {
+			t.Errorf("%s: a clone's Bytes() = %d, want its cells' %d and its words' %d", impl, c.Bytes(), cells, words)
+		}
+		if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
+			t.Errorf("%s: a refill of the table allocates %v times", impl, allocs)
+		}
 	}
 	if m := SequentialCutoff - 1; LiveBytes(m) != int64(m*liveW(m))*8 {
 		t.Errorf("LiveBytes(%d) = %d: an untiled table keeps its live words alone", m, LiveBytes(m))
-	}
-	if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
-		t.Errorf("a refill of the table allocates %v times", allocs)
 	}
 }
